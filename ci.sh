@@ -181,13 +181,26 @@ echo "==> local wall-clock gate (LocalFabric null-RMI vs committed baseline)"
 retry_once "local gate" ./target/release/regress --local
 echo "local gate OK"
 
-echo "==> fabric ring stress + wall-clock zero-alloc tests"
+echo "==> fabric ring stress + wall-clock zero-alloc + bounded-task tests"
 # The lock-free ring's FIFO/wraparound/overflow invariants under thread
 # contention, and the zero-allocation guarantee of the wall-clock short-send
 # path (counting global allocator), in release mode where the fast paths are
-# actually taken.
-cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count
-echo "fabric stress + alloc tests OK"
+# actually taken. Also at full size only in release: 50 000 spawn/join pairs
+# on a constant number of OS threads, 20 000 threaded RMIs in one run, and
+# EM3D base in CC++ at the paper's graph size. These assert completion and
+# counts, not timings, so none is retried.
+cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count \
+    --test bounded_tasks
+cargo test --release -q -p mpmd-apps --test local_scale
+echo "fabric stress + alloc + bounded-task tests OK"
+
+echo "==> benchmark/ builds and runs (standalone crate, quick smoke)"
+# benchmark/ is its own workspace, so nothing above compiles it: an API
+# change under crates/ could break the acceptance harness unnoticed. The
+# quick pass runs all five workloads in a few seconds and exits non-zero on
+# any failed operation.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --quick
+echo "benchmark smoke OK"
 
 echo "==> zero-allocation fast-path proof"
 # A counting global allocator brackets 1000 short-message round trips (must

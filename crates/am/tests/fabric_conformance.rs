@@ -11,8 +11,9 @@
 use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric};
 use mpmd_sim::Sim;
+use mpmd_threads as thr;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const H_SEQ: am::HandlerId = 100;
@@ -264,6 +265,153 @@ fn battery_coalesced_flush_before_sync_read<F: Fabric>(ctx: &F) {
     am::barrier(ctx);
 }
 
+const H_STORM: am::HandlerId = 102;
+
+/// Task storm (a): a `parfor` of 500 bodies, each blocked on a sync variable
+/// that only a reply handler writes, 20 times over. Every body must run
+/// exactly once and wake with its own value, however tasks are carried.
+fn storm_parfor<F: Fabric>(ctx: &F) {
+    const N: u64 = 500;
+    const ROUNDS: u64 = 20;
+    let vars: Arc<Vec<thr::SyncVar<u64>>> =
+        Arc::new((0..N * ROUNDS).map(|_| thr::SyncVar::new()).collect());
+    let served = Arc::new(AtomicU64::new(0));
+    let replies = Arc::new(AtomicU64::new(0));
+    let (vars2, served2, replies2) = (Arc::clone(&vars), Arc::clone(&served), Arc::clone(&replies));
+    am::register(ctx, H_STORM, move |rctx: &F, m| {
+        let slot = m.args[1];
+        if m.args[0] == 0 {
+            served2.fetch_add(1, Ordering::AcqRel);
+            am::endpoint(rctx)
+                .to(m.src)
+                .handler(H_STORM)
+                .args([1, slot, slot * 3 + 1, 0])
+                .send();
+        } else {
+            vars2[slot as usize].write(rctx, m.args[2]);
+            replies2.fetch_add(1, Ordering::AcqRel);
+        }
+    });
+    am::barrier(ctx);
+    if ctx.node() == 0 {
+        let ran: Arc<Vec<AtomicU64>> =
+            Arc::new((0..N * ROUNDS).map(|_| AtomicU64::new(0)).collect());
+        for round in 0..ROUNDS {
+            let bodies: Vec<thr::Thread> = (round * N..(round + 1) * N)
+                .map(|slot| {
+                    let (vars, ran) = (Arc::clone(&vars), Arc::clone(&ran));
+                    thr::spawn(ctx, "storm", move |c: F| {
+                        am::endpoint(&c)
+                            .to(1)
+                            .handler(H_STORM)
+                            .args([0, slot, 0, 0])
+                            .send();
+                        assert_eq!(vars[slot as usize].read(&c), slot * 3 + 1);
+                        ran[slot as usize].fetch_add(1, Ordering::AcqRel);
+                    })
+                })
+                .collect();
+            let r = Arc::clone(&replies);
+            am::wait_until(ctx, move || r.load(Ordering::Acquire) == (round + 1) * N);
+            for b in bodies {
+                b.join(ctx);
+            }
+        }
+        for (slot, n) in ran.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Acquire), 1, "body {slot} run count");
+        }
+    } else if ctx.node() == 1 {
+        let s = Arc::clone(&served);
+        am::wait_until(ctx, move || s.load(Ordering::Acquire) == N * ROUNDS);
+    }
+    am::barrier(ctx);
+}
+
+/// Task storm (b) and (d): wakeup tokens belong to a task, not to whatever
+/// carries it. An `unpark` before the `park` is kept; one aimed at a task
+/// that has exited is dropped and must not release a later task's `park`
+/// (on `LocalFabric` that later task runs on the same pooled worker). Ids of
+/// long-gone tasks stay valid: finished, joinable at once, unparkable.
+fn storm_tokens<F: Fabric>(ctx: &F) {
+    let me = ctx.task_id();
+    let mut gone = Vec::new();
+    for _ in 0..50 {
+        // Only a wall-clock fabric can unpark a task that has yet to park:
+        // simulator tasks are cooperative, its `unpark` of a task that is
+        // not parked is a no-op, and one aimed at a task blocked in `join`
+        // would end that join early.
+        let waker = ctx.spawn("waker", move |c: F| {
+            if c.wall_clock() {
+                c.unpark(me);
+            }
+        });
+        ctx.join(waker);
+        if ctx.wall_clock() {
+            ctx.park(); // unpark-before-park: must not hang
+        }
+        ctx.join(waker); // join-after-finish: must not hang
+        ctx.unpark(waker); // the stale token
+
+        let at_park = Arc::new(AtomicBool::new(false));
+        let released = Arc::new(AtomicBool::new(false));
+        let (at_park2, released2) = (Arc::clone(&at_park), Arc::clone(&released));
+        let sleeper = ctx.spawn("sleeper", move |c: F| {
+            at_park2.store(true, Ordering::Release);
+            c.park();
+            assert!(
+                released2.load(Ordering::Acquire),
+                "park released by a token meant for an exited task"
+            );
+        });
+        while !at_park.load(Ordering::Acquire) {
+            ctx.yield_now();
+        }
+        // Time for a leaked token to show: with one, `sleeper` is through
+        // its `park` microseconds after raising `at_park`.
+        ctx.sleep(mpmd_sim::us(200.0));
+        released.store(true, Ordering::Release);
+        ctx.unpark(sleeper);
+        ctx.join(sleeper);
+        gone.extend([waker, sleeper]);
+    }
+    for t in gone {
+        assert!(ctx.is_finished(t));
+        ctx.join(t);
+        ctx.unpark(t);
+    }
+}
+
+/// Task storm (c): `spawn_on` runs the task on the node it names, and a
+/// daemon spawned from there belongs to that node and winds down at
+/// shutdown. `wound_down` is checked by the driver after the run.
+fn storm_spawn_on<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicBool>) {
+    if ctx.node() == 0 {
+        let wound_down = Arc::clone(wound_down);
+        let t = ctx.spawn_on(1, "visitor", move |c: F| {
+            assert_eq!(c.node(), 1, "spawn_on(1) ran elsewhere");
+            c.spawn_daemon("resident", move |d: F| {
+                assert_eq!(d.node(), 1, "daemon left its spawner's node");
+                // Drains what it is woken for, like the AM daemons: a
+                // non-empty inbox ends `park_for_inbox` at once.
+                while !d.shutting_down() {
+                    am::poll(&d);
+                    d.park_for_inbox();
+                }
+                wound_down.store(true, Ordering::Release);
+            });
+        });
+        ctx.join(t);
+    }
+}
+
+fn battery_task_storm<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicBool>) {
+    setup(ctx);
+    storm_parfor(ctx);
+    storm_tokens(ctx);
+    storm_spawn_on(ctx, wound_down);
+    am::barrier(ctx);
+}
+
 // ------------------------------------------------------------------ drivers
 
 macro_rules! conformance {
@@ -375,4 +523,26 @@ fn barrier_sim() {
 fn barrier_local() {
     let entered: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
     LocalFabric::run(4, move |ctx| battery_barrier(&ctx, &entered));
+}
+
+#[test]
+fn task_storm_sim() {
+    let wound_down = Arc::new(AtomicBool::new(false));
+    let w = Arc::clone(&wound_down);
+    Sim::new(2).run(move |ctx| battery_task_storm(&ctx, &w));
+    assert!(
+        wound_down.load(Ordering::Acquire),
+        "daemon outlived the run"
+    );
+}
+
+#[test]
+fn task_storm_local() {
+    let wound_down = Arc::new(AtomicBool::new(false));
+    let w = Arc::clone(&wound_down);
+    LocalFabric::run(2, move |ctx| battery_task_storm(&ctx, &w));
+    assert!(
+        wound_down.load(Ordering::Acquire),
+        "daemon outlived the run"
+    );
 }

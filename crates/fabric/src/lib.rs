@@ -15,10 +15,11 @@
 //! * [`SimFabric`] — an alias for [`mpmd_sim::Ctx`]; the deterministic
 //!   virtual-time kernel. `impl Fabric for Ctx` forwards every method to the
 //!   inherent one.
-//! * [`LocalFabric`] — a wall-clock backend that runs each node as a real OS
-//!   thread and carries frames over sharded SPSC rings with parked-thread
-//!   wakeup, so the same benchmarks (null-RMI, fig5 exchanges, EM3D ghost
-//!   traffic) execute on real hardware and report measured nanoseconds.
+//! * [`LocalFabric`] — a wall-clock backend that runs each node's tasks on
+//!   pooled OS threads and carries frames over per-link lock-free rings with
+//!   parked-thread wakeup, so the same benchmarks (null-RMI, fig5 exchanges,
+//!   EM3D ghost traffic) execute on real hardware and report measured
+//!   nanoseconds.
 //!
 //! The trait deliberately mirrors the `Ctx` API rather than inventing a new
 //! one: `Ctx` *is* the contract the layers above were written against; the

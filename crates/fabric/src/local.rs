@@ -1,10 +1,11 @@
 //! The wall-clock fabric: real OS threads, lock-free rings, real nanoseconds.
 //!
-//! [`LocalFabric`] runs every task as its own OS thread and carries frames
-//! over per-(src, dst) ring buffers with parked-thread wakeup, so the
-//! benchmarks built on the AM substrate (null-RMI, fig5-style exchanges,
-//! EM3D ghost traffic) execute on real hardware and the latency histograms
-//! hold *measured* nanoseconds instead of modeled ones.
+//! [`LocalFabric`] runs every task on an OS thread taken from a per-node
+//! worker pool and carries frames over per-(src, dst) ring buffers with
+//! parked-thread wakeup, so the benchmarks built on the AM substrate
+//! (null-RMI, fig5-style exchanges, EM3D ghost traffic) execute on real
+//! hardware and the latency histograms hold *measured* nanoseconds instead
+//! of modeled ones.
 //!
 //! The data path is built for throughput and tail latency (DESIGN.md §4a):
 //!
@@ -23,6 +24,10 @@
 //! * **Wakeup hub without a sender-side mutex.** Frame delivery bumps an
 //!   atomic per-node generation; the hub mutex + condvar are touched only
 //!   when a waiter is actually parked.
+//! * **Pooled tasks, targeted wakeups.** `spawn` hands the job to the most
+//!   recently idled worker thread of the target node and creates an OS
+//!   thread only when none is idle; `park`/`unpark`/`join` block on and
+//!   signal the one task concerned, never the node or the process.
 //!
 //! Semantics relative to the simulated fabric:
 //!
@@ -51,7 +56,7 @@ use std::any::{Any, TypeId};
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Pad to a cache line so the producer cursor, consumer cursor and overflow
@@ -292,13 +297,106 @@ impl NodeParker {
     }
 }
 
-/// Bookkeeping for one task (= one OS thread).
+/// Lock ignoring poisoning. None of the task, pool or shutdown mutexes is
+/// held while user code runs, so a poisoned one only says that some task
+/// panicked elsewhere — which `run` re-raises itself, with the original
+/// message rather than `PoisonError`'s.
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Bookkeeping for one task. Lives in its node's table shard from spawn
+/// until the task exits; handles that outlive it keep it through their `Arc`.
+///
+/// `lock` + `cv` carry both targeted wakeups: the task itself blocks on them
+/// in `park`, other tasks block on them in `join`. Each is a flag/flag
+/// handshake under SeqCst, as in [`NodeParker`]: the waiter raises its flag
+/// (`sleeping` / `joined`) and *then* reads the condition (`unparked` /
+/// `finished`) under `lock`; the waker sets the condition and *then* reads
+/// the flag. At least one side sees the other's store, so either the waiter
+/// skips the wait or the waker takes `lock` — which it can only get before
+/// the waiter's locked check or after the waiter is inside `cv.wait` — and
+/// notifies.
 struct TaskRec {
     node: usize,
     /// Consumable wakeup token: set by `unpark`, consumed by `park`.
     unparked: AtomicBool,
+    /// The task is blocked, or about to block, on `cv` inside `park`.
+    sleeping: AtomicBool,
+    /// The task is inside an inbox wait, where it sleeps on the *node*
+    /// parker: the one state in which `unpark` must bump that parker.
+    inbox_waiting: AtomicBool,
     finished: AtomicBool,
+    /// Some task has blocked in `join` on this one.
+    joined: AtomicBool,
+    lock: Mutex<()>,
+    cv: Condvar,
 }
+
+impl TaskRec {
+    fn new(node: usize) -> Self {
+        TaskRec {
+            node,
+            unparked: AtomicBool::new(false),
+            sleeping: AtomicBool::new(false),
+            inbox_waiting: AtomicBool::new(false),
+            finished: AtomicBool::new(false),
+            joined: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Consume the wakeup token if it is set. The load first keeps a
+    /// spinning waiter from bouncing the line with a swap per iteration; it
+    /// is SeqCst because it is the waiter's read in the handshakes.
+    fn take_token(&self) -> bool {
+        self.unparked.load(Ordering::SeqCst) && self.unparked.swap(false, Ordering::SeqCst)
+    }
+
+    /// Wake whoever blocks on `cv`. Taking the lock (even empty) fences
+    /// against a waiter that has raised its flag but not yet entered `wait`.
+    fn notify(&self) {
+        drop(locked(&self.lock));
+        self.cv.notify_all();
+    }
+}
+
+type TaskFn = Box<dyn FnOnce(LocalFabric) + Send>;
+
+/// One task handed to a worker.
+struct Job {
+    f: TaskFn,
+    fab: LocalFabric,
+    daemon: bool,
+}
+
+enum Mail {
+    Empty,
+    Job(Job),
+    Stop,
+}
+
+/// A pooled OS thread. It belongs to one node for life (so `pin_cores`
+/// holds) and cycles run job → exit bookkeeping → idle → wait for mail.
+struct Worker {
+    mail: Mutex<Mail>,
+    cv: Condvar,
+}
+
+/// One node's idle workers, most recently idled last (`spawn` pops the hot
+/// one). Once `stopped`, workers exit instead of idling and `spawn` finds
+/// nobody here, so it creates a thread that `run` then joins.
+struct Pool {
+    idle: Vec<Arc<Worker>>,
+    stopped: bool,
+    /// Workers ever created on this node; only names them.
+    created: usize,
+}
+
+/// The payload that unwinds a task blocked in a poisoned run. Raised with
+/// `resume_unwind`, so the panic hook stays quiet; never reported.
+struct RunPoisoned;
 
 /// Configuration for a wall-clock run beyond the machine shape: how blocked
 /// tasks wait and whether node threads are pinned.
@@ -346,16 +444,25 @@ struct LfInner {
     /// Round-robin start index for each node's link scan, so one chatty
     /// neighbor cannot starve the others.
     rotate: Vec<AtomicUsize>,
-    tasks: Mutex<HashMap<u32, Arc<TaskRec>>>,
-    next_task: AtomicU32,
-    /// Live non-daemon tasks; shutdown begins when this reaches zero.
+    /// Live tasks by id, one shard per node. Task ids are
+    /// `seq * nodes + node`, so an id names its shard and `unpark`/`join`
+    /// lock only the target node's. A record is removed when its task exits:
+    /// the table holds the live set, not the run's history.
+    tasks: Vec<Mutex<HashMap<u32, Arc<TaskRec>>>>,
+    /// Per-node task sequence numbers (the `seq` above).
+    next_task: Vec<AtomicU32>,
+    pools: Vec<Mutex<Pool>>,
+    /// Live non-daemon tasks, plus one held by `run` until every root is
+    /// spawned; shutdown begins when this reaches zero.
     live: AtomicUsize,
     shutting_down: AtomicBool,
-    /// Join/exit signaling (global: task exits are rare events).
+    /// Shutdown signaling to `run`; nothing else waits here.
     fin: Mutex<()>,
     fin_cv: Condvar,
-    /// Threads spawned mid-run, joined by `run` after shutdown.
+    /// Every worker thread ever created, joined by `run` after shutdown.
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Payload of the first task panic; `run` re-raises it.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl LfInner {
@@ -367,22 +474,94 @@ impl LfInner {
         (0..self.nodes).map(|s| self.ring(s, node).depth()).sum()
     }
 
-    fn task(&self, t: TaskId) -> Arc<TaskRec> {
-        Arc::clone(
-            self.tasks
-                .lock()
-                .unwrap()
-                .get(&t.0)
-                .unwrap_or_else(|| panic!("unknown task {t:?}")),
-        )
+    /// The record of live task `t`; `None` once it has exited (an id this
+    /// run issued whose record is gone). Panics on an id never issued.
+    fn task(&self, t: TaskId) -> Option<Arc<TaskRec>> {
+        let node = t.0 as usize % self.nodes;
+        let rec = locked(&self.tasks[node]).get(&t.0).cloned();
+        if rec.is_none() {
+            let issued = self.next_task[node].load(Ordering::SeqCst);
+            assert!(t.0 / (self.nodes as u32) < issued, "unknown task {t:?}");
+        }
+        rec
     }
 
+    /// Set `rec`'s wakeup token and wake the task wherever it sleeps: on its
+    /// own condvar in `park`, on its node's parker in an inbox wait (the
+    /// CC++ poller and the AM daemons are stopped that way).
+    fn unpark(&self, rec: &TaskRec) {
+        rec.unparked.store(true, Ordering::SeqCst);
+        if rec.sleeping.load(Ordering::SeqCst) {
+            rec.notify();
+        }
+        if rec.inbox_waiting.load(Ordering::SeqCst) {
+            self.parkers[rec.node].bump();
+        }
+    }
+
+    /// Wake everything that blocks: inbox waiters through their node
+    /// parkers, token parkers one by one, and `run`.
     fn begin_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
         for p in &self.parkers {
             p.bump();
         }
+        for shard in &self.tasks {
+            // Collected first: `notify` takes task locks, which must not
+            // nest inside the shard lock.
+            let recs: Vec<_> = locked(shard).values().cloned().collect();
+            for rec in recs {
+                if rec.sleeping.load(Ordering::SeqCst) {
+                    rec.notify();
+                }
+            }
+        }
+        drop(locked(&self.fin));
         self.fin_cv.notify_all();
+    }
+
+    /// In a run poisoned by a task panic, unwind the calling task too: what
+    /// it is about to block on may never come. Called only once
+    /// `shutting_down` is set, so the healthy paths never take this lock.
+    fn check_poison(&self) {
+        if locked(&self.panic).is_some() {
+            std::panic::resume_unwind(Box::new(RunPoisoned));
+        }
+    }
+
+    /// Tell every idle worker to exit and join all worker threads. A
+    /// busy worker (a daemon still winding down) exits when its job does; a
+    /// thread created during the joins was pushed to `handles` by a task
+    /// whose own worker is still being joined, so the loop sees it.
+    fn stop_pool(&self) {
+        for pool in &self.pools {
+            let idle = {
+                let mut pool = locked(pool);
+                pool.stopped = true;
+                std::mem::take(&mut pool.idle)
+            };
+            for w in idle {
+                *locked(&w.mail) = Mail::Stop;
+                w.cv.notify_one();
+            }
+        }
+        loop {
+            let batch = std::mem::take(&mut *locked(&self.handles));
+            if batch.is_empty() {
+                return;
+            }
+            for h in batch {
+                h.join().expect("worker died outside a job");
+            }
+        }
+    }
+
+    /// Release one hold on `live` (a non-daemon task returned, or `run`
+    /// finished spawning roots); the last one begins the shutdown.
+    fn release_live(&self) {
+        if self.live.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.begin_shutdown();
+        }
     }
 
     fn registry(&self) -> Option<MetricsRegistry> {
@@ -514,37 +693,44 @@ impl LocalFabricBuilder {
                 .metrics
                 .then(|| (0..n).map(|_| Mutex::new(NodeMetrics::default())).collect()),
             rotate: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            tasks: Mutex::new(HashMap::new()),
-            next_task: AtomicU32::new(0),
-            live: AtomicUsize::new(0),
+            tasks: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            next_task: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            pools: (0..n)
+                .map(|_| {
+                    Mutex::new(Pool {
+                        idle: Vec::new(),
+                        stopped: false,
+                        created: 0,
+                    })
+                })
+                .collect(),
+            // `run`'s own hold: a root that returns before its siblings are
+            // spawned must not start the shutdown.
+            live: AtomicUsize::new(1),
             shutting_down: AtomicBool::new(false),
             fin: Mutex::new(()),
             fin_cv: Condvar::new(),
             handles: Mutex::new(Vec::new()),
+            panic: Mutex::new(None),
             config: self.config,
         });
         let body = Arc::new(body);
-        let mut roots = Vec::with_capacity(n);
         for node in 0..n {
             let b = Arc::clone(&body);
-            let (_, h) = spawn_task(&inner, node, "root", false, move |fab| b(fab));
-            roots.push(h);
+            spawn_task(&inner, node, false, Box::new(move |fab| b(fab)));
         }
-        for h in roots {
-            h.join().expect("node root thread panicked");
-        }
-        // Roots are done; any non-daemon stragglers they spawned keep the
-        // run alive until they exit, then daemons are told to wind down.
+        inner.release_live();
+        // The last non-daemon task (or the first panic) begins the
+        // shutdown; daemons then wind down and `stop_pool` waits them out.
         {
-            let mut g = inner.fin.lock().unwrap();
-            while inner.live.load(Ordering::SeqCst) != 0 {
-                g = inner.fin_cv.wait(g).unwrap();
+            let mut g = locked(&inner.fin);
+            while !inner.shutting_down.load(Ordering::SeqCst) {
+                g = inner.fin_cv.wait(g).unwrap_or_else(|e| e.into_inner());
             }
         }
-        inner.begin_shutdown();
-        let spawned = std::mem::take(&mut *inner.handles.lock().unwrap());
-        for h in spawned {
-            h.join().expect("spawned task panicked");
+        inner.stop_pool();
+        if let Some(payload) = locked(&inner.panic).take() {
+            std::panic::resume_unwind(payload);
         }
         let elapsed = inner.epoch.elapsed().as_nanos() as u64;
         Report {
@@ -560,66 +746,115 @@ impl LocalFabricBuilder {
     }
 }
 
-fn spawn_task<G>(
-    inner: &Arc<LfInner>,
-    node: usize,
-    name: &str,
-    daemon: bool,
-    f: G,
-) -> (TaskId, std::thread::JoinHandle<()>)
-where
-    G: FnOnce(LocalFabric) + Send + 'static,
-{
-    let id = TaskId(inner.next_task.fetch_add(1, Ordering::SeqCst));
-    let rec = Arc::new(TaskRec {
-        node,
-        unparked: AtomicBool::new(false),
-        finished: AtomicBool::new(false),
-    });
-    inner.tasks.lock().unwrap().insert(id.0, Arc::clone(&rec));
+/// Register a new task on `node` and hand it to that node's most recently
+/// idled worker, or to a new worker thread if none is idle.
+fn spawn_task(inner: &Arc<LfInner>, node: usize, daemon: bool, f: TaskFn) -> TaskId {
+    assert!(node < inner.nodes, "spawn on nonexistent node {node}");
+    let seq = inner.next_task[node].fetch_add(1, Ordering::SeqCst);
+    let id = seq
+        .checked_mul(inner.nodes as u32)
+        .and_then(|base| base.checked_add(node as u32))
+        .map(TaskId)
+        .expect("task ids exhausted");
+    let rec = Arc::new(TaskRec::new(node));
+    locked(&inner.tasks[node]).insert(id.0, Arc::clone(&rec));
     if !daemon {
         inner.live.fetch_add(1, Ordering::SeqCst);
     }
-    let fab = LocalFabric {
-        inner: Arc::clone(inner),
-        node,
-        task: id,
-        rec: Arc::clone(&rec),
+    let job = Job {
+        f,
+        fab: LocalFabric {
+            inner: Arc::clone(inner),
+            node,
+            task: id,
+            rec,
+        },
+        daemon,
     };
-    let pin = inner.config.pin_cores.then(|| node % inner.cpus);
+    let mut pool = locked(&inner.pools[node]);
+    if let Some(w) = pool.idle.pop() {
+        drop(pool);
+        *locked(&w.mail) = Mail::Job(job);
+        w.cv.notify_one();
+        return id;
+    }
+    let k = pool.created;
+    pool.created += 1;
+    drop(pool);
+    let worker_inner = Arc::clone(inner);
     let handle = std::thread::Builder::new()
-        .name(format!("lf-{node}-{name}"))
-        .spawn(move || {
-            if let Some(core) = pin {
-                pin_to_core(core);
-            }
-            let inner = Arc::clone(&fab.inner);
-            f(fab);
-            rec.finished.store(true, Ordering::SeqCst);
-            let _g = inner.fin.lock().unwrap();
-            if !daemon && inner.live.fetch_sub(1, Ordering::SeqCst) == 1 {
-                drop(_g);
-                inner.begin_shutdown();
-            } else {
-                drop(_g);
-            }
-            inner.fin_cv.notify_all();
-            // A finished task might be sitting in someone's unpark path;
-            // bump its node so any waiter re-checks.
-            inner.parkers[node].bump();
-        })
+        .name(format!("lf-{node}-w{k}"))
+        .spawn(move || worker_main(&worker_inner, node, job))
         .expect("OS thread spawn failed");
-    (id, handle)
+    locked(&inner.handles).push(handle);
+    id
 }
 
-/// A handle to the wall-clock machine held by one task (= OS thread).
-/// Cheap to clone; clones refer to the same task.
+fn worker_main(inner: &LfInner, node: usize, first: Job) {
+    if inner.config.pin_cores {
+        pin_to_core(node % inner.cpus);
+    }
+    let me = Arc::new(Worker {
+        mail: Mutex::new(Mail::Empty),
+        cv: Condvar::new(),
+    });
+    let mut job = first;
+    loop {
+        let Job { f, fab, daemon } = job;
+        let (id, rec) = (fab.task, Arc::clone(&fab.rec));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(fab)));
+        // The next task on this thread starts a fresh escalation.
+        WAITER.with(|w| {
+            if let Some(w) = w.borrow_mut().as_mut() {
+                w.reset();
+            }
+        });
+        // Idle *before* announcing the exit: whoever that wakes (a joiner
+        // about to spawn again) then finds this worker, and its job simply
+        // waits in the mailbox until the bookkeeping below is done.
+        let stopped = {
+            let mut pool = locked(&inner.pools[node]);
+            if !pool.stopped {
+                pool.idle.push(Arc::clone(&me));
+            }
+            pool.stopped
+        };
+        rec.finished.store(true, Ordering::SeqCst);
+        locked(&inner.tasks[node]).remove(&id.0);
+        if rec.joined.load(Ordering::SeqCst) {
+            rec.notify();
+        }
+        if let Err(payload) = outcome {
+            if !payload.is::<RunPoisoned>() {
+                locked(&inner.panic).get_or_insert(payload);
+            }
+            inner.begin_shutdown();
+        }
+        if !daemon {
+            inner.release_live();
+        }
+        if stopped {
+            return;
+        }
+        let mut mail = locked(&me.mail);
+        job = loop {
+            match std::mem::replace(&mut *mail, Mail::Empty) {
+                Mail::Job(job) => break job,
+                Mail::Stop => return,
+                Mail::Empty => mail = me.cv.wait(mail).unwrap_or_else(|e| e.into_inner()),
+            }
+        };
+    }
+}
+
+/// A handle to the wall-clock machine held by one task. Cheap to clone;
+/// clones refer to the same task.
 pub struct LocalFabric {
     inner: Arc<LfInner>,
     node: usize,
     task: TaskId,
     /// This task's record, cached so the hot park/unpark-token paths never
-    /// touch the global task table.
+    /// touch the task table.
     rec: Arc<TaskRec>,
 }
 
@@ -643,13 +878,12 @@ impl LocalFabric {
         LocalFabricBuilder::new(nodes).run(body)
     }
 
-    fn spawn_inner<G>(&self, node: usize, name: &str, daemon: bool, f: G) -> TaskId
-    where
-        G: FnOnce(LocalFabric) + Send + 'static,
-    {
-        let (id, h) = spawn_task(&self.inner, node, name, daemon, f);
-        self.inner.handles.lock().unwrap().push(h);
-        id
+    /// Task records currently in the table: the live set, whatever the
+    /// number of tasks the run has spawned so far. For the bounded-resource
+    /// tests.
+    #[doc(hidden)]
+    pub fn debug_task_records(&self) -> usize {
+        self.inner.tasks.iter().map(|s| locked(s).len()).sum()
     }
 
     /// Run `f` with this thread's wait-escalation state.
@@ -672,20 +906,33 @@ impl LocalFabric {
     /// waits keep backing off while any productive wake resets the ladder.
     fn inbox_wait(&self, deadline: Option<Time>) {
         let inner = &*self.inner;
+        if inner.shutting_down.load(Ordering::SeqCst) {
+            inner.check_poison();
+        }
         let parker = &inner.parkers[self.node];
         let seen = parker.gen.load(Ordering::SeqCst);
         let productive = |seen: u64| {
             inner.inbox_len(self.node) > 0
                 || parker.gen.load(Ordering::SeqCst) != seen
-                || (self.rec.unparked.load(Ordering::Relaxed)
-                    && self.rec.unparked.swap(false, Ordering::SeqCst))
+                || self.rec.take_token()
                 || inner.shutting_down.load(Ordering::SeqCst)
         };
         self.with_waiter(|w| {
+            // The busy path — frames already queued — ends here and pays
+            // nothing for the flag below.
             if productive(seen) {
                 w.reset();
                 return;
             }
+            // Flag/flag with `unpark`, as on `TaskRec`: raised before the
+            // pre-sleep check reads the token. An `unpark` that misses the
+            // flag stored its token before that check; one that sees it
+            // bumps the generation past `seen`, which `park_timeout`
+            // re-checks under its lock. (The spin phase reads only the
+            // generation, so a token landing in the window before the flag
+            // went up is picked up a few hundred spins later, at the first
+            // yield.)
+            self.rec.inbox_waiting.store(true, Ordering::SeqCst);
             loop {
                 if let Some(d) = deadline {
                     if self.now() >= d {
@@ -737,7 +984,10 @@ impl LocalFabric {
                     }
                 }
             }
-        })
+        });
+        // Relaxed: it publishes nothing, and an `unpark` that still reads
+        // `true` only bumps the parker for no one.
+        self.rec.inbox_waiting.store(false, Ordering::Relaxed);
     }
 }
 
@@ -788,25 +1038,27 @@ impl Fabric for LocalFabric {
         }
     }
 
-    fn spawn<G>(&self, name: &str, f: G) -> TaskId
+    // Task names are not kept: workers are named once (`lf-{node}-w{k}`)
+    // and storing a borrowed `name` would cost an allocation per spawn.
+    fn spawn<G>(&self, _name: &str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {
-        self.spawn_inner(self.node, name, false, f)
+        spawn_task(&self.inner, self.node, false, Box::new(f))
     }
 
-    fn spawn_on<G>(&self, node: usize, name: &str, f: G) -> TaskId
+    fn spawn_on<G>(&self, node: usize, _name: &str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {
-        self.spawn_inner(node, name, false, f)
+        spawn_task(&self.inner, node, false, Box::new(f))
     }
 
-    fn spawn_daemon<G>(&self, name: &str, f: G) -> TaskId
+    fn spawn_daemon<G>(&self, _name: &str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {
-        self.spawn_inner(self.node, name, true, f)
+        spawn_task(&self.inner, self.node, true, Box::new(f))
     }
 
     fn yield_now(&self) {
@@ -815,41 +1067,47 @@ impl Fabric for LocalFabric {
 
     fn park(&self) {
         let inner = &*self.inner;
-        let parker = &inner.parkers[self.node];
+        let rec = &*self.rec;
         self.with_waiter(|w| loop {
-            if self.rec.unparked.swap(false, Ordering::SeqCst) {
+            if rec.take_token() {
                 w.reset();
                 return;
             }
             if inner.shutting_down.load(Ordering::SeqCst) {
                 // Strict parks are only legal while their waker is alive;
                 // during teardown, waking spuriously beats deadlocking.
+                inner.check_poison();
                 return;
             }
             match w.next_phase() {
                 WaitPhase::Spin => std::hint::spin_loop(),
                 WaitPhase::Yield => std::thread::yield_now(),
-                WaitPhase::Park(ns) => {
-                    let seen = parker.gen.load(Ordering::SeqCst);
-                    if self.rec.unparked.swap(false, Ordering::SeqCst) {
-                        w.reset();
-                        return;
+                // Untimed: `unpark` and `begin_shutdown` both notify this
+                // task's own condvar (handshake on `TaskRec`), so a parked
+                // task costs nothing until one of them happens.
+                WaitPhase::Park(_) => {
+                    rec.sleeping.store(true, Ordering::SeqCst);
+                    let mut g = locked(&rec.lock);
+                    while !rec.unparked.load(Ordering::SeqCst)
+                        && !inner.shutting_down.load(Ordering::SeqCst)
+                    {
+                        g = rec.cv.wait(g).unwrap_or_else(|e| e.into_inner());
                     }
-                    parker.park_timeout(seen, Duration::from_nanos(ns));
+                    drop(g);
+                    rec.sleeping.store(false, Ordering::SeqCst);
                 }
             }
         })
     }
 
     fn unpark(&self, t: TaskId) {
-        let rec = if t == self.task {
-            Arc::clone(&self.rec)
-        } else {
-            self.inner.task(t)
-        };
-        rec.unparked.store(true, Ordering::SeqCst);
-        // Serialize against a concurrent park's check-then-wait.
-        self.inner.parkers[rec.node].bump();
+        if t == self.task {
+            self.inner.unpark(&self.rec);
+        } else if let Some(rec) = self.inner.task(t) {
+            self.inner.unpark(&rec);
+        }
+        // Otherwise `t` has exited: nobody is left to wake, and no token is
+        // left behind for whichever task runs on that worker next.
     }
 
     fn park_for_inbox(&self) {
@@ -865,15 +1123,20 @@ impl Fabric for LocalFabric {
     }
 
     fn join(&self, t: TaskId) {
-        let rec = self.inner.task(t);
-        let mut g = self.inner.fin.lock().unwrap();
+        let Some(rec) = self.inner.task(t) else {
+            return;
+        };
+        rec.joined.store(true, Ordering::SeqCst);
+        let mut g = locked(&rec.lock);
         while !rec.finished.load(Ordering::SeqCst) {
-            g = self.inner.fin_cv.wait(g).unwrap();
+            g = rec.cv.wait(g).unwrap_or_else(|e| e.into_inner());
         }
     }
 
     fn is_finished(&self, t: TaskId) -> bool {
-        self.inner.task(t).finished.load(Ordering::SeqCst)
+        self.inner
+            .task(t)
+            .is_none_or(|rec| rec.finished.load(Ordering::SeqCst))
     }
 
     fn shutting_down(&self) -> bool {
@@ -1126,6 +1389,69 @@ mod tests {
                 }
             });
         });
+    }
+
+    /// `run` on a helper thread; `Err(payload)` if it panicked. Fails the
+    /// test instead of hanging it if `run` does not come back.
+    fn run_with_timeout<G>(nodes: usize, body: G) -> std::thread::Result<Report>
+    where
+        G: Fn(LocalFabric) + Send + Sync + 'static,
+    {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                LocalFabric::run(nodes, body)
+            }));
+            let _ = tx.send(());
+            out
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("LocalFabric::run hung");
+        helper.join().expect("helper thread")
+    }
+
+    #[test]
+    fn a_task_panic_fails_the_run_with_its_message() {
+        let parked = Arc::new(AtomicBool::new(false));
+        let payload = run_with_timeout(2, move |fab| {
+            if fab.node() == 0 {
+                // Never leaves by itself: only the poisoned run unwinds it.
+                parked.store(true, Ordering::SeqCst);
+                loop {
+                    fab.park_for_inbox();
+                }
+            }
+            while !parked.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            panic!("node 1 gave up");
+        })
+        .expect_err("run must re-raise the task's panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"node 1 gave up"));
+    }
+
+    #[test]
+    fn a_spawned_task_panic_unwinds_token_parkers_and_joiners() {
+        let payload = run_with_timeout(1, |fab| {
+            // Nobody ever unparks it: only the poisoned run gets it out.
+            let parker = fab.spawn("parker", |c| c.park());
+            let bomb = fab.spawn("bomb", move |c| {
+                let rec = c.inner.task(parker).expect("parker cannot exit yet");
+                while !rec.sleeping.load(Ordering::SeqCst) {
+                    c.yield_now();
+                }
+                panic!("{}", String::from("bomb went off"));
+            });
+            fab.join(parker);
+            fab.join(bomb);
+            fab.park();
+            unreachable!("park in a poisoned run must unwind");
+        })
+        .expect_err("run must re-raise the task's panic");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("bomb went off")
+        );
     }
 
     #[test]
