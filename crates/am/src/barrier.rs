@@ -12,6 +12,7 @@ use crate::ops::wait_until;
 use crate::state::{register, AmState, HandlerId};
 use crate::AmMsg;
 use mpmd_fabric::Fabric;
+use mpmd_sim::TraceEvent;
 use std::sync::atomic::Ordering;
 
 /// Handler ids reserved by the AM layer itself.
@@ -62,7 +63,7 @@ fn note_arrival<F: Fabric>(ctx: &F, gen: u64) {
 pub fn barrier<F: Fabric>(ctx: &F) {
     let st = AmState::get(ctx);
     let gen = st.barrier_my_gen.fetch_add(1, Ordering::AcqRel) + 1;
-    ctx.barrier_enter(gen);
+    ctx.trace_event(|| TraceEvent::BarrierEnter { epoch: gen });
     let _span = ctx.span("am.barrier");
     if ctx.node() == 0 {
         note_arrival(ctx, gen);
@@ -78,5 +79,5 @@ pub fn barrier<F: Fabric>(ctx: &F) {
         st2.barrier_release_gen.load(Ordering::Acquire) >= gen
     });
     drop(_span);
-    ctx.barrier_exit(gen);
+    ctx.trace_event(|| TraceEvent::BarrierExit { epoch: gen });
 }

@@ -50,7 +50,7 @@ use crate::profile::NetProfile;
 use crate::state::{lookup, AmState};
 use crate::{AmMsg, HandlerId};
 use mpmd_fabric::Fabric;
-use mpmd_sim::{us, Bucket, Time};
+use mpmd_sim::{us, Bucket, Time, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 
@@ -329,7 +329,11 @@ fn send_frame<F: Fabric>(
         s.agg_msgs += n as u64;
         s.agg_bytes += wire_bytes as u64;
     });
-    ctx.trace_coalesce_flush(dst, n as u64, wire_bytes);
+    ctx.trace_event(|| TraceEvent::CoalesceFlush {
+        dst,
+        msgs: n as u64,
+        wire_bytes,
+    });
     let frame = AmMsg {
         src: ctx.node(),
         handler: H_COALESCED,
@@ -393,12 +397,12 @@ pub(crate) fn dispatch_batch<F: Fabric>(
     let mut ran = 0;
     for sub in batch.0 {
         let hid = sub.handler;
-        ctx.handler_start(hid);
+        ctx.trace_event(|| TraceEvent::HandlerStart { handler: hid });
         ctx.charge(Bucket::Net, unmarshal);
         ctx.with_stats(|s| s.handlers_run += 1);
         let h = lookup(st, hid);
         h(ctx, sub);
-        ctx.handler_end(hid);
+        ctx.trace_event(|| TraceEvent::HandlerEnd { handler: hid });
         ran += 1;
     }
     ran

@@ -110,7 +110,7 @@ impl AmMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpmd_sim::{to_us, us, Bucket, Sim};
+    use mpmd_sim::{to_us, us, Bucket, Fabric, Sim};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 

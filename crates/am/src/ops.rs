@@ -8,7 +8,7 @@ use crate::state::{lookup, AmState, HandlerId, PollGuard};
 use crate::AmMsg;
 use bytes::Bytes;
 use mpmd_fabric::Fabric;
-use mpmd_sim::Bucket;
+use mpmd_sim::{Bucket, TraceEvent};
 use std::any::Any;
 
 /// Opaque continuation carried by a message (e.g. an `Arc<ReplyCell>`),
@@ -98,12 +98,12 @@ pub(crate) fn dispatch<F: Fabric>(
     // Open the handler frame before charging reception so the frame's
     // duration covers the full per-message cost (receive overhead plus
     // handler body) — the trace reconciles against Bucket::Net this way.
-    ctx.handler_start(hid);
+    ctx.trace_event(|| TraceEvent::HandlerStart { handler: hid });
     ctx.charge(Bucket::Net, p.recv_charge());
     ctx.with_stats(|s| s.handlers_run += 1);
     let h = lookup(st, hid);
     h(ctx, am);
-    ctx.handler_end(hid);
+    ctx.trace_event(|| TraceEvent::HandlerEnd { handler: hid });
     1
 }
 

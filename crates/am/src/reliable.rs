@@ -36,7 +36,7 @@ use crate::profile::NetProfile;
 use crate::state::AmState;
 use crate::AmMsg;
 use mpmd_fabric::Fabric;
-use mpmd_sim::{Bucket, Payload, Time};
+use mpmd_sim::{Bucket, Payload, Time, TraceEvent};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -274,7 +274,7 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, p: &NetProfile)
                 };
                 if stale_takes > 0 {
                     ctx.with_stats(|s| s.dup_drops += stale_takes);
-                    ctx.trace_dup_drop(src, seq);
+                    ctx.trace_event(|| TraceEvent::DupDrop { src, seq });
                 }
                 match action {
                     Action::Deliver(msgs) => {
@@ -284,7 +284,7 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, p: &NetProfile)
                     }
                     Action::Duplicate => {
                         ctx.with_stats(|s| s.dup_drops += 1);
-                        ctx.trace_dup_drop(src, seq);
+                        ctx.trace_event(|| TraceEvent::DupDrop { src, seq });
                     }
                     Action::Buffered => {}
                 }
@@ -352,7 +352,7 @@ fn retransmit_scan<F: Fabric>(ctx: &F, st: &AmState<F>, p: &NetProfile) {
     for ((dst, seq), pkt) in due {
         ctx.with_stats(|s| s.retransmits += 1);
         ctx.charge(Bucket::Net, rc.retransmit);
-        ctx.trace_retransmit(dst, seq);
+        ctx.trace_event(|| TraceEvent::Retransmit { dst, seq });
         transmit(ctx, dst, &pkt, p);
         let mut rel = st.rel.lock();
         if let Some(u) = rel.unacked.get_mut(&(dst, seq)) {

@@ -11,7 +11,7 @@
 //! pollute the counts).
 
 use mpmd_am::{self as am, CoalesceConfig, NetProfile, SHORT_WIRE_BYTES, SUB_WIRE_BYTES};
-use mpmd_sim::{us, CostModel, FaultModel, Report, Sim};
+use mpmd_sim::{us, CostModel, Fabric, FaultModel, Report, Sim};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

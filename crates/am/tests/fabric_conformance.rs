@@ -9,8 +9,8 @@
 //! vice versa) fails here by construction.
 
 use mpmd_am as am;
-use mpmd_fabric::{Fabric, LocalFabric};
-use mpmd_sim::Sim;
+use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder};
+use mpmd_sim::{Report, Sim, SpanId};
 use mpmd_threads as thr;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -336,16 +336,23 @@ fn storm_tokens<F: Fabric>(ctx: &F) {
     let me = ctx.task_id();
     let mut gone = Vec::new();
     for _ in 0..50 {
-        // Only a wall-clock fabric can unpark a task that has yet to park:
-        // simulator tasks are cooperative, its `unpark` of a task that is
-        // not parked is a no-op, and one aimed at a task blocked in `join`
-        // would end that join early.
+        // The unpark finds `me` blocked in the `join` below (always on the
+        // simulator, whose spawn does not preempt; usually on real threads)
+        // and must not end that join before `waker` has finished.
+        let waker_done = Arc::new(AtomicBool::new(false));
+        let done = Arc::clone(&waker_done);
         let waker = ctx.spawn("waker", move |c: F| {
-            if c.wall_clock() {
-                c.unpark(me);
-            }
+            c.unpark(me);
+            c.yield_now(); // a joiner woken early would run here
+            done.store(true, Ordering::Release);
         });
         ctx.join(waker);
+        assert!(
+            waker_done.load(Ordering::Acquire),
+            "join returned before its target finished"
+        );
+        // Only a wall-clock fabric keeps a token for a task that was not
+        // parked; the cooperative simulator drops it (see `Fabric::unpark`).
         if ctx.wall_clock() {
             ctx.park(); // unpark-before-park: must not hang
         }
@@ -410,6 +417,42 @@ fn battery_task_storm<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicBool>) {
     storm_tokens(ctx);
     storm_spawn_on(ctx, wound_down);
     am::barrier(ctx);
+}
+
+const PROBES: u64 = 7;
+
+/// Instrumentation through the generic path. Neither driver installs a
+/// tracer, so the event closure must never run and spans are the sentinel;
+/// the metric probes must land in the report's registry — or nowhere, with
+/// metrics off — whichever fabric carried them.
+fn battery_instrumentation<F: Fabric>(ctx: &F) {
+    ctx.trace_event(|| panic!("trace_event built its event on a tracing-off run"));
+    assert_eq!(ctx.span("conf.span").id(), SpanId(0));
+    assert_eq!(ctx.metric_now().is_some(), ctx.metrics_enabled());
+    let t0 = ctx.now();
+    for _ in 0..PROBES {
+        ctx.metric_observe_since("conf.since_ns", t0);
+        ctx.metric_inbox_depth("conf.inbox_depth");
+        ctx.metric_counter_add("conf.probes", 2);
+    }
+}
+
+fn check_instrumentation(fabric: &str, metrics_on: bool, report: &Report) {
+    let Some(m) = &report.metrics else {
+        assert!(!metrics_on, "{fabric}: metrics on but no registry");
+        return;
+    };
+    assert!(metrics_on, "{fabric}: registry on a metrics-off run");
+    let nodes = report.nodes() as u64;
+    for name in ["conf.since_ns", "conf.inbox_depth"] {
+        let h = m
+            .hist(name)
+            .unwrap_or_else(|| panic!("{fabric}: no histogram {name}"));
+        assert_eq!(h.count, PROBES * nodes, "{fabric}: {name} count");
+    }
+    // Nothing was ever sent: every sampled depth is 0.
+    assert_eq!(m.hist("conf.inbox_depth").unwrap().max, 0, "{fabric}");
+    assert_eq!(m.counter("conf.probes"), 2 * PROBES * nodes, "{fabric}");
 }
 
 // ------------------------------------------------------------------ drivers
@@ -511,6 +554,26 @@ fn linger_daemon_flushes_silent_sender_local() {
         .filter_map(|n| n.counters.get("am.linger_flushes"))
         .sum();
     assert!(lingers >= 1, "delivery did not come from the linger daemon");
+}
+
+#[test]
+fn instrumentation_sim() {
+    for on in [true, false] {
+        let r = Sim::new(2)
+            .metrics(on)
+            .run(|ctx| battery_instrumentation(&ctx));
+        check_instrumentation("sim", on, &r);
+    }
+}
+
+#[test]
+fn instrumentation_local() {
+    for on in [true, false] {
+        let r = LocalFabricBuilder::new(2)
+            .metrics(on)
+            .run(|ctx| battery_instrumentation(&ctx));
+        check_instrumentation("local", on, &r);
+    }
 }
 
 #[test]

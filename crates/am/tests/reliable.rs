@@ -2,7 +2,7 @@
 //! layer under injected wire faults.
 
 use mpmd_am::{self as am, NetProfile};
-use mpmd_sim::{CostModel, FaultModel, Report, Sim};
+use mpmd_sim::{CostModel, Fabric, FaultModel, Report, Sim};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -3,6 +3,7 @@
 
 use bytes::Bytes;
 use mpmd_am as am;
+use mpmd_sim::Fabric;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -9,13 +9,9 @@
 //! alloc_count/<scenario>: <allocs> allocs / <ops> ops
 //! ```
 //!
-//! Counts are kept **per thread** (const-initialized native TLS, so the
-//! counter bump never itself allocates): helper threads — criterion's own,
-//! or a test harness's main thread lazily initializing its blocking-recv
-//! channel `Context` — must not be able to race spurious allocations into
-//! the measured window (see `crates/sim/tests/alloc_count.rs` for the
-//! full story). Under the fiber backend the whole simulation runs on the
-//! measuring thread, so coverage of the simulator is total.
+//! Counts are per thread ([`CountingAlloc`]'s docs say why); under the fiber
+//! backend the whole simulation runs on the measuring thread, so coverage of
+//! the simulator is total.
 //!
 //! Asserted bounds (the process aborts on regression, failing `cargo bench`):
 //! * raw short-message round trip — **0** allocations;
@@ -24,48 +20,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpmd_am as am;
-use mpmd_sim::{Payload, Sim};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use mpmd_sim::{thread_allocs, CountingAlloc, Fabric, Payload, Sim};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-struct Counting;
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(l) }
-    }
-
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(l) }
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(p, l, n) }
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, l) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: Counting = Counting;
+static COUNTER: CountingAlloc = CountingAlloc;
 
 const WARMUP: usize = 50;
 const OPS: usize = 1_000;

@@ -2,10 +2,9 @@
 //! ring + adaptive-wait data path measured end to end through the CC++ and AM
 //! layers on real OS threads.
 //!
-//! These complement the `regress --local` gate: the gate pins absolute
-//! latency percentiles against a committed baseline, while these give
-//! statistically sound relative numbers for before/after work on the fabric
-//! (`cargo bench -p mpmd-bench --bench local`). Each sample spawns the node
+//! These complement `benchmark/` (the acceptance harness, parent vs change
+//! on the same host) with quick relative numbers for before/after work on
+//! the fabric (`cargo bench -p mpmd-bench --bench local`). Each sample spawns the node
 //! threads, so per-iteration figures include fabric setup amortized over the
 //! in-loop round trips.
 
@@ -15,8 +14,7 @@ use mpmd_ccxx as cx;
 use mpmd_ccxx::{CallMode, CcxxConfig};
 use mpmd_fabric::{Fabric, LocalFabric};
 
-/// CC++ Simple null RMIs between two OS threads — the full stack the
-/// `regress --local` gate measures, at a smaller per-sample iteration count.
+/// CC++ Simple null RMIs between two OS threads — the full stack.
 fn bench_null_rmi(c: &mut Criterion) {
     let mut g = c.benchmark_group("local");
     g.sample_size(10);

@@ -9,7 +9,7 @@
 //! unmeasurable next to the 50+ µs virtual operations it instruments.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mpmd_sim::{Bucket, Sim};
+use mpmd_sim::{Bucket, Fabric, Sim};
 use mpmd_splitc as sc;
 
 /// Hook calls per simulation run; large enough that the per-call cost

@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mpmd_am as am;
 use mpmd_ccxx as cx;
 use mpmd_ccxx::{CallMode, CcxxConfig};
-use mpmd_sim::{Bucket, Payload, Sim};
+use mpmd_sim::{Bucket, Fabric, Payload, Sim};
 use mpmd_splitc as sc;
 
 fn bench_engine(c: &mut Criterion) {

@@ -10,62 +10,24 @@
 //! perturbations are shrunk to minimal traces and written as corpus JSON
 //! entries.
 //!
-//! The process installs a counting `#[global_allocator]` so the
-//! alloc-probed configuration can measure the steady-state window. The
-//! count is **per thread** (const-initialized native TLS, so bumping it
-//! never itself allocates): probed runs execute sequentially on the driver
-//! thread — under the fiber backend the whole simulation runs there — and
-//! per-thread counting keeps any helper thread's lazy allocations (e.g. a
-//! blocking channel's first-use `Context`) out of the measured window.
+//! The process installs the counting `#[global_allocator]` so the
+//! alloc-probed configuration can measure the steady-state window. Probed
+//! runs execute sequentially on the driver thread — under the fiber backend
+//! the whole simulation runs there — and the count is per thread
+//! ([`CountingAlloc`]'s docs say why).
 
 use mpmd_bench::explore::{pin_corpus, sweep, SweepOptions};
 use mpmd_bench::fmt::{reject_unknown_args, take_json_flag, take_switch, usage_error, write_json};
 use mpmd_bench::runner::take_jobs_flag;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use mpmd_sim::{thread_allocs, CountingAlloc};
 use std::path::PathBuf;
 use std::time::Instant;
 
 const USAGE: &str = "explore [--quick] [--seeds N] [--corpus-dir DIR] \
                      [--pin-corpus DIR] [-j N] [--json <path>]";
 
-struct Counting;
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(l) }
-    }
-
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(l) }
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(p, l, n) }
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, l) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: Counting = Counting;
-
-fn alloc_count() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
+static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Parse `--seeds N` / `--seeds=N`.
 fn take_seeds_flag(args: Vec<String>) -> (Vec<String>, Option<usize>) {
@@ -144,8 +106,8 @@ fn main() {
     }
 
     // 5 configs × 2 classes: quick = 50 seeds/class → 510+ perturbations,
-    // well past the 500 the CI gate requires and comfortably inside its
-    // 60 s budget.
+    // well past the 500 the size check below requires and comfortably
+    // inside CI's 60 s budget.
     let seeds_per_class = seeds.unwrap_or(if quick { 50 } else { 150 });
     let opts = SweepOptions {
         seeds_per_class,
@@ -158,7 +120,7 @@ fn main() {
         seeds_per_class, opts.jobs
     );
     let start = Instant::now();
-    let summary = sweep(&opts, Some(alloc_count), |line| println!("  {line}"));
+    let summary = sweep(&opts, Some(thread_allocs), |line| println!("  {line}"));
     let elapsed = start.elapsed();
 
     println!(
@@ -197,6 +159,16 @@ fn main() {
         write_json(path, &serde_json::Value::Object(m));
     }
 
+    // The default seed counts are sized to cover this much (an explicit
+    // `--seeds` is the caller's choice); a sweep that silently shrank would
+    // otherwise still report zero violations.
+    if seeds.is_none() && (summary.perturbations < 500 || summary.configs < 3) {
+        eprintln!(
+            "sweep too small: {} perturbations over {} configurations (need 500 / 3)",
+            summary.perturbations, summary.configs
+        );
+        std::process::exit(1);
+    }
     if summary.violations.is_empty() {
         println!("zero invariant violations");
     } else {

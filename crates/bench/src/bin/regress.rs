@@ -10,26 +10,15 @@
 //! beyond its tolerance, or `2` when the baseline is missing or carries an
 //! incomparable `schema_version`.
 //!
-//! With `--fastpath` it instead gates the short-message fast path on wall
-//! clock: a null-RMI throughput microbenchmark (best of three reps) plus the
-//! quick Figure 5 suite, written to `results/BENCH_fastpath.json` and
-//! compared against the committed copy of that same file. It fails (exit 1)
-//! when short-message throughput drops more than 10% below the baseline, or
-//! when the virtual round-trip latency — which is deterministic — changes at
-//! all.
-//!
-//! With `--local` it gates the wall-clock [`LocalFabric`] hot path: null-RMI
-//! round trips on real OS threads (best of three reps), written to
-//! `results/BENCH_local.json` and compared against the committed copy. It
-//! fails (exit 1) when throughput drops more than 50%, or when a latency
-//! percentile climbs more than one log2 histogram bucket (the histogram is
-//! power-of-two bucketed, so "one bucket" is the finest detectable change)
-//! above the baseline.
+//! Wall-clock performance is not gated here: `benchmark/` (same-host
+//! parent-vs-change, timed from outside) is the one perf harness. The exact
+//! virtual null-RMI round trip is pinned by the `null_rmi` leaves of the
+//! committed baseline.
 //!
 //! Usage: `cargo run --release --bin regress -- [--quick] [-j N]
-//! [--fastpath] [--local] [--update-baseline] [--json <path>]`
+//! [--update-baseline] [--json <path>]`
 
-use mpmd_bench::experiments::{run_fig5, run_profile_suite, Cell, Scale};
+use mpmd_bench::experiments::{run_profile_suite, Cell, Scale};
 use mpmd_bench::fmt::{
     bucket_object, reject_unknown_args, render_table, take_json_flag, take_switch, write_json,
     SCHEMA_VERSION,
@@ -37,36 +26,13 @@ use mpmd_bench::fmt::{
 use mpmd_bench::regress::compare;
 use mpmd_bench::runner::take_jobs_flag;
 use mpmd_ccxx::{self as cx, CallMode, CcxxConfig};
-use mpmd_fabric::{Fabric, LocalFabric};
+use mpmd_fabric::Fabric;
 use mpmd_sim::{to_us, CostModel, Histogram, Sim};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-const USAGE: &str =
-    "regress [--quick] [-j N] [--fastpath] [--local] [--update-baseline] [--json <path>]";
-
-/// Null-RMI iterations per rep of the fast-path throughput microbenchmark.
-const FASTPATH_ITERS: usize = 2_000;
-/// Wall-clock reps; the best (fastest) rep is the gated number, which damps
-/// scheduler noise on loaded CI machines.
-const FASTPATH_REPS: usize = 3;
-/// Allowed relative drop in short-message throughput before the gate fails.
-const FASTPATH_TOLERANCE: f64 = 0.10;
-
-/// Null-RMI iterations per rep of the `--local` wall-clock gate.
-const LOCAL_ITERS: usize = 2_000;
-/// Wall-clock reps of the `--local` gate; each percentile gates on its best
-/// (lowest) rep, which damps scheduler noise the same way `--fastpath`'s
-/// best-of-three throughput number does.
-const LOCAL_REPS: usize = 3;
-/// Allowed relative drop in `--local` null-RMI throughput. Much wider than
-/// the fastpath tolerance because the wall-clock backend measures the host
-/// directly, and a virtualized CI host drifts up to ~2x between quiet and
-/// busy windows; 50% still fails the pre-overhaul data path (which measured
-/// ~0.35x of the baseline back to back), and the sharp edge of this gate is
-/// the latency-bucket check, which only a real latency-class change trips.
-const LOCAL_TOLERANCE: f64 = 0.50;
+const USAGE: &str = "regress [--quick] [-j N] [--update-baseline] [--json <path>]";
 
 /// Round-trip latency distribution of null (0-word) Simple RMIs, straight
 /// from the registry's `ccxx.rmi_rtt_ns` histogram.
@@ -190,232 +156,13 @@ fn print_summary(iters: usize, rmi: &Histogram, cells: &[Cell]) {
     );
 }
 
-/// Wall-clock gate over the zero-allocation short-message path.
-///
-/// The committed `results/BENCH_fastpath.json` doubles as the baseline: the
-/// new report always overwrites it (so a green run refreshes the numbers a
-/// human sees), and the gate compares against the copy that was on disk when
-/// the run started.
-fn run_fastpath(jobs: usize, update: bool, json_out: Option<PathBuf>) {
-    eprintln!("regress: measuring the short-message fast path...");
-    let mut best_wall = f64::INFINITY;
-    let mut rtt = None;
-    for _ in 0..FASTPATH_REPS {
-        let t = Instant::now();
-        let h = null_rmi(FASTPATH_ITERS);
-        best_wall = best_wall.min(t.elapsed().as_secs_f64());
-        rtt = Some(h);
-    }
-    let rtt = rtt.expect("at least one rep ran");
-    let per_sec = FASTPATH_ITERS as f64 / best_wall;
-    let t = Instant::now();
-    let cells = run_fig5(Scale::Quick, &[0.1, 0.4, 0.7, 1.0], jobs);
-    let fig5_wall = t.elapsed().as_secs_f64();
-    let fig5_virtual: u64 = cells
-        .iter()
-        .map(|(_, _, sc, cc)| sc.breakdown.elapsed + cc.breakdown.elapsed)
-        .sum();
-
-    let mut m = serde_json::Map::new();
-    m.insert("table".into(), "fastpath".to_value());
-    m.insert("schema_version".into(), SCHEMA_VERSION.to_value());
-    let mut rm = serde_json::Map::new();
-    rm.insert("iters".into(), (FASTPATH_ITERS as u64).to_value());
-    rm.insert("reps".into(), (FASTPATH_REPS as u64).to_value());
-    rm.insert("best_wall_secs".into(), best_wall.to_value());
-    rm.insert("rmi_per_sec".into(), per_sec.to_value());
-    rm.insert("rtt_p50_ns".into(), rtt.p50().to_value());
-    rm.insert("rtt_p99_ns".into(), rtt.p99().to_value());
-    m.insert("null_rmi".into(), serde_json::Value::Object(rm));
-    let mut fm = serde_json::Map::new();
-    fm.insert("pairs".into(), (cells.len() as u64).to_value());
-    fm.insert("virtual_elapsed_ns".into(), fig5_virtual.to_value());
-    fm.insert("wall_secs".into(), fig5_wall.to_value());
-    m.insert("fig5_quick".into(), serde_json::Value::Object(fm));
-    let report = serde_json::Value::Object(m);
-
-    println!(
-        "fast path: {per_sec:.0} null RMIs/s wall (best of {FASTPATH_REPS}, \
-         p50 {:.1} µs virtual), fig5 quick suite {fig5_wall:.2}s wall",
-        to_us(rtt.p50()),
-    );
-
-    let out = json_out.unwrap_or_else(|| PathBuf::from("results/BENCH_fastpath.json"));
-    let prev: Option<serde_json::Value> = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|t| serde_json::from_str(&t).ok());
-    write_json(&out, &report);
-    if update {
-        eprintln!("fastpath baseline updated: {}", out.display());
-        return;
-    }
-    let Some(base) = prev else {
-        eprintln!(
-            "error: no committed fastpath baseline at {}; rerun with --update-baseline",
-            out.display()
-        );
-        std::process::exit(2);
-    };
-    let mut failed = false;
-    let base_per_sec = base["null_rmi"]["rmi_per_sec"].as_f64().unwrap_or(0.0);
-    if per_sec < base_per_sec * (1.0 - FASTPATH_TOLERANCE) {
-        eprintln!(
-            "regression: null-RMI throughput {per_sec:.0}/s is more than \
-             {:.0}% below the baseline {base_per_sec:.0}/s",
-            FASTPATH_TOLERANCE * 100.0
-        );
-        failed = true;
-    }
-    if let Some(base_p50) = base["null_rmi"]["rtt_p50_ns"].as_u64() {
-        if base_p50 != rtt.p50() {
-            eprintln!(
-                "regression: virtual null-RMI p50 RTT changed from {base_p50} ns \
-                 to {} ns (virtual time is deterministic; an intentional cost-model \
-                 change needs --update-baseline)",
-                rtt.p50()
-            );
-            failed = true;
-        }
-    }
-    if let Some(base_fig5) = base["fig5_quick"]["wall_secs"].as_f64() {
-        let ratio = fig5_wall / base_fig5;
-        eprintln!("fig5 quick wall vs baseline: {ratio:.2}x (informational)");
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "fastpath: throughput within {:.0}% of the baseline in {}",
-        FASTPATH_TOLERANCE * 100.0,
-        out.display()
-    );
-}
-
-/// Wall-clock gate over the [`LocalFabric`] hot path (lock-free rings,
-/// adaptive wait, wall-clock coalescing daemon).
-///
-/// Like `--fastpath`, the committed `results/BENCH_local.json` doubles as
-/// the baseline: the new report overwrites it and the gate compares against
-/// the copy that was on disk when the run started. Latencies come from the
-/// registry's log2-bucketed `ccxx.rmi_rtt_ns` histogram, so percentiles are
-/// bucket upper edges (`2^k - 1` ns); the gate allows exactly one bucket of
-/// upward drift (`new <= 2*old + 1`) — the finest regression the histogram
-/// can resolve — and any more is a real latency-class change, not noise.
-fn run_local(update: bool, json_out: Option<PathBuf>) {
-    eprintln!("regress: measuring the LocalFabric wall-clock hot path...");
-    let mut best_wall = f64::INFINITY;
-    let mut p50 = u64::MAX;
-    let mut p99 = u64::MAX;
-    for _ in 0..LOCAL_REPS {
-        let t = Instant::now();
-        let h = LocalFabric::run(2, move |ctx| {
-            cx::init(&ctx, CcxxConfig::tham());
-            cx::barrier(&ctx);
-            if ctx.node() == 0 {
-                for _ in 0..LOCAL_ITERS {
-                    cx::rmi(&ctx, 1, cx::M_NULL, &[], None, CallMode::Simple);
-                }
-            }
-            cx::finalize(&ctx);
-        })
-        .metrics
-        .expect("LocalFabric runs with metrics on")
-        .hist("ccxx.rmi_rtt_ns")
-        .expect("null RMIs record ccxx.rmi_rtt_ns");
-        best_wall = best_wall.min(t.elapsed().as_secs_f64());
-        assert_eq!(h.count, LOCAL_ITERS as u64, "lost null-RMI round trips");
-        p50 = p50.min(h.p50());
-        p99 = p99.min(h.p99());
-    }
-    let per_sec = LOCAL_ITERS as f64 / best_wall;
-
-    let mut m = serde_json::Map::new();
-    m.insert("table".into(), "local_gate".to_value());
-    m.insert("schema_version".into(), SCHEMA_VERSION.to_value());
-    let mut rm = serde_json::Map::new();
-    rm.insert("iters".into(), (LOCAL_ITERS as u64).to_value());
-    rm.insert("reps".into(), (LOCAL_REPS as u64).to_value());
-    rm.insert("best_wall_secs".into(), best_wall.to_value());
-    rm.insert("rmi_per_sec".into(), per_sec.to_value());
-    rm.insert("rtt_p50_ns".into(), p50.to_value());
-    rm.insert("rtt_p99_ns".into(), p99.to_value());
-    m.insert("null_rmi".into(), serde_json::Value::Object(rm));
-    let report = serde_json::Value::Object(m);
-
-    println!(
-        "local: {per_sec:.0} null RMIs/s wall (best of {LOCAL_REPS}), \
-         measured RTT p50 {:.1} µs / p99 {:.1} µs",
-        to_us(p50),
-        to_us(p99),
-    );
-
-    let out = json_out.unwrap_or_else(|| PathBuf::from("results/BENCH_local.json"));
-    let prev: Option<serde_json::Value> = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|t| serde_json::from_str(&t).ok());
-    write_json(&out, &report);
-    if update {
-        eprintln!("local baseline updated: {}", out.display());
-        return;
-    }
-    let Some(base) = prev else {
-        eprintln!(
-            "error: no committed local baseline at {}; rerun with --update-baseline",
-            out.display()
-        );
-        std::process::exit(2);
-    };
-    let mut failed = false;
-    let base_per_sec = base["null_rmi"]["rmi_per_sec"].as_f64().unwrap_or(0.0);
-    if per_sec < base_per_sec * (1.0 - LOCAL_TOLERANCE) {
-        eprintln!(
-            "regression: wall-clock null-RMI throughput {per_sec:.0}/s is more \
-             than {:.0}% below the baseline {base_per_sec:.0}/s",
-            LOCAL_TOLERANCE * 100.0
-        );
-        failed = true;
-    }
-    for (name, measured) in [("p50", p50), ("p99", p99)] {
-        let key = format!("rtt_{name}_ns");
-        let Some(base_ns) = base["null_rmi"][key.as_str()].as_u64() else {
-            continue;
-        };
-        if measured > base_ns.saturating_mul(2) + 1 {
-            eprintln!(
-                "regression: wall-clock null-RMI {name} RTT {measured} ns is more \
-                 than one histogram bucket above the baseline {base_ns} ns"
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "local: throughput within {:.0}% and latency within one bucket of the \
-         baseline in {}",
-        LOCAL_TOLERANCE * 100.0,
-        out.display()
-    );
-}
-
 fn main() {
     let (rest, json_out) = take_json_flag(std::env::args().skip(1));
     let (rest, jobs) = take_jobs_flag(rest.into_iter());
     let (rest, scale) = Scale::take(rest);
     let (rest, update) = take_switch(rest, "--update-baseline");
-    let (rest, fastpath) = take_switch(rest, "--fastpath");
-    let (rest, local) = take_switch(rest, "--local");
     reject_unknown_args(&rest, USAGE);
     let update = update || std::env::var_os("UPDATE_GOLDEN").is_some();
-    if fastpath {
-        run_fastpath(jobs, update, json_out);
-        return;
-    }
-    if local {
-        run_local(update, json_out);
-        return;
-    }
 
     eprintln!("regress: measuring the {scale:?}-scale observability suite...");
     let wall_all = Instant::now();
@@ -436,6 +183,10 @@ fn main() {
         wall_all.elapsed().as_secs_f64(),
     );
     print_summary(iters, &rmi, &cells);
+    // Self-check: an empty suite or histogram would compare clean against
+    // nothing.
+    assert!(rmi.p50() > 0, "empty null-RMI histogram");
+    assert!(!cells.is_empty(), "no experiment cells");
 
     let out = json_out.unwrap_or_else(|| PathBuf::from("results/BENCH_observability.json"));
     write_json(&out, &report);

@@ -13,7 +13,7 @@ use mpmd_bench::runner::{run_jobs, take_jobs_flag, Unit};
 const USAGE: &str = "scaling [-j N] [--json <path>]";
 use mpmd_ccxx as cx;
 use mpmd_ccxx::{CcxxConfig, CxPtr};
-use mpmd_sim::{to_us, Sim};
+use mpmd_sim::{to_us, Fabric, Sim};
 use mpmd_splitc as sc;
 use mpmd_splitc::GlobalPtr;
 use parking_lot::Mutex;

@@ -16,6 +16,12 @@ fn main() {
     reject_unknown_args(&args, USAGE);
     eprintln!("running Table 4 micro-benchmarks ({iters} iterations each)...");
     let rows = run_table4(iters);
+    // Self-check (this bin is the CI smoke for the --json path): a row that
+    // measured nothing would still serialize.
+    assert!(!rows.is_empty(), "table4 produced no rows");
+    for r in &rows {
+        assert!(r.cc.total_us > 0.0, "table4 row {:?} measured 0 µs", r.name);
+    }
 
     let headers = [
         "benchmark",

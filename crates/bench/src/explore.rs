@@ -43,7 +43,7 @@
 //! `sim/tests/explore_corpus/` pins as regression tests.
 
 use mpmd_am::{self as am, CoalesceConfig, NetProfile};
-use mpmd_sim::{BackendKind, CostModel, FaultModel, OracleSpec, Sim, TraceOracle};
+use mpmd_sim::{BackendKind, CostModel, Fabric, FaultModel, OracleSpec, Sim, TraceOracle};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

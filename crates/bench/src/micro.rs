@@ -12,7 +12,7 @@ use crate::fmt::JsonReport;
 use mpmd_am as am;
 use mpmd_ccxx as cx;
 use mpmd_ccxx::{CallMode, CcxxConfig, CxPtr, MarshalBuf};
-use mpmd_sim::{to_us, Bucket, CostModel, Ctx, Sim, Snapshot};
+use mpmd_sim::{to_us, Bucket, CostModel, Ctx, Fabric, Sim, Snapshot};
 use mpmd_splitc as sc;
 use mpmd_splitc::GlobalPtr;
 use parking_lot::Mutex;

@@ -8,7 +8,7 @@ use mpmd_apps::em3d::{self, Em3dParams, Em3dVersion};
 use mpmd_apps::water::{self, WaterParams, WaterVersion};
 use mpmd_bench::runner::{run_jobs, Unit};
 use mpmd_ccxx::CcxxConfig;
-use mpmd_sim::{CostModel, FaultModel, MetricsRegistry, Payload, Sim};
+use mpmd_sim::{CostModel, Fabric, FaultModel, MetricsRegistry, Payload, Sim};
 use std::path::PathBuf;
 use std::process::Command;
 

@@ -9,7 +9,7 @@
 
 use mpmd_ccxx as cx;
 use mpmd_ccxx::{CallMode, CcxxConfig};
-use mpmd_sim::{Report, Sim, Span, TraceConfig, TraceEvent};
+use mpmd_sim::{Fabric, Report, Sim, Span, TraceConfig, TraceEvent};
 
 fn traced_null_rmi() -> Report {
     Sim::new(2).tracing(TraceConfig::new()).run(|ctx| {

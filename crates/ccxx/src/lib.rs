@@ -64,7 +64,7 @@ pub use state::CxPtr;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpmd_sim::{to_us, Bucket, Sim};
+    use mpmd_sim::{to_us, Bucket, Fabric, Sim};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 

@@ -4,7 +4,7 @@
 
 use mpmd_ccxx as cx;
 use mpmd_ccxx::{CallMode, CcxxConfig, CxPtr, MarshalBuf, UnmarshalBuf};
-use mpmd_sim::{CostModel, Sim};
+use mpmd_sim::{CostModel, Fabric, Sim};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -5,7 +5,7 @@
 
 use mpmd_ccxx as cx;
 use mpmd_ccxx::{CcxxConfig, CxPtr};
-use mpmd_sim::{CostModel, FaultModel, Sim};
+use mpmd_sim::{CostModel, Fabric, FaultModel, Sim};
 use std::sync::Arc;
 
 const NODES: usize = 4;

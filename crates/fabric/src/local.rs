@@ -50,7 +50,7 @@
 use crate::Fabric;
 use mpmd_sim::{
     size_bucket, Bucket, CostModel, MetricsRegistry, Msg, NodeMetrics, Payload, Report, Snapshot,
-    SpanId, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter,
+    Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter,
 };
 use std::any::{Any, TypeId};
 use std::cell::{RefCell, UnsafeCell};
@@ -377,8 +377,8 @@ enum Mail {
     Stop,
 }
 
-/// A pooled OS thread. It belongs to one node for life (so `pin_cores`
-/// holds) and cycles run job → exit bookkeeping → idle → wait for mail.
+/// A pooled OS thread. It belongs to one node for life and cycles run job →
+/// exit bookkeeping → idle → wait for mail.
 struct Worker {
     mail: Mutex<Mail>,
     cv: Condvar,
@@ -398,39 +398,11 @@ struct Pool {
 /// `resume_unwind`, so the panic hook stays quiet; never reported.
 struct RunPoisoned;
 
-/// Configuration for a wall-clock run beyond the machine shape: how blocked
-/// tasks wait and whether node threads are pinned.
-#[derive(Clone, Debug)]
-pub struct LocalConfig {
-    /// Blocking-wait escalation policy (see [`WaitPolicy`]).
-    pub wait: WaitPolicy,
-    /// Per-link ring capacity (power of two; 1 is carried as 2).
-    pub ring_capacity: usize,
-    /// Best-effort pinning of each node's threads to core
-    /// `node % available_parallelism` (Linux; silently unsupported
-    /// elsewhere). Off by default: pinning helps latency benchmarks on an
-    /// idle machine and hurts oversubscribed ones.
-    pub pin_cores: bool,
-}
-
-impl Default for LocalConfig {
-    fn default() -> Self {
-        LocalConfig {
-            // Host-adaptive: on a single-CPU machine spinning starves the
-            // very peer being waited for (see `WaitPolicy::auto_for`).
-            wait: WaitPolicy::auto_for(std::thread::available_parallelism().map_or(1, |p| p.get())),
-            ring_capacity: 1024,
-            pin_cores: false,
-        }
-    }
-}
-
 struct LfInner {
     nodes: usize,
     cost: CostModel,
-    config: LocalConfig,
-    /// Host parallelism, for the core-pinning layout.
-    cpus: usize,
+    /// Blocking-wait escalation policy of every task in the run.
+    wait: WaitPolicy,
     epoch: Instant,
     rings: Vec<Ring>, // src * nodes + dst
     parkers: Vec<NodeParker>,
@@ -571,33 +543,6 @@ impl LfInner {
     }
 }
 
-/// Best-effort thread→core pinning. Implemented with a raw
-/// `sched_setaffinity` syscall so the offline build needs no libc crate; a
-/// failed call (or a non-Linux/x86-64 host) silently leaves the thread
-/// unpinned — pinning is a latency optimization, never a correctness need.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn pin_to_core(core: usize) {
-    let mut mask = [0u64; 16]; // cpu_set_t sized for 1024 CPUs
-    let word = (core / 64) % mask.len();
-    mask[word] |= 1u64 << (core % 64);
-    unsafe {
-        let mut _ret: i64;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") 203i64 => _ret, // SYS_sched_setaffinity
-            in("rdi") 0,                     // 0 = calling thread
-            in("rsi") std::mem::size_of_val(&mask),
-            in("rdx") mask.as_ptr(),
-            out("rcx") _,
-            out("r11") _,
-            options(nostack),
-        );
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn pin_to_core(_core: usize) {}
-
 thread_local! {
     /// This thread's wait-escalation state. A `LocalFabric` task *is* an OS
     /// thread, so thread-local storage is exactly per-task storage; const
@@ -610,7 +555,8 @@ pub struct LocalFabricBuilder {
     nodes: usize,
     cost: CostModel,
     metrics: bool,
-    config: LocalConfig,
+    wait: WaitPolicy,
+    ring_capacity: usize,
 }
 
 impl LocalFabricBuilder {
@@ -621,7 +567,10 @@ impl LocalFabricBuilder {
             nodes,
             cost: CostModel::default(),
             metrics: true,
-            config: LocalConfig::default(),
+            // Host-adaptive: on a single-CPU machine spinning starves the
+            // very peer being waited for (see `WaitPolicy::auto_for`).
+            wait: WaitPolicy::auto_for(std::thread::available_parallelism().map_or(1, |p| p.get())),
+            ring_capacity: 1024,
         }
     }
 
@@ -646,28 +595,14 @@ impl LocalFabricBuilder {
     /// Per-link ring capacity (power of two; 1 is carried as 2).
     pub fn ring_capacity(mut self, cap: usize) -> Self {
         assert!(cap.is_power_of_two(), "ring capacity");
-        self.config.ring_capacity = cap;
+        self.ring_capacity = cap;
         self
     }
 
     /// Blocking-wait escalation policy for every task in the run.
     pub fn wait_policy(mut self, wait: WaitPolicy) -> Self {
         wait.validate();
-        self.config.wait = wait;
-        self
-    }
-
-    /// Pin each node's threads to core `node % available_parallelism`.
-    pub fn pin_cores(mut self, pin: bool) -> Self {
-        self.config.pin_cores = pin;
-        self
-    }
-
-    /// Replace the whole run configuration.
-    pub fn config(mut self, config: LocalConfig) -> Self {
-        config.wait.validate();
-        assert!(config.ring_capacity.is_power_of_two(), "ring capacity");
-        self.config = config;
+        self.wait = wait;
         self
     }
 
@@ -679,11 +614,11 @@ impl LocalFabricBuilder {
         G: Fn(LocalFabric) + Send + Sync + 'static,
     {
         let n = self.nodes;
-        let cap = self.config.ring_capacity;
+        let cap = self.ring_capacity;
         let inner = Arc::new(LfInner {
             nodes: n,
             cost: self.cost,
-            cpus: std::thread::available_parallelism().map_or(1, |p| p.get()),
+            wait: self.wait,
             epoch: Instant::now(),
             rings: (0..n * n).map(|_| Ring::new(cap)).collect(),
             parkers: (0..n).map(|_| NodeParker::new()).collect(),
@@ -712,7 +647,6 @@ impl LocalFabricBuilder {
             fin_cv: Condvar::new(),
             handles: Mutex::new(Vec::new()),
             panic: Mutex::new(None),
-            config: self.config,
         });
         let body = Arc::new(body);
         for node in 0..n {
@@ -791,9 +725,6 @@ fn spawn_task(inner: &Arc<LfInner>, node: usize, daemon: bool, f: TaskFn) -> Tas
 }
 
 fn worker_main(inner: &LfInner, node: usize, first: Job) {
-    if inner.config.pin_cores {
-        pin_to_core(node % inner.cpus);
-    }
     let me = Arc::new(Worker {
         mail: Mutex::new(Mail::Empty),
         cv: Condvar::new(),
@@ -890,7 +821,7 @@ impl LocalFabric {
     fn with_waiter<R>(&self, f: impl FnOnce(&mut Waiter) -> R) -> R {
         WAITER.with(|w| {
             let mut w = w.borrow_mut();
-            f(w.get_or_insert_with(|| Waiter::new(self.inner.config.wait)))
+            f(w.get_or_insert_with(|| Waiter::new(self.inner.wait)))
         })
     }
 
@@ -1192,15 +1123,7 @@ impl Fabric for LocalFabric {
         T: Send + Sync + 'static,
         G: FnOnce() -> T,
     {
-        self.node_data_on(self.node, init)
-    }
-
-    fn node_data_on<T, G>(&self, node: usize, init: G) -> Arc<T>
-    where
-        T: Send + Sync + 'static,
-        G: FnOnce() -> T,
-    {
-        let mut d = self.inner.node_data[node].lock().unwrap();
+        let mut d = self.inner.node_data[self.node].lock().unwrap();
         let slot = d
             .entry(TypeId::of::<T>())
             .or_insert_with(|| Arc::new(init()) as Arc<dyn Any + Send + Sync>);
@@ -1223,20 +1146,6 @@ impl Fabric for LocalFabric {
         }
     }
 
-    fn metric_observe_since(&self, name: &'static str, t0: Time) {
-        if let Some(_m) = &self.inner.metrics {
-            let now = self.now();
-            self.metric_observe(name, now.saturating_sub(t0));
-        }
-    }
-
-    fn metric_inbox_depth(&self, name: &'static str) {
-        if self.inner.metrics.is_some() {
-            let depth = self.inner.inbox_len(self.node) as u64;
-            self.metric_observe(name, depth);
-        }
-    }
-
     fn metric_counter_add(&self, name: &'static str, delta: u64) {
         if let Some(m) = &self.inner.metrics {
             *m[self.node]
@@ -1246,29 +1155,6 @@ impl Fabric for LocalFabric {
                 .entry(name)
                 .or_insert(0) += delta;
         }
-    }
-
-    fn metric_keyed_add(&self, name: &'static str, key: u64, delta: u64) {
-        if let Some(m) = &self.inner.metrics {
-            *m[self.node]
-                .lock()
-                .unwrap()
-                .keyed
-                .entry(name)
-                .or_default()
-                .entry(key)
-                .or_insert(0) += delta;
-        }
-    }
-
-    fn metric_gauge_set(&self, name: &'static str, v: u64) {
-        if let Some(m) = &self.inner.metrics {
-            m[self.node].lock().unwrap().gauges.insert(name, v);
-        }
-    }
-
-    fn span_start(&self, _name: &str) -> SpanId {
-        SpanId(0)
     }
 }
 
@@ -1457,7 +1343,7 @@ mod tests {
     #[test]
     fn park_only_policy_still_completes() {
         // The pre-adaptive behavior (fixed 200 µs slices, no spin) remains
-        // available and correct — it is the regress baseline's "before".
+        // available and correct — the before to the adaptive wait's after.
         let r = LocalFabricBuilder::new(2)
             .wait_policy(WaitPolicy::park_only(200_000))
             .run(|fab| {
@@ -1473,24 +1359,5 @@ mod tests {
                 }
             });
         assert_eq!(r.stats[1].msgs_received, 1);
-    }
-
-    #[test]
-    fn pinned_run_completes() {
-        // Pinning is best-effort; the assertion is only that it does not
-        // break the machine.
-        let r = LocalFabricBuilder::new(2).pin_cores(true).run(|fab| {
-            if fab.node() == 0 {
-                fab.send_msg(1, 8, 1, Payload::any(1u64));
-            } else {
-                loop {
-                    if fab.try_recv().is_some() {
-                        break;
-                    }
-                    fab.park_for_inbox();
-                }
-            }
-        });
-        assert_eq!(r.stats[0].msgs_sent, 1);
     }
 }

@@ -108,10 +108,9 @@ fn inbox_depth_sampling_never_blocks_a_sender() {
     // are now pure atomics, so a sampler thread hammering `inbox_len` while
     // a sender floods the same links must observe plausible depths and the
     // run must complete with both sides making progress. (With the old
-    // lock-taking depth this test still terminated — just slowly; the
-    // companion `regress --local` gate is what holds the latency floor.
-    // What this test pins is correctness of the lock-free count: bounded by
-    // in-flight traffic, zero at quiescence.)
+    // lock-taking depth this test still terminated — just slowly; latency
+    // is `benchmark/`'s business. What this test pins is correctness of the
+    // lock-free count: bounded by in-flight traffic, zero at quiescence.)
     const N: u64 = 30_000;
     let max_seen = Arc::new(AtomicUsize::new(0));
     let done = Arc::new(AtomicBool::new(false));

@@ -1,4 +1,6 @@
-//! Task-side API: everything a simulated task can do.
+//! Task-side API: everything a simulated task can do, as the simulator's
+//! [`Fabric`] implementation. The trait docs carry the contract; comments
+//! here say only what is specific to the virtual-time kernel.
 //!
 //! Hot-path discipline: operations that only touch this node's data plane
 //! (clock reads, charges, inbox polls, typed singletons, stats) go straight
@@ -11,6 +13,7 @@
 use crate::cost::CostModel;
 use crate::engine::{spawn_task, spawn_task_inner, switch_from_task, SimInner};
 use crate::event::{Msg, Payload};
+use crate::fabric::Fabric;
 use crate::kernel::{FaultDecision, TaskState};
 use crate::report::Snapshot;
 use crate::stats::{Bucket, Stats};
@@ -58,45 +61,43 @@ impl Ctx {
             cell,
         }
     }
+}
 
-    /// This task's node index.
+impl Fabric for Ctx {
     #[inline]
-    pub fn node(&self) -> usize {
+    fn node(&self) -> usize {
         self.node
     }
 
-    /// Total number of nodes in the machine.
     #[inline]
-    pub fn nodes(&self) -> usize {
+    fn nodes(&self) -> usize {
         self.inner.num_nodes
     }
 
-    /// This task's id.
     #[inline]
-    pub fn task_id(&self) -> TaskId {
+    fn task_id(&self) -> TaskId {
         self.task
     }
 
-    /// The active cost model.
     #[inline]
-    pub fn cost(&self) -> &CostModel {
+    fn cost(&self) -> &CostModel {
         &self.inner.cost
     }
 
-    /// Current virtual time on this node. Lock-free: the clock is a per-node
-    /// atomic, written only by the logical thread holding the baton.
+    /// Lock-free: the clock is a per-node atomic, written only by the
+    /// logical thread holding the baton.
     #[inline]
-    pub fn now(&self) -> Time {
+    fn now(&self) -> Time {
         self.inner.shards[self.node].clock.load(Relaxed)
     }
 
-    /// Advance this node's clock by `ns`, attributing the time to `bucket`.
+    /// Advances this node's clock by `ns`.
     ///
     /// Fast path: touches only this node's shard. The kernel lock is taken
     /// only when other tasks sit in this node's ready queue (their heap
     /// entry is keyed by the old clock and must be re-indexed) — rare on the
     /// message fast path, where each node runs one task.
-    pub fn charge(&self, bucket: Bucket, ns: Time) {
+    fn charge(&self, bucket: Bucket, ns: Time) {
         if ns == 0 {
             return;
         }
@@ -107,42 +108,47 @@ impl Ctx {
         if sh.has_ready.load(Relaxed) {
             self.inner.lock_kernel().touch_node(self.node);
         }
-        if self.inner.tracing_on {
-            let mut k = self.inner.lock_kernel();
-            k.emit(self.node, self.task, TraceEvent::Charge { bucket, ns });
-        }
+        self.trace_event(|| TraceEvent::Charge { bucket, ns });
     }
 
-    /// Mutate this node's instrumentation counters.
-    pub fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
+    fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
         f(&mut self.inner.shards[self.node].lock_data().stats)
     }
 
-    /// Spawn a new task on this node. Pure scheduling: the *cost* of thread
-    /// creation is charged by the threads package, not here.
-    pub fn spawn<F>(&self, name: &str, f: F) -> TaskId
+    fn snapshot(&self) -> Snapshot {
+        crate::engine::snapshot(&self.inner)
+    }
+
+    fn spawn<F>(&self, name: &str, f: F) -> TaskId
     where
         F: FnOnce(Ctx) + Send + 'static,
     {
         spawn_task(&self.inner, self.node, name.to_string(), f)
     }
 
-    /// Spawn a task on an arbitrary node (used by runtime bootstrap, e.g.
-    /// starting remote polling threads; ordinary code spawns locally).
-    pub fn spawn_on<F>(&self, node: usize, name: &str, f: F) -> TaskId
+    fn spawn_on<F>(&self, node: usize, name: &str, f: F) -> TaskId
     where
         F: FnOnce(Ctx) + Send + 'static,
     {
         spawn_task(&self.inner, node, name.to_string(), f)
     }
 
-    /// Reschedule this task behind any other runnable work, giving the
-    /// scheduler a chance to apply due network events and run other tasks.
-    /// Free of modeled cost (the threads package charges context switches).
+    /// Daemons are excluded from the liveness condition: when only daemons
+    /// remain, the engine flips `shutting_down`, wakes them, and expects
+    /// them to return.
+    fn spawn_daemon<F>(&self, name: &str, f: F) -> TaskId
+    where
+        F: FnOnce(Ctx) + Send + 'static,
+    {
+        spawn_task_inner(&self.inner, self.node, name.to_string(), true, f)
+    }
+
+    /// Gives the scheduler a chance to apply due network events and run
+    /// other tasks.
     ///
     /// Includes a fast path: if no event and no other task could possibly run
     /// before this node's clock, the reschedule is skipped entirely.
-    pub fn yield_now(&self) {
+    fn yield_now(&self) {
         let mut k = self.inner.lock_kernel();
         let my_clock = k.clock(self.node);
         let event_due = k.events.peek().is_some_and(|e| e.time <= my_clock);
@@ -164,18 +170,16 @@ impl Ctx {
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
-    /// Park this task until [`Ctx::unpark`] (or a timer) wakes it.
-    pub fn park(&self) {
+    fn park(&self) {
         let mut k = self.inner.lock_kernel();
         k.tasks[self.task.idx()].state = TaskState::Parked;
         k.emit(self.node, self.task, TraceEvent::Park);
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
-    /// Make a parked task runnable again. Must target a task on the *same
-    /// node* (threads and their synchronization live within one address
-    /// space; cross-node wake-ups travel as messages).
-    pub fn unpark(&self, t: TaskId) {
+    /// Panics on a cross-node target (threads and their synchronization live
+    /// within one address space).
+    fn unpark(&self, t: TaskId) {
         let mut k = self.inner.lock_kernel();
         let rec = &k.tasks[t.idx()];
         assert_eq!(
@@ -185,17 +189,12 @@ impl Ctx {
         );
         match rec.state {
             TaskState::Parked | TaskState::InboxWait => k.make_runnable(t),
-            // Spurious unpark of an already-runnable/running/finished task is
-            // a no-op (condvar semantics allow it).
+            // Dropped: the trait docs say why that is sound here.
             _ => {}
         }
     }
 
-    /// Park until a message is delivered to this node's inbox. Returns
-    /// immediately if the inbox is already non-empty. This is the primitive
-    /// beneath both Split-C's spin-polling (which costs nothing in thread
-    /// operations) and the CC++ polling thread.
-    pub fn park_for_inbox(&self) {
+    fn park_for_inbox(&self) {
         let mut k = self.inner.lock_kernel();
         if !self.inner.shards[self.node].lock_data().inbox.is_empty() {
             return;
@@ -212,12 +211,7 @@ impl Ctx {
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
-    /// [`Ctx::park_for_inbox`] with a wake-up deadline: returns when a
-    /// message is delivered *or* this node's clock reaches `deadline`,
-    /// whichever comes first. Returns immediately if the inbox is already
-    /// non-empty or the deadline has passed. This is the blocking primitive
-    /// beneath the reliable-delivery layer's retransmit timers.
-    pub fn park_for_inbox_until(&self, deadline: Time) {
+    fn park_for_inbox_until(&self, deadline: Time) {
         let mut k = self.inner.lock_kernel();
         if !self.inner.shards[self.node].lock_data().inbox.is_empty()
             || k.clock(self.node) >= deadline
@@ -235,47 +229,52 @@ impl Ctx {
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
-    /// Whether a fault model is installed on this simulation (gates the
-    /// AM layer's reliable-delivery machinery).
-    #[inline]
-    pub fn faults_enabled(&self) -> bool {
-        self.inner.cost.faults.is_some()
+    /// A timer in virtual time (models e.g. interrupt delivery delay in the
+    /// ablation experiments).
+    fn sleep(&self, ns: Time) {
+        let mut k = self.inner.lock_kernel();
+        let at = k.clock(self.node) + ns;
+        k.post_wake(self.task, at);
+        k.tasks[self.task.idx()].state = TaskState::Parked;
+        k.emit(self.node, self.task, TraceEvent::Park);
+        switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
-    /// Draw the fate of one transmission attempt from this node to `dst`
-    /// from the seeded fault stream. Panics when no fault model is installed
-    /// (callers gate on [`Ctx::faults_enabled`]).
-    pub fn fault_decision(&self, dst: usize) -> FaultDecision {
-        self.inner.lock_kernel().fault_decision(self.node, dst)
+    fn join(&self, t: TaskId) {
+        let mut listed = false;
+        loop {
+            let mut k = self.inner.lock_kernel();
+            if k.tasks[t.idx()].state == TaskState::Finished {
+                return;
+            }
+            // An `unpark` aimed at this task wakes it like any parked task,
+            // but only the target finishing ends the join: park again. Listed
+            // once — `finish_task` is the only thing that drains the list.
+            if !listed {
+                k.tasks[t.idx()].joiners.push(self.task);
+                listed = true;
+            }
+            k.tasks[self.task.idx()].state = TaskState::Parked;
+            k.emit(self.node, self.task, TraceEvent::Park);
+            switch_from_task(&self.inner, k, self.task, &self.cell);
+        }
     }
 
-    /// Whether the engine has begun shutdown because only daemon tasks
-    /// remain. Daemons must exit promptly once this turns true.
-    pub fn shutting_down(&self) -> bool {
+    fn is_finished(&self, t: TaskId) -> bool {
+        self.inner.lock_kernel().tasks[t.idx()].state == TaskState::Finished
+    }
+
+    fn shutting_down(&self) -> bool {
         self.inner.lock_kernel().shutting_down
     }
 
-    /// Spawn a background *daemon* task on this node. Daemons are excluded
-    /// from the liveness condition: when only daemons remain, the engine
-    /// flips [`Ctx::shutting_down`], wakes them, and expects them to return.
-    pub fn spawn_daemon<F>(&self, name: &str, f: F) -> TaskId
-    where
-        F: FnOnce(Ctx) + Send + 'static,
-    {
-        spawn_task_inner(&self.inner, self.node, name.to_string(), true, f)
-    }
-
-    /// A *poll point*: make all network events due at or before this node's
-    /// clock visible, without otherwise rescheduling. Call before draining
-    /// the inbox.
-    ///
-    /// Unlike [`Ctx::yield_now`], a poll point does **not** queue behind
-    /// other ready tasks on this node — polling the network is not a thread
-    /// switch in a non-preemptive system. The task hands control to the
-    /// engine only when a due event exists or another node lags behind this
-    /// node's clock (and could therefore still produce an event before it),
-    /// and resumes at the front of its node's run queue.
-    pub fn poll_point(&self) {
+    /// Unlike `yield_now`, a poll point does **not** queue behind other
+    /// ready tasks on this node — polling the network is not a thread switch
+    /// in a non-preemptive system. The task hands control to the engine only
+    /// when a due event exists or another node lags behind this node's clock
+    /// (and could therefore still produce an event before it), and resumes
+    /// at the front of its node's run queue.
+    fn poll_point(&self) {
         let mut k = self.inner.lock_kernel();
         let my_clock = k.clock(self.node);
         let event_due = k.events.peek().is_some_and(|e| e.time <= my_clock);
@@ -295,24 +294,22 @@ impl Ctx {
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
-    /// Take the oldest delivered message, if any. Touches only this node's
-    /// shard (no kernel lock).
-    pub fn try_recv(&self) -> Option<Msg> {
-        self.inner.shards[self.node].lock_data().inbox.pop_front()
+    #[inline]
+    fn faults_enabled(&self) -> bool {
+        self.inner.cost.faults.is_some()
     }
 
-    /// Number of delivered, unconsumed messages.
-    pub fn inbox_len(&self) -> usize {
-        self.inner.shards[self.node].lock_data().inbox.len()
+    /// Drawn from the seeded fault stream. Panics when no fault model is
+    /// installed (callers gate on `faults_enabled`).
+    fn fault_decision(&self, dst: usize) -> FaultDecision {
+        self.inner.lock_kernel().fault_decision(self.node, dst)
     }
 
-    /// Send `payload` to node `dst`; it is delivered `delay` ns after this
-    /// node's current clock. The messaging layer charges its own send
-    /// overhead separately; `delay` models wire/switch time and must be > 0.
+    /// `delay` models wire/switch time and must be > 0.
     ///
     /// A [`Payload::Short`] send allocates nothing: the four argument words
     /// travel inline and the event body comes from the kernel's slab pool.
-    pub fn send_msg(&self, dst: usize, wire_bytes: usize, delay: Time, payload: Payload) {
+    fn send_msg(&self, dst: usize, wire_bytes: usize, delay: Time, payload: Payload) {
         let mut k = self.inner.lock_kernel();
         k.post_deliver(
             dst,
@@ -325,54 +322,22 @@ impl Ctx {
         );
     }
 
-    /// Park for `ns` of virtual time (a timer; models e.g. interrupt
-    /// delivery delay in the ablation experiments).
-    pub fn sleep(&self, ns: Time) {
-        let mut k = self.inner.lock_kernel();
-        let at = k.clock(self.node) + ns;
-        k.post_wake(self.task, at);
-        k.tasks[self.task.idx()].state = TaskState::Parked;
-        k.emit(self.node, self.task, TraceEvent::Park);
-        switch_from_task(&self.inner, k, self.task, &self.cell);
+    /// Touches only this node's shard (no kernel lock).
+    fn try_recv(&self) -> Option<Msg> {
+        self.inner.shards[self.node].lock_data().inbox.pop_front()
     }
 
-    /// Block until task `t` finishes. No modeled cost (the threads package
-    /// wraps this with its accounting).
-    pub fn join(&self, t: TaskId) {
-        let mut k = self.inner.lock_kernel();
-        if k.tasks[t.idx()].state == TaskState::Finished {
-            return;
-        }
-        k.tasks[t.idx()].joiners.push(self.task);
-        k.tasks[self.task.idx()].state = TaskState::Parked;
-        k.emit(self.node, self.task, TraceEvent::Park);
-        switch_from_task(&self.inner, k, self.task, &self.cell);
+    fn inbox_len(&self) -> usize {
+        self.inner.shards[self.node].lock_data().inbox.len()
     }
 
-    /// Whether task `t` has finished.
-    pub fn is_finished(&self, t: TaskId) -> bool {
-        self.inner.lock_kernel().tasks[t.idx()].state == TaskState::Finished
-    }
-
-    /// Fetch (or lazily create) this node's singleton of type `T`. The
-    /// runtime crates keep their per-node state (handler tables, memories,
-    /// stub caches) here. `init` runs under the node's shard lock and must
-    /// not call back into the simulator.
-    pub fn node_data<T, F>(&self, init: F) -> Arc<T>
+    /// `init` runs under the node's shard lock.
+    fn node_data<T, F>(&self, init: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        self.node_data_on(self.node, init)
-    }
-
-    /// [`Ctx::node_data`] for an arbitrary node (bootstrap helper).
-    pub fn node_data_on<T, F>(&self, node: usize, init: F) -> Arc<T>
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce() -> T,
-    {
-        let mut d = self.inner.shards[node].lock_data();
+        let mut d = self.inner.shards[self.node].lock_data();
         let slot = d
             .data
             .entry(std::any::TypeId::of::<T>())
@@ -385,37 +350,12 @@ impl Ctx {
         Arc::downcast::<T>(Arc::clone(&slot.0)).expect("node_data type confusion")
     }
 
-    /// Capture all node clocks/stats (quiesce with a barrier first).
-    pub fn snapshot(&self) -> Snapshot {
-        crate::engine::snapshot(&self.inner)
-    }
-
-    /// Whether a tracer is installed (so callers can skip building event
-    /// payloads when tracing is off). Lock-free.
     #[inline]
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.tracing_on
-    }
-
-    /// Whether a metrics registry is installed (so callers can skip
-    /// computing observation values when metrics are off). Lock-free.
-    #[inline]
-    pub fn metrics_enabled(&self) -> bool {
+    fn metrics_enabled(&self) -> bool {
         self.inner.metrics_on
     }
 
-    /// This node's current clock, but only when a metrics registry is
-    /// installed — the lock-free way to grab a latency-measurement start
-    /// timestamp that costs a branch when metrics are off. Pair with
-    /// [`Ctx::metric_observe_since`].
-    #[inline]
-    pub fn metric_now(&self) -> Option<Time> {
-        self.inner.metrics_on.then(|| self.now())
-    }
-
-    /// Record `v` into this node's histogram `name`. No-op (one branch, no
-    /// lock) when no registry is installed.
-    pub fn metric_observe(&self, name: &'static str, v: u64) {
+    fn metric_observe(&self, name: &'static str, v: u64) {
         if !self.inner.metrics_on {
             return;
         }
@@ -425,36 +365,7 @@ impl Ctx {
         }
     }
 
-    /// Record the elapsed virtual time since `t0` (a timestamp from
-    /// [`Ctx::metric_now`]) into histogram `name`. No-op when no registry is
-    /// installed.
-    pub fn metric_observe_since(&self, name: &'static str, t0: Time) {
-        if !self.inner.metrics_on {
-            return;
-        }
-        let now = self.now();
-        let mut k = self.inner.lock_kernel();
-        if let Some(m) = k.metrics.as_mut() {
-            m.observe(self.node, name, now.saturating_sub(t0));
-        }
-    }
-
-    /// Record this node's current inbox depth into histogram `name`. No-op
-    /// when no registry is installed.
-    pub fn metric_inbox_depth(&self, name: &'static str) {
-        if !self.inner.metrics_on {
-            return;
-        }
-        let depth = self.inner.shards[self.node].lock_data().inbox.len() as u64;
-        let mut k = self.inner.lock_kernel();
-        if let Some(m) = k.metrics.as_mut() {
-            m.observe(self.node, name, depth);
-        }
-    }
-
-    /// Add `delta` to this node's counter `name`. No-op when no registry is
-    /// installed.
-    pub fn metric_counter_add(&self, name: &'static str, delta: u64) {
+    fn metric_counter_add(&self, name: &'static str, delta: u64) {
         if !self.inner.metrics_on {
             return;
         }
@@ -464,36 +375,8 @@ impl Ctx {
         }
     }
 
-    /// Add `delta` to this node's keyed counter `name[key]` (e.g. per-peer
-    /// tallies). No-op when no registry is installed.
-    pub fn metric_keyed_add(&self, name: &'static str, key: u64, delta: u64) {
-        if !self.inner.metrics_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        if let Some(m) = k.metrics.as_mut() {
-            m.keyed_add(self.node, name, key, delta);
-        }
-    }
-
-    /// Set this node's gauge `name` to `v`. No-op when no registry is
-    /// installed.
-    pub fn metric_gauge_set(&self, name: &'static str, v: u64) {
-        if !self.inner.metrics_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        if let Some(m) = k.metrics.as_mut() {
-            m.gauge_set(self.node, name, v);
-        }
-    }
-
-    /// Open a named span frame on this task. Returns the sentinel
-    /// `SpanId(0)` when tracing is off (then [`Ctx::span_end`] is a no-op).
-    ///
-    /// Frames must strictly nest per task: ending any frame other than the
-    /// innermost open one panics.
-    pub fn span_start(&self, name: &str) -> SpanId {
+    /// Ending any frame other than the innermost open one panics.
+    fn span_start(&self, name: &str) -> SpanId {
         if !self.inner.tracing_on {
             return SpanId(0);
         }
@@ -513,131 +396,17 @@ impl Ctx {
         id
     }
 
-    /// Close a span frame opened by [`Ctx::span_start`].
-    pub fn span_end(&self, id: SpanId) {
-        if !id.is_active() || !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::SpanEnd { id });
-    }
-
-    /// RAII form of [`Ctx::span_start`] / [`Ctx::span_end`]: the frame closes
-    /// when the guard drops.
-    #[must_use = "the span closes when the guard drops"]
-    pub fn span(&self, name: &str) -> SpanGuard<'_> {
-        SpanGuard {
-            ctx: self,
-            id: self.span_start(name),
+    fn span_end(&self, id: SpanId) {
+        if id.is_active() {
+            self.trace_event(|| TraceEvent::SpanEnd { id });
         }
     }
 
-    /// Record the start of an Active Message handler (opens a frame named
-    /// `am.handler[<id>]`). Emitted by the messaging layer *before* the
-    /// receive overhead is charged, so the frame covers the handler's full
-    /// cost.
-    pub fn handler_start(&self, handler: u32) {
-        if !self.inner.tracing_on {
-            return;
+    #[inline]
+    fn trace_event(&self, event: impl FnOnce() -> TraceEvent) {
+        if self.inner.tracing_on {
+            let event = event();
+            self.inner.lock_kernel().emit(self.node, self.task, event);
         }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::HandlerStart { handler });
-    }
-
-    /// Close the handler frame opened by [`Ctx::handler_start`].
-    pub fn handler_end(&self, handler: u32) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::HandlerEnd { handler });
-    }
-
-    /// Record a reliable-delivery retransmission (point event).
-    pub fn trace_retransmit(&self, dst: usize, seq: u64) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::Retransmit { dst, seq });
-    }
-
-    /// Record a coalescing-layer flush (point event).
-    pub fn trace_coalesce_flush(&self, dst: usize, msgs: u64, wire_bytes: usize) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(
-            self.node,
-            self.task,
-            TraceEvent::CoalesceFlush {
-                dst,
-                msgs,
-                wire_bytes,
-            },
-        );
-    }
-
-    /// Record a duplicate-suppression drop (point event).
-    pub fn trace_dup_drop(&self, src: usize, seq: u64) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::DupDrop { src, seq });
-    }
-
-    /// Record entry into a global barrier (point event).
-    pub fn barrier_enter(&self, epoch: u64) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::BarrierEnter { epoch });
-    }
-
-    /// Record release from a global barrier (point event).
-    pub fn barrier_exit(&self, epoch: u64) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(self.node, self.task, TraceEvent::BarrierExit { epoch });
-    }
-
-    /// Debug marker: recorded as a [`TraceEvent::Mark`] (and printed to
-    /// stderr when the stderr sink is enabled). No-op when tracing is off.
-    pub fn trace(&self, msg: &str) {
-        if !self.inner.tracing_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        k.emit(
-            self.node,
-            self.task,
-            TraceEvent::Mark {
-                text: msg.to_string(),
-            },
-        );
-    }
-}
-
-/// RAII guard returned by [`Ctx::span`]; ends the frame on drop.
-pub struct SpanGuard<'a> {
-    ctx: &'a Ctx,
-    id: SpanId,
-}
-
-impl SpanGuard<'_> {
-    /// The underlying span id (sentinel when tracing is off).
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.ctx.span_end(self.id);
     }
 }

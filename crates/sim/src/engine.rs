@@ -196,100 +196,10 @@ impl Drop for KernelGuard<'_> {
     }
 }
 
-/// Everything a [`Sim`] run is configured by, as one plain value.
-///
-/// The builder methods grew one at a time ([`Sim::cost_model`],
-/// [`Sim::tracing`], [`Sim::metrics`], [`Sim::backend`]); this consolidates
-/// them into a typed, (de)serializable configuration accepted by
-/// [`Sim::from_config`], so harnesses can load a whole machine description
-/// from a file or a flag instead of threading builder calls. The builder
-/// methods remain as thin forwarders over the same fields. The
-/// [`ScheduleOracle`] — a live trait object — stays builder-only.
-///
-/// ```
-/// use mpmd_sim::{Sim, SimConfig};
-///
-/// let report = Sim::from_config(SimConfig {
-///     nodes: 2,
-///     metrics: true,
-///     ..SimConfig::default()
-/// })
-/// .run(|ctx| ctx.metric_observe("demo.v", 1));
-/// assert!(report.metrics.is_some());
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct SimConfig {
-    /// Processing nodes in the machine.
-    pub nodes: usize,
-    /// Unit-cost model, including the optional fault model.
-    pub cost: CostModel,
-    /// Structured event tracing; `None` disables collection.
-    pub trace: Option<TraceConfig>,
-    /// Install a metrics registry for the run.
-    pub metrics: bool,
-    /// Execution backend hosting the task stacks.
-    pub backend: BackendKind,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            nodes: 1,
-            cost: CostModel::default(),
-            trace: None,
-            metrics: false,
-            backend: BackendKind::Auto,
-        }
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Serialize for BackendKind {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            BackendKind::Auto => "auto",
-            BackendKind::Threads => "threads",
-            BackendKind::Fibers => "fibers",
-        }
-        .to_value()
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for BackendKind {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v.as_str() {
-            Some("auto") => Ok(BackendKind::Auto),
-            Some("threads") => Ok(BackendKind::Threads),
-            Some("fibers") => Ok(BackendKind::Fibers),
-            _ => Err(serde::Error(
-                "expected \"auto\", \"threads\", or \"fibers\"".into(),
-            )),
-        }
-    }
-}
-
-#[cfg(feature = "serde")]
-serde::impl_serialize!(SimConfig {
-    nodes,
-    cost,
-    trace,
-    metrics,
-    backend,
-});
-#[cfg(feature = "serde")]
-serde::impl_deserialize!(SimConfig {
-    nodes,
-    cost,
-    trace,
-    metrics,
-    backend,
-});
-
 /// Builder for a simulated multicomputer run.
 ///
 /// ```
-/// use mpmd_sim::{Sim, Bucket};
+/// use mpmd_sim::{Bucket, Fabric, Sim};
 ///
 /// let report = Sim::new(4).run(|ctx| {
 ///     // one "main" task per node
@@ -310,22 +220,13 @@ impl Sim {
     /// A simulation with `nodes` processing nodes and the default (paper
     /// calibration) cost model.
     pub fn new(nodes: usize) -> Self {
-        Sim::from_config(SimConfig {
-            nodes,
-            ..SimConfig::default()
-        })
-    }
-
-    /// A simulation configured wholesale from a [`SimConfig`] (the typed,
-    /// serializable form of the builder state).
-    pub fn from_config(config: SimConfig) -> Self {
-        assert!(config.nodes > 0, "need at least one node");
+        assert!(nodes > 0, "need at least one node");
         Sim {
-            nodes: config.nodes,
-            cost: config.cost,
-            trace: config.trace,
-            metrics: config.metrics,
-            backend: config.backend,
+            nodes,
+            cost: CostModel::default(),
+            trace: None,
+            metrics: false,
+            backend: BackendKind::Auto,
             oracle: None,
         }
     }
@@ -358,7 +259,7 @@ impl Sim {
     /// [`Report::trace`](crate::Report::trace) after the run.
     ///
     /// ```
-    /// use mpmd_sim::{Sim, TraceConfig};
+    /// use mpmd_sim::{Fabric, Sim, TraceConfig};
     ///
     /// let report = Sim::new(2).tracing(TraceConfig::new()).run(|ctx| {
     ///     let _s = ctx.span("work");
@@ -375,7 +276,7 @@ impl Sim {
     /// [`Report::metrics`](crate::Report::metrics) after the run.
     ///
     /// ```
-    /// use mpmd_sim::{Sim, Bucket};
+    /// use mpmd_sim::{Fabric, Sim};
     ///
     /// let report = Sim::new(2).metrics(true).run(|ctx| {
     ///     ctx.metric_observe("demo.latency_ns", 1_000);
@@ -385,16 +286,6 @@ impl Sim {
     /// ```
     pub fn metrics(mut self, on: bool) -> Self {
         self.metrics = on;
-        self
-    }
-
-    /// Emit a line per scheduling event to stderr (debugging aid).
-    ///
-    /// Deprecated shim: equivalent to
-    /// `tracing(TraceConfig::stderr_only())`. Prefer [`Sim::tracing`], which
-    /// also collects the structured event log.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on.then(TraceConfig::stderr_only);
         self
     }
 
@@ -702,7 +593,7 @@ fn decide_inner(k: &mut Kernel, mut oracle: Option<&mut dyn ScheduleOracle>) -> 
 }
 
 /// Capture a [`Snapshot`] of all node clocks/stats. Exposed through
-/// [`Ctx::snapshot`]; callers should quiesce (e.g. barrier) first so the
+/// `Ctx::snapshot`; callers should quiesce (e.g. barrier) first so the
 /// snapshot is meaningful.
 pub(crate) fn snapshot(inner: &SimInner) -> Snapshot {
     let k = inner.lock_kernel();
@@ -722,36 +613,6 @@ pub(crate) fn snapshot(inner: &SimInner) -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn sim_config_serde_round_trips() {
-        use serde::{Deserialize, Serialize};
-        let cfg = SimConfig {
-            nodes: 7,
-            cost: CostModel::default().with_metrics(),
-            trace: Some(crate::TraceConfig {
-                capacity: 512,
-                stderr: false,
-            }),
-            metrics: true,
-            backend: BackendKind::Threads,
-        };
-        let v = cfg.to_value();
-        let back = SimConfig::from_value(&v).expect("SimConfig round-trips");
-        assert_eq!(back.nodes, cfg.nodes);
-        assert_eq!(back.cost, cfg.cost);
-        assert_eq!(back.trace, cfg.trace);
-        assert_eq!(back.metrics, cfg.metrics);
-        assert_eq!(back.backend, cfg.backend);
-
-        // Defaults survive too (trace: None, backend: Auto).
-        let d = SimConfig::default();
-        let back = SimConfig::from_value(&d.to_value()).expect("default round-trips");
-        assert_eq!(back.nodes, 1);
-        assert_eq!(back.trace, None);
-        assert_eq!(back.backend, BackendKind::Auto);
-    }
 
     #[test]
     fn backend_env_parsing_is_strict() {

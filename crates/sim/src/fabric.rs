@@ -1,0 +1,302 @@
+//! The [`Fabric`] trait: the one definition of what a backend provides.
+//!
+//! Everything the messaging layer (`mpmd-am`), the threads package
+//! (`mpmd-threads`) and the two language runtimes (`mpmd-splitc`,
+//! `mpmd-ccxx`) need from the machine underneath: frame send/receive, node
+//! identity, task scheduling (spawn/park/wake, timeout wakes for the
+//! reliable-layer pump), clock reads, cost accounting, and the metric/trace
+//! hooks. The layers above are generic over `F: Fabric` with **static
+//! dispatch**, so each backend compiles to direct calls.
+//!
+//! The trait lives next to the types it is written in. [`Ctx`](crate::Ctx)
+//! — the deterministic virtual-time kernel — implements it here; the
+//! wall-clock `LocalFabric` implements it in `mpmd-fabric`, which re-exports
+//! the trait unchanged. Each operation has exactly one body per backend:
+//! `Ctx` has no inherent twin of any trait method, so calling one on a
+//! concrete `Ctx` needs the trait in scope (`use mpmd_sim::Fabric`).
+
+use crate::cost::CostModel;
+use crate::event::{Msg, Payload};
+use crate::kernel::FaultDecision;
+use crate::report::Snapshot;
+use crate::stats::{Bucket, Stats};
+use crate::task::TaskId;
+use crate::time::Time;
+use crate::trace::{SpanId, TraceEvent};
+use std::sync::Arc;
+
+/// The machine interface the MPMD communication stack runs on.
+///
+/// Three kinds of method (DESIGN.md §4 has the table):
+///
+/// * **required** — identity, clock and ledger, scheduling, transport,
+///   per-node data: every backend defines these;
+/// * **overridable instrumentation** — `metrics_enabled`, `metric_observe`,
+///   `metric_counter_add`, `span_start`, `span_end`, `trace_event`, plus the
+///   fault pair and `wall_clock`: no-op (or "off") defaults that a backend
+///   with the instrument overrides;
+/// * **provided** — `metric_now`, `metric_observe_since`,
+///   `metric_inbox_depth`, `span`: written once here over the methods above;
+///   no backend overrides them.
+///
+/// Contract highlights (the conformance suite in `mpmd-am` checks these on
+/// every backend):
+///
+/// * **Per-link FIFO**: frames from node `s` to node `d` are received in
+///   send order. No ordering is promised across different (src, dst) pairs.
+/// * **Wakeups**: [`Fabric::park_for_inbox`] returns once a frame is
+///   delivered to this node (it may also return spuriously; callers
+///   re-check). [`Fabric::park_for_inbox_until`] additionally returns when
+///   the node clock reaches the deadline — the reliable layer's retransmit
+///   pump depends on this.
+/// * **`unpark` is never lost where it can race**: see [`Fabric::unpark`].
+/// * **Clocks are per-node and monotone**, in nanoseconds. On the simulated
+///   fabric they advance only by [`Fabric::charge`]; on wall-clock fabrics
+///   they advance on their own and `charge` only keeps the cost-bucket
+///   ledger.
+pub trait Fabric: Clone + Send + 'static {
+    // ---- identity ----------------------------------------------------
+
+    /// This task's node index.
+    fn node(&self) -> usize;
+
+    /// Total number of nodes in the machine.
+    fn nodes(&self) -> usize;
+
+    /// This task's id.
+    fn task_id(&self) -> TaskId;
+
+    // ---- clock & accounting ------------------------------------------
+
+    /// The active cost model (unit costs the layers above charge with).
+    fn cost(&self) -> &CostModel;
+
+    /// Current time on this node, in nanoseconds.
+    fn now(&self) -> Time;
+
+    /// Attribute `ns` of work to `bucket`. On the simulated fabric this
+    /// also advances the node clock; on wall-clock fabrics it only feeds
+    /// the per-bucket ledger (time advances by itself).
+    fn charge(&self, bucket: Bucket, ns: Time);
+
+    /// Mutate this node's instrumentation counters.
+    fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R;
+
+    /// Capture all node clocks/stats (quiesce with a barrier first).
+    fn snapshot(&self) -> Snapshot;
+
+    // ---- scheduling --------------------------------------------------
+
+    /// Spawn a new task on this node. Pure scheduling: the *cost* of thread
+    /// creation is charged by the threads package, not here.
+    fn spawn<G>(&self, name: &str, f: G) -> TaskId
+    where
+        G: FnOnce(Self) + Send + 'static;
+
+    /// Spawn a task on an arbitrary node (runtime bootstrap helper, e.g.
+    /// starting remote polling threads; ordinary code spawns locally).
+    fn spawn_on<G>(&self, node: usize, name: &str, f: G) -> TaskId
+    where
+        G: FnOnce(Self) + Send + 'static;
+
+    /// Spawn a background *daemon* task on this node: excluded from the
+    /// liveness condition; must exit promptly once [`Fabric::shutting_down`]
+    /// turns true.
+    fn spawn_daemon<G>(&self, name: &str, f: G) -> TaskId
+    where
+        G: FnOnce(Self) + Send + 'static;
+
+    /// Reschedule this task behind any other runnable work. Free of modeled
+    /// cost (the threads package charges context switches).
+    fn yield_now(&self);
+
+    /// Park this task until [`Fabric::unpark`] (or a timer) wakes it.
+    fn park(&self);
+
+    /// Make task `t` — on the *same node* as the caller; cross-node wake-ups
+    /// travel as messages — runnable again.
+    ///
+    /// What holds for an unpark that finds `t` not parked differs by
+    /// backend, and is sound on each:
+    ///
+    /// * `LocalFabric` (tasks run concurrently): wakeup tokens are
+    ///   consumable, as with OS thread parkers — an unpark that arrives
+    ///   before the target parks still ends that park. A token aimed at a
+    ///   task that has exited is dropped.
+    /// * Simulator (tasks are cooperative): an unpark of a task that is not
+    ///   parked is dropped. Nothing can run between a task's check of its
+    ///   wake condition and its `park`, so there is no window in which a
+    ///   wakeup the task still needs could arrive early.
+    ///
+    /// On both, an unpark aimed at a task blocked in [`Fabric::join`] does
+    /// not end the join.
+    fn unpark(&self, t: TaskId);
+
+    /// Park until a frame is delivered to this node's inbox (returns
+    /// immediately if it is already non-empty; spurious returns allowed).
+    /// The primitive beneath both Split-C's spin-polling and the CC++
+    /// polling thread.
+    fn park_for_inbox(&self);
+
+    /// [`Fabric::park_for_inbox`] with a wake-up deadline on this node's
+    /// clock: returns immediately if the deadline has passed.
+    fn park_for_inbox_until(&self, deadline: Time);
+
+    /// Park for `ns` of this node's time.
+    fn sleep(&self, ns: Time);
+
+    /// Block until task `t` finishes. No modeled cost (the threads package
+    /// wraps this with its accounting).
+    fn join(&self, t: TaskId);
+
+    /// Whether task `t` has finished.
+    fn is_finished(&self, t: TaskId) -> bool;
+
+    /// Whether the engine has begun shutdown because only daemon tasks
+    /// remain.
+    fn shutting_down(&self) -> bool;
+
+    /// A *poll point*: make all frames due at or before this node's clock
+    /// visible, without otherwise rescheduling. Call before draining the
+    /// inbox.
+    fn poll_point(&self);
+
+    /// Whether this fabric's clock is real time. On wall-clock fabrics,
+    /// layers that rely on virtual-time co-advancement (e.g. the coalescing
+    /// linger deadline, which on the simulator is checked whenever the
+    /// sender's own clock moves) must drive their deadlines with a daemon
+    /// instead. The simulated kernel returns the default `false` and spawns
+    /// nothing, keeping its reports byte-identical.
+    fn wall_clock(&self) -> bool {
+        false
+    }
+
+    // ---- faults ------------------------------------------------------
+
+    /// Whether a fault model is installed (gates the AM reliable layer).
+    fn faults_enabled(&self) -> bool {
+        false
+    }
+
+    /// Draw the fate of one transmission attempt to `dst`. Only called when
+    /// [`Fabric::faults_enabled`] is true.
+    fn fault_decision(&self, dst: usize) -> FaultDecision {
+        let _ = dst;
+        panic!("fault injection is not supported on this fabric")
+    }
+
+    // ---- frame transport ---------------------------------------------
+
+    /// Send `payload` to node `dst`, delivered `delay` ns after this node's
+    /// clock. Wall-clock fabrics may ignore `delay` (the real wire supplies
+    /// real latency); per-link FIFO order must hold either way. The
+    /// messaging layer charges its own send overhead separately.
+    fn send_msg(&self, dst: usize, wire_bytes: usize, delay: Time, payload: Payload);
+
+    /// Take the oldest delivered frame, if any.
+    fn try_recv(&self) -> Option<Msg>;
+
+    /// Number of delivered, unconsumed frames.
+    fn inbox_len(&self) -> usize;
+
+    // ---- per-node typed state ----------------------------------------
+
+    /// Fetch (or lazily create) this node's singleton of type `T`. The
+    /// runtime crates keep their per-node state (handler tables, memories,
+    /// stub caches) here. `init` must not call back into the fabric.
+    fn node_data<T, G>(&self, init: G) -> Arc<T>
+    where
+        T: Send + Sync + 'static,
+        G: FnOnce() -> T;
+
+    // ---- instrumentation: overridable, off by default ----------------
+
+    /// Whether a metrics registry is installed (so callers can skip
+    /// computing observation values when metrics are off).
+    fn metrics_enabled(&self) -> bool {
+        false
+    }
+
+    /// Record `v` into this node's histogram `name`.
+    fn metric_observe(&self, name: &'static str, v: u64) {
+        let _ = (name, v);
+    }
+
+    /// Add `delta` to this node's counter `name`.
+    fn metric_counter_add(&self, name: &'static str, delta: u64) {
+        let _ = (name, delta);
+    }
+
+    /// Open a named span frame on this task; the sentinel `SpanId(0)` means
+    /// tracing is off and [`Fabric::span_end`] will ignore it. Frames must
+    /// strictly nest per task.
+    fn span_start(&self, name: &str) -> SpanId {
+        let _ = name;
+        SpanId(0)
+    }
+
+    /// Close a span frame opened by [`Fabric::span_start`].
+    fn span_end(&self, id: SpanId) {
+        let _ = id;
+    }
+
+    /// Record one trace event on this task. `event` is evaluated only when a
+    /// tracer is installed, so building the event costs nothing (and
+    /// allocates nothing) on a tracing-off run.
+    fn trace_event(&self, event: impl FnOnce() -> TraceEvent) {
+        let _ = event;
+    }
+
+    // ---- instrumentation: provided, written once ---------------------
+
+    /// This node's clock, but only when metrics are on (cheap start-stamp
+    /// for latency measurements; pair with [`Fabric::metric_observe_since`]).
+    #[inline]
+    fn metric_now(&self) -> Option<Time> {
+        self.metrics_enabled().then(|| self.now())
+    }
+
+    /// Record the elapsed time since `t0` (a timestamp from
+    /// [`Fabric::metric_now`]) into histogram `name`.
+    fn metric_observe_since(&self, name: &'static str, t0: Time) {
+        if self.metrics_enabled() {
+            self.metric_observe(name, self.now().saturating_sub(t0));
+        }
+    }
+
+    /// Record this node's current inbox depth into histogram `name`.
+    fn metric_inbox_depth(&self, name: &'static str) {
+        if self.metrics_enabled() {
+            self.metric_observe(name, self.inbox_len() as u64);
+        }
+    }
+
+    /// RAII form of [`Fabric::span_start`] / [`Fabric::span_end`]: the frame
+    /// closes when the guard drops.
+    #[must_use = "the span closes when the guard drops"]
+    fn span(&self, name: &str) -> SpanGuard<'_, Self> {
+        SpanGuard {
+            fab: self,
+            id: self.span_start(name),
+        }
+    }
+}
+
+/// RAII guard returned by [`Fabric::span`]; ends the frame on drop.
+pub struct SpanGuard<'a, F: Fabric> {
+    fab: &'a F,
+    id: SpanId,
+}
+
+impl<F: Fabric> SpanGuard<'_, F> {
+    /// The underlying span id (sentinel when tracing is off).
+    pub fn id(&self) -> SpanId {
+        self.id
+    }
+}
+
+impl<F: Fabric> Drop for SpanGuard<'_, F> {
+    fn drop(&mut self) {
+        self.fab.span_end(self.id);
+    }
+}

@@ -396,6 +396,7 @@ mod tests {
         // the pool keeps, and later waves run on the recycled mix. Results
         // must not depend on any of that — nor on the backend.
         fn run(kind: crate::BackendKind) -> crate::Report {
+            use crate::Fabric;
             crate::Sim::new(2).backend(kind).run(|ctx| {
                 for wave in 0..3u64 {
                     let handles: Vec<_> = (0..STACK_POOL_CAP + 10)

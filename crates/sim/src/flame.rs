@@ -120,7 +120,8 @@ mod tests {
     use super::*;
     use crate::engine::Sim;
     use crate::stats::Bucket;
-    use crate::trace::TraceConfig;
+    use crate::trace::{TraceConfig, TraceEvent};
+    use crate::Fabric;
 
     fn traced_run() -> TraceLog {
         Sim::new(2)
@@ -192,9 +193,9 @@ mod tests {
         let log = Sim::new(1)
             .tracing(TraceConfig::new())
             .run(|ctx| {
-                ctx.handler_start(7);
+                ctx.trace_event(|| TraceEvent::HandlerStart { handler: 7 });
                 ctx.charge(Bucket::Net, 9);
-                ctx.handler_end(7);
+                ctx.trace_event(|| TraceEvent::HandlerEnd { handler: 7 });
             })
             .trace
             .unwrap();

@@ -23,11 +23,13 @@
 //! The messaging layer (`mpmd-am`), threads package (`mpmd-threads`), and the
 //! two language runtimes (`mpmd-splitc`, `mpmd-ccxx`) are built on top.
 
+mod alloc_count;
 mod cost;
 mod ctx;
 mod engine;
 mod event;
 pub mod explore;
+mod fabric;
 #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
 mod fiber;
 pub mod flame;
@@ -42,11 +44,14 @@ pub mod trace;
 pub mod wait;
 mod witness;
 
+#[doc(hidden)]
+pub use alloc_count::{thread_allocs, CountingAlloc};
 pub use cost::{CoalesceCosts, CostModel, FaultModel, LinkFaults, ReliabilityCosts, ThreadCosts};
-pub use ctx::{Ctx, SpanGuard};
-pub use engine::{backend_from_env, BackendKind, Sim, SimConfig};
+pub use ctx::Ctx;
+pub use engine::{backend_from_env, BackendKind, Sim};
 pub use event::{Msg, Payload};
 pub use explore::{shrink, ChoicePoint, OracleSpec, RecordedTrace, ScheduleOracle, TraceOracle};
+pub use fabric::{Fabric, SpanGuard};
 pub use flame::{fold_stacks, phase_profile, Phase};
 pub use kernel::FaultDecision;
 pub use metrics::{Histogram, MetricsRegistry, NodeMetrics, HIST_BUCKETS};

@@ -43,8 +43,8 @@ use std::fmt::Write as _;
 pub const NO_TASK: TaskId = TaskId(u32::MAX);
 
 /// Identifier of one span frame. `SpanId(0)` is the "tracing disabled"
-/// sentinel: [`Ctx::span_start`](crate::Ctx::span_start) returns it when no
-/// tracer is installed, and [`Ctx::span_end`](crate::Ctx::span_end) ignores
+/// sentinel: [`Fabric::span_start`](crate::Fabric::span_start) returns it when no
+/// tracer is installed, and [`Fabric::span_end`](crate::Fabric::span_end) ignores
 /// it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SpanId(pub u64);
@@ -103,7 +103,7 @@ pub enum TraceEvent {
         msgs: u64,
         wire_bytes: usize,
     },
-    /// Free-text debug marker ([`Ctx::trace`](crate::Ctx::trace)).
+    /// Free-text debug marker.
     Mark { text: String },
 }
 
@@ -124,8 +124,7 @@ pub struct TraceConfig {
     /// Ring-buffer capacity per node, in records. `0` disables collection
     /// (events still reach the stderr sink if enabled).
     pub capacity: usize,
-    /// Mirror events to stderr as they happen (the legacy `.trace(true)`
-    /// debug output).
+    /// Mirror events to stderr as they happen (debugging aid).
     pub stderr: bool,
 }
 
@@ -153,15 +152,6 @@ impl TraceConfig {
     pub fn stderr(mut self, on: bool) -> Self {
         self.stderr = on;
         self
-    }
-
-    /// The configuration the deprecated `Sim::trace(true)` maps to: no
-    /// buffering, stderr mirroring only.
-    pub fn stderr_only() -> Self {
-        TraceConfig {
-            capacity: 0,
-            stderr: true,
-        }
     }
 }
 
@@ -1009,8 +999,3 @@ mod tests {
         assert!(lines[1].contains(r#""wire_bytes":48"#));
     }
 }
-
-#[cfg(feature = "serde")]
-serde::impl_serialize!(TraceConfig { capacity, stderr });
-#[cfg(feature = "serde")]
-serde::impl_deserialize!(TraceConfig { capacity, stderr });

@@ -1,72 +1,18 @@
 //! Proof of the zero-allocation short-message fast path.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator and keeps a
-//! **per-thread** allocation count in const-initialized native TLS (a plain
-//! `Cell<u64>` with no destructor, so bumping it never itself allocates).
 //! After a warm-up phase (event-pool slabs, inbox/ready/waiter capacities,
 //! fiber stacks), a steady-state run of short AM round trips must perform
 //! **zero** heap allocations: argument words travel inline in
 //! [`Payload::Short`], event bodies come from the kernel's slab pool, and
 //! baton handoffs reuse pooled stacks (fiber backend) or parked OS threads
-//! (threads backend).
-//!
-//! Counting per thread rather than process-wide is deliberate. The libtest
-//! harness's main thread sits in `mpsc::Receiver::recv` waiting for this
-//! test to finish, and the first time that recv actually *blocks* the
-//! standard library lazily allocates its per-thread channel `Context`
-//! (exactly two small allocations, 48 + 96 bytes). Whether the harness
-//! thread reaches the blocking path before or after the measured window
-//! opens is an OS-scheduling race; with a process-wide counter this test
-//! failed roughly every other run. Under the fiber backend the entire
-//! simulation — engine and every task — runs on the `Sim::run` thread, so
-//! the per-thread count still covers every simulator allocation; under the
-//! threads backend it pins the claim to node 0's task thread, which
-//! executes the full send/park/recv path being proven.
+//! (threads backend). Counted per thread by [`CountingAlloc`], whose docs
+//! say why.
 
-use mpmd_sim::{Payload, Sim};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use mpmd_sim::{thread_allocs, CountingAlloc, Fabric, Payload, Sim};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-struct Counting;
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Bump this thread's count. `try_with` so a (hypothetical) allocation
-/// during TLS teardown cannot panic inside the allocator.
-fn bump() {
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn thread_allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(l) }
-    }
-
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(l) }
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(p, l, n) }
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, l) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: Counting = Counting;
+static COUNTER: CountingAlloc = CountingAlloc;
 
 const WARMUP: usize = 50;
 const MEASURED: usize = 1_000;

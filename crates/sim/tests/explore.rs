@@ -9,7 +9,7 @@
 //! an ordinary debug-profile test binary, every run here also exercises
 //! the lock-order witness and the event-pool/heap teardown bijection.
 
-use mpmd_sim::{BackendKind, Bucket, Ctx, OracleSpec, Payload, Sim, TraceOracle};
+use mpmd_sim::{BackendKind, Bucket, Ctx, Fabric, OracleSpec, Payload, Sim, TraceOracle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

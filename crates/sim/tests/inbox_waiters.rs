@@ -6,7 +6,7 @@
 //! task into the ready queue twice on the next delivery, and the second pop
 //! would find a task that is no longer `Runnable`.
 
-use mpmd_sim::{Payload, Sim};
+use mpmd_sim::{Fabric, Payload, Sim};
 
 #[test]
 fn task_parked_twice_for_same_inbox_wakes_exactly_once() {

@@ -1,7 +1,7 @@
 //! Property tests of the simulator core: determinism, clock algebra, and
 //! scheduling invariants under randomized workloads.
 
-use mpmd_sim::{Bucket, Report, Sim};
+use mpmd_sim::{Bucket, Fabric, Report, Sim};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;

@@ -47,7 +47,7 @@ pub use state::{bytes_to_f64s, f64s_to_bytes};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpmd_sim::{to_us, us, Bucket, Sim};
+    use mpmd_sim::{to_us, us, Bucket, Fabric, Sim};
 
     #[test]
     fn spread_alloc_and_local_access() {

@@ -4,7 +4,7 @@
 //! run. This exercises the canonical commit order of `H_ATOMIC_ADD3` staging
 //! and the per-source reduction fold.
 
-use mpmd_sim::{CostModel, FaultModel, Sim};
+use mpmd_sim::{CostModel, Fabric, FaultModel, Sim};
 use mpmd_splitc as sc;
 use std::sync::Arc;
 

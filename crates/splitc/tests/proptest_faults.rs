@@ -3,7 +3,7 @@
 //! fault-free run. The reliable-delivery layer plus the canonical commit
 //! order make the wire's behavior unobservable to the application.
 
-use mpmd_sim::{CostModel, FaultModel, Sim};
+use mpmd_sim::{CostModel, Fabric, FaultModel, Sim};
 use mpmd_splitc as sc;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};

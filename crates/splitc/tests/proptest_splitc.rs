@@ -1,6 +1,7 @@
 //! Property tests of the Split-C runtime: global-memory semantics under
 //! randomized access patterns.
 
+use mpmd_sim::Fabric;
 use mpmd_splitc as sc;
 use parking_lot::Mutex;
 use proptest::prelude::*;

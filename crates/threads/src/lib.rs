@@ -36,7 +36,7 @@ pub use thread::{charge_context_switch, charge_sync_op, spawn, yield_now, Thread
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpmd_sim::{Bucket, Sim};
+    use mpmd_sim::{Bucket, Fabric, Sim};
     use std::sync::Arc;
 
     #[test]

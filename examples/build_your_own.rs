@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example build_your_own`
 
 use mpmd_repro::ccxx::{self, CcxxConfig, CxPtr};
-use mpmd_repro::sim::{to_us, Sim};
+use mpmd_repro::sim::{to_us, Fabric, Sim};
 use mpmd_repro::splitc::{self, GlobalPtr};
 use parking_lot::Mutex;
 use std::sync::Arc;

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example client_server`
 
 use mpmd_repro::ccxx::{self, CallMode, CcxxConfig, RmiRet};
-use mpmd_repro::sim::{to_us, Sim};
+use mpmd_repro::sim::{to_us, Fabric, Sim};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example microbench`
 
 use mpmd_repro::ccxx::{self, CallMode, CcxxConfig, CxPtr, MarshalBuf};
-use mpmd_repro::sim::{to_us, Sim};
+use mpmd_repro::sim::{to_us, Fabric, Sim};
 use mpmd_repro::splitc::{self, GlobalPtr};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

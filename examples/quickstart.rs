@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use mpmd_repro::ccxx::{self, CallMode, CcxxConfig};
-use mpmd_repro::sim::{to_us, Sim};
+use mpmd_repro::sim::{to_us, Fabric, Sim};
 use mpmd_repro::splitc;
 
 fn main() {

@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example trace_demo`.
 
 use mpmd_repro::ccxx::{self, CallMode, CcxxConfig};
-use mpmd_repro::sim::{to_us, Sim, TraceConfig};
+use mpmd_repro::sim::{to_us, Fabric, Sim, TraceConfig};
 
 fn main() {
     let report = Sim::new(2).tracing(TraceConfig::new()).run(|ctx| {

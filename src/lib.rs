@@ -38,7 +38,7 @@ pub mod prelude {
     pub use mpmd_apps::water::{WaterOutput, WaterParams, WaterVersion};
     pub use mpmd_ccxx::CcxxConfig;
     pub use mpmd_sim::{
-        fold_stacks, phase_profile, CoalesceCosts, CostModel, Ctx, FaultModel, Histogram,
+        fold_stacks, phase_profile, CoalesceCosts, CostModel, Ctx, Fabric, FaultModel, Histogram,
         MetricsRegistry, Sim, Stats, Time,
     };
 }

@@ -4,7 +4,7 @@
 
 use mpmd_repro::am;
 use mpmd_repro::ccxx::{self, CallMode, CcxxConfig, CxPtr};
-use mpmd_repro::sim::{to_us, us, Bucket, Sim};
+use mpmd_repro::sim::{to_us, us, Bucket, Fabric, Sim};
 use mpmd_repro::splitc::{self};
 use mpmd_repro::threads;
 use std::sync::atomic::{AtomicU64, Ordering};

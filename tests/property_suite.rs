@@ -4,7 +4,7 @@
 use mpmd_repro::apps::em3d::{self, Em3dParams, Em3dVersion};
 use mpmd_repro::apps::lu::{self, LuParams};
 use mpmd_repro::ccxx::{self, CallMode, CcxxConfig, Marshal, MarshalBuf, UnmarshalBuf};
-use mpmd_repro::sim::{Bucket, CostModel, Sim};
+use mpmd_repro::sim::{Bucket, CostModel, Fabric, Sim};
 use mpmd_repro::splitc;
 use parking_lot::Mutex;
 use proptest::prelude::*;

@@ -6,7 +6,7 @@ use mpmd_repro::apps::em3d::{self, Em3dParams, Em3dVersion};
 use mpmd_repro::apps::lu::{self, LuParams};
 use mpmd_repro::apps::water::{self, WaterParams, WaterVersion};
 use mpmd_repro::ccxx::{self, CallMode, CcxxConfig};
-use mpmd_repro::sim::{CostModel, Sim};
+use mpmd_repro::sim::{CostModel, Fabric, Sim};
 use mpmd_repro::splitc;
 
 #[test]
