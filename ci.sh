@@ -174,12 +174,14 @@ echo "explore sweep OK"
 
 echo "==> threads-fallback build (fiber backend force-disabled)"
 # --cfg mpmd_no_fibers compiles out the fiber backend the way a
-# non-x86_64 target would; the engine must still build everywhere and the
-# exploration tests must pass with Auto resolving to the threads backend
-# (their assertions compare against threads baselines, so passing proves
-# identical output). A separate target dir keeps the main cache warm.
+# non-x86_64 target would; the engine must still build everywhere, and its
+# unit tests (the one Backend::switch, kernel re-entry) and the engine-level
+# integration tests must pass with Auto resolving to the threads backend
+# (the exploration assertions compare against threads baselines, so passing
+# proves identical output). A separate target dir keeps the main cache warm.
 CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" \
-    cargo test -q -p mpmd-sim --test explore
+    cargo test -q -p mpmd-sim --lib --test explore --test inbox_waiters \
+    --test proptest_engine
 echo "threads fallback OK"
 
 echo "==> all checks passed"

@@ -455,6 +455,40 @@ fn check_instrumentation(fabric: &str, metrics_on: bool, report: &Report) {
     assert_eq!(m.counter("conf.probes"), 2 * PROBES * nodes, "{fabric}");
 }
 
+/// Sets its flag when dropped.
+struct DropProbe(Arc<AtomicBool>);
+
+impl Drop for DropProbe {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// Once `run` has returned, everything the run allocated is freed: a
+/// per-node singleton is dropped. The program goes through a
+/// condition-variable wait, whose hand-unlocked guard once leaked a
+/// reference to the whole fabric.
+fn battery_teardown_frees_state<F: Fabric>(ctx: &F, freed: &Arc<AtomicBool>) {
+    let probe = Arc::clone(freed);
+    ctx.node_data(move || DropProbe(probe));
+    let pair = Arc::new((thr::Mutex::new(false), thr::CondVar::new()));
+    let p = Arc::clone(&pair);
+    let waiter = thr::spawn(ctx, "waiter", move |c| {
+        let (m, cv) = &*p;
+        let mut go = m.lock(&c);
+        while !*go {
+            go = cv.wait(&c, go);
+        }
+    });
+    let (m, cv) = &*pair;
+    while cv.waiter_count() == 0 {
+        thr::yield_now(ctx);
+    }
+    *m.lock(ctx) = true;
+    cv.signal(ctx);
+    waiter.join(ctx);
+}
+
 // ------------------------------------------------------------------ drivers
 
 macro_rules! conformance {
@@ -608,4 +642,20 @@ fn task_storm_local() {
         wound_down.load(Ordering::Acquire),
         "daemon outlived the run"
     );
+}
+
+#[test]
+fn teardown_frees_state_sim() {
+    let freed = Arc::new(AtomicBool::new(false));
+    let f = Arc::clone(&freed);
+    Sim::new(1).run(move |ctx| battery_teardown_frees_state(&ctx, &f));
+    assert!(freed.load(Ordering::Acquire), "the run's state outlived it");
+}
+
+#[test]
+fn teardown_frees_state_local() {
+    let freed = Arc::new(AtomicBool::new(false));
+    let f = Arc::clone(&freed);
+    LocalFabric::run(1, move |ctx| battery_teardown_frees_state(&ctx, &f));
+    assert!(freed.load(Ordering::Acquire), "the run's state outlived it");
 }

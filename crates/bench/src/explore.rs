@@ -33,7 +33,7 @@
 //!    what makes shrunk failure traces trustworthy as regression seeds.
 //!
 //! Invariants the sim crate enforces internally on every run — the
-//! lock-order witness (kernel→shard), pool generation-tag checks, the
+//! never-contended kernel `try_lock`, pool generation-tag checks, the
 //! event-heap/pool bijection at teardown, and the reliable layer's
 //! cumulative-ack monotonicity — surface here as panics, which the sweep
 //! catches and reports as violations too.
@@ -183,7 +183,7 @@ fn fnv1a(words: &[u64]) -> u64 {
 
 /// Run one configuration under an optional schedule oracle and task
 /// backend, returning the comparable outcome. Panics inside the run
-/// (engine invariants, witness asserts, workload asserts) are caught and
+/// (engine invariants, workload asserts) are caught and
 /// returned as `Err` with the panic message.
 pub fn run_config(
     cfg: &Config,

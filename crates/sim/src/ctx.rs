@@ -2,16 +2,15 @@
 //! [`Fabric`] implementation. The trait docs carry the contract; comments
 //! here say only what is specific to the virtual-time kernel.
 //!
-//! Hot-path discipline: operations that only touch this node's data plane
-//! (clock reads, charges, inbox polls, typed singletons, stats) go straight
-//! to the node's shard — an atomic load or one per-node lock — and never
-//! take the kernel lock. Scheduling operations (yield, park, send, spawn)
-//! take the kernel lock as before. Disabled instruments (tracing, metrics)
-//! are gated on plain bools captured at `Sim::run`, so the off path costs a
-//! branch, not a lock.
+//! Hot-path discipline: every operation takes the (never contended) kernel
+//! lock exactly once, and none holds it across a baton switch or a call into
+//! user code other than the `with_stats`/`node_data` closures — which
+//! therefore must not call back into the fabric (doing so panics). Disabled
+//! instruments (tracing, metrics) are gated on plain bools captured at
+//! `Sim::run`, so the off path costs a branch, not a lock.
 
 use crate::cost::CostModel;
-use crate::engine::{spawn_task, spawn_task_inner, switch_from_task, SimInner};
+use crate::engine::{spawn_task, switch_from_task, SimInner};
 use crate::event::{Msg, Payload};
 use crate::fabric::Fabric;
 use crate::kernel::{FaultDecision, TaskState};
@@ -21,7 +20,6 @@ use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
 use crate::trace::{SpanId, TraceEvent};
 use std::any::Any;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// Handle to the simulation held by a running task. Cheap to clone; a clone
@@ -84,35 +82,30 @@ impl Fabric for Ctx {
         &self.inner.cost
     }
 
-    /// Lock-free: the clock is a per-node atomic, written only by the
-    /// logical thread holding the baton.
     #[inline]
     fn now(&self) -> Time {
-        self.inner.shards[self.node].clock.load(Relaxed)
+        self.inner.lock_kernel().clock(self.node)
     }
 
-    /// Advances this node's clock by `ns`.
-    ///
-    /// Fast path: touches only this node's shard. The kernel lock is taken
-    /// only when other tasks sit in this node's ready queue (their heap
-    /// entry is keyed by the old clock and must be re-indexed) — rare on the
-    /// message fast path, where each node runs one task.
+    /// Advances this node's clock by `ns`. Other tasks in this node's ready
+    /// queue have their heap entry keyed by the old clock, so the node is
+    /// re-indexed (a no-op on the message fast path, where each node runs
+    /// one task).
     fn charge(&self, bucket: Bucket, ns: Time) {
         if ns == 0 {
             return;
         }
-        let sh = &self.inner.shards[self.node];
-        let new = sh.clock.load(Relaxed) + ns;
-        sh.clock.store(new, Relaxed);
-        sh.lock_data().stats.bucket_ns[bucket.index()] += ns;
-        if sh.has_ready.load(Relaxed) {
-            self.inner.lock_kernel().touch_node(self.node);
-        }
-        self.trace_event(|| TraceEvent::Charge { bucket, ns });
+        let mut k = self.inner.lock_kernel();
+        let n = &mut k.nodes[self.node];
+        n.clock += ns;
+        n.stats.bucket_ns[bucket.index()] += ns;
+        k.touch_node(self.node);
+        k.emit(self.node, self.task, TraceEvent::Charge { bucket, ns });
     }
 
+    /// `f` runs under the kernel lock.
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
-        f(&mut self.inner.shards[self.node].lock_data().stats)
+        f(&mut self.inner.lock_kernel().nodes[self.node].stats)
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -123,14 +116,14 @@ impl Fabric for Ctx {
     where
         F: FnOnce(Ctx) + Send + 'static,
     {
-        spawn_task(&self.inner, self.node, name.to_string(), f)
+        spawn_task(&self.inner, self.node, name.to_string(), false, f)
     }
 
     fn spawn_on<F>(&self, node: usize, name: &str, f: F) -> TaskId
     where
         F: FnOnce(Ctx) + Send + 'static,
     {
-        spawn_task(&self.inner, node, name.to_string(), f)
+        spawn_task(&self.inner, node, name.to_string(), false, f)
     }
 
     /// Daemons are excluded from the liveness condition: when only daemons
@@ -140,7 +133,7 @@ impl Fabric for Ctx {
     where
         F: FnOnce(Ctx) + Send + 'static,
     {
-        spawn_task_inner(&self.inner, self.node, name.to_string(), true, f)
+        spawn_task(&self.inner, self.node, name.to_string(), true, f)
     }
 
     /// Gives the scheduler a chance to apply due network events and run
@@ -196,7 +189,7 @@ impl Fabric for Ctx {
 
     fn park_for_inbox(&self) {
         let mut k = self.inner.lock_kernel();
-        if !self.inner.shards[self.node].lock_data().inbox.is_empty() {
+        if !k.nodes[self.node].inbox.is_empty() {
             return;
         }
         k.tasks[self.task.idx()].state = TaskState::InboxWait;
@@ -213,9 +206,7 @@ impl Fabric for Ctx {
 
     fn park_for_inbox_until(&self, deadline: Time) {
         let mut k = self.inner.lock_kernel();
-        if !self.inner.shards[self.node].lock_data().inbox.is_empty()
-            || k.clock(self.node) >= deadline
-        {
+        if !k.nodes[self.node].inbox.is_empty() || k.clock(self.node) >= deadline {
             return;
         }
         let gen = k.tasks[self.task.idx()].timeout_gen;
@@ -310,35 +301,30 @@ impl Fabric for Ctx {
     /// A [`Payload::Short`] send allocates nothing: the four argument words
     /// travel inline and the event body comes from the kernel's slab pool.
     fn send_msg(&self, dst: usize, wire_bytes: usize, delay: Time, payload: Payload) {
-        let mut k = self.inner.lock_kernel();
-        k.post_deliver(
-            dst,
-            Msg {
-                src: self.node,
-                wire_bytes,
-                payload,
-            },
-            delay,
-        );
+        let msg = Msg {
+            src: self.node,
+            wire_bytes,
+            payload,
+        };
+        self.inner.lock_kernel().post_deliver(dst, msg, delay);
     }
 
-    /// Touches only this node's shard (no kernel lock).
     fn try_recv(&self) -> Option<Msg> {
-        self.inner.shards[self.node].lock_data().inbox.pop_front()
+        self.inner.lock_kernel().nodes[self.node].inbox.pop_front()
     }
 
     fn inbox_len(&self) -> usize {
-        self.inner.shards[self.node].lock_data().inbox.len()
+        self.inner.lock_kernel().nodes[self.node].inbox.len()
     }
 
-    /// `init` runs under the node's shard lock.
+    /// `init` runs under the kernel lock.
     fn node_data<T, F>(&self, init: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        let mut d = self.inner.shards[self.node].lock_data();
-        let slot = d
+        let mut k = self.inner.lock_kernel();
+        let slot = k.nodes[self.node]
             .data
             .entry(std::any::TypeId::of::<T>())
             .or_insert_with(|| {

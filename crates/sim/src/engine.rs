@@ -8,22 +8,24 @@
 //! deterministic function of its inputs.
 //!
 //! The *decision* function ([`decide`]) is pure kernel-state manipulation and
-//! runs on whichever OS thread holds the baton. A task reaching a blocking
-//! point decides the successor itself and resumes it directly
-//! ([`switch_from_task`]) — the engine thread merely bootstraps the run and
-//! then sleeps on the [`EngineGate`] until termination, deadlock, or a panic
-//! needs handling. This halves the OS wakeups per simulated context switch
-//! relative to routing every switch through the engine thread.
+//! runs on whichever context holds the baton. The engine and the tasks are
+//! all contexts, and [`Backend::switch`] is the one way the baton moves
+//! between two of them. A task reaching a blocking point decides the
+//! successor itself and switches to it directly ([`switch_from_task`]) — the
+//! engine merely bootstraps the run and is switched back to when
+//! termination, deadlock, or a panic needs handling. This halves the OS
+//! wakeups per simulated context switch relative to routing every switch
+//! through the engine.
 
 use crate::cost::CostModel;
 use crate::ctx::Ctx;
 use crate::explore::ScheduleOracle;
-use crate::kernel::{Kernel, Shard, TaskState};
+use crate::kernel::{Kernel, TaskState};
 use crate::report::{Report, Snapshot};
-use crate::task::{EngineGate, Handoff, HandoffCell, TaskCell, TaskId, TaskPool};
+use crate::task::{HandoffCell, Job, TaskBody, TaskCell, TaskId, TaskPool};
 use crate::trace::{TraceConfig, TraceEvent};
-use parking_lot::Mutex;
-use std::sync::atomic::Ordering::Relaxed;
+use parking_lot::{Mutex, MutexGuard};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Which execution backend hosts the task stacks. The choice affects only
@@ -65,21 +67,22 @@ pub fn backend_from_env() -> Result<BackendKind, String> {
     parse_backend_env(s.as_deref())
 }
 
-/// Execution backend hosting the task stacks. Both implement the same baton
-/// protocol and make identical scheduling decisions, so a simulation's
+/// Execution backend hosting the contexts' stacks. Both implement the same
+/// baton protocol and make identical scheduling decisions, so a simulation's
 /// virtual-time results are byte-identical across backends; they differ only
 /// in what a baton handoff costs on the host.
 pub(crate) enum Backend {
     /// One OS thread per live task, condvar handoffs (one futex wakeup per
-    /// simulated switch). The portable fallback.
+    /// simulated switch). The portable fallback. `engine` is the engine
+    /// context's own cell.
     Threads {
         pool: Arc<TaskPool>,
-        gate: Arc<EngineGate>,
+        engine: Arc<HandoffCell>,
     },
     /// All tasks as userspace fibers on the `Sim::run` thread; a handoff is
     /// a stack switch, no syscalls. Default where supported.
     #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-    Fiber(crate::fiber::FiberRt),
+    Fiber(Arc<crate::fiber::FiberRt>),
 }
 
 impl Backend {
@@ -94,105 +97,92 @@ impl Backend {
             },
             k => k,
         };
-        let threads = || Backend::Threads {
+        #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
+        if kind != BackendKind::Threads {
+            return Backend::Fiber(Arc::new(crate::fiber::FiberRt::new()));
+        }
+        assert!(
+            kind != BackendKind::Fibers,
+            "the fiber backend is not supported on this target; \
+             use MPMD_SIM_BACKEND=threads or Sim::backend(BackendKind::Threads)"
+        );
+        Backend::Threads {
             pool: TaskPool::new(),
-            gate: EngineGate::new(),
-        };
-        match kind {
-            BackendKind::Threads => threads(),
-            BackendKind::Fibers => {
-                #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-                {
-                    Backend::Fiber(crate::fiber::FiberRt::new())
-                }
-                #[cfg(not(all(target_arch = "x86_64", unix, not(mpmd_no_fibers))))]
-                {
-                    panic!(
-                        "the fiber backend is not supported on this target; \
-                         use MPMD_SIM_BACKEND=threads or Sim::backend(BackendKind::Threads)"
-                    )
-                }
-            }
-            BackendKind::Auto => {
-                #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-                {
-                    Backend::Fiber(crate::fiber::FiberRt::new())
-                }
-                #[cfg(not(all(target_arch = "x86_64", unix, not(mpmd_no_fibers))))]
-                {
-                    threads()
-                }
-            }
+            engine: Arc::new(HandoffCell::new(true)),
         }
     }
 
+    /// A parked context for a new task.
     fn new_cell(&self) -> TaskCell {
         match self {
-            Backend::Threads { .. } => TaskCell::Threads(HandoffCell::new()),
+            Backend::Threads { .. } => TaskCell::Threads(HandoffCell::new(false)),
             #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
             Backend::Fiber(_) => TaskCell::Fiber(crate::fiber::FiberCell::empty()),
+        }
+    }
+
+    /// Give `cell` a stack that will run `body` the first time the baton is
+    /// switched to it. No switch happens here.
+    fn start(&self, cell: Arc<TaskCell>, body: TaskBody) {
+        match self {
+            Backend::Threads { pool, engine } => pool.dispatch(Job {
+                cell,
+                body,
+                engine: Arc::clone(engine),
+            }),
+            #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
+            Backend::Fiber(rt) => rt.prepare(
+                cell.fiber(),
+                Box::new(crate::fiber::FiberBody {
+                    body,
+                    rt: Arc::clone(rt),
+                    cell: Arc::clone(&cell),
+                }),
+            ),
+        }
+    }
+
+    /// Move the baton from the running context `from` to the parked context
+    /// `to` (`None` is the engine) and return once it comes back to `from`.
+    /// The caller holds no kernel guard.
+    pub(crate) fn switch(&self, from: Option<&TaskCell>, to: Option<&TaskCell>) {
+        match self {
+            Backend::Threads { engine, .. } => {
+                let from = from.map_or(&**engine, TaskCell::thread);
+                let to = to.map_or(&**engine, TaskCell::thread);
+                from.begin_yield();
+                to.resume();
+                from.wait_for_turn();
+            }
+            #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
+            Backend::Fiber(rt) => rt.switch(from.map(TaskCell::fiber), to.map(TaskCell::fiber)),
         }
     }
 }
 
 pub(crate) struct SimInner {
-    pub(crate) kernel: Mutex<Kernel>,
-    /// Per-node data-plane shards, shared with the kernel. Task-side fast
-    /// paths (clock reads, charges, inbox polls, node data) go straight to
-    /// their node's shard without the kernel lock.
-    pub(crate) shards: Arc<Vec<Shard>>,
+    /// All mutable simulation state, behind the one lock of the simulator.
+    kernel: Mutex<Kernel>,
     pub(crate) backend: Backend,
     pub(crate) cost: CostModel,
     pub(crate) num_nodes: usize,
     /// Immutable for the run: lets trace/metric hooks bail out without
-    /// taking any lock when the instrument is not installed.
+    /// taking the lock when the instrument is not installed.
     pub(crate) tracing_on: bool,
     pub(crate) metrics_on: bool,
 }
 
 impl SimInner {
-    /// Lock the kernel, registering with the lock-order witness (debug
-    /// builds assert that no shard lock is held and the kernel lock is not
-    /// re-entered). All kernel locking must go through here.
+    /// The single acquisition point of the kernel lock. One context runs at
+    /// a time and no guard is held across a baton switch, so the lock is
+    /// never contended and a failed `try_lock` is a bug — kernel code calling
+    /// back into the fabric, or a broken baton protocol — reported as a panic
+    /// instead of a deadlock.
     #[inline]
-    pub(crate) fn lock_kernel(&self) -> KernelGuard<'_> {
-        crate::witness::kernel_acquire();
-        KernelGuard(self.kernel.lock())
-    }
-
-    /// The fiber runtime of this simulation; panics under the threads
-    /// backend (only reachable from fiber-entry code).
-    #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-    pub(crate) fn fiber_rt(&self) -> &crate::fiber::FiberRt {
-        match &self.backend {
-            Backend::Fiber(rt) => rt,
-            Backend::Threads { .. } => panic!("fiber entry under the threads backend"),
-        }
-    }
-}
-
-/// Witness-tracked guard over the [`Kernel`].
-pub(crate) struct KernelGuard<'a>(parking_lot::MutexGuard<'a, Kernel>);
-
-impl std::ops::Deref for KernelGuard<'_> {
-    type Target = Kernel;
-    #[inline]
-    fn deref(&self) -> &Kernel {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for KernelGuard<'_> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut Kernel {
-        &mut self.0
-    }
-}
-
-impl Drop for KernelGuard<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        crate::witness::kernel_release();
+    pub(crate) fn lock_kernel(&self) -> MutexGuard<'_, Kernel> {
+        self.kernel
+            .try_lock()
+            .expect("kernel lock contended: re-entered, or two contexts hold the baton")
     }
 }
 
@@ -308,17 +298,14 @@ impl Sim {
         let faults = self.cost.faults.clone();
         let metrics = self.metrics || self.cost.metrics;
         let tracing_on = self.trace.is_some();
-        let shards: Arc<Vec<Shard>> = Arc::new((0..self.nodes).map(|_| Shard::new()).collect());
         let inner = Arc::new(SimInner {
             kernel: Mutex::new(Kernel::new(
                 self.nodes,
-                Arc::clone(&shards),
                 self.trace,
                 metrics,
                 faults,
                 self.oracle,
             )),
-            shards,
             backend: Backend::new(self.backend),
             cost: self.cost,
             num_nodes: self.nodes,
@@ -328,11 +315,11 @@ impl Sim {
         let main = Arc::new(main);
         for node in 0..self.nodes {
             let f = Arc::clone(&main);
-            spawn_task(&inner, node, "main".to_string(), move |ctx| f(ctx));
+            spawn_task(&inner, node, "main".to_string(), false, move |ctx| f(ctx));
         }
         run_engine(&inner);
-        // Teardown: every task has finished, so the shards are quiescent;
-        // move each Stats block out instead of cloning it.
+        // Teardown: every task has finished; move each Stats block out
+        // instead of cloning it.
         let mut k = inner.lock_kernel();
         // Structural pool invariant: pending heap keys and live pool bodies
         // are in bijection. Events may legally remain pending at a clean
@@ -345,33 +332,23 @@ impl Sim {
             "event pool/heap bijection broken at teardown"
         );
         k.publish_pool_metrics();
-        let trace = k.tracer.take().map(|t| t.finish());
-        let metrics = k.metrics.take();
-        drop(k);
         Report {
-            clocks: inner.shards.iter().map(|s| s.clock.load(Relaxed)).collect(),
-            stats: inner
-                .shards
-                .iter()
-                .map(|s| std::mem::take(&mut s.lock_data().stats))
+            clocks: k.nodes.iter().map(|n| n.clock).collect(),
+            stats: k
+                .nodes
+                .iter_mut()
+                .map(|n| std::mem::take(&mut n.stats))
                 .collect(),
-            trace,
-            metrics,
+            trace: k.tracer.take().map(|t| t.finish()),
+            metrics: k.metrics.take(),
         }
     }
 }
 
-/// Register a task with the kernel and hand its body to the worker pool.
-/// Shared by the bootstrap path above and `Ctx::spawn`.
-pub(crate) fn spawn_task<F>(inner: &Arc<SimInner>, node: usize, name: String, f: F) -> TaskId
-where
-    F: FnOnce(Ctx) + Send + 'static,
-{
-    spawn_task_inner(inner, node, name, false, f)
-}
-
-/// [`spawn_task`] with the daemon flag exposed (see `Ctx::spawn_daemon`).
-pub(crate) fn spawn_task_inner<F>(
+/// Register a task with the kernel and give it a context that will run its
+/// body. Shared by the bootstrap path above and the `Ctx::spawn*` family
+/// (`daemon`: see `Ctx::spawn_daemon`).
+pub(crate) fn spawn_task<F>(
     inner: &Arc<SimInner>,
     node: usize,
     name: String,
@@ -388,149 +365,92 @@ where
     let ctx = Ctx::new(Arc::clone(inner), node, id, Arc::clone(&cell));
     let inner2 = Arc::clone(inner);
     let body = Box::new(move || {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
-        let mut k = inner2.lock_kernel();
-        k.finish_task(id);
-        if let Err(p) = result {
-            if k.panic.is_none() {
-                k.panic = Some(p);
-            }
-        }
+        let result = catch_unwind(AssertUnwindSafe(|| f(ctx)));
         // This task held the baton; pick who gets it next. A captured panic
-        // goes to the engine for prompt propagation, otherwise it goes
+        // goes to the engine for prompt propagation, otherwise the baton goes
         // directly to the next runnable task (one OS wakeup, no engine round
-        // trip). The worker loop performs the actual wakeup after marking
-        // this OS thread idle, so the successor can reuse it for spawns.
-        if k.panic.is_some() {
-            return Handoff::WakeGate;
-        }
-        match decide(&mut k) {
-            Decision::Run(_, next) => Handoff::Resume(next),
-            Decision::Idle => Handoff::WakeGate,
-        }
+        // trip). The backend performs the switch once this task's host
+        // resources are reusable, so the successor's spawns find them.
+        let finish = AssertUnwindSafe(|| {
+            let mut k = inner2.lock_kernel();
+            k.finish_task(id);
+            if let Err(p) = result {
+                k.panic.get_or_insert(p);
+            }
+            if k.panic.is_some() {
+                return None;
+            }
+            decide(&mut k).map(|(_, next)| next)
+        });
+        // The bookkeeping runs invariant checks and oracle code that can
+        // panic too; that also goes to the engine, so the body never unwinds
+        // into the backend's stack base.
+        catch_unwind(finish).unwrap_or_else(|p| {
+            inner2.lock_kernel().panic.get_or_insert(p);
+            None
+        })
     });
-    match &inner.backend {
-        Backend::Threads { pool, gate } => pool.dispatch(crate::task::Job {
-            cell,
-            body,
-            gate: Arc::clone(gate),
-        }),
-        #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-        Backend::Fiber(rt) => rt.prepare(
-            cell.fiber(),
-            Box::new(crate::fiber::FiberBody {
-                body,
-                inner: Arc::clone(inner),
-                cell: Arc::clone(&cell),
-            }),
-        ),
-    }
+    inner.backend.start(cell, body);
     id
-}
-
-enum Decision {
-    Run(TaskId, Arc<TaskCell>),
-    /// No runnable task: the run is complete if `live == 0`, deadlocked
-    /// otherwise. The engine materializes the diagnosis.
-    Idle,
 }
 
 pub(crate) fn run_engine(inner: &Arc<SimInner>) {
     loop {
-        let decision = {
-            let mut k = inner.lock_kernel();
-            if let Some(p) = k.panic.take() {
-                drop(k);
-                std::panic::resume_unwind(p);
-            }
-            decide(&mut k)
-        };
-        match decision {
-            Decision::Run(_, cell) => {
-                // Hand the baton to the task; it (and its successors) will
-                // hand off among themselves and wake us only for
-                // termination, deadlock, or panic propagation.
-                match &inner.backend {
-                    Backend::Threads { gate, .. } => {
-                        cell.thread().resume_task();
-                        gate.sleep();
-                    }
-                    #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-                    Backend::Fiber(rt) => rt.enter(cell.fiber()),
-                }
-            }
-            Decision::Idle => {
-                let mut k = inner.lock_kernel();
-                if k.live == 0 {
-                    return;
-                }
-                // Only background daemons (reliable-delivery pumps) remain:
-                // flip the shutdown flag and wake them so they can observe it
-                // and exit. A second idle in this state means a daemon failed
-                // to exit, which falls through to the deadlock dump.
-                if k.live == k.live_daemons && !k.shutting_down {
-                    k.begin_shutdown();
-                    continue;
-                }
-                let dump = k.dump_live();
-                drop(k);
-                panic!("simulated system deadlocked:\n{dump}");
-            }
+        let mut k = inner.lock_kernel();
+        if let Some(p) = k.panic.take() {
+            drop(k);
+            std::panic::resume_unwind(p);
         }
+        if let Some((_, cell)) = decide(&mut k) {
+            // Hand the baton to the task; it (and its successors) will hand
+            // off among themselves and switch back to us only for
+            // termination, deadlock, or panic propagation.
+            drop(k);
+            inner.backend.switch(None, Some(&cell));
+            continue;
+        }
+        // Nothing runnable.
+        if k.live == 0 {
+            return;
+        }
+        // Only background daemons (reliable-delivery pumps) remain: flip the
+        // shutdown flag and wake them so they can observe it and exit. A
+        // second idle in this state means a daemon failed to exit, which
+        // falls through to the deadlock dump.
+        if k.live == k.live_daemons && !k.shutting_down {
+            k.begin_shutdown();
+            continue;
+        }
+        let dump = k.dump_live();
+        drop(k);
+        panic!("simulated system deadlocked:\n{dump}");
     }
 }
 
 /// Give up the baton at a task blocking point whose kernel bookkeeping is
-/// already done: decide the successor on *this* OS thread and resume it
-/// directly. Fast path: if the caller itself is the best choice, no OS-level
-/// handoff happens at all. Returns once the calling task is resumed.
+/// already done: decide the successor on *this* context and switch to it
+/// directly. Fast path: if the caller itself is the best choice, no switch
+/// happens at all. Returns once the calling task is resumed.
 pub(crate) fn switch_from_task(
-    inner: &Arc<SimInner>,
-    mut k: KernelGuard<'_>,
+    inner: &SimInner,
+    mut k: MutexGuard<'_, Kernel>,
     me: TaskId,
     my_cell: &TaskCell,
 ) {
-    if k.panic.is_none() {
-        match decide(&mut k) {
-            Decision::Run(next, _) if next == me => {
-                // decide() already marked us Running; keep going without
-                // touching the handoff cell.
-                return;
-            }
-            Decision::Run(_, next) => {
-                match &inner.backend {
-                    Backend::Threads { .. } => {
-                        my_cell.thread().begin_yield();
-                        drop(k);
-                        next.thread().resume_task();
-                        my_cell.thread().wait_for_turn();
-                    }
-                    #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-                    Backend::Fiber(rt) => {
-                        drop(k);
-                        rt.yield_to(my_cell.fiber(), next.fiber());
-                    }
-                }
-                return;
-            }
-            Decision::Idle => {}
-        }
-    }
-    // Nothing runnable (deadlock diagnosis) or a panic is pending: the
-    // engine sorts it out. On the deadlock path we are never resumed; the
-    // worker thread (or fiber stack) is reclaimed at teardown.
-    match &inner.backend {
-        Backend::Threads { gate, .. } => {
-            my_cell.thread().begin_yield();
-            drop(k);
-            gate.wake();
-            my_cell.thread().wait_for_turn();
-        }
-        #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-        Backend::Fiber(rt) => {
-            drop(k);
-            rt.yield_to_engine(my_cell.fiber());
-        }
+    // Nothing runnable (deadlock diagnosis) or a panic pending: the engine
+    // sorts it out. On the deadlock path we are never resumed; the worker
+    // thread (or fiber stack) is reclaimed at teardown.
+    let next = if k.panic.is_none() {
+        decide(&mut k)
+    } else {
+        None
+    };
+    drop(k);
+    match next {
+        // decide() already marked us Running; keep going without a switch.
+        Some((next, _)) if next == me => {}
+        Some((_, cell)) => inner.backend.switch(Some(my_cell), Some(&cell)),
+        None => inner.backend.switch(Some(my_cell), None),
     }
 }
 
@@ -549,9 +469,11 @@ pub(crate) fn switch_from_task(
 /// run — are delegated to it (see the [`explore`](crate::explore) module).
 /// The oracle is temporarily moved out of the kernel so it can be consulted
 /// while kernel methods take `&mut self`.
-fn decide(k: &mut Kernel) -> Decision {
-    if k.oracle.is_some() {
-        let mut oracle = k.oracle.take().expect("oracle vanished");
+///
+/// `None` means no runnable task: the run is complete if `live == 0`,
+/// deadlocked otherwise. The engine materializes the diagnosis.
+fn decide(k: &mut Kernel) -> Option<(TaskId, Arc<TaskCell>)> {
+    if let Some(mut oracle) = k.oracle.take() {
         let d = decide_inner(k, Some(&mut *oracle));
         k.oracle = Some(oracle);
         return d;
@@ -559,7 +481,10 @@ fn decide(k: &mut Kernel) -> Decision {
     decide_inner(k, None)
 }
 
-fn decide_inner(k: &mut Kernel, mut oracle: Option<&mut dyn ScheduleOracle>) -> Decision {
+fn decide_inner(
+    k: &mut Kernel,
+    mut oracle: Option<&mut dyn ScheduleOracle>,
+) -> Option<(TaskId, Arc<TaskCell>)> {
     loop {
         let chosen = k.peek_min_runnable();
         let due = match (chosen, k.events.peek()) {
@@ -574,21 +499,17 @@ fn decide_inner(k: &mut Kernel, mut oracle: Option<&mut dyn ScheduleOracle>) -> 
             }
             continue;
         }
-        match chosen {
-            Some((node, clock)) => {
-                let node = match oracle.as_deref_mut() {
-                    Some(o) => k.choose_tied_node(node, clock, o),
-                    None => node,
-                };
-                let tid = k.pop_ready_front(node).expect("ready queue emptied");
-                debug_assert_eq!(k.tasks[tid.idx()].state, TaskState::Runnable);
-                k.tasks[tid.idx()].state = TaskState::Running;
-                k.emit(node, tid, TraceEvent::TaskSwitch);
-                let cell = Arc::clone(&k.tasks[tid.idx()].cell);
-                return Decision::Run(tid, cell);
-            }
-            None => return Decision::Idle,
-        }
+        let (node, clock) = chosen?;
+        let node = match oracle.as_deref_mut() {
+            Some(o) => k.choose_tied_node(node, clock, o),
+            None => node,
+        };
+        let tid = k.pop_ready_front(node).expect("ready queue emptied");
+        debug_assert_eq!(k.tasks[tid.idx()].state, TaskState::Runnable);
+        k.tasks[tid.idx()].state = TaskState::Running;
+        k.emit(node, tid, TraceEvent::TaskSwitch);
+        let cell = k.tasks[tid.idx()].cell.clone();
+        return Some((tid, cell.expect("runnable task without a context")));
     }
 }
 
@@ -597,22 +518,79 @@ fn decide_inner(k: &mut Kernel, mut oracle: Option<&mut dyn ScheduleOracle>) -> 
 /// snapshot is meaningful.
 pub(crate) fn snapshot(inner: &SimInner) -> Snapshot {
     let k = inner.lock_kernel();
-    let metrics = k.metrics.clone();
-    drop(k);
     Snapshot {
-        clocks: inner.shards.iter().map(|s| s.clock.load(Relaxed)).collect(),
-        stats: inner
-            .shards
-            .iter()
-            .map(|s| s.lock_data().stats.clone())
-            .collect(),
-        metrics,
+        clocks: k.nodes.iter().map(|n| n.clock).collect(),
+        stats: k.nodes.iter().map(|n| n.stats.clone()).collect(),
+        metrics: k.metrics.clone(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The message `sim.run(main)` panics with. The run is on a helper
+    /// thread so that a hang fails the test instead of wedging it.
+    fn failing_run_message(sim: Sim, main: impl Fn(Ctx) + Send + Sync + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let out = catch_unwind(AssertUnwindSafe(|| sim.run(main)));
+            let _ = tx.send(());
+            out
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the run hung");
+        let payload = helper
+            .join()
+            .expect("helper thread")
+            .expect_err("the run must fail");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast::<&str>().expect("panic message").to_string(),
+        }
+    }
+
+    fn backends() -> Vec<BackendKind> {
+        let mut kinds = vec![BackendKind::Threads];
+        if cfg!(all(target_arch = "x86_64", unix, not(mpmd_no_fibers))) {
+            kinds.push(BackendKind::Fibers);
+        }
+        kinds
+    }
+
+    /// Re-entering the kernel from a closure that runs under its lock fails
+    /// the run with the lock's own message instead of hanging it.
+    #[test]
+    fn kernel_reentry_panics_on_every_backend() {
+        use crate::Fabric;
+        for kind in backends() {
+            let msg = failing_run_message(Sim::new(2).backend(kind), |ctx| {
+                ctx.with_stats(|_| ctx.now());
+            });
+            assert!(msg.contains("kernel lock contended"), "{kind:?}: {msg}");
+        }
+    }
+
+    /// A panic in a finished task's own bookkeeping (here: oracle code run by
+    /// its successor pick) reaches the caller of `run` like any task panic.
+    #[test]
+    fn bookkeeping_panic_is_reraised_on_every_backend() {
+        struct Bomb(u32);
+        impl ScheduleOracle for Bomb {
+            fn choose(&mut self, _: crate::ChoicePoint, _: usize) -> usize {
+                self.0 += 1;
+                // Call 1 is the engine's three-way node tie at bootstrap;
+                // call 2 is the two-way tie the first finished task sees.
+                assert!(self.0 < 2, "oracle bomb");
+                0
+            }
+        }
+        for kind in backends() {
+            let sim = Sim::new(3).backend(kind).schedule_oracle(Box::new(Bomb(0)));
+            let msg = failing_run_message(sim, |_ctx| {});
+            assert!(msg.contains("oracle bomb"), "{kind:?}: {msg}");
+        }
+    }
 
     #[test]
     fn backend_env_parsing_is_strict() {

@@ -79,7 +79,8 @@ pub trait Fabric: Clone + Send + 'static {
     /// the per-bucket ledger (time advances by itself).
     fn charge(&self, bucket: Bucket, ns: Time);
 
-    /// Mutate this node's instrumentation counters.
+    /// Mutate this node's instrumentation counters. `f` must not call back
+    /// into the fabric (on the simulator that panics).
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R;
 
     /// Capture all node clocks/stats (quiesce with a barrier first).
@@ -203,7 +204,8 @@ pub trait Fabric: Clone + Send + 'static {
 
     /// Fetch (or lazily create) this node's singleton of type `T`. The
     /// runtime crates keep their per-node state (handler tables, memories,
-    /// stub caches) here. `init` must not call back into the fabric.
+    /// stub caches) here. `init` must not call back into the fabric (on the
+    /// simulator it runs under the kernel lock, and a call back panics).
     fn node_data<T, G>(&self, init: G) -> Arc<T>
     where
         T: Send + Sync + 'static,

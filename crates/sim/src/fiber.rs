@@ -28,10 +28,9 @@
 //! run on one OS thread, one at a time, so the raw stack-pointer cells are
 //! never touched concurrently.
 
-use crate::task::{Handoff, TaskCell};
+use crate::task::{TaskBody, TaskCell};
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Reserved bytes per fiber stack. Address space only — the backing pages
@@ -164,11 +163,11 @@ impl FiberCell {
 }
 
 /// Everything a fresh fiber needs: the task body (which performs all kernel
-/// bookkeeping and picks the successor) plus the handles for the terminal
-/// switch.
+/// bookkeeping, picks the successor, and never unwinds) plus the handles for
+/// the terminal switch.
 pub(crate) struct FiberBody {
-    pub(crate) body: Box<dyn FnOnce() -> Handoff + Send>,
-    pub(crate) inner: Arc<crate::engine::SimInner>,
+    pub(crate) body: TaskBody,
+    pub(crate) rt: Arc<FiberRt>,
     pub(crate) cell: Arc<TaskCell>,
 }
 
@@ -224,23 +223,14 @@ impl FiberRt {
         unsafe { *cell.stack.get() = Some(stack) };
     }
 
-    /// Engine context → fiber. Returns when some fiber switches back to the
-    /// engine (termination, deadlock, shutdown, panic).
-    pub(crate) fn enter(&self, target: &FiberCell) {
-        unsafe { mpmd_fiber_switch(self.engine_sp.as_ptr(), target.sp.get(), 0) };
-        self.reap();
-    }
-
-    /// Fiber → fiber baton handoff. Returns when this fiber is resumed.
-    pub(crate) fn yield_to(&self, me: &FiberCell, next: &FiberCell) {
-        unsafe { mpmd_fiber_switch(me.sp.as_ptr(), next.sp.get(), 0) };
-        self.reap();
-    }
-
-    /// Fiber → engine context. Returns if the engine later resumes us
-    /// (shutdown wakes for daemons); on the deadlock path it never does.
-    pub(crate) fn yield_to_engine(&self, me: &FiberCell) {
-        unsafe { mpmd_fiber_switch(me.sp.as_ptr(), self.engine_sp.get(), 0) };
+    /// Baton handoff between two suspended-or-running contexts, `None`
+    /// being the engine (the `Sim::run` stack). Returns when `from` is
+    /// switched back to — for the engine that is termination, deadlock,
+    /// shutdown or a panic; a fiber on the deadlock path never returns.
+    pub(crate) fn switch(&self, from: Option<&FiberCell>, to: Option<&FiberCell>) {
+        let from = from.map_or(&self.engine_sp, |c| &c.sp);
+        let to = to.map_or(&self.engine_sp, |c| &c.sp);
+        unsafe { mpmd_fiber_switch(from.as_ptr(), to.get(), 0) };
         self.reap();
     }
 }
@@ -271,37 +261,25 @@ fn seed_frame(stack: &Stack, body: *mut FiberBody) -> usize {
 
 /// Rust-side landing of the trampoline: run the task body, then perform its
 /// final baton movement and retire this fiber's stack. Mirrors the worker
-/// loop of the OS-thread backend, including the `catch_unwind` backstop so
-/// bookkeeping panics surface as an engine-side panic rather than a hang.
+/// loop of the OS-thread backend. The body catches its own panics (an unwind
+/// past this frame would abort the process).
 #[no_mangle]
 extern "C" fn mpmd_fiber_entry(raw: *mut FiberBody) -> ! {
-    let fb = unsafe { Box::from_raw(raw) };
-    let FiberBody { body, inner, cell } = *fb;
-    let rt = inner.fiber_rt();
+    // Moved out of a temporary box, so the allocation is freed here and not
+    // at the end of a scope this function never reaches.
+    let FiberBody { body, rt, cell } = *unsafe { Box::from_raw(raw) };
     rt.reap();
-    let handoff = match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(h) => h,
-        Err(p) => {
-            let mut k = inner.lock_kernel();
-            if k.panic.is_none() {
-                k.panic = Some(p);
-            }
-            Handoff::WakeGate
-        }
-    };
-    let target_sp = match &handoff {
-        Handoff::Resume(next) => next.fiber().sp.get(),
-        Handoff::WakeGate => rt.engine_sp.get(),
-    };
+    let next = body();
+    let target_sp = next.as_ref().map_or(&rt.engine_sp, |c| &c.fiber().sp).get();
     // Move our stack into the retired slot; the switch target reaps it once
     // we are definitely off it. (Ownership moves now, the memory stays put.)
     let my_stack = unsafe { (*cell.fiber().stack.get()).take() };
     rt.retired.set(my_stack);
-    // Release every handle while we can still run destructors. `rt` borrows
-    // `inner`, so re-read the raw engine/successor sp first (done above).
-    drop(handoff);
+    // Release every handle while we can still run destructors (the raw
+    // engine/successor sp was read above).
+    drop(next);
     drop(cell);
-    drop(inner);
+    drop(rt);
     let mut scratch = 0usize;
     unsafe { mpmd_fiber_switch(&mut scratch, target_sp, 0) };
     // Nobody holds this context's sp; resuming it is impossible.

@@ -1,22 +1,16 @@
 //! The simulation kernel: task table, per-node state, and event application.
 //!
-//! State is split along the data/control plane boundary:
+//! All mutable simulation state lives here, in one [`Kernel`] behind the one
+//! mutex of `SimInner`: per node the virtual clock, inbox, stats block and
+//! typed singletons next to the ready queue ([`NodeState`]); machine-wide the
+//! task table, the event heap, the runnable-node index and the trace/metrics/
+//! fault instruments.
 //!
-//! * **Shards** (one per node, [`Shard`]) hold everything the *message data
-//!   path* touches — the inbox, the stats block, the per-node typed
-//!   singletons — behind a per-node lock, plus the node's virtual clock as a
-//!   plain atomic. Delivery from node A to node B touches A's shard (send
-//!   accounting), the event heap, and B's shard; reading the clock takes no
-//!   lock at all.
-//! * The **kernel** proper holds scheduling state: the task table, ready
-//!   queues, the runnable-node index, the event heap, and the trace/metrics/
-//!   fault instruments. It is guarded by one mutex.
-//!
-//! Exactly one logical thread of control runs at a time (the engine, or the
-//! one task holding the baton), so every lock here is uncontended; they
-//! exist to satisfy the borrow checker across OS-thread boundaries. Lock
-//! order: kernel → shard (kernel methods lock shards; task-side fast paths
-//! take a shard lock *instead of* the kernel lock, never holding both).
+//! Exactly one context runs at a time (the engine, or the one task holding
+//! the baton) and no guard is ever held across a baton switch, so the lock is
+//! never contended; it exists to satisfy the borrow checker across OS-thread
+//! boundaries. `SimInner::lock_kernel` is the single acquisition point and
+//! treats contention as the bug it is.
 
 use crate::event::{EventKey, EventKind, Msg};
 use crate::explore::{ChoicePoint, ScheduleOracle};
@@ -26,11 +20,9 @@ use crate::stats::Stats;
 use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
 use crate::trace::{TraceConfig, TraceEvent, TraceRecord, Tracer, NO_TASK};
-use parking_lot::Mutex;
 use std::any::{Any, TypeId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Scheduling state of a task.
@@ -51,7 +43,9 @@ pub(crate) enum TaskState {
 pub(crate) struct TaskRec {
     pub(crate) node: usize,
     pub(crate) state: TaskState,
-    pub(crate) cell: Arc<TaskCell>,
+    /// The task's baton context; given up when the task finishes.
+    pub(crate) cell: Option<Arc<TaskCell>>,
+    /// Diagnostic name; given up when the task finishes.
     pub(crate) name: String,
     /// Tasks parked in `join` on this task.
     pub(crate) joiners: Vec<TaskId>,
@@ -63,20 +57,12 @@ pub(crate) struct TaskRec {
     pub(crate) timeout_gen: u64,
 }
 
-/// The data-plane half of a node, lockable independently of the scheduler.
-pub(crate) struct Shard {
-    /// This node's virtual clock. Written only by the logical thread holding
-    /// the baton; `Relaxed` suffices because every baton handoff goes
-    /// through a mutex (acquire/release) anyway.
-    pub(crate) clock: AtomicU64,
-    /// Mirror of "this node's ready queue is non-empty", maintained under
-    /// the kernel lock. Lets `Ctx::charge` skip the kernel entirely in the
-    /// common case (nothing to re-key).
-    pub(crate) has_ready: AtomicBool,
-    pub(crate) m: Mutex<ShardData>,
-}
-
-pub(crate) struct ShardData {
+/// One node's state.
+#[derive(Default)]
+pub(crate) struct NodeState {
+    /// This node's virtual clock. Written only by the context holding the
+    /// baton.
+    pub(crate) clock: Time,
     /// Delivered but not yet polled messages.
     pub(crate) inbox: VecDeque<Msg>,
     /// Instrumentation.
@@ -84,58 +70,6 @@ pub(crate) struct ShardData {
     /// Per-node typed singletons (runtime state for the layered crates),
     /// with the type name kept alongside for deterministic diagnostics.
     pub(crate) data: HashMap<TypeId, (Arc<dyn Any + Send + Sync>, &'static str)>,
-}
-
-impl Shard {
-    pub(crate) fn new() -> Self {
-        Shard {
-            clock: AtomicU64::new(0),
-            has_ready: AtomicBool::new(false),
-            m: Mutex::new(ShardData {
-                inbox: VecDeque::new(),
-                stats: Stats::default(),
-                data: HashMap::new(),
-            }),
-        }
-    }
-
-    /// Lock the data-plane half, registering with the lock-order witness
-    /// (debug builds assert kernel → shard order and no nested shard locks).
-    /// All shard locking must go through here.
-    #[inline]
-    pub(crate) fn lock_data(&self) -> ShardGuard<'_> {
-        crate::witness::shard_acquire();
-        ShardGuard(self.m.lock())
-    }
-}
-
-/// Witness-tracked guard over a shard's [`ShardData`].
-pub(crate) struct ShardGuard<'a>(parking_lot::MutexGuard<'a, ShardData>);
-
-impl std::ops::Deref for ShardGuard<'_> {
-    type Target = ShardData;
-    #[inline]
-    fn deref(&self) -> &ShardData {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for ShardGuard<'_> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut ShardData {
-        &mut self.0
-    }
-}
-
-impl Drop for ShardGuard<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        crate::witness::shard_release();
-    }
-}
-
-/// The scheduler's per-node state (guarded by the kernel lock).
-pub(crate) struct NodeState {
     /// Tasks ready to run, in FIFO order.
     pub(crate) ready: VecDeque<TaskId>,
     /// Tasks parked waiting for the inbox to become non-empty. Deduplicated
@@ -147,21 +81,8 @@ pub(crate) struct NodeState {
     pub(crate) heap_gen: u64,
 }
 
-impl NodeState {
-    fn new() -> Self {
-        NodeState {
-            ready: VecDeque::new(),
-            inbox_waiters: Vec::new(),
-            heap_gen: 0,
-        }
-    }
-}
-
 pub(crate) struct Kernel {
     pub(crate) nodes: Vec<NodeState>,
-    /// Shared with `SimInner` so task-side fast paths reach shards without
-    /// the kernel lock.
-    pub(crate) shards: Arc<Vec<Shard>>,
     pub(crate) tasks: Vec<TaskRec>,
     /// Min-heap of event keys; bodies live in `event_pool`.
     pub(crate) events: BinaryHeap<EventKey>,
@@ -262,16 +183,13 @@ impl FaultState {
 impl Kernel {
     pub(crate) fn new(
         nodes: usize,
-        shards: Arc<Vec<Shard>>,
         trace: Option<TraceConfig>,
         metrics: bool,
         faults: Option<crate::cost::FaultModel>,
         oracle: Option<Box<dyn ScheduleOracle>>,
     ) -> Self {
-        debug_assert_eq!(shards.len(), nodes);
         Kernel {
-            nodes: (0..nodes).map(|_| NodeState::new()).collect(),
-            shards,
+            nodes: (0..nodes).map(|_| NodeState::default()).collect(),
             tasks: Vec::new(),
             events: BinaryHeap::new(),
             event_pool: Pool::new(),
@@ -295,16 +213,14 @@ impl Kernel {
     /// Node `i`'s virtual clock.
     #[inline]
     pub(crate) fn clock(&self, i: usize) -> Time {
-        self.shards[i].clock.load(Relaxed)
+        self.nodes[i].clock
     }
 
     /// Raise node `i`'s clock to at least `t`.
     #[inline]
-    fn raise_clock(&self, i: usize, t: Time) {
-        let sh = &self.shards[i];
-        if t > sh.clock.load(Relaxed) {
-            sh.clock.store(t, Relaxed);
-        }
+    fn raise_clock(&mut self, i: usize, t: Time) {
+        let n = &mut self.nodes[i];
+        n.clock = n.clock.max(t);
     }
 
     /// Draw the fate of one transmission attempt on `src -> dst`. Panics if
@@ -362,7 +278,6 @@ impl Kernel {
     #[inline]
     pub(crate) fn enqueue_ready_back(&mut self, node: usize, t: TaskId) {
         self.nodes[node].ready.push_back(t);
-        self.shards[node].has_ready.store(true, Relaxed);
         self.touch_node(node);
     }
 
@@ -371,18 +286,13 @@ impl Kernel {
     #[inline]
     pub(crate) fn enqueue_ready_front(&mut self, node: usize, t: TaskId) {
         self.nodes[node].ready.push_front(t);
-        self.shards[node].has_ready.store(true, Relaxed);
         self.touch_node(node);
     }
 
-    /// Pop the front of `node`'s ready queue, maintaining the `has_ready`
-    /// mirror and the runnable-node index.
+    /// Pop the front of `node`'s ready queue and re-index the node.
     #[inline]
     pub(crate) fn pop_ready_front(&mut self, node: usize) -> Option<TaskId> {
         let t = self.nodes[node].ready.pop_front();
-        self.shards[node]
-            .has_ready
-            .store(!self.nodes[node].ready.is_empty(), Relaxed);
         self.touch_node(node);
         t
     }
@@ -392,7 +302,7 @@ impl Kernel {
     pub(crate) fn emit(&mut self, node: usize, task: TaskId, event: TraceEvent) {
         if let Some(tr) = self.tracer.as_mut() {
             tr.record(TraceRecord {
-                time: self.shards[node].clock.load(Relaxed),
+                time: self.nodes[node].clock,
                 node,
                 task,
                 event,
@@ -413,7 +323,7 @@ impl Kernel {
         self.tasks.push(TaskRec {
             node,
             state: TaskState::Runnable,
-            cell,
+            cell: Some(cell),
             name,
             joiners: Vec::new(),
             daemon,
@@ -444,12 +354,10 @@ impl Kernel {
         assert!(dst < self.nodes.len(), "send to nonexistent node {dst}");
         let src = msg.src;
         let at = self.clock(src) + delay;
-        {
-            let mut sh = self.shards[src].lock_data();
-            sh.stats.msgs_sent += 1;
-            sh.stats.bytes_sent += msg.wire_bytes as u64;
-            sh.stats.msg_size_hist[crate::stats::size_bucket(msg.wire_bytes)] += 1;
-        }
+        let st = &mut self.nodes[src].stats;
+        st.msgs_sent += 1;
+        st.bytes_sent += msg.wire_bytes as u64;
+        st.msg_size_hist[crate::stats::size_bucket(msg.wire_bytes)] += 1;
         // Source-side traffic matrix (who sends what where): `msgprofile`
         // and `regress` read these keyed counters back out of the registry.
         if let Some(m) = self.metrics.as_mut() {
@@ -621,11 +529,8 @@ impl Kernel {
         match kind {
             EventKind::Deliver { node, msg } => {
                 let (src, wire_bytes) = (msg.src, msg.wire_bytes);
-                {
-                    let mut sh = self.shards[node].lock_data();
-                    sh.stats.msgs_received += 1;
-                    sh.inbox.push_back(msg);
-                }
+                self.nodes[node].stats.msgs_received += 1;
+                self.nodes[node].inbox.push_back(msg);
                 self.raise_clock(node, time);
                 // The clock may have moved under tasks already in the ready
                 // queue; re-key the node before (possibly) waking waiters.
@@ -692,6 +597,11 @@ impl Kernel {
         let rec = &mut self.tasks[t.idx()];
         debug_assert_ne!(rec.state, TaskState::Finished, "double finish");
         rec.state = TaskState::Finished;
+        // Nothing reads a finished task's context or name again: free them
+        // now, while the next spawn can reuse the memory, so a run's
+        // footprint follows its live tasks and not its task count.
+        rec.cell = None;
+        rec.name = String::new();
         let daemon = rec.daemon;
         let joiners = std::mem::take(&mut rec.joiners);
         let node = rec.node;
@@ -728,15 +638,14 @@ impl Kernel {
     /// iterates in arbitrary order).
     pub(crate) fn dump_live(&self) -> String {
         let mut s = String::new();
-        for (i, sh) in self.shards.iter().enumerate() {
-            let d = sh.lock_data();
-            let mut names: Vec<&'static str> = d.data.values().map(|&(_, name)| name).collect();
+        for (i, n) in self.nodes.iter().enumerate() {
+            let mut names: Vec<&'static str> = n.data.values().map(|&(_, name)| name).collect();
             names.sort_unstable();
             s.push_str(&format!(
                 "node {i}: clock={}ns inbox={} ready={} data=[{}]\n",
-                sh.clock.load(Relaxed),
-                d.inbox.len(),
-                self.nodes[i].ready.len(),
+                n.clock,
+                n.inbox.len(),
+                n.ready.len(),
                 names.join(", ")
             ));
         }

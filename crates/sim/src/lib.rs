@@ -42,7 +42,6 @@ mod task;
 pub mod time;
 pub mod trace;
 pub mod wait;
-mod witness;
 
 #[doc(hidden)]
 pub use alloc_count::{thread_allocs, CountingAlloc};

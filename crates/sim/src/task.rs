@@ -13,9 +13,9 @@
 //! reaching a blocking point picks the next task itself (under the kernel
 //! lock) and resumes it directly via its [`HandoffCell`] — one OS wakeup per
 //! simulated context switch instead of a round trip through the engine
-//! thread. The engine thread only bootstraps the run and parks on the
-//! [`EngineGate`] until a task wakes it for termination, deadlock diagnosis,
-//! or panic propagation.
+//! thread. The engine is a context like any task, with a [`HandoffCell`] of
+//! its own: it bootstraps the run and then parks there until a task hands it
+//! the baton for termination, deadlock diagnosis, or panic propagation.
 
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,111 +64,64 @@ impl TaskCell {
     }
 }
 
-/// Whose turn it is to run on a given task's handoff cell.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum Turn {
-    Engine,
-    Task,
-}
-
-/// One-at-a-time baton between the engine thread and a task's OS thread.
+/// One context's end of the baton: `true` while that context (a task's OS
+/// thread, or the engine thread) holds it or has been handed it.
 pub(crate) struct HandoffCell {
-    turn: Mutex<Turn>,
+    running: Mutex<bool>,
     cv: Condvar,
 }
 
 impl HandoffCell {
-    pub(crate) fn new() -> Self {
+    /// A cell for a context that is parked (`running == false`: every new
+    /// task) or currently executing (`true`: the engine at bootstrap).
+    pub(crate) fn new(running: bool) -> Self {
         HandoffCell {
-            turn: Mutex::new(Turn::Engine),
+            running: Mutex::new(running),
             cv: Condvar::new(),
         }
     }
 
-    /// Hand the baton to the task parked on this cell. Does not block; called
-    /// by the engine (bootstrap) or by another task handing off directly.
-    pub(crate) fn resume_task(&self) {
-        let mut t = self.turn.lock();
-        debug_assert_eq!(*t, Turn::Engine, "resumed a running task");
-        *t = Turn::Task;
+    /// Hand the baton to the context parked on this cell. Does not block.
+    pub(crate) fn resume(&self) {
+        let mut r = self.running.lock();
+        debug_assert!(!*r, "resumed a running context");
+        *r = true;
         self.cv.notify_all();
     }
 
-    /// Task side: mark the baton as having left this task. Must happen
-    /// *before* resuming the successor, so a handoff chain that circles back
-    /// can legally resume us before we reach [`HandoffCell::wait_for_turn`]
-    /// (the wakeup is latched in `turn`, not lost).
+    /// Mark the baton as having left this context. Must happen *before*
+    /// resuming the successor, so a handoff chain that circles back can
+    /// legally resume us before we reach [`HandoffCell::wait_for_turn`] (the
+    /// wakeup is latched in `running`, not lost).
     pub(crate) fn begin_yield(&self) {
-        let mut t = self.turn.lock();
-        debug_assert_eq!(*t, Turn::Task);
-        *t = Turn::Engine;
+        let mut r = self.running.lock();
+        debug_assert!(*r, "yield from a parked context");
+        *r = false;
     }
 
-    /// Task side: block until someone hands us the baton.
+    /// Block until someone hands us the baton.
     pub(crate) fn wait_for_turn(&self) {
-        let mut t = self.turn.lock();
-        while *t == Turn::Engine {
-            self.cv.wait(&mut t);
+        let mut r = self.running.lock();
+        while !*r {
+            self.cv.wait(&mut r);
         }
     }
 }
 
-/// Where the engine thread parks while tasks hand the baton among
-/// themselves. A task wakes the engine only when the simulation cannot
-/// continue on task threads: everything finished, nothing runnable
-/// (deadlock), or a captured panic to propagate.
-pub(crate) struct EngineGate {
-    woken: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl EngineGate {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(EngineGate {
-            woken: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Wake the engine (latched: a wake that races ahead of
-    /// [`EngineGate::sleep`] is not lost).
-    pub(crate) fn wake(&self) {
-        *self.woken.lock() = true;
-        self.cv.notify_all();
-    }
-
-    /// Engine side: block until the next wake, then clear it.
-    pub(crate) fn sleep(&self) {
-        let mut w = self.woken.lock();
-        while !*w {
-            self.cv.wait(&mut w);
-        }
-        *w = false;
-    }
-}
-
-/// Final baton movement of a finished task, returned by the job body and
-/// performed by the worker. The body does all kernel bookkeeping and *picks*
-/// the successor, but the worker performs the actual wakeup after marking
-/// itself idle — so the resumed task can immediately reuse this OS thread
-/// for a fresh spawn instead of creating a new one.
-pub(crate) enum Handoff {
-    /// Hand the baton to this task.
-    Resume(Arc<TaskCell>),
-    /// Nothing runnable (or a panic to propagate): wake the engine.
-    WakeGate,
-}
+/// What a task body returns: who gets the baton next, `None` meaning the
+/// engine (nothing runnable, or a panic to propagate). The body does all
+/// kernel bookkeeping and *picks* the successor; the backend performs the
+/// switch once the finished task's host resources are reusable.
+pub(crate) type TaskBody = Box<dyn FnOnce() -> Option<Arc<TaskCell>> + Send>;
 
 /// A unit of work shipped to a pool worker: the task's handoff cell plus its
-/// body. The body performs all kernel bookkeeping itself (including marking
-/// the task finished and choosing the hand-off target); the worker only
-/// drives the handoff protocol. `gate` is also the backstop wake target
-/// should the body itself panic through (then nobody else will ever wake the
-/// engine).
+/// body; the worker only drives the handoff protocol. `engine` is the
+/// engine's cell — the `None` successor, and the backstop should the body
+/// itself panic through (then nobody else will ever wake the engine).
 pub(crate) struct Job {
     pub(crate) cell: Arc<TaskCell>,
-    pub(crate) body: Box<dyn FnOnce() -> Handoff + Send>,
-    pub(crate) gate: Arc<EngineGate>,
+    pub(crate) body: TaskBody,
+    pub(crate) engine: Arc<HandoffCell>,
 }
 
 enum WorkerCmd {
@@ -201,8 +154,8 @@ impl TaskPool {
     }
 
     /// Hand a job to an idle worker, or spawn a new worker. Returns
-    /// immediately; the task does not run until the engine hands it the baton
-    /// via `job.cell`.
+    /// immediately; the task does not run until it is handed the baton via
+    /// `job.cell`.
     pub(crate) fn dispatch(&self, job: Job) {
         let workers = self.workers.lock();
         for w in workers.iter() {
@@ -284,18 +237,17 @@ fn worker_loop(slot: Arc<WorkerSlot>) {
                 // The body is responsible for all kernel bookkeeping,
                 // including panic capture and picking the hand-off target.
                 // `catch_unwind` is a backstop so a worker never dies holding
-                // the baton; if the body's own bookkeeping panicked through,
-                // wake the engine so the run surfaces as a diagnosable
-                // deadlock instead of a hang. Mark the worker idle *before*
+                // the baton: should a body unwind anyway, the engine gets it
+                // back and diagnoses a deadlock instead of the run hanging.
+                // Mark the worker idle *before*
                 // waking anyone: the resumed task runs immediately on a
                 // single-CPU box, and any task it spawns should find this
                 // thread reusable rather than growing the pool.
-                let handoff = catch_unwind(AssertUnwindSafe(job.body));
+                let next = catch_unwind(AssertUnwindSafe(job.body)).unwrap_or(None);
                 slot.busy.store(false, Ordering::Release);
-                match handoff {
-                    Ok(Handoff::Resume(cell)) => cell.thread().resume_task(),
-                    Ok(Handoff::WakeGate) | Err(_) => job.gate.wake(),
-                }
+                next.as_deref()
+                    .map_or(&*job.engine, TaskCell::thread)
+                    .resume();
             }
         }
     }
@@ -305,31 +257,32 @@ fn worker_loop(slot: Arc<WorkerSlot>) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
 
     #[test]
     fn handoff_round_trip() {
-        let cell = Arc::new(HandoffCell::new());
-        let gate = EngineGate::new();
-        let (c2, g2) = (Arc::clone(&cell), Arc::clone(&gate));
+        // The engine is a context with a cell of its own: each side yields
+        // its cell, resumes the other's, and waits for its turn.
+        let task = Arc::new(HandoffCell::new(false));
+        let engine = Arc::new(HandoffCell::new(true));
+        let (t2, e2) = (Arc::clone(&task), Arc::clone(&engine));
         let hits = Arc::new(AtomicUsize::new(0));
         let h2 = Arc::clone(&hits);
         let t = thread::spawn(move || {
-            c2.wait_for_turn();
+            t2.wait_for_turn();
             h2.fetch_add(1, Ordering::SeqCst);
-            c2.begin_yield();
-            g2.wake();
-            c2.wait_for_turn();
+            t2.begin_yield();
+            e2.resume();
+            t2.wait_for_turn();
             h2.fetch_add(1, Ordering::SeqCst);
-            g2.wake();
+            e2.resume();
         });
-        assert_eq!(hits.load(Ordering::SeqCst), 0);
-        cell.resume_task();
-        gate.sleep();
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-        cell.resume_task();
-        gate.sleep();
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
+        for round in 1..=2 {
+            assert_eq!(hits.load(Ordering::SeqCst), round - 1);
+            engine.begin_yield();
+            task.resume();
+            engine.wait_for_turn();
+            assert_eq!(hits.load(Ordering::SeqCst), round);
+        }
         t.join().unwrap();
     }
 
@@ -338,79 +291,74 @@ mod tests {
         // A resume that lands before the task reaches wait_for_turn must not
         // be lost — this is what lets a handoff chain circle back to a task
         // that has begun yielding but not yet parked.
-        let cell = HandoffCell::new();
-        cell.resume_task();
+        let cell = HandoffCell::new(false);
+        cell.resume();
         cell.wait_for_turn(); // returns immediately
         cell.begin_yield();
-        cell.resume_task();
+        cell.resume();
         cell.wait_for_turn(); // returns immediately again
     }
 
-    fn idle_job(cell: &Arc<TaskCell>, gate: &Arc<EngineGate>) -> Job {
+    fn new_cell() -> Arc<TaskCell> {
+        Arc::new(TaskCell::Threads(HandoffCell::new(false)))
+    }
+
+    fn idle_job(cell: &Arc<TaskCell>, engine: &Arc<HandoffCell>) -> Job {
         Job {
             cell: Arc::clone(cell),
-            body: Box::new(|| Handoff::WakeGate),
-            gate: Arc::clone(gate),
+            body: Box::new(|| None),
+            engine: Arc::clone(engine),
         }
     }
 
     #[test]
     fn pool_reuses_workers_for_sequential_jobs() {
         let pool = TaskPool::new();
-        let gate = EngineGate::new();
+        let engine = Arc::new(HandoffCell::new(true));
         for _ in 0..16 {
-            let cell = Arc::new(TaskCell::Threads(HandoffCell::new()));
-            pool.dispatch(idle_job(&cell, &gate));
-            cell.thread().resume_task();
-            // Give the worker a moment to mark itself idle so the next
-            // dispatch can reuse it.
-            for _ in 0..1000 {
-                if pool
-                    .workers
-                    .lock()
-                    .iter()
-                    .any(|w| !w.slot.busy.load(Ordering::Acquire))
-                {
-                    break;
-                }
-                thread::sleep(Duration::from_micros(50));
-            }
+            let cell = new_cell();
+            pool.dispatch(idle_job(&cell, &engine));
+            engine.begin_yield();
+            cell.thread().resume();
+            engine.wait_for_turn();
         }
-        assert!(
-            pool.worker_count() <= 2,
-            "expected worker reuse, got {} workers",
-            pool.worker_count()
-        );
+        // The worker marks itself idle before it hands the baton back, so
+        // every dispatch after the first finds it reusable.
+        assert_eq!(pool.worker_count(), 1);
     }
 
     #[test]
     fn pool_handles_concurrent_jobs() {
+        // Eight live tasks need eight workers; each then finishes in turn,
+        // handing the baton back to the engine.
         let pool = TaskPool::new();
-        let gate = EngineGate::new();
-        let mut cells = Vec::new();
-        for _ in 0..8 {
-            let cell = Arc::new(TaskCell::Threads(HandoffCell::new()));
-            pool.dispatch(idle_job(&cell, &gate));
-            cells.push(cell);
-        }
-        for c in cells {
-            c.thread().resume_task();
+        let engine = Arc::new(HandoffCell::new(true));
+        let cells: Vec<_> = (0..8).map(|_| new_cell()).collect();
+        for c in &cells {
+            pool.dispatch(idle_job(c, &engine));
         }
         assert_eq!(pool.worker_count(), 8);
+        for c in cells {
+            engine.begin_yield();
+            c.thread().resume();
+            engine.wait_for_turn();
+        }
     }
 
     #[test]
-    fn worker_panic_wakes_the_gate() {
+    fn worker_panic_wakes_the_engine() {
         let pool = TaskPool::new();
-        let gate = EngineGate::new();
-        let cell = Arc::new(TaskCell::Threads(HandoffCell::new()));
+        let engine = Arc::new(HandoffCell::new(true));
+        let cell = new_cell();
         pool.dispatch(Job {
             cell: Arc::clone(&cell),
             body: Box::new(|| panic!("task body panicked")),
-            gate: Arc::clone(&gate),
+            engine: Arc::clone(&engine),
         });
-        cell.thread().resume_task();
-        // The backstop must wake the gate even though the body panicked.
-        gate.sleep();
+        engine.begin_yield();
+        cell.thread().resume();
+        // The backstop must hand the baton back even though the body
+        // panicked.
+        engine.wait_for_turn();
     }
 }

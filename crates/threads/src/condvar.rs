@@ -41,7 +41,7 @@ impl CondVar {
     ) -> MutexGuard<'a, T, F> {
         charge_sync_op(ctx);
         charge_context_switch(ctx);
-        let mutex: &'a Mutex<T> = guard.forget_for_wait();
+        let mutex: &'a Mutex<T> = guard.release_for_wait();
         self.waiters.lock().push_back(ctx.task_id());
         mutex.raw_unlock(ctx);
         ctx.park();

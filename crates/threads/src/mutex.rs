@@ -70,7 +70,7 @@ impl<T> Mutex<T> {
         }
         MutexGuard {
             mutex: self,
-            ctx: ctx.clone(),
+            ctx: Some(ctx.clone()),
         }
     }
 
@@ -86,7 +86,7 @@ impl<T> Mutex<T> {
         drop(st);
         Some(MutexGuard {
             mutex: self,
-            ctx: ctx.clone(),
+            ctx: Some(ctx.clone()),
         })
     }
 
@@ -126,7 +126,7 @@ impl<T> Mutex<T> {
         }
         MutexGuard {
             mutex: self,
-            ctx: ctx.clone(),
+            ctx: Some(ctx.clone()),
         }
     }
 }
@@ -135,14 +135,18 @@ impl<T> Mutex<T> {
 /// waiter.
 pub struct MutexGuard<'a, T, F: Fabric> {
     mutex: &'a Mutex<T>,
-    ctx: F,
+    /// `None` once [`MutexGuard::release_for_wait`] has defused the guard.
+    ctx: Option<F>,
 }
 
 impl<'a, T, F: Fabric> MutexGuard<'a, T, F> {
-    pub(crate) fn forget_for_wait(self) -> &'a Mutex<T> {
-        let m = self.mutex;
-        std::mem::forget(self);
-        m
+    /// Give the guard up without unlocking: the condition-variable wait
+    /// unlocks by hand ([`Mutex::raw_unlock`]). The guard's fabric handle is
+    /// dropped here like any other value — forgetting the whole guard would
+    /// leak one reference to the fabric per wait, and with it the entire run.
+    pub(crate) fn release_for_wait(mut self) -> &'a Mutex<T> {
+        self.ctx = None;
+        self.mutex
     }
 }
 
@@ -163,8 +167,10 @@ impl<T, F: Fabric> DerefMut for MutexGuard<'_, T, F> {
 
 impl<T, F: Fabric> Drop for MutexGuard<'_, T, F> {
     fn drop(&mut self) {
-        charge_sync_op(&self.ctx);
-        self.mutex.raw_unlock(&self.ctx);
+        if let Some(ctx) = &self.ctx {
+            charge_sync_op(ctx);
+            self.mutex.raw_unlock(ctx);
+        }
     }
 }
 
