@@ -68,7 +68,9 @@ echo "==> LocalFabric smoke (wall-clock backend: null-RMI + barrier ring)"
 # Real-hardware mode: null-RMI and a 4-thread barrier ring on OS threads
 # over the sharded rings. The binary asserts completion (no lost round
 # trips or barrier rounds) and nonzero wall-clock histograms, and checks
-# em3d ghost fields bit-match a simulator run of the same parameters.
+# em3d ghost fields bit-match a simulator run of the same parameters. It
+# also prints the probe cost (null-RMI p50, metrics registry on over off):
+# reported only, the ratio is too noisy on a shared host to gate.
 ./target/release/local --rmi-iters 500 --barriers 200 --json /tmp/ci_local.json
 rm -f /tmp/ci_local.json
 echo "LocalFabric smoke OK"

@@ -174,11 +174,11 @@ fn linger_main<F: Fabric>(ctx: F) {
             Some(d) if ctx.now() >= d => {
                 // The profile is set by `am::init`, which every runtime
                 // calls before sending; guard anyway for odd init orders.
-                let Some(p) = st.profile.lock().clone() else {
+                let Some(p) = st.profile.get() else {
                     ctx.park_for_inbox();
                     continue;
                 };
-                flush_expired(&ctx, &st, &p);
+                flush_expired(&ctx, &st, p);
             }
             Some(d) => ctx.park_for_inbox_until(d),
             None => ctx.park_for_inbox(),

@@ -5,9 +5,9 @@ use crate::AmMsg;
 use mpmd_fabric::Fabric;
 use mpmd_sim::TaskId;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a registered handler. Each runtime owns a disjoint id range
 /// (by convention: AM internals 0–15, Split-C 16–63, CC++ 64+).
@@ -20,15 +20,17 @@ pub type Handler<F> = Arc<dyn Fn(&F, AmMsg) + Send + Sync>;
 
 /// Endpoint state, one per node, stored in the fabric's node-data registry.
 pub(crate) struct AmState<F: Fabric> {
-    pub(crate) profile: Mutex<Option<NetProfile>>,
+    /// Set once by [`init`]; every send and every productive poll reads it.
+    pub(crate) profile: OnceLock<NetProfile>,
     pub(crate) handlers: RwLock<HashMap<HandlerId, Handler<F>>>,
     /// Tasks currently inside `poll`, guarding against *recursive* polling
     /// (a handler's reply triggering poll-on-send while already inside a
     /// poll). Per task, not per node: a different task polling while this
     /// one is suspended at its poll point is legal and necessary — blocking
     /// it would let a spin-waiting task busy-loop forever while the polling
-    /// thread holds the node-wide flag.
-    pub(crate) in_poll: Mutex<HashSet<TaskId>>,
+    /// thread holds the node-wide flag. A handful of tasks at most, so a
+    /// scan, not a hash.
+    pub(crate) in_poll: Mutex<Vec<TaskId>>,
     /// Barrier bookkeeping (see `barrier.rs`).
     pub(crate) barrier_arrivals: Mutex<HashMap<u64, usize>>,
     pub(crate) barrier_release_gen: AtomicU64,
@@ -68,9 +70,9 @@ pub(crate) struct AmState<F: Fabric> {
 impl<F: Fabric> AmState<F> {
     fn new() -> Self {
         AmState {
-            profile: Mutex::new(None),
+            profile: OnceLock::new(),
             handlers: RwLock::new(HashMap::new()),
-            in_poll: Mutex::new(HashSet::new()),
+            in_poll: Mutex::new(Vec::new()),
             barrier_arrivals: Mutex::new(HashMap::new()),
             barrier_release_gen: AtomicU64::new(0),
             barrier_my_gen: AtomicU64::new(0),
@@ -89,10 +91,9 @@ impl<F: Fabric> AmState<F> {
         ctx.node_data(AmState::new)
     }
 
-    pub(crate) fn profile(&self) -> NetProfile {
+    pub(crate) fn profile(&self) -> &NetProfile {
         self.profile
-            .lock()
-            .clone()
+            .get()
             .expect("am::init was not called on this node")
     }
 }
@@ -102,16 +103,11 @@ impl<F: Fabric> AmState<F> {
 /// panics (mixed profiles on one node would make measurements meaningless).
 pub fn init<F: Fabric>(ctx: &F, profile: NetProfile) {
     let st = AmState::get(ctx);
-    {
-        let mut p = st.profile.lock();
-        match &*p {
-            None => *p = Some(profile),
-            Some(existing) => assert_eq!(
-                *existing, profile,
-                "am::init called twice with different profiles"
-            ),
-        }
-    }
+    assert_eq!(
+        *st.profile.get_or_init(|| profile.clone()),
+        profile,
+        "am::init called twice with different profiles"
+    );
     // A fault model switches the layer into reliable-delivery mode; each
     // node gets one pump daemon driving retransmits/acks while application
     // tasks compute or block.
@@ -123,7 +119,7 @@ pub fn init<F: Fabric>(ctx: &F, profile: NetProfile) {
 
 /// The profile this node was initialized with.
 pub fn profile<F: Fabric>(ctx: &F) -> NetProfile {
-    AmState::get(ctx).profile()
+    AmState::get(ctx).profile().clone()
 }
 
 /// Register `handler` under `id` on this node. Panics if the id is taken.
@@ -162,16 +158,17 @@ impl<'a, F: Fabric> PollGuard<'a, F> {
     /// poll-on-send suppressed). Other tasks may poll concurrently — inbox
     /// draining is atomic per message.
     pub(crate) fn enter(st: &'a AmState<F>, task: TaskId) -> Option<Self> {
-        if st.in_poll.lock().insert(task) {
-            Some(PollGuard { st, task })
-        } else {
-            None
+        let mut polling = st.in_poll.lock();
+        if polling.contains(&task) {
+            return None;
         }
+        polling.push(task);
+        Some(PollGuard { st, task })
     }
 }
 
 impl<F: Fabric> Drop for PollGuard<'_, F> {
     fn drop(&mut self) {
-        self.st.in_poll.lock().remove(&self.task);
+        self.st.in_poll.lock().retain(|t| *t != self.task);
     }
 }

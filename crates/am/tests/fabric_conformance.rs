@@ -10,7 +10,7 @@
 
 use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder};
-use mpmd_sim::{Report, Sim, SpanId};
+use mpmd_sim::{Bucket, Report, Sim, Snapshot, SpanId};
 use mpmd_threads as thr;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -489,6 +489,158 @@ fn battery_teardown_frees_state<F: Fabric>(ctx: &F, freed: &Arc<AtomicBool>) {
     waiter.join(ctx);
 }
 
+const PT_TASKS: u64 = 8;
+const PT_ITERS: u64 = 2_000;
+/// Iterations the extra task drives through its neighbour's handle.
+const PT_LENT_ITERS: u64 = 500;
+/// Iterations each root adds after the mid-run snapshot.
+const PT_LATE_ITERS: u64 = 100;
+/// Count / barrier / snapshot / barrier rounds after that, and the
+/// iterations each root counts at the top of one.
+const PT_ROUNDS: u64 = 3_000;
+const PT_ROUND_ITERS: u64 = 5;
+const PT_CHARGE: u64 = 3;
+
+/// What the `probe_totals` drivers hand in: one slot per node for the root's
+/// handle, and where node 0 leaves its mid-run snapshot.
+struct ProbeShared<F> {
+    lent: Mutex<Vec<Option<F>>>,
+    snap: Mutex<Option<Snapshot>>,
+}
+
+impl<F> ProbeShared<F> {
+    fn new(nodes: usize) -> Arc<Self> {
+        Arc::new(ProbeShared {
+            lent: Mutex::new((0..nodes).map(|_| None).collect()),
+            snap: Mutex::new(None),
+        })
+    }
+}
+
+/// `iters` rounds of every way of counting, on `count_on`, with scheduling
+/// points on the task's own handle `me` in between: yields, and short timed
+/// parks that the wall-clock fabric sits out waiting.
+fn probe_work<F: Fabric>(count_on: &F, me: &F, iters: u64) {
+    for i in 0..iters {
+        count_on.charge(Bucket::Cpu, PT_CHARGE);
+        count_on.with_stats(|s| s.thread_creates += 1);
+        count_on.metric_counter_add("probe.units", 2);
+        count_on.metric_observe("probe.value", i % 5);
+        match i % 250 {
+            0 | 100 => me.yield_now(),
+            200 => me.park_for_inbox_until(me.now() + 20_000),
+            _ => {}
+        }
+    }
+}
+
+/// Counting is exact however many tasks do it and from wherever. Per node,
+/// `PT_TASKS` concurrent tasks count on their own handles and one more
+/// counts through the root handle of the *next* node, from a task that does
+/// not belong to it. All of them have exited by the first barrier, so the
+/// snapshot node 0 takes between the barriers holds exactly that much for
+/// every node; what the roots add afterwards is only in the final report.
+///
+/// Then the `RegionTimer` pattern, `PT_ROUNDS` times: every root counts and
+/// goes straight into a barrier — no join, no wait of its own in between —
+/// and the snapshot one node takes before the next barrier must already hold
+/// every node's counts of that round, exactly. (A fabric that folds a task's
+/// counts into the totals only when the task happens to wait loses a round
+/// here whenever the barrier's release is queued before the task looks.)
+fn battery_probe_totals<F: Fabric>(ctx: &F, shared: &Arc<ProbeShared<F>>) {
+    setup(ctx);
+    shared.lent.lock()[ctx.node()] = Some(ctx.clone());
+    am::barrier(ctx);
+    let neighbour = (ctx.node() + 1) % ctx.nodes();
+    let theirs = shared.lent.lock()[neighbour]
+        .take()
+        .expect("neighbour published its handle before the barrier");
+    let mut tasks: Vec<_> = (0..PT_TASKS)
+        .map(|_| ctx.spawn("prober", |c: F| probe_work(&c, &c, PT_ITERS)))
+        .collect();
+    tasks.push(ctx.spawn("lent-prober", move |c: F| {
+        assert_ne!(theirs.node(), c.node());
+        probe_work(&theirs, &c, PT_LENT_ITERS);
+    }));
+    for t in tasks {
+        ctx.join(t);
+    }
+    am::barrier(ctx);
+    if ctx.node() == 0 {
+        *shared.snap.lock() = Some(ctx.snapshot());
+    }
+    am::barrier(ctx);
+    probe_work(ctx, ctx, PT_LATE_ITERS);
+    let before = PT_TASKS * PT_ITERS + PT_LENT_ITERS + PT_LATE_ITERS;
+    for round in 1..=PT_ROUNDS {
+        probe_work(ctx, ctx, PT_ROUND_ITERS);
+        am::barrier(ctx);
+        if ctx.node() as u64 == round % ctx.nodes() as u64 {
+            let snap = ctx.snapshot();
+            for node in 0..ctx.nodes() {
+                check_probe_units(
+                    &format!("round {round} snapshot node {node}"),
+                    before + round * PT_ROUND_ITERS,
+                    &snap.stats[node],
+                    snap.metrics.as_ref().map(|m| &m.nodes[node]),
+                );
+            }
+        }
+        am::barrier(ctx);
+    }
+}
+
+/// `units` rounds of `probe_work` must have left exactly this in `stats` and
+/// `metrics` (node `node` of a report or snapshot).
+fn check_probe_units(
+    what: &str,
+    units: u64,
+    stats: &mpmd_sim::Stats,
+    metrics: Option<&mpmd_sim::NodeMetrics>,
+) {
+    assert_eq!(stats.thread_creates, units, "{what}: with_stats count");
+    assert_eq!(
+        stats.bucket(Bucket::Cpu),
+        PT_CHARGE * units,
+        "{what}: charged ns"
+    );
+    let Some(m) = metrics else { return };
+    assert_eq!(m.counters["probe.units"], 2 * units, "{what}: counter");
+    let h = &m.hists["probe.value"];
+    assert_eq!(h.count, units, "{what}: histogram count");
+    // Every block of five consecutive rounds observes 0+1+2+3+4, and every
+    // task's round count is a multiple of five.
+    assert_eq!(h.sum, 2 * units, "{what}: histogram sum");
+    assert_eq!((h.min, h.max), (0, 4), "{what}: histogram range");
+}
+
+fn check_probe_totals<F>(fabric: &str, metrics_on: bool, shared: &ProbeShared<F>, report: &Report) {
+    assert_eq!(report.metrics.is_some(), metrics_on, "{fabric}: registry");
+    let snap = shared.snap.lock().take().expect("node 0 took no snapshot");
+    assert_eq!(snap.metrics.is_some(), metrics_on, "{fabric}: registry");
+    let before = PT_TASKS * PT_ITERS + PT_LENT_ITERS;
+    for node in 0..report.nodes() {
+        check_probe_units(
+            &format!("{fabric} metrics={metrics_on} snapshot node {node}"),
+            before,
+            &snap.stats[node],
+            snap.metrics.as_ref().map(|m| &m.nodes[node]),
+        );
+        check_probe_units(
+            &format!("{fabric} metrics={metrics_on} report node {node}"),
+            before + PT_LATE_ITERS + PT_ROUNDS * PT_ROUND_ITERS,
+            &report.stats[node],
+            report.metrics.as_ref().map(|m| &m.nodes[node]),
+        );
+        // Whatever else the run counted (the barriers' own traffic) only
+        // grows between the snapshot and the end: `since` panics otherwise.
+        let _ = report.stats[node].since(&snap.stats[node]);
+    }
+    if let (Some(end), Some(mid)) = (&report.metrics, &snap.metrics) {
+        let _ = end.since(mid);
+    }
+}
+
 // ------------------------------------------------------------------ drivers
 
 macro_rules! conformance {
@@ -607,6 +759,30 @@ fn instrumentation_local() {
             .metrics(on)
             .run(|ctx| battery_instrumentation(&ctx));
         check_instrumentation("local", on, &r);
+    }
+}
+
+#[test]
+fn probe_totals_sim() {
+    for on in [true, false] {
+        let shared = ProbeShared::new(2);
+        let s = Arc::clone(&shared);
+        let r = Sim::new(2)
+            .metrics(on)
+            .run(move |ctx| battery_probe_totals(&ctx, &s));
+        check_probe_totals("sim", on, &shared, &r);
+    }
+}
+
+#[test]
+fn probe_totals_local() {
+    for on in [true, false] {
+        let shared = ProbeShared::new(2);
+        let s = Arc::clone(&shared);
+        let r = LocalFabricBuilder::new(2)
+            .metrics(on)
+            .run(move |ctx| battery_probe_totals(&ctx, &s));
+        check_probe_totals("local", on, &shared, &r);
     }
 }
 

@@ -493,7 +493,7 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
     am::register(ctx, H_REQ, |ctx, mut m| {
         let st = CcxxState::get(ctx);
         let cfg = st.cfg();
-        let c = cfg.costs.clone();
+        let c = &cfg.costs;
         // "rmi.dispatch" covers receive-side request processing up to the
         // run decision: stub resolution, R-buffer management, mode checks.
         // The method body itself is "rmi.execute" (in `run_and_reply`).

@@ -7,7 +7,7 @@ use mpmd_sim::TaskId;
 use parking_lot::{Mutex as HostMutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A registered method stub: executes the method body and produces the
 /// reply. Stubs are what the CC++ front-end generates from processor-object
@@ -59,7 +59,8 @@ pub(crate) struct StubRec<F> {
 }
 
 pub(crate) struct CcxxState<F: Fabric> {
-    config_slot: RwLock<Option<Arc<CcxxConfig>>>,
+    /// Set once by `ccxx::init`; read on every RMI.
+    config_slot: OnceLock<CcxxConfig>,
     /// Local stubs, indexed by entry-point address.
     pub(crate) stubs: RwLock<Vec<StubRec<F>>>,
     /// Local (program id, method name) -> entry-point address. "This
@@ -136,7 +137,7 @@ impl StagedAdds {
 impl<F: Fabric> CcxxState<F> {
     fn new() -> Self {
         CcxxState {
-            config_slot: RwLock::new(None),
+            config_slot: OnceLock::new(),
             stubs: RwLock::new(Vec::new()),
             by_name: RwLock::new(HashMap::new()),
             stub_cache: mpmd_threads::Mutex::new(HashMap::new()),
@@ -158,23 +159,19 @@ impl<F: Fabric> CcxxState<F> {
     }
 
     pub(crate) fn set_config(&self, cfg: CcxxConfig) {
-        let mut slot = self.config_slot.write();
-        match &*slot {
-            None => *slot = Some(Arc::new(cfg)),
-            Some(existing) => assert_eq!(
-                **existing, cfg,
+        if let Err(cfg) = self.config_slot.set(cfg) {
+            assert_eq!(
+                *self.cfg(),
+                cfg,
                 "ccxx::init called twice with different configs"
-            ),
+            );
         }
     }
 
-    pub(crate) fn cfg(&self) -> Arc<CcxxConfig> {
-        Arc::clone(
-            self.config_slot
-                .read()
-                .as_ref()
-                .expect("ccxx::init was not called on this node"),
-        )
+    pub(crate) fn cfg(&self) -> &CcxxConfig {
+        self.config_slot
+            .get()
+            .expect("ccxx::init was not called on this node")
     }
 
     /// The region storage for `region` on this node.

@@ -28,6 +28,11 @@
 //!   recently idled worker thread of the target node and creates an OS
 //!   thread only when none is idle; `park`/`unpark`/`join` block on and
 //!   signal the one task concerned, never the node or the process.
+//! * **Bookkeeping off the message path.** Counters, the charge ledger,
+//!   metrics and `node_data` lookups go to a plain per-worker [`Block`] with
+//!   no lock and no atomic; it is folded into the node's totals once per
+//!   send or wakeup, before the frame or token can be seen, and whenever
+//!   its task is about to wait anyway (see [`Block`]).
 //!
 //! Semantics relative to the simulated fabric:
 //!
@@ -48,9 +53,10 @@
 //!   layer stays in its plain-send mode.
 
 use crate::Fabric;
+use mpmd_sim::metrics::bucket_index;
 use mpmd_sim::{
-    size_bucket, Bucket, CostModel, MetricsRegistry, Msg, NodeMetrics, Payload, Report, Snapshot,
-    Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter,
+    size_bucket, Bucket, CostModel, Histogram, MetricsRegistry, Msg, NodeMetrics, Payload, Report,
+    Snapshot, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter,
 };
 use std::any::{Any, TypeId};
 use std::cell::{RefCell, UnsafeCell};
@@ -398,6 +404,103 @@ struct Pool {
 /// `resume_unwind`, so the panic hook stays quiet; never reported.
 struct RunPoisoned;
 
+type Singleton = Arc<dyn Any + Send + Sync>;
+
+/// A few values keyed by metric name, for one thread. A dozen names at most,
+/// so one scan of the (densely packed) names beats hashing them; each
+/// comparison tries the address first — a call site passes the same literal
+/// every time — and the value second, because two call sites naming the same
+/// metric may hold different copies of the literal.
+#[derive(Default)]
+struct NameTable<V> {
+    names: Vec<&'static str>,
+    vals: Vec<V>,
+}
+
+impl<V: Default> NameTable<V> {
+    fn slot(&mut self, name: &'static str) -> &mut V {
+        let found = self
+            .names
+            .iter()
+            .position(|n| std::ptr::eq(*n, name) || *n == name);
+        let i = found.unwrap_or_else(|| {
+            self.names.push(name);
+            self.vals.push(V::default());
+            self.names.len() - 1
+        });
+        &mut self.vals[i]
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut V)> {
+        self.names.iter().copied().zip(self.vals.iter_mut())
+    }
+}
+
+/// One worker thread's probe block: what its tasks counted, charged and
+/// observed since the last merge, and the node singletons they have fetched.
+/// Plain fields written by the owning thread alone — no lock, no atomic.
+///
+/// [`LfInner::merge`] folds a block into the node's `stats` / `metrics`
+/// totals and zeroes it, in two kinds of place:
+///
+/// * **Before anything the task did can be observed through the fabric** —
+///   in `send_msg` ahead of the push, in `unpark`, in `spawn*`, and at task
+///   exit ahead of `finished`. Whoever receives that frame, is woken by that
+///   token, runs as that child or joins that task therefore reads totals that
+///   hold everything the task counted up to then, which is what makes a
+///   snapshot taken behind a barrier exact.
+/// * **Where the task stops running anyway** — an inbox wait that found
+///   nothing, the park phase of `park`, `join`, `sleep` — and in the task's
+///   own `snapshot()`, so a long wait does not sit on counts.
+///
+/// The totals are exact once a run has ended; a mid-run snapshot holds
+/// everything that happened before it by way of the fabric, and everything
+/// each task did up to its last wait.
+#[derive(Default)]
+struct Block {
+    stats: Stats,
+    /// `None`: not added to since the last merge. An add of 0 still creates
+    /// the counter in the report, as it did under the per-node lock.
+    counters: NameTable<Option<u64>>,
+    hists: NameTable<Histogram>,
+    /// Which halves `merge` has to fold; raised by the three accessors below
+    /// and nowhere else, so a counting site cannot forget them.
+    stats_dirty: bool,
+    metrics_dirty: bool,
+    data: Vec<(TypeId, Singleton)>,
+}
+
+impl Block {
+    fn stats(&mut self) -> &mut Stats {
+        self.stats_dirty = true;
+        &mut self.stats
+    }
+
+    fn counter(&mut self, name: &'static str) -> &mut u64 {
+        self.metrics_dirty = true;
+        self.counters.slot(name).get_or_insert(0)
+    }
+
+    fn hist(&mut self, name: &'static str) -> &mut Histogram {
+        self.metrics_dirty = true;
+        self.hists.slot(name)
+    }
+}
+
+/// A worker's block and the `(run, node)` it counts for. `run` is only ever
+/// compared: the worker holds an `Arc` of its run for as long as this value
+/// exists, so no other run can sit at that address.
+struct Probe {
+    run: *const LfInner,
+    node: usize,
+    block: Block,
+}
+
+/// What a task did wrong when `PROBE` is found borrowed.
+const REENTRY: &str = "LocalFabric re-entered from a `with_stats` closure or a `node_data` \
+                       init: they run on the calling thread's probe block and must not call \
+                       back into the fabric";
+
 struct LfInner {
     nodes: usize,
     cost: CostModel,
@@ -406,12 +509,13 @@ struct LfInner {
     epoch: Instant,
     rings: Vec<Ring>, // src * nodes + dst
     parkers: Vec<NodeParker>,
+    /// Per-node counter totals: the merge target of the workers' probe
+    /// blocks, locked only by [`LfInner::merge`] and by readers.
     stats: Vec<Mutex<Stats>>,
-    /// Per-node typed singletons (split from stats so `node_data` lookups
-    /// never contend with counter updates).
-    node_data: Vec<Mutex<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>>,
-    /// Per-node metrics shards: recording locks only the node's own shard,
-    /// so histogram updates never cross-contend between nodes.
+    /// Per-node typed singletons. A worker asks here once per type and
+    /// serves every later `node_data` call from its block's cache.
+    node_data: Vec<Mutex<HashMap<TypeId, Singleton>>>,
+    /// Per-node metric totals, the other merge target.
     metrics: Option<Vec<Mutex<NodeMetrics>>>,
     /// Round-robin start index for each node's link scan, so one chatty
     /// neighbor cannot starve the others.
@@ -536,11 +640,62 @@ impl LfInner {
         }
     }
 
+    /// Fold `b` into `node`'s totals and zero it. Besides the readers below
+    /// this is the only place the two total locks are taken, and no user
+    /// code runs under either.
+    fn merge(&self, node: usize, b: &mut Block) {
+        if b.stats_dirty {
+            locked(&self.stats[node]).merge(&b.stats);
+            b.stats = Stats::default();
+            b.stats_dirty = false;
+        }
+        if b.metrics_dirty {
+            let shards = self
+                .metrics
+                .as_ref()
+                .expect("metric recorded with metrics off");
+            let mut m = locked(&shards[node]);
+            for (name, add) in b.counters.iter_mut() {
+                if let Some(add) = add.take() {
+                    *m.counters.entry(name).or_insert(0) += add;
+                }
+            }
+            for (name, h) in b.hists.iter_mut() {
+                if h.count > 0 {
+                    drain_hist(m.hists.entry(name).or_default(), h);
+                }
+            }
+            b.metrics_dirty = false;
+        }
+    }
+
+    fn stats(&self) -> Vec<Stats> {
+        self.stats.iter().map(|s| locked(s).clone()).collect()
+    }
+
     fn registry(&self) -> Option<MetricsRegistry> {
         self.metrics.as_ref().map(|shards| MetricsRegistry {
-            nodes: shards.iter().map(|m| m.lock().unwrap().clone()).collect(),
+            nodes: shards.iter().map(|m| locked(m).clone()).collect(),
         })
     }
+}
+
+/// Move `h` into `total` and leave it empty, touching only the buckets between
+/// its smallest and largest sample: a block's histogram holds a sample or two
+/// when it is merged, not 65 buckets' worth.
+fn drain_hist(total: &mut Histogram, h: &mut Histogram) {
+    if total.count == 0 {
+        (total.min, total.max) = (h.min, h.max);
+    } else {
+        total.min = total.min.min(h.min);
+        total.max = total.max.max(h.max);
+    }
+    total.count += std::mem::take(&mut h.count);
+    total.sum += std::mem::take(&mut h.sum);
+    for i in bucket_index(h.min)..=bucket_index(h.max) {
+        total.buckets[i] += std::mem::take(&mut h.buckets[i]);
+    }
+    (h.min, h.max) = (0, 0);
 }
 
 thread_local! {
@@ -548,6 +703,11 @@ thread_local! {
     /// thread, so thread-local storage is exactly per-task storage; const
     /// init keeps the first park allocation-free.
     static WAITER: RefCell<Option<Waiter>> = const { RefCell::new(None) };
+
+    /// This worker's probe block; `None` on every other thread. Borrowed for
+    /// the length of one fabric call, user closure included, which is what
+    /// turns a call back into the fabric into a panic instead of a hang.
+    static PROBE: RefCell<Option<Probe>> = const { RefCell::new(None) };
 }
 
 /// Configuration for a wall-clock run.
@@ -669,11 +829,7 @@ impl LocalFabricBuilder {
         let elapsed = inner.epoch.elapsed().as_nanos() as u64;
         Report {
             clocks: vec![elapsed; n],
-            stats: inner
-                .stats
-                .iter()
-                .map(|s| s.lock().unwrap().clone())
-                .collect(),
+            stats: inner.stats(),
             trace: None,
             metrics: inner.registry(),
         }
@@ -725,6 +881,18 @@ fn spawn_task(inner: &Arc<LfInner>, node: usize, daemon: bool, f: TaskFn) -> Tas
 }
 
 fn worker_main(inner: &LfInner, node: usize, first: Job) {
+    PROBE.set(Some(Probe {
+        run: inner,
+        node,
+        block: Block::default(),
+    }));
+    worker_loop(inner, node, first);
+    // Drops the cached singletons now rather than whenever the platform
+    // runs thread-local destructors.
+    PROBE.set(None);
+}
+
+fn worker_loop(inner: &LfInner, node: usize, first: Job) {
     let me = Arc::new(Worker {
         mail: Mutex::new(Mail::Empty),
         cv: Condvar::new(),
@@ -734,6 +902,12 @@ fn worker_main(inner: &LfInner, node: usize, first: Job) {
         let Job { f, fab, daemon } = job;
         let (id, rec) = (fab.task, Arc::clone(&fab.rec));
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(fab)));
+        // Before the exit is announced: whoever joins this task reads totals
+        // that include it.
+        PROBE.with_borrow_mut(|p| {
+            let p = p.as_mut().expect("worker without its probe block");
+            inner.merge(node, &mut p.block);
+        });
         // The next task on this thread starts a fresh escalation.
         WAITER.with(|w| {
             if let Some(w) = w.borrow_mut().as_mut() {
@@ -817,6 +991,56 @@ impl LocalFabric {
         self.inner.tasks.iter().map(|s| locked(s).len()).sum()
     }
 
+    /// Run `f` on the probe block this call counts into: the calling
+    /// worker's own when it works for this handle's run and node — every
+    /// ordinary call. A handle carried to another node's worker, or to a
+    /// thread outside the run, counts into a scratch block folded into the
+    /// handle's node at once, under that node's locks.
+    ///
+    /// `PROBE` stays borrowed while `f` runs, on both paths, so a user
+    /// closure in `f` that calls back into the fabric panics with
+    /// [`REENTRY`].
+    fn with_block<R>(&self, f: impl FnOnce(&mut Block) -> R) -> R {
+        PROBE.with(|p| {
+            let mut p = p.try_borrow_mut().unwrap_or_else(|_| panic!("{REENTRY}"));
+            match p.as_mut() {
+                Some(p) if p.run == Arc::as_ptr(&self.inner) && p.node == self.node => {
+                    f(&mut p.block)
+                }
+                _ => {
+                    let mut scratch = Block::default();
+                    let r = f(&mut scratch);
+                    self.inner.merge(self.node, &mut scratch);
+                    r
+                }
+            }
+        })
+    }
+
+    /// Fold what this thread has counted into the node totals: the caller
+    /// is about to stop running, to wake or start another task, or to read
+    /// the totals.
+    fn merge_block(&self) {
+        self.with_block(|b| self.inner.merge(self.node, b));
+    }
+
+    /// Panic with [`REENTRY`] if a probe closure is running on this thread.
+    /// For the blocking calls that reach a merge (which checks) only on some
+    /// of their paths.
+    fn check_reentry() {
+        PROBE.with(|p| {
+            if p.try_borrow_mut().is_err() {
+                panic!("{REENTRY}");
+            }
+        })
+    }
+
+    /// `spawn_task` from this task, whose counts so far the child may read.
+    fn spawn_from(&self, node: usize, daemon: bool, f: TaskFn) -> TaskId {
+        self.merge_block();
+        spawn_task(&self.inner, node, daemon, f)
+    }
+
     /// Run `f` with this thread's wait-escalation state.
     fn with_waiter<R>(&self, f: impl FnOnce(&mut Waiter) -> R) -> R {
         WAITER.with(|w| {
@@ -836,6 +1060,7 @@ impl LocalFabric {
     /// escalation state persists across calls so consecutive unproductive
     /// waits keep backing off while any productive wake resets the ladder.
     fn inbox_wait(&self, deadline: Option<Time>) {
+        Self::check_reentry();
         let inner = &*self.inner;
         if inner.shutting_down.load(Ordering::SeqCst) {
             inner.check_poison();
@@ -855,6 +1080,9 @@ impl LocalFabric {
                 w.reset();
                 return;
             }
+            // Nothing to do until a frame lands: the time the merge takes is
+            // time this task would have spent spinning.
+            self.merge_block();
             // Flag/flag with `unpark`, as on `TaskRec`: raised before the
             // pre-sleep check reads the token. An `unpark` that misses the
             // flag stored its token before that check; one that sees it
@@ -947,24 +1175,25 @@ impl Fabric for LocalFabric {
         if ns == 0 {
             return;
         }
-        let mut s = self.inner.stats[self.node].lock().unwrap();
-        s.bucket_ns[bucket.index()] += ns;
+        self.with_block(|b| b.stats().bucket_ns[bucket.index()] += ns)
     }
 
+    /// `f` sees the counts of the calling thread since its last merge, not
+    /// the node's totals: add to them, do not read them.
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
-        f(&mut self.inner.stats[self.node].lock().unwrap())
+        self.with_block(|b| f(b.stats()))
     }
 
+    /// Holds what the caller did up to now, what every other task did before
+    /// anything that reached the caller through the fabric (a frame, a wakeup,
+    /// a spawn, a join — so everything before a barrier), and what each did
+    /// up to its last wait.
     fn snapshot(&self) -> Snapshot {
+        self.merge_block();
         let now = self.now();
         Snapshot {
             clocks: vec![now; self.inner.nodes],
-            stats: self
-                .inner
-                .stats
-                .iter()
-                .map(|s| s.lock().unwrap().clone())
-                .collect(),
+            stats: self.inner.stats(),
             metrics: self.inner.registry(),
         }
     }
@@ -975,21 +1204,21 @@ impl Fabric for LocalFabric {
     where
         G: FnOnce(Self) + Send + 'static,
     {
-        spawn_task(&self.inner, self.node, false, Box::new(f))
+        self.spawn_from(self.node, false, Box::new(f))
     }
 
     fn spawn_on<G>(&self, node: usize, _name: &str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {
-        spawn_task(&self.inner, node, false, Box::new(f))
+        self.spawn_from(node, false, Box::new(f))
     }
 
     fn spawn_daemon<G>(&self, _name: &str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {
-        spawn_task(&self.inner, self.node, true, Box::new(f))
+        self.spawn_from(self.node, true, Box::new(f))
     }
 
     fn yield_now(&self) {
@@ -997,6 +1226,7 @@ impl Fabric for LocalFabric {
     }
 
     fn park(&self) {
+        Self::check_reentry();
         let inner = &*self.inner;
         let rec = &*self.rec;
         self.with_waiter(|w| loop {
@@ -1017,6 +1247,7 @@ impl Fabric for LocalFabric {
                 // task's own condvar (handshake on `TaskRec`), so a parked
                 // task costs nothing until one of them happens.
                 WaitPhase::Park(_) => {
+                    self.merge_block();
                     rec.sleeping.store(true, Ordering::SeqCst);
                     let mut g = locked(&rec.lock);
                     while !rec.unparked.load(Ordering::SeqCst)
@@ -1032,6 +1263,8 @@ impl Fabric for LocalFabric {
     }
 
     fn unpark(&self, t: TaskId) {
+        // The woken task may go on to tell others what this one did.
+        self.merge_block();
         if t == self.task {
             self.inner.unpark(&self.rec);
         } else if let Some(rec) = self.inner.task(t) {
@@ -1050,10 +1283,12 @@ impl Fabric for LocalFabric {
     }
 
     fn sleep(&self, ns: Time) {
+        self.merge_block();
         std::thread::sleep(Duration::from_nanos(ns));
     }
 
     fn join(&self, t: TaskId) {
+        self.merge_block();
         let Some(rec) = self.inner.task(t) else {
             return;
         };
@@ -1084,15 +1319,16 @@ impl Fabric for LocalFabric {
 
     fn send_msg(&self, dst: usize, wire_bytes: usize, _delay: Time, payload: Payload) {
         assert!(dst < self.inner.nodes, "send to nonexistent node {dst}");
-        {
-            // Only the sender's own shard: the receive count is recorded at
-            // try_recv on the receiver's shard, so the send fast path never
-            // contends on another node's stats lock.
-            let mut s = self.inner.stats[self.node].lock().unwrap();
+        // The receive is counted at `try_recv`, by the receiver. The merge
+        // comes before the push: once the frame can be seen, so can
+        // everything this task counted before sending it.
+        self.with_block(|b| {
+            let s = b.stats();
             s.msgs_sent += 1;
             s.bytes_sent += wire_bytes as u64;
             s.msg_size_hist[size_bucket(wire_bytes)] += 1;
-        }
+            self.inner.merge(self.node, b);
+        });
         self.inner.ring(self.node, dst).push(Msg {
             src: self.node,
             wire_bytes,
@@ -1107,7 +1343,7 @@ impl Fabric for LocalFabric {
         for i in 0..n {
             let src = (start + i) % n;
             if let Some(m) = self.inner.ring(src, self.node).pop() {
-                self.inner.stats[self.node].lock().unwrap().msgs_received += 1;
+                self.with_block(|b| b.stats().msgs_received += 1);
                 return Some(m);
             }
         }
@@ -1123,11 +1359,21 @@ impl Fabric for LocalFabric {
         T: Send + Sync + 'static,
         G: FnOnce() -> T,
     {
-        let mut d = self.inner.node_data[self.node].lock().unwrap();
-        let slot = d
-            .entry(TypeId::of::<T>())
-            .or_insert_with(|| Arc::new(init()) as Arc<dyn Any + Send + Sync>);
-        Arc::downcast::<T>(Arc::clone(slot)).expect("node_data type confusion")
+        let id = TypeId::of::<T>();
+        let found = self.with_block(|b| {
+            if let Some((_, hit)) = b.data.iter().find(|(t, _)| *t == id) {
+                return Arc::clone(hit);
+            }
+            // `init` runs at most once per node, so under the registry lock.
+            let fresh = Arc::clone(
+                locked(&self.inner.node_data[self.node])
+                    .entry(id)
+                    .or_insert_with(|| Arc::new(init())),
+            );
+            b.data.push((id, Arc::clone(&fresh)));
+            fresh
+        });
+        Arc::downcast::<T>(found).expect("node_data type confusion")
     }
 
     fn metrics_enabled(&self) -> bool {
@@ -1135,25 +1381,14 @@ impl Fabric for LocalFabric {
     }
 
     fn metric_observe(&self, name: &'static str, v: u64) {
-        if let Some(m) = &self.inner.metrics {
-            m[self.node]
-                .lock()
-                .unwrap()
-                .hists
-                .entry(name)
-                .or_default()
-                .record(v);
+        if self.inner.metrics.is_some() {
+            self.with_block(|b| b.hist(name).record(v))
         }
     }
 
     fn metric_counter_add(&self, name: &'static str, delta: u64) {
-        if let Some(m) = &self.inner.metrics {
-            *m[self.node]
-                .lock()
-                .unwrap()
-                .counters
-                .entry(name)
-                .or_insert(0) += delta;
+        if self.inner.metrics.is_some() {
+            self.with_block(|b| *b.counter(name) += delta)
         }
     }
 }
@@ -1337,6 +1572,110 @@ mod tests {
         assert_eq!(
             payload.downcast_ref::<String>().map(String::as_str),
             Some("bomb went off")
+        );
+    }
+
+    fn panic_message(payload: Box<dyn Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast::<&str>().expect("panic message").to_string(),
+        }
+    }
+
+    /// The twin of the simulator's `kernel_reentry_panics_on_every_backend`:
+    /// calling back into the fabric from a `with_stats` closure or a
+    /// `node_data` init fails the run with the rule, on a worker's own block
+    /// and through a handle driven from another node's worker alike. (On one
+    /// `std::sync::Mutex` per node each of these used to hang.)
+    #[test]
+    fn reentry_from_a_probe_closure_panics_with_the_rule() {
+        struct Outer;
+        struct Inner;
+        type Reenter = fn(&LocalFabric);
+        let cases: [(&str, Reenter); 8] = [
+            ("charge in with_stats", |c| {
+                c.with_stats(|_| c.charge(Bucket::Cpu, 1))
+            }),
+            ("with_stats in with_stats", |c| {
+                c.with_stats(|_| c.with_stats(|s| s.polls += 1))
+            }),
+            ("park in with_stats", |c| c.with_stats(|_| c.park())),
+            // Would return at once, never reaching the merge in its park phase.
+            ("park on a set token in with_stats", |c| {
+                c.unpark(c.task_id());
+                c.with_stats(|_| c.park())
+            }),
+            ("park_for_inbox in with_stats", |c| {
+                c.send_msg(c.node(), 8, 1, Payload::any(0u64));
+                c.with_stats(|_| c.park_for_inbox())
+            }),
+            ("unpark in with_stats", |c| {
+                c.with_stats(|_| c.unpark(c.task_id()))
+            }),
+            ("join in with_stats", |c| {
+                let done = c.spawn("done", |_| {});
+                c.join(done);
+                c.with_stats(|_| c.join(done))
+            }),
+            ("node_data in a node_data init", |c| {
+                c.node_data(|| {
+                    c.node_data(|| Inner);
+                    Outer
+                });
+            }),
+        ];
+        for (what, reenter) in cases {
+            let own = run_with_timeout(1, move |fab| reenter(&fab))
+                .expect_err("re-entry on the worker's own block must fail the run");
+            let msg = panic_message(own);
+            assert!(
+                msg.contains("must not call back into the fabric"),
+                "{what}: {msg}"
+            );
+
+            let lent = Arc::new(Mutex::new(None));
+            let foreign = run_with_timeout(2, move |fab| {
+                if fab.node() == 1 {
+                    *locked(&lent) = Some(fab.clone());
+                    return;
+                }
+                let theirs = loop {
+                    if let Some(h) = locked(&lent).take() {
+                        break h;
+                    }
+                    fab.yield_now();
+                };
+                reenter(&theirs);
+            })
+            .expect_err("re-entry through another node's handle must fail the run");
+            let msg = panic_message(foreign);
+            assert!(
+                msg.contains("must not call back into the fabric"),
+                "{what}: {msg}"
+            );
+        }
+    }
+
+    /// A closure that panics runs on its own thread's block with no node lock
+    /// held: its peers keep counting, and the run fails with its message.
+    #[test]
+    fn a_panicking_with_stats_closure_does_not_poison_its_peers() {
+        let counted = Arc::new(AtomicBool::new(false));
+        let c2 = Arc::clone(&counted);
+        let payload = run_with_timeout(1, move |fab| {
+            let bomb = fab.spawn("bomb", |c| c.with_stats(|_| panic!("closure gave up")));
+            fab.join(bomb);
+            // Same node, after the panic: counting and a merge still work.
+            fab.with_stats(|s| s.polls += 1);
+            fab.charge(Bucket::Cpu, 5);
+            assert_eq!(fab.snapshot().stats[0].polls, 1);
+            c2.store(true, Ordering::SeqCst);
+        })
+        .expect_err("run must re-raise the closure's panic");
+        assert_eq!(panic_message(payload), "closure gave up");
+        assert!(
+            counted.load(Ordering::SeqCst),
+            "the peer did not get through"
         );
     }
 

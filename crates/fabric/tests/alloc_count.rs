@@ -11,11 +11,15 @@
 //!
 //! After warm-up (TLS waiter init, stats maps, thread start-up debris), a
 //! steady-state run of `Payload::Short` ping-pongs on node 0's thread must
-//! perform **zero** heap allocations.
+//! perform **zero** heap allocations — bare, and with the probes a runtime
+//! layer fires per message (`charge`, `with_stats`, a counter, a histogram):
+//! those write the thread's probe block, and merging it into the node totals
+//! at every send and wait allocates only while a name is new.
 
 use mpmd_fabric::{Fabric, LocalFabric};
-use mpmd_sim::{thread_allocs, CountingAlloc, Payload};
+use mpmd_sim::{thread_allocs, Bucket, CountingAlloc, Payload};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
@@ -31,10 +35,21 @@ fn short() -> Payload {
     }
 }
 
-/// One short-message round trip: node 0 sends, node 1 receives and replies.
-fn round_trips(fab: &LocalFabric, n: usize) {
+/// What a runtime layer records around one message.
+fn probes(fab: &LocalFabric) {
+    let t0 = fab.metric_now();
+    fab.charge(Bucket::Net, 2_000);
+    fab.with_stats(|s| s.short_msgs += 1);
+    fab.metric_counter_add("alloc.trips", 1);
+    fab.metric_observe_since("alloc.trip_ns", t0.expect("metrics are on by default"));
+}
+
+/// `n` short-message round trips: node 0 sends, node 1 receives and
+/// replies; `per_trip` runs on both sides of each.
+fn round_trips(fab: &LocalFabric, n: usize, per_trip: fn(&LocalFabric)) {
     if fab.node() == 0 {
         for _ in 0..n {
+            per_trip(fab);
             fab.send_msg(1, 8, 0, short());
             loop {
                 if let Some(m) = fab.try_recv() {
@@ -52,33 +67,49 @@ fn round_trips(fab: &LocalFabric, n: usize) {
                 }
                 fab.park_for_inbox();
             }
+            per_trip(fab);
             fab.send_msg(0, 8, 0, short());
         }
     }
 }
 
-#[test]
-fn wall_clock_short_round_trip_allocates_nothing() {
-    static MEASURED_DELTA: AtomicU64 = AtomicU64::new(u64::MAX);
-    let r = LocalFabric::run(2, |fab| {
-        // Warm-up: the TLS waiter, stats/metrics map nodes, and whatever
-        // the OS thread's first futex waits touch.
-        round_trips(&fab, WARMUP);
+/// Node 0's allocations across `MEASURED` steady-state round trips.
+fn measured_allocs(per_trip: fn(&LocalFabric)) -> u64 {
+    let delta = Arc::new(AtomicU64::new(u64::MAX));
+    let d = Arc::clone(&delta);
+    let r = LocalFabric::run(2, move |fab| {
+        // Warm-up: the TLS waiter and probe block, stats/metrics map nodes,
+        // and whatever the OS thread's first futex waits touch.
+        round_trips(&fab, WARMUP, per_trip);
         if fab.node() == 0 {
             let before = thread_allocs();
-            round_trips(&fab, MEASURED);
+            round_trips(&fab, MEASURED, per_trip);
             let after = thread_allocs();
-            MEASURED_DELTA.store(after - before, Relaxed);
+            d.store(after - before, Relaxed);
         } else {
-            round_trips(&fab, MEASURED);
+            round_trips(&fab, MEASURED, per_trip);
         }
     });
     assert_eq!(r.stats[0].msgs_sent as usize, WARMUP + MEASURED);
+    delta.load(Relaxed)
+}
+
+#[test]
+fn wall_clock_short_round_trip_allocates_nothing() {
+    let allocs = measured_allocs(|_| {});
     assert_eq!(
-        MEASURED_DELTA.load(Relaxed),
-        0,
-        "wall-clock short round trips must not allocate ({} allocations \
-         across {MEASURED} round trips)",
-        MEASURED_DELTA.load(Relaxed)
+        allocs, 0,
+        "wall-clock short round trips must not allocate ({allocs} allocations \
+         across {MEASURED} round trips)"
+    );
+}
+
+#[test]
+fn wall_clock_probed_round_trip_allocates_nothing() {
+    let allocs = measured_allocs(probes);
+    assert_eq!(
+        allocs, 0,
+        "probed round trips must not allocate ({allocs} allocations across \
+         {MEASURED} round trips)"
     );
 }

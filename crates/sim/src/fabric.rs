@@ -79,11 +79,19 @@ pub trait Fabric: Clone + Send + 'static {
     /// the per-bucket ledger (time advances by itself).
     fn charge(&self, bucket: Bucket, ns: Time);
 
-    /// Mutate this node's instrumentation counters. `f` must not call back
-    /// into the fabric (on the simulator that panics).
+    /// Add to this node's instrumentation counters. `f` must not call back
+    /// into the fabric: that panics on every backend. It must not *read*
+    /// the counters either — the simulator hands it the node's totals,
+    /// `LocalFabric` only what the calling thread has counted since its last
+    /// merge; totals come from [`Fabric::snapshot`] and the run's report.
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R;
 
-    /// Capture all node clocks/stats (quiesce with a barrier first).
+    /// Capture all node clocks/stats. The capture holds what the caller has
+    /// done so far and everything that happened before it by way of the
+    /// fabric — before a frame the caller received, a wakeup, a spawn or a
+    /// join, on any chain of them — so behind a barrier it is exact. Tasks
+    /// that hand off through shared memory alone are seen, on `LocalFabric`,
+    /// as of their last send, wakeup or wait.
     fn snapshot(&self) -> Snapshot;
 
     // ---- scheduling --------------------------------------------------
@@ -204,8 +212,9 @@ pub trait Fabric: Clone + Send + 'static {
 
     /// Fetch (or lazily create) this node's singleton of type `T`. The
     /// runtime crates keep their per-node state (handler tables, memories,
-    /// stub caches) here. `init` must not call back into the fabric (on the
-    /// simulator it runs under the kernel lock, and a call back panics).
+    /// stub caches) here. `init` must not call back into the fabric: that
+    /// panics on every backend (it runs under the simulator's kernel lock,
+    /// and on the calling thread's probe block on `LocalFabric`).
     fn node_data<T, G>(&self, init: G) -> Arc<T>
     where
         T: Send + Sync + 'static,

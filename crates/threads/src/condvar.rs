@@ -36,7 +36,7 @@ impl CondVar {
     /// when the thread resumes.
     pub fn wait<'a, T, F: Fabric>(
         &self,
-        ctx: &F,
+        ctx: &'a F,
         guard: MutexGuard<'a, T, F>,
     ) -> MutexGuard<'a, T, F> {
         charge_sync_op(ctx);

@@ -48,7 +48,7 @@ impl<T> Mutex<T> {
 
     /// Acquire the lock, blocking the simulated thread if contended.
     /// Charges one sync op (plus a context switch if it blocks).
-    pub fn lock<'a, F: Fabric>(&'a self, ctx: &F) -> MutexGuard<'a, T, F> {
+    pub fn lock<'a, F: Fabric>(&'a self, ctx: &'a F) -> MutexGuard<'a, T, F> {
         charge_sync_op(ctx);
         ctx.with_stats(|s| s.lock_acquisitions += 1);
         let mut first_attempt = true;
@@ -70,12 +70,12 @@ impl<T> Mutex<T> {
         }
         MutexGuard {
             mutex: self,
-            ctx: Some(ctx.clone()),
+            ctx: Some(ctx),
         }
     }
 
     /// Try to acquire without blocking. Charges one sync op either way.
-    pub fn try_lock<'a, F: Fabric>(&'a self, ctx: &F) -> Option<MutexGuard<'a, T, F>> {
+    pub fn try_lock<'a, F: Fabric>(&'a self, ctx: &'a F) -> Option<MutexGuard<'a, T, F>> {
         charge_sync_op(ctx);
         ctx.with_stats(|s| s.lock_acquisitions += 1);
         let mut st = self.state.lock();
@@ -86,7 +86,7 @@ impl<T> Mutex<T> {
         drop(st);
         Some(MutexGuard {
             mutex: self,
-            ctx: Some(ctx.clone()),
+            ctx: Some(ctx),
         })
     }
 
@@ -112,7 +112,7 @@ impl<T> Mutex<T> {
     }
 
     /// Reacquire after a condition-variable wait, without charging.
-    pub(crate) fn raw_lock<'a, F: Fabric>(&'a self, ctx: &F) -> MutexGuard<'a, T, F> {
+    pub(crate) fn raw_lock<'a, F: Fabric>(&'a self, ctx: &'a F) -> MutexGuard<'a, T, F> {
         loop {
             {
                 let mut st = self.state.lock();
@@ -126,24 +126,23 @@ impl<T> Mutex<T> {
         }
         MutexGuard {
             mutex: self,
-            ctx: Some(ctx.clone()),
+            ctx: Some(ctx),
         }
     }
 }
 
 /// RAII guard; unlocking (on drop) charges one sync op and wakes the next
-/// waiter.
+/// waiter. It borrows the locker's fabric handle for that: a clone per guard
+/// would be two reference-count updates on a line every node shares.
 pub struct MutexGuard<'a, T, F: Fabric> {
     mutex: &'a Mutex<T>,
     /// `None` once [`MutexGuard::release_for_wait`] has defused the guard.
-    ctx: Option<F>,
+    ctx: Option<&'a F>,
 }
 
 impl<'a, T, F: Fabric> MutexGuard<'a, T, F> {
     /// Give the guard up without unlocking: the condition-variable wait
-    /// unlocks by hand ([`Mutex::raw_unlock`]). The guard's fabric handle is
-    /// dropped here like any other value — forgetting the whole guard would
-    /// leak one reference to the fabric per wait, and with it the entire run.
+    /// unlocks by hand ([`Mutex::raw_unlock`]).
     pub(crate) fn release_for_wait(mut self) -> &'a Mutex<T> {
         self.ctx = None;
         self.mutex
@@ -167,7 +166,7 @@ impl<T, F: Fabric> DerefMut for MutexGuard<'_, T, F> {
 
 impl<T, F: Fabric> Drop for MutexGuard<'_, T, F> {
     fn drop(&mut self) {
-        if let Some(ctx) = &self.ctx {
+        if let Some(ctx) = self.ctx {
             charge_sync_op(ctx);
             self.mutex.raw_unlock(ctx);
         }
