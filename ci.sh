@@ -65,12 +65,13 @@ rm -f /tmp/ci_ident_a.json /tmp/ci_ident_b.json
 echo "table4 / msgprofile / ablation byte-identical across runs"
 
 echo "==> LocalFabric smoke (wall-clock backend: null-RMI + barrier ring)"
-# Real-hardware mode: null-RMI and a 4-thread barrier ring on OS threads
-# over the sharded rings. The binary asserts completion (no lost round
-# trips or barrier rounds) and nonzero wall-clock histograms, and checks
-# em3d ghost fields bit-match a simulator run of the same parameters. It
-# also prints the probe cost (null-RMI p50, metrics registry on over off):
-# reported only, the ratio is too noisy on a shared host to gate.
+# Real-hardware mode: null-RMI on two nodes and a barrier ring on four, each
+# node one OS thread running its tasks as fibers, over the lock-free rings.
+# The binary asserts completion (no lost round trips or barrier rounds) and
+# nonzero wall-clock histograms, and checks em3d ghost fields bit-match a
+# simulator run of the same parameters. It also prints the probe cost
+# (null-RMI p50, metrics registry on over off): reported only, the ratio is
+# too noisy on a shared host to gate.
 ./target/release/local --rmi-iters 500 --barriers 200 --json /tmp/ci_local.json
 rm -f /tmp/ci_local.json
 echo "LocalFabric smoke OK"
@@ -111,9 +112,9 @@ echo "==> fabric ring stress + wall-clock zero-alloc + bounded-task tests"
 # contention, and the zero-allocation guarantee of the wall-clock short-send
 # path (counting global allocator), in release mode where the fast paths are
 # actually taken. Also at full size only in release: 50 000 spawn/join pairs
-# on a constant number of OS threads, 20 000 threaded RMIs in one run, and
-# EM3D base in CC++ at the paper's graph size. These assert completion and
-# counts, not timings, so none is retried.
+# and a 5 000-wide task wave on exactly one OS thread per node, 20 000
+# threaded RMIs in one run, and EM3D base in CC++ at the paper's graph size.
+# These assert completion and counts, not timings, so none is retried.
 cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count \
     --test bounded_tasks
 cargo test --release -q -p mpmd-apps --test local_scale
@@ -175,15 +176,23 @@ rm -f /tmp/ci_explore.json
 echo "explore sweep OK"
 
 echo "==> threads-fallback build (fiber backend force-disabled)"
-# --cfg mpmd_no_fibers compiles out the fiber backend the way a
-# non-x86_64 target would; the engine must still build everywhere, and its
-# unit tests (the one Backend::switch, kernel re-entry) and the engine-level
-# integration tests must pass with Auto resolving to the threads backend
+# --cfg mpmd_no_fibers compiles out the fiber switch the way a non-x86_64
+# target would; both schedulers built on the baton must still build and
+# behave the same with every task on a pooled OS thread. The simulator's
+# engine: its unit tests (the one Backend::switch, kernel re-entry) and the
+# engine-level integration tests, with Auto resolving to the threads backend
 # (the exploration assertions compare against threads baselines, so passing
-# proves identical output). A separate target dir keeps the main cache warm.
-CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" \
-    cargo test -q -p mpmd-sim --lib --test explore --test inbox_waiters \
-    --test proptest_engine
+# proves identical output). LocalFabric's node scheduler: its unit tests
+# (panic containment, re-entry and borrowed-handle rules), the task-table
+# bounds of bounded_tasks and the whole conformance suite, on which one
+# node's tasks still run one at a time. A separate target dir keeps the main
+# cache warm.
+no_fibers() {
+    CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo test -q "$@"
+}
+no_fibers -p mpmd-sim --lib --test explore --test inbox_waiters --test proptest_engine
+no_fibers -p mpmd-fabric --lib --test bounded_tasks
+no_fibers -p mpmd-am --test fabric_conformance
 echo "threads fallback OK"
 
 echo "==> all checks passed"

@@ -158,10 +158,14 @@ pub fn enable_coalescing<F: Fabric>(ctx: &F, cfg: CoalesceConfig) {
     }
 }
 
-/// Body of the per-node linger daemon (wall-clock fabrics only): park until
-/// the earliest buffered deadline, flush what has expired, repeat. First
-/// appends into an empty buffer unpark it so it re-parks against the new
-/// deadline.
+/// Body of the per-node linger daemon (wall-clock fabrics only): sleep until
+/// the earliest buffered deadline, flush what has expired, repeat; with
+/// nothing buffered, park until the first append into an empty buffer
+/// unparks it. It never needs waking early: a buffer's deadline is set when
+/// it takes its first message, `max_linger` after that moment, so whatever is
+/// appended while the daemon sleeps expires after the deadline it sleeps to.
+/// (It does not wait on the inbox: frames are for whoever polls, and a wait
+/// that they end at once would spin.)
 fn linger_main<F: Fabric>(ctx: F) {
     let st = AmState::get(&ctx);
     while !ctx.shutting_down() {
@@ -170,18 +174,13 @@ fn linger_main<F: Fabric>(ctx: F) {
             .lock()
             .as_ref()
             .and_then(|cs| cs.earliest_deadline());
-        match next {
-            Some(d) if ctx.now() >= d => {
-                // The profile is set by `am::init`, which every runtime
-                // calls before sending; guard anyway for odd init orders.
-                let Some(p) = st.profile.get() else {
-                    ctx.park_for_inbox();
-                    continue;
-                };
-                flush_expired(&ctx, &st, p);
-            }
-            Some(d) => ctx.park_for_inbox_until(d),
-            None => ctx.park_for_inbox(),
+        let now = ctx.now();
+        match (next, st.profile.get()) {
+            (Some(d), Some(p)) if now >= d => flush_expired(&ctx, &st, p),
+            (Some(d), Some(_)) => ctx.sleep(d - now),
+            // Nothing buffered — or no profile yet, which `am::init` sets
+            // before anything can be sent.
+            _ => ctx.park(),
         }
     }
 }
@@ -253,9 +252,10 @@ pub(crate) fn append<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, msg: AmMsg
             crate::ops::poll(ctx);
         }
     } else if first && ctx.wall_clock() {
-        // A new deadline may now be the earliest: re-park the linger daemon
-        // against it. (Nothing to do on the simulator — no daemon exists,
-        // and virtual time cannot pass the deadline behind our back.)
+        // The buffers were empty and the linger daemon may be parked: it
+        // has a deadline to sleep to now. (Nothing to do on the simulator —
+        // no daemon exists, and virtual time cannot pass the deadline behind
+        // our back.)
         if let Some(t) = *st.linger.lock() {
             ctx.unpark(t);
         }

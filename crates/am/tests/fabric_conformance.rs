@@ -1,11 +1,11 @@
 //! Fabric conformance suite: one battery of AM-layer contracts, run against
 //! both [`Fabric`] implementations — the deterministic simulator
-//! (`SimFabric`, via [`mpmd_sim::Sim`]) and the wall-clock OS-thread
-//! backend ([`LocalFabric`]).
+//! (`SimFabric`, via [`mpmd_sim::Sim`]) and the wall-clock backend
+//! ([`LocalFabric`], one OS thread per node).
 //!
 //! Every battery is a single generic function over `F: Fabric`; the
 //! per-fabric `#[test]`s only differ in the driver that brings the machine
-//! up. A contract that holds on the simulator but not on real threads (or
+//! up. A contract that holds on the simulator but not on real hardware (or
 //! vice versa) fails here by construction.
 
 use mpmd_am as am;
@@ -390,8 +390,9 @@ fn storm_tokens<F: Fabric>(ctx: &F) {
 
 /// Task storm (c): `spawn_on` runs the task on the node it names, and a
 /// daemon spawned from there belongs to that node and winds down at
-/// shutdown. `wound_down` is checked by the driver after the run.
-fn storm_spawn_on<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicBool>) {
+/// shutdown. `wound_down` counts the daemons of the storm that have; the
+/// driver checks it after the run.
+fn storm_spawn_on<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicU64>) {
     if ctx.node() == 0 {
         let wound_down = Arc::clone(wound_down);
         let t = ctx.spawn_on(1, "visitor", move |c: F| {
@@ -404,19 +405,227 @@ fn storm_spawn_on<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicBool>) {
                     am::poll(&d);
                     d.park_for_inbox();
                 }
-                wound_down.store(true, Ordering::Release);
+                wound_down.fetch_add(1, Ordering::AcqRel);
             });
         });
         ctx.join(t);
     }
+    // Both ways at once: every node lands a wave of tasks on its neighbour
+    // and joins them while it hosts the neighbour's wave itself.
+    const WAVE: u64 = 500;
+    let other = (ctx.node() + 1) % ctx.nodes();
+    let landed = Arc::new(AtomicU64::new(0));
+    let wave: Vec<_> = (0..WAVE)
+        .map(|_| {
+            let landed = Arc::clone(&landed);
+            ctx.spawn_on(other, "wave", move |c: F| {
+                assert_eq!(c.node(), other, "spawn_on ran elsewhere");
+                landed.fetch_add(1, Ordering::AcqRel);
+            })
+        })
+        .collect();
+    for t in wave {
+        ctx.join(t);
+        assert!(ctx.is_finished(t));
+    }
+    assert_eq!(landed.load(Ordering::Acquire), WAVE);
 }
 
-fn battery_task_storm<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicBool>) {
+const H_WAKE: am::HandlerId = 103;
+
+/// Task storm (e): a task reaches a task of another node. Node 0 lands a
+/// task on node 1 that parks, then ends that park and joins it — from its
+/// own root on even rounds, from an AM handler (run by whichever task of
+/// node 0 polls) on odd ones. The join must not return before the target
+/// has finished, and a finished remote task reads as finished.
+fn storm_cross_node<F: Fabric>(ctx: &F) {
+    const ROUNDS: u64 = 1_000;
+    let handled = Arc::new(AtomicU64::new(0));
+    let handled2 = Arc::clone(&handled);
+    am::register(ctx, H_WAKE, move |rctx: &F, m| {
+        let t = mpmd_sim::TaskId(m.args[0] as u32);
+        // Only a wall-clock fabric carries an `unpark` across nodes; on the
+        // simulator such wake-ups travel as messages (see `Fabric::unpark`),
+        // so there the target does not park.
+        if rctx.wall_clock() {
+            rctx.unpark(t);
+        }
+        rctx.join(t);
+        assert!(rctx.is_finished(t), "joined, yet not finished");
+        handled2.fetch_add(1, Ordering::AcqRel);
+    });
+    am::barrier(ctx);
+    if ctx.node() == 0 {
+        for round in 0..ROUNDS {
+            let from_handler = round % 2 == 1;
+            let released = Arc::new(AtomicBool::new(false));
+            let released2 = Arc::clone(&released);
+            let t = ctx.spawn_on(1, "sleeper", move |c: F| {
+                if from_handler {
+                    am::endpoint(&c)
+                        .to(0)
+                        .handler(H_WAKE)
+                        .args([c.task_id().0 as u64, 0, 0, 0])
+                        .send();
+                }
+                if c.wall_clock() {
+                    c.park();
+                }
+                released2.store(true, Ordering::Release);
+            });
+            if from_handler {
+                let h = Arc::clone(&handled);
+                am::wait_until(ctx, move || h.load(Ordering::Acquire) == round / 2 + 1);
+            } else {
+                if ctx.wall_clock() {
+                    ctx.unpark(t);
+                }
+                ctx.join(t);
+            }
+            assert!(
+                released.load(Ordering::Acquire),
+                "round {round}: join returned before its target finished"
+            );
+            assert!(ctx.is_finished(t));
+        }
+    }
+    am::barrier(ctx);
+}
+
+/// Task storm (f): wind-down hands the node's thread round. Every node keeps
+/// two daemons: one waits, in a loop of `park`s, for a flag that the other
+/// sets only once the shutdown has begun — so the waiter's parks must let
+/// its sibling run even when they no longer block.
+fn storm_wind_down<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicU64>) {
+    let handed_over = Arc::new(AtomicBool::new(false));
+    let (flag, count) = (Arc::clone(&handed_over), Arc::clone(wound_down));
+    let waiter = ctx.spawn_daemon("waiter", move |c: F| {
+        while !flag.load(Ordering::Acquire) {
+            c.park();
+        }
+        count.fetch_add(1, Ordering::AcqRel);
+    });
+    let count = Arc::clone(wound_down);
+    ctx.spawn_daemon("setter", move |c: F| {
+        while !c.shutting_down() {
+            c.park();
+        }
+        handed_over.store(true, Ordering::Release);
+        c.unpark(waiter);
+        count.fetch_add(1, Ordering::AcqRel);
+    });
+}
+
+/// Daemons of the task storm that must have wound down by the end of a run
+/// on `nodes` nodes: (c)'s resident, and (f)'s pair on every node.
+fn storm_daemons(nodes: u64) -> u64 {
+    1 + 2 * nodes
+}
+
+fn battery_task_storm<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicU64>) {
     setup(ctx);
     storm_parfor(ctx);
     storm_tokens(ctx);
     storm_spawn_on(ctx, wound_down);
+    storm_cross_node(ctx);
+    storm_wind_down(ctx, wound_down);
     am::barrier(ctx);
+}
+
+/// Tasks of one node run until they block, one at a time: a section of
+/// plain computation between two scheduling points is never interleaved with
+/// a sibling's and never suspended. `inside` and `steps` are written with
+/// plain loads and stores, no read-modify-write — the fabric's scheduling is
+/// the only thing that keeps the sections apart.
+fn battery_run_until_block<F: Fabric>(ctx: &F) {
+    const TASKS: u64 = 8;
+    const SECTIONS: u64 = 40;
+    const STEPS: u64 = 200;
+    let inside = Arc::new(AtomicBool::new(false));
+    let steps = Arc::new(AtomicU64::new(0));
+    let tasks: Vec<_> = (0..TASKS)
+        .map(|me| {
+            let (inside, steps) = (Arc::clone(&inside), Arc::clone(&steps));
+            ctx.spawn("section", move |c: F| {
+                let mut x = me;
+                for _ in 0..SECTIONS {
+                    assert!(
+                        !inside.load(Ordering::Relaxed),
+                        "a sibling is inside its section"
+                    );
+                    inside.store(true, Ordering::Relaxed);
+                    let before = steps.load(Ordering::Relaxed);
+                    for k in 1..=STEPS {
+                        // Long enough that concurrent siblings would overlap.
+                        for _ in 0..100 {
+                            x = std::hint::black_box(x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ k);
+                        }
+                        steps.store(before + k, Ordering::Relaxed);
+                    }
+                    assert_eq!(
+                        steps.load(Ordering::Relaxed),
+                        before + STEPS,
+                        "a sibling ran during a section that never called the fabric"
+                    );
+                    inside.store(false, Ordering::Relaxed);
+                    c.yield_now();
+                }
+            })
+        })
+        .collect();
+    for t in tasks {
+        ctx.join(t);
+    }
+    assert_eq!(steps.load(Ordering::Relaxed), TASKS * SECTIONS * STEPS);
+}
+
+/// Timers fire in deadline order, never early, and do not need the node to
+/// go idle: three tasks wait — two in `sleep`, one in a timed inbox wait —
+/// for deadlines given out of order while the root keeps yielding. Ordering
+/// only: nothing here bounds how late a wake-up may be.
+fn battery_deadline_order<F: Fabric>(ctx: &F) {
+    let t0 = ctx.now();
+    // Far enough apart that starting the waiters cannot eat a deadline.
+    let due_ms = [30.0, 10.0, 20.0];
+    // (which waiter, root iterations so far), in wake-up order.
+    let woke = Arc::new(Mutex::new(Vec::new()));
+    let iterations = Arc::new(AtomicU64::new(0));
+    let tasks: Vec<_> = due_ms
+        .iter()
+        .enumerate()
+        .map(|(i, ms)| {
+            let deadline = t0 + mpmd_sim::ms(*ms);
+            let (woke, iterations) = (Arc::clone(&woke), Arc::clone(&iterations));
+            ctx.spawn("waiter", move |c: F| {
+                if i == 1 {
+                    while c.now() < deadline {
+                        c.park_for_inbox_until(deadline);
+                    }
+                } else {
+                    c.sleep(deadline.saturating_sub(c.now()));
+                }
+                assert!(c.now() >= deadline, "waiter {i} woke early");
+                woke.lock().push((i, iterations.load(Ordering::Acquire)));
+            })
+        })
+        .collect();
+    while woke.lock().len() < due_ms.len() {
+        // The simulator's clock moves only when somebody charges it.
+        ctx.charge(Bucket::Cpu, 10_000);
+        iterations.fetch_add(1, Ordering::AcqRel);
+        ctx.yield_now();
+    }
+    for t in tasks {
+        ctx.join(t);
+    }
+    let woke = woke.lock().clone();
+    let order: Vec<usize> = woke.iter().map(|(i, _)| *i).collect();
+    assert_eq!(order, [1, 2, 0], "wake-up order is not deadline order");
+    let seen: Vec<u64> = woke.iter().map(|(_, n)| *n).collect();
+    assert!(
+        seen[0] > 0 && seen[0] < seen[1] && seen[1] < seen[2],
+        "the yielding root did not run between wake-ups: {seen:?}"
+    );
 }
 
 const PROBES: u64 = 7;
@@ -659,6 +868,18 @@ macro_rules! conformance {
 
 conformance!(battery_ordering, ordering_sim, ordering_local, 2);
 conformance!(
+    battery_run_until_block,
+    run_until_block_sim,
+    run_until_block_local,
+    2
+);
+conformance!(
+    battery_deadline_order,
+    deadline_order_sim,
+    deadline_order_local,
+    1
+);
+conformance!(
     battery_flush_before_sync_read,
     flush_before_sync_read_sim,
     flush_before_sync_read_local,
@@ -800,23 +1021,25 @@ fn barrier_local() {
 
 #[test]
 fn task_storm_sim() {
-    let wound_down = Arc::new(AtomicBool::new(false));
+    let wound_down = Arc::new(AtomicU64::new(0));
     let w = Arc::clone(&wound_down);
     Sim::new(2).run(move |ctx| battery_task_storm(&ctx, &w));
-    assert!(
+    assert_eq!(
         wound_down.load(Ordering::Acquire),
-        "daemon outlived the run"
+        storm_daemons(2),
+        "daemons outlived the run"
     );
 }
 
 #[test]
 fn task_storm_local() {
-    let wound_down = Arc::new(AtomicBool::new(false));
+    let wound_down = Arc::new(AtomicU64::new(0));
     let w = Arc::clone(&wound_down);
     LocalFabric::run(2, move |ctx| battery_task_storm(&ctx, &w));
-    assert!(
+    assert_eq!(
         wound_down.load(Ordering::Acquire),
-        "daemon outlived the run"
+        storm_daemons(2),
+        "daemons outlived the run"
     );
 }
 

@@ -219,27 +219,6 @@ pub(crate) fn spin_wait<F: Fabric>(ctx: &F, pred: impl FnMut() -> bool) {
         .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
 }
 
-/// Run a blocking collective (e.g. a barrier) registered as a spinner —
-/// **wall-clock fabrics only**. The AM barrier spin-polls exactly like
-/// `spin_wait`, but through `am::wait_until` directly, so without this the
-/// polling thread sees `spinners == 0` and churns awake on every frame the
-/// barrier's own polls are about to service. Registering keeps the poller
-/// deferring (napping off the delivery parker) for the barrier's whole
-/// duration. Gated on `wall_clock` so the simulator's polling-thread
-/// wake-up accounting — part of the paper's measured cost — is unchanged.
-pub(crate) fn collective_wait<F: Fabric, R>(ctx: &F, f: impl FnOnce() -> R) -> R {
-    if !ctx.wall_clock() {
-        return f();
-    }
-    let st = CcxxState::get(ctx);
-    st.spinners
-        .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-    let r = f();
-    st.spinners
-        .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
-    r
-}
-
 /// Invoke `method` on node `dst` and wait for its reply.
 ///
 /// `words` are untyped word arguments (up to 4); marshalled arguments go in

@@ -48,13 +48,13 @@ pub fn init<F: Fabric>(ctx: &F, config: CcxxConfig) {
     crate::gp::register_gp_handlers(ctx);
     register_builtins(ctx);
     start_polling_thread(ctx, interrupts);
-    crate::rmi::collective_wait(ctx, || am::barrier(ctx));
+    am::barrier(ctx);
 }
 
 /// Shut the runtime down: waits for all nodes (barrier), then stops this
 /// node's polling thread so the simulation can terminate.
 pub fn finalize<F: Fabric>(ctx: &F) {
-    crate::rmi::collective_wait(ctx, || am::barrier(ctx));
+    am::barrier(ctx);
     apply_staged_adds(ctx);
     let st = CcxxState::get(ctx);
     st.poller_stop.store(true, Ordering::Release);
@@ -70,7 +70,7 @@ pub fn finalize<F: Fabric>(ctx: &F) {
 /// the paper did too: "the CC++ version of these applications is heavily
 /// based on the original Split-C implementations").
 pub fn barrier<F: Fabric>(ctx: &F) {
-    crate::rmi::collective_wait(ctx, || am::barrier(ctx));
+    am::barrier(ctx);
     apply_staged_adds(ctx);
 }
 
@@ -129,18 +129,7 @@ fn start_polling_thread<F: Fabric>(ctx: &F, interrupts: bool) {
             }
             if st.spinners.load(Ordering::Acquire) > 0 {
                 // Someone is actively polling; let them service the queue.
-                if cctx.wall_clock() {
-                    // On a wall-clock fabric, deferring by re-parking on the
-                    // delivery parker makes every sender pay a notify for a
-                    // thread that will do no work. Nap off the parker
-                    // instead: deadlock-avoidance degrades to at most one
-                    // nap of staleness if the last spinner leaves mid-nap
-                    // (we re-arm `park_for_inbox` on wake), and the RMI
-                    // fast path stops seeing poller wakeups entirely.
-                    cctx.sleep(mpmd_sim::us(500.0));
-                } else {
-                    cctx.yield_now();
-                }
+                cctx.yield_now();
                 continue;
             }
             // "ccxx.poll" covers one polling-thread wake-up with work: the

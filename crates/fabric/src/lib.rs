@@ -11,11 +11,11 @@
 //!
 //! * [`SimFabric`] — an alias for [`mpmd_sim::Ctx`], the deterministic
 //!   virtual-time kernel, which implements the trait directly.
-//! * [`LocalFabric`] — defined here: a wall-clock backend that runs each
-//!   node's tasks on pooled OS threads and carries frames over per-link
-//!   lock-free rings with parked-thread wakeup, so the same benchmarks
-//!   (null-RMI, fig5 exchanges, EM3D ghost traffic) execute on real hardware
-//!   and report measured nanoseconds.
+//! * [`LocalFabric`] — defined here: a wall-clock backend that gives each
+//!   node one OS thread, runs the node's tasks on it as run-until-block
+//!   fibers, and carries frames over per-link lock-free rings, so the same
+//!   benchmarks (null-RMI, fig5 exchanges, EM3D ghost traffic) execute on
+//!   real hardware and report measured nanoseconds.
 
 mod local;
 

@@ -1,67 +1,66 @@
-//! The wall-clock fabric: real OS threads, lock-free rings, real nanoseconds.
+//! The wall-clock fabric: one OS thread per node, real nanoseconds.
 //!
-//! [`LocalFabric`] runs every task on an OS thread taken from a per-node
-//! worker pool and carries frames over per-(src, dst) ring buffers with
-//! parked-thread wakeup, so the benchmarks built on the AM substrate
-//! (null-RMI, fig5-style exchanges, EM3D ghost traffic) execute on real
-//! hardware and the latency histograms hold *measured* nanoseconds instead
-//! of modeled ones.
+//! [`LocalFabric`] gives every node one OS thread and runs all of that node's
+//! tasks on it as stackful fibers under a run-until-block scheduler — the
+//! paper's lightweight non-preemptive threads package — and carries frames
+//! over per-(src, dst) lock-free rings ([`Ring`]), so the benchmarks built on
+//! the AM substrate execute on real hardware and the latency histograms hold
+//! *measured* nanoseconds instead of modeled ones. DESIGN.md §4a has the
+//! contract table; in short:
 //!
-//! The data path is built for throughput and tail latency (DESIGN.md §4a):
+//! * **Cooperative tasks per node.** A task runs until it calls a blocking
+//!   fabric operation (`park`, `park_for_inbox*`, `join`, `sleep`,
+//!   `yield_now`). `spawn`, `unpark` and a task's exit only move ids between
+//!   node-local queues, and the switch is the simulator's userspace stack
+//!   switch ([`mpmd_sim::baton`]): no futex, no kernel. Two tasks of one node
+//!   never run at the same time — what `mpmd-threads` documents and what the
+//!   simulator does. Nodes do run in parallel.
+//! * **One idle loop.** Only when no task of the node is runnable does its
+//!   thread wait — spin → yield → timed park on the [`NodeParker`], walking
+//!   the [`WaitPolicy`] ladder — and that loop is the one place that readies
+//!   inbox waiters when a ring is non-empty, fires timers from the node's
+//!   deadline list (`sleep`, `park_for_inbox_until`) and applies remote
+//!   operations. Whichever context found nothing runnable runs it in place:
+//!   a node with a single task spins on its own stack and never switches.
+//! * **Three pieces of cross-thread state**: the rings, the parker, and a
+//!   small per-node queue of remote operations ([`Op`]) for `spawn_on` and
+//!   for `unpark`/`join` of a task on another node. Task table, run queue,
+//!   deadline list and probe block ([`Block`]: counters, ledger and metrics
+//!   with no lock and no atomic, folded into the node's totals before
+//!   anything crosses a node boundary) are touched by the node's thread alone.
+//! * **A task that blocks outside the fabric** (a `std::sync` lock held by
+//!   another node, a syscall, `std::thread::sleep`) stalls every task of its
+//!   node for that long. A lock shared by two tasks of one node must not be
+//!   held across a blocking fabric call: the other would wait on it with
+//!   nobody left to release it.
+//! * **Stacks** are 2 MiB heap blocks recycled through a per-node pool, with
+//!   a canary word at the low end checked when a task exits and at teardown:
+//!   an overflow aborts the process with node and task named.
+//! * **Without the fiber switch** (anything but x86-64 unix, or `--cfg
+//!   mpmd_no_fibers`) the same scheduler moves the same baton between pooled
+//!   OS threads, one per live task, still one at a time per node.
 //!
-//! * **Lock-free ring fast path.** Each (src, dst) link is a bounded
-//!   MPMC ring in the Vyukov style — producers claim a slot by CAS on a
-//!   cache-line-padded tail cursor and publish it with a per-slot sequence
-//!   stamp; the producer mutex survives only as the *overflow* slow path
-//!   taken when the ring is full (or an earlier overflow is still
-//!   draining). Depth reads are pure atomic arithmetic and never block a
-//!   concurrent sender.
-//! * **Adaptive blocking waits.** Inbox parks escalate spin → yield →
-//!   timed park with exponentially growing slices capped at the reliable
-//!   layer's initial retransmit deadline ([`WaitPolicy`]); a productive
-//!   wake resets the ladder. The fixed 200 µs slice of the first version
-//!   is available as [`WaitPolicy::park_only`] for comparison.
-//! * **Wakeup hub without a sender-side mutex.** Frame delivery bumps an
-//!   atomic per-node generation; the hub mutex + condvar are touched only
-//!   when a waiter is actually parked.
-//! * **Pooled tasks, targeted wakeups.** `spawn` hands the job to the most
-//!   recently idled worker thread of the target node and creates an OS
-//!   thread only when none is idle; `park`/`unpark`/`join` block on and
-//!   signal the one task concerned, never the node or the process.
-//! * **Bookkeeping off the message path.** Counters, the charge ledger,
-//!   metrics and `node_data` lookups go to a plain per-worker [`Block`] with
-//!   no lock and no atomic; it is folded into the node's totals once per
-//!   send or wakeup, before the frame or token can be seen, and whenever
-//!   its task is about to wait anyway (see [`Block`]).
-//!
-//! Semantics relative to the simulated fabric:
-//!
-//! * **Clocks are wall-clock**: `now()` is nanoseconds since the run's
-//!   epoch; `charge()` only feeds the per-bucket ledger (it cannot advance
-//!   real time). The modeled `delay` of `send_msg` is ignored — the real
-//!   machine supplies the real latency.
-//! * **Per-link FIFO holds**: each (src, dst) pair has its own ring; the
-//!   ring → overflow → ring transition preserves send order by protocol
-//!   (see [`Ring`]). No cross-link order is promised (none is promised by
-//!   the simulator either — only observed, deterministically).
-//! * **Tasks on one node run concurrently** (the simulator runs them
-//!   cooperatively, one at a time). The layers above were audited for this:
-//!   all shared runtime state lives behind locks, and the contract already
-//!   allows spurious wakeups from `park_for_inbox`.
-//! * **No fault injection**: `faults_enabled()` is false and the builder
-//!   rejects cost models with a fault model installed, so the reliable
-//!   layer stays in its plain-send mode.
+//! Relative to the simulated fabric: clocks are wall-clock (`now()` is
+//! nanoseconds since the run's epoch, `charge()` only feeds the ledger, the
+//! modeled `delay` of `send_msg` is ignored); per-link FIFO holds and no
+//! cross-link order is promised; wakeup tokens are kept (an `unpark` that
+//! finds its target not parked ends the target's next `park`) and `unpark`
+//! reaches tasks of other nodes, where the simulator drops the one and
+//! rejects the other; `park_for_inbox` may return spuriously; and there is no
+//! fault injection (the builder rejects cost models that carry a fault
+//! model, so the reliable layer stays in its plain-send mode).
 
 use crate::Fabric;
+use mpmd_sim::baton::{Backend, BackendKind, TaskBody, TaskCell};
 use mpmd_sim::metrics::bucket_index;
 use mpmd_sim::{
     size_bucket, Bucket, CostModel, Histogram, MetricsRegistry, Msg, NodeMetrics, Payload, Report,
     Snapshot, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter,
 };
 use std::any::{Any, TypeId};
-use std::cell::{RefCell, UnsafeCell};
+use std::cell::{Cell, RefCell, RefMut, UnsafeCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -251,15 +250,14 @@ impl Ring {
     }
 }
 
-/// Wakeup hub for one node. Every frame delivery (and every unpark
-/// targeting the node) bumps `gen`; blocked tasks wait for "something
-/// happened here" without a thundering-herd spin. The mutex + condvar are
-/// touched only when `waiters` says somebody is actually parked, so the
-/// sender-side cost of a bump against a spinning (or absent) receiver is
-/// two uncontended atomics.
+/// Wakeup hub for one node. Every frame delivery, remote operation and phase
+/// change bumps `gen`; the node's idle loop waits for "something happened
+/// here". The mutex + condvar are touched only when `waiters` says the node's
+/// thread is actually parked, so the sender-side cost of a bump against a
+/// spinning (or busy) receiver is two uncontended atomics.
 struct NodeParker {
     gen: AtomicU64,
-    /// Tasks currently inside `park_timeout`.
+    /// Threads currently inside `park_timeout`: the node's own, or none.
     waiters: AtomicUsize,
     lock: Mutex<()>,
     cv: Condvar,
@@ -303,101 +301,13 @@ impl NodeParker {
     }
 }
 
-/// Lock ignoring poisoning. None of the task, pool or shutdown mutexes is
-/// held while user code runs, so a poisoned one only says that some task
-/// panicked elsewhere — which `run` re-raises itself, with the original
-/// message rather than `PoisonError`'s.
+/// Lock ignoring poisoning. The only user code that runs under one of the
+/// fabric's mutexes is a `node_data` init, and a panic there leaves the map
+/// as it was; a poisoned lock therefore only says that some task panicked —
+/// which `run` re-raises itself, with the original message rather than
+/// `PoisonError`'s.
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Bookkeeping for one task. Lives in its node's table shard from spawn
-/// until the task exits; handles that outlive it keep it through their `Arc`.
-///
-/// `lock` + `cv` carry both targeted wakeups: the task itself blocks on them
-/// in `park`, other tasks block on them in `join`. Each is a flag/flag
-/// handshake under SeqCst, as in [`NodeParker`]: the waiter raises its flag
-/// (`sleeping` / `joined`) and *then* reads the condition (`unparked` /
-/// `finished`) under `lock`; the waker sets the condition and *then* reads
-/// the flag. At least one side sees the other's store, so either the waiter
-/// skips the wait or the waker takes `lock` — which it can only get before
-/// the waiter's locked check or after the waiter is inside `cv.wait` — and
-/// notifies.
-struct TaskRec {
-    node: usize,
-    /// Consumable wakeup token: set by `unpark`, consumed by `park`.
-    unparked: AtomicBool,
-    /// The task is blocked, or about to block, on `cv` inside `park`.
-    sleeping: AtomicBool,
-    /// The task is inside an inbox wait, where it sleeps on the *node*
-    /// parker: the one state in which `unpark` must bump that parker.
-    inbox_waiting: AtomicBool,
-    finished: AtomicBool,
-    /// Some task has blocked in `join` on this one.
-    joined: AtomicBool,
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl TaskRec {
-    fn new(node: usize) -> Self {
-        TaskRec {
-            node,
-            unparked: AtomicBool::new(false),
-            sleeping: AtomicBool::new(false),
-            inbox_waiting: AtomicBool::new(false),
-            finished: AtomicBool::new(false),
-            joined: AtomicBool::new(false),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Consume the wakeup token if it is set. The load first keeps a
-    /// spinning waiter from bouncing the line with a swap per iteration; it
-    /// is SeqCst because it is the waiter's read in the handshakes.
-    fn take_token(&self) -> bool {
-        self.unparked.load(Ordering::SeqCst) && self.unparked.swap(false, Ordering::SeqCst)
-    }
-
-    /// Wake whoever blocks on `cv`. Taking the lock (even empty) fences
-    /// against a waiter that has raised its flag but not yet entered `wait`.
-    fn notify(&self) {
-        drop(locked(&self.lock));
-        self.cv.notify_all();
-    }
-}
-
-type TaskFn = Box<dyn FnOnce(LocalFabric) + Send>;
-
-/// One task handed to a worker.
-struct Job {
-    f: TaskFn,
-    fab: LocalFabric,
-    daemon: bool,
-}
-
-enum Mail {
-    Empty,
-    Job(Job),
-    Stop,
-}
-
-/// A pooled OS thread. It belongs to one node for life and cycles run job →
-/// exit bookkeeping → idle → wait for mail.
-struct Worker {
-    mail: Mutex<Mail>,
-    cv: Condvar,
-}
-
-/// One node's idle workers, most recently idled last (`spawn` pops the hot
-/// one). Once `stopped`, workers exit instead of idling and `spawn` finds
-/// nobody here, so it creates a thread that `run` then joins.
-struct Pool {
-    idle: Vec<Arc<Worker>>,
-    stopped: bool,
-    /// Workers ever created on this node; only names them.
-    created: usize,
 }
 
 /// The payload that unwinds a task blocked in a poisoned run. Raised with
@@ -406,7 +316,7 @@ struct RunPoisoned;
 
 type Singleton = Arc<dyn Any + Send + Sync>;
 
-/// A few values keyed by metric name, for one thread. A dozen names at most,
+/// A few values keyed by metric name, for one node. A dozen names at most,
 /// so one scan of the (densely packed) names beats hashing them; each
 /// comparison tries the address first — a call site passes the same literal
 /// every time — and the value second, because two call sites naming the same
@@ -436,26 +346,27 @@ impl<V: Default> NameTable<V> {
     }
 }
 
-/// One worker thread's probe block: what its tasks counted, charged and
-/// observed since the last merge, and the node singletons they have fetched.
-/// Plain fields written by the owning thread alone — no lock, no atomic.
+/// A node's probe block: what its tasks counted, charged and observed since
+/// the last merge, and the node singletons they have fetched. Plain fields
+/// written by the node's own thread alone — no lock, no atomic.
 ///
-/// [`LfInner::merge`] folds a block into the node's `stats` / `metrics`
-/// totals and zeroes it, in two kinds of place:
+/// [`LfInner::merge`] folds the block into the node's `stats` / `metrics`
+/// totals and zeroes it:
 ///
-/// * **Before anything the task did can be observed through the fabric** —
-///   in `send_msg` ahead of the push, in `unpark`, in `spawn*`, and at task
-///   exit ahead of `finished`. Whoever receives that frame, is woken by that
-///   token, runs as that child or joins that task therefore reads totals that
-///   hold everything the task counted up to then, which is what makes a
-///   snapshot taken behind a barrier exact.
-/// * **Where the task stops running anyway** — an inbox wait that found
-///   nothing, the park phase of `park`, `join`, `sleep` — and in the task's
-///   own `snapshot()`, so a long wait does not sit on counts.
+/// * **Before anything the node did can be observed from another node** — in
+///   `send_msg` ahead of the push, and ahead of every remote operation: a
+///   `spawn_on`, an `unpark` or `join` of another node's task, the answer to
+///   a remote joiner. Whoever receives that frame, runs as that child, is
+///   woken by that token or joins that task therefore reads totals that hold
+///   everything the node counted up to then, which is what makes a snapshot
+///   taken behind a barrier exact. A wake-up within the node needs no merge:
+///   both tasks count into the same block.
+/// * **Where the node stops running anyway** — before its idle loop parks —
+///   and in a task's own `snapshot()`, so a long wait does not sit on counts.
 ///
 /// The totals are exact once a run has ended; a mid-run snapshot holds
 /// everything that happened before it by way of the fabric, and everything
-/// each task did up to its last wait.
+/// each node did up to the last time it went idle.
 #[derive(Default)]
 struct Block {
     stats: Stats,
@@ -487,61 +398,238 @@ impl Block {
     }
 }
 
-/// A worker's block and the `(run, node)` it counts for. `run` is only ever
-/// compared: the worker holds an `Arc` of its run for as long as this value
-/// exists, so no other run can sit at that address.
-struct Probe {
-    run: *const LfInner,
-    node: usize,
+/// What a task that is not running is waiting for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// In the run queue.
+    Ready,
+    Running,
+    /// In `park`: ended by `unpark`.
+    Parked,
+    /// In `park_for_inbox*`: ended by a frame, by `unpark`, by its deadline
+    /// if it has one, or spuriously when the idle loop comes back from a park.
+    InboxWait,
+    /// In `sleep`: ended by its deadline.
+    Sleeping,
+    /// In `join`, or asking another node about one of its tasks: ended by the
+    /// target's exit or by the owner's reply, never by `unpark`.
+    Joining,
+}
+
+/// Bookkeeping for one live task, in its node's table from spawn to exit.
+struct TaskRec {
+    cell: Arc<TaskCell>,
+    state: State,
+    /// Consumable wakeup token: left by an `unpark` that found the task not
+    /// parked, taken by its next `park` or inbox wait.
+    token: bool,
+    /// The task has an entry in the deadline list.
+    timed: bool,
+    daemon: bool,
+    /// Tasks (of any node) blocked in `join` on this one.
+    joiners: Vec<TaskId>,
+    /// What the owner of a remote task answered: whether it has finished.
+    reply: Option<bool>,
+}
+
+type TaskFn = Box<dyn FnOnce(LocalFabric) + Send>;
+
+/// Something one node asks of another (or `run` of a node): the third piece
+/// of cross-thread state, beside the rings and the parker. Applied by the
+/// target's own thread, in the order posted.
+enum Op {
+    /// Start task `.0`, a daemon if `.1`.
+    Spawn(TaskId, bool, TaskFn),
+    Unpark(TaskId),
+    /// Task `.1`, of another node, asks about task `.0`: answer at once if
+    /// it has exited, else when it does (if `.2`) or that it has not.
+    Join(TaskId, TaskId, bool),
+    /// The answer to task `.0`'s `Join`: whether the target has finished.
+    Joined(TaskId, bool),
+}
+
+#[derive(Default)]
+struct OpQueue {
+    ops: Vec<Op>,
+    /// The node's thread has exited: every task it will ever run has
+    /// finished and nothing posted from now on would be looked at.
+    closed: bool,
+}
+
+/// Everything a node's own thread keeps about its tasks. No lock and no
+/// atomic: it is reached through [`NodeLocal`] by whichever context of the
+/// node holds the baton, and only one does at a time.
+struct Sched {
+    /// Live tasks by id: a record is removed when its task exits.
+    tasks: HashMap<u32, TaskRec>,
+    /// Run queue, first in first out.
+    ready: VecDeque<TaskId>,
+    /// The task that holds the baton; `None` while the engine does.
+    current: Option<TaskId>,
+    /// Tasks in `park_for_inbox*`, in arrival order.
+    inbox_waiters: Vec<TaskId>,
+    /// The deadline list (`sleep`s, timed inbox waits), soonest first.
+    timers: VecDeque<(Time, TaskId)>,
+    /// Non-daemon tasks in `tasks`; the node holds the run open while > 0.
+    live: usize,
+    /// The run phase this node has acted on (see [`LfInner::phase`]).
+    seen_phase: u8,
+    /// Escalation state of the idle loop, kept across idle periods: waits
+    /// that end unproductively keep backing off, a productive one resets it.
+    waiter: Waiter,
     block: Block,
 }
 
-/// What a task did wrong when `PROBE` is found borrowed.
+impl Sched {
+    fn new(wait: WaitPolicy) -> Self {
+        Sched {
+            tasks: HashMap::new(),
+            ready: VecDeque::new(),
+            current: None,
+            inbox_waiters: Vec::new(),
+            timers: VecDeque::new(),
+            live: 0,
+            seen_phase: RUNNING,
+            waiter: Waiter::new(wait),
+            block: Block::default(),
+        }
+    }
+
+    fn rec(&mut self, t: TaskId) -> &mut TaskRec {
+        self.tasks
+            .get_mut(&t.0)
+            .expect("a running task has a record")
+    }
+
+    /// Move `t` to the run queue if it is blocked (and still exists).
+    fn wake(&mut self, t: TaskId) {
+        let Some(rec) = self.tasks.get_mut(&t.0) else {
+            return;
+        };
+        match rec.state {
+            State::Ready | State::Running => return,
+            State::InboxWait => self.inbox_waiters.retain(|w| *w != t),
+            State::Parked | State::Sleeping | State::Joining => {}
+        }
+        if std::mem::take(&mut rec.timed) {
+            self.timers.retain(|(_, w)| *w != t);
+        }
+        rec.state = State::Ready;
+        self.ready.push_back(t);
+    }
+
+    fn wake_inbox_waiters(&mut self) {
+        let mut waiters = std::mem::take(&mut self.inbox_waiters);
+        for t in waiters.drain(..) {
+            self.wake(t);
+        }
+        self.inbox_waiters = waiters;
+    }
+
+    /// Give the running task `t` an entry in the deadline list.
+    fn add_timer(&mut self, deadline: Time, t: TaskId) {
+        let at = self.timers.partition_point(|(d, _)| *d <= deadline);
+        self.timers.insert(at, (deadline, t));
+        self.rec(t).timed = true;
+    }
+
+    /// `unpark(t)` for a task of this node.
+    fn unpark(&mut self, t: TaskId) {
+        match self.tasks.get_mut(&t.0) {
+            Some(rec) if matches!(rec.state, State::Parked | State::InboxWait) => self.wake(t),
+            Some(rec) => rec.token = true,
+            // Exited: nobody is left to wake, and no token is left behind.
+            None => {}
+        }
+    }
+
+    /// Hand the baton to `t`, which came off the run queue.
+    fn run(&mut self, t: TaskId) -> Arc<TaskCell> {
+        self.current = Some(t);
+        let rec = self.rec(t);
+        rec.state = State::Running;
+        Arc::clone(&rec.cell)
+    }
+}
+
+/// A node's [`Sched`], shared through the run's `Arc` but touched only by
+/// the thread that holds the node's baton.
+struct NodeLocal(RefCell<Sched>);
+
+// SAFETY: every access goes through `LocalFabric::local`, `node_main` or
+// `finish_task`, which run on the thread holding this node's baton — the
+// handle methods after checking `CURRENT`, the other two by construction.
+// One context holds a baton at a time and a baton switch synchronizes (it is
+// a stack switch on one thread, or a mutex handoff between two), so the
+// `RefCell` is never touched concurrently. Its borrow flag then does its
+// usual job within that thread: a probe closure that calls back into the
+// fabric finds it borrowed. `Sched` itself is `Send`: task bodies and
+// singletons are, and cells are only ever switched by the baton holder.
+unsafe impl Sync for NodeLocal {}
+
+/// One node: what other threads may touch, and (in `local`) what they may not.
+#[repr(align(128))]
+struct Node {
+    parker: NodeParker,
+    ops: Mutex<OpQueue>,
+    /// `ops` is non-empty. Written under its lock, read without.
+    ops_pending: AtomicBool,
+    /// Next task sequence number: ids are `seq * nodes + node`.
+    next_task: AtomicU32,
+    /// Round-robin start of the link scan: no neighbor starves the others.
+    rotate: AtomicUsize,
+    /// Counter totals: the merge target of the node's probe block, locked
+    /// only by [`LfInner::merge`] and by readers.
+    stats: Mutex<Stats>,
+    /// Typed singletons. The node's thread asks here once per type and
+    /// serves every later `node_data` call from its block's cache.
+    node_data: Mutex<HashMap<TypeId, Singleton>>,
+    /// Metric totals, the other merge target; `None` with metrics off.
+    metrics: Option<Mutex<NodeMetrics>>,
+    /// The node's baton. Its engine context is the node's thread.
+    backend: Backend,
+    local: NodeLocal,
+}
+
+/// What a task did wrong when its node's scheduler is found borrowed.
 const REENTRY: &str = "LocalFabric re-entered from a `with_stats` closure or a `node_data` \
-                       init: they run on the calling thread's probe block and must not call \
-                       back into the fabric";
+                       init: they run on the node's probe block and must not call back into \
+                       the fabric";
+
+/// What a task did wrong when it blocks through a handle that is not its own.
+const BORROWED: &str = "a LocalFabric handle blocks only the task it was given to, on that \
+                        task's node: `park`, `join`, `sleep`, `yield_now`, `park_for_inbox*` and \
+                        a remote `is_finished` through a handle borrowed from another task, \
+                        another node or carried outside the run would switch a scheduler the \
+                        caller does not hold";
+
+/// Run phases, in order.
+const RUNNING: u8 = 0;
+/// Only daemons are left: they wind down.
+const SHUTTING_DOWN: u8 = 1;
+/// A task panicked: every task unwinds at its next blocking call.
+const POISONED: u8 = 2;
 
 struct LfInner {
     nodes: usize,
     cost: CostModel,
-    /// Blocking-wait escalation policy of every task in the run.
-    wait: WaitPolicy,
     epoch: Instant,
     rings: Vec<Ring>, // src * nodes + dst
-    parkers: Vec<NodeParker>,
-    /// Per-node counter totals: the merge target of the workers' probe
-    /// blocks, locked only by [`LfInner::merge`] and by readers.
-    stats: Vec<Mutex<Stats>>,
-    /// Per-node typed singletons. A worker asks here once per type and
-    /// serves every later `node_data` call from its block's cache.
-    node_data: Vec<Mutex<HashMap<TypeId, Singleton>>>,
-    /// Per-node metric totals, the other merge target.
-    metrics: Option<Vec<Mutex<NodeMetrics>>>,
-    /// Round-robin start index for each node's link scan, so one chatty
-    /// neighbor cannot starve the others.
-    rotate: Vec<AtomicUsize>,
-    /// Live tasks by id, one shard per node. Task ids are
-    /// `seq * nodes + node`, so an id names its shard and `unpark`/`join`
-    /// lock only the target node's. A record is removed when its task exits:
-    /// the table holds the live set, not the run's history.
-    tasks: Vec<Mutex<HashMap<u32, Arc<TaskRec>>>>,
-    /// Per-node task sequence numbers (the `seq` above).
-    next_task: Vec<AtomicU32>,
-    pools: Vec<Mutex<Pool>>,
-    /// Live non-daemon tasks, plus one held by `run` until every root is
-    /// spawned; shutdown begins when this reaches zero.
-    live: AtomicUsize,
-    shutting_down: AtomicBool,
-    /// Shutdown signaling to `run`; nothing else waits here.
-    fin: Mutex<()>,
-    fin_cv: Condvar,
-    /// Every worker thread ever created, joined by `run` after shutdown.
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    node: Vec<Node>,
+    /// What keeps the run open: one hold per node with a live non-daemon
+    /// task, one per non-daemon spawn still in an op queue, and one kept by
+    /// `run` until every root is posted. Shutdown begins at zero.
+    holds: AtomicUsize,
+    phase: AtomicU8,
     /// Payload of the first task panic; `run` re-raises it.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl LfInner {
+    fn now(&self) -> Time {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
     fn ring(&self, src: usize, dst: usize) -> &Ring {
         &self.rings[src * self.nodes + dst]
     }
@@ -550,94 +638,323 @@ impl LfInner {
         (0..self.nodes).map(|s| self.ring(s, node).depth()).sum()
     }
 
-    /// The record of live task `t`; `None` once it has exited (an id this
-    /// run issued whose record is gone). Panics on an id never issued.
-    fn task(&self, t: TaskId) -> Option<Arc<TaskRec>> {
-        let node = t.0 as usize % self.nodes;
-        let rec = locked(&self.tasks[node]).get(&t.0).cloned();
-        if rec.is_none() {
-            let issued = self.next_task[node].load(Ordering::SeqCst);
-            assert!(t.0 / (self.nodes as u32) < issued, "unknown task {t:?}");
-        }
-        rec
+    fn node_of(&self, t: TaskId) -> usize {
+        t.0 as usize % self.nodes
     }
 
-    /// Set `rec`'s wakeup token and wake the task wherever it sleeps: on its
-    /// own condvar in `park`, on its node's parker in an inbox wait (the
-    /// CC++ poller and the AM daemons are stopped that way).
-    fn unpark(&self, rec: &TaskRec) {
-        rec.unparked.store(true, Ordering::SeqCst);
-        if rec.sleeping.load(Ordering::SeqCst) {
-            rec.notify();
-        }
-        if rec.inbox_waiting.load(Ordering::SeqCst) {
-            self.parkers[rec.node].bump();
-        }
+    fn phase(&self) -> u8 {
+        self.phase.load(Ordering::SeqCst)
     }
 
-    /// Wake everything that blocks: inbox waiters through their node
-    /// parkers, token parkers one by one, and `run`.
-    fn begin_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        for p in &self.parkers {
-            p.bump();
+    fn new_task_id(&self, node: usize) -> TaskId {
+        let seq = self.node[node].next_task.fetch_add(1, Ordering::SeqCst);
+        seq.checked_mul(self.nodes as u32)
+            .and_then(|base| base.checked_add(node as u32))
+            .map(TaskId)
+            .expect("task ids exhausted")
+    }
+
+    /// Panic on an id this run never issued (one it issued and no longer
+    /// knows names a task that has exited).
+    fn check_issued(&self, t: TaskId) {
+        let issued = self.node[self.node_of(t)].next_task.load(Ordering::SeqCst);
+        assert!(t.0 / (self.nodes as u32) < issued, "unknown task {t:?}");
+    }
+
+    /// Queue `op` for `node`'s thread and wake it; `false` if it has exited.
+    fn post(&self, node: usize, op: Op) -> bool {
+        let target = &self.node[node];
+        {
+            let mut q = locked(&target.ops);
+            if q.closed {
+                return false;
+            }
+            q.ops.push(op);
+            target.ops_pending.store(true, Ordering::Release);
         }
-        for shard in &self.tasks {
-            // Collected first: `notify` takes task locks, which must not
-            // nest inside the shard lock.
-            let recs: Vec<_> = locked(shard).values().cloned().collect();
-            for rec in recs {
-                if rec.sleeping.load(Ordering::SeqCst) {
-                    rec.notify();
+        target.parker.bump();
+        true
+    }
+
+    /// Spawn from another thread than `node`'s own. A non-daemon task holds
+    /// the run open from here, not only once `node` has looked at the op.
+    fn spawn_remote(&self, node: usize, daemon: bool, f: TaskFn) -> TaskId {
+        let id = self.new_task_id(node);
+        if !daemon {
+            self.holds.fetch_add(1, Ordering::SeqCst);
+        }
+        let posted = self.post(node, Op::Spawn(id, daemon, f));
+        assert!(posted, "spawn on node {node}, which has wound down");
+        id
+    }
+
+    /// Register task `id` on `node` and give it a context. Runs on `node`'s
+    /// thread, which lends its scheduler.
+    fn start_task<G>(self: &Arc<Self>, node: usize, s: &mut Sched, id: TaskId, daemon: bool, f: G)
+    where
+        G: FnOnce(LocalFabric) + Send + 'static,
+    {
+        let backend = &self.node[node].backend;
+        let cell = Arc::new(backend.new_cell());
+        if !daemon {
+            s.live += 1;
+            if s.live == 1 {
+                self.holds.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        s.tasks.insert(
+            id.0,
+            TaskRec {
+                cell: Arc::clone(&cell),
+                state: State::Ready,
+                token: false,
+                timed: false,
+                daemon,
+                joiners: Vec::new(),
+                reply: None,
+            },
+        );
+        s.ready.push_back(id);
+        let fab = LocalFabric {
+            inner: Arc::clone(self),
+            node,
+            task: id,
+            cell: Arc::clone(&cell),
+        };
+        let body: TaskBody = Box::new(move || {
+            let inner = Arc::clone(&fab.inner);
+            // On the fallback backend this body is on a pooled thread of its
+            // own; with fibers the store repeats what the last task wrote.
+            CURRENT.set((Arc::as_ptr(&inner), node));
+            // The root of the task's stack: nothing may unwind past it.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(fab)));
+            inner.finish_task(node, id, outcome)
+        });
+        backend.start(cell, body, (node, id.0));
+    }
+
+    /// Exit bookkeeping of task `id`, on its own stack: wake its joiners,
+    /// release its hold on the run and pick who gets the baton next (`None`:
+    /// the engine, which idles).
+    fn finish_task(
+        self: &Arc<Self>,
+        node: usize,
+        id: TaskId,
+        outcome: std::thread::Result<()>,
+    ) -> Option<Arc<TaskCell>> {
+        if let Err(payload) = outcome {
+            if !payload.is::<RunPoisoned>() {
+                locked(&self.panic).get_or_insert(payload);
+                self.begin_shutdown(POISONED);
+            }
+        }
+        let mut s = self.node[node].local.0.borrow_mut();
+        let rec = s.tasks.remove(&id.0).expect("a running task has a record");
+        for j in rec.joiners {
+            let home = self.node_of(j);
+            if home == node {
+                s.wake(j);
+            } else {
+                self.answer(node, &mut s, j, true);
+            }
+        }
+        if !rec.daemon {
+            s.live -= 1;
+            if s.live == 0 {
+                self.release_hold();
+            }
+        }
+        self.poll_events(node, &mut s);
+        let next = s.ready.pop_front();
+        if next.is_none() {
+            s.current = None;
+        }
+        next.map(|t| s.run(t))
+    }
+
+    /// Apply what has happened to `node` from outside since the last call:
+    /// remote ops, deadlines that have passed, frames its inbox waiters wait
+    /// for, a new run phase. Returns whether anything had. Called wherever
+    /// the node picks its next task, so a node that is never idle still sees
+    /// all four.
+    fn poll_events(self: &Arc<Self>, node: usize, s: &mut Sched) -> bool {
+        let mut any = false;
+        if self.node[node].ops_pending.load(Ordering::Acquire) {
+            self.apply_ops(node, s);
+            any = true;
+        }
+        while s.timers.front().is_some_and(|(d, _)| self.now() >= *d) {
+            let (_, t) = s.timers.pop_front().expect("checked");
+            s.rec(t).timed = false;
+            s.wake(t);
+            any = true;
+        }
+        if !s.inbox_waiters.is_empty() && self.inbox_len(node) > 0 {
+            s.wake_inbox_waiters();
+            any = true;
+        }
+        let phase = self.phase();
+        if phase != s.seen_phase {
+            s.seen_phase = phase;
+            // Teardown: whoever would have woken a parked or sleeping task
+            // may be gone, and waking spuriously beats deadlocking. In a
+            // poisoned run joiners go too; all of them unwind when resumed.
+            let stuck: Vec<TaskId> = s
+                .tasks
+                .iter()
+                .filter(|(_, r)| match r.state {
+                    State::Ready | State::Running => false,
+                    State::Joining => phase == POISONED,
+                    State::Parked | State::InboxWait | State::Sleeping => true,
+                })
+                .map(|(id, _)| TaskId(*id))
+                .collect();
+            for t in stuck {
+                s.wake(t);
+            }
+            any = true;
+        }
+        any
+    }
+
+    fn apply_ops(self: &Arc<Self>, node: usize, s: &mut Sched) {
+        let me = &self.node[node];
+        let batch = {
+            let mut q = locked(&me.ops);
+            me.ops_pending.store(false, Ordering::Release);
+            std::mem::take(&mut q.ops)
+        };
+        for op in batch {
+            match op {
+                Op::Spawn(id, daemon, f) => {
+                    self.start_task(node, s, id, daemon, f);
+                    if !daemon {
+                        // The spawner's hold; the node has its own by now.
+                        self.release_hold();
+                    }
+                }
+                Op::Unpark(t) => s.unpark(t),
+                Op::Join(target, waiter, wait) => match s.tasks.get_mut(&target.0) {
+                    Some(rec) if wait => rec.joiners.push(waiter),
+                    rec => {
+                        let finished = rec.is_none();
+                        self.answer(node, s, waiter, finished);
+                    }
+                },
+                Op::Joined(waiter, finished) => {
+                    if let Some(rec) = s.tasks.get_mut(&waiter.0) {
+                        if rec.state == State::Joining {
+                            rec.reply = Some(finished);
+                            s.wake(waiter);
+                        }
+                    }
                 }
             }
         }
-        drop(locked(&self.fin));
-        self.fin_cv.notify_all();
+    }
+
+    /// Tell `waiter`, a task of another node, about a task of this one. It
+    /// may go on to read totals that include what that task counted.
+    fn answer(&self, node: usize, s: &mut Sched, waiter: TaskId, finished: bool) {
+        self.merge(node, &mut s.block);
+        self.post(self.node_of(waiter), Op::Joined(waiter, finished));
+    }
+
+    /// The next task to run on `node`, waiting for one to become runnable if
+    /// none is: the node's idle loop, run in place by whichever context —
+    /// a blocking task or the engine — found the run queue empty. `None`
+    /// once the run is over for this node: it is shutting down and the
+    /// node's last task has exited.
+    fn next_ready(self: &Arc<Self>, node: usize, s: &mut Sched) -> Option<TaskId> {
+        let me = &self.node[node];
+        loop {
+            // Read before the checks: whatever lands after them moves the
+            // generation past `seen`, and the wait below returns at once.
+            let seen = me.parker.gen.load(Ordering::SeqCst);
+            if self.poll_events(node, s) {
+                s.waiter.reset();
+            }
+            if let Some(t) = s.ready.pop_front() {
+                return Some(t);
+            }
+            if s.tasks.is_empty() && self.phase() != RUNNING {
+                let mut q = locked(&me.ops);
+                if q.ops.is_empty() {
+                    q.closed = true;
+                    return None;
+                }
+                continue;
+            }
+            self.idle(node, s, seen);
+        }
+    }
+
+    /// One wait of the idle loop. Returns when the parker's generation has
+    /// moved past `seen` (a frame, a remote op, a phase change), when the
+    /// earliest deadline has passed, or after one bounded park — then every
+    /// inbox waiter is released, spuriously, since what it really waits for
+    /// may be a store by another node that bumps nothing.
+    fn idle(self: &Arc<Self>, node: usize, s: &mut Sched, seen: u64) {
+        let parker = &self.node[node].parker;
+        loop {
+            // Time left until the earliest deadline, if there is one.
+            let left = s.timers.front().map(|(d, _)| d.saturating_sub(self.now()));
+            if left == Some(0) {
+                return;
+            }
+            match s.waiter.next_phase() {
+                WaitPhase::Spin => std::hint::spin_loop(),
+                WaitPhase::Yield => std::thread::yield_now(),
+                WaitPhase::Park(slice) => {
+                    // Nothing to do until something lands: the time the
+                    // merge takes is time this thread would have slept.
+                    self.merge(node, &mut s.block);
+                    let dur = left.map_or(slice, |l| slice.min(l));
+                    parker.park_timeout(seen, Duration::from_nanos(dur));
+                    // Before the spurious release, which would hide that a
+                    // frame is what ended the park.
+                    if self.poll_events(node, s) {
+                        s.waiter.reset();
+                    }
+                    s.wake_inbox_waiters();
+                    return;
+                }
+            }
+            if parker.gen.load(Ordering::SeqCst) != seen {
+                return;
+            }
+        }
+    }
+
+    /// Enter `phase` (never leave a later one) and wake every node's thread
+    /// to act on it.
+    fn begin_shutdown(&self, phase: u8) {
+        self.phase.fetch_max(phase, Ordering::SeqCst);
+        for n in &self.node {
+            n.parker.bump();
+        }
+    }
+
+    /// Release one hold on the run; the last one begins the shutdown.
+    fn release_hold(&self) {
+        if self.holds.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.begin_shutdown(SHUTTING_DOWN);
+        }
     }
 
     /// In a run poisoned by a task panic, unwind the calling task too: what
-    /// it is about to block on may never come. Called only once
-    /// `shutting_down` is set, so the healthy paths never take this lock.
+    /// it is about to block on may never come.
     fn check_poison(&self) {
-        if locked(&self.panic).is_some() {
+        if self.phase() == POISONED {
             std::panic::resume_unwind(Box::new(RunPoisoned));
         }
     }
 
-    /// Tell every idle worker to exit and join all worker threads. A
-    /// busy worker (a daemon still winding down) exits when its job does; a
-    /// thread created during the joins was pushed to `handles` by a task
-    /// whose own worker is still being joined, so the loop sees it.
-    fn stop_pool(&self) {
-        for pool in &self.pools {
-            let idle = {
-                let mut pool = locked(pool);
-                pool.stopped = true;
-                std::mem::take(&mut pool.idle)
-            };
-            for w in idle {
-                *locked(&w.mail) = Mail::Stop;
-                w.cv.notify_one();
-            }
-        }
-        loop {
-            let batch = std::mem::take(&mut *locked(&self.handles));
-            if batch.is_empty() {
-                return;
-            }
-            for h in batch {
-                h.join().expect("worker died outside a job");
-            }
-        }
-    }
-
-    /// Release one hold on `live` (a non-daemon task returned, or `run`
-    /// finished spawning roots); the last one begins the shutdown.
-    fn release_live(&self) {
-        if self.live.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.begin_shutdown();
-        }
+    /// A joiner was resumed with its target still running, which only the
+    /// teardown of a poisoned run does: unwind it.
+    fn woken_by_teardown(&self) -> ! {
+        self.check_poison();
+        unreachable!("a joiner woke in a healthy run before its target finished")
     }
 
     /// Fold `b` into `node`'s totals and zero it. Besides the readers below
@@ -645,16 +962,13 @@ impl LfInner {
     /// code runs under either.
     fn merge(&self, node: usize, b: &mut Block) {
         if b.stats_dirty {
-            locked(&self.stats[node]).merge(&b.stats);
+            locked(&self.node[node].stats).merge(&b.stats);
             b.stats = Stats::default();
             b.stats_dirty = false;
         }
         if b.metrics_dirty {
-            let shards = self
-                .metrics
-                .as_ref()
-                .expect("metric recorded with metrics off");
-            let mut m = locked(&shards[node]);
+            let totals = self.node[node].metrics.as_ref();
+            let mut m = locked(totals.expect("metric recorded with metrics off"));
             for (name, add) in b.counters.iter_mut() {
                 if let Some(add) = add.take() {
                     *m.counters.entry(name).or_insert(0) += add;
@@ -670,14 +984,49 @@ impl LfInner {
     }
 
     fn stats(&self) -> Vec<Stats> {
-        self.stats.iter().map(|s| locked(s).clone()).collect()
+        self.node.iter().map(|n| locked(&n.stats).clone()).collect()
     }
 
     fn registry(&self) -> Option<MetricsRegistry> {
-        self.metrics.as_ref().map(|shards| MetricsRegistry {
-            nodes: shards.iter().map(|m| locked(m).clone()).collect(),
-        })
+        let nodes: Option<Vec<NodeMetrics>> = self
+            .node
+            .iter()
+            .map(|n| n.metrics.as_ref().map(|m| locked(m).clone()))
+            .collect();
+        nodes.map(|nodes| MetricsRegistry { nodes })
     }
+}
+
+/// The engine context of `node`, on the node's own thread: pick a task (or
+/// idle until there is one), lend it the baton, and get it back when a task
+/// exits with nobody else runnable.
+fn node_main(inner: &Arc<LfInner>, node: usize) {
+    let me = &inner.node[node];
+    loop {
+        let mut s = me.local.0.borrow_mut();
+        let Some(next) = inner.next_ready(node, &mut s) else {
+            // The report reads the totals; the singletons die with the run,
+            // not with whoever drops its last handle.
+            inner.merge(node, &mut s.block);
+            s.block.data.clear();
+            return;
+        };
+        let cell = s.run(next);
+        drop(s);
+        me.backend.switch(None, Some(&cell));
+    }
+}
+
+thread_local! {
+    /// The `(run, node)` whose baton this thread holds: what makes a node's
+    /// [`Sched`] this thread's to touch. Null on a thread that runs no task.
+    static CURRENT: Cell<(*const LfInner, usize)> = const { Cell::new((std::ptr::null(), 0)) };
+
+    /// Borrowed while a probe closure runs on a scratch block (see
+    /// [`LocalFabric::with_block`]): what turns its counting back into the
+    /// fabric into a panic, as the scheduler's own borrow does on a node's
+    /// thread. (Its blocking through that handle fails as [`BORROWED`].)
+    static FOREIGN_PROBE: RefCell<()> = const { RefCell::new(()) };
 }
 
 /// Move `h` into `total` and leave it empty, touching only the buckets between
@@ -696,18 +1045,6 @@ fn drain_hist(total: &mut Histogram, h: &mut Histogram) {
         total.buckets[i] += std::mem::take(&mut h.buckets[i]);
     }
     (h.min, h.max) = (0, 0);
-}
-
-thread_local! {
-    /// This thread's wait-escalation state. A `LocalFabric` task *is* an OS
-    /// thread, so thread-local storage is exactly per-task storage; const
-    /// init keeps the first park allocation-free.
-    static WAITER: RefCell<Option<Waiter>> = const { RefCell::new(None) };
-
-    /// This worker's probe block; `None` on every other thread. Borrowed for
-    /// the length of one fabric call, user closure included, which is what
-    /// turns a call back into the fabric into a panic instead of a hang.
-    static PROBE: RefCell<Option<Probe>> = const { RefCell::new(None) };
 }
 
 /// Configuration for a wall-clock run.
@@ -759,16 +1096,16 @@ impl LocalFabricBuilder {
         self
     }
 
-    /// Blocking-wait escalation policy for every task in the run.
+    /// Escalation policy of every node's idle loop.
     pub fn wait_policy(mut self, wait: WaitPolicy) -> Self {
         wait.validate();
         self.wait = wait;
         self
     }
 
-    /// Run `body` once per node (as node 0..N-1) on real OS threads and
-    /// collect the report: per-node wall-clock elapsed time, the charge
-    /// ledger, and the measured-nanosecond metrics registry.
+    /// Run `body` once per node (as node 0..N-1), each node on an OS thread
+    /// of its own, and collect the report: per-node wall-clock elapsed time,
+    /// the charge ledger, and the measured-nanosecond metrics registry.
     pub fn run<G>(self, body: G) -> Report
     where
         G: Fn(LocalFabric) + Send + Sync + 'static,
@@ -778,55 +1115,52 @@ impl LocalFabricBuilder {
         let inner = Arc::new(LfInner {
             nodes: n,
             cost: self.cost,
-            wait: self.wait,
             epoch: Instant::now(),
             rings: (0..n * n).map(|_| Ring::new(cap)).collect(),
-            parkers: (0..n).map(|_| NodeParker::new()).collect(),
-            stats: (0..n).map(|_| Mutex::new(Stats::default())).collect(),
-            node_data: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            metrics: self
-                .metrics
-                .then(|| (0..n).map(|_| Mutex::new(NodeMetrics::default())).collect()),
-            rotate: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            tasks: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            next_task: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            pools: (0..n)
-                .map(|_| {
-                    Mutex::new(Pool {
-                        idle: Vec::new(),
-                        stopped: false,
-                        created: 0,
-                    })
+            node: (0..n)
+                .map(|_| Node {
+                    parker: NodeParker::new(),
+                    ops: Mutex::default(),
+                    ops_pending: AtomicBool::new(false),
+                    next_task: AtomicU32::new(0),
+                    rotate: AtomicUsize::new(0),
+                    stats: Mutex::default(),
+                    node_data: Mutex::default(),
+                    metrics: self.metrics.then(Mutex::default),
+                    backend: Backend::new(BackendKind::Auto, "local"),
+                    local: NodeLocal(RefCell::new(Sched::new(self.wait))),
                 })
                 .collect(),
             // `run`'s own hold: a root that returns before its siblings are
-            // spawned must not start the shutdown.
-            live: AtomicUsize::new(1),
-            shutting_down: AtomicBool::new(false),
-            fin: Mutex::new(()),
-            fin_cv: Condvar::new(),
-            handles: Mutex::new(Vec::new()),
+            // posted must not start the shutdown.
+            holds: AtomicUsize::new(1),
+            phase: AtomicU8::new(RUNNING),
             panic: Mutex::new(None),
         });
+        let threads: Vec<_> = (0..n)
+            .map(|node| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("lf-{node}"))
+                    .spawn(move || node_main(&inner, node))
+                    .expect("OS thread spawn failed")
+            })
+            .collect();
         let body = Arc::new(body);
         for node in 0..n {
             let b = Arc::clone(&body);
-            spawn_task(&inner, node, false, Box::new(move |fab| b(fab)));
+            inner.spawn_remote(node, false, Box::new(move |fab| b(fab)));
         }
-        inner.release_live();
-        // The last non-daemon task (or the first panic) begins the
-        // shutdown; daemons then wind down and `stop_pool` waits them out.
-        {
-            let mut g = locked(&inner.fin);
-            while !inner.shutting_down.load(Ordering::SeqCst) {
-                g = inner.fin_cv.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
+        inner.release_hold();
+        // The last non-daemon task (or the first panic) begins the shutdown;
+        // each node's thread returns once its daemons have wound down.
+        for t in threads {
+            t.join().expect("a node's thread died outside a task");
         }
-        inner.stop_pool();
         if let Some(payload) = locked(&inner.panic).take() {
             std::panic::resume_unwind(payload);
         }
-        let elapsed = inner.epoch.elapsed().as_nanos() as u64;
+        let elapsed = inner.now();
         Report {
             clocks: vec![elapsed; n],
             stats: inner.stats(),
@@ -836,142 +1170,16 @@ impl LocalFabricBuilder {
     }
 }
 
-/// Register a new task on `node` and hand it to that node's most recently
-/// idled worker, or to a new worker thread if none is idle.
-fn spawn_task(inner: &Arc<LfInner>, node: usize, daemon: bool, f: TaskFn) -> TaskId {
-    assert!(node < inner.nodes, "spawn on nonexistent node {node}");
-    let seq = inner.next_task[node].fetch_add(1, Ordering::SeqCst);
-    let id = seq
-        .checked_mul(inner.nodes as u32)
-        .and_then(|base| base.checked_add(node as u32))
-        .map(TaskId)
-        .expect("task ids exhausted");
-    let rec = Arc::new(TaskRec::new(node));
-    locked(&inner.tasks[node]).insert(id.0, Arc::clone(&rec));
-    if !daemon {
-        inner.live.fetch_add(1, Ordering::SeqCst);
-    }
-    let job = Job {
-        f,
-        fab: LocalFabric {
-            inner: Arc::clone(inner),
-            node,
-            task: id,
-            rec,
-        },
-        daemon,
-    };
-    let mut pool = locked(&inner.pools[node]);
-    if let Some(w) = pool.idle.pop() {
-        drop(pool);
-        *locked(&w.mail) = Mail::Job(job);
-        w.cv.notify_one();
-        return id;
-    }
-    let k = pool.created;
-    pool.created += 1;
-    drop(pool);
-    let worker_inner = Arc::clone(inner);
-    let handle = std::thread::Builder::new()
-        .name(format!("lf-{node}-w{k}"))
-        .spawn(move || worker_main(&worker_inner, node, job))
-        .expect("OS thread spawn failed");
-    locked(&inner.handles).push(handle);
-    id
-}
-
-fn worker_main(inner: &LfInner, node: usize, first: Job) {
-    PROBE.set(Some(Probe {
-        run: inner,
-        node,
-        block: Block::default(),
-    }));
-    worker_loop(inner, node, first);
-    // Drops the cached singletons now rather than whenever the platform
-    // runs thread-local destructors.
-    PROBE.set(None);
-}
-
-fn worker_loop(inner: &LfInner, node: usize, first: Job) {
-    let me = Arc::new(Worker {
-        mail: Mutex::new(Mail::Empty),
-        cv: Condvar::new(),
-    });
-    let mut job = first;
-    loop {
-        let Job { f, fab, daemon } = job;
-        let (id, rec) = (fab.task, Arc::clone(&fab.rec));
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(fab)));
-        // Before the exit is announced: whoever joins this task reads totals
-        // that include it.
-        PROBE.with_borrow_mut(|p| {
-            let p = p.as_mut().expect("worker without its probe block");
-            inner.merge(node, &mut p.block);
-        });
-        // The next task on this thread starts a fresh escalation.
-        WAITER.with(|w| {
-            if let Some(w) = w.borrow_mut().as_mut() {
-                w.reset();
-            }
-        });
-        // Idle *before* announcing the exit: whoever that wakes (a joiner
-        // about to spawn again) then finds this worker, and its job simply
-        // waits in the mailbox until the bookkeeping below is done.
-        let stopped = {
-            let mut pool = locked(&inner.pools[node]);
-            if !pool.stopped {
-                pool.idle.push(Arc::clone(&me));
-            }
-            pool.stopped
-        };
-        rec.finished.store(true, Ordering::SeqCst);
-        locked(&inner.tasks[node]).remove(&id.0);
-        if rec.joined.load(Ordering::SeqCst) {
-            rec.notify();
-        }
-        if let Err(payload) = outcome {
-            if !payload.is::<RunPoisoned>() {
-                locked(&inner.panic).get_or_insert(payload);
-            }
-            inner.begin_shutdown();
-        }
-        if !daemon {
-            inner.release_live();
-        }
-        if stopped {
-            return;
-        }
-        let mut mail = locked(&me.mail);
-        job = loop {
-            match std::mem::replace(&mut *mail, Mail::Empty) {
-                Mail::Job(job) => break job,
-                Mail::Stop => return,
-                Mail::Empty => mail = me.cv.wait(mail).unwrap_or_else(|e| e.into_inner()),
-            }
-        };
-    }
-}
-
 /// A handle to the wall-clock machine held by one task. Cheap to clone;
 /// clones refer to the same task.
+#[derive(Clone)]
 pub struct LocalFabric {
     inner: Arc<LfInner>,
     node: usize,
     task: TaskId,
-    /// This task's record, cached so the hot park/unpark-token paths never
-    /// touch the task table.
-    rec: Arc<TaskRec>,
-}
-
-impl Clone for LocalFabric {
-    fn clone(&self) -> Self {
-        LocalFabric {
-            inner: Arc::clone(&self.inner),
-            node: self.node,
-            task: self.task,
-            rec: Arc::clone(&self.rec),
-        }
-    }
+    /// This task's own context, cached so blocking points need not fetch it
+    /// from the task table.
+    cell: Arc<TaskCell>,
 }
 
 impl LocalFabric {
@@ -983,170 +1191,138 @@ impl LocalFabric {
         LocalFabricBuilder::new(nodes).run(body)
     }
 
-    /// Task records currently in the table: the live set, whatever the
-    /// number of tasks the run has spawned so far. For the bounded-resource
-    /// tests.
+    /// Task records in the calling node's table: the live set, however many
+    /// tasks the node has run so far. For the bounded-resource tests.
     #[doc(hidden)]
     pub fn debug_task_records(&self) -> usize {
-        self.inner.tasks.iter().map(|s| locked(s).len()).sum()
+        assert!(self.here(self.node), "{BORROWED}");
+        self.local(self.node).tasks.len()
     }
 
-    /// Run `f` on the probe block this call counts into: the calling
-    /// worker's own when it works for this handle's run and node — every
-    /// ordinary call. A handle carried to another node's worker, or to a
-    /// thread outside the run, counts into a scratch block folded into the
-    /// handle's node at once, under that node's locks.
+    /// Whether the calling thread holds `node`'s baton in this handle's run.
+    fn here(&self, node: usize) -> bool {
+        CURRENT.get() == (Arc::as_ptr(&self.inner), node)
+    }
+
+    /// `node`'s scheduler; the caller has checked [`Self::here`]. Finding it
+    /// borrowed means a probe closure further up this stack is calling back
+    /// into the fabric.
+    fn local(&self, node: usize) -> RefMut<'_, Sched> {
+        let local = &self.inner.node[node].local;
+        local
+            .0
+            .try_borrow_mut()
+            .unwrap_or_else(|_| panic!("{REENTRY}"))
+    }
+
+    /// This node's scheduler, to block the calling task through: a handle
+    /// may do that only for the task it was given to, on the thread that
+    /// runs it.
+    fn sched(&self) -> RefMut<'_, Sched> {
+        assert!(self.here(self.node), "{BORROWED}");
+        let s = self.local(self.node);
+        assert!(s.current == Some(self.task), "{BORROWED}");
+        s
+    }
+
+    /// Leave the calling task in `state` (blocked, or `Ready` and queued) and
+    /// run whatever else is runnable until it is picked again — idling in
+    /// place when nothing is, so a node's only task never switches stacks.
+    fn switch_away(&self, mut s: RefMut<'_, Sched>, state: State) {
+        s.rec(self.task).state = state;
+        let inner = &self.inner;
+        let next = inner
+            .next_ready(self.node, &mut s)
+            .expect("a live task keeps its node running");
+        let cell = s.run(next);
+        drop(s);
+        if next != self.task {
+            let backend = &inner.node[self.node].backend;
+            backend.switch(Some(&self.cell), Some(&cell));
+        }
+    }
+
+    /// Run `f` on the probe block this call counts into: the node's own when
+    /// the calling thread holds that node's baton — every ordinary call. A
+    /// handle carried to another node's thread, or outside the run, counts
+    /// into a scratch block folded into the handle's node at once, under
+    /// that node's locks.
     ///
-    /// `PROBE` stays borrowed while `f` runs, on both paths, so a user
-    /// closure in `f` that calls back into the fabric panics with
-    /// [`REENTRY`].
+    /// The scheduler (or `FOREIGN_PROBE`) stays borrowed while `f` runs, so
+    /// a user closure in `f` that calls back into the fabric panics with
+    /// [`REENTRY`] (or, blocking through a borrowed handle, [`BORROWED`]).
     fn with_block<R>(&self, f: impl FnOnce(&mut Block) -> R) -> R {
-        PROBE.with(|p| {
-            let mut p = p.try_borrow_mut().unwrap_or_else(|_| panic!("{REENTRY}"));
-            match p.as_mut() {
-                Some(p) if p.run == Arc::as_ptr(&self.inner) && p.node == self.node => {
-                    f(&mut p.block)
-                }
-                _ => {
-                    let mut scratch = Block::default();
-                    let r = f(&mut scratch);
-                    self.inner.merge(self.node, &mut scratch);
-                    r
-                }
-            }
+        if self.here(self.node) {
+            return f(&mut self.local(self.node).block);
+        }
+        FOREIGN_PROBE.with(|p| {
+            let _busy = p.try_borrow_mut().unwrap_or_else(|_| panic!("{REENTRY}"));
+            let mut scratch = Block::default();
+            let r = f(&mut scratch);
+            self.inner.merge(self.node, &mut scratch);
+            r
         })
     }
 
-    /// Fold what this thread has counted into the node totals: the caller
-    /// is about to stop running, to wake or start another task, or to read
-    /// the totals.
+    /// Fold what this node has counted into its totals: the caller is about
+    /// to send something to another node, or to read the totals.
     fn merge_block(&self) {
         self.with_block(|b| self.inner.merge(self.node, b));
     }
 
-    /// Panic with [`REENTRY`] if a probe closure is running on this thread.
-    /// For the blocking calls that reach a merge (which checks) only on some
-    /// of their paths.
-    fn check_reentry() {
-        PROBE.with(|p| {
-            if p.try_borrow_mut().is_err() {
-                panic!("{REENTRY}");
-            }
-        })
-    }
-
-    /// `spawn_task` from this task, whose counts so far the child may read.
-    fn spawn_from(&self, node: usize, daemon: bool, f: TaskFn) -> TaskId {
-        self.merge_block();
-        spawn_task(&self.inner, node, daemon, f)
-    }
-
-    /// Run `f` with this thread's wait-escalation state.
-    fn with_waiter<R>(&self, f: impl FnOnce(&mut Waiter) -> R) -> R {
-        WAITER.with(|w| {
-            let mut w = w.borrow_mut();
-            f(w.get_or_insert_with(|| Waiter::new(self.inner.wait)))
-        })
-    }
-
-    /// The shared three-phase inbox wait behind `park_for_inbox` and
-    /// `park_for_inbox_until`.
-    ///
-    /// Spin and yield phases poll the parker generation — bumped on every
-    /// delivery and unpark targeting this node — rather than re-summing all
-    /// link depths, so one spin iteration is one atomic load. The park
-    /// phase does one bounded timed wait and then returns (a permitted
-    /// spurious wakeup): callers loop on their own predicate, and the
-    /// escalation state persists across calls so consecutive unproductive
-    /// waits keep backing off while any productive wake resets the ladder.
-    fn inbox_wait(&self, deadline: Option<Time>) {
-        Self::check_reentry();
-        let inner = &*self.inner;
-        if inner.shutting_down.load(Ordering::SeqCst) {
-            inner.check_poison();
-        }
-        let parker = &inner.parkers[self.node];
-        let seen = parker.gen.load(Ordering::SeqCst);
-        let productive = |seen: u64| {
-            inner.inbox_len(self.node) > 0
-                || parker.gen.load(Ordering::SeqCst) != seen
-                || self.rec.take_token()
-                || inner.shutting_down.load(Ordering::SeqCst)
-        };
-        self.with_waiter(|w| {
-            // The busy path — frames already queued — ends here and pays
-            // nothing for the flag below.
-            if productive(seen) {
-                w.reset();
-                return;
-            }
-            // Nothing to do until a frame lands: the time the merge takes is
-            // time this task would have spent spinning.
+    fn spawn_from<G>(&self, node: usize, daemon: bool, f: G) -> TaskId
+    where
+        G: FnOnce(Self) + Send + 'static,
+    {
+        assert!(node < self.inner.nodes, "spawn on nonexistent node {node}");
+        if self.here(node) {
+            let id = self.inner.new_task_id(node);
+            let mut s = self.local(node);
+            self.inner.start_task(node, &mut s, id, daemon, f);
+            id
+        } else {
+            // The child may read what this task has counted so far.
             self.merge_block();
-            // Flag/flag with `unpark`, as on `TaskRec`: raised before the
-            // pre-sleep check reads the token. An `unpark` that misses the
-            // flag stored its token before that check; one that sees it
-            // bumps the generation past `seen`, which `park_timeout`
-            // re-checks under its lock. (The spin phase reads only the
-            // generation, so a token landing in the window before the flag
-            // went up is picked up a few hundred spins later, at the first
-            // yield.)
-            self.rec.inbox_waiting.store(true, Ordering::SeqCst);
-            loop {
-                if let Some(d) = deadline {
-                    if self.now() >= d {
-                        w.reset();
-                        return;
-                    }
-                }
-                match w.next_phase() {
-                    WaitPhase::Spin => {
-                        std::hint::spin_loop();
-                        if parker.gen.load(Ordering::SeqCst) != seen
-                            || inner.shutting_down.load(Ordering::SeqCst)
-                        {
-                            w.reset();
-                            return;
-                        }
-                    }
-                    WaitPhase::Yield => {
-                        std::thread::yield_now();
-                        if productive(seen) {
-                            w.reset();
-                            return;
-                        }
-                    }
-                    WaitPhase::Park(ns) => {
-                        let mut dur = ns;
-                        if let Some(d) = deadline {
-                            let now = self.now();
-                            if now >= d {
-                                w.reset();
-                                return;
-                            }
-                            dur = dur.min(d - now);
-                        }
-                        // Final pre-sleep check against the generation we
-                        // captured on entry; a delivery between it and the
-                        // wait is caught by park_timeout's locked re-check.
-                        if productive(seen) {
-                            w.reset();
-                            return;
-                        }
-                        parker.park_timeout(seen, Duration::from_nanos(dur));
-                        if productive(seen) {
-                            w.reset();
-                        }
-                        // One bounded wait per call: return (possibly
-                        // spuriously) and let the caller re-check.
-                        return;
-                    }
-                }
-            }
-        });
-        // Relaxed: it publishes nothing, and an `unpark` that still reads
-        // `true` only bumps the parker for no one.
-        self.rec.inbox_waiting.store(false, Ordering::Relaxed);
+            self.inner.spawn_remote(node, daemon, Box::new(f))
+        }
+    }
+
+    /// Ask `t`'s node (not this one) whether `t` has finished, waiting for
+    /// that if `wait`. A node that has wound down has no live task.
+    fn ask(&self, t: TaskId, wait: bool) -> bool {
+        let mut s = self.sched();
+        self.inner.merge(self.node, &mut s.block);
+        let op = Op::Join(t, self.task, wait);
+        if !self.inner.post(self.inner.node_of(t), op) {
+            return true;
+        }
+        s.rec(self.task).reply = None;
+        self.switch_away(s, State::Joining);
+        let reply = self.local(self.node).rec(self.task).reply;
+        reply.unwrap_or_else(|| self.inner.woken_by_teardown())
+    }
+
+    /// The shared body of `park_for_inbox` and `park_for_inbox_until`.
+    fn inbox_wait(&self, deadline: Option<Time>) {
+        let mut s = self.sched();
+        let inner = &self.inner;
+        if inner.phase() != RUNNING {
+            // Winding down: whoever polls `shutting_down` between waits must
+            // get to see it, and its siblings must get to run.
+            drop(s);
+            return self.yield_now();
+        }
+        if std::mem::take(&mut s.rec(self.task).token)
+            || inner.inbox_len(self.node) > 0
+            || deadline.is_some_and(|d| inner.now() >= d)
+        {
+            return;
+        }
+        if let Some(d) = deadline {
+            s.add_timer(d, self.task);
+        }
+        s.inbox_waiters.push(self.task);
+        self.switch_away(s, State::InboxWait);
     }
 }
 
@@ -1168,7 +1344,7 @@ impl Fabric for LocalFabric {
     }
 
     fn now(&self) -> Time {
-        self.inner.epoch.elapsed().as_nanos() as u64
+        self.inner.now()
     }
 
     fn charge(&self, bucket: Bucket, ns: Time) {
@@ -1178,16 +1354,16 @@ impl Fabric for LocalFabric {
         self.with_block(|b| b.stats().bucket_ns[bucket.index()] += ns)
     }
 
-    /// `f` sees the counts of the calling thread since its last merge, not
-    /// the node's totals: add to them, do not read them.
+    /// `f` sees the counts of the node since its last merge, not the node's
+    /// totals: add to them, do not read them.
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
         self.with_block(|b| f(b.stats()))
     }
 
-    /// Holds what the caller did up to now, what every other task did before
-    /// anything that reached the caller through the fabric (a frame, a wakeup,
-    /// a spawn, a join — so everything before a barrier), and what each did
-    /// up to its last wait.
+    /// Holds what the caller's node did up to now, what every other node did
+    /// before anything of it that reached the caller through the fabric (a
+    /// frame, a wakeup, a spawn, a join — so everything before a barrier),
+    /// and what each did up to the last time it went idle.
     fn snapshot(&self) -> Snapshot {
         self.merge_block();
         let now = self.now();
@@ -1198,80 +1374,64 @@ impl Fabric for LocalFabric {
         }
     }
 
-    // Task names are not kept: workers are named once (`lf-{node}-w{k}`)
-    // and storing a borrowed `name` would cost an allocation per spawn.
+    // Task names are not kept: storing a borrowed `name` would cost an
+    // allocation per spawn.
     fn spawn<G>(&self, _name: &str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {
-        self.spawn_from(self.node, false, Box::new(f))
+        self.spawn_from(self.node, false, f)
     }
 
     fn spawn_on<G>(&self, node: usize, _name: &str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {
-        self.spawn_from(node, false, Box::new(f))
+        self.spawn_from(node, false, f)
     }
 
     fn spawn_daemon<G>(&self, _name: &str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {
-        self.spawn_from(self.node, true, Box::new(f))
+        self.spawn_from(self.node, true, f)
     }
 
     fn yield_now(&self) {
-        std::thread::yield_now();
+        let mut s = self.sched();
+        s.ready.push_back(self.task);
+        self.switch_away(s, State::Ready);
+        // A loop of yields may be waiting for a sibling that has died.
+        self.inner.check_poison();
     }
 
     fn park(&self) {
-        Self::check_reentry();
-        let inner = &*self.inner;
-        let rec = &*self.rec;
-        self.with_waiter(|w| loop {
-            if rec.take_token() {
-                w.reset();
-                return;
-            }
-            if inner.shutting_down.load(Ordering::SeqCst) {
-                // Strict parks are only legal while their waker is alive;
-                // during teardown, waking spuriously beats deadlocking.
-                inner.check_poison();
-                return;
-            }
-            match w.next_phase() {
-                WaitPhase::Spin => std::hint::spin_loop(),
-                WaitPhase::Yield => std::thread::yield_now(),
-                // Untimed: `unpark` and `begin_shutdown` both notify this
-                // task's own condvar (handshake on `TaskRec`), so a parked
-                // task costs nothing until one of them happens.
-                WaitPhase::Park(_) => {
-                    self.merge_block();
-                    rec.sleeping.store(true, Ordering::SeqCst);
-                    let mut g = locked(&rec.lock);
-                    while !rec.unparked.load(Ordering::SeqCst)
-                        && !inner.shutting_down.load(Ordering::SeqCst)
-                    {
-                        g = rec.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-                    }
-                    drop(g);
-                    rec.sleeping.store(false, Ordering::SeqCst);
-                }
-            }
-        })
+        let mut s = self.sched();
+        if std::mem::take(&mut s.rec(self.task).token) {
+            return;
+        }
+        if self.inner.phase() != RUNNING {
+            // Strict parks are only legal while their waker is alive; during
+            // teardown, waking spuriously beats deadlocking. Still a trip
+            // through the run queue: a loop of parks may be waiting for a
+            // sibling that needs the node's thread to get there.
+            drop(s);
+            return self.yield_now();
+        }
+        self.switch_away(s, State::Parked);
+        self.inner.check_poison();
     }
 
     fn unpark(&self, t: TaskId) {
-        // The woken task may go on to tell others what this one did.
-        self.merge_block();
-        if t == self.task {
-            self.inner.unpark(&self.rec);
-        } else if let Some(rec) = self.inner.task(t) {
-            self.inner.unpark(&rec);
+        let home = self.inner.node_of(t);
+        if self.here(home) {
+            self.inner.check_issued(t);
+            self.local(home).unpark(t);
+        } else {
+            // The woken task may go on to tell others what this node did.
+            self.merge_block();
+            self.inner.post(home, Op::Unpark(t));
         }
-        // Otherwise `t` has exited: nobody is left to wake, and no token is
-        // left behind for whichever task runs on that worker next.
     }
 
     fn park_for_inbox(&self) {
@@ -1283,30 +1443,39 @@ impl Fabric for LocalFabric {
     }
 
     fn sleep(&self, ns: Time) {
-        self.merge_block();
-        std::thread::sleep(Duration::from_nanos(ns));
+        let mut s = self.sched();
+        s.add_timer(self.now() + ns, self.task);
+        self.switch_away(s, State::Sleeping);
     }
 
     fn join(&self, t: TaskId) {
-        self.merge_block();
-        let Some(rec) = self.inner.task(t) else {
+        if self.inner.node_of(t) != self.node {
+            self.ask(t, true);
             return;
-        };
-        rec.joined.store(true, Ordering::SeqCst);
-        let mut g = locked(&rec.lock);
-        while !rec.finished.load(Ordering::SeqCst) {
-            g = rec.cv.wait(g).unwrap_or_else(|e| e.into_inner());
+        }
+        let mut s = self.sched();
+        self.inner.check_issued(t);
+        match s.tasks.get_mut(&t.0) {
+            Some(rec) => rec.joiners.push(self.task),
+            None => return,
+        }
+        self.switch_away(s, State::Joining);
+        if self.local(self.node).tasks.contains_key(&t.0) {
+            self.inner.woken_by_teardown();
         }
     }
 
     fn is_finished(&self, t: TaskId) -> bool {
-        self.inner
-            .task(t)
-            .is_none_or(|rec| rec.finished.load(Ordering::SeqCst))
+        let home = self.inner.node_of(t);
+        if !self.here(home) {
+            return self.ask(t, false);
+        }
+        self.inner.check_issued(t);
+        !self.local(home).tasks.contains_key(&t.0)
     }
 
     fn shutting_down(&self) -> bool {
-        self.inner.shutting_down.load(Ordering::SeqCst)
+        self.inner.phase() != RUNNING
     }
 
     fn poll_point(&self) {
@@ -1321,7 +1490,7 @@ impl Fabric for LocalFabric {
         assert!(dst < self.inner.nodes, "send to nonexistent node {dst}");
         // The receive is counted at `try_recv`, by the receiver. The merge
         // comes before the push: once the frame can be seen, so can
-        // everything this task counted before sending it.
+        // everything this node counted before sending it.
         self.with_block(|b| {
             let s = b.stats();
             s.msgs_sent += 1;
@@ -1334,12 +1503,14 @@ impl Fabric for LocalFabric {
             wire_bytes,
             payload,
         });
-        self.inner.parkers[dst].bump();
+        self.inner.node[dst].parker.bump();
     }
 
     fn try_recv(&self) -> Option<Msg> {
         let n = self.inner.nodes;
-        let start = self.inner.rotate[self.node].fetch_add(1, Ordering::Relaxed);
+        let start = self.inner.node[self.node]
+            .rotate
+            .fetch_add(1, Ordering::Relaxed);
         for i in 0..n {
             let src = (start + i) % n;
             if let Some(m) = self.inner.ring(src, self.node).pop() {
@@ -1366,7 +1537,7 @@ impl Fabric for LocalFabric {
             }
             // `init` runs at most once per node, so under the registry lock.
             let fresh = Arc::clone(
-                locked(&self.inner.node_data[self.node])
+                locked(&self.inner.node[self.node].node_data)
                     .entry(id)
                     .or_insert_with(|| Arc::new(init())),
             );
@@ -1377,17 +1548,17 @@ impl Fabric for LocalFabric {
     }
 
     fn metrics_enabled(&self) -> bool {
-        self.inner.metrics.is_some()
+        self.inner.node[self.node].metrics.is_some()
     }
 
     fn metric_observe(&self, name: &'static str, v: u64) {
-        if self.inner.metrics.is_some() {
+        if self.metrics_enabled() {
             self.with_block(|b| b.hist(name).record(v))
         }
     }
 
     fn metric_counter_add(&self, name: &'static str, delta: u64) {
-        if self.inner.metrics.is_some() {
+        if self.metrics_enabled() {
             self.with_block(|b| *b.counter(name) += delta)
         }
     }
@@ -1492,7 +1663,7 @@ mod tests {
     fn wall_clock_metrics_record_real_time() {
         let r = LocalFabricBuilder::new(1).run(|fab| {
             let t0 = fab.metric_now().unwrap();
-            std::thread::sleep(Duration::from_micros(50));
+            fab.sleep(50_000);
             fab.metric_observe_since("test.sleep_ns", t0);
         });
         let m = r.metrics.expect("metrics on by default");
@@ -1557,8 +1728,7 @@ mod tests {
             // Nobody ever unparks it: only the poisoned run gets it out.
             let parker = fab.spawn("parker", |c| c.park());
             let bomb = fab.spawn("bomb", move |c| {
-                let rec = c.inner.task(parker).expect("parker cannot exit yet");
-                while !rec.sleeping.load(Ordering::SeqCst) {
+                while c.local(c.node).rec(parker).state != State::Parked {
                     c.yield_now();
                 }
                 panic!("{}", String::from("bomb went off"));
@@ -1582,42 +1752,73 @@ mod tests {
         }
     }
 
+    /// Fails the run through a handle: the running task's own (`via` is
+    /// `own`), or one borrowed from another node's task.
+    type Misuse = fn(own: &LocalFabric, via: &LocalFabric);
+
+    /// The message `misuse` fails the run with, through the task's own handle
+    /// (`lend` false) or through one lent by the root of the other node.
+    fn misuse_message<M>(lend: bool, misuse: M) -> String
+    where
+        M: Fn(&LocalFabric, &LocalFabric) + Send + Sync + 'static,
+    {
+        let lent = Arc::new(Mutex::new(None));
+        let payload = run_with_timeout(1 + lend as usize, move |fab| {
+            if !lend {
+                return misuse(&fab, &fab);
+            }
+            if fab.node() == 1 {
+                *locked(&lent) = Some(fab.clone());
+                return;
+            }
+            let theirs = loop {
+                if let Some(h) = locked(&lent).take() {
+                    break h;
+                }
+                fab.yield_now();
+            };
+            misuse(&fab, &theirs);
+        })
+        .expect_err("the misuse must fail the run");
+        panic_message(payload)
+    }
+
     /// The twin of the simulator's `kernel_reentry_panics_on_every_backend`:
     /// calling back into the fabric from a `with_stats` closure or a
-    /// `node_data` init fails the run with the rule, on a worker's own block
-    /// and through a handle driven from another node's worker alike. (On one
-    /// `std::sync::Mutex` per node each of these used to hang.)
+    /// `node_data` init fails the run with the rule, on the node's own block
+    /// and through a handle driven from another node's thread alike — where
+    /// a blocking call already fails for being made through that handle. (On
+    /// one `std::sync::Mutex` per node each of these used to hang.)
     #[test]
     fn reentry_from_a_probe_closure_panics_with_the_rule() {
         struct Outer;
         struct Inner;
-        type Reenter = fn(&LocalFabric);
-        let cases: [(&str, Reenter); 8] = [
-            ("charge in with_stats", |c| {
+        let cases: [(&str, Misuse); 8] = [
+            ("charge in with_stats", |_, c| {
                 c.with_stats(|_| c.charge(Bucket::Cpu, 1))
             }),
-            ("with_stats in with_stats", |c| {
+            ("with_stats in with_stats", |_, c| {
                 c.with_stats(|_| c.with_stats(|s| s.polls += 1))
             }),
-            ("park in with_stats", |c| c.with_stats(|_| c.park())),
-            // Would return at once, never reaching the merge in its park phase.
-            ("park on a set token in with_stats", |c| {
+            ("park in with_stats", |_, c| c.with_stats(|_| c.park())),
+            // Would return at once, never reaching the scheduler's run queue.
+            ("park on a set token in with_stats", |_, c| {
                 c.unpark(c.task_id());
                 c.with_stats(|_| c.park())
             }),
-            ("park_for_inbox in with_stats", |c| {
+            ("park_for_inbox in with_stats", |_, c| {
                 c.send_msg(c.node(), 8, 1, Payload::any(0u64));
                 c.with_stats(|_| c.park_for_inbox())
             }),
-            ("unpark in with_stats", |c| {
+            ("unpark in with_stats", |_, c| {
                 c.with_stats(|_| c.unpark(c.task_id()))
             }),
-            ("join in with_stats", |c| {
-                let done = c.spawn("done", |_| {});
-                c.join(done);
+            ("join in with_stats", |own, c| {
+                let done = own.spawn("done", |_| {});
+                own.join(done);
                 c.with_stats(|_| c.join(done))
             }),
-            ("node_data in a node_data init", |c| {
+            ("node_data in a node_data init", |_, c| {
                 c.node_data(|| {
                     c.node_data(|| Inner);
                     Outer
@@ -1625,34 +1826,57 @@ mod tests {
             }),
         ];
         for (what, reenter) in cases {
-            let own = run_with_timeout(1, move |fab| reenter(&fab))
-                .expect_err("re-entry on the worker's own block must fail the run");
-            let msg = panic_message(own);
-            assert!(
-                msg.contains("must not call back into the fabric"),
-                "{what}: {msg}"
-            );
+            for lend in [false, true] {
+                let msg = misuse_message(lend, reenter);
+                assert!(
+                    msg.contains("must not call back into the fabric")
+                        || lend && msg.contains("blocks only the task it was given to"),
+                    "{what} (lent: {lend}): {msg}"
+                );
+            }
+        }
+    }
 
-            let lent = Arc::new(Mutex::new(None));
-            let foreign = run_with_timeout(2, move |fab| {
-                if fab.node() == 1 {
-                    *locked(&lent) = Some(fab.clone());
-                    return;
-                }
-                let theirs = loop {
-                    if let Some(h) = locked(&lent).take() {
-                        break h;
-                    }
-                    fab.yield_now();
-                };
-                reenter(&theirs);
+    /// Counting through a borrowed handle is supported (`probe_totals`);
+    /// blocking through one is not: it would switch a scheduler the calling
+    /// thread does not hold, so it fails the run with the rule instead —
+    /// from another node's task, from a sibling task of the handle's own
+    /// node, and from outside the run.
+    #[test]
+    fn blocking_through_a_borrowed_handle_panics_with_the_rule() {
+        type Blocking = fn(&LocalFabric);
+        let blocking: [(&str, Blocking); 6] = [
+            ("park", |c| c.park()),
+            ("join", |c| c.join(c.task_id())),
+            ("sleep", |c| c.sleep(1)),
+            ("yield_now", |c| c.yield_now()),
+            ("park_for_inbox", |c| c.park_for_inbox()),
+            ("park_for_inbox_until", |c| c.park_for_inbox_until(u64::MAX)),
+        ];
+        let rule = "blocks only the task it was given to";
+        for (what, block) in blocking {
+            let msg = misuse_message(true, move |_, theirs| block(theirs));
+            assert!(msg.contains(rule), "{what} from another node: {msg}");
+
+            let escaped = Arc::new(Mutex::new(None));
+            let e2 = Arc::clone(&escaped);
+            let from_a_sibling = run_with_timeout(1, move |fab| {
+                *locked(&e2) = Some(fab.clone());
+                let parent = fab.clone();
+                let t = fab.spawn("sibling", move |_| block(&parent));
+                fab.join(t);
             })
-            .expect_err("re-entry through another node's handle must fail the run");
-            let msg = panic_message(foreign);
-            assert!(
-                msg.contains("must not call back into the fabric"),
-                "{what}: {msg}"
-            );
+            .expect_err("blocking through a sibling's handle must fail the run");
+            let msg = panic_message(from_a_sibling);
+            assert!(msg.contains(rule), "{what} from a sibling: {msg}");
+
+            // The run is over; counting through the handle still works.
+            let outside = locked(&escaped).take().expect("a root left its handle");
+            outside.charge(Bucket::Cpu, 1);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| block(&outside)))
+                .expect_err("blocking from outside the run must panic");
+            let msg = panic_message(caught);
+            assert!(msg.contains(rule), "{what} from outside the run: {msg}");
         }
     }
 

@@ -4,17 +4,17 @@
 //! nothing in steady state; this test extends the guarantee to
 //! `LocalFabric`, with the same per-thread [`CountingAlloc`] as
 //! `crates/sim/tests/alloc_count.rs`. Here per-thread counting is not just
-//! convenient but required — a `LocalFabric` task is an OS thread, so node
+//! convenient but required — a `LocalFabric` node is one OS thread, so node
 //! 0's count is exactly the path being proven: ring push (lock-free slot
 //! claim, message moved by value into the slot), parker bump (two atomics),
-//! adaptive wait (TLS `Waiter`, futex park), ring pop.
+//! the node's idle loop (inbox-waiter list, run queue, futex park), ring pop.
 //!
-//! After warm-up (TLS waiter init, stats maps, thread start-up debris), a
+//! After warm-up (queue capacities, stats maps, thread start-up debris), a
 //! steady-state run of `Payload::Short` ping-pongs on node 0's thread must
 //! perform **zero** heap allocations — bare, and with the probes a runtime
 //! layer fires per message (`charge`, `with_stats`, a counter, a histogram):
-//! those write the thread's probe block, and merging it into the node totals
-//! at every send and wait allocates only while a name is new.
+//! those write the node's probe block, and merging it into the node totals
+//! at every send allocates only while a name is new.
 
 use mpmd_fabric::{Fabric, LocalFabric};
 use mpmd_sim::{thread_allocs, Bucket, CountingAlloc, Payload};
@@ -78,8 +78,8 @@ fn measured_allocs(per_trip: fn(&LocalFabric)) -> u64 {
     let delta = Arc::new(AtomicU64::new(u64::MAX));
     let d = Arc::clone(&delta);
     let r = LocalFabric::run(2, move |fab| {
-        // Warm-up: the TLS waiter and probe block, stats/metrics map nodes,
-        // and whatever the OS thread's first futex waits touch.
+        // Warm-up: the scheduler's queues and probe block, stats/metrics map
+        // nodes, and whatever the OS thread's first futex waits touch.
         round_trips(&fab, WARMUP, per_trip);
         if fab.node() == 0 {
             let before = thread_allocs();

@@ -105,7 +105,7 @@ fn fifo_per_source_with_concurrent_senders() {
 #[test]
 fn inbox_depth_sampling_never_blocks_a_sender() {
     // Regression for `Ring::depth` taking the producer mutex: depth reads
-    // are now pure atomics, so a sampler thread hammering `inbox_len` while
+    // are now pure atomics, so a sampler task hammering `inbox_len` while
     // a sender floods the same links must observe plausible depths and the
     // run must complete with both sides making progress. (With the old
     // lock-taking depth this test still terminated — just slowly; latency
@@ -122,13 +122,15 @@ fn inbox_depth_sampling_never_blocks_a_sender() {
             }
         } else {
             // Sampler daemon on the receiving node: tight depth loop
-            // with no locks between it and the flooding producer.
+            // with no locks between it and the flooding producer. It shares
+            // the node's thread with the receiver, so it yields per sample.
             let max_s = Arc::clone(&max_c);
             let done_s = Arc::clone(&done_c);
             fab.spawn_daemon("sampler", move |f| {
                 while !done_s.load(Ordering::Relaxed) && !f.shutting_down() {
                     let d = f.inbox_len();
                     max_s.fetch_max(d, Ordering::Relaxed);
+                    f.yield_now();
                 }
             });
             let mut expect = 0u64;

@@ -17,31 +17,17 @@
 //! wakeups per simulated context switch relative to routing every switch
 //! through the engine.
 
+use crate::baton::{Backend, BackendKind, TaskCell};
 use crate::cost::CostModel;
 use crate::ctx::Ctx;
 use crate::explore::ScheduleOracle;
 use crate::kernel::{Kernel, TaskState};
 use crate::report::{Report, Snapshot};
-use crate::task::{HandoffCell, Job, TaskBody, TaskCell, TaskId, TaskPool};
+use crate::task::TaskId;
 use crate::trace::{TraceConfig, TraceEvent};
 use parking_lot::{Mutex, MutexGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-
-/// Which execution backend hosts the task stacks. The choice affects only
-/// host-side cost; simulation results are byte-identical across backends.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Consult `MPMD_SIM_BACKEND` (`threads` / `fibers`); unset picks the
-    /// platform default (fibers where supported, threads otherwise).
-    /// Unrecognized values are rejected with an error naming the valid ones.
-    #[default]
-    Auto,
-    /// One OS thread per task.
-    Threads,
-    /// Userspace fibers (x86_64 unix only; selecting it elsewhere panics).
-    Fibers,
-}
 
 /// Parse an `MPMD_SIM_BACKEND` value. `None` (unset) means the platform
 /// default. Kept separate from the env read so it is unit-testable.
@@ -65,99 +51,6 @@ pub fn backend_from_env() -> Result<BackendKind, String> {
     let v = std::env::var_os("MPMD_SIM_BACKEND");
     let s = v.as_ref().map(|v| v.to_string_lossy().into_owned());
     parse_backend_env(s.as_deref())
-}
-
-/// Execution backend hosting the contexts' stacks. Both implement the same
-/// baton protocol and make identical scheduling decisions, so a simulation's
-/// virtual-time results are byte-identical across backends; they differ only
-/// in what a baton handoff costs on the host.
-pub(crate) enum Backend {
-    /// One OS thread per live task, condvar handoffs (one futex wakeup per
-    /// simulated switch). The portable fallback. `engine` is the engine
-    /// context's own cell.
-    Threads {
-        pool: Arc<TaskPool>,
-        engine: Arc<HandoffCell>,
-    },
-    /// All tasks as userspace fibers on the `Sim::run` thread; a handoff is
-    /// a stack switch, no syscalls. Default where supported.
-    #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-    Fiber(Arc<crate::fiber::FiberRt>),
-}
-
-impl Backend {
-    fn new(kind: BackendKind) -> Backend {
-        let kind = match kind {
-            // The env var only steers the default; an explicit builder
-            // choice wins (and a malformed env var still errors, so a bad
-            // configuration never silently changes the backend).
-            BackendKind::Auto => match backend_from_env() {
-                Ok(k) => k,
-                Err(e) => panic!("{e}"),
-            },
-            k => k,
-        };
-        #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-        if kind != BackendKind::Threads {
-            return Backend::Fiber(Arc::new(crate::fiber::FiberRt::new()));
-        }
-        assert!(
-            kind != BackendKind::Fibers,
-            "the fiber backend is not supported on this target; \
-             use MPMD_SIM_BACKEND=threads or Sim::backend(BackendKind::Threads)"
-        );
-        Backend::Threads {
-            pool: TaskPool::new(),
-            engine: Arc::new(HandoffCell::new(true)),
-        }
-    }
-
-    /// A parked context for a new task.
-    fn new_cell(&self) -> TaskCell {
-        match self {
-            Backend::Threads { .. } => TaskCell::Threads(HandoffCell::new(false)),
-            #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-            Backend::Fiber(_) => TaskCell::Fiber(crate::fiber::FiberCell::empty()),
-        }
-    }
-
-    /// Give `cell` a stack that will run `body` the first time the baton is
-    /// switched to it. No switch happens here.
-    fn start(&self, cell: Arc<TaskCell>, body: TaskBody) {
-        match self {
-            Backend::Threads { pool, engine } => pool.dispatch(Job {
-                cell,
-                body,
-                engine: Arc::clone(engine),
-            }),
-            #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-            Backend::Fiber(rt) => rt.prepare(
-                cell.fiber(),
-                Box::new(crate::fiber::FiberBody {
-                    body,
-                    rt: Arc::clone(rt),
-                    cell: Arc::clone(&cell),
-                }),
-            ),
-        }
-    }
-
-    /// Move the baton from the running context `from` to the parked context
-    /// `to` (`None` is the engine) and return once it comes back to `from`.
-    /// The caller holds no kernel guard.
-    pub(crate) fn switch(&self, from: Option<&TaskCell>, to: Option<&TaskCell>) {
-        match self {
-            Backend::Threads { engine, .. } => {
-                let from = from.map_or(&**engine, TaskCell::thread);
-                let to = to.map_or(&**engine, TaskCell::thread);
-                from.begin_yield();
-                to.resume();
-                from.wait_for_turn();
-            }
-            #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-            Backend::Fiber(rt) => rt.switch(from.map(TaskCell::fiber), to.map(TaskCell::fiber)),
-        }
-    }
 }
 
 pub(crate) struct SimInner {
@@ -306,7 +199,17 @@ impl Sim {
                 faults,
                 self.oracle,
             )),
-            backend: Backend::new(self.backend),
+            backend: Backend::new(
+                match self.backend {
+                    // The env var only steers the default; an explicit
+                    // builder choice wins (and a malformed env var still
+                    // errors, so a bad configuration never silently changes
+                    // the backend).
+                    BackendKind::Auto => backend_from_env().unwrap_or_else(|e| panic!("{e}")),
+                    k => k,
+                },
+                "simulated",
+            ),
             cost: self.cost,
             num_nodes: self.nodes,
             tracing_on,
@@ -390,7 +293,7 @@ where
             None
         })
     });
-    inner.backend.start(cell, body);
+    inner.backend.start(cell, body, (node, id.0));
     id
 }
 

@@ -82,16 +82,16 @@ pub trait Fabric: Clone + Send + 'static {
     /// Add to this node's instrumentation counters. `f` must not call back
     /// into the fabric: that panics on every backend. It must not *read*
     /// the counters either — the simulator hands it the node's totals,
-    /// `LocalFabric` only what the calling thread has counted since its last
-    /// merge; totals come from [`Fabric::snapshot`] and the run's report.
+    /// `LocalFabric` only what the node has counted since its last merge;
+    /// totals come from [`Fabric::snapshot`] and the run's report.
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R;
 
     /// Capture all node clocks/stats. The capture holds what the caller has
     /// done so far and everything that happened before it by way of the
     /// fabric — before a frame the caller received, a wakeup, a spawn or a
-    /// join, on any chain of them — so behind a barrier it is exact. Tasks
+    /// join, on any chain of them — so behind a barrier it is exact. Nodes
     /// that hand off through shared memory alone are seen, on `LocalFabric`,
-    /// as of their last send, wakeup or wait.
+    /// as of their last send or the last time they went idle.
     fn snapshot(&self) -> Snapshot;
 
     // ---- scheduling --------------------------------------------------
@@ -122,20 +122,22 @@ pub trait Fabric: Clone + Send + 'static {
     /// Park this task until [`Fabric::unpark`] (or a timer) wakes it.
     fn park(&self);
 
-    /// Make task `t` — on the *same node* as the caller; cross-node wake-ups
-    /// travel as messages — runnable again.
+    /// Make task `t` runnable again. Portable code wakes tasks of the
+    /// caller's own node only — cross-node wake-ups travel as messages, and
+    /// the simulator rejects anything else; `LocalFabric` also carries an
+    /// `unpark` to a task of another node.
     ///
-    /// What holds for an unpark that finds `t` not parked differs by
-    /// backend, and is sound on each:
+    /// Tasks of one node are cooperative on both backends: nothing runs
+    /// between a task's check of its wake condition and its `park`. What
+    /// holds for an unpark that finds `t` not parked still differs:
     ///
-    /// * `LocalFabric` (tasks run concurrently): wakeup tokens are
-    ///   consumable, as with OS thread parkers — an unpark that arrives
-    ///   before the target parks still ends that park. A token aimed at a
-    ///   task that has exited is dropped.
-    /// * Simulator (tasks are cooperative): an unpark of a task that is not
-    ///   parked is dropped. Nothing can run between a task's check of its
-    ///   wake condition and its `park`, so there is no window in which a
-    ///   wakeup the task still needs could arrive early.
+    /// * `LocalFabric`: wakeup tokens are consumable, as with OS thread
+    ///   parkers — an unpark that arrives before the target parks still ends
+    ///   that park (it may come from another node, and nodes do run in
+    ///   parallel). A token aimed at a task that has exited is dropped.
+    /// * Simulator: an unpark of a task that is not parked is dropped; there
+    ///   is no window in which a wakeup the task still needs could arrive
+    ///   early.
     ///
     /// On both, an unpark aimed at a task blocked in [`Fabric::join`] does
     /// not end the join.
@@ -214,7 +216,7 @@ pub trait Fabric: Clone + Send + 'static {
     /// runtime crates keep their per-node state (handler tables, memories,
     /// stub caches) here. `init` must not call back into the fabric: that
     /// panics on every backend (it runs under the simulator's kernel lock,
-    /// and on the calling thread's probe block on `LocalFabric`).
+    /// and on the node's probe block on `LocalFabric`).
     fn node_data<T, G>(&self, init: G) -> Arc<T>
     where
         T: Send + Sync + 'static,

@@ -24,9 +24,10 @@
 //! (recycling the stack for future spawns — spawning is allocation-free
 //! after warm-up, the same slab discipline as the event pool).
 //!
-//! Safety rests entirely on the baton invariant: all fibers of one `Sim`
-//! run on one OS thread, one at a time, so the raw stack-pointer cells are
-//! never touched concurrently.
+//! Safety rests entirely on the baton invariant: all fibers of one
+//! [`FiberRt`] — one `Sim`, or one `LocalFabric` node, which drives the same
+//! runtime through [`crate::baton`] — run on one OS thread, one at a time, so
+//! the raw stack-pointer cells are never touched concurrently.
 
 use crate::task::{TaskBody, TaskCell};
 use std::cell::{Cell, UnsafeCell};
@@ -42,22 +43,59 @@ const STACK_SIZE: usize = 2 * 1024 * 1024;
 
 /// How many retired stacks the runtime keeps for reuse. Beyond this the
 /// surplus is returned to the allocator (a run that briefly spawned a huge
-/// task wave should not pin its high-water mark forever).
-const STACK_POOL_CAP: usize = 64;
+/// task wave should not pin its high-water mark forever). Sized for the
+/// widest steady-state wave in the tree — EM3D's 200-body `parfor` per node
+/// per phase, 202 live fibers on a `LocalFabric` node with its root and
+/// poller — so that such a wave allocates no stack after the first. The pool
+/// belongs to one [`FiberRt`] (one simulation, or one `LocalFabric` node) and
+/// is freed with it; it holds at most `STACK_POOL_CAP * STACK_SIZE` = 512 MiB
+/// of address space, of which only the pages its fibers touched are resident.
+const STACK_POOL_CAP: usize = 256;
 
-/// One fiber stack: an uninitialized heap block. Never read by Rust code —
-/// only the switch assembly and the code running on it touch the bytes.
-struct Stack(Box<[MaybeUninit<u8>]>);
+/// Written at the low end of every stack; see [`Stack::check`].
+const CANARY: u64 = 0x5AFE_57AC_C0DE_CAFE;
+
+/// One fiber stack: a heap block, uninitialized but for the canary word at
+/// its low end. Never read by Rust code otherwise — only the switch assembly
+/// and the code running on it touch the bytes.
+struct Stack {
+    mem: Box<[MaybeUninit<u8>]>,
+    /// `(node, task)` of the fiber the stack was last prepared for: what an
+    /// overflow report names.
+    owner: (usize, u32),
+}
 
 impl Stack {
     fn new() -> Stack {
-        Stack(Box::new_uninit_slice(STACK_SIZE))
+        let mut mem = Box::new_uninit_slice(STACK_SIZE);
+        // The allocator aligns a block of this size to 16 at least.
+        let canary = mem.as_mut_ptr().cast::<u64>();
+        assert_eq!(canary as usize % 8, 0, "stack block misaligned");
+        // SAFETY: the block is STACK_SIZE >= 8 bytes long and 8-aligned.
+        unsafe { canary.write(CANARY) };
+        Stack { mem, owner: (0, 0) }
     }
 
     /// 16-byte-aligned one-past-the-end, per the System V stack discipline.
     fn top(&self) -> usize {
-        (self.0.as_ptr() as usize + self.0.len()) & !15
+        (self.mem.as_ptr() as usize + self.mem.len()) & !15
     }
+
+    /// The fiber that ran past the low end of this stack, if one did. A heap
+    /// stack has no guard page: an overflow writes into the neighbouring
+    /// allocation, and the canary is the first word it crosses on the way.
+    fn overflowed_by(&self) -> Option<(usize, u32)> {
+        // SAFETY: written in `new`; nothing legitimate writes it afterwards.
+        let word = unsafe { self.mem.as_ptr().cast::<u64>().read() };
+        (word != CANARY).then_some(self.owner)
+    }
+}
+
+fn overflow_message(fabric: &str, (node, task): (usize, u32)) -> String {
+    format!(
+        "fiber stack overflow on the {fabric} fabric: task {task} of node {node} ran past \
+         its {STACK_SIZE}-byte stack"
+    )
 }
 
 // The switch routine and the entry trampoline. Layout contract with
@@ -145,7 +183,7 @@ fn fp_env() -> (u32, u16) {
 /// owned stack. Shared via `Arc` from the kernel task table; only ever
 /// touched by the simulation's single OS thread (baton invariant), hence
 /// the unsafe `Send`/`Sync`.
-pub(crate) struct FiberCell {
+pub struct FiberCell {
     sp: Cell<usize>,
     stack: UnsafeCell<Option<Stack>>,
 }
@@ -171,9 +209,11 @@ pub(crate) struct FiberBody {
     pub(crate) cell: Arc<TaskCell>,
 }
 
-/// Per-simulation fiber runtime: the engine context's slot, the retired
+/// Per-scheduler fiber runtime: the engine context's slot, the retired
 /// stack awaiting reap, and the recycle pool.
-pub(crate) struct FiberRt {
+pub struct FiberRt {
+    /// Which fabric runs on these fibers; an overflow report names it.
+    fabric: &'static str,
     /// The engine (OS-thread) context's saved rsp while a fiber runs.
     engine_sp: Cell<usize>,
     /// Stack of the fiber that just finished; freed/recycled by the next
@@ -187,8 +227,9 @@ unsafe impl Send for FiberRt {}
 unsafe impl Sync for FiberRt {}
 
 impl FiberRt {
-    pub(crate) fn new() -> FiberRt {
+    pub(crate) fn new(fabric: &'static str) -> FiberRt {
         FiberRt {
+            fabric,
             engine_sp: Cell::new(0),
             retired: Cell::new(None),
             // Reserved up front so recycling a retired stack never grows
@@ -202,10 +243,21 @@ impl FiberRt {
     /// guaranteed quiescent.
     pub(crate) fn reap(&self) {
         if let Some(s) = self.retired.take() {
+            self.check(&s);
             let free = unsafe { &mut *self.free_stacks.get() };
             if free.len() < STACK_POOL_CAP {
                 free.push(s);
             }
+        }
+    }
+
+    /// Abort, naming the culprit, rather than run on with the heap an
+    /// overflowing fiber wrote into. Called where `stack` is quiescent: when
+    /// it is reaped, and for every pooled stack at teardown.
+    fn check(&self, stack: &Stack) {
+        if let Some(owner) = stack.overflowed_by() {
+            eprintln!("{}; aborting", overflow_message(self.fabric, owner));
+            std::process::abort();
         }
     }
 
@@ -214,10 +266,11 @@ impl FiberRt {
         free.pop().unwrap_or_else(Stack::new)
     }
 
-    /// Prepare a suspended fiber: seed its stack so the first switch into
-    /// it runs `body`. No switch happens here.
-    pub(crate) fn prepare(&self, cell: &FiberCell, body: Box<FiberBody>) {
-        let stack = self.alloc_stack();
+    /// Prepare a suspended fiber for task `owner` = `(node, task)`: seed its
+    /// stack so the first switch into it runs `body`. No switch happens here.
+    pub(crate) fn prepare(&self, cell: &FiberCell, body: Box<FiberBody>, owner: (usize, u32)) {
+        let mut stack = self.alloc_stack();
+        stack.owner = owner;
         let sp = seed_frame(&stack, Box::into_raw(body));
         cell.sp.set(sp);
         unsafe { *cell.stack.get() = Some(stack) };
@@ -232,6 +285,15 @@ impl FiberRt {
         let to = to.map_or(&self.engine_sp, |c| &c.sp);
         unsafe { mpmd_fiber_switch(from.as_ptr(), to.get(), 0) };
         self.reap();
+    }
+}
+
+impl Drop for FiberRt {
+    fn drop(&mut self) {
+        self.reap();
+        for s in std::mem::take(self.free_stacks.get_mut()) {
+            self.check(&s);
+        }
     }
 }
 
@@ -339,7 +401,7 @@ mod tests {
         for _ in 0..4 {
             let s = Stack::new();
             assert_eq!(s.top() % 16, 0);
-            assert!(s.top() - s.0.as_ptr() as usize <= STACK_SIZE);
+            assert!(s.top() - s.mem.as_ptr() as usize <= STACK_SIZE);
         }
     }
 
@@ -347,7 +409,7 @@ mod tests {
     fn reap_caps_the_stack_pool() {
         // Push well past the cap through the retire/reap cycle: the pool
         // must stop at STACK_POOL_CAP and release the surplus.
-        let rt = FiberRt::new();
+        let rt = FiberRt::new("test");
         for i in 0..STACK_POOL_CAP + 8 {
             rt.retired.set(Some(Stack::new()));
             rt.reap();
@@ -365,6 +427,31 @@ mod tests {
         rt.reap();
         assert_eq!(unsafe { &*rt.free_stacks.get() }.len(), 0);
         let _ = rt.alloc_stack();
+    }
+
+    #[test]
+    fn a_clobbered_canary_names_the_culprit() {
+        // What `reap` and the teardown check act on, short of the abort: a
+        // retired stack whose lowest word its fiber overwrote.
+        let rt = FiberRt::new("test");
+        let mut stack = Stack::new();
+        stack.owner = (3, 41);
+        rt.retired.set(Some(stack));
+        let mut stack = rt.retired.take().expect("retired above");
+        assert_eq!(stack.overflowed_by(), None);
+        let canary = stack.mem.as_mut_ptr().cast::<u64>();
+        unsafe { canary.write(0) };
+        let culprit = stack.overflowed_by().expect("clobbered");
+        assert_eq!(culprit, (3, 41));
+        let msg = overflow_message(rt.fabric, culprit);
+        for part in ["test fabric", "node 3", "task 41"] {
+            assert!(msg.contains(part), "{msg}");
+        }
+        // Repaired: reaping it must pool it, not abort the test.
+        unsafe { canary.write(CANARY) };
+        rt.retired.set(Some(stack));
+        rt.reap();
+        assert_eq!(unsafe { &*rt.free_stacks.get() }.len(), 1);
     }
 
     #[test]

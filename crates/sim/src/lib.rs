@@ -24,6 +24,7 @@
 //! two language runtimes (`mpmd-splitc`, `mpmd-ccxx`) are built on top.
 
 mod alloc_count;
+pub mod baton;
 mod cost;
 mod ctx;
 mod engine;
@@ -45,9 +46,10 @@ pub mod wait;
 
 #[doc(hidden)]
 pub use alloc_count::{thread_allocs, CountingAlloc};
+pub use baton::BackendKind;
 pub use cost::{CoalesceCosts, CostModel, FaultModel, LinkFaults, ReliabilityCosts, ThreadCosts};
 pub use ctx::Ctx;
-pub use engine::{backend_from_env, BackendKind, Sim};
+pub use engine::{backend_from_env, Sim};
 pub use event::{Msg, Payload};
 pub use explore::{shrink, ChoicePoint, OracleSpec, RecordedTrace, ScheduleOracle, TraceOracle};
 pub use fabric::{Fabric, SpanGuard};

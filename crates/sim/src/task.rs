@@ -35,14 +35,17 @@ impl TaskId {
     }
 }
 
-/// Per-task baton context, one variant per execution backend. A simulation
-/// uses exactly one backend for all its tasks (chosen at `Sim::run`), so a
-/// cell handed to the wrong backend is a logic error and panics.
-pub(crate) enum TaskCell {
+/// Per-task baton context, one variant per execution backend. A scheduler
+/// uses exactly one backend for all its tasks, so a cell handed to the wrong
+/// backend is a logic error and panics. Opaque outside this crate (exported
+/// through [`crate::baton`]): the variants' payloads cannot be named there.
+pub enum TaskCell {
     /// OS-thread backend: condvar handoff cell.
+    #[doc(hidden)]
     Threads(HandoffCell),
     /// Userspace-fiber backend: saved stack pointer + owned stack.
     #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
+    #[doc(hidden)]
     Fiber(crate::fiber::FiberCell),
 }
 
@@ -66,7 +69,7 @@ impl TaskCell {
 
 /// One context's end of the baton: `true` while that context (a task's OS
 /// thread, or the engine thread) holds it or has been handed it.
-pub(crate) struct HandoffCell {
+pub struct HandoffCell {
     running: Mutex<bool>,
     cv: Condvar,
 }
@@ -112,7 +115,7 @@ impl HandoffCell {
 /// engine (nothing runnable, or a panic to propagate). The body does all
 /// kernel bookkeeping and *picks* the successor; the backend performs the
 /// switch once the finished task's host resources are reusable.
-pub(crate) type TaskBody = Box<dyn FnOnce() -> Option<Arc<TaskCell>> + Send>;
+pub type TaskBody = Box<dyn FnOnce() -> Option<Arc<TaskCell>> + Send>;
 
 /// A unit of work shipped to a pool worker: the task's handoff cell plus its
 /// body; the worker only drives the handoff protocol. `engine` is the
@@ -142,7 +145,7 @@ struct Worker {
 }
 
 /// Pool of reusable OS threads that host task bodies.
-pub(crate) struct TaskPool {
+pub struct TaskPool {
     workers: Mutex<Vec<Worker>>,
 }
 

@@ -2,10 +2,11 @@
 //!
 //! A wall-clock backend cannot know whether the predicate a blocked task is
 //! waiting on will be satisfied by a new frame (which wakes the node's
-//! parker) or by another local thread mutating shared state (which wakes
-//! nobody), so every inbox wait must eventually return and let the caller
-//! re-check. *How* it waits is a latency/CPU trade: spinning answers in
-//! nanoseconds but burns a core; parking is free but pays a wakeup (and,
+//! parker) or by another node mutating shared state (which wakes nobody), so
+//! every inbox wait must eventually return and let the caller re-check.
+//! `LocalFabric` waits in one place, the idle loop of a node none of whose
+//! tasks is runnable. *How* it waits is a latency/CPU trade: spinning answers
+//! in nanoseconds but burns a core; parking is free but pays a wakeup (and,
 //! with a fixed slice, up to a whole slice of dead time on the paths no
 //! notification covers).
 //!
@@ -125,11 +126,11 @@ pub enum WaitPhase {
     Park(Time),
 }
 
-/// Per-task wait state machine over a [`WaitPolicy`].
+/// Wait state machine over a [`WaitPolicy`].
 ///
-/// One `Waiter` belongs to one task and is consulted only by that task's
-/// thread. Each call to [`Waiter::next_phase`] advances the escalation;
-/// [`Waiter::reset`] (on a productive wake — a frame arrived, an unpark
+/// One `Waiter` belongs to one waiting thread (on `LocalFabric`, a node's)
+/// and is consulted only by it. Each call to [`Waiter::next_phase`] advances
+/// the escalation; [`Waiter::reset`] (on a productive wake — a frame arrived, an unpark
 /// landed) rewinds to the spin phase and the initial park slice.
 #[derive(Clone, Debug)]
 pub struct Waiter {

@@ -1,10 +1,11 @@
 //! A node-local mutex for simulated threads.
 //!
-//! Real mutual exclusion is provided by the fabric underneath: on the
-//! simulated backend exactly one task runs at a time and tasks only lose the
-//! processor at explicit scheduling points; on wall-clock backends the host
-//! lock around the waiter queue plus the consumable park/unpark tokens make
-//! the same protocol a correct queue lock under true parallelism. The
+//! Real mutual exclusion is provided by the fabric underneath: on both
+//! backends the tasks of one node run one at a time and lose the processor
+//! only at explicit scheduling points (the simulator runs one task in the
+//! whole machine, `LocalFabric` one per node), so between `lock`'s look at
+//! the state and its `park` nothing else touches it. The host lock around
+//! the waiter queue is never contended; it is what makes the type `Sync`. The
 //! interesting part is the *modeling*: acquisitions and releases are counted
 //! and charged, contended acquisitions block the task and are counted
 //! separately (the paper reports that ~95% of lock acquisitions in its
