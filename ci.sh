@@ -66,7 +66,7 @@ echo "table4 / msgprofile / ablation byte-identical across runs"
 
 echo "==> LocalFabric smoke (wall-clock backend: null-RMI + barrier ring)"
 # Real-hardware mode: null-RMI on two nodes and a barrier ring on four, each
-# node one OS thread running its tasks as fibers, over the lock-free rings.
+# node one OS thread running its tasks as fibers, over the per-link rings.
 # The binary asserts completion (no lost round trips or barrier rounds) and
 # nonzero wall-clock histograms, and checks em3d ghost fields bit-match a
 # simulator run of the same parameters. It also prints the probe cost
@@ -108,10 +108,13 @@ rm -f /tmp/ci_regress.json
 echo "regress quick gate OK"
 
 echo "==> fabric ring stress + wall-clock zero-alloc + bounded-task tests"
-# The lock-free ring's FIFO/wraparound/overflow invariants under thread
-# contention, and the zero-allocation guarantee of the wall-clock short-send
-# path (counting global allocator), in release mode where the fast paths are
-# actually taken. Also at full size only in release: 50 000 spawn/join pairs
+# The link ring's FIFO/overflow invariants under thread contention (one
+# sender, and three on one link: the node's task plus two foreign threads
+# with lent handles), the lost-wake-up battery (2 000 frame hand-offs and
+# 2 000 cross-node unparks with every wait parking at once), and the
+# zero-allocation guarantee of the wall-clock short-send path (counting
+# global allocator), in release mode where the fast paths are actually
+# taken. Also at full size only in release: 50 000 spawn/join pairs
 # and a 5 000-wide task wave on exactly one OS thread per node, 20 000
 # threaded RMIs in one run, and EM3D base in CC++ at the paper's graph size.
 # These assert completion and counts, not timings, so none is retried.
@@ -183,15 +186,16 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # engine-level integration tests, with Auto resolving to the threads backend
 # (the exploration assertions compare against threads baselines, so passing
 # proves identical output). LocalFabric's node scheduler: its unit tests
-# (panic containment, re-entry and borrowed-handle rules), the task-table
-# bounds of bounded_tasks and the whole conformance suite, on which one
-# node's tasks still run one at a time. A separate target dir keeps the main
-# cache warm.
+# (panic containment, re-entry and borrowed-handle rules, the ring alone),
+# the task-table bounds of bounded_tasks, ring_stress (the ring does not
+# depend on the baton, the idle loop that reads it does) and the whole
+# conformance suite, on which one node's tasks still run one at a time. A
+# separate target dir keeps the main cache warm.
 no_fibers() {
     CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo test -q "$@"
 }
 no_fibers -p mpmd-sim --lib --test explore --test inbox_waiters --test proptest_engine
-no_fibers -p mpmd-fabric --lib --test bounded_tasks
+no_fibers -p mpmd-fabric --lib --test bounded_tasks --test ring_stress
 no_fibers -p mpmd-am --test fabric_conformance
 echo "threads fallback OK"
 

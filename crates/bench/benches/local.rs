@@ -1,4 +1,4 @@
-//! Criterion benches of the wall-clock [`LocalFabric`] hot path: the lock-free
+//! Criterion benches of the wall-clock [`LocalFabric`] hot path: the link
 //! ring + adaptive-wait data path measured end to end through the CC++ and AM
 //! layers on real OS threads.
 //!

@@ -13,7 +13,7 @@
 //!   virtual-time kernel, which implements the trait directly.
 //! * [`LocalFabric`] — defined here: a wall-clock backend that gives each
 //!   node one OS thread, runs the node's tasks on it as run-until-block
-//!   fibers, and carries frames over per-link lock-free rings, so the same
+//!   fibers, and carries frames over per-link rings, so the same
 //!   benchmarks (null-RMI, fig5 exchanges, EM3D ghost traffic) execute on
 //!   real hardware and report measured nanoseconds.
 

@@ -3,8 +3,8 @@
 //! [`LocalFabric`] gives every node one OS thread and runs all of that node's
 //! tasks on it as stackful fibers under a run-until-block scheduler — the
 //! paper's lightweight non-preemptive threads package — and carries frames
-//! over per-(src, dst) lock-free rings ([`Ring`]), so the benchmarks built on
-//! the AM substrate execute on real hardware and the latency histograms hold
+//! over per-(src, dst) rings ([`Ring`]), so the benchmarks built on the AM
+//! substrate execute on real hardware and the latency histograms hold
 //! *measured* nanoseconds instead of modeled ones. DESIGN.md §4a has the
 //! contract table; in short:
 //!
@@ -15,6 +15,14 @@
 //!   switch ([`mpmd_sim::baton`]): no futex, no kernel. Two tasks of one node
 //!   never run at the same time — what `mpmd-threads` documents and what the
 //!   simulator does. Nodes do run in parallel.
+//! * **A frame is one cache-line hand-off.** A sender fills the slot the
+//!   frame travels in and publishes it with the stamp beside it; the receiver
+//!   reads that slot and nothing else the sender writes. Each side keeps its
+//!   cursor in a block of its own: senders of a link serialize on a lock only
+//!   they touch and look at the receiver's cursor only when the ring seems
+//!   full; the receiver answers every question (is there a frame, how many)
+//!   from its own cursor and the slots, and frees a slot by moving on.
+//!   [`Ring`] has the ownership table and the FIFO argument.
 //! * **One idle loop.** Only when no task of the node is runnable does its
 //!   thread wait — spin → yield → timed park on the [`NodeParker`], walking
 //!   the [`WaitPolicy`] ladder — and that loop is the one place that readies
@@ -22,6 +30,12 @@
 //!   deadline list (`sleep`, `park_for_inbox_until`) and applies remote
 //!   operations. Whichever context found nothing runnable runs it in place:
 //!   a node with a single task spins on its own stack and never switches.
+//!   It spins on what it will act on ([`LfInner::pending`]): the remote-op
+//!   flag, the run phase and, only while a task waits on the inbox, the head
+//!   slots of its inbound links. Frames nobody waits for are not looked at
+//!   — a node whose tasks all sit in `park` must reach its timed park.
+//! * **Wake-ups cost the sender a fence and a load** unless the receiver's
+//!   thread is really asleep: [`NodeParker`] has the flag/flag argument.
 //! * **Three pieces of cross-thread state**: the rings, the parker, and a
 //!   small per-node queue of remote operations ([`Op`]) for `spawn_on` and
 //!   for `unpark`/`join` of a task on another node. Task table, run queue,
@@ -60,244 +74,305 @@ use mpmd_sim::{
 use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell, RefMut, UnsafeCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::mem::{align_of, offset_of, size_of, MaybeUninit};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Pad to a cache line so the producer cursor, consumer cursor and overflow
-/// length never false-share (128 covers adjacent-line prefetching on x86).
+/// Pad to a 128-byte block (a cache line and the neighbour the adjacent-line
+/// prefetcher pulls with it on x86): what is written by one thread per
+/// message shares no block with what another thread reads per message.
 #[repr(align(128))]
 struct Pad<T>(T);
 
-/// One ring slot: the sequence stamp both publishes the payload and encodes
-/// slot state. For a slot at index `i` with capacity `cap`:
-///
-/// * `seq == pos`      — free for the producer claiming position `pos`
-///   (`pos ≡ i (mod cap)`); initial state is `seq = i`.
-/// * `seq == pos + 1`  — published by that producer, ready for the consumer.
-/// * `seq == pos + cap` — consumed; free for the *next lap's* producer.
+/// One ring slot, a block of its own: the frame and, beside it, the stamp
+/// that publishes it. `stamp == pos + 1` says the frame of position `pos` is
+/// in `msg`; any other value is what an earlier lap (or `Ring::new`) left.
+/// The consumer never writes a slot — it frees one by advancing `head`.
+#[repr(align(128))]
 struct Slot {
-    seq: AtomicUsize,
-    msg: UnsafeCell<Option<Msg>>,
+    stamp: AtomicUsize,
+    msg: UnsafeCell<MaybeUninit<Msg>>,
 }
 
-/// One direction of one link: a bounded lock-free ring plus an unbounded
-/// mutex-guarded overflow queue, so sends never block and never drop.
+/// What the producers of a link own, under its producer lock.
+struct Prod {
+    /// Position the next frame takes.
+    tail: usize,
+    /// The consumer's `head` as of the last time the ring looked full.
+    head_seen: usize,
+    /// Frames that found the ring full, or the overflow not yet drained.
+    overflow: VecDeque<Msg>,
+}
+
+/// What the consumer of a link owns.
+struct Cons {
+    /// Serializes receivers: a lent handle may poll from another thread.
+    lock: Mutex<()>,
+    /// Position of the next frame to take; written under `lock`.
+    head: AtomicUsize,
+}
+
+/// One direction of one link: a bounded ring plus an unbounded overflow
+/// queue, so sends never block and never drop. In steady state a frame costs
+/// one cache-line hand-off, that of the slot it travels in.
 ///
-/// **Fast path** (`try_push_ring` / `try_pop_ring`): Vyukov-style bounded
-/// MPMC. Producers CAS-claim the tail cursor, write the slot, then publish
-/// with a Release store of the slot's sequence stamp; the consumer's
-/// Acquire load of that stamp is the only synchronization the payload
-/// handoff needs (the tail CAS itself can be Relaxed). The consumer side is
-/// additionally serialized by `cons` because concurrent receivers on one
-/// node must also agree on the ring→overflow fallthrough order.
+/// **Who owns which block.** `prod` (lock, `tail`, the cached `head`, the
+/// overflow) is touched by senders only — one OS thread unless a handle was
+/// lent — except by a consumer that finds `overflow_len > 0`. `cons` (lock,
+/// `head`) is touched by the receiving node only, except by a producer that
+/// finds the ring looking full. `overflow_len` is written only when the
+/// overflow is used. `slots`/`mask` are never written. A slot is written by
+/// the producer and read by the consumer.
 ///
-/// **FIFO across the overflow transition** is preserved by protocol:
+/// **Hand-off.** A producer fills `slots[tail & mask]` and publishes it with
+/// a Release store of `stamp = tail + 1`; the consumer's Acquire load of
+/// that stamp makes the frame visible, and it moves the frame out without
+/// writing the slot. The slot is free for the next lap once the consumer's
+/// Release store of `head` has passed it, which a producer learns with an
+/// Acquire load of `head`, taken only when `tail - head_seen` reaches the
+/// capacity. Pushes are serialized, so stamps are published in position
+/// order: position `p` published implies every earlier one is.
 ///
-/// * A producer uses the lock-free path only while the overflow is
-///   observably empty; otherwise it takes `prod` and appends *behind* the
-///   overflow. Once a task has a frame in the overflow, its later frames
-///   keep queueing there until the overflow drains (its own earlier
-///   increment of `overflow_len` stays visible to it), so for any single
-///   sender: everything in the ring is older than anything it has in the
-///   overflow.
-/// * The consumer drains the ring before touching the overflow, and —
-///   crucial subtlety — re-checks the ring *after* acquiring `prod`: the
-///   lock acquisition synchronizes with the producer that appended the
-///   overflow frame, making every ring publish sequenced before that
-///   append visible. Without the re-check, a consumer whose pre-lock ring
-///   probe raced a publish could pop a newer overflow frame first.
+/// **FIFO across ring and overflow.** (1) Under the producer lock a frame
+/// goes to the ring only if the overflow is empty and the ring has room,
+/// else behind the overflow: every frame in the ring is older than every
+/// frame in the overflow. (2) The consumer takes from the ring first. (3) It
+/// takes from the overflow only under the producer lock and after looking at
+/// the ring again: no push is in progress, every ring publish older than the
+/// overflow's front is visible, so the ring it sees empty is empty.
 struct Ring {
     slots: Box<[Slot]>,
     mask: usize,
-    /// Producer claim cursor (CAS).
-    tail: Pad<AtomicUsize>,
-    /// Consumer cursor; written only under `cons`.
-    head: Pad<AtomicUsize>,
-    /// Frames in the overflow queue. Updated only under `prod`, read
-    /// lock-free by producers (fast-path eligibility) and by `depth`.
+    prod: Pad<Mutex<Prod>>,
+    /// `prod.overflow.len()`, stored under the producer lock and read
+    /// without: zero (and this block clean in every cache) in steady state.
     overflow_len: Pad<AtomicUsize>,
-    /// Overflow slow path; doubles as the producer-serialization point for
-    /// full-ring traffic. Never touched by the lock-free fast path.
-    prod: Mutex<VecDeque<Msg>>,
-    /// Serializes consumers.
-    cons: Mutex<()>,
+    cons: Pad<Cons>,
 }
 
-// Slot payloads are written only by the producer that CAS-claimed the
-// position and read only by the consumer that observed the Release-stored
-// sequence stamp with an Acquire load.
+// SAFETY: `msg` is the only field that is not `Sync` by itself. A slot's
+// frame is written by the one producer holding the producer lock, after an
+// Acquire load of `head` showed the consumer done with the previous lap's
+// frame, and is read (moved out, once) by the one consumer holding the
+// consumer lock, after an Acquire load of the stamp that producer stored
+// with Release. `Msg` is `Send`.
 unsafe impl Sync for Ring {}
 
 impl Ring {
     fn new(capacity: usize) -> Self {
+        Self::starting_at(capacity, 0)
+    }
+
+    /// A ring whose cursors start at `start` (tests start near `usize::MAX`
+    /// to cross the wrap; positions and stamps are compared modulo 2^64).
+    fn starting_at(capacity: usize, start: usize) -> Self {
         assert!(capacity.is_power_of_two(), "ring capacity");
-        // The sequence encoding needs `published(pos) = pos + 1` distinct
-        // from `free-for-next-lap(pos) = pos + cap`: a 1-slot ring is
-        // carried as a 2-slot ring (behavior — constant overflow churn —
-        // is identical).
-        let capacity = capacity.max(2);
         Ring {
+            // No position at or after `start` publishes as `start`.
             slots: (0..capacity)
-                .map(|i| Slot {
-                    seq: AtomicUsize::new(i),
-                    msg: UnsafeCell::new(None),
+                .map(|_| Slot {
+                    stamp: AtomicUsize::new(start),
+                    msg: UnsafeCell::new(MaybeUninit::uninit()),
                 })
                 .collect(),
             mask: capacity - 1,
-            tail: Pad(AtomicUsize::new(0)),
-            head: Pad(AtomicUsize::new(0)),
+            prod: Pad(Mutex::new(Prod {
+                tail: start,
+                head_seen: start,
+                overflow: VecDeque::new(),
+            })),
             overflow_len: Pad(AtomicUsize::new(0)),
-            prod: Mutex::new(VecDeque::new()),
-            cons: Mutex::new(()),
+            cons: Pad(Cons {
+                lock: Mutex::new(()),
+                head: AtomicUsize::new(start),
+            }),
         }
     }
 
-    /// Lock-free slot claim; `false` means the ring is full. On success the
-    /// message has been moved out of `msg` and published.
-    fn try_push_ring(&self, msg: &mut Option<Msg>) -> bool {
-        let mut pos = self.tail.0.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match seq.cmp(&pos) {
-                std::cmp::Ordering::Equal => {
-                    match self.tail.0.compare_exchange_weak(
-                        pos,
-                        pos.wrapping_add(1),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            unsafe { *slot.msg.get() = msg.take() };
-                            slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                            return true;
-                        }
-                        Err(cur) => pos = cur,
-                    }
-                }
-                // The slot still holds the previous lap: ring is full.
-                std::cmp::Ordering::Less => return false,
-                // Another producer advanced past us; chase the tail.
-                std::cmp::Ordering::Greater => pos = self.tail.0.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    /// Pop the slot at `head` if its producer has published it. Caller
-    /// holds `cons` (or has exclusive access).
-    fn try_pop_ring(&self) -> Option<Msg> {
-        let pos = self.head.0.load(Ordering::Relaxed);
-        let slot = &self.slots[pos & self.mask];
-        if slot.seq.load(Ordering::Acquire) != pos.wrapping_add(1) {
-            return None;
-        }
-        let msg = unsafe { (*slot.msg.get()).take() };
-        debug_assert!(msg.is_some(), "published slot was empty");
-        // Free the slot for the next lap's producer, then advance.
-        slot.seq
-            .store(pos.wrapping_add(self.slots.len()), Ordering::Release);
-        self.head.0.store(pos.wrapping_add(1), Ordering::Relaxed);
-        msg
+    /// Whether position `pos` has been published and its slot not reused.
+    fn published(&self, pos: usize) -> bool {
+        self.slots[pos & self.mask].stamp.load(Ordering::Acquire) == pos.wrapping_add(1)
     }
 
     fn push(&self, msg: Msg) {
-        let mut msg = Some(msg);
-        // Fast path: legal only while the overflow is observably empty —
-        // otherwise FIFO requires queueing behind the overflowed frames.
-        if self.overflow_len.0.load(Ordering::Acquire) == 0 && self.try_push_ring(&mut msg) {
-            return;
+        let mut p = locked(&self.prod.0);
+        let pos = p.tail;
+        if p.overflow.is_empty() && self.has_room(&mut p) {
+            let slot = &self.slots[pos & self.mask];
+            // SAFETY: the slot is this push's alone (type-level comment):
+            // `has_room` saw `head` past the frame it held a lap ago.
+            unsafe { (*slot.msg.get()).write(msg) };
+            slot.stamp.store(pos.wrapping_add(1), Ordering::Release);
+            p.tail = pos.wrapping_add(1);
+        } else {
+            p.overflow.push_back(msg);
+            self.overflow_len
+                .0
+                .store(p.overflow.len(), Ordering::Release);
         }
-        let mut overflow = self.prod.lock().unwrap();
-        // Re-check under the lock: the consumer may have drained the
-        // overflow (and freed ring slots) since the fast-path probe.
-        if overflow.is_empty() && self.try_push_ring(&mut msg) {
-            return;
+    }
+
+    /// Whether the slot at `tail` is free, asking the consumer only when the
+    /// cached cursor says the ring is full.
+    fn has_room(&self, p: &mut Prod) -> bool {
+        let cap = self.slots.len();
+        if p.tail.wrapping_sub(p.head_seen) == cap {
+            p.head_seen = self.cons.0.head.load(Ordering::Acquire);
         }
-        overflow.push_back(msg.take().expect("message consumed twice"));
-        self.overflow_len.0.store(overflow.len(), Ordering::Release);
+        p.tail.wrapping_sub(p.head_seen) < cap
+    }
+
+    /// Whether `pop` would find a frame, from the consumer's own cursor, the
+    /// slot under it and the overflow length: no lock, and never `tail`.
+    fn ready(&self) -> bool {
+        self.published(self.cons.0.head.load(Ordering::Relaxed))
+            || self.overflow_len.0.load(Ordering::Acquire) != 0
+    }
+
+    /// Move the frame at `head` out if it has been published. Caller holds
+    /// the consumer lock.
+    fn pop_ring(&self) -> Option<Msg> {
+        let head = &self.cons.0.head;
+        let pos = head.load(Ordering::Relaxed);
+        if !self.published(pos) {
+            return None;
+        }
+        // SAFETY: published, and not yet taken since `head` has not passed
+        // it; advancing `head` below is what keeps it from being read twice.
+        let msg = unsafe { (*self.slots[pos & self.mask].msg.get()).assume_init_read() };
+        head.store(pos.wrapping_add(1), Ordering::Release);
+        Some(msg)
     }
 
     fn pop(&self) -> Option<Msg> {
-        let _c = self.cons.lock().unwrap();
-        if let Some(m) = self.try_pop_ring() {
+        // An empty poll takes no lock.
+        if !self.ready() {
+            return None;
+        }
+        let _c = locked(&self.cons.0.lock);
+        if let Some(m) = self.pop_ring() {
             return Some(m);
         }
         if self.overflow_len.0.load(Ordering::Acquire) == 0 {
             return None;
         }
-        let mut overflow = self.prod.lock().unwrap();
-        // See the type docs: ring publishes sequenced before the oldest
-        // overflow append became visible when we acquired `prod` — drain
-        // them first or per-link FIFO breaks.
-        if let Some(m) = self.try_pop_ring() {
+        let mut p = locked(&self.prod.0);
+        // Step (3) of the FIFO argument: look at the ring again.
+        if let Some(m) = self.pop_ring() {
             return Some(m);
         }
-        let m = overflow.pop_front();
-        self.overflow_len.0.store(overflow.len(), Ordering::Release);
+        let m = p.overflow.pop_front();
+        self.overflow_len
+            .0
+            .store(p.overflow.len(), Ordering::Release);
         m
     }
 
-    /// Frames queued on this link. Pure atomic reads — never takes a lock,
-    /// so metric sampling (`inbox_depth`) cannot block a concurrent sender.
-    /// Transient over-/under-counts during racing claims are acceptable in
-    /// a depth gauge; the value is exact whenever the link is quiescent.
+    /// Frames queued on this link: the published prefix of the ring from
+    /// `head`, found by galloping over the in-order stamps — O(log depth)
+    /// reads of slots the consumer is about to pop anyway — plus the
+    /// overflow. Takes no lock and never reads `tail`; exact whenever the
+    /// link is quiescent, a gauge while frames move.
     fn depth(&self) -> usize {
-        let head = self.head.0.load(Ordering::Acquire);
-        let tail = self.tail.0.load(Ordering::Acquire);
-        let ring = tail.wrapping_sub(head).min(self.slots.len());
-        ring + self.overflow_len.0.load(Ordering::Acquire)
+        let head = self.cons.0.head.load(Ordering::Acquire);
+        let published = |k: usize| self.published(head.wrapping_add(k));
+        // Every k < lo is published; the answer is in lo..=hi.
+        let (mut lo, mut hi) = (0, self.slots.len());
+        let mut probe = 0;
+        while probe < hi {
+            if !published(probe) {
+                hi = probe;
+                break;
+            }
+            lo = probe + 1;
+            probe = 2 * probe + 1;
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if published(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo + self.overflow_len.0.load(Ordering::Acquire)
     }
 }
 
-/// Wakeup hub for one node. Every frame delivery, remote operation and phase
-/// change bumps `gen`; the node's idle loop waits for "something happened
-/// here". The mutex + condvar are touched only when `waiters` says the node's
-/// thread is actually parked, so the sender-side cost of a bump against a
-/// spinning (or busy) receiver is two uncontended atomics.
+impl Drop for Ring {
+    /// Frames still in flight when the run ends are dropped here, once: the
+    /// overflow drops its own, the ring's are the positions `head..tail`.
+    fn drop(&mut self) {
+        let tail = self
+            .prod
+            .0
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .tail;
+        let mut pos = *self.cons.0.head.get_mut();
+        while pos != tail {
+            // SAFETY: exclusive access, and every position below `tail` was
+            // filled under the producer lock before `tail` moved past it.
+            unsafe { self.slots[pos & self.mask].msg.get_mut().assume_init_drop() };
+            pos = pos.wrapping_add(1);
+        }
+    }
+}
+
+/// Where a node's thread sleeps when its idle loop has run out of spin budget,
+/// in a block of its own that nobody writes unless it is parking — so a
+/// sender's `bump` against a running receiver is a fence and a load of a
+/// block that stays shared.
+///
+/// **No lost wake-up** (Dekker): the parking thread stores `parked`, fences,
+/// then checks what it waits for; a waker makes that true, fences, then
+/// loads `parked`. One of the two loads sees the other side's store. If the
+/// waker's does, it takes the lock: either before the parker has — which
+/// then re-checks under the lock and sees what the waker did — or once the
+/// parker is inside `wait`, which the notify ends.
+#[repr(align(128))]
 struct NodeParker {
-    gen: AtomicU64,
-    /// Threads currently inside `park_timeout`: the node's own, or none.
-    waiters: AtomicUsize,
-    lock: Mutex<()>,
+    /// The node's thread is inside `park_timeout`.
+    parked: AtomicBool,
+    /// Wake-ups signalled to a parked thread.
+    gen: Mutex<u64>,
     cv: Condvar,
 }
 
 impl NodeParker {
     fn new() -> Self {
         NodeParker {
-            gen: AtomicU64::new(0),
-            waiters: AtomicUsize::new(0),
-            lock: Mutex::new(()),
+            parked: AtomicBool::new(false),
+            gen: Mutex::new(0),
             cv: Condvar::new(),
         }
     }
 
-    /// SeqCst throughout: the bump's `gen` increment must be globally
-    /// ordered against a registering waiter's `waiters` increment, or a
-    /// bump could both miss the waiter count and have its `gen` change
-    /// missed by the waiter's re-check (the classic flag/flag race).
+    /// Called after making something true that the node's idle loop looks
+    /// for (a published frame, `ops_pending`, a new phase).
     fn bump(&self) {
-        self.gen.fetch_add(1, Ordering::SeqCst);
-        if self.waiters.load(Ordering::SeqCst) != 0 {
-            // Taking the lock (even empty) fences against a waiter that
-            // has registered but not yet entered `wait_timeout`.
-            drop(self.lock.lock().unwrap());
+        fence(Ordering::SeqCst);
+        if self.parked.load(Ordering::Relaxed) {
+            *locked(&self.gen) += 1;
             self.cv.notify_all();
         }
     }
 
-    /// Park until the generation moves past `seen` or `dur` elapses.
-    /// Spurious returns are fine; callers re-check their predicate.
-    fn park_timeout(&self, seen: u64, dur: Duration) {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
+    /// Park until a `bump` or for `dur`, unless `pending()` — the predicate
+    /// the caller's wakers make true before they `bump` — already holds.
+    /// Spurious returns are fine; callers re-check.
+    fn park_timeout(&self, dur: Duration, pending: impl Fn() -> bool) {
+        self.parked.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
         {
-            let g = self.lock.lock().unwrap();
-            if self.gen.load(Ordering::SeqCst) == seen {
-                let _ = self.cv.wait_timeout(g, dur).unwrap();
+            let gen = locked(&self.gen);
+            if !pending() {
+                let seen = *gen;
+                let _ = self.cv.wait_timeout_while(gen, dur, |gen| *gen == seen);
             }
         }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        self.parked.store(false, Ordering::Relaxed);
     }
 }
 
@@ -568,15 +643,16 @@ struct NodeLocal(RefCell<Sched>);
 unsafe impl Sync for NodeLocal {}
 
 /// One node: what other threads may touch, and (in `local`) what they may not.
-#[repr(align(128))]
 struct Node {
+    /// Read by every sender of a frame to this node; alone in its block.
     parker: NodeParker,
     ops: Mutex<OpQueue>,
     /// `ops` is non-empty. Written under its lock, read without.
     ops_pending: AtomicBool,
     /// Next task sequence number: ids are `seq * nodes + node`.
     next_task: AtomicU32,
-    /// Round-robin start of the link scan: no neighbor starves the others.
+    /// Where `try_recv` starts its scan: the link after the one that
+    /// delivered last, so no neighbor starves the others.
     rotate: AtomicUsize,
     /// Counter totals: the merge target of the node's probe block, locked
     /// only by [`LfInner::merge`] and by readers.
@@ -590,6 +666,30 @@ struct Node {
     backend: Backend,
     local: NodeLocal,
 }
+
+// The layout the message path relies on, checked at compile time so that the
+// next field added cannot quietly bring false sharing back. Per message a
+// sender reads the receiver's `parker.parked` and the link's `slots`/`mask`,
+// and writes the slot and the link's `prod` block; a receiver writes the
+// link's `cons` block, its own `rotate` and — merging its probe block ahead
+// of every send — its `stats` and `metrics` locks. Nothing one thread writes
+// per message may share a 128-byte block with what another reads per
+// message. (This is not the padding of the per-node totals that PR 15 tried
+// and dropped: those are merge targets only their owner touches, and they
+// stay unpadded among the owner's other fields.)
+const _: () = {
+    assert!(size_of::<Slot>() == 128 && align_of::<Slot>() == 128);
+    // Alone in its block, wherever `Node` puts it.
+    assert!(size_of::<NodeParker>() == 128 && align_of::<NodeParker>() == 128);
+    let parker = offset_of!(Node, parker) / 128;
+    assert!(offset_of!(Node, rotate) / 128 != parker);
+    assert!(offset_of!(Node, stats) / 128 != parker);
+    assert!(offset_of!(Node, metrics) / 128 != parker);
+    // A link is four whole blocks — `prod`, `overflow_len`, `cons`, and the
+    // read-only `slots`/`mask` — so its neighbours in `rings`, one of them
+    // the same two nodes' link in the other direction, share none with it.
+    assert!(size_of::<Ring>() == 4 * 128 && align_of::<Ring>() == 128);
+};
 
 /// What a task did wrong when its node's scheduler is found borrowed.
 const REENTRY: &str = "LocalFabric re-entered from a `with_stats` closure or a `node_data` \
@@ -636,6 +736,23 @@ impl LfInner {
 
     fn inbox_len(&self, node: usize) -> usize {
         (0..self.nodes).map(|s| self.ring(s, node).depth()).sum()
+    }
+
+    /// Whether `node`'s `try_recv` would find a frame.
+    fn has_frame(&self, node: usize) -> bool {
+        (0..self.nodes).any(|s| self.ring(s, node).ready())
+    }
+
+    /// Whether something has happened to `node` from outside that
+    /// `poll_events` would act on, deadlines aside: what the idle loop spins
+    /// on and what every `bump` of the node's parker follows. A queued frame
+    /// counts only while a task waits on the inbox — with every task in
+    /// `park` or `join` nobody would take it, and a node that spun on it
+    /// would never reach its timed park.
+    fn pending(&self, node: usize, s: &Sched) -> bool {
+        self.node[node].ops_pending.load(Ordering::Acquire)
+            || self.phase() != s.seen_phase
+            || (!s.inbox_waiters.is_empty() && self.has_frame(node))
     }
 
     fn node_of(&self, t: TaskId) -> usize {
@@ -789,7 +906,7 @@ impl LfInner {
             s.wake(t);
             any = true;
         }
-        if !s.inbox_waiters.is_empty() && self.inbox_len(node) > 0 {
+        if !s.inbox_waiters.is_empty() && self.has_frame(node) {
             s.wake_inbox_waiters();
             any = true;
         }
@@ -868,9 +985,6 @@ impl LfInner {
     fn next_ready(self: &Arc<Self>, node: usize, s: &mut Sched) -> Option<TaskId> {
         let me = &self.node[node];
         loop {
-            // Read before the checks: whatever lands after them moves the
-            // generation past `seen`, and the wait below returns at once.
-            let seen = me.parker.gen.load(Ordering::SeqCst);
             if self.poll_events(node, s) {
                 s.waiter.reset();
             }
@@ -885,16 +999,18 @@ impl LfInner {
                 }
                 continue;
             }
-            self.idle(node, s, seen);
+            self.idle(node, s);
         }
     }
 
-    /// One wait of the idle loop. Returns when the parker's generation has
-    /// moved past `seen` (a frame, a remote op, a phase change), when the
+    /// One wait of the idle loop. Returns when something is [`pending`]
+    /// (a remote op, a phase change, a frame for an inbox waiter), when the
     /// earliest deadline has passed, or after one bounded park — then every
     /// inbox waiter is released, spuriously, since what it really waits for
     /// may be a store by another node that bumps nothing.
-    fn idle(self: &Arc<Self>, node: usize, s: &mut Sched, seen: u64) {
+    ///
+    /// [`pending`]: Self::pending
+    fn idle(self: &Arc<Self>, node: usize, s: &mut Sched) {
         let parker = &self.node[node].parker;
         loop {
             // Time left until the earliest deadline, if there is one.
@@ -910,7 +1026,7 @@ impl LfInner {
                     // merge takes is time this thread would have slept.
                     self.merge(node, &mut s.block);
                     let dur = left.map_or(slice, |l| slice.min(l));
-                    parker.park_timeout(seen, Duration::from_nanos(dur));
+                    parker.park_timeout(Duration::from_nanos(dur), || self.pending(node, s));
                     // Before the spurious release, which would hide that a
                     // frame is what ended the park.
                     if self.poll_events(node, s) {
@@ -920,7 +1036,7 @@ impl LfInner {
                     return;
                 }
             }
-            if parker.gen.load(Ordering::SeqCst) != seen {
+            if self.pending(node, s) {
                 return;
             }
         }
@@ -1089,7 +1205,7 @@ impl LocalFabricBuilder {
         self
     }
 
-    /// Per-link ring capacity (power of two; 1 is carried as 2).
+    /// Per-link ring capacity (a power of two).
     pub fn ring_capacity(mut self, cap: usize) -> Self {
         assert!(cap.is_power_of_two(), "ring capacity");
         self.ring_capacity = cap;
@@ -1313,7 +1429,7 @@ impl LocalFabric {
             return self.yield_now();
         }
         if std::mem::take(&mut s.rec(self.task).token)
-            || inner.inbox_len(self.node) > 0
+            || inner.has_frame(self.node)
             || deadline.is_some_and(|d| inner.now() >= d)
         {
             return;
@@ -1508,12 +1624,16 @@ impl Fabric for LocalFabric {
 
     fn try_recv(&self) -> Option<Msg> {
         let n = self.inner.nodes;
-        let start = self.inner.node[self.node]
-            .rotate
-            .fetch_add(1, Ordering::Relaxed);
+        let rotate = &self.inner.node[self.node].rotate;
+        let start = rotate.load(Ordering::Relaxed);
         for i in 0..n {
-            let src = (start + i) % n;
+            let src = if start + i < n {
+                start + i
+            } else {
+                start + i - n
+            };
             if let Some(m) = self.inner.ring(src, self.node).pop() {
+                rotate.store(src + 1, Ordering::Relaxed);
                 self.with_block(|b| b.stats().msgs_received += 1);
                 return Some(m);
             }
@@ -1567,6 +1687,195 @@ impl Fabric for LocalFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
+
+    fn frame(v: u64) -> Msg {
+        Msg {
+            src: 0,
+            wire_bytes: 8,
+            payload: Payload::any(v),
+        }
+    }
+
+    fn value(m: Msg) -> u64 {
+        *m.payload.downcast::<u64>().expect("a frame of `frame`")
+    }
+
+    /// Cursors and stamps are compared modulo 2^64: a ring whose cursors
+    /// start four positions short of the wrap carries frames across it in
+    /// order, through the ring alone and through ring and overflow.
+    #[test]
+    fn ring_cursors_wrap_around() {
+        for burst in [1, 3, 4, 9] {
+            let ring = Ring::starting_at(4, usize::MAX - 3);
+            let (mut sent, mut got) = (0, 0);
+            for _ in 0..6 {
+                for _ in 0..burst {
+                    ring.push(frame(sent));
+                    sent += 1;
+                }
+                assert_eq!(ring.depth(), burst);
+                while let Some(m) = ring.pop() {
+                    assert_eq!(value(m), got, "burst {burst}");
+                    got += 1;
+                }
+                assert_eq!(got, sent, "burst {burst}");
+                assert_eq!(ring.depth(), 0);
+            }
+            let head = ring.cons.0.head.load(Ordering::Relaxed);
+            assert!(head < 64, "the cursors crossed the wrap: {head}");
+        }
+    }
+
+    /// `depth` is exact on a quiescent link at every fill level, wherever in
+    /// the slot array the head stands.
+    #[test]
+    fn ring_depth_is_exact_when_quiescent() {
+        const CAP: usize = 16;
+        for offset in [0, 5, CAP - 1] {
+            for fill in [0, 1, 2, 3, CAP - 1, CAP, CAP + 7] {
+                let ring = Ring::new(CAP);
+                for i in 0..offset {
+                    ring.push(frame(i as u64));
+                    ring.pop().expect("just pushed");
+                }
+                for i in 0..fill {
+                    ring.push(frame(i as u64));
+                    assert_eq!(ring.depth(), i + 1, "offset {offset}");
+                }
+                let overflow = ring.overflow_len.0.load(Ordering::Relaxed);
+                assert_eq!(overflow, fill.saturating_sub(CAP));
+                assert_eq!(ring.ready(), fill > 0);
+                for left in (0..fill).rev() {
+                    ring.pop().expect("counted");
+                    assert_eq!(ring.depth(), left, "offset {offset}, fill {fill}");
+                }
+                assert!(ring.pop().is_none() && !ring.ready());
+            }
+        }
+    }
+
+    /// Counts its drops under its own index.
+    struct Token(usize, Arc<Vec<AtomicUsize>>);
+
+    impl Drop for Token {
+        fn drop(&mut self) {
+            self.1[self.0].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Frames still in a link when the run ends — in the ring and in the
+    /// overflow — are dropped with it, each exactly once, whether the run
+    /// ends well or poisoned.
+    #[test]
+    fn teardown_drops_in_flight_frames_exactly_once() {
+        const FRAMES: usize = 6;
+        for poisoned in [false, true] {
+            let drops: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..FRAMES).map(|_| AtomicUsize::new(0)).collect());
+            let d = Arc::clone(&drops);
+            let built = LocalFabricBuilder::new(2).ring_capacity(2);
+            let outcome = run_built_with_timeout(built, move |fab| {
+                if fab.node() == 0 {
+                    for i in 0..FRAMES {
+                        fab.send_msg(1, 8, 0, Payload::any(Token(i, Arc::clone(&d))));
+                    }
+                    if poisoned {
+                        panic!("node 0 gave up");
+                    }
+                    return;
+                }
+                // One frame taken, so the ring's head has moved; of the five
+                // left, two slots hold at least one and at most two.
+                while fab.try_recv().is_none() {
+                    fab.park_for_inbox();
+                }
+            });
+            assert_eq!(outcome.is_err(), poisoned);
+            drop(outcome);
+            for (i, n) in drops.iter().enumerate() {
+                let n = n.load(Ordering::SeqCst);
+                assert_eq!(n, 1, "frame {i} dropped {n} times (poisoned: {poisoned})");
+            }
+        }
+    }
+
+    /// Frames nobody waits for are not something the idle loop acts on: a
+    /// node whose only task sits in `park` with frames queued must walk its
+    /// ladder down to the timed park instead of spinning on "inbox
+    /// non-empty". Node 0 waits to see it parked; a node that never parks
+    /// hangs the test, which the timeout reports.
+    #[test]
+    fn queued_frames_nobody_waits_for_let_the_node_park() {
+        let up = Arc::new(AtomicU32::new(u32::MAX));
+        let sent = Arc::new(AtomicBool::new(false));
+        run_with_timeout(2, move |fab| {
+            if fab.node() == 1 {
+                // From here to `park` this thread runs its root without a
+                // break, so it can be seen parked only from under `park`.
+                up.store(fab.task_id().0, Ordering::SeqCst);
+                while !sent.load(Ordering::SeqCst) {
+                    fab.yield_now();
+                }
+                fab.park();
+                assert_eq!(fab.inbox_len(), 3);
+                return;
+            }
+            let peer = loop {
+                match up.load(Ordering::SeqCst) {
+                    u32::MAX => fab.yield_now(),
+                    id => break TaskId(id),
+                }
+            };
+            for i in 0..3u64 {
+                fab.send_msg(1, 8, 0, Payload::any(i));
+            }
+            sent.store(true, Ordering::SeqCst);
+            while !fab.inner.node[1].parker.parked.load(Ordering::SeqCst) {
+                fab.yield_now();
+            }
+            fab.unpark(peer);
+        })
+        .expect("the run completes");
+    }
+
+    /// Not a check: prints what one unproductive check of the idle loop's
+    /// spin phase costs (`--nocapture`), so that a `WaitPolicy::spin` budget
+    /// counted in checks can be read in nanoseconds. One inbox waiter, two
+    /// nodes: a check reads `ops_pending`, the phase and both links' heads.
+    #[test]
+    fn report_idle_spin_check_cost() {
+        const CHECKS: u32 = 300_000;
+        // One inbox wait that nothing ends: the ladder is walked once, down
+        // to one 1 µs park, after which the waiter is released spuriously.
+        let wait_ns = |spin: u32| {
+            let took = Arc::new(AtomicU64::new(0));
+            let t = Arc::clone(&took);
+            LocalFabricBuilder::new(2)
+                .wait_policy(WaitPolicy {
+                    spin,
+                    yields: 0,
+                    park_initial: 1_000,
+                    park_max: 1_000,
+                })
+                .run(move |fab| {
+                    if fab.node() == 0 {
+                        let t0 = Instant::now();
+                        fab.park_for_inbox();
+                        t.store(t0.elapsed().as_nanos() as u64, Ordering::SeqCst);
+                    }
+                });
+            took.load(Ordering::SeqCst)
+        };
+        let best = |spin| (0..5).map(|_| wait_ns(spin)).min().expect("five runs");
+        let (parked, spun) = (best(0), best(CHECKS));
+        let per_check = spun.saturating_sub(parked) as f64 / CHECKS as f64;
+        eprintln!(
+            "idle spin check: {per_check:.2} ns ({CHECKS} checks + park {spun} ns, park alone \
+             {parked} ns); a 300-check budget lasts {:.0} ns",
+            per_check * 300.0
+        );
+    }
 
     #[test]
     fn ping_pong_round_trip() {
@@ -1689,11 +1998,16 @@ mod tests {
     where
         G: Fn(LocalFabric) + Send + Sync + 'static,
     {
+        run_built_with_timeout(LocalFabricBuilder::new(nodes), body)
+    }
+
+    fn run_built_with_timeout<G>(built: LocalFabricBuilder, body: G) -> std::thread::Result<Report>
+    where
+        G: Fn(LocalFabric) + Send + Sync + 'static,
+    {
         let (tx, rx) = std::sync::mpsc::channel();
         let helper = std::thread::spawn(move || {
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                LocalFabric::run(nodes, body)
-            }));
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| built.run(body)));
             let _ = tx.send(());
             out
         });

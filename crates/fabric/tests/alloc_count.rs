@@ -5,9 +5,10 @@
 //! `LocalFabric`, with the same per-thread [`CountingAlloc`] as
 //! `crates/sim/tests/alloc_count.rs`. Here per-thread counting is not just
 //! convenient but required — a `LocalFabric` node is one OS thread, so node
-//! 0's count is exactly the path being proven: ring push (lock-free slot
-//! claim, message moved by value into the slot), parker bump (two atomics),
-//! the node's idle loop (inbox-waiter list, run queue, futex park), ring pop.
+//! 0's count is exactly the path being proven: ring push (under the link's
+//! producer lock, message moved by value into the slot), parker bump (a fence
+//! and a load), the node's idle loop (inbox-waiter list, run queue, futex
+//! park), ring pop (message moved by value out of the slot).
 //!
 //! After warm-up (queue capacities, stats maps, thread start-up debris), a
 //! steady-state run of `Payload::Short` ping-pongs on node 0's thread must

@@ -1,19 +1,25 @@
-//! Stress tests for the lock-free link rings under real concurrency.
+//! Stress tests for the link rings and the node parker under real concurrency.
 //!
-//! The per-(src, dst) `Ring` is a bounded lock-free MPMC fast path with an
-//! unbounded mutex-guarded overflow behind it. The delicate promise is
-//! **per-link FIFO across the ring→overflow→ring transition**: a producer
-//! moves to the overflow when the ring fills (or while the overflow is
-//! still draining), and the consumer must keep draining older ring slots
-//! before touching the overflow — including the re-check-under-lock subtlety
-//! documented on `Ring::pop`. These tests hammer exactly those transitions
-//! through the public API: a 1-slot ring (carried internally as 2 slots)
-//! overflows on nearly every send, a 1024-slot ring overflows in bursts.
+//! A per-(src, dst) `Ring` is a bounded ring whose producers serialize on a
+//! producer-owned lock, with an unbounded overflow queue behind it under the
+//! same lock; the consumer takes frames from the slots by its own cursor and
+//! joins the producers' lock only to reach the overflow. The promises these
+//! tests hammer through the public API:
+//!
+//! * **per-link FIFO across the ring→overflow→ring transition** — a 1-slot
+//!   ring overflows on nearly every send, a 2-slot ring most of the time, a
+//!   1024-slot ring in bursts — with one sender and with three (the node's
+//!   own task and two foreign OS threads sending through lent handles);
+//! * **nothing lost, nothing twice**: every count is exact;
+//! * **no lost wake-up**: with a policy that parks at once for 200 ms, a
+//!   waker that missed a parked (or parking) node would cost a whole slice,
+//!   and thousands of hand-offs would not finish in seconds.
 
-use mpmd_fabric::{Fabric, LocalFabricBuilder};
-use mpmd_sim::Payload;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder, WaitPolicy};
+use mpmd_sim::{Msg, Payload, TaskId};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Blast `n` sequence-stamped messages from node 0 to node 1; the receiver
 /// drains interleaved with the sends (it starts immediately, so pops race
@@ -104,13 +110,12 @@ fn fifo_per_source_with_concurrent_senders() {
 
 #[test]
 fn inbox_depth_sampling_never_blocks_a_sender() {
-    // Regression for `Ring::depth` taking the producer mutex: depth reads
-    // are now pure atomics, so a sampler task hammering `inbox_len` while
-    // a sender floods the same links must observe plausible depths and the
-    // run must complete with both sides making progress. (With the old
-    // lock-taking depth this test still terminated — just slowly; latency
-    // is `benchmark/`'s business. What this test pins is correctness of the
-    // lock-free count: bounded by in-flight traffic, zero at quiescence.)
+    // `Ring::depth` takes no lock and reads nothing a producer owns: it
+    // counts the published stamps from the consumer's cursor. A sampler task
+    // hammering `inbox_len` while a sender floods the same links must
+    // observe plausible depths and the run must complete with both sides
+    // making progress. What this test pins is correctness of the lock-free
+    // count: bounded by in-flight traffic, zero at quiescence.
     const N: u64 = 30_000;
     let max_seen = Arc::new(AtomicUsize::new(0));
     let done = Arc::new(AtomicBool::new(false));
@@ -151,4 +156,134 @@ fn inbox_depth_sampling_never_blocks_a_sender() {
     // The sampler ran concurrently with real traffic: it must have seen a
     // depth bounded by what was ever in flight.
     assert!(max_seen.load(Ordering::Relaxed) <= N as usize);
+}
+
+/// The next frame, waiting for it on the inbox.
+fn recv(fab: &LocalFabric) -> Msg {
+    loop {
+        match fab.try_recv() {
+            Some(m) => return m,
+            None => fab.park_for_inbox(),
+        }
+    }
+}
+
+/// Three producers on the link 0 → 1: node 0's own task and two foreign OS
+/// threads sending through handles it lent them. Each sender's frames arrive
+/// in the order it sent them and none is lost or seen twice.
+fn three_producers(capacity: usize) {
+    const PER_SENDER: u64 = 200_000;
+    const SENDERS: u64 = 3;
+    let r = LocalFabricBuilder::new(2)
+        .ring_capacity(capacity)
+        .run(move |fab| {
+            if fab.node() == 0 {
+                std::thread::scope(|scope| {
+                    for sender in 0..SENDERS {
+                        let send_all = {
+                            let lent = fab.clone();
+                            move || {
+                                for i in 0..PER_SENDER {
+                                    lent.send_msg(1, 8, 0, Payload::any((sender, i)));
+                                }
+                            }
+                        };
+                        if sender == 0 {
+                            send_all();
+                        } else {
+                            scope.spawn(send_all);
+                        }
+                    }
+                });
+                return;
+            }
+            let mut expect = [0u64; SENDERS as usize];
+            for _ in 0..SENDERS * PER_SENDER {
+                let m = recv(&fab);
+                let (sender, i) = *m.payload.downcast::<(u64, u64)>().unwrap();
+                let e = &mut expect[sender as usize];
+                assert_eq!(i, *e, "sender {sender} reordered (capacity {capacity})");
+                *e += 1;
+            }
+            assert!(fab.try_recv().is_none(), "a frame arrived twice");
+        });
+    assert_eq!(r.stats[0].msgs_sent, SENDERS * PER_SENDER);
+    assert_eq!(r.stats[1].msgs_received, SENDERS * PER_SENDER);
+}
+
+#[test]
+fn three_producers_on_one_link_two_slot_ring() {
+    three_producers(2);
+}
+
+#[test]
+fn three_producers_on_one_link_default_ring() {
+    three_producers(1024);
+}
+
+/// Every wait parks at once, for up to 200 ms: a single lost wake-up costs
+/// the whole slice, so 2 000 hand-offs that each need one finish in well
+/// under the limit only if none is lost.
+fn parks_at_once() -> LocalFabricBuilder {
+    LocalFabricBuilder::new(2).wait_policy(WaitPolicy::park_only(200_000_000))
+}
+
+const HANDOFFS: u64 = 2_000;
+const LIMIT: Duration = Duration::from_secs(10);
+
+#[test]
+fn no_wakeup_is_lost_between_frames_and_a_parking_node() {
+    let t0 = Instant::now();
+    let r = parks_at_once().run(|fab| {
+        let peer = 1 - fab.node();
+        for i in 0..HANDOFFS {
+            if fab.node() == 0 {
+                fab.send_msg(peer, 8, 0, Payload::any(i));
+            }
+            let m = recv(&fab);
+            assert_eq!(*m.payload.downcast::<u64>().unwrap(), i);
+            if fab.node() == 1 {
+                fab.send_msg(peer, 8, 0, Payload::any(i));
+            }
+        }
+    });
+    assert_eq!(r.stats[0].msgs_received, HANDOFFS);
+    assert_eq!(r.stats[1].msgs_received, HANDOFFS);
+    assert!(
+        t0.elapsed() < LIMIT,
+        "wake-ups were lost: {:?}",
+        t0.elapsed()
+    );
+}
+
+#[test]
+fn no_wakeup_is_lost_between_remote_unparks_and_a_parking_node() {
+    let ids = Arc::new([AtomicU32::new(u32::MAX), AtomicU32::new(u32::MAX)]);
+    let t0 = Instant::now();
+    parks_at_once().run(move |fab| {
+        // Learn the peer's task id; from then on the two pass one token back
+        // and forth with `unpark`, each `park` ending only by the other's.
+        let me = fab.node();
+        ids[me].store(fab.task_id().0, Ordering::SeqCst);
+        let peer = loop {
+            match ids[1 - me].load(Ordering::SeqCst) {
+                u32::MAX => fab.yield_now(),
+                id => break TaskId(id),
+            }
+        };
+        for _ in 0..HANDOFFS {
+            if me == 0 {
+                fab.unpark(peer);
+                fab.park();
+            } else {
+                fab.park();
+                fab.unpark(peer);
+            }
+        }
+    });
+    assert!(
+        t0.elapsed() < LIMIT,
+        "wake-ups were lost: {:?}",
+        t0.elapsed()
+    );
 }
