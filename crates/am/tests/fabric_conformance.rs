@@ -10,10 +10,10 @@
 
 use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder};
-use mpmd_sim::{Bucket, Report, Sim, Snapshot, SpanId};
+use mpmd_sim::{Bucket, Report, Sim, Snapshot, SpanId, TaskId};
 use mpmd_threads as thr;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const H_SEQ: am::HandlerId = 100;
@@ -327,18 +327,17 @@ fn storm_parfor<F: Fabric>(ctx: &F) {
     am::barrier(ctx);
 }
 
-/// Task storm (b) and (d): wakeup tokens belong to a task, not to whatever
-/// carries it. An `unpark` before the `park` is kept; one aimed at a task
-/// that has exited is dropped and must not release a later task's `park`
-/// (on `LocalFabric` that later task runs on the same pooled worker). Ids of
+/// Task storm (b): no wakeup token is kept. An `unpark` that finds its
+/// target not parked — blocked in a `join`, which it must not end, or running
+/// — is dropped and does not end the target's next `park`; neither does one
+/// aimed at a task that has exited release a later task's `park`. Ids of
 /// long-gone tasks stay valid: finished, joinable at once, unparkable.
 fn storm_tokens<F: Fabric>(ctx: &F) {
     let me = ctx.task_id();
     let mut gone = Vec::new();
     for _ in 0..50 {
-        // The unpark finds `me` blocked in the `join` below (always on the
-        // simulator, whose spawn does not preempt; usually on real threads)
-        // and must not end that join before `waker` has finished.
+        // The unpark finds `me` blocked in the `join` below (spawn does not
+        // preempt) and must not end that join before `waker` has finished.
         let waker_done = Arc::new(AtomicBool::new(false));
         let done = Arc::clone(&waker_done);
         let waker = ctx.spawn("waker", move |c: F| {
@@ -351,13 +350,25 @@ fn storm_tokens<F: Fabric>(ctx: &F) {
             waker_done.load(Ordering::Acquire),
             "join returned before its target finished"
         );
-        // Only a wall-clock fabric keeps a token for a task that was not
-        // parked; the cooperative simulator drops it (see `Fabric::unpark`).
-        if ctx.wall_clock() {
-            ctx.park(); // unpark-before-park: must not hang
-        }
+        ctx.unpark(me); // finds `me` running
         ctx.join(waker); // join-after-finish: must not hang
-        ctx.unpark(waker); // the stale token
+        ctx.unpark(waker); // aimed at a task that has exited
+
+        // Neither unpark of `me` ends this park: only `again` does, after a
+        // sleep. A fabric that kept a token is caught by order, not by a hang.
+        let second = Arc::new(AtomicBool::new(false));
+        let second2 = Arc::clone(&second);
+        let again = ctx.spawn("again", move |c: F| {
+            c.sleep(mpmd_sim::us(200.0));
+            second2.store(true, Ordering::Release);
+            c.unpark(me);
+        });
+        ctx.park();
+        assert!(
+            second.load(Ordering::Acquire),
+            "park ended by an unpark that came before it"
+        );
+        ctx.join(again);
 
         let at_park = Arc::new(AtomicBool::new(false));
         let released = Arc::new(AtomicBool::new(false));
@@ -367,7 +378,7 @@ fn storm_tokens<F: Fabric>(ctx: &F) {
             c.park();
             assert!(
                 released2.load(Ordering::Acquire),
-                "park released by a token meant for an exited task"
+                "park released by an unpark meant for an exited task"
             );
         });
         while !at_park.load(Ordering::Acquire) {
@@ -379,7 +390,7 @@ fn storm_tokens<F: Fabric>(ctx: &F) {
         released.store(true, Ordering::Release);
         ctx.unpark(sleeper);
         ctx.join(sleeper);
-        gone.extend([waker, sleeper]);
+        gone.extend([waker, again, sleeper]);
     }
     for t in gone {
         assert!(ctx.is_finished(t));
@@ -388,111 +399,7 @@ fn storm_tokens<F: Fabric>(ctx: &F) {
     }
 }
 
-/// Task storm (c): `spawn_on` runs the task on the node it names, and a
-/// daemon spawned from there belongs to that node and winds down at
-/// shutdown. `wound_down` counts the daemons of the storm that have; the
-/// driver checks it after the run.
-fn storm_spawn_on<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicU64>) {
-    if ctx.node() == 0 {
-        let wound_down = Arc::clone(wound_down);
-        let t = ctx.spawn_on(1, "visitor", move |c: F| {
-            assert_eq!(c.node(), 1, "spawn_on(1) ran elsewhere");
-            c.spawn_daemon("resident", move |d: F| {
-                assert_eq!(d.node(), 1, "daemon left its spawner's node");
-                // Drains what it is woken for, like the AM daemons: a
-                // non-empty inbox ends `park_for_inbox` at once.
-                while !d.shutting_down() {
-                    am::poll(&d);
-                    d.park_for_inbox();
-                }
-                wound_down.fetch_add(1, Ordering::AcqRel);
-            });
-        });
-        ctx.join(t);
-    }
-    // Both ways at once: every node lands a wave of tasks on its neighbour
-    // and joins them while it hosts the neighbour's wave itself.
-    const WAVE: u64 = 500;
-    let other = (ctx.node() + 1) % ctx.nodes();
-    let landed = Arc::new(AtomicU64::new(0));
-    let wave: Vec<_> = (0..WAVE)
-        .map(|_| {
-            let landed = Arc::clone(&landed);
-            ctx.spawn_on(other, "wave", move |c: F| {
-                assert_eq!(c.node(), other, "spawn_on ran elsewhere");
-                landed.fetch_add(1, Ordering::AcqRel);
-            })
-        })
-        .collect();
-    for t in wave {
-        ctx.join(t);
-        assert!(ctx.is_finished(t));
-    }
-    assert_eq!(landed.load(Ordering::Acquire), WAVE);
-}
-
-const H_WAKE: am::HandlerId = 103;
-
-/// Task storm (e): a task reaches a task of another node. Node 0 lands a
-/// task on node 1 that parks, then ends that park and joins it — from its
-/// own root on even rounds, from an AM handler (run by whichever task of
-/// node 0 polls) on odd ones. The join must not return before the target
-/// has finished, and a finished remote task reads as finished.
-fn storm_cross_node<F: Fabric>(ctx: &F) {
-    const ROUNDS: u64 = 1_000;
-    let handled = Arc::new(AtomicU64::new(0));
-    let handled2 = Arc::clone(&handled);
-    am::register(ctx, H_WAKE, move |rctx: &F, m| {
-        let t = mpmd_sim::TaskId(m.args[0] as u32);
-        // Only a wall-clock fabric carries an `unpark` across nodes; on the
-        // simulator such wake-ups travel as messages (see `Fabric::unpark`),
-        // so there the target does not park.
-        if rctx.wall_clock() {
-            rctx.unpark(t);
-        }
-        rctx.join(t);
-        assert!(rctx.is_finished(t), "joined, yet not finished");
-        handled2.fetch_add(1, Ordering::AcqRel);
-    });
-    am::barrier(ctx);
-    if ctx.node() == 0 {
-        for round in 0..ROUNDS {
-            let from_handler = round % 2 == 1;
-            let released = Arc::new(AtomicBool::new(false));
-            let released2 = Arc::clone(&released);
-            let t = ctx.spawn_on(1, "sleeper", move |c: F| {
-                if from_handler {
-                    am::endpoint(&c)
-                        .to(0)
-                        .handler(H_WAKE)
-                        .args([c.task_id().0 as u64, 0, 0, 0])
-                        .send();
-                }
-                if c.wall_clock() {
-                    c.park();
-                }
-                released2.store(true, Ordering::Release);
-            });
-            if from_handler {
-                let h = Arc::clone(&handled);
-                am::wait_until(ctx, move || h.load(Ordering::Acquire) == round / 2 + 1);
-            } else {
-                if ctx.wall_clock() {
-                    ctx.unpark(t);
-                }
-                ctx.join(t);
-            }
-            assert!(
-                released.load(Ordering::Acquire),
-                "round {round}: join returned before its target finished"
-            );
-            assert!(ctx.is_finished(t));
-        }
-    }
-    am::barrier(ctx);
-}
-
-/// Task storm (f): wind-down hands the node's thread round. Every node keeps
+/// Task storm (c): wind-down hands the node's thread round. Every node keeps
 /// two daemons: one waits, in a loop of `park`s, for a flag that the other
 /// sets only once the shutdown has begun — so the waiter's parks must let
 /// its sibling run even when they no longer block.
@@ -517,17 +424,15 @@ fn storm_wind_down<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicU64>) {
 }
 
 /// Daemons of the task storm that must have wound down by the end of a run
-/// on `nodes` nodes: (c)'s resident, and (f)'s pair on every node.
+/// on `nodes` nodes: (c)'s pair on every node.
 fn storm_daemons(nodes: u64) -> u64 {
-    1 + 2 * nodes
+    2 * nodes
 }
 
 fn battery_task_storm<F: Fabric>(ctx: &F, wound_down: &Arc<AtomicU64>) {
     setup(ctx);
     storm_parfor(ctx);
     storm_tokens(ctx);
-    storm_spawn_on(ctx, wound_down);
-    storm_cross_node(ctx);
     storm_wind_down(ctx, wound_down);
     am::barrier(ctx);
 }
@@ -626,6 +531,51 @@ fn battery_deadline_order<F: Fabric>(ctx: &F) {
         seen[0] > 0 && seen[0] < seen[1] && seen[1] < seen[2],
         "the yielding root did not run between wake-ups: {seen:?}"
     );
+}
+
+/// What a task may do with the id of a task of another node: nothing.
+type Reach<F> = fn(&F, TaskId);
+
+fn reaches<F: Fabric>() -> [(&'static str, Reach<F>); 3] {
+    [
+        ("unpark", |c, t| c.unpark(t)),
+        ("join", |c, t| c.join(t)),
+        ("is_finished", |c, t| _ = c.is_finished(t)),
+    ]
+}
+
+/// Only messages cross nodes: node 0's root learns the id of node 1's root
+/// through shared memory and `reach`es for it, which must fail the run.
+fn battery_across_nodes<F: Fabric>(ctx: &F, ids: &[AtomicU32; 2], reach: Reach<F>) {
+    ids[ctx.node()].store(ctx.task_id().0, Ordering::Release);
+    if ctx.node() == 0 {
+        let peer = loop {
+            match ids[1].load(Ordering::Acquire) {
+                u32::MAX => {
+                    // The simulator runs node 1 once this node's clock has
+                    // moved past it.
+                    ctx.charge(Bucket::Cpu, 1_000);
+                    ctx.yield_now();
+                }
+                id => break TaskId(id),
+            }
+        };
+        reach(ctx, peer);
+    }
+}
+
+/// Every `reach` across nodes fails `run` with the one shared message.
+fn check_across_nodes<F: Fabric>(fabric: &str, run: impl Fn(Arc<[AtomicU32; 2]>, Reach<F>)) {
+    for (what, reach) in reaches::<F>() {
+        let ids = Arc::new([AtomicU32::new(u32::MAX), AtomicU32::new(u32::MAX)]);
+        let ids2 = Arc::clone(&ids);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(ids2, reach)))
+            .expect_err("reaching across nodes must fail the run");
+        let msg = payload.downcast::<String>().expect("a formatted panic");
+        let peer = TaskId(ids[1].load(Ordering::Acquire));
+        let want = format!("`{what}` of {peer:?} reaches across nodes: only messages cross nodes");
+        assert_eq!(*msg, want, "{fabric}");
+    }
 }
 
 const PROBES: u64 = 7;
@@ -1017,6 +967,20 @@ fn barrier_sim() {
 fn barrier_local() {
     let entered: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
     LocalFabric::run(4, move |ctx| battery_barrier(&ctx, &entered));
+}
+
+#[test]
+fn across_nodes_sim() {
+    check_across_nodes("sim", |ids, reach| {
+        Sim::new(2).run(move |ctx| battery_across_nodes(&ctx, &ids, reach));
+    });
+}
+
+#[test]
+fn across_nodes_local() {
+    check_across_nodes("local", |ids, reach| {
+        LocalFabric::run(2, move |ctx| battery_across_nodes(&ctx, &ids, reach));
+    });
 }
 
 #[test]

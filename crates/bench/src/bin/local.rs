@@ -1,7 +1,7 @@
 //! Real-hardware mode: the paper's microbenchmarks on the wall-clock
 //! [`LocalFabric`] backend instead of the simulator.
 //!
-//! Runs three workloads on real OS threads over the sharded SPSC rings:
+//! Runs three workloads on one OS thread per node over the per-link rings:
 //!
 //! * **null-RMI** — CC++ Simple round trips between two nodes; the
 //!   `ccxx.rmi_rtt_ns` histogram holds *measured* nanoseconds.
@@ -11,20 +11,16 @@
 //!   final field values are compared bit-for-bit against a simulator run
 //!   of the same parameters (same code, different fabric).
 //!
-//! * **probe cost** — what the run's own bookkeeping (metrics registry on)
-//!   adds to a null RMI: interleaved runs with metrics on and off, timed from
-//!   outside the runtime, compared as a ratio of medians.
-//!
 //! The binary asserts completion and nonzero wall-clock histograms (it is
 //! the CI smoke for the backend) and prints measured-vs-simulated null-RMI
-//! round trips and the probe cost.
+//! round trips. Wall-clock performance is compared by `benchmark/`, not here.
 //! Usage: `local [--rmi-iters N] [--barriers N] [--json <path>]`
 
 use mpmd_apps::em3d::{run_splitc_cost, run_splitc_on, Em3dParams, Em3dValues, Em3dVersion};
 use mpmd_apps::AppRun;
 use mpmd_bench::fmt::{reject_unknown_args, take_json_flag, write_json, SCHEMA_VERSION};
 use mpmd_ccxx::{self as cx, CallMode, CcxxConfig};
-use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder};
+use mpmd_fabric::{Fabric, LocalFabric};
 use mpmd_sim::{to_us, CostModel, Histogram, Sim};
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -67,63 +63,6 @@ fn null_rmi_sim(iters: usize) -> Histogram {
         .expect("metrics were enabled")
         .hist("ccxx.rmi_rtt_ns")
         .expect("null RMIs record ccxx.rmi_rtt_ns")
-}
-
-/// Metrics-on / metrics-off run pairs behind the probe-cost ratio.
-const PROBE_PAIRS: usize = 5;
-/// Timed null RMIs per probe-cost run (after `PROBE_WARMUP` untimed ones).
-const PROBE_ITERS: usize = 5_000;
-const PROBE_WARMUP: usize = 200;
-
-/// Exact p50, in wall nanoseconds, of `PROBE_ITERS` null RMIs timed around
-/// the call (the runtime's own histogram does not exist with metrics off).
-fn null_rmi_p50(metrics: bool) -> u64 {
-    let slot = Arc::new(Mutex::new(Vec::new()));
-    let s2 = Arc::clone(&slot);
-    LocalFabricBuilder::new(2).metrics(metrics).run(move |ctx| {
-        cx::init(&ctx, CcxxConfig::tham());
-        cx::barrier(&ctx);
-        if ctx.node() == 0 {
-            let call = || cx::rmi(&ctx, 1, cx::M_NULL, &[], None, CallMode::Simple);
-            for _ in 0..PROBE_WARMUP {
-                call();
-            }
-            let mut ns = Vec::with_capacity(PROBE_ITERS);
-            for _ in 0..PROBE_ITERS {
-                let t = Instant::now();
-                call();
-                ns.push(t.elapsed().as_nanos() as u64);
-            }
-            *s2.lock() = ns;
-        }
-        cx::finalize(&ctx);
-    });
-    let ns = std::mem::take(&mut *slot.lock());
-    assert_eq!(ns.len(), PROBE_ITERS, "lost probe-cost round trips");
-    median(ns)
-}
-
-fn median(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-/// Median null-RMI p50 with metrics on and off over `PROBE_PAIRS`
-/// interleaved pairs, alternating which side of a pair runs first. Reported,
-/// not gated: on a shared 2-vCPU host the ratio of the two reads 0.5–1.4 from
-/// one run to the next, wider than the 1.2 the per-node locks used to cost.
-fn probe_cost() -> (u64, u64) {
-    let (mut on, mut off) = (Vec::new(), Vec::new());
-    for pair in 0..PROBE_PAIRS {
-        if pair % 2 == 0 {
-            on.push(null_rmi_p50(true));
-            off.push(null_rmi_p50(false));
-        } else {
-            off.push(null_rmi_p50(false));
-            on.push(null_rmi_p50(true));
-        }
-    }
-    (median(on), median(off))
 }
 
 /// Barrier ring on four OS threads: per-round wall latency of the
@@ -192,12 +131,6 @@ fn main() {
     assert!(rtt.sum > 0, "wall-clock RTT histogram is empty");
     let sim_rtt = null_rmi_sim(rmi_iters.min(200));
 
-    eprintln!(
-        "local: probe cost, {PROBE_PAIRS} pairs of {PROBE_ITERS} null RMIs, metrics on / off..."
-    );
-    let (probe_on, probe_off) = probe_cost();
-    let probe_ratio = probe_on as f64 / probe_off as f64;
-
     eprintln!("local: barrier ring, {barriers} rounds on 4 threads...");
     let bar = barrier_ring(barriers);
     assert_eq!(bar.count, barriers as u64, "lost barrier rounds");
@@ -231,10 +164,6 @@ fn main() {
         rmi_iters as f64 / rmi_wall,
     );
     println!(
-        "probe cost: null RMI p50 {probe_on} ns with metrics on / {probe_off} ns off = \
-         {probe_ratio:.3}"
-    );
-    println!(
         "barrier:   p50 {:.1} µs / p99 {:.1} µs wall over {barriers} rounds on 4 threads",
         to_us(bar.p50()),
         to_us(bar.p99()),
@@ -252,13 +181,6 @@ fn main() {
     rm.insert("rtt_wall".into(), hist_value(&rtt));
     rm.insert("rtt_sim_p50_ns".into(), sim_rtt.p50().to_value());
     m.insert("null_rmi".into(), serde_json::Value::Object(rm));
-    let mut pm = serde_json::Map::new();
-    pm.insert("pairs".into(), (PROBE_PAIRS as u64).to_value());
-    pm.insert("iters".into(), (PROBE_ITERS as u64).to_value());
-    pm.insert("metrics_on_p50_ns".into(), probe_on.to_value());
-    pm.insert("metrics_off_p50_ns".into(), probe_off.to_value());
-    pm.insert("on_over_off".into(), probe_ratio.to_value());
-    m.insert("probe_cost".into(), serde_json::Value::Object(pm));
     let mut bm = serde_json::Map::new();
     bm.insert("rounds".into(), (barriers as u64).to_value());
     bm.insert("latency_wall".into(), hist_value(&bar));

@@ -12,13 +12,14 @@
 use crate::cost::CostModel;
 use crate::engine::{spawn_task, switch_from_task, SimInner};
 use crate::event::{Msg, Payload};
-use crate::fabric::Fabric;
-use crate::kernel::{FaultDecision, TaskState};
+use crate::fabric::{Fabric, ACROSS_NODES};
+use crate::kernel::{FaultDecision, Kernel, TaskState};
 use crate::report::Snapshot;
 use crate::stats::{Bucket, Stats};
 use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
 use crate::trace::{SpanId, TraceEvent};
+use parking_lot::MutexGuard;
 use std::any::Any;
 use std::sync::Arc;
 
@@ -58,6 +59,18 @@ impl Ctx {
             task,
             cell,
         }
+    }
+
+    /// The kernel, locked, for `op` on task `t` — which must be a task of
+    /// this node (threads and their synchronization live within one address
+    /// space).
+    fn local_task(&self, t: TaskId, op: &str) -> MutexGuard<'_, Kernel> {
+        let k = self.inner.lock_kernel();
+        assert!(
+            k.tasks[t.idx()].node == self.node,
+            "`{op}` of {t:?} {ACROSS_NODES}"
+        );
+        k
     }
 }
 
@@ -119,13 +132,6 @@ impl Fabric for Ctx {
         spawn_task(&self.inner, self.node, name.to_string(), false, f)
     }
 
-    fn spawn_on<F>(&self, node: usize, name: &str, f: F) -> TaskId
-    where
-        F: FnOnce(Ctx) + Send + 'static,
-    {
-        spawn_task(&self.inner, node, name.to_string(), false, f)
-    }
-
     /// Daemons are excluded from the liveness condition: when only daemons
     /// remain, the engine flips `shutting_down`, wakes them, and expects
     /// them to return.
@@ -170,19 +176,11 @@ impl Fabric for Ctx {
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
-    /// Panics on a cross-node target (threads and their synchronization live
-    /// within one address space).
     fn unpark(&self, t: TaskId) {
-        let mut k = self.inner.lock_kernel();
-        let rec = &k.tasks[t.idx()];
-        assert_eq!(
-            rec.node, self.node,
-            "unpark across nodes (task on node {}, caller on node {})",
-            rec.node, self.node
-        );
-        match rec.state {
+        let mut k = self.local_task(t, "unpark");
+        match k.tasks[t.idx()].state {
             TaskState::Parked | TaskState::InboxWait => k.make_runnable(t),
-            // Dropped: the trait docs say why that is sound here.
+            // Dropped: the trait docs say why that is sound.
             _ => {}
         }
     }
@@ -234,7 +232,7 @@ impl Fabric for Ctx {
     fn join(&self, t: TaskId) {
         let mut listed = false;
         loop {
-            let mut k = self.inner.lock_kernel();
+            let mut k = self.local_task(t, "join");
             if k.tasks[t.idx()].state == TaskState::Finished {
                 return;
             }
@@ -252,7 +250,7 @@ impl Fabric for Ctx {
     }
 
     fn is_finished(&self, t: TaskId) -> bool {
-        self.inner.lock_kernel().tasks[t.idx()].state == TaskState::Finished
+        self.local_task(t, "is_finished").tasks[t.idx()].state == TaskState::Finished
     }
 
     fn shutting_down(&self) -> bool {

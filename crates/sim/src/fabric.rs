@@ -25,6 +25,10 @@ use crate::time::Time;
 use crate::trace::{SpanId, TraceEvent};
 use std::sync::Arc;
 
+/// What `unpark`, `join` and `is_finished` panic with, on every backend, when
+/// their target is a task of another node.
+pub const ACROSS_NODES: &str = "reaches across nodes: only messages cross nodes";
+
 /// The machine interface the MPMD communication stack runs on.
 ///
 /// Three kinds of method (DESIGN.md §4 has the table):
@@ -49,7 +53,9 @@ use std::sync::Arc;
 ///   re-check). [`Fabric::park_for_inbox_until`] additionally returns when
 ///   the node clock reaches the deadline — the reliable layer's retransmit
 ///   pump depends on this.
-/// * **`unpark` is never lost where it can race**: see [`Fabric::unpark`].
+/// * **Scheduling is node-local**: a task spawns, wakes, joins and asks
+///   about tasks of its own node; only messages cross nodes. See
+///   [`Fabric::unpark`].
 /// * **Clocks are per-node and monotone**, in nanoseconds. On the simulated
 ///   fabric they advance only by [`Fabric::charge`]; on wall-clock fabrics
 ///   they advance on their own and `charge` only keeps the cost-bucket
@@ -87,11 +93,11 @@ pub trait Fabric: Clone + Send + 'static {
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R;
 
     /// Capture all node clocks/stats. The capture holds what the caller has
-    /// done so far and everything that happened before it by way of the
-    /// fabric — before a frame the caller received, a wakeup, a spawn or a
-    /// join, on any chain of them — so behind a barrier it is exact. Nodes
-    /// that hand off through shared memory alone are seen, on `LocalFabric`,
-    /// as of their last send or the last time they went idle.
+    /// done so far and everything another node did before sending a frame
+    /// that reached the caller, on any chain of frames — so behind a barrier
+    /// it is exact. Nodes that hand off through shared memory alone are seen,
+    /// on `LocalFabric`, as of their last send or the last time they went
+    /// idle.
     fn snapshot(&self) -> Snapshot;
 
     // ---- scheduling --------------------------------------------------
@@ -99,12 +105,6 @@ pub trait Fabric: Clone + Send + 'static {
     /// Spawn a new task on this node. Pure scheduling: the *cost* of thread
     /// creation is charged by the threads package, not here.
     fn spawn<G>(&self, name: &str, f: G) -> TaskId
-    where
-        G: FnOnce(Self) + Send + 'static;
-
-    /// Spawn a task on an arbitrary node (runtime bootstrap helper, e.g.
-    /// starting remote polling threads; ordinary code spawns locally).
-    fn spawn_on<G>(&self, node: usize, name: &str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static;
 
@@ -122,25 +122,16 @@ pub trait Fabric: Clone + Send + 'static {
     /// Park this task until [`Fabric::unpark`] (or a timer) wakes it.
     fn park(&self);
 
-    /// Make task `t` runnable again. Portable code wakes tasks of the
-    /// caller's own node only — cross-node wake-ups travel as messages, and
-    /// the simulator rejects anything else; `LocalFabric` also carries an
-    /// `unpark` to a task of another node.
-    ///
-    /// Tasks of one node are cooperative on both backends: nothing runs
-    /// between a task's check of its wake condition and its `park`. What
-    /// holds for an unpark that finds `t` not parked still differs:
-    ///
-    /// * `LocalFabric`: wakeup tokens are consumable, as with OS thread
-    ///   parkers — an unpark that arrives before the target parks still ends
-    ///   that park (it may come from another node, and nodes do run in
-    ///   parallel). A token aimed at a task that has exited is dropped.
-    /// * Simulator: an unpark of a task that is not parked is dropped; there
-    ///   is no window in which a wakeup the task still needs could arrive
-    ///   early.
-    ///
-    /// On both, an unpark aimed at a task blocked in [`Fabric::join`] does
-    /// not end the join.
+    /// Make task `t` runnable again if it is blocked in [`Fabric::park`] or
+    /// an inbox wait; otherwise the call is dropped — no token is kept, and
+    /// one aimed at a task blocked in [`Fabric::join`] does not end the join.
+    /// That is sound because scheduling is node-local: `unpark`,
+    /// [`Fabric::join`] and [`Fabric::is_finished`] take a task of the
+    /// caller's own node and panic with [`ACROSS_NODES`] on any other (a
+    /// cross-node wake-up travels as a message, like everything else between
+    /// nodes), and tasks of one node are cooperative — nothing runs between a
+    /// task's check of its wake condition and its `park`, so a wake-up it
+    /// still needs cannot arrive early.
     fn unpark(&self, t: TaskId);
 
     /// Park until a frame is delivered to this node's inbox (returns
@@ -156,11 +147,11 @@ pub trait Fabric: Clone + Send + 'static {
     /// Park for `ns` of this node's time.
     fn sleep(&self, ns: Time);
 
-    /// Block until task `t` finishes. No modeled cost (the threads package
-    /// wraps this with its accounting).
+    /// Block until task `t`, of this node, finishes. No modeled cost (the
+    /// threads package wraps this with its accounting).
     fn join(&self, t: TaskId);
 
-    /// Whether task `t` has finished.
+    /// Whether task `t`, of this node, has finished.
     fn is_finished(&self, t: TaskId) -> bool;
 
     /// Whether the engine has begun shutdown because only daemon tasks

@@ -593,7 +593,6 @@ impl Kernel {
     /// clock (cross-node joins model a zero-cost completion notification and
     /// are only used by test scaffolding; real runtimes use messages).
     pub(crate) fn finish_task(&mut self, t: TaskId) {
-        let finish_clock = self.clock(self.tasks[t.idx()].node);
         let rec = &mut self.tasks[t.idx()];
         debug_assert_ne!(rec.state, TaskState::Finished, "double finish");
         rec.state = TaskState::Finished;
@@ -614,8 +613,6 @@ impl Kernel {
         }
         for j in joiners {
             if self.tasks[j.idx()].state == TaskState::Parked {
-                let jn = self.tasks[j.idx()].node;
-                self.raise_clock(jn, finish_clock);
                 self.make_runnable(j);
             }
         }

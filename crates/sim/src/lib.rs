@@ -52,7 +52,7 @@ pub use ctx::Ctx;
 pub use engine::{backend_from_env, Sim};
 pub use event::{Msg, Payload};
 pub use explore::{shrink, ChoicePoint, OracleSpec, RecordedTrace, ScheduleOracle, TraceOracle};
-pub use fabric::{Fabric, SpanGuard};
+pub use fabric::{Fabric, SpanGuard, ACROSS_NODES};
 pub use flame::{fold_stacks, phase_profile, Phase};
 pub use kernel::FaultDecision;
 pub use metrics::{Histogram, MetricsRegistry, NodeMetrics, HIST_BUCKETS};

@@ -130,8 +130,8 @@ pub enum WaitPhase {
 ///
 /// One `Waiter` belongs to one waiting thread (on `LocalFabric`, a node's)
 /// and is consulted only by it. Each call to [`Waiter::next_phase`] advances
-/// the escalation; [`Waiter::reset`] (on a productive wake — a frame arrived, an unpark
-/// landed) rewinds to the spin phase and the initial park slice.
+/// the escalation; [`Waiter::reset`] (on a productive wake — a frame arrived, a
+/// deadline passed) rewinds to the spin phase and the initial park slice.
 #[derive(Clone, Debug)]
 pub struct Waiter {
     policy: WaitPolicy,
@@ -170,7 +170,7 @@ impl Waiter {
         WaitPhase::Park(slice)
     }
 
-    /// The wait was productive (frame arrived / unpark landed): restart the
+    /// The wait was productive (frame arrived / deadline passed): restart the
     /// escalation from the spin phase with the initial park slice.
     pub fn reset(&mut self) {
         self.step = 0;
