@@ -94,7 +94,7 @@ echo "==> regress smoke (quick observability suite vs checked-in baseline)"
 rm -f /tmp/ci_regress.json
 echo "regress quick gate OK"
 
-echo "==> fabric ring stress + wall-clock zero-alloc + bounded-task tests"
+echo "==> fabric ring stress + wall-clock zero-alloc + bounded-task + call-record tests"
 # The link ring's FIFO/overflow invariants under thread contention (one
 # sender, and three on one link: the node's task plus two foreign threads
 # with lent handles), the lost-wake-up battery (2 000 frame hand-offs with
@@ -103,12 +103,15 @@ echo "==> fabric ring stress + wall-clock zero-alloc + bounded-task tests"
 # where the fast paths are actually taken. Also at full size only in
 # release: 50 000 spawn/join pairs and a 5 000-wide task wave on exactly one
 # OS thread per node, 20 000 threaded RMIs in one run, and EM3D base in CC++
-# at the paper's graph size.
+# at the paper's graph size. One layer up, the RMI's call records: a warm
+# null RMI allocates nothing on either node of either fabric, only the task
+# that issued a call recycles its record, a failed run frees every record.
 # These assert completion and counts, not timings, so none is retried.
 cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count \
     --test bounded_tasks
+cargo test --release -q -p mpmd-ccxx --test alloc_count --test call_records
 cargo test --release -q -p mpmd-apps --test local_scale
-echo "fabric stress + alloc + bounded-task tests OK"
+echo "fabric stress + alloc + bounded-task + call-record tests OK"
 
 echo "==> benchmark/ builds and runs (standalone crate, quick smoke)"
 # benchmark/ is its own workspace, so nothing above compiles it: an API
@@ -164,7 +167,9 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # the task-table bounds of bounded_tasks, ring_stress (the ring does not
 # depend on the baton, the idle loop that reads it does) and the whole
 # conformance suite, on which one node's tasks still run one at a time and
-# scheduling across nodes still fails the run with the one message. A
+# scheduling across nodes still fails the run with the one message. The RMI
+# call records: the per-node free list and the rule that only the issuing
+# task recycles must hold with every task on its own OS thread too. A
 # separate target dir keeps the main cache warm.
 no_fibers() {
     CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo test -q "$@"
@@ -172,6 +177,7 @@ no_fibers() {
 no_fibers -p mpmd-sim --lib --test explore --test inbox_waiters --test proptest_engine
 no_fibers -p mpmd-fabric --lib --test bounded_tasks --test ring_stress
 no_fibers -p mpmd-am --test fabric_conformance
+no_fibers -p mpmd-ccxx --test alloc_count --test call_records
 echo "threads fallback OK"
 
 echo "==> all checks passed"

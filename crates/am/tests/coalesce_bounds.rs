@@ -1,6 +1,6 @@
 //! Coalescing-buffer boundary conditions: flushes landing *exactly* at the
-//! `max_msgs` / `max_bytes` bounds, and poll-driven flushes racing
-//! retransmitted frames under wire faults.
+//! `max_msgs` / `max_bytes` bounds, a bulk send behind buffered shorts, and
+//! poll-driven flushes racing retransmitted frames under wire faults.
 //!
 //! The append path checks its bounds **after** adding the new sub-message
 //! (`len >= max_msgs || bytes >= max_bytes`), so a bound of N must flush on
@@ -131,6 +131,46 @@ fn one_byte_over_the_bound_defers_the_flush() {
         "81-byte bound must defer to the 3rd append"
     );
     assert_eq!(t.agg_msgs, 3);
+}
+
+/// A bulk send flushes the shorts buffered ahead of it, and must then stay
+/// behind them on the wire: 20 buffered shorts make a large aggregate frame,
+/// the 8-byte bulk message that follows is small and would land first if
+/// wire time alone decided.
+#[test]
+fn a_small_bulk_send_does_not_overtake_the_aggregate_flushed_ahead_of_it() {
+    let cfg = CoalesceConfig {
+        max_msgs: 64,
+        max_bytes: 4096,
+        max_linger: never_linger(),
+    };
+    let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let l_out = Arc::clone(&log);
+    Sim::new(2).run(move |ctx| {
+        am::init(&ctx, NetProfile::sp_am_splitc());
+        am::register_barrier_handlers(&ctx);
+        am::enable_coalescing(&ctx, cfg.clone());
+        let l2 = Arc::clone(&log);
+        am::register(&ctx, H_SINK, move |_ctx, m| {
+            l2.lock().push((m.args[0], m.data.is_some()));
+        });
+        am::barrier(&ctx);
+        if ctx.node() == 0 {
+            let ep = am::endpoint(&ctx);
+            for i in 0..20u64 {
+                ep.to(1).handler(H_SINK).args([i, 0, 0, 0]).send();
+            }
+            ep.to(1)
+                .handler(H_SINK)
+                .args([99, 0, 0, 0])
+                .bulk(bytes::Bytes::from(vec![0u8; 8]))
+                .send();
+        }
+        am::barrier(&ctx);
+    });
+    let mut want: Vec<(u64, bool)> = (0..20).map(|i| (i, false)).collect();
+    want.push((99, true));
+    assert_eq!(*l_out.lock(), want, "(arg, is bulk) in arrival order");
 }
 
 /// Flush-at-poll racing retransmitted frames: under drops, duplicates and

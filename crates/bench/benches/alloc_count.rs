@@ -16,10 +16,13 @@
 //! Asserted bounds (the process aborts on regression, failing `cargo bench`):
 //! * raw short-message round trip — **0** allocations;
 //! * AM bulk send — bounded (the payload buffer and its transfer frames),
-//!   currently ≤ 16 allocations per send.
+//!   currently ≤ 16 allocations per send;
+//! * warm `Simple` null RMI — **0** allocations (the call record is recycled;
+//!   every mode on both fabrics is in `crates/ccxx/tests/alloc_count.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mpmd_am as am;
+use mpmd_ccxx as cx;
 use mpmd_sim::{thread_allocs, CountingAlloc, Fabric, Payload, Sim};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -101,6 +104,27 @@ fn count_bulk_sends() -> u64 {
     DELTA.load(Relaxed)
 }
 
+/// Warm `Simple` null RMIs from node 0 to node 1.
+fn count_null_rmis() -> u64 {
+    static DELTA: AtomicU64 = AtomicU64::new(u64::MAX);
+    Sim::new(2).run(|ctx| {
+        cx::init(&ctx, cx::CcxxConfig::tham());
+        if ctx.node() == 0 {
+            let calls = |n: usize| {
+                for _ in 0..n {
+                    cx::rmi(&ctx, 1, cx::M_NULL, &[], None, cx::CallMode::Simple);
+                }
+            };
+            calls(WARMUP);
+            let before = thread_allocs();
+            calls(OPS);
+            DELTA.store(thread_allocs() - before, Relaxed);
+        }
+        cx::finalize(&ctx);
+    });
+    DELTA.load(Relaxed)
+}
+
 fn bench_alloc_counts(c: &mut Criterion) {
     let mut g = c.benchmark_group("alloc_count");
     // One-shot counts, reported through the bench output so CI and humans
@@ -118,6 +142,9 @@ fn bench_alloc_counts(c: &mut Criterion) {
         per_send <= 16,
         "bulk sends must stay bounded: {per_send} allocs per send"
     );
+    let rmi_allocs = count_null_rmis();
+    println!("alloc_count/null_rmi: {rmi_allocs} allocs / {OPS} ops");
+    assert_eq!(rmi_allocs, 0, "warm null RMIs must stay allocation-free");
     // Wall-clock of the counted loops, for the record.
     g.sample_size(10);
     g.bench_function("short_round_trips_counted", |b| {

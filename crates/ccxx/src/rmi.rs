@@ -12,23 +12,41 @@
 //!    on a miss the full *name* travels and resolution happens remotely,
 //!    with the resolved address piggy-backed on the reply to update the
 //!    cache ("a message being sent back to update the local entry").
-//! 2. initiator: marshalled arguments (if any) go as an AM bulk transfer;
+//! 2. initiator: take a [`CxCall`] record from this node's free list
+//!    (allocating only when the list is empty), re-arm its completion cell,
+//!    fill in the request and send the record itself as the message token.
+//!    Marshalled arguments (if any) go as an AM bulk transfer;
 //!    argument-free invocations use a short 4-word AM.
 //! 3. receiver: a non-threaded RMI runs the stub directly in the polling
 //!    context ("the remote stub can be invoked directly as the active
 //!    message handler"); a threaded RMI goes "to a generic active message
 //!    handler who creates a new thread and then calls the desired method";
-//!    atomic RMIs additionally hold the processor-object lock.
-//! 4. the stub's reply completes the initiator's reply cell; `Simple` mode
-//!    initiators spin-poll for it, all other modes block on a write-once
-//!    sync variable and are woken by the handler.
+//!    atomic RMIs additionally hold the processor-object lock. Either way
+//!    the stub's return value is written *into the record it came in* and
+//!    the same box travels back as the reply's token: the receiver neither
+//!    allocates nor frees.
+//! 4. the reply handler parks the returned record in its completion cell
+//!    and, for every mode but `Simple`, writes the cell's sync variable;
+//!    `Simple` initiators spin-poll for the record, all other modes block on
+//!    the sync variable and are woken by the handler. The initiator takes
+//!    the return value out and puts the record back on the free list.
+//!
+//! Who frees what: a record lives and dies on the node that issued the call.
+//! **Only the task that issued a call returns its record to the free list**,
+//! after it has taken the return value out; the reply handler hands the
+//! record to that task and never recycles it. (Recycling in the handler is
+//! wrong: a blocked caller that has been woken but not yet scheduled would
+//! find its cell re-armed by a sibling's next call.) A record whose caller
+//! has unwound is dropped with its cell; a record in flight when the run
+//! fails is dropped with the message that carries it.
 
 use crate::state::{name_hash, CacheEntry, CcxxState, StubFn};
 use bytes::Bytes;
-use mpmd_am::{self as am, HandlerId, ReplyCell};
+use mpmd_am::{self as am, HandlerId};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
 use mpmd_threads::SyncVar;
+use parking_lot::Mutex as HostMutex;
 use std::sync::Arc;
 
 pub(crate) const H_REQ: HandlerId = 64;
@@ -141,30 +159,58 @@ enum Target {
     Name(u32, String),
 }
 
-/// The typed request payload (the simulation's wire image; byte-level sizes
-/// are accounted through the AM layer's bulk path).
-pub(crate) struct CxRequest {
+/// One RMI, out and back: the request fields are written by the caller, the
+/// reply fields by the callee, and the box that carries them is the token of
+/// both messages (the simulation's wire image; byte-level sizes are accounted
+/// through the AM layer's bulk path). Owned by the calling node for its whole
+/// life — see the module docs for the ownership rule.
+pub(crate) struct CxCall {
     src: usize,
     mode: CallMode,
     target: Target,
     words: Words,
     data: Option<Bytes>,
-    reply: Arc<ReplyCtl>,
     /// Target processor-object id (object methods; see [`crate::pobj`]).
     obj: Option<u64>,
-}
-
-/// Reply continuation: completes the cell, then wakes a blocked initiator.
-pub(crate) struct ReplyCtl {
-    pub(crate) cell: Arc<ReplyCell>,
-    pub(crate) sv: Option<Arc<SyncVar<()>>>,
-}
-
-pub(crate) struct CxReply {
     ret: RmiRet,
     /// Piggy-backed stub resolution for the initiator's cache.
     cache_update: Option<(u32, u64, u64)>, // (program, name hash, addr)
-    reply: Arc<ReplyCtl>,
+    /// Where the reply handler leaves this record for the caller. `None`
+    /// only between that hand-over and the caller putting its own clone
+    /// back, so a record parked for a caller that has unwound does not keep
+    /// its cell (and through it, itself) alive.
+    cell: Option<Arc<Completion>>,
+}
+
+/// A call record's completion cell, kept across the record's reuses.
+#[derive(Default)]
+struct Completion {
+    /// The record, back from the callee with `ret` filled in.
+    returned: HostMutex<Option<Box<CxCall>>>,
+    /// Written after `returned` is filled; what blocking modes wait on.
+    sv: SyncVar<()>,
+}
+
+impl CxCall {
+    fn new() -> Self {
+        CxCall {
+            src: 0,
+            mode: CallMode::Simple,
+            target: Target::Addr(0),
+            words: Words::default(),
+            data: None,
+            obj: None,
+            ret: RmiRet::null(),
+            cache_update: None,
+            cell: None,
+        }
+    }
+}
+
+/// Call records on this node's free list.
+#[doc(hidden)]
+pub fn debug_call_records<F: Fabric>(ctx: &F) -> usize {
+    CcxxState::get(ctx).call_records.lock().len()
 }
 
 /// The default program id ("a CC++ application can be composed of multiple,
@@ -312,17 +358,9 @@ fn rmi_inner<F: Fabric>(
         Target::Name(program, method.to_string())
     };
 
-    let sv = if mode.initiator_blocks() {
+    if mode.initiator_blocks() {
         ctx.charge(Bucket::Runtime, c.blocking_plumbing);
-        Some(Arc::new(SyncVar::new()))
-    } else {
-        None
-    };
-    let cell = ReplyCell::new();
-    let reply = Arc::new(ReplyCtl {
-        cell: Arc::clone(&cell),
-        sv: sv.clone(),
-    });
+    }
 
     // The wire image: marshalled payload bytes, plus the method name when
     // shipping a name instead of an address.
@@ -331,15 +369,22 @@ fn rmi_inner<F: Fabric>(
         Target::Name(_, n) => n.len() + 4, // name + program id
         Target::Addr(_) => 0,
     };
-    let req = CxRequest {
-        src: ctx.node(),
-        mode,
-        target,
-        words,
-        data: payload_bytes.clone(),
-        reply,
-        obj,
-    };
+    let popped = st.call_records.lock().pop();
+    let mut call = popped.unwrap_or_else(|| Box::new(CxCall::new()));
+    // Re-arm the completion cell. The record's clone is the only one unless
+    // the record is new, or the handler that returned it has not finished
+    // yet (a poll from a lent handle on another OS thread) and keeps its own.
+    match call.cell.as_mut().and_then(Arc::get_mut) {
+        Some(cell) => cell.sv.rearm(),
+        None => call.cell = Some(Arc::default()),
+    }
+    let cell = Arc::clone(call.cell.as_ref().expect("armed above"));
+    call.src = ctx.node();
+    call.mode = mode;
+    call.target = target;
+    call.words = words;
+    call.data = payload_bytes.clone();
+    call.obj = obj;
     ctx.span_end(sp_marshal);
 
     {
@@ -362,33 +407,39 @@ fn rmi_inner<F: Fabric>(
                 .to(dst)
                 .handler(H_REQ)
                 .bulk(wire)
-                .token(Box::new(req) as am::Token)
+                .token(call as am::Token)
                 .send();
         } else {
             am::endpoint(ctx)
                 .to(dst)
                 .handler(H_REQ)
-                .token(Box::new(req) as am::Token)
+                .token(call as am::Token)
                 .send();
         }
     }
 
-    match sv {
-        None => {
-            let c2 = Arc::clone(&cell);
-            spin_wait(ctx, move || c2.is_done());
-        }
-        Some(sv) => {
-            // Blocking read: flush any coalesced sends first, or the request
-            // could sit buffered while this thread sleeps on the reply.
-            am::flush(ctx);
-            sv.read(ctx);
-        }
+    let mut call = if mode.initiator_blocks() {
+        // Blocking read: flush any coalesced sends first, or the request
+        // could sit buffered while this thread sleeps on the reply.
+        am::flush(ctx);
+        cell.sv.read(ctx);
+        cell.returned.lock().take()
+    } else {
+        let mut back = None;
+        spin_wait(ctx, || {
+            back = cell.returned.lock().take();
+            back.is_some()
+        });
+        back
     }
+    .expect("reply not complete");
+    call.cell = Some(cell);
 
     let sp_unmarshal = ctx.span_start("rmi.unmarshal");
-    let data = cell.take_data();
-    if let Some(d) = &data {
+    let ret = std::mem::take(&mut call.ret);
+    // This task issued the call, so this task recycles its record.
+    st.call_records.lock().push(call);
+    if let Some(d) = &ret.data {
         // "Bulk reads cost more than bulk writes in CC++ because the return
         // data has to be copied twice" — unless the initiator passed its
         // R-buffer address.
@@ -400,70 +451,48 @@ fn rmi_inner<F: Fabric>(
     if let Some(t0) = rmi_t0 {
         ctx.metric_observe_since("ccxx.rmi_rtt_ns", t0);
     }
-    RmiRet {
-        words: cell.words(),
-        data,
-    }
+    ret
 }
 
-/// Execute a stub and send the reply (shared by the inline and threaded
-/// receive paths). Runs on the receiving node.
-fn run_and_reply<F: Fabric>(
-    ctx: &F,
-    st: &CcxxState<F>,
-    stub: StubFn<F>,
-    req: CxRequest,
-    cache_update: Option<(u32, u64, u64)>,
-) {
+/// Execute a stub and send the reply in the record the request came in
+/// (shared by the inline and threaded receive paths). Runs on the receiving
+/// node.
+fn run_and_reply<F: Fabric>(ctx: &F, st: &CcxxState<F>, stub: StubFn<F>, mut call: Box<CxCall>) {
     let cfg = st.cfg();
     let c = &cfg.costs;
-    let atomic = matches!(req.mode, CallMode::Atomic);
     let sp_exec = ctx.span_start("rmi.execute");
-    let ret = if atomic {
+    let args = RmiArgs {
+        src: call.src,
+        words: call.words,
+        data: call.data.take(),
+        obj: call.obj,
+    };
+    let ret = if matches!(call.mode, CallMode::Atomic) {
         ctx.charge(Bucket::Runtime, c.atomic_lookup);
         let _obj = st.method_lock.lock(ctx);
-        stub(
-            ctx,
-            RmiArgs {
-                src: req.src,
-                words: req.words,
-                data: req.data,
-                obj: req.obj,
-            },
-        )
+        stub(ctx, args)
     } else {
-        stub(
-            ctx,
-            RmiArgs {
-                src: req.src,
-                words: req.words,
-                data: req.data,
-                obj: req.obj,
-            },
-        )
+        stub(ctx, args)
     };
     ctx.span_end(sp_exec);
     // Send the reply.
     let _sp_reply = ctx.span("rmi.reply");
     drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
     ctx.charge(Bucket::Runtime, c.reply_issue);
-    let reply_msg = CxReply {
-        cache_update,
-        reply: req.reply,
-        ret,
-    };
-    let dst = req.src;
-    match reply_msg.ret.data.clone() {
+    let dst = call.src;
+    let bulk = ret.data.clone();
+    call.ret = ret;
+    match bulk {
         Some(d) => am::endpoint(ctx)
             .to(dst)
             .handler(H_REPLY)
             .bulk(d)
-            .token(Box::new(reply_msg) as am::Token)
+            .token(call as am::Token)
             .send(),
         None => am::endpoint(ctx)
             .to(dst)
             .handler(H_REPLY)
-            .token(Box::new(reply_msg) as am::Token)
+            .token(call as am::Token)
             .send(),
     }
 }
@@ -482,21 +511,21 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
             // kernel propagation cost, per message.
             ctx.charge(Bucket::Net, ic);
         }
-        let req = *m
+        let mut call = m
             .token
             .take()
             .expect("RMI request without payload")
-            .downcast::<CxRequest>()
+            .downcast::<CxCall>()
             .expect("foreign token on RMI handler");
         drop(st.dispatch_lock.lock(ctx)); // charged lock/unlock pair; released before dispatch (handlers may send)
         ctx.charge(Bucket::Runtime, c.recv_dispatch);
 
         // Resolve the stub.
-        let (addr, cache_update) = match &req.target {
+        let (addr, cache_update) = match &call.target {
             Target::Addr(a) => (*a, None),
             Target::Name(prog, n) => {
                 ctx.charge(Bucket::Runtime, c.name_resolve);
-                let wire_name = match req.obj {
+                let wire_name = match call.obj {
                     Some(obj) => crate::pobj::object_method_wire_name(ctx, obj, n),
                     None => n.clone(),
                 };
@@ -511,10 +540,11 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
                         )
                     });
                 let cache_hash =
-                    name_hash(n) ^ req.obj.unwrap_or(0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    name_hash(n) ^ call.obj.unwrap_or(0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 (a, Some((*prog, cache_hash, a)))
             }
         };
+        call.cache_update = cache_update;
         let (stub, may_block) = {
             let stubs = st.stubs.read();
             let rec = &stubs[addr as usize];
@@ -522,8 +552,8 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
         };
 
         // Persistent R-buffer management for argument data.
-        if let Some(d) = &req.data {
-            let key = (req.src, addr);
+        if let Some(d) = &call.data {
+            let key = (call.src, addr);
             let warm = cfg.persistent_buffers && st.rbufs.read().contains(&key);
             if !warm {
                 // Cold invocation: allocate an R-buffer and pay the extra
@@ -536,7 +566,7 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
         }
 
         // Decide where the method runs.
-        let spawns = match req.mode {
+        let spawns = match call.mode {
             CallMode::Threaded | CallMode::Atomic => true,
             CallMode::Simple | CallMode::Blocking => false,
             CallMode::Optimistic => {
@@ -556,14 +586,14 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
             ctx.span_end(sp_dispatch);
             let st2 = Arc::clone(&st);
             mpmd_threads::spawn(ctx, "rmi-method", move |cctx| {
-                run_and_reply(&cctx, &st2, stub, req, cache_update);
+                run_and_reply(&cctx, &st2, stub, call);
                 // The method thread ends here; push out any coalesced reply
                 // rather than leaving it for the next poller.
                 am::flush(&cctx);
             });
         } else {
             ctx.span_end(sp_dispatch);
-            run_and_reply(ctx, &st, stub, req, cache_update);
+            run_and_reply(ctx, &st, stub, call);
         }
     });
 
@@ -574,27 +604,28 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
         if let Some(ic) = cfg.interrupt_cost {
             ctx.charge(Bucket::Net, ic);
         }
-        let rep = *m
+        let mut call = m
             .token
             .take()
             .expect("RMI reply without payload")
-            .downcast::<CxReply>()
+            .downcast::<CxCall>()
             .expect("foreign token on RMI reply handler");
         drop(st.dispatch_lock.lock(ctx)); // charged lock/unlock pair; released before dispatch (handlers may send)
         ctx.charge(Bucket::Runtime, c.reply_dispatch);
-        if let Some((prog, hash, addr)) = rep.cache_update {
+        if let Some((prog, hash, addr)) = call.cache_update.take() {
             if cfg.stub_caching {
                 ctx.charge(Bucket::Runtime, c.cache_update);
                 let mut cache = st.stub_cache.lock(ctx);
                 cache.insert((m.src, prog, hash), CacheEntry { addr });
             }
         }
-        match rep.ret.data {
-            Some(d) => rep.reply.cell.complete_with_data(rep.ret.words, d),
-            None => rep.reply.cell.complete(rep.ret.words),
-        }
-        if let Some(sv) = &rep.reply.sv {
-            sv.write(ctx, ());
+        // Hand the record to the task that issued the call. Not recycled
+        // here: that task may not have run yet (module docs).
+        let cell = call.cell.take().expect("call record without its cell");
+        let blocks = call.mode.initiator_blocks();
+        *cell.returned.lock() = Some(call);
+        if blocks {
+            cell.sv.write(ctx, ());
         }
     });
 }

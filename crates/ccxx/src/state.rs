@@ -1,7 +1,7 @@
 //! Per-node CC++ runtime state.
 
 use crate::config::CcxxConfig;
-use crate::rmi::{RmiArgs, RmiRet};
+use crate::rmi::{CxCall, RmiArgs, RmiRet};
 use mpmd_fabric::Fabric;
 use mpmd_sim::TaskId;
 use parking_lot::{Mutex as HostMutex, RwLock};
@@ -82,6 +82,11 @@ pub(crate) struct CcxxState<F: Fabric> {
     pub(crate) dispatch_lock: mpmd_threads::Mutex<()>,
     /// Processor-object lock for atomic methods (simulated; charged).
     pub(crate) method_lock: mpmd_threads::Mutex<()>,
+    /// Call records not in use: taken by this node's callers, returned by
+    /// them, never sent here by another node (see [`crate::rmi`]). Boxed
+    /// because the box itself is what travels as the message token.
+    #[allow(clippy::vec_box)]
+    pub(crate) call_records: HostMutex<Vec<Box<CxCall>>>,
     /// Global-pointer data regions.
     pub(crate) regions: RwLock<HashMap<u32, Arc<RwLock<Vec<f64>>>>>,
     pub(crate) next_region: AtomicU64,
@@ -145,6 +150,7 @@ impl<F: Fabric> CcxxState<F> {
             sbuf_lock: mpmd_threads::Mutex::new(()),
             dispatch_lock: mpmd_threads::Mutex::new(()),
             method_lock: mpmd_threads::Mutex::new(()),
+            call_records: HostMutex::new(Vec::new()),
             regions: RwLock::new(HashMap::new()),
             next_region: AtomicU64::new(1),
             spinners: AtomicUsize::new(0),

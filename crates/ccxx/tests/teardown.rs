@@ -33,6 +33,9 @@ fn threaded_rmi_program<F: Fabric>(ctx: &F, freed: &Arc<AtomicBool>) {
     if ctx.node() == 0 {
         let r = cx::rmi(ctx, 1, "twice", &[21], None, CallMode::Threaded);
         assert_eq!(r.words[0], 42);
+        // The call's record waits on the free list for a next call that
+        // never comes; it has to go with the node's state.
+        assert_eq!(cx::debug_call_records(ctx), 1);
     }
     cx::finalize(ctx);
 }

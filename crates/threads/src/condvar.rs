@@ -61,8 +61,11 @@ impl CondVar {
     /// Wake all waiters. Charges one sync op.
     pub fn broadcast<F: Fabric>(&self, ctx: &F) {
         charge_sync_op(ctx);
-        let all = std::mem::take(&mut *self.waiters.lock());
-        for t in all {
+        // Drained in place: the queue keeps its capacity, so a condition
+        // variable that is waited on again (a recycled RMI call record's)
+        // does not allocate per wait. `unpark` never runs the woken task, so
+        // nobody can join the queue while it is locked.
+        for t in self.waiters.lock().drain(..) {
             ctx.unpark(t);
         }
     }

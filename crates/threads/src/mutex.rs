@@ -97,6 +97,12 @@ impl<T> Mutex<T> {
         self.value.into_inner()
     }
 
+    /// The value through exclusive access: nobody else can hold or wait for
+    /// the lock, so there is nothing to acquire and nothing to charge.
+    pub(crate) fn get_mut(&mut self) -> &mut T {
+        self.value.get_mut()
+    }
+
     /// Release while parked in a condition-variable wait: unlocks and wakes
     /// the next waiter *without* charging (the paper counts API calls, and
     /// `wait`'s internal unlock is not an API call).

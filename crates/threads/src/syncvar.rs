@@ -38,6 +38,16 @@ impl<T> SyncVar<T> {
         self.cv.broadcast(ctx);
     }
 
+    /// Make the variable unset again, for its next use. Takes `&mut self`:
+    /// whoever re-arms holds the only reference, so no reader or writer can
+    /// see the variable change, and "write-once" stays true for every
+    /// observer. (The RMI runtime recycles one sync variable per call record
+    /// this way instead of allocating one per call.)
+    pub fn rearm(&mut self) {
+        debug_assert_eq!(self.cv.waiter_count(), 0, "re-armed under a reader");
+        *self.slot.get_mut() = None;
+    }
+
     /// Whether the variable has been written (non-blocking, uncounted probe
     /// used by runtime fast paths).
     pub fn is_set<F: Fabric>(&self, ctx: &F) -> bool {
@@ -82,6 +92,22 @@ mod tests {
             assert!(sv.is_set(&ctx));
             assert_eq!(sv.read(&ctx), 7);
             assert_eq!(sv.try_read(&ctx), Some(7));
+        });
+    }
+
+    #[test]
+    fn rearmed_variable_blocks_and_is_written_again() {
+        Sim::new(1).run(|ctx| {
+            let mut sv = Arc::new(SyncVar::new());
+            for round in 0..3u32 {
+                Arc::get_mut(&mut sv).expect("sole owner").rearm();
+                assert_eq!(sv.try_read(&ctx), None);
+                let s = Arc::clone(&sv);
+                let reader = spawn(&ctx, "reader", move |c| assert_eq!(s.read(&c), round));
+                crate::thread::yield_now(&ctx);
+                sv.write(&ctx, round);
+                reader.join(&ctx);
+            }
         });
     }
 
