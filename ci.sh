@@ -95,9 +95,8 @@ rm -f /tmp/ci_regress.json
 echo "regress quick gate OK"
 
 echo "==> fabric ring stress + wall-clock zero-alloc + bounded-task + call-record tests"
-# The link ring's FIFO/overflow invariants under thread contention (one
-# sender, and three on one link: the node's task plus two foreign threads
-# with lent handles), the lost-wake-up battery (2 000 frame hand-offs with
+# The link ring's FIFO/overflow invariants with sender and receiver on two
+# threads, the lost-wake-up battery (2 000 frame hand-offs with
 # every wait parking at once), and the zero-allocation guarantee of the
 # wall-clock short-send path (counting global allocator), in release mode
 # where the fast paths are actually taken. Also at full size only in

@@ -8,8 +8,8 @@
 //! operations are the manual form). This module is the automatic form:
 //!
 //! * Short `request`s append into a bounded per-destination buffer
-//!   ([`CoalesceConfig`]: max messages, max wire bytes, max linger in
-//!   virtual time) instead of going to the wire individually.
+//!   ([`CoalesceConfig`]: max messages, max wire bytes, max linger on the
+//!   sender's clock) instead of going to the wire individually.
 //! * A full buffer, an expired linger deadline, or any *mandatory flush
 //!   point* ([`poll`](crate::poll) entry and exit, which covers
 //!   [`barrier`](crate::barrier) and [`wait_until`](crate::wait_until), plus
@@ -33,17 +33,14 @@
 //! program order even when a small message follows a large frame. Under a fault model the aggregate travels as one
 //! sequenced frame of the PR-3 reliable protocol (a retransmit re-sends the
 //! whole frame), and the per-link sequence space provides the ordering.
-
-//! **Wall-clock fabrics.** On the simulator the linger deadline needs no
-//! timer: virtual time only advances through the buffering task's own
-//! charges, so the append/poll-time checks see every expiry. On a fabric
-//! where [`Fabric::wall_clock`] is true, time moves on its own while the
-//! sender computes — so [`enable_coalescing`] additionally spawns a
-//! **linger daemon** per node that parks until the earliest buffered
-//! deadline and flushes what has expired. The daemon and application
-//! flushes serialize on a flush gate (see [`AmState`]) so a linger flush
-//! can never lose the wire to a younger frame. The simulated path spawns
-//! nothing and is byte-identical to the pre-daemon behavior.
+//!
+//! **Linger.** `max_linger` is checked where the sender itself makes
+//! progress, on every fabric: an append that finds its buffer's deadline
+//! passed flushes it, and every poll flushes everything. Nothing runs beside
+//! a node's tasks, so a task that blocks on anything but
+//! [`wait_until`](crate::wait_until) calls [`flush`](crate::flush) first (the
+//! runtimes' blocking paths do); one that parks through the raw fabric on a
+//! non-empty buffer keeps it until its next append or poll.
 
 use crate::ops::SHORT_WIRE_BYTES;
 use crate::profile::NetProfile;
@@ -72,8 +69,8 @@ pub struct CoalesceConfig {
     /// Flush when a destination's buffered sub-message wire bytes reach
     /// this bound.
     pub max_bytes: usize,
-    /// Flush when the oldest buffered message has waited this long
-    /// (virtual time).
+    /// Flush when the oldest buffered message has waited this long on the
+    /// sender's clock, seen at its next append or poll.
     pub max_linger: Time,
 }
 
@@ -108,18 +105,6 @@ pub(crate) struct CoalesceState {
     arrival_floor: BTreeMap<usize, Time>,
 }
 
-impl CoalesceState {
-    /// Earliest linger deadline over the non-empty buffers (what the
-    /// wall-clock linger daemon parks against).
-    fn earliest_deadline(&self) -> Option<Time> {
-        self.bufs
-            .values()
-            .filter(|b| !b.msgs.is_empty())
-            .map(|b| b.deadline)
-            .min()
-    }
-}
-
 /// The sub-messages of an aggregate frame, carried as its token.
 struct Batch(Vec<AmMsg>);
 
@@ -149,64 +134,6 @@ pub fn enable_coalescing<F: Fabric>(ctx: &F, cfg: CoalesceConfig) {
         ),
     }
     st.coalesce_on.store(true, Ordering::SeqCst);
-    drop(co);
-    // Real time advances while the sender computes: somebody has to notice
-    // an expired linger deadline. One daemon per node does.
-    if ctx.wall_clock() && !st.linger_started.swap(true, Ordering::SeqCst) {
-        let t = ctx.spawn_daemon("am-linger", linger_main::<F>);
-        *st.linger.lock() = Some(t);
-    }
-}
-
-/// Body of the per-node linger daemon (wall-clock fabrics only): sleep until
-/// the earliest buffered deadline, flush what has expired, repeat; with
-/// nothing buffered, park until the first append into an empty buffer
-/// unparks it. It never needs waking early: a buffer's deadline is set when
-/// it takes its first message, `max_linger` after that moment, so whatever is
-/// appended while the daemon sleeps expires after the deadline it sleeps to.
-/// (It does not wait on the inbox: frames are for whoever polls, and a wait
-/// that they end at once would spin.)
-fn linger_main<F: Fabric>(ctx: F) {
-    let st = AmState::get(&ctx);
-    while !ctx.shutting_down() {
-        let next = st
-            .coalesce
-            .lock()
-            .as_ref()
-            .and_then(|cs| cs.earliest_deadline());
-        let now = ctx.now();
-        match (next, st.profile.get()) {
-            (Some(d), Some(p)) if now >= d => flush_expired(&ctx, &st, p),
-            (Some(d), Some(_)) => ctx.sleep(d - now),
-            // Nothing buffered — or no profile yet, which `am::init` sets
-            // before anything can be sent.
-            _ => ctx.park(),
-        }
-    }
-}
-
-/// Flush every buffer whose linger deadline has passed (the daemon's half of
-/// the mandatory-flush contract; application flush points still empty
-/// everything unconditionally).
-fn flush_expired<F: Fabric>(ctx: &F, st: &AmState<F>, p: &NetProfile) {
-    let _gate = st.flush_gate.lock();
-    let now = ctx.now();
-    let pending: Vec<(usize, Vec<AmMsg>)> = {
-        let mut co = st.coalesce.lock();
-        let Some(cs) = co.as_mut() else { return };
-        cs.bufs
-            .iter_mut()
-            .filter(|(_, b)| !b.msgs.is_empty() && now >= b.deadline)
-            .map(|(dst, b)| {
-                b.bytes = 0;
-                (*dst, std::mem::take(&mut b.msgs))
-            })
-            .collect()
-    };
-    for (dst, msgs) in pending {
-        ctx.metric_counter_add("am.linger_flushes", 1);
-        send_frame(ctx, st, dst, msgs, p);
-    }
 }
 
 /// Whether this node's endpoint coalesces short sends.
@@ -223,48 +150,32 @@ pub(crate) fn enabled<F: Fabric>(st: &AmState<F>) -> bool {
 /// polls, standing in for the skipped poll-on-send — when the append
 /// tripped a buffer bound.
 pub(crate) fn append<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, msg: AmMsg, p: &NetProfile) {
-    let (flush_now, first) = {
+    let flush_now = {
         let mut co = st.coalesce.lock();
         let cs = co.as_mut().expect("append without coalescing enabled");
         let now = ctx.now();
-        let linger = cs.cfg.max_linger;
         let buf = cs.bufs.entry(dst).or_insert_with(|| DstBuf {
             msgs: Vec::new(),
             bytes: 0,
             deadline: 0,
         });
-        let first = buf.msgs.is_empty();
-        if first {
-            buf.deadline = now + linger;
+        if buf.msgs.is_empty() {
+            buf.deadline = now + cs.cfg.max_linger;
         }
         buf.msgs.push(msg);
         buf.bytes += SUB_WIRE_BYTES;
-        (
-            buf.msgs.len() >= cs.cfg.max_msgs
-                || buf.bytes >= cs.cfg.max_bytes
-                || now >= buf.deadline,
-            first,
-        )
+        buf.msgs.len() >= cs.cfg.max_msgs || buf.bytes >= cs.cfg.max_bytes || now >= buf.deadline
     };
     if flush_now {
         flush_dst(ctx, st, dst, p);
         if p.poll_on_send {
             crate::ops::poll(ctx);
         }
-    } else if first && ctx.wall_clock() {
-        // The buffers were empty and the linger daemon may be parked: it
-        // has a deadline to sleep to now. (Nothing to do on the simulator —
-        // no daemon exists, and virtual time cannot pass the deadline behind
-        // our back.)
-        if let Some(t) = *st.linger.lock() {
-            ctx.unpark(t);
-        }
     }
 }
 
 /// Flush one destination's buffer, if non-empty.
 pub(crate) fn flush_dst<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, p: &NetProfile) {
-    let _gate = st.flush_gate.lock();
     let msgs = {
         let mut co = st.coalesce.lock();
         let Some(cs) = co.as_mut() else { return };
@@ -283,7 +194,6 @@ pub(crate) fn flush_dst<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, p: &Net
 /// and exit, explicit [`flush`](crate::flush)). A no-op — lock, check, drop
 /// — when coalescing is disabled or all buffers are empty.
 pub(crate) fn flush_all<F: Fabric>(ctx: &F, st: &AmState<F>, p: &NetProfile) {
-    let _gate = st.flush_gate.lock();
     let pending: Vec<(usize, Vec<AmMsg>)> = {
         let mut co = st.coalesce.lock();
         let Some(cs) = co.as_mut() else { return };

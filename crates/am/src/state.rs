@@ -52,19 +52,6 @@ pub(crate) struct AmState<F: Fabric> {
     /// pump that parked with an empty retransmit buffer would sleep through
     /// the drop of a packet sent afterwards.
     pub(crate) pump: Mutex<Option<TaskId>>,
-    /// Whether this node's coalescing linger daemon has been spawned
-    /// (wall-clock fabrics only; see `coalesce::linger_main`).
-    pub(crate) linger_started: AtomicBool,
-    /// The linger daemon's task, once spawned. First appends nudge it so it
-    /// re-parks against the new buffer's linger deadline.
-    pub(crate) linger: Mutex<Option<TaskId>>,
-    /// Serializes "take buffers + put them on the wire" across flushers.
-    /// On the simulator flushes never overlap (one task runs at a time), but
-    /// on a wall-clock fabric the linger daemon races application flushes:
-    /// without the gate, the daemon could take an older buffer and then lose
-    /// the wire to a younger frame flushed by the application, reordering
-    /// the link.
-    pub(crate) flush_gate: Mutex<()>,
 }
 
 impl<F: Fabric> AmState<F> {
@@ -81,9 +68,6 @@ impl<F: Fabric> AmState<F> {
             coalesce_on: AtomicBool::new(false),
             pump_started: AtomicBool::new(false),
             pump: Mutex::new(None),
-            linger_started: AtomicBool::new(false),
-            linger: Mutex::new(None),
-            flush_gate: Mutex::new(()),
         }
     }
 

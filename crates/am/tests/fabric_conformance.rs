@@ -196,10 +196,10 @@ fn battery_timeout_fidelity_under_load<F: Fabric>(ctx: &F) {
 
 const H_SYNC: am::HandlerId = 101;
 
-/// With coalescing on (finite linger, so on wall-clock fabrics the linger
-/// daemon is live and racing), a synchronous read issued after a burst of
+/// With coalescing on (finite linger, so an append may find the deadline
+/// passed and flush early), a synchronous read issued after a burst of
 /// coalesced sends must observe **all** of them: the sync request travels
-/// behind the burst on the same link, whoever flushed what first.
+/// behind the burst on the same link, whichever flush point sent what.
 fn battery_coalesced_flush_before_sync_read<F: Fabric>(ctx: &F) {
     const K: u64 = 8;
     const ROUNDS: u64 = 12;
@@ -261,6 +261,44 @@ fn battery_coalesced_flush_before_sync_read<F: Fabric>(ctx: &F) {
         am::wait_until(ctx, move || c.load(Ordering::Acquire) == ROUNDS * K);
         let want: Vec<u64> = (0..ROUNDS * K).collect();
         assert_eq!(log.lock().clone(), want, "coalesced stream reordered");
+    }
+    am::barrier(ctx);
+}
+
+/// Nothing runs beside a node's tasks: a sender that buffers and then blocks
+/// through the raw fabric — no flush, no poll, no further append — keeps its
+/// buffer however far it sleeps past `max_linger` (which three back-to-back
+/// appends cannot outlast), and its next poll sends it.
+fn battery_silent_sender_holds_its_buffer<F: Fabric>(ctx: &F) {
+    setup(ctx);
+    am::enable_coalescing(
+        ctx,
+        am::CoalesceConfig {
+            max_msgs: 1 << 20,
+            max_bytes: 1 << 30,
+            max_linger: mpmd_sim::us(2_000.0),
+        },
+    );
+    let (log, count) = seq_sink(ctx);
+    am::barrier(ctx);
+    if ctx.node() == 0 {
+        let ep = am::endpoint(ctx);
+        for i in 0..3u64 {
+            ep.to(1).handler(H_SEQ).args([i, 0, 0, 0]).send();
+        }
+        let sent = ctx.snapshot().stats[0].msgs_sent;
+        ctx.sleep(mpmd_sim::us(10_000.0));
+        assert_eq!(
+            ctx.snapshot().stats[0].msgs_sent,
+            sent,
+            "something sent the sleeping sender's buffer for it"
+        );
+        am::poll(ctx);
+    }
+    if ctx.node() == 1 {
+        let c = Arc::clone(&count);
+        am::wait_until(ctx, move || c.load(Ordering::Acquire) == 3);
+        assert_eq!(log.lock().clone(), vec![0, 1, 2]);
     }
     am::barrier(ctx);
 }
@@ -660,21 +698,8 @@ const PT_ROUNDS: u64 = 3_000;
 const PT_ROUND_ITERS: u64 = 5;
 const PT_CHARGE: u64 = 3;
 
-/// What the `probe_totals` drivers hand in: one slot per node for the root's
-/// handle, and where node 0 leaves its mid-run snapshot.
-struct ProbeShared<F> {
-    lent: Mutex<Vec<Option<F>>>,
-    snap: Mutex<Option<Snapshot>>,
-}
-
-impl<F> ProbeShared<F> {
-    fn new(nodes: usize) -> Arc<Self> {
-        Arc::new(ProbeShared {
-            lent: Mutex::new((0..nodes).map(|_| None).collect()),
-            snap: Mutex::new(None),
-        })
-    }
-}
+/// Where node 0 of a `probe_totals` run leaves its mid-run snapshot.
+type ProbeSnap = Arc<Mutex<Option<Snapshot>>>;
 
 /// `iters` rounds of every way of counting, on `count_on`, with scheduling
 /// points on the task's own handle `me` in between: yields, and short timed
@@ -693,10 +718,9 @@ fn probe_work<F: Fabric>(count_on: &F, me: &F, iters: u64) {
     }
 }
 
-/// Counting is exact however many tasks do it and from wherever. Per node,
-/// `PT_TASKS` concurrent tasks count on their own handles and one more
-/// counts through the root handle of the *next* node, from a task that does
-/// not belong to it. All of them have exited by the first barrier, so the
+/// Counting is exact however many tasks do it and through whichever handle
+/// of their node. Per node, `PT_TASKS` concurrent tasks count on their own
+/// handles and one more counts through the root's. All of them have exited by the first barrier, so the
 /// snapshot node 0 takes between the barriers holds exactly that much for
 /// every node; what the roots add afterwards is only in the final report.
 ///
@@ -706,27 +730,23 @@ fn probe_work<F: Fabric>(count_on: &F, me: &F, iters: u64) {
 /// every node's counts of that round, exactly. (A fabric that folds a task's
 /// counts into the totals only when the task happens to wait loses a round
 /// here whenever the barrier's release is queued before the task looks.)
-fn battery_probe_totals<F: Fabric>(ctx: &F, shared: &Arc<ProbeShared<F>>) {
+fn battery_probe_totals<F: Fabric>(ctx: &F, snap: &ProbeSnap) {
     setup(ctx);
-    shared.lent.lock()[ctx.node()] = Some(ctx.clone());
     am::barrier(ctx);
-    let neighbour = (ctx.node() + 1) % ctx.nodes();
-    let theirs = shared.lent.lock()[neighbour]
-        .take()
-        .expect("neighbour published its handle before the barrier");
+    let roots = ctx.clone();
     let mut tasks: Vec<_> = (0..PT_TASKS)
         .map(|_| ctx.spawn("prober", |c: F| probe_work(&c, &c, PT_ITERS)))
         .collect();
     tasks.push(ctx.spawn("lent-prober", move |c: F| {
-        assert_ne!(theirs.node(), c.node());
-        probe_work(&theirs, &c, PT_LENT_ITERS);
+        assert_ne!(roots.task_id(), c.task_id());
+        probe_work(&roots, &c, PT_LENT_ITERS);
     }));
     for t in tasks {
         ctx.join(t);
     }
     am::barrier(ctx);
     if ctx.node() == 0 {
-        *shared.snap.lock() = Some(ctx.snapshot());
+        *snap.lock() = Some(ctx.snapshot());
     }
     am::barrier(ctx);
     probe_work(ctx, ctx, PT_LATE_ITERS);
@@ -773,9 +793,9 @@ fn check_probe_units(
     assert_eq!((h.min, h.max), (0, 4), "{what}: histogram range");
 }
 
-fn check_probe_totals<F>(fabric: &str, metrics_on: bool, shared: &ProbeShared<F>, report: &Report) {
+fn check_probe_totals(fabric: &str, metrics_on: bool, snap: &ProbeSnap, report: &Report) {
     assert_eq!(report.metrics.is_some(), metrics_on, "{fabric}: registry");
-    let snap = shared.snap.lock().take().expect("node 0 took no snapshot");
+    let snap = snap.lock().take().expect("node 0 took no snapshot");
     assert_eq!(snap.metrics.is_some(), metrics_on, "{fabric}: registry");
     let before = PT_TASKS * PT_ITERS + PT_LENT_ITERS;
     for node in 0..report.nodes() {
@@ -861,57 +881,12 @@ conformance!(
     2
 );
 
-/// Wall-clock only: a sender that goes completely silent after buffering —
-/// no flush, no poll, no further sends — still gets its messages delivered,
-/// because the linger daemon notices the expired deadline. (No simulator
-/// variant: a silent sender's *virtual* clock never reaches the deadline;
-/// on the simulator linger expiry is checked at the sender's own
-/// append/poll points by construction.)
-#[test]
-fn linger_daemon_flushes_silent_sender_local() {
-    use std::sync::atomic::AtomicBool;
-    let delivered = Arc::new(AtomicBool::new(false));
-    let d = Arc::clone(&delivered);
-    let r = LocalFabric::run(2, move |ctx| {
-        setup(&ctx);
-        am::enable_coalescing(
-            &ctx,
-            am::CoalesceConfig {
-                max_msgs: 1 << 20,
-                max_bytes: 1 << 30,
-                max_linger: mpmd_sim::us(200.0),
-            },
-        );
-        let (log, count) = seq_sink(&ctx);
-        am::barrier(&ctx);
-        if ctx.node() == 0 {
-            let ep = am::endpoint(&ctx);
-            for i in 0..3u64 {
-                ep.to(1).handler(H_SEQ).args([i, 0, 0, 0]).send();
-            }
-            // Go silent: no flush, no poll — only real time passes. The
-            // shared flag (not an AM reply) signals delivery so this task
-            // truly never re-enters the AM layer while waiting.
-            while !d.load(Ordering::Acquire) {
-                ctx.park_for_inbox();
-            }
-        } else {
-            let c = Arc::clone(&count);
-            am::wait_until(&ctx, move || c.load(Ordering::Acquire) == 3);
-            assert_eq!(log.lock().clone(), vec![0, 1, 2]);
-            d.store(true, Ordering::Release);
-        }
-        // No closing barrier: node 0 must not be forced through a flush
-        // point before the assertion above has already been satisfied.
-    });
-    let m = r.metrics.expect("LocalFabric metrics default on");
-    let lingers: u64 = m
-        .nodes
-        .iter()
-        .filter_map(|n| n.counters.get("am.linger_flushes"))
-        .sum();
-    assert!(lingers >= 1, "delivery did not come from the linger daemon");
-}
+conformance!(
+    battery_silent_sender_holds_its_buffer,
+    silent_sender_holds_its_buffer_sim,
+    silent_sender_holds_its_buffer_local,
+    2
+);
 
 #[test]
 fn instrumentation_sim() {
@@ -936,7 +911,7 @@ fn instrumentation_local() {
 #[test]
 fn probe_totals_sim() {
     for on in [true, false] {
-        let shared = ProbeShared::new(2);
+        let shared = ProbeSnap::default();
         let s = Arc::clone(&shared);
         let r = Sim::new(2)
             .metrics(on)
@@ -948,7 +923,7 @@ fn probe_totals_sim() {
 #[test]
 fn probe_totals_local() {
     for on in [true, false] {
-        let shared = ProbeShared::new(2);
+        let shared = ProbeSnap::default();
         let s = Arc::clone(&shared);
         let r = LocalFabricBuilder::new(2)
             .metrics(on)

@@ -371,9 +371,9 @@ fn rmi_inner<F: Fabric>(
     };
     let popped = st.call_records.lock().pop();
     let mut call = popped.unwrap_or_else(|| Box::new(CxCall::new()));
-    // Re-arm the completion cell. The record's clone is the only one unless
-    // the record is new, or the handler that returned it has not finished
-    // yet (a poll from a lent handle on another OS thread) and keeps its own.
+    // Re-arm the completion cell. A pooled record's clone is the only one
+    // left (the handler that returned it ran on this node's thread and has
+    // dropped its own); a new record has no cell yet.
     match call.cell.as_mut().and_then(Arc::get_mut) {
         Some(cell) => cell.sv.rearm(),
         None => call.cell = Some(Arc::default()),

@@ -18,11 +18,11 @@
 //! * **A frame is one cache-line hand-off.** A sender fills the slot the
 //!   frame travels in and publishes it with the stamp beside it; the receiver
 //!   reads that slot and nothing else the sender writes. Each side keeps its
-//!   cursor in a block of its own: senders of a link serialize on a lock only
-//!   they touch and look at the receiver's cursor only when the ring seems
-//!   full; the receiver answers every question (is there a frame, how many)
-//!   from its own cursor and the slots, and frees a slot by moving on.
-//!   [`Ring`] has the ownership table and the FIFO argument.
+//!   cursor in a block of its own: the sender pushes under a lock the receiver
+//!   joins only to reach the overflow, and looks at the receiver's cursor only
+//!   when the ring seems full; the receiver answers every question (is there a
+//!   frame, how many) from its own cursor and the slots, and frees a slot by
+//!   moving on. [`Ring`] has the ownership table and the FIFO argument.
 //! * **One idle loop.** Only when no task of the node is runnable does its
 //!   thread wait — spin → yield → timed park on the [`NodeParker`], walking
 //!   the [`WaitPolicy`] ladder — and that loop is the one place that readies
@@ -37,12 +37,13 @@
 //! * **Wake-ups cost the sender a fence and a load** unless the receiver's
 //!   thread is really asleep: [`NodeParker`] has the flag/flag argument.
 //! * **Two pieces of cross-thread state**: the rings and the parker. Only
-//!   messages cross nodes: `spawn`, `unpark`, `join` and `is_finished` are
-//!   for tasks of the caller's own node, on the thread that holds that
-//!   node's baton. Task table, run queue, deadline list and probe block
+//!   messages cross nodes, and nothing runs beside a node's thread: a handle
+//!   works on the thread that holds its node's baton and panics anywhere
+//!   else, unless only asked what it is (`node`, `now`, `inbox_len`, ...).
+//!   Task table, run queue, deadline list, singletons and probe block
 //!   ([`Block`]: counters, ledger and metrics with no lock and no atomic,
 //!   folded into the node's totals before a frame leaves the node) are
-//!   touched by the node's thread alone.
+//!   touched by the node's thread alone, and so is each link's receiving end.
 //! * **A task that blocks outside the fabric** (a `std::sync` lock held by
 //!   another node, a syscall, `std::thread::sleep`) stalls every task of its
 //!   node for that long. A lock shared by two tasks of one node must not be
@@ -103,11 +104,10 @@ struct Prod {
     overflow: VecDeque<Msg>,
 }
 
-/// What the consumer of a link owns.
+/// What the consumer of a link owns: its cursor. A link has one consumer at
+/// a time — whoever holds the receiving node's baton, which `try_recv` checks.
 struct Cons {
-    /// Serializes receivers: a lent handle may poll from another thread.
-    lock: Mutex<()>,
-    /// Position of the next frame to take; written under `lock`.
+    /// Position of the next frame to take.
     head: AtomicUsize,
 }
 
@@ -116,12 +116,12 @@ struct Cons {
 /// one cache-line hand-off, that of the slot it travels in.
 ///
 /// **Who owns which block.** `prod` (lock, `tail`, the cached `head`, the
-/// overflow) is touched by senders only — one OS thread unless a handle was
-/// lent — except by a consumer that finds `overflow_len > 0`. `cons` (lock,
-/// `head`) is touched by the receiving node only, except by a producer that
-/// finds the ring looking full. `overflow_len` is written only when the
-/// overflow is used. `slots`/`mask` are never written. A slot is written by
-/// the producer and read by the consumer.
+/// overflow) is touched by the sending node's thread only, except by a
+/// consumer that finds `overflow_len > 0`. `cons` (`head`) is written by the
+/// receiving node's thread only and read by a producer that finds the ring
+/// looking full. `overflow_len` is written only when the overflow is used.
+/// `slots`/`mask` are never written. A slot is written by the producer and
+/// read by the consumer.
 ///
 /// **Hand-off.** A producer fills `slots[tail & mask]` and publishes it with
 /// a Release store of `stamp = tail + 1`; the consumer's Acquire load of
@@ -152,8 +152,10 @@ struct Ring {
 // SAFETY: `msg` is the only field that is not `Sync` by itself. A slot's
 // frame is written by the one producer holding the producer lock, after an
 // Acquire load of `head` showed the consumer done with the previous lap's
-// frame, and is read (moved out, once) by the one consumer holding the
-// consumer lock, after an Acquire load of the stamp that producer stored
+// frame, and is read (moved out, once) by the link's one consumer — `pop` is
+// reached only through `try_recv`, on the thread holding the receiving node's
+// baton, and a baton switch synchronizes, so successive consumers see each
+// other's `head` — after an Acquire load of the stamp that producer stored
 // with Release. `Msg` is `Send`.
 unsafe impl Sync for Ring {}
 
@@ -182,7 +184,6 @@ impl Ring {
             })),
             overflow_len: Pad(AtomicUsize::new(0)),
             cons: Pad(Cons {
-                lock: Mutex::new(()),
                 head: AtomicUsize::new(start),
             }),
         }
@@ -228,8 +229,8 @@ impl Ring {
             || self.overflow_len.0.load(Ordering::Acquire) != 0
     }
 
-    /// Move the frame at `head` out if it has been published. Caller holds
-    /// the consumer lock.
+    /// Move the frame at `head` out if it has been published. Caller is the
+    /// link's consumer.
     fn pop_ring(&self) -> Option<Msg> {
         let head = &self.cons.0.head;
         let pos = head.load(Ordering::Relaxed);
@@ -243,12 +244,9 @@ impl Ring {
         Some(msg)
     }
 
+    /// The oldest frame of the link. Caller is the link's consumer; an
+    /// empty poll takes no lock.
     fn pop(&self) -> Option<Msg> {
-        // An empty poll takes no lock.
-        if !self.ready() {
-            return None;
-        }
-        let _c = locked(&self.cons.0.lock);
         if let Some(m) = self.pop_ring() {
             return Some(m);
         }
@@ -374,9 +372,8 @@ impl NodeParker {
     }
 }
 
-/// Lock ignoring poisoning. The only user code that runs under one of the
-/// fabric's mutexes is a `node_data` init, and a panic there leaves the map
-/// as it was; a poisoned lock therefore only says that some task panicked —
+/// Lock ignoring poisoning. No user code runs under one of the fabric's
+/// mutexes; a poisoned lock therefore only says that some task panicked —
 /// which `run` re-raises itself, with the original message rather than
 /// `PoisonError`'s.
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -420,7 +417,7 @@ impl<V: Default> NameTable<V> {
 }
 
 /// A node's probe block: what its tasks counted, charged and observed since
-/// the last merge, and the node singletons they have fetched. Plain fields
+/// the last merge, and the node's `node_data` singletons. Plain fields
 /// written by the node's own thread alone — no lock, no atomic.
 ///
 /// [`LfInner::merge`] folds the block into the node's `stats` / `metrics`
@@ -520,6 +517,9 @@ struct Sched {
     /// Escalation state of the idle loop, kept across idle periods: waits
     /// that end unproductively keep backing off, a productive one resets it.
     waiter: Waiter,
+    /// Where `try_recv` starts its scan: the link after the one that
+    /// delivered last, so no neighbor starves the others.
+    rotate: usize,
     block: Block,
 }
 
@@ -535,6 +535,7 @@ impl Sched {
             live: 0,
             seen_phase: RUNNING,
             waiter: Waiter::new(wait),
+            rotate: 0,
             block: Block::default(),
         }
     }
@@ -605,15 +606,9 @@ unsafe impl Sync for NodeLocal {}
 struct Node {
     /// Read by every sender of a frame to this node; alone in its block.
     parker: NodeParker,
-    /// Where `try_recv` starts its scan: the link after the one that
-    /// delivered last, so no neighbor starves the others.
-    rotate: AtomicUsize,
     /// Counter totals: the merge target of the node's probe block, locked
     /// only by [`LfInner::merge`] and by readers.
     stats: Mutex<Stats>,
-    /// Typed singletons. The node's thread asks here once per type and
-    /// serves every later `node_data` call from its block's cache.
-    node_data: Mutex<HashMap<TypeId, Singleton>>,
     /// Metric totals, the other merge target; `None` with metrics off.
     metrics: Option<Mutex<NodeMetrics>>,
     /// The node's baton. Its engine context is the node's thread.
@@ -625,8 +620,8 @@ struct Node {
 // next field added cannot quietly bring false sharing back. Per message a
 // sender reads the receiver's `parker.parked` and the link's `slots`/`mask`,
 // and writes the slot and the link's `prod` block; a receiver writes the
-// link's `cons` block, its own `rotate` and — merging its probe block ahead
-// of every send — its `stats` and `metrics` locks. Nothing one thread writes
+// link's `cons` block and — merging its probe block ahead of every send —
+// its `stats` and `metrics` locks. Nothing one thread writes
 // per message may share a 128-byte block with what another reads per
 // message. (This is not the padding of the per-node totals that PR 15 tried
 // and dropped: those are merge targets only their owner touches, and they
@@ -636,7 +631,6 @@ const _: () = {
     // Alone in its block, wherever `Node` puts it.
     assert!(size_of::<NodeParker>() == 128 && align_of::<NodeParker>() == 128);
     let parker = offset_of!(Node, parker) / 128;
-    assert!(offset_of!(Node, rotate) / 128 != parker);
     assert!(offset_of!(Node, stats) / 128 != parker);
     assert!(offset_of!(Node, metrics) / 128 != parker);
     // A link is four whole blocks — `prod`, `overflow_len`, `cons`, and the
@@ -650,14 +644,14 @@ const REENTRY: &str = "LocalFabric re-entered from a `with_stats` closure or a `
                        init: they run on the node's probe block and must not call back into \
                        the fabric";
 
-/// What a task did wrong when it schedules through a handle that is not its
-/// own.
-const BORROWED: &str = "a LocalFabric handle blocks only the task it was given to, and \
-                        schedules only on the thread that runs it: `park`, `join`, `sleep`, \
+/// What a task did wrong when it uses a handle that is not its own.
+const BORROWED: &str = "a LocalFabric handle blocks only the task it was given to, and is \
+                        used only on the thread that runs its node: `park`, `join`, `sleep`, \
                         `yield_now`, `park_for_inbox*` through a handle borrowed from another \
-                        task, and those, `spawn*`, `unpark` and `is_finished` through one \
-                        carried to another node's thread or outside the run, would touch a \
-                        scheduler the caller does not hold";
+                        task, and anything but asking the handle what it is (`node`, `now`, \
+                        `inbox_len`, ...) through one carried to another node's thread or \
+                        outside the run, would touch a scheduler, probe block or link the \
+                        caller does not hold";
 
 /// Run phases, in order.
 const RUNNING: u8 = 0;
@@ -993,12 +987,6 @@ thread_local! {
     /// The `(run, node)` whose baton this thread holds: what makes a node's
     /// [`Sched`] this thread's to touch. Null on a thread that runs no task.
     static CURRENT: Cell<(*const LfInner, usize)> = const { Cell::new((std::ptr::null(), 0)) };
-
-    /// Borrowed while a probe closure runs on a scratch block (see
-    /// [`LocalFabric::with_block`]): what turns its counting back into the
-    /// fabric into a panic, as the scheduler's own borrow does on a node's
-    /// thread. (Its blocking through that handle fails as [`BORROWED`].)
-    static FOREIGN_PROBE: RefCell<()> = const { RefCell::new(()) };
 }
 
 /// Move `h` into `total` and leave it empty, touching only the buckets between
@@ -1092,9 +1080,7 @@ impl LocalFabricBuilder {
             node: (0..n)
                 .map(|_| Node {
                     parker: NodeParker::new(),
-                    rotate: AtomicUsize::new(0),
                     stats: Mutex::default(),
-                    node_data: Mutex::default(),
                     metrics: self.metrics.then(Mutex::default),
                     backend: Backend::new(BackendKind::Auto, "local"),
                     local: NodeLocal(RefCell::new(Sched::new(self.wait))),
@@ -1162,12 +1148,7 @@ impl LocalFabric {
         self.home().tasks.len()
     }
 
-    /// Whether the calling thread holds `node`'s baton in this handle's run.
-    fn here(&self, node: usize) -> bool {
-        CURRENT.get() == (Arc::as_ptr(&self.inner), node)
-    }
-
-    /// `node`'s scheduler; the caller has checked [`Self::here`]. Finding it
+    /// `node`'s scheduler; the caller holds its baton. Finding it
     /// borrowed means a probe closure further up this stack is calling back
     /// into the fabric.
     fn local(&self, node: usize) -> RefMut<'_, Sched> {
@@ -1178,11 +1159,13 @@ impl LocalFabric {
             .unwrap_or_else(|_| panic!("{REENTRY}"))
     }
 
-    /// This node's scheduler, to move ids between its queues (`spawn*`,
-    /// `unpark`, `is_finished`): any task of the node may, through any handle
-    /// of the node; a thread that does not hold the node's baton may not.
+    /// This node's scheduler, to move ids between its queues, count into its
+    /// probe block or reach its links: any task of the node may, through any
+    /// handle of the node; a thread that does not hold the node's baton in
+    /// this handle's run may not.
     fn home(&self) -> RefMut<'_, Sched> {
-        assert!(self.here(self.node), "{BORROWED}");
+        let here = (Arc::as_ptr(&self.inner), self.node);
+        assert!(CURRENT.get() == here, "{BORROWED}");
         self.local(self.node)
     }
 
@@ -1223,26 +1206,11 @@ impl LocalFabric {
         }
     }
 
-    /// Run `f` on the probe block this call counts into: the node's own when
-    /// the calling thread holds that node's baton — every ordinary call. A
-    /// handle carried to another node's thread, or outside the run, counts
-    /// into a scratch block folded into the handle's node at once, under
-    /// that node's locks.
-    ///
-    /// The scheduler (or `FOREIGN_PROBE`) stays borrowed while `f` runs, so
-    /// a user closure in `f` that calls back into the fabric panics with
-    /// [`REENTRY`] (or, blocking through a borrowed handle, [`BORROWED`]).
+    /// Run `f` on the node's probe block. The scheduler stays borrowed while
+    /// `f` runs, so a user closure in `f` that calls back into the fabric
+    /// panics with [`REENTRY`].
     fn with_block<R>(&self, f: impl FnOnce(&mut Block) -> R) -> R {
-        if self.here(self.node) {
-            return f(&mut self.local(self.node).block);
-        }
-        FOREIGN_PROBE.with(|p| {
-            let _busy = p.try_borrow_mut().unwrap_or_else(|_| panic!("{REENTRY}"));
-            let mut scratch = Block::default();
-            let r = f(&mut scratch);
-            self.inner.merge(self.node, &mut scratch);
-            r
-        })
+        f(&mut self.home().block)
     }
 
     /// The shared body of `park_for_inbox` and `park_for_inbox_until`.
@@ -1408,10 +1376,6 @@ impl Fabric for LocalFabric {
         // Delivery is immediate on this fabric; nothing to pull forward.
     }
 
-    fn wall_clock(&self) -> bool {
-        true
-    }
-
     fn send_msg(&self, dst: usize, wire_bytes: usize, _delay: Time, payload: Payload) {
         assert!(dst < self.inner.nodes, "send to nonexistent node {dst}");
         // The receive is counted at `try_recv`, by the receiver. The merge
@@ -1433,9 +1397,10 @@ impl Fabric for LocalFabric {
     }
 
     fn try_recv(&self) -> Option<Msg> {
+        // Checked before the pop: a refused call must not consume a frame.
+        let mut s = self.home();
         let n = self.inner.nodes;
-        let rotate = &self.inner.node[self.node].rotate;
-        let start = rotate.load(Ordering::Relaxed);
+        let start = s.rotate;
         for i in 0..n {
             let src = if start + i < n {
                 start + i
@@ -1443,8 +1408,8 @@ impl Fabric for LocalFabric {
                 start + i - n
             };
             if let Some(m) = self.inner.ring(src, self.node).pop() {
-                rotate.store(src + 1, Ordering::Relaxed);
-                self.with_block(|b| b.stats().msgs_received += 1);
+                s.rotate = src + 1;
+                s.block.stats().msgs_received += 1;
                 return Some(m);
             }
         }
@@ -1465,12 +1430,7 @@ impl Fabric for LocalFabric {
             if let Some((_, hit)) = b.data.iter().find(|(t, _)| *t == id) {
                 return Arc::clone(hit);
             }
-            // `init` runs at most once per node, so under the registry lock.
-            let fresh = Arc::clone(
-                locked(&self.inner.node[self.node].node_data)
-                    .entry(id)
-                    .or_insert_with(|| Arc::new(init())),
-            );
+            let fresh: Singleton = Arc::new(init());
             b.data.push((id, Arc::clone(&fresh)));
             fresh
         });
@@ -1881,6 +1841,16 @@ mod tests {
     /// `own`), or one borrowed from another node's task.
     type Misuse = fn(own: &LocalFabric, via: &LocalFabric);
 
+    /// The handle another node's root left in `lent`, once it has.
+    fn take_lent(fab: &LocalFabric, lent: &Mutex<Option<LocalFabric>>) -> LocalFabric {
+        loop {
+            if let Some(h) = locked(lent).take() {
+                return h;
+            }
+            fab.yield_now();
+        }
+    }
+
     /// The message `misuse` fails the run with, through the task's own handle
     /// (`lend` false) or through one lent by the root of the other node.
     fn misuse_message<M>(lend: bool, misuse: M) -> String
@@ -1896,12 +1866,7 @@ mod tests {
                 *locked(&lent) = Some(fab.clone());
                 return;
             }
-            let theirs = loop {
-                if let Some(h) = locked(&lent).take() {
-                    break h;
-                }
-                fab.yield_now();
-            };
+            let theirs = take_lent(&fab, &lent);
             misuse(&fab, &theirs);
         })
         .expect_err("the misuse must fail the run");
@@ -1910,10 +1875,9 @@ mod tests {
 
     /// The twin of the simulator's `kernel_reentry_panics_on_every_backend`:
     /// calling back into the fabric from a `with_stats` closure or a
-    /// `node_data` init fails the run with the rule, on the node's own block
-    /// and through a handle driven from another node's thread alike — where
-    /// a blocking call already fails for being made through that handle. (On
-    /// one `std::sync::Mutex` per node each of these used to hang.)
+    /// `node_data` init fails the run with the rule. Through a handle driven
+    /// from another node's thread the outer call already fails, for being
+    /// made through that handle.
     #[test]
     fn reentry_from_a_probe_closure_panics_with_the_rule() {
         struct Outer;
@@ -1948,26 +1912,28 @@ mod tests {
         for (what, reenter) in cases {
             for lend in [false, true] {
                 let msg = misuse_message(lend, reenter);
-                assert!(
-                    msg.contains("must not call back into the fabric")
-                        || lend && msg.contains("blocks only the task it was given to"),
-                    "{what} (lent: {lend}): {msg}"
-                );
+                let rule = if lend {
+                    "blocks only the task it was given to"
+                } else {
+                    "must not call back into the fabric"
+                };
+                assert!(msg.contains(rule), "{what} (lent: {lend}): {msg}");
             }
         }
     }
 
-    /// Counting through a borrowed handle is supported (`probe_totals`);
-    /// scheduling through one is not: it would touch a scheduler the calling
-    /// thread does not hold, so it fails the run with the rule instead —
-    /// from another node's task and from outside the run. From a sibling
-    /// task of the handle's own node, which does hold it, only the calls
-    /// that block fail: they would block the wrong task.
+    /// A handle works on the thread that holds its node's baton: every call
+    /// that touches the node's scheduler, probe block or links fails the run
+    /// with the rule from another node's task and from outside the run, where
+    /// only asking the handle what it is goes through. From a sibling task of
+    /// the handle's own node, which does hold the baton, only the calls that
+    /// block fail: they would block the wrong task (counting through a
+    /// sibling's handle is what `probe_totals` does).
     #[test]
     fn blocking_through_a_borrowed_handle_panics_with_the_rule() {
-        type Scheduling = fn(&LocalFabric);
+        type Call = fn(&LocalFabric);
         // The flag: whether the call blocks its caller.
-        let scheduling: [(&str, Scheduling, bool); 10] = [
+        let calls: [(&str, Call, bool); 18] = [
             ("park", |c| c.park(), true),
             ("join", |c| c.join(c.task_id()), true),
             ("sleep", |c| c.sleep(1), true),
@@ -1986,10 +1952,26 @@ mod tests {
             ),
             ("unpark", |c| c.unpark(c.task_id()), false),
             ("is_finished", |c| _ = c.is_finished(c.task_id()), false),
+            ("charge", |c| c.charge(Bucket::Cpu, 1), false),
+            ("with_stats", |c| c.with_stats(|s| s.polls += 1), false),
+            ("metric_observe", |c| c.metric_observe("t.v", 1), false),
+            (
+                "metric_counter_add",
+                |c| c.metric_counter_add("t.n", 1),
+                false,
+            ),
+            ("snapshot", |c| _ = c.snapshot(), false),
+            ("node_data", |c| _ = c.node_data(|| 0u8), false),
+            (
+                "send_msg",
+                |c| c.send_msg(c.node(), 8, 0, Payload::any(0u64)),
+                false,
+            ),
+            ("try_recv", |c| _ = c.try_recv(), false),
         ];
         let rule = "blocks only the task it was given to";
-        for (what, block, blocks) in scheduling {
-            let msg = misuse_message(true, move |_, theirs| block(theirs));
+        for (what, call, blocks) in calls {
+            let msg = misuse_message(true, move |_, theirs| call(theirs));
             assert!(msg.contains(rule), "{what} from another node: {msg}");
 
             let escaped = Arc::new(Mutex::new(None));
@@ -1997,7 +1979,7 @@ mod tests {
             let from_a_sibling = run_with_timeout(1, move |fab| {
                 *locked(&e2) = Some(fab.clone());
                 let parent = fab.clone();
-                let t = fab.spawn("sibling", move |_| block(&parent));
+                let t = fab.spawn("sibling", move |_| call(&parent));
                 fab.join(t);
             });
             match from_a_sibling {
@@ -2008,14 +1990,42 @@ mod tests {
                 Ok(_) => assert!(!blocks, "{what} through a sibling's handle went through"),
             }
 
-            // The run is over; counting through the handle still works.
+            // The run is over; the handle still says what it is.
             let outside = locked(&escaped).take().expect("a root left its handle");
-            outside.charge(Bucket::Cpu, 1);
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| block(&outside)))
-                .expect_err("blocking from outside the run must panic");
+            assert_eq!((outside.node(), outside.nodes()), (0, 1));
+            assert_eq!(outside.task_id(), TaskId(0));
+            assert_eq!(outside.cost().faults, None);
+            assert!(outside.now() > 0 && outside.shutting_down() && outside.metrics_enabled());
+            assert_eq!(outside.inbox_len(), (what == "send_msg") as usize);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&outside)))
+                .expect_err("a call from outside the run must panic");
             let msg = panic_message(caught);
             assert!(msg.contains(rule), "{what} from outside the run: {msg}");
         }
+
+        // A refused `try_recv` takes nothing: the frame is still its owner's.
+        let lent = Arc::new(Mutex::new(None));
+        let refused = Arc::new(AtomicBool::new(false));
+        run_with_timeout(2, move |fab| {
+            if fab.node() == 1 {
+                *locked(&lent) = Some(fab.clone());
+                while !refused.load(Ordering::SeqCst) {
+                    fab.yield_now();
+                }
+                assert_eq!(value(fab.try_recv().expect("the refused frame")), 7);
+                return;
+            }
+            let theirs = take_lent(&fab, &lent);
+            fab.send_msg(1, 8, 0, Payload::any(7u64));
+            assert_eq!(theirs.inbox_len(), 1);
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| theirs.try_recv()))
+                    .expect_err("node 0 must not receive for node 1");
+            assert!(panic_message(caught).contains(rule));
+            assert_eq!(theirs.inbox_len(), 1);
+            refused.store(true, Ordering::SeqCst);
+        })
+        .expect("the run completes");
     }
 
     /// A closure that panics runs on its own thread's block with no node lock

@@ -37,8 +37,8 @@ pub const ACROSS_NODES: &str = "reaches across nodes: only messages cross nodes"
 ///   per-node data: every backend defines these;
 /// * **overridable instrumentation** — `metrics_enabled`, `metric_observe`,
 ///   `metric_counter_add`, `span_start`, `span_end`, `trace_event`, plus the
-///   fault pair and `wall_clock`: no-op (or "off") defaults that a backend
-///   with the instrument overrides;
+///   fault pair: no-op (or "off") defaults that a backend with the
+///   instrument overrides;
 /// * **provided** — `metric_now`, `metric_observe_since`,
 ///   `metric_inbox_depth`, `span`: written once here over the methods above;
 ///   no backend overrides them.
@@ -56,6 +56,13 @@ pub const ACROSS_NODES: &str = "reaches across nodes: only messages cross nodes"
 /// * **Scheduling is node-local**: a task spawns, wakes, joins and asks
 ///   about tasks of its own node; only messages cross nodes. See
 ///   [`Fabric::unpark`].
+/// * **A handle is used where its node runs**: nothing runs beside a node's
+///   tasks, so a handle carried to another node's task or outside the run
+///   may only be asked what it is (`node`, `nodes`, `task_id`, `cost`, `now`,
+///   `shutting_down`, `metrics_enabled`, `inbox_len`). `LocalFabric` panics
+///   on anything else; the simulator runs one task in the whole machine at a
+///   time and does not check. A sibling task of the same node may count, send
+///   and receive through it, but not block.
 /// * **Clocks are per-node and monotone**, in nanoseconds. On the simulated
 ///   fabric they advance only by [`Fabric::charge`]; on wall-clock fabrics
 ///   they advance on their own and `charge` only keeps the cost-bucket
@@ -144,7 +151,8 @@ pub trait Fabric: Clone + Send + 'static {
     /// clock: returns immediately if the deadline has passed.
     fn park_for_inbox_until(&self, deadline: Time);
 
-    /// Park for `ns` of this node's time.
+    /// Park for `ns` of this node's time. No layer above the fabric sleeps;
+    /// the benchmark's timer rung and the conformance suite do.
     fn sleep(&self, ns: Time);
 
     /// Block until task `t`, of this node, finishes. No modeled cost (the
@@ -162,16 +170,6 @@ pub trait Fabric: Clone + Send + 'static {
     /// visible, without otherwise rescheduling. Call before draining the
     /// inbox.
     fn poll_point(&self);
-
-    /// Whether this fabric's clock is real time. On wall-clock fabrics,
-    /// layers that rely on virtual-time co-advancement (e.g. the coalescing
-    /// linger deadline, which on the simulator is checked whenever the
-    /// sender's own clock moves) must drive their deadlines with a daemon
-    /// instead. The simulated kernel returns the default `false` and spawns
-    /// nothing, keeping its reports byte-identical.
-    fn wall_clock(&self) -> bool {
-        false
-    }
 
     // ---- faults ------------------------------------------------------
 
@@ -226,7 +224,9 @@ pub trait Fabric: Clone + Send + 'static {
         let _ = (name, v);
     }
 
-    /// Add `delta` to this node's counter `name`.
+    /// Add `delta` to this node's counter `name`. The layers above record
+    /// histograms only; the conformance suite and the fabric's zero-alloc
+    /// proof count with this.
     fn metric_counter_add(&self, name: &'static str, delta: u64) {
         let _ = (name, delta);
     }
