@@ -10,9 +10,7 @@
 //! too — and the bench aborts when a disabled `metric_observe` costs that
 //! much. `ci.sh` runs it once.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mpmd_sim::{Bucket, Fabric, Sim};
-use mpmd_splitc as sc;
 use std::time::Instant;
 
 /// Hook calls per simulation run; large enough that the per-call cost
@@ -38,7 +36,7 @@ fn run_ns(metrics: bool, observes: u64) -> f64 {
     t0.elapsed().as_nanos() as f64 / RUNS as f64
 }
 
-fn gate_disabled_hook(_c: &mut Criterion) {
+fn main() {
     // [no hooks, 10k disabled observes, 10k enabled ones (for contrast)]
     let variants = [(false, 0), (false, OBSERVES), (true, OBSERVES)];
     let mut best = [f64::INFINITY; 3];
@@ -64,30 +62,3 @@ fn gate_disabled_hook(_c: &mut Criterion) {
         "a disabled metric_observe must stay under {BUDGET_NS} ns"
     );
 }
-
-/// Workload-level check: a Split-C remote-read loop (the instrumented hot
-/// path) with metrics off vs on. The off run is what every pre-existing
-/// caller sees.
-fn bench_workload(c: &mut Criterion) {
-    let mut g = c.benchmark_group("metrics_workload");
-    g.sample_size(20);
-    let reads = |metrics: bool| {
-        Sim::new(2).metrics(metrics).run(|ctx| {
-            sc::init(&ctx);
-            let a = sc::all_spread_alloc(&ctx, 4, 1.0);
-            sc::barrier(&ctx);
-            if ctx.node() == 0 {
-                for _ in 0..100 {
-                    sc::read(&ctx, a.node_chunk(1));
-                }
-            }
-            sc::barrier(&ctx);
-        })
-    };
-    g.bench_function("splitc_100_reads_metrics_off", |b| b.iter(|| reads(false)));
-    g.bench_function("splitc_100_reads_metrics_on", |b| b.iter(|| reads(true)));
-    g.finish();
-}
-
-criterion_group!(benches, gate_disabled_hook, bench_workload);
-criterion_main!(benches);

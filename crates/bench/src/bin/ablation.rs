@@ -2,7 +2,7 @@
 //! caching, persistent buffers, return-buffer passing, and polling-based vs
 //! interrupt-driven reception.
 //!
-//! Usage: `cargo run --release -p mpmd-bench --bin ablation [iters] [-j N] [--json <path>]`
+//! Usage: `cargo run --release -p mpmd-bench --bin ablation [iters] [-j N] [--coalescing] [--json <path>]`
 
 use mpmd_apps::em3d::{self, Em3dParams, Em3dVersion};
 use mpmd_bench::fmt::{

@@ -247,11 +247,11 @@ pub fn run_fig6_lu(scale: Scale, jobs: usize) -> (Cell, Cell) {
     (sc, cc)
 }
 
-/// The profiling/regression suite: every application kernel at one
+/// The profiling suite: every application kernel at one
 /// representative configuration (EM3D's three versions at remote fraction
 /// 1.0, Water's versions at the scale's molecule count, and LU), Split-C and
-/// CC++/ThAM, run under an explicit cost model. `msgprofile` and `regress`
-/// pass `CostModel::default().with_metrics()` so every cell carries its
+/// CC++/ThAM, run under an explicit cost model. `msgprofile` passes
+/// `CostModel::default().with_metrics()` so every cell carries its
 /// latency histograms and src→dst traffic matrix; the config order (and
 /// therefore the output) is fixed for any `jobs`.
 pub fn run_profile_suite(scale: Scale, cost: CostModel, jobs: usize) -> Vec<Cell> {

@@ -15,7 +15,6 @@ const BINS: &[(&str, &str)] = &[
     ("local", env!("CARGO_BIN_EXE_local")),
     ("msgprofile", env!("CARGO_BIN_EXE_msgprofile")),
     ("nexus_cmp", env!("CARGO_BIN_EXE_nexus_cmp")),
-    ("regress", env!("CARGO_BIN_EXE_regress")),
     ("scaling", env!("CARGO_BIN_EXE_scaling")),
     ("table1", env!("CARGO_BIN_EXE_table1")),
     ("table4", env!("CARGO_BIN_EXE_table4")),

@@ -359,7 +359,7 @@ impl Kernel {
         st.bytes_sent += msg.wire_bytes as u64;
         st.msg_size_hist[crate::stats::size_bucket(msg.wire_bytes)] += 1;
         // Source-side traffic matrix (who sends what where): `msgprofile`
-        // and `regress` read these keyed counters back out of the registry.
+        // reads these keyed counters back out of the registry.
         if let Some(m) = self.metrics.as_mut() {
             m.keyed_add(src, "net.msgs_to", dst as u64, 1);
             m.keyed_add(src, "net.bytes_to", dst as u64, msg.wire_bytes as u64);
