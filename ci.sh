@@ -54,12 +54,16 @@ echo "==> LocalFabric smoke (wall-clock backend: null-RMI + barrier ring)"
 rm -f /tmp/ci_local.json
 echo "LocalFabric smoke OK"
 
-echo "==> fabric ring stress + wall-clock zero-alloc + bounded-task + call-record tests"
-# The link ring's FIFO/overflow invariants with sender and receiver on two
-# threads, the lost-wake-up battery (2 000 frame hand-offs with
-# every wait parking at once), and the zero-allocation guarantee of the
+echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-task + call-record tests"
+# The link ring's FIFO invariants through full rings with sender and
+# receiver on two threads, the lost-wake-up battery (2 000 frame hand-offs
+# with every wait parking at once), and the zero-allocation guarantee of the
 # wall-clock short-send path (counting global allocator), in release mode
-# where the fast paths are actually taken. Also at full size only in
+# where the fast paths are actually taken. The bounded link's contract:
+# nodes that fill links to each other (two ways, a cycle of three) all
+# proceed, an AM handler replies on a full link, a panic ends a wait for
+# room, frames for a node with no tasks left drop exactly once, and a Split-C
+# bulk stream never queues more than one ring. Also at full size only in
 # release: 50 000 spawn/join pairs and a 5 000-wide task wave on exactly one
 # OS thread per node, 20 000 threaded RMIs in one run, and EM3D base in CC++
 # at the paper's graph size. One layer up, the RMI's call records: a warm
@@ -68,6 +72,8 @@ echo "==> fabric ring stress + wall-clock zero-alloc + bounded-task + call-recor
 # These assert completion and counts, not timings, so none is retried.
 cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count \
     --test bounded_tasks
+cargo test --release -q -p mpmd-am --test bounded_links
+cargo test --release -q -p mpmd-splitc --test local_stream_memory
 cargo test --release -q -p mpmd-ccxx --test alloc_count --test call_records
 cargo test --release -q -p mpmd-apps --test local_scale
 echo "fabric stress + alloc + bounded-task + call-record tests OK"
@@ -81,9 +87,12 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- al
 echo "benchmark smoke OK"
 
 echo "==> zero-allocation fast-path proof"
-# A counting global allocator brackets 1000 short-message round trips (must
-# be exactly 0 heap allocations) and 1000 AM bulk sends (bounded); the bench
-# aborts on regression.
+# A counting global allocator brackets 1000 short-message round trips and
+# 1000 warm null RMIs (exactly 0 heap allocations each), 1000 AM bulk sends
+# (bounded), and 1000 each of Split-C 8 KiB bulk_stores (exactly 2 per op:
+# the receiver decodes into the region) and CC++ 8 KiB bulk_put_flats
+# (exactly 6 per op: no staging copy, no buffer regrowth); the bench aborts
+# on regression.
 cargo bench -p mpmd-bench --bench alloc_count 2>/dev/null | grep '^alloc_count/'
 echo "alloc_count bounds OK"
 
@@ -124,9 +133,10 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # proves identical output). LocalFabric's node scheduler: its unit tests
 # (panic containment, re-entry and borrowed-handle rules, the ring alone),
 # the task-table bounds of bounded_tasks, ring_stress (the ring does not
-# depend on the baton, the idle loop that reads it does) and the whole
-# conformance suite, on which one node's tasks still run one at a time and
-# scheduling across nodes still fails the run with the one message. The RMI
+# depend on the baton, the idle loop that reads it does), the bounded-link
+# battery (a wait for room keeps the baton) and the whole conformance suite,
+# on which one node's tasks still run one at a time and scheduling across
+# nodes still fails the run with the one message. The RMI
 # call records: the per-node free list and the rule that only the issuing
 # task recycles must hold with every task on its own OS thread too. A
 # separate target dir keeps the main cache warm.
@@ -135,7 +145,7 @@ no_fibers() {
 }
 no_fibers -p mpmd-sim --lib --test explore --test inbox_waiters --test proptest_engine
 no_fibers -p mpmd-fabric --lib --test bounded_tasks --test ring_stress
-no_fibers -p mpmd-am --test fabric_conformance
+no_fibers -p mpmd-am --test fabric_conformance --test bounded_links
 no_fibers -p mpmd-ccxx --test alloc_count --test call_records
 echo "threads fallback OK"
 

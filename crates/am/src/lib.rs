@@ -107,6 +107,37 @@ impl AmMsg {
     }
 }
 
+/// Append `vals` to a bulk payload under construction, little-endian: the
+/// one copy a sender makes. Every runtime that ships doubles uses this pair,
+/// whatever it charges for the work.
+pub fn encode_f64s(out: &mut Vec<u8>, vals: &[f64]) {
+    let start = out.len();
+    out.resize(start + 8 * vals.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(8).zip(vals) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Decode a payload of [`encode_f64s`] straight into its destination, bit
+/// for bit: the one copy a receiver makes. Panics unless `bytes` holds
+/// exactly `out.len()` doubles.
+pub fn decode_f64s(bytes: &[u8], out: &mut [f64]) {
+    assert!(
+        bytes.len().is_multiple_of(8),
+        "bulk payload not a whole number of f64s: {} bytes",
+        bytes.len()
+    );
+    assert!(
+        bytes.len() / 8 == out.len(),
+        "bulk payload holds {} f64s, its destination {}",
+        bytes.len() / 8,
+        out.len()
+    );
+    for (v, src) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+        *v = f64::from_le_bytes(src.try_into().expect("an 8-byte chunk"));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

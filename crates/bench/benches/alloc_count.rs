@@ -18,11 +18,17 @@
 //! * AM bulk send — bounded (the payload buffer and its transfer frames),
 //!   currently ≤ 16 allocations per send;
 //! * warm `Simple` null RMI — **0** allocations (the call record is recycled;
-//!   every mode on both fabrics is in `crates/ccxx/tests/alloc_count.rs`).
+//!   every mode on both fabrics is in `crates/ccxx/tests/alloc_count.rs`);
+//! * Split-C 8 KiB `bulk_store` — **2** per op: the encoded payload and its
+//!   shared handle; the receiver decodes straight into the region;
+//! * CC++ 8 KiB `bulk_put_flat` (a threaded RMI) — **6** per op: the
+//!   marshalling buffer is reserved once, and the array is not staged
+//!   through a copy of its own.
 
 use mpmd_am as am;
 use mpmd_ccxx as cx;
 use mpmd_sim::{thread_allocs, CountingAlloc, Fabric, Payload, Sim};
+use mpmd_splitc as sc;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 #[global_allocator]
@@ -103,6 +109,61 @@ fn count_bulk_sends() -> u64 {
     DELTA.load(Relaxed)
 }
 
+/// Doubles in an 8 KiB bulk transfer.
+const BULK_DOUBLES: usize = 1024;
+
+/// Split-C 8 KiB `bulk_store`s from node 0 to node 1, the receiver's
+/// handler included (both nodes run on the measuring thread).
+fn count_sc_bulk_stores() -> u64 {
+    static DELTA: AtomicU64 = AtomicU64::new(u64::MAX);
+    Sim::new(2).run(|ctx| {
+        sc::init(&ctx);
+        let a = sc::all_spread_alloc(&ctx, BULK_DOUBLES, 0.0);
+        if ctx.node() == 0 {
+            let block = vec![1.5; BULK_DOUBLES];
+            let stores = |n: usize| {
+                for _ in 0..n {
+                    sc::bulk_store(&ctx, a.node_chunk(1), &block);
+                }
+            };
+            stores(WARMUP);
+            let before = thread_allocs();
+            stores(OPS);
+            DELTA.store(thread_allocs() - before, Relaxed);
+        }
+        sc::all_store_sync(&ctx);
+    });
+    DELTA.load(Relaxed)
+}
+
+/// CC++ 8 KiB `bulk_put_flat`s (threaded RMIs) from node 0 to node 1.
+fn count_cx_bulk_puts() -> u64 {
+    static DELTA: AtomicU64 = AtomicU64::new(u64::MAX);
+    Sim::new(2).run(|ctx| {
+        cx::init(&ctx, cx::CcxxConfig::tham());
+        let region = cx::alloc_region(&ctx, BULK_DOUBLES, 0.0);
+        if ctx.node() == 0 {
+            let block = vec![1.5; BULK_DOUBLES];
+            let to = cx::CxPtr {
+                node: 1,
+                region,
+                offset: 0,
+            };
+            let puts = |n: usize| {
+                for _ in 0..n {
+                    cx::bulk_put_flat(&ctx, to, &block);
+                }
+            };
+            puts(WARMUP);
+            let before = thread_allocs();
+            puts(OPS);
+            DELTA.store(thread_allocs() - before, Relaxed);
+        }
+        cx::finalize(&ctx);
+    });
+    DELTA.load(Relaxed)
+}
+
 /// Warm `Simple` null RMIs from node 0 to node 1.
 fn count_null_rmis() -> u64 {
     static DELTA: AtomicU64 = AtomicU64::new(u64::MAX);
@@ -143,4 +204,20 @@ fn main() {
     let rmi_allocs = count_null_rmis();
     println!("alloc_count/null_rmi: {rmi_allocs} allocs / {OPS} ops");
     assert_eq!(rmi_allocs, 0, "warm null RMIs must stay allocation-free");
+    // Whole allocations per op; what is left over is amortized growth of the
+    // simulator's and runtimes' containers, well under one per op.
+    let sc_allocs = count_sc_bulk_stores();
+    let sc_per_op = sc_allocs / OPS as u64;
+    println!("alloc_count/sc_bulk_store_8k: {sc_allocs} allocs / {OPS} ops ({sc_per_op}/op)");
+    assert_eq!(
+        sc_per_op, 2,
+        "an 8 KiB bulk_store allocates its payload and the payload's share count"
+    );
+    let cx_allocs = count_cx_bulk_puts();
+    let cx_per_op = cx_allocs / OPS as u64;
+    println!("alloc_count/cx_bulk_put_flat: {cx_allocs} allocs / {OPS} ops ({cx_per_op}/op)");
+    assert_eq!(
+        cx_per_op, 6,
+        "an 8 KiB bulk_put_flat allocates its payload once, with no staging copy"
+    );
 }

@@ -14,6 +14,7 @@
 
 use crate::state::CcxxState;
 use bytes::Bytes;
+use mpmd_am as am;
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
 
@@ -65,18 +66,39 @@ impl Marshal for bool {
 
 impl Marshal for Vec<f64> {
     fn write(&self, out: &mut Vec<u8>) {
-        (self.len() as u64).write(out);
-        for v in self {
-            v.write(out);
-        }
+        write_f64s(out, self);
     }
     fn read(input: &mut &[u8]) -> Self {
-        let n = u64::read(input) as usize;
-        (0..n).map(|_| f64::read(input)).collect()
+        let raw = read_f64s(input);
+        let mut vals = vec![0.0; raw.len() / 8];
+        am::decode_f64s(raw, &mut vals);
+        vals
     }
     fn elems(&self) -> usize {
         self.len()
     }
+}
+
+/// The wire form of a double array, flat or not: its length, then the
+/// doubles, appended in one reservation.
+fn write_f64s(out: &mut Vec<u8>, vals: &[f64]) {
+    out.reserve(8 + 8 * vals.len());
+    (vals.len() as u64).write(out);
+    am::encode_f64s(out, vals);
+}
+
+/// Take one double array off the front of `input`, its doubles still in
+/// wire form.
+fn read_f64s<'a>(input: &mut &'a [u8]) -> &'a [u8] {
+    let n = u64::read(input);
+    let bytes = usize::try_from(n)
+        .ok()
+        .and_then(|n| n.checked_mul(8))
+        .filter(|b| *b <= input.len())
+        .unwrap_or_else(|| panic!("marshalled array of {n} f64s overruns its payload"));
+    let (raw, rest) = input.split_at(bytes);
+    *input = rest;
+    raw
 }
 
 /// A flat double array whose serialization the compiler has inlined: one
@@ -119,17 +141,32 @@ impl MarshalBuf {
     /// Serialize one argument, charging its marshalling cost.
     pub fn push<T: Marshal, F: Fabric>(&mut self, ctx: &F, value: &T) -> &mut Self {
         let _sp = ctx.span("rmi.marshal");
-        let st = CcxxState::get(ctx);
         let before = self.bytes.len();
         value.write(&mut self.bytes);
+        self.charge(ctx, value.elems(), before)
+    }
+
+    /// Serialize `vals` as a `Vec<f64>` argument — as a [`FlatF64s`] with
+    /// `flat` — without building one, charging what [`push`](Self::push)
+    /// charges for it. The bytes are the same either way: only the charge
+    /// tells an inlined serialization from one call per element.
+    pub(crate) fn push_f64s<F: Fabric>(&mut self, ctx: &F, vals: &[f64], flat: bool) -> &mut Self {
+        let _sp = ctx.span("rmi.marshal");
+        let before = self.bytes.len();
+        write_f64s(&mut self.bytes, vals);
+        self.charge(ctx, if flat { 1 } else { vals.len() }, before)
+    }
+
+    /// Charge the marshalling of `elems` elements, written since `before`.
+    fn charge<F: Fabric>(&mut self, ctx: &F, elems: usize, before: usize) -> &mut Self {
+        let st = CcxxState::get(ctx);
+        let c = &st.cfg().costs;
         let grew = self.bytes.len() - before;
-        let cfg = st.cfg();
-        let c = &cfg.costs;
         ctx.charge(
             Bucket::Runtime,
-            c.serialize_per_elem * value.elems() as u64 + c.copy_charge(grew),
+            c.serialize_per_elem * elems as u64 + c.copy_charge(grew),
         );
-        self.elems += value.elems();
+        self.elems += elems;
         self
     }
 
@@ -173,17 +210,33 @@ impl<'a> UnmarshalBuf<'a> {
     /// Extract the next argument, charging its unmarshalling cost.
     pub fn next<T: Marshal, F: Fabric>(&mut self, ctx: &F) -> T {
         let _sp = ctx.span("rmi.unmarshal");
-        let st = CcxxState::get(ctx);
         let before = self.input.len();
         let v = T::read(&mut self.input);
+        self.charge(ctx, v.elems(), before);
+        v
+    }
+
+    /// Extract a `Vec<f64>` argument — a [`FlatF64s`] with `flat` — with its
+    /// doubles still in wire form, for [`am::decode_f64s`] to put straight
+    /// where they go; charges what [`next`](Self::next) charges for it.
+    pub(crate) fn next_f64s<F: Fabric>(&mut self, ctx: &F, flat: bool) -> &'a [u8] {
+        let _sp = ctx.span("rmi.unmarshal");
+        let before = self.input.len();
+        let raw = read_f64s(&mut self.input);
+        self.charge(ctx, if flat { 1 } else { raw.len() / 8 }, before);
+        raw
+    }
+
+    /// Charge the unmarshalling of `elems` elements, read since `before`
+    /// bytes were left.
+    fn charge<F: Fabric>(&self, ctx: &F, elems: usize, before: usize) {
+        let st = CcxxState::get(ctx);
+        let c = &st.cfg().costs;
         let consumed = before - self.input.len();
-        let cfg = st.cfg();
-        let c = &cfg.costs;
         ctx.charge(
             Bucket::Runtime,
-            c.serialize_per_elem * v.elems() as u64 + c.copy_charge(consumed),
+            c.serialize_per_elem * elems as u64 + c.copy_charge(consumed),
         );
-        v
     }
 
     /// Bytes not yet consumed.

@@ -168,59 +168,52 @@ pub fn with_local<F: Fabric, R>(ctx: &F, region: u32, f: impl FnOnce(&mut Vec<f6
 /// Bulk read: `lA = gpObj->get(gpA)` — a threaded RMI whose reply carries
 /// the marshalled array.
 pub fn bulk_get<F: Fabric>(ctx: &F, p: CxPtr, len: usize) -> Vec<f64> {
-    let ret = rmi(
-        ctx,
-        p.node,
-        M_GET,
-        &[p.region as u64, p.offset as u64, len as u64],
-        None,
-        CallMode::Threaded,
-    );
-    let data = ret.data.expect("__get returned no data");
-    let mut u = UnmarshalBuf::new(&data);
-    u.next::<Vec<f64>, _>(ctx)
+    get_f64s(ctx, p, len, M_GET, false)
 }
 
 /// Bulk write: `gpObj->put(lA, gpA)` — a threaded RMI carrying the
 /// marshalled array.
 pub fn bulk_put<F: Fabric>(ctx: &F, p: CxPtr, vals: &[f64]) {
-    let mut buf = MarshalBuf::new();
-    buf.push(ctx, &vals.to_vec());
-    rmi(
-        ctx,
-        p.node,
-        M_PUT,
-        &[p.region as u64, p.offset as u64],
-        Some(buf),
-        CallMode::Threaded,
-    );
+    put_f64s(ctx, p, vals, M_PUT, false)
 }
 
 /// [`bulk_get`] for flat double arrays whose serialization the compiler has
 /// inlined (one serialization call, per-byte copy only) — the LU block
 /// transfers.
 pub fn bulk_get_flat<F: Fabric>(ctx: &F, p: CxPtr, len: usize) -> Vec<f64> {
-    let ret = rmi(
-        ctx,
-        p.node,
-        M_GET_FLAT,
-        &[p.region as u64, p.offset as u64, len as u64],
-        None,
-        CallMode::Threaded,
-    );
-    let data = ret.data.expect("__getf returned no data");
-    let mut u = UnmarshalBuf::new(&data);
-    u.next::<crate::marshal::FlatF64s, _>(ctx).0
+    get_f64s(ctx, p, len, M_GET_FLAT, true)
 }
 
 /// [`bulk_put`] for flat double arrays (inlined serialization).
 pub fn bulk_put_flat<F: Fabric>(ctx: &F, p: CxPtr, vals: &[f64]) {
+    put_f64s(ctx, p, vals, M_PUT_FLAT, true)
+}
+
+fn get_f64s<F: Fabric>(ctx: &F, p: CxPtr, len: usize, method: &str, flat: bool) -> Vec<f64> {
+    let ret = rmi(
+        ctx,
+        p.node,
+        method,
+        &[p.region as u64, p.offset as u64, len as u64],
+        None,
+        CallMode::Threaded,
+    );
+    let data = ret
+        .data
+        .unwrap_or_else(|| panic!("{method} returned no data"));
+    let raw = UnmarshalBuf::new(&data).next_f64s(ctx, flat);
+    let mut vals = vec![0.0; raw.len() / 8];
+    am::decode_f64s(raw, &mut vals);
+    vals
+}
+
+fn put_f64s<F: Fabric>(ctx: &F, p: CxPtr, vals: &[f64], method: &str, flat: bool) {
     let mut buf = MarshalBuf::new();
-    buf.push(ctx, &crate::marshal::FlatF64s(vals.to_vec()));
+    buf.push_f64s(ctx, vals, flat);
     rmi(
         ctx,
         p.node,
-        M_PUT_FLAT,
+        method,
         &[p.region as u64, p.offset as u64],
         Some(buf),
         CallMode::Threaded,
@@ -261,33 +254,34 @@ pub fn atomic_add<F: Fabric>(ctx: &F, p: CxPtr, delta: f64) {
 fn register_builtins<F: Fabric>(ctx: &F) {
     crate::rmi::register_method(ctx, M_NULL, |_ctx, _args| RmiRet::null());
 
-    crate::rmi::register_method(ctx, M_GET, |ctx, args| {
-        let st = CcxxState::get(ctx);
-        let region = st.region(args.words[0] as u32);
-        let off = args.words[1] as usize;
-        let len = args.words[2] as usize;
-        let vals: Vec<f64> = {
+    // The bulk methods, element-wise and flat: the array is marshalled
+    // straight from the region and unmarshalled straight into it.
+    for (get, put, flat) in [(M_GET, M_PUT, false), (M_GET_FLAT, M_PUT_FLAT, true)] {
+        crate::rmi::register_method(ctx, get, move |ctx, args| {
+            let st = CcxxState::get(ctx);
+            let region = st.region(args.words[0] as u32);
+            let off = args.words[1] as usize;
+            let len = args.words[2] as usize;
             let r = region.read();
-            assert!(off + len <= r.len(), "__get out of bounds");
-            r[off..off + len].to_vec()
-        };
-        let mut buf = MarshalBuf::new();
-        buf.push(ctx, &vals);
-        RmiRet::of_data(buf.finish())
-    });
+            assert!(off + len <= r.len(), "{get} out of bounds");
+            let mut buf = MarshalBuf::new();
+            buf.push_f64s(ctx, &r[off..off + len], flat);
+            RmiRet::of_data(buf.finish())
+        });
 
-    crate::rmi::register_method(ctx, M_PUT, |ctx, args| {
-        let st = CcxxState::get(ctx);
-        let region = st.region(args.words[0] as u32);
-        let off = args.words[1] as usize;
-        let data = args.data.expect("__put without data");
-        let mut u = UnmarshalBuf::new(&data);
-        let vals = u.next::<Vec<f64>, _>(ctx);
-        let mut w = region.write();
-        assert!(off + vals.len() <= w.len(), "__put out of bounds");
-        w[off..off + vals.len()].copy_from_slice(&vals);
-        RmiRet::null()
-    });
+        crate::rmi::register_method(ctx, put, move |ctx, args| {
+            let st = CcxxState::get(ctx);
+            let region = st.region(args.words[0] as u32);
+            let off = args.words[1] as usize;
+            let data = args.data.unwrap_or_else(|| panic!("{put} without data"));
+            let raw = UnmarshalBuf::new(&data).next_f64s(ctx, flat);
+            let len = raw.len() / 8;
+            let mut w = region.write();
+            assert!(off + len <= w.len(), "{put} out of bounds");
+            am::decode_f64s(raw, &mut w[off..off + len]);
+            RmiRet::null()
+        });
+    }
 
     // The accumulate stubs stage rather than apply; the commit happens at
     // barrier exit in canonical order (see `StagedAdds`). The staged `__addf`
@@ -319,34 +313,6 @@ fn register_builtins<F: Fabric>(ctx: &F) {
                 n: 3,
             },
         );
-        RmiRet::null()
-    });
-
-    crate::rmi::register_method(ctx, M_GET_FLAT, |ctx, args| {
-        let st = CcxxState::get(ctx);
-        let region = st.region(args.words[0] as u32);
-        let off = args.words[1] as usize;
-        let len = args.words[2] as usize;
-        let vals: Vec<f64> = {
-            let r = region.read();
-            assert!(off + len <= r.len(), "__getf out of bounds");
-            r[off..off + len].to_vec()
-        };
-        let mut buf = MarshalBuf::new();
-        buf.push(ctx, &crate::marshal::FlatF64s(vals));
-        RmiRet::of_data(buf.finish())
-    });
-
-    crate::rmi::register_method(ctx, M_PUT_FLAT, |ctx, args| {
-        let st = CcxxState::get(ctx);
-        let region = st.region(args.words[0] as u32);
-        let off = args.words[1] as usize;
-        let data = args.data.expect("__putf without data");
-        let mut u = UnmarshalBuf::new(&data);
-        let vals = u.next::<crate::marshal::FlatF64s, _>(ctx).0;
-        let mut w = region.write();
-        assert!(off + vals.len() <= w.len(), "__putf out of bounds");
-        w[off..off + vals.len()].copy_from_slice(&vals);
         RmiRet::null()
     });
 }

@@ -1,17 +1,20 @@
 //! Stress tests for the link rings and the node parker under real concurrency.
 //!
-//! A per-(src, dst) `Ring` is a bounded ring whose producer pushes under a
-//! producer-owned lock, with an unbounded overflow queue behind it under the
-//! same lock; the consumer takes frames from the slots by its own cursor and
-//! joins the producer's lock only to reach the overflow. The promises these
-//! tests hammer through the public API:
+//! A per-(src, dst) `Ring` is a bounded ring with one producer and one
+//! consumer, each keeping its cursor in a block of its own; a send that finds
+//! it full waits in place for room. The promises these tests hammer through
+//! the public API:
 //!
-//! * **per-link FIFO across the ring→overflow→ring transition** — a 1-slot
-//!   ring overflows on nearly every send, a 1024-slot ring in bursts;
+//! * **per-link FIFO through full rings** — a 1-slot ring is full after
+//!   nearly every send, a 1024-slot ring in bursts;
 //! * **nothing lost, nothing twice**: every count is exact;
+//! * **a link holds at most its capacity**, whatever a sampler reads;
 //! * **no lost wake-up**: with a policy that parks at once for 200 ms, a
 //!   waker that missed a parked (or parking) node would cost a whole slice,
 //!   and thousands of hand-offs would not finish in seconds.
+//!
+//! What a full link does to its sender — and to nodes that fill links to
+//! each other — is `mpmd-am`'s `tests/bounded_links.rs`.
 
 use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder, WaitPolicy};
 use mpmd_sim::{Msg, Payload};
@@ -30,10 +33,8 @@ fn fifo_blast(capacity: usize, n: u64) {
                 for i in 0..n {
                     fab.send_msg(1, 8, 0, Payload::any(i));
                     if i % 97 == 0 {
-                        // Give the receiver a chance to drain the ring back
-                        // below capacity so later sends re-enter the fast
-                        // path: exercises overflow→ring as well as
-                        // ring→overflow.
+                        // Give the receiver a chance to drain the ring, so
+                        // sends find it empty, part full and full.
                         fab.yield_now();
                     }
                 }
@@ -60,15 +61,14 @@ fn fifo_blast(capacity: usize, n: u64) {
 }
 
 #[test]
-fn fifo_across_overflow_one_slot_ring() {
-    // Minimum capacity: almost every push overflows, and the consumer
-    // crosses ring→overflow→ring constantly.
+fn fifo_through_a_full_one_slot_ring() {
+    // Minimum capacity: almost every push finds the ring full and waits.
     fifo_blast(1, 20_000);
 }
 
 #[test]
-fn fifo_across_overflow_default_ring() {
-    // 1024 slots: long fast-path runs punctuated by overflow bursts.
+fn fifo_through_a_full_default_ring() {
+    // 1024 slots: long runs with room, punctuated by waits on a full ring.
     fifo_blast(1024, 50_000);
 }
 
@@ -113,47 +113,50 @@ fn inbox_depth_sampling_never_blocks_a_sender() {
     // hammering `inbox_len` while a sender floods the same links must
     // observe plausible depths and the run must complete with both sides
     // making progress. What this test pins is correctness of the lock-free
-    // count: bounded by in-flight traffic, zero at quiescence.
+    // count: bounded by the ring's capacity, zero at quiescence.
     const N: u64 = 30_000;
+    const CAPACITY: usize = 8;
     let max_seen = Arc::new(AtomicUsize::new(0));
     let done = Arc::new(AtomicBool::new(false));
     let (max_c, done_c) = (Arc::clone(&max_seen), Arc::clone(&done));
-    let r = LocalFabricBuilder::new(2).ring_capacity(8).run(move |fab| {
-        if fab.node() == 0 {
-            for i in 0..N {
-                fab.send_msg(1, 8, 0, Payload::any(i));
-            }
-        } else {
-            // Sampler daemon on the receiving node: tight depth loop
-            // with no locks between it and the flooding producer. It shares
-            // the node's thread with the receiver, so it yields per sample.
-            let max_s = Arc::clone(&max_c);
-            let done_s = Arc::clone(&done_c);
-            fab.spawn_daemon("sampler", move |f| {
-                while !done_s.load(Ordering::Relaxed) && !f.shutting_down() {
-                    let d = f.inbox_len();
-                    max_s.fetch_max(d, Ordering::Relaxed);
-                    f.yield_now();
+    let r = LocalFabricBuilder::new(2)
+        .ring_capacity(CAPACITY)
+        .run(move |fab| {
+            if fab.node() == 0 {
+                for i in 0..N {
+                    fab.send_msg(1, 8, 0, Payload::any(i));
                 }
-            });
-            let mut expect = 0u64;
-            while expect < N {
-                match fab.try_recv() {
-                    Some(m) => {
-                        assert_eq!(*m.payload.downcast::<u64>().unwrap(), expect);
-                        expect += 1;
+            } else {
+                // Sampler daemon on the receiving node: tight depth loop
+                // with no locks between it and the flooding producer. It shares
+                // the node's thread with the receiver, so it yields per sample.
+                let max_s = Arc::clone(&max_c);
+                let done_s = Arc::clone(&done_c);
+                fab.spawn_daemon("sampler", move |f| {
+                    while !done_s.load(Ordering::Relaxed) && !f.shutting_down() {
+                        let d = f.inbox_len();
+                        max_s.fetch_max(d, Ordering::Relaxed);
+                        f.yield_now();
                     }
-                    None => fab.park_for_inbox(),
+                });
+                let mut expect = 0u64;
+                while expect < N {
+                    match fab.try_recv() {
+                        Some(m) => {
+                            assert_eq!(*m.payload.downcast::<u64>().unwrap(), expect);
+                            expect += 1;
+                        }
+                        None => fab.park_for_inbox(),
+                    }
                 }
+                done_c.store(true, Ordering::Relaxed);
+                assert_eq!(fab.inbox_len(), 0, "drained link must read depth 0");
             }
-            done_c.store(true, Ordering::Relaxed);
-            assert_eq!(fab.inbox_len(), 0, "drained link must read depth 0");
-        }
-    });
+        });
     assert_eq!(r.stats[1].msgs_received, N);
-    // The sampler ran concurrently with real traffic: it must have seen a
-    // depth bounded by what was ever in flight.
-    assert!(max_seen.load(Ordering::Relaxed) <= N as usize);
+    // The sampler ran concurrently with real traffic: a one-way link never
+    // holds more than its ring, and its receiver never stashes.
+    assert!(max_seen.load(Ordering::Relaxed) <= CAPACITY);
 }
 
 /// The next frame, waiting for it on the inbox.

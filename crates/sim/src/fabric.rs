@@ -189,8 +189,10 @@ pub trait Fabric: Clone + Send + 'static {
 
     /// Send `payload` to node `dst`, delivered `delay` ns after this node's
     /// clock. Wall-clock fabrics may ignore `delay` (the real wire supplies
-    /// real latency); per-link FIFO order must hold either way. The
-    /// messaging layer charges its own send overhead separately.
+    /// real latency) and may make the caller wait for room on a full link —
+    /// without running any other task or handler of its node; per-link FIFO
+    /// order must hold either way. The messaging layer charges its own send
+    /// overhead separately.
     fn send_msg(&self, dst: usize, wire_bytes: usize, delay: Time, payload: Payload);
 
     /// Take the oldest delivered frame, if any.

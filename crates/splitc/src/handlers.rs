@@ -4,7 +4,8 @@
 //! *inline* in whichever task polled — a Split-C node is single-threaded, so
 //! handlers never spawn.
 
-use crate::state::{bytes_to_f64s, f64s_to_bytes, ScState};
+use crate::state::ScState;
+use bytes::Bytes;
 use mpmd_am::{self as am, AmMsg, HandlerId, PendingCounter, ReplyCell};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
@@ -34,6 +35,20 @@ pub(crate) struct ScToken {
     /// Issue timestamp of a split-phase op (set only when metrics are on):
     /// the reply handler turns it into the issue→completion latency.
     pub(crate) issued: Option<mpmd_sim::Time>,
+}
+
+/// `vals` as a bulk payload.
+pub(crate) fn payload(vals: &[f64]) -> Bytes {
+    let mut data = Vec::new();
+    am::encode_f64s(&mut data, vals);
+    Bytes::from(data)
+}
+
+/// A bulk reply's doubles, as the caller's own vector.
+pub(crate) fn doubles(data: &[u8]) -> Vec<f64> {
+    let mut vals = vec![0.0; data.len() / 8];
+    am::decode_f64s(data, &mut vals);
+    vals
 }
 
 fn take_token(m: &mut AmMsg) -> ScToken {
@@ -112,7 +127,7 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
                 "bulk_read out of bounds: {off}+{len} > {}",
                 r.len()
             );
-            f64s_to_bytes(&r[off..off + len])
+            payload(&r[off..off + len])
         };
         am::endpoint(ctx)
             .to(m.src)
@@ -221,17 +236,18 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
     });
 }
 
+/// Decode a bulk write's payload straight into its region.
 fn write_bulk_into_region<F: Fabric>(ctx: &F, m: &AmMsg) {
     let st = ScState::get(ctx);
     let region = st.region(m.args[0] as u32);
     let off = m.args[1] as usize;
-    let vals = bytes_to_f64s(m.data.as_ref().expect("bulk write without payload"));
+    let data = m.data.as_ref().expect("bulk write without payload");
+    let len = data.len() / 8;
     let mut w = region.write();
     assert!(
-        off + vals.len() <= w.len(),
-        "bulk write out of bounds: {off}+{} > {}",
-        vals.len(),
+        off + len <= w.len(),
+        "bulk write out of bounds: {off}+{len} > {}",
         w.len()
     );
-    w[off..off + vals.len()].copy_from_slice(&vals);
+    am::decode_f64s(data, &mut w[off..off + len]);
 }

@@ -42,7 +42,6 @@ pub use ops::{
     pack_addr, put, read, read_vec3, register_atomic, store, sync, unpack_addr, with_local, write,
     BulkGetHandle, GetHandle, ATOMIC_ADD3_F64, ATOMIC_ADD_F64, ATOMIC_NULL,
 };
-pub use state::{bytes_to_f64s, f64s_to_bytes};
 
 #[cfg(test)]
 mod tests {

@@ -7,7 +7,7 @@
 
 use crate::gptr::GlobalPtr;
 use crate::handlers::*;
-use crate::state::{f64s_to_bytes, ScState};
+use crate::state::ScState;
 use mpmd_am::{self as am, ReplyCell};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
@@ -189,7 +189,7 @@ impl BulkGetHandle {
         if let Some(v) = &self.local {
             return v.clone();
         }
-        crate::state::bytes_to_f64s(
+        doubles(
             &self
                 .cell
                 .take_data()
@@ -361,7 +361,7 @@ pub fn bulk_read<F: Fabric>(ctx: &F, gp: GlobalPtr, len: usize) -> Vec<f64> {
     if let Some(t0) = t0 {
         ctx.metric_observe_since("sc.bulk_read_ns", t0);
     }
-    crate::state::bytes_to_f64s(&cell.take_data().expect("bulk read reply without data"))
+    doubles(&cell.take_data().expect("bulk read reply without data"))
 }
 
 /// Synchronous bulk write of `vals` starting at `gp`.
@@ -382,7 +382,7 @@ pub fn bulk_write<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
         .to(gp.node)
         .handler(H_BULK_WRITE)
         .args([gp.region as u64, gp.offset as u64, 0, 0])
-        .bulk(f64s_to_bytes(vals))
+        .bulk(payload(vals))
         .token(Box::new(ScToken {
             cell: Some(Arc::clone(&cell)),
             pending: None,
@@ -414,7 +414,7 @@ pub fn bulk_store<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
         .to(gp.node)
         .handler(H_BULK_STORE)
         .args([gp.region as u64, gp.offset as u64, 0, 0])
-        .bulk(f64s_to_bytes(vals))
+        .bulk(payload(vals))
         .send();
 }
 

@@ -1,7 +1,6 @@
 //! Per-node Split-C runtime state.
 
 use crate::costs::ScCosts;
-use bytes::Bytes;
 use mpmd_am::PendingCounter;
 use mpmd_fabric::Fabric;
 use parking_lot::{Mutex, RwLock};
@@ -103,44 +102,5 @@ impl<F: Fabric> ScState<F> {
                 .get(&region)
                 .unwrap_or_else(|| panic!("unknown Split-C region {region}")),
         )
-    }
-}
-
-/// Encode a slice of doubles as wire bytes (little-endian).
-pub fn f64s_to_bytes(v: &[f64]) -> Bytes {
-    let mut out = Vec::with_capacity(v.len() * 8);
-    for x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    Bytes::from(out)
-}
-
-/// Decode wire bytes back into doubles.
-pub fn bytes_to_f64s(b: &Bytes) -> Vec<f64> {
-    assert!(
-        b.len().is_multiple_of(8),
-        "bulk payload not a whole number of f64s"
-    );
-    b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn f64_bytes_round_trip() {
-        let v = vec![0.0, -1.5, std::f64::consts::PI, f64::MAX, f64::MIN_POSITIVE];
-        let b = f64s_to_bytes(&v);
-        assert_eq!(b.len(), 40);
-        assert_eq!(bytes_to_f64s(&b), v);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole number of f64s")]
-    fn ragged_payload_panics() {
-        bytes_to_f64s(&Bytes::from_static(&[1, 2, 3]));
     }
 }
