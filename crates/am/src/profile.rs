@@ -47,18 +47,6 @@ pub struct NetProfile {
     pub poll_on_send: bool,
 }
 
-#[cfg(feature = "serde")]
-serde::impl_serialize!(NetProfile {
-    name,
-    send_overhead,
-    recv_overhead,
-    wire_latency,
-    lock_overhead,
-    bulk_setup,
-    per_byte_millins,
-    poll_on_send,
-});
-
 impl NetProfile {
     /// SP Active Messages as used by Split-C: single-threaded endpoint.
     pub fn sp_am_splitc() -> Self {

@@ -103,6 +103,32 @@ fn battery_timeout_wake<F: Fabric>(ctx: &F) {
     am::barrier(ctx);
 }
 
+/// A sleep lasts its full time: a sibling's `unpark` finds the sleeper not
+/// parked and is dropped. The sleep's timer ends that sleep and nothing else,
+/// so a later `park` waits for its own `unpark`.
+fn battery_sleep_ignores_unpark<F: Fabric>(ctx: &F) {
+    let nap = mpmd_sim::us(200.0);
+    let me = ctx.task_id();
+    let late = Arc::new(AtomicBool::new(false));
+    let late2 = Arc::clone(&late);
+    // Spawning does not preempt: the sibling runs once `me` sleeps.
+    let sibling = ctx.spawn("unparker", move |c: F| {
+        c.unpark(me);
+        c.sleep(3 * nap); // well past the end of `me`'s sleep
+        late2.store(true, Ordering::Release);
+        c.unpark(me);
+    });
+    let t0 = ctx.now();
+    ctx.sleep(nap);
+    assert!(ctx.now() - t0 >= nap, "an unpark ended a sleep early");
+    ctx.park();
+    assert!(
+        late.load(Ordering::Acquire),
+        "park ended before its unpark, by an earlier sleep's timer"
+    );
+    ctx.join(sibling);
+}
+
 /// No node exits barrier `r` before every node entered it.
 fn battery_barrier<F: Fabric>(ctx: &F, entered: &[AtomicU64]) {
     const ROUNDS: u64 = 16;
@@ -630,7 +656,7 @@ fn battery_instrumentation<F: Fabric>(ctx: &F) {
     for _ in 0..PROBES {
         ctx.metric_observe_since("conf.since_ns", t0);
         ctx.metric_inbox_depth("conf.inbox_depth");
-        ctx.metric_counter_add("conf.probes", 2);
+        ctx.metric_observe("conf.probes", 2);
     }
 }
 
@@ -641,7 +667,7 @@ fn check_instrumentation(fabric: &str, metrics_on: bool, report: &Report) {
     };
     assert!(metrics_on, "{fabric}: registry on a metrics-off run");
     let nodes = report.nodes() as u64;
-    for name in ["conf.since_ns", "conf.inbox_depth"] {
+    for name in ["conf.since_ns", "conf.inbox_depth", "conf.probes"] {
         let h = m
             .hist(name)
             .unwrap_or_else(|| panic!("{fabric}: no histogram {name}"));
@@ -649,7 +675,11 @@ fn check_instrumentation(fabric: &str, metrics_on: bool, report: &Report) {
     }
     // Nothing was ever sent: every sampled depth is 0.
     assert_eq!(m.hist("conf.inbox_depth").unwrap().max, 0, "{fabric}");
-    assert_eq!(m.counter("conf.probes"), 2 * PROBES * nodes, "{fabric}");
+    assert_eq!(
+        m.hist("conf.probes").unwrap().sum,
+        2 * PROBES * nodes,
+        "{fabric}"
+    );
 }
 
 /// Sets its flag when dropped.
@@ -708,7 +738,7 @@ fn probe_work<F: Fabric>(count_on: &F, me: &F, iters: u64) {
     for i in 0..iters {
         count_on.charge(Bucket::Cpu, PT_CHARGE);
         count_on.with_stats(|s| s.thread_creates += 1);
-        count_on.metric_counter_add("probe.units", 2);
+        count_on.metric_observe("probe.units", 2);
         count_on.metric_observe("probe.value", i % 5);
         match i % 250 {
             0 | 100 => me.yield_now(),
@@ -784,7 +814,8 @@ fn check_probe_units(
         "{what}: charged ns"
     );
     let Some(m) = metrics else { return };
-    assert_eq!(m.counters["probe.units"], 2 * units, "{what}: counter");
+    let u = &m.hists["probe.units"];
+    assert_eq!((u.count, u.sum), (units, 2 * units), "{what}: probe.units");
     let h = &m.hists["probe.value"];
     assert_eq!(h.count, units, "{what}: histogram count");
     // Every block of five consecutive rounds observes 0+1+2+3+4, and every
@@ -860,6 +891,12 @@ conformance!(
     timeout_wake_sim,
     timeout_wake_local,
     2
+);
+conformance!(
+    battery_sleep_ignores_unpark,
+    sleep_ignores_unpark_sim,
+    sleep_ignores_unpark_local,
+    1
 );
 conformance!(
     battery_coalesce_boundary,

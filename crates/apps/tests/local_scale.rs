@@ -1,12 +1,16 @@
 //! The two size limits the thread-per-task `LocalFabric` had (benchmark
 //! README, "Size guards") no longer hold: tens of thousands of threaded RMIs
 //! fit in one run, and EM3D `base` in CC++ — one threaded access per remote
-//! edge — runs at the paper's graph size.
+//! edge — runs at the paper's graph size. EM3D `ghost` in Split-C on four
+//! nodes gives the sequential reference's fields bit for bit.
 //!
 //! Debug builds (tier 1) run a reduced size; the release-mode line in
 //! `ci.sh` runs the full one.
 
-use mpmd_apps::em3d::{em3d_reference, run_ccxx_on, Em3dParams, Em3dVersion};
+use mpmd_apps::em3d::{
+    em3d_reference, run_ccxx_on, run_splitc_on, Em3dParams, Em3dValues, Em3dVersion,
+};
+use mpmd_apps::AppRun;
 use mpmd_ccxx::{self as cx, CallMode, CcxxConfig};
 use mpmd_fabric::{Fabric, LocalFabric};
 use std::sync::{Arc, Mutex};
@@ -30,18 +34,17 @@ fn threaded_null_rmis_by_the_ten_thousand_complete_in_one_run() {
     assert!(report.stats[1].thread_creates >= calls);
 }
 
-#[test]
-fn em3d_base_in_ccxx_runs_at_paper_size() {
-    let p = Em3dParams {
-        procs: 2,
-        steps: if FULL { 10 } else { 2 },
-        ..Em3dParams::paper(0.4)
-    };
+/// An EM3D version on one node of a run: node 0 returns the fields.
+type App = fn(&LocalFabric, &Em3dParams) -> Option<AppRun<Em3dValues>>;
+
+/// Node 0's fields from `app` on one OS thread per node must equal the
+/// sequential reference bit for bit, not approximately.
+fn assert_matches_reference(p: Em3dParams, app: App) {
     let want = em3d_reference(&p);
     let slot = Arc::new(Mutex::new(None));
     let (slot2, p2) = (Arc::clone(&slot), p.clone());
     LocalFabric::run(p.procs, move |ctx| {
-        if let Some(run) = run_ccxx_on(&ctx, &p2, Em3dVersion::Base, CcxxConfig::tham()) {
+        if let Some(run) = app(&ctx, &p2) {
             *slot2.lock().unwrap() = Some(run);
         }
     });
@@ -51,8 +54,32 @@ fn em3d_base_in_ccxx_runs_at_paper_size() {
         .take()
         .expect("node 0 returns the fields")
         .output;
-    // Bit-identical, not approximately equal: compare the representations.
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&got.e), bits(&want.e), "E field");
     assert_eq!(bits(&got.h), bits(&want.h), "H field");
+}
+
+#[test]
+fn em3d_base_in_ccxx_runs_at_paper_size() {
+    let p = Em3dParams {
+        procs: 2,
+        steps: if FULL { 10 } else { 2 },
+        ..Em3dParams::paper(0.4)
+    };
+    assert_matches_reference(p, |ctx, p| {
+        run_ccxx_on(ctx, p, Em3dVersion::Base, CcxxConfig::tham())
+    });
+}
+
+#[test]
+fn em3d_ghost_in_splitc_on_four_nodes_matches_the_reference() {
+    let p = Em3dParams {
+        graph_nodes: 160,
+        degree: 5,
+        procs: 4,
+        steps: 2,
+        remote_frac: 0.4,
+        seed: 42,
+    };
+    assert_matches_reference(p, |ctx, p| run_splitc_on(ctx, p, Em3dVersion::Ghost, None));
 }

@@ -83,15 +83,23 @@ fn main() {
             .saturating_sub(lu_sc.breakdown.elapsed) as f64;
         let sync_share = lu_cc.breakdown.thread_sync as f64 / gap.max(1.0) * 100.0;
         check("sync share of gap", "cc-lu", sync_share, "32%");
-        // "about 20% of the gap" from extra data copying: approximate the
-        // copy cost as the runtime-component difference.
-        let copy_share = (lu_cc
+        // The paper puts "about 20% of the gap" on extra data copying. The
+        // runtime bucket holds that copy and the rest of the CC++ runtime
+        // (marshalling, stubs, reply matching), so its excess over Split-C's
+        // bounds the copying share from above; it exceeds the whole gap when
+        // CC++ spends less than Split-C elsewhere.
+        let runtime_share = (lu_cc
             .breakdown
             .runtime
             .saturating_sub(lu_sc.breakdown.runtime)) as f64
             / gap.max(1.0)
             * 100.0;
-        check("extra copying share of gap", "cc-lu", copy_share, "~20%");
+        check(
+            "runtime excess share of gap",
+            "cc-lu",
+            runtime_share,
+            "~20% (copying)",
+        );
         let net_ratio = lu_cc.breakdown.net as f64 / lu_sc.breakdown.net.max(1) as f64;
         rows.push(vec![
             "cc-lu net vs sc-lu net".into(),

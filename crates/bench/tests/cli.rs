@@ -12,7 +12,6 @@ const BINS: &[(&str, &str)] = &[
     ("faults", env!("CARGO_BIN_EXE_faults")),
     ("fig5", env!("CARGO_BIN_EXE_fig5")),
     ("fig6", env!("CARGO_BIN_EXE_fig6")),
-    ("local", env!("CARGO_BIN_EXE_local")),
     ("msgprofile", env!("CARGO_BIN_EXE_msgprofile")),
     ("nexus_cmp", env!("CARGO_BIN_EXE_nexus_cmp")),
     ("scaling", env!("CARGO_BIN_EXE_scaling")),

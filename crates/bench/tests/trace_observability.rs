@@ -10,6 +10,7 @@
 use mpmd_ccxx as cx;
 use mpmd_ccxx::{CallMode, CcxxConfig};
 use mpmd_sim::{Fabric, Report, Sim, Span, TraceConfig, TraceEvent};
+use std::path::Path;
 
 fn traced_null_rmi() -> Report {
     Sim::new(2).tracing(TraceConfig::new()).run(|ctx| {
@@ -32,6 +33,31 @@ fn traced_runs_are_deterministic() {
     let (ta, tb) = (a.trace.unwrap(), b.trace.unwrap());
     assert_eq!(ta.to_jsonl(), tb.to_jsonl());
     assert_eq!(ta.to_chrome_trace(), tb.to_chrome_trace());
+}
+
+/// Both exporters' bytes for the traced null RMI are pinned: archived traces
+/// stay loadable and diffable. Regenerate after a deliberate format change
+/// with `UPDATE_GOLDEN=1 cargo test -p mpmd-bench --test trace_observability`.
+#[test]
+fn exports_match_golden() {
+    let log = traced_null_rmi().trace.unwrap();
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("testdata");
+    for (file, text) in [
+        ("null_rmi.jsonl", log.to_jsonl()),
+        ("null_rmi.chrome.json", log.to_chrome_trace()),
+    ] {
+        let golden = dir.join(file);
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(&golden, &text).expect("writing trace golden");
+        }
+        let expected = std::fs::read_to_string(&golden)
+            .expect("golden file missing; regenerate with UPDATE_GOLDEN=1 cargo test");
+        assert!(
+            text == expected,
+            "export drifted from testdata/{file}; regenerate with UPDATE_GOLDEN=1 \
+             if the change is deliberate"
+        );
+    }
 }
 
 #[test]

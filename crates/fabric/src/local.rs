@@ -384,11 +384,8 @@ impl<V: Default> NameTable<V> {
 #[derive(Default)]
 struct Block {
     stats: Stats,
-    /// `None`: not added to since the last merge. An add of 0 still creates
-    /// the counter in the report, as it did under the per-node lock.
-    counters: NameTable<Option<u64>>,
     hists: NameTable<Histogram>,
-    /// Which halves `merge` has to fold; raised by the three accessors below
+    /// Which halves `merge` has to fold; raised by the two accessors below
     /// and nowhere else, so a counting site cannot forget them.
     stats_dirty: bool,
     metrics_dirty: bool,
@@ -399,11 +396,6 @@ impl Block {
     fn stats(&mut self) -> &mut Stats {
         self.stats_dirty = true;
         &mut self.stats
-    }
-
-    fn counter(&mut self, name: &'static str) -> &mut u64 {
-        self.metrics_dirty = true;
-        self.counters.slot(name).get_or_insert(0)
     }
 
     fn hist(&mut self, name: &'static str) -> &mut Histogram {
@@ -879,11 +871,6 @@ impl LfInner {
         if b.metrics_dirty {
             let totals = self.node[node].metrics.as_ref();
             let mut m = locked(totals.expect("metric recorded with metrics off"));
-            for (name, add) in b.counters.iter_mut() {
-                if let Some(add) = add.take() {
-                    *m.counters.entry(name).or_insert(0) += add;
-                }
-            }
             for (name, h) in b.hists.iter_mut() {
                 if h.count > 0 {
                     drain_hist(m.hists.entry(name).or_default(), h);
@@ -1443,12 +1430,6 @@ impl Fabric for LocalFabric {
             self.with_block(|b| b.hist(name).record(v))
         }
     }
-
-    fn metric_counter_add(&self, name: &'static str, delta: u64) {
-        if self.metrics_enabled() {
-            self.with_block(|b| *b.counter(name) += delta)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1886,7 +1867,7 @@ mod tests {
     fn blocking_through_a_borrowed_handle_panics_with_the_rule() {
         type Call = fn(&LocalFabric);
         // The flag: whether the call blocks its caller.
-        let calls: [(&str, Call, bool); 18] = [
+        let calls: [(&str, Call, bool); 17] = [
             ("park", |c| c.park(), true),
             ("join", |c| c.join(c.task_id()), true),
             ("sleep", |c| c.sleep(1), true),
@@ -1908,11 +1889,6 @@ mod tests {
             ("charge", |c| c.charge(Bucket::Cpu, 1), false),
             ("with_stats", |c| c.with_stats(|s| s.polls += 1), false),
             ("metric_observe", |c| c.metric_observe("t.v", 1), false),
-            (
-                "metric_counter_add",
-                |c| c.metric_counter_add("t.n", 1),
-                false,
-            ),
             ("snapshot", |c| _ = c.snapshot(), false),
             ("node_data", |c| _ = c.node_data(|| 0u8), false),
             (

@@ -13,7 +13,7 @@
 //! After warm-up (queue capacities, stats maps, thread start-up debris), a
 //! steady-state run of `Payload::Short` ping-pongs on node 0's thread must
 //! perform **zero** heap allocations — bare, and with the probes a runtime
-//! layer fires per message (`charge`, `with_stats`, a counter, a histogram):
+//! layer fires per message (`charge`, `with_stats`, two histograms):
 //! those write the node's probe block, and merging it into the node totals
 //! at every send allocates only while a name is new.
 
@@ -41,7 +41,7 @@ fn probes(fab: &LocalFabric) {
     let t0 = fab.metric_now();
     fab.charge(Bucket::Net, 2_000);
     fab.with_stats(|s| s.short_msgs += 1);
-    fab.metric_counter_add("alloc.trips", 1);
+    fab.metric_observe("alloc.trips", 1);
     fab.metric_observe_since("alloc.trip_ns", t0.expect("metrics are on by default"));
 }
 

@@ -131,7 +131,8 @@ impl CoalesceCosts {
     }
 }
 
-/// Fault rates and delay parameters for one directed link.
+/// Fault rates and delay parameters of the wire, the same on every directed
+/// link.
 ///
 /// Probabilities are per transmission attempt and must lie in `[0, 1)`
 /// (a link that drops everything can never quiesce).
@@ -192,10 +193,8 @@ impl LinkFaults {
 pub struct FaultModel {
     /// Seed for the per-`Sim` fault decision stream.
     pub seed: u64,
-    /// Fault rates applied to every link without an override.
+    /// Fault rates applied to every link.
     pub link: LinkFaults,
-    /// Per-link `(src, dst, faults)` overrides (first match wins).
-    pub overrides: Vec<(usize, usize, LinkFaults)>,
     /// Initial retransmission timeout of the reliable-delivery protocol.
     pub rto_initial: Time,
     /// Backoff cap: timeouts double from `rto_initial` up to this bound.
@@ -209,7 +208,6 @@ impl FaultModel {
         FaultModel {
             seed,
             link: LinkFaults::default(),
-            overrides: Vec::new(),
             rto_initial: us(500.0),
             rto_max: crate::time::ms(64.0),
         }
@@ -224,27 +222,9 @@ impl FaultModel {
         m
     }
 
-    /// Override the fault rates of the directed link `src -> dst`.
-    pub fn with_link(mut self, src: usize, dst: usize, faults: LinkFaults) -> Self {
-        self.overrides.push((src, dst, faults));
-        self
-    }
-
-    /// The fault rates governing `src -> dst`.
-    pub fn link(&self, src: usize, dst: usize) -> &LinkFaults {
-        self.overrides
-            .iter()
-            .find(|(s, d, _)| *s == src && *d == dst)
-            .map(|(_, _, f)| f)
-            .unwrap_or(&self.link)
-    }
-
     /// Panic on out-of-range rates (checked when a `Sim` installs the model).
     pub(crate) fn validate(&self) {
         self.link.validate();
-        for (_, _, f) in &self.overrides {
-            f.validate();
-        }
         assert!(self.rto_initial > 0, "rto_initial must be positive");
         assert!(
             self.rto_max >= self.rto_initial,
@@ -322,127 +302,4 @@ mod tests {
         assert!(h.context_switch > l.context_switch);
         assert!(h.sync_op > l.sync_op);
     }
-}
-
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::*;
-
-    serde::impl_serialize!(ThreadCosts {
-        create,
-        context_switch,
-        sync_op
-    });
-    serde::impl_deserialize!(ThreadCosts {
-        create,
-        context_switch,
-        sync_op
-    });
-    serde::impl_serialize!(ReliabilityCosts {
-        ack_handling,
-        timeout_check,
-        retransmit
-    });
-    serde::impl_deserialize!(ReliabilityCosts {
-        ack_handling,
-        timeout_check,
-        retransmit
-    });
-    serde::impl_serialize!(CoalesceCosts {
-        marshal_per_msg,
-        unmarshal_per_msg
-    });
-    serde::impl_deserialize!(CoalesceCosts {
-        marshal_per_msg,
-        unmarshal_per_msg
-    });
-    serde::impl_serialize!(LinkFaults {
-        drop,
-        duplicate,
-        reorder,
-        reorder_window,
-        delay,
-        delay_by,
-    });
-    serde::impl_deserialize!(LinkFaults {
-        drop,
-        duplicate,
-        reorder,
-        reorder_window,
-        delay,
-        delay_by,
-    });
-
-    // Hand-rolled for the `(src, dst, faults)` override triples (the mini
-    // serde has no tuple support; objects read better in a config file
-    // anyway).
-    impl serde::Serialize for FaultModel {
-        fn to_value(&self) -> serde::Value {
-            let mut m = serde::Map::new();
-            m.insert("seed".into(), self.seed.to_value());
-            m.insert("link".into(), self.link.to_value());
-            let overrides: Vec<serde::Value> = self
-                .overrides
-                .iter()
-                .map(|(src, dst, faults)| {
-                    let mut o = serde::Map::new();
-                    o.insert("src".into(), src.to_value());
-                    o.insert("dst".into(), dst.to_value());
-                    o.insert("faults".into(), faults.to_value());
-                    serde::Value::Object(o)
-                })
-                .collect();
-            m.insert("overrides".into(), serde::Value::Array(overrides));
-            m.insert("rto_initial".into(), self.rto_initial.to_value());
-            m.insert("rto_max".into(), self.rto_max.to_value());
-            serde::Value::Object(m)
-        }
-    }
-
-    impl serde::Deserialize for FaultModel {
-        fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-            let field = |name: &str| {
-                v.get(name)
-                    .ok_or_else(|| serde::Error(format!("missing field '{name}'")))
-            };
-            let overrides = field("overrides")?
-                .as_array()
-                .ok_or_else(|| serde::Error("expected array for 'overrides'".into()))?
-                .iter()
-                .map(|o| {
-                    let part = |name: &str| {
-                        o.get(name)
-                            .ok_or_else(|| serde::Error(format!("missing override '{name}'")))
-                    };
-                    Ok((
-                        serde::Deserialize::from_value(part("src")?)?,
-                        serde::Deserialize::from_value(part("dst")?)?,
-                        serde::Deserialize::from_value(part("faults")?)?,
-                    ))
-                })
-                .collect::<Result<_, serde::Error>>()?;
-            Ok(FaultModel {
-                seed: serde::Deserialize::from_value(field("seed")?)?,
-                link: serde::Deserialize::from_value(field("link")?)?,
-                overrides,
-                rto_initial: serde::Deserialize::from_value(field("rto_initial")?)?,
-                rto_max: serde::Deserialize::from_value(field("rto_max")?)?,
-            })
-        }
-    }
-
-    serde::impl_serialize!(CostModel {
-        threads,
-        reliability,
-        coalescing,
-        faults,
-        metrics,
-    });
-    serde::impl_deserialize!(CostModel {
-        threads,
-        reliability,
-        coalescing,
-        faults,
-        metrics,
-    });
 }

@@ -218,13 +218,15 @@ impl Fabric for Ctx {
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
-    /// A timer in virtual time (models e.g. interrupt delivery delay in the
-    /// ablation experiments).
+    /// A timer in virtual time. Only the timer ends it: the `Sleeping` state
+    /// drops an `unpark`, and the timer's generation keeps it from ending a
+    /// later wait.
     fn sleep(&self, ns: Time) {
         let mut k = self.inner.lock_kernel();
         let at = k.clock(self.node) + ns;
-        k.post_wake(self.task, at);
-        k.tasks[self.task.idx()].state = TaskState::Parked;
+        let gen = k.tasks[self.task.idx()].timeout_gen;
+        k.post_timeout_wake(self.task, at, gen);
+        k.tasks[self.task.idx()].state = TaskState::Sleeping;
         k.emit(self.node, self.task, TraceEvent::Park);
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
@@ -288,10 +290,11 @@ impl Fabric for Ctx {
         self.inner.cost.faults.is_some()
     }
 
-    /// Drawn from the seeded fault stream. Panics when no fault model is
-    /// installed (callers gate on `faults_enabled`).
-    fn fault_decision(&self, dst: usize) -> FaultDecision {
-        self.inner.lock_kernel().fault_decision(self.node, dst)
+    /// Drawn from the seeded fault stream, at the one rate every link has.
+    /// Panics when no fault model is installed (callers gate on
+    /// `faults_enabled`).
+    fn fault_decision(&self, _dst: usize) -> FaultDecision {
+        self.inner.lock_kernel().fault_decision()
     }
 
     /// `delay` models wire/switch time and must be > 0.
@@ -346,16 +349,6 @@ impl Fabric for Ctx {
         let mut k = self.inner.lock_kernel();
         if let Some(m) = k.metrics.as_mut() {
             m.observe(self.node, name, v);
-        }
-    }
-
-    fn metric_counter_add(&self, name: &'static str, delta: u64) {
-        if !self.inner.metrics_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        if let Some(m) = k.metrics.as_mut() {
-            m.counter_add(self.node, name, delta);
         }
     }
 

@@ -98,13 +98,10 @@ impl std::fmt::Debug for Msg {
 pub(crate) enum EventKind {
     /// A message arrives at a node's inbox.
     Deliver { node: usize, msg: Msg },
-    /// A timer wakes a parked task (used by `Ctx::sleep` and the
-    /// interrupt-model ablation).
-    Wake { task: TaskId },
-    /// A deadline wake for `Ctx::park_for_inbox_until` (reliable-delivery
-    /// retransmit timers). Carries the generation the task had when the
-    /// timeout was armed; a wake for any other reason bumps the generation,
-    /// so a stale timeout firing later is ignored.
+    /// A timer wake for `Ctx::sleep` and `Ctx::park_for_inbox_until`
+    /// (reliable-delivery retransmit timers). Carries the generation the task
+    /// had when the timer was armed; a wake for any other reason bumps the
+    /// generation, so a stale timer firing later is ignored.
     TimeoutWake { task: TaskId, gen: u64 },
 }
 
@@ -150,7 +147,10 @@ mod tests {
         EventKey {
             time,
             seq,
-            body: pool.alloc(EventKind::Wake { task: TaskId(0) }),
+            body: pool.alloc(EventKind::TimeoutWake {
+                task: TaskId(0),
+                gen: 0,
+            }),
         }
     }
 

@@ -36,9 +36,8 @@ pub const ACROSS_NODES: &str = "reaches across nodes: only messages cross nodes"
 /// * **required** — identity, clock and ledger, scheduling, transport,
 ///   per-node data: every backend defines these;
 /// * **overridable instrumentation** — `metrics_enabled`, `metric_observe`,
-///   `metric_counter_add`, `span_start`, `span_end`, `trace_event`, plus the
-///   fault pair: no-op (or "off") defaults that a backend with the
-///   instrument overrides;
+///   `span_start`, `span_end`, `trace_event`, plus the fault pair: no-op (or
+///   "off") defaults that a backend with the instrument overrides;
 /// * **provided** — `metric_now`, `metric_observe_since`,
 ///   `metric_inbox_depth`, `span`: written once here over the methods above;
 ///   no backend overrides them.
@@ -224,13 +223,6 @@ pub trait Fabric: Clone + Send + 'static {
     /// Record `v` into this node's histogram `name`.
     fn metric_observe(&self, name: &'static str, v: u64) {
         let _ = (name, v);
-    }
-
-    /// Add `delta` to this node's counter `name`. The layers above record
-    /// histograms only; the conformance suite and the fabric's zero-alloc
-    /// proof count with this.
-    fn metric_counter_add(&self, name: &'static str, delta: u64) {
-        let _ = (name, delta);
     }
 
     /// Open a named span frame on this task; the sentinel `SpanId(0)` means

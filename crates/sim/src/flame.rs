@@ -9,14 +9,15 @@
 //! has no owning stack and does not appear.
 //!
 //! Stacks are rooted `node<N>;<task name>` and extend through the open
-//! span/handler frames, reconstructed by the same replay as
-//! [`TraceLog::spans`]. [`phase_profile`] aggregates the outermost
-//! (depth-0) spans by name into a per-phase table: wall duration, self
-//! (charged) time, and frame count.
+//! span/handler frames, from the same replay as [`TraceLog::spans`]: a
+//! stack's weight is the self time of its innermost frame. [`phase_profile`]
+//! aggregates the outermost (depth-0) spans by name into a per-phase table:
+//! wall duration, self (charged) time, and frame count.
 
 use crate::time::Time;
-use crate::trace::{TraceEvent, TraceLog};
+use crate::trace::{replay, TraceEvent, TraceLog, Visit};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 
 /// Collapse a trace into flamegraph "folded stacks" text: one line per
 /// distinct stack, `frame;frame;... <charged ns>`, sorted by stack path.
@@ -25,57 +26,34 @@ use std::collections::{BTreeMap, HashMap};
 pub fn fold_stacks(log: &TraceLog) -> String {
     // Task names come from the spawn records (all tasks, including each
     // node's bootstrap "main", emit one when tracing is on).
-    let mut task_names: HashMap<u32, String> = HashMap::new();
+    let mut task_names: HashMap<u32, &str> = HashMap::new();
     for rec in log.events() {
         if let TraceEvent::TaskSpawn { name } = &rec.event {
-            task_names.insert(rec.task.0, name.clone());
+            task_names.insert(rec.task.0, name);
         }
     }
     let mut folded: BTreeMap<String, Time> = BTreeMap::new();
     for (node, nt) in log.nodes.iter().enumerate() {
-        // Per-task stack of open frame names, replayed exactly like
-        // `TraceLog::spans` (lenient about ends whose start was dropped).
-        let mut stacks: HashMap<u32, Vec<String>> = HashMap::new();
-        for rec in &nt.events {
-            match &rec.event {
-                TraceEvent::SpanStart { name, .. } => {
-                    stacks.entry(rec.task.0).or_default().push(name.clone());
+        replay(&nt.events, |visit| {
+            let Visit::Charge { rec, ns, stack } = visit else {
+                return;
+            };
+            let mut path = format!("node{node};");
+            match task_names.get(&rec.task.0) {
+                Some(name) => path.push_str(name),
+                None => {
+                    let _ = write!(path, "task{}", rec.task.0);
                 }
-                TraceEvent::HandlerStart { handler } => {
-                    stacks
-                        .entry(rec.task.0)
-                        .or_default()
-                        .push(format!("am.handler[{handler}]"));
-                }
-                TraceEvent::SpanEnd { .. } | TraceEvent::HandlerEnd { .. } => {
-                    stacks.entry(rec.task.0).or_default().pop();
-                }
-                TraceEvent::Charge { ns, .. } => {
-                    let mut path = String::new();
-                    path.push_str(&format!("node{node}"));
-                    path.push(';');
-                    match task_names.get(&rec.task.0) {
-                        Some(n) => path.push_str(n),
-                        None => path.push_str(&format!("task{}", rec.task.0)),
-                    }
-                    if let Some(frames) = stacks.get(&rec.task.0) {
-                        for f in frames {
-                            path.push(';');
-                            path.push_str(f);
-                        }
-                    }
-                    *folded.entry(path).or_insert(0) += ns;
-                }
-                _ => {}
             }
-        }
+            for frame in stack {
+                let _ = write!(path, ";{frame}");
+            }
+            *folded.entry(path).or_insert(0) += ns;
+        });
     }
     let mut out = String::new();
     for (path, ns) in folded {
-        out.push_str(&path);
-        out.push(' ');
-        out.push_str(&ns.to_string());
-        out.push('\n');
+        let _ = writeln!(out, "{path} {ns}");
     }
     out
 }

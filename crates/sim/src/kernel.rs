@@ -32,12 +32,24 @@ pub(crate) enum TaskState {
     Runnable,
     /// Currently holding the baton.
     Running,
-    /// Parked until an explicit unpark / wake event / join completion.
+    /// Parked until an explicit unpark / join completion.
     Parked,
     /// Parked until a message is delivered to its node's inbox.
     InboxWait,
+    /// In `sleep`: ended by its timer alone (an `unpark` is dropped).
+    Sleeping,
     /// Completed.
     Finished,
+}
+
+impl TaskState {
+    /// Blocked in `park`, an inbox wait or `sleep`: waiting to be woken.
+    fn waits(self) -> bool {
+        matches!(
+            self,
+            TaskState::Parked | TaskState::InboxWait | TaskState::Sleeping
+        )
+    }
 }
 
 pub(crate) struct TaskRec {
@@ -53,7 +65,7 @@ pub(crate) struct TaskRec {
     /// liveness condition — the simulation ends when only daemons remain.
     pub(crate) daemon: bool,
     /// Bumped on every wake; a `TimeoutWake` event only fires if its armed
-    /// generation still matches (stale deadline wakes are ignored).
+    /// generation still matches (stale timers are ignored).
     pub(crate) timeout_gen: u64,
 }
 
@@ -163,8 +175,8 @@ impl FaultState {
         FaultState { model, rng }
     }
 
-    fn decide(&mut self, src: usize, dst: usize) -> FaultDecision {
-        let link = *self.model.link(src, dst);
+    fn decide(&mut self) -> FaultDecision {
+        let link = self.model.link;
         let mut d = FaultDecision {
             drop: unit(&mut self.rng) < link.drop,
             duplicate: unit(&mut self.rng) < link.duplicate,
@@ -223,13 +235,13 @@ impl Kernel {
         n.clock = n.clock.max(t);
     }
 
-    /// Draw the fate of one transmission attempt on `src -> dst`. Panics if
-    /// no fault model is installed (callers gate on `faults_enabled`).
-    pub(crate) fn fault_decision(&mut self, src: usize, dst: usize) -> FaultDecision {
+    /// Draw the fate of one transmission attempt. Panics if no fault model
+    /// is installed (callers gate on `faults_enabled`).
+    pub(crate) fn fault_decision(&mut self) -> FaultDecision {
         self.faults
             .as_mut()
             .expect("fault_decision without a fault model")
-            .decide(src, dst)
+            .decide()
     }
 
     /// Only daemon tasks remain: wake every parked daemon so it can observe
@@ -238,7 +250,7 @@ impl Kernel {
         self.shutting_down = true;
         for i in 0..self.tasks.len() {
             let rec = &self.tasks[i];
-            if rec.daemon && matches!(rec.state, TaskState::Parked | TaskState::InboxWait) {
+            if rec.daemon && rec.state.waits() {
                 self.make_runnable(TaskId(i as u32));
             }
         }
@@ -383,19 +395,8 @@ impl Kernel {
         });
     }
 
-    /// Schedule a wake event for `task` at absolute time `at`.
-    pub(crate) fn post_wake(&mut self, task: TaskId, at: Time) {
-        let seq = self.next_seq();
-        let body = self.event_pool.alloc(EventKind::Wake { task });
-        self.events.push(EventKey {
-            time: at,
-            seq,
-            body,
-        });
-    }
-
-    /// Schedule a deadline wake for `task` at `at`, valid only while the
-    /// task's timeout generation stays at `gen`.
+    /// Schedule a timer wake for `task` at `at`, valid only while the task's
+    /// timeout generation stays at `gen`.
     pub(crate) fn post_timeout_wake(&mut self, task: TaskId, at: Time, gen: u64) {
         let seq = self.next_seq();
         let body = self.event_pool.alloc(EventKind::TimeoutWake { task, gen });
@@ -424,9 +425,7 @@ impl Kernel {
     fn event_target_node(&self, body: Handle) -> usize {
         match *self.event_pool.peek(body) {
             EventKind::Deliver { node, .. } => node,
-            EventKind::Wake { task } | EventKind::TimeoutWake { task, .. } => {
-                self.tasks[task.idx()].node
-            }
+            EventKind::TimeoutWake { task, .. } => self.tasks[task.idx()].node,
         }
     }
 
@@ -553,18 +552,13 @@ impl Kernel {
                 waiters.clear();
                 self.waiter_scratch = waiters;
             }
-            EventKind::Wake { task } => {
-                if self.tasks[task.idx()].state == TaskState::Parked {
-                    let node = self.tasks[task.idx()].node;
-                    self.raise_clock(node, time);
-                    self.make_runnable(task);
-                }
-            }
             EventKind::TimeoutWake { task, gen } => {
                 let rec = &self.tasks[task.idx()];
-                // Fire only if the task is still in the inbox wait that armed
-                // this deadline; any intervening wake bumped the generation.
-                if rec.state == TaskState::InboxWait && rec.timeout_gen == gen {
+                // Fire only if the task is still in the sleep or inbox wait
+                // that armed this timer; any intervening wake bumped the
+                // generation.
+                let waits = matches!(rec.state, TaskState::InboxWait | TaskState::Sleeping);
+                if waits && rec.timeout_gen == gen {
                     let node = rec.node;
                     self.raise_clock(node, time);
                     self.make_runnable(task);
@@ -573,11 +567,11 @@ impl Kernel {
         }
     }
 
-    /// Move a parked/inbox-waiting task to its node's ready queue.
+    /// Move a waiting task to its node's ready queue.
     pub(crate) fn make_runnable(&mut self, t: TaskId) {
         let rec = &mut self.tasks[t.idx()];
         debug_assert!(
-            matches!(rec.state, TaskState::Parked | TaskState::InboxWait),
+            rec.state.waits(),
             "make_runnable on task in state {:?}",
             rec.state
         );
@@ -589,9 +583,6 @@ impl Kernel {
     }
 
     /// Mark a task finished: wake joiners and drop it from the live count.
-    /// Joiners on other nodes have their clocks advanced to the finisher's
-    /// clock (cross-node joins model a zero-cost completion notification and
-    /// are only used by test scaffolding; real runtimes use messages).
     pub(crate) fn finish_task(&mut self, t: TaskId) {
         let rec = &mut self.tasks[t.idx()];
         debug_assert_ne!(rec.state, TaskState::Finished, "double finish");

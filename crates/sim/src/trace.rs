@@ -26,17 +26,19 @@
 //!
 //! Collection is per-node into bounded ring buffers: when a ring overflows,
 //! the oldest records are discarded and counted in
-//! [`NodeTrace::dropped`] — truncation is never silent. The finished
-//! [`TraceLog`] reconstructs span timelines ([`TraceLog::spans`]), builds
-//! log2 latency histograms ([`TraceLog::span_histograms`]), and exports to
-//! Chrome `trace_event` JSON ([`TraceLog::to_chrome_trace`], loadable in
-//! Perfetto / `chrome://tracing`) or JSON-lines ([`TraceLog::to_jsonl`]).
+//! [`NodeTrace::dropped`] — truncation is never silent. One per-task frame
+//! stack serves every reader of the frames: the emission check, the orphan
+//! count, [`TraceLog::spans`] and [`fold_stacks`](crate::fold_stacks). The
+//! finished [`TraceLog`] exports to Chrome `trace_event` JSON
+//! ([`TraceLog::to_chrome_trace`], loadable in Perfetto /
+//! `chrome://tracing`) or JSON-lines ([`TraceLog::to_jsonl`]), both from
+//! one table of event fields.
 
 use crate::stats::Bucket;
 use crate::task::TaskId;
 use crate::time::Time;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Task id used on records emitted by the kernel itself (message delivery),
 /// outside any task context.
@@ -103,8 +105,27 @@ pub enum TraceEvent {
         msgs: u64,
         wire_bytes: usize,
     },
-    /// Free-text debug marker.
-    Mark { text: String },
+}
+
+/// What a frame record opens or closes: a runtime span or a handler frame.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum FrameKey {
+    Span(SpanId),
+    Handler(u32),
+}
+
+impl TraceEvent {
+    /// The frame this record opens (`Some((key, true))`) or closes
+    /// (`Some((key, false))`); `None` for every other event.
+    fn frame(&self) -> Option<(FrameKey, bool)> {
+        match *self {
+            TraceEvent::SpanStart { id, .. } => Some((FrameKey::Span(id), true)),
+            TraceEvent::SpanEnd { id } => Some((FrameKey::Span(id), false)),
+            TraceEvent::HandlerStart { handler } => Some((FrameKey::Handler(handler), true)),
+            TraceEvent::HandlerEnd { handler } => Some((FrameKey::Handler(handler), false)),
+            _ => None,
+        }
+    }
 }
 
 /// A [`TraceEvent`] with its emission context.
@@ -121,19 +142,13 @@ pub struct TraceRecord {
 /// Configuration for [`Sim::tracing`](crate::Sim::tracing).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Ring-buffer capacity per node, in records. `0` disables collection
-    /// (events still reach the stderr sink if enabled).
+    /// Ring-buffer capacity per node, in records. `0` disables collection.
     pub capacity: usize,
-    /// Mirror events to stderr as they happen (debugging aid).
-    pub stderr: bool,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig {
-            capacity: 1 << 16,
-            stderr: false,
-        }
+        TraceConfig { capacity: 1 << 16 }
     }
 }
 
@@ -147,48 +162,129 @@ impl TraceConfig {
         self.capacity = records;
         self
     }
+}
 
-    /// Enable/disable the live stderr sink.
-    pub fn stderr(mut self, on: bool) -> Self {
-        self.stderr = on;
-        self
+/// Open frames per task, innermost last, under the one rule every reader
+/// shares: a Start pushes onto its task's stack, an End closes the top
+/// frame, and an End at an empty stack is an orphan. The tracer checks at
+/// emission that each task's stream is well nested, and a ring loses only a
+/// prefix of it, so every frame opened after a lost Start closes before that
+/// frame's End arrives: an End whose Start is gone finds its stack empty.
+struct FrameStacks<F>(Vec<Vec<F>>);
+
+impl<F> FrameStacks<F> {
+    fn open(&mut self, task: TaskId, frame: F) {
+        let i = task.idx();
+        if self.0.len() <= i {
+            self.0.resize_with(i + 1, Vec::new);
+        }
+        self.0[i].push(frame);
+    }
+
+    /// Close `task`'s innermost frame: the frame and the depth it opened at
+    /// (0 = outermost), or `None` for an orphan End.
+    fn close(&mut self, task: TaskId) -> Option<(F, usize)> {
+        let stack = self.0.get_mut(task.idx())?;
+        let frame = stack.pop()?;
+        Some((frame, stack.len()))
+    }
+
+    /// `task`'s open frames, innermost last.
+    fn open_frames(&mut self, task: TaskId) -> &mut [F] {
+        match self.0.get_mut(task.idx()) {
+            Some(stack) => stack,
+            None => &mut [],
+        }
     }
 }
 
+/// A frame open during a [`replay`]: its Start record, and the time charged
+/// while it was its task's innermost frame. Displays as the frame's name.
+pub(crate) struct OpenFrame<'a> {
+    start: &'a TraceRecord,
+    charged: Time,
+}
+
+impl fmt::Display for OpenFrame<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.start.event {
+            TraceEvent::HandlerStart { handler } => write!(f, "am.handler[{handler}]"),
+            TraceEvent::SpanStart { name, .. } => f.write_str(name),
+            _ => unreachable!("only Start records open frames"),
+        }
+    }
+}
+
+/// What [`replay`] reports at a record of a node's stream.
+pub(crate) enum Visit<'s, 'a> {
+    /// `rec` closed `frame`, opened at nesting depth `depth`.
+    Close {
+        rec: &'a TraceRecord,
+        frame: OpenFrame<'a>,
+        depth: usize,
+    },
+    /// `rec` charged `ns` to its task, whose open frames are `stack`
+    /// (innermost last, already credited).
+    Charge {
+        rec: &'a TraceRecord,
+        ns: Time,
+        stack: &'s [OpenFrame<'a>],
+    },
+}
+
+/// Replay one node's records through its tasks' frame stacks, reporting each
+/// closed frame and each charge to `visit`. Returns the number of orphan
+/// Ends: Ends whose Start the ring discarded.
+pub(crate) fn replay<'a>(events: &'a [TraceRecord], mut visit: impl FnMut(Visit<'_, 'a>)) -> u64 {
+    let mut frames = FrameStacks(Vec::new());
+    let mut orphans = 0;
+    for rec in events {
+        if let Some((_, opens)) = rec.event.frame() {
+            if opens {
+                let frame = OpenFrame {
+                    start: rec,
+                    charged: 0,
+                };
+                frames.open(rec.task, frame);
+            } else if let Some((frame, depth)) = frames.close(rec.task) {
+                visit(Visit::Close { rec, frame, depth });
+            } else {
+                orphans += 1;
+            }
+        } else if let TraceEvent::Charge { ns, .. } = rec.event {
+            let stack = frames.open_frames(rec.task);
+            if let Some(top) = stack.last_mut() {
+                top.charged += ns;
+            }
+            visit(Visit::Charge { rec, ns, stack });
+        }
+    }
+    orphans
+}
+
+#[derive(Default)]
 struct NodeRing {
     ring: VecDeque<TraceRecord>,
     dropped: u64,
 }
 
-/// One open frame on a task's span stack.
-struct Frame {
-    id: SpanId,
-    name: String,
-}
-
 /// Live collector owned by the kernel. All methods are called under the
 /// kernel lock.
 pub(crate) struct Tracer {
-    config: TraceConfig,
+    capacity: usize,
     nodes: Vec<NodeRing>,
-    /// Per-task stacks of open frames (spans and handler frames), used to
-    /// catch mismatched ends at emission time.
-    stacks: Vec<Vec<Frame>>,
+    /// Each task's open frames, to catch a mismatched End at emission.
+    frames: FrameStacks<FrameKey>,
     next_span: u64,
 }
 
 impl Tracer {
     pub(crate) fn new(nodes: usize, config: TraceConfig) -> Self {
         Tracer {
-            nodes: (0..nodes)
-                .map(|_| NodeRing {
-                    ring: VecDeque::new(),
-                    dropped: 0,
-                })
-                .collect(),
-            stacks: Vec::new(),
+            capacity: config.capacity,
+            nodes: (0..nodes).map(|_| NodeRing::default()).collect(),
+            frames: FrameStacks(Vec::new()),
             next_span: 0,
-            config,
         }
     }
 
@@ -197,63 +293,32 @@ impl Tracer {
         SpanId(self.next_span)
     }
 
-    fn stack_mut(&mut self, task: TaskId) -> &mut Vec<Frame> {
-        let idx = task.idx();
-        if self.stacks.len() <= idx {
-            self.stacks.resize_with(idx + 1, Vec::new);
-        }
-        &mut self.stacks[idx]
-    }
-
     pub(crate) fn record(&mut self, rec: TraceRecord) {
-        // Maintain span stacks first so misuse panics even with capacity 0.
-        match &rec.event {
-            TraceEvent::SpanStart { id, name } => {
-                let (id, name) = (*id, name.clone());
-                self.stack_mut(rec.task).push(Frame { id, name });
-            }
-            TraceEvent::SpanEnd { id } => {
-                let id = *id;
-                let task = rec.task;
-                let frame = self.stack_mut(task).pop().unwrap_or_else(|| {
-                    panic!("span_end {id:?} on task {task:?} with no open span")
-                });
-                if frame.id != id {
-                    panic!(
-                        "span_end {:?} does not match innermost open span {:?} ('{}') on task {:?}",
-                        id, frame.id, frame.name, task
-                    );
+        // Check nesting first so misuse panics even with capacity 0: where a
+        // replay would count an orphan or close another frame, this panics.
+        let task = rec.task;
+        match rec.event.frame() {
+            Some((key, true)) => {
+                if let FrameKey::Handler(_) = key {
+                    self.alloc_span(); // a handler frame takes an id too
                 }
+                self.frames.open(task, key);
             }
-            TraceEvent::HandlerStart { handler } => {
-                let name = format!("am.handler[{handler}]");
-                let id = self.alloc_span();
-                self.stack_mut(rec.task).push(Frame { id, name });
-            }
-            TraceEvent::HandlerEnd { handler } => {
-                let task = rec.task;
-                let frame = self.stack_mut(task).pop().unwrap_or_else(|| {
-                    panic!("handler_end [{handler}] on task {task:?} with no open frame")
-                });
-                let expect = format!("am.handler[{handler}]");
-                if frame.name != expect {
-                    panic!(
-                        "handler_end [{}] does not match innermost open frame '{}' on task {:?}",
-                        handler, frame.name, task
-                    );
+            Some((key, false)) => match self.frames.close(task) {
+                None => panic!("{key:?} ends on task {task:?}, which has no open span"),
+                Some((top, _)) if top != key => {
+                    panic!("{key:?} does not match innermost open span {top:?} on task {task:?}")
                 }
-            }
-            _ => {}
-        }
-        if self.config.stderr {
-            stderr_sink(&rec);
+                Some(_) => {}
+            },
+            None => {}
         }
         let node = &mut self.nodes[rec.node];
-        if self.config.capacity == 0 {
+        if self.capacity == 0 {
             node.dropped += 1;
             return;
         }
-        if node.ring.len() == self.config.capacity {
+        if node.ring.len() == self.capacity {
             node.ring.pop_front();
             node.dropped += 1;
         }
@@ -266,99 +331,18 @@ impl Tracer {
                 .nodes
                 .into_iter()
                 .map(|n| {
-                    // An End record whose Begin was discarded by ring
-                    // overflow carries no usable interval: count it as
-                    // dropped too, so truncation is visible rather than
-                    // silently shrinking the span set.
-                    let orphan_ends = count_orphan_ends(&n.ring);
+                    let events = Vec::from(n.ring);
+                    // An End whose Start the ring discarded carries no usable
+                    // interval: count it as dropped too, so truncation is
+                    // visible rather than silently shrinking the span set.
+                    let orphans = replay(&events, |_| {});
                     NodeTrace {
-                        events: n.ring.into_iter().collect(),
-                        dropped: n.dropped + orphan_ends,
+                        events,
+                        dropped: n.dropped + orphans,
                     }
                 })
                 .collect(),
         }
-    }
-}
-
-/// Count End records (spans and handler frames) that do not close the frame
-/// on top of the replayed per-task stack. Ring drops always discard the
-/// *oldest* prefix of a node's stream, so a surviving End whose Begin was
-/// dropped replays against an empty (or mismatching) stack — the streams are
-/// panic-checked at emission time, so a mismatch here can only mean the
-/// Begin is gone.
-fn count_orphan_ends(events: &VecDeque<TraceRecord>) -> u64 {
-    enum Open {
-        Span(SpanId),
-        Handler(u32),
-    }
-    let mut stacks: std::collections::HashMap<TaskId, Vec<Open>> = std::collections::HashMap::new();
-    let mut orphans = 0;
-    for rec in events {
-        match &rec.event {
-            TraceEvent::SpanStart { id, .. } => {
-                stacks.entry(rec.task).or_default().push(Open::Span(*id));
-            }
-            TraceEvent::HandlerStart { handler } => {
-                stacks
-                    .entry(rec.task)
-                    .or_default()
-                    .push(Open::Handler(*handler));
-            }
-            TraceEvent::SpanEnd { id } => {
-                let stack = stacks.entry(rec.task).or_default();
-                match stack.last() {
-                    Some(Open::Span(top)) if top == id => {
-                        stack.pop();
-                    }
-                    _ => orphans += 1,
-                }
-            }
-            TraceEvent::HandlerEnd { handler } => {
-                let stack = stacks.entry(rec.task).or_default();
-                match stack.last() {
-                    Some(Open::Handler(top)) if top == handler => {
-                        stack.pop();
-                    }
-                    _ => orphans += 1,
-                }
-            }
-            _ => {}
-        }
-    }
-    orphans
-}
-
-/// The legacy line-per-event debug output, preserved for `Sim::trace(true)`.
-fn stderr_sink(rec: &TraceRecord) {
-    let t = rec.time;
-    let node = rec.node;
-    match &rec.event {
-        TraceEvent::TaskSpawn { .. } => {
-            eprintln!("[sim] t={} spawn {:?} on node {}", t, rec.task, node);
-        }
-        TraceEvent::MsgSend {
-            dst,
-            wire_bytes,
-            arrives,
-        } => {
-            eprintln!("[sim] t={t} node {node} -> node {dst} ({wire_bytes} B) arrives t={arrives}");
-        }
-        TraceEvent::MsgDeliver { .. } => {
-            eprintln!("[sim] t={t} deliver to node {node}");
-        }
-        TraceEvent::Mark { text } => {
-            eprintln!("[sim] t={} node {} {:?}: {}", t, node, rec.task, text);
-        }
-        TraceEvent::SpanStart { name, .. } => {
-            eprintln!("[sim] t={} node {} {:?} span+ {}", t, node, rec.task, name);
-        }
-        TraceEvent::SpanEnd { .. } => {
-            eprintln!("[sim] t={} node {} {:?} span-", t, node, rec.task);
-        }
-        // Scheduling and charge events are too chatty for the line sink by
-        // default; they are only useful from the collected log.
-        _ => {}
     }
 }
 
@@ -378,6 +362,7 @@ pub struct NodeTrace {
 /// A reconstructed span frame: a named interval on one task of one node.
 #[derive(Clone, Debug)]
 pub struct Span {
+    /// The span's id; `SpanId(0)` for a handler frame.
     pub id: SpanId,
     pub name: String,
     pub node: usize,
@@ -425,96 +410,28 @@ impl TraceLog {
     /// dropped from the ring is skipped, and frames still open at the end of
     /// the stream are omitted.
     pub fn spans(&self) -> Vec<Span> {
-        struct Open {
-            id: SpanId,
-            name: String,
-            start: Time,
-            charged: Time,
-        }
         let mut out = Vec::new();
         for (node, nt) in self.nodes.iter().enumerate() {
-            let mut stacks: std::collections::HashMap<TaskId, Vec<Open>> =
-                std::collections::HashMap::new();
-            for rec in &nt.events {
-                match &rec.event {
-                    TraceEvent::SpanStart { id, name } => {
-                        stacks.entry(rec.task).or_default().push(Open {
-                            id: *id,
-                            name: name.clone(),
-                            start: rec.time,
-                            charged: 0,
-                        });
-                    }
-                    TraceEvent::HandlerStart { handler } => {
-                        stacks.entry(rec.task).or_default().push(Open {
-                            id: SpanId(0),
-                            name: format!("am.handler[{handler}]"),
-                            start: rec.time,
-                            charged: 0,
-                        });
-                    }
-                    TraceEvent::SpanEnd { id } => {
-                        let stack = stacks.entry(rec.task).or_default();
-                        if stack.last().is_some_and(|f| f.id == *id) {
-                            let f = stack.pop().expect("checked non-empty");
-                            out.push(Span {
-                                id: f.id,
-                                name: f.name,
-                                node,
-                                task: rec.task,
-                                start: f.start,
-                                end: rec.time,
-                                depth: stack.len(),
-                                charged_ns: f.charged,
-                            });
-                        }
-                    }
-                    TraceEvent::HandlerEnd { handler } => {
-                        let stack = stacks.entry(rec.task).or_default();
-                        let expect = format!("am.handler[{handler}]");
-                        if stack.last().is_some_and(|f| f.name == expect) {
-                            let f = stack.pop().expect("checked non-empty");
-                            out.push(Span {
-                                id: f.id,
-                                name: f.name,
-                                node,
-                                task: rec.task,
-                                start: f.start,
-                                end: rec.time,
-                                depth: stack.len(),
-                                charged_ns: f.charged,
-                            });
-                        }
-                    }
-                    TraceEvent::Charge { ns, .. } => {
-                        if let Some(f) = stacks.get_mut(&rec.task).and_then(|s| s.last_mut()) {
-                            f.charged += ns;
-                        }
-                    }
-                    _ => {}
-                }
-            }
+            replay(&nt.events, |visit| {
+                let Visit::Close { rec, frame, depth } = visit else {
+                    return;
+                };
+                out.push(Span {
+                    id: match frame.start.event {
+                        TraceEvent::SpanStart { id, .. } => id,
+                        _ => SpanId(0),
+                    },
+                    name: frame.to_string(),
+                    node,
+                    task: rec.task,
+                    start: frame.start.time,
+                    end: rec.time,
+                    depth,
+                    charged_ns: frame.charged,
+                });
+            });
         }
         out
-    }
-
-    /// Log2 histograms of span durations by span name: bucket `i` counts
-    /// completed frames with `duration` in `[2^i, 2^(i+1))` ns (bucket 0 also
-    /// holds zero-duration frames). Returned sorted by name.
-    pub fn span_histograms(&self) -> Vec<(String, [u64; 40])> {
-        let mut map: std::collections::BTreeMap<String, [u64; 40]> =
-            std::collections::BTreeMap::new();
-        for s in self.spans() {
-            let h = map.entry(s.name.clone()).or_insert([0; 40]);
-            let d = s.duration();
-            let bucket = if d == 0 {
-                0
-            } else {
-                (63 - d.leading_zeros() as usize).min(39)
-            };
-            h[bucket] += 1;
-        }
-        map.into_iter().collect()
     }
 
     /// Export as Chrome `trace_event` JSON (the "JSON Array Format"), one
@@ -560,19 +477,17 @@ impl TraceLog {
             );
         }
         for (node, nt) in self.nodes.iter().enumerate() {
-            for rec in &nt.events {
-                if let Some((name, args)) = instant_fields(&rec.event) {
-                    push(
-                        &mut events,
-                        rec.time,
-                        format!(
-                            r#"{{"ph":"i","pid":0,"tid":{},"ts":{},"s":"t","name":{},"args":{args}}}"#,
-                            node,
-                            fmt_us(rec.time),
-                            json_string(name),
-                        ),
-                    );
-                }
+            // Frame records were exported as X events by the span pass.
+            for rec in nt.events.iter().filter(|r| r.event.frame().is_none()) {
+                let (name, fields) = event_fields(&rec.event);
+                push(
+                    &mut events,
+                    rec.time,
+                    format!(
+                        r#"{{"ph":"i","pid":0,"tid":{node},"ts":{},"s":"t","name":"{name}","args":{{{fields}}}}}"#,
+                        fmt_us(rec.time),
+                    ),
+                );
             }
         }
         events.sort_by_key(|(ts, ord, _)| (*ts, *ord));
@@ -589,7 +504,7 @@ impl TraceLog {
     }
 
     /// Export every record as one JSON object per line (JSONL), in per-node
-    /// emission order.
+    /// emission order. A record's `type` is its event name in snake case.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (node, nt) in self.nodes.iter().enumerate() {
@@ -601,8 +516,26 @@ impl TraceLog {
                 );
             }
             for rec in &nt.events {
-                out.push_str(&jsonl_record(rec));
-                out.push('\n');
+                let _ = write!(out, r#"{{"t":{},"node":{},"task":"#, rec.time, rec.node);
+                if rec.task == NO_TASK {
+                    out.push_str("null");
+                } else {
+                    let _ = write!(out, "{}", rec.task.0);
+                }
+                let (name, fields) = event_fields(&rec.event);
+                out.push_str(r#","type":""#);
+                for (i, c) in name.char_indices() {
+                    if i > 0 && c.is_ascii_uppercase() {
+                        out.push('_');
+                    }
+                    out.push(c.to_ascii_lowercase());
+                }
+                out.push('"');
+                if !fields.is_empty() {
+                    out.push(',');
+                    out.push_str(&fields);
+                }
+                out.push_str("}\n");
             }
         }
         out
@@ -615,7 +548,7 @@ fn fmt_us(ns: Time) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
 }
 
-/// Minimal JSON string literal encoder for event/span names and marks.
+/// Minimal JSON string literal encoder for task, span and bucket names.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -636,125 +569,52 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Chrome instant-event name and args for non-span events; `None` for events
-/// rendered as spans (or not rendered).
-fn instant_fields(ev: &TraceEvent) -> Option<(&'static str, String)> {
+/// The one table both exporters render: an event's name and its JSON
+/// fields, as `"key":value` pairs without braces.
+fn event_fields(ev: &TraceEvent) -> (&'static str, String) {
     match ev {
-        TraceEvent::TaskSpawn { name } => {
-            Some(("TaskSpawn", format!(r#"{{"name":{}}}"#, json_string(name))))
-        }
-        TraceEvent::TaskSwitch => Some(("TaskSwitch", "{}".to_string())),
-        TraceEvent::Park => Some(("Park", "{}".to_string())),
-        TraceEvent::Unpark => Some(("Unpark", "{}".to_string())),
+        TraceEvent::TaskSpawn { name } => ("TaskSpawn", format!(r#""name":{}"#, json_string(name))),
+        TraceEvent::TaskSwitch => ("TaskSwitch", String::new()),
+        TraceEvent::Park => ("Park", String::new()),
+        TraceEvent::Unpark => ("Unpark", String::new()),
         TraceEvent::MsgSend {
             dst,
             wire_bytes,
             arrives,
-        } => Some((
+        } => (
             "MsgSend",
-            format!(r#"{{"dst":{dst},"wire_bytes":{wire_bytes},"arrives_ns":{arrives}}}"#),
-        )),
-        TraceEvent::MsgDeliver { src, wire_bytes } => Some((
+            format!(r#""dst":{dst},"wire_bytes":{wire_bytes},"arrives_ns":{arrives}"#),
+        ),
+        TraceEvent::MsgDeliver { src, wire_bytes } => (
             "MsgDeliver",
-            format!(r#"{{"src":{src},"wire_bytes":{wire_bytes}}}"#),
-        )),
-        TraceEvent::Charge { bucket, ns } => Some((
+            format!(r#""src":{src},"wire_bytes":{wire_bytes}"#),
+        ),
+        TraceEvent::HandlerStart { handler } => ("HandlerStart", format!(r#""handler":{handler}"#)),
+        TraceEvent::HandlerEnd { handler } => ("HandlerEnd", format!(r#""handler":{handler}"#)),
+        TraceEvent::Charge { bucket, ns } => (
             "Charge",
-            format!(r#"{{"bucket":{},"ns":{ns}}}"#, json_string(bucket.label())),
-        )),
-        TraceEvent::BarrierEnter { epoch } => {
-            Some(("BarrierEnter", format!(r#"{{"epoch":{epoch}}}"#)))
-        }
-        TraceEvent::BarrierExit { epoch } => {
-            Some(("BarrierExit", format!(r#"{{"epoch":{epoch}}}"#)))
-        }
+            format!(r#""bucket":{},"ns":{ns}"#, json_string(bucket.label())),
+        ),
+        TraceEvent::BarrierEnter { epoch } => ("BarrierEnter", format!(r#""epoch":{epoch}"#)),
+        TraceEvent::BarrierExit { epoch } => ("BarrierExit", format!(r#""epoch":{epoch}"#)),
+        TraceEvent::SpanStart { id, name } => (
+            "SpanStart",
+            format!(r#""span":{},"name":{}"#, id.0, json_string(name)),
+        ),
+        TraceEvent::SpanEnd { id } => ("SpanEnd", format!(r#""span":{}"#, id.0)),
         TraceEvent::Retransmit { dst, seq } => {
-            Some(("Retransmit", format!(r#"{{"dst":{dst},"seq":{seq}}}"#)))
+            ("Retransmit", format!(r#""dst":{dst},"seq":{seq}"#))
         }
-        TraceEvent::DupDrop { src, seq } => {
-            Some(("DupDrop", format!(r#"{{"src":{src},"seq":{seq}}}"#)))
-        }
+        TraceEvent::DupDrop { src, seq } => ("DupDrop", format!(r#""src":{src},"seq":{seq}"#)),
         TraceEvent::CoalesceFlush {
             dst,
             msgs,
             wire_bytes,
-        } => Some((
+        } => (
             "CoalesceFlush",
-            format!(r#"{{"dst":{dst},"msgs":{msgs},"wire_bytes":{wire_bytes}}}"#),
-        )),
-        TraceEvent::Mark { text } => Some(("Mark", format!(r#"{{"text":{}}}"#, json_string(text)))),
-        // Frames are exported as X events by the span pass.
-        TraceEvent::HandlerStart { .. }
-        | TraceEvent::HandlerEnd { .. }
-        | TraceEvent::SpanStart { .. }
-        | TraceEvent::SpanEnd { .. } => None,
+            format!(r#""dst":{dst},"msgs":{msgs},"wire_bytes":{wire_bytes}"#),
+        ),
     }
-}
-
-fn jsonl_record(rec: &TraceRecord) -> String {
-    let task = if rec.task == NO_TASK {
-        "null".to_string()
-    } else {
-        rec.task.0.to_string()
-    };
-    let head = format!(r#"{{"t":{},"node":{},"task":{task}"#, rec.time, rec.node);
-    let tail = match &rec.event {
-        TraceEvent::TaskSpawn { name } => {
-            format!(r#""type":"task_spawn","name":{}"#, json_string(name))
-        }
-        TraceEvent::TaskSwitch => r#""type":"task_switch""#.to_string(),
-        TraceEvent::Park => r#""type":"park""#.to_string(),
-        TraceEvent::Unpark => r#""type":"unpark""#.to_string(),
-        TraceEvent::MsgSend {
-            dst,
-            wire_bytes,
-            arrives,
-        } => format!(
-            r#""type":"msg_send","dst":{dst},"wire_bytes":{wire_bytes},"arrives_ns":{arrives}"#
-        ),
-        TraceEvent::MsgDeliver { src, wire_bytes } => {
-            format!(r#""type":"msg_deliver","src":{src},"wire_bytes":{wire_bytes}"#)
-        }
-        TraceEvent::HandlerStart { handler } => {
-            format!(r#""type":"handler_start","handler":{handler}"#)
-        }
-        TraceEvent::HandlerEnd { handler } => {
-            format!(r#""type":"handler_end","handler":{handler}"#)
-        }
-        TraceEvent::Charge { bucket, ns } => format!(
-            r#""type":"charge","bucket":{},"ns":{ns}"#,
-            json_string(bucket.label())
-        ),
-        TraceEvent::BarrierEnter { epoch } => {
-            format!(r#""type":"barrier_enter","epoch":{epoch}"#)
-        }
-        TraceEvent::BarrierExit { epoch } => {
-            format!(r#""type":"barrier_exit","epoch":{epoch}"#)
-        }
-        TraceEvent::SpanStart { id, name } => format!(
-            r#""type":"span_start","span":{},"name":{}"#,
-            id.0,
-            json_string(&name.clone())
-        ),
-        TraceEvent::SpanEnd { id } => format!(r#""type":"span_end","span":{}"#, id.0),
-        TraceEvent::Retransmit { dst, seq } => {
-            format!(r#""type":"retransmit","dst":{dst},"seq":{seq}"#)
-        }
-        TraceEvent::DupDrop { src, seq } => {
-            format!(r#""type":"dup_drop","src":{src},"seq":{seq}"#)
-        }
-        TraceEvent::CoalesceFlush {
-            dst,
-            msgs,
-            wire_bytes,
-        } => {
-            format!(
-                r#""type":"coalesce_flush","dst":{dst},"msgs":{msgs},"wire_bytes":{wire_bytes}"#
-            )
-        }
-        TraceEvent::Mark { text } => format!(r#""type":"mark","text":{}"#, json_string(text)),
-    };
-    format!("{head},{tail}}}")
 }
 
 #[cfg(test)]
@@ -912,6 +772,65 @@ mod tests {
         assert_eq!(spans[1].charged_ns, 50); // self time only
     }
 
+    /// A ring that loses the start of two tasks' outer frames mid-frame: the
+    /// folded stacks and the span self times come from one replay, so every
+    /// stack's weight is its innermost frame's self time, and each surviving
+    /// End without a Start is counted once as dropped.
+    #[test]
+    fn truncated_ring_folds_and_spans_agree() {
+        let mut tr = Tracer::new(1, TraceConfig::new().capacity(14));
+        let charge = |ns| TraceEvent::Charge {
+            bucket: Bucket::Cpu,
+            ns,
+        };
+        let begin = |tr: &mut Tracer, t, task, name: &str| {
+            let id = tr.alloc_span();
+            let name = name.to_string();
+            tr.record(rec(t, 0, task, TraceEvent::SpanStart { id, name }));
+            id
+        };
+        let lost1 = begin(&mut tr, 0, 1, "lost1");
+        let lost2 = begin(&mut tr, 0, 2, "lost2");
+        tr.record(rec(1, 0, 1, charge(1000))); // the ring drops these three
+        let a = begin(&mut tr, 2, 1, "a");
+        tr.record(rec(3, 0, 1, charge(3)));
+        tr.record(rec(4, 0, 1, TraceEvent::HandlerStart { handler: 7 }));
+        tr.record(rec(5, 0, 1, charge(5)));
+        tr.record(rec(6, 0, 1, TraceEvent::HandlerEnd { handler: 7 }));
+        tr.record(rec(7, 0, 1, charge(2)));
+        tr.record(rec(8, 0, 1, TraceEvent::SpanEnd { id: a }));
+        tr.record(rec(9, 0, 2, charge(4)));
+        tr.record(rec(10, 0, 1, TraceEvent::SpanEnd { id: lost1 }));
+        tr.record(rec(11, 0, 2, TraceEvent::SpanEnd { id: lost2 }));
+        let b = begin(&mut tr, 12, 2, "b");
+        tr.record(rec(13, 0, 2, charge(11)));
+        tr.record(rec(14, 0, 2, TraceEvent::SpanEnd { id: b }));
+        tr.record(rec(15, 0, 1, charge(6)));
+        let log = tr.finish();
+        assert_eq!(log.nodes[0].dropped, 3 + 2, "3 overflowed, 2 orphan Ends");
+
+        let spans = log.spans();
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["am.handler[7]", "a", "b"]);
+        let folded = crate::fold_stacks(&log);
+        let mut framed = 0;
+        for line in folded.lines() {
+            let (path, ns) = line.rsplit_once(' ').unwrap();
+            let ns: Time = ns.parse().unwrap();
+            let frames: Vec<&str> = path.split(';').skip(2).collect();
+            let Some(innermost) = frames.last() else {
+                continue; // charged outside any surviving frame
+            };
+            let span = spans.iter().find(|s| s.name == *innermost).unwrap();
+            assert_eq!(ns, span.charged_ns, "{line}");
+            assert_eq!(frames.len(), span.depth + 1, "{line}");
+            framed += 1;
+        }
+        assert_eq!(framed, spans.len(), "{folded}");
+        assert!(folded.contains("node0;task1 6\n"), "{folded}");
+        assert!(folded.contains("node0;task2 4\n"), "{folded}");
+    }
+
     #[test]
     #[should_panic(expected = "does not match innermost open span")]
     fn mismatched_span_end_panics() {
@@ -947,39 +866,14 @@ mod tests {
     }
 
     #[test]
-    fn histograms_use_log2_buckets() {
-        let mut tr = Tracer::new(1, TraceConfig::default());
-        for (start, dur) in [(0u64, 1u64), (10, 3), (100, 1000)] {
-            let id = tr.alloc_span();
-            tr.record(rec(
-                start,
-                0,
-                0,
-                TraceEvent::SpanStart {
-                    id,
-                    name: "op".into(),
-                },
-            ));
-            tr.record(rec(start + dur, 0, 0, TraceEvent::SpanEnd { id }));
-        }
-        let hist = tr.finish().span_histograms();
-        assert_eq!(hist.len(), 1);
-        let (name, h) = &hist[0];
-        assert_eq!(name, "op");
-        assert_eq!(h[0], 1); // 1 ns
-        assert_eq!(h[1], 1); // 3 ns -> [2,4)
-        assert_eq!(h[9], 1); // 1000 ns -> [512,1024)
-    }
-
-    #[test]
     fn jsonl_escapes_and_labels() {
         let mut tr = Tracer::new(1, TraceConfig::default());
         tr.record(rec(
             5,
             0,
             1,
-            TraceEvent::Mark {
-                text: "say \"hi\"\n".into(),
+            TraceEvent::TaskSpawn {
+                name: "say \"hi\"\n".into(),
             },
         ));
         tr.record(TraceRecord {
@@ -994,8 +888,8 @@ mod tests {
         let jsonl = tr.finish().to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains(r#""text":"say \"hi\"\n""#));
+        assert!(lines[0].contains(r#""type":"task_spawn","name":"say \"hi\"\n""#));
         assert!(lines[1].contains(r#""task":null"#));
-        assert!(lines[1].contains(r#""wire_bytes":48"#));
+        assert!(lines[1].contains(r#""type":"msg_deliver","src":1,"wire_bytes":48}"#));
     }
 }

@@ -178,23 +178,6 @@ impl Waiter {
     }
 }
 
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::*;
-    serde::impl_serialize!(WaitPolicy {
-        spin,
-        yields,
-        park_initial,
-        park_max
-    });
-    serde::impl_deserialize!(WaitPolicy {
-        spin,
-        yields,
-        park_initial,
-        park_max
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,19 +263,5 @@ mod tests {
             park_initial: 200,
             park_max: 100,
         });
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn wait_policy_serde_round_trip() {
-        use serde::{Deserialize, Serialize};
-        let p = WaitPolicy {
-            spin: 7,
-            yields: 3,
-            park_initial: 1_000,
-            park_max: 64_000,
-        };
-        let v = p.to_value();
-        assert_eq!(WaitPolicy::from_value(&v).unwrap(), p);
     }
 }

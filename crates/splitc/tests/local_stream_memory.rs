@@ -5,11 +5,17 @@
 //! The receiver lets the sender run ahead before its first poll, then checks
 //! its inbox depth at every poll. A link that did not hold its sender back
 //! would queue every store issued meanwhile.
+//!
+//! The two nodes hand off through flags around the stream: the sender starts
+//! only once the receiver is out of the barrier, whose last poll would
+//! otherwise handle stores the receiver's count never sees (and wait for the
+//! rest forever), and the receiver sends its store-sync frame only once the
+//! sender has checked its own inbox.
 
 use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric};
 use mpmd_splitc as sc;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const STORES: usize = 20_000;
@@ -23,6 +29,10 @@ const RING_CAPACITY: usize = 1024;
 #[test]
 fn a_bulk_store_stream_holds_at_most_one_ring_in_flight() {
     let issued = Arc::new(AtomicUsize::new(0));
+    let (ready, checked) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
     let deepest = Arc::new(AtomicUsize::new(0));
     let deepest_seen = Arc::clone(&deepest);
     LocalFabric::run(2, move |ctx| {
@@ -32,6 +42,9 @@ fn a_bulk_store_stream_holds_at_most_one_ring_in_flight() {
         if ctx.node() == 0 {
             let base = a.node_chunk(1);
             let mut block = vec![0.0; DOUBLES];
+            while !ready.load(Ordering::Acquire) {
+                ctx.sleep(10_000);
+            }
             let received = ctx.snapshot().stats[0].msgs_received;
             for i in 0..STORES {
                 block.fill(i as f64);
@@ -43,7 +56,9 @@ fn a_bulk_store_stream_holds_at_most_one_ring_in_flight() {
             // (which a node's own `inbox_len` counts).
             assert_eq!(ctx.snapshot().stats[0].msgs_received, received);
             assert_eq!(ctx.inbox_len(), 0);
+            checked.store(true, Ordering::Release);
         } else {
+            ready.store(true, Ordering::Release);
             while issued.load(Ordering::Acquire) < RING_CAPACITY {
                 ctx.sleep(50_000);
             }
@@ -60,6 +75,9 @@ fn a_bulk_store_stream_holds_at_most_one_ring_in_flight() {
                 if handled < STORES {
                     ctx.park_for_inbox();
                 }
+            }
+            while !checked.load(Ordering::Acquire) {
+                ctx.sleep(50_000);
             }
         }
         sc::all_store_sync(&ctx);
