@@ -32,6 +32,19 @@ git ls-files --error-unmatch results/SHA256SUMS "${texts[@]}" >/dev/null
 git diff --exit-code -- results/
 echo "results/ reproduced byte for byte"
 
+echo "==> results/ digests on the threads backend, where the kernel crosses OS threads"
+# The fiber backend keeps every context on one thread; the threads backend
+# hands the kernel between OS threads at each baton switch. Three binaries
+# rerun there in release and must match their committed digests, checked
+# against the SHA256SUMS line without rewriting it.
+tmp=$(mktemp -d)
+for bin in table4 fig5 faults; do
+    MPMD_SIM_BACKEND=threads ./target/release/$bin --json "$tmp/$bin.json" >/dev/null
+    grep " results/$bin.json\$" results/SHA256SUMS | sed "s| results/| $tmp/|" | sha256sum -c --quiet
+done
+rm -rf "$tmp"
+echo "threads backend reproduces table4, fig5, faults"
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -118,7 +131,8 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # --cfg mpmd_no_fibers compiles out the fiber switch the way a non-x86_64
 # target would; both schedulers built on the baton must still build and
 # behave the same with every task on a pooled OS thread. The simulator's
-# engine: its unit tests (the one Backend::switch, kernel re-entry) and the
+# engine: its unit tests (the one Backend::switch, kernel re-entry, a handle
+# used off the baton or by a second running context) and the
 # engine-level integration tests, with Auto resolving to the threads backend
 # (the exploration assertions compare against threads baselines, so passing
 # proves identical output). LocalFabric's node scheduler: its unit tests

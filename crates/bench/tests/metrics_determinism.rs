@@ -1,8 +1,8 @@
 //! Determinism of the metrics registry: the serialized histograms, counters
 //! and traffic matrices must be byte-identical across worker counts and
 //! repeated seeded runs — with and without fault injection — because every
-//! sample is integer virtual-time recorded under the kernel lock in
-//! simulation order.
+//! sample is integer virtual-time recorded on the kernel in simulation
+//! order.
 
 use mpmd_apps::em3d::{self, Em3dParams, Em3dVersion};
 use mpmd_apps::water::{self, WaterParams, WaterVersion};

@@ -63,14 +63,14 @@
 //! fault model, so the reliable layer stays in its plain-send mode).
 
 use crate::Fabric;
-use mpmd_sim::baton::{Backend, BackendKind, TaskBody, TaskCell};
+use mpmd_sim::baton::{Backend, BackendKind, BatonCell, TaskBody, TaskCell};
 use mpmd_sim::metrics::bucket_index;
 use mpmd_sim::{
     size_bucket, Bucket, CostModel, Histogram, MetricsRegistry, Msg, NodeMetrics, Payload, Report,
     Snapshot, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter, ACROSS_NODES,
 };
 use std::any::{Any, TypeId};
-use std::cell::{Cell, RefCell, RefMut, UnsafeCell};
+use std::cell::{Cell, RefMut, UnsafeCell};
 use std::collections::{HashMap, VecDeque};
 use std::mem::{align_of, offset_of, size_of, MaybeUninit};
 use std::sync::atomic::{fence, AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -433,8 +433,8 @@ struct TaskRec {
 }
 
 /// Everything a node's own thread keeps about its tasks. No lock and no
-/// atomic: it is reached through [`NodeLocal`] by whichever context of the
-/// node holds the baton, and only one does at a time.
+/// atomic: it is reached through the node's [`BatonCell`] by whichever
+/// context of the node holds the baton, and only one does at a time.
 struct Sched {
     /// Live tasks by id: a record is removed when its task exits.
     tasks: HashMap<u32, TaskRec>,
@@ -529,22 +529,6 @@ impl Sched {
     }
 }
 
-/// A node's [`Sched`], shared through the run's `Arc` but touched only by
-/// the thread that holds the node's baton.
-struct NodeLocal(RefCell<Sched>);
-
-// SAFETY: every access goes through `LocalFabric::local`, `inbox_len`,
-// `node_main` or `finish_task`, which run on the thread holding this node's
-// baton — the handle methods after checking `CURRENT`, the other two by
-// construction.
-// One context holds a baton at a time and a baton switch synchronizes (it is
-// a stack switch on one thread, or a mutex handoff between two), so the
-// `RefCell` is never touched concurrently. Its borrow flag then does its
-// usual job within that thread: a probe closure that calls back into the
-// fabric finds it borrowed. `Sched` itself is `Send`: task bodies and
-// singletons are, and cells are only ever switched by the baton holder.
-unsafe impl Sync for NodeLocal {}
-
 /// One node: what other threads may touch, and (in `local`) what they may not.
 struct Node {
     /// Read by every sender of a frame to this node; alone in its block.
@@ -558,7 +542,10 @@ struct Node {
     retired: AtomicBool,
     /// The node's baton. Its engine context is the node's thread.
     backend: Backend,
-    local: NodeLocal,
+    /// The node's scheduler, touched only by the thread that holds the
+    /// node's baton. The borrow flag catches a probe closure that calls back
+    /// into the fabric.
+    local: BatonCell<Sched>,
 }
 
 // The layout the message path relies on, checked at compile time so that the
@@ -712,7 +699,7 @@ impl LfInner {
                 self.begin_shutdown(POISONED);
             }
         }
-        let mut s = self.node[node].local.0.borrow_mut();
+        let mut s = self.node[node].local.borrow_mut();
         let rec = s.tasks.remove(&id.0).expect("a running task has a record");
         if s.tasks.is_empty() {
             self.node[node].retired.store(true, Ordering::Release);
@@ -902,11 +889,11 @@ where
     G: FnOnce(LocalFabric) + Send + 'static,
 {
     let me = &inner.node[node];
-    inner.start_task(node, &mut me.local.0.borrow_mut(), false, root);
+    inner.start_task(node, &mut me.local.borrow_mut(), false, root);
     // The node's bootstrap hold: its root holds the run open from here.
     inner.release_hold();
     loop {
-        let mut s = me.local.0.borrow_mut();
+        let mut s = me.local.borrow_mut();
         let Some(next) = inner.next_ready(node, &mut s) else {
             // The report reads the totals; the singletons die with the run,
             // not with whoever drops its last handle.
@@ -1021,7 +1008,12 @@ impl LocalFabricBuilder {
                     metrics: self.metrics.then(Mutex::default),
                     retired: AtomicBool::new(false),
                     backend: Backend::new(BackendKind::Auto, "local"),
-                    local: NodeLocal(RefCell::new(Sched::new(self.wait))),
+                    // SAFETY: every borrow is in `LocalFabric::local`,
+                    // `inbox_len`, `node_main` or `finish_task`, which run on
+                    // the thread holding this node's baton — the handle
+                    // methods after checking `CURRENT`, the other two by
+                    // construction.
+                    local: unsafe { BatonCell::new(Sched::new(self.wait)) },
                 })
                 .collect(),
             // One bootstrap hold per node: a root that returns before its
@@ -1090,9 +1082,8 @@ impl LocalFabric {
     /// borrowed means a probe closure further up this stack is calling back
     /// into the fabric.
     fn local(&self, node: usize) -> RefMut<'_, Sched> {
-        let local = &self.inner.node[node].local;
-        local
-            .0
+        self.inner.node[node]
+            .local
             .try_borrow_mut()
             .unwrap_or_else(|_| panic!("{REENTRY}"))
     }
@@ -1399,7 +1390,7 @@ impl Fabric for LocalFabric {
     fn inbox_len(&self) -> usize {
         let rings = (0..self.inner.nodes).map(|src| self.inner.ring(src, self.node).depth());
         let home = CURRENT.get() == (Arc::as_ptr(&self.inner), self.node);
-        let local = &self.inner.node[self.node].local.0;
+        let local = &self.inner.node[self.node].local;
         let stashed = home.then(|| local.try_borrow().map_or(0, |s| s.stash.len()));
         rings.sum::<usize>() + stashed.unwrap_or(0)
     }

@@ -11,9 +11,11 @@
 //! run-until-block node scheduler in `mpmd-fabric` (one baton per node).
 //!
 //! The baton is not thread-safe and does not need to be: every method must
-//! be called by the context that currently holds it.
+//! be called by the context that currently holds it. The same holds for the
+//! state a scheduler keeps beside it, which lives in a [`BatonCell`].
 
 use crate::task::{HandoffCell, Job, TaskPool};
+use std::cell::{BorrowError, BorrowMutError, Ref, RefCell, RefMut};
 use std::sync::Arc;
 
 pub use crate::task::{TaskBody, TaskCell};
@@ -122,5 +124,53 @@ impl Backend {
             #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
             Backend::Fiber(rt) => rt.switch(from.map(TaskCell::fiber), to.map(TaskCell::fiber)),
         }
+    }
+}
+
+/// A scheduler's state, shared through the scheduler's `Arc` but touched
+/// only by the context that holds its baton: the simulator's kernel (one
+/// baton per run) and each `LocalFabric` node's scheduler (one per node). A
+/// `RefCell` with no lock and no atomic; its borrow flag catches a closure
+/// run under a borrow that calls back into the scheduler.
+pub struct BatonCell<T>(RefCell<T>);
+
+// SAFETY: `BatonCell::new`'s caller guarantees that every borrow is made by
+// the context holding the baton the value belongs to. One context holds a
+// baton at a time and a baton switch synchronizes (it is a stack switch on
+// one thread, or a mutex handoff between two), so the `RefCell` is never
+// touched concurrently, and each holder sees everything its predecessors
+// wrote. `T: Send` because the value does change OS threads on the threads
+// backend; `Send` itself is left to the compiler.
+unsafe impl<T: Send> Sync for BatonCell<T> {}
+
+impl<T> BatonCell<T> {
+    /// Wrap a scheduler's state.
+    ///
+    /// # Safety
+    ///
+    /// Every borrow of the cell must be made by the context that holds the
+    /// one baton it belongs to: the scheduler either checks the calling
+    /// thread before each borrow or borrows only where it holds the baton by
+    /// construction.
+    pub unsafe fn new(value: T) -> Self {
+        BatonCell(RefCell::new(value))
+    }
+
+    /// Borrow mutably; panics if already borrowed.
+    #[inline]
+    pub fn borrow_mut(&self) -> RefMut<'_, T> {
+        self.0.borrow_mut()
+    }
+
+    /// Borrow mutably, or fail if already borrowed (a re-entry).
+    #[inline]
+    pub fn try_borrow_mut(&self) -> Result<RefMut<'_, T>, BorrowMutError> {
+        self.0.try_borrow_mut()
+    }
+
+    /// Borrow shared, or fail if mutably borrowed.
+    #[inline]
+    pub fn try_borrow(&self) -> Result<Ref<'_, T>, BorrowError> {
+        self.0.try_borrow()
     }
 }

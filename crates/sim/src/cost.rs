@@ -187,7 +187,7 @@ impl LinkFaults {
 /// Installed through [`CostModel::faults`]; its presence switches the AM
 /// layer into reliable-delivery mode (sequence numbers, acks, retransmits),
 /// so an all-zero-rate model measures the pure protocol overhead. All fault
-/// decisions are drawn from one seeded generator under the kernel lock, in
+/// decisions are drawn from one seeded generator on the kernel, in
 /// simulation order, so identical seeds give byte-identical runs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultModel {

@@ -2,12 +2,14 @@
 //! [`Fabric`] implementation. The trait docs carry the contract; comments
 //! here say only what is specific to the virtual-time kernel.
 //!
-//! Hot-path discipline: every operation takes the (never contended) kernel
-//! lock exactly once, and none holds it across a baton switch or a call into
-//! user code other than the `with_stats`/`node_data` closures — which
-//! therefore must not call back into the fabric (doing so panics). Disabled
-//! instruments (tracing, metrics) are gated on plain bools captured at
-//! `Sim::run`, so the off path costs a branch, not a lock.
+//! Hot-path discipline: every operation borrows the kernel exactly once,
+//! through `SimInner::lock_kernel` (a thread-local check that the caller holds
+//! the run's baton, then a `RefCell` borrow), and none holds the borrow across
+//! a baton switch or a call into user code other than the
+//! `with_stats`/`node_data` closures — which therefore must not call back
+//! into the fabric (doing so panics). Disabled instruments (tracing, metrics)
+//! are gated on plain bools captured at `Sim::run`, so the off path costs a
+//! branch, not a kernel visit.
 
 use crate::cost::CostModel;
 use crate::engine::{spawn_task, switch_from_task, SimInner};
@@ -19,15 +21,15 @@ use crate::stats::{Bucket, Stats};
 use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
 use crate::trace::{SpanId, TraceEvent};
-use parking_lot::MutexGuard;
-use std::any::Any;
+use std::any::{Any, TypeId};
+use std::cell::RefMut;
 use std::sync::Arc;
 
 /// Handle to the simulation held by a running task. Cheap to clone; a clone
 /// refers to the same task (pass clones into closures, not across tasks —
 /// each spawned task receives its own `Ctx`).
 pub struct Ctx {
-    inner: Arc<SimInner>,
+    pub(crate) inner: Arc<SimInner>,
     node: usize,
     task: TaskId,
     /// This task's own handoff cell, cached here so blocking points don't
@@ -61,10 +63,10 @@ impl Ctx {
         }
     }
 
-    /// The kernel, locked, for `op` on task `t` — which must be a task of
+    /// The kernel, borrowed, for `op` on task `t` — which must be a task of
     /// this node (threads and their synchronization live within one address
     /// space).
-    fn local_task(&self, t: TaskId, op: &str) -> MutexGuard<'_, Kernel> {
+    fn local_task(&self, t: TaskId, op: &str) -> RefMut<'_, Kernel> {
         let k = self.inner.lock_kernel();
         assert!(
             k.tasks[t.idx()].node == self.node,
@@ -116,7 +118,7 @@ impl Fabric for Ctx {
         k.emit(self.node, self.task, TraceEvent::Charge { bucket, ns });
     }
 
-    /// `f` runs under the kernel lock.
+    /// `f` runs under the kernel borrow.
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
         f(&mut self.inner.lock_kernel().nodes[self.node].stats)
     }
@@ -318,23 +320,25 @@ impl Fabric for Ctx {
         self.inner.lock_kernel().nodes[self.node].inbox.len()
     }
 
-    /// `init` runs under the kernel lock.
+    /// `init` runs under the kernel borrow. A node holds a handful of
+    /// singletons, so a scan beats hashing the `TypeId`.
     fn node_data<T, F>(&self, init: F) -> Arc<T>
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
+        let id = TypeId::of::<T>();
         let mut k = self.inner.lock_kernel();
-        let slot = k.nodes[self.node]
-            .data
-            .entry(std::any::TypeId::of::<T>())
-            .or_insert_with(|| {
-                (
-                    Arc::new(init()) as Arc<dyn Any + Send + Sync>,
-                    std::any::type_name::<T>(),
-                )
-            });
-        Arc::downcast::<T>(Arc::clone(&slot.0)).expect("node_data type confusion")
+        let data = &mut k.nodes[self.node].data;
+        let found = match data.iter().find(|(t, ..)| *t == id) {
+            Some((_, hit, _)) => Arc::clone(hit),
+            None => {
+                let fresh: Arc<dyn Any + Send + Sync> = Arc::new(init());
+                data.push((id, Arc::clone(&fresh), std::any::type_name::<T>()));
+                fresh
+            }
+        };
+        Arc::downcast::<T>(found).expect("node_data type confusion")
     }
 
     #[inline]

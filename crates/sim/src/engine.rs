@@ -16,8 +16,13 @@
 //! termination, deadlock, or a panic needs handling. This halves the OS
 //! wakeups per simulated context switch relative to routing every switch
 //! through the engine.
+//!
+//! The kernel is owned by whichever context holds the baton: a context that
+//! receives it records itself as the run's holder, on its thread and in the
+//! run ([`SimInner::receive`]), and every kernel access checks both
+//! ([`SimInner::lock_kernel`]).
 
-use crate::baton::{Backend, BackendKind, TaskCell};
+use crate::baton::{Backend, BackendKind, BatonCell, TaskCell};
 use crate::cost::CostModel;
 use crate::ctx::Ctx;
 use crate::explore::ScheduleOracle;
@@ -25,8 +30,9 @@ use crate::kernel::{Kernel, TaskState};
 use crate::report::{Report, Snapshot};
 use crate::task::TaskId;
 use crate::trace::{TraceConfig, TraceEvent};
-use parking_lot::{Mutex, MutexGuard};
+use std::cell::{Cell, RefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Parse an `MPMD_SIM_BACKEND` value. `None` (unset) means the platform
@@ -53,29 +59,80 @@ pub fn backend_from_env() -> Result<BackendKind, String> {
     parse_backend_env(s.as_deref())
 }
 
+/// What a task did wrong when the kernel is found borrowed.
+const REENTRY: &str = "simulator kernel re-entered from a `with_stats` closure or a `node_data` \
+                       init: they run on the kernel and must not call back into the fabric";
+
+/// What a caller did wrong when it reaches the kernel without the baton.
+const OFF_BATON: &str = "a simulator handle reaches the kernel only from the context that holds \
+                         its run's baton: a call that reads or writes the kernel (`now`, \
+                         `charge`, `with_stats`, ...) from a thread the task started, after the \
+                         run, or from a second context running beside the holder would touch \
+                         state the caller does not own";
+
+/// The engine's context key; a task's is its id.
+const ENGINE: u32 = u32::MAX;
+
+thread_local! {
+    /// The `(run, context key)` whose baton this thread holds. Null on a
+    /// thread that runs no simulation context.
+    static CURRENT: Cell<(*const SimInner, u32)> = const { Cell::new((std::ptr::null(), 0)) };
+}
+
+/// Puts back the `CURRENT` that `Sim::run` found, however the run ends.
+struct RestoreCurrent((*const SimInner, u32));
+
+impl Drop for RestoreCurrent {
+    fn drop(&mut self) {
+        CURRENT.set(self.0);
+    }
+}
+
 pub(crate) struct SimInner {
-    /// All mutable simulation state, behind the one lock of the simulator.
-    kernel: Mutex<Kernel>,
+    /// All mutable simulation state, owned by the context holding the baton.
+    kernel: BatonCell<Kernel>,
+    /// The context key of the baton holder, written by each context as it
+    /// receives the baton. A second word beside `CURRENT`: a context running
+    /// beside the holder on another thread finds it overwritten.
+    holder: AtomicU32,
     pub(crate) backend: Backend,
     pub(crate) cost: CostModel,
     pub(crate) num_nodes: usize,
     /// Immutable for the run: lets trace/metric hooks bail out without
-    /// taking the lock when the instrument is not installed.
+    /// reaching the kernel when the instrument is not installed.
     pub(crate) tracing_on: bool,
     pub(crate) metrics_on: bool,
 }
 
 impl SimInner {
-    /// The single acquisition point of the kernel lock. One context runs at
-    /// a time and no guard is held across a baton switch, so the lock is
-    /// never contended and a failed `try_lock` is a bug — kernel code calling
-    /// back into the fabric, or a broken baton protocol — reported as a panic
-    /// instead of a deadlock.
+    /// Record the calling context (`key`: [`ENGINE`] or a task id) as the
+    /// baton holder, on this thread and in the run. Called wherever a
+    /// context receives the baton: the `Sim::run` bootstrap, the start of a
+    /// task body, and the return from `Backend::switch`. Private to this
+    /// module: a call anywhere else would vouch for a context that does not
+    /// hold the baton.
     #[inline]
-    pub(crate) fn lock_kernel(&self) -> MutexGuard<'_, Kernel> {
+    fn receive(&self, key: u32) {
+        CURRENT.set((self as *const SimInner, key));
+        // Ordering: the baton handoff already orders the holders; this word
+        // only has to differ from a broken baton's view.
+        self.holder.store(key, Ordering::Relaxed);
+    }
+
+    /// The kernel, borrowed by the baton holder: the single access point.
+    /// The holder checks make every borrow the baton holder's, which is what
+    /// makes the `BatonCell` sound; a failed borrow is a closure run under
+    /// this one calling back in. Both are bugs, reported as panics.
+    #[inline]
+    pub(crate) fn lock_kernel(&self) -> RefMut<'_, Kernel> {
+        let (run, key) = CURRENT.get();
+        assert!(
+            std::ptr::eq(run, self) && key == self.holder.load(Ordering::Relaxed),
+            "{OFF_BATON}"
+        );
         self.kernel
-            .try_lock()
-            .expect("kernel lock contended: re-entered, or two contexts hold the baton")
+            .try_borrow_mut()
+            .unwrap_or_else(|_| panic!("{REENTRY}"))
     }
 }
 
@@ -191,14 +248,20 @@ impl Sim {
         let faults = self.cost.faults.clone();
         let metrics = self.metrics || self.cost.metrics;
         let tracing_on = self.trace.is_some();
-        let inner = Arc::new(SimInner {
-            kernel: Mutex::new(Kernel::new(
+        // SAFETY: `lock_kernel` is the only borrow, and it checks that the
+        // calling thread holds this run's baton as the current holder.
+        let kernel = unsafe {
+            BatonCell::new(Kernel::new(
                 self.nodes,
                 self.trace,
                 metrics,
                 faults,
                 self.oracle,
-            )),
+            ))
+        };
+        let inner = Arc::new(SimInner {
+            kernel,
+            holder: AtomicU32::new(ENGINE),
             backend: Backend::new(
                 match self.backend {
                     // The env var only steers the default; an explicit
@@ -215,6 +278,11 @@ impl Sim {
             tracing_on,
             metrics_on: metrics,
         });
+        // This thread is the engine: it holds the baton until the first
+        // switch, and a task that runs a simulation of its own gets its own
+        // baton back when that one ends.
+        let _restore = RestoreCurrent(CURRENT.get());
+        inner.receive(ENGINE);
         let main = Arc::new(main);
         for node in 0..self.nodes {
             let f = Arc::clone(&main);
@@ -268,6 +336,7 @@ where
     let ctx = Ctx::new(Arc::clone(inner), node, id, Arc::clone(&cell));
     let inner2 = Arc::clone(inner);
     let body = Box::new(move || {
+        inner2.receive(id.0);
         let result = catch_unwind(AssertUnwindSafe(|| f(ctx)));
         // This task held the baton; pick who gets it next. A captured panic
         // goes to the engine for prompt propagation, otherwise the baton goes
@@ -310,6 +379,7 @@ pub(crate) fn run_engine(inner: &Arc<SimInner>) {
             // termination, deadlock, or panic propagation.
             drop(k);
             inner.backend.switch(None, Some(&cell));
+            inner.receive(ENGINE);
             continue;
         }
         // Nothing runnable.
@@ -336,7 +406,7 @@ pub(crate) fn run_engine(inner: &Arc<SimInner>) {
 /// happens at all. Returns once the calling task is resumed.
 pub(crate) fn switch_from_task(
     inner: &SimInner,
-    mut k: MutexGuard<'_, Kernel>,
+    mut k: RefMut<'_, Kernel>,
     me: TaskId,
     my_cell: &TaskCell,
 ) {
@@ -349,12 +419,14 @@ pub(crate) fn switch_from_task(
         None
     };
     drop(k);
-    match next {
+    let to = match next {
         // decide() already marked us Running; keep going without a switch.
-        Some((next, _)) if next == me => {}
-        Some((_, cell)) => inner.backend.switch(Some(my_cell), Some(&cell)),
-        None => inner.backend.switch(Some(my_cell), None),
-    }
+        Some((next, _)) if next == me => return,
+        Some((_, cell)) => Some(cell),
+        None => None,
+    };
+    inner.backend.switch(Some(my_cell), to.as_deref());
+    inner.receive(me.0);
 }
 
 /// Core scheduling choice: apply due events, then pick a runnable task.
@@ -363,8 +435,8 @@ pub(crate) fn switch_from_task(
 /// conservative order — exactly PR 2's policy, so schedules are
 /// bit-identical across substrate changes).
 ///
-/// Event application and the pick both happen under the one kernel lock
-/// acquisition of the caller. Events are always applied in (time, seq) heap
+/// Event application and the pick both happen under the caller's one
+/// kernel borrow. Events are always applied in (time, seq) heap
 /// order; the policy only decides *how far* to drain before running a task.
 ///
 /// With a [`ScheduleOracle`] installed, the two don't-care choices inside
@@ -447,6 +519,10 @@ mod tests {
             .join()
             .expect("helper thread")
             .expect_err("the run must fail");
+        panic_message(payload)
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         match payload.downcast::<String>() {
             Ok(s) => *s,
             Err(p) => p.downcast::<&str>().expect("panic message").to_string(),
@@ -461,8 +537,8 @@ mod tests {
         kinds
     }
 
-    /// Re-entering the kernel from a closure that runs under its lock fails
-    /// the run with the lock's own message instead of hanging it.
+    /// Re-entering the kernel from a closure that runs under its borrow
+    /// fails the run with the rule instead of hanging it.
     #[test]
     fn kernel_reentry_panics_on_every_backend() {
         use crate::Fabric;
@@ -470,7 +546,80 @@ mod tests {
             let msg = failing_run_message(Sim::new(2).backend(kind), |ctx| {
                 ctx.with_stats(|_| ctx.now());
             });
-            assert!(msg.contains("kernel lock contended"), "{kind:?}: {msg}");
+            assert!(
+                msg.contains("must not call back into the fabric"),
+                "{kind:?}: {msg}"
+            );
+        }
+    }
+
+    /// A handle reaches the kernel only from the thread holding its run's
+    /// baton. From a thread its task started (and waits for with a plain
+    /// `join`, so the task keeps the baton) every kernel call panics with
+    /// the rule; after the run, an escaped handle still says what it is, but
+    /// reading the kernel panics.
+    #[test]
+    fn off_baton_use_panics_on_every_backend() {
+        use crate::{Bucket, Fabric};
+        use std::sync::Mutex;
+        type Call = fn(&Ctx);
+        let calls: [(&str, Call); 3] = [
+            ("charge", |c| c.charge(Bucket::Cpu, 1)),
+            ("with_stats", |c| c.with_stats(|s| s.polls += 1)),
+            ("now", |c| _ = c.now()),
+        ];
+        let rule = "does not own";
+        for kind in backends() {
+            let escaped = Arc::new(Mutex::new(None));
+            let e2 = Arc::clone(&escaped);
+            Sim::new(2).backend(kind).run(move |ctx| {
+                if ctx.node() == 1 {
+                    *e2.lock().unwrap() = Some(ctx.clone());
+                }
+                for (what, call) in calls {
+                    let theirs = ctx.clone();
+                    let payload = std::thread::spawn(move || call(&theirs))
+                        .join()
+                        .expect_err(what);
+                    let msg = panic_message(payload);
+                    assert!(msg.contains(rule), "{kind:?} {what} off the baton: {msg}");
+                }
+                // The task itself still holds the baton.
+                ctx.charge(Bucket::Cpu, 1);
+            });
+            let outside = escaped
+                .lock()
+                .unwrap()
+                .take()
+                .expect("node 1 left its handle");
+            assert_eq!((outside.node(), outside.nodes()), (1, 2));
+            assert_eq!(outside.task_id(), TaskId(1));
+            let caught = catch_unwind(AssertUnwindSafe(|| outside.now()))
+                .expect_err("reading the kernel after the run must panic");
+            let msg = panic_message(caught);
+            assert!(msg.contains(rule), "{kind:?} now after the run: {msg}");
+        }
+    }
+
+    /// A second context that receives the baton while another runs (a
+    /// broken baton, staged here from a helper thread) makes the first one
+    /// panic at its next kernel visit.
+    #[test]
+    fn a_second_running_context_panics_at_its_next_kernel_visit() {
+        use crate::Fabric;
+        for kind in backends() {
+            Sim::new(1).backend(kind).run(move |ctx| {
+                let inner = Arc::clone(&ctx.inner);
+                std::thread::spawn(move || inner.receive(ENGINE))
+                    .join()
+                    .expect("helper");
+                let caught = catch_unwind(AssertUnwindSafe(|| ctx.now()))
+                    .expect_err("the first context must not reach the kernel");
+                let msg = panic_message(caught);
+                assert!(msg.contains("second context"), "{kind:?}: {msg}");
+                // Hand the baton back to this task, so the run can end.
+                ctx.inner.receive(ctx.task_id().0);
+            });
         }
     }
 

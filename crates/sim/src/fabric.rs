@@ -57,11 +57,13 @@ pub const ACROSS_NODES: &str = "reaches across nodes: only messages cross nodes"
 ///   [`Fabric::unpark`].
 /// * **A handle is used where its node runs**: nothing runs beside a node's
 ///   tasks, so a handle carried to another node's task or outside the run
-///   may only be asked what it is (`node`, `nodes`, `task_id`, `cost`, `now`,
-///   `shutting_down`, `metrics_enabled`, `inbox_len`). `LocalFabric` panics
-///   on anything else; the simulator runs one task in the whole machine at a
-///   time and does not check. A sibling task of the same node may count, send
-///   and receive through it, but not block.
+///   may only be asked what it is (`node`, `nodes`, `task_id`, `cost`,
+///   `metrics_enabled`; on `LocalFabric` also `now`, `shutting_down`,
+///   `inbox_len`). `LocalFabric` panics on anything else. The simulator runs
+///   one task in the whole machine, so another node's task passes, but it
+///   checks the thread: a call that reads its kernel (`now`, `shutting_down`
+///   and `inbox_len` included) panics off the run's baton. A sibling task of
+///   the same node may count, send and receive through it, but not block.
 /// * **Clocks are per-node and monotone**, in nanoseconds. On the simulated
 ///   fabric they advance only by [`Fabric::charge`]; on wall-clock fabrics
 ///   they advance on their own and `charge` only keeps the cost-bucket
@@ -205,7 +207,7 @@ pub trait Fabric: Clone + Send + 'static {
     /// Fetch (or lazily create) this node's singleton of type `T`. The
     /// runtime crates keep their per-node state (handler tables, memories,
     /// stub caches) here. `init` must not call back into the fabric: that
-    /// panics on every backend (it runs under the simulator's kernel lock,
+    /// panics on every backend (it runs under the simulator's kernel borrow,
     /// and on the node's probe block on `LocalFabric`).
     fn node_data<T, G>(&self, init: G) -> Arc<T>
     where

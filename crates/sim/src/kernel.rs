@@ -1,16 +1,16 @@
 //! The simulation kernel: task table, per-node state, and event application.
 //!
-//! All mutable simulation state lives here, in one [`Kernel`] behind the one
-//! mutex of `SimInner`: per node the virtual clock, inbox, stats block and
-//! typed singletons next to the ready queue ([`NodeState`]); machine-wide the
-//! task table, the event heap, the runnable-node index and the trace/metrics/
-//! fault instruments.
+//! All mutable simulation state lives here, in one [`Kernel`] in the
+//! `BatonCell` of `SimInner`: per node the virtual clock, inbox, stats block
+//! and typed singletons next to the ready queue ([`NodeState`]);
+//! machine-wide the task table, the event heap, the runnable-node index and
+//! the trace/metrics/fault instruments.
 //!
 //! Exactly one context runs at a time (the engine, or the one task holding
-//! the baton) and no guard is ever held across a baton switch, so the lock is
-//! never contended; it exists to satisfy the borrow checker across OS-thread
-//! boundaries. `SimInner::lock_kernel` is the single acquisition point and
-//! treats contention as the bug it is.
+//! the baton) and no borrow is ever held across a baton switch, so the
+//! kernel needs no lock: the baton holder owns it. `SimInner::lock_kernel`
+//! is the single access point; it checks that the caller holds the baton and
+//! treats a kernel already borrowed (a re-entry) as the bug it is.
 
 use crate::event::{EventKey, EventKind, Msg};
 use crate::explore::{ChoicePoint, ScheduleOracle};
@@ -22,7 +22,7 @@ use crate::time::Time;
 use crate::trace::{TraceConfig, TraceEvent, TraceRecord, Tracer, NO_TASK};
 use std::any::{Any, TypeId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Scheduling state of a task.
@@ -79,9 +79,10 @@ pub(crate) struct NodeState {
     pub(crate) inbox: VecDeque<Msg>,
     /// Instrumentation.
     pub(crate) stats: Stats,
-    /// Per-node typed singletons (runtime state for the layered crates),
-    /// with the type name kept alongside for deterministic diagnostics.
-    pub(crate) data: HashMap<TypeId, (Arc<dyn Any + Send + Sync>, &'static str)>,
+    /// Per-node typed singletons (runtime state for the layered crates), in
+    /// creation order, with the type name kept alongside for deterministic
+    /// diagnostics.
+    pub(crate) data: Vec<(TypeId, Arc<dyn Any + Send + Sync>, &'static str)>,
     /// Tasks ready to run, in FIFO order.
     pub(crate) ready: VecDeque<TaskId>,
     /// Tasks parked waiting for the inbox to become non-empty. Deduplicated
@@ -136,8 +137,8 @@ pub(crate) struct Kernel {
     node_scratch: Vec<u32>,
 }
 
-/// The fault model's deterministic decision stream. All draws happen under
-/// the kernel lock, in simulation order, so a seed fixes every decision.
+/// The fault model's deterministic decision stream. All draws happen on the
+/// kernel, in simulation order, so a seed fixes every decision.
 pub(crate) struct FaultState {
     pub(crate) model: crate::cost::FaultModel,
     rng: u64,
@@ -622,12 +623,11 @@ impl Kernel {
 
     /// Human-readable dump of unfinished tasks, for deadlock diagnostics.
     /// Deterministic: nodes and tasks print in index order, and each node's
-    /// typed-singleton list is sorted by type name (the underlying map
-    /// iterates in arbitrary order).
+    /// typed-singleton list is sorted by type name.
     pub(crate) fn dump_live(&self) -> String {
         let mut s = String::new();
         for (i, n) in self.nodes.iter().enumerate() {
-            let mut names: Vec<&'static str> = n.data.values().map(|&(_, name)| name).collect();
+            let mut names: Vec<&'static str> = n.data.iter().map(|&(.., name)| name).collect();
             names.sort_unstable();
             s.push_str(&format!(
                 "node {i}: clock={}ns inbox={} ready={} data=[{}]\n",

@@ -8,8 +8,8 @@
 //! histograms, alongside plain counters and gauges.
 //!
 //! Like the tracer, the registry is opt-in and **zero-cost when absent**:
-//! every recording hook on [`Ctx`](crate::Ctx) takes the kernel lock it
-//! would have taken anyway and bails on `metrics.is_none()` without building
+//! every recording hook on [`Ctx`](crate::Ctx) borrows the kernel it
+//! would have borrowed anyway and bails on `metrics.is_none()` without building
 //! any payload. Install it with [`Sim::metrics`](crate::Sim::metrics) or
 //! [`CostModel::with_metrics`](crate::CostModel::with_metrics); the filled
 //! registry comes back on [`Report::metrics`](crate::Report::metrics).
@@ -274,7 +274,7 @@ impl NodeMetrics {
 }
 
 /// The installed registry: one [`NodeMetrics`] block per node, recorded
-/// under the kernel lock in simulation order. Returned whole on
+/// on the kernel in simulation order. Returned whole on
 /// [`Report::metrics`](crate::Report::metrics) after a run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricsRegistry {

@@ -10,8 +10,8 @@
 //! creation after warm-up.
 //!
 //! Scheduling decisions run on whichever OS thread holds the baton. A task
-//! reaching a blocking point picks the next task itself (under the kernel
-//! lock) and resumes it directly via its [`HandoffCell`] — one OS wakeup per
+//! reaching a blocking point picks the next task itself (on the kernel it
+//! owns) and resumes it directly via its [`HandoffCell`] — one OS wakeup per
 //! simulated context switch instead of a round trip through the engine
 //! thread. The engine is a context like any task, with a [`HandoffCell`] of
 //! its own: it bootstraps the run and then parks there until a task hands it

@@ -59,7 +59,7 @@ impl SpanId {
     }
 }
 
-/// One structured trace event. Emitted under the kernel lock, so the stream
+/// One structured trace event. Emitted on the kernel, so the stream
 /// per node is totally ordered and deterministic.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
@@ -268,8 +268,8 @@ struct NodeRing {
     dropped: u64,
 }
 
-/// Live collector owned by the kernel. All methods are called under the
-/// kernel lock.
+/// Live collector owned by the kernel. All methods are called by the
+/// baton holder, through the kernel's one borrow.
 pub(crate) struct Tracer {
     capacity: usize,
     nodes: Vec<NodeRing>,
