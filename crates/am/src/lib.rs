@@ -36,7 +36,7 @@ pub use endpoint::{endpoint, Endpoint, SendBuilder};
 pub use ops::{flush, poll, wait_until, Token, SHORT_WIRE_BYTES};
 pub use profile::NetProfile;
 pub use reply::{PendingCounter, ReplyCell};
-pub use state::{init, is_registered, profile, register, Handler, HandlerId};
+pub use state::{init, is_registered, profile, register, Handler, HandlerId, HANDLER_ID_LIMIT};
 
 use bytes::Bytes;
 use mpmd_sim::Payload;

@@ -4,25 +4,32 @@ use crate::profile::NetProfile;
 use crate::AmMsg;
 use mpmd_fabric::Fabric;
 use mpmd_sim::TaskId;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of a registered handler. Each runtime owns a disjoint id range
-/// (by convention: AM internals 0–15, Split-C 16–63, CC++ 64+).
+/// (by convention: AM internals 0–15, Split-C 16–63, CC++ 64+), and every
+/// id is below [`HANDLER_ID_LIMIT`].
 pub type HandlerId = u32;
+
+/// Every handler id is below this bound: a node's handler table is an array
+/// with one slot per id.
+pub const HANDLER_ID_LIMIT: HandlerId = 256;
 
 /// A registered active-message handler. Handlers execute on the receiving
 /// node, inside whichever task performed the poll; they may send messages
-/// (e.g. replies) and spawn threads, but must not block.
+/// (e.g. replies), register handlers and spawn threads, but must not block.
 pub type Handler<F> = Arc<dyn Fn(&F, AmMsg) + Send + Sync>;
 
 /// Endpoint state, one per node, stored in the fabric's node-data registry.
 pub(crate) struct AmState<F: Fabric> {
     /// Set once by [`init`]; every send and every productive poll reads it.
     pub(crate) profile: OnceLock<NetProfile>,
-    pub(crate) handlers: RwLock<HashMap<HandlerId, Handler<F>>>,
+    /// Slot `id` is set once, by [`register`]; a dispatch borrows it with
+    /// no lock held, so a handler may register another id.
+    pub(crate) handlers: [OnceLock<Handler<F>>; HANDLER_ID_LIMIT as usize],
     /// Tasks currently inside `poll`, guarding against *recursive* polling
     /// (a handler's reply triggering poll-on-send while already inside a
     /// poll). Per task, not per node: a different task polling while this
@@ -58,7 +65,7 @@ impl<F: Fabric> AmState<F> {
     fn new() -> Self {
         AmState {
             profile: OnceLock::new(),
-            handlers: RwLock::new(HashMap::new()),
+            handlers: std::array::from_fn(|_| OnceLock::new()),
             in_poll: Mutex::new(Vec::new()),
             barrier_arrivals: Mutex::new(HashMap::new()),
             barrier_release_gen: AtomicU64::new(0),
@@ -106,29 +113,36 @@ pub fn profile<F: Fabric>(ctx: &F) -> NetProfile {
     AmState::get(ctx).profile().clone()
 }
 
-/// Register `handler` under `id` on this node. Panics if the id is taken.
+/// Register `handler` under `id` on this node. Panics if the id is taken or
+/// not below [`HANDLER_ID_LIMIT`].
 pub fn register<F: Fabric>(
     ctx: &F,
     id: HandlerId,
     handler: impl Fn(&F, AmMsg) + Send + Sync + 'static,
 ) {
-    let st = AmState::get(ctx);
-    let mut tbl = st.handlers.write();
-    let prev = tbl.insert(id, Arc::new(handler) as Handler<F>);
-    assert!(prev.is_none(), "duplicate AM handler id {id}");
+    assert!(
+        id < HANDLER_ID_LIMIT,
+        "AM handler id {id} is out of range: ids are below HANDLER_ID_LIMIT ({HANDLER_ID_LIMIT})"
+    );
+    let fresh = AmState::get(ctx).handlers[id as usize]
+        .set(Arc::new(handler))
+        .is_ok();
+    assert!(fresh, "duplicate AM handler id {id}");
 }
 
 /// Whether a handler id is registered (used by tests and diagnostics).
 pub fn is_registered<F: Fabric>(ctx: &F, id: HandlerId) -> bool {
-    AmState::get(ctx).handlers.read().contains_key(&id)
+    AmState::get(ctx)
+        .handlers
+        .get(id as usize)
+        .is_some_and(|h| h.get().is_some())
 }
 
-pub(crate) fn lookup<F: Fabric>(st: &AmState<F>, id: HandlerId) -> Handler<F> {
+pub(crate) fn lookup<F: Fabric>(st: &AmState<F>, id: HandlerId) -> &Handler<F> {
     st.handlers
-        .read()
-        .get(&id)
+        .get(id as usize)
+        .and_then(OnceLock::get)
         .unwrap_or_else(|| panic!("no AM handler registered for id {id}"))
-        .clone()
 }
 
 /// Poll-guard RAII: marks the *task* as inside a poll for its lifetime.

@@ -463,6 +463,73 @@ fn storm_tokens<F: Fabric>(ctx: &F) {
     }
 }
 
+/// The top handler id.
+const H_TOP: am::HandlerId = am::HANDLER_ID_LIMIT - 1;
+/// Registered by `H_TOP`'s handler while it runs.
+const H_LATE: am::HandlerId = 103;
+
+/// The handler table takes every id below the bound, and a handler may
+/// register another id while it runs: the next message to that id is
+/// dispatched, so nothing holds the table across a handler.
+fn battery_handler_table<F: Fabric>(ctx: &F) {
+    setup(ctx);
+    assert!(!am::is_registered(ctx, am::HANDLER_ID_LIMIT));
+    assert!(!am::is_registered(ctx, am::HandlerId::MAX));
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let l2 = Arc::clone(&log);
+    am::register(ctx, H_TOP, move |rctx: &F, m| {
+        l2.lock().push((H_TOP, m.args[0]));
+        let l3 = Arc::clone(&l2);
+        am::register(rctx, H_LATE, move |_, m| {
+            l3.lock().push((H_LATE, m.args[0]));
+        });
+    });
+    assert!(am::is_registered(ctx, H_TOP) && !am::is_registered(ctx, H_LATE));
+    am::barrier(ctx);
+    if ctx.node() == 0 {
+        let ep = am::endpoint(ctx);
+        ep.to(1).handler(H_TOP).args([7, 0, 0, 0]).send();
+        ep.to(1).handler(H_LATE).args([8, 0, 0, 0]).send();
+    }
+    if ctx.node() == 1 {
+        let l = Arc::clone(&log);
+        am::wait_until(ctx, move || l.lock().len() == 2);
+        assert_eq!(*log.lock(), [(H_TOP, 7), (H_LATE, 8)]);
+        assert!(am::is_registered(ctx, H_LATE));
+    }
+    am::barrier(ctx);
+}
+
+/// Registrations on a node, run as its whole program.
+type Registrations<F> = fn(&F);
+
+/// Registrations the table refuses, each with the message it fails the run
+/// with: an id past the bound, and an id registered twice.
+fn refused_registrations<F: Fabric>() -> [(Registrations<F>, &'static str); 2] {
+    [
+        (
+            |c| am::register(c, am::HANDLER_ID_LIMIT, |_, _| {}),
+            "AM handler id 256 is out of range: ids are below HANDLER_ID_LIMIT (256)",
+        ),
+        (
+            |c| {
+                am::register(c, H_SEQ, |_, _| {});
+                am::register(c, H_SEQ, |_, _| {});
+            },
+            "duplicate AM handler id 100",
+        ),
+    ]
+}
+
+fn check_refused_registrations<F: Fabric>(fabric: &str, run: impl Fn(Registrations<F>)) {
+    for (register, want) in refused_registrations::<F>() {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(register)))
+            .expect_err("a refused registration must fail the run");
+        let msg = payload.downcast::<String>().expect("a formatted panic");
+        assert_eq!(*msg, want, "{fabric}");
+    }
+}
+
 /// Task storm (c): wind-down hands the node's thread round. Every node keeps
 /// two daemons: one waits, in a loop of `park`s, for a flag that the other
 /// sets only once the shutdown has begun — so the waiter's parks must let
@@ -924,6 +991,27 @@ conformance!(
     silent_sender_holds_its_buffer_local,
     2
 );
+
+conformance!(
+    battery_handler_table,
+    handler_table_sim,
+    handler_table_local,
+    2
+);
+
+#[test]
+fn refused_registrations_sim() {
+    check_refused_registrations("sim", |register| {
+        Sim::new(1).run(move |ctx| register(&ctx));
+    });
+}
+
+#[test]
+fn refused_registrations_local() {
+    check_refused_registrations("local", |register| {
+        LocalFabric::run(1, move |ctx| register(&ctx));
+    });
+}
 
 #[test]
 fn instrumentation_sim() {

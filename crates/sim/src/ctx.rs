@@ -102,10 +102,8 @@ impl Fabric for Ctx {
         self.inner.lock_kernel().clock(self.node)
     }
 
-    /// Advances this node's clock by `ns`. Other tasks in this node's ready
-    /// queue have their heap entry keyed by the old clock, so the node is
-    /// re-indexed (a no-op on the message fast path, where each node runs
-    /// one task).
+    /// Advances this node's clock by `ns`; the next scheduling decision
+    /// reads the new clock, so nothing is re-keyed here.
     fn charge(&self, bucket: Bucket, ns: Time) {
         if ns == 0 {
             return;
@@ -114,8 +112,9 @@ impl Fabric for Ctx {
         let n = &mut k.nodes[self.node];
         n.clock += ns;
         n.stats.bucket_ns[bucket.index()] += ns;
-        k.touch_node(self.node);
-        k.emit(self.node, self.task, TraceEvent::Charge { bucket, ns });
+        if self.inner.tracing_on {
+            k.emit(self.node, self.task, TraceEvent::Charge { bucket, ns });
+        }
     }
 
     /// `f` runs under the kernel borrow.
@@ -154,9 +153,9 @@ impl Fabric for Ctx {
         let my_clock = k.clock(self.node);
         let event_due = k.events.peek().is_some_and(|e| e.time <= my_clock);
         let local_ready = !k.nodes[self.node].ready.is_empty();
-        // Our own node can't have a live heap entry (ready is empty when
-        // local_ready is false), so any earlier entry is another node with
-        // runnable work strictly behind our clock.
+        // Our own node is not runnable (its ready queue is empty when
+        // local_ready is false), so any pick is another node, and one
+        // strictly behind our clock could still run first.
         let earlier_node = !local_ready && k.peek_min_runnable().is_some_and(|(_, c)| c < my_clock);
         if !event_due && !local_ready && !earlier_node {
             // Exploration hook: the oracle may force the skipped slow path
@@ -167,7 +166,7 @@ impl Fabric for Ctx {
             }
         }
         k.tasks[self.task.idx()].state = TaskState::Runnable;
-        k.enqueue_ready_back(self.node, self.task);
+        k.nodes[self.node].ready.push_back(self.task);
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
@@ -271,9 +270,8 @@ impl Fabric for Ctx {
         let mut k = self.inner.lock_kernel();
         let my_clock = k.clock(self.node);
         let event_due = k.events.peek().is_some_and(|e| e.time <= my_clock);
-        // Any live heap entry for our own node carries our clock, never an
-        // earlier one, so an entry strictly below our clock is always
-        // another node.
+        // A pick of our own node carries our clock, never an earlier one, so
+        // a pick strictly below our clock is always another node.
         let earlier_node = k.peek_min_runnable().is_some_and(|(_, c)| c < my_clock);
         if !event_due && !earlier_node {
             // Exploration hook: see `yield_now`. Resuming at the front of
@@ -283,7 +281,7 @@ impl Fabric for Ctx {
             }
         }
         k.tasks[self.task.idx()].state = TaskState::Runnable;
-        k.enqueue_ready_front(self.node, self.task);
+        k.nodes[self.node].ready.push_front(self.task);
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 

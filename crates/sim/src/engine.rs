@@ -479,7 +479,10 @@ fn decide_inner(
             Some(o) => k.choose_tied_node(node, clock, o),
             None => node,
         };
-        let tid = k.pop_ready_front(node).expect("ready queue emptied");
+        let tid = k.nodes[node]
+            .ready
+            .pop_front()
+            .expect("ready queue emptied");
         debug_assert_eq!(k.tasks[tid.idx()].state, TaskState::Runnable);
         k.tasks[tid.idx()].state = TaskState::Running;
         k.emit(node, tid, TraceEvent::TaskSwitch);

@@ -3,8 +3,8 @@
 //! All mutable simulation state lives here, in one [`Kernel`] in the
 //! `BatonCell` of `SimInner`: per node the virtual clock, inbox, stats block
 //! and typed singletons next to the ready queue ([`NodeState`]);
-//! machine-wide the task table, the event heap, the runnable-node index and
-//! the trace/metrics/fault instruments.
+//! machine-wide the task table, the event heap and the trace/metrics/fault
+//! instruments.
 //!
 //! Exactly one context runs at a time (the engine, or the one task holding
 //! the baton) and no borrow is ever held across a baton switch, so the
@@ -21,7 +21,6 @@ use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
 use crate::trace::{TraceConfig, TraceEvent, TraceRecord, Tracer, NO_TASK};
 use std::any::{Any, TypeId};
-use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
@@ -89,9 +88,6 @@ pub(crate) struct NodeState {
     /// at park time; entries whose task was woken by other means are skipped
     /// (by state) at fire time.
     pub(crate) inbox_waiters: Vec<TaskId>,
-    /// Generation of this node's newest `run_heap` entry; older entries are
-    /// stale and discarded lazily (see [`Kernel::touch_node`]).
-    pub(crate) heap_gen: u64,
 }
 
 pub(crate) struct Kernel {
@@ -102,12 +98,6 @@ pub(crate) struct Kernel {
     /// Slab pool recycling event bodies (and the `Msg`s inside them) across
     /// the run.
     pub(crate) event_pool: Pool<EventKind>,
-    /// Min-heap over *runnable* nodes keyed by `(clock, node, generation)`.
-    /// Entries are invalidated lazily: an entry is live only if its
-    /// generation matches the node's `heap_gen` and the node still has ready
-    /// work. This turns the per-decision "min-clock runnable node" choice
-    /// from an O(N)-nodes scan into O(log N).
-    pub(crate) run_heap: BinaryHeap<Reverse<(Time, usize, u64)>>,
     pub(crate) seq: u64,
     /// Unfinished task count.
     pub(crate) live: usize,
@@ -206,7 +196,6 @@ impl Kernel {
             tasks: Vec::new(),
             events: BinaryHeap::new(),
             event_pool: Pool::new(),
-            run_heap: BinaryHeap::new(),
             seq: 0,
             live: 0,
             live_daemons: 0,
@@ -257,61 +246,23 @@ impl Kernel {
         }
     }
 
-    /// Re-index node `i` in the runnable-node heap. Must be called after any
-    /// mutation of the node's clock or ready queue; pushes a fresh entry
-    /// (invalidating all older ones via the generation counter) when the
-    /// node has runnable work, and is a cheap no-op when it does not.
+    /// The min-clock node with runnable work, ties to the lowest index. A
+    /// scan: every run has a handful of nodes, and nothing needs re-keying
+    /// when a clock or a ready queue changes.
     #[inline]
-    pub(crate) fn touch_node(&mut self, i: usize) {
-        if !self.nodes[i].ready.is_empty() {
-            let clock = self.clock(i);
-            let n = &mut self.nodes[i];
-            n.heap_gen += 1;
-            self.run_heap.push(Reverse((clock, i, n.heap_gen)));
-        }
-    }
-
-    /// The min-clock node with runnable work (ties broken by node index),
-    /// pruning stale heap entries on the way. The live entry is left on the
-    /// heap; it is invalidated by the `touch_node` that accompanies the
-    /// eventual ready-queue pop.
-    pub(crate) fn peek_min_runnable(&mut self) -> Option<(usize, Time)> {
-        while let Some(&Reverse((clock, i, gen))) = self.run_heap.peek() {
-            let n = &self.nodes[i];
-            if gen == n.heap_gen && !n.ready.is_empty() {
-                debug_assert_eq!(clock, self.clock(i), "stale clock survived touch_node");
-                return Some((i, clock));
+    pub(crate) fn peek_min_runnable(&self) -> Option<(usize, Time)> {
+        let mut best: Option<(usize, Time)> = None;
+        for (i, n) in self.nodes.iter().enumerate() {
+            if !n.ready.is_empty() && best.is_none_or(|(_, c)| n.clock < c) {
+                best = Some((i, n.clock));
             }
-            self.run_heap.pop();
         }
-        None
-    }
-
-    /// Append `t` to `node`'s ready queue and re-index the node.
-    #[inline]
-    pub(crate) fn enqueue_ready_back(&mut self, node: usize, t: TaskId) {
-        self.nodes[node].ready.push_back(t);
-        self.touch_node(node);
-    }
-
-    /// Prepend `t` to `node`'s ready queue (poll points resume at the front)
-    /// and re-index the node.
-    #[inline]
-    pub(crate) fn enqueue_ready_front(&mut self, node: usize, t: TaskId) {
-        self.nodes[node].ready.push_front(t);
-        self.touch_node(node);
-    }
-
-    /// Pop the front of `node`'s ready queue and re-index the node.
-    #[inline]
-    pub(crate) fn pop_ready_front(&mut self, node: usize) -> Option<TaskId> {
-        let t = self.nodes[node].ready.pop_front();
-        self.touch_node(node);
-        t
+        best
     }
 
     /// Emit a trace record stamped with `node`'s current clock. No-op when
     /// tracing is off.
+    #[inline]
     pub(crate) fn emit(&mut self, node: usize, task: TaskId, event: TraceEvent) {
         if let Some(tr) = self.tracer.as_mut() {
             tr.record(TraceRecord {
@@ -350,7 +301,7 @@ impl Kernel {
             m.counter_add(node, "sched.tasks_spawned", 1);
             m.gauge_set(node, "sched.live_tasks", self.live as u64);
         }
-        self.enqueue_ready_back(node, id);
+        self.nodes[node].ready.push_back(id);
         // Trace payloads are only built when a tracer is installed — the
         // name clone here is pure waste otherwise.
         if self.tracer.is_some() {
@@ -532,9 +483,6 @@ impl Kernel {
                 self.nodes[node].stats.msgs_received += 1;
                 self.nodes[node].inbox.push_back(msg);
                 self.raise_clock(node, time);
-                // The clock may have moved under tasks already in the ready
-                // queue; re-key the node before (possibly) waking waiters.
-                self.touch_node(node);
                 self.emit(node, NO_TASK, TraceEvent::MsgDeliver { src, wire_bytes });
                 // Wake the inbox waiters, reusing the scratch buffer so the
                 // drain allocates nothing. The list is duplicate-free (park
@@ -579,7 +527,7 @@ impl Kernel {
         rec.state = TaskState::Runnable;
         rec.timeout_gen += 1;
         let node = rec.node;
-        self.enqueue_ready_back(node, t);
+        self.nodes[node].ready.push_back(t);
         self.emit(node, t, TraceEvent::Unpark);
     }
 
@@ -646,5 +594,95 @@ impl Kernel {
             }
         }
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A kernel of `clocks.len()` nodes; node `i` is at `clocks[i]` and has
+    /// one ready task when `ready[i]`.
+    fn kernel(clocks: &[Time], ready: &[bool]) -> Kernel {
+        let mut k = Kernel::new(clocks.len(), None, false, None, None);
+        for (i, n) in k.nodes.iter_mut().enumerate() {
+            n.clock = clocks[i];
+            if ready[i] {
+                n.ready.push_back(TaskId(i as u32));
+            }
+        }
+        k
+    }
+
+    #[test]
+    fn the_next_node_is_the_lowest_clock_then_the_lowest_index() {
+        // The lowest clock wins, wherever it sits.
+        let k = kernel(&[30, 10, 20, 40], &[true; 4]);
+        assert_eq!(k.peek_min_runnable(), Some((1, 10)));
+        // Equal clocks go to the lowest index.
+        let k = kernel(&[20, 10, 20, 10], &[true; 4]);
+        assert_eq!(k.peek_min_runnable(), Some((1, 10)));
+        // A node with nothing ready is never picked, even at the lowest
+        // clock; no node ready is no pick.
+        let k = kernel(&[5, 10, 0, 10], &[false, true, false, true]);
+        assert_eq!(k.peek_min_runnable(), Some((1, 10)));
+        let k = kernel(&[5, 10], &[false, false]);
+        assert_eq!(k.peek_min_runnable(), None);
+    }
+
+    #[test]
+    fn raising_a_clock_flips_the_next_pick_with_no_re_key() {
+        let mut k = kernel(&[10, 20, 30], &[true; 3]);
+        assert_eq!(k.peek_min_runnable(), Some((0, 10)));
+        // What `charge` does: add to the clock, nothing else.
+        k.nodes[0].clock += 15;
+        assert_eq!(k.peek_min_runnable(), Some((1, 20)));
+        k.nodes[1].clock += 5;
+        assert_eq!(k.peek_min_runnable(), Some((0, 25)));
+        // Emptying a ready queue takes the node out of the running.
+        k.nodes[0].ready.clear();
+        assert_eq!(k.peek_min_runnable(), Some((1, 25)));
+    }
+
+    /// Answers a fixed choice and records how many candidates it was shown.
+    struct Fixed {
+        pick: usize,
+        shown: Vec<usize>,
+    }
+
+    impl ScheduleOracle for Fixed {
+        fn choose(&mut self, point: ChoicePoint, n: usize) -> usize {
+            assert!(matches!(point, ChoicePoint::NodeTie));
+            self.shown.push(n);
+            self.pick
+        }
+    }
+
+    #[test]
+    fn node_ties_are_offered_in_ascending_order_baseline_first() {
+        // Nodes 1, 3 and 4 tie at the lowest clock; node 0 is ahead and
+        // node 2 has nothing ready.
+        let mut k = kernel(&[50, 10, 10, 10, 10], &[true, true, false, true, true]);
+        let (best, clock) = k.peek_min_runnable().expect("a runnable node");
+        assert_eq!((best, clock), (1, 10));
+        let mut picks = Vec::new();
+        for pick in 0..3 {
+            let mut o = Fixed {
+                pick,
+                shown: Vec::new(),
+            };
+            picks.push(k.choose_tied_node(best, clock, &mut o));
+            assert_eq!(o.shown, [3]);
+        }
+        assert_eq!(picks, [1, 3, 4]);
+        // A lone minimum asks the oracle nothing.
+        k.nodes[3].clock = 11;
+        k.nodes[4].clock = 12;
+        let mut o = Fixed {
+            pick: 1,
+            shown: Vec::new(),
+        };
+        assert_eq!(k.choose_tied_node(1, 10, &mut o), 1);
+        assert!(o.shown.is_empty());
     }
 }
