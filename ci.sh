@@ -71,8 +71,10 @@ echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-t
 # OS thread per node, 20 000 threaded RMIs in one run, and EM3D base in CC++
 # at the paper's graph size (EM3D ghost in Split-C on four nodes, too, bit
 # for bit against the reference). One layer up, the RMI's call records: a warm
-# null RMI allocates nothing on either node of either fabric, only the task
-# that issued a call recycles its record, a failed run frees every record.
+# null RMI allocates nothing on either node of either fabric, nor does a warm
+# gp_read / gp_write / gp_read3 on its caller (GP rides the same record), only
+# the task that issued a call recycles its record, a failed run frees every
+# record.
 # These assert completion and counts, not timings, so none is retried.
 cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count \
     --test bounded_tasks
@@ -93,7 +95,8 @@ echo "benchmark smoke OK"
 echo "==> zero-allocation fast-path proof"
 # A counting global allocator brackets 1000 short-message round trips and
 # 1000 warm null RMIs (exactly 0 heap allocations each), 1000 AM bulk sends
-# (bounded), and 1000 each of Split-C 8 KiB bulk_stores (exactly 2 per op:
+# (bounded), 1000 Split-C blocking reads (exactly 2000: the reply cell and
+# the token), and 1000 each of Split-C 8 KiB bulk_stores (exactly 2 per op:
 # the receiver decodes into the region) and CC++ 8 KiB bulk_put_flats
 # (exactly 6 per op: no staging copy, no buffer regrowth); the bench aborts
 # on regression.

@@ -10,7 +10,8 @@
 //! This crate provides that layer: per-node handler tables, an [`Endpoint`]
 //! handle with a typed send builder (`endpoint(ctx).to(dst).handler(H_X)
 //! .args([..]).send()`), [`poll`], the spin-wait [`wait_until`], reply
-//! continuation cells, a message barrier, and calibrated [`NetProfile`]s
+//! continuation cells, a message barrier, the global-memory
+//! [`RegionTable`] both runtimes keep per node, and calibrated [`NetProfile`]s
 //! (Split-C's single-threaded endpoint at a 53 µs null round trip, the CC++
 //! thread-safe endpoint at 55 µs, IBM MPL at 88 µs). Runtimes can opt into
 //! adaptive per-destination [message coalescing](coalesce) ([`CoalesceConfig`])
@@ -26,6 +27,7 @@ pub mod coalesce;
 mod endpoint;
 mod ops;
 mod profile;
+mod regions;
 mod reliable;
 mod reply;
 mod state;
@@ -35,6 +37,7 @@ pub use coalesce::{coalescing_enabled, enable_coalescing, CoalesceConfig, SUB_WI
 pub use endpoint::{endpoint, Endpoint, SendBuilder};
 pub use ops::{flush, poll, wait_until, Token, SHORT_WIRE_BYTES};
 pub use profile::NetProfile;
+pub use regions::{pack_addr, unpack_addr, Region, RegionTable};
 pub use reply::{PendingCounter, ReplyCell};
 pub use state::{init, is_registered, profile, register, Handler, HandlerId, HANDLER_ID_LIMIT};
 

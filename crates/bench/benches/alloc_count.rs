@@ -18,7 +18,10 @@
 //! * AM bulk send — bounded (the payload buffer and its transfer frames),
 //!   currently ≤ 16 allocations per send;
 //! * warm `Simple` null RMI — **0** allocations (the call record is recycled;
-//!   every mode on both fabrics is in `crates/ccxx/tests/alloc_count.rs`);
+//!   every mode and the GP accesses on both fabrics are in
+//!   `crates/ccxx/tests/alloc_count.rs`);
+//! * Split-C blocking `read` — exactly **2** per op: its reply cell and its
+//!   token, caller and owner together;
 //! * Split-C 8 KiB `bulk_store` — **2** per op: the encoded payload and its
 //!   shared handle; the receiver decodes straight into the region;
 //! * CC++ 8 KiB `bulk_put_flat` (a threaded RMI) — **6** per op: the
@@ -136,6 +139,29 @@ fn count_sc_bulk_stores() -> u64 {
     DELTA.load(Relaxed)
 }
 
+/// Split-C blocking `read`s by node 0 of a double on node 1, the owner's
+/// handler included.
+fn count_sc_reads() -> u64 {
+    static DELTA: AtomicU64 = AtomicU64::new(u64::MAX);
+    Sim::new(2).run(|ctx| {
+        sc::init(&ctx);
+        let a = sc::all_spread_alloc(&ctx, 1, 0.5);
+        if ctx.node() == 0 {
+            let reads = |n: usize| {
+                for _ in 0..n {
+                    sc::read(&ctx, a.node_chunk(1));
+                }
+            };
+            reads(WARMUP);
+            let before = thread_allocs();
+            reads(OPS);
+            DELTA.store(thread_allocs() - before, Relaxed);
+        }
+        sc::barrier(&ctx);
+    });
+    DELTA.load(Relaxed)
+}
+
 /// CC++ 8 KiB `bulk_put_flat`s (threaded RMIs) from node 0 to node 1.
 fn count_cx_bulk_puts() -> u64 {
     static DELTA: AtomicU64 = AtomicU64::new(u64::MAX);
@@ -206,6 +232,13 @@ fn main() {
     assert_eq!(rmi_allocs, 0, "warm null RMIs must stay allocation-free");
     // Whole allocations per op; what is left over is amortized growth of the
     // simulator's and runtimes' containers, well under one per op.
+    let read_allocs = count_sc_reads();
+    println!("alloc_count/sc_read: {read_allocs} allocs / {OPS} ops");
+    assert_eq!(
+        read_allocs,
+        2 * OPS as u64,
+        "a blocking Split-C read allocates its reply cell and its token, nothing more"
+    );
     let sc_allocs = count_sc_bulk_stores();
     let sc_per_op = sc_allocs / OPS as u64;
     println!("alloc_count/sc_bulk_store_8k: {sc_allocs} allocs / {OPS} ops ({sc_per_op}/op)");

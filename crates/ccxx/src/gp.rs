@@ -12,13 +12,18 @@
 //!   request inline; the *initiator-side* parfor thread provides the
 //!   concurrency (Table 4's Prefetch row: the 1 create/element is the parfor
 //!   thread, not a receiver thread).
+//!
+//! Either way a remote access rides an RMI call record (`rmi.rs`): the
+//! request carries it, the owner writes the reply words into it and sends it
+//! back, and the task that takes the value recycles it.
 
+use crate::rmi::{await_record, park, recycle, Completion, CxCall, RmiRet};
 use crate::state::{CcxxState, CxPtr};
-use mpmd_am::{self as am, HandlerId, ReplyCell};
+use mpmd_am::{self as am, HandlerId};
 use mpmd_fabric::Fabric;
-use mpmd_sim::Bucket;
-use mpmd_threads::SyncVar;
-use std::sync::Arc;
+use mpmd_sim::{Bucket, Time};
+use parking_lot::Mutex as HostMutex;
+use std::sync::{Arc, OnceLock};
 
 pub(crate) const H_GP_ACC: HandlerId = 66;
 pub(crate) const H_GP_ACC_ASYNC: HandlerId = 67;
@@ -28,140 +33,95 @@ const OP_READ: u64 = 0;
 const OP_WRITE: u64 = 1;
 const OP_READ3: u64 = 2;
 
-pub(crate) struct GpToken {
-    cell: Arc<ReplyCell>,
-    sv: Arc<SyncVar<()>>,
-}
-
 /// Outstanding asynchronous global-pointer read.
 pub struct GpHandle {
-    cell: Arc<ReplyCell>,
-    sv: Arc<SyncVar<()>>,
-    local: Option<f64>,
+    /// The value: known at issue for a local read, else taken by the first
+    /// [`wait`](GpHandle::wait).
+    value: OnceLock<f64>,
+    /// A remote read's completion cell, until the first `wait` takes it.
+    cell: HostMutex<Option<Arc<Completion>>>,
 }
 
 impl GpHandle {
     /// Block until the value arrives (charges the async completion costs).
     pub fn wait<F: Fabric>(&self, ctx: &F) -> f64 {
-        if let Some(v) = self.local {
-            return v;
+        if let Some(v) = self.value.get() {
+            return *v;
         }
+        let cell = self
+            .cell
+            .lock()
+            .take()
+            .expect("GpHandle waited on twice at once");
         let st = CcxxState::get(ctx);
-        let cfg = st.cfg();
-        // Blocking read: flush coalesced sends (the prefetch request itself
-        // may still be buffered) before this thread sleeps on the reply.
-        am::flush(ctx);
-        self.sv.read(ctx);
-        ctx.charge(Bucket::Runtime, cfg.costs.gp_async_complete);
-        f64::from_bits(self.cell.words()[0])
+        let call = await_record(ctx, &cell, true);
+        ctx.charge(Bucket::Runtime, st.cfg().costs.gp_async_complete);
+        let v = f64::from_bits(recycle(&st, call, cell).words[0]);
+        *self.value.get_or_init(|| v)
     }
 
     /// Whether the value has arrived.
     pub fn is_done(&self) -> bool {
-        self.local.is_some() || self.cell.is_done()
+        self.value.get().is_some() || self.cell.lock().as_ref().is_some_and(|c| c.is_done())
     }
+}
+
+/// Send access `args` to `node` in a call record, charging `cost`. Returns
+/// the record's completion cell.
+fn issue<F: Fabric>(
+    ctx: &F,
+    st: &CcxxState<F>,
+    node: usize,
+    handler: HandlerId,
+    args: [u64; 4],
+    cost: Time,
+) -> Arc<Completion> {
+    ctx.charge(Bucket::Runtime, cost);
+    let (call, cell) = CxCall::take(st);
+    drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
+    am::endpoint(ctx)
+        .to(node)
+        .handler(handler)
+        .args(args)
+        .token(call as am::Token)
+        .send();
+    cell
+}
+
+/// A blocking access to `p`: `op` with operand `value`. Served in place when
+/// `p` is local, else by a fresh thread at its owner. Returns the reply
+/// words.
+fn access<F: Fabric>(ctx: &F, p: CxPtr, op: u64, value: u64) -> [u64; 4] {
+    let st = CcxxState::get(ctx);
+    let c = &st.cfg().costs;
+    let args = [p.region as u64, p.offset as u64, op, value];
+    if p.node == ctx.node() {
+        ctx.charge(Bucket::Runtime, c.local_gp_deref);
+        return serve_access(&st, args);
+    }
+    let cell = issue(ctx, &st, p.node, H_GP_ACC, args, c.gp_issue);
+    let call = await_record(ctx, &cell, true);
+    ctx.charge(Bucket::Runtime, c.gp_complete);
+    recycle(&st, call, cell).words
 }
 
 /// Read a double through a global pointer (`lx = *gpY`). Blocks the calling
 /// thread; the owner runs the access on a new thread.
 pub fn gp_read<F: Fabric>(ctx: &F, p: CxPtr) -> f64 {
-    let st = CcxxState::get(ctx);
-    let cfg = st.cfg();
-    let c = &cfg.costs;
-    if p.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, c.local_gp_deref);
-        let region = st.region(p.region);
-        let v = region.read()[p.offset];
-        return v;
-    }
-    ctx.charge(Bucket::Runtime, c.gp_issue);
-    let cell = ReplyCell::new();
-    let sv = Arc::new(SyncVar::new());
-    let tok = GpToken {
-        cell: Arc::clone(&cell),
-        sv: Arc::clone(&sv),
-    };
-    {
-        drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
-        am::endpoint(ctx)
-            .to(p.node)
-            .handler(H_GP_ACC)
-            .args([p.region as u64, p.offset as u64, OP_READ, 0])
-            .token(Box::new(tok) as am::Token)
-            .send();
-    }
-    am::flush(ctx); // blocking read below; don't leave the request buffered
-    sv.read(ctx);
-    ctx.charge(Bucket::Runtime, c.gp_complete);
-    f64::from_bits(cell.words()[0])
+    f64::from_bits(access(ctx, p, OP_READ, 0)[0])
 }
 
 /// Write a double through a global pointer (`*gpY = lx`), waiting for the
 /// acknowledgement.
 pub fn gp_write<F: Fabric>(ctx: &F, p: CxPtr, v: f64) {
-    let st = CcxxState::get(ctx);
-    let cfg = st.cfg();
-    let c = &cfg.costs;
-    if p.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, c.local_gp_deref);
-        let region = st.region(p.region);
-        region.write()[p.offset] = v;
-        return;
-    }
-    ctx.charge(Bucket::Runtime, c.gp_issue);
-    let cell = ReplyCell::new();
-    let sv = Arc::new(SyncVar::new());
-    let tok = GpToken {
-        cell: Arc::clone(&cell),
-        sv: Arc::clone(&sv),
-    };
-    {
-        drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
-        am::endpoint(ctx)
-            .to(p.node)
-            .handler(H_GP_ACC)
-            .args([p.region as u64, p.offset as u64, OP_WRITE, v.to_bits()])
-            .token(Box::new(tok) as am::Token)
-            .send();
-    }
-    am::flush(ctx); // blocking read below; don't leave the request buffered
-    sv.read(ctx);
-    ctx.charge(Bucket::Runtime, c.gp_complete);
+    access(ctx, p, OP_WRITE, v.to_bits());
 }
 
 /// Read three consecutive doubles through a global pointer with one small
 /// request/reply (Water reads a molecule's position this way). Blocking;
 /// served on a fresh thread at the owner like [`gp_read`].
 pub fn gp_read3<F: Fabric>(ctx: &F, p: CxPtr) -> [f64; 3] {
-    let st = CcxxState::get(ctx);
-    let cfg = st.cfg();
-    let c = &cfg.costs;
-    if p.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, c.local_gp_deref);
-        let region = st.region(p.region);
-        let r = region.read();
-        return [r[p.offset], r[p.offset + 1], r[p.offset + 2]];
-    }
-    ctx.charge(Bucket::Runtime, c.gp_issue);
-    let cell = ReplyCell::new();
-    let sv = Arc::new(SyncVar::new());
-    let tok = GpToken {
-        cell: Arc::clone(&cell),
-        sv: Arc::clone(&sv),
-    };
-    {
-        drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
-        am::endpoint(ctx)
-            .to(p.node)
-            .handler(H_GP_ACC)
-            .args([p.region as u64, p.offset as u64, OP_READ3, 0])
-            .token(Box::new(tok) as am::Token)
-            .send();
-    }
-    am::flush(ctx); // blocking read below; don't leave the request buffered
-    sv.read(ctx);
-    ctx.charge(Bucket::Runtime, c.gp_complete);
-    let w = cell.words();
+    let w = access(ctx, p, OP_READ3, 0);
     [
         f64::from_bits(w[0]),
         f64::from_bits(w[1]),
@@ -173,43 +133,24 @@ pub fn gp_read3<F: Fabric>(ctx: &F, p: CxPtr) -> [f64; 3] {
 /// handle. Used by `parfor` prefetching.
 pub fn gp_read_async<F: Fabric>(ctx: &F, p: CxPtr) -> GpHandle {
     let st = CcxxState::get(ctx);
-    let cfg = st.cfg();
-    let c = &cfg.costs;
-    let cell = ReplyCell::new();
-    let sv = Arc::new(SyncVar::new());
-    if p.node == ctx.node() {
+    let c = &st.cfg().costs;
+    let args = [p.region as u64, p.offset as u64, OP_READ, 0];
+    let (value, cell) = if p.node == ctx.node() {
         ctx.charge(Bucket::Runtime, c.local_gp_deref);
-        let region = st.region(p.region);
-        let v = region.read()[p.offset];
-        return GpHandle {
-            cell,
-            sv,
-            local: Some(v),
-        };
-    }
-    ctx.charge(Bucket::Runtime, c.gp_async_issue);
-    let tok = GpToken {
-        cell: Arc::clone(&cell),
-        sv: Arc::clone(&sv),
+        let v = f64::from_bits(serve_access(&st, args)[0]);
+        (OnceLock::from(v), None)
+    } else {
+        let cell = issue(ctx, &st, p.node, H_GP_ACC_ASYNC, args, c.gp_async_issue);
+        (OnceLock::new(), Some(cell))
     };
-    {
-        drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
-        am::endpoint(ctx)
-            .to(p.node)
-            .handler(H_GP_ACC_ASYNC)
-            .args([p.region as u64, p.offset as u64, OP_READ, 0])
-            .token(Box::new(tok) as am::Token)
-            .send();
-    }
     GpHandle {
-        cell,
-        sv,
-        local: None,
+        value,
+        cell: HostMutex::new(cell),
     }
 }
 
-fn serve_access<F: Fabric>(_ctx: &F, st: &CcxxState<F>, args: [u64; 4]) -> [u64; 4] {
-    let region = st.region(args[0] as u32);
+fn serve_access<F: Fabric>(st: &CcxxState<F>, args: [u64; 4]) -> [u64; 4] {
+    let region = st.memory.get(args[0] as u32);
     let off = args[1] as usize;
     match args[2] {
         OP_READ => [region.read()[off].to_bits(), 0, 0, 0],
@@ -230,31 +171,39 @@ fn serve_access<F: Fabric>(_ctx: &F, st: &CcxxState<F>, args: [u64; 4]) -> [u64;
     }
 }
 
+/// At the owner: serve access `args` and send its words back to `dst` in
+/// the record the request came in, charging `reply`.
+fn serve_and_reply<F: Fabric>(
+    ctx: &F,
+    st: &CcxxState<F>,
+    dst: usize,
+    mut call: Box<CxCall>,
+    args: [u64; 4],
+    reply: Time,
+) {
+    call.ret = RmiRet::of_words(serve_access(st, args));
+    drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
+    ctx.charge(Bucket::Runtime, reply);
+    am::endpoint(ctx)
+        .to(dst)
+        .handler(H_GP_REPLY)
+        .token(call as am::Token)
+        .send();
+}
+
 pub(crate) fn register_gp_handlers<F: Fabric>(ctx: &F) {
     // Blocking access: spawn a thread at the owner (general RMI semantics).
     am::register(ctx, H_GP_ACC, |ctx, mut m| {
         let st = CcxxState::get(ctx);
-        let cfg = st.cfg();
-        if let Some(ic) = cfg.interrupt_cost {
+        if let Some(ic) = st.cfg().interrupt_cost {
             ctx.charge(Bucket::Net, ic);
         }
-        let tok = m.token.take().expect("GP access without token");
-        let args = m.args;
-        let src = m.src;
-        let st2 = Arc::clone(&st);
+        let call = CxCall::of(&mut m);
+        let (src, args) = (m.src, m.args);
         mpmd_threads::spawn(ctx, "gp-access", move |cctx| {
-            let cfg = st2.cfg();
-            let c = &cfg.costs;
+            let c = &st.cfg().costs;
             cctx.charge(Bucket::Runtime, c.gp_serve);
-            let reply = serve_access(&cctx, &st2, args);
-            drop(st2.sbuf_lock.lock(&cctx)); // charged lock/unlock pair
-            cctx.charge(Bucket::Runtime, c.gp_reply);
-            am::endpoint(&cctx)
-                .to(src)
-                .handler(H_GP_REPLY)
-                .args(reply)
-                .token(tok)
-                .send();
+            serve_and_reply(&cctx, &st, src, call, args, c.gp_reply);
             // The access thread ends here; push out a coalesced reply rather
             // than leaving it for the next poller.
             am::flush(&cctx);
@@ -265,37 +214,19 @@ pub(crate) fn register_gp_handlers<F: Fabric>(ctx: &F) {
     am::register(ctx, H_GP_ACC_ASYNC, |ctx, mut m| {
         let st = CcxxState::get(ctx);
         let cfg = st.cfg();
-        let c = &cfg.costs;
         if let Some(ic) = cfg.interrupt_cost {
             ctx.charge(Bucket::Net, ic);
         }
-        let tok = m.token.take().expect("GP access without token");
-        ctx.charge(Bucket::Runtime, c.gp_async_serve);
-        let reply = serve_access(ctx, &st, m.args);
-        drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
-        ctx.charge(Bucket::Runtime, c.gp_async_reply);
-        am::endpoint(ctx)
-            .to(m.src)
-            .handler(H_GP_REPLY)
-            .args(reply)
-            .token(tok)
-            .send();
+        let call = CxCall::of(&mut m);
+        ctx.charge(Bucket::Runtime, cfg.costs.gp_async_serve);
+        serve_and_reply(ctx, &st, m.src, call, m.args, cfg.costs.gp_async_reply);
     });
 
     am::register(ctx, H_GP_REPLY, |ctx, mut m| {
         let st = CcxxState::get(ctx);
-        let cfg = st.cfg();
-        if let Some(ic) = cfg.interrupt_cost {
+        if let Some(ic) = st.cfg().interrupt_cost {
             ctx.charge(Bucket::Net, ic);
         }
-        let tok = m
-            .token
-            .take()
-            .expect("GP reply without token")
-            .downcast::<GpToken>()
-            .expect("foreign token on GP reply");
-        let _ = &st;
-        tok.cell.complete(m.args);
-        tok.sv.write(ctx, ());
+        park(ctx, CxCall::of(&mut m), true);
     });
 }

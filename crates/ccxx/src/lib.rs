@@ -47,7 +47,7 @@ pub use config::CcxxConfig;
 pub use costs::CcxxCosts;
 pub use gp::{gp_read, gp_read3, gp_read_async, gp_write, GpHandle};
 pub use marshal::{FlatF64s, Marshal, MarshalBuf, UnmarshalBuf};
-pub use mpmd_am::CoalesceConfig;
+pub use mpmd_am::{pack_addr, unpack_addr, CoalesceConfig};
 pub use par::{par, parfor, prefetch};
 pub use pobj::{create_object, destroy_object, register_obj_method, rmi_obj, CxObjPtr};
 pub use rmi::{
@@ -56,8 +56,8 @@ pub use rmi::{
 };
 pub use runtime::{
     alloc_region, atomic_add, atomic_add3, barrier, bulk_get, bulk_get_flat, bulk_put,
-    bulk_put_flat, charge_cpu, finalize, init, pack_addr, poll, spin_until, unpack_addr,
-    with_local, M_ADD3_F64, M_ADD_F64, M_GET, M_GET_FLAT, M_NULL, M_PUT, M_PUT_FLAT,
+    bulk_put_flat, charge_cpu, finalize, init, poll, spin_until, with_local, M_ADD3_F64, M_ADD_F64,
+    M_GET, M_GET_FLAT, M_NULL, M_PUT, M_PUT_FLAT,
 };
 pub use state::CxPtr;
 

@@ -38,7 +38,9 @@
 //! wrong: a blocked caller that has been woken but not yet scheduled would
 //! find its cell re-armed by a sibling's next call.) A record whose caller
 //! has unwound is dropped with its cell; a record in flight when the run
-//! fails is dropped with the message that carries it.
+//! fails is dropped with the message that carries it. Global-pointer
+//! accesses (`gp.rs`) ride the same records under the same rule, through
+//! `CxCall::take`, `await_record`, `recycle` and `park`.
 
 use crate::state::{name_hash, CacheEntry, CcxxState, StubFn};
 use bytes::Bytes;
@@ -172,7 +174,7 @@ pub(crate) struct CxCall {
     data: Option<Bytes>,
     /// Target processor-object id (object methods; see [`crate::pobj`]).
     obj: Option<u64>,
-    ret: RmiRet,
+    pub(crate) ret: RmiRet,
     /// Piggy-backed stub resolution for the initiator's cache.
     cache_update: Option<(u32, u64, u64)>, // (program, name hash, addr)
     /// Where the reply handler leaves this record for the caller. `None`
@@ -184,11 +186,18 @@ pub(crate) struct CxCall {
 
 /// A call record's completion cell, kept across the record's reuses.
 #[derive(Default)]
-struct Completion {
+pub(crate) struct Completion {
     /// The record, back from the callee with `ret` filled in.
     returned: HostMutex<Option<Box<CxCall>>>,
     /// Written after `returned` is filled; what blocking modes wait on.
     sv: SyncVar<()>,
+}
+
+impl Completion {
+    /// Whether the reply handler has parked the record here.
+    pub(crate) fn is_done(&self) -> bool {
+        self.returned.lock().is_some()
+    }
 }
 
 impl CxCall {
@@ -204,6 +213,77 @@ impl CxCall {
             cache_update: None,
             cell: None,
         }
+    }
+
+    /// Take a record from this node's free list (allocating only when the
+    /// list is empty) and re-arm its completion cell. Returns the record
+    /// and the cell its caller waits on.
+    pub(crate) fn take<F: Fabric>(st: &CcxxState<F>) -> (Box<CxCall>, Arc<Completion>) {
+        let popped = st.call_records.lock().pop();
+        let mut call = popped.unwrap_or_else(|| Box::new(CxCall::new()));
+        // A pooled record's clone is the only one left (the handler that
+        // returned it ran on this node's thread and has dropped its own); a
+        // new record has no cell yet.
+        match call.cell.as_mut().and_then(Arc::get_mut) {
+            Some(cell) => cell.sv.rearm(),
+            None => call.cell = Some(Arc::default()),
+        }
+        let cell = Arc::clone(call.cell.as_ref().expect("armed above"));
+        (call, cell)
+    }
+
+    /// The record a request or reply message carries.
+    pub(crate) fn of(m: &mut am::AmMsg) -> Box<CxCall> {
+        m.token
+            .take()
+            .expect("message without its call record")
+            .downcast::<CxCall>()
+            .expect("foreign token where a call record belongs")
+    }
+}
+
+/// Wait until the reply handler parks the record in `cell`: block on its
+/// sync variable, or spin-poll when the caller does not block.
+pub(crate) fn await_record<F: Fabric>(ctx: &F, cell: &Completion, blocks: bool) -> Box<CxCall> {
+    if blocks {
+        // Blocking read: flush any coalesced sends first, or the request
+        // could sit buffered while this thread sleeps on the reply.
+        am::flush(ctx);
+        cell.sv.read(ctx);
+        cell.returned.lock().take()
+    } else {
+        let mut back = None;
+        spin_wait(ctx, || {
+            back = cell.returned.lock().take();
+            back.is_some()
+        });
+        back
+    }
+    .expect("reply not complete")
+}
+
+/// Take the return value out of a record that came back and put the record,
+/// with its cell, on this node's free list. Only the task that issued the
+/// call does this (module docs).
+pub(crate) fn recycle<F: Fabric>(
+    st: &CcxxState<F>,
+    mut call: Box<CxCall>,
+    cell: Arc<Completion>,
+) -> RmiRet {
+    call.cell = Some(cell);
+    let ret = std::mem::take(&mut call.ret);
+    st.call_records.lock().push(call);
+    ret
+}
+
+/// Reply-handler side: hand a returned record to the task that issued the
+/// call, waking that task if it blocks. Not recycled here: that task may not
+/// have run yet (module docs).
+pub(crate) fn park<F: Fabric>(ctx: &F, mut call: Box<CxCall>, wake: bool) {
+    let cell = call.cell.take().expect("call record without its cell");
+    *cell.returned.lock() = Some(call);
+    if wake {
+        cell.sv.write(ctx, ());
     }
 }
 
@@ -242,7 +322,6 @@ pub fn register_method_full<F: Fabric>(
     let mut stubs = st.stubs.write();
     let addr = stubs.len() as u64;
     stubs.push(crate::state::StubRec {
-        name: name.to_string(),
         f: Arc::new(f),
         may_block,
     });
@@ -369,16 +448,7 @@ fn rmi_inner<F: Fabric>(
         Target::Name(_, n) => n.len() + 4, // name + program id
         Target::Addr(_) => 0,
     };
-    let popped = st.call_records.lock().pop();
-    let mut call = popped.unwrap_or_else(|| Box::new(CxCall::new()));
-    // Re-arm the completion cell. A pooled record's clone is the only one
-    // left (the handler that returned it ran on this node's thread and has
-    // dropped its own); a new record has no cell yet.
-    match call.cell.as_mut().and_then(Arc::get_mut) {
-        Some(cell) => cell.sv.rearm(),
-        None => call.cell = Some(Arc::default()),
-    }
-    let cell = Arc::clone(call.cell.as_ref().expect("armed above"));
+    let (mut call, cell) = CxCall::take(&st);
     call.src = ctx.node();
     call.mode = mode;
     call.target = target;
@@ -418,27 +488,9 @@ fn rmi_inner<F: Fabric>(
         }
     }
 
-    let mut call = if mode.initiator_blocks() {
-        // Blocking read: flush any coalesced sends first, or the request
-        // could sit buffered while this thread sleeps on the reply.
-        am::flush(ctx);
-        cell.sv.read(ctx);
-        cell.returned.lock().take()
-    } else {
-        let mut back = None;
-        spin_wait(ctx, || {
-            back = cell.returned.lock().take();
-            back.is_some()
-        });
-        back
-    }
-    .expect("reply not complete");
-    call.cell = Some(cell);
-
+    let call = await_record(ctx, &cell, mode.initiator_blocks());
     let sp_unmarshal = ctx.span_start("rmi.unmarshal");
-    let ret = std::mem::take(&mut call.ret);
-    // This task issued the call, so this task recycles its record.
-    st.call_records.lock().push(call);
+    let ret = recycle(&st, call, cell);
     if let Some(d) = &ret.data {
         // "Bulk reads cost more than bulk writes in CC++ because the return
         // data has to be copied twice" — unless the initiator passed its
@@ -511,12 +563,7 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
             // kernel propagation cost, per message.
             ctx.charge(Bucket::Net, ic);
         }
-        let mut call = m
-            .token
-            .take()
-            .expect("RMI request without payload")
-            .downcast::<CxCall>()
-            .expect("foreign token on RMI handler");
+        let mut call = CxCall::of(&mut m);
         drop(st.dispatch_lock.lock(ctx)); // charged lock/unlock pair; released before dispatch (handlers may send)
         ctx.charge(Bucket::Runtime, c.recv_dispatch);
 
@@ -604,12 +651,7 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
         if let Some(ic) = cfg.interrupt_cost {
             ctx.charge(Bucket::Net, ic);
         }
-        let mut call = m
-            .token
-            .take()
-            .expect("RMI reply without payload")
-            .downcast::<CxCall>()
-            .expect("foreign token on RMI reply handler");
+        let mut call = CxCall::of(&mut m);
         drop(st.dispatch_lock.lock(ctx)); // charged lock/unlock pair; released before dispatch (handlers may send)
         ctx.charge(Bucket::Runtime, c.reply_dispatch);
         if let Some((prog, hash, addr)) = call.cache_update.take() {
@@ -619,13 +661,7 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
                 cache.insert((m.src, prog, hash), CacheEntry { addr });
             }
         }
-        // Hand the record to the task that issued the call. Not recycled
-        // here: that task may not have run yet (module docs).
-        let cell = call.cell.take().expect("call record without its cell");
         let blocks = call.mode.initiator_blocks();
-        *cell.returned.lock() = Some(call);
-        if blocks {
-            cell.sv.write(ctx, ());
-        }
+        park(ctx, call, blocks);
     });
 }

@@ -4,12 +4,11 @@
 use crate::config::CcxxConfig;
 use crate::marshal::{MarshalBuf, UnmarshalBuf};
 use crate::rmi::{register_rmi_handlers, rmi, spin_wait, CallMode, RmiRet};
-use crate::state::{CcxxState, CxPtr, StagedAdd};
+use crate::state::{CcxxState, CxPtr};
 use mpmd_am as am;
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 /// Built-in method names (the runtime library linked into every program).
 pub const M_NULL: &str = "__null";
@@ -19,19 +18,6 @@ pub const M_GET_FLAT: &str = "__getf";
 pub const M_PUT_FLAT: &str = "__putf";
 pub const M_ADD_F64: &str = "__addf";
 pub const M_ADD3_F64: &str = "__add3f";
-
-/// Pack a (region, offset) pair into one RMI word argument (the
-/// three-component atomic update needs the other words for deltas).
-pub fn pack_addr(region: u32, offset: usize) -> u64 {
-    assert!(region < (1 << 24), "region id too large to pack");
-    assert!(offset < (1 << 40), "offset too large to pack");
-    ((region as u64) << 40) | offset as u64
-}
-
-/// Inverse of [`pack_addr`].
-pub fn unpack_addr(word: u64) -> (u32, usize) {
-    ((word >> 40) as u32, (word & ((1 << 40) - 1)) as usize)
-}
 
 /// Initialize the CC++ runtime on this node: AM endpoint, handlers, built-in
 /// methods, and the polling thread. Collective; ends with a barrier.
@@ -54,8 +40,7 @@ pub fn init<F: Fabric>(ctx: &F, config: CcxxConfig) {
 /// Shut the runtime down: waits for all nodes (barrier), then stops this
 /// node's polling thread so the simulation can terminate.
 pub fn finalize<F: Fabric>(ctx: &F) {
-    am::barrier(ctx);
-    apply_staged_adds(ctx);
+    barrier(ctx);
     let st = CcxxState::get(ctx);
     st.poller_stop.store(true, Ordering::Release);
     let poller = *st.poller.lock();
@@ -68,27 +53,14 @@ pub fn finalize<F: Fabric>(ctx: &F) {
 /// programs would synchronize through sync variables and RMIs, but the
 /// applications here mirror the structure of their Split-C originals, which
 /// the paper did too: "the CC++ version of these applications is heavily
-/// based on the original Split-C implementations").
+/// based on the original Split-C implementations"). On exit, commits the
+/// accumulates the `__addf` / `__add3f` stubs staged, in canonical order.
+/// Every staged update was acknowledged before its caller entered the
+/// barrier, so the set is complete here. The commit costs nothing: the stub
+/// charged its dispatch and lock costs when it ran.
 pub fn barrier<F: Fabric>(ctx: &F) {
     am::barrier(ctx);
-    apply_staged_adds(ctx);
-}
-
-/// Commit accumulates staged by the `__addf` / `__add3f` stubs, in canonical
-/// (caller, per-caller index) order. Every staged update was acknowledged
-/// before its caller entered the barrier, so the set is complete here. Costs
-/// nothing: the stub charged its dispatch and lock costs when it ran; this
-/// is only the deferred memory commit.
-fn apply_staged_adds<F: Fabric>(ctx: &F) {
-    let st = CcxxState::get(ctx);
-    let items = st.staged.lock().drain();
-    for (_, a) in items {
-        let region = st.region(a.region);
-        let mut w = region.write();
-        for k in 0..a.n {
-            w[a.offset + k] += f64::from_bits(a.deltas[k]);
-        }
-    }
+    CcxxState::get(ctx).memory.commit_staged();
 }
 
 /// Service pending messages from the application (poll point).
@@ -147,22 +119,12 @@ fn start_polling_thread<F: Fabric>(ctx: &F, interrupts: bool) {
 /// Allocate a data region of `len` doubles on this node (the state of a
 /// processor object reachable through global pointers).
 pub fn alloc_region<F: Fabric>(ctx: &F, len: usize, fill: f64) -> u32 {
-    let st = CcxxState::get(ctx);
-    let id = st.next_region.fetch_add(1, Ordering::AcqRel) as u32;
-    let prev = st
-        .regions
-        .write()
-        .insert(id, Arc::new(parking_lot::RwLock::new(vec![fill; len])));
-    assert!(prev.is_none(), "region id {id} reused");
-    id
+    CcxxState::get(ctx).memory.alloc(len, fill)
 }
 
 /// Run `f` over a local region (local computation; charges nothing itself).
 pub fn with_local<F: Fabric, R>(ctx: &F, region: u32, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
-    let st = CcxxState::get(ctx);
-    let r = st.region(region);
-    let mut w = r.write();
-    f(&mut w)
+    CcxxState::get(ctx).memory.with_mut(region, f)
 }
 
 /// Bulk read: `lA = gpObj->get(gpA)` — a threaded RMI whose reply carries
@@ -228,7 +190,7 @@ pub fn atomic_add3<F: Fabric>(ctx: &F, p: CxPtr, deltas: [f64; 3]) {
         p.node,
         M_ADD3_F64,
         &[
-            pack_addr(p.region, p.offset),
+            am::pack_addr(p.region, p.offset),
             deltas[0].to_bits(),
             deltas[1].to_bits(),
             deltas[2].to_bits(),
@@ -258,8 +220,7 @@ fn register_builtins<F: Fabric>(ctx: &F) {
     // straight from the region and unmarshalled straight into it.
     for (get, put, flat) in [(M_GET, M_PUT, false), (M_GET_FLAT, M_PUT_FLAT, true)] {
         crate::rmi::register_method(ctx, get, move |ctx, args| {
-            let st = CcxxState::get(ctx);
-            let region = st.region(args.words[0] as u32);
+            let region = CcxxState::get(ctx).memory.get(args.words[0] as u32);
             let off = args.words[1] as usize;
             let len = args.words[2] as usize;
             let r = region.read();
@@ -270,8 +231,7 @@ fn register_builtins<F: Fabric>(ctx: &F) {
         });
 
         crate::rmi::register_method(ctx, put, move |ctx, args| {
-            let st = CcxxState::get(ctx);
-            let region = st.region(args.words[0] as u32);
+            let region = CcxxState::get(ctx).memory.get(args.words[0] as u32);
             let off = args.words[1] as usize;
             let data = args.data.unwrap_or_else(|| panic!("{put} without data"));
             let raw = UnmarshalBuf::new(&data).next_f64s(ctx, flat);
@@ -284,35 +244,20 @@ fn register_builtins<F: Fabric>(ctx: &F) {
     }
 
     // The accumulate stubs stage rather than apply; the commit happens at
-    // barrier exit in canonical order (see `StagedAdds`). The staged `__addf`
+    // barrier exit in canonical order (see `RegionTable`). The staged `__addf`
     // can no longer return the post-add value — it is not known until the
     // commit — so both reply void, like `__add3f` always did.
     crate::rmi::register_method(ctx, M_ADD_F64, |ctx, args| {
-        let st = CcxxState::get(ctx);
-        st.staged.lock().stage(
-            args.src,
-            StagedAdd {
-                region: args.words[0] as u32,
-                offset: args.words[1] as usize,
-                deltas: [args.words[2], 0, 0],
-                n: 1,
-            },
-        );
+        let (region, offset) = (args.words[0] as u32, args.words[1] as usize);
+        let memory = &CcxxState::get(ctx).memory;
+        memory.stage_add(args.src, region, offset, &args.words[2..3]);
         RmiRet::null()
     });
 
     crate::rmi::register_method(ctx, M_ADD3_F64, |ctx, args| {
-        let st = CcxxState::get(ctx);
-        let (region, offset) = unpack_addr(args.words[0]);
-        st.staged.lock().stage(
-            args.src,
-            StagedAdd {
-                region,
-                offset,
-                deltas: [args.words[1], args.words[2], args.words[3]],
-                n: 3,
-            },
-        );
+        let (region, offset) = am::unpack_addr(args.words[0]);
+        let memory = &CcxxState::get(ctx).memory;
+        memory.stage_add(args.src, region, offset, &args.words[1..4]);
         RmiRet::null()
     });
 }

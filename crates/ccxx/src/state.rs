@@ -2,11 +2,12 @@
 
 use crate::config::CcxxConfig;
 use crate::rmi::{CxCall, RmiArgs, RmiRet};
+use mpmd_am::RegionTable;
 use mpmd_fabric::Fabric;
 use mpmd_sim::TaskId;
 use parking_lot::{Mutex as HostMutex, RwLock};
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::{Arc, OnceLock};
 
 /// A registered method stub: executes the method body and produces the
@@ -40,7 +41,7 @@ impl CxPtr {
 }
 
 /// One entry of the per-node method stub cache: the resolved remote entry
-/// point and whether a persistent R-buffer is attached at the remote end.
+/// point.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) struct CacheEntry {
     pub(crate) addr: u64,
@@ -48,9 +49,6 @@ pub(crate) struct CacheEntry {
 
 /// A registered stub with its metadata.
 pub(crate) struct StubRec<F> {
-    /// Kept for diagnostics/tracing (not read on the hot path).
-    #[allow(dead_code)]
-    pub(crate) name: String,
     pub(crate) f: StubFn<F>,
     /// Whether the method may block (OAM hint): optimistic invocations of
     /// non-blocking methods run inline; blocking ones are aborted to a
@@ -87,56 +85,15 @@ pub(crate) struct CcxxState<F: Fabric> {
     /// because the box itself is what travels as the message token.
     #[allow(clippy::vec_box)]
     pub(crate) call_records: HostMutex<Vec<Box<CxCall>>>,
-    /// Global-pointer data regions.
-    pub(crate) regions: RwLock<HashMap<u32, Arc<RwLock<Vec<f64>>>>>,
-    pub(crate) next_region: AtomicU64,
+    /// Global-pointer data regions, and the `__addf` / `__add3f`
+    /// accumulates staged into them until the next barrier (per-caller order
+    /// is preserved: atomic-add RMIs are synchronous). Host-side state:
+    /// staging and committing are not modeled costs.
+    pub(crate) memory: RegionTable,
     /// Tasks currently spin-polling; the polling thread defers to them.
     pub(crate) spinners: AtomicUsize,
     pub(crate) poller: HostMutex<Option<TaskId>>,
     pub(crate) poller_stop: AtomicBool,
-    /// Atomic-method accumulates staged until the next barrier, where they
-    /// commit in canonical order (see [`StagedAdds`]). Host-side state:
-    /// staging and committing are not modeled costs.
-    pub(crate) staged: HostMutex<StagedAdds>,
-}
-
-/// One staged atomic accumulate: `n` deltas applied to consecutive doubles.
-pub(crate) struct StagedAdd {
-    pub(crate) region: u32,
-    pub(crate) offset: usize,
-    pub(crate) deltas: [u64; 3],
-    pub(crate) n: usize,
-}
-
-/// Accumulates from `__addf` / `__add3f` staged between barriers.
-///
-/// The stubs do not touch memory when they run: the update is recorded here
-/// and committed at barrier exit sorted by (caller node, per-caller arrival
-/// index). Floating-point addition does not commute bitwise, so committing
-/// in execution order would make results depend on how RMIs from different
-/// callers interleave — which retransmission timing perturbs once a fault
-/// model is active. The canonical order depends only on what each caller
-/// issued (per-caller order is preserved: atomic-add RMIs are synchronous),
-/// so a faulty run reproduces the fault-free result bit for bit.
-#[derive(Default)]
-pub(crate) struct StagedAdds {
-    /// Per-caller arrival counters.
-    next_idx: HashMap<usize, u64>,
-    items: BTreeMap<(usize, u64), StagedAdd>,
-}
-
-impl StagedAdds {
-    pub(crate) fn stage(&mut self, src: usize, add: StagedAdd) {
-        let idx = self.next_idx.entry(src).or_insert(0);
-        self.items.insert((src, *idx), add);
-        *idx += 1;
-    }
-
-    /// Take everything staged so far, in canonical commit order.
-    pub(crate) fn drain(&mut self) -> BTreeMap<(usize, u64), StagedAdd> {
-        self.next_idx.clear();
-        std::mem::take(&mut self.items)
-    }
 }
 
 impl<F: Fabric> CcxxState<F> {
@@ -151,12 +108,10 @@ impl<F: Fabric> CcxxState<F> {
             dispatch_lock: mpmd_threads::Mutex::new(()),
             method_lock: mpmd_threads::Mutex::new(()),
             call_records: HostMutex::new(Vec::new()),
-            regions: RwLock::new(HashMap::new()),
-            next_region: AtomicU64::new(1),
+            memory: RegionTable::default(),
             spinners: AtomicUsize::new(0),
             poller: HostMutex::new(None),
             poller_stop: AtomicBool::new(false),
-            staged: HostMutex::new(StagedAdds::default()),
         }
     }
 
@@ -178,16 +133,6 @@ impl<F: Fabric> CcxxState<F> {
         self.config_slot
             .get()
             .expect("ccxx::init was not called on this node")
-    }
-
-    /// The region storage for `region` on this node.
-    pub(crate) fn region(&self, region: u32) -> Arc<RwLock<Vec<f64>>> {
-        Arc::clone(
-            self.regions
-                .read()
-                .get(&region)
-                .unwrap_or_else(|| panic!("unknown CC++ region {region}")),
-        )
     }
 }
 

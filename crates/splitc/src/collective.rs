@@ -40,27 +40,13 @@ pub fn init_coalesced<F: Fabric>(ctx: &F, coalescing: Option<am::CoalesceConfig>
 }
 
 /// Global barrier. On exit, commits all atomic accumulates staged by
-/// `H_ATOMIC_ADD3` since the previous barrier.
+/// `H_ATOMIC_ADD3` since the previous barrier, in canonical order. Every
+/// staged update was acknowledged before its issuer entered the barrier, so
+/// the set is complete here. The commit costs nothing: the work was charged
+/// at receipt (`atomic_dispatch`).
 pub fn barrier<F: Fabric>(ctx: &F) {
     am::barrier(ctx);
-    apply_staged_adds(ctx);
-}
-
-/// Commit updates staged by the three-component atomic handler, in canonical
-/// (source, per-source index) order. Every staged update was acknowledged
-/// before its issuer entered the barrier, so the set is complete here. Costs
-/// nothing: the work was charged at receipt (`atomic_dispatch`); this is
-/// only the deferred memory commit.
-fn apply_staged_adds<F: Fabric>(ctx: &F) {
-    let st = ScState::get(ctx);
-    let items = st.staged.lock().drain();
-    for (_, (region, offset, deltas)) in items {
-        let region = st.region(region);
-        let mut w = region.write();
-        for (k, d) in deltas.iter().enumerate() {
-            w[offset + k] += f64::from_bits(*d);
-        }
-    }
+    ScState::get(ctx).memory.commit_staged();
 }
 
 /// Allocate a local region of `len` doubles initialized to `fill`, returning
@@ -68,14 +54,7 @@ fn apply_staged_adds<F: Fabric>(ctx: &F) {
 /// allocate in lockstep so ids agree across nodes (asserted by
 /// [`all_spread_alloc`]).
 pub fn alloc_region<F: Fabric>(ctx: &F, len: usize, fill: f64) -> u32 {
-    let st = ScState::get(ctx);
-    let id = st.next_region.fetch_add(1, Ordering::AcqRel) as u32;
-    let prev = st.regions.write().insert(
-        id,
-        std::sync::Arc::new(parking_lot::RwLock::new(vec![fill; len])),
-    );
-    assert!(prev.is_none(), "region id {id} reused");
-    id
+    ScState::get(ctx).memory.alloc(len, fill)
 }
 
 /// Collectively allocate a spread array with `per_node` doubles on every
@@ -115,9 +94,8 @@ pub fn reduce<F: Fabric>(ctx: &F, op: ReduceOp, value: u64) -> u64 {
             .args([gen, value, op as u64, 0])
             .send();
     }
-    let st2 = ScState::get(ctx);
-    am::wait_until(ctx, move || {
-        st2.reduce.lock().released.is_some_and(|(g, _)| g >= gen)
+    am::wait_until(ctx, || {
+        st.reduce.lock().released.is_some_and(|(g, _)| g >= gen)
     });
     let red = st.reduce.lock();
     let (g, v) = red.released.expect("reduction vanished");

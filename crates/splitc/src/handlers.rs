@@ -6,7 +6,7 @@
 
 use crate::state::ScState;
 use bytes::Bytes;
-use mpmd_am::{self as am, AmMsg, HandlerId, PendingCounter, ReplyCell};
+use mpmd_am::{self as am, AmMsg, HandlerId, ReplyCell};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
 use std::sync::atomic::Ordering;
@@ -30,8 +30,9 @@ pub(crate) const H_ATOMIC_ADD3: HandlerId = 28;
 pub(crate) struct ScToken {
     /// Result cell (synchronous ops and split-phase gets).
     pub(crate) cell: Option<Arc<ReplyCell>>,
-    /// Split-phase bookkeeping: decremented when the reply arrives.
-    pub(crate) pending: Option<Arc<PendingCounter>>,
+    /// A split-phase op: counted in `ScState::pending` until its reply
+    /// arrives.
+    pub(crate) split: bool,
     /// Issue timestamp of a split-phase op (set only when metrics are on):
     /// the reply handler turns it into the issue→completion latency.
     pub(crate) issued: Option<mpmd_sim::Time>,
@@ -51,32 +52,52 @@ pub(crate) fn doubles(data: &[u8]) -> Vec<f64> {
     vals
 }
 
-fn take_token(m: &mut AmMsg) -> ScToken {
-    *m.token
-        .take()
+/// Answer request `m` with `args`, handing its token back.
+fn reply_value<F: Fabric>(ctx: &F, m: AmMsg, args: [u64; 4]) {
+    am::endpoint(ctx)
+        .to(m.src)
+        .handler(H_REPLY_VALUE)
+        .args(args)
+        .token(m.token)
+        .send();
+}
+
+/// The completion of every request, with or without data: a split-phase
+/// op leaves `pending`, and the reply lands in the issuer's cell.
+fn complete<F: Fabric>(ctx: &F, m: AmMsg) {
+    let tok = *m
+        .token
         .expect("Split-C reply without token")
         .downcast::<ScToken>()
-        .expect("foreign token in Split-C reply")
+        .expect("foreign token in Split-C reply");
+    if tok.split {
+        let st = ScState::get(ctx);
+        ctx.charge(Bucket::Runtime, st.costs.split_complete);
+        st.pending.complete();
+        if let Some(t0) = tok.issued {
+            ctx.metric_observe_since("sc.split_op_ns", t0);
+        }
+    }
+    if let Some(c) = &tok.cell {
+        match m.data {
+            Some(data) => c.complete_with_data(m.args, data),
+            None => c.complete(m.args),
+        }
+    }
 }
 
 pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
     am::register(ctx, H_READ, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        let region = st.region(m.args[0] as u32);
-        let v = region.read()[m.args[1] as usize];
-        am::endpoint(ctx)
-            .to(m.src)
-            .handler(H_REPLY_VALUE)
-            .args([v.to_bits(), 0, 0, 0])
-            .token(m.token)
-            .send();
+        let v = st.memory.get(m.args[0] as u32).read()[m.args[1] as usize];
+        reply_value(ctx, m, [v.to_bits(), 0, 0, 0]);
     });
 
     am::register(ctx, H_READ3, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        let region = st.region(m.args[0] as u32);
+        let region = st.memory.get(m.args[0] as u32);
         let off = m.args[1] as usize;
         let r = region.read();
         let reply = [
@@ -86,38 +107,27 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
             0,
         ];
         drop(r);
-        am::endpoint(ctx)
-            .to(m.src)
-            .handler(H_REPLY_VALUE)
-            .args(reply)
-            .token(m.token)
-            .send();
+        reply_value(ctx, m, reply);
     });
 
     am::register(ctx, H_WRITE, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        let region = st.region(m.args[0] as u32);
-        region.write()[m.args[1] as usize] = f64::from_bits(m.args[2]);
-        am::endpoint(ctx)
-            .to(m.src)
-            .handler(H_REPLY_VALUE)
-            .token(m.token)
-            .send();
+        st.memory.get(m.args[0] as u32).write()[m.args[1] as usize] = f64::from_bits(m.args[2]);
+        reply_value(ctx, m, [0; 4]);
     });
 
     am::register(ctx, H_STORE, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        let region = st.region(m.args[0] as u32);
-        region.write()[m.args[1] as usize] = f64::from_bits(m.args[2]);
+        st.memory.get(m.args[0] as u32).write()[m.args[1] as usize] = f64::from_bits(m.args[2]);
         st.stores_recvd.fetch_add(1, Ordering::AcqRel);
     });
 
     am::register(ctx, H_BULK_READ, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        let region = st.region(m.args[0] as u32);
+        let region = st.memory.get(m.args[0] as u32);
         let off = m.args[1] as usize;
         let len = m.args[2] as usize;
         let data = {
@@ -141,89 +151,40 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
     am::register(ctx, H_BULK_WRITE, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        write_bulk_into_region(ctx, &m);
-        am::endpoint(ctx)
-            .to(m.src)
-            .handler(H_REPLY_VALUE)
-            .token(m.token)
-            .send();
+        write_bulk_into_region(&st, &m);
+        reply_value(ctx, m, [0; 4]);
     });
 
     am::register(ctx, H_BULK_STORE, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        write_bulk_into_region(ctx, &m);
+        write_bulk_into_region(&st, &m);
         st.stores_recvd.fetch_add(1, Ordering::AcqRel);
     });
 
     am::register(ctx, H_ATOMIC, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.atomic_dispatch);
-        let f = {
-            let tbl = st.atomics.read();
-            Arc::clone(
-                tbl.get(&(m.args[0] as u32))
-                    .unwrap_or_else(|| panic!("unknown atomic function {}", m.args[0])),
-            )
-        };
+        let f = st.atomic(m.args[0] as u32);
         let result = f(ctx, [m.args[1], m.args[2], m.args[3], 0]);
-        am::endpoint(ctx)
-            .to(m.src)
-            .handler(H_REPLY_VALUE)
-            .args(result)
-            .token(m.token)
-            .send();
+        reply_value(ctx, m, result);
     });
 
     // Dedicated three-component atomic accumulate: the handler id implies
     // the function, freeing all four argument words for the packed address
     // plus three deltas (Water's force write-back in one message). The
     // update is staged, not applied: it commits at barrier exit in canonical
-    // (source, index) order so that cross-sender arrival interleaving —
-    // which retransmission timing perturbs — cannot change the sums.
+    // order (see `RegionTable`).
     am::register(ctx, H_ATOMIC_ADD3, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.atomic_dispatch);
-        let (region, offset) = crate::ops::unpack_addr(m.args[0]);
-        st.staged
-            .lock()
-            .stage(m.src, region, offset, [m.args[1], m.args[2], m.args[3]]);
-        am::endpoint(ctx)
-            .to(m.src)
-            .handler(H_REPLY_VALUE)
-            .token(m.token)
-            .send();
+        let (region, offset) = am::unpack_addr(m.args[0]);
+        st.memory.stage_add(m.src, region, offset, &m.args[1..]);
+        reply_value(ctx, m, [0; 4]);
     });
 
-    am::register(ctx, H_REPLY_VALUE, |ctx, mut m| {
-        let tok = take_token(&mut m);
-        if let Some(p) = &tok.pending {
-            let st = ScState::get(ctx);
-            ctx.charge(Bucket::Runtime, st.costs.split_complete);
-            p.complete();
-            if let Some(t0) = tok.issued {
-                ctx.metric_observe_since("sc.split_op_ns", t0);
-            }
-        }
-        if let Some(c) = &tok.cell {
-            c.complete(m.args);
-        }
-    });
-
-    am::register(ctx, H_REPLY_DATA, |ctx, mut m| {
-        let tok = take_token(&mut m);
-        if let Some(p) = &tok.pending {
-            let st = ScState::get(ctx);
-            ctx.charge(Bucket::Runtime, st.costs.split_complete);
-            p.complete();
-            if let Some(t0) = tok.issued {
-                ctx.metric_observe_since("sc.split_op_ns", t0);
-            }
-        }
-        if let Some(c) = &tok.cell {
-            c.complete_with_data(m.args, m.data.expect("data reply without payload"));
-        }
-    });
+    am::register(ctx, H_REPLY_VALUE, complete::<F>);
+    am::register(ctx, H_REPLY_DATA, complete::<F>);
 
     am::register(ctx, H_REDUCE, |ctx, m| {
         crate::collective::note_reduce_arrival(ctx, m.src, m.args[0], m.args[1], m.args[2]);
@@ -237,9 +198,8 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
 }
 
 /// Decode a bulk write's payload straight into its region.
-fn write_bulk_into_region<F: Fabric>(ctx: &F, m: &AmMsg) {
-    let st = ScState::get(ctx);
-    let region = st.region(m.args[0] as u32);
+fn write_bulk_into_region<F: Fabric>(st: &ScState<F>, m: &AmMsg) {
+    let region = st.memory.get(m.args[0] as u32);
     let off = m.args[1] as usize;
     let data = m.data.as_ref().expect("bulk write without payload");
     let len = data.len() / 8;

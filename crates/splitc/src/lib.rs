@@ -36,11 +36,11 @@ pub use collective::{
 };
 pub use costs::ScCosts;
 pub use gptr::{GlobalPtr, SpreadArray};
-pub use mpmd_am::CoalesceConfig;
+pub use mpmd_am::{pack_addr, unpack_addr, CoalesceConfig};
 pub use ops::{
-    atomic_add, atomic_add3, atomic_rpc, bulk_read, bulk_store, bulk_write, get, get_bulk,
-    pack_addr, put, read, read_vec3, register_atomic, store, sync, unpack_addr, with_local, write,
-    BulkGetHandle, GetHandle, ATOMIC_ADD3_F64, ATOMIC_ADD_F64, ATOMIC_NULL,
+    atomic_add, atomic_add3, atomic_rpc, bulk_read, bulk_store, bulk_write, get, get_bulk, put,
+    read, read_vec3, register_atomic, store, sync, with_local, write, BulkGetHandle, GetHandle,
+    ATOMIC_ADD3_F64, ATOMIC_ADD_F64, ATOMIC_NULL,
 };
 
 #[cfg(test)]

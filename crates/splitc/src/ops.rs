@@ -4,11 +4,15 @@
 //! yield low latencies if executed often enough. This approach is used in
 //! Split-C"), so none of these operations charge thread operations — a
 //! Split-C node is single-threaded.
+//!
+//! Every blocking remote access goes through `sync_access` and every
+//! split-phase one through `split_access`; what differs per operation is
+//! its handler, which names its costs, span and metric, and its words.
 
 use crate::gptr::GlobalPtr;
 use crate::handlers::*;
 use crate::state::ScState;
-use mpmd_am::{self as am, ReplyCell};
+use mpmd_am::{self as am, HandlerId, Region, ReplyCell};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
 use std::sync::atomic::Ordering;
@@ -19,81 +23,122 @@ pub const ATOMIC_NULL: u32 = 0;
 pub const ATOMIC_ADD_F64: u32 = 1;
 pub const ATOMIC_ADD3_F64: u32 = 2;
 
-/// Pack a (region, offset) pair into one AM argument word (Water's
-/// three-component atomic update needs all remaining words for deltas).
-pub fn pack_addr(region: u32, offset: usize) -> u64 {
-    assert!(region < (1 << 24), "region id too large to pack");
-    assert!(offset < (1 << 40), "offset too large to pack");
-    ((region as u64) << 40) | offset as u64
+/// The region `gp` points into, after charging a local dereference, when
+/// `gp` is on this node.
+fn local<F: Fabric>(ctx: &F, st: &ScState<F>, gp: GlobalPtr) -> Option<Region> {
+    (gp.node == ctx.node()).then(|| {
+        ctx.charge(Bucket::Runtime, st.costs.local_deref);
+        st.memory.get(gp.region)
+    })
 }
 
-/// Inverse of [`pack_addr`].
-pub fn unpack_addr(word: u64) -> (u32, usize) {
-    ((word >> 40) as u32, (word & ((1 << 40) - 1)) as usize)
+/// The argument words of a request for `gp`, then `a` and `b`.
+fn at(gp: GlobalPtr, a: u64, b: u64) -> [u64; 4] {
+    [gp.region as u64, gp.offset as u64, a, b]
+}
+
+/// One blocking remote access: send `args` (and `bulk` as the payload) to
+/// `handler` at `node` and spin-poll for the reply. The handler names the
+/// access, and with it the access's span, its latency metric (issue to reply
+/// in hand) and its costs. Returns the reply's cell.
+fn sync_access<F: Fabric>(
+    ctx: &F,
+    st: &ScState<F>,
+    handler: HandlerId,
+    node: usize,
+    args: [u64; 4],
+    bulk: Option<&[f64]>,
+) -> Arc<ReplyCell> {
+    let c = &st.costs;
+    let sync = (c.sync_access_issue, c.sync_access_complete);
+    let atomic = (c.atomic_issue, c.atomic_complete);
+    let bulk_costs = (c.bulk_issue, c.bulk_complete);
+    let (span, metric, (issue, complete)) = match handler {
+        H_READ => ("sc.read", "sc.sync_read_ns", sync),
+        H_WRITE => ("sc.write", "sc.sync_write_ns", sync),
+        H_READ3 => ("sc.read_vec3", "sc.sync_read_ns", sync),
+        H_BULK_READ => ("sc.bulk_read", "sc.bulk_read_ns", bulk_costs),
+        H_BULK_WRITE => ("sc.bulk_write", "sc.bulk_write_ns", bulk_costs),
+        H_ATOMIC => ("sc.atomic", "sc.atomic_ns", atomic),
+        H_ATOMIC_ADD3 => ("sc.atomic_add3", "sc.atomic_ns", atomic),
+        h => unreachable!("handler {h} serves no blocking access"),
+    };
+    let _sp = ctx.span(span);
+    let t0 = ctx.metric_now();
+    ctx.charge(Bucket::Runtime, issue);
+    let cell = ReplyCell::new();
+    let token = ScToken {
+        cell: Some(Arc::clone(&cell)),
+        split: false,
+        issued: None,
+    };
+    let send = am::endpoint(ctx).to(node).handler(handler).args(args);
+    match bulk {
+        Some(vals) => send.bulk(payload(vals)),
+        None => send,
+    }
+    .token(Box::new(token) as am::Token)
+    .send();
+    am::wait_until(ctx, || cell.is_done());
+    ctx.charge(Bucket::Runtime, complete);
+    if let Some(t0) = t0 {
+        ctx.metric_observe_since(metric, t0);
+    }
+    cell
+}
+
+/// Issue one split-phase access: send `args` to `handler` at `node` and
+/// count the access as pending until its reply arrives (see [`sync`]). The
+/// handler names the access, its span and its issue cost. The reply lands
+/// in `cell`, if there is one.
+fn split_access<F: Fabric>(
+    ctx: &F,
+    st: &ScState<F>,
+    handler: HandlerId,
+    node: usize,
+    args: [u64; 4],
+    cell: Option<&Arc<ReplyCell>>,
+) {
+    let (span, issue) = match handler {
+        H_READ => ("sc.get", st.costs.split_issue),
+        H_WRITE => ("sc.put", st.costs.split_issue),
+        H_BULK_READ => ("sc.get_bulk", st.costs.bulk_issue),
+        h => unreachable!("handler {h} serves no split-phase access"),
+    };
+    let _sp = ctx.span(span);
+    ctx.charge(Bucket::Runtime, issue);
+    st.pending.issue();
+    let token = ScToken {
+        cell: cell.cloned(),
+        split: true,
+        issued: ctx.metric_now(),
+    };
+    am::endpoint(ctx)
+        .to(node)
+        .handler(handler)
+        .args(args)
+        .token(Box::new(token) as am::Token)
+        .send();
 }
 
 /// Synchronously read a double through a global pointer (`lx = *gpY`).
 pub fn read<F: Fabric>(ctx: &F, gp: GlobalPtr) -> f64 {
     let st = ScState::get(ctx);
-    if gp.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        let region = st.region(gp.region);
-        let v = region.read()[gp.offset];
-        return v;
+    if let Some(r) = local(ctx, &st, gp) {
+        return r.read()[gp.offset];
     }
-    let _sp = ctx.span("sc.read");
-    // End-to-end latency of the blocking access, issue to value-in-hand.
-    let t0 = ctx.metric_now();
-    ctx.charge(Bucket::Runtime, st.costs.sync_access_issue);
-    let cell = ReplyCell::new();
-    am::endpoint(ctx)
-        .to(gp.node)
-        .handler(H_READ)
-        .args([gp.region as u64, gp.offset as u64, 0, 0])
-        .token(Box::new(ScToken {
-            cell: Some(Arc::clone(&cell)),
-            pending: None,
-            issued: None,
-        }) as am::Token)
-        .send();
-    let c2 = Arc::clone(&cell);
-    am::wait_until(ctx, move || c2.is_done());
-    ctx.charge(Bucket::Runtime, st.costs.sync_access_complete);
-    if let Some(t0) = t0 {
-        ctx.metric_observe_since("sc.sync_read_ns", t0);
-    }
+    let cell = sync_access(ctx, &st, H_READ, gp.node, at(gp, 0, 0), None);
     f64::from_bits(cell.words()[0])
 }
 
 /// Synchronously write a double through a global pointer (`*gpY = lx`).
 pub fn write<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
     let st = ScState::get(ctx);
-    if gp.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        let region = st.region(gp.region);
-        region.write()[gp.offset] = v;
+    if let Some(r) = local(ctx, &st, gp) {
+        r.write()[gp.offset] = v;
         return;
     }
-    let _sp = ctx.span("sc.write");
-    let t0 = ctx.metric_now();
-    ctx.charge(Bucket::Runtime, st.costs.sync_access_issue);
-    let cell = ReplyCell::new();
-    am::endpoint(ctx)
-        .to(gp.node)
-        .handler(H_WRITE)
-        .args([gp.region as u64, gp.offset as u64, v.to_bits(), 0])
-        .token(Box::new(ScToken {
-            cell: Some(Arc::clone(&cell)),
-            pending: None,
-            issued: None,
-        }) as am::Token)
-        .send();
-    let c2 = Arc::clone(&cell);
-    am::wait_until(ctx, move || c2.is_done());
-    ctx.charge(Bucket::Runtime, st.costs.sync_access_complete);
-    if let Some(t0) = t0 {
-        ctx.metric_observe_since("sc.sync_write_ns", t0);
-    }
+    sync_access(ctx, &st, H_WRITE, gp.node, at(gp, v.to_bits(), 0), None);
 }
 
 /// Synchronously read three consecutive doubles through a global pointer
@@ -101,33 +146,11 @@ pub fn write<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
 /// Water reads a molecule's position this way.
 pub fn read_vec3<F: Fabric>(ctx: &F, gp: GlobalPtr) -> [f64; 3] {
     let st = ScState::get(ctx);
-    if gp.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        let region = st.region(gp.region);
-        let r = region.read();
+    if let Some(r) = local(ctx, &st, gp) {
+        let r = r.read();
         return [r[gp.offset], r[gp.offset + 1], r[gp.offset + 2]];
     }
-    let _sp = ctx.span("sc.read_vec3");
-    let t0 = ctx.metric_now();
-    ctx.charge(Bucket::Runtime, st.costs.sync_access_issue);
-    let cell = ReplyCell::new();
-    am::endpoint(ctx)
-        .to(gp.node)
-        .handler(H_READ3)
-        .args([gp.region as u64, gp.offset as u64, 0, 0])
-        .token(Box::new(ScToken {
-            cell: Some(Arc::clone(&cell)),
-            pending: None,
-            issued: None,
-        }) as am::Token)
-        .send();
-    let c2 = Arc::clone(&cell);
-    am::wait_until(ctx, move || c2.is_done());
-    ctx.charge(Bucket::Runtime, st.costs.sync_access_complete);
-    if let Some(t0) = t0 {
-        ctx.metric_observe_since("sc.sync_read_ns", t0);
-    }
-    let w = cell.words();
+    let w = sync_access(ctx, &st, H_READ3, gp.node, at(gp, 0, 0), None).words();
     [
         f64::from_bits(w[0]),
         f64::from_bits(w[1]),
@@ -141,40 +164,20 @@ pub fn read_vec3<F: Fabric>(ctx: &F, gp: GlobalPtr) -> [f64; 3] {
 /// packed address plus all three deltas fit.
 pub fn atomic_add3<F: Fabric>(ctx: &F, gp: GlobalPtr, deltas: [f64; 3]) {
     let st = ScState::get(ctx);
-    if gp.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        let region = st.region(gp.region);
-        let mut w = region.write();
+    if let Some(r) = local(ctx, &st, gp) {
+        let mut w = r.write();
         for k in 0..3 {
             w[gp.offset + k] += deltas[k];
         }
         return;
     }
-    let _sp = ctx.span("sc.atomic_add3");
-    let t0 = ctx.metric_now();
-    ctx.charge(Bucket::Runtime, st.costs.atomic_issue);
-    let cell = ReplyCell::new();
-    am::endpoint(ctx)
-        .to(gp.node)
-        .handler(crate::handlers::H_ATOMIC_ADD3)
-        .args([
-            pack_addr(gp.region, gp.offset),
-            deltas[0].to_bits(),
-            deltas[1].to_bits(),
-            deltas[2].to_bits(),
-        ])
-        .token(Box::new(ScToken {
-            cell: Some(Arc::clone(&cell)),
-            pending: None,
-            issued: None,
-        }) as am::Token)
-        .send();
-    let c2 = Arc::clone(&cell);
-    am::wait_until(ctx, move || c2.is_done());
-    ctx.charge(Bucket::Runtime, st.costs.atomic_complete);
-    if let Some(t0) = t0 {
-        ctx.metric_observe_since("sc.atomic_ns", t0);
-    }
+    let args = [
+        am::pack_addr(gp.region, gp.offset),
+        deltas[0].to_bits(),
+        deltas[1].to_bits(),
+        deltas[2].to_bits(),
+    ];
+    sync_access(ctx, &st, H_ATOMIC_ADD3, gp.node, args, None);
 }
 
 /// Handle to a split-phase bulk read; data is available after [`sync`].
@@ -206,29 +209,13 @@ impl BulkGetHandle {
 /// before beginning the third sub-step").
 pub fn get_bulk<F: Fabric>(ctx: &F, gp: GlobalPtr, len: usize) -> BulkGetHandle {
     let st = ScState::get(ctx);
-    if gp.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        let region = st.region(gp.region);
-        let r = region.read();
-        return BulkGetHandle {
-            cell: ReplyCell::new(),
-            local: Some(r[gp.offset..gp.offset + len].to_vec()),
-        };
-    }
-    let _sp = ctx.span("sc.get_bulk");
-    ctx.charge(Bucket::Runtime, st.costs.bulk_issue);
-    st.pending.issue();
     let cell = ReplyCell::new();
-    am::endpoint(ctx)
-        .to(gp.node)
-        .handler(H_BULK_READ)
-        .args([gp.region as u64, gp.offset as u64, len as u64, 0])
-        .token(Box::new(ScToken {
-            cell: Some(Arc::clone(&cell)),
-            pending: Some(Arc::clone(&st.pending)),
-            issued: ctx.metric_now(),
-        }) as am::Token)
-        .send();
+    if let Some(r) = local(ctx, &st, gp) {
+        let local = Some(r.read()[gp.offset..gp.offset + len].to_vec());
+        return BulkGetHandle { cell, local };
+    }
+    let args = at(gp, len as u64, 0);
+    split_access(ctx, &st, H_BULK_READ, gp.node, args, Some(&cell));
     BulkGetHandle { cell, local: None }
 }
 
@@ -255,26 +242,12 @@ impl GetHandle {
 pub fn get<F: Fabric>(ctx: &F, gp: GlobalPtr) -> GetHandle {
     let st = ScState::get(ctx);
     let cell = ReplyCell::new();
-    if gp.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        let region = st.region(gp.region);
-        let v = region.read()[gp.offset];
+    if let Some(r) = local(ctx, &st, gp) {
+        let v = r.read()[gp.offset];
         cell.complete([v.to_bits(), 0, 0, 0]);
-        return GetHandle { cell };
+    } else {
+        split_access(ctx, &st, H_READ, gp.node, at(gp, 0, 0), Some(&cell));
     }
-    let _sp = ctx.span("sc.get");
-    ctx.charge(Bucket::Runtime, st.costs.split_issue);
-    st.pending.issue();
-    am::endpoint(ctx)
-        .to(gp.node)
-        .handler(H_READ)
-        .args([gp.region as u64, gp.offset as u64, 0, 0])
-        .token(Box::new(ScToken {
-            cell: Some(Arc::clone(&cell)),
-            pending: Some(Arc::clone(&st.pending)),
-            issued: ctx.metric_now(),
-        }) as am::Token)
-        .send();
     GetHandle { cell }
 }
 
@@ -282,25 +255,11 @@ pub fn get<F: Fabric>(ctx: &F, gp: GlobalPtr) -> GetHandle {
 /// the acknowledgement.
 pub fn put<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
     let st = ScState::get(ctx);
-    if gp.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        let region = st.region(gp.region);
-        region.write()[gp.offset] = v;
-        return;
+    if let Some(r) = local(ctx, &st, gp) {
+        r.write()[gp.offset] = v;
+    } else {
+        split_access(ctx, &st, H_WRITE, gp.node, at(gp, v.to_bits(), 0), None);
     }
-    let _sp = ctx.span("sc.put");
-    ctx.charge(Bucket::Runtime, st.costs.split_issue);
-    st.pending.issue();
-    am::endpoint(ctx)
-        .to(gp.node)
-        .handler(H_WRITE)
-        .args([gp.region as u64, gp.offset as u64, v.to_bits(), 0])
-        .token(Box::new(ScToken {
-            cell: None,
-            pending: Some(Arc::clone(&st.pending)),
-            issued: ctx.metric_now(),
-        }) as am::Token)
-        .send();
 }
 
 /// Wait for all outstanding split-phase operations issued by this node.
@@ -308,18 +267,15 @@ pub fn sync<F: Fabric>(ctx: &F) {
     let st = ScState::get(ctx);
     let _sp = ctx.span("sc.sync");
     ctx.charge(Bucket::Runtime, st.costs.sync_call);
-    let pending = Arc::clone(&st.pending);
-    am::wait_until(ctx, move || pending.is_quiescent());
+    am::wait_until(ctx, || st.pending.is_quiescent());
 }
 
 /// One-way store (`*gpY :- lx`): no acknowledgement; global completion is
 /// established by [`crate::all_store_sync`].
 pub fn store<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
     let st = ScState::get(ctx);
-    if gp.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        let region = st.region(gp.region);
-        region.write()[gp.offset] = v;
+    if let Some(r) = local(ctx, &st, gp) {
+        r.write()[gp.offset] = v;
         return;
     }
     let _sp = ctx.span("sc.store");
@@ -328,83 +284,35 @@ pub fn store<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
     am::endpoint(ctx)
         .to(gp.node)
         .handler(H_STORE)
-        .args([gp.region as u64, gp.offset as u64, v.to_bits(), 0])
+        .args(at(gp, v.to_bits(), 0))
         .send();
 }
 
 /// Synchronous bulk read of `len` doubles starting at `gp`.
 pub fn bulk_read<F: Fabric>(ctx: &F, gp: GlobalPtr, len: usize) -> Vec<f64> {
     let st = ScState::get(ctx);
-    if gp.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        let region = st.region(gp.region);
-        let r = region.read();
-        return r[gp.offset..gp.offset + len].to_vec();
+    if let Some(r) = local(ctx, &st, gp) {
+        return r.read()[gp.offset..gp.offset + len].to_vec();
     }
-    let _sp = ctx.span("sc.bulk_read");
-    let t0 = ctx.metric_now();
-    ctx.charge(Bucket::Runtime, st.costs.bulk_issue);
-    let cell = ReplyCell::new();
-    am::endpoint(ctx)
-        .to(gp.node)
-        .handler(H_BULK_READ)
-        .args([gp.region as u64, gp.offset as u64, len as u64, 0])
-        .token(Box::new(ScToken {
-            cell: Some(Arc::clone(&cell)),
-            pending: None,
-            issued: None,
-        }) as am::Token)
-        .send();
-    let c2 = Arc::clone(&cell);
-    am::wait_until(ctx, move || c2.is_done());
-    ctx.charge(Bucket::Runtime, st.costs.bulk_complete);
-    if let Some(t0) = t0 {
-        ctx.metric_observe_since("sc.bulk_read_ns", t0);
-    }
+    let cell = sync_access(ctx, &st, H_BULK_READ, gp.node, at(gp, len as u64, 0), None);
     doubles(&cell.take_data().expect("bulk read reply without data"))
 }
 
 /// Synchronous bulk write of `vals` starting at `gp`.
 pub fn bulk_write<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
     let st = ScState::get(ctx);
-    if gp.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        let region = st.region(gp.region);
-        let mut w = region.write();
-        w[gp.offset..gp.offset + vals.len()].copy_from_slice(vals);
+    if let Some(r) = local(ctx, &st, gp) {
+        r.write()[gp.offset..gp.offset + vals.len()].copy_from_slice(vals);
         return;
     }
-    let _sp = ctx.span("sc.bulk_write");
-    let t0 = ctx.metric_now();
-    ctx.charge(Bucket::Runtime, st.costs.bulk_issue);
-    let cell = ReplyCell::new();
-    am::endpoint(ctx)
-        .to(gp.node)
-        .handler(H_BULK_WRITE)
-        .args([gp.region as u64, gp.offset as u64, 0, 0])
-        .bulk(payload(vals))
-        .token(Box::new(ScToken {
-            cell: Some(Arc::clone(&cell)),
-            pending: None,
-            issued: None,
-        }) as am::Token)
-        .send();
-    let c2 = Arc::clone(&cell);
-    am::wait_until(ctx, move || c2.is_done());
-    ctx.charge(Bucket::Runtime, st.costs.bulk_complete);
-    if let Some(t0) = t0 {
-        ctx.metric_observe_since("sc.bulk_write_ns", t0);
-    }
+    sync_access(ctx, &st, H_BULK_WRITE, gp.node, at(gp, 0, 0), Some(vals));
 }
 
 /// One-way bulk store (em3d-bulk and sc-lu's pivot pushes).
 pub fn bulk_store<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
     let st = ScState::get(ctx);
-    if gp.node == ctx.node() {
-        ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        let region = st.region(gp.region);
-        let mut w = region.write();
-        w[gp.offset..gp.offset + vals.len()].copy_from_slice(vals);
+    if let Some(r) = local(ctx, &st, gp) {
+        r.write()[gp.offset..gp.offset + vals.len()].copy_from_slice(vals);
         return;
     }
     let _sp = ctx.span("sc.bulk_store");
@@ -413,7 +321,7 @@ pub fn bulk_store<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
     am::endpoint(ctx)
         .to(gp.node)
         .handler(H_BULK_STORE)
-        .args([gp.region as u64, gp.offset as u64, 0, 0])
+        .args(at(gp, 0, 0))
         .bulk(payload(vals))
         .send();
 }
@@ -422,37 +330,17 @@ pub fn bulk_store<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
 /// argument words, waiting for its result (`atomic(foo, 0)`).
 pub fn atomic_rpc<F: Fabric>(ctx: &F, node: usize, fn_id: u32, args: [u64; 3]) -> [u64; 4] {
     let st = ScState::get(ctx);
-    let _sp = ctx.span("sc.atomic");
-    let t0 = ctx.metric_now();
-    ctx.charge(Bucket::Runtime, st.costs.atomic_issue);
+    let c = &st.costs;
     if node == ctx.node() {
         // Local atomic: a single-threaded node runs it directly.
-        let f = {
-            let tbl = st.atomics.read();
-            Arc::clone(tbl.get(&fn_id).expect("unknown atomic function"))
-        };
-        let r = f(ctx, [args[0], args[1], args[2], 0]);
-        ctx.charge(Bucket::Runtime, st.costs.atomic_complete);
+        let _sp = ctx.span("sc.atomic");
+        ctx.charge(Bucket::Runtime, c.atomic_issue);
+        let r = st.atomic(fn_id)(ctx, [args[0], args[1], args[2], 0]);
+        ctx.charge(Bucket::Runtime, c.atomic_complete);
         return r;
     }
-    let cell = ReplyCell::new();
-    am::endpoint(ctx)
-        .to(node)
-        .handler(H_ATOMIC)
-        .args([fn_id as u64, args[0], args[1], args[2]])
-        .token(Box::new(ScToken {
-            cell: Some(Arc::clone(&cell)),
-            pending: None,
-            issued: None,
-        }) as am::Token)
-        .send();
-    let c2 = Arc::clone(&cell);
-    am::wait_until(ctx, move || c2.is_done());
-    ctx.charge(Bucket::Runtime, st.costs.atomic_complete);
-    if let Some(t0) = t0 {
-        ctx.metric_observe_since("sc.atomic_ns", t0);
-    }
-    cell.words()
+    let words = [fn_id as u64, args[0], args[1], args[2]];
+    sync_access(ctx, &st, H_ATOMIC, node, words, None).words()
 }
 
 /// Atomically add `delta` to the double at `gp` (Water's force updates),
@@ -480,27 +368,22 @@ pub fn register_atomic<F: Fabric>(
 /// Run `f` over this node's chunk of a region, without modeled cost: local
 /// computation charges its own cpu explicitly.
 pub fn with_local<F: Fabric, R>(ctx: &F, region: u32, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
-    let st = ScState::get(ctx);
-    let r = st.region(region);
-    let mut w = r.write();
-    f(&mut w)
+    ScState::get(ctx).memory.with_mut(region, f)
 }
 
 /// Register the built-in atomic functions (called by `init`).
 pub(crate) fn register_builtin_atomics<F: Fabric>(ctx: &F) {
     register_atomic(ctx, ATOMIC_NULL, |_, _| [0; 4]);
     register_atomic(ctx, ATOMIC_ADD_F64, |ctx, a| {
-        let st = ScState::get(ctx);
-        let region = st.region(a[0] as u32);
+        let region = ScState::get(ctx).memory.get(a[0] as u32);
         let mut w = region.write();
         let slot = &mut w[a[1] as usize];
         *slot += f64::from_bits(a[2]);
         [slot.to_bits(), 0, 0, 0]
     });
     register_atomic(ctx, ATOMIC_ADD3_F64, |ctx, a| {
-        let st = ScState::get(ctx);
-        let (region, offset) = unpack_addr(a[0]);
-        let region = st.region(region);
+        let (region, offset) = am::unpack_addr(a[0]);
+        let region = ScState::get(ctx).memory.get(region);
         let mut w = region.write();
         w[offset] += f64::from_bits(a[1]);
         w[offset + 1] += f64::from_bits(a[2]);
