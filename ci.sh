@@ -74,13 +74,13 @@ echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-t
 # null RMI allocates nothing on either node of either fabric, nor does a warm
 # gp_read / gp_write / gp_read3 on its caller (GP rides the same record), only
 # the task that issued a call recycles its record, a failed run frees every
-# record.
+# record, and an ended run frees its nodes' runtime state.
 # These assert completion and counts, not timings, so none is retried.
 cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count \
     --test bounded_tasks
 cargo test --release -q -p mpmd-am --test bounded_links
 cargo test --release -q -p mpmd-splitc --test local_stream_memory
-cargo test --release -q -p mpmd-ccxx --test alloc_count --test call_records
+cargo test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown
 cargo test --release -q -p mpmd-apps --test local_scale
 echo "fabric stress + alloc + bounded-task + call-record tests OK"
 
@@ -147,7 +147,8 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # nodes still fails the run with the one message, and an unpark still does
 # not end a sleep. The RMI
 # call records: the per-node free list and the rule that only the issuing
-# task recycles must hold with every task on its own OS thread too. A
+# task recycles must hold with every task on its own OS thread too, and an
+# ended run must free its node singletons there as well. A
 # separate target dir keeps the main cache warm.
 no_fibers() {
     CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo test -q "$@"
@@ -155,7 +156,7 @@ no_fibers() {
 no_fibers -p mpmd-sim --lib --test explore --test inbox_waiters --test proptest_engine
 no_fibers -p mpmd-fabric --lib --test bounded_tasks --test ring_stress
 no_fibers -p mpmd-am --test fabric_conformance --test bounded_links
-no_fibers -p mpmd-ccxx --test alloc_count --test call_records
+no_fibers -p mpmd-ccxx --test alloc_count --test call_records --test teardown
 echo "threads fallback OK"
 
 echo "==> all checks passed"

@@ -26,9 +26,8 @@ pub fn register_barrier_handlers<F: Fabric>(ctx: &F) {
         note_arrival(ctx, m.args[0]);
     });
     register(ctx, H_BARRIER_RELEASE, |ctx: &F, m: AmMsg| {
-        let st = AmState::get(ctx);
-        st.barrier_release_gen
-            .fetch_max(m.args[0], Ordering::AcqRel);
+        let release = &AmState::get(ctx).barrier_release_gen;
+        release.fetch_max(m.args[0], Ordering::AcqRel);
     });
 }
 
@@ -74,9 +73,8 @@ pub fn barrier<F: Fabric>(ctx: &F) {
             .args([gen, 0, 0, 0])
             .send();
     }
-    let st2 = AmState::get(ctx);
-    wait_until(ctx, move || {
-        st2.barrier_release_gen.load(Ordering::Acquire) >= gen
+    wait_until(ctx, || {
+        st.barrier_release_gen.load(Ordering::Acquire) >= gen
     });
     drop(_span);
     ctx.trace_event(|| TraceEvent::BarrierExit { epoch: gen });

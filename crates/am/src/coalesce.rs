@@ -138,7 +138,7 @@ pub fn enable_coalescing<F: Fabric>(ctx: &F, cfg: CoalesceConfig) {
 
 /// Whether this node's endpoint coalesces short sends.
 pub fn coalescing_enabled<F: Fabric>(ctx: &F) -> bool {
-    enabled(&AmState::get(ctx))
+    enabled(AmState::get(ctx))
 }
 
 pub(crate) fn enabled<F: Fabric>(st: &AmState<F>) -> bool {

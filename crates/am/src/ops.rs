@@ -44,20 +44,20 @@ pub(crate) fn send_inner<F: Fabric>(
         data,
         token,
     };
-    if crate::coalesce::enabled(&st) {
+    if crate::coalesce::enabled(st) {
         if !bulk {
             // Short sends append to the aggregation buffer: no charge, no
             // wire traffic, and no poll-on-send until a flush happens.
-            crate::coalesce::append(ctx, &st, dst, msg, p);
+            crate::coalesce::append(ctx, st, dst, msg, p);
             return;
         }
         // A bulk message overtaking buffered shorts would break program
         // order on this link: flush them first, then send on the same
         // floor-clamped wire leg so the (small) bulk message cannot land
         // before the (large) aggregate frame that flush just emitted.
-        crate::coalesce::flush_dst(ctx, &st, dst, p);
+        crate::coalesce::flush_dst(ctx, st, dst, p);
         ctx.charge(Bucket::Net, p.send_charge(bulk));
-        crate::coalesce::raw_send(ctx, &st, dst, msg, bytes, p);
+        crate::coalesce::raw_send(ctx, st, dst, msg, bytes, p);
         if p.poll_on_send {
             poll(ctx);
         }
@@ -65,7 +65,7 @@ pub(crate) fn send_inner<F: Fabric>(
     }
     ctx.charge(Bucket::Net, p.send_charge(bulk));
     if ctx.faults_enabled() {
-        crate::reliable::send(ctx, &st, dst, msg, bytes, p);
+        crate::reliable::send(ctx, st, dst, msg, bytes, p);
     } else {
         // Allocation-free for short messages: the payload travels inline
         // and the delivery event's body comes from the kernel's slab pool.
@@ -115,16 +115,16 @@ pub(crate) fn dispatch<F: Fabric>(
 /// run during the drain may have issued coalescible replies).
 pub fn poll<F: Fabric>(ctx: &F) -> usize {
     let st = AmState::get(ctx);
-    let Some(_guard) = PollGuard::enter(&st, ctx.task_id()) else {
+    let Some(_guard) = PollGuard::enter(st, ctx.task_id()) else {
         return 0;
     };
     // `enabled` is one atomic load: a non-coalescing node (the common case)
     // skips both mandatory flush points without touching their locks. The
     // profile is read only where a message needs it, so an empty poll works
     // on a node that has not called `init` yet.
-    let coalescing = crate::coalesce::enabled(&st);
+    let coalescing = crate::coalesce::enabled(st);
     if coalescing {
-        crate::coalesce::flush_all(ctx, &st, st.profile());
+        crate::coalesce::flush_all(ctx, st, st.profile());
     }
     // Yield so every network event due at or before our clock is visible.
     ctx.poll_point();
@@ -132,17 +132,17 @@ pub fn poll<F: Fabric>(ctx: &F) -> usize {
     // Queue-depth distribution at poll entry: how far reception lags.
     ctx.metric_inbox_depth("am.inbox_depth");
     let ran = if ctx.faults_enabled() {
-        crate::reliable::poll_reliable(ctx, &st, st.profile())
+        crate::reliable::poll_reliable(ctx, st, st.profile())
     } else {
         let mut ran = 0;
         while let Some(m) = ctx.try_recv() {
             let am = AmMsg::from_payload(m.src, m.payload);
-            ran += dispatch(ctx, &st, st.profile(), am);
+            ran += dispatch(ctx, st, st.profile(), am);
         }
         ran
     };
     if coalescing {
-        crate::coalesce::flush_all(ctx, &st, st.profile());
+        crate::coalesce::flush_all(ctx, st, st.profile());
     }
     ran
 }
@@ -154,10 +154,10 @@ pub fn poll<F: Fabric>(ctx: &F) -> usize {
 /// by a sleeping sender.
 pub fn flush<F: Fabric>(ctx: &F) {
     let st = AmState::get(ctx);
-    if !crate::coalesce::enabled(&st) {
+    if !crate::coalesce::enabled(st) {
         return;
     }
-    crate::coalesce::flush_all(ctx, &st, st.profile());
+    crate::coalesce::flush_all(ctx, st, st.profile());
 }
 
 /// Spin-poll until `pred` becomes true: poll, check, and if nothing is

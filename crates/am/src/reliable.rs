@@ -386,7 +386,7 @@ pub(crate) fn pump_main<F: Fabric>(ctx: F) {
         if ctx.shutting_down() {
             return;
         }
-        match next_deadline(&st) {
+        match next_deadline(st) {
             Some(d) => ctx.park_for_inbox_until(d),
             None => ctx.park_for_inbox(),
         }

@@ -78,7 +78,7 @@ impl<F: Fabric> AmState<F> {
         }
     }
 
-    pub(crate) fn get(ctx: &F) -> Arc<AmState<F>> {
+    pub(crate) fn get(ctx: &F) -> &AmState<F> {
         ctx.node_data(AmState::new)
     }
 

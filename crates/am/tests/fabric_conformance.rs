@@ -10,7 +10,7 @@
 
 use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder};
-use mpmd_sim::{Bucket, Report, Sim, Snapshot, SpanId, TaskId};
+use mpmd_sim::{Bucket, NodeData, Report, Sim, Snapshot, SpanId, TaskId};
 use mpmd_threads as thr;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -500,34 +500,88 @@ fn battery_handler_table<F: Fabric>(ctx: &F) {
     am::barrier(ctx);
 }
 
-/// Registrations on a node, run as its whole program.
-type Registrations<F> = fn(&F);
+/// A node's whole program.
+type Program<F> = fn(&F);
 
 /// Registrations the table refuses, each with the message it fails the run
 /// with: an id past the bound, and an id registered twice.
-fn refused_registrations<F: Fabric>() -> [(Registrations<F>, &'static str); 2] {
-    [
+fn refused_registrations<F: Fabric>() -> Vec<(Program<F>, String)> {
+    vec![
         (
             |c| am::register(c, am::HANDLER_ID_LIMIT, |_, _| {}),
-            "AM handler id 256 is out of range: ids are below HANDLER_ID_LIMIT (256)",
+            "AM handler id 256 is out of range: ids are below HANDLER_ID_LIMIT (256)".into(),
         ),
         (
             |c| {
                 am::register(c, H_SEQ, |_, _| {});
                 am::register(c, H_SEQ, |_, _| {});
             },
-            "duplicate AM handler id 100",
+            "duplicate AM handler id 100".into(),
         ),
     ]
 }
 
-fn check_refused_registrations<F: Fabric>(fabric: &str, run: impl Fn(Registrations<F>)) {
-    for (register, want) in refused_registrations::<F>() {
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(register)))
-            .expect_err("a refused registration must fail the run");
+/// Each program must fail `run` with exactly its message.
+fn check_refused<F: Fabric>(
+    fabric: &str,
+    refused: Vec<(Program<F>, String)>,
+    run: impl Fn(Program<F>),
+) {
+    for (program, want) in refused {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(program)))
+            .expect_err("a refused program must fail the run");
         let msg = payload.downcast::<String>().expect("a formatted panic");
         assert_eq!(*msg, want, "{fabric}");
     }
+}
+
+/// Node singletons: `Outer`'s init fetches an `Inner`.
+struct Outer(u64);
+struct Inner(u64);
+
+/// One type per `NodeData` slot, and one more.
+struct Tag<const N: usize>;
+
+/// An init may fetch another type, and every later fetch — from any task of
+/// the node — lends the value the first one made.
+fn battery_node_data<F: Fabric>(ctx: &F) {
+    let outer = ctx.node_data(|| Outer(ctx.node_data(|| Inner(7)).0 + 1));
+    assert_eq!((outer.0, ctx.node_data(|| Inner(0)).0), (8, 7));
+    let addr = outer as *const Outer as usize;
+    let sibling = ctx.spawn("fetcher", move |c: F| {
+        assert_eq!(c.node_data(|| Outer(0)) as *const Outer as usize, addr);
+    });
+    ctx.join(sibling);
+    assert!(std::ptr::eq(ctx.node_data(|| Outer(0)), outer));
+}
+
+/// What `node_data` refuses: an init that fetches its own type, and a type
+/// past the bound.
+fn refused_node_data<F: Fabric>() -> Vec<(Program<F>, String)> {
+    assert_eq!(NodeData::SLOTS, 8, "the second program fetches nine types");
+    vec![
+        (
+            |c| _ = c.node_data(|| Outer(c.node_data(|| Outer(0)).0)),
+            format!(
+                "node_data::<{}> re-entered from its own init",
+                std::any::type_name::<Outer>()
+            ),
+        ),
+        (
+            |c| {
+                c.node_data(|| Tag::<0>);
+                c.node_data(|| Tag::<1>);
+                c.node_data(|| Tag::<2>);
+                c.node_data(|| Tag::<3>);
+                c.node_data(|| Tag::<4>);
+                c.node_data(|| Tag::<5>);
+                c.node_data(|| Tag::<6>);
+                c.node_data(|| Tag::<7>);
+                c.node_data(|| Tag::<8>);
+            },
+            "a node holds at most NodeData::SLOTS = 8 types".into(),
+        ),
+    ]
 }
 
 /// Task storm (c): wind-down hands the node's thread round. Every node keeps
@@ -1001,15 +1055,31 @@ conformance!(
 
 #[test]
 fn refused_registrations_sim() {
-    check_refused_registrations("sim", |register| {
-        Sim::new(1).run(move |ctx| register(&ctx));
+    check_refused("sim", refused_registrations(), |program| {
+        Sim::new(1).run(move |ctx| program(&ctx));
     });
 }
 
 #[test]
 fn refused_registrations_local() {
-    check_refused_registrations("local", |register| {
-        LocalFabric::run(1, move |ctx| register(&ctx));
+    check_refused("local", refused_registrations(), |program| {
+        LocalFabric::run(1, move |ctx| program(&ctx));
+    });
+}
+
+#[test]
+fn node_data_sim() {
+    Sim::new(2).run(|ctx| battery_node_data(&ctx));
+    check_refused("sim", refused_node_data(), |program| {
+        Sim::new(1).run(move |ctx| program(&ctx));
+    });
+}
+
+#[test]
+fn node_data_local() {
+    LocalFabric::run(2, |ctx| battery_node_data(&ctx));
+    check_refused("local", refused_node_data(), |program| {
+        LocalFabric::run(1, move |ctx| program(&ctx));
     });
 }
 

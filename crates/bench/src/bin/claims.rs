@@ -12,7 +12,7 @@
 use mpmd_apps::em3d::Em3dVersion;
 use mpmd_bench::experiments::{run_fig5, run_fig6_lu, Scale};
 use mpmd_bench::fmt::{reject_unknown_args, render_table, take_json_flag, write_json};
-use mpmd_sim::to_us;
+use mpmd_sim::{to_us, CostModel};
 
 const USAGE: &str = "claims [--quick] [--json <path>]";
 
@@ -25,6 +25,8 @@ fn main() {
     let cells = run_fig5(scale, &[1.0], jobs);
     let (lu_sc, lu_cc) = run_fig6_lu(scale, jobs);
 
+    // What the runs above charged per thread operation.
+    let threads = CostModel::default().threads;
     let mut rows = Vec::new();
     let mut check = |name: &str, app: &str, got: f64, paper: &str| {
         rows.push(vec![
@@ -56,8 +58,8 @@ fn main() {
         );
 
         let c = &cc.breakdown.counts;
-        let switch_cost = c.context_switches as f64 * 6.0;
-        let create_cost = c.thread_creates as f64 * 5.0;
+        let switch_cost = c.context_switches as f64 * threads.context_switch as f64;
+        let create_cost = c.thread_creates as f64 * threads.create as f64;
         let switch_share = switch_cost / (switch_cost + create_cost).max(1.0) * 100.0;
         check(
             "context-switch share of thread mgmt",

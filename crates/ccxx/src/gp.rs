@@ -56,7 +56,7 @@ impl GpHandle {
         let st = CcxxState::get(ctx);
         let call = await_record(ctx, &cell, true);
         ctx.charge(Bucket::Runtime, st.cfg().costs.gp_async_complete);
-        let v = f64::from_bits(recycle(&st, call, cell).words[0]);
+        let v = f64::from_bits(recycle(st, call, cell).words[0]);
         *self.value.get_or_init(|| v)
     }
 
@@ -97,12 +97,12 @@ fn access<F: Fabric>(ctx: &F, p: CxPtr, op: u64, value: u64) -> [u64; 4] {
     let args = [p.region as u64, p.offset as u64, op, value];
     if p.node == ctx.node() {
         ctx.charge(Bucket::Runtime, c.local_gp_deref);
-        return serve_access(&st, args);
+        return serve_access(st, args);
     }
-    let cell = issue(ctx, &st, p.node, H_GP_ACC, args, c.gp_issue);
+    let cell = issue(ctx, st, p.node, H_GP_ACC, args, c.gp_issue);
     let call = await_record(ctx, &cell, true);
     ctx.charge(Bucket::Runtime, c.gp_complete);
-    recycle(&st, call, cell).words
+    recycle(st, call, cell).words
 }
 
 /// Read a double through a global pointer (`lx = *gpY`). Blocks the calling
@@ -137,10 +137,10 @@ pub fn gp_read_async<F: Fabric>(ctx: &F, p: CxPtr) -> GpHandle {
     let args = [p.region as u64, p.offset as u64, OP_READ, 0];
     let (value, cell) = if p.node == ctx.node() {
         ctx.charge(Bucket::Runtime, c.local_gp_deref);
-        let v = f64::from_bits(serve_access(&st, args)[0]);
+        let v = f64::from_bits(serve_access(st, args)[0]);
         (OnceLock::from(v), None)
     } else {
-        let cell = issue(ctx, &st, p.node, H_GP_ACC_ASYNC, args, c.gp_async_issue);
+        let cell = issue(ctx, st, p.node, H_GP_ACC_ASYNC, args, c.gp_async_issue);
         (OnceLock::new(), Some(cell))
     };
     GpHandle {
@@ -201,9 +201,10 @@ pub(crate) fn register_gp_handlers<F: Fabric>(ctx: &F) {
         let call = CxCall::of(&mut m);
         let (src, args) = (m.src, m.args);
         mpmd_threads::spawn(ctx, "gp-access", move |cctx| {
+            let st = CcxxState::get(&cctx);
             let c = &st.cfg().costs;
             cctx.charge(Bucket::Runtime, c.gp_serve);
-            serve_and_reply(&cctx, &st, src, call, args, c.gp_reply);
+            serve_and_reply(&cctx, st, src, call, args, c.gp_reply);
             // The access thread ends here; push out a coalesced reply rather
             // than leaving it for the next poller.
             am::flush(&cctx);
@@ -219,12 +220,11 @@ pub(crate) fn register_gp_handlers<F: Fabric>(ctx: &F) {
         }
         let call = CxCall::of(&mut m);
         ctx.charge(Bucket::Runtime, cfg.costs.gp_async_serve);
-        serve_and_reply(ctx, &st, m.src, call, m.args, cfg.costs.gp_async_reply);
+        serve_and_reply(ctx, st, m.src, call, m.args, cfg.costs.gp_async_reply);
     });
 
     am::register(ctx, H_GP_REPLY, |ctx, mut m| {
-        let st = CcxxState::get(ctx);
-        if let Some(ic) = st.cfg().interrupt_cost {
+        if let Some(ic) = CcxxState::get(ctx).cfg().interrupt_cost {
             ctx.charge(Bucket::Net, ic);
         }
         park(ctx, CxCall::of(&mut m), true);

@@ -159,8 +159,7 @@ impl MarshalBuf {
 
     /// Charge the marshalling of `elems` elements, written since `before`.
     fn charge<F: Fabric>(&mut self, ctx: &F, elems: usize, before: usize) -> &mut Self {
-        let st = CcxxState::get(ctx);
-        let c = &st.cfg().costs;
+        let c = &CcxxState::get(ctx).cfg().costs;
         let grew = self.bytes.len() - before;
         ctx.charge(
             Bucket::Runtime,
@@ -230,8 +229,7 @@ impl<'a> UnmarshalBuf<'a> {
     /// Charge the unmarshalling of `elems` elements, read since `before`
     /// bytes were left.
     fn charge<F: Fabric>(&self, ctx: &F, elems: usize, before: usize) {
-        let st = CcxxState::get(ctx);
-        let c = &st.cfg().costs;
+        let c = &CcxxState::get(ctx).cfg().costs;
         let consumed = before - self.input.len();
         ctx.charge(
             Bucket::Runtime,

@@ -17,11 +17,10 @@ use crate::marshal::MarshalBuf;
 use crate::rmi::{
     register_method_full, rmi_with_object, CallMode, RmiArgs, RmiRet, DEFAULT_PROGRAM,
 };
+use crate::state::CcxxState;
 use mpmd_fabric::Fabric;
-use parking_lot::RwLock;
 use std::any::Any;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A global pointer to a processor object: opaque to the program, as in
@@ -32,43 +31,18 @@ pub struct CxObjPtr {
     pub obj: u64,
 }
 
-struct ObjRec {
-    type_name: &'static str,
-    value: Arc<dyn Any + Send + Sync>,
-}
-
-/// Per-node processor-object registry.
-struct ObjRegistry {
-    objects: RwLock<HashMap<u64, ObjRec>>,
-    next_id: AtomicU64,
-}
-
-impl ObjRegistry {
-    fn new() -> Self {
-        ObjRegistry {
-            objects: RwLock::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-        }
-    }
-
-    fn get<F: Fabric>(ctx: &F) -> Arc<ObjRegistry> {
-        ctx.node_data(ObjRegistry::new)
-    }
-}
+/// A processor object: the name of its type, whose methods it answers, and
+/// its value.
+pub(crate) type ObjRec = (&'static str, Arc<dyn Any + Send + Sync>);
 
 /// Instantiate a processor object on this node, returning its global
 /// pointer. (CC++ creates processor objects with placement `new` on a
 /// processor; here the creating code already runs on the target node.)
 pub fn create_object<T: Send + Sync + 'static, F: Fabric>(ctx: &F, obj: T) -> CxObjPtr {
-    let reg = ObjRegistry::get(ctx);
-    let id = reg.next_id.fetch_add(1, Ordering::AcqRel);
-    reg.objects.write().insert(
-        id,
-        ObjRec {
-            type_name: std::any::type_name::<T>(),
-            value: Arc::new(obj),
-        },
-    );
+    let st = CcxxState::get(ctx);
+    let id = st.next_obj.fetch_add(1, Ordering::AcqRel);
+    let rec: ObjRec = (std::any::type_name::<T>(), Arc::new(obj));
+    st.objects.write().insert(id, rec);
     CxObjPtr {
         node: ctx.node(),
         obj: id,
@@ -79,8 +53,7 @@ pub fn create_object<T: Send + Sync + 'static, F: Fabric>(ctx: &F, obj: T) -> Cx
 /// invocations then panic with a clear message).
 pub fn destroy_object<F: Fabric>(ctx: &F, p: CxObjPtr) {
     assert_eq!(p.node, ctx.node(), "objects are destroyed by their owner");
-    let reg = ObjRegistry::get(ctx);
-    let prev = reg.objects.write().remove(&p.obj);
+    let prev = CcxxState::get(ctx).objects.write().remove(&p.obj);
     assert!(prev.is_some(), "destroying nonexistent object {}", p.obj);
 }
 
@@ -90,27 +63,23 @@ fn typed_name_of(type_name: &str, method: &str) -> String {
     format!("{type_name}::{method}")
 }
 
+/// Processor object `obj` of this node.
+fn object<F: Fabric>(ctx: &F, obj: u64) -> ObjRec {
+    let found = CcxxState::get(ctx).objects.read().get(&obj).cloned();
+    found.unwrap_or_else(|| panic!("no processor object {obj} on node {}", ctx.node()))
+}
+
 /// Owner-side resolution: map an `(object id, bare method name)` invocation
 /// to the registered typed stub name.
 pub(crate) fn object_method_wire_name<F: Fabric>(ctx: &F, obj: u64, method: &str) -> String {
-    let reg = ObjRegistry::get(ctx);
-    let objects = reg.objects.read();
-    let rec = objects
-        .get(&obj)
-        .unwrap_or_else(|| panic!("no processor object {obj} on node {}", ctx.node()));
-    typed_name_of(rec.type_name, method)
+    typed_name_of(object(ctx, obj).0, method)
 }
 
 /// Fetch an object for a typed stub (panics on type confusion — a CC++
 /// program with a miscast global pointer would crash too, just less
 /// politely).
 fn fetch_object<T: Send + Sync + 'static, F: Fabric>(ctx: &F, obj: u64) -> Arc<T> {
-    let reg = ObjRegistry::get(ctx);
-    let objects = reg.objects.read();
-    let rec = objects
-        .get(&obj)
-        .unwrap_or_else(|| panic!("no processor object {obj} on node {}", ctx.node()));
-    Arc::downcast::<T>(Arc::clone(&rec.value)).unwrap_or_else(|_| {
+    Arc::downcast::<T>(object(ctx, obj).1).unwrap_or_else(|_| {
         panic!(
             "processor object {obj} is not a {}",
             std::any::type_name::<T>()
@@ -162,6 +131,7 @@ mod tests {
     use super::*;
     use crate::{barrier, finalize, init, CcxxConfig};
     use mpmd_sim::Sim;
+    use std::sync::atomic::AtomicU64;
 
     struct Counter {
         hits: AtomicU64,

@@ -49,6 +49,7 @@ use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
 use mpmd_threads::SyncVar;
 use parking_lot::Mutex as HostMutex;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 pub(crate) const H_REQ: HandlerId = 64;
@@ -336,12 +337,10 @@ pub fn register_method_full<F: Fabric>(
 /// Spin-poll until `pred`, registering as a spinner so the polling thread
 /// defers (no thread operations are charged — this is the Simple path).
 pub(crate) fn spin_wait<F: Fabric>(ctx: &F, pred: impl FnMut() -> bool) {
-    let st = CcxxState::get(ctx);
-    st.spinners
-        .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+    let spinners = &CcxxState::get(ctx).spinners;
+    spinners.fetch_add(1, Ordering::AcqRel);
     am::wait_until(ctx, pred);
-    st.spinners
-        .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
+    spinners.fetch_sub(1, Ordering::AcqRel);
 }
 
 /// Invoke `method` on node `dst` and wait for its reply.
@@ -448,7 +447,7 @@ fn rmi_inner<F: Fabric>(
         Target::Name(_, n) => n.len() + 4, // name + program id
         Target::Addr(_) => 0,
     };
-    let (mut call, cell) = CxCall::take(&st);
+    let (mut call, cell) = CxCall::take(st);
     call.src = ctx.node();
     call.mode = mode;
     call.target = target;
@@ -490,7 +489,7 @@ fn rmi_inner<F: Fabric>(
 
     let call = await_record(ctx, &cell, mode.initiator_blocks());
     let sp_unmarshal = ctx.span_start("rmi.unmarshal");
-    let ret = recycle(&st, call, cell);
+    let ret = recycle(st, call, cell);
     if let Some(d) = &ret.data {
         // "Bulk reads cost more than bulk writes in CC++ because the return
         // data has to be copied twice" — unless the initiator passed its
@@ -631,16 +630,15 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
         if spawns {
             ctx.charge(Bucket::Runtime, c.threaded_dispatch);
             ctx.span_end(sp_dispatch);
-            let st2 = Arc::clone(&st);
             mpmd_threads::spawn(ctx, "rmi-method", move |cctx| {
-                run_and_reply(&cctx, &st2, stub, call);
+                run_and_reply(&cctx, CcxxState::get(&cctx), stub, call);
                 // The method thread ends here; push out any coalesced reply
                 // rather than leaving it for the next poller.
                 am::flush(&cctx);
             });
         } else {
             ctx.span_end(sp_dispatch);
-            run_and_reply(ctx, &st, stub, call);
+            run_and_reply(ctx, st, stub, call);
         }
     });
 

@@ -22,13 +22,12 @@ pub const M_ADD3_F64: &str = "__add3f";
 /// Initialize the CC++ runtime on this node: AM endpoint, handlers, built-in
 /// methods, and the polling thread. Collective; ends with a barrier.
 pub fn init<F: Fabric>(ctx: &F, config: CcxxConfig) {
-    let st = CcxxState::get(ctx);
     am::init(ctx, config.profile.clone());
     if let Some(cfg) = config.coalescing.clone() {
         am::enable_coalescing(ctx, cfg);
     }
     let interrupts = config.interrupt_cost.is_some();
-    st.set_config(config);
+    CcxxState::get(ctx).set_config(config);
     am::register_barrier_handlers(ctx);
     register_rmi_handlers(ctx);
     crate::gp::register_gp_handlers(ctx);
@@ -86,7 +85,6 @@ pub fn spin_until<F: Fabric>(ctx: &F, pred: impl FnMut() -> bool) {
 /// servicing still happens here but the switches are not charged — the
 /// interrupt cost is charged per message instead.
 fn start_polling_thread<F: Fabric>(ctx: &F, interrupts: bool) {
-    let st = CcxxState::get(ctx);
     // The polling thread is "forked at initialization" — account its
     // creation like any other thread.
     let t = mpmd_threads::spawn(ctx, "ccxx-poller", move |cctx| {
@@ -113,7 +111,7 @@ fn start_polling_thread<F: Fabric>(ctx: &F, interrupts: bool) {
             am::poll(&cctx);
         }
     });
-    *st.poller.lock() = Some(t.id());
+    *CcxxState::get(ctx).poller.lock() = Some(t.id());
 }
 
 /// Allocate a data region of `len` doubles on this node (the state of a

@@ -1,13 +1,14 @@
 //! Per-node CC++ runtime state.
 
 use crate::config::CcxxConfig;
+use crate::pobj::ObjRec;
 use crate::rmi::{CxCall, RmiArgs, RmiRet};
 use mpmd_am::RegionTable;
 use mpmd_fabric::Fabric;
 use mpmd_sim::TaskId;
 use parking_lot::{Mutex as HostMutex, RwLock};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, OnceLock};
 
 /// A registered method stub: executes the method body and produces the
@@ -94,6 +95,10 @@ pub(crate) struct CcxxState<F: Fabric> {
     pub(crate) spinners: AtomicUsize,
     pub(crate) poller: HostMutex<Option<TaskId>>,
     pub(crate) poller_stop: AtomicBool,
+    /// Processor objects on this node, by id (see [`crate::pobj`]).
+    pub(crate) objects: RwLock<HashMap<u64, ObjRec>>,
+    /// The id the next processor object created here gets.
+    pub(crate) next_obj: AtomicU64,
 }
 
 impl<F: Fabric> CcxxState<F> {
@@ -112,10 +117,12 @@ impl<F: Fabric> CcxxState<F> {
             spinners: AtomicUsize::new(0),
             poller: HostMutex::new(None),
             poller_stop: AtomicBool::new(false),
+            objects: RwLock::new(HashMap::new()),
+            next_obj: AtomicU64::new(1),
         }
     }
 
-    pub(crate) fn get(ctx: &F) -> Arc<CcxxState<F>> {
+    pub(crate) fn get(ctx: &F) -> &CcxxState<F> {
         ctx.node_data(CcxxState::new)
     }
 

@@ -66,10 +66,10 @@ use crate::Fabric;
 use mpmd_sim::baton::{Backend, BackendKind, BatonCell, TaskBody, TaskCell};
 use mpmd_sim::metrics::bucket_index;
 use mpmd_sim::{
-    size_bucket, Bucket, CostModel, Histogram, MetricsRegistry, Msg, NodeMetrics, Payload, Report,
-    Snapshot, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter, ACROSS_NODES,
+    size_bucket, Bucket, CostModel, Histogram, MetricsRegistry, Msg, NodeData, NodeMetrics,
+    Payload, Report, Snapshot, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter, ACROSS_NODES,
 };
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::cell::{Cell, RefMut, UnsafeCell};
 use std::collections::{HashMap, VecDeque};
 use std::mem::{align_of, offset_of, size_of, MaybeUninit};
@@ -330,8 +330,6 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `resume_unwind`, so the panic hook stays quiet; never reported.
 struct RunPoisoned;
 
-type Singleton = Arc<dyn Any + Send + Sync>;
-
 /// A few values keyed by metric name, for one node. A dozen names at most,
 /// so one scan of the (densely packed) names beats hashing them; each
 /// comparison tries the address first — a call site passes the same literal
@@ -363,8 +361,8 @@ impl<V: Default> NameTable<V> {
 }
 
 /// A node's probe block: what its tasks counted, charged and observed since
-/// the last merge, and the node's `node_data` singletons. Plain fields
-/// written by the node's own thread alone — no lock, no atomic.
+/// the last merge. Plain fields written by the node's own thread alone — no
+/// lock, no atomic.
 ///
 /// [`LfInner::merge`] folds the block into the node's `stats` / `metrics`
 /// totals and zeroes it:
@@ -389,7 +387,6 @@ struct Block {
     /// and nowhere else, so a counting site cannot forget them.
     stats_dirty: bool,
     metrics_dirty: bool,
-    data: Vec<(TypeId, Singleton)>,
 }
 
 impl Block {
@@ -546,6 +543,8 @@ struct Node {
     /// node's baton. The borrow flag catches a probe closure that calls back
     /// into the fabric.
     local: BatonCell<Sched>,
+    /// The node's layer singletons, beside the baton cell: a lookup borrows nothing.
+    data: NodeData,
 }
 
 // The layout the message path relies on, checked at compile time so that the
@@ -570,9 +569,8 @@ const _: () = {
 };
 
 /// What a task did wrong when its node's scheduler is found borrowed.
-const REENTRY: &str = "LocalFabric re-entered from a `with_stats` closure or a `node_data` \
-                       init: they run on the node's probe block and must not call back into \
-                       the fabric";
+const REENTRY: &str = "LocalFabric re-entered from a `with_stats` closure: it runs on the \
+                       node's probe block and must not call back into the fabric";
 
 /// What a task did wrong when it uses a handle that is not its own.
 const BORROWED: &str = "a LocalFabric handle blocks only the task it was given to, and is \
@@ -895,10 +893,8 @@ where
     loop {
         let mut s = me.local.borrow_mut();
         let Some(next) = inner.next_ready(node, &mut s) else {
-            // The report reads the totals; the singletons die with the run,
-            // not with whoever drops its last handle.
+            // The report reads the totals.
             inner.merge(node, &mut s.block);
-            s.block.data.clear();
             return;
         };
         let cell = s.run(next);
@@ -1008,12 +1004,13 @@ impl LocalFabricBuilder {
                     metrics: self.metrics.then(Mutex::default),
                     retired: AtomicBool::new(false),
                     backend: Backend::new(BackendKind::Auto, "local"),
-                    // SAFETY: every borrow is in `LocalFabric::local`,
+                    // SAFETY: every borrow is in `LocalFabric::home`,
                     // `inbox_len`, `node_main` or `finish_task`, which run on
                     // the thread holding this node's baton — the handle
                     // methods after checking `CURRENT`, the other two by
                     // construction.
                     local: unsafe { BatonCell::new(Sched::new(self.wait)) },
+                    data: NodeData::default(),
                 })
                 .collect(),
             // One bootstrap hold per node: a root that returns before its
@@ -1078,24 +1075,22 @@ impl LocalFabric {
         self.home().tasks.len()
     }
 
-    /// `node`'s scheduler; the caller holds its baton. Finding it
-    /// borrowed means a probe closure further up this stack is calling back
-    /// into the fabric.
-    fn local(&self, node: usize) -> RefMut<'_, Sched> {
-        self.inner.node[node]
-            .local
-            .try_borrow_mut()
-            .unwrap_or_else(|_| panic!("{REENTRY}"))
+    /// Whether the calling thread holds this handle's node's baton.
+    fn at_home(&self) -> bool {
+        CURRENT.get() == (Arc::as_ptr(&self.inner), self.node)
     }
 
     /// This node's scheduler, to move ids between its queues, count into its
     /// probe block or reach its links: any task of the node may, through any
     /// handle of the node; a thread that does not hold the node's baton in
-    /// this handle's run may not.
+    /// this handle's run may not. Finding it borrowed means a `with_stats`
+    /// closure further up this stack is calling back into the fabric.
     fn home(&self) -> RefMut<'_, Sched> {
-        let here = (Arc::as_ptr(&self.inner), self.node);
-        assert!(CURRENT.get() == here, "{BORROWED}");
-        self.local(self.node)
+        assert!(self.at_home(), "{BORROWED}");
+        let local = &self.inner.node[self.node].local;
+        local
+            .try_borrow_mut()
+            .unwrap_or_else(|_| panic!("{REENTRY}"))
     }
 
     /// This node's scheduler, to block the calling task through: a handle
@@ -1133,13 +1128,6 @@ impl LocalFabric {
             let backend = &inner.node[self.node].backend;
             backend.switch(Some(&self.cell), Some(&cell));
         }
-    }
-
-    /// Run `f` on the node's probe block. The scheduler stays borrowed while
-    /// `f` runs, so a user closure in `f` that calls back into the fabric
-    /// panics with [`REENTRY`].
-    fn with_block<R>(&self, f: impl FnOnce(&mut Block) -> R) -> R {
-        f(&mut self.home().block)
     }
 
     /// The shared body of `park_for_inbox` and `park_for_inbox_until`.
@@ -1223,20 +1211,21 @@ impl Fabric for LocalFabric {
         if ns == 0 {
             return;
         }
-        self.with_block(|b| b.stats().bucket_ns[bucket.index()] += ns)
+        self.home().block.stats().bucket_ns[bucket.index()] += ns;
     }
 
     /// `f` sees the counts of the node since its last merge, not the node's
-    /// totals: add to them, do not read them.
+    /// totals: add to them, do not read them. It runs on the borrowed
+    /// scheduler, so calling back into the fabric panics with [`REENTRY`].
     fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
-        self.with_block(|b| f(b.stats()))
+        f(self.home().block.stats())
     }
 
     /// Holds what the caller's node did up to now, what every other node did
     /// before sending a frame that reached the caller (so everything before
     /// a barrier), and what each did up to the last time it went idle.
     fn snapshot(&self) -> Snapshot {
-        self.with_block(|b| self.inner.merge(self.node, b));
+        self.inner.merge(self.node, &mut self.home().block);
         let now = self.now();
         Snapshot {
             clocks: vec![now; self.inner.nodes],
@@ -1318,7 +1307,7 @@ impl Fabric for LocalFabric {
             None => return,
         }
         self.switch_away(s, State::Joining);
-        if self.local(self.node).tasks.contains_key(&t.0) {
+        if self.home().tasks.contains_key(&t.0) {
             // Resumed with its target still running, which only the teardown
             // of a poisoned run does: unwind.
             self.inner.check_poison();
@@ -1345,13 +1334,13 @@ impl Fabric for LocalFabric {
         // The receive is counted at `try_recv`, by the receiver. The merge
         // comes before the push: once the frame can be seen, so can
         // everything this node counted before sending it.
-        self.with_block(|b| {
-            let s = b.stats();
-            s.msgs_sent += 1;
-            s.bytes_sent += wire_bytes as u64;
-            s.msg_size_hist[size_bucket(wire_bytes)] += 1;
-            self.inner.merge(self.node, b);
-        });
+        let mut home = self.home();
+        let s = home.block.stats();
+        s.msgs_sent += 1;
+        s.bytes_sent += wire_bytes as u64;
+        s.msg_size_hist[size_bucket(wire_bytes)] += 1;
+        self.inner.merge(self.node, &mut home.block);
+        drop(home);
         let msg = Msg {
             src: self.node,
             wire_bytes,
@@ -1389,27 +1378,18 @@ impl Fabric for LocalFabric {
     /// own thread, outside a probe closure; elsewhere, the rings alone.
     fn inbox_len(&self) -> usize {
         let rings = (0..self.inner.nodes).map(|src| self.inner.ring(src, self.node).depth());
-        let home = CURRENT.get() == (Arc::as_ptr(&self.inner), self.node);
-        let local = &self.inner.node[self.node].local;
+        let (home, local) = (self.at_home(), &self.inner.node[self.node].local);
         let stashed = home.then(|| local.try_borrow().map_or(0, |s| s.stash.len()));
         rings.sum::<usize>() + stashed.unwrap_or(0)
     }
 
-    fn node_data<T, G>(&self, init: G) -> Arc<T>
+    fn node_data<T, G>(&self, init: G) -> &T
     where
         T: Send + Sync + 'static,
         G: FnOnce() -> T,
     {
-        let id = TypeId::of::<T>();
-        let found = self.with_block(|b| {
-            if let Some((_, hit)) = b.data.iter().find(|(t, _)| *t == id) {
-                return Arc::clone(hit);
-            }
-            let fresh: Singleton = Arc::new(init());
-            b.data.push((id, Arc::clone(&fresh)));
-            fresh
-        });
-        Arc::downcast::<T>(found).expect("node_data type confusion")
+        assert!(self.at_home(), "{BORROWED}");
+        self.inner.node[self.node].data.get_or_init(init)
     }
 
     fn metrics_enabled(&self) -> bool {
@@ -1418,7 +1398,7 @@ impl Fabric for LocalFabric {
 
     fn metric_observe(&self, name: &'static str, v: u64) {
         if self.metrics_enabled() {
-            self.with_block(|b| b.hist(name).record(v))
+            self.home().block.hist(name).record(v);
         }
     }
 }
@@ -1738,7 +1718,7 @@ mod tests {
             // Nobody ever unparks it: only the poisoned run gets it out.
             let parker = fab.spawn("parker", |c| c.park());
             let bomb = fab.spawn("bomb", move |c| {
-                while c.local(c.node).rec(parker).state != State::Parked {
+                while c.home().rec(parker).state != State::Parked {
                     c.yield_now();
                 }
                 panic!("{}", String::from("bomb went off"));
@@ -1799,15 +1779,12 @@ mod tests {
     }
 
     /// The twin of the simulator's `kernel_reentry_panics_on_every_backend`:
-    /// calling back into the fabric from a `with_stats` closure or a
-    /// `node_data` init fails the run with the rule. Through a handle driven
-    /// from another node's thread the outer call already fails, for being
-    /// made through that handle.
+    /// calling back into the fabric from a `with_stats` closure fails the run
+    /// with the rule. Through a handle driven from another node's thread the
+    /// outer call already fails, for being made through that handle.
     #[test]
     fn reentry_from_a_probe_closure_panics_with_the_rule() {
-        struct Outer;
-        struct Inner;
-        let cases: [(&str, Misuse); 7] = [
+        let cases: [(&str, Misuse); 6] = [
             ("charge in with_stats", |_, c| {
                 c.with_stats(|_| c.charge(Bucket::Cpu, 1))
             }),
@@ -1826,12 +1803,6 @@ mod tests {
                 let done = own.spawn("done", |_| {});
                 own.join(done);
                 c.with_stats(|_| c.join(done))
-            }),
-            ("node_data in a node_data init", |_, c| {
-                c.node_data(|| {
-                    c.node_data(|| Inner);
-                    Outer
-                });
             }),
         ];
         for (what, reenter) in cases {

@@ -2,12 +2,12 @@
 //! [`Fabric`] implementation. The trait docs carry the contract; comments
 //! here say only what is specific to the virtual-time kernel.
 //!
-//! Hot-path discipline: every operation borrows the kernel exactly once,
-//! through `SimInner::lock_kernel` (a thread-local check that the caller holds
-//! the run's baton, then a `RefCell` borrow), and none holds the borrow across
-//! a baton switch or a call into user code other than the
-//! `with_stats`/`node_data` closures — which therefore must not call back
-//! into the fabric (doing so panics). Disabled instruments (tracing, metrics)
+//! Hot-path discipline: every operation that reads the kernel borrows it
+//! exactly once, through `SimInner::lock_kernel` (a thread-local check that
+//! the caller holds the run's baton, then a `RefCell` borrow), and none holds
+//! the borrow across a baton switch or a call into user code other than the
+//! `with_stats` closure — which therefore must not call back into the fabric
+//! (doing so panics). Disabled instruments (tracing, metrics)
 //! are gated on plain bools captured at `Sim::run`, so the off path costs a
 //! branch, not a kernel visit.
 
@@ -21,7 +21,6 @@ use crate::stats::{Bucket, Stats};
 use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
 use crate::trace::{SpanId, TraceEvent};
-use std::any::{Any, TypeId};
 use std::cell::RefMut;
 use std::sync::Arc;
 
@@ -318,25 +317,13 @@ impl Fabric for Ctx {
         self.inner.lock_kernel().nodes[self.node].inbox.len()
     }
 
-    /// `init` runs under the kernel borrow. A node holds a handful of
-    /// singletons, so a scan beats hashing the `TypeId`.
-    fn node_data<T, F>(&self, init: F) -> Arc<T>
+    fn node_data<T, F>(&self, init: F) -> &T
     where
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        let id = TypeId::of::<T>();
-        let mut k = self.inner.lock_kernel();
-        let data = &mut k.nodes[self.node].data;
-        let found = match data.iter().find(|(t, ..)| *t == id) {
-            Some((_, hit, _)) => Arc::clone(hit),
-            None => {
-                let fresh: Arc<dyn Any + Send + Sync> = Arc::new(init());
-                data.push((id, Arc::clone(&fresh), std::any::type_name::<T>()));
-                fresh
-            }
-        };
-        Arc::downcast::<T>(found).expect("node_data type confusion")
+        self.inner.check_baton();
+        self.inner.node_data[self.node].get_or_init(init)
     }
 
     #[inline]

@@ -27,6 +27,7 @@ use crate::cost::CostModel;
 use crate::ctx::Ctx;
 use crate::explore::ScheduleOracle;
 use crate::kernel::{Kernel, TaskState};
+use crate::node_data::NodeData;
 use crate::report::{Report, Snapshot};
 use crate::task::TaskId;
 use crate::trace::{TraceConfig, TraceEvent};
@@ -60,8 +61,8 @@ pub fn backend_from_env() -> Result<BackendKind, String> {
 }
 
 /// What a task did wrong when the kernel is found borrowed.
-const REENTRY: &str = "simulator kernel re-entered from a `with_stats` closure or a `node_data` \
-                       init: they run on the kernel and must not call back into the fabric";
+const REENTRY: &str = "simulator kernel re-entered from a `with_stats` closure: it runs on the \
+                       kernel and must not call back into the fabric";
 
 /// What a caller did wrong when it reaches the kernel without the baton.
 const OFF_BATON: &str = "a simulator handle reaches the kernel only from the context that holds \
@@ -91,6 +92,8 @@ impl Drop for RestoreCurrent {
 pub(crate) struct SimInner {
     /// All mutable simulation state, owned by the context holding the baton.
     kernel: BatonCell<Kernel>,
+    /// Each node's layer singletons, beside the kernel: a lookup borrows nothing.
+    pub(crate) node_data: Box<[NodeData]>,
     /// The context key of the baton holder, written by each context as it
     /// receives the baton. A second word beside `CURRENT`: a context running
     /// beside the holder on another thread finds it overwritten.
@@ -119,17 +122,22 @@ impl SimInner {
         self.holder.store(key, Ordering::Relaxed);
     }
 
-    /// The kernel, borrowed by the baton holder: the single access point.
-    /// The holder checks make every borrow the baton holder's, which is what
-    /// makes the `BatonCell` sound; a failed borrow is a closure run under
-    /// this one calling back in. Both are bugs, reported as panics.
+    /// Panic unless the caller holds this run's baton as its current holder:
+    /// what makes every kernel borrow the holder's, and the `BatonCell` sound.
     #[inline]
-    pub(crate) fn lock_kernel(&self) -> RefMut<'_, Kernel> {
+    pub(crate) fn check_baton(&self) {
         let (run, key) = CURRENT.get();
         assert!(
             std::ptr::eq(run, self) && key == self.holder.load(Ordering::Relaxed),
             "{OFF_BATON}"
         );
+    }
+
+    /// The kernel, borrowed by the baton holder: the single access point. A
+    /// failed borrow is a closure run under this one calling back in, a bug.
+    #[inline]
+    pub(crate) fn lock_kernel(&self) -> RefMut<'_, Kernel> {
+        self.check_baton();
         self.kernel
             .try_borrow_mut()
             .unwrap_or_else(|_| panic!("{REENTRY}"))
@@ -261,6 +269,7 @@ impl Sim {
         };
         let inner = Arc::new(SimInner {
             kernel,
+            node_data: (0..self.nodes).map(|_| NodeData::default()).collect(),
             holder: AtomicU32::new(ENGINE),
             backend: Backend::new(
                 match self.backend {
@@ -566,10 +575,11 @@ mod tests {
         use crate::{Bucket, Fabric};
         use std::sync::Mutex;
         type Call = fn(&Ctx);
-        let calls: [(&str, Call); 3] = [
+        let calls: [(&str, Call); 4] = [
             ("charge", |c| c.charge(Bucket::Cpu, 1)),
             ("with_stats", |c| c.with_stats(|s| s.polls += 1)),
             ("now", |c| _ = c.now()),
+            ("node_data", |c| _ = c.node_data(|| 0u8)),
         ];
         let rule = "does not own";
         for kind in backends() {

@@ -23,7 +23,6 @@ use crate::stats::{Bucket, Stats};
 use crate::task::TaskId;
 use crate::time::Time;
 use crate::trace::{SpanId, TraceEvent};
-use std::sync::Arc;
 
 /// What `unpark`, `join` and `is_finished` panic with, on every backend, when
 /// their target is a task of another node.
@@ -204,12 +203,12 @@ pub trait Fabric: Clone + Send + 'static {
 
     // ---- per-node typed state ----------------------------------------
 
-    /// Fetch (or lazily create) this node's singleton of type `T`. The
+    /// This node's singleton of type `T`, made by `init` on first use and
+    /// kept for the run in the node's [`NodeData`](crate::NodeData). The
     /// runtime crates keep their per-node state (handler tables, memories,
-    /// stub caches) here. `init` must not call back into the fabric: that
-    /// panics on every backend (it runs under the simulator's kernel borrow,
-    /// and on the node's probe block on `LocalFabric`).
-    fn node_data<T, G>(&self, init: G) -> Arc<T>
+    /// stub caches) here. `init` may fetch another type; fetching `T` itself
+    /// panics, and so does a type past [`NodeData::SLOTS`](crate::NodeData::SLOTS).
+    fn node_data<T, G>(&self, init: G) -> &T
     where
         T: Send + Sync + 'static,
         G: FnOnce() -> T;

@@ -1,8 +1,8 @@
 //! The simulation kernel: task table, per-node state, and event application.
 //!
 //! All mutable simulation state lives here, in one [`Kernel`] in the
-//! `BatonCell` of `SimInner`: per node the virtual clock, inbox, stats block
-//! and typed singletons next to the ready queue ([`NodeState`]);
+//! `BatonCell` of `SimInner`: per node the virtual clock, inbox and stats
+//! block next to the ready queue ([`NodeState`]);
 //! machine-wide the task table, the event heap and the trace/metrics/fault
 //! instruments.
 //!
@@ -20,7 +20,7 @@ use crate::stats::Stats;
 use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
 use crate::trace::{TraceConfig, TraceEvent, TraceRecord, Tracer, NO_TASK};
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
@@ -78,10 +78,6 @@ pub(crate) struct NodeState {
     pub(crate) inbox: VecDeque<Msg>,
     /// Instrumentation.
     pub(crate) stats: Stats,
-    /// Per-node typed singletons (runtime state for the layered crates), in
-    /// creation order, with the type name kept alongside for deterministic
-    /// diagnostics.
-    pub(crate) data: Vec<(TypeId, Arc<dyn Any + Send + Sync>, &'static str)>,
     /// Tasks ready to run, in FIFO order.
     pub(crate) ready: VecDeque<TaskId>,
     /// Tasks parked waiting for the inbox to become non-empty. Deduplicated
@@ -570,19 +566,15 @@ impl Kernel {
     }
 
     /// Human-readable dump of unfinished tasks, for deadlock diagnostics.
-    /// Deterministic: nodes and tasks print in index order, and each node's
-    /// typed-singleton list is sorted by type name.
+    /// Deterministic: nodes and tasks print in index order.
     pub(crate) fn dump_live(&self) -> String {
         let mut s = String::new();
         for (i, n) in self.nodes.iter().enumerate() {
-            let mut names: Vec<&'static str> = n.data.iter().map(|&(.., name)| name).collect();
-            names.sort_unstable();
             s.push_str(&format!(
-                "node {i}: clock={}ns inbox={} ready={} data=[{}]\n",
+                "node {i}: clock={}ns inbox={} ready={}\n",
                 n.clock,
                 n.inbox.len(),
-                n.ready.len(),
-                names.join(", ")
+                n.ready.len()
             ));
         }
         for (i, t) in self.tasks.iter().enumerate() {

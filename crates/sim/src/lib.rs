@@ -36,6 +36,7 @@ mod fiber;
 pub mod flame;
 mod kernel;
 pub mod metrics;
+mod node_data;
 mod pool;
 mod report;
 mod stats;
@@ -56,6 +57,7 @@ pub use fabric::{Fabric, SpanGuard, ACROSS_NODES};
 pub use flame::{fold_stacks, phase_profile, Phase};
 pub use kernel::FaultDecision;
 pub use metrics::{Histogram, MetricsRegistry, NodeMetrics, HIST_BUCKETS};
+pub use node_data::NodeData;
 pub use report::{Report, Snapshot};
 pub use stats::{size_bucket, size_bucket_limit, Bucket, Stats, NUM_BUCKETS};
 pub use task::TaskId;

@@ -123,9 +123,8 @@ pub fn reduce_sum_u64<F: Fabric>(ctx: &F, value: u64) -> u64 {
 /// injected wire faults.
 pub(crate) fn note_reduce_arrival<F: Fabric>(ctx: &F, src: usize, gen: u64, value: u64, op: u64) {
     debug_assert_eq!(ctx.node(), 0);
-    let st = ScState::get(ctx);
     let complete = {
-        let mut red = st.reduce.lock();
+        let mut red = ScState::get(ctx).reduce.lock();
         let entry = red
             .collect
             .entry(gen)

@@ -151,14 +151,14 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
     am::register(ctx, H_BULK_WRITE, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        write_bulk_into_region(&st, &m);
+        write_bulk_into_region(st, &m);
         reply_value(ctx, m, [0; 4]);
     });
 
     am::register(ctx, H_BULK_STORE, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        write_bulk_into_region(&st, &m);
+        write_bulk_into_region(st, &m);
         st.stores_recvd.fetch_add(1, Ordering::AcqRel);
     });
 
@@ -191,9 +191,7 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
     });
 
     am::register(ctx, H_REDUCE_RELEASE, |ctx, m| {
-        let st = ScState::get(ctx);
-        let mut red = st.reduce.lock();
-        red.released = Some((m.args[0], m.args[1]));
+        ScState::get(ctx).reduce.lock().released = Some((m.args[0], m.args[1]));
     });
 }
 

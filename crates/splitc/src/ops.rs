@@ -124,21 +124,21 @@ fn split_access<F: Fabric>(
 /// Synchronously read a double through a global pointer (`lx = *gpY`).
 pub fn read<F: Fabric>(ctx: &F, gp: GlobalPtr) -> f64 {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, &st, gp) {
+    if let Some(r) = local(ctx, st, gp) {
         return r.read()[gp.offset];
     }
-    let cell = sync_access(ctx, &st, H_READ, gp.node, at(gp, 0, 0), None);
+    let cell = sync_access(ctx, st, H_READ, gp.node, at(gp, 0, 0), None);
     f64::from_bits(cell.words()[0])
 }
 
 /// Synchronously write a double through a global pointer (`*gpY = lx`).
 pub fn write<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, &st, gp) {
+    if let Some(r) = local(ctx, st, gp) {
         r.write()[gp.offset] = v;
         return;
     }
-    sync_access(ctx, &st, H_WRITE, gp.node, at(gp, v.to_bits(), 0), None);
+    sync_access(ctx, st, H_WRITE, gp.node, at(gp, v.to_bits(), 0), None);
 }
 
 /// Synchronously read three consecutive doubles through a global pointer
@@ -146,11 +146,11 @@ pub fn write<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
 /// Water reads a molecule's position this way.
 pub fn read_vec3<F: Fabric>(ctx: &F, gp: GlobalPtr) -> [f64; 3] {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, &st, gp) {
+    if let Some(r) = local(ctx, st, gp) {
         let r = r.read();
         return [r[gp.offset], r[gp.offset + 1], r[gp.offset + 2]];
     }
-    let w = sync_access(ctx, &st, H_READ3, gp.node, at(gp, 0, 0), None).words();
+    let w = sync_access(ctx, st, H_READ3, gp.node, at(gp, 0, 0), None).words();
     [
         f64::from_bits(w[0]),
         f64::from_bits(w[1]),
@@ -164,7 +164,7 @@ pub fn read_vec3<F: Fabric>(ctx: &F, gp: GlobalPtr) -> [f64; 3] {
 /// packed address plus all three deltas fit.
 pub fn atomic_add3<F: Fabric>(ctx: &F, gp: GlobalPtr, deltas: [f64; 3]) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, &st, gp) {
+    if let Some(r) = local(ctx, st, gp) {
         let mut w = r.write();
         for k in 0..3 {
             w[gp.offset + k] += deltas[k];
@@ -177,7 +177,7 @@ pub fn atomic_add3<F: Fabric>(ctx: &F, gp: GlobalPtr, deltas: [f64; 3]) {
         deltas[1].to_bits(),
         deltas[2].to_bits(),
     ];
-    sync_access(ctx, &st, H_ATOMIC_ADD3, gp.node, args, None);
+    sync_access(ctx, st, H_ATOMIC_ADD3, gp.node, args, None);
 }
 
 /// Handle to a split-phase bulk read; data is available after [`sync`].
@@ -210,12 +210,12 @@ impl BulkGetHandle {
 pub fn get_bulk<F: Fabric>(ctx: &F, gp: GlobalPtr, len: usize) -> BulkGetHandle {
     let st = ScState::get(ctx);
     let cell = ReplyCell::new();
-    if let Some(r) = local(ctx, &st, gp) {
+    if let Some(r) = local(ctx, st, gp) {
         let local = Some(r.read()[gp.offset..gp.offset + len].to_vec());
         return BulkGetHandle { cell, local };
     }
     let args = at(gp, len as u64, 0);
-    split_access(ctx, &st, H_BULK_READ, gp.node, args, Some(&cell));
+    split_access(ctx, st, H_BULK_READ, gp.node, args, Some(&cell));
     BulkGetHandle { cell, local: None }
 }
 
@@ -242,11 +242,11 @@ impl GetHandle {
 pub fn get<F: Fabric>(ctx: &F, gp: GlobalPtr) -> GetHandle {
     let st = ScState::get(ctx);
     let cell = ReplyCell::new();
-    if let Some(r) = local(ctx, &st, gp) {
+    if let Some(r) = local(ctx, st, gp) {
         let v = r.read()[gp.offset];
         cell.complete([v.to_bits(), 0, 0, 0]);
     } else {
-        split_access(ctx, &st, H_READ, gp.node, at(gp, 0, 0), Some(&cell));
+        split_access(ctx, st, H_READ, gp.node, at(gp, 0, 0), Some(&cell));
     }
     GetHandle { cell }
 }
@@ -255,10 +255,10 @@ pub fn get<F: Fabric>(ctx: &F, gp: GlobalPtr) -> GetHandle {
 /// the acknowledgement.
 pub fn put<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, &st, gp) {
+    if let Some(r) = local(ctx, st, gp) {
         r.write()[gp.offset] = v;
     } else {
-        split_access(ctx, &st, H_WRITE, gp.node, at(gp, v.to_bits(), 0), None);
+        split_access(ctx, st, H_WRITE, gp.node, at(gp, v.to_bits(), 0), None);
     }
 }
 
@@ -274,7 +274,7 @@ pub fn sync<F: Fabric>(ctx: &F) {
 /// established by [`crate::all_store_sync`].
 pub fn store<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, &st, gp) {
+    if let Some(r) = local(ctx, st, gp) {
         r.write()[gp.offset] = v;
         return;
     }
@@ -291,27 +291,27 @@ pub fn store<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
 /// Synchronous bulk read of `len` doubles starting at `gp`.
 pub fn bulk_read<F: Fabric>(ctx: &F, gp: GlobalPtr, len: usize) -> Vec<f64> {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, &st, gp) {
+    if let Some(r) = local(ctx, st, gp) {
         return r.read()[gp.offset..gp.offset + len].to_vec();
     }
-    let cell = sync_access(ctx, &st, H_BULK_READ, gp.node, at(gp, len as u64, 0), None);
+    let cell = sync_access(ctx, st, H_BULK_READ, gp.node, at(gp, len as u64, 0), None);
     doubles(&cell.take_data().expect("bulk read reply without data"))
 }
 
 /// Synchronous bulk write of `vals` starting at `gp`.
 pub fn bulk_write<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, &st, gp) {
+    if let Some(r) = local(ctx, st, gp) {
         r.write()[gp.offset..gp.offset + vals.len()].copy_from_slice(vals);
         return;
     }
-    sync_access(ctx, &st, H_BULK_WRITE, gp.node, at(gp, 0, 0), Some(vals));
+    sync_access(ctx, st, H_BULK_WRITE, gp.node, at(gp, 0, 0), Some(vals));
 }
 
 /// One-way bulk store (em3d-bulk and sc-lu's pivot pushes).
 pub fn bulk_store<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, &st, gp) {
+    if let Some(r) = local(ctx, st, gp) {
         r.write()[gp.offset..gp.offset + vals.len()].copy_from_slice(vals);
         return;
     }
@@ -340,7 +340,7 @@ pub fn atomic_rpc<F: Fabric>(ctx: &F, node: usize, fn_id: u32, args: [u64; 3]) -
         return r;
     }
     let words = [fn_id as u64, args[0], args[1], args[2]];
-    sync_access(ctx, &st, H_ATOMIC, node, words, None).words()
+    sync_access(ctx, st, H_ATOMIC, node, words, None).words()
 }
 
 /// Atomically add `delta` to the double at `gp` (Water's force updates),
@@ -360,8 +360,7 @@ pub fn register_atomic<F: Fabric>(
     fn_id: u32,
     f: impl Fn(&F, [u64; 4]) -> [u64; 4] + Send + Sync + 'static,
 ) {
-    let st = ScState::get(ctx);
-    let prev = st.atomics.write().insert(fn_id, Arc::new(f));
+    let prev = ScState::get(ctx).atomics.write().insert(fn_id, Arc::new(f));
     assert!(prev.is_none(), "duplicate atomic function id {fn_id}");
 }
 

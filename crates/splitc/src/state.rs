@@ -51,7 +51,7 @@ impl<F: Fabric> ScState<F> {
         }
     }
 
-    pub(crate) fn get(ctx: &F) -> Arc<ScState<F>> {
+    pub(crate) fn get(ctx: &F) -> &ScState<F> {
         ctx.node_data(ScState::new)
     }
 
