@@ -36,14 +36,16 @@ echo "==> results/ digests on the threads backend, where the kernel crosses OS t
 # The fiber backend keeps every context on one thread; the threads backend
 # hands the kernel between OS threads at each baton switch. Three binaries
 # rerun there in release and must match their committed digests, checked
-# against the SHA256SUMS line without rewriting it.
+# against the SHA256SUMS line without rewriting it; the pinned trace goldens
+# (the per-node probes' rings) must match byte for byte there too.
 tmp=$(mktemp -d)
 for bin in table4 fig5 faults; do
     MPMD_SIM_BACKEND=threads ./target/release/$bin --json "$tmp/$bin.json" >/dev/null
     grep " results/$bin.json\$" results/SHA256SUMS | sed "s| results/| $tmp/|" | sha256sum -c --quiet
 done
 rm -rf "$tmp"
-echo "threads backend reproduces table4, fig5, faults"
+MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-bench --test trace_observability --test flame_golden
+echo "threads backend reproduces table4, fig5, faults and the trace goldens"
 
 echo "==> cargo test -q"
 cargo test -q

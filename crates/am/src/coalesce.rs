@@ -268,7 +268,7 @@ pub(crate) fn raw_send<F: Fabric>(
     data_len: usize,
     p: &NetProfile,
 ) {
-    if ctx.faults_enabled() {
+    if ctx.cost().faults.is_some() {
         crate::reliable::send(ctx, st, dst, msg, data_len, p);
         return;
     }

@@ -64,7 +64,7 @@ pub(crate) fn send_inner<F: Fabric>(
         return;
     }
     ctx.charge(Bucket::Net, p.send_charge(bulk));
-    if ctx.faults_enabled() {
+    if ctx.cost().faults.is_some() {
         crate::reliable::send(ctx, st, dst, msg, bytes, p);
     } else {
         // Allocation-free for short messages: the payload travels inline
@@ -130,8 +130,10 @@ pub fn poll<F: Fabric>(ctx: &F) -> usize {
     ctx.poll_point();
     ctx.with_stats(|s| s.polls += 1);
     // Queue-depth distribution at poll entry: how far reception lags.
-    ctx.metric_inbox_depth("am.inbox_depth");
-    let ran = if ctx.faults_enabled() {
+    if ctx.metrics_enabled() {
+        ctx.metric_observe("am.inbox_depth", ctx.inbox_len() as u64);
+    }
+    let ran = if ctx.cost().faults.is_some() {
         crate::reliable::poll_reliable(ctx, st, st.profile())
     } else {
         let mut ran = 0;

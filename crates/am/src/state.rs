@@ -102,7 +102,7 @@ pub fn init<F: Fabric>(ctx: &F, profile: NetProfile) {
     // A fault model switches the layer into reliable-delivery mode; each
     // node gets one pump daemon driving retransmits/acks while application
     // tasks compute or block.
-    if ctx.faults_enabled() && !st.pump_started.swap(true, Ordering::SeqCst) {
+    if ctx.cost().faults.is_some() && !st.pump_started.swap(true, Ordering::SeqCst) {
         let t = ctx.spawn_daemon("am-pump", crate::reliable::pump_main::<F>);
         *st.pump.lock() = Some(t);
     }

@@ -10,9 +10,13 @@
 
 use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder};
-use mpmd_sim::{Bucket, NodeData, Report, Sim, Snapshot, SpanId, TaskId};
+use mpmd_sim::{
+    Bucket, CostModel, NodeData, Report, Sim, Snapshot, SpanId, TaskId, TraceConfig, TraceEvent,
+    TraceLog,
+};
 use mpmd_threads as thr;
 use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -776,7 +780,9 @@ fn battery_instrumentation<F: Fabric>(ctx: &F) {
     let t0 = ctx.now();
     for _ in 0..PROBES {
         ctx.metric_observe_since("conf.since_ns", t0);
-        ctx.metric_inbox_depth("conf.inbox_depth");
+        if ctx.metrics_enabled() {
+            ctx.metric_observe("conf.inbox_depth", ctx.inbox_len() as u64);
+        }
         ctx.metric_observe("conf.probes", 2);
     }
 }
@@ -787,6 +793,10 @@ fn check_instrumentation(fabric: &str, metrics_on: bool, report: &Report) {
         return;
     };
     assert!(metrics_on, "{fabric}: registry on a metrics-off run");
+    assert!(
+        report.trace.is_none(),
+        "{fabric}: a trace from a tracing-off run"
+    );
     let nodes = report.nodes() as u64;
     for name in ["conf.since_ns", "conf.inbox_depth", "conf.probes"] {
         let h = m
@@ -801,6 +811,113 @@ fn check_instrumentation(fabric: &str, metrics_on: bool, report: &Report) {
         2 * PROBES * nodes,
         "{fabric}"
     );
+}
+
+/// Per-node ring of the `trace` batteries: node 0's records fit, node 1's
+/// overflow it.
+const TRACE_RING: usize = 64;
+/// Charges node 1 makes inside its one span, pushing the span's Start out.
+const TRACE_CHARGES: u64 = 100;
+
+/// Spans through the generic path. Node 0 nests spans and a handler frame
+/// on its root and spans on a child task; node 1 opens one span and charges
+/// until its ring has lost the span's Start.
+fn battery_trace<F: Fabric>(ctx: &F) {
+    if ctx.node() == 1 {
+        let _lost = ctx.span("conf.lost");
+        for _ in 0..TRACE_CHARGES {
+            ctx.charge(Bucket::Cpu, 1);
+        }
+        return;
+    }
+    let _outer = ctx.span("conf.outer");
+    ctx.charge(Bucket::Cpu, 1);
+    let child = ctx.spawn("child", |c: F| {
+        let _s = c.span("conf.child");
+        let _t = c.span("conf.child.inner");
+        c.charge(Bucket::Cpu, 1);
+    });
+    {
+        let _inner = ctx.span("conf.inner");
+        ctx.trace_event(|| TraceEvent::HandlerStart { handler: 7 });
+        ctx.charge(Bucket::Net, 1);
+        ctx.trace_event(|| TraceEvent::HandlerEnd { handler: 7 });
+    }
+    ctx.join(child);
+}
+
+/// Each (node, task name)'s closed frames as (name, depth), in close order.
+fn span_shape(log: &TraceLog) -> BTreeMap<(usize, String), Vec<(String, usize)>> {
+    let names: HashMap<TaskId, &str> = log
+        .events()
+        .filter_map(|r| match &r.event {
+            TraceEvent::TaskSpawn { name } => Some((r.task, name.as_str())),
+            _ => None,
+        })
+        .collect();
+    let mut shape: BTreeMap<_, Vec<_>> = BTreeMap::new();
+    for s in log.spans() {
+        let task = names[&s.task].to_string();
+        shape
+            .entry((s.node, task))
+            .or_default()
+            .push((s.name, s.depth));
+    }
+    shape
+}
+
+/// Both fabrics close the same frames at the same depths on every task, and
+/// count as dropped both what overflowed node 1's ring and the End whose
+/// Start it lost. `scheduler_records` is what the fabric itself records on
+/// node 1 besides the spawn of its root: the simulator also records the
+/// switch to it.
+fn check_trace(fabric: &str, report: &Report, scheduler_records: u64) {
+    let log = report
+        .trace
+        .as_ref()
+        .expect("a traced run returns its trace");
+    let frames = |v: &[(&str, usize)]| v.iter().map(|&(n, d)| (n.to_string(), d)).collect();
+    let want = BTreeMap::from([
+        (
+            (0, "child".to_string()),
+            frames(&[("conf.child.inner", 1), ("conf.child", 0)]),
+        ),
+        (
+            (0, "main".to_string()),
+            frames(&[("am.handler[7]", 2), ("conf.inner", 1), ("conf.outer", 0)]),
+        ),
+    ]);
+    assert_eq!(span_shape(log), want, "{fabric}");
+    assert_eq!(
+        log.nodes[0].dropped, 0,
+        "{fabric}: node 0's ring overflowed"
+    );
+    let lost = &log.nodes[1];
+    assert_eq!(lost.events.len(), TRACE_RING, "{fabric}");
+    // The root's spawn, the span's Start and End and every charge; one End
+    // orphaned by its lost Start.
+    let recorded = 1 + scheduler_records + 2 + TRACE_CHARGES;
+    let overflowed = recorded - TRACE_RING as u64;
+    assert_eq!(lost.dropped, overflowed + 1, "{fabric}: node 1's drops");
+}
+
+/// A span ended out of order fails the run with the tracer's message.
+fn mismatched_span_end<F: Fabric>(ctx: &F) {
+    let a = ctx.span_start("a");
+    let _b = ctx.span_start("b");
+    ctx.span_end(a);
+}
+
+const MISMATCHED_SPAN_END: &str =
+    "Span(SpanId(1)) does not match innermost open span Span(SpanId(2)) on task TaskId(0)";
+
+fn panic_message(run: impl FnOnce() -> Report) -> String {
+    let payload =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).expect_err("the run must fail");
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p.downcast::<&str>().expect("panic message").to_string(),
+    }
 }
 
 /// Sets its flag when dropped.
@@ -974,6 +1091,14 @@ fn check_probe_totals(fabric: &str, metrics_on: bool, snap: &ProbeSnap, report: 
 
 // ------------------------------------------------------------------ drivers
 
+/// The default cost model with its metrics switch set to `on`.
+fn metrics(on: bool) -> CostModel {
+    CostModel {
+        metrics: on,
+        ..CostModel::default()
+    }
+}
+
 macro_rules! conformance {
     ($battery:ident, $sim_name:ident, $local_name:ident, $nodes:expr) => {
         #[test]
@@ -1087,7 +1212,7 @@ fn node_data_local() {
 fn instrumentation_sim() {
     for on in [true, false] {
         let r = Sim::new(2)
-            .metrics(on)
+            .cost_model(metrics(on))
             .run(|ctx| battery_instrumentation(&ctx));
         check_instrumentation("sim", on, &r);
     }
@@ -1104,12 +1229,42 @@ fn instrumentation_local() {
 }
 
 #[test]
+fn trace_sim() {
+    let tracing = || TraceConfig::new().capacity(TRACE_RING);
+    let r = Sim::new(2)
+        .tracing(tracing())
+        .run(|ctx| battery_trace(&ctx));
+    check_trace("sim", &r, 1);
+    let msg = panic_message(|| {
+        Sim::new(1)
+            .tracing(tracing())
+            .run(|ctx| mismatched_span_end(&ctx))
+    });
+    assert_eq!(msg, MISMATCHED_SPAN_END, "sim");
+}
+
+#[test]
+fn trace_local() {
+    let tracing = || TraceConfig::new().capacity(TRACE_RING);
+    let r = LocalFabricBuilder::new(2)
+        .tracing(tracing())
+        .run(|ctx| battery_trace(&ctx));
+    check_trace("local", &r, 0);
+    let msg = panic_message(|| {
+        LocalFabricBuilder::new(1)
+            .tracing(tracing())
+            .run(|ctx| mismatched_span_end(&ctx))
+    });
+    assert_eq!(msg, MISMATCHED_SPAN_END, "local");
+}
+
+#[test]
 fn probe_totals_sim() {
     for on in [true, false] {
         let shared = ProbeSnap::default();
         let s = Arc::clone(&shared);
         let r = Sim::new(2)
-            .metrics(on)
+            .cost_model(metrics(on))
             .run(move |ctx| battery_probe_totals(&ctx, &s));
         check_probe_totals("sim", on, &shared, &r);
     }

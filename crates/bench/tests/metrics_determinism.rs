@@ -79,26 +79,28 @@ fn metrics_json_is_jobs_invariant_and_repeatable() {
 #[test]
 fn pool_counters_published_and_deterministic() {
     let run = || {
-        let r = Sim::new(2).metrics(true).run(|ctx| {
-            let short = || Payload::Short {
-                handler: 1,
-                args: [0; 4],
-                token: None,
-            };
-            if ctx.node() == 0 {
-                for _ in 0..100 {
-                    ctx.send_msg(1, 8, 1_000, short());
-                    ctx.park_for_inbox();
-                    ctx.try_recv().unwrap();
+        let r = Sim::new(2)
+            .cost_model(CostModel::default().with_metrics())
+            .run(|ctx| {
+                let short = || Payload::Short {
+                    handler: 1,
+                    args: [0; 4],
+                    token: None,
+                };
+                if ctx.node() == 0 {
+                    for _ in 0..100 {
+                        ctx.send_msg(1, 8, 1_000, short());
+                        ctx.park_for_inbox();
+                        ctx.try_recv().unwrap();
+                    }
+                } else {
+                    for _ in 0..100 {
+                        ctx.park_for_inbox();
+                        ctx.try_recv().unwrap();
+                        ctx.send_msg(0, 8, 1_000, short());
+                    }
                 }
-            } else {
-                for _ in 0..100 {
-                    ctx.park_for_inbox();
-                    ctx.try_recv().unwrap();
-                    ctx.send_msg(0, 8, 1_000, short());
-                }
-            }
-        });
+            });
         registry_json(&r.metrics.expect("metrics were enabled"))
     };
     let a = run();

@@ -39,8 +39,8 @@
 //!   messages cross nodes, and nothing runs beside a node's thread: a handle
 //!   works on the thread that holds its node's baton and panics anywhere
 //!   else, unless only asked what it is (`node`, `now`, `inbox_len`, ...).
-//!   Task table, run queue, deadline list, stash, singletons and probe block
-//!   ([`Block`]: counters, ledger and metrics with no lock and no atomic,
+//!   Task table, run queue, deadline list, stash, singletons and
+//!   [`Probe`] (ledger, metrics and trace ring with no lock and no atomic,
 //!   folded into the node's totals before a frame leaves the node) are
 //!   touched by the node's thread alone, and so is each link's receiving end.
 //! * **A task that blocks outside the fabric** (a `std::sync` lock held by
@@ -64,10 +64,10 @@
 
 use crate::Fabric;
 use mpmd_sim::baton::{Backend, BackendKind, BatonCell, TaskBody, TaskCell};
-use mpmd_sim::metrics::bucket_index;
 use mpmd_sim::{
-    size_bucket, Bucket, CostModel, Histogram, MetricsRegistry, Msg, NodeData, NodeMetrics,
-    Payload, Report, Snapshot, Stats, TaskId, Time, WaitPhase, WaitPolicy, Waiter, ACROSS_NODES,
+    size_bucket, Bucket, CostModel, FaultDecision, MetricsRegistry, Msg, NodeData, NodeTrace,
+    Payload, Probe, Report, Snapshot, TaskId, Time, TraceConfig, TraceEvent, TraceLog, TraceRecord,
+    WaitPhase, WaitPolicy, Waiter, ACROSS_NODES,
 };
 use std::any::Any;
 use std::cell::{Cell, RefMut, UnsafeCell};
@@ -330,77 +330,6 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `resume_unwind`, so the panic hook stays quiet; never reported.
 struct RunPoisoned;
 
-/// A few values keyed by metric name, for one node. A dozen names at most,
-/// so one scan of the (densely packed) names beats hashing them; each
-/// comparison tries the address first — a call site passes the same literal
-/// every time — and the value second, because two call sites naming the same
-/// metric may hold different copies of the literal.
-#[derive(Default)]
-struct NameTable<V> {
-    names: Vec<&'static str>,
-    vals: Vec<V>,
-}
-
-impl<V: Default> NameTable<V> {
-    fn slot(&mut self, name: &'static str) -> &mut V {
-        let found = self
-            .names
-            .iter()
-            .position(|n| std::ptr::eq(*n, name) || *n == name);
-        let i = found.unwrap_or_else(|| {
-            self.names.push(name);
-            self.vals.push(V::default());
-            self.names.len() - 1
-        });
-        &mut self.vals[i]
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut V)> {
-        self.names.iter().copied().zip(self.vals.iter_mut())
-    }
-}
-
-/// A node's probe block: what its tasks counted, charged and observed since
-/// the last merge. Plain fields written by the node's own thread alone — no
-/// lock, no atomic.
-///
-/// [`LfInner::merge`] folds the block into the node's `stats` / `metrics`
-/// totals and zeroes it:
-///
-/// * **Before anything the node did can be observed from another node** — in
-///   `send_msg` ahead of the push, the only way out of a node. Whoever
-///   receives that frame therefore reads totals that hold everything the
-///   node counted up to then, which is what makes a snapshot taken behind a
-///   barrier exact. Spawns, wake-ups and joins stay within the node and need
-///   no merge: both tasks count into the same block.
-/// * **Where the node stops running anyway** — before its idle loop parks —
-///   and in a task's own `snapshot()`, so a long wait does not sit on counts.
-///
-/// The totals are exact once a run has ended; a mid-run snapshot holds
-/// everything that happened before it by way of the fabric, and everything
-/// each node did up to the last time it went idle.
-#[derive(Default)]
-struct Block {
-    stats: Stats,
-    hists: NameTable<Histogram>,
-    /// Which halves `merge` has to fold; raised by the two accessors below
-    /// and nowhere else, so a counting site cannot forget them.
-    stats_dirty: bool,
-    metrics_dirty: bool,
-}
-
-impl Block {
-    fn stats(&mut self) -> &mut Stats {
-        self.stats_dirty = true;
-        &mut self.stats
-    }
-
-    fn hist(&mut self, name: &'static str) -> &mut Histogram {
-        self.metrics_dirty = true;
-        self.hists.slot(name)
-    }
-}
-
 /// What a task that is not running is waiting for.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -458,11 +387,13 @@ struct Sched {
     /// Frames a send that waited for room took off full inbound rings, each
     /// link's oldest first; `try_recv` serves them before any ring.
     stash: VecDeque<Msg>,
-    block: Block,
+    /// What the node's tasks counted, observed and traced since it was last
+    /// drained into the node's totals.
+    probe: Probe,
 }
 
 impl Sched {
-    fn new(wait: WaitPolicy) -> Self {
+    fn new(wait: WaitPolicy, probe: Probe) -> Self {
         Sched {
             tasks: HashMap::new(),
             next_seq: 0,
@@ -475,7 +406,7 @@ impl Sched {
             waiter: Waiter::new(wait),
             rotate: 0,
             stash: VecDeque::new(),
-            block: Block::default(),
+            probe,
         }
     }
 
@@ -530,11 +461,13 @@ impl Sched {
 struct Node {
     /// Read by every sender of a frame to this node; alone in its block.
     parker: NodeParker,
-    /// Counter totals: the merge target of the node's probe block, locked
-    /// only by [`LfInner::merge`] and by readers.
-    stats: Mutex<Stats>,
-    /// Metric totals, the other merge target; `None` with metrics off.
-    metrics: Option<Mutex<NodeMetrics>>,
+    /// The node's totals. Its probe is drained into them before anything the
+    /// node did can be seen from another node — in `send_msg` ahead of the
+    /// push, the only way out of a node, so whoever receives a frame reads
+    /// totals that hold all its sender counted before it — and where the
+    /// node stops anyway: before its idle loop parks, at its exit, and in a
+    /// task's own `snapshot()`. Locked only there and by readers.
+    totals: Mutex<Probe>,
     /// The node's last task has exited: it never receives again.
     retired: AtomicBool,
     /// The node's baton. Its engine context is the node's thread.
@@ -551,8 +484,8 @@ struct Node {
 // next field added cannot quietly bring false sharing back. Per message a
 // sender reads the receiver's `parker.parked` and the link's `slots`/`mask`,
 // and writes the slot and the link's `prod` block; a receiver writes the
-// link's `head` block and — merging its probe block ahead of every send —
-// its `stats` and `metrics` locks. Nothing one thread writes
+// link's `head` block and — draining its probe ahead of every send —
+// its `totals` lock. Nothing one thread writes
 // per message may share a 128-byte block with what another reads per
 // message.
 const _: () = {
@@ -560,8 +493,7 @@ const _: () = {
     // Alone in its block, wherever `Node` puts it.
     assert!(size_of::<NodeParker>() == 128 && align_of::<NodeParker>() == 128);
     let parker = offset_of!(Node, parker) / 128;
-    assert!(offset_of!(Node, stats) / 128 != parker);
-    assert!(offset_of!(Node, metrics) / 128 != parker);
+    assert!(offset_of!(Node, totals) / 128 != parker);
     // A link is three whole blocks — `prod`, `head`, and the read-only
     // `slots`/`mask` — so its neighbours in `rings`, one of them the same
     // two nodes' link in the other direction, share none with it.
@@ -570,7 +502,7 @@ const _: () = {
 
 /// What a task did wrong when its node's scheduler is found borrowed.
 const REENTRY: &str = "LocalFabric re-entered from a `with_stats` closure: it runs on the \
-                       node's probe block and must not call back into the fabric";
+                       node's probe and must not call back into the fabric";
 
 /// What a task did wrong when it uses a handle that is not its own.
 const BORROWED: &str = "a LocalFabric handle blocks only the task it was given to, and is \
@@ -578,8 +510,8 @@ const BORROWED: &str = "a LocalFabric handle blocks only the task it was given t
                         `yield_now`, `park_for_inbox*` through a handle borrowed from another \
                         task, and anything but asking the handle what it is (`node`, `now`, \
                         `inbox_len`, ...) through one carried to another node's thread or \
-                        outside the run, would touch a scheduler, probe block or link the \
-                        caller does not hold";
+                        outside the run, would touch a scheduler, probe or link the caller \
+                        does not hold";
 
 /// Run phases, in order.
 const RUNNING: u8 = 0;
@@ -591,6 +523,8 @@ const POISONED: u8 = 2;
 struct LfInner {
     nodes: usize,
     cost: CostModel,
+    /// Whether the nodes' probes keep trace rings.
+    tracing: bool,
     epoch: Instant,
     rings: Vec<Ring>, // src * nodes + dst
     node: Vec<Node>,
@@ -632,8 +566,16 @@ impl LfInner {
     }
 
     /// Register a new task on `node` and give it a context. Runs on `node`'s
-    /// thread, which lends its scheduler.
-    fn start_task<G>(self: &Arc<Self>, node: usize, s: &mut Sched, daemon: bool, f: G) -> TaskId
+    /// thread, which lends its scheduler. Task names are kept only in the
+    /// trace: storing one otherwise would cost an allocation per spawn.
+    fn start_task<G>(
+        self: &Arc<Self>,
+        node: usize,
+        s: &mut Sched,
+        name: &str,
+        daemon: bool,
+        f: G,
+    ) -> TaskId
     where
         G: FnOnce(LocalFabric) + Send + 'static,
     {
@@ -663,6 +605,16 @@ impl LfInner {
             },
         );
         s.ready.push_back(id);
+        if self.tracing {
+            s.probe.record(TraceRecord {
+                time: self.now(),
+                node,
+                task: id,
+                event: TraceEvent::TaskSpawn {
+                    name: name.to_string(),
+                },
+            });
+        }
         let fab = LocalFabric {
             inner: Arc::clone(self),
             node,
@@ -801,8 +753,8 @@ impl LfInner {
                 WaitPhase::Yield => std::thread::yield_now(),
                 WaitPhase::Park(slice) => {
                     // Nothing to do until something lands: the time the
-                    // merge takes is time this thread would have slept.
-                    self.merge(node, &mut s.block);
+                    // drain takes is time this thread would have slept.
+                    s.probe.drain(&self.node[node].totals);
                     let dur = left.map_or(slice, |l| slice.min(l));
                     parker.park_timeout(Duration::from_nanos(dur), || self.pending(node, s));
                     // Before the spurious release, which would hide that a
@@ -844,58 +796,38 @@ impl LfInner {
         }
     }
 
-    /// Fold `b` into `node`'s totals and zero it. Besides the readers below
-    /// this is the only place the two total locks are taken, and no user
-    /// code runs under either.
-    fn merge(&self, node: usize, b: &mut Block) {
-        if b.stats_dirty {
-            locked(&self.node[node].stats).merge(&b.stats);
-            b.stats = Stats::default();
-            b.stats_dirty = false;
+    /// Every node's totals, one lock at a time, on the one wall clock.
+    fn snapshot(&self) -> Snapshot {
+        let stats = |n: &Node| locked(&n.totals).stats().clone();
+        let metrics = |n: &Node| locked(&n.totals).metrics();
+        Snapshot {
+            clocks: vec![self.now(); self.nodes],
+            stats: self.node.iter().map(stats).collect(),
+            metrics: self.cost.metrics.then(|| MetricsRegistry {
+                nodes: self.node.iter().map(metrics).collect(),
+            }),
         }
-        if b.metrics_dirty {
-            let totals = self.node[node].metrics.as_ref();
-            let mut m = locked(totals.expect("metric recorded with metrics off"));
-            for (name, h) in b.hists.iter_mut() {
-                if h.count > 0 {
-                    drain_hist(m.hists.entry(name).or_default(), h);
-                }
-            }
-            b.metrics_dirty = false;
-        }
-    }
-
-    fn stats(&self) -> Vec<Stats> {
-        self.node.iter().map(|n| locked(&n.stats).clone()).collect()
-    }
-
-    fn registry(&self) -> Option<MetricsRegistry> {
-        let nodes: Option<Vec<NodeMetrics>> = self
-            .node
-            .iter()
-            .map(|n| n.metrics.as_ref().map(|m| locked(m).clone()))
-            .collect();
-        nodes.map(|nodes| MetricsRegistry { nodes })
     }
 }
 
 /// The engine context of `node`, on the node's own thread: start the node's
 /// root, then pick a task (or idle until there is one), lend it the baton,
-/// and get it back when a task exits with nobody else runnable.
-fn node_main<G>(inner: &Arc<LfInner>, node: usize, root: G)
+/// and get it back when a task exits with nobody else runnable. Returns the
+/// node's trace, on a traced run.
+fn node_main<G>(inner: &Arc<LfInner>, node: usize, root: G) -> Option<NodeTrace>
 where
     G: FnOnce(LocalFabric) + Send + 'static,
 {
     let me = &inner.node[node];
-    inner.start_task(node, &mut me.local.borrow_mut(), false, root);
+    inner.start_task(node, &mut me.local.borrow_mut(), "main", false, root);
     // The node's bootstrap hold: its root holds the run open from here.
     inner.release_hold();
     loop {
         let mut s = me.local.borrow_mut();
         let Some(next) = inner.next_ready(node, &mut s) else {
             // The report reads the totals.
-            inner.merge(node, &mut s.block);
-            return;
+            s.probe.drain(&me.totals);
+            return s.probe.take_trace();
         };
         let cell = s.run(next);
         drop(s);
@@ -909,29 +841,11 @@ thread_local! {
     static CURRENT: Cell<(*const LfInner, usize)> = const { Cell::new((std::ptr::null(), 0)) };
 }
 
-/// Move `h` into `total` and leave it empty, touching only the buckets between
-/// its smallest and largest sample: a block's histogram holds a sample or two
-/// when it is merged, not 65 buckets' worth.
-fn drain_hist(total: &mut Histogram, h: &mut Histogram) {
-    if total.count == 0 {
-        (total.min, total.max) = (h.min, h.max);
-    } else {
-        total.min = total.min.min(h.min);
-        total.max = total.max.max(h.max);
-    }
-    total.count += std::mem::take(&mut h.count);
-    total.sum += std::mem::take(&mut h.sum);
-    for i in bucket_index(h.min)..=bucket_index(h.max) {
-        total.buckets[i] += std::mem::take(&mut h.buckets[i]);
-    }
-    (h.min, h.max) = (0, 0);
-}
-
 /// Configuration for a wall-clock run.
 pub struct LocalFabricBuilder {
     nodes: usize,
     cost: CostModel,
-    metrics: bool,
+    trace: Option<TraceConfig>,
     wait: WaitPolicy,
     ring_capacity: usize,
 }
@@ -942,8 +856,9 @@ impl LocalFabricBuilder {
         assert!(nodes > 0, "at least one node");
         LocalFabricBuilder {
             nodes,
-            cost: CostModel::default(),
-            metrics: true,
+            // Wall-clock histograms are the point of this backend.
+            cost: CostModel::default().with_metrics(),
+            trace: None,
             // Host-adaptive: on a single-CPU machine spinning starves the
             // very peer being waited for (see `WaitPolicy::auto_for`).
             wait: WaitPolicy::auto_for(std::thread::available_parallelism().map_or(1, |p| p.get())),
@@ -951,8 +866,9 @@ impl LocalFabricBuilder {
         }
     }
 
-    /// Use `cost` for the charge ledger (unit costs only; the fault model
-    /// must be absent — fault injection needs the deterministic kernel).
+    /// Use `cost` for the charge ledger and its `metrics` switch (the fault
+    /// model must be absent — fault injection needs the deterministic
+    /// kernel).
     pub fn cost_model(mut self, cost: CostModel) -> Self {
         assert!(
             cost.faults.is_none(),
@@ -962,10 +878,17 @@ impl LocalFabricBuilder {
         self
     }
 
-    /// Enable or disable the metrics registry (on by default — wall-clock
-    /// histograms are the point of this backend).
+    /// Set the cost model's `metrics` switch (on by default).
     pub fn metrics(mut self, on: bool) -> Self {
-        self.metrics = on;
+        self.cost.metrics = on;
+        self
+    }
+
+    /// Record a trace, returned on [`Report::trace`] after the run, with
+    /// timestamps in nanoseconds since the run began. Span ids are numbered
+    /// per node, like task ids.
+    pub fn tracing(mut self, config: TraceConfig) -> Self {
+        self.trace = Some(config);
         self
     }
 
@@ -992,16 +915,17 @@ impl LocalFabricBuilder {
     {
         let n = self.nodes;
         let cap = self.ring_capacity;
+        let trace = self.trace.as_ref();
         let inner = Arc::new(LfInner {
             nodes: n,
             cost: self.cost,
+            tracing: trace.is_some(),
             epoch: Instant::now(),
             rings: (0..n * n).map(|_| Ring::new(cap)).collect(),
             node: (0..n)
                 .map(|_| Node {
                     parker: NodeParker::new(),
-                    stats: Mutex::default(),
-                    metrics: self.metrics.then(Mutex::default),
+                    totals: Mutex::default(),
                     retired: AtomicBool::new(false),
                     backend: Backend::new(BackendKind::Auto, "local"),
                     // SAFETY: every borrow is in `LocalFabric::home`,
@@ -1009,7 +933,9 @@ impl LocalFabricBuilder {
                     // the thread holding this node's baton — the handle
                     // methods after checking `CURRENT`, the other two by
                     // construction.
-                    local: unsafe { BatonCell::new(Sched::new(self.wait)) },
+                    local: unsafe {
+                        BatonCell::new(Sched::new(self.wait, Probe::new(trace, &Arc::default())))
+                    },
                     data: NodeData::default(),
                 })
                 .collect(),
@@ -1030,20 +956,19 @@ impl LocalFabricBuilder {
             })
             .collect();
         // The last non-daemon task (or the first panic) begins the shutdown;
-        // each node's thread returns once its daemons have wound down.
-        for t in threads {
-            t.join().expect("a node's thread died outside a task");
-        }
+        // each node's thread returns, with its trace, once its daemons have
+        // wound down.
+        let traces: Vec<_> = threads
+            .into_iter()
+            .map(|t| t.join().expect("a node's thread died outside a task"))
+            .collect();
         if let Some(payload) = locked(&inner.panic).take() {
             std::panic::resume_unwind(payload);
         }
-        let elapsed = inner.now();
-        Report {
-            clocks: vec![elapsed; n],
-            stats: inner.stats(),
-            trace: None,
-            metrics: inner.registry(),
-        }
+        let trace = traces.into_iter().collect::<Option<_>>();
+        inner
+            .snapshot()
+            .report(trace.map(|nodes| TraceLog { nodes }))
     }
 }
 
@@ -1081,7 +1006,7 @@ impl LocalFabric {
     }
 
     /// This node's scheduler, to move ids between its queues, count into its
-    /// probe block or reach its links: any task of the node may, through any
+    /// probe or reach its links: any task of the node may, through any
     /// handle of the node; a thread that does not hold the node's baton in
     /// this handle's run may not. Finding it borrowed means a `with_stats`
     /// closure further up this stack is calling back into the fabric.
@@ -1211,43 +1136,32 @@ impl Fabric for LocalFabric {
         if ns == 0 {
             return;
         }
-        self.home().block.stats().bucket_ns[bucket.index()] += ns;
-    }
-
-    /// `f` sees the counts of the node since its last merge, not the node's
-    /// totals: add to them, do not read them. It runs on the borrowed
-    /// scheduler, so calling back into the fabric panics with [`REENTRY`].
-    fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
-        f(self.home().block.stats())
+        self.home().probe.stats().bucket_ns[bucket.index()] += ns;
+        self.trace_event(|| TraceEvent::Charge { bucket, ns });
     }
 
     /// Holds what the caller's node did up to now, what every other node did
     /// before sending a frame that reached the caller (so everything before
     /// a barrier), and what each did up to the last time it went idle.
     fn snapshot(&self) -> Snapshot {
-        self.inner.merge(self.node, &mut self.home().block);
-        let now = self.now();
-        Snapshot {
-            clocks: vec![now; self.inner.nodes],
-            stats: self.inner.stats(),
-            metrics: self.inner.registry(),
-        }
+        self.home().probe.drain(&self.inner.node[self.node].totals);
+        self.inner.snapshot()
     }
 
-    // Task names are not kept: storing a borrowed `name` would cost an
-    // allocation per spawn.
-    fn spawn<G>(&self, _name: &str, f: G) -> TaskId
+    fn spawn<G>(&self, name: &str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {
-        self.inner.start_task(self.node, &mut self.home(), false, f)
+        self.inner
+            .start_task(self.node, &mut self.home(), name, false, f)
     }
 
-    fn spawn_daemon<G>(&self, _name: &str, f: G) -> TaskId
+    fn spawn_daemon<G>(&self, name: &str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {
-        self.inner.start_task(self.node, &mut self.home(), true, f)
+        self.inner
+            .start_task(self.node, &mut self.home(), name, true, f)
     }
 
     fn yield_now(&self) {
@@ -1335,11 +1249,11 @@ impl Fabric for LocalFabric {
         // comes before the push: once the frame can be seen, so can
         // everything this node counted before sending it.
         let mut home = self.home();
-        let s = home.block.stats();
+        let s = home.probe.stats();
         s.msgs_sent += 1;
         s.bytes_sent += wire_bytes as u64;
         s.msg_size_hist[size_bucket(wire_bytes)] += 1;
-        self.inner.merge(self.node, &mut home.block);
+        home.probe.drain(&self.inner.node[self.node].totals);
         drop(home);
         let msg = Msg {
             src: self.node,
@@ -1369,13 +1283,14 @@ impl Fabric for LocalFabric {
             })
         });
         if next.is_some() {
-            s.block.stats().msgs_received += 1;
+            s.probe.stats().msgs_received += 1;
         }
         next
     }
 
     /// A gauge while frames move. The stash is counted only on the node's
-    /// own thread, outside a probe closure; elsewhere, the rings alone.
+    /// own thread, outside a `with_stats` closure; elsewhere, the rings
+    /// alone.
     fn inbox_len(&self) -> usize {
         let rings = (0..self.inner.nodes).map(|src| self.inner.ring(src, self.node).depth());
         let (home, local) = (self.at_home(), &self.inner.node[self.node].local);
@@ -1392,14 +1307,21 @@ impl Fabric for LocalFabric {
         self.inner.node[self.node].data.get_or_init(init)
     }
 
-    fn metrics_enabled(&self) -> bool {
-        self.inner.node[self.node].metrics.is_some()
+    fn fault_decision(&self, _dst: usize) -> FaultDecision {
+        unreachable!("the builder refuses a cost model with a fault model")
     }
 
-    fn metric_observe(&self, name: &'static str, v: u64) {
-        if self.metrics_enabled() {
-            self.home().block.hist(name).record(v);
-        }
+    /// What the node counted since its last merge, not its totals: add to
+    /// it, do not read it. It is lent out of the node's scheduler, so
+    /// calling back into the fabric meanwhile panics with [`REENTRY`].
+    #[inline]
+    fn probe(&self) -> RefMut<'_, Probe> {
+        RefMut::map(self.home(), |s| &mut s.probe)
+    }
+
+    #[inline]
+    fn tracing(&self) -> bool {
+        self.inner.tracing
     }
 }
 
@@ -1819,7 +1741,7 @@ mod tests {
     }
 
     /// A handle works on the thread that holds its node's baton: every call
-    /// that touches the node's scheduler, probe block or links fails the run
+    /// that touches the node's scheduler, probe or links fails the run
     /// with the rule from another node's task and from outside the run, where
     /// only asking the handle what it is goes through. From a sibling task of
     /// the handle's own node, which does hold the baton, only the calls that

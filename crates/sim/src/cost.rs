@@ -246,10 +246,10 @@ pub struct CostModel {
     /// Fault-injection model; `None` (the default) leaves the wire perfect
     /// and the AM layer's reliability machinery disabled.
     pub faults: Option<FaultModel>,
-    /// Install a [`MetricsRegistry`](crate::MetricsRegistry) for the run
-    /// (equivalent to [`Sim::metrics`](crate::Sim::metrics); carried here so
-    /// measurement harnesses can enable metrics through app entry points
-    /// that already accept a cost model). Off by default: the recording
+    /// Keep a [`MetricsRegistry`](crate::MetricsRegistry) for the run: the
+    /// one metrics switch, on both fabrics, carried here so measurement
+    /// harnesses reach it through app entry points that already take a cost
+    /// model. Off by default (on for `LocalFabricBuilder`): the recording
     /// hooks are then no-ops, exactly like the tracer's.
     pub metrics: bool,
 }

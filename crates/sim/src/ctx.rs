@@ -5,22 +5,23 @@
 //! Hot-path discipline: every operation that reads the kernel borrows it
 //! exactly once, through `SimInner::lock_kernel` (a thread-local check that
 //! the caller holds the run's baton, then a `RefCell` borrow), and none holds
-//! the borrow across a baton switch or a call into user code other than the
-//! `with_stats` closure — which therefore must not call back into the fabric
-//! (doing so panics). Disabled instruments (tracing, metrics)
-//! are gated on plain bools captured at `Sim::run`, so the off path costs a
-//! branch, not a kernel visit.
+//! the borrow across a baton switch. `probe` lends a node's
+//! [`Probe`](crate::Probe) out of that borrow, so the `with_stats` closure
+//! that runs under it must not call back into the fabric (doing so panics).
+//! `tracing` is a plain bool captured at `Sim::run`, so with tracing off a
+//! span costs a branch, not a kernel visit.
 
 use crate::cost::CostModel;
 use crate::engine::{spawn_task, switch_from_task, SimInner};
 use crate::event::{Msg, Payload};
 use crate::fabric::{Fabric, ACROSS_NODES};
 use crate::kernel::{FaultDecision, Kernel, TaskState};
+use crate::probe::Probe;
 use crate::report::Snapshot;
-use crate::stats::{Bucket, Stats};
+use crate::stats::Bucket;
 use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
-use crate::trace::{SpanId, TraceEvent};
+use crate::trace::TraceEvent;
 use std::cell::RefMut;
 use std::sync::Arc;
 
@@ -110,15 +111,8 @@ impl Fabric for Ctx {
         let mut k = self.inner.lock_kernel();
         let n = &mut k.nodes[self.node];
         n.clock += ns;
-        n.stats.bucket_ns[bucket.index()] += ns;
-        if self.inner.tracing_on {
-            k.emit(self.node, self.task, TraceEvent::Charge { bucket, ns });
-        }
-    }
-
-    /// `f` runs under the kernel borrow.
-    fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
-        f(&mut self.inner.lock_kernel().nodes[self.node].stats)
+        n.probe.stats.bucket_ns[bucket.index()] += ns;
+        k.emit(self.node, self.task, TraceEvent::Charge { bucket, ns });
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -284,14 +278,8 @@ impl Fabric for Ctx {
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
-    #[inline]
-    fn faults_enabled(&self) -> bool {
-        self.inner.cost.faults.is_some()
-    }
-
     /// Drawn from the seeded fault stream, at the one rate every link has.
-    /// Panics when no fault model is installed (callers gate on
-    /// `faults_enabled`).
+    /// Panics when no fault model is installed.
     fn fault_decision(&self, _dst: usize) -> FaultDecision {
         self.inner.lock_kernel().fault_decision()
     }
@@ -326,53 +314,14 @@ impl Fabric for Ctx {
         self.inner.node_data[self.node].get_or_init(init)
     }
 
+    /// Lent out of the kernel borrow.
     #[inline]
-    fn metrics_enabled(&self) -> bool {
-        self.inner.metrics_on
-    }
-
-    fn metric_observe(&self, name: &'static str, v: u64) {
-        if !self.inner.metrics_on {
-            return;
-        }
-        let mut k = self.inner.lock_kernel();
-        if let Some(m) = k.metrics.as_mut() {
-            m.observe(self.node, name, v);
-        }
-    }
-
-    /// Ending any frame other than the innermost open one panics.
-    fn span_start(&self, name: &str) -> SpanId {
-        if !self.inner.tracing_on {
-            return SpanId(0);
-        }
-        let mut k = self.inner.lock_kernel();
-        let Some(tr) = k.tracer.as_mut() else {
-            return SpanId(0);
-        };
-        let id = tr.alloc_span();
-        k.emit(
-            self.node,
-            self.task,
-            TraceEvent::SpanStart {
-                id,
-                name: name.to_string(),
-            },
-        );
-        id
-    }
-
-    fn span_end(&self, id: SpanId) {
-        if id.is_active() {
-            self.trace_event(|| TraceEvent::SpanEnd { id });
-        }
+    fn probe(&self) -> RefMut<'_, Probe> {
+        RefMut::map(self.inner.lock_kernel(), |k| &mut k.nodes[self.node].probe)
     }
 
     #[inline]
-    fn trace_event(&self, event: impl FnOnce() -> TraceEvent) {
-        if self.inner.tracing_on {
-            let event = event();
-            self.inner.lock_kernel().emit(self.node, self.task, event);
-        }
+    fn tracing(&self) -> bool {
+        self.inner.tracing_on
     }
 }

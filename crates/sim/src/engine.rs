@@ -27,10 +27,11 @@ use crate::cost::CostModel;
 use crate::ctx::Ctx;
 use crate::explore::ScheduleOracle;
 use crate::kernel::{Kernel, TaskState};
+use crate::metrics::MetricsRegistry;
 use crate::node_data::NodeData;
 use crate::report::{Report, Snapshot};
 use crate::task::TaskId;
-use crate::trace::{TraceConfig, TraceEvent};
+use crate::trace::{TraceConfig, TraceEvent, TraceLog};
 use std::cell::{Cell, RefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -101,10 +102,9 @@ pub(crate) struct SimInner {
     pub(crate) backend: Backend,
     pub(crate) cost: CostModel,
     pub(crate) num_nodes: usize,
-    /// Immutable for the run: lets trace/metric hooks bail out without
-    /// reaching the kernel when the instrument is not installed.
+    /// Immutable for the run: lets trace hooks bail out without reaching
+    /// the kernel when the run records no trace.
     pub(crate) tracing_on: bool,
-    pub(crate) metrics_on: bool,
 }
 
 impl SimInner {
@@ -159,7 +159,6 @@ pub struct Sim {
     nodes: usize,
     cost: CostModel,
     trace: Option<TraceConfig>,
-    metrics: bool,
     backend: BackendKind,
     oracle: Option<Box<dyn ScheduleOracle>>,
 }
@@ -173,7 +172,6 @@ impl Sim {
             nodes,
             cost: CostModel::default(),
             trace: None,
-            metrics: false,
             backend: BackendKind::Auto,
             oracle: None,
         }
@@ -196,7 +194,20 @@ impl Sim {
         self
     }
 
-    /// Override the cost model.
+    /// Override the cost model. Its `metrics` switch
+    /// ([`CostModel::with_metrics`]) keeps the run's metrics, returned on
+    /// [`Report::metrics`](crate::Report::metrics):
+    ///
+    /// ```
+    /// use mpmd_sim::{CostModel, Fabric, Sim};
+    ///
+    /// let cost = CostModel::default().with_metrics();
+    /// let report = Sim::new(2).cost_model(cost).run(|ctx| {
+    ///     ctx.metric_observe("demo.latency_ns", 1_000);
+    /// });
+    /// let m = report.metrics.expect("the run kept metrics");
+    /// assert_eq!(m.hist("demo.latency_ns").unwrap().count, 2);
+    /// ```
     pub fn cost_model(mut self, cost: CostModel) -> Self {
         self.cost = cost;
         self
@@ -219,24 +230,6 @@ impl Sim {
         self
     }
 
-    /// Enable the metrics registry. The filled
-    /// [`MetricsRegistry`](crate::MetricsRegistry) is returned on
-    /// [`Report::metrics`](crate::Report::metrics) after the run.
-    ///
-    /// ```
-    /// use mpmd_sim::{Fabric, Sim};
-    ///
-    /// let report = Sim::new(2).metrics(true).run(|ctx| {
-    ///     ctx.metric_observe("demo.latency_ns", 1_000);
-    /// });
-    /// let m = report.metrics.expect("registry was installed");
-    /// assert_eq!(m.hist("demo.latency_ns").unwrap().count, 2);
-    /// ```
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.metrics = on;
-        self
-    }
-
     /// Run `main` once per node (as each node's initial task) to completion
     /// of *all* tasks, and return the measurements.
     ///
@@ -254,7 +247,6 @@ impl Sim {
         F: Fn(Ctx) + Send + Sync + 'static,
     {
         let faults = self.cost.faults.clone();
-        let metrics = self.metrics || self.cost.metrics;
         let tracing_on = self.trace.is_some();
         // SAFETY: `lock_kernel` is the only borrow, and it checks that the
         // calling thread holds this run's baton as the current holder.
@@ -262,7 +254,7 @@ impl Sim {
             BatonCell::new(Kernel::new(
                 self.nodes,
                 self.trace,
-                metrics,
+                self.cost.metrics,
                 faults,
                 self.oracle,
             ))
@@ -285,7 +277,6 @@ impl Sim {
             cost: self.cost,
             num_nodes: self.nodes,
             tracing_on,
-            metrics_on: metrics,
         });
         // This thread is the engine: it holds the baton until the first
         // switch, and a task that runs a simulation of its own gets its own
@@ -298,8 +289,7 @@ impl Sim {
             spawn_task(&inner, node, "main".to_string(), false, move |ctx| f(ctx));
         }
         run_engine(&inner);
-        // Teardown: every task has finished; move each Stats block out
-        // instead of cloning it.
+        // Teardown: every task has finished.
         let mut k = inner.lock_kernel();
         // Structural pool invariant: pending heap keys and live pool bodies
         // are in bijection. Events may legally remain pending at a clean
@@ -312,16 +302,9 @@ impl Sim {
             "event pool/heap bijection broken at teardown"
         );
         k.publish_pool_metrics();
-        Report {
-            clocks: k.nodes.iter().map(|n| n.clock).collect(),
-            stats: k
-                .nodes
-                .iter_mut()
-                .map(|n| std::mem::take(&mut n.stats))
-                .collect(),
-            trace: k.tracer.take().map(|t| t.finish()),
-            metrics: k.metrics.take(),
-        }
+        let trace: Option<_> = k.nodes.iter_mut().map(|n| n.probe.take_trace()).collect();
+        drop(k);
+        snapshot(&inner).report(trace.map(|nodes| TraceLog { nodes }))
     }
 }
 
@@ -505,10 +488,13 @@ fn decide_inner(
 /// snapshot is meaningful.
 pub(crate) fn snapshot(inner: &SimInner) -> Snapshot {
     let k = inner.lock_kernel();
+    let metrics = k.nodes.iter().map(|n| n.probe.metrics());
     Snapshot {
         clocks: k.nodes.iter().map(|n| n.clock).collect(),
-        stats: k.nodes.iter().map(|n| n.stats.clone()).collect(),
-        metrics: k.metrics.clone(),
+        stats: k.nodes.iter().map(|n| n.probe.stats.clone()).collect(),
+        metrics: k.metrics.then(|| MetricsRegistry {
+            nodes: metrics.collect(),
+        }),
     }
 }
 

@@ -18,11 +18,13 @@
 use crate::cost::CostModel;
 use crate::event::{Msg, Payload};
 use crate::kernel::FaultDecision;
+use crate::probe::Probe;
 use crate::report::Snapshot;
 use crate::stats::{Bucket, Stats};
 use crate::task::TaskId;
 use crate::time::Time;
-use crate::trace::{SpanId, TraceEvent};
+use crate::trace::{SpanId, TraceEvent, TraceRecord};
+use std::cell::RefMut;
 
 /// What `unpark`, `join` and `is_finished` panic with, on every backend, when
 /// their target is a task of another node.
@@ -30,16 +32,15 @@ pub const ACROSS_NODES: &str = "reaches across nodes: only messages cross nodes"
 
 /// The machine interface the MPMD communication stack runs on.
 ///
-/// Three kinds of method (DESIGN.md §4 has the table):
+/// Two kinds of method (DESIGN.md §4 has the table):
 ///
-/// * **required** — identity, clock and ledger, scheduling, transport,
-///   per-node data: every backend defines these;
-/// * **overridable instrumentation** — `metrics_enabled`, `metric_observe`,
-///   `span_start`, `span_end`, `trace_event`, plus the fault pair: no-op (or
-///   "off") defaults that a backend with the instrument overrides;
-/// * **provided** — `metric_now`, `metric_observe_since`,
-///   `metric_inbox_depth`, `span`: written once here over the methods above;
-///   no backend overrides them.
+/// * **required** — identity, clock and ledger, scheduling, faults,
+///   transport, per-node data and the per-node [`Probe`]: every backend
+///   defines these;
+/// * **provided** — the instrumentation (`with_stats`, `metrics_enabled`,
+///   `metric_observe`, `span_start`, `span_end`, `trace_event` and the
+///   helpers over them): written once here over `probe`, `tracing`, `cost`
+///   and `now`; no backend overrides them.
 ///
 /// Contract highlights (the conformance suite in `mpmd-am` checks these on
 /// every backend):
@@ -91,13 +92,6 @@ pub trait Fabric: Clone + Send + 'static {
     /// also advances the node clock; on wall-clock fabrics it only feeds
     /// the per-bucket ledger (time advances by itself).
     fn charge(&self, bucket: Bucket, ns: Time);
-
-    /// Add to this node's instrumentation counters. `f` must not call back
-    /// into the fabric: that panics on every backend. It must not *read*
-    /// the counters either — the simulator hands it the node's totals,
-    /// `LocalFabric` only what the node has counted since its last merge;
-    /// totals come from [`Fabric::snapshot`] and the run's report.
-    fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R;
 
     /// Capture all node clocks/stats. The capture holds what the caller has
     /// done so far and everything another node did before sending a frame
@@ -173,17 +167,10 @@ pub trait Fabric: Clone + Send + 'static {
 
     // ---- faults ------------------------------------------------------
 
-    /// Whether a fault model is installed (gates the AM reliable layer).
-    fn faults_enabled(&self) -> bool {
-        false
-    }
-
-    /// Draw the fate of one transmission attempt to `dst`. Only called when
-    /// [`Fabric::faults_enabled`] is true.
-    fn fault_decision(&self, dst: usize) -> FaultDecision {
-        let _ = dst;
-        panic!("fault injection is not supported on this fabric")
-    }
+    /// Draw the fate of one transmission attempt to `dst`. Called only when
+    /// the cost model carries a fault model (`cost().faults`), which only the
+    /// simulator accepts.
+    fn fault_decision(&self, dst: usize) -> FaultDecision;
 
     // ---- frame transport ---------------------------------------------
 
@@ -213,40 +200,74 @@ pub trait Fabric: Clone + Send + 'static {
         T: Send + Sync + 'static,
         G: FnOnce() -> T;
 
-    // ---- instrumentation: overridable, off by default ----------------
+    // ---- instrumentation ---------------------------------------------
 
-    /// Whether a metrics registry is installed (so callers can skip
-    /// computing observation values when metrics are off).
+    /// This node's [`Probe`], borrowed until the guard drops: calling back
+    /// into the fabric meanwhile panics on every backend. Counting goes
+    /// through the provided methods below, which are written over it.
+    fn probe(&self) -> RefMut<'_, Probe>;
+
+    /// Whether the run records a trace: a plain flag, so that with tracing
+    /// off a span or trace event borrows nothing.
+    fn tracing(&self) -> bool;
+
+    /// Add to this node's instrumentation counters. `f` must not call back
+    /// into the fabric: that panics on every backend. It must not *read*
+    /// the counters either — the simulator hands it the node's totals,
+    /// `LocalFabric` only what the node has counted since its last drain;
+    /// totals come from [`Fabric::snapshot`] and the run's report.
+    fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
+        f(self.probe().stats())
+    }
+
+    /// Whether the run keeps metrics (`CostModel::metrics`), so callers can
+    /// skip computing observation values when it does not.
     fn metrics_enabled(&self) -> bool {
-        false
+        self.cost().metrics
     }
 
     /// Record `v` into this node's histogram `name`.
     fn metric_observe(&self, name: &'static str, v: u64) {
-        let _ = (name, v);
+        if self.metrics_enabled() {
+            self.probe().observe(name, v);
+        }
     }
 
     /// Open a named span frame on this task; the sentinel `SpanId(0)` means
     /// tracing is off and [`Fabric::span_end`] will ignore it. Frames must
     /// strictly nest per task.
     fn span_start(&self, name: &str) -> SpanId {
-        let _ = name;
-        SpanId(0)
+        if !self.tracing() {
+            return SpanId(0);
+        }
+        let id = self.probe().next_span();
+        let name = name.to_string();
+        self.trace_event(|| TraceEvent::SpanStart { id, name });
+        id
     }
 
-    /// Close a span frame opened by [`Fabric::span_start`].
+    /// Close a span frame opened by [`Fabric::span_start`]. Ending any frame
+    /// but the task's innermost open one panics.
     fn span_end(&self, id: SpanId) {
-        let _ = id;
+        if id.is_active() {
+            self.trace_event(|| TraceEvent::SpanEnd { id });
+        }
     }
 
-    /// Record one trace event on this task. `event` is evaluated only when a
-    /// tracer is installed, so building the event costs nothing (and
-    /// allocates nothing) on a tracing-off run.
+    /// Record one trace event on this task, stamped with [`Fabric::now`].
+    /// `event` is evaluated only when tracing, so building the event costs
+    /// nothing (and allocates nothing) on a tracing-off run.
     fn trace_event(&self, event: impl FnOnce() -> TraceEvent) {
-        let _ = event;
+        if self.tracing() {
+            let rec = TraceRecord {
+                time: self.now(),
+                node: self.node(),
+                task: self.task_id(),
+                event: event(),
+            };
+            self.probe().record(rec);
+        }
     }
-
-    // ---- instrumentation: provided, written once ---------------------
 
     /// This node's clock, but only when metrics are on (cheap start-stamp
     /// for latency measurements; pair with [`Fabric::metric_observe_since`]).
@@ -260,13 +281,6 @@ pub trait Fabric: Clone + Send + 'static {
     fn metric_observe_since(&self, name: &'static str, t0: Time) {
         if self.metrics_enabled() {
             self.metric_observe(name, self.now().saturating_sub(t0));
-        }
-    }
-
-    /// Record this node's current inbox depth into histogram `name`.
-    fn metric_inbox_depth(&self, name: &'static str) {
-        if self.metrics_enabled() {
-            self.metric_observe(name, self.inbox_len() as u64);
         }
     }
 

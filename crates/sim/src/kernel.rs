@@ -1,10 +1,9 @@
 //! The simulation kernel: task table, per-node state, and event application.
 //!
 //! All mutable simulation state lives here, in one [`Kernel`] in the
-//! `BatonCell` of `SimInner`: per node the virtual clock, inbox and stats
-//! block next to the ready queue ([`NodeState`]);
-//! machine-wide the task table, the event heap and the trace/metrics/fault
-//! instruments.
+//! `BatonCell` of `SimInner`: per node the virtual clock, inbox and
+//! [`Probe`] next to the ready queue ([`NodeState`]); machine-wide the task
+//! table, the event heap and the fault and exploration instruments.
 //!
 //! Exactly one context runs at a time (the engine, or the one task holding
 //! the baton) and no borrow is ever held across a baton switch, so the
@@ -14,14 +13,14 @@
 
 use crate::event::{EventKey, EventKind, Msg};
 use crate::explore::{ChoicePoint, ScheduleOracle};
-use crate::metrics::MetricsRegistry;
 use crate::pool::{Handle, Pool};
-use crate::stats::Stats;
+use crate::probe::Probe;
 use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
-use crate::trace::{TraceConfig, TraceEvent, TraceRecord, Tracer, NO_TASK};
+use crate::trace::{TraceConfig, TraceEvent, TraceRecord, NO_TASK};
 use std::any::Any;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Scheduling state of a task.
@@ -76,14 +75,14 @@ pub(crate) struct NodeState {
     pub(crate) clock: Time,
     /// Delivered but not yet polled messages.
     pub(crate) inbox: VecDeque<Msg>,
-    /// Instrumentation.
-    pub(crate) stats: Stats,
     /// Tasks ready to run, in FIFO order.
     pub(crate) ready: VecDeque<TaskId>,
     /// Tasks parked waiting for the inbox to become non-empty. Deduplicated
     /// at park time; entries whose task was woken by other means are skipped
     /// (by state) at fire time.
     pub(crate) inbox_waiters: Vec<TaskId>,
+    /// Ledger, metrics and trace ring.
+    pub(crate) probe: Probe,
 }
 
 pub(crate) struct Kernel {
@@ -103,10 +102,12 @@ pub(crate) struct Kernel {
     pub(crate) shutting_down: bool,
     /// Captured panic payload from a task body, re-raised by the engine.
     pub(crate) panic: Option<Box<dyn Any + Send>>,
-    pub(crate) tracer: Option<Tracer>,
-    /// Installed metrics registry; `None` (the default) makes every
-    /// recording hook a no-op, mirroring the tracer's gating discipline.
-    pub(crate) metrics: Option<MetricsRegistry>,
+    /// Whether the kernel counts its own metrics (tasks, traffic matrix,
+    /// event pool) into the nodes' probes.
+    pub(crate) metrics: bool,
+    /// Whether the nodes' probes keep trace rings: checked before a record
+    /// is built, so a tracing-off run touches no probe to emit.
+    tracing: bool,
     /// Installed fault model plus its seeded decision stream.
     pub(crate) faults: Option<FaultState>,
     /// Installed schedule oracle (exploration harness). `None` — the default
@@ -187,8 +188,15 @@ impl Kernel {
         faults: Option<crate::cost::FaultModel>,
         oracle: Option<Box<dyn ScheduleOracle>>,
     ) -> Self {
+        // One run-wide sequence of span ids.
+        let span_ids = Arc::new(AtomicU64::new(0));
         Kernel {
-            nodes: (0..nodes).map(|_| NodeState::default()).collect(),
+            nodes: (0..nodes)
+                .map(|_| NodeState {
+                    probe: Probe::new(trace.as_ref(), &span_ids),
+                    ..NodeState::default()
+                })
+                .collect(),
             tasks: Vec::new(),
             events: BinaryHeap::new(),
             event_pool: Pool::new(),
@@ -197,8 +205,8 @@ impl Kernel {
             live_daemons: 0,
             shutting_down: false,
             panic: None,
-            tracer: trace.map(|cfg| Tracer::new(nodes, cfg)),
-            metrics: metrics.then(|| MetricsRegistry::new(nodes)),
+            metrics,
+            tracing: trace.is_some(),
             faults: faults.map(FaultState::new),
             oracle,
             waiter_scratch: Vec::new(),
@@ -222,7 +230,7 @@ impl Kernel {
     }
 
     /// Draw the fate of one transmission attempt. Panics if no fault model
-    /// is installed (callers gate on `faults_enabled`).
+    /// is installed (callers gate on `cost().faults`).
     pub(crate) fn fault_decision(&mut self) -> FaultDecision {
         self.faults
             .as_mut()
@@ -260,9 +268,10 @@ impl Kernel {
     /// tracing is off.
     #[inline]
     pub(crate) fn emit(&mut self, node: usize, task: TaskId, event: TraceEvent) {
-        if let Some(tr) = self.tracer.as_mut() {
-            tr.record(TraceRecord {
-                time: self.nodes[node].clock,
+        if self.tracing {
+            let n = &mut self.nodes[node];
+            n.probe.record(TraceRecord {
+                time: n.clock,
                 node,
                 task,
                 event,
@@ -293,14 +302,17 @@ impl Kernel {
         if daemon {
             self.live_daemons += 1;
         }
-        if let Some(m) = self.metrics.as_mut() {
-            m.counter_add(node, "sched.tasks_spawned", 1);
-            m.gauge_set(node, "sched.live_tasks", self.live as u64);
+        let live = self.live as u64;
+        let n = &mut self.nodes[node];
+        if self.metrics {
+            let m = &mut n.probe.kernel;
+            *m.counters.entry("sched.tasks_spawned").or_insert(0) += 1;
+            m.gauges.insert("sched.live_tasks", live);
         }
-        self.nodes[node].ready.push_back(id);
-        // Trace payloads are only built when a tracer is installed — the
-        // name clone here is pure waste otherwise.
-        if self.tracer.is_some() {
+        n.ready.push_back(id);
+        // Trace payloads are only built when tracing — the name clone here
+        // is pure waste otherwise.
+        if self.tracing {
             let name = self.tasks[id.idx()].name.clone();
             self.emit(node, id, TraceEvent::TaskSpawn { name });
         }
@@ -314,15 +326,18 @@ impl Kernel {
         assert!(dst < self.nodes.len(), "send to nonexistent node {dst}");
         let src = msg.src;
         let at = self.clock(src) + delay;
-        let st = &mut self.nodes[src].stats;
+        let probe = &mut self.nodes[src].probe;
+        let st = probe.stats();
         st.msgs_sent += 1;
         st.bytes_sent += msg.wire_bytes as u64;
         st.msg_size_hist[crate::stats::size_bucket(msg.wire_bytes)] += 1;
         // Source-side traffic matrix (who sends what where): `msgprofile`
         // reads these keyed counters back out of the registry.
-        if let Some(m) = self.metrics.as_mut() {
-            m.keyed_add(src, "net.msgs_to", dst as u64, 1);
-            m.keyed_add(src, "net.bytes_to", dst as u64, msg.wire_bytes as u64);
+        if self.metrics {
+            let (keyed, to) = (&mut probe.kernel.keyed, dst as u64);
+            for (name, v) in [("net.msgs_to", 1), ("net.bytes_to", msg.wire_bytes as u64)] {
+                *keyed.entry(name).or_default().entry(to).or_insert(0) += v;
+            }
         }
         let wire_bytes = msg.wire_bytes;
         let seq = self.next_seq();
@@ -476,7 +491,7 @@ impl Kernel {
         match kind {
             EventKind::Deliver { node, msg } => {
                 let (src, wire_bytes) = (msg.src, msg.wire_bytes);
-                self.nodes[node].stats.msgs_received += 1;
+                self.nodes[node].probe.stats.msgs_received += 1;
                 self.nodes[node].inbox.push_back(msg);
                 self.raise_clock(node, time);
                 self.emit(node, NO_TASK, TraceEvent::MsgDeliver { src, wire_bytes });
@@ -544,8 +559,9 @@ impl Kernel {
         if daemon {
             self.live_daemons -= 1;
         }
-        if let Some(m) = self.metrics.as_mut() {
-            m.gauge_set(node, "sched.live_tasks", self.live as u64);
+        if self.metrics {
+            let gauges = &mut self.nodes[node].probe.kernel.gauges;
+            gauges.insert("sched.live_tasks", self.live as u64);
         }
         for j in joiners {
             if self.tasks[j.idx()].state == TaskState::Parked {
@@ -555,13 +571,13 @@ impl Kernel {
     }
 
     /// Publish the event pool's recycling counters into the metrics
-    /// registry (machine-wide totals, attributed to node 0). Called once at
-    /// teardown; deterministic because event alloc/free order is fixed by
-    /// the schedule.
+    /// (machine-wide totals, attributed to node 0). Called once at teardown;
+    /// deterministic because event alloc/free order is fixed by the schedule.
     pub(crate) fn publish_pool_metrics(&mut self) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.counter_add(0, "pool.recycled", self.event_pool.recycled);
-            m.counter_add(0, "pool.misses", self.event_pool.misses);
+        if self.metrics {
+            let counters = &mut self.nodes[0].probe.kernel.counters;
+            counters.insert("pool.recycled", self.event_pool.recycled);
+            counters.insert("pool.misses", self.event_pool.misses);
         }
     }
 

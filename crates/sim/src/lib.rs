@@ -38,6 +38,7 @@ mod kernel;
 pub mod metrics;
 mod node_data;
 mod pool;
+mod probe;
 mod report;
 mod stats;
 mod task;
@@ -58,6 +59,7 @@ pub use flame::{fold_stacks, phase_profile, Phase};
 pub use kernel::FaultDecision;
 pub use metrics::{Histogram, MetricsRegistry, NodeMetrics, HIST_BUCKETS};
 pub use node_data::NodeData;
+pub use probe::Probe;
 pub use report::{Report, Snapshot};
 pub use stats::{size_bucket, size_bucket_limit, Bucket, Stats, NUM_BUCKETS};
 pub use task::TaskId;

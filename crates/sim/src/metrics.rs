@@ -8,11 +8,11 @@
 //! histograms, alongside plain counters and gauges.
 //!
 //! Like the tracer, the registry is opt-in and **zero-cost when absent**:
-//! every recording hook on [`Ctx`](crate::Ctx) borrows the kernel it
-//! would have borrowed anyway and bails on `metrics.is_none()` without building
-//! any payload. Install it with [`Sim::metrics`](crate::Sim::metrics) or
-//! [`CostModel::with_metrics`](crate::CostModel::with_metrics); the filled
-//! registry comes back on [`Report::metrics`](crate::Report::metrics).
+//! every recording hook bails on the cost model's switch without building
+//! any payload. Turn it on with
+//! [`CostModel::with_metrics`](crate::CostModel::with_metrics); each node
+//! records into its [`Probe`](crate::Probe), and the filled registry comes
+//! back on [`Report::metrics`](crate::Report::metrics).
 //!
 //! Everything here is integer arithmetic over virtual nanoseconds, so two
 //! runs of the same seeded program produce byte-identical serialized
@@ -273,8 +273,7 @@ impl NodeMetrics {
     }
 }
 
-/// The installed registry: one [`NodeMetrics`] block per node, recorded
-/// on the kernel in simulation order. Returned whole on
+/// A run's metrics: one [`NodeMetrics`] block per node. Returned whole on
 /// [`Report::metrics`](crate::Report::metrics) after a run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricsRegistry {
@@ -283,38 +282,6 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An empty registry for a machine of `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
-        MetricsRegistry {
-            nodes: vec![NodeMetrics::default(); nodes],
-        }
-    }
-
-    #[inline]
-    pub fn counter_add(&mut self, node: usize, name: &'static str, delta: u64) {
-        *self.nodes[node].counters.entry(name).or_insert(0) += delta;
-    }
-
-    #[inline]
-    pub fn gauge_set(&mut self, node: usize, name: &'static str, v: u64) {
-        self.nodes[node].gauges.insert(name, v);
-    }
-
-    #[inline]
-    pub fn keyed_add(&mut self, node: usize, name: &'static str, key: u64, delta: u64) {
-        *self.nodes[node]
-            .keyed
-            .entry(name)
-            .or_default()
-            .entry(key)
-            .or_insert(0) += delta;
-    }
-
-    #[inline]
-    pub fn observe(&mut self, node: usize, name: &'static str, v: u64) {
-        self.nodes[node].hists.entry(name).or_default().record(v);
-    }
-
     /// All nodes merged into one roll-up block.
     pub fn global(&self) -> NodeMetrics {
         let mut acc = NodeMetrics::default();
@@ -437,6 +404,7 @@ mod serialize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Probe;
 
     #[test]
     fn bucket_edges_partition_u64() {
@@ -528,15 +496,23 @@ mod tests {
         assert_eq!(d, h);
     }
 
+    /// A registry with one node per probe, as a run builds it.
+    fn registry(probes: &[Probe]) -> MetricsRegistry {
+        MetricsRegistry {
+            nodes: probes.iter().map(Probe::metrics).collect(),
+        }
+    }
+
     #[test]
     fn registry_global_merges_nodes() {
-        let mut r = MetricsRegistry::new(2);
-        r.counter_add(0, "x", 3);
-        r.counter_add(1, "x", 4);
-        r.observe(0, "lat", 100);
-        r.observe(1, "lat", 200);
-        r.keyed_add(0, "to", 1, 5);
-        r.keyed_add(1, "to", 0, 7);
+        let mut p = [Probe::default(), Probe::default()];
+        p[0].kernel.counters.insert("x", 3);
+        p[1].kernel.counters.insert("x", 4);
+        p[0].observe("lat", 100);
+        p[1].observe("lat", 200);
+        p[0].kernel.keyed.insert("to", [(1, 5)].into());
+        p[1].kernel.keyed.insert("to", [(0, 7)].into());
+        let r = registry(&p);
         assert_eq!(r.counter("x"), 7);
         let g = r.global();
         assert_eq!(g.counters["x"], 7);
@@ -549,14 +525,14 @@ mod tests {
 
     #[test]
     fn registry_since_diffs_per_node() {
-        let mut a = MetricsRegistry::new(1);
-        a.counter_add(0, "c", 2);
-        a.observe(0, "h", 50);
-        let mut b = a.clone();
-        b.counter_add(0, "c", 3);
-        b.observe(0, "h", 60);
-        b.gauge_set(0, "g", 9);
-        let d = b.since(&a);
+        let mut p = [Probe::default()];
+        p[0].kernel.counters.insert("c", 2);
+        p[0].observe("h", 50);
+        let a = registry(&p);
+        p[0].kernel.counters.insert("c", 5);
+        p[0].observe("h", 60);
+        p[0].kernel.gauges.insert("g", 9);
+        let d = registry(&p).since(&a);
         assert_eq!(d.nodes[0].counters["c"], 3);
         assert_eq!(d.nodes[0].hists["h"].count, 1);
         assert_eq!(d.nodes[0].gauges["g"], 9);
@@ -565,10 +541,11 @@ mod tests {
     #[cfg(feature = "serde")]
     #[test]
     fn serialized_buckets_are_pairs_in_value_order() {
-        let mut r = MetricsRegistry::new(1);
-        r.observe(0, "h", 0);
-        r.observe(0, "h", 3);
-        r.observe(0, "h", 300);
+        let mut p = [Probe::default()];
+        for v in [0, 3, 300] {
+            p[0].observe("h", v);
+        }
+        let r = registry(&p);
         let json = serde_json::to_string(&serde::Serialize::to_value(&r)).unwrap();
         assert!(json.contains("\"buckets\":[[0,1],[2,1],[256,1]]"), "{json}");
         assert!(json.contains("\"global\""));

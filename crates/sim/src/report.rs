@@ -17,6 +17,16 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// The report of a run that ended at this capture, with its trace.
+    pub fn report(self, trace: Option<TraceLog>) -> Report {
+        Report {
+            clocks: self.clocks,
+            stats: self.stats,
+            trace,
+            metrics: self.metrics,
+        }
+    }
+
     /// Difference `later - self` as a [`Report`].
     pub fn until(&self, later: &Snapshot) -> Report {
         assert_eq!(self.clocks.len(), later.clocks.len());
@@ -51,13 +61,13 @@ pub struct Report {
     /// Per-node instrumentation.
     pub stats: Vec<Stats>,
     /// Structured event log, present when the run used
-    /// [`Sim::tracing`](crate::Sim::tracing). Snapshot-interval reports
+    /// [`Sim::tracing`](crate::Sim::tracing) (or `LocalFabricBuilder::tracing`).
+    /// Snapshot-interval reports
     /// ([`Snapshot::until`]) carry `None`; the full-run log stays on the
     /// final report.
     pub trace: Option<TraceLog>,
-    /// Metrics registry, present when the run used
-    /// [`Sim::metrics`](crate::Sim::metrics) (or a cost model with
-    /// [`CostModel::with_metrics`](crate::CostModel::with_metrics)).
+    /// Metrics registry, present when the run's cost model kept metrics
+    /// ([`CostModel::with_metrics`](crate::CostModel::with_metrics)).
     /// Snapshot-interval reports carry the interval difference.
     pub metrics: Option<MetricsRegistry>,
 }

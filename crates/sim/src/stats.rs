@@ -213,74 +213,48 @@ impl Stats {
 
     /// Accumulate another stats block into this one.
     pub fn merge(&mut self, other: &Stats) {
-        for i in 0..NUM_BUCKETS {
-            self.bucket_ns[i] += other.bucket_ns[i];
-        }
-        self.thread_creates += other.thread_creates;
-        self.context_switches += other.context_switches;
-        self.sync_ops += other.sync_ops;
-        self.lock_acquisitions += other.lock_acquisitions;
-        self.lock_contended += other.lock_contended;
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_received += other.msgs_received;
-        self.bytes_sent += other.bytes_sent;
-        self.short_msgs += other.short_msgs;
-        self.bulk_msgs += other.bulk_msgs;
-        self.polls += other.polls;
-        self.handlers_run += other.handlers_run;
-        for i in 0..8 {
-            self.msg_size_hist[i] += other.msg_size_hist[i];
-        }
-        self.retransmits += other.retransmits;
-        self.timeouts += other.timeouts;
-        self.dup_drops += other.dup_drops;
-        self.wire_drops += other.wire_drops;
-        self.wire_dups += other.wire_dups;
-        self.agg_flushes += other.agg_flushes;
-        self.agg_msgs += other.agg_msgs;
-        self.agg_bytes += other.agg_bytes;
+        self.zip(other, |a, b| *a += b);
     }
 
     /// Element-wise difference `self - earlier` (panics on counter regression,
     /// which would indicate a bookkeeping bug).
     pub fn since(&self, earlier: &Stats) -> Stats {
-        fn sub(a: u64, b: u64) -> u64 {
-            a.checked_sub(b).expect("stats counter went backwards")
+        let mut d = self.clone();
+        d.zip(earlier, |a, b| {
+            *a = a.checked_sub(b).expect("stats counter went backwards");
+        });
+        d
+    }
+
+    /// Apply `f` to every counter of `self` and the same counter of `other`.
+    #[inline]
+    fn zip(&mut self, other: &Stats, f: impl Fn(&mut u64, u64)) {
+        for (a, b) in self.bucket_ns.iter_mut().zip(&other.bucket_ns) {
+            f(a, *b);
         }
-        let mut bucket_ns = [0; NUM_BUCKETS];
-        for (i, b) in bucket_ns.iter_mut().enumerate() {
-            *b = sub(self.bucket_ns[i], earlier.bucket_ns[i]);
+        for (a, b) in self.msg_size_hist.iter_mut().zip(&other.msg_size_hist) {
+            f(a, *b);
         }
-        Stats {
-            bucket_ns,
-            thread_creates: sub(self.thread_creates, earlier.thread_creates),
-            context_switches: sub(self.context_switches, earlier.context_switches),
-            sync_ops: sub(self.sync_ops, earlier.sync_ops),
-            lock_acquisitions: sub(self.lock_acquisitions, earlier.lock_acquisitions),
-            lock_contended: sub(self.lock_contended, earlier.lock_contended),
-            msgs_sent: sub(self.msgs_sent, earlier.msgs_sent),
-            msgs_received: sub(self.msgs_received, earlier.msgs_received),
-            bytes_sent: sub(self.bytes_sent, earlier.bytes_sent),
-            short_msgs: sub(self.short_msgs, earlier.short_msgs),
-            bulk_msgs: sub(self.bulk_msgs, earlier.bulk_msgs),
-            polls: sub(self.polls, earlier.polls),
-            handlers_run: sub(self.handlers_run, earlier.handlers_run),
-            msg_size_hist: {
-                let mut h = [0u64; 8];
-                for (i, b) in h.iter_mut().enumerate() {
-                    *b = sub(self.msg_size_hist[i], earlier.msg_size_hist[i]);
-                }
-                h
-            },
-            retransmits: sub(self.retransmits, earlier.retransmits),
-            timeouts: sub(self.timeouts, earlier.timeouts),
-            dup_drops: sub(self.dup_drops, earlier.dup_drops),
-            wire_drops: sub(self.wire_drops, earlier.wire_drops),
-            wire_dups: sub(self.wire_dups, earlier.wire_dups),
-            agg_flushes: sub(self.agg_flushes, earlier.agg_flushes),
-            agg_msgs: sub(self.agg_msgs, earlier.agg_msgs),
-            agg_bytes: sub(self.agg_bytes, earlier.agg_bytes),
-        }
+        f(&mut self.thread_creates, other.thread_creates);
+        f(&mut self.context_switches, other.context_switches);
+        f(&mut self.sync_ops, other.sync_ops);
+        f(&mut self.lock_acquisitions, other.lock_acquisitions);
+        f(&mut self.lock_contended, other.lock_contended);
+        f(&mut self.msgs_sent, other.msgs_sent);
+        f(&mut self.msgs_received, other.msgs_received);
+        f(&mut self.bytes_sent, other.bytes_sent);
+        f(&mut self.short_msgs, other.short_msgs);
+        f(&mut self.bulk_msgs, other.bulk_msgs);
+        f(&mut self.polls, other.polls);
+        f(&mut self.handlers_run, other.handlers_run);
+        f(&mut self.retransmits, other.retransmits);
+        f(&mut self.timeouts, other.timeouts);
+        f(&mut self.dup_drops, other.dup_drops);
+        f(&mut self.wire_drops, other.wire_drops);
+        f(&mut self.wire_dups, other.wire_dups);
+        f(&mut self.agg_flushes, other.agg_flushes);
+        f(&mut self.agg_msgs, other.agg_msgs);
+        f(&mut self.agg_bytes, other.agg_bytes);
     }
 }
 

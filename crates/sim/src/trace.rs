@@ -39,6 +39,8 @@ use crate::task::TaskId;
 use crate::time::Time;
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Task id used on records emitted by the kernel itself (message delivery),
 /// outside any task context.
@@ -59,8 +61,9 @@ impl SpanId {
     }
 }
 
-/// One structured trace event. Emitted on the kernel, so the stream
-/// per node is totally ordered and deterministic.
+/// One structured trace event. Emitted by the context holding the node's
+/// baton, so the stream per node is totally ordered (and, on the
+/// simulator, deterministic).
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceEvent {
     /// A task was registered and enqueued.
@@ -131,7 +134,8 @@ impl TraceEvent {
 /// A [`TraceEvent`] with its emission context.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceRecord {
-    /// The emitting node's virtual clock at emission (after any charge).
+    /// The emitting node's `now()` at emission (after any charge): virtual
+    /// ns on the simulator, ns since the run began on the wall clock.
     pub time: Time,
     pub node: usize,
     /// Emitting task, or [`NO_TASK`] for kernel-level events.
@@ -139,7 +143,8 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Configuration for [`Sim::tracing`](crate::Sim::tracing).
+/// Configuration for [`Sim::tracing`](crate::Sim::tracing) and
+/// `LocalFabricBuilder::tracing`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Ring-buffer capacity per node, in records. `0` disables collection.
@@ -262,35 +267,33 @@ pub(crate) fn replay<'a>(events: &'a [TraceRecord], mut visit: impl FnMut(Visit<
     orphans
 }
 
-#[derive(Default)]
-struct NodeRing {
+/// One node's collector, kept in its [`Probe`](crate::Probe): the bounded
+/// ring, what overflowed it, and each task's open frames, to catch a
+/// mismatched End at emission. Span ids come from a counter the fabric
+/// hands it, which the simulator shares among its nodes (one run-wide
+/// sequence) and `LocalFabric` does not (ids per node, like its task ids).
+pub(crate) struct TraceRing {
+    capacity: usize,
     ring: VecDeque<TraceRecord>,
     dropped: u64,
-}
-
-/// Live collector owned by the kernel. All methods are called by the
-/// baton holder, through the kernel's one borrow.
-pub(crate) struct Tracer {
-    capacity: usize,
-    nodes: Vec<NodeRing>,
-    /// Each task's open frames, to catch a mismatched End at emission.
     frames: FrameStacks<FrameKey>,
-    next_span: u64,
+    span_ids: Arc<AtomicU64>,
 }
 
-impl Tracer {
-    pub(crate) fn new(nodes: usize, config: TraceConfig) -> Self {
-        Tracer {
+impl TraceRing {
+    pub(crate) fn new(config: &TraceConfig, span_ids: &Arc<AtomicU64>) -> Self {
+        TraceRing {
             capacity: config.capacity,
-            nodes: (0..nodes).map(|_| NodeRing::default()).collect(),
+            ring: VecDeque::new(),
+            dropped: 0,
             frames: FrameStacks(Vec::new()),
-            next_span: 0,
+            span_ids: Arc::clone(span_ids),
         }
     }
 
     pub(crate) fn alloc_span(&mut self) -> SpanId {
-        self.next_span += 1;
-        SpanId(self.next_span)
+        // Relaxed: a baton hand-off orders the nodes that share a counter.
+        SpanId(self.span_ids.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
     pub(crate) fn record(&mut self, rec: TraceRecord) {
@@ -313,35 +316,26 @@ impl Tracer {
             },
             None => {}
         }
-        let node = &mut self.nodes[rec.node];
         if self.capacity == 0 {
-            node.dropped += 1;
+            self.dropped += 1;
             return;
         }
-        if node.ring.len() == self.capacity {
-            node.ring.pop_front();
-            node.dropped += 1;
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.dropped += 1;
         }
-        node.ring.push_back(rec);
+        self.ring.push_back(rec);
     }
 
-    pub(crate) fn finish(self) -> TraceLog {
-        TraceLog {
-            nodes: self
-                .nodes
-                .into_iter()
-                .map(|n| {
-                    let events = Vec::from(n.ring);
-                    // An End whose Start the ring discarded carries no usable
-                    // interval: count it as dropped too, so truncation is
-                    // visible rather than silently shrinking the span set.
-                    let orphans = replay(&events, |_| {});
-                    NodeTrace {
-                        events,
-                        dropped: n.dropped + orphans,
-                    }
-                })
-                .collect(),
+    pub(crate) fn finish(self) -> NodeTrace {
+        let events = Vec::from(self.ring);
+        // An End whose Start the ring discarded carries no usable interval:
+        // count it as dropped too, so truncation is visible rather than
+        // silently shrinking the span set.
+        let orphans = replay(&events, |_| {});
+        NodeTrace {
+            events,
+            dropped: self.dropped + orphans,
         }
     }
 }
@@ -621,6 +615,16 @@ fn event_fields(ev: &TraceEvent) -> (&'static str, String) {
 mod tests {
     use super::*;
 
+    fn ring(capacity: usize) -> TraceRing {
+        TraceRing::new(&TraceConfig::new().capacity(capacity), &Arc::default())
+    }
+
+    fn log(ring: TraceRing) -> TraceLog {
+        TraceLog {
+            nodes: vec![ring.finish()],
+        }
+    }
+
     fn rec(time: Time, node: usize, task: u32, event: TraceEvent) -> TraceRecord {
         TraceRecord {
             time,
@@ -632,11 +636,11 @@ mod tests {
 
     #[test]
     fn ring_overflow_counts_drops() {
-        let mut tr = Tracer::new(1, TraceConfig::new().capacity(2));
+        let mut tr = ring(2);
         for i in 0..5 {
             tr.record(rec(i, 0, 0, TraceEvent::Park));
         }
-        let log = tr.finish();
+        let log = log(tr);
         assert_eq!(log.nodes[0].events.len(), 2);
         assert_eq!(log.nodes[0].dropped, 3);
         assert_eq!(log.total_dropped(), 3);
@@ -650,7 +654,7 @@ mod tests {
         // Ring of 2: the SpanStart is pushed out by the Parks, leaving an
         // End with no Begin. It must count toward `dropped` (2 overflow + 1
         // orphan End) and never attach to a wrong frame.
-        let mut tr = Tracer::new(1, TraceConfig::new().capacity(2));
+        let mut tr = ring(2);
         let id = tr.alloc_span();
         tr.record(rec(
             0,
@@ -664,19 +668,19 @@ mod tests {
         tr.record(rec(1, 0, 0, TraceEvent::Park));
         tr.record(rec(2, 0, 0, TraceEvent::Unpark));
         tr.record(rec(3, 0, 0, TraceEvent::SpanEnd { id }));
-        let log = tr.finish();
+        let log = log(tr);
         assert_eq!(log.nodes[0].dropped, 3);
         assert!(log.spans().is_empty());
     }
 
     #[test]
     fn overflow_mid_handler_counts_orphan_end_as_dropped() {
-        let mut tr = Tracer::new(1, TraceConfig::new().capacity(2));
+        let mut tr = ring(2);
         tr.record(rec(0, 0, 0, TraceEvent::HandlerStart { handler: 7 }));
         tr.record(rec(1, 0, 0, TraceEvent::Park));
         tr.record(rec(2, 0, 0, TraceEvent::Unpark));
         tr.record(rec(3, 0, 0, TraceEvent::HandlerEnd { handler: 7 }));
-        let log = tr.finish();
+        let log = log(tr);
         assert_eq!(log.nodes[0].dropped, 3);
         assert!(log.spans().is_empty());
     }
@@ -685,7 +689,7 @@ mod tests {
     fn intact_nested_spans_report_no_orphans() {
         // Overflow that discards only *complete* leading records must not
         // inflate `dropped` beyond the ring accounting.
-        let mut tr = Tracer::new(1, TraceConfig::new().capacity(4));
+        let mut tr = ring(4);
         tr.record(rec(0, 0, 0, TraceEvent::Park));
         tr.record(rec(1, 0, 0, TraceEvent::Unpark));
         let id = tr.alloc_span();
@@ -709,7 +713,7 @@ mod tests {
         ));
         tr.record(rec(4, 0, 0, TraceEvent::SpanEnd { id }));
         tr.record(rec(5, 0, 0, TraceEvent::Park));
-        let log = tr.finish();
+        let log = log(tr);
         assert_eq!(log.nodes[0].dropped, 2); // the two leading records only
         let spans = log.spans();
         assert_eq!(spans.len(), 1);
@@ -718,7 +722,7 @@ mod tests {
 
     #[test]
     fn spans_reconstruct_with_nesting_and_charges() {
-        let mut tr = Tracer::new(1, TraceConfig::default());
+        let mut tr = ring(1 << 16);
         let outer = tr.alloc_span();
         tr.record(rec(
             100,
@@ -759,7 +763,7 @@ mod tests {
         ));
         tr.record(rec(250, 0, 7, TraceEvent::SpanEnd { id: inner }));
         tr.record(rec(300, 0, 7, TraceEvent::SpanEnd { id: outer }));
-        let spans = tr.finish().spans();
+        let spans = log(tr).spans();
         assert_eq!(spans.len(), 2);
         // Close order: inner first.
         assert_eq!(spans[0].name, "inner");
@@ -778,12 +782,12 @@ mod tests {
     /// End without a Start is counted once as dropped.
     #[test]
     fn truncated_ring_folds_and_spans_agree() {
-        let mut tr = Tracer::new(1, TraceConfig::new().capacity(14));
+        let mut tr = ring(14);
         let charge = |ns| TraceEvent::Charge {
             bucket: Bucket::Cpu,
             ns,
         };
-        let begin = |tr: &mut Tracer, t, task, name: &str| {
+        let begin = |tr: &mut TraceRing, t, task, name: &str| {
             let id = tr.alloc_span();
             let name = name.to_string();
             tr.record(rec(t, 0, task, TraceEvent::SpanStart { id, name }));
@@ -806,7 +810,7 @@ mod tests {
         tr.record(rec(13, 0, 2, charge(11)));
         tr.record(rec(14, 0, 2, TraceEvent::SpanEnd { id: b }));
         tr.record(rec(15, 0, 1, charge(6)));
-        let log = tr.finish();
+        let log = log(tr);
         assert_eq!(log.nodes[0].dropped, 3 + 2, "3 overflowed, 2 orphan Ends");
 
         let spans = log.spans();
@@ -834,7 +838,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match innermost open span")]
     fn mismatched_span_end_panics() {
-        let mut tr = Tracer::new(1, TraceConfig::default());
+        let mut tr = ring(1 << 16);
         let a = tr.alloc_span();
         let b = tr.alloc_span();
         tr.record(rec(
@@ -861,13 +865,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "no open span")]
     fn span_end_without_start_panics() {
-        let mut tr = Tracer::new(1, TraceConfig::default());
+        let mut tr = ring(1 << 16);
         tr.record(rec(1, 0, 0, TraceEvent::SpanEnd { id: SpanId(9) }));
     }
 
     #[test]
     fn jsonl_escapes_and_labels() {
-        let mut tr = Tracer::new(1, TraceConfig::default());
+        let mut tr = ring(1 << 16);
         tr.record(rec(
             5,
             0,
@@ -885,7 +889,7 @@ mod tests {
                 wire_bytes: 48,
             },
         });
-        let jsonl = tr.finish().to_jsonl();
+        let jsonl = log(tr).to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains(r#""type":"task_spawn","name":"say \"hi\"\n""#));
