@@ -69,8 +69,9 @@ echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-t
 # proceed, an AM handler replies on a full link, a panic ends a wait for
 # room, frames for a node with no tasks left drop exactly once, and a Split-C
 # bulk stream never queues more than one ring. Also at full size only in
-# release: 50 000 spawn/join pairs and a 5 000-wide task wave on exactly one
-# OS thread per node, 20 000 threaded RMIs in one run, and EM3D base in CC++
+# release: 50 000 spawn/join pairs on each fabric (the one node task table
+# holds the live set alone) and a 5 000-wide task wave on exactly one OS
+# thread per node, 20 000 threaded RMIs in one run, and EM3D base in CC++
 # at the paper's graph size (EM3D ghost in Split-C on four nodes, too, bit
 # for bit against the reference). One layer up, the RMI's call records: a warm
 # null RMI allocates nothing on either node of either fabric, nor does a warm
@@ -106,9 +107,9 @@ cargo bench -p mpmd-bench --bench alloc_count 2>/dev/null | grep '^alloc_count/'
 echo "alloc_count bounds OK"
 
 echo "==> clippy: no boxed returns on the fast path"
-# The zero-alloc path must not regrow Box-returning APIs in the touched
-# crates (sim, am, ccxx/splitc, bench).
-cargo clippy -p mpmd-sim -p mpmd-am -p mpmd-ccxx -p mpmd-splitc -p mpmd-bench \
+# The zero-alloc paths must not regrow Box-returning APIs: the simulator's,
+# LocalFabric's short send (fabric), and the layers over them.
+cargo clippy -p mpmd-sim -p mpmd-fabric -p mpmd-am -p mpmd-ccxx -p mpmd-splitc -p mpmd-bench \
     --all-targets -- -D warnings -D clippy::unnecessary_box_returns
 echo "unnecessary_box_returns clean"
 
@@ -140,9 +141,10 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # used off the baton or by a second running context) and the
 # engine-level integration tests, with Auto resolving to the threads backend
 # (the exploration assertions compare against threads baselines, so passing
-# proves identical output). LocalFabric's node scheduler: its unit tests
-# (panic containment, re-entry and borrowed-handle rules, the ring alone),
-# the task-table bounds of bounded_tasks, ring_stress (the ring does not
+# proves identical output). The node task table both fabrics share: its unit
+# tests, and its bounds on both fabrics in bounded_tasks. LocalFabric's node
+# scheduler: its unit tests (panic containment, re-entry and borrowed-handle
+# rules, the ring alone), ring_stress (the ring does not
 # depend on the baton, the idle loop that reads it does), the bounded-link
 # battery (a wait for room keeps the baton) and the whole conformance suite,
 # on which one node's tasks still run one at a time, scheduling across

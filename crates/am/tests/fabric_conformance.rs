@@ -11,8 +11,8 @@
 use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder};
 use mpmd_sim::{
-    Bucket, CostModel, NodeData, Report, Sim, Snapshot, SpanId, TaskId, TraceConfig, TraceEvent,
-    TraceLog,
+    Bucket, CostModel, NodeData, Payload, Report, Sim, Snapshot, SpanId, TaskId, TraceConfig,
+    TraceEvent, TraceLog,
 };
 use mpmd_threads as thr;
 use parking_lot::Mutex;
@@ -539,6 +539,14 @@ fn check_refused<F: Fabric>(
     }
 }
 
+/// A task that joins itself fails the run at once instead of waiting forever.
+fn refused_self_join<F: Fabric>() -> Vec<(Program<F>, String)> {
+    vec![(
+        |c| c.join(c.task_id()),
+        "`join` of TaskId(0) by itself would never return".into(),
+    )]
+}
+
 /// Node singletons: `Outer`'s init fetches an `Inner`.
 struct Outer(u64);
 struct Inner(u64);
@@ -722,8 +730,13 @@ fn battery_deadline_order<F: Fabric>(ctx: &F) {
     );
 }
 
-/// What a task may do with the id of a task of another node: nothing.
+/// What a task may do with the id of a task of another node, or with one its
+/// own node never issued: nothing.
 type Reach<F> = fn(&F, TaskId);
+
+/// An id of node 0 of two that no spawn issues: ids are `seq * nodes + node`,
+/// and the battery spawns nothing.
+const UNISSUED: TaskId = TaskId(2_000);
 
 fn reaches<F: Fabric>() -> [(&'static str, Reach<F>); 3] {
     [
@@ -734,10 +747,13 @@ fn reaches<F: Fabric>() -> [(&'static str, Reach<F>); 3] {
 }
 
 /// Only messages cross nodes: node 0's root learns the id of node 1's root
-/// through shared memory and `reach`es for it, which must fail the run.
-fn battery_across_nodes<F: Fabric>(ctx: &F, ids: &[AtomicU32; 2], reach: Reach<F>) {
+/// through shared memory and `reach`es for it, which must fail the run. With
+/// `unissued`, it reaches for [`UNISSUED`] instead, which must fail it too.
+fn battery_across_nodes<F: Fabric>(ctx: &F, ids: &[AtomicU32; 2], reach: Reach<F>, unissued: bool) {
     ids[ctx.node()].store(ctx.task_id().0, Ordering::Release);
-    if ctx.node() == 0 {
+    if ctx.node() == 0 && unissued {
+        reach(ctx, UNISSUED);
+    } else if ctx.node() == 0 {
         let peer = loop {
             match ids[1].load(Ordering::Acquire) {
                 u32::MAX => {
@@ -753,17 +769,80 @@ fn battery_across_nodes<F: Fabric>(ctx: &F, ids: &[AtomicU32; 2], reach: Reach<F
     }
 }
 
-/// Every `reach` across nodes fails `run` with the one shared message.
-fn check_across_nodes<F: Fabric>(fabric: &str, run: impl Fn(Arc<[AtomicU32; 2]>, Reach<F>)) {
+/// Every `reach` across nodes fails `run` with the one shared message, and
+/// every `reach` for an unissued id with the other one.
+fn check_across_nodes<F: Fabric>(fabric: &str, run: impl Fn(Arc<[AtomicU32; 2]>, Reach<F>, bool)) {
     for (what, reach) in reaches::<F>() {
-        let ids = Arc::new([AtomicU32::new(u32::MAX), AtomicU32::new(u32::MAX)]);
-        let ids2 = Arc::clone(&ids);
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(ids2, reach)))
-            .expect_err("reaching across nodes must fail the run");
-        let msg = payload.downcast::<String>().expect("a formatted panic");
-        let peer = TaskId(ids[1].load(Ordering::Acquire));
-        let want = format!("`{what}` of {peer:?} reaches across nodes: only messages cross nodes");
-        assert_eq!(*msg, want, "{fabric}");
+        for unissued in [false, true] {
+            let ids = Arc::new([AtomicU32::new(u32::MAX), AtomicU32::new(u32::MAX)]);
+            let ids2 = Arc::clone(&ids);
+            let run = || run(ids2, reach, unissued);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("reaching across nodes must fail the run");
+            let msg = payload.downcast::<String>().expect("a formatted panic");
+            let peer = TaskId(ids[1].load(Ordering::Acquire));
+            let want = if unissued {
+                format!("`{what}` of {UNISSUED:?}: no such task was spawned")
+            } else {
+                format!("`{what}` of {peer:?} reaches across nodes: only messages cross nodes")
+            };
+            assert_eq!(*msg, want, "{fabric}");
+        }
+    }
+}
+
+/// An inbox waiter keeps its place in line from its first wait, even when a
+/// timer has woken it since: task A's timed inbox wait expires, B starts an
+/// inbox wait, A waits again, a frame from node 1 arrives, and A resumes
+/// first. Node 0's root keeps yielding throughout, so the node never idles
+/// (`LocalFabric`'s idle park would release both waiters, spuriously).
+fn battery_wake_order<F: Fabric>(ctx: &F, both_wait: &Arc<AtomicBool>) {
+    if ctx.node() == 1 {
+        while !both_wait.load(Ordering::Acquire) {
+            ctx.charge(Bucket::Cpu, 1_000);
+            ctx.yield_now();
+        }
+        ctx.send_msg(0, 8, 1_000, Payload::any(0u64));
+        return;
+    }
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let b_waits = Arc::new(AtomicBool::new(false));
+    let (both_wait, log_a) = (Arc::clone(both_wait), Arc::clone(&log));
+    ctx.spawn("A", move |c: F| {
+        let deadline = c.now() + mpmd_sim::us(100.0);
+        while c.now() < deadline {
+            c.park_for_inbox_until(deadline);
+        }
+        let log_b = Arc::clone(&log_a);
+        let b_waits2 = Arc::clone(&b_waits);
+        let b = c.spawn("B", move |c: F| {
+            // Run until it blocks: nothing else runs between these lines.
+            b_waits2.store(true, Ordering::Release);
+            wait_for_frame(&c);
+            log_b.lock().push("B");
+        });
+        while !b_waits.load(Ordering::Acquire) {
+            c.yield_now();
+        }
+        both_wait.store(true, Ordering::Release);
+        wait_for_frame(&c);
+        log_a.lock().push("A");
+        c.join(b);
+    });
+    while log.lock().len() < 2 {
+        ctx.charge(Bucket::Cpu, 10_000);
+        ctx.yield_now();
+    }
+    assert_eq!(
+        *log.lock(),
+        ["A", "B"],
+        "the waiter listed first resumes first"
+    );
+}
+
+fn wait_for_frame<F: Fabric>(ctx: &F) {
+    while ctx.inbox_len() == 0 {
+        ctx.park_for_inbox();
     }
 }
 
@@ -1193,6 +1272,20 @@ fn refused_registrations_local() {
 }
 
 #[test]
+fn self_join_sim() {
+    check_refused("sim", refused_self_join(), |program| {
+        Sim::new(1).run(move |ctx| program(&ctx));
+    });
+}
+
+#[test]
+fn self_join_local() {
+    check_refused("local", refused_self_join(), |program| {
+        LocalFabric::run(1, move |ctx| program(&ctx));
+    });
+}
+
+#[test]
 fn node_data_sim() {
     Sim::new(2).run(|ctx| battery_node_data(&ctx));
     check_refused("sim", refused_node_data(), |program| {
@@ -1296,16 +1389,30 @@ fn barrier_local() {
 
 #[test]
 fn across_nodes_sim() {
-    check_across_nodes("sim", |ids, reach| {
-        Sim::new(2).run(move |ctx| battery_across_nodes(&ctx, &ids, reach));
+    check_across_nodes("sim", |ids, reach, unissued| {
+        Sim::new(2).run(move |ctx| battery_across_nodes(&ctx, &ids, reach, unissued));
     });
 }
 
 #[test]
 fn across_nodes_local() {
-    check_across_nodes("local", |ids, reach| {
-        LocalFabric::run(2, move |ctx| battery_across_nodes(&ctx, &ids, reach));
+    check_across_nodes("local", |ids, reach, unissued| {
+        LocalFabric::run(2, move |ctx| {
+            battery_across_nodes(&ctx, &ids, reach, unissued)
+        });
     });
+}
+
+#[test]
+fn wake_order_sim() {
+    let both_wait = Arc::new(AtomicBool::new(false));
+    Sim::new(2).run(move |ctx| battery_wake_order(&ctx, &both_wait));
+}
+
+#[test]
+fn wake_order_local() {
+    let both_wait = Arc::new(AtomicBool::new(false));
+    LocalFabric::run(2, move |ctx| battery_wake_order(&ctx, &both_wait));
 }
 
 #[test]

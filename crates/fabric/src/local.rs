@@ -39,7 +39,8 @@
 //!   messages cross nodes, and nothing runs beside a node's thread: a handle
 //!   works on the thread that holds its node's baton and panics anywhere
 //!   else, unless only asked what it is (`node`, `now`, `inbox_len`, ...).
-//!   Task table, run queue, deadline list, stash, singletons and
+//!   Task table and run queue (`mpmd_sim::sched::NodeTasks`, the
+//!   simulator's too), deadline list, stash, singletons and
 //!   [`Probe`] (ledger, metrics and trace ring with no lock and no atomic,
 //!   folded into the node's totals before a frame leaves the node) are
 //!   touched by the node's thread alone, and so is each link's receiving end.
@@ -64,14 +65,15 @@
 
 use crate::Fabric;
 use mpmd_sim::baton::{Backend, BackendKind, BatonCell, TaskBody, TaskCell};
+use mpmd_sim::sched::{NodeTasks, TaskState};
 use mpmd_sim::{
     size_bucket, Bucket, CostModel, FaultDecision, MetricsRegistry, Msg, NodeData, NodeTrace,
     Payload, Probe, Report, Snapshot, TaskId, Time, TraceConfig, TraceEvent, TraceLog, TraceRecord,
-    WaitPhase, WaitPolicy, Waiter, ACROSS_NODES,
+    WaitPhase, WaitPolicy, Waiter,
 };
 use std::any::Any;
 use std::cell::{Cell, RefMut, UnsafeCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::mem::{align_of, offset_of, size_of, MaybeUninit};
 use std::sync::atomic::{fence, AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -330,52 +332,16 @@ fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `resume_unwind`, so the panic hook stays quiet; never reported.
 struct RunPoisoned;
 
-/// What a task that is not running is waiting for.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum State {
-    /// In the run queue.
-    Ready,
-    Running,
-    /// In `park`: ended by `unpark`.
-    Parked,
-    /// In `park_for_inbox*`: ended by a frame, by `unpark`, by its deadline
-    /// if it has one, or spuriously when the idle loop comes back from a park.
-    InboxWait,
-    /// In `sleep`: ended by its deadline.
-    Sleeping,
-    /// In `join`: ended by the target's exit, never by `unpark`.
-    Joining,
-}
-
-/// Bookkeeping for one live task, in its node's table from spawn to exit.
-struct TaskRec {
-    cell: Arc<TaskCell>,
-    state: State,
-    /// The task has an entry in the deadline list.
-    timed: bool,
-    daemon: bool,
-    /// Tasks of this node blocked in `join` on this one.
-    joiners: Vec<TaskId>,
-}
-
 /// Everything a node's own thread keeps about its tasks. No lock and no
 /// atomic: it is reached through the node's [`BatonCell`] by whichever
 /// context of the node holds the baton, and only one does at a time.
 struct Sched {
-    /// Live tasks by id: a record is removed when its task exits.
-    tasks: HashMap<u32, TaskRec>,
-    /// Next task sequence number: ids are `seq * nodes + node`.
-    next_seq: u32,
-    /// Run queue, first in first out.
-    ready: VecDeque<TaskId>,
-    /// The task that holds the baton; `None` while the engine does.
-    current: Option<TaskId>,
-    /// Tasks in `park_for_inbox*`, in arrival order.
-    inbox_waiters: Vec<TaskId>,
-    /// The deadline list (`sleep`s, timed inbox waits), soonest first.
-    timers: VecDeque<(Time, TaskId)>,
-    /// Non-daemon tasks in `tasks`; the node holds the run open while > 0.
-    live: usize,
+    /// Task records, run queue, inbox waiters and the running task.
+    tasks: NodeTasks,
+    /// The deadline list (`sleep`s, timed inbox waits), soonest first: each
+    /// entry carries its task's wake generation, and one whose task has
+    /// woken since is skipped when it comes due.
+    timers: VecDeque<(Time, TaskId, u64)>,
     /// The run phase this node has acted on (see [`LfInner::phase`]).
     seen_phase: u8,
     /// Escalation state of the idle loop, kept across idle periods: waits
@@ -393,15 +359,10 @@ struct Sched {
 }
 
 impl Sched {
-    fn new(wait: WaitPolicy, probe: Probe) -> Self {
+    fn new(tasks: NodeTasks, wait: WaitPolicy, probe: Probe) -> Self {
         Sched {
-            tasks: HashMap::new(),
-            next_seq: 0,
-            ready: VecDeque::new(),
-            current: None,
-            inbox_waiters: Vec::new(),
+            tasks,
             timers: VecDeque::new(),
-            live: 0,
             seen_phase: RUNNING,
             waiter: Waiter::new(wait),
             rotate: 0,
@@ -410,50 +371,14 @@ impl Sched {
         }
     }
 
-    fn rec(&mut self, t: TaskId) -> &mut TaskRec {
-        self.tasks
-            .get_mut(&t.0)
-            .expect("a running task has a record")
-    }
-
-    /// Move `t` to the run queue if it is blocked (and still exists).
-    fn wake(&mut self, t: TaskId) {
-        let Some(rec) = self.tasks.get_mut(&t.0) else {
-            return;
-        };
-        match rec.state {
-            State::Ready | State::Running => return,
-            State::InboxWait => self.inbox_waiters.retain(|w| *w != t),
-            State::Parked | State::Sleeping | State::Joining => {}
+    /// Block the running task `t` in `state` until a wake rule, or its
+    /// `deadline` if it has one, ends the wait.
+    fn block(&mut self, t: TaskId, state: TaskState, deadline: Option<Time>) {
+        let gen = self.tasks.block(t, state);
+        if let Some(d) = deadline {
+            let at = self.timers.partition_point(|(due, ..)| *due <= d);
+            self.timers.insert(at, (d, t, gen));
         }
-        if std::mem::take(&mut rec.timed) {
-            self.timers.retain(|(_, w)| *w != t);
-        }
-        rec.state = State::Ready;
-        self.ready.push_back(t);
-    }
-
-    fn wake_inbox_waiters(&mut self) {
-        let mut waiters = std::mem::take(&mut self.inbox_waiters);
-        for t in waiters.drain(..) {
-            self.wake(t);
-        }
-        self.inbox_waiters = waiters;
-    }
-
-    /// Give the running task `t` an entry in the deadline list.
-    fn add_timer(&mut self, deadline: Time, t: TaskId) {
-        let at = self.timers.partition_point(|(d, _)| *d <= deadline);
-        self.timers.insert(at, (deadline, t));
-        self.rec(t).timed = true;
-    }
-
-    /// Hand the baton to `t`, which came off the run queue.
-    fn run(&mut self, t: TaskId) -> Arc<TaskCell> {
-        self.current = Some(t);
-        let rec = self.rec(t);
-        rec.state = State::Running;
-        Arc::clone(&rec.cell)
     }
 }
 
@@ -558,7 +483,7 @@ impl LfInner {
     /// `park` or `join` nobody would take it, and a node that spun on it
     /// would never reach its timed park.
     fn pending(&self, node: usize, s: &Sched) -> bool {
-        self.phase() != s.seen_phase || (!s.inbox_waiters.is_empty() && self.has_frame(node, s))
+        self.phase() != s.seen_phase || (s.tasks.waits_for_inbox() && self.has_frame(node, s))
     }
 
     fn phase(&self) -> u8 {
@@ -579,32 +504,12 @@ impl LfInner {
     where
         G: FnOnce(LocalFabric) + Send + 'static,
     {
-        let id = s
-            .next_seq
-            .checked_mul(self.nodes as u32)
-            .and_then(|base| base.checked_add(node as u32))
-            .map(TaskId)
-            .expect("task ids exhausted");
-        s.next_seq += 1;
         let backend = &self.node[node].backend;
         let cell = Arc::new(backend.new_cell());
-        if !daemon {
-            s.live += 1;
-            if s.live == 1 {
-                self.holds.fetch_add(1, Ordering::SeqCst);
-            }
+        let id = s.tasks.spawn(Arc::clone(&cell), String::new(), daemon);
+        if !daemon && s.tasks.live() - s.tasks.daemons() == 1 {
+            self.holds.fetch_add(1, Ordering::SeqCst);
         }
-        s.tasks.insert(
-            id.0,
-            TaskRec {
-                cell: Arc::clone(&cell),
-                state: State::Ready,
-                timed: false,
-                daemon,
-                joiners: Vec::new(),
-            },
-        );
-        s.ready.push_back(id);
         if self.tracing {
             s.probe.record(TraceRecord {
                 time: self.now(),
@@ -650,25 +555,15 @@ impl LfInner {
             }
         }
         let mut s = self.node[node].local.borrow_mut();
-        let rec = s.tasks.remove(&id.0).expect("a running task has a record");
-        if s.tasks.is_empty() {
+        let daemon = s.tasks.exit(id);
+        if s.tasks.live() == 0 {
             self.node[node].retired.store(true, Ordering::Release);
         }
-        for j in rec.joiners {
-            s.wake(j);
-        }
-        if !rec.daemon {
-            s.live -= 1;
-            if s.live == 0 {
-                self.release_hold();
-            }
+        if !daemon && s.tasks.live() == s.tasks.daemons() {
+            self.release_hold();
         }
         self.poll_events(node, &mut s);
-        let next = s.ready.pop_front();
-        if next.is_none() {
-            s.current = None;
-        }
-        next.map(|t| s.run(t))
+        s.tasks.run_next().map(|(_, cell)| cell)
     }
 
     /// Apply what has happened to `node` from outside since the last call:
@@ -678,35 +573,19 @@ impl LfInner {
     /// three.
     fn poll_events(&self, node: usize, s: &mut Sched) -> bool {
         let mut any = false;
-        while s.timers.front().is_some_and(|(d, _)| self.now() >= *d) {
-            let (_, t) = s.timers.pop_front().expect("checked");
-            s.rec(t).timed = false;
-            s.wake(t);
-            any = true;
+        while s.timers.front().is_some_and(|(d, ..)| self.now() >= *d) {
+            let (_, t, gen) = s.timers.pop_front().expect("checked");
+            any |= s.tasks.wake_timed(t, gen);
         }
-        if !s.inbox_waiters.is_empty() && self.has_frame(node, s) {
-            s.wake_inbox_waiters();
+        if s.tasks.waits_for_inbox() && self.has_frame(node, s) {
+            s.tasks.wake_inbox_waiters();
             any = true;
         }
         let phase = self.phase();
         if phase != s.seen_phase {
             s.seen_phase = phase;
-            // Teardown: whoever would have woken a parked or sleeping task
-            // may be gone, and waking spuriously beats deadlocking. In a
-            // poisoned run joiners go too; all of them unwind when resumed.
-            let stuck: Vec<TaskId> = s
-                .tasks
-                .iter()
-                .filter(|(_, r)| match r.state {
-                    State::Ready | State::Running => false,
-                    State::Joining => phase == POISONED,
-                    State::Parked | State::InboxWait | State::Sleeping => true,
-                })
-                .map(|(id, _)| TaskId(*id))
-                .collect();
-            for t in stuck {
-                s.wake(t);
-            }
+            // In a poisoned run every task it wakes unwinds when resumed.
+            s.tasks.release();
             any = true;
         }
         any
@@ -717,16 +596,16 @@ impl LfInner {
     /// a blocking task or the engine — found the run queue empty. `None`
     /// once the run is over for this node: it is shutting down and the
     /// node's last task has exited.
-    fn next_ready(&self, node: usize, s: &mut Sched) -> Option<TaskId> {
+    fn next_ready(&self, node: usize, s: &mut Sched) -> Option<(TaskId, Arc<TaskCell>)> {
         loop {
             if self.poll_events(node, s) {
                 s.waiter.reset();
             }
-            if let Some(t) = s.ready.pop_front() {
-                return Some(t);
+            if let Some(next) = s.tasks.run_next() {
+                return Some(next);
             }
             // Nothing can arrive afterwards: only the node's own tasks spawn.
-            if s.tasks.is_empty() && self.phase() != RUNNING {
+            if s.tasks.live() == 0 && self.phase() != RUNNING {
                 return None;
             }
             self.idle(node, s);
@@ -744,7 +623,7 @@ impl LfInner {
         let parker = &self.node[node].parker;
         loop {
             // Time left until the earliest deadline, if there is one.
-            let left = s.timers.front().map(|(d, _)| d.saturating_sub(self.now()));
+            let left = s.timers.front().map(|(d, ..)| d.saturating_sub(self.now()));
             if left == Some(0) {
                 return;
             }
@@ -762,7 +641,7 @@ impl LfInner {
                     if self.poll_events(node, s) {
                         s.waiter.reset();
                     }
-                    s.wake_inbox_waiters();
+                    s.tasks.wake_inbox_waiters();
                     return;
                 }
             }
@@ -824,12 +703,11 @@ where
     inner.release_hold();
     loop {
         let mut s = me.local.borrow_mut();
-        let Some(next) = inner.next_ready(node, &mut s) else {
+        let Some((_, cell)) = inner.next_ready(node, &mut s) else {
             // The report reads the totals.
             s.probe.drain(&me.totals);
             return s.probe.take_trace();
         };
-        let cell = s.run(next);
         drop(s);
         me.backend.switch(None, Some(&cell));
     }
@@ -923,7 +801,7 @@ impl LocalFabricBuilder {
             epoch: Instant::now(),
             rings: (0..n * n).map(|_| Ring::new(cap)).collect(),
             node: (0..n)
-                .map(|_| Node {
+                .map(|node| Node {
                     parker: NodeParker::new(),
                     totals: Mutex::default(),
                     retired: AtomicBool::new(false),
@@ -934,7 +812,11 @@ impl LocalFabricBuilder {
                     // methods after checking `CURRENT`, the other two by
                     // construction.
                     local: unsafe {
-                        BatonCell::new(Sched::new(self.wait, Probe::new(trace, &Arc::default())))
+                        BatonCell::new(Sched::new(
+                            NodeTasks::new(node, n),
+                            self.wait,
+                            Probe::new(trace, &Arc::default()),
+                        ))
                     },
                     data: NodeData::default(),
                 })
@@ -997,7 +879,7 @@ impl LocalFabric {
     /// tasks the node has run so far. For the bounded-resource tests.
     #[doc(hidden)]
     pub fn debug_task_records(&self) -> usize {
-        self.home().tasks.len()
+        self.home().tasks.live()
     }
 
     /// Whether the calling thread holds this handle's node's baton.
@@ -1023,31 +905,18 @@ impl LocalFabric {
     /// runs it.
     fn sched(&self) -> RefMut<'_, Sched> {
         let s = self.home();
-        assert!(s.current == Some(self.task), "{BORROWED}");
+        assert!(s.tasks.current() == Some(self.task), "{BORROWED}");
         s
     }
 
-    /// Panic unless `t` names a task of this node (`s` is its scheduler)
-    /// that the run has issued; one it no longer knows has exited.
-    fn check_target(&self, s: &Sched, t: TaskId, op: &str) {
-        let nodes = self.inner.nodes as u32;
-        assert!(
-            t.0 % nodes == self.node as u32,
-            "`{op}` of {t:?} {ACROSS_NODES}"
-        );
-        assert!(t.0 / nodes < s.next_seq, "unknown task {t:?}");
-    }
-
-    /// Leave the calling task in `state` (blocked, or `Ready` and queued) and
-    /// run whatever else is runnable until it is picked again — idling in
-    /// place when nothing is, so a node's only task never switches stacks.
-    fn switch_away(&self, mut s: RefMut<'_, Sched>, state: State) {
-        s.rec(self.task).state = state;
+    /// Run whatever else is runnable until the calling task, blocked or
+    /// queued in `s`, is picked again — idling in place when nothing is, so a
+    /// node's only task never switches stacks.
+    fn switch_away(&self, mut s: RefMut<'_, Sched>) {
         let inner = &self.inner;
-        let next = inner
+        let (next, cell) = inner
             .next_ready(self.node, &mut s)
             .expect("a live task keeps its node running");
-        let cell = s.run(next);
         drop(s);
         if next != self.task {
             let backend = &inner.node[self.node].backend;
@@ -1055,24 +924,25 @@ impl LocalFabric {
         }
     }
 
-    /// The shared body of `park_for_inbox` and `park_for_inbox_until`.
-    fn inbox_wait(&self, deadline: Option<Time>) {
+    /// The shared body of `park` and `park_for_inbox*`: block the calling
+    /// task in `state` and run whatever else is runnable until it is woken.
+    fn wait(&self, state: TaskState, deadline: Option<Time>) {
         let mut s = self.sched();
         let inner = &self.inner;
         if inner.phase() != RUNNING {
-            // Winding down: whoever polls `shutting_down` between waits must
-            // get to see it, and its siblings must get to run.
+            // Teardown: whoever would end the wait may be gone. Still a trip
+            // through the run queue: a loop of waits may be waiting for a
+            // sibling, or to see `shutting_down`.
             drop(s);
             return self.yield_now();
         }
-        if inner.has_frame(self.node, &s) || deadline.is_some_and(|d| inner.now() >= d) {
+        let inbox = state == TaskState::InboxWait;
+        if inbox && (inner.has_frame(self.node, &s) || deadline.is_some_and(|d| inner.now() >= d)) {
             return;
         }
-        if let Some(d) = deadline {
-            s.add_timer(d, self.task);
-        }
-        s.inbox_waiters.push(self.task);
-        self.switch_away(s, State::InboxWait);
+        s.block(self.task, state, deadline);
+        self.switch_away(s);
+        inner.check_poison();
     }
 
     /// Push `msg` to `dst`; on a full link, wait in place, keeping the baton
@@ -1166,73 +1036,51 @@ impl Fabric for LocalFabric {
 
     fn yield_now(&self) {
         let mut s = self.sched();
-        s.ready.push_back(self.task);
-        self.switch_away(s, State::Ready);
+        s.tasks.requeue(self.task, false);
+        self.switch_away(s);
         // A loop of yields may be waiting for a sibling that has died.
         self.inner.check_poison();
     }
 
     fn park(&self) {
-        let s = self.sched();
-        if self.inner.phase() != RUNNING {
-            // Strict parks are only legal while their waker is alive; during
-            // teardown, waking spuriously beats deadlocking. Still a trip
-            // through the run queue: a loop of parks may be waiting for a
-            // sibling that needs the node's thread to get there.
-            drop(s);
-            return self.yield_now();
-        }
-        self.switch_away(s, State::Parked);
-        self.inner.check_poison();
+        self.wait(TaskState::Parked, None);
     }
 
     fn unpark(&self, t: TaskId) {
-        let mut s = self.home();
-        self.check_target(&s, t, "unpark");
-        // Dropped unless `t` is parked: no token is kept for a task that
-        // runs, waits for something else or has exited.
-        let parked = |r: &TaskRec| matches!(r.state, State::Parked | State::InboxWait);
-        if s.tasks.get(&t.0).is_some_and(parked) {
-            s.wake(t);
-        }
+        self.home().tasks.unpark(t);
     }
 
     fn park_for_inbox(&self) {
-        self.inbox_wait(None);
+        self.wait(TaskState::InboxWait, None);
     }
 
     fn park_for_inbox_until(&self, deadline: Time) {
-        self.inbox_wait(Some(deadline));
+        self.wait(TaskState::InboxWait, Some(deadline));
     }
 
     fn sleep(&self, ns: Time) {
         let mut s = self.sched();
-        s.add_timer(self.now() + ns, self.task);
-        self.switch_away(s, State::Sleeping);
+        s.block(self.task, TaskState::Sleeping, Some(self.now() + ns));
+        self.switch_away(s);
         // A loop of sleeps may be waiting for a peer that has died.
         self.inner.check_poison();
     }
 
     fn join(&self, t: TaskId) {
-        let mut s = self.sched();
-        self.check_target(&s, t, "join");
-        match s.tasks.get_mut(&t.0) {
-            Some(rec) => rec.joiners.push(self.task),
-            None => return,
-        }
-        self.switch_away(s, State::Joining);
-        if self.home().tasks.contains_key(&t.0) {
-            // Resumed with its target still running, which only the teardown
-            // of a poisoned run does: unwind.
+        loop {
+            let mut s = self.sched();
+            if !s.tasks.join(self.task, t) {
+                return;
+            }
+            // Its target lives on: in a poisoned run, it may never exit.
             self.inner.check_poison();
-            unreachable!("a joiner woke in a healthy run before its target finished");
+            s.block(self.task, TaskState::Parked, None);
+            self.switch_away(s);
         }
     }
 
     fn is_finished(&self, t: TaskId) -> bool {
-        let s = self.home();
-        self.check_target(&s, t, "is_finished");
-        !s.tasks.contains_key(&t.0)
+        self.home().tasks.is_finished(t)
     }
 
     fn shutting_down(&self) -> bool {
@@ -1638,9 +1486,15 @@ mod tests {
     fn a_spawned_task_panic_unwinds_token_parkers_and_joiners() {
         let payload = run_with_timeout(1, |fab| {
             // Nobody ever unparks it: only the poisoned run gets it out.
-            let parker = fab.spawn("parker", |c| c.park());
+            let parking = Arc::new(AtomicBool::new(false));
+            let p2 = Arc::clone(&parking);
+            let parker = fab.spawn("parker", move |c| {
+                // Run until it blocks: nothing runs between these two lines.
+                p2.store(true, Ordering::SeqCst);
+                c.park();
+            });
             let bomb = fab.spawn("bomb", move |c| {
-                while c.home().rec(parker).state != State::Parked {
+                while !parking.load(Ordering::SeqCst) {
                     c.yield_now();
                 }
                 panic!("{}", String::from("bomb went off"));

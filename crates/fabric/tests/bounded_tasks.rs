@@ -1,14 +1,16 @@
 //! Tasks are fibers of their node's one OS thread and their records are
 //! dropped on exit: a run of N nodes holds exactly N OS threads whatever it
 //! spawns — tens of thousands of tasks one after another, or thousands at
-//! once — and a task table no larger than the live set.
+//! once — and a task table no larger than the live set. The simulator keeps
+//! the same table, and the spawn/join half runs on it too.
 //!
 //! One test per binary on purpose — the OS-thread count is a property of the
 //! whole process, and tests of one binary run on parallel threads.
 
 #![cfg(target_os = "linux")]
 
-use mpmd_fabric::{Fabric, LocalFabric};
+use mpmd_fabric::{Fabric, LocalFabric, SimFabric};
+use mpmd_sim::Sim;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -48,36 +50,54 @@ fn os_threads() -> usize {
         .expect("thread count")
 }
 
+/// `SPAWNS` spawn/join pairs from `fab`'s task, whose run holds `threads` OS
+/// threads: after each join the node's table (`records`) holds that task
+/// alone.
+fn spawn_join<F: Fabric>(
+    fab: &F,
+    records: fn(&F) -> usize,
+    threads: usize,
+    ran: &Arc<AtomicUsize>,
+) {
+    let mut first = None;
+    for i in 0..SPAWNS {
+        let ran = Arc::clone(ran);
+        let t = fab.spawn("w", move |_| {
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+        fab.join(t);
+        assert!(fab.is_finished(t));
+        first.get_or_insert(t);
+        if i % 64 == 0 {
+            assert_threads(threads, "a spawn/join took a thread");
+            // This root alone: a joined task's record is gone.
+            assert_eq!(records(fab), 1, "task table grows");
+        }
+    }
+    // A task whose record was dropped ~SPAWNS spawns ago still reads as
+    // finished, joins at once and swallows an unpark.
+    let first = first.expect("SPAWNS > 0");
+    assert!(fab.is_finished(first));
+    fab.join(first);
+    fab.unpark(first);
+}
+
 #[test]
 fn a_run_holds_one_thread_per_node_and_a_table_of_the_live_set() {
     let before = os_threads();
     let ran = Arc::new(AtomicUsize::new(0));
     let ran2 = Arc::clone(&ran);
     LocalFabric::run(1, move |fab| {
-        let mut first = None;
-        for i in 0..SPAWNS {
-            let ran = Arc::clone(&ran2);
-            let t = fab.spawn("w", move |_| {
-                ran.fetch_add(1, Ordering::Relaxed);
-            });
-            fab.join(t);
-            assert!(fab.is_finished(t));
-            first.get_or_insert(t);
-            if i % 64 == 0 {
-                assert_threads(before + 1, "a spawn/join took a thread");
-                // This root alone: a joined task's record is gone.
-                assert_eq!(fab.debug_task_records(), 1, "task table grows");
-            }
-        }
-        // A task whose record was dropped ~SPAWNS spawns ago still reads
-        // as finished, joins at once and swallows an unpark.
-        let first = first.expect("SPAWNS > 0");
-        assert!(fab.is_finished(first));
-        fab.join(first);
-        fab.unpark(first);
+        spawn_join(&fab, LocalFabric::debug_task_records, before + 1, &ran2)
     });
     assert_eq!(ran.load(Ordering::Relaxed), SPAWNS);
     assert_threads(before, "the run left a thread behind");
+
+    // The simulator runs its tasks on the caller's thread.
+    let ran = Arc::new(AtomicUsize::new(0));
+    let ran2 = Arc::clone(&ran);
+    Sim::new(1).run(move |ctx| spawn_join(&ctx, SimFabric::debug_task_records, before, &ran2));
+    assert_eq!(ran.load(Ordering::Relaxed), SPAWNS);
 
     // A wave: every body is alive, and blocked, before the first finishes.
     let ran = Arc::new(AtomicUsize::new(0));

@@ -14,10 +14,11 @@
 use crate::cost::CostModel;
 use crate::engine::{spawn_task, switch_from_task, SimInner};
 use crate::event::{Msg, Payload};
-use crate::fabric::{Fabric, ACROSS_NODES};
-use crate::kernel::{FaultDecision, Kernel, TaskState};
+use crate::fabric::Fabric;
+use crate::kernel::{FaultDecision, Kernel};
 use crate::probe::Probe;
 use crate::report::Snapshot;
+use crate::sched::TaskState;
 use crate::stats::Bucket;
 use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
@@ -63,16 +64,22 @@ impl Ctx {
         }
     }
 
-    /// The kernel, borrowed, for `op` on task `t` — which must be a task of
-    /// this node (threads and their synchronization live within one address
-    /// space).
-    fn local_task(&self, t: TaskId, op: &str) -> RefMut<'_, Kernel> {
-        let k = self.inner.lock_kernel();
-        assert!(
-            k.tasks[t.idx()].node == self.node,
-            "`{op}` of {t:?} {ACROSS_NODES}"
-        );
-        k
+    /// Task records in this node's table: the live set, however many tasks
+    /// the node has run so far. For the bounded-resource tests.
+    #[doc(hidden)]
+    pub fn debug_task_records(&self) -> usize {
+        self.inner.lock_kernel().nodes[self.node].tasks.live()
+    }
+
+    /// Leave this task waiting in `state`, traced as a park, until a wake rule
+    /// of its node's table queues it again and it runs.
+    fn block(&self, mut k: RefMut<'_, Kernel>, state: TaskState, timer: Option<Time>) {
+        let gen = k.nodes[self.node].tasks.block(self.task, state);
+        if let Some(at) = timer {
+            k.post_timeout_wake(self.task, at, gen);
+        }
+        k.emit(self.node, self.task, TraceEvent::Park);
+        switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 }
 
@@ -145,7 +152,7 @@ impl Fabric for Ctx {
         let mut k = self.inner.lock_kernel();
         let my_clock = k.clock(self.node);
         let event_due = k.events.peek().is_some_and(|e| e.time <= my_clock);
-        let local_ready = !k.nodes[self.node].ready.is_empty();
+        let local_ready = k.nodes[self.node].tasks.ready_len() > 0;
         // Our own node is not runnable (its ready queue is empty when
         // local_ready is false), so any pick is another node, and one
         // strictly behind our clock could still run first.
@@ -158,95 +165,57 @@ impl Fabric for Ctx {
                 return;
             }
         }
-        k.tasks[self.task.idx()].state = TaskState::Runnable;
-        k.nodes[self.node].ready.push_back(self.task);
+        k.nodes[self.node].tasks.requeue(self.task, false);
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
     fn park(&self) {
-        let mut k = self.inner.lock_kernel();
-        k.tasks[self.task.idx()].state = TaskState::Parked;
-        k.emit(self.node, self.task, TraceEvent::Park);
-        switch_from_task(&self.inner, k, self.task, &self.cell);
+        self.block(self.inner.lock_kernel(), TaskState::Parked, None);
     }
 
     fn unpark(&self, t: TaskId) {
-        let mut k = self.local_task(t, "unpark");
-        match k.tasks[t.idx()].state {
-            TaskState::Parked | TaskState::InboxWait => k.make_runnable(t),
-            // Dropped: the trait docs say why that is sound.
-            _ => {}
-        }
+        self.inner
+            .lock_kernel()
+            .wake(self.node, |tasks| tasks.unpark(t));
     }
 
     fn park_for_inbox(&self) {
-        let mut k = self.inner.lock_kernel();
-        if !k.nodes[self.node].inbox.is_empty() {
-            return;
+        let k = self.inner.lock_kernel();
+        if k.nodes[self.node].inbox.is_empty() {
+            self.block(k, TaskState::InboxWait, None);
         }
-        k.tasks[self.task.idx()].state = TaskState::InboxWait;
-        // The waiter list is kept duplicate-free here at park time: a task
-        // that parks, is woken by a timeout, and parks again must not be
-        // listed (and so woken) twice.
-        let w = &mut k.nodes[self.node].inbox_waiters;
-        if !w.contains(&self.task) {
-            w.push(self.task);
-        }
-        k.emit(self.node, self.task, TraceEvent::Park);
-        switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
     fn park_for_inbox_until(&self, deadline: Time) {
-        let mut k = self.inner.lock_kernel();
-        if !k.nodes[self.node].inbox.is_empty() || k.clock(self.node) >= deadline {
-            return;
+        let k = self.inner.lock_kernel();
+        if k.nodes[self.node].inbox.is_empty() && k.clock(self.node) < deadline {
+            self.block(k, TaskState::InboxWait, Some(deadline));
         }
-        let gen = k.tasks[self.task.idx()].timeout_gen;
-        k.post_timeout_wake(self.task, deadline, gen);
-        k.tasks[self.task.idx()].state = TaskState::InboxWait;
-        let w = &mut k.nodes[self.node].inbox_waiters;
-        if !w.contains(&self.task) {
-            w.push(self.task);
-        }
-        k.emit(self.node, self.task, TraceEvent::Park);
-        switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 
     /// A timer in virtual time. Only the timer ends it: the `Sleeping` state
     /// drops an `unpark`, and the timer's generation keeps it from ending a
     /// later wait.
     fn sleep(&self, ns: Time) {
-        let mut k = self.inner.lock_kernel();
+        let k = self.inner.lock_kernel();
         let at = k.clock(self.node) + ns;
-        let gen = k.tasks[self.task.idx()].timeout_gen;
-        k.post_timeout_wake(self.task, at, gen);
-        k.tasks[self.task.idx()].state = TaskState::Sleeping;
-        k.emit(self.node, self.task, TraceEvent::Park);
-        switch_from_task(&self.inner, k, self.task, &self.cell);
+        self.block(k, TaskState::Sleeping, Some(at));
     }
 
     fn join(&self, t: TaskId) {
-        let mut listed = false;
         loop {
-            let mut k = self.local_task(t, "join");
-            if k.tasks[t.idx()].state == TaskState::Finished {
+            let mut k = self.inner.lock_kernel();
+            if !k.nodes[self.node].tasks.join(self.task, t) {
                 return;
             }
-            // An `unpark` aimed at this task wakes it like any parked task,
-            // but only the target finishing ends the join: park again. Listed
-            // once — `finish_task` is the only thing that drains the list.
-            if !listed {
-                k.tasks[t.idx()].joiners.push(self.task);
-                listed = true;
-            }
-            k.tasks[self.task.idx()].state = TaskState::Parked;
-            k.emit(self.node, self.task, TraceEvent::Park);
-            switch_from_task(&self.inner, k, self.task, &self.cell);
+            self.block(k, TaskState::Parked, None);
         }
     }
 
     fn is_finished(&self, t: TaskId) -> bool {
-        self.local_task(t, "is_finished").tasks[t.idx()].state == TaskState::Finished
+        self.inner.lock_kernel().nodes[self.node]
+            .tasks
+            .is_finished(t)
     }
 
     fn shutting_down(&self) -> bool {
@@ -273,8 +242,7 @@ impl Fabric for Ctx {
                 return;
             }
         }
-        k.tasks[self.task.idx()].state = TaskState::Runnable;
-        k.nodes[self.node].ready.push_front(self.task);
+        k.nodes[self.node].tasks.requeue(self.task, true);
         switch_from_task(&self.inner, k, self.task, &self.cell);
     }
 

@@ -26,7 +26,7 @@ use crate::baton::{Backend, BackendKind, BatonCell, TaskCell};
 use crate::cost::CostModel;
 use crate::ctx::Ctx;
 use crate::explore::ScheduleOracle;
-use crate::kernel::{Kernel, TaskState};
+use crate::kernel::Kernel;
 use crate::metrics::MetricsRegistry;
 use crate::node_data::NodeData;
 use crate::report::{Report, Snapshot};
@@ -337,7 +337,8 @@ where
         // resources are reusable, so the successor's spawns find them.
         let finish = AssertUnwindSafe(|| {
             let mut k = inner2.lock_kernel();
-            k.finish_task(id);
+            k.wake(node, |tasks| tasks.exit(id));
+            k.gauge_live(node, false);
             if let Err(p) = result {
                 k.panic.get_or_insert(p);
             }
@@ -375,14 +376,16 @@ pub(crate) fn run_engine(inner: &Arc<SimInner>) {
             continue;
         }
         // Nothing runnable.
-        if k.live == 0 {
+        let live = k.live();
+        if live == 0 {
             return;
         }
         // Only background daemons (reliable-delivery pumps) remain: flip the
         // shutdown flag and wake them so they can observe it and exit. A
         // second idle in this state means a daemon failed to exit, which
         // falls through to the deadlock dump.
-        if k.live == k.live_daemons && !k.shutting_down {
+        let daemons: usize = k.nodes.iter().map(|n| n.tasks.daemons()).sum();
+        if live == daemons && !k.shutting_down {
             k.begin_shutdown();
             continue;
         }
@@ -471,15 +474,9 @@ fn decide_inner(
             Some(o) => k.choose_tied_node(node, clock, o),
             None => node,
         };
-        let tid = k.nodes[node]
-            .ready
-            .pop_front()
-            .expect("ready queue emptied");
-        debug_assert_eq!(k.tasks[tid.idx()].state, TaskState::Runnable);
-        k.tasks[tid.idx()].state = TaskState::Running;
-        k.emit(node, tid, TraceEvent::TaskSwitch);
-        let cell = k.tasks[tid.idx()].cell.clone();
-        return Some((tid, cell.expect("runnable task without a context")));
+        let next = k.nodes[node].tasks.run_next().expect("ready queue emptied");
+        k.emit(node, next.0, TraceEvent::TaskSwitch);
+        return Some(next);
     }
 }
 

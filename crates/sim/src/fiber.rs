@@ -180,7 +180,7 @@ fn fp_env() -> (u32, u16) {
 }
 
 /// Per-task fiber context: the saved stack pointer while suspended, and the
-/// owned stack. Shared via `Arc` from the kernel task table; only ever
+/// owned stack. Shared via `Arc` from its node's task table; only ever
 /// touched by the simulation's single OS thread (baton invariant), hence
 /// the unsafe `Send`/`Sync`.
 pub struct FiberCell {

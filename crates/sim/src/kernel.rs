@@ -1,9 +1,10 @@
-//! The simulation kernel: task table, per-node state, and event application.
+//! The simulation kernel: per-node state and event application.
 //!
 //! All mutable simulation state lives here, in one [`Kernel`] in the
-//! `BatonCell` of `SimInner`: per node the virtual clock, inbox and
-//! [`Probe`] next to the ready queue ([`NodeState`]); machine-wide the task
-//! table, the event heap and the fault and exploration instruments.
+//! `BatonCell` of `SimInner`: per node the virtual clock, inbox, task table
+//! ([`NodeTasks`], the one `LocalFabric` keeps too) and [`Probe`]
+//! ([`NodeState`]); machine-wide the event heap and the fault and
+//! exploration instruments.
 //!
 //! Exactly one context runs at a time (the engine, or the one task holding
 //! the baton) and no borrow is ever held across a baton switch, so the
@@ -15,6 +16,7 @@ use crate::event::{EventKey, EventKind, Msg};
 use crate::explore::{ChoicePoint, ScheduleOracle};
 use crate::pool::{Handle, Pool};
 use crate::probe::Probe;
+use crate::sched::NodeTasks;
 use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
 use crate::trace::{TraceConfig, TraceEvent, TraceRecord, NO_TASK};
@@ -23,81 +25,27 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-/// Scheduling state of a task.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum TaskState {
-    /// In its node's ready queue.
-    Runnable,
-    /// Currently holding the baton.
-    Running,
-    /// Parked until an explicit unpark / join completion.
-    Parked,
-    /// Parked until a message is delivered to its node's inbox.
-    InboxWait,
-    /// In `sleep`: ended by its timer alone (an `unpark` is dropped).
-    Sleeping,
-    /// Completed.
-    Finished,
-}
-
-impl TaskState {
-    /// Blocked in `park`, an inbox wait or `sleep`: waiting to be woken.
-    fn waits(self) -> bool {
-        matches!(
-            self,
-            TaskState::Parked | TaskState::InboxWait | TaskState::Sleeping
-        )
-    }
-}
-
-pub(crate) struct TaskRec {
-    pub(crate) node: usize,
-    pub(crate) state: TaskState,
-    /// The task's baton context; given up when the task finishes.
-    pub(crate) cell: Option<Arc<TaskCell>>,
-    /// Diagnostic name; given up when the task finishes.
-    pub(crate) name: String,
-    /// Tasks parked in `join` on this task.
-    pub(crate) joiners: Vec<TaskId>,
-    /// Background service task (reliable-delivery pump): excluded from the
-    /// liveness condition — the simulation ends when only daemons remain.
-    pub(crate) daemon: bool,
-    /// Bumped on every wake; a `TimeoutWake` event only fires if its armed
-    /// generation still matches (stale timers are ignored).
-    pub(crate) timeout_gen: u64,
-}
-
 /// One node's state.
-#[derive(Default)]
 pub(crate) struct NodeState {
     /// This node's virtual clock. Written only by the context holding the
     /// baton.
     pub(crate) clock: Time,
     /// Delivered but not yet polled messages.
     pub(crate) inbox: VecDeque<Msg>,
-    /// Tasks ready to run, in FIFO order.
-    pub(crate) ready: VecDeque<TaskId>,
-    /// Tasks parked waiting for the inbox to become non-empty. Deduplicated
-    /// at park time; entries whose task was woken by other means are skipped
-    /// (by state) at fire time.
-    pub(crate) inbox_waiters: Vec<TaskId>,
+    /// Task records, run queue and inbox waiters.
+    pub(crate) tasks: NodeTasks,
     /// Ledger, metrics and trace ring.
     pub(crate) probe: Probe,
 }
 
 pub(crate) struct Kernel {
     pub(crate) nodes: Vec<NodeState>,
-    pub(crate) tasks: Vec<TaskRec>,
     /// Min-heap of event keys; bodies live in `event_pool`.
     pub(crate) events: BinaryHeap<EventKey>,
     /// Slab pool recycling event bodies (and the `Msg`s inside them) across
     /// the run.
     pub(crate) event_pool: Pool<EventKind>,
     pub(crate) seq: u64,
-    /// Unfinished task count.
-    pub(crate) live: usize,
-    /// Unfinished daemon-task count (subset of `live`).
-    pub(crate) live_daemons: usize,
     /// Set once only daemons remain; parked daemons are woken to exit.
     pub(crate) shutting_down: bool,
     /// Captured panic payload from a task body, re-raised by the engine.
@@ -114,8 +62,6 @@ pub(crate) struct Kernel {
     /// — keeps every decision on the baseline path with a single branch of
     /// overhead per decision point.
     pub(crate) oracle: Option<Box<dyn ScheduleOracle>>,
-    /// Reusable buffer for draining `inbox_waiters` without allocating.
-    waiter_scratch: Vec<TaskId>,
     /// Reusable buffer of head-time event keys (oracle event-tie choice).
     tie_scratch: Vec<EventKey>,
     /// Reusable buffer of permutable-event candidate indices.
@@ -192,24 +138,22 @@ impl Kernel {
         let span_ids = Arc::new(AtomicU64::new(0));
         Kernel {
             nodes: (0..nodes)
-                .map(|_| NodeState {
+                .map(|node| NodeState {
+                    clock: 0,
+                    inbox: VecDeque::new(),
+                    tasks: NodeTasks::new(node, nodes),
                     probe: Probe::new(trace.as_ref(), &span_ids),
-                    ..NodeState::default()
                 })
                 .collect(),
-            tasks: Vec::new(),
             events: BinaryHeap::new(),
             event_pool: Pool::new(),
             seq: 0,
-            live: 0,
-            live_daemons: 0,
             shutting_down: false,
             panic: None,
             metrics,
             tracing: trace.is_some(),
             faults: faults.map(FaultState::new),
             oracle,
-            waiter_scratch: Vec::new(),
             tie_scratch: Vec::new(),
             cand_scratch: Vec::new(),
             node_scratch: Vec::new(),
@@ -238,15 +182,17 @@ impl Kernel {
             .decide()
     }
 
-    /// Only daemon tasks remain: wake every parked daemon so it can observe
+    /// Unfinished tasks, machine-wide.
+    pub(crate) fn live(&self) -> usize {
+        self.nodes.iter().map(|n| n.tasks.live()).sum()
+    }
+
+    /// Only daemon tasks remain: wake every waiting one so it can observe
     /// `shutting_down` and exit, letting the run terminate cleanly.
     pub(crate) fn begin_shutdown(&mut self) {
         self.shutting_down = true;
-        for i in 0..self.tasks.len() {
-            let rec = &self.tasks[i];
-            if rec.daemon && rec.state.waits() {
-                self.make_runnable(TaskId(i as u32));
-            }
+        for node in 0..self.nodes.len() {
+            self.wake(node, NodeTasks::release);
         }
     }
 
@@ -257,7 +203,7 @@ impl Kernel {
     pub(crate) fn peek_min_runnable(&self) -> Option<(usize, Time)> {
         let mut best: Option<(usize, Time)> = None;
         for (i, n) in self.nodes.iter().enumerate() {
-            if !n.ready.is_empty() && best.is_none_or(|(_, c)| n.clock < c) {
+            if n.tasks.ready_len() > 0 && best.is_none_or(|(_, c)| n.clock < c) {
                 best = Some((i, n.clock));
             }
         }
@@ -279,7 +225,19 @@ impl Kernel {
         }
     }
 
-    /// Register a new task record in `Runnable` state and enqueue it.
+    /// Apply a wake `rule` of `node`'s table, tracing an `Unpark` for each
+    /// task it queued.
+    pub(crate) fn wake<R>(&mut self, node: usize, rule: impl FnOnce(&mut NodeTasks) -> R) -> R {
+        let since = self.nodes[node].tasks.ready_len();
+        let r = rule(&mut self.nodes[node].tasks);
+        for i in since..self.nodes[node].tasks.ready_len() {
+            let task = self.nodes[node].tasks.queued(i);
+            self.emit(node, task, TraceEvent::Unpark);
+        }
+        r
+    }
+
+    /// Give a new task of `node` a record and queue it.
     pub(crate) fn register_task(
         &mut self,
         node: usize,
@@ -287,36 +245,30 @@ impl Kernel {
         cell: Arc<TaskCell>,
         daemon: bool,
     ) -> TaskId {
-        assert!(node < self.nodes.len(), "spawn on nonexistent node {node}");
-        let id = TaskId(u32::try_from(self.tasks.len()).expect("too many tasks"));
-        self.tasks.push(TaskRec {
-            node,
-            state: TaskState::Runnable,
-            cell: Some(cell),
-            name,
-            joiners: Vec::new(),
-            daemon,
-            timeout_gen: 0,
-        });
-        self.live += 1;
-        if daemon {
-            self.live_daemons += 1;
-        }
-        let live = self.live as u64;
-        let n = &mut self.nodes[node];
-        if self.metrics {
-            let m = &mut n.probe.kernel;
-            *m.counters.entry("sched.tasks_spawned").or_insert(0) += 1;
-            m.gauges.insert("sched.live_tasks", live);
-        }
-        n.ready.push_back(id);
         // Trace payloads are only built when tracing — the name clone here
         // is pure waste otherwise.
-        if self.tracing {
-            let name = self.tasks[id.idx()].name.clone();
-            self.emit(node, id, TraceEvent::TaskSpawn { name });
+        let spawned = self
+            .tracing
+            .then(|| TraceEvent::TaskSpawn { name: name.clone() });
+        let id = self.nodes[node].tasks.spawn(cell, name, daemon);
+        self.gauge_live(node, true);
+        if let Some(event) = spawned {
+            self.emit(node, id, event);
         }
         id
+    }
+
+    /// With metrics on, count a spawn (`spawned`) or an exit on `node` into
+    /// its probe, with the machine-wide live-task gauge.
+    pub(crate) fn gauge_live(&mut self, node: usize, spawned: bool) {
+        if self.metrics {
+            let live = self.live() as u64;
+            let m = &mut self.nodes[node].probe.kernel;
+            if spawned {
+                *m.counters.entry("sched.tasks_spawned").or_insert(0) += 1;
+            }
+            m.gauges.insert("sched.live_tasks", live);
+        }
     }
 
     /// Schedule a message delivery `delay` ns after the sending node's
@@ -388,7 +340,7 @@ impl Kernel {
     fn event_target_node(&self, body: Handle) -> usize {
         match *self.event_pool.peek(body) {
             EventKind::Deliver { node, .. } => node,
-            EventKind::TimeoutWake { task, .. } => self.tasks[task.idx()].node,
+            EventKind::TimeoutWake { task, .. } => task.idx() % self.nodes.len(),
         }
     }
 
@@ -461,7 +413,7 @@ impl Kernel {
         let mut ties = std::mem::take(&mut self.node_scratch);
         debug_assert!(ties.is_empty());
         for i in 0..self.nodes.len() {
-            if !self.nodes[i].ready.is_empty() && self.clock(i) == clock {
+            if self.nodes[i].tasks.ready_len() > 0 && self.clock(i) == clock {
                 ties.push(u32::try_from(i).expect("node index overflow"));
             }
         }
@@ -495,77 +447,14 @@ impl Kernel {
                 self.nodes[node].inbox.push_back(msg);
                 self.raise_clock(node, time);
                 self.emit(node, NO_TASK, TraceEvent::MsgDeliver { src, wire_bytes });
-                // Wake the inbox waiters, reusing the scratch buffer so the
-                // drain allocates nothing. The list is duplicate-free (park
-                // dedupes); the state check skips stale entries for tasks
-                // woken by other means (unpark, timeout) since they parked.
-                let waiters = std::mem::replace(
-                    &mut self.nodes[node].inbox_waiters,
-                    std::mem::take(&mut self.waiter_scratch),
-                );
-                for &t in &waiters {
-                    if self.tasks[t.idx()].state == TaskState::InboxWait {
-                        self.make_runnable(t);
-                    }
-                }
-                let mut waiters = waiters;
-                waiters.clear();
-                self.waiter_scratch = waiters;
+                self.wake(node, NodeTasks::wake_inbox_waiters);
             }
             EventKind::TimeoutWake { task, gen } => {
-                let rec = &self.tasks[task.idx()];
-                // Fire only if the task is still in the sleep or inbox wait
-                // that armed this timer; any intervening wake bumped the
-                // generation.
-                let waits = matches!(rec.state, TaskState::InboxWait | TaskState::Sleeping);
-                if waits && rec.timeout_gen == gen {
-                    let node = rec.node;
+                let node = task.idx() % self.nodes.len();
+                if self.nodes[node].tasks.wake_timed(task, gen) {
                     self.raise_clock(node, time);
-                    self.make_runnable(task);
+                    self.emit(node, task, TraceEvent::Unpark);
                 }
-            }
-        }
-    }
-
-    /// Move a waiting task to its node's ready queue.
-    pub(crate) fn make_runnable(&mut self, t: TaskId) {
-        let rec = &mut self.tasks[t.idx()];
-        debug_assert!(
-            rec.state.waits(),
-            "make_runnable on task in state {:?}",
-            rec.state
-        );
-        rec.state = TaskState::Runnable;
-        rec.timeout_gen += 1;
-        let node = rec.node;
-        self.nodes[node].ready.push_back(t);
-        self.emit(node, t, TraceEvent::Unpark);
-    }
-
-    /// Mark a task finished: wake joiners and drop it from the live count.
-    pub(crate) fn finish_task(&mut self, t: TaskId) {
-        let rec = &mut self.tasks[t.idx()];
-        debug_assert_ne!(rec.state, TaskState::Finished, "double finish");
-        rec.state = TaskState::Finished;
-        // Nothing reads a finished task's context or name again: free them
-        // now, while the next spawn can reuse the memory, so a run's
-        // footprint follows its live tasks and not its task count.
-        rec.cell = None;
-        rec.name = String::new();
-        let daemon = rec.daemon;
-        let joiners = std::mem::take(&mut rec.joiners);
-        let node = rec.node;
-        self.live -= 1;
-        if daemon {
-            self.live_daemons -= 1;
-        }
-        if self.metrics {
-            let gauges = &mut self.nodes[node].probe.kernel.gauges;
-            gauges.insert("sched.live_tasks", self.live as u64);
-        }
-        for j in joiners {
-            if self.tasks[j.idx()].state == TaskState::Parked {
-                self.make_runnable(j);
             }
         }
     }
@@ -582,7 +471,7 @@ impl Kernel {
     }
 
     /// Human-readable dump of unfinished tasks, for deadlock diagnostics.
-    /// Deterministic: nodes and tasks print in index order.
+    /// Deterministic: nodes, then each node's tasks, print in index order.
     pub(crate) fn dump_live(&self) -> String {
         let mut s = String::new();
         for (i, n) in self.nodes.iter().enumerate() {
@@ -590,16 +479,11 @@ impl Kernel {
                 "node {i}: clock={}ns inbox={} ready={}\n",
                 n.clock,
                 n.inbox.len(),
-                n.ready.len()
+                n.tasks.ready_len()
             ));
         }
-        for (i, t) in self.tasks.iter().enumerate() {
-            if t.state != TaskState::Finished {
-                s.push_str(&format!(
-                    "  task {} '{}' on node {}: {:?}\n",
-                    i, t.name, t.node, t.state
-                ));
-            }
+        for n in &self.nodes {
+            n.tasks.dump(&mut s);
         }
         s
     }
@@ -608,6 +492,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::HandoffCell;
 
     /// A kernel of `clocks.len()` nodes; node `i` is at `clocks[i]` and has
     /// one ready task when `ready[i]`.
@@ -616,7 +501,8 @@ mod tests {
         for (i, n) in k.nodes.iter_mut().enumerate() {
             n.clock = clocks[i];
             if ready[i] {
-                n.ready.push_back(TaskId(i as u32));
+                let cell = Arc::new(TaskCell::Threads(HandoffCell::new(false)));
+                n.tasks.spawn(cell, String::new(), false);
             }
         }
         k
@@ -648,7 +534,7 @@ mod tests {
         k.nodes[1].clock += 5;
         assert_eq!(k.peek_min_runnable(), Some((0, 25)));
         // Emptying a ready queue takes the node out of the running.
-        k.nodes[0].ready.clear();
+        k.nodes[0].tasks.run_next();
         assert_eq!(k.peek_min_runnable(), Some((1, 25)));
     }
 

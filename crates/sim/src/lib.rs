@@ -40,6 +40,7 @@ mod node_data;
 mod pool;
 mod probe;
 mod report;
+pub mod sched;
 mod stats;
 mod task;
 pub mod time;

@@ -23,8 +23,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-/// Identifier of a simulated task. Dense indices into the kernel task table;
-/// never reused within one simulation.
+/// Identifier of a task: `seq * nodes + node`, where `seq` counts its node's
+/// spawns, so an id names its node. Never reused within one run.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u32);
 
