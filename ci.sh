@@ -34,18 +34,19 @@ echo "results/ reproduced byte for byte"
 
 echo "==> results/ digests on the threads backend, where the kernel crosses OS threads"
 # The fiber backend keeps every context on one thread; the threads backend
-# hands the kernel between OS threads at each baton switch. Three binaries
+# hands the kernel between OS threads at each baton switch. Four binaries
 # rerun there in release and must match their committed digests, checked
-# against the SHA256SUMS line without rewriting it; the pinned trace goldens
-# (the per-node probes' rings) must match byte for byte there too.
+# against the SHA256SUMS line without rewriting it: scaling holds the most
+# frames the kernel's per-link order moves. The pinned trace goldens (the
+# per-node probes' rings) must match byte for byte there too.
 tmp=$(mktemp -d)
-for bin in table4 fig5 faults; do
+for bin in table4 fig5 scaling faults; do
     MPMD_SIM_BACKEND=threads ./target/release/$bin --json "$tmp/$bin.json" >/dev/null
     grep " results/$bin.json\$" results/SHA256SUMS | sed "s| results/| $tmp/|" | sha256sum -c --quiet
 done
 rm -rf "$tmp"
 MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-bench --test trace_observability --test flame_golden
-echo "threads backend reproduces table4, fig5, faults and the trace goldens"
+echo "threads backend reproduces table4, fig5, scaling, faults and the trace goldens"
 
 echo "==> cargo test -q"
 cargo test -q

@@ -24,15 +24,14 @@
 //!   request-reply traffic never pays aggregation costs and never touches
 //!   the `agg_*` counters).
 //!
-//! **Ordering.** Appends keep program order inside a buffer, a flush sends
-//! the buffer before any later message to the same destination (bulk sends
-//! flush their destination first), and on a fault-free wire every send on
-//! the coalesced path — aggregate frames, flushed singletons, *and* bulk
-//! messages — has its arrival clamped to land strictly after the previous
-//! send's on that link, so per-(src,dst) delivery order always equals
-//! program order even when a small message follows a large frame. Under a fault model the aggregate travels as one
-//! sequenced frame of the PR-3 reliable protocol (a retransmit re-sends the
-//! whole frame), and the per-link sequence space provides the ordering.
+//! **Ordering.** Appends keep program order inside a buffer, and a flush
+//! sends the buffer before any later message to the same destination (bulk
+//! sends flush their destination first). The fabric keeps each link FIFO on
+//! a fault-free wire, so per-(src,dst) delivery order equals program order
+//! even when a small message follows a large frame. Under a fault model the
+//! wire may reorder: the aggregate travels as one sequenced frame of the
+//! reliable-delivery protocol (a retransmit re-sends the whole frame), and
+//! the per-link sequence space provides the ordering.
 //!
 //! **Linger.** `max_linger` is checked where the sender itself makes
 //! progress, on every fabric: an append that finds its buffer's deadline
@@ -43,13 +42,12 @@
 //! non-empty buffer keeps it until its next append or poll.
 
 use crate::ops::SHORT_WIRE_BYTES;
-use crate::profile::NetProfile;
-use crate::state::{lookup, AmState};
+use crate::state::AmState;
 use crate::{AmMsg, HandlerId};
 use mpmd_fabric::Fabric;
 use mpmd_sim::{us, Bucket, Time, TraceEvent};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::Ordering;
 
 /// Handler id of the aggregate frame (reserved AM-internal range; the frame
 /// is unpacked by the dispatch path itself, never via the handler table).
@@ -99,10 +97,6 @@ pub(crate) struct CoalesceState {
     /// Buffers keyed by destination — a BTreeMap so `flush_all` sends in
     /// deterministic destination order.
     bufs: BTreeMap<usize, DstBuf>,
-    /// Latest scheduled arrival per destination on a fault-free wire.
-    /// Frames vary in size (hence wire delay), so without this floor a
-    /// small frame could overtake a big one sent just before it.
-    arrival_floor: BTreeMap<usize, Time>,
 }
 
 /// The sub-messages of an aggregate frame, carried as its token.
@@ -118,116 +112,105 @@ pub fn enable_coalescing<F: Fabric>(ctx: &F, cfg: CoalesceConfig) {
         cfg.max_bytes >= SUB_WIRE_BYTES,
         "max_bytes below one sub-message"
     );
-    let st = AmState::get(ctx);
-    let mut co = st.coalesce.lock();
-    match &*co {
-        None => {
-            *co = Some(CoalesceState {
-                cfg,
-                bufs: BTreeMap::new(),
-                arrival_floor: BTreeMap::new(),
-            })
-        }
-        Some(s) => assert_eq!(
-            s.cfg, cfg,
-            "coalescing enabled twice with different configs"
-        ),
-    }
-    st.coalesce_on.store(true, Ordering::SeqCst);
+    let co = AmState::get(ctx).coalesce.get_or_init(|| {
+        Mutex::new(CoalesceState {
+            cfg: cfg.clone(),
+            bufs: BTreeMap::new(),
+        })
+    });
+    assert_eq!(
+        co.lock().cfg,
+        cfg,
+        "coalescing enabled twice with different configs"
+    );
 }
 
 /// Whether this node's endpoint coalesces short sends.
 pub fn coalescing_enabled<F: Fabric>(ctx: &F) -> bool {
-    enabled(AmState::get(ctx))
-}
-
-pub(crate) fn enabled<F: Fabric>(st: &AmState<F>) -> bool {
-    st.coalesce_on.load(Ordering::SeqCst)
+    AmState::get(ctx).coalesce.get().is_some()
 }
 
 /// Append one short message to its destination's buffer (the coalescing
 /// branch of `send_inner`; nothing is charged here). Flushes — and then
 /// polls, standing in for the skipped poll-on-send — when the append
 /// tripped a buffer bound.
-pub(crate) fn append<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, msg: AmMsg, p: &NetProfile) {
+pub(crate) fn append<F: Fabric>(
+    ctx: &F,
+    st: &AmState<F>,
+    co: &Mutex<CoalesceState>,
+    dst: usize,
+    msg: AmMsg,
+) {
     let flush_now = {
-        let mut co = st.coalesce.lock();
-        let cs = co.as_mut().expect("append without coalescing enabled");
+        let mut cs = co.lock();
+        let CoalesceState { cfg, bufs } = &mut *cs;
         let now = ctx.now();
-        let buf = cs.bufs.entry(dst).or_insert_with(|| DstBuf {
+        let buf = bufs.entry(dst).or_insert_with(|| DstBuf {
             msgs: Vec::new(),
             bytes: 0,
             deadline: 0,
         });
         if buf.msgs.is_empty() {
-            buf.deadline = now + cs.cfg.max_linger;
+            buf.deadline = now + cfg.max_linger;
         }
         buf.msgs.push(msg);
         buf.bytes += SUB_WIRE_BYTES;
-        buf.msgs.len() >= cs.cfg.max_msgs || buf.bytes >= cs.cfg.max_bytes || now >= buf.deadline
+        buf.msgs.len() >= cfg.max_msgs || buf.bytes >= cfg.max_bytes || now >= buf.deadline
     };
     if flush_now {
-        flush_dst(ctx, st, dst, p);
-        if p.poll_on_send {
+        flush_dst(ctx, st, dst);
+        if st.profile().poll_on_send {
             crate::ops::poll(ctx);
         }
     }
 }
 
 /// Flush one destination's buffer, if non-empty.
-pub(crate) fn flush_dst<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, p: &NetProfile) {
-    let msgs = {
-        let mut co = st.coalesce.lock();
-        let Some(cs) = co.as_mut() else { return };
-        match cs.bufs.get_mut(&dst) {
-            Some(buf) if !buf.msgs.is_empty() => {
-                buf.bytes = 0;
-                std::mem::take(&mut buf.msgs)
-            }
-            _ => return,
+pub(crate) fn flush_dst<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize) {
+    let Some(co) = st.coalesce.get() else { return };
+    let msgs = match co.lock().bufs.get_mut(&dst) {
+        Some(buf) if !buf.msgs.is_empty() => {
+            buf.bytes = 0;
+            std::mem::take(&mut buf.msgs)
         }
+        _ => return,
     };
-    send_frame(ctx, st, dst, msgs, p);
+    send_frame(ctx, st, dst, msgs);
 }
 
 /// Flush every destination's buffer (the mandatory flush points: poll entry
-/// and exit, explicit [`flush`](crate::flush)). A no-op — lock, check, drop
-/// — when coalescing is disabled or all buffers are empty.
-pub(crate) fn flush_all<F: Fabric>(ctx: &F, st: &AmState<F>, p: &NetProfile) {
-    let pending: Vec<(usize, Vec<AmMsg>)> = {
-        let mut co = st.coalesce.lock();
-        let Some(cs) = co.as_mut() else { return };
-        cs.bufs
-            .iter_mut()
-            .filter(|(_, b)| !b.msgs.is_empty())
-            .map(|(dst, b)| {
-                b.bytes = 0;
-                (*dst, std::mem::take(&mut b.msgs))
-            })
-            .collect()
-    };
+/// and exit, explicit [`flush`](crate::flush)). One atomic load when
+/// coalescing is disabled; lock, check, drop when all buffers are empty.
+pub(crate) fn flush_all<F: Fabric>(ctx: &F, st: &AmState<F>) {
+    let Some(co) = st.coalesce.get() else { return };
+    let pending: Vec<(usize, Vec<AmMsg>)> = co
+        .lock()
+        .bufs
+        .iter_mut()
+        .filter(|(_, b)| !b.msgs.is_empty())
+        .map(|(dst, b)| {
+            b.bytes = 0;
+            (*dst, std::mem::take(&mut b.msgs))
+        })
+        .collect();
     for (dst, msgs) in pending {
-        send_frame(ctx, st, dst, msgs, p);
+        send_frame(ctx, st, dst, msgs);
     }
 }
 
 /// Put one flushed buffer on the wire. A singleton goes out exactly like an
 /// uncoalesced short send; two or more messages become one aggregate frame
 /// charged as one header plus per-sub-message marshalling.
-fn send_frame<F: Fabric>(
-    ctx: &F,
-    st: &AmState<F>,
-    dst: usize,
-    mut msgs: Vec<AmMsg>,
-    p: &NetProfile,
-) {
+fn send_frame<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, mut msgs: Vec<AmMsg>) {
+    let p = st.profile();
     let n = msgs.len();
     // Occupancy distribution at flush time (singletons included: a median of
     // 1 says the buffers never get the chance to amortize anything).
     ctx.metric_observe("am.coalesce_occupancy", n as u64);
     if n == 1 {
         ctx.charge(Bucket::Net, p.send_charge(false));
-        raw_send(ctx, st, dst, msgs.pop().expect("singleton vanished"), 0, p);
+        let msg = msgs.pop().expect("singleton vanished");
+        crate::ops::wire(ctx, st, dst, msg, 0);
         return;
     }
     let data_len = n * SUB_WIRE_BYTES;
@@ -251,69 +234,15 @@ fn send_frame<F: Fabric>(
         data: None,
         token: Some(Box::new(Batch(msgs))),
     };
-    raw_send(ctx, st, dst, frame, data_len, p);
+    crate::ops::wire(ctx, st, dst, frame, data_len);
 }
 
-/// The wire leg of every coalesced-path send (flushed frames and, via
-/// `send_inner`, bulk messages). Reliable mode sequences the frame (per-link
-/// ordering comes from the protocol); on a fault-free wire the arrival is
-/// clamped past the previous send's so variable sizes cannot reorder the
-/// link — without the clamp a small bulk message could overtake the large
-/// aggregate frame its own flush just emitted.
-pub(crate) fn raw_send<F: Fabric>(
-    ctx: &F,
-    st: &AmState<F>,
-    dst: usize,
-    msg: AmMsg,
-    data_len: usize,
-    p: &NetProfile,
-) {
-    if ctx.cost().faults.is_some() {
-        crate::reliable::send(ctx, st, dst, msg, data_len, p);
-        return;
-    }
-    let now = ctx.now();
-    let mut delay = p.wire_delay(data_len);
-    {
-        let mut co = st.coalesce.lock();
-        let cs = co
-            .as_mut()
-            .expect("coalesced send without coalescing enabled");
-        let floor = cs.arrival_floor.entry(dst).or_insert(0);
-        if now + delay <= *floor {
-            delay = *floor - now + 1;
-        }
-        *floor = now + delay;
-    }
-    ctx.send_msg(dst, SHORT_WIRE_BYTES + data_len, delay, msg.into_payload());
-}
-
-/// Unpack and dispatch a received aggregate frame: one receive overhead for
-/// the frame, then per sub-message the unmarshal cost and the normal
-/// handler accounting. Returns the number of handlers run.
-pub(crate) fn dispatch_batch<F: Fabric>(
-    ctx: &F,
-    st: &AmState<F>,
-    p: &NetProfile,
-    frame: AmMsg,
-) -> usize {
-    let batch = frame
+/// The sub-messages of a received aggregate frame, in send order.
+pub(crate) fn unbatch(frame: AmMsg) -> Vec<AmMsg> {
+    frame
         .token
         .expect("aggregate frame without a batch token")
         .downcast::<Batch>()
-        .expect("aggregate frame token was not a batch");
-    ctx.charge(Bucket::Net, p.recv_charge());
-    let unmarshal = ctx.cost().coalescing.unmarshal_per_msg;
-    let mut ran = 0;
-    for sub in batch.0 {
-        let hid = sub.handler;
-        ctx.trace_event(|| TraceEvent::HandlerStart { handler: hid });
-        ctx.charge(Bucket::Net, unmarshal);
-        ctx.with_stats(|s| s.handlers_run += 1);
-        let h = lookup(st, hid);
-        h(ctx, sub);
-        ctx.trace_event(|| TraceEvent::HandlerEnd { handler: hid });
-        ran += 1;
-    }
-    ran
+        .expect("aggregate frame token was not a batch")
+        .0
 }

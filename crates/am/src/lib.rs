@@ -10,7 +10,7 @@
 //! This crate provides that layer: per-node handler tables, an [`Endpoint`]
 //! handle with a typed send builder (`endpoint(ctx).to(dst).handler(H_X)
 //! .args([..]).send()`), [`poll`], the spin-wait [`wait_until`], reply
-//! continuation cells, a message barrier, the global-memory
+//! continuation cells, a node-0 barrier and all-reduce, the global-memory
 //! [`RegionTable`] both runtimes keep per node, and calibrated [`NetProfile`]s
 //! (Split-C's single-threaded endpoint at a 53 µs null round trip, the CC++
 //! thread-safe endpoint at 55 µs, IBM MPL at 88 µs). Runtimes can opt into
@@ -22,8 +22,8 @@
 //! ([`mpmd_fabric::SimFabric`]) and on real OS threads with wall-clock
 //! timing ([`mpmd_fabric::LocalFabric`]).
 
-mod barrier;
 pub mod coalesce;
+mod collective;
 mod endpoint;
 mod ops;
 mod profile;
@@ -32,8 +32,10 @@ mod reliable;
 mod reply;
 mod state;
 
-pub use barrier::{barrier, register_barrier_handlers, H_BARRIER_ARRIVE, H_BARRIER_RELEASE};
 pub use coalesce::{coalescing_enabled, enable_coalescing, CoalesceConfig, SUB_WIRE_BYTES};
+pub use collective::{
+    all_reduce, barrier, register_barrier_handlers, ReduceOp, H_BARRIER_ARRIVE, H_BARRIER_RELEASE,
+};
 pub use endpoint::{endpoint, Endpoint, SendBuilder};
 pub use ops::{flush, poll, wait_until, Token, SHORT_WIRE_BYTES};
 pub use profile::NetProfile;

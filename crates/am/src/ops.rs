@@ -8,7 +8,7 @@ use crate::state::{lookup, AmState, HandlerId, PollGuard};
 use crate::AmMsg;
 use bytes::Bytes;
 use mpmd_fabric::Fabric;
-use mpmd_sim::{Bucket, TraceEvent};
+use mpmd_sim::{Bucket, Time, TraceEvent};
 use std::any::Any;
 
 /// Opaque continuation carried by a message (e.g. an `Arc<ReplyCell>`),
@@ -18,6 +18,9 @@ pub type Token = Box<dyn Any + Send>;
 /// Modeled header size of every active message (routing + handler id + args).
 pub const SHORT_WIRE_BYTES: usize = 48;
 
+/// Every send: count it; a coalesced short send appends to its buffer;
+/// anything else flushes its destination's buffer first (when coalescing),
+/// charges the send overhead, goes on the [`wire`] and polls on send.
 pub(crate) fn send_inner<F: Fabric>(
     ctx: &F,
     dst: usize,
@@ -44,67 +47,68 @@ pub(crate) fn send_inner<F: Fabric>(
         data,
         token,
     };
-    if crate::coalesce::enabled(st) {
+    if let Some(co) = st.coalesce.get() {
         if !bulk {
-            // Short sends append to the aggregation buffer: no charge, no
-            // wire traffic, and no poll-on-send until a flush happens.
-            crate::coalesce::append(ctx, st, dst, msg, p);
+            // No charge, no wire traffic, and no poll-on-send until a flush.
+            crate::coalesce::append(ctx, st, co, dst, msg);
             return;
         }
         // A bulk message overtaking buffered shorts would break program
-        // order on this link: flush them first, then send on the same
-        // floor-clamped wire leg so the (small) bulk message cannot land
-        // before the (large) aggregate frame that flush just emitted.
-        crate::coalesce::flush_dst(ctx, st, dst, p);
-        ctx.charge(Bucket::Net, p.send_charge(bulk));
-        crate::coalesce::raw_send(ctx, st, dst, msg, bytes, p);
-        if p.poll_on_send {
-            poll(ctx);
-        }
-        return;
+        // order on this link.
+        crate::coalesce::flush_dst(ctx, st, dst);
     }
     ctx.charge(Bucket::Net, p.send_charge(bulk));
-    if ctx.cost().faults.is_some() {
-        crate::reliable::send(ctx, st, dst, msg, bytes, p);
-    } else {
-        // Allocation-free for short messages: the payload travels inline
-        // and the delivery event's body comes from the kernel's slab pool.
-        ctx.send_msg(
-            dst,
-            SHORT_WIRE_BYTES + bytes,
-            p.wire_delay(bytes),
-            msg.into_payload(),
-        );
-    }
+    wire(ctx, st, dst, msg, bytes);
     if p.poll_on_send {
         poll(ctx);
     }
 }
 
-/// Execute one delivered message with the standard reception accounting;
-/// aggregate frames are unpacked and dispatched sub-message by sub-message.
-/// Returns the number of handlers run. Shared by the fault-free and
-/// reliable delivery paths.
-pub(crate) fn dispatch<F: Fabric>(
-    ctx: &F,
-    st: &AmState<F>,
-    p: &crate::NetProfile,
-    am: AmMsg,
-) -> usize {
-    if am.handler == crate::coalesce::H_COALESCED {
-        return crate::coalesce::dispatch_batch(ctx, st, p, am);
+/// The one wire leg of every send: a sequenced, acknowledged frame of the
+/// reliable protocol under a fault model, a plain frame otherwise. A short
+/// message allocates nothing here: its payload travels inline and the
+/// delivery event's body comes from the kernel's slab pool.
+pub(crate) fn wire<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, msg: AmMsg, data_len: usize) {
+    match &ctx.cost().faults {
+        Some(faults) => crate::reliable::send(ctx, st, dst, msg, data_len, faults.rto_initial),
+        None => ctx.send_msg(
+            dst,
+            SHORT_WIRE_BYTES + data_len,
+            st.profile().wire_delay(data_len),
+            msg.into_payload(),
+        ),
     }
-    let hid = am.handler;
-    // Open the handler frame before charging reception so the frame's
-    // duration covers the full per-message cost (receive overhead plus
-    // handler body) — the trace reconciles against Bucket::Net this way.
+}
+
+/// Execute one delivered message; an aggregate frame pays one receive
+/// overhead and then `unmarshal_per_msg` per sub-message. Returns the number
+/// of handlers run. Shared by the fault-free and reliable delivery paths.
+pub(crate) fn dispatch<F: Fabric>(ctx: &F, st: &AmState<F>, am: AmMsg) -> usize {
+    let recv = st.profile().recv_charge();
+    if am.handler != crate::coalesce::H_COALESCED {
+        run_handler(ctx, st, am, recv);
+        return 1;
+    }
+    ctx.charge(Bucket::Net, recv);
+    let unmarshal = ctx.cost().coalescing.unmarshal_per_msg;
+    let batch = crate::coalesce::unbatch(am);
+    let ran = batch.len();
+    for sub in batch {
+        run_handler(ctx, st, sub, unmarshal);
+    }
+    ran
+}
+
+/// Run one message's handler, charging `recv_ns` of reception inside its
+/// trace frame so the frame's duration covers the full per-message cost —
+/// the trace reconciles against `Bucket::Net` this way.
+fn run_handler<F: Fabric>(ctx: &F, st: &AmState<F>, msg: AmMsg, recv_ns: Time) {
+    let hid = msg.handler;
     ctx.trace_event(|| TraceEvent::HandlerStart { handler: hid });
-    ctx.charge(Bucket::Net, p.recv_charge());
+    ctx.charge(Bucket::Net, recv_ns);
     ctx.with_stats(|s| s.handlers_run += 1);
-    let h = lookup(st, hid);
-    h(ctx, am);
+    lookup(st, hid)(ctx, msg);
     ctx.trace_event(|| TraceEvent::HandlerEnd { handler: hid });
-    1
 }
 
 /// Drain the inbox, dispatching every delivered message's handler on this
@@ -118,14 +122,10 @@ pub fn poll<F: Fabric>(ctx: &F) -> usize {
     let Some(_guard) = PollGuard::enter(st, ctx.task_id()) else {
         return 0;
     };
-    // `enabled` is one atomic load: a non-coalescing node (the common case)
-    // skips both mandatory flush points without touching their locks. The
+    // Flushing is one atomic load on a node that never coalesces. The
     // profile is read only where a message needs it, so an empty poll works
     // on a node that has not called `init` yet.
-    let coalescing = crate::coalesce::enabled(st);
-    if coalescing {
-        crate::coalesce::flush_all(ctx, st, st.profile());
-    }
+    crate::coalesce::flush_all(ctx, st);
     // Yield so every network event due at or before our clock is visible.
     ctx.poll_point();
     ctx.with_stats(|s| s.polls += 1);
@@ -133,19 +133,17 @@ pub fn poll<F: Fabric>(ctx: &F) -> usize {
     if ctx.metrics_enabled() {
         ctx.metric_observe("am.inbox_depth", ctx.inbox_len() as u64);
     }
-    let ran = if ctx.cost().faults.is_some() {
-        crate::reliable::poll_reliable(ctx, st, st.profile())
-    } else {
-        let mut ran = 0;
-        while let Some(m) = ctx.try_recv() {
-            let am = AmMsg::from_payload(m.src, m.payload);
-            ran += dispatch(ctx, st, st.profile(), am);
+    let ran = match &ctx.cost().faults {
+        Some(faults) => crate::reliable::poll_reliable(ctx, st, faults),
+        None => {
+            let mut ran = 0;
+            while let Some(m) = ctx.try_recv() {
+                ran += dispatch(ctx, st, AmMsg::from_payload(m.src, m.payload));
+            }
+            ran
         }
-        ran
     };
-    if coalescing {
-        crate::coalesce::flush_all(ctx, st, st.profile());
-    }
+    crate::coalesce::flush_all(ctx, st);
     ran
 }
 
@@ -155,11 +153,7 @@ pub fn poll<F: Fabric>(ctx: &F) -> usize {
 /// on a synchronization variable — so buffered messages can't be stranded
 /// by a sleeping sender.
 pub fn flush<F: Fabric>(ctx: &F) {
-    let st = AmState::get(ctx);
-    if !crate::coalesce::enabled(st) {
-        return;
-    }
-    crate::coalesce::flush_all(ctx, st, st.profile());
+    crate::coalesce::flush_all(ctx, AmState::get(ctx));
 }
 
 /// Spin-poll until `pred` becomes true: poll, check, and if nothing is

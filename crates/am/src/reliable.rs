@@ -32,11 +32,10 @@
 //! every other copy is identified as a duplicate by its sequence number
 //! alone, so the message is never needed twice.
 
-use crate::profile::NetProfile;
 use crate::state::AmState;
 use crate::AmMsg;
 use mpmd_fabric::Fabric;
-use mpmd_sim::{Bucket, Payload, Time, TraceEvent};
+use mpmd_sim::{Bucket, FaultModel, Payload, Time, TraceEvent};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -45,6 +44,7 @@ use std::sync::Arc;
 use crate::ops::SHORT_WIRE_BYTES;
 
 /// What travels on the wire in reliable mode.
+#[derive(Clone)]
 pub(crate) enum RelFrame {
     /// An application message with its link sequence number.
     Data(Arc<RelPacket>),
@@ -57,7 +57,6 @@ pub(crate) enum RelFrame {
 /// all wire copies.
 pub(crate) struct RelPacket {
     pub(crate) seq: u64,
-    pub(crate) wire_bytes: usize,
     pub(crate) data_len: usize,
     /// Taken by the one in-order delivery; duplicates are rejected by
     /// sequence number before ever looking here.
@@ -97,29 +96,16 @@ pub(crate) struct RelState {
 }
 
 /// Sequence, buffer and transmit one application message (the reliable
-/// branch of `send_inner`; the caller has already charged the send
-/// overhead).
+/// branch of [`wire`](crate::ops::wire); the caller has already charged the
+/// send overhead). `rto` is the fault model's initial retransmit timeout.
 pub(crate) fn send<F: Fabric>(
     ctx: &F,
     st: &AmState<F>,
     dst: usize,
     msg: AmMsg,
     data_len: usize,
-    p: &NetProfile,
+    rto: Time,
 ) {
-    let Some(faults) = ctx.cost().faults.as_ref() else {
-        // No fault model means a reliable wire: sequencing and retransmit
-        // machinery would add nothing, so degrade to a plain send instead of
-        // aborting the experiment over the misconfiguration.
-        ctx.send_msg(
-            dst,
-            SHORT_WIRE_BYTES + data_len,
-            p.wire_delay(data_len),
-            msg.into_payload(),
-        );
-        return;
-    };
-    let rto = faults.rto_initial;
     let pkt = {
         let mut rel = st.rel.lock();
         let seq = rel.next_seq.entry(dst).or_insert(0);
@@ -127,7 +113,6 @@ pub(crate) fn send<F: Fabric>(
         *seq += 1;
         let pkt = Arc::new(RelPacket {
             seq: s,
-            wire_bytes: SHORT_WIRE_BYTES + data_len,
             data_len,
             msg: Mutex::new(Some(msg)),
         });
@@ -142,69 +127,33 @@ pub(crate) fn send<F: Fabric>(
         );
         pkt
     };
-    transmit(ctx, dst, &pkt, p);
+    put(ctx, st, dst, RelFrame::Data(pkt), data_len);
     // Nudge the pump so it re-parks against this packet's retransmit
     // deadline. Without this, a pump that parked with an empty retransmit
     // buffer (no deadline) would never wake if this packet is dropped and
     // nothing else arrives at this node — the drop would deadlock the run
     // instead of costing a retransmission. A no-op when the pump is already
     // runnable or is the task doing the sending.
-    if let Some(t) = *st.pump.lock() {
+    if let Some(&t) = st.pump.get() {
         ctx.unpark(t);
     }
 }
 
-/// Put one wire copy (or two, or zero) of `pkt` on the link to `dst`,
-/// according to the fault decision drawn for this attempt.
-fn transmit<F: Fabric>(ctx: &F, dst: usize, pkt: &Arc<RelPacket>, p: &NetProfile) {
+/// Put zero, one or two wire copies of `frame` (carrying `data_len` payload
+/// bytes) on the link to `dst`, as the fault decision drawn for this attempt
+/// says.
+fn put<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, frame: RelFrame, data_len: usize) {
     let d = ctx.fault_decision(dst);
-    let delay = p.wire_delay(pkt.data_len) + d.extra_delay;
+    let delay = st.profile().wire_delay(data_len) + d.extra_delay;
+    let wire_bytes = SHORT_WIRE_BYTES + data_len;
     if d.drop {
         ctx.with_stats(|s| s.wire_drops += 1);
     } else {
-        ctx.send_msg(
-            dst,
-            pkt.wire_bytes,
-            delay,
-            Payload::any(RelFrame::Data(Arc::clone(pkt))),
-        );
+        ctx.send_msg(dst, wire_bytes, delay, Payload::any(frame.clone()));
     }
     if d.duplicate {
         ctx.with_stats(|s| s.wire_dups += 1);
-        ctx.send_msg(
-            dst,
-            pkt.wire_bytes,
-            delay,
-            Payload::any(RelFrame::Data(Arc::clone(pkt))),
-        );
-    }
-}
-
-/// Send a cumulative ack to `dst`. Acks are unsequenced, never
-/// retransmitted, and themselves subject to wire faults; each end charges
-/// `ack_handling`.
-fn send_ack<F: Fabric>(ctx: &F, dst: usize, cum: u64, p: &NetProfile) {
-    ctx.charge(Bucket::Net, ctx.cost().reliability.ack_handling);
-    let d = ctx.fault_decision(dst);
-    let delay = p.wire_delay(0) + d.extra_delay;
-    if d.drop {
-        ctx.with_stats(|s| s.wire_drops += 1);
-    } else {
-        ctx.send_msg(
-            dst,
-            SHORT_WIRE_BYTES,
-            delay,
-            Payload::any(RelFrame::Ack { cum }),
-        );
-    }
-    if d.duplicate {
-        ctx.with_stats(|s| s.wire_dups += 1);
-        ctx.send_msg(
-            dst,
-            SHORT_WIRE_BYTES,
-            delay,
-            Payload::any(RelFrame::Ack { cum }),
-        );
+        ctx.send_msg(dst, wire_bytes, delay, Payload::any(frame));
     }
 }
 
@@ -223,7 +172,7 @@ enum Action {
 /// The reliable branch of [`poll`](crate::poll): drain the inbox, deliver
 /// in per-link order, ack every source heard from, then run the retransmit
 /// scan. Returns the number of handlers run.
-pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, p: &NetProfile) -> usize {
+pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultModel) -> usize {
     let mut ran = 0;
     let mut touched: BTreeSet<usize> = BTreeSet::new();
     while let Some(m) = ctx.try_recv() {
@@ -279,7 +228,7 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, p: &NetProfile)
                 match action {
                     Action::Deliver(msgs) => {
                         for am in msgs {
-                            ran += crate::ops::dispatch(ctx, st, p, am);
+                            ran += crate::ops::dispatch(ctx, st, am);
                         }
                     }
                     Action::Duplicate => {
@@ -317,16 +266,19 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, p: &NetProfile)
             );
             cum
         };
-        send_ack(ctx, src, cum, p);
+        // Acks are unsequenced, never retransmitted, and themselves subject
+        // to wire faults; each end charges `ack_handling`.
+        ctx.charge(Bucket::Net, ctx.cost().reliability.ack_handling);
+        put(ctx, st, src, RelFrame::Ack { cum }, 0);
     }
-    retransmit_scan(ctx, st, p);
+    retransmit_scan(ctx, st, faults.rto_max);
     ran
 }
 
 /// Re-send every unacknowledged packet whose deadline has passed, with
-/// exponential backoff. `timeouts` counts scans that found due work;
-/// `retransmits` counts packets re-sent.
-fn retransmit_scan<F: Fabric>(ctx: &F, st: &AmState<F>, p: &NetProfile) {
+/// exponential backoff up to `rto_max`. `timeouts` counts scans that found
+/// due work; `retransmits` counts packets re-sent.
+fn retransmit_scan<F: Fabric>(ctx: &F, st: &AmState<F>, rto_max: Time) {
     let now = ctx.now();
     let due: Vec<((usize, u64), Arc<RelPacket>)> = {
         let rel = st.rel.lock();
@@ -340,20 +292,14 @@ fn retransmit_scan<F: Fabric>(ctx: &F, st: &AmState<F>, p: &NetProfile) {
         return;
     }
     let rc = ctx.cost().reliability.clone();
-    // Unacked packets can only exist if sends went through the reliable
-    // path, which requires a fault model — but if the CostModel was swapped
-    // out from under us, skip the scan rather than abort.
-    let Some(faults) = ctx.cost().faults.as_ref() else {
-        return;
-    };
-    let rto_max = faults.rto_max;
     ctx.with_stats(|s| s.timeouts += 1);
     ctx.charge(Bucket::Net, rc.timeout_check);
     for ((dst, seq), pkt) in due {
         ctx.with_stats(|s| s.retransmits += 1);
         ctx.charge(Bucket::Net, rc.retransmit);
         ctx.trace_event(|| TraceEvent::Retransmit { dst, seq });
-        transmit(ctx, dst, &pkt, p);
+        let data_len = pkt.data_len;
+        put(ctx, st, dst, RelFrame::Data(pkt), data_len);
         let mut rel = st.rel.lock();
         if let Some(u) = rel.unacked.get_mut(&(dst, seq)) {
             // Distribution of the backoff that governed this retransmission

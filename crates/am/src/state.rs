@@ -5,8 +5,6 @@ use crate::AmMsg;
 use mpmd_fabric::Fabric;
 use mpmd_sim::TaskId;
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of a registered handler. Each runtime owns a disjoint id range
@@ -38,27 +36,20 @@ pub(crate) struct AmState<F: Fabric> {
     /// thread holds the node-wide flag. A handful of tasks at most, so a
     /// scan, not a hash.
     pub(crate) in_poll: Mutex<Vec<TaskId>>,
-    /// Barrier bookkeeping (see `barrier.rs`).
-    pub(crate) barrier_arrivals: Mutex<HashMap<u64, usize>>,
-    pub(crate) barrier_release_gen: AtomicU64,
-    pub(crate) barrier_my_gen: AtomicU64,
+    /// Barrier and all-reduce bookkeeping (see `collective.rs`).
+    pub(crate) collective: Mutex<crate::collective::Collective>,
     /// Reliable-delivery protocol state (used only with a fault model).
     pub(crate) rel: Mutex<crate::reliable::RelState>,
-    /// Per-destination aggregation buffers; `Some` iff the runtime enabled
-    /// message coalescing on this node.
-    pub(crate) coalesce: Mutex<Option<crate::coalesce::CoalesceState>>,
-    /// Lock-free mirror of `coalesce.is_some()`, set once when coalescing is
-    /// enabled. The send and poll fast paths consult it so a node that never
-    /// coalesces (the common case) pays one relaxed load instead of a mutex
-    /// acquisition per send and two per poll.
-    pub(crate) coalesce_on: AtomicBool,
-    /// Whether this node's pump daemon has been spawned.
-    pub(crate) pump_started: AtomicBool,
-    /// The pump daemon's task, once spawned. Sends nudge it awake so it
-    /// re-parks against the new packet's retransmit deadline — otherwise a
-    /// pump that parked with an empty retransmit buffer would sleep through
-    /// the drop of a packet sent afterwards.
-    pub(crate) pump: Mutex<Option<TaskId>>,
+    /// Per-destination aggregation buffers, set once iff the runtime enabled
+    /// message coalescing on this node. A node that never coalesces pays one
+    /// atomic load per send and per poll, no lock.
+    pub(crate) coalesce: OnceLock<Mutex<crate::coalesce::CoalesceState>>,
+    /// The pump daemon's task, spawned by [`init`] under a fault model.
+    /// Sends nudge it awake so it re-parks against the new packet's
+    /// retransmit deadline — otherwise a pump that parked with an empty
+    /// retransmit buffer would sleep through the drop of a packet sent
+    /// afterwards.
+    pub(crate) pump: OnceLock<TaskId>,
 }
 
 impl<F: Fabric> AmState<F> {
@@ -67,14 +58,10 @@ impl<F: Fabric> AmState<F> {
             profile: OnceLock::new(),
             handlers: std::array::from_fn(|_| OnceLock::new()),
             in_poll: Mutex::new(Vec::new()),
-            barrier_arrivals: Mutex::new(HashMap::new()),
-            barrier_release_gen: AtomicU64::new(0),
-            barrier_my_gen: AtomicU64::new(0),
-            rel: Mutex::new(crate::reliable::RelState::default()),
-            coalesce: Mutex::new(None),
-            coalesce_on: AtomicBool::new(false),
-            pump_started: AtomicBool::new(false),
-            pump: Mutex::new(None),
+            collective: Mutex::default(),
+            rel: Mutex::default(),
+            coalesce: OnceLock::new(),
+            pump: OnceLock::new(),
         }
     }
 
@@ -102,9 +89,9 @@ pub fn init<F: Fabric>(ctx: &F, profile: NetProfile) {
     // A fault model switches the layer into reliable-delivery mode; each
     // node gets one pump daemon driving retransmits/acks while application
     // tasks compute or block.
-    if ctx.cost().faults.is_some() && !st.pump_started.swap(true, Ordering::SeqCst) {
-        let t = ctx.spawn_daemon("am-pump", crate::reliable::pump_main::<F>);
-        *st.pump.lock() = Some(t);
+    if ctx.cost().faults.is_some() {
+        st.pump
+            .get_or_init(|| ctx.spawn_daemon("am-pump", crate::reliable::pump_main::<F>));
     }
 }
 

@@ -64,6 +64,44 @@ fn battery_ordering<F: Fabric>(ctx: &F) {
     am::barrier(ctx);
 }
 
+/// Per-link FIFO holds whatever each frame's size or delay, without
+/// coalescing. At the fabric: a frame sent with a 1 ns delay after one sent
+/// with 50 µs arrives after it. At the AM layer: a short AM sent after an
+/// 8 KiB bulk AM on the same link runs after it. The raw frames go first,
+/// while no AM traffic is on the link for a poll to meet them.
+fn battery_link_order<F: Fabric>(ctx: &F) {
+    if ctx.node() == 0 {
+        ctx.send_msg(1, 48, 50_000, Payload::any(0u64));
+        ctx.send_msg(1, 48, 1, Payload::any(1u64));
+    } else {
+        let mut got = Vec::new();
+        while got.len() < 2 {
+            wait_for_frame(ctx);
+            while let Some(m) = ctx.try_recv() {
+                let Ok(seq) = m.payload.downcast::<u64>() else {
+                    panic!("a frame that is not the battery's");
+                };
+                got.push(*seq);
+            }
+        }
+        assert_eq!(got, [0, 1], "frames reordered on the (0,1) link");
+    }
+    setup(ctx);
+    let (log, count) = seq_sink(ctx);
+    am::barrier(ctx);
+    if ctx.node() == 0 {
+        let ep = am::endpoint(ctx);
+        let bulk = bytes::Bytes::from(vec![0u8; 8192]);
+        ep.to(1).handler(H_SEQ).args([0, 0, 0, 0]).bulk(bulk).send();
+        ep.to(1).handler(H_SEQ).args([1, 0, 0, 0]).send();
+    } else {
+        let c = Arc::clone(&count);
+        am::wait_until(ctx, move || c.load(Ordering::Acquire) == 2);
+        assert_eq!(*log.lock(), [0, 1], "a short AM overtook a bulk one");
+    }
+    am::barrier(ctx);
+}
+
 /// `flush` publishes buffered coalesced sends: with an effectively infinite
 /// linger, a synchronous reader sees the data only because of the flush.
 fn battery_flush_before_sync_read<F: Fabric>(ctx: &F) {
@@ -1193,6 +1231,7 @@ macro_rules! conformance {
 }
 
 conformance!(battery_ordering, ordering_sim, ordering_local, 2);
+conformance!(battery_link_order, link_order_sim, link_order_local, 2);
 conformance!(
     battery_run_until_block,
     run_until_block_sim,

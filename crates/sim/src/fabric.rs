@@ -45,8 +45,10 @@ pub const ACROSS_NODES: &str = "reaches across nodes: only messages cross nodes"
 /// Contract highlights (the conformance suite in `mpmd-am` checks these on
 /// every backend):
 ///
-/// * **Per-link FIFO**: frames from node `s` to node `d` are received in
-///   send order. No ordering is promised across different (src, dst) pairs.
+/// * **Per-link FIFO**: on a fault-free wire, frames from node `s` to node
+///   `d` are received in send order whatever their sizes and delays, on
+///   both fabrics. No ordering is promised across different (src, dst)
+///   pairs, and a fault model may reorder a link.
 /// * **Wakeups**: [`Fabric::park_for_inbox`] returns once a frame is
 ///   delivered to this node (it may also return spuriously; callers
 ///   re-check). [`Fabric::park_for_inbox_until`] additionally returns when
@@ -175,11 +177,12 @@ pub trait Fabric: Clone + Send + 'static {
     // ---- frame transport ---------------------------------------------
 
     /// Send `payload` to node `dst`, delivered `delay` ns after this node's
-    /// clock. Wall-clock fabrics may ignore `delay` (the real wire supplies
+    /// clock, or 1 ns after the link's previous frame if that is later: on a
+    /// fault-free wire the link is FIFO, and only a fault model may reorder
+    /// it. Wall-clock fabrics may ignore `delay` (the real wire supplies
     /// real latency) and may make the caller wait for room on a full link —
-    /// without running any other task or handler of its node; per-link FIFO
-    /// order must hold either way. The messaging layer charges its own send
-    /// overhead separately.
+    /// without running any other task or handler of its node. The messaging
+    /// layer charges its own send overhead separately.
     fn send_msg(&self, dst: usize, wire_bytes: usize, delay: Time, payload: Payload);
 
     /// Take the oldest delivered frame, if any.

@@ -58,6 +58,9 @@ pub(crate) struct Kernel {
     tracing: bool,
     /// Installed fault model plus its seeded decision stream.
     pub(crate) faults: Option<FaultState>,
+    /// Latest scheduled arrival on each link, at `src * nodes + dst`: on a
+    /// fault-free wire no frame lands at or before its predecessor's.
+    last_arrival: Vec<Time>,
     /// Installed schedule oracle (exploration harness). `None` — the default
     /// — keeps every decision on the baseline path with a single branch of
     /// overhead per decision point.
@@ -153,6 +156,7 @@ impl Kernel {
             metrics,
             tracing: trace.is_some(),
             faults: faults.map(FaultState::new),
+            last_arrival: vec![0; nodes * nodes],
             oracle,
             tie_scratch: Vec::new(),
             cand_scratch: Vec::new(),
@@ -272,12 +276,19 @@ impl Kernel {
     }
 
     /// Schedule a message delivery `delay` ns after the sending node's
-    /// current clock.
+    /// current clock. Without a fault model the link stays FIFO: a frame
+    /// that would land at or before the previous one on its (src, dst) link
+    /// lands 1 ns after it instead. A fault model may reorder the wire.
     pub(crate) fn post_deliver(&mut self, dst: usize, msg: Msg, delay: Time) {
         assert!(delay > 0, "message delay must be positive (causality)");
         assert!(dst < self.nodes.len(), "send to nonexistent node {dst}");
         let src = msg.src;
-        let at = self.clock(src) + delay;
+        let mut at = self.clock(src) + delay;
+        if self.faults.is_none() {
+            let last = &mut self.last_arrival[src * self.nodes.len() + dst];
+            at = at.max(*last + 1);
+            *last = at;
+        }
         let probe = &mut self.nodes[src].probe;
         let st = probe.stats();
         st.msgs_sent += 1;
@@ -536,6 +547,41 @@ mod tests {
         // Emptying a ready queue takes the node out of the running.
         k.nodes[0].tasks.run_next();
         assert_eq!(k.peek_min_runnable(), Some((1, 25)));
+    }
+
+    /// A 48-byte frame from `src`.
+    fn frame(src: usize) -> Msg {
+        Msg {
+            src,
+            wire_bytes: 48,
+            payload: crate::event::Payload::any(()),
+        }
+    }
+
+    /// Arrival times of the pending deliveries, in send order.
+    fn arrivals(k: &mut Kernel) -> Vec<Time> {
+        let mut keys = std::mem::take(&mut k.events).into_vec();
+        keys.sort_by_key(|e| e.seq);
+        keys.iter().map(|e| e.time).collect()
+    }
+
+    #[test]
+    fn a_fault_free_link_is_fifo_and_a_faulty_one_is_not_clamped() {
+        let mut k = kernel(&[100, 100, 100], &[false; 3]);
+        // A bulk-sized delay, then a short one on the same link: the second
+        // frame lands 1 ns after the first instead of overtaking it.
+        k.post_deliver(1, frame(0), 50_000);
+        k.post_deliver(1, frame(0), 1);
+        // Another link, and the reverse of this one, keep their own times.
+        k.post_deliver(2, frame(0), 1);
+        k.post_deliver(0, frame(1), 1);
+        assert_eq!(arrivals(&mut k), [50_100, 50_101, 101, 101]);
+        // A fault model may reorder the wire: nothing is clamped.
+        let faults = crate::cost::FaultModel::new(7);
+        let mut k = Kernel::new(2, None, false, Some(faults), None);
+        k.post_deliver(1, frame(0), 50_000);
+        k.post_deliver(1, frame(0), 1);
+        assert_eq!(arrivals(&mut k), [50_000, 1]);
     }
 
     /// Answers a fixed choice and records how many candidates it was shown.

@@ -2,20 +2,12 @@
 //! and `all_store_sync`.
 
 use crate::gptr::SpreadArray;
-use crate::handlers::{register_handlers, H_REDUCE, H_REDUCE_RELEASE};
+use crate::handlers::register_handlers;
 use crate::ops::register_builtin_atomics;
 use crate::state::ScState;
-use mpmd_am as am;
+use mpmd_am::{self as am, ReduceOp};
 use mpmd_fabric::Fabric;
 use std::sync::atomic::Ordering;
-
-/// Reduction operators (encoded on the wire).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ReduceOp {
-    SumU64 = 0,
-    SumF64 = 1,
-    MaxU64 = 2,
-}
 
 /// Initialize the Split-C runtime on this node: AM endpoint (Split-C
 /// profile), barrier and runtime handlers, built-in atomics. Collective —
@@ -76,31 +68,10 @@ pub fn all_spread_alloc<F: Fabric>(ctx: &F, per_node: usize, fill: f64) -> Sprea
 }
 
 /// All-reduce: every node contributes `value` (raw bits for `SumF64`); all
-/// nodes receive the combined result. Centralized at node 0, like the
-/// barrier.
+/// nodes receive the combined result. AM's node-0 collective, the one the
+/// barrier runs on.
 pub fn reduce<F: Fabric>(ctx: &F, op: ReduceOp, value: u64) -> u64 {
-    let st = ScState::get(ctx);
-    let gen = {
-        let mut red = st.reduce.lock();
-        red.my_gen += 1;
-        red.my_gen
-    };
-    if ctx.node() == 0 {
-        note_reduce_arrival(ctx, 0, gen, value, op as u64);
-    } else {
-        am::endpoint(ctx)
-            .to(0)
-            .handler(H_REDUCE)
-            .args([gen, value, op as u64, 0])
-            .send();
-    }
-    am::wait_until(ctx, || {
-        st.reduce.lock().released.is_some_and(|(g, _)| g >= gen)
-    });
-    let red = st.reduce.lock();
-    let (g, v) = red.released.expect("reduction vanished");
-    assert_eq!(g, gen, "overlapping reductions");
-    v
+    am::all_reduce(ctx, op, value)
 }
 
 /// Sum an `f64` across all nodes.
@@ -111,61 +82,6 @@ pub fn reduce_sum_f64<F: Fabric>(ctx: &F, value: f64) -> f64 {
 /// Sum a `u64` across all nodes.
 pub fn reduce_sum_u64<F: Fabric>(ctx: &F, value: u64) -> u64 {
     reduce(ctx, ReduceOp::SumU64, value)
-}
-
-/// Record one reduction arrival on node 0; release everyone when complete.
-/// Also invoked by the `H_REDUCE` handler.
-///
-/// Contributions are collected per source and folded in ascending node
-/// order only once all have arrived. An arrival-order fold would make the
-/// `SumF64` rounding depend on message interleaving across senders; the
-/// canonical fold gives the same bits on every schedule, including under
-/// injected wire faults.
-pub(crate) fn note_reduce_arrival<F: Fabric>(ctx: &F, src: usize, gen: u64, value: u64, op: u64) {
-    debug_assert_eq!(ctx.node(), 0);
-    let complete = {
-        let mut red = ScState::get(ctx).reduce.lock();
-        let entry = red
-            .collect
-            .entry(gen)
-            .or_insert_with(|| (op, std::collections::BTreeMap::new()));
-        assert_eq!(entry.0, op, "mixed ops within reduction {gen}");
-        let prev = entry.1.insert(src, value);
-        assert!(
-            prev.is_none(),
-            "node {src} contributed twice to reduction {gen}"
-        );
-        if entry.1.len() == ctx.nodes() {
-            let (_, vals) = red
-                .collect
-                .remove(&gen)
-                .expect("reduction vanished mid-fold");
-            let total = match op {
-                o if o == ReduceOp::SumU64 as u64 => {
-                    vals.values().fold(0u64, |acc, &v| acc.wrapping_add(v))
-                }
-                o if o == ReduceOp::SumF64 as u64 => vals
-                    .values()
-                    .fold(0f64, |acc, &v| acc + f64::from_bits(v))
-                    .to_bits(),
-                o if o == ReduceOp::MaxU64 as u64 => vals.values().fold(0u64, |acc, &v| acc.max(v)),
-                _ => panic!("unknown reduction op {op}"),
-            };
-            red.released = Some((gen, total));
-            Some(total)
-        } else {
-            None
-        }
-    };
-    if let Some(total) = complete {
-        let ep = am::endpoint(ctx);
-        for n in 1..ctx.nodes() {
-            ep.to(n)
-                .handler(H_REDUCE_RELEASE)
-                .args([gen, total, 0, 0])
-                .send();
-        }
-    }
 }
 
 /// Wait until every one-way store issued by *any* node has been performed:

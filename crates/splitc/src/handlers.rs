@@ -21,8 +21,6 @@ pub(crate) const H_BULK_STORE: HandlerId = 21;
 pub(crate) const H_ATOMIC: HandlerId = 22;
 pub(crate) const H_REPLY_VALUE: HandlerId = 23;
 pub(crate) const H_REPLY_DATA: HandlerId = 24;
-pub(crate) const H_REDUCE: HandlerId = 25;
-pub(crate) const H_REDUCE_RELEASE: HandlerId = 26;
 pub(crate) const H_READ3: HandlerId = 27;
 pub(crate) const H_ATOMIC_ADD3: HandlerId = 28;
 
@@ -185,14 +183,6 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
 
     am::register(ctx, H_REPLY_VALUE, complete::<F>);
     am::register(ctx, H_REPLY_DATA, complete::<F>);
-
-    am::register(ctx, H_REDUCE, |ctx, m| {
-        crate::collective::note_reduce_arrival(ctx, m.src, m.args[0], m.args[1], m.args[2]);
-    });
-
-    am::register(ctx, H_REDUCE_RELEASE, |ctx, m| {
-        ScState::get(ctx).reduce.lock().released = Some((m.args[0], m.args[1]));
-    });
 }
 
 /// Decode a bulk write's payload straight into its region.

@@ -32,11 +32,11 @@ mod state;
 
 pub use collective::{
     all_spread_alloc, all_store_sync, alloc_region, barrier, init, init_coalesced, reduce,
-    reduce_sum_f64, reduce_sum_u64, ReduceOp,
+    reduce_sum_f64, reduce_sum_u64,
 };
 pub use costs::ScCosts;
 pub use gptr::{GlobalPtr, SpreadArray};
-pub use mpmd_am::{pack_addr, unpack_addr, CoalesceConfig};
+pub use mpmd_am::{pack_addr, unpack_addr, CoalesceConfig, ReduceOp};
 pub use ops::{
     atomic_add, atomic_add3, atomic_rpc, bulk_read, bulk_store, bulk_write, get, get_bulk, put,
     read, read_vec3, register_atomic, store, sync, with_local, write, BulkGetHandle, GetHandle,

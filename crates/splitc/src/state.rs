@@ -3,8 +3,8 @@
 use crate::costs::ScCosts;
 use mpmd_am::{PendingCounter, RegionTable};
 use mpmd_fabric::Fabric;
-use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap};
+use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -24,18 +24,6 @@ pub(crate) struct ScState<F: Fabric> {
     pub(crate) stores_sent: AtomicU64,
     /// One-way stores received by this node.
     pub(crate) stores_recvd: AtomicU64,
-    /// Reduction scratch (node 0 collects; everyone receives the release).
-    pub(crate) reduce: Mutex<ReduceState>,
-}
-
-#[derive(Default)]
-pub(crate) struct ReduceState {
-    /// generation -> (op, per-source contribution bits)
-    pub(crate) collect: HashMap<u64, (u64, BTreeMap<usize, u64>)>,
-    /// latest released generation and value
-    pub(crate) released: Option<(u64, u64)>,
-    /// this node's reduction generation counter
-    pub(crate) my_gen: u64,
 }
 
 impl<F: Fabric> ScState<F> {
@@ -47,7 +35,6 @@ impl<F: Fabric> ScState<F> {
             atomics: RwLock::new(HashMap::new()),
             stores_sent: AtomicU64::new(0),
             stores_recvd: AtomicU64::new(0),
-            reduce: Mutex::new(ReduceState::default()),
         }
     }
 
