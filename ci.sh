@@ -78,10 +78,13 @@ echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-t
 # null RMI allocates nothing on either node of either fabric, nor does a warm
 # gp_read / gp_write / gp_read3 on its caller (GP rides the same record), only
 # the task that issued a call recycles its record, a failed run frees every
-# record, and an ended run frees its nodes' runtime state.
+# record, and an ended run frees its nodes' runtime state. The simulator's
+# own zero-alloc proof (sim/tests/alloc_count.rs): warm short round trips,
+# and expiring timed inbox waits, allocate nothing.
 # These assert completion and counts, not timings, so none is retried.
 cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count \
     --test bounded_tasks
+cargo test --release -q -p mpmd-sim --test alloc_count
 cargo test --release -q -p mpmd-am --test bounded_links
 cargo test --release -q -p mpmd-splitc --test local_stream_memory
 cargo test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown

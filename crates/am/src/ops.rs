@@ -67,7 +67,7 @@ pub(crate) fn send_inner<F: Fabric>(
 /// The one wire leg of every send: a sequenced, acknowledged frame of the
 /// reliable protocol under a fault model, a plain frame otherwise. A short
 /// message allocates nothing here: its payload travels inline and the
-/// delivery event's body comes from the kernel's slab pool.
+/// kernel's event heap holds the delivery in capacity it reuses.
 pub(crate) fn wire<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, msg: AmMsg, data_len: usize) {
     match &ctx.cost().faults {
         Some(faults) => crate::reliable::send(ctx, st, dst, msg, data_len, faults.rto_initial),

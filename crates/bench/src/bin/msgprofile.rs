@@ -16,8 +16,8 @@ use serde::Serialize;
 const USAGE: &str = "msgprofile [--quick] [-j N] [--json <path>]";
 
 /// The whole profile report: one run per suite cell, each carrying its
-/// counters, size histogram, and metrics registry (latency histograms and
-/// the keyed `net.msgs_to`/`net.bytes_to` traffic matrix).
+/// ledger counters, size histogram, and metrics registry (latency histograms
+/// and the keyed `net.msgs_to`/`net.bytes_to` traffic matrix).
 struct MsgProfile {
     cells: Vec<Cell>,
 }

@@ -33,8 +33,7 @@
 //!    what makes shrunk failure traces trustworthy as regression seeds.
 //!
 //! Invariants the sim crate enforces internally on every run — the
-//! kernel's baton-holder check and re-entry borrow, pool generation-tag
-//! checks, the event-heap/pool bijection at teardown, and the reliable layer's
+//! kernel's baton-holder check and re-entry borrow, and the reliable layer's
 //! cumulative-ack monotonicity — surface here as panics, which the sweep
 //! catches and reports as violations too.
 //!

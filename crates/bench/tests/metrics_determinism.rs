@@ -1,5 +1,5 @@
-//! Determinism of the metrics registry: the serialized histograms, counters
-//! and traffic matrices must be byte-identical across worker counts and
+//! Determinism of the metrics registry: the serialized histograms and
+//! traffic matrices must be byte-identical across worker counts and
 //! repeated seeded runs — with and without fault injection — because every
 //! sample is integer virtual-time recorded on the kernel in simulation
 //! order.
@@ -14,6 +14,34 @@ use std::process::Command;
 
 fn registry_json(m: &MetricsRegistry) -> String {
     serde_json::to_string(&serde::Serialize::to_value(m)).unwrap()
+}
+
+/// A 2-node short-message ping-pong: its final report's registry, as the
+/// run ended, rather than an application's measured region.
+fn ping_pong_final(cost: CostModel) -> Option<MetricsRegistry> {
+    let short = || Payload::Short {
+        handler: 1,
+        args: [0; 4],
+        token: None,
+    };
+    let report = Sim::new(2).cost_model(cost).run(move |ctx| {
+        let peer = 1 - ctx.node();
+        for _ in 0..100 {
+            let t0 = ctx.metric_now();
+            if ctx.node() == 0 {
+                ctx.send_msg(peer, 8, 1_000, short());
+            }
+            ctx.park_for_inbox();
+            ctx.try_recv().unwrap();
+            if ctx.node() == 1 {
+                ctx.send_msg(peer, 8, 1_000, short());
+            }
+            if let Some(t0) = t0 {
+                ctx.metric_observe_since("test.wait_ns", t0);
+            }
+        }
+    });
+    report.metrics
 }
 
 /// Run a small cross-runtime suite under `cost` on `jobs` workers and
@@ -36,7 +64,7 @@ fn suite_metrics_json(cost: CostModel, jobs: usize) -> String {
     };
     let (p1, c1) = (em3d_p.clone(), cost.clone());
     let (p2, c2) = (em3d_p, cost.clone());
-    let (p3, c3) = (water_p, cost);
+    let (p3, c3) = (water_p, cost.clone());
     let units: Vec<Unit<Option<MetricsRegistry>>> = vec![
         Box::new(move || {
             em3d::run_splitc_cost(&p1, Em3dVersion::Ghost, c1)
@@ -53,6 +81,7 @@ fn suite_metrics_json(cost: CostModel, jobs: usize) -> String {
                 .breakdown
                 .metrics
         }),
+        Box::new(move || ping_pong_final(cost)),
     ];
     run_jobs(units, jobs)
         .iter()
@@ -70,43 +99,7 @@ fn metrics_json_is_jobs_invariant_and_repeatable() {
     let again = suite_metrics_json(cost(), 8);
     assert_eq!(j8, again, "metrics JSON differs across repeated runs");
     assert!(j1.contains("sc.split_op_ns"), "{j1}");
-}
-
-/// The event-pool counters are published into the registry on node 0 at
-/// teardown (app breakdowns snapshot an interval *before* teardown, so the
-/// counters show up in a run's final report, not in region metrics). They
-/// must be present and exactly repeatable.
-#[test]
-fn pool_counters_published_and_deterministic() {
-    let run = || {
-        let r = Sim::new(2)
-            .cost_model(CostModel::default().with_metrics())
-            .run(|ctx| {
-                let short = || Payload::Short {
-                    handler: 1,
-                    args: [0; 4],
-                    token: None,
-                };
-                if ctx.node() == 0 {
-                    for _ in 0..100 {
-                        ctx.send_msg(1, 8, 1_000, short());
-                        ctx.park_for_inbox();
-                        ctx.try_recv().unwrap();
-                    }
-                } else {
-                    for _ in 0..100 {
-                        ctx.park_for_inbox();
-                        ctx.try_recv().unwrap();
-                        ctx.send_msg(0, 8, 1_000, short());
-                    }
-                }
-            });
-        registry_json(&r.metrics.expect("metrics were enabled"))
-    };
-    let a = run();
-    assert_eq!(a, run(), "pool counters differ across repeated runs");
-    assert!(a.contains("pool.recycled"), "{a}");
-    assert!(a.contains("pool.misses"), "{a}");
+    assert!(j1.contains("test.wait_ns"), "no final report: {j1}");
 }
 
 /// Full-run determinism over the pooled/sharded fast path: the breakdown

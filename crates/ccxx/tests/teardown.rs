@@ -2,7 +2,7 @@
 //! singletons are dropped. Every blocking RMI parks its caller in a
 //! condition-variable wait (the reply sync variable), whose hand-unlocked
 //! guard once leaked a reference to the whole fabric — so each CC++
-//! simulation kept its kernel, event pool, task table and stacks forever.
+//! simulation kept its kernel, event heap, task table and stacks forever.
 
 use mpmd_ccxx as cx;
 use mpmd_ccxx::{CallMode, CcxxConfig};

@@ -255,7 +255,8 @@ impl Fabric for Ctx {
     /// `delay` models wire/switch time and must be > 0.
     ///
     /// A [`Payload::Short`] send allocates nothing: the four argument words
-    /// travel inline and the event body comes from the kernel's slab pool.
+    /// travel inline and the event heap holds the delivery in capacity it
+    /// reuses.
     fn send_msg(&self, dst: usize, wire_bytes: usize, delay: Time, payload: Payload) {
         let msg = Msg {
             src: self.node,

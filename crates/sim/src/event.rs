@@ -1,6 +1,5 @@
 //! Network messages and the engine's event queue.
 
-use crate::pool::Handle;
 use crate::task::TaskId;
 use crate::time::Time;
 use bytes::Bytes;
@@ -105,16 +104,14 @@ pub(crate) enum EventKind {
     TimeoutWake { task: TaskId, gen: u64 },
 }
 
-/// A timestamped key into the event-body pool. The heap holds only these
-/// 24-byte keys; the (much larger) [`EventKind`] bodies live in a slab and
-/// are recycled across the run, so sift operations move small values and
-/// steady-state event traffic allocates nothing. Ordered as a *min*-heap key
+/// A pending event, held by the kernel's heap. Ordered as a *min*-heap key
 /// on `(time, seq)`; `seq` is a global issue counter that makes ordering
-/// total and deterministic.
+/// total and deterministic. The heap keeps its capacity across the run, so
+/// steady-state event traffic allocates nothing.
 pub(crate) struct EventKey {
     pub(crate) time: Time,
     pub(crate) seq: u64,
-    pub(crate) body: Handle,
+    pub(crate) kind: EventKind,
 }
 
 impl PartialEq for EventKey {
@@ -140,27 +137,25 @@ impl Ord for EventKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::Pool;
     use std::collections::BinaryHeap;
 
-    fn ev(pool: &mut Pool<EventKind>, time: Time, seq: u64) -> EventKey {
+    fn ev(time: Time, seq: u64) -> EventKey {
         EventKey {
             time,
             seq,
-            body: pool.alloc(EventKind::TimeoutWake {
+            kind: EventKind::TimeoutWake {
                 task: TaskId(0),
                 gen: 0,
-            }),
+            },
         }
     }
 
     #[test]
     fn heap_pops_earliest_first() {
-        let mut p = Pool::new();
         let mut h = BinaryHeap::new();
-        h.push(ev(&mut p, 30, 0));
-        h.push(ev(&mut p, 10, 1));
-        h.push(ev(&mut p, 20, 2));
+        h.push(ev(30, 0));
+        h.push(ev(10, 1));
+        h.push(ev(20, 2));
         assert_eq!(h.pop().unwrap().time, 10);
         assert_eq!(h.pop().unwrap().time, 20);
         assert_eq!(h.pop().unwrap().time, 30);
@@ -168,11 +163,10 @@ mod tests {
 
     #[test]
     fn ties_break_by_issue_order() {
-        let mut p = Pool::new();
         let mut h = BinaryHeap::new();
-        h.push(ev(&mut p, 10, 5));
-        h.push(ev(&mut p, 10, 2));
-        h.push(ev(&mut p, 10, 9));
+        h.push(ev(10, 5));
+        h.push(ev(10, 2));
+        h.push(ev(10, 9));
         assert_eq!(h.pop().unwrap().seq, 2);
         assert_eq!(h.pop().unwrap().seq, 5);
         assert_eq!(h.pop().unwrap().seq, 9);

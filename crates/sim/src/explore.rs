@@ -37,6 +37,7 @@
 //! invariant accordingly (full-report identity vs. application-result
 //! identity); see `DESIGN.md` §3e.
 
+use crate::kernel::splitmix64;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -65,14 +66,6 @@ pub enum ChoicePoint {
 /// reproduces the baseline schedule exactly.
 pub trait ScheduleOracle: Send {
     fn choose(&mut self, point: ChoicePoint, n: usize) -> usize;
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Which decision points a [`TraceOracle`] actually perturbs (unperturbed

@@ -22,7 +22,7 @@
 //! finishing fiber performs a terminal switch after pushing its own stack
 //! onto the runtime's retired slot, and whichever context runs next reaps it
 //! (recycling the stack for future spawns — spawning is allocation-free
-//! after warm-up, the same slab discipline as the event pool).
+//! after warm-up).
 //!
 //! Safety rests entirely on the baton invariant: all fibers of one
 //! [`FiberRt`] — one `Sim`, or one `LocalFabric` node, which drives the same

@@ -14,7 +14,6 @@
 
 use crate::event::{EventKey, EventKind, Msg};
 use crate::explore::{ChoicePoint, ScheduleOracle};
-use crate::pool::{Handle, Pool};
 use crate::probe::Probe;
 use crate::sched::NodeTasks;
 use crate::task::{TaskCell, TaskId};
@@ -40,18 +39,15 @@ pub(crate) struct NodeState {
 
 pub(crate) struct Kernel {
     pub(crate) nodes: Vec<NodeState>,
-    /// Min-heap of event keys; bodies live in `event_pool`.
+    /// Min-heap of pending events, each held whole.
     pub(crate) events: BinaryHeap<EventKey>,
-    /// Slab pool recycling event bodies (and the `Msg`s inside them) across
-    /// the run.
-    pub(crate) event_pool: Pool<EventKind>,
     pub(crate) seq: u64,
     /// Set once only daemons remain; parked daemons are woken to exit.
     pub(crate) shutting_down: bool,
     /// Captured panic payload from a task body, re-raised by the engine.
     pub(crate) panic: Option<Box<dyn Any + Send>>,
-    /// Whether the kernel counts its own metrics (tasks, traffic matrix,
-    /// event pool) into the nodes' probes.
+    /// Whether the kernel counts the src→dst traffic matrix into the
+    /// nodes' probes.
     pub(crate) metrics: bool,
     /// Whether the nodes' probes keep trace rings: checked before a record
     /// is built, so a tracing-off run touches no probe to emit.
@@ -91,7 +87,9 @@ pub struct FaultDecision {
     pub extra_delay: Time,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One step of the splitmix64 stream behind both the fault model's and the
+/// exploration oracle's decisions.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -149,7 +147,6 @@ impl Kernel {
                 })
                 .collect(),
             events: BinaryHeap::new(),
-            event_pool: Pool::new(),
             seq: 0,
             shutting_down: false,
             panic: None,
@@ -255,24 +252,10 @@ impl Kernel {
             .tracing
             .then(|| TraceEvent::TaskSpawn { name: name.clone() });
         let id = self.nodes[node].tasks.spawn(cell, name, daemon);
-        self.gauge_live(node, true);
         if let Some(event) = spawned {
             self.emit(node, id, event);
         }
         id
-    }
-
-    /// With metrics on, count a spawn (`spawned`) or an exit on `node` into
-    /// its probe, with the machine-wide live-task gauge.
-    pub(crate) fn gauge_live(&mut self, node: usize, spawned: bool) {
-        if self.metrics {
-            let live = self.live() as u64;
-            let m = &mut self.nodes[node].probe.kernel;
-            if spawned {
-                *m.counters.entry("sched.tasks_spawned").or_insert(0) += 1;
-            }
-            m.gauges.insert("sched.live_tasks", live);
-        }
     }
 
     /// Schedule a message delivery `delay` ns after the sending node's
@@ -297,7 +280,7 @@ impl Kernel {
         // Source-side traffic matrix (who sends what where): `msgprofile`
         // reads these keyed counters back out of the registry.
         if self.metrics {
-            let (keyed, to) = (&mut probe.kernel.keyed, dst as u64);
+            let (keyed, to) = (&mut probe.keyed, dst as u64);
             for (name, v) in [("net.msgs_to", 1), ("net.bytes_to", msg.wire_bytes as u64)] {
                 *keyed.entry(name).or_default().entry(to).or_insert(0) += v;
             }
@@ -313,11 +296,10 @@ impl Kernel {
                 arrives: at,
             },
         );
-        let body = self.event_pool.alloc(EventKind::Deliver { node: dst, msg });
         self.events.push(EventKey {
             time: at,
             seq,
-            body,
+            kind: EventKind::Deliver { node: dst, msg },
         });
     }
 
@@ -325,11 +307,10 @@ impl Kernel {
     /// timeout generation stays at `gen`.
     pub(crate) fn post_timeout_wake(&mut self, task: TaskId, at: Time, gen: u64) {
         let seq = self.next_seq();
-        let body = self.event_pool.alloc(EventKind::TimeoutWake { task, gen });
         self.events.push(EventKey {
             time: at,
             seq,
-            body,
+            kind: EventKind::TimeoutWake { task, gen },
         });
     }
 
@@ -342,14 +323,13 @@ impl Kernel {
     /// scheduling policy says it is due, which keeps clock bumps causal.
     pub(crate) fn apply_next_event(&mut self) {
         let key = self.events.pop().expect("apply_next_event on empty heap");
-        let kind = self.event_pool.take(key.body);
-        self.apply_event(key.time, kind);
+        self.apply_event(key.time, key.kind);
     }
 
     /// The node a pending event acts on: delivery target, or the woken
     /// task's home node.
-    fn event_target_node(&self, body: Handle) -> usize {
-        match *self.event_pool.peek(body) {
+    fn event_target_node(&self, kind: &EventKind) -> usize {
+        match *kind {
             EventKind::Deliver { node, .. } => node,
             EventKind::TimeoutWake { task, .. } => task.idx() % self.nodes.len(),
         }
@@ -382,9 +362,9 @@ impl Kernel {
             let mut cands = std::mem::take(&mut self.cand_scratch);
             debug_assert!(cands.is_empty());
             'outer: for (i, e) in ties.iter().enumerate() {
-                let node = self.event_target_node(e.body);
+                let node = self.event_target_node(&e.kind);
                 for prev in &ties[..i] {
-                    if self.event_target_node(prev.body) == node {
+                    if self.event_target_node(&prev.kind) == node {
                         continue 'outer;
                     }
                 }
@@ -407,8 +387,7 @@ impl Kernel {
             self.events.push(e);
         }
         self.tie_scratch = ties;
-        let kind = self.event_pool.take(key.body);
-        self.apply_event(key.time, kind);
+        self.apply_event(key.time, key.kind);
     }
 
     /// Oracle-perturbed runnable-node pick: collect every node tied with the
@@ -467,17 +446,6 @@ impl Kernel {
                     self.emit(node, task, TraceEvent::Unpark);
                 }
             }
-        }
-    }
-
-    /// Publish the event pool's recycling counters into the metrics
-    /// (machine-wide totals, attributed to node 0). Called once at teardown;
-    /// deterministic because event alloc/free order is fixed by the schedule.
-    pub(crate) fn publish_pool_metrics(&mut self) {
-        if self.metrics {
-            let counters = &mut self.nodes[0].probe.kernel.counters;
-            counters.insert("pool.recycled", self.event_pool.recycled);
-            counters.insert("pool.misses", self.event_pool.misses);
         }
     }
 

@@ -37,7 +37,6 @@ pub mod flame;
 mod kernel;
 pub mod metrics;
 mod node_data;
-mod pool;
 mod probe;
 mod report;
 pub mod sched;

@@ -1,11 +1,11 @@
-//! Metrics registry: typed counters, gauges and virtual-time histograms.
+//! Metrics registry: virtual-time histograms and keyed counters.
 //!
 //! The paper's tables report *means* (a null RMI costs 55 µs, a sync read
 //! 53 µs); the follow-up literature on AM-style runtimes is unanimous that
 //! means hide the pathologies — retransmit storms, inbox pile-ups, coalesce
 //! stalls all live in the tail. This module records full per-node
 //! distributions of the interesting quantities as deterministic log2-bucketed
-//! histograms, alongside plain counters and gauges.
+//! histograms, alongside the src→dst traffic matrix as keyed counters.
 //!
 //! Like the tracer, the registry is opt-in and **zero-cost when absent**:
 //! every recording hook bails on the cost model's switch without building
@@ -191,31 +191,20 @@ impl Histogram {
     }
 }
 
-/// One node's metrics: plain counters, last-value gauges, per-key counters
-/// (e.g. the traffic matrix, keyed by destination node) and histograms.
+/// One node's metrics: per-key counters (the traffic matrix, keyed by
+/// destination node) and histograms.
 ///
 /// All maps are `BTreeMap` so iteration — and therefore serialization — is
 /// in deterministic name order.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NodeMetrics {
-    pub counters: BTreeMap<&'static str, u64>,
-    pub gauges: BTreeMap<&'static str, u64>,
     pub keyed: BTreeMap<&'static str, BTreeMap<u64, u64>>,
     pub hists: BTreeMap<&'static str, Histogram>,
 }
 
 impl NodeMetrics {
-    /// Accumulate another node's metrics (gauges take the other's value when
-    /// present — merging is used for the global roll-up, where a summed gauge
-    /// would be meaningless; the roll-up keeps the per-name maximum instead).
+    /// Accumulate another node's metrics.
     pub fn merge(&mut self, other: &NodeMetrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            let e = self.gauges.entry(k).or_insert(0);
-            *e = (*e).max(*v);
-        }
         for (k, m) in &other.keyed {
             let e = self.keyed.entry(k).or_default();
             for (key, v) in m {
@@ -227,22 +216,13 @@ impl NodeMetrics {
         }
     }
 
-    /// Interval difference `self - earlier`. Counters and histograms
-    /// subtract; gauges keep the later value (they are instantaneous).
+    /// Interval difference `self - earlier`: keyed counters and histograms
+    /// subtract.
     pub fn since(&self, earlier: &NodeMetrics) -> NodeMetrics {
         fn sub(a: u64, b: u64) -> u64 {
             a.checked_sub(b).expect("metrics counter went backwards")
         }
-        let mut out = NodeMetrics {
-            gauges: self.gauges.clone(),
-            ..Default::default()
-        };
-        for (k, v) in &self.counters {
-            let d = sub(*v, earlier.counters.get(k).copied().unwrap_or(0));
-            if d > 0 {
-                out.counters.insert(k, d);
-            }
-        }
+        let mut out = NodeMetrics::default();
         for (k, m) in &self.keyed {
             let em = earlier.keyed.get(k);
             let mut dm = BTreeMap::new();
@@ -305,11 +285,6 @@ impl MetricsRegistry {
         acc
     }
 
-    /// The global (summed) counter under `name`.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.nodes.iter().filter_map(|n| n.counters.get(name)).sum()
-    }
-
     /// Interval difference `self - earlier`, node by node.
     pub fn since(&self, earlier: &MetricsRegistry) -> MetricsRegistry {
         assert_eq!(self.nodes.len(), earlier.nodes.len());
@@ -355,20 +330,6 @@ mod serialize {
     impl serde::Serialize for NodeMetrics {
         fn to_value(&self) -> serde::Value {
             let mut m = serde::Map::new();
-            if !self.counters.is_empty() {
-                let mut c = serde::Map::new();
-                for (k, v) in &self.counters {
-                    c.insert(k.to_string(), v.to_value());
-                }
-                m.insert("counters".to_string(), serde::Value::Object(c));
-            }
-            if !self.gauges.is_empty() {
-                let mut g = serde::Map::new();
-                for (k, v) in &self.gauges {
-                    g.insert(k.to_string(), v.to_value());
-                }
-                m.insert("gauges".to_string(), serde::Value::Object(g));
-            }
             if !self.keyed.is_empty() {
                 let mut km = serde::Map::new();
                 for (k, pairs) in &self.keyed {
@@ -506,19 +467,16 @@ mod tests {
     #[test]
     fn registry_global_merges_nodes() {
         let mut p = [Probe::default(), Probe::default()];
-        p[0].kernel.counters.insert("x", 3);
-        p[1].kernel.counters.insert("x", 4);
         p[0].observe("lat", 100);
         p[1].observe("lat", 200);
-        p[0].kernel.keyed.insert("to", [(1, 5)].into());
-        p[1].kernel.keyed.insert("to", [(0, 7)].into());
+        p[0].keyed.insert("to", [(1, 5), (2, 3)].into());
+        p[1].keyed.insert("to", [(0, 7), (2, 4)].into());
         let r = registry(&p);
-        assert_eq!(r.counter("x"), 7);
         let g = r.global();
-        assert_eq!(g.counters["x"], 7);
         assert_eq!(g.hists["lat"].count, 2);
         assert_eq!(g.keyed["to"][&0], 7);
         assert_eq!(g.keyed["to"][&1], 5);
+        assert_eq!(g.keyed["to"][&2], 7);
         assert_eq!(r.hist("lat").unwrap().sum, 300);
         assert_eq!(r.hist("absent"), None);
     }
@@ -526,16 +484,17 @@ mod tests {
     #[test]
     fn registry_since_diffs_per_node() {
         let mut p = [Probe::default()];
-        p[0].kernel.counters.insert("c", 2);
+        p[0].keyed.insert("to", [(1, 2), (2, 4)].into());
         p[0].observe("h", 50);
+        p[0].observe("quiet", 1);
         let a = registry(&p);
-        p[0].kernel.counters.insert("c", 5);
+        p[0].keyed.insert("to", [(1, 5), (2, 4), (3, 1)].into());
         p[0].observe("h", 60);
-        p[0].kernel.gauges.insert("g", 9);
         let d = registry(&p).since(&a);
-        assert_eq!(d.nodes[0].counters["c"], 3);
+        // Keys and histograms that did not move drop out of the interval.
+        assert_eq!(d.nodes[0].keyed["to"], [(1, 3), (3, 1)].into());
         assert_eq!(d.nodes[0].hists["h"].count, 1);
-        assert_eq!(d.nodes[0].gauges["g"], 9);
+        assert!(!d.nodes[0].hists.contains_key("quiet"));
     }
 
     #[cfg(feature = "serde")]

@@ -4,6 +4,7 @@
 use crate::metrics::{bucket_index, Histogram, NodeMetrics};
 use crate::stats::Stats;
 use crate::trace::{NodeTrace, SpanId, TraceConfig, TraceRecord, TraceRing};
+use std::collections::BTreeMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -31,9 +32,8 @@ pub struct Probe {
     /// naming the same metric may hold different copies of the literal.
     hist_names: Vec<&'static str>,
     hists: Vec<Histogram>,
-    /// The counters, gauges and keyed counters that the simulator's kernel
-    /// writes; nothing else does.
-    pub(crate) kernel: NodeMetrics,
+    /// The src→dst traffic matrix, which only the simulator's kernel writes.
+    pub(crate) keyed: BTreeMap<&'static str, BTreeMap<u64, u64>>,
     trace: Option<TraceRing>,
     /// Which halves `drain` has to fold; raised by `stats` and `observe`
     /// alone, so no counting site can forget them.
@@ -113,8 +113,8 @@ impl Probe {
             .copied()
             .zip(self.hists.iter().cloned());
         NodeMetrics {
+            keyed: self.keyed.clone(),
             hists: hists.collect(),
-            ..self.kernel.clone()
         }
     }
 

@@ -1,15 +1,17 @@
-//! Proof of the zero-allocation short-message fast path.
+//! Proof of the zero-allocation short-message and timer fast paths.
 //!
-//! After a warm-up phase (event-pool slabs, inbox/ready/waiter capacities,
-//! fiber stacks), a steady-state run of short AM round trips must perform
-//! **zero** heap allocations: argument words travel inline in
-//! [`Payload::Short`], event bodies come from the kernel's slab pool, and
-//! baton handoffs reuse pooled stacks (fiber backend) or parked OS threads
+//! After a warm-up phase (event-heap, inbox/ready/waiter capacities, fiber
+//! stacks), a steady-state run of short AM round trips, with or without an
+//! expiring timed inbox wait before each, must perform **zero** heap
+//! allocations: argument words travel inline in [`Payload::Short`], the
+//! event heap holds each event whole and reuses its capacity, and baton
+//! handoffs reuse pooled stacks (fiber backend) or parked OS threads
 //! (threads backend). Counted per thread by [`CountingAlloc`], whose docs
 //! say why.
 
-use mpmd_sim::{thread_allocs, CountingAlloc, Fabric, Payload, Sim};
+use mpmd_sim::{thread_allocs, CountingAlloc, Ctx, Fabric, Payload, Sim};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
@@ -26,7 +28,7 @@ fn short() -> Payload {
 }
 
 /// One short-message round trip: node 0 sends, node 1 receives and replies.
-fn round_trips(ctx: &mpmd_sim::Ctx, n: usize) {
+fn round_trips(ctx: &Ctx, n: usize) {
     if ctx.node() == 0 {
         for _ in 0..n {
             ctx.send_msg(1, 8, 1_000, short());
@@ -43,32 +45,62 @@ fn round_trips(ctx: &mpmd_sim::Ctx, n: usize) {
     }
 }
 
-#[test]
-fn short_message_round_trip_allocates_nothing() {
-    // The ping-pong is self-synchronizing and the whole simulation runs one
-    // task at a time (on ONE OS thread under the fiber backend), so every
-    // simulator allocation between node 0's bracketing reads lands in the
-    // measured delta.
-    static MEASURED_DELTA: AtomicU64 = AtomicU64::new(u64::MAX);
-    let r = Sim::new(2).run(|ctx| {
-        // Warm-up: grows the event-pool slab, inbox and waiter-list
-        // capacities, and (on the fiber backend) the recycled stack pool.
-        round_trips(&ctx, WARMUP);
+/// One expiring timed inbox wait on node 0 (a `TimeoutWake` event on the
+/// heap), then one round trip.
+fn timed_rounds(ctx: &Ctx, n: usize) {
+    for _ in 0..n {
+        if ctx.node() == 0 {
+            let deadline = ctx.now() + 500;
+            ctx.park_for_inbox_until(deadline);
+            assert!(
+                ctx.now() >= deadline && ctx.inbox_len() == 0,
+                "the wait must expire"
+            );
+        }
+        round_trips(ctx, 1);
+    }
+}
+
+/// Run `rounds` on both nodes, `WARMUP` then `MEASURED` of them, and return
+/// the allocations node 0 made during the measured ones. The ping-pong is
+/// self-synchronizing and the whole simulation runs one task at a time (on
+/// ONE OS thread under the fiber backend), so every simulator allocation
+/// between node 0's bracketing reads lands in the delta.
+fn measured_allocs(rounds: fn(&Ctx, usize)) -> u64 {
+    let delta = Arc::new(AtomicU64::new(u64::MAX));
+    let out = Arc::clone(&delta);
+    let r = Sim::new(2).run(move |ctx| {
+        // Warm-up: grows the event heap, inbox and waiter-list capacities,
+        // and (on the fiber backend) the recycled stack pool.
+        rounds(&ctx, WARMUP);
         if ctx.node() == 0 {
             let before = thread_allocs();
-            round_trips(&ctx, MEASURED);
-            let after = thread_allocs();
-            MEASURED_DELTA.store(after - before, Relaxed);
+            rounds(&ctx, MEASURED);
+            out.store(thread_allocs() - before, Relaxed);
         } else {
-            round_trips(&ctx, MEASURED);
+            rounds(&ctx, MEASURED);
         }
     });
     assert_eq!(r.stats[0].msgs_sent as usize, WARMUP + MEASURED);
+    delta.load(Relaxed)
+}
+
+#[test]
+fn short_message_round_trip_allocates_nothing() {
+    let n = measured_allocs(round_trips);
     assert_eq!(
-        MEASURED_DELTA.load(Relaxed),
-        0,
-        "short-message round trips must not allocate ({} allocations \
-         across {MEASURED} round trips)",
-        MEASURED_DELTA.load(Relaxed)
+        n, 0,
+        "short-message round trips must not allocate ({n} allocations \
+         across {MEASURED} round trips)"
+    );
+}
+
+#[test]
+fn expiring_timer_then_round_trip_allocates_nothing() {
+    let n = measured_allocs(timed_rounds);
+    assert_eq!(
+        n, 0,
+        "expiring timed waits must not allocate ({n} allocations \
+         across {MEASURED} rounds)"
     );
 }

@@ -6,8 +6,7 @@
 //! These tests run the raw `Ctx` API (no AM layer) so failures localize to
 //! the engine: tie-break choices in `decide()`, same-time event application
 //! order, and forced slow-path detours in `yield_now`/`poll_point`. Every
-//! run here also exercises the kernel's baton-holder check and the
-//! event-pool/heap teardown bijection.
+//! run here also exercises the kernel's baton-holder check.
 
 use mpmd_sim::{BackendKind, Bucket, Ctx, Fabric, OracleSpec, Payload, Sim, TraceOracle};
 use std::sync::atomic::{AtomicU64, Ordering};
