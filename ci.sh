@@ -38,7 +38,11 @@ echo "==> results/ digests on the threads backend, where the kernel crosses OS t
 # rerun there in release and must match their committed digests, checked
 # against the SHA256SUMS line without rewriting it: scaling holds the most
 # frames the kernel's per-link order moves. The pinned trace goldens (the
-# per-node probes' rings) must match byte for byte there too.
+# per-node probes' rings) must match byte for byte there too. The threads
+# package's lib tests run there as well: its locks and condition variables
+# keep their state in lock-free node cells, which rely on the baton hand-off
+# ordering memory when successive tasks of a node run on different OS
+# threads, which never happens on the fiber backend.
 tmp=$(mktemp -d)
 for bin in table4 fig5 scaling faults; do
     MPMD_SIM_BACKEND=threads ./target/release/$bin --json "$tmp/$bin.json" >/dev/null
@@ -46,6 +50,7 @@ for bin in table4 fig5 scaling faults; do
 done
 rm -rf "$tmp"
 MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-bench --test trace_observability --test flame_golden
+MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-threads --lib
 echo "threads backend reproduces table4, fig5, scaling, faults and the trace goldens"
 
 echo "==> cargo test -q"
@@ -153,7 +158,12 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # battery (a wait for room keeps the baton) and the whole conformance suite,
 # on which one node's tasks still run one at a time, scheduling across
 # nodes still fails the run with the one message, and an unpark still does
-# not end a sleep. The RMI
+# not end a sleep. The node-local rule of the threads package and the AM
+# poll set: their lock-free node cells lean on the baton hand-off to order
+# memory between a node's tasks, which here run on different OS threads, so
+# the threads package's lib tests (on the simulator's threads backend) and
+# the conformance cases node_local_sync (same-node contention and hand-off)
+# and node_local_rule (a touch from another node panics) run here too. The RMI
 # call records: the per-node free list and the rule that only the issuing
 # task recycles must hold with every task on its own OS thread too, and an
 # ended run must free its node singletons there as well. A
@@ -163,6 +173,7 @@ no_fibers() {
 }
 no_fibers -p mpmd-sim --lib --test explore --test inbox_waiters --test proptest_engine
 no_fibers -p mpmd-fabric --lib --test bounded_tasks --test ring_stress
+no_fibers -p mpmd-threads --lib
 no_fibers -p mpmd-am --test fabric_conformance --test bounded_links
 no_fibers -p mpmd-ccxx --test alloc_count --test call_records --test teardown
 echo "threads fallback OK"

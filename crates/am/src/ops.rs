@@ -119,7 +119,7 @@ fn run_handler<F: Fabric>(ctx: &F, st: &AmState<F>, msg: AmMsg, recv_ns: Time) {
 /// run during the drain may have issued coalescible replies).
 pub fn poll<F: Fabric>(ctx: &F) -> usize {
     let st = AmState::get(ctx);
-    let Some(_guard) = PollGuard::enter(st, ctx.task_id()) else {
+    let Some(_guard) = PollGuard::enter(st, ctx) else {
         return 0;
     };
     // Flushing is one atomic load on a node that never coalesces. The
@@ -129,22 +129,30 @@ pub fn poll<F: Fabric>(ctx: &F) -> usize {
     // Yield so every network event due at or before our clock is visible.
     ctx.poll_point();
     ctx.with_stats(|s| s.polls += 1);
-    // Queue-depth distribution at poll entry: how far reception lags.
-    if ctx.metrics_enabled() {
-        ctx.metric_observe("am.inbox_depth", ctx.inbox_len() as u64);
-    }
-    let ran = match &ctx.cost().faults {
+    let drained = match &ctx.cost().faults {
         Some(faults) => crate::reliable::poll_reliable(ctx, st, faults),
         None => {
-            let mut ran = 0;
+            let mut drained = Drained::default();
             while let Some(m) = ctx.try_recv() {
-                ran += dispatch(ctx, st, AmMsg::from_payload(m.src, m.payload));
+                drained.frames += 1;
+                drained.ran += dispatch(ctx, st, AmMsg::from_payload(m.src, m.payload));
             }
-            ran
+            drained
         }
     };
+    // Frames per poll: how far reception lags.
+    ctx.metric_observe("am.inbox_depth", drained.frames as u64);
     crate::coalesce::flush_all(ctx, st);
-    ran
+    drained.ran
+}
+
+/// What one poll's drain did.
+#[derive(Default)]
+pub(crate) struct Drained {
+    /// Frames taken from the inbox.
+    pub(crate) frames: usize,
+    /// Handlers run.
+    pub(crate) ran: usize,
 }
 
 /// Flush every aggregation buffer on this node. A no-op when coalescing is

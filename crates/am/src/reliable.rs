@@ -32,6 +32,7 @@
 //! every other copy is identified as a duplicate by its sequence number
 //! alone, so the message is never needed twice.
 
+use crate::ops::Drained;
 use crate::state::AmState;
 use crate::AmMsg;
 use mpmd_fabric::Fabric;
@@ -171,11 +172,12 @@ enum Action {
 
 /// The reliable branch of [`poll`](crate::poll): drain the inbox, deliver
 /// in per-link order, ack every source heard from, then run the retransmit
-/// scan. Returns the number of handlers run.
-pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultModel) -> usize {
-    let mut ran = 0;
+/// scan. Returns the frames it took and the handlers it ran.
+pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultModel) -> Drained {
+    let mut drained = Drained::default();
     let mut touched: BTreeSet<usize> = BTreeSet::new();
     while let Some(m) = ctx.try_recv() {
+        drained.frames += 1;
         let frame = m
             .payload
             .downcast::<RelFrame>()
@@ -228,7 +230,7 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultM
                 match action {
                     Action::Deliver(msgs) => {
                         for am in msgs {
-                            ran += crate::ops::dispatch(ctx, st, am);
+                            drained.ran += crate::ops::dispatch(ctx, st, am);
                         }
                     }
                     Action::Duplicate => {
@@ -272,7 +274,7 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultM
         put(ctx, st, src, RelFrame::Ack { cum }, 0);
     }
     retransmit_scan(ctx, st, faults.rto_max);
-    ran
+    drained
 }
 
 /// Re-send every unacknowledged packet whose deadline has passed, with

@@ -3,7 +3,7 @@
 use crate::profile::NetProfile;
 use crate::AmMsg;
 use mpmd_fabric::Fabric;
-use mpmd_sim::TaskId;
+use mpmd_sim::{NodeCell, TaskId};
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 
@@ -34,8 +34,8 @@ pub(crate) struct AmState<F: Fabric> {
     /// one is suspended at its poll point is legal and necessary — blocking
     /// it would let a spin-waiting task busy-loop forever while the polling
     /// thread holds the node-wide flag. A handful of tasks at most, so a
-    /// scan, not a hash.
-    pub(crate) in_poll: Mutex<Vec<TaskId>>,
+    /// scan, not a hash; only the node's own tasks touch it, so no lock.
+    pub(crate) in_poll: NodeCell<Vec<TaskId>>,
     /// Barrier and all-reduce bookkeeping (see `collective.rs`).
     pub(crate) collective: Mutex<crate::collective::Collective>,
     /// Reliable-delivery protocol state (used only with a fault model).
@@ -57,7 +57,7 @@ impl<F: Fabric> AmState<F> {
         AmState {
             profile: OnceLock::new(),
             handlers: std::array::from_fn(|_| OnceLock::new()),
-            in_poll: Mutex::new(Vec::new()),
+            in_poll: NodeCell::new(Vec::new()),
             collective: Mutex::default(),
             rel: Mutex::default(),
             coalesce: OnceLock::new(),
@@ -135,25 +135,29 @@ pub(crate) fn lookup<F: Fabric>(st: &AmState<F>, id: HandlerId) -> &Handler<F> {
 /// Poll-guard RAII: marks the *task* as inside a poll for its lifetime.
 pub(crate) struct PollGuard<'a, F: Fabric> {
     st: &'a AmState<F>,
-    task: TaskId,
+    ctx: &'a F,
 }
 
 impl<'a, F: Fabric> PollGuard<'a, F> {
     /// Returns `None` if this task is already polling (recursive poll via
     /// poll-on-send suppressed). Other tasks may poll concurrently — inbox
     /// draining is atomic per message.
-    pub(crate) fn enter(st: &'a AmState<F>, task: TaskId) -> Option<Self> {
-        let mut polling = st.in_poll.lock();
-        if polling.contains(&task) {
-            return None;
-        }
-        polling.push(task);
-        Some(PollGuard { st, task })
+    pub(crate) fn enter(st: &'a AmState<F>, ctx: &'a F) -> Option<Self> {
+        let task = ctx.task_id();
+        let fresh = st.in_poll.with(ctx, |polling| {
+            let fresh = !polling.contains(&task);
+            if fresh {
+                polling.push(task);
+            }
+            fresh
+        });
+        fresh.then(|| PollGuard { st, ctx })
     }
 }
 
 impl<F: Fabric> Drop for PollGuard<'_, F> {
     fn drop(&mut self) {
-        self.st.in_poll.lock().retain(|t| *t != self.task);
+        let task = self.ctx.task_id();
+        self.st.in_poll.with(self.ctx, |p| p.retain(|t| *t != task));
     }
 }

@@ -12,7 +12,7 @@ use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder};
 use mpmd_sim::{
     Bucket, CostModel, NodeData, Payload, Report, Sim, Snapshot, SpanId, TaskId, TraceConfig,
-    TraceEvent, TraceLog,
+    TraceEvent, TraceLog, ACROSS_NODES,
 };
 use mpmd_threads as thr;
 use parking_lot::Mutex;
@@ -829,6 +829,108 @@ fn check_across_nodes<F: Fabric>(fabric: &str, run: impl Fn(Arc<[AtomicU32; 2]>,
     }
 }
 
+/// Same-node contention and hand-off through the threads package, on each
+/// node's own objects: a lock held across a yield makes its sibling block
+/// and take it next, a condition variable passes a turn back and forth
+/// between two tasks, and a sync-variable read blocks until its sibling
+/// writes.
+fn battery_node_local_sync<F: Fabric>(ctx: &F) {
+    const TURNS: u32 = 50;
+    let log = Arc::new(thr::Mutex::new(Vec::new()));
+    let l2 = Arc::clone(&log);
+    let holder = thr::spawn(ctx, "holder", move |c| {
+        let mut g = l2.lock(&c);
+        g.push(1);
+        thr::yield_now(&c);
+        g.push(2);
+    });
+    thr::yield_now(ctx);
+    log.lock(ctx).push(3);
+    holder.join(ctx);
+    assert_eq!(*log.lock(ctx), [1, 2, 3], "node {}", ctx.node());
+
+    // Even turns are the root's, odd ones the sibling's.
+    let turn = Arc::new((thr::Mutex::new(0u32), thr::CondVar::new()));
+    let t2 = Arc::clone(&turn);
+    let take_turns = |c: &F, (m, cv): &(thr::Mutex<u32>, thr::CondVar), mine: u32| {
+        let mut g = m.lock(c);
+        while *g < 2 * TURNS {
+            if *g % 2 == mine {
+                *g += 1;
+                cv.signal(c);
+            } else {
+                g = cv.wait(c, g);
+            }
+        }
+    };
+    let odd = thr::spawn(ctx, "odd", move |c| take_turns(&c, &t2, 1));
+    take_turns(ctx, &turn, 0);
+    odd.join(ctx);
+    assert_eq!(turn.1.waiter_count(ctx), 0);
+
+    let sv = Arc::new(thr::SyncVar::new());
+    let s2 = Arc::clone(&sv);
+    let reader = thr::spawn(ctx, "reader", move |c| assert_eq!(s2.read(&c), 7u64));
+    thr::yield_now(ctx);
+    sv.write(ctx, 7);
+    reader.join(ctx);
+}
+
+/// Threads objects that node 0 uses first, and so owns.
+struct Owned {
+    m: thr::Mutex<u32>,
+    cv: thr::CondVar,
+    claimed: AtomicBool,
+}
+
+type Touch<F> = fn(&F, &Owned);
+
+fn touches<F: Fabric>() -> [(&'static str, Touch<F>); 2] {
+    [
+        ("lock", |c, o| *o.m.lock(c) += 1),
+        ("signal", |c, o| o.cv.signal(c)),
+    ]
+}
+
+/// Threads objects are node-local: node 0 locks the mutex and signals the
+/// condition variable, and then node 1 `touch`es one of them, which must
+/// fail the run.
+fn battery_node_local_rule<F: Fabric>(ctx: &F, owned: &Owned, touch: Touch<F>) {
+    if ctx.node() == 0 {
+        *owned.m.lock(ctx) += 1;
+        owned.cv.signal(ctx);
+        owned.claimed.store(true, Ordering::Release);
+        return;
+    }
+    while !owned.claimed.load(Ordering::Acquire) {
+        // The simulator runs node 0 once this node's clock has moved past it.
+        ctx.charge(Bucket::Cpu, 1_000);
+        ctx.yield_now();
+    }
+    touch(ctx, owned);
+}
+
+/// Every `touch` from the second node fails `run` with the node-local rule.
+fn check_node_local_rule<F: Fabric>(fabric: &str, run: impl Fn(Arc<Owned>, Touch<F>)) {
+    for (what, touch) in touches::<F>() {
+        let owned = Arc::new(Owned {
+            m: thr::Mutex::new(0),
+            cv: thr::CondVar::new(),
+            claimed: AtomicBool::new(false),
+        });
+        let msg = panic_message(|| {
+            run(Arc::clone(&owned), touch);
+            unreachable!("`{what}` from node 1 passed")
+        });
+        assert_eq!(
+            msg,
+            format!("a touch from node 1 of another node's state {ACROSS_NODES}"),
+            "{fabric}: {what}"
+        );
+        assert!(owned.claimed.load(Ordering::Acquire), "{fabric}: {what}");
+    }
+}
+
 /// An inbox waiter keeps its place in line from its first wait, even when a
 /// timer has woken it since: task A's timed inbox wait expires, B starts an
 /// inbox wait, A waits again, a frame from node 1 arrives, and A resumes
@@ -1063,7 +1165,7 @@ fn battery_teardown_frees_state<F: Fabric>(ctx: &F, freed: &Arc<AtomicBool>) {
         }
     });
     let (m, cv) = &*pair;
-    while cv.waiter_count() == 0 {
+    while cv.waiter_count(ctx) == 0 {
         thr::yield_now(ctx);
     }
     *m.lock(ctx) = true;
@@ -1439,6 +1541,27 @@ fn across_nodes_local() {
         LocalFabric::run(2, move |ctx| {
             battery_across_nodes(&ctx, &ids, reach, unissued)
         });
+    });
+}
+
+conformance!(
+    battery_node_local_sync,
+    node_local_sync_sim,
+    node_local_sync_local,
+    2
+);
+
+#[test]
+fn node_local_rule_sim() {
+    check_node_local_rule("sim", |owned, touch| {
+        Sim::new(2).run(move |ctx| battery_node_local_rule(&ctx, &owned, touch));
+    });
+}
+
+#[test]
+fn node_local_rule_local() {
+    check_node_local_rule("local", |owned, touch| {
+        LocalFabric::run(2, move |ctx| battery_node_local_rule(&ctx, &owned, touch));
     });
 }
 

@@ -7,7 +7,10 @@
 //! to another").
 
 use super::graph::Graph;
-use std::collections::HashMap;
+
+/// [`PhasePlan::ghost_index`] of a global id that is not a ghost: indexing
+/// the ghost array with it panics.
+pub const NOT_GHOST: usize = usize::MAX;
 
 /// The per-(node, phase) exchange plan.
 #[derive(Clone, Debug)]
@@ -15,8 +18,10 @@ pub struct PhasePlan {
     /// For each owner processor: the global ids this node must fetch from
     /// it (first-use order; empty for self).
     pub needed_by_owner: Vec<Vec<usize>>,
-    /// Global id -> index into this node's ghost array.
-    pub ghost_index: HashMap<usize, usize>,
+    /// Global id -> index into this node's ghost array, one entry per id
+    /// of the side this phase reads ([`NOT_GHOST`] for the ids it does not
+    /// fetch).
+    pub ghost_index: Vec<usize>,
     /// Ghost array length.
     pub ghost_len: usize,
     /// For each peer: (global ids owned by this node that the peer needs,
@@ -29,7 +34,7 @@ pub struct PhasePlan {
 fn needed_lists(g: &Graph, proc: usize, read_h: bool) -> Vec<Vec<usize>> {
     let per = g.per_proc();
     let mut lists = vec![Vec::new(); g.procs];
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = vec![false; read_count(g, read_h)];
     type OwnerFn = fn(&Graph, usize) -> usize;
     let (adj, owner_of): (&Vec<Vec<(usize, f64)>>, OwnerFn) = if read_h {
         (&g.e_adj, Graph::h_owner)
@@ -40,7 +45,7 @@ fn needed_lists(g: &Graph, proc: usize, read_h: bool) -> Vec<Vec<usize>> {
         let me_global = proc * per + local;
         for &(nbr, _) in &adj[me_global] {
             let o = owner_of(g, nbr);
-            if o != proc && seen.insert(nbr) {
+            if o != proc && !std::mem::replace(&mut seen[nbr], true) {
                 lists[o].push(nbr);
             }
         }
@@ -48,14 +53,23 @@ fn needed_lists(g: &Graph, proc: usize, read_h: bool) -> Vec<Vec<usize>> {
     lists
 }
 
+/// How many ids the side a phase reads has: H nodes when `read_h`.
+fn read_count(g: &Graph, read_h: bool) -> usize {
+    if read_h {
+        g.h_count
+    } else {
+        g.e_count
+    }
+}
+
 /// Build the full exchange plan for `proc` in the given phase.
 pub fn phase_plan(g: &Graph, proc: usize, read_h: bool) -> PhasePlan {
     let needed_by_owner = needed_lists(g, proc, read_h);
-    let mut ghost_index = HashMap::new();
+    let mut ghost_index = vec![NOT_GHOST; read_count(g, read_h)];
     let mut next = 0usize;
     for owner_list in &needed_by_owner {
         for &id in owner_list {
-            ghost_index.insert(id, next);
+            ghost_index[id] = next;
             next += 1;
         }
     }
@@ -100,7 +114,7 @@ mod tests {
         for proc in 0..4 {
             let p = phase_plan(&g, proc, true);
             let mut seen = vec![false; p.ghost_len];
-            for &i in p.ghost_index.values() {
+            for &i in p.ghost_index.iter().filter(|&&i| i != NOT_GHOST) {
                 assert!(!seen[i], "duplicate ghost index {i}");
                 seen[i] = true;
             }

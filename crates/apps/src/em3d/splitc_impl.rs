@@ -270,7 +270,7 @@ fn compute_with_ghosts<F: Fabric>(
             let v = if owner(nbr) == n.me {
                 local_src[g.local_index(nbr)]
             } else {
-                ghosts[plan.ghost_index[&nbr]]
+                ghosts[plan.ghost_index[nbr]]
             };
             acc += w * v;
         }

@@ -4,11 +4,13 @@
 //! sample is integer virtual-time recorded on the kernel in simulation
 //! order.
 
+use mpmd_am as am;
 use mpmd_apps::em3d::{self, Em3dParams, Em3dVersion};
 use mpmd_apps::water::{self, WaterParams, WaterVersion};
 use mpmd_bench::runner::{run_jobs, Unit};
 use mpmd_ccxx::CcxxConfig;
-use mpmd_sim::{CostModel, Fabric, FaultModel, MetricsRegistry, Payload, Sim};
+use mpmd_sim::{Bucket, CostModel, Fabric, FaultModel, MetricsRegistry, Payload, Sim};
+use mpmd_threads as thr;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -100,6 +102,89 @@ fn metrics_json_is_jobs_invariant_and_repeatable() {
     assert_eq!(j8, again, "metrics JSON differs across repeated runs");
     assert!(j1.contains("sc.split_op_ns"), "{j1}");
     assert!(j1.contains("test.wait_ns"), "no final report: {j1}");
+}
+
+/// Names of every histogram any node of `m` recorded.
+fn hist_names(m: &MetricsRegistry) -> Vec<&'static str> {
+    m.global().hists.into_keys().collect()
+}
+
+/// A registry holds what the layers measure — frames per poll, RMI and
+/// split-phase latencies — and no histogram of a cost-model constant: the
+/// threads package's operations are counted and charged in `Stats` alone.
+#[test]
+fn metrics_record_only_what_they_measure() {
+    const K: u64 = 5;
+    const H_NOP: am::HandlerId = 100;
+    let report = Sim::new(2)
+        .cost_model(CostModel::default().with_metrics())
+        .run(|ctx| {
+            am::init(&ctx, am::NetProfile::sp_am_splitc());
+            am::register(&ctx, H_NOP, |_, _| {});
+            if ctx.node() == 0 {
+                let ep = am::endpoint(&ctx);
+                for i in 0..K {
+                    ep.to(1).handler(H_NOP).args([i, 0, 0, 0]).send();
+                }
+                return;
+            }
+            // Past every arrival: the node's one poll finds all K queued.
+            ctx.charge(Bucket::Cpu, mpmd_sim::ms(1.0));
+            assert_eq!(am::poll(&ctx), K as usize);
+            let m = thr::Mutex::new(0u32);
+            *m.lock(&ctx) += 1;
+            thr::spawn(&ctx, "child", |_| {}).join(&ctx);
+        });
+    let s = report.total_stats();
+    assert_eq!((s.thread_creates, s.sync_ops), (1, 2));
+    let m = report.metrics.as_ref().expect("metrics were enabled");
+    let depth = &m.nodes[1].hists["am.inbox_depth"];
+    assert_eq!((depth.count, depth.min, depth.max), (1, K, K));
+    assert!(
+        hist_names(m).iter().all(|n| !n.starts_with("thr.")),
+        "{:?}",
+        hist_names(m)
+    );
+
+    let em3d_p = Em3dParams {
+        graph_nodes: 160,
+        degree: 8,
+        procs: 4,
+        steps: 2,
+        remote_frac: 0.5,
+        seed: 42,
+    };
+    let water_p = WaterParams {
+        n_mol: 16,
+        procs: 4,
+        steps: 1,
+        seed: 1997,
+        box_size: 8.0,
+    };
+    let cost = CostModel::default().with_metrics();
+    let runs = [
+        (
+            em3d::run_splitc_cost(&em3d_p, Em3dVersion::Ghost, cost.clone()).breakdown,
+            &["sc.split_op_ns"][..],
+        ),
+        (
+            water::run_splitc_cost(&water_p, WaterVersion::Atomic, cost.clone()).breakdown,
+            &["sc.atomic_ns", "sc.sync_read_ns"],
+        ),
+        (
+            water::run_ccxx(&water_p, WaterVersion::Atomic, CcxxConfig::tham(), cost).breakdown,
+            &["ccxx.rmi_rtt_ns"],
+        ),
+    ];
+    for (b, latencies) in &runs {
+        let m = b.metrics.as_ref().expect("metrics were enabled");
+        for &name in ["am.inbox_depth"].iter().chain(*latencies) {
+            assert!(m.hist(name).is_some_and(|h| h.count > 0), "no {name}");
+        }
+        let names = hist_names(m);
+        assert!(names.iter().all(|n| !n.starts_with("thr.")), "{names:?}");
+    }
+    assert!(runs[2].0.counts.sync_ops > 0, "the CC++ run used no locks");
 }
 
 /// Full-run determinism over the pooled/sharded fast path: the breakdown

@@ -207,7 +207,9 @@ pub trait Fabric: Clone + Send + 'static {
 
     /// This node's [`Probe`], borrowed until the guard drops: calling back
     /// into the fabric meanwhile panics on every backend. Counting goes
-    /// through the provided methods below, which are written over it.
+    /// through the provided methods below, which are written over it. The
+    /// probe stays at one address for the run, which no other node of a live
+    /// run shares: a [`NodeCell`](crate::NodeCell) names its owner by it.
     fn probe(&self) -> RefMut<'_, Probe>;
 
     /// Whether the run records a trace: a plain flag, so that with tracing

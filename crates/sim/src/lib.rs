@@ -36,6 +36,7 @@ mod fiber;
 pub mod flame;
 mod kernel;
 pub mod metrics;
+mod node_cell;
 mod node_data;
 mod probe;
 mod report;
@@ -58,6 +59,7 @@ pub use fabric::{Fabric, SpanGuard, ACROSS_NODES};
 pub use flame::{fold_stacks, phase_profile, Phase};
 pub use kernel::FaultDecision;
 pub use metrics::{Histogram, MetricsRegistry, NodeMetrics, HIST_BUCKETS};
+pub use node_cell::NodeCell;
 pub use node_data::NodeData;
 pub use probe::Probe;
 pub use report::{Report, Snapshot};

@@ -27,20 +27,31 @@ impl NodeData {
         let id = TypeId::of::<T>();
         let mut filled = self.slots.iter().map_while(OnceLock::get);
         let mut made = match filled.find(|e| e.0 == id) {
-            Some((_, v)) => return v.downcast_ref().expect("keyed by its type"),
+            Some((_, v)) => return Self::unkey(&**v),
             None => Some((id, self.make(id, init))),
         };
         // The first empty slot, past any that `init` filled with other types.
         for slot in &self.slots {
             let (t, v) = slot.get_or_init(|| made.take().expect("stored once"));
             if *t == id {
-                return v.downcast_ref().expect("keyed by its type");
+                return Self::unkey(&**v);
             }
         }
         panic!(
             "a node holds at most NodeData::SLOTS = {} types",
             Self::SLOTS
         )
+    }
+
+    /// The value of a slot keyed by `TypeId::of::<T>()`, without asking the
+    /// box for its type a second time.
+    #[inline]
+    fn unkey<T: 'static>(v: &(dyn Any + Send + Sync)) -> &T {
+        // SAFETY: a slot's key is the `TypeId` of the value `make` boxed
+        // beside it (`(id, self.make(id, init))` with `id = TypeId::of::<T>()`
+        // and `init: FnOnce() -> T`), and the caller matched that key to
+        // `TypeId::of::<T>()`: the box holds a `T`.
+        unsafe { &*(v as *const (dyn Any + Send + Sync) as *const T) }
     }
 
     /// Run `init` for the type `id`, unless it is running already.

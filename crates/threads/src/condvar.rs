@@ -1,16 +1,20 @@
 //! Condition variables for simulated threads.
+//!
+//! Like the [`Mutex`] they pair with, they are node-local: the waiter queue
+//! sits in a [`NodeCell`], with no host lock, and a task of another node
+//! that signals or waits panics.
 
 use crate::mutex::{Mutex, MutexGuard};
 use crate::thread::{charge_context_switch, charge_sync_op};
 use mpmd_fabric::Fabric;
-use mpmd_sim::TaskId;
+use mpmd_sim::{NodeCell, TaskId};
 use std::collections::VecDeque;
 
 /// A condition variable. `wait` charges one sync op and one context switch;
 /// `signal`/`broadcast` charge one sync op each. The unlock/relock performed
 /// internally by `wait` is not separately counted (it is not an API call).
 pub struct CondVar {
-    waiters: parking_lot::Mutex<VecDeque<TaskId>>,
+    waiters: NodeCell<VecDeque<TaskId>>,
 }
 
 impl Default for CondVar {
@@ -22,7 +26,7 @@ impl Default for CondVar {
 impl CondVar {
     pub fn new() -> Self {
         CondVar {
-            waiters: parking_lot::Mutex::new(VecDeque::new()),
+            waiters: NodeCell::new(VecDeque::new()),
         }
     }
 
@@ -42,7 +46,8 @@ impl CondVar {
         charge_sync_op(ctx);
         charge_context_switch(ctx);
         let mutex: &'a Mutex<T> = guard.release_for_wait();
-        self.waiters.lock().push_back(ctx.task_id());
+        let me = ctx.task_id();
+        self.waiters.with(ctx, |w| w.push_back(me));
         mutex.raw_unlock(ctx);
         ctx.park();
         charge_context_switch(ctx);
@@ -52,7 +57,7 @@ impl CondVar {
     /// Wake one waiter (no-op if none). Charges one sync op.
     pub fn signal<F: Fabric>(&self, ctx: &F) {
         charge_sync_op(ctx);
-        let next = self.waiters.lock().pop_front();
+        let next = self.waiters.with(ctx, VecDeque::pop_front);
         if let Some(t) = next {
             ctx.unpark(t);
         }
@@ -64,15 +69,23 @@ impl CondVar {
         // Drained in place: the queue keeps its capacity, so a condition
         // variable that is waited on again (a recycled RMI call record's)
         // does not allocate per wait. `unpark` never runs the woken task, so
-        // nobody can join the queue while it is locked.
-        for t in self.waiters.lock().drain(..) {
-            ctx.unpark(t);
-        }
+        // nobody can join the queue while it is borrowed.
+        self.waiters.with(ctx, |w| {
+            for t in w.drain(..) {
+                ctx.unpark(t);
+            }
+        });
     }
 
-    /// Number of parked waiters (diagnostics).
-    pub fn waiter_count(&self) -> usize {
-        self.waiters.lock().len()
+    /// Number of parked waiters (diagnostics), asked by a task of the
+    /// condition variable's node.
+    pub fn waiter_count<F: Fabric>(&self, ctx: &F) -> usize {
+        self.waiters.with(ctx, |w| w.len())
+    }
+
+    /// Whether nobody waits, through exclusive access.
+    pub(crate) fn is_idle(&mut self) -> bool {
+        self.waiters.get_mut().is_empty()
     }
 }
 
@@ -120,7 +133,7 @@ mod tests {
             let cv = CondVar::new();
             cv.signal(&ctx);
             cv.broadcast(&ctx);
-            assert_eq!(cv.waiter_count(), 0);
+            assert_eq!(cv.waiter_count(&ctx), 0);
         });
     }
 

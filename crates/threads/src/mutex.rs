@@ -4,16 +4,17 @@
 //! backends the tasks of one node run one at a time and lose the processor
 //! only at explicit scheduling points (the simulator runs one task in the
 //! whole machine, `LocalFabric` one per node), so between `lock`'s look at
-//! the state and its `park` nothing else touches it. The host lock around
-//! the waiter queue is never contended; it is what makes the type `Sync`. The
-//! interesting part is the *modeling*: acquisitions and releases are counted
-//! and charged, contended acquisitions block the task and are counted
-//! separately (the paper reports that ~95% of lock acquisitions in its
-//! applications are contention-less).
+//! the state and its `park` nothing else touches it. The lock state needs
+//! no host lock: it sits in a [`NodeCell`], which makes the type `Sync` and
+//! panics when a task of another node touches it. The interesting part is
+//! the *modeling*: acquisitions and releases are counted and charged,
+//! contended acquisitions block the task and are counted separately (the
+//! paper reports that ~95% of lock acquisitions in its applications are
+//! contention-less).
 
 use crate::thread::{charge_context_switch, charge_sync_op};
 use mpmd_fabric::Fabric;
-use mpmd_sim::TaskId;
+use mpmd_sim::{NodeCell, TaskId};
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
@@ -25,13 +26,14 @@ struct LockState {
 
 /// A mutex usable only by simulated threads on one node.
 pub struct Mutex<T> {
-    state: parking_lot::Mutex<LockState>,
+    state: NodeCell<LockState>,
     value: UnsafeCell<T>,
 }
 
 // SAFETY: access to `value` is guarded by the lock protocol: a `&mut T` is
 // only reachable through a `MutexGuard`, which is only constructed after
-// atomically setting `locked = true` under the host lock.
+// setting `locked = true` in the node cell, whose touches are one node's
+// tasks', one at a time, ordered by the node's baton.
 unsafe impl<T: Send> Send for Mutex<T> {}
 unsafe impl<T: Send> Sync for Mutex<T> {}
 
@@ -39,7 +41,7 @@ impl<T> Mutex<T> {
     /// A new unlocked mutex holding `value`.
     pub fn new(value: T) -> Self {
         Mutex {
-            state: parking_lot::Mutex::new(LockState {
+            state: NodeCell::new(LockState {
                 locked: false,
                 waiters: VecDeque::new(),
             }),
@@ -53,19 +55,11 @@ impl<T> Mutex<T> {
         charge_sync_op(ctx);
         ctx.with_stats(|s| s.lock_acquisitions += 1);
         let mut first_attempt = true;
-        loop {
-            {
-                let mut st = self.state.lock();
-                if !st.locked {
-                    st.locked = true;
-                    break;
-                }
-                st.waiters.push_back(ctx.task_id());
-                if first_attempt {
-                    ctx.with_stats(|s| s.lock_contended += 1);
-                    charge_context_switch(ctx);
-                    first_attempt = false;
-                }
+        while !self.acquire_or_queue(ctx) {
+            if first_attempt {
+                ctx.with_stats(|s| s.lock_contended += 1);
+                charge_context_switch(ctx);
+                first_attempt = false;
             }
             ctx.park();
         }
@@ -79,13 +73,10 @@ impl<T> Mutex<T> {
     pub fn try_lock<'a, F: Fabric>(&'a self, ctx: &'a F) -> Option<MutexGuard<'a, T, F>> {
         charge_sync_op(ctx);
         ctx.with_stats(|s| s.lock_acquisitions += 1);
-        let mut st = self.state.lock();
-        if st.locked {
-            return None;
-        }
-        st.locked = true;
-        drop(st);
-        Some(MutexGuard {
+        let free = self
+            .state
+            .with(ctx, |st| !std::mem::replace(&mut st.locked, true));
+        free.then(|| MutexGuard {
             mutex: self,
             ctx: Some(ctx),
         })
@@ -107,12 +98,11 @@ impl<T> Mutex<T> {
     /// the next waiter *without* charging (the paper counts API calls, and
     /// `wait`'s internal unlock is not an API call).
     pub(crate) fn raw_unlock<F: Fabric>(&self, ctx: &F) {
-        let next = {
-            let mut st = self.state.lock();
+        let next = self.state.with(ctx, |st| {
             debug_assert!(st.locked, "raw_unlock of unlocked mutex");
             st.locked = false;
             st.waiters.pop_front()
-        };
+        });
         if let Some(t) = next {
             ctx.unpark(t);
         }
@@ -120,21 +110,27 @@ impl<T> Mutex<T> {
 
     /// Reacquire after a condition-variable wait, without charging.
     pub(crate) fn raw_lock<'a, F: Fabric>(&'a self, ctx: &'a F) -> MutexGuard<'a, T, F> {
-        loop {
-            {
-                let mut st = self.state.lock();
-                if !st.locked {
-                    st.locked = true;
-                    break;
-                }
-                st.waiters.push_back(ctx.task_id());
-            }
+        while !self.acquire_or_queue(ctx) {
             ctx.park();
         }
         MutexGuard {
             mutex: self,
             ctx: Some(ctx),
         }
+    }
+
+    /// Take the lock if it is free (`true`); otherwise queue the calling
+    /// task behind its holder, to park until the unlock that picks it.
+    fn acquire_or_queue<F: Fabric>(&self, ctx: &F) -> bool {
+        let me = ctx.task_id();
+        self.state.with(ctx, |st| {
+            if st.locked {
+                st.waiters.push_back(me);
+                return false;
+            }
+            st.locked = true;
+            true
+        })
     }
 }
 

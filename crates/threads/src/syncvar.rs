@@ -44,7 +44,7 @@ impl<T> SyncVar<T> {
     /// observer. (The RMI runtime recycles one sync variable per call record
     /// this way instead of allocating one per call.)
     pub fn rearm(&mut self) {
-        debug_assert_eq!(self.cv.waiter_count(), 0, "re-armed under a reader");
+        debug_assert!(self.cv.is_idle(), "re-armed under a reader");
         *self.slot.get_mut() = None;
     }
 

@@ -42,7 +42,6 @@ where
     let cost = ctx.cost().threads.create;
     ctx.charge(Bucket::ThreadMgmt, cost);
     ctx.with_stats(|s| s.thread_creates += 1);
-    ctx.metric_observe("thr.create_ns", cost);
     Thread {
         id: ctx.spawn(name, f),
     }
@@ -60,7 +59,6 @@ pub fn charge_context_switch<F: Fabric>(ctx: &F) {
     let cost = ctx.cost().threads.context_switch;
     ctx.charge(Bucket::ThreadMgmt, cost);
     ctx.with_stats(|s| s.context_switches += 1);
-    ctx.metric_observe("thr.switch_ns", cost);
 }
 
 /// Charge and count one synchronization operation (a lock, unlock, signal or
@@ -69,7 +67,6 @@ pub fn charge_sync_op<F: Fabric>(ctx: &F) {
     let cost = ctx.cost().threads.sync_op;
     ctx.charge(Bucket::ThreadSync, cost);
     ctx.with_stats(|s| s.sync_ops += 1);
-    ctx.metric_observe("thr.sync_ns", cost);
 }
 
 #[cfg(test)]

@@ -105,7 +105,7 @@ proptest! {
                 }
             });
             let q3 = Arc::clone(&q);
-            let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let got = Arc::new(std::sync::Mutex::new(Vec::new()));
             let g2 = Arc::clone(&got);
             let consumer = spawn(&ctx, "consumer", move |c| {
                 let mut received = 0;
@@ -117,13 +117,14 @@ proptest! {
                     let v = g.remove(0);
                     q3.not_full.signal(&c);
                     drop(g);
-                    g2.lock().push(v);
+                    g2.lock().expect("not poisoned").push(v);
                     received += 1;
                 }
             });
             producer.join(&ctx);
             consumer.join(&ctx);
-            assert_eq!(*got.lock(), (0..items).collect::<Vec<_>>());
+            let got = got.lock().expect("not poisoned");
+            assert_eq!(*got, (0..items).collect::<Vec<_>>());
         });
     }
 
