@@ -158,16 +158,20 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # battery (a wait for room keeps the baton) and the whole conformance suite,
 # on which one node's tasks still run one at a time, scheduling across
 # nodes still fails the run with the one message, and an unpark still does
-# not end a sleep. The node-local rule of the threads package and the AM
-# poll set: their lock-free node cells lean on the baton hand-off to order
-# memory between a node's tasks, which here run on different OS threads, so
-# the threads package's lib tests (on the simulator's threads backend) and
-# the conformance cases node_local_sync (same-node contention and hand-off)
-# and node_local_rule (a touch from another node panics) run here too. The RMI
-# call records: the per-node free list and the rule that only the issuing
-# task recycles must hold with every task on its own OS thread too, and an
-# ended run must free its node singletons there as well. A
-# separate target dir keeps the main cache warm.
+# not end a sleep. The node-local rule: the runtime cells (the threads
+# package's locks, AM's poll set, collective, reliable and coalescing state,
+# both runtimes' regions and staged adds, Split-C's atomic table, CC++'s call
+# records, stub tables and completion cells) lean on the baton hand-off to
+# order memory between a node's tasks, which here run on different OS
+# threads, so the threads package's lib tests (on the simulator's threads
+# backend), Split-C's lib tests, the conformance cases node_local_sync
+# (same-node contention and hand-off) and node_local_rule (a touch from
+# another node panics), and local_scale (Water, LU and EM3D in both
+# languages on OS-thread nodes, against their references) run here too. The
+# RMI call records: the per-node free list and the rule that only the
+# issuing task recycles must hold with every task on its own OS thread too,
+# and an ended run must free its node singletons there as well. A separate
+# target dir keeps the main cache warm.
 no_fibers() {
     CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo test -q "$@"
 }
@@ -175,7 +179,9 @@ no_fibers -p mpmd-sim --lib --test explore --test inbox_waiters --test proptest_
 no_fibers -p mpmd-fabric --lib --test bounded_tasks --test ring_stress
 no_fibers -p mpmd-threads --lib
 no_fibers -p mpmd-am --test fabric_conformance --test bounded_links
+no_fibers -p mpmd-splitc --lib
 no_fibers -p mpmd-ccxx --test alloc_count --test call_records --test teardown
+no_fibers -p mpmd-apps --test local_scale
 echo "threads fallback OK"
 
 echo "==> all checks passed"

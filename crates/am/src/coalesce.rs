@@ -45,8 +45,7 @@ use crate::ops::SHORT_WIRE_BYTES;
 use crate::state::AmState;
 use crate::{AmMsg, HandlerId};
 use mpmd_fabric::Fabric;
-use mpmd_sim::{us, Bucket, Time, TraceEvent};
-use parking_lot::Mutex;
+use mpmd_sim::{us, Bucket, NodeCell, Time, TraceEvent};
 use std::collections::BTreeMap;
 
 /// Handler id of the aggregate frame (reserved AM-internal range; the frame
@@ -113,16 +112,13 @@ pub fn enable_coalescing<F: Fabric>(ctx: &F, cfg: CoalesceConfig) {
         "max_bytes below one sub-message"
     );
     let co = AmState::get(ctx).coalesce.get_or_init(|| {
-        Mutex::new(CoalesceState {
+        NodeCell::new(CoalesceState {
             cfg: cfg.clone(),
             bufs: BTreeMap::new(),
         })
     });
-    assert_eq!(
-        co.lock().cfg,
-        cfg,
-        "coalescing enabled twice with different configs"
-    );
+    let same = co.with(ctx, |cs| cs.cfg == cfg);
+    assert!(same, "coalescing enabled twice with different configs");
 }
 
 /// Whether this node's endpoint coalesces short sends.
@@ -137,14 +133,12 @@ pub fn coalescing_enabled<F: Fabric>(ctx: &F) -> bool {
 pub(crate) fn append<F: Fabric>(
     ctx: &F,
     st: &AmState<F>,
-    co: &Mutex<CoalesceState>,
+    co: &NodeCell<CoalesceState>,
     dst: usize,
     msg: AmMsg,
 ) {
-    let flush_now = {
-        let mut cs = co.lock();
-        let CoalesceState { cfg, bufs } = &mut *cs;
-        let now = ctx.now();
+    let now = ctx.now();
+    let flush_now = co.with(ctx, |CoalesceState { cfg, bufs }| {
         let buf = bufs.entry(dst).or_insert_with(|| DstBuf {
             msgs: Vec::new(),
             bytes: 0,
@@ -156,7 +150,7 @@ pub(crate) fn append<F: Fabric>(
         buf.msgs.push(msg);
         buf.bytes += SUB_WIRE_BYTES;
         buf.msgs.len() >= cfg.max_msgs || buf.bytes >= cfg.max_bytes || now >= buf.deadline
-    };
+    });
     if flush_now {
         flush_dst(ctx, st, dst);
         if st.profile().poll_on_send {
@@ -168,31 +162,33 @@ pub(crate) fn append<F: Fabric>(
 /// Flush one destination's buffer, if non-empty.
 pub(crate) fn flush_dst<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize) {
     let Some(co) = st.coalesce.get() else { return };
-    let msgs = match co.lock().bufs.get_mut(&dst) {
+    let msgs = co.with(ctx, |cs| match cs.bufs.get_mut(&dst) {
         Some(buf) if !buf.msgs.is_empty() => {
             buf.bytes = 0;
-            std::mem::take(&mut buf.msgs)
+            Some(std::mem::take(&mut buf.msgs))
         }
-        _ => return,
-    };
-    send_frame(ctx, st, dst, msgs);
+        _ => None,
+    });
+    if let Some(msgs) = msgs {
+        send_frame(ctx, st, dst, msgs);
+    }
 }
 
 /// Flush every destination's buffer (the mandatory flush points: poll entry
-/// and exit, explicit [`flush`](crate::flush)). One atomic load when
-/// coalescing is disabled; lock, check, drop when all buffers are empty.
+/// and exit, explicit [`flush`](crate::flush)). One load when coalescing is
+/// disabled; one borrow of the cell when all buffers are empty.
 pub(crate) fn flush_all<F: Fabric>(ctx: &F, st: &AmState<F>) {
     let Some(co) = st.coalesce.get() else { return };
-    let pending: Vec<(usize, Vec<AmMsg>)> = co
-        .lock()
-        .bufs
-        .iter_mut()
-        .filter(|(_, b)| !b.msgs.is_empty())
-        .map(|(dst, b)| {
-            b.bytes = 0;
-            (*dst, std::mem::take(&mut b.msgs))
-        })
-        .collect();
+    let pending: Vec<(usize, Vec<AmMsg>)> = co.with(ctx, |cs| {
+        cs.bufs
+            .iter_mut()
+            .filter(|(_, b)| !b.msgs.is_empty())
+            .map(|(dst, b)| {
+                b.bytes = 0;
+                (*dst, std::mem::take(&mut b.msgs))
+            })
+            .collect()
+    });
     for (dst, msgs) in pending {
         send_frame(ctx, st, dst, msgs);
     }

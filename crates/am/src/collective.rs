@@ -51,7 +51,10 @@ pub fn register_barrier_handlers<F: Fabric>(ctx: &F) {
         note_arrival(ctx, m.src, m.args);
     });
     register(ctx, H_BARRIER_RELEASE, |ctx: &F, m: AmMsg| {
-        AmState::get(ctx).collective.lock().released = Some((m.args[0], m.args[1]));
+        let released = Some((m.args[0], m.args[1]));
+        AmState::get(ctx)
+            .collective
+            .with(ctx, |co| co.released = released);
     });
 }
 
@@ -65,8 +68,7 @@ pub fn register_barrier_handlers<F: Fabric>(ctx: &F) {
 /// injected wire faults.
 fn note_arrival<F: Fabric>(ctx: &F, src: usize, [gen, value, op, _]: [u64; 4]) {
     debug_assert_eq!(ctx.node(), 0, "collective arrivals are collected on node 0");
-    let total = {
-        let mut co = AmState::get(ctx).collective.lock();
+    let total = AmState::get(ctx).collective.with(ctx, |co| {
         let (entry_op, vals) = co
             .collect
             .entry(gen)
@@ -78,7 +80,7 @@ fn note_arrival<F: Fabric>(ctx: &F, src: usize, [gen, value, op, _]: [u64; 4]) {
             "node {src} contributed twice to reduction {gen}"
         );
         if vals.len() < ctx.nodes() {
-            return;
+            return None;
         }
         let (_, vals) = co
             .collect
@@ -95,8 +97,9 @@ fn note_arrival<F: Fabric>(ctx: &F, src: usize, [gen, value, op, _]: [u64; 4]) {
             _ => panic!("unknown reduction op {op}"),
         };
         co.released = Some((gen, total));
-        total
-    };
+        Some(total)
+    });
+    let Some(total) = total else { return };
     let ep = endpoint(ctx);
     for n in 1..ctx.nodes() {
         ep.to(n)
@@ -110,11 +113,10 @@ fn note_arrival<F: Fabric>(ctx: &F, src: usize, [gen, value, op, _]: [u64; 4]) {
 /// the fold once every node has entered it.
 fn collective<F: Fabric>(ctx: &F, op: u64, value: u64) -> u64 {
     let st = AmState::get(ctx);
-    let gen = {
-        let mut co = st.collective.lock();
+    let gen = st.collective.with(ctx, |co| {
         co.my_gen += 1;
         co.my_gen
-    };
+    });
     ctx.trace_event(|| TraceEvent::BarrierEnter { epoch: gen });
     let span = ctx.span("am.barrier");
     let args = [gen, value, op, 0];
@@ -127,10 +129,9 @@ fn collective<F: Fabric>(ctx: &F, op: u64, value: u64) -> u64 {
             .args(args)
             .send();
     }
-    wait_until(ctx, || {
-        st.collective.lock().released.is_some_and(|(g, _)| g >= gen)
-    });
-    let (g, total) = st.collective.lock().released.expect("release vanished");
+    let released = || st.collective.with(ctx, |co| co.released);
+    wait_until(ctx, || released().is_some_and(|(g, _)| g >= gen));
+    let (g, total) = released().expect("release vanished");
     assert_eq!(g, gen, "overlapping reductions");
     drop(span);
     ctx.trace_event(|| TraceEvent::BarrierExit { epoch: gen });

@@ -39,8 +39,8 @@ pub use collective::{
 pub use endpoint::{endpoint, Endpoint, SendBuilder};
 pub use ops::{flush, poll, wait_until, Token, SHORT_WIRE_BYTES};
 pub use profile::NetProfile;
-pub use regions::{pack_addr, unpack_addr, Region, RegionTable};
-pub use reply::{PendingCounter, ReplyCell};
+pub use regions::{pack_addr, unpack_addr, RegionTable};
+pub use reply::ReplyCell;
 pub use state::{init, is_registered, profile, register, Handler, HandlerId, HANDLER_ID_LIMIT};
 
 use bytes::Bytes;

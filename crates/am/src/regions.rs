@@ -5,12 +5,9 @@
 //! a region within one runtime on one node. SPMD programs allocate in
 //! lockstep, so the ids agree across nodes.
 
-use parking_lot::{Mutex, RwLock};
+use mpmd_fabric::Fabric;
+use mpmd_sim::NodeCell;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// One region's storage.
-pub type Region = Arc<RwLock<Vec<f64>>>;
 
 /// Pack a (region, offset) pair into one argument word, leaving the other
 /// three words of a 4-word message for data (a three-component atomic
@@ -34,8 +31,28 @@ struct StagedAdd {
     n: usize,
 }
 
+#[derive(Default)]
+struct Regions {
+    /// Region `id` is entry `id - 1`: ids start at 1 and regions are never
+    /// freed.
+    regions: Vec<Vec<f64>>,
+    /// Per source node, its staged accumulates in arrival order.
+    staged: BTreeMap<usize, Vec<StagedAdd>>,
+}
+
+impl Regions {
+    fn region(&mut self, id: u32) -> &mut Vec<f64> {
+        (id as usize)
+            .checked_sub(1)
+            .and_then(|i| self.regions.get_mut(i))
+            .unwrap_or_else(|| panic!("unknown region {id}"))
+    }
+}
+
 /// The regions of one runtime on one node, and the accumulates staged into
-/// them.
+/// them, in one [`NodeCell`]: the node's own tasks are the only ones that
+/// touch them, a served remote access included (its handler runs on the
+/// owner).
 ///
 /// An accumulate handler does not touch memory at receipt: it stages the
 /// update, and the barrier exit commits everything staged, sorted by
@@ -47,39 +64,35 @@ struct StagedAdd {
 /// not), so a faulty run reproduces the fault-free result bit for bit.
 #[derive(Default)]
 pub struct RegionTable {
-    /// Region `id` is entry `id - 1`: ids start at 1 and regions are never
-    /// freed.
-    regions: RwLock<Vec<Region>>,
-    /// Per source node, its staged accumulates in arrival order.
-    staged: Mutex<BTreeMap<usize, Vec<StagedAdd>>>,
+    cell: NodeCell<Regions>,
 }
 
 impl RegionTable {
     /// Allocate a region of `len` doubles set to `fill`, returning its id.
-    pub fn alloc(&self, len: usize, fill: f64) -> u32 {
-        let mut regions = self.regions.write();
-        regions.push(Arc::new(RwLock::new(vec![fill; len])));
-        regions.len() as u32
+    pub fn alloc<F: Fabric>(&self, ctx: &F, len: usize, fill: f64) -> u32 {
+        self.cell.with(ctx, |t| {
+            t.regions.push(vec![fill; len]);
+            t.regions.len() as u32
+        })
     }
 
-    /// Region `id`. Panics if there is none.
-    pub fn get(&self, id: u32) -> Region {
-        let regions = self.regions.read();
-        let region = (id as usize)
-            .checked_sub(1)
-            .and_then(|i| regions.get(i))
-            .unwrap_or_else(|| panic!("unknown region {id}"));
-        Arc::clone(region)
-    }
-
-    /// Run `f` over region `id`'s storage.
-    pub fn with_mut<R>(&self, id: u32, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
-        f(&mut self.get(id).write())
+    /// Run `f` over region `id`'s storage. Panics if there is no such
+    /// region, and if `f` reaches this table again (the table is one
+    /// [`NodeCell`]).
+    pub fn with<F: Fabric, R>(&self, ctx: &F, id: u32, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
+        self.cell.with(ctx, |t| f(t.region(id)))
     }
 
     /// Stage the addition of `deltas` (one to three `f64` bit patterns) to
     /// the doubles at `offset..` of `region`, as received from `src`.
-    pub fn stage_add(&self, src: usize, region: u32, offset: usize, deltas: &[u64]) {
+    pub fn stage_add<F: Fabric>(
+        &self,
+        ctx: &F,
+        src: usize,
+        region: u32,
+        offset: usize,
+        deltas: &[u64],
+    ) {
         let mut add = StagedAdd {
             region,
             offset,
@@ -87,18 +100,19 @@ impl RegionTable {
             n: deltas.len(),
         };
         add.deltas[..deltas.len()].copy_from_slice(deltas);
-        self.staged.lock().entry(src).or_default().push(add);
+        self.cell
+            .with(ctx, |t| t.staged.entry(src).or_default().push(add));
     }
 
     /// Apply everything staged so far, in (source, per-source index) order.
-    pub fn commit_staged(&self) {
-        let staged = std::mem::take(&mut *self.staged.lock());
-        for add in staged.into_values().flatten() {
-            let region = self.get(add.region);
-            let mut w = region.write();
-            for (k, d) in add.deltas[..add.n].iter().enumerate() {
-                w[add.offset + k] += f64::from_bits(*d);
+    pub fn commit_staged<F: Fabric>(&self, ctx: &F) {
+        self.cell.with(ctx, |t| {
+            for add in std::mem::take(&mut t.staged).into_values().flatten() {
+                let w = t.region(add.region);
+                for (k, d) in add.deltas[..add.n].iter().enumerate() {
+                    w[add.offset + k] += f64::from_bits(*d);
+                }
             }
-        }
+        });
     }
 }

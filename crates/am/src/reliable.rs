@@ -37,9 +37,8 @@ use crate::state::AmState;
 use crate::AmMsg;
 use mpmd_fabric::Fabric;
 use mpmd_sim::{Bucket, FaultModel, Payload, Time, TraceEvent};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Modeled wire size of a protocol frame header (same as a short AM).
 use crate::ops::SHORT_WIRE_BYTES;
@@ -60,8 +59,17 @@ pub(crate) struct RelPacket {
     pub(crate) seq: u64,
     pub(crate) data_len: usize,
     /// Taken by the one in-order delivery; duplicates are rejected by
-    /// sequence number before ever looking here.
+    /// sequence number before ever looking here. The runtime crates' one
+    /// host lock: the packet travels between nodes inside frames, so no
+    /// node owns it, and a `NodeCell` would not do.
     pub(crate) msg: Mutex<Option<AmMsg>>,
+}
+
+impl RelPacket {
+    /// The message, for the one in-order delivery; `None` once taken.
+    fn take(&self) -> Option<AmMsg> {
+        self.msg.lock().expect("no take panics").take()
+    }
 }
 
 /// Sender-side bookkeeping for one unacknowledged packet.
@@ -107,8 +115,7 @@ pub(crate) fn send<F: Fabric>(
     data_len: usize,
     rto: Time,
 ) {
-    let pkt = {
-        let mut rel = st.rel.lock();
+    let pkt = st.rel.with(ctx, |rel| {
         let seq = rel.next_seq.entry(dst).or_insert(0);
         let s = *seq;
         *seq += 1;
@@ -127,7 +134,7 @@ pub(crate) fn send<F: Fabric>(
             },
         );
         pkt
-    };
+    });
     put(ctx, st, dst, RelFrame::Data(pkt), data_len);
     // Nudge the pump so it re-parks against this packet's retransmit
     // deadline. Without this, a pump that parked with an empty retransmit
@@ -158,8 +165,8 @@ fn put<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, frame: RelFrame, data_le
     }
 }
 
-/// What to do with one received data frame (decided under the state lock,
-/// acted on outside it — handlers may re-enter the send path).
+/// What to do with one received data frame (decided inside the state's
+/// cell, acted on outside it — handlers may re-enter the send path).
 enum Action {
     /// Deliver these messages, in order (the frame filled the expected slot,
     /// possibly releasing buffered successors).
@@ -193,8 +200,7 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultM
                 // advances and the hole is counted as a duplicate drop
                 // instead of poisoning the whole run with a panic.
                 let mut stale_takes = 0u64;
-                let action = {
-                    let mut rel = st.rel.lock();
+                let action = st.rel.with(ctx, |rel| {
                     let ch = rel.recv.entry(src).or_default();
                     if pkt.seq < ch.next_expected {
                         Action::Duplicate
@@ -208,13 +214,13 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultM
                         }
                     } else {
                         let mut out = Vec::new();
-                        match pkt.msg.lock().take() {
+                        match pkt.take() {
                             Some(am) => out.push(am),
                             None => stale_takes += 1,
                         }
                         ch.next_expected += 1;
                         while let Some(b) = ch.buffer.remove(&ch.next_expected) {
-                            match b.msg.lock().take() {
+                            match b.take() {
                                 Some(am) => out.push(am),
                                 None => stale_takes += 1,
                             }
@@ -222,7 +228,7 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultM
                         }
                         Action::Deliver(out)
                     }
-                };
+                });
                 if stale_takes > 0 {
                     ctx.with_stats(|s| s.dup_drops += stale_takes);
                     ctx.trace_event(|| TraceEvent::DupDrop { src, seq });
@@ -242,15 +248,16 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultM
             }
             RelFrame::Ack { cum } => {
                 ctx.charge(Bucket::Net, ctx.cost().reliability.ack_handling);
-                let mut rel = st.rel.lock();
-                let acked: Vec<(usize, u64)> = rel
-                    .unacked
-                    .range((m.src, 0)..(m.src, cum))
-                    .map(|(k, _)| *k)
-                    .collect();
-                for k in acked {
-                    rel.unacked.remove(&k);
-                }
+                st.rel.with(ctx, |rel| {
+                    let acked: Vec<(usize, u64)> = rel
+                        .unacked
+                        .range((m.src, 0)..(m.src, cum))
+                        .map(|(k, _)| *k)
+                        .collect();
+                    for k in acked {
+                        rel.unacked.remove(&k);
+                    }
+                });
             }
         }
     }
@@ -258,8 +265,7 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultM
     // duplicates and out-of-order arrivals is what lets the sender clear
     // its buffer after a lost ack.
     for src in touched {
-        let cum = {
-            let mut rel = st.rel.lock();
+        let cum = st.rel.with(ctx, |rel| {
             let cum = rel.recv.get(&src).map_or(0, |c| c.next_expected);
             let prev = rel.sent_cum.insert(src, cum);
             assert!(
@@ -267,7 +273,7 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultM
                 "cumulative ack to node {src} went backwards: {prev:?} -> {cum}"
             );
             cum
-        };
+        });
         // Acks are unsequenced, never retransmitted, and themselves subject
         // to wire faults; each end charges `ack_handling`.
         ctx.charge(Bucket::Net, ctx.cost().reliability.ack_handling);
@@ -282,14 +288,13 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultM
 /// due work; `retransmits` counts packets re-sent.
 fn retransmit_scan<F: Fabric>(ctx: &F, st: &AmState<F>, rto_max: Time) {
     let now = ctx.now();
-    let due: Vec<((usize, u64), Arc<RelPacket>)> = {
-        let rel = st.rel.lock();
+    let due: Vec<((usize, u64), Arc<RelPacket>)> = st.rel.with(ctx, |rel| {
         rel.unacked
             .iter()
             .filter(|(_, u)| u.next_due <= now)
             .map(|(k, u)| (*k, Arc::clone(&u.pkt)))
             .collect()
-    };
+    });
     if due.is_empty() {
         return;
     }
@@ -302,21 +307,27 @@ fn retransmit_scan<F: Fabric>(ctx: &F, st: &AmState<F>, rto_max: Time) {
         ctx.trace_event(|| TraceEvent::Retransmit { dst, seq });
         let data_len = pkt.data_len;
         put(ctx, st, dst, RelFrame::Data(pkt), data_len);
-        let mut rel = st.rel.lock();
-        if let Some(u) = rel.unacked.get_mut(&(dst, seq)) {
+        let now = ctx.now();
+        let backoff = st.rel.with(ctx, |rel| {
+            let u = rel.unacked.get_mut(&(dst, seq))?;
+            let backoff = u.backoff;
+            u.backoff = (u.backoff * 2).min(rto_max);
+            u.next_due = now + u.backoff;
+            Some(backoff)
+        });
+        if let Some(backoff) = backoff {
             // Distribution of the backoff that governed this retransmission
             // (recorded before doubling): how deep the protocol is into its
             // exponential schedule when the wire misbehaves.
-            ctx.metric_observe("am.retransmit_backoff_ns", u.backoff);
-            u.backoff = (u.backoff * 2).min(rto_max);
-            u.next_due = ctx.now() + u.backoff;
+            ctx.metric_observe("am.retransmit_backoff_ns", backoff);
         }
     }
 }
 
 /// Earliest retransmit deadline on this node, if any packet is in flight.
-pub(crate) fn next_deadline<F: Fabric>(st: &AmState<F>) -> Option<Time> {
-    st.rel.lock().unacked.values().map(|u| u.next_due).min()
+pub(crate) fn next_deadline<F: Fabric>(ctx: &F, st: &AmState<F>) -> Option<Time> {
+    st.rel
+        .with(ctx, |rel| rel.unacked.values().map(|u| u.next_due).min())
 }
 
 /// Body of the per-node pump daemon (spawned by [`init`](crate::init) when
@@ -334,7 +345,7 @@ pub(crate) fn pump_main<F: Fabric>(ctx: F) {
         if ctx.shutting_down() {
             return;
         }
-        match next_deadline(st) {
+        match next_deadline(&ctx, st) {
             Some(d) => ctx.park_for_inbox_until(d),
             None => ctx.park_for_inbox(),
         }

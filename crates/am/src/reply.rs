@@ -4,20 +4,18 @@
 //! result buffer that the reply handler fills in. In the simulation the
 //! "address" is an `Arc<ReplyCell>` carried in the message token; the reply
 //! handler on the requesting node completes the cell, and whatever task is
-//! waiting observes it. Because the simulator serializes execution, plain
-//! mutexed fields are race-free and uncontended.
+//! waiting observes it. The reply is written once, so the cell is one
+//! `OnceLock`: completing it publishes the words and the payload together,
+//! and reading them takes no lock.
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Completion cell for one outstanding request.
 #[derive(Default)]
 pub struct ReplyCell {
-    done: AtomicBool,
-    words: Mutex<Option<[u64; 4]>>,
-    data: Mutex<Option<Bytes>>,
+    /// The reply words and bulk payload, set once by the reply handler.
+    reply: OnceLock<([u64; 4], Option<Bytes>)>,
 }
 
 impl ReplyCell {
@@ -29,65 +27,39 @@ impl ReplyCell {
     /// Whether the reply has arrived.
     #[inline]
     pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
+        self.reply.get().is_some()
     }
 
-    /// Complete with word results only.
+    /// Complete with word results only. Panics if already complete.
     pub fn complete(&self, words: [u64; 4]) {
-        *self.words.lock() = Some(words);
-        self.done.store(true, Ordering::Release);
+        self.set(words, None);
     }
 
-    /// Complete with words and a bulk payload.
+    /// Complete with words and a bulk payload. Panics if already complete.
     pub fn complete_with_data(&self, words: [u64; 4], data: Bytes) {
-        *self.data.lock() = Some(data);
-        self.complete(words);
+        self.set(words, Some(data));
+    }
+
+    fn set(&self, words: [u64; 4], data: Option<Bytes>) {
+        assert!(
+            self.reply.set((words, data)).is_ok(),
+            "reply completed twice"
+        );
     }
 
     /// The reply words. Panics if not complete.
     pub fn words(&self) -> [u64; 4] {
-        self.words.lock().expect("reply not complete")
+        self.reply().0
     }
 
-    /// The reply bulk payload, if any. Panics if not complete.
-    pub fn take_data(&self) -> Option<Bytes> {
-        assert!(self.is_done(), "reply not complete");
-        self.data.lock().take()
-    }
-}
-
-/// A counter cell for split-phase operations: tracks how many outstanding
-/// acknowledgements remain (Split-C's `sync()` waits for it to reach zero).
-#[derive(Default)]
-pub struct PendingCounter {
-    outstanding: Mutex<u64>,
-}
-
-impl PendingCounter {
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+    /// The reply bulk payload, if any (a reference-counted clone). Panics if
+    /// not complete.
+    pub fn data(&self) -> Option<Bytes> {
+        self.reply().1.clone()
     }
 
-    /// Note a newly issued split-phase operation.
-    pub fn issue(&self) {
-        *self.outstanding.lock() += 1;
-    }
-
-    /// Note a completion (called by the ack/reply handler).
-    pub fn complete(&self) {
-        let mut g = self.outstanding.lock();
-        assert!(*g > 0, "completion without outstanding operation");
-        *g -= 1;
-    }
-
-    /// Outstanding operations.
-    pub fn outstanding(&self) -> u64 {
-        *self.outstanding.lock()
-    }
-
-    /// True when nothing is outstanding.
-    pub fn is_quiescent(&self) -> bool {
-        self.outstanding() == 0
+    fn reply(&self) -> &([u64; 4], Option<Bytes>) {
+        self.reply.get().expect("reply not complete")
     }
 }
 
@@ -102,15 +74,19 @@ mod tests {
         c.complete([1, 2, 3, 4]);
         assert!(c.is_done());
         assert_eq!(c.words(), [1, 2, 3, 4]);
-        assert!(c.take_data().is_none());
+        assert!(c.data().is_none());
     }
 
     #[test]
     fn reply_cell_with_data() {
         let c = ReplyCell::new();
         c.complete_with_data([0; 4], Bytes::from_static(b"abc"));
-        assert_eq!(c.take_data().unwrap().as_ref(), b"abc");
-        assert!(c.take_data().is_none(), "data is taken once");
+        assert_eq!(c.data().unwrap().as_ref(), b"abc");
+        assert_eq!(
+            c.data().unwrap().as_ref(),
+            b"abc",
+            "data is read, not taken"
+        );
     }
 
     #[test]
@@ -120,21 +96,10 @@ mod tests {
     }
 
     #[test]
-    fn pending_counter_balances() {
-        let p = PendingCounter::new();
-        assert!(p.is_quiescent());
-        p.issue();
-        p.issue();
-        assert_eq!(p.outstanding(), 2);
-        p.complete();
-        assert!(!p.is_quiescent());
-        p.complete();
-        assert!(p.is_quiescent());
-    }
-
-    #[test]
-    #[should_panic(expected = "completion without outstanding")]
-    fn unbalanced_complete_panics() {
-        PendingCounter::new().complete();
+    #[should_panic(expected = "reply completed twice")]
+    fn a_second_completion_panics() {
+        let c = ReplyCell::new();
+        c.complete([1, 0, 0, 0]);
+        c.complete([2, 0, 0, 0]);
     }
 }

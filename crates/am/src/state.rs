@@ -4,7 +4,6 @@ use crate::profile::NetProfile;
 use crate::AmMsg;
 use mpmd_fabric::Fabric;
 use mpmd_sim::{NodeCell, TaskId};
-use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of a registered handler. Each runtime owns a disjoint id range
@@ -37,13 +36,13 @@ pub(crate) struct AmState<F: Fabric> {
     /// scan, not a hash; only the node's own tasks touch it, so no lock.
     pub(crate) in_poll: NodeCell<Vec<TaskId>>,
     /// Barrier and all-reduce bookkeeping (see `collective.rs`).
-    pub(crate) collective: Mutex<crate::collective::Collective>,
+    pub(crate) collective: NodeCell<crate::collective::Collective>,
     /// Reliable-delivery protocol state (used only with a fault model).
-    pub(crate) rel: Mutex<crate::reliable::RelState>,
+    pub(crate) rel: NodeCell<crate::reliable::RelState>,
     /// Per-destination aggregation buffers, set once iff the runtime enabled
     /// message coalescing on this node. A node that never coalesces pays one
-    /// atomic load per send and per poll, no lock.
-    pub(crate) coalesce: OnceLock<Mutex<crate::coalesce::CoalesceState>>,
+    /// load per send and per poll.
+    pub(crate) coalesce: OnceLock<NodeCell<crate::coalesce::CoalesceState>>,
     /// The pump daemon's task, spawned by [`init`] under a fault model.
     /// Sends nudge it awake so it re-parks against the new packet's
     /// retransmit deadline — otherwise a pump that parked with an empty
@@ -58,8 +57,8 @@ impl<F: Fabric> AmState<F> {
             profile: OnceLock::new(),
             handlers: std::array::from_fn(|_| OnceLock::new()),
             in_poll: NodeCell::new(Vec::new()),
-            collective: Mutex::default(),
-            rel: Mutex::default(),
+            collective: NodeCell::default(),
+            rel: NodeCell::default(),
             coalesce: OnceLock::new(),
             pump: OnceLock::new(),
         }

@@ -22,6 +22,24 @@ use std::sync::Arc;
 
 const H_SEQ: am::HandlerId = 100;
 
+/// A fabric whose inbox a battery counts: `inbox_len` is each fabric's own
+/// method, not the `Fabric` trait's.
+trait Inbox: Fabric {
+    fn inbox_len(&self) -> usize;
+}
+
+impl Inbox for mpmd_sim::Ctx {
+    fn inbox_len(&self) -> usize {
+        mpmd_sim::Ctx::inbox_len(self)
+    }
+}
+
+impl Inbox for LocalFabric {
+    fn inbox_len(&self) -> usize {
+        LocalFabric::inbox_len(self)
+    }
+}
+
 fn setup<F: Fabric>(ctx: &F) {
     am::init(ctx, am::NetProfile::sp_am_splitc());
     am::register_barrier_handlers(ctx);
@@ -69,7 +87,7 @@ fn battery_ordering<F: Fabric>(ctx: &F) {
 /// with 50 µs arrives after it. At the AM layer: a short AM sent after an
 /// 8 KiB bulk AM on the same link runs after it. The raw frames go first,
 /// while no AM traffic is on the link for a poll to meet them.
-fn battery_link_order<F: Fabric>(ctx: &F) {
+fn battery_link_order<F: Inbox>(ctx: &F) {
     if ctx.node() == 0 {
         ctx.send_msg(1, 48, 50_000, Payload::any(0u64));
         ctx.send_msg(1, 48, 1, Payload::any(1u64));
@@ -936,7 +954,7 @@ fn check_node_local_rule<F: Fabric>(fabric: &str, run: impl Fn(Arc<Owned>, Touch
 /// inbox wait, A waits again, a frame from node 1 arrives, and A resumes
 /// first. Node 0's root keeps yielding throughout, so the node never idles
 /// (`LocalFabric`'s idle park would release both waiters, spuriously).
-fn battery_wake_order<F: Fabric>(ctx: &F, both_wait: &Arc<AtomicBool>) {
+fn battery_wake_order<F: Inbox>(ctx: &F, both_wait: &Arc<AtomicBool>) {
     if ctx.node() == 1 {
         while !both_wait.load(Ordering::Acquire) {
             ctx.charge(Bucket::Cpu, 1_000);
@@ -980,7 +998,7 @@ fn battery_wake_order<F: Fabric>(ctx: &F, both_wait: &Arc<AtomicBool>) {
     );
 }
 
-fn wait_for_frame<F: Fabric>(ctx: &F) {
+fn wait_for_frame<F: Inbox>(ctx: &F) {
     while ctx.inbox_len() == 0 {
         ctx.park_for_inbox();
     }
@@ -992,7 +1010,7 @@ const PROBES: u64 = 7;
 /// tracer, so the event closure must never run and spans are the sentinel;
 /// the metric probes must land in the report's registry — or nowhere, with
 /// metrics off — whichever fabric carried them.
-fn battery_instrumentation<F: Fabric>(ctx: &F) {
+fn battery_instrumentation<F: Inbox>(ctx: &F) {
     ctx.trace_event(|| panic!("trace_event built its event on a tracing-off run"));
     assert_eq!(ctx.span("conf.span").id(), SpanId(0));
     assert_eq!(ctx.metric_now().is_some(), ctx.metrics_enabled());

@@ -9,13 +9,13 @@ mod ccxx_impl;
 mod matrix;
 mod splitc_impl;
 
-pub use ccxx_impl::run_ccxx;
+pub use ccxx_impl::{run_ccxx, run_ccxx_on};
 pub use matrix::{
     block_mul_sub, extract_block, factor_block, factor_flops, generate_matrix, grid, insert_block,
     lu_blocked_reference, reconstruction_error, solve_flops, solve_lower, solve_upper,
     update_flops, BlockMap, LuParams,
 };
-pub use splitc_impl::{run_splitc, run_splitc_coalesced, run_splitc_cost};
+pub use splitc_impl::{run_splitc, run_splitc_coalesced, run_splitc_cost, run_splitc_on};
 
 /// The factored matrix (L below the unit diagonal, U on and above it).
 #[derive(Clone, Debug)]

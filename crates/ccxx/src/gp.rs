@@ -21,8 +21,7 @@ use crate::rmi::{await_record, park, recycle, Completion, CxCall, RmiRet};
 use crate::state::{CcxxState, CxPtr};
 use mpmd_am::{self as am, HandlerId};
 use mpmd_fabric::Fabric;
-use mpmd_sim::{Bucket, Time};
-use parking_lot::Mutex as HostMutex;
+use mpmd_sim::{Bucket, NodeCell, Time};
 use std::sync::{Arc, OnceLock};
 
 pub(crate) const H_GP_ACC: HandlerId = 66;
@@ -39,7 +38,7 @@ pub struct GpHandle {
     /// [`wait`](GpHandle::wait).
     value: OnceLock<f64>,
     /// A remote read's completion cell, until the first `wait` takes it.
-    cell: HostMutex<Option<Arc<Completion>>>,
+    cell: NodeCell<Option<Arc<Completion>>>,
 }
 
 impl GpHandle {
@@ -48,21 +47,13 @@ impl GpHandle {
         if let Some(v) = self.value.get() {
             return *v;
         }
-        let cell = self
-            .cell
-            .lock()
-            .take()
-            .expect("GpHandle waited on twice at once");
+        let cell = self.cell.with(ctx, Option::take);
+        let cell = cell.expect("GpHandle waited on twice at once");
         let st = CcxxState::get(ctx);
         let call = await_record(ctx, &cell, true);
         ctx.charge(Bucket::Runtime, st.cfg().costs.gp_async_complete);
-        let v = f64::from_bits(recycle(st, call, cell).words[0]);
+        let v = f64::from_bits(recycle(ctx, st, call, cell).words[0]);
         *self.value.get_or_init(|| v)
-    }
-
-    /// Whether the value has arrived.
-    pub fn is_done(&self) -> bool {
-        self.value.get().is_some() || self.cell.lock().as_ref().is_some_and(|c| c.is_done())
     }
 }
 
@@ -77,7 +68,7 @@ fn issue<F: Fabric>(
     cost: Time,
 ) -> Arc<Completion> {
     ctx.charge(Bucket::Runtime, cost);
-    let (call, cell) = CxCall::take(st);
+    let (call, cell) = CxCall::take(ctx, st);
     drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
     am::endpoint(ctx)
         .to(node)
@@ -97,12 +88,12 @@ fn access<F: Fabric>(ctx: &F, p: CxPtr, op: u64, value: u64) -> [u64; 4] {
     let args = [p.region as u64, p.offset as u64, op, value];
     if p.node == ctx.node() {
         ctx.charge(Bucket::Runtime, c.local_gp_deref);
-        return serve_access(st, args);
+        return serve_access(ctx, st, args);
     }
     let cell = issue(ctx, st, p.node, H_GP_ACC, args, c.gp_issue);
     let call = await_record(ctx, &cell, true);
     ctx.charge(Bucket::Runtime, c.gp_complete);
-    recycle(st, call, cell).words
+    recycle(ctx, st, call, cell).words
 }
 
 /// Read a double through a global pointer (`lx = *gpY`). Blocks the calling
@@ -137,7 +128,7 @@ pub fn gp_read_async<F: Fabric>(ctx: &F, p: CxPtr) -> GpHandle {
     let args = [p.region as u64, p.offset as u64, OP_READ, 0];
     let (value, cell) = if p.node == ctx.node() {
         ctx.charge(Bucket::Runtime, c.local_gp_deref);
-        let v = f64::from_bits(serve_access(st, args)[0]);
+        let v = f64::from_bits(serve_access(ctx, st, args)[0]);
         (OnceLock::from(v), None)
     } else {
         let cell = issue(ctx, st, p.node, H_GP_ACC_ASYNC, args, c.gp_async_issue);
@@ -145,30 +136,26 @@ pub fn gp_read_async<F: Fabric>(ctx: &F, p: CxPtr) -> GpHandle {
     };
     GpHandle {
         value,
-        cell: HostMutex::new(cell),
+        cell: NodeCell::new(cell),
     }
 }
 
-fn serve_access<F: Fabric>(st: &CcxxState<F>, args: [u64; 4]) -> [u64; 4] {
-    let region = st.memory.get(args[0] as u32);
+fn serve_access<F: Fabric>(ctx: &F, st: &CcxxState<F>, args: [u64; 4]) -> [u64; 4] {
     let off = args[1] as usize;
-    match args[2] {
-        OP_READ => [region.read()[off].to_bits(), 0, 0, 0],
-        OP_READ3 => {
-            let r = region.read();
-            [
-                r[off].to_bits(),
-                r[off + 1].to_bits(),
-                r[off + 2].to_bits(),
-                0,
-            ]
-        }
+    st.memory.with(ctx, args[0] as u32, |r| match args[2] {
+        OP_READ => [r[off].to_bits(), 0, 0, 0],
+        OP_READ3 => [
+            r[off].to_bits(),
+            r[off + 1].to_bits(),
+            r[off + 2].to_bits(),
+            0,
+        ],
         OP_WRITE => {
-            region.write()[off] = f64::from_bits(args[3]);
+            r[off] = f64::from_bits(args[3]);
             [0; 4]
         }
         op => panic!("unknown GP op {op}"),
-    }
+    })
 }
 
 /// At the owner: serve access `args` and send its words back to `dst` in
@@ -181,7 +168,7 @@ fn serve_and_reply<F: Fabric>(
     args: [u64; 4],
     reply: Time,
 ) {
-    call.ret = RmiRet::of_words(serve_access(st, args));
+    call.ret = RmiRet::of_words(serve_access(ctx, st, args));
     drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
     ctx.charge(Bucket::Runtime, reply);
     am::endpoint(ctx)

@@ -6,6 +6,7 @@
 use crate::gp::gp_read_async;
 use crate::state::CxPtr;
 use mpmd_fabric::Fabric;
+use mpmd_sim::NodeCell;
 use mpmd_threads::{spawn, Thread};
 use std::sync::Arc;
 
@@ -51,13 +52,12 @@ where
 pub fn prefetch<Fab: Fabric>(ctx: &Fab, ptrs: &[CxPtr]) -> Vec<f64> {
     let n = ptrs.len();
     let ptrs: Arc<Vec<CxPtr>> = Arc::new(ptrs.to_vec());
-    let results = Arc::new(parking_lot::Mutex::new(vec![0.0f64; n]));
+    let results = Arc::new(NodeCell::new(vec![0.0f64; n]));
     let r2 = Arc::clone(&results);
     parfor(ctx, n, move |cctx, i| {
         let h = gp_read_async(cctx, ptrs[i]);
         let v = h.wait(cctx);
-        r2.lock()[i] = v;
+        r2.with(cctx, |r| r[i] = v);
     });
-    let out = results.lock().clone();
-    out
+    results.with(ctx, std::mem::take)
 }

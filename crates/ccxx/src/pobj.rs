@@ -42,7 +42,7 @@ pub fn create_object<T: Send + Sync + 'static, F: Fabric>(ctx: &F, obj: T) -> Cx
     let st = CcxxState::get(ctx);
     let id = st.next_obj.fetch_add(1, Ordering::AcqRel);
     let rec: ObjRec = (std::any::type_name::<T>(), Arc::new(obj));
-    st.objects.write().insert(id, rec);
+    st.objects.with(ctx, |objects| objects.insert(id, rec));
     CxObjPtr {
         node: ctx.node(),
         obj: id,
@@ -53,7 +53,8 @@ pub fn create_object<T: Send + Sync + 'static, F: Fabric>(ctx: &F, obj: T) -> Cx
 /// invocations then panic with a clear message).
 pub fn destroy_object<F: Fabric>(ctx: &F, p: CxObjPtr) {
     assert_eq!(p.node, ctx.node(), "objects are destroyed by their owner");
-    let prev = CcxxState::get(ctx).objects.write().remove(&p.obj);
+    let objects = &CcxxState::get(ctx).objects;
+    let prev = objects.with(ctx, |objects| objects.remove(&p.obj));
     assert!(prev.is_some(), "destroying nonexistent object {}", p.obj);
 }
 
@@ -65,7 +66,8 @@ fn typed_name_of(type_name: &str, method: &str) -> String {
 
 /// Processor object `obj` of this node.
 fn object<F: Fabric>(ctx: &F, obj: u64) -> ObjRec {
-    let found = CcxxState::get(ctx).objects.read().get(&obj).cloned();
+    let objects = &CcxxState::get(ctx).objects;
+    let found = objects.with(ctx, |objects| objects.get(&obj).cloned());
     found.unwrap_or_else(|| panic!("no processor object {obj} on node {}", ctx.node()))
 }
 

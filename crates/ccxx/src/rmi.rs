@@ -46,9 +46,8 @@ use crate::state::{name_hash, CacheEntry, CcxxState, StubFn};
 use bytes::Bytes;
 use mpmd_am::{self as am, HandlerId};
 use mpmd_fabric::Fabric;
-use mpmd_sim::Bucket;
+use mpmd_sim::{Bucket, NodeCell};
 use mpmd_threads::SyncVar;
-use parking_lot::Mutex as HostMutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -189,16 +188,9 @@ pub(crate) struct CxCall {
 #[derive(Default)]
 pub(crate) struct Completion {
     /// The record, back from the callee with `ret` filled in.
-    returned: HostMutex<Option<Box<CxCall>>>,
+    returned: NodeCell<Option<Box<CxCall>>>,
     /// Written after `returned` is filled; what blocking modes wait on.
     sv: SyncVar<()>,
-}
-
-impl Completion {
-    /// Whether the reply handler has parked the record here.
-    pub(crate) fn is_done(&self) -> bool {
-        self.returned.lock().is_some()
-    }
 }
 
 impl CxCall {
@@ -219,8 +211,8 @@ impl CxCall {
     /// Take a record from this node's free list (allocating only when the
     /// list is empty) and re-arm its completion cell. Returns the record
     /// and the cell its caller waits on.
-    pub(crate) fn take<F: Fabric>(st: &CcxxState<F>) -> (Box<CxCall>, Arc<Completion>) {
-        let popped = st.call_records.lock().pop();
+    pub(crate) fn take<F: Fabric>(ctx: &F, st: &CcxxState<F>) -> (Box<CxCall>, Arc<Completion>) {
+        let popped = st.call_records.with(ctx, Vec::pop);
         let mut call = popped.unwrap_or_else(|| Box::new(CxCall::new()));
         // A pooled record's clone is the only one left (the handler that
         // returned it ran on this node's thread and has dropped its own); a
@@ -251,11 +243,11 @@ pub(crate) fn await_record<F: Fabric>(ctx: &F, cell: &Completion, blocks: bool) 
         // could sit buffered while this thread sleeps on the reply.
         am::flush(ctx);
         cell.sv.read(ctx);
-        cell.returned.lock().take()
+        cell.returned.with(ctx, Option::take)
     } else {
         let mut back = None;
         spin_wait(ctx, || {
-            back = cell.returned.lock().take();
+            back = cell.returned.with(ctx, Option::take);
             back.is_some()
         });
         back
@@ -267,13 +259,14 @@ pub(crate) fn await_record<F: Fabric>(ctx: &F, cell: &Completion, blocks: bool) 
 /// with its cell, on this node's free list. Only the task that issued the
 /// call does this (module docs).
 pub(crate) fn recycle<F: Fabric>(
+    ctx: &F,
     st: &CcxxState<F>,
     mut call: Box<CxCall>,
     cell: Arc<Completion>,
 ) -> RmiRet {
     call.cell = Some(cell);
     let ret = std::mem::take(&mut call.ret);
-    st.call_records.lock().push(call);
+    st.call_records.with(ctx, |free| free.push(call));
     ret
 }
 
@@ -282,7 +275,7 @@ pub(crate) fn recycle<F: Fabric>(
 /// have run yet (module docs).
 pub(crate) fn park<F: Fabric>(ctx: &F, mut call: Box<CxCall>, wake: bool) {
     let cell = call.cell.take().expect("call record without its cell");
-    *cell.returned.lock() = Some(call);
+    cell.returned.with(ctx, |r| *r = Some(call));
     if wake {
         cell.sv.write(ctx, ());
     }
@@ -291,7 +284,9 @@ pub(crate) fn park<F: Fabric>(ctx: &F, mut call: Box<CxCall>, wake: bool) {
 /// Call records on this node's free list.
 #[doc(hidden)]
 pub fn debug_call_records<F: Fabric>(ctx: &F) -> usize {
-    CcxxState::get(ctx).call_records.lock().len()
+    CcxxState::get(ctx)
+        .call_records
+        .with(ctx, |free| free.len())
 }
 
 /// The default program id ("a CC++ application can be composed of multiple,
@@ -320,13 +315,17 @@ pub fn register_method_full<F: Fabric>(
     f: impl Fn(&F, RmiArgs) -> RmiRet + Send + Sync + 'static,
 ) -> u64 {
     let st = CcxxState::get(ctx);
-    let mut stubs = st.stubs.write();
-    let addr = stubs.len() as u64;
-    stubs.push(crate::state::StubRec {
+    let stub = crate::state::StubRec {
         f: Arc::new(f),
         may_block,
+    };
+    let addr = st.stubs.with(ctx, |stubs| {
+        stubs.push(stub);
+        stubs.len() as u64 - 1
     });
-    let prev = st.by_name.write().insert((program, name.to_string()), addr);
+    let prev = st.by_name.with(ctx, |by_name| {
+        by_name.insert((program, name.to_string()), addr)
+    });
     assert!(
         prev.is_none(),
         "method '{name}' registered twice in program {program}"
@@ -447,7 +446,7 @@ fn rmi_inner<F: Fabric>(
         Target::Name(_, n) => n.len() + 4, // name + program id
         Target::Addr(_) => 0,
     };
-    let (mut call, cell) = CxCall::take(st);
+    let (mut call, cell) = CxCall::take(ctx, st);
     call.src = ctx.node();
     call.mode = mode;
     call.target = target;
@@ -489,7 +488,7 @@ fn rmi_inner<F: Fabric>(
 
     let call = await_record(ctx, &cell, mode.initiator_blocks());
     let sp_unmarshal = ctx.span_start("rmi.unmarshal");
-    let ret = recycle(st, call, cell);
+    let ret = recycle(ctx, st, call, cell);
     if let Some(d) = &ret.data {
         // "Bulk reads cost more than bulk writes in CC++ because the return
         // data has to be copied twice" — unless the initiator passed its
@@ -575,38 +574,36 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
                     Some(obj) => crate::pobj::object_method_wire_name(ctx, obj, n),
                     None => n.clone(),
                 };
-                let a = *st
-                    .by_name
-                    .read()
-                    .get(&(*prog, wire_name.clone()))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "no method '{wire_name}' registered in program {prog} on node {}",
-                            ctx.node()
-                        )
-                    });
+                let key = (*prog, wire_name);
+                let a = st.by_name.with(ctx, |by_name| by_name.get(&key).copied());
+                let a = a.unwrap_or_else(|| {
+                    panic!(
+                        "no method '{}' registered in program {prog} on node {}",
+                        key.1,
+                        ctx.node()
+                    )
+                });
                 let cache_hash =
                     name_hash(n) ^ call.obj.unwrap_or(0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                 (a, Some((*prog, cache_hash, a)))
             }
         };
         call.cache_update = cache_update;
-        let (stub, may_block) = {
-            let stubs = st.stubs.read();
+        let (stub, may_block) = st.stubs.with(ctx, |stubs| {
             let rec = &stubs[addr as usize];
             (Arc::clone(&rec.f), rec.may_block)
-        };
+        });
 
         // Persistent R-buffer management for argument data.
         if let Some(d) = &call.data {
             let key = (call.src, addr);
-            let warm = cfg.persistent_buffers && st.rbufs.read().contains(&key);
+            let warm = cfg.persistent_buffers && st.rbufs.with(ctx, |r| r.contains(&key));
             if !warm {
                 // Cold invocation: allocate an R-buffer and pay the extra
                 // copy from the per-node static buffer area.
                 ctx.charge(Bucket::Runtime, c.rbuf_alloc + c.extra_copy_charge(d.len()));
                 if cfg.persistent_buffers {
-                    st.rbufs.write().insert(key);
+                    st.rbufs.with(ctx, |r| r.insert(key));
                 }
             }
         }

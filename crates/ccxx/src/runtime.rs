@@ -42,8 +42,7 @@ pub fn finalize<F: Fabric>(ctx: &F) {
     barrier(ctx);
     let st = CcxxState::get(ctx);
     st.poller_stop.store(true, Ordering::Release);
-    let poller = *st.poller.lock();
-    if let Some(t) = poller {
+    if let Some(&t) = st.poller.get() {
         ctx.unpark(t);
     }
 }
@@ -59,7 +58,7 @@ pub fn finalize<F: Fabric>(ctx: &F) {
 /// charged its dispatch and lock costs when it ran.
 pub fn barrier<F: Fabric>(ctx: &F) {
     am::barrier(ctx);
-    CcxxState::get(ctx).memory.commit_staged();
+    CcxxState::get(ctx).memory.commit_staged(ctx);
 }
 
 /// Service pending messages from the application (poll point).
@@ -111,18 +110,22 @@ fn start_polling_thread<F: Fabric>(ctx: &F, interrupts: bool) {
             am::poll(&cctx);
         }
     });
-    *CcxxState::get(ctx).poller.lock() = Some(t.id());
+    let fresh = CcxxState::get(ctx).poller.set(t.id()).is_ok();
+    assert!(fresh, "ccxx::init started a second polling thread");
 }
 
 /// Allocate a data region of `len` doubles on this node (the state of a
 /// processor object reachable through global pointers).
 pub fn alloc_region<F: Fabric>(ctx: &F, len: usize, fill: f64) -> u32 {
-    CcxxState::get(ctx).memory.alloc(len, fill)
+    CcxxState::get(ctx).memory.alloc(ctx, len, fill)
 }
 
 /// Run `f` over a local region (local computation; charges nothing itself).
+/// The node's regions are one node-local table, so `f` must not reach it
+/// again: a nested `with_local`, or an access through a global pointer to
+/// this node, panics.
 pub fn with_local<F: Fabric, R>(ctx: &F, region: u32, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
-    CcxxState::get(ctx).memory.with_mut(region, f)
+    CcxxState::get(ctx).memory.with(ctx, region, f)
 }
 
 /// Bulk read: `lA = gpObj->get(gpA)` — a threaded RMI whose reply carries
@@ -218,25 +221,25 @@ fn register_builtins<F: Fabric>(ctx: &F) {
     // straight from the region and unmarshalled straight into it.
     for (get, put, flat) in [(M_GET, M_PUT, false), (M_GET_FLAT, M_PUT_FLAT, true)] {
         crate::rmi::register_method(ctx, get, move |ctx, args| {
-            let region = CcxxState::get(ctx).memory.get(args.words[0] as u32);
             let off = args.words[1] as usize;
             let len = args.words[2] as usize;
-            let r = region.read();
-            assert!(off + len <= r.len(), "{get} out of bounds");
             let mut buf = MarshalBuf::new();
-            buf.push_f64s(ctx, &r[off..off + len], flat);
+            with_local(ctx, args.words[0] as u32, |r| {
+                assert!(off + len <= r.len(), "{get} out of bounds");
+                buf.push_f64s(ctx, &r[off..off + len], flat);
+            });
             RmiRet::of_data(buf.finish())
         });
 
         crate::rmi::register_method(ctx, put, move |ctx, args| {
-            let region = CcxxState::get(ctx).memory.get(args.words[0] as u32);
             let off = args.words[1] as usize;
             let data = args.data.unwrap_or_else(|| panic!("{put} without data"));
             let raw = UnmarshalBuf::new(&data).next_f64s(ctx, flat);
             let len = raw.len() / 8;
-            let mut w = region.write();
-            assert!(off + len <= w.len(), "{put} out of bounds");
-            am::decode_f64s(raw, &mut w[off..off + len]);
+            with_local(ctx, args.words[0] as u32, |w| {
+                assert!(off + len <= w.len(), "{put} out of bounds");
+                am::decode_f64s(raw, &mut w[off..off + len]);
+            });
             RmiRet::null()
         });
     }
@@ -248,14 +251,14 @@ fn register_builtins<F: Fabric>(ctx: &F) {
     crate::rmi::register_method(ctx, M_ADD_F64, |ctx, args| {
         let (region, offset) = (args.words[0] as u32, args.words[1] as usize);
         let memory = &CcxxState::get(ctx).memory;
-        memory.stage_add(args.src, region, offset, &args.words[2..3]);
+        memory.stage_add(ctx, args.src, region, offset, &args.words[2..3]);
         RmiRet::null()
     });
 
     crate::rmi::register_method(ctx, M_ADD3_F64, |ctx, args| {
         let (region, offset) = am::unpack_addr(args.words[0]);
         let memory = &CcxxState::get(ctx).memory;
-        memory.stage_add(args.src, region, offset, &args.words[1..4]);
+        memory.stage_add(ctx, args.src, region, offset, &args.words[1..4]);
         RmiRet::null()
     });
 }

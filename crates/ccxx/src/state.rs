@@ -5,8 +5,7 @@ use crate::pobj::ObjRec;
 use crate::rmi::{CxCall, RmiArgs, RmiRet};
 use mpmd_am::RegionTable;
 use mpmd_fabric::Fabric;
-use mpmd_sim::TaskId;
-use parking_lot::{Mutex as HostMutex, RwLock};
+use mpmd_sim::{NodeCell, TaskId};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, OnceLock};
@@ -61,12 +60,12 @@ pub(crate) struct CcxxState<F: Fabric> {
     /// Set once by `ccxx::init`; read on every RMI.
     config_slot: OnceLock<CcxxConfig>,
     /// Local stubs, indexed by entry-point address.
-    pub(crate) stubs: RwLock<Vec<StubRec<F>>>,
+    pub(crate) stubs: NodeCell<Vec<StubRec<F>>>,
     /// Local (program id, method name) -> entry-point address. "This
     /// technique can be easily extended to a scenario where multiple
     /// programs execute on the same processing node by introducing the
     /// program ID as another index to the hash table."
-    pub(crate) by_name: RwLock<HashMap<(u32, String), u64>>,
+    pub(crate) by_name: NodeCell<HashMap<(u32, String), u64>>,
     /// "Each processing node maintains a table of stub addresses which is
     /// indexed by processor number and method name hash value" — plus the
     /// program id, per the paper's multi-program extension. Guarded by a
@@ -74,7 +73,7 @@ pub(crate) struct CcxxState<F: Fabric> {
     /// these lock operations (they dominate the thread-sync component).
     pub(crate) stub_cache: mpmd_threads::Mutex<HashMap<(usize, u32, u64), CacheEntry>>,
     /// Persistent R-buffers allocated on this node, keyed by (caller, stub).
-    pub(crate) rbufs: RwLock<HashSet<(usize, u64)>>,
+    pub(crate) rbufs: NodeCell<HashSet<(usize, u64)>>,
     /// Send-buffer management lock (simulated; charged).
     pub(crate) sbuf_lock: mpmd_threads::Mutex<()>,
     /// Incoming-dispatch lock (simulated; charged).
@@ -85,7 +84,7 @@ pub(crate) struct CcxxState<F: Fabric> {
     /// them, never sent here by another node (see [`crate::rmi`]). Boxed
     /// because the box itself is what travels as the message token.
     #[allow(clippy::vec_box)]
-    pub(crate) call_records: HostMutex<Vec<Box<CxCall>>>,
+    pub(crate) call_records: NodeCell<Vec<Box<CxCall>>>,
     /// Global-pointer data regions, and the `__addf` / `__add3f`
     /// accumulates staged into them until the next barrier (per-caller order
     /// is preserved: atomic-add RMIs are synchronous). Host-side state:
@@ -93,10 +92,11 @@ pub(crate) struct CcxxState<F: Fabric> {
     pub(crate) memory: RegionTable,
     /// Tasks currently spin-polling; the polling thread defers to them.
     pub(crate) spinners: AtomicUsize,
-    pub(crate) poller: HostMutex<Option<TaskId>>,
+    /// The polling thread, set once by `ccxx::init`.
+    pub(crate) poller: OnceLock<TaskId>,
     pub(crate) poller_stop: AtomicBool,
     /// Processor objects on this node, by id (see [`crate::pobj`]).
-    pub(crate) objects: RwLock<HashMap<u64, ObjRec>>,
+    pub(crate) objects: NodeCell<HashMap<u64, ObjRec>>,
     /// The id the next processor object created here gets.
     pub(crate) next_obj: AtomicU64,
 }
@@ -105,19 +105,19 @@ impl<F: Fabric> CcxxState<F> {
     fn new() -> Self {
         CcxxState {
             config_slot: OnceLock::new(),
-            stubs: RwLock::new(Vec::new()),
-            by_name: RwLock::new(HashMap::new()),
+            stubs: NodeCell::default(),
+            by_name: NodeCell::default(),
             stub_cache: mpmd_threads::Mutex::new(HashMap::new()),
-            rbufs: RwLock::new(HashSet::new()),
+            rbufs: NodeCell::default(),
             sbuf_lock: mpmd_threads::Mutex::new(()),
             dispatch_lock: mpmd_threads::Mutex::new(()),
             method_lock: mpmd_threads::Mutex::new(()),
-            call_records: HostMutex::new(Vec::new()),
+            call_records: NodeCell::default(),
             memory: RegionTable::default(),
             spinners: AtomicUsize::new(0),
-            poller: HostMutex::new(None),
+            poller: OnceLock::new(),
             poller_stop: AtomicBool::new(false),
-            objects: RwLock::new(HashMap::new()),
+            objects: NodeCell::default(),
             next_obj: AtomicU64::new(1),
         }
     }

@@ -882,7 +882,19 @@ impl LocalFabric {
         self.home().tasks.live()
     }
 
+    /// Number of delivered, unconsumed frames on this node: a gauge while
+    /// frames move, and a test-side probe (the layers above drain the inbox,
+    /// never count it). The stash is counted only on the node's own thread,
+    /// outside a `with_stats` closure; elsewhere, the rings alone.
+    pub fn inbox_len(&self) -> usize {
+        let rings = (0..self.inner.nodes).map(|src| self.inner.ring(src, self.node).depth());
+        let (home, local) = (self.at_home(), &self.inner.node[self.node].local);
+        let stashed = home.then(|| local.try_borrow().map_or(0, |s| s.stash.len()));
+        rings.sum::<usize>() + stashed.unwrap_or(0)
+    }
+
     /// Whether the calling thread holds this handle's node's baton.
+    #[inline]
     fn at_home(&self) -> bool {
         CURRENT.get() == (Arc::as_ptr(&self.inner), self.node)
     }
@@ -892,6 +904,7 @@ impl LocalFabric {
     /// handle of the node; a thread that does not hold the node's baton in
     /// this handle's run may not. Finding it borrowed means a `with_stats`
     /// closure further up this stack is calling back into the fabric.
+    #[inline]
     fn home(&self) -> RefMut<'_, Sched> {
         assert!(self.at_home(), "{BORROWED}");
         let local = &self.inner.node[self.node].local;
@@ -1134,16 +1147,6 @@ impl Fabric for LocalFabric {
             s.probe.stats().msgs_received += 1;
         }
         next
-    }
-
-    /// A gauge while frames move. The stash is counted only on the node's
-    /// own thread, outside a `with_stats` closure; elsewhere, the rings
-    /// alone.
-    fn inbox_len(&self) -> usize {
-        let rings = (0..self.inner.nodes).map(|src| self.inner.ring(src, self.node).depth());
-        let (home, local) = (self.at_home(), &self.inner.node[self.node].local);
-        let stashed = home.then(|| local.try_borrow().map_or(0, |s| s.stash.len()));
-        rings.sum::<usize>() + stashed.unwrap_or(0)
     }
 
     fn node_data<T, G>(&self, init: G) -> &T

@@ -71,6 +71,12 @@ impl Ctx {
         self.inner.lock_kernel().nodes[self.node].tasks.live()
     }
 
+    /// Number of delivered, unconsumed frames on this node. A test-side
+    /// probe: the layers above drain the inbox, never count it.
+    pub fn inbox_len(&self) -> usize {
+        self.inner.lock_kernel().nodes[self.node].inbox.len()
+    }
+
     /// Leave this task waiting in `state`, traced as a park, until a wake rule
     /// of its node's table queues it again and it runs.
     fn block(&self, mut k: RefMut<'_, Kernel>, state: TaskState, timer: Option<Time>) {
@@ -268,10 +274,6 @@ impl Fabric for Ctx {
 
     fn try_recv(&self) -> Option<Msg> {
         self.inner.lock_kernel().nodes[self.node].inbox.pop_front()
-    }
-
-    fn inbox_len(&self) -> usize {
-        self.inner.lock_kernel().nodes[self.node].inbox.len()
     }
 
     fn node_data<T, F>(&self, init: F) -> &T

@@ -60,12 +60,13 @@ pub const ACROSS_NODES: &str = "reaches across nodes: only messages cross nodes"
 /// * **A handle is used where its node runs**: nothing runs beside a node's
 ///   tasks, so a handle carried to another node's task or outside the run
 ///   may only be asked what it is (`node`, `nodes`, `task_id`, `cost`,
-///   `metrics_enabled`; on `LocalFabric` also `now`, `shutting_down`,
-///   `inbox_len`). `LocalFabric` panics on anything else. The simulator runs
-///   one task in the whole machine, so another node's task passes, but it
-///   checks the thread: a call that reads its kernel (`now`, `shutting_down`
-///   and `inbox_len` included) panics off the run's baton. A sibling task of
-///   the same node may count, send and receive through it, but not block.
+///   `metrics_enabled`; on `LocalFabric` also `now`, `shutting_down` and its
+///   inherent `inbox_len`). `LocalFabric` panics on anything else. The
+///   simulator runs one task in the whole machine, so another node's task
+///   passes, but it checks the thread: a call that reads its kernel (`now`,
+///   `shutting_down` and `Ctx::inbox_len` included) panics off the run's
+///   baton. A sibling task of the same node may count, send and receive
+///   through it, but not block.
 /// * **Clocks are per-node and monotone**, in nanoseconds. On the simulated
 ///   fabric they advance only by [`Fabric::charge`]; on wall-clock fabrics
 ///   they advance on their own and `charge` only keeps the cost-bucket
@@ -187,9 +188,6 @@ pub trait Fabric: Clone + Send + 'static {
 
     /// Take the oldest delivered frame, if any.
     fn try_recv(&self) -> Option<Msg>;
-
-    /// Number of delivered, unconsumed frames.
-    fn inbox_len(&self) -> usize;
 
     // ---- per-node typed state ----------------------------------------
 

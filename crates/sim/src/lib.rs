@@ -59,7 +59,7 @@ pub use fabric::{Fabric, SpanGuard, ACROSS_NODES};
 pub use flame::{fold_stacks, phase_profile, Phase};
 pub use kernel::FaultDecision;
 pub use metrics::{Histogram, MetricsRegistry, NodeMetrics, HIST_BUCKETS};
-pub use node_cell::NodeCell;
+pub use node_cell::{NodeCell, REENTERED};
 pub use node_data::NodeData;
 pub use probe::Probe;
 pub use report::{Report, Snapshot};

@@ -8,11 +8,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// What [`NodeCell::owner`] holds before the first touch.
 const UNOWNED: usize = 0;
 
+/// What [`NodeCell::with`] panics with when its closure reaches the same
+/// cell again.
+pub const REENTERED: &str = "a node cell's closure touched the same cell again";
+
 /// A value that belongs to the node, in one run, that first touches it.
 ///
-/// The threads package's locks and the AM layer's poll set live in these:
-/// a node's tasks run one at a time on both fabrics, so their state needs no
-/// host lock, only a guarantee that nothing else reaches it. Every touch
+/// Every node-local table of the runtime crates lives in one of these: the
+/// threads package's locks, the AM layer's poll set, collective, reliable
+/// and coalescing state, both language runtimes' regions, and the Split-C
+/// and CC++ tables. A node's tasks run one at a time on both fabrics, so
+/// their state needs no host lock, only a guarantee that nothing else
+/// reaches it. Every touch
 /// goes through [`NodeCell::with`], which borrows the caller's node
 /// [`Probe`] for an instant — on both fabrics that panics unless the calling
 /// thread holds that node's baton — and then compares the probe's address,
@@ -47,8 +54,8 @@ impl<T> NodeCell<T> {
     }
 
     /// Run `f` on the value, as a task of `ctx`'s node. Panics off the
-    /// node's baton, on a node other than the owner, and if `f` touches this
-    /// cell again.
+    /// node's baton, on a node other than the owner, and with [`REENTERED`]
+    /// if `f` touches this cell again.
     #[inline]
     pub fn with<F: Fabric, R>(&self, ctx: &F, f: impl FnOnce(&mut T) -> R) -> R {
         // The key is the probe's address (`from_ref::<Probe>` derefs the
@@ -57,7 +64,11 @@ impl<T> NodeCell<T> {
         if self.owner.load(Ordering::Relaxed) != key {
             self.claim(key, ctx.node());
         }
-        f(&mut self.value.borrow_mut())
+        let mut value = self
+            .value
+            .try_borrow_mut()
+            .unwrap_or_else(|_| panic!("{REENTERED}"));
+        f(&mut value)
     }
 
     /// First touch: become the owner, or find that another node is.
@@ -77,5 +88,11 @@ impl<T> NodeCell<T> {
     /// The value through exclusive access: no check needed.
     pub fn get_mut(&mut self) -> &mut T {
         self.value.get_mut()
+    }
+}
+
+impl<T: Default> Default for NodeCell<T> {
+    fn default() -> Self {
+        NodeCell::new(T::default())
     }
 }

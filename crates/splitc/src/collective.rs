@@ -38,7 +38,7 @@ pub fn init_coalesced<F: Fabric>(ctx: &F, coalescing: Option<am::CoalesceConfig>
 /// at receipt (`atomic_dispatch`).
 pub fn barrier<F: Fabric>(ctx: &F) {
     am::barrier(ctx);
-    ScState::get(ctx).memory.commit_staged();
+    ScState::get(ctx).memory.commit_staged(ctx);
 }
 
 /// Allocate a local region of `len` doubles initialized to `fill`, returning
@@ -46,7 +46,7 @@ pub fn barrier<F: Fabric>(ctx: &F) {
 /// allocate in lockstep so ids agree across nodes (asserted by
 /// [`all_spread_alloc`]).
 pub fn alloc_region<F: Fabric>(ctx: &F, len: usize, fill: f64) -> u32 {
-    ScState::get(ctx).memory.alloc(len, fill)
+    ScState::get(ctx).memory.alloc(ctx, len, fill)
 }
 
 /// Collectively allocate a spread array with `per_node` doubles on every

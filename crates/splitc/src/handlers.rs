@@ -71,7 +71,7 @@ fn complete<F: Fabric>(ctx: &F, m: AmMsg) {
     if tok.split {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.split_complete);
-        st.pending.complete();
+        st.complete_pending();
         if let Some(t0) = tok.issued {
             ctx.metric_observe_since("sc.split_op_ns", t0);
         }
@@ -88,55 +88,53 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
     am::register(ctx, H_READ, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        let v = st.memory.get(m.args[0] as u32).read()[m.args[1] as usize];
+        let off = m.args[1] as usize;
+        let v = st.memory.with(ctx, m.args[0] as u32, |r| r[off]);
         reply_value(ctx, m, [v.to_bits(), 0, 0, 0]);
     });
 
     am::register(ctx, H_READ3, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        let region = st.memory.get(m.args[0] as u32);
         let off = m.args[1] as usize;
-        let r = region.read();
-        let reply = [
-            r[off].to_bits(),
-            r[off + 1].to_bits(),
-            r[off + 2].to_bits(),
-            0,
-        ];
-        drop(r);
+        let reply = st.memory.with(ctx, m.args[0] as u32, |r| {
+            [
+                r[off].to_bits(),
+                r[off + 1].to_bits(),
+                r[off + 2].to_bits(),
+                0,
+            ]
+        });
         reply_value(ctx, m, reply);
     });
 
     am::register(ctx, H_WRITE, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        st.memory.get(m.args[0] as u32).write()[m.args[1] as usize] = f64::from_bits(m.args[2]);
+        write_word_into_region(ctx, st, &m);
         reply_value(ctx, m, [0; 4]);
     });
 
     am::register(ctx, H_STORE, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        st.memory.get(m.args[0] as u32).write()[m.args[1] as usize] = f64::from_bits(m.args[2]);
+        write_word_into_region(ctx, st, &m);
         st.stores_recvd.fetch_add(1, Ordering::AcqRel);
     });
 
     am::register(ctx, H_BULK_READ, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        let region = st.memory.get(m.args[0] as u32);
         let off = m.args[1] as usize;
         let len = m.args[2] as usize;
-        let data = {
-            let r = region.read();
+        let data = st.memory.with(ctx, m.args[0] as u32, |r| {
             assert!(
                 off + len <= r.len(),
                 "bulk_read out of bounds: {off}+{len} > {}",
                 r.len()
             );
             payload(&r[off..off + len])
-        };
+        });
         am::endpoint(ctx)
             .to(m.src)
             .handler(H_REPLY_DATA)
@@ -149,21 +147,21 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
     am::register(ctx, H_BULK_WRITE, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        write_bulk_into_region(st, &m);
+        write_bulk_into_region(ctx, st, &m);
         reply_value(ctx, m, [0; 4]);
     });
 
     am::register(ctx, H_BULK_STORE, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
-        write_bulk_into_region(st, &m);
+        write_bulk_into_region(ctx, st, &m);
         st.stores_recvd.fetch_add(1, Ordering::AcqRel);
     });
 
     am::register(ctx, H_ATOMIC, |ctx, m| {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.atomic_dispatch);
-        let f = st.atomic(m.args[0] as u32);
+        let f = st.atomic(ctx, m.args[0] as u32);
         let result = f(ctx, [m.args[1], m.args[2], m.args[3], 0]);
         reply_value(ctx, m, result);
     });
@@ -177,7 +175,8 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.atomic_dispatch);
         let (region, offset) = am::unpack_addr(m.args[0]);
-        st.memory.stage_add(m.src, region, offset, &m.args[1..]);
+        st.memory
+            .stage_add(ctx, m.src, region, offset, &m.args[1..]);
         reply_value(ctx, m, [0; 4]);
     });
 
@@ -185,17 +184,23 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
     am::register(ctx, H_REPLY_DATA, complete::<F>);
 }
 
+/// Write a one-word write's or store's double into its region.
+fn write_word_into_region<F: Fabric>(ctx: &F, st: &ScState<F>, m: &AmMsg) {
+    let (off, v) = (m.args[1] as usize, f64::from_bits(m.args[2]));
+    st.memory.with(ctx, m.args[0] as u32, |w| w[off] = v);
+}
+
 /// Decode a bulk write's payload straight into its region.
-fn write_bulk_into_region<F: Fabric>(st: &ScState<F>, m: &AmMsg) {
-    let region = st.memory.get(m.args[0] as u32);
+fn write_bulk_into_region<F: Fabric>(ctx: &F, st: &ScState<F>, m: &AmMsg) {
     let off = m.args[1] as usize;
     let data = m.data.as_ref().expect("bulk write without payload");
     let len = data.len() / 8;
-    let mut w = region.write();
-    assert!(
-        off + len <= w.len(),
-        "bulk write out of bounds: {off}+{len} > {}",
-        w.len()
-    );
-    am::decode_f64s(data, &mut w[off..off + len]);
+    st.memory.with(ctx, m.args[0] as u32, |w| {
+        assert!(
+            off + len <= w.len(),
+            "bulk write out of bounds: {off}+{len} > {}",
+            w.len()
+        );
+        am::decode_f64s(data, &mut w[off..off + len]);
+    });
 }

@@ -175,6 +175,25 @@ mod tests {
     }
 
     #[test]
+    fn a_bulk_get_reads_its_values_as_often_as_asked() {
+        Sim::new(2).run(|ctx| {
+            init(&ctx);
+            let a = all_spread_alloc(&ctx, 6, ctx.node() as f64 + 0.5);
+            if ctx.node() == 0 {
+                // A remote get, whose values ride the reply, then a local one.
+                for gp in [a.node_chunk(1), a.node_chunk(0)] {
+                    let h = get_bulk(&ctx, gp.add(2), 3);
+                    sync(&ctx);
+                    let want = vec![gp.node as f64 + 0.5; 3];
+                    assert_eq!(h.values(), want);
+                    assert_eq!(h.values(), want, "a second call reads them again");
+                }
+            }
+            barrier(&ctx);
+        });
+    }
+
+    #[test]
     fn one_way_stores_complete_after_all_store_sync() {
         Sim::new(4).run(|ctx| {
             init(&ctx);

@@ -11,8 +11,8 @@
 
 use crate::gptr::GlobalPtr;
 use crate::handlers::*;
-use crate::state::ScState;
-use mpmd_am::{self as am, HandlerId, Region, ReplyCell};
+use crate::state::{AtomicFn, ScState};
+use mpmd_am::{self as am, HandlerId, ReplyCell};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
 use std::sync::atomic::Ordering;
@@ -23,12 +23,17 @@ pub const ATOMIC_NULL: u32 = 0;
 pub const ATOMIC_ADD_F64: u32 = 1;
 pub const ATOMIC_ADD3_F64: u32 = 2;
 
-/// The region `gp` points into, after charging a local dereference, when
-/// `gp` is on this node.
-fn local<F: Fabric>(ctx: &F, st: &ScState<F>, gp: GlobalPtr) -> Option<Region> {
+/// When `gp` is on this node: charge a local dereference and run `f` over
+/// the region it points into.
+fn local<F: Fabric, R>(
+    ctx: &F,
+    st: &ScState<F>,
+    gp: GlobalPtr,
+    f: impl FnOnce(&mut Vec<f64>) -> R,
+) -> Option<R> {
     (gp.node == ctx.node()).then(|| {
         ctx.charge(Bucket::Runtime, st.costs.local_deref);
-        st.memory.get(gp.region)
+        st.memory.with(ctx, gp.region, f)
     })
 }
 
@@ -107,7 +112,7 @@ fn split_access<F: Fabric>(
     };
     let _sp = ctx.span(span);
     ctx.charge(Bucket::Runtime, issue);
-    st.pending.issue();
+    st.pending.fetch_add(1, Ordering::AcqRel);
     let token = ScToken {
         cell: cell.cloned(),
         split: true,
@@ -124,8 +129,8 @@ fn split_access<F: Fabric>(
 /// Synchronously read a double through a global pointer (`lx = *gpY`).
 pub fn read<F: Fabric>(ctx: &F, gp: GlobalPtr) -> f64 {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, st, gp) {
-        return r.read()[gp.offset];
+    if let Some(v) = local(ctx, st, gp, |r| r[gp.offset]) {
+        return v;
     }
     let cell = sync_access(ctx, st, H_READ, gp.node, at(gp, 0, 0), None);
     f64::from_bits(cell.words()[0])
@@ -134,8 +139,7 @@ pub fn read<F: Fabric>(ctx: &F, gp: GlobalPtr) -> f64 {
 /// Synchronously write a double through a global pointer (`*gpY = lx`).
 pub fn write<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, st, gp) {
-        r.write()[gp.offset] = v;
+    if local(ctx, st, gp, |r| r[gp.offset] = v).is_some() {
         return;
     }
     sync_access(ctx, st, H_WRITE, gp.node, at(gp, v.to_bits(), 0), None);
@@ -146,9 +150,9 @@ pub fn write<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
 /// Water reads a molecule's position this way.
 pub fn read_vec3<F: Fabric>(ctx: &F, gp: GlobalPtr) -> [f64; 3] {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, st, gp) {
-        let r = r.read();
-        return [r[gp.offset], r[gp.offset + 1], r[gp.offset + 2]];
+    let at3 = |r: &mut Vec<f64>| [r[gp.offset], r[gp.offset + 1], r[gp.offset + 2]];
+    if let Some(v) = local(ctx, st, gp, at3) {
+        return v;
     }
     let w = sync_access(ctx, st, H_READ3, gp.node, at(gp, 0, 0), None).words();
     [
@@ -164,11 +168,12 @@ pub fn read_vec3<F: Fabric>(ctx: &F, gp: GlobalPtr) -> [f64; 3] {
 /// packed address plus all three deltas fit.
 pub fn atomic_add3<F: Fabric>(ctx: &F, gp: GlobalPtr, deltas: [f64; 3]) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, st, gp) {
-        let mut w = r.write();
+    let add3 = |w: &mut Vec<f64>| {
         for k in 0..3 {
             w[gp.offset + k] += deltas[k];
         }
+    };
+    if local(ctx, st, gp, add3).is_some() {
         return;
     }
     let args = [
@@ -187,21 +192,14 @@ pub struct BulkGetHandle {
 }
 
 impl BulkGetHandle {
-    /// The fetched values. Panics before completion (call [`sync`] first).
+    /// The fetched values, as often as asked. Panics before completion
+    /// (call [`sync`] first).
     pub fn values(&self) -> Vec<f64> {
         if let Some(v) = &self.local {
             return v.clone();
         }
-        doubles(
-            &self
-                .cell
-                .take_data()
-                .expect("bulk get not complete — call sync() first"),
-        )
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.local.is_some() || self.cell.is_done()
+        let data = self.cell.is_done().then(|| self.cell.data()).flatten();
+        doubles(&data.expect("bulk get not complete — call sync() first"))
     }
 }
 
@@ -210,9 +208,9 @@ impl BulkGetHandle {
 pub fn get_bulk<F: Fabric>(ctx: &F, gp: GlobalPtr, len: usize) -> BulkGetHandle {
     let st = ScState::get(ctx);
     let cell = ReplyCell::new();
-    if let Some(r) = local(ctx, st, gp) {
-        let local = Some(r.read()[gp.offset..gp.offset + len].to_vec());
-        return BulkGetHandle { cell, local };
+    let vals = local(ctx, st, gp, |r| r[gp.offset..gp.offset + len].to_vec());
+    if vals.is_some() {
+        return BulkGetHandle { cell, local: vals };
     }
     let args = at(gp, len as u64, 0);
     split_access(ctx, st, H_BULK_READ, gp.node, args, Some(&cell));
@@ -230,11 +228,6 @@ impl GetHandle {
     pub fn value(&self) -> f64 {
         f64::from_bits(self.cell.words()[0])
     }
-
-    /// Whether the reply has arrived (without syncing).
-    pub fn is_done(&self) -> bool {
-        self.cell.is_done()
-    }
 }
 
 /// Split-phase read (`lx := *gpY`): returns immediately; completion is
@@ -242,11 +235,9 @@ impl GetHandle {
 pub fn get<F: Fabric>(ctx: &F, gp: GlobalPtr) -> GetHandle {
     let st = ScState::get(ctx);
     let cell = ReplyCell::new();
-    if let Some(r) = local(ctx, st, gp) {
-        let v = r.read()[gp.offset];
-        cell.complete([v.to_bits(), 0, 0, 0]);
-    } else {
-        split_access(ctx, st, H_READ, gp.node, at(gp, 0, 0), Some(&cell));
+    match local(ctx, st, gp, |r| r[gp.offset]) {
+        Some(v) => cell.complete([v.to_bits(), 0, 0, 0]),
+        None => split_access(ctx, st, H_READ, gp.node, at(gp, 0, 0), Some(&cell)),
     }
     GetHandle { cell }
 }
@@ -255,9 +246,7 @@ pub fn get<F: Fabric>(ctx: &F, gp: GlobalPtr) -> GetHandle {
 /// the acknowledgement.
 pub fn put<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, st, gp) {
-        r.write()[gp.offset] = v;
-    } else {
+    if local(ctx, st, gp, |r| r[gp.offset] = v).is_none() {
         split_access(ctx, st, H_WRITE, gp.node, at(gp, v.to_bits(), 0), None);
     }
 }
@@ -267,15 +256,14 @@ pub fn sync<F: Fabric>(ctx: &F) {
     let st = ScState::get(ctx);
     let _sp = ctx.span("sc.sync");
     ctx.charge(Bucket::Runtime, st.costs.sync_call);
-    am::wait_until(ctx, || st.pending.is_quiescent());
+    am::wait_until(ctx, || st.pending.load(Ordering::Acquire) == 0);
 }
 
 /// One-way store (`*gpY :- lx`): no acknowledgement; global completion is
 /// established by [`crate::all_store_sync`].
 pub fn store<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, st, gp) {
-        r.write()[gp.offset] = v;
+    if local(ctx, st, gp, |r| r[gp.offset] = v).is_some() {
         return;
     }
     let _sp = ctx.span("sc.store");
@@ -291,18 +279,18 @@ pub fn store<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
 /// Synchronous bulk read of `len` doubles starting at `gp`.
 pub fn bulk_read<F: Fabric>(ctx: &F, gp: GlobalPtr, len: usize) -> Vec<f64> {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, st, gp) {
-        return r.read()[gp.offset..gp.offset + len].to_vec();
+    if let Some(v) = local(ctx, st, gp, |r| r[gp.offset..gp.offset + len].to_vec()) {
+        return v;
     }
     let cell = sync_access(ctx, st, H_BULK_READ, gp.node, at(gp, len as u64, 0), None);
-    doubles(&cell.take_data().expect("bulk read reply without data"))
+    doubles(&cell.data().expect("bulk read reply without data"))
 }
 
 /// Synchronous bulk write of `vals` starting at `gp`.
 pub fn bulk_write<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, st, gp) {
-        r.write()[gp.offset..gp.offset + vals.len()].copy_from_slice(vals);
+    let copy = |r: &mut Vec<f64>| r[gp.offset..gp.offset + vals.len()].copy_from_slice(vals);
+    if local(ctx, st, gp, copy).is_some() {
         return;
     }
     sync_access(ctx, st, H_BULK_WRITE, gp.node, at(gp, 0, 0), Some(vals));
@@ -311,8 +299,8 @@ pub fn bulk_write<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
 /// One-way bulk store (em3d-bulk and sc-lu's pivot pushes).
 pub fn bulk_store<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
     let st = ScState::get(ctx);
-    if let Some(r) = local(ctx, st, gp) {
-        r.write()[gp.offset..gp.offset + vals.len()].copy_from_slice(vals);
+    let copy = |r: &mut Vec<f64>| r[gp.offset..gp.offset + vals.len()].copy_from_slice(vals);
+    if local(ctx, st, gp, copy).is_some() {
         return;
     }
     let _sp = ctx.span("sc.bulk_store");
@@ -335,7 +323,7 @@ pub fn atomic_rpc<F: Fabric>(ctx: &F, node: usize, fn_id: u32, args: [u64; 3]) -
         // Local atomic: a single-threaded node runs it directly.
         let _sp = ctx.span("sc.atomic");
         ctx.charge(Bucket::Runtime, c.atomic_issue);
-        let r = st.atomic(fn_id)(ctx, [args[0], args[1], args[2], 0]);
+        let r = st.atomic(ctx, fn_id)(ctx, [args[0], args[1], args[2], 0]);
         ctx.charge(Bucket::Runtime, c.atomic_complete);
         return r;
     }
@@ -360,33 +348,36 @@ pub fn register_atomic<F: Fabric>(
     fn_id: u32,
     f: impl Fn(&F, [u64; 4]) -> [u64; 4] + Send + Sync + 'static,
 ) {
-    let prev = ScState::get(ctx).atomics.write().insert(fn_id, Arc::new(f));
+    let f: AtomicFn<F> = Arc::new(f);
+    let prev = ScState::get(ctx).atomics.with(ctx, |t| t.insert(fn_id, f));
     assert!(prev.is_none(), "duplicate atomic function id {fn_id}");
 }
 
 /// Run `f` over this node's chunk of a region, without modeled cost: local
-/// computation charges its own cpu explicitly.
+/// computation charges its own cpu explicitly. The node's regions are one
+/// node-local table, so `f` must not reach it again: a nested `with_local`,
+/// or an access through a global pointer to this node, panics.
 pub fn with_local<F: Fabric, R>(ctx: &F, region: u32, f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
-    ScState::get(ctx).memory.with_mut(region, f)
+    ScState::get(ctx).memory.with(ctx, region, f)
 }
 
 /// Register the built-in atomic functions (called by `init`).
 pub(crate) fn register_builtin_atomics<F: Fabric>(ctx: &F) {
     register_atomic(ctx, ATOMIC_NULL, |_, _| [0; 4]);
     register_atomic(ctx, ATOMIC_ADD_F64, |ctx, a| {
-        let region = ScState::get(ctx).memory.get(a[0] as u32);
-        let mut w = region.write();
-        let slot = &mut w[a[1] as usize];
-        *slot += f64::from_bits(a[2]);
-        [slot.to_bits(), 0, 0, 0]
+        with_local(ctx, a[0] as u32, |w| {
+            let slot = &mut w[a[1] as usize];
+            *slot += f64::from_bits(a[2]);
+            [slot.to_bits(), 0, 0, 0]
+        })
     });
     register_atomic(ctx, ATOMIC_ADD3_F64, |ctx, a| {
         let (region, offset) = am::unpack_addr(a[0]);
-        let region = ScState::get(ctx).memory.get(region);
-        let mut w = region.write();
-        w[offset] += f64::from_bits(a[1]);
-        w[offset + 1] += f64::from_bits(a[2]);
-        w[offset + 2] += f64::from_bits(a[3]);
-        [0; 4]
+        with_local(ctx, region, |w| {
+            for k in 0..3 {
+                w[offset + k] += f64::from_bits(a[k + 1]);
+            }
+            [0; 4]
+        })
     });
 }

@@ -1,11 +1,11 @@
 //! Per-node Split-C runtime state.
 
 use crate::costs::ScCosts;
-use mpmd_am::{PendingCounter, RegionTable};
+use mpmd_am::RegionTable;
 use mpmd_fabric::Fabric;
-use parking_lot::RwLock;
+use mpmd_sim::NodeCell;
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An atomic RPC function: runs atomically at the target node.
@@ -16,10 +16,10 @@ pub(crate) struct ScState<F: Fabric> {
     /// Global-memory regions, and the `H_ATOMIC_ADD3` updates staged into
     /// them until the next barrier.
     pub(crate) memory: RegionTable,
-    /// Outstanding split-phase operations awaiting `sync()`.
-    pub(crate) pending: PendingCounter,
     /// Registered atomic RPC functions.
-    pub(crate) atomics: RwLock<HashMap<u32, AtomicFn<F>>>,
+    pub(crate) atomics: NodeCell<HashMap<u32, AtomicFn<F>>>,
+    /// Outstanding split-phase operations awaiting `sync()`.
+    pub(crate) pending: AtomicU64,
     /// One-way stores issued from this node (for `all_store_sync`).
     pub(crate) stores_sent: AtomicU64,
     /// One-way stores received by this node.
@@ -31,8 +31,8 @@ impl<F: Fabric> ScState<F> {
         ScState {
             costs: ScCosts::default(),
             memory: RegionTable::default(),
-            pending: PendingCounter::default(),
-            atomics: RwLock::new(HashMap::new()),
+            atomics: NodeCell::default(),
+            pending: AtomicU64::new(0),
             stores_sent: AtomicU64::new(0),
             stores_recvd: AtomicU64::new(0),
         }
@@ -43,9 +43,25 @@ impl<F: Fabric> ScState<F> {
     }
 
     /// Registered atomic function `id`.
-    pub(crate) fn atomic(&self, id: u32) -> AtomicFn<F> {
-        let tbl = self.atomics.read();
-        let f = tbl.get(&id);
-        Arc::clone(f.unwrap_or_else(|| panic!("unknown atomic function {id}")))
+    pub(crate) fn atomic(&self, ctx: &F, id: u32) -> AtomicFn<F> {
+        let f = self.atomics.with(ctx, |tbl| tbl.get(&id).cloned());
+        f.unwrap_or_else(|| panic!("unknown atomic function {id}"))
+    }
+
+    /// Note the completion of a split-phase operation (its reply arrived).
+    pub(crate) fn complete_pending(&self) {
+        let before = self.pending.fetch_sub(1, Ordering::AcqRel);
+        assert!(before > 0, "completion without outstanding operation");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "completion without outstanding operation")]
+    fn a_completion_with_nothing_outstanding_panics() {
+        ScState::<mpmd_sim::Ctx>::new().complete_pending();
     }
 }
