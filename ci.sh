@@ -85,7 +85,10 @@ echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-t
 # the task that issued a call recycles its record, a failed run frees every
 # record, and an ended run frees its nodes' runtime state. The simulator's
 # own zero-alloc proof (sim/tests/alloc_count.rs): warm short round trips,
-# and expiring timed inbox waits, allocate nothing.
+# and expiring timed inbox waits, allocate nothing, and the wave gate: a
+# 300-wide spawn/join wave allocates per task what a 1-wide one does, because
+# a fiber runtime keeps every stack it retired (no cap) and a new runtime
+# draws first from the process-wide spare list that dropped ones fill.
 # These assert completion and counts, not timings, so none is retried.
 cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count \
     --test bounded_tasks
@@ -150,7 +153,8 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # used off the baton or by a second running context) and the
 # engine-level integration tests, with Auto resolving to the threads backend
 # (the exploration assertions compare against threads baselines, so passing
-# proves identical output). The node task table both fabrics share: its unit
+# proves identical output; widening_task_waves_under_perturbation runs its
+# 300-wide waves on pooled OS threads here). The node task table both fabrics share: its unit
 # tests, and its bounds on both fabrics in bounded_tasks. LocalFabric's node
 # scheduler: its unit tests (panic containment, re-entry and borrowed-handle
 # rules, the ring alone), ring_stress (the ring does not

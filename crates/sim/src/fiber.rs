@@ -21,8 +21,11 @@
 //! whose return address is a trampoline that invokes the task body; a
 //! finishing fiber performs a terminal switch after pushing its own stack
 //! onto the runtime's retired slot, and whichever context runs next reaps it
-//! (recycling the stack for future spawns — spawning is allocation-free
-//! after warm-up).
+//! onto the runtime's free list. A spawn draws its stack from that list, then
+//! from the process-wide spare list that dropped runtimes hand theirs to
+//! (`SPARE`), and only then from the allocator. Once warm a spawn allocates
+//! no stack, but still three small blocks: the body box, the `TaskCell` `Arc`
+//! and the `FiberBody` box (and on the simulator a fourth, the task's name).
 //!
 //! Safety rests entirely on the baton invariant: all fibers of one
 //! [`FiberRt`] — one `Sim`, or one `LocalFabric` node, which drives the same
@@ -32,7 +35,7 @@
 use crate::task::{TaskBody, TaskCell};
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Reserved bytes per fiber stack. Address space only — the backing pages
 /// are untouched until the task actually recurses into them, so deep stacks
@@ -41,18 +44,21 @@ use std::sync::Arc;
 /// cannot change its headroom.
 const STACK_SIZE: usize = 2 * 1024 * 1024;
 
-/// How many retired stacks the runtime keeps for reuse. Beyond this the
-/// surplus is returned to the allocator (a run that briefly spawned a huge
-/// task wave should not pin its high-water mark forever). Sized for the
-/// widest steady-state wave in the tree — EM3D's 200-body `parfor` per node
-/// per phase, 202 live fibers on a `LocalFabric` node with its root and
-/// poller — so that such a wave allocates no stack after the first. The pool
-/// belongs to one [`FiberRt`] (one simulation, or one `LocalFabric` node) and
-/// is freed with it; it holds at most `STACK_POOL_CAP * STACK_SIZE` = 512 MiB
-/// of address space, of which only the pages its fibers touched are resident.
-const STACK_POOL_CAP: usize = 256;
+/// How many stacks [`SPARE`] keeps between runs; a dropping runtime frees
+/// what would not fit. Wider than the widest wave in the tree (a 4-node
+/// EM3D ghost phase holds about 800 live fibers on the simulator's one
+/// runtime), and `SPARE_CAP * STACK_SIZE` = 2 GiB of address space, of which
+/// only the pages fibers touched are resident.
+const SPARE_CAP: usize = 1024;
 
-/// Written at the low end of every stack; see [`Stack::check`].
+/// Stacks no runtime holds. A [`FiberRt`] whose own free list is empty takes
+/// one from here before it allocates, and a dropping runtime hands its
+/// stacks here, canary-checked; so a run starts on the stacks, already
+/// faulted in, of the runs before it instead of allocating, touching and
+/// freeing its widest wave again.
+static SPARE: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
+
+/// Written at the low end of every stack; see [`Stack::overflowed_by`].
 const CANARY: u64 = 0x5AFE_57AC_C0DE_CAFE;
 
 /// One fiber stack: a heap block, uninitialized but for the canary word at
@@ -96,6 +102,13 @@ fn overflow_message(fabric: &str, (node, task): (usize, u32)) -> String {
         "fiber stack overflow on the {fabric} fabric: task {task} of node {node} ran past \
          its {STACK_SIZE}-byte stack"
     )
+}
+
+/// Abort, naming the culprit, rather than run on with the heap an
+/// overflowing fiber wrote into.
+fn overflow_abort(fabric: &str, owner: (usize, u32)) -> ! {
+    eprintln!("{}; aborting", overflow_message(fabric, owner));
+    std::process::abort();
 }
 
 // The switch routine and the entry trampoline. Layout contract with
@@ -210,7 +223,7 @@ pub(crate) struct FiberBody {
 }
 
 /// Per-scheduler fiber runtime: the engine context's slot, the retired
-/// stack awaiting reap, and the recycle pool.
+/// stack awaiting reap, and the free list.
 pub struct FiberRt {
     /// Which fabric runs on these fibers; an overflow report names it.
     fabric: &'static str,
@@ -220,7 +233,17 @@ pub struct FiberRt {
     /// context to run. At most one can be pending: every switch target
     /// reaps before it can itself finish.
     retired: Cell<Option<Stack>>,
+    /// Every stack this runtime drew that no fiber holds: the hot path, with
+    /// no lock. Nothing leaves it but to a spawn until the runtime drops, and
+    /// its capacity covers every stack the runtime drew, so a reap never
+    /// grows it.
     free_stacks: UnsafeCell<Vec<Stack>>,
+    /// How many stacks this runtime has drawn: the free list's capacity
+    /// is kept at least this.
+    drawn: Cell<usize>,
+    /// Where stacks come from when `free_stacks` is empty and go when the
+    /// runtime drops: [`SPARE`], but for tests.
+    spare: &'static Mutex<Vec<Stack>>,
 }
 
 unsafe impl Send for FiberRt {}
@@ -228,42 +251,62 @@ unsafe impl Sync for FiberRt {}
 
 impl FiberRt {
     pub(crate) fn new(fabric: &'static str) -> FiberRt {
+        FiberRt::with_spare(fabric, &SPARE)
+    }
+
+    fn with_spare(fabric: &'static str, spare: &'static Mutex<Vec<Stack>>) -> FiberRt {
         FiberRt {
             fabric,
             engine_sp: Cell::new(0),
             retired: Cell::new(None),
-            // Reserved up front so recycling a retired stack never grows
-            // the vector — the reap path stays allocation-free.
-            free_stacks: UnsafeCell::new(Vec::with_capacity(STACK_POOL_CAP)),
+            free_stacks: UnsafeCell::new(Vec::new()),
+            drawn: Cell::new(0),
+            spare,
         }
     }
 
-    /// Recycle (or free) the stack of the fiber that just terminal-switched
-    /// away. Called at every switch-in point, where that stack is
-    /// guaranteed quiescent.
+    /// Put the stack of the fiber that just terminal-switched away on the
+    /// free list, aborting if that fiber overflowed it. Called at every
+    /// switch-in point, where that stack is guaranteed quiescent.
     pub(crate) fn reap(&self) {
         if let Some(s) = self.retired.take() {
-            self.check(&s);
-            let free = unsafe { &mut *self.free_stacks.get() };
-            if free.len() < STACK_POOL_CAP {
-                free.push(s);
+            if let Some(owner) = s.overflowed_by() {
+                overflow_abort(self.fabric, owner);
             }
-        }
-    }
-
-    /// Abort, naming the culprit, rather than run on with the heap an
-    /// overflowing fiber wrote into. Called where `stack` is quiescent: when
-    /// it is reaped, and for every pooled stack at teardown.
-    fn check(&self, stack: &Stack) {
-        if let Some(owner) = stack.overflowed_by() {
-            eprintln!("{}; aborting", overflow_message(self.fabric, owner));
-            std::process::abort();
+            let free = unsafe { &mut *self.free_stacks.get() };
+            free.push(s);
         }
     }
 
     fn alloc_stack(&self) -> Stack {
         let free = unsafe { &mut *self.free_stacks.get() };
-        free.pop().unwrap_or_else(Stack::new)
+        free.pop().unwrap_or_else(|| {
+            // Room on the (empty) free list for every stack drawn, this one
+            // included, so that no reap grows the list.
+            self.drawn.set(self.drawn.get() + 1);
+            free.reserve(self.drawn.get());
+            let spare = self
+                .spare
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .pop();
+            spare.unwrap_or_else(Stack::new)
+        })
+    }
+
+    /// Give the spare list every free stack it has room for, after checking
+    /// every canary: a clobbered one is returned, naming its fiber, and then
+    /// nothing is handed over. What does not fit stays on the free list, to
+    /// be freed with the runtime.
+    fn hand_over(&mut self) -> Result<(), (usize, u32)> {
+        let free = self.free_stacks.get_mut();
+        if let Some(owner) = free.iter().find_map(Stack::overflowed_by) {
+            return Err(owner);
+        }
+        let mut spare = self.spare.lock().unwrap_or_else(PoisonError::into_inner);
+        let room = free.len().min(SPARE_CAP - spare.len());
+        spare.extend(free.drain(..room));
+        Ok(())
     }
 
     /// Prepare a suspended fiber for task `owner` = `(node, task)`: seed its
@@ -291,8 +334,8 @@ impl FiberRt {
 impl Drop for FiberRt {
     fn drop(&mut self) {
         self.reap();
-        for s in std::mem::take(self.free_stacks.get_mut()) {
-            self.check(&s);
+        if let Err(owner) = self.hand_over() {
+            overflow_abort(self.fabric, owner);
         }
     }
 }
@@ -405,39 +448,70 @@ mod tests {
         }
     }
 
+    fn addr(stack: &Stack) -> usize {
+        stack.mem.as_ptr() as usize
+    }
+
     #[test]
-    fn reap_caps_the_stack_pool() {
-        // Push well past the cap through the retire/reap cycle: the pool
-        // must stop at STACK_POOL_CAP and release the surplus.
-        let rt = FiberRt::new("test");
-        for i in 0..STACK_POOL_CAP + 8 {
-            rt.retired.set(Some(Stack::new()));
-            rt.reap();
-            let free = unsafe { &*rt.free_stacks.get() };
-            assert_eq!(free.len(), (i + 1).min(STACK_POOL_CAP));
-            assert!(free.capacity() >= free.len(), "reap grew the pool vec");
+    fn a_runtime_starts_on_the_stacks_of_one_that_dropped() {
+        // A spare list of this test's own: other tests' runtimes share the
+        // process-wide one.
+        static SPARE: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
+        let mut first = FiberRt::with_spare("test", &SPARE);
+        let drawn: Vec<Stack> = (0..3).map(|_| first.alloc_stack()).collect();
+        let mut before: Vec<usize> = drawn.iter().map(addr).collect();
+        for s in drawn {
+            first.retired.set(Some(s));
+            first.reap();
         }
-        // Allocation drains the pool before hitting the allocator.
-        for i in (0..STACK_POOL_CAP).rev() {
-            let s = rt.alloc_stack();
-            assert_eq!(unsafe { &*rt.free_stacks.get() }.len(), i);
-            drop(s);
+        // A reap never grows the free list: it has room for every stack drawn.
+        assert!(first.free_stacks.get_mut().capacity() >= 3);
+        drop(first);
+        assert_eq!(SPARE.lock().unwrap().len(), 3);
+
+        // The next runtime draws those very blocks before allocating.
+        let second = FiberRt::with_spare("test", &SPARE);
+        let drawn: Vec<Stack> = (0..4).map(|_| second.alloc_stack()).collect();
+        let mut after: Vec<usize> = drawn[..3].iter().map(addr).collect();
+        before.sort_unstable();
+        after.sort_unstable();
+        assert_eq!(after, before);
+        assert!(SPARE.lock().unwrap().is_empty(), "the fourth was fresh");
+        for s in drawn {
+            second.retired.set(Some(s));
+            second.reap();
         }
-        // Empty pool: reap of nothing is a no-op, alloc falls back to fresh.
-        rt.reap();
-        assert_eq!(unsafe { &*rt.free_stacks.get() }.len(), 0);
-        let _ = rt.alloc_stack();
+        drop(second);
+        assert_eq!(SPARE.lock().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn the_spare_list_stays_bounded() {
+        static SPARE: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
+        SPARE
+            .lock()
+            .unwrap()
+            .extend((1..SPARE_CAP).map(|_| Stack::new()));
+        let mut rt = FiberRt::with_spare("test", &SPARE);
+        rt.free_stacks
+            .get_mut()
+            .extend((0..3).map(|_| Stack::new()));
+        assert_eq!(rt.hand_over(), Ok(()));
+        assert_eq!(SPARE.lock().unwrap().len(), SPARE_CAP);
+        // The surplus stays with the runtime and is freed with it.
+        assert_eq!(rt.free_stacks.get_mut().len(), 2);
+        drop(rt);
+        assert_eq!(SPARE.lock().unwrap().len(), SPARE_CAP);
     }
 
     #[test]
     fn a_clobbered_canary_names_the_culprit() {
-        // What `reap` and the teardown check act on, short of the abort: a
-        // retired stack whose lowest word its fiber overwrote.
-        let rt = FiberRt::new("test");
-        let mut stack = Stack::new();
+        // What `reap` and the hand-over to the spare list act on, short of
+        // the abort: a stack whose lowest word its fiber overwrote.
+        static SPARE: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
+        let mut rt = FiberRt::with_spare("test", &SPARE);
+        let mut stack = rt.alloc_stack();
         stack.owner = (3, 41);
-        rt.retired.set(Some(stack));
-        let mut stack = rt.retired.take().expect("retired above");
         assert_eq!(stack.overflowed_by(), None);
         let canary = stack.mem.as_mut_ptr().cast::<u64>();
         unsafe { canary.write(0) };
@@ -447,27 +521,35 @@ mod tests {
         for part in ["test fabric", "node 3", "task 41"] {
             assert!(msg.contains(part), "{msg}");
         }
-        // Repaired: reaping it must pool it, not abort the test.
+        // Straight onto the free list (a reap would abort the test): the
+        // hand-over names it and gives the spare list nothing, not even the
+        // sound stack beside it.
+        rt.free_stacks.get_mut().push(stack);
+        rt.free_stacks.get_mut().push(Stack::new());
+        assert_eq!(rt.hand_over(), Err((3, 41)));
+        assert!(SPARE.lock().unwrap().is_empty());
+        // Repaired: both reach the spare list.
         unsafe { canary.write(CANARY) };
-        rt.retired.set(Some(stack));
-        rt.reap();
-        assert_eq!(unsafe { &*rt.free_stacks.get() }.len(), 1);
+        assert_eq!(rt.hand_over(), Ok(()));
+        assert_eq!(SPARE.lock().unwrap().len(), 2);
+        drop(rt);
+        assert_eq!(SPARE.lock().unwrap().len(), 2);
     }
 
     #[test]
-    fn task_waves_past_pool_cap_are_backend_identical() {
-        // Three waves of more-than-cap concurrently live tasks: wave one
-        // allocates past the pool, its completion retires more stacks than
-        // the pool keeps, and later waves run on the recycled mix. Results
-        // must not depend on any of that — nor on the backend.
+    fn widening_task_waves_are_backend_identical() {
+        // Waves of 74, then 300, concurrently live tasks: the wider waves run
+        // on the first one's recycled stacks plus fresh ones, and the second
+        // fiber run starts on the stacks the first handed to the spare list.
+        // Results must not depend on any of that, nor on the backend.
         fn run(kind: crate::BackendKind) -> crate::Report {
             use crate::Fabric;
             crate::Sim::new(2).backend(kind).run(|ctx| {
-                for wave in 0..3u64 {
-                    let handles: Vec<_> = (0..STACK_POOL_CAP + 10)
+                for (wave, width) in [74, 300, 300].into_iter().enumerate() {
+                    let handles: Vec<_> = (0..width)
                         .map(|i| {
                             ctx.spawn("wave-worker", move |c| {
-                                c.charge(crate::Bucket::Cpu, wave * 7 + (i as u64 % 5) + 1);
+                                c.charge(crate::Bucket::Cpu, wave as u64 * 7 + i % 5 + 1);
                             })
                         })
                         .collect();
@@ -477,10 +559,12 @@ mod tests {
                 }
             })
         }
-        let fibers = run(crate::BackendKind::Fibers);
         let threads = run(crate::BackendKind::Threads);
-        assert_eq!(fibers.clocks, threads.clocks);
-        assert_eq!(fibers.stats, threads.stats);
-        assert!(fibers.clocks[0] > 0);
+        assert!(threads.clocks[0] > 0);
+        for _ in 0..2 {
+            let fibers = run(crate::BackendKind::Fibers);
+            assert_eq!(fibers.clocks, threads.clocks);
+            assert_eq!(fibers.stats, threads.stats);
+        }
     }
 }

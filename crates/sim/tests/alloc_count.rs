@@ -7,7 +7,9 @@
 //! event heap holds each event whole and reuses its capacity, and baton
 //! handoffs reuse pooled stacks (fiber backend) or parked OS threads
 //! (threads backend). Counted per thread by [`CountingAlloc`], whose docs
-//! say why.
+//! say why. On the fiber backend, a steady-state wave of spawn/join pairs
+//! allocates the same per task however wide it is: the runtime keeps every
+//! stack a wave retired, so a wave no wider than the last draws none.
 
 use mpmd_sim::{thread_allocs, CountingAlloc, Ctx, Fabric, Payload, Sim};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -71,7 +73,7 @@ fn measured_allocs(rounds: fn(&Ctx, usize)) -> u64 {
     let out = Arc::clone(&delta);
     let r = Sim::new(2).run(move |ctx| {
         // Warm-up: grows the event heap, inbox and waiter-list capacities,
-        // and (on the fiber backend) the recycled stack pool.
+        // and (on the fiber backend) the runtime's free list of stacks.
         rounds(&ctx, WARMUP);
         if ctx.node() == 0 {
             let before = thread_allocs();
@@ -102,5 +104,59 @@ fn expiring_timer_then_round_trip_allocates_nothing() {
         n, 0,
         "expiring timed waits must not allocate ({n} allocations \
          across {MEASURED} rounds)"
+    );
+}
+
+/// Allocations per task of spawn/join waves `width` tasks wide on one node
+/// of the fiber backend, measured after warm-up waves of the same width.
+/// Asserts the count divides evenly: every task must cost the same.
+#[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
+fn wave_allocs_per_task(width: usize) -> u64 {
+    const WAVES: usize = 20;
+    let delta = Arc::new(AtomicU64::new(u64::MAX));
+    let out = Arc::clone(&delta);
+    let sim = Sim::new(1).backend(mpmd_sim::BackendKind::Fibers);
+    sim.run(move |ctx| {
+        let mut tasks = Vec::with_capacity(width);
+        let mut waves =
+            |n: usize| {
+                for _ in 0..n {
+                    tasks.extend((0..width as u64).map(|i| {
+                        ctx.spawn("wave", move |c| c.charge(mpmd_sim::Bucket::Cpu, i + 1))
+                    }));
+                    // Every task of the wave holds its stack from its spawn on.
+                    // Yielding lets them all finish, so no join parks (the first
+                    // parked join of a task allocates its joiner list).
+                    ctx.yield_now();
+                    for t in tasks.drain(..) {
+                        ctx.join(t);
+                    }
+                }
+            };
+        waves(3);
+        let before = thread_allocs();
+        waves(WAVES);
+        out.store(thread_allocs() - before, Relaxed);
+    });
+    let total = delta.load(Relaxed);
+    let tasks = (WAVES * width) as u64;
+    assert_eq!(
+        total % tasks,
+        0,
+        "{width}-wide waves: {total} allocations over {tasks} tasks"
+    );
+    total / tasks
+}
+
+/// The parent kept at most 256 retired stacks per runtime, so a wider wave
+/// allocated (and freed) one stack per task past 256, every wave.
+#[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
+#[test]
+fn wide_task_waves_allocate_no_stacks() {
+    let narrow = wave_allocs_per_task(1);
+    let wide = wave_allocs_per_task(300);
+    assert_eq!(
+        wide, narrow,
+        "a 300-wide wave must allocate per task what a 1-wide one does"
     );
 }

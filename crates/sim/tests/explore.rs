@@ -161,14 +161,17 @@ fn forced_slow_paths_are_result_invisible() {
     );
 }
 
-/// Task waves past the fiber stack-pool cap (64) under an active oracle:
-/// stack recycling plus schedule perturbation must still match the
-/// threads backend bit-for-bit.
+/// Widening task waves under an active oracle: a 74-wide wave, then
+/// 300-wide ones that run on its recycled fiber stacks plus fresh ones, and
+/// a second run that starts on the stacks the first handed to the
+/// process-wide spare list. Stack recycling plus schedule perturbation must
+/// still match the threads backend bit-for-bit.
 #[test]
-fn task_waves_past_stack_pool_cap_under_perturbation() {
+fn widening_task_waves_under_perturbation() {
     fn storm(ctx: &Ctx) {
-        for wave in 0..3u64 {
-            let tasks: Vec<_> = (0..74)
+        for (wave, width) in [74, 300, 300].into_iter().enumerate() {
+            let wave = wave as u64;
+            let tasks: Vec<_> = (0..width)
                 .map(|i| {
                     ctx.spawn("storm", move |c| {
                         c.charge(Bucket::Cpu, wave * 7 + (i % 5) + 1);
@@ -195,8 +198,11 @@ fn task_waves_past_stack_pool_cap_under_perturbation() {
     };
     let base = go(None, BackendKind::Threads);
     for seed in 0..4u64 {
-        let (o, _) = TraceOracle::seeded(OracleSpec::full(seed));
-        assert_eq!(go(Some(o), BackendKind::Auto), base, "auto seed {seed}");
+        for run in ["first", "second"] {
+            let (o, _) = TraceOracle::seeded(OracleSpec::full(seed));
+            let got = go(Some(o), BackendKind::Auto);
+            assert_eq!(got, base, "auto seed {seed}, {run} run");
+        }
         let (o, _) = TraceOracle::seeded(OracleSpec::full(seed));
         assert_eq!(
             go(Some(o), BackendKind::Threads),
