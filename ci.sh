@@ -65,6 +65,27 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> thread_local! only in the baton and the allocation counter"
+# Which node's task runs on a thread has one answer: the record the baton
+# keeps (sim/src/baton.rs), which the kernel, the node scheduler, node data
+# and every NodeCell read. A second thread-local would be a second answer
+# that can disagree. alloc_count.rs counts each thread's allocations. The
+# body of a top-level `#[cfg(test)] mod ... {`, up to its closing `}` in
+# column 0, is test code and exempt.
+stray=$(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { prev = ""; skip = 0 }
+    skip && /^}/ { skip = 0; prev = $0; next }
+    skip { next }
+    prev ~ /^#\[cfg\(test\)\]$/ && /^mod .*\{$/ { skip = 1; prev = $0; next }
+    /thread_local!/ { print FILENAME ":" FNR }
+    { prev = $0 }' {} + |
+    grep -v -e '^crates/sim/src/baton.rs:' -e '^crates/sim/src/alloc_count.rs:' || true)
+if [ -n "$stray" ]; then
+    echo "thread_local! outside the baton:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-task + call-record tests"
 # The link ring's FIFO invariants through full rings with sender and
 # receiver on two threads, the lost-wake-up battery (2 000 frame hand-offs
@@ -148,10 +169,11 @@ echo "explore sweep OK"
 echo "==> threads-fallback build (fiber backend force-disabled)"
 # --cfg mpmd_no_fibers compiles out the fiber switch the way a non-x86_64
 # target would; both schedulers built on the baton must still build and
-# behave the same with every task on a pooled OS thread. The simulator's
-# engine: its unit tests (the one Backend::switch, kernel re-entry, a handle
-# used off the baton or by a second running context) and the
-# engine-level integration tests, with Auto resolving to the threads backend
+# behave the same with every task on a pooled OS thread. The baton's unit
+# tests (a cell borrowed off its baton, a second running context, a nested
+# run giving the outer holder back); the simulator's engine: its unit tests
+# (the one Backend::switch, kernel re-entry, a handle used off the baton)
+# and the engine-level integration tests, with Auto resolving to the threads backend
 # (the exploration assertions compare against threads baselines, so passing
 # proves identical output; widening_task_waves_under_perturbation runs its
 # 300-wide waves on pooled OS threads here). The node task table both fabrics share: its unit
@@ -169,8 +191,10 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # order memory between a node's tasks, which here run on different OS
 # threads, so the threads package's lib tests (on the simulator's threads
 # backend), Split-C's lib tests, the conformance cases node_local_sync
-# (same-node contention and hand-off) and node_local_rule (a touch from
-# another node panics), and local_scale (Water, LU and EM3D in both
+# (same-node contention and hand-off), node_local_rule (a touch from
+# another node panics) and lent_handle_sim / lent_handle_local (a handle
+# another node's task lent fails a lock, charge, with_stats or node_data
+# with the one handle rule), and local_scale (Water, LU and EM3D in both
 # languages on OS-thread nodes, against their references) run here too. The
 # RMI call records: the per-node free list and the rule that only the
 # issuing task recycles must hold with every task on its own OS thread too,

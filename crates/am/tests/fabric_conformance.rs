@@ -12,7 +12,7 @@ use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder};
 use mpmd_sim::{
     Bucket, CostModel, NodeData, Payload, Report, Sim, Snapshot, SpanId, TaskId, TraceConfig,
-    TraceEvent, TraceLog, ACROSS_NODES,
+    TraceEvent, TraceLog, ACROSS_NODES, NOT_ITS_NODE,
 };
 use mpmd_threads as thr;
 use parking_lot::Mutex;
@@ -949,6 +949,62 @@ fn check_node_local_rule<F: Fabric>(fabric: &str, run: impl Fn(Arc<Owned>, Touch
     }
 }
 
+/// What node 0 lends node 1: its handle, and a lock it owns.
+struct Lent<F> {
+    handle: Mutex<Option<F>>,
+    m: thr::Mutex<u32>,
+}
+
+type Misuse<F> = fn(&F, &thr::Mutex<u32>);
+
+fn misuses<F: Fabric>() -> [(&'static str, Misuse<F>); 4] {
+    [
+        ("lock", |c, m| *m.lock(c) += 1),
+        ("charge", |c, _| c.charge(Bucket::Cpu, 1)),
+        ("with_stats", |c, _| c.with_stats(|s| s.polls += 1)),
+        ("node_data", |c, _| _ = c.node_data(|| 0u8)),
+    ]
+}
+
+/// A handle works only for a task of its own node: node 0 locks its lock,
+/// and so owns it, and lends node 1 its handle, through which node 1's task
+/// then `misuse`s node 0's state, which must fail the run.
+fn battery_lent_handle<F: Fabric>(ctx: &F, lent: &Lent<F>, misuse: Misuse<F>) {
+    if ctx.node() == 0 {
+        *lent.m.lock(ctx) += 1;
+        *lent.handle.lock() = Some(ctx.clone());
+        return;
+    }
+    let theirs = loop {
+        if let Some(h) = lent.handle.lock().take() {
+            break h;
+        }
+        // The simulator runs node 0 once this node's clock has moved past it.
+        ctx.charge(Bucket::Cpu, 1_000);
+        ctx.yield_now();
+    };
+    misuse(&theirs, &lent.m);
+}
+
+/// Every `misuse` through the lent handle fails `run` with the handle rule.
+fn check_lent_handle<F: Fabric>(fabric: &str, run: impl Fn(Arc<Lent<F>>, Misuse<F>)) {
+    for (what, misuse) in misuses::<F>() {
+        let lent = Arc::new(Lent {
+            handle: Mutex::new(None),
+            m: thr::Mutex::new(0),
+        });
+        let msg = panic_message(|| {
+            run(Arc::clone(&lent), misuse);
+            unreachable!("`{what}` through node 0's handle passed")
+        });
+        assert_eq!(msg, NOT_ITS_NODE, "{fabric}: {what}");
+        assert!(
+            lent.handle.lock().is_none(),
+            "{fabric}: {what} lent nothing"
+        );
+    }
+}
+
 /// An inbox waiter keeps its place in line from its first wait, even when a
 /// timer has woken it since: task A's timed inbox wait expires, B starts an
 /// inbox wait, A waits again, a frame from node 1 arrives, and A resumes
@@ -1580,6 +1636,20 @@ fn node_local_rule_sim() {
 fn node_local_rule_local() {
     check_node_local_rule("local", |owned, touch| {
         LocalFabric::run(2, move |ctx| battery_node_local_rule(&ctx, &owned, touch));
+    });
+}
+
+#[test]
+fn lent_handle_sim() {
+    check_lent_handle("sim", |lent, misuse| {
+        Sim::new(2).run(move |ctx| battery_lent_handle(&ctx, &lent, misuse));
+    });
+}
+
+#[test]
+fn lent_handle_local() {
+    check_lent_handle("local", |lent, misuse| {
+        LocalFabric::run(2, move |ctx| battery_lent_handle(&ctx, &lent, misuse));
     });
 }
 

@@ -37,8 +37,9 @@
 //!   thread is really asleep: [`NodeParker`] has the flag/flag argument.
 //! * **Cross-thread state**: the rings, the parker, `retired` flags. Only
 //!   messages cross nodes, and nothing runs beside a node's thread: a handle
-//!   works on the thread that holds its node's baton and panics anywhere
-//!   else, unless only asked what it is (`node`, `now`, `inbox_len`, ...).
+//!   works for a task of its own node, as the node's baton checks, and
+//!   panics anywhere else, unless only asked what it is (`node`, `now`,
+//!   `inbox_len`, ...).
 //!   Task table and run queue (`mpmd_sim::sched::NodeTasks`, the
 //!   simulator's too), deadline list, stash, singletons and
 //!   [`Probe`] (ledger, metrics and trace ring with no lock and no atomic,
@@ -49,9 +50,10 @@
 //!   node for that long. A lock shared by two tasks of one node must not be
 //!   held across a blocking fabric call: the other would wait on it with
 //!   nobody left to release it.
-//! * **Stacks** are 2 MiB heap blocks recycled through a per-node pool, with
-//!   a canary word at the low end checked when a task exits and at teardown:
-//!   an overflow aborts the process with node and task named.
+//! * **Stacks** are 2 MiB heap blocks, kept by each node's runtime and, when
+//!   it drops, handed to the process-wide spare list the next run draws from.
+//!   A canary word at the low end, checked at each exit and at hand-over,
+//!   aborts the process on an overflow with node and task named.
 //! * **Without the fiber switch** (anything but x86-64 unix, or `--cfg
 //!   mpmd_no_fibers`) the same scheduler moves the same baton between pooled
 //!   OS threads, one per live task, still one at a time per node.
@@ -64,7 +66,7 @@
 //! fault model, so the reliable layer stays in its plain-send mode).
 
 use crate::Fabric;
-use mpmd_sim::baton::{Backend, BackendKind, BatonCell, TaskBody, TaskCell};
+use mpmd_sim::baton::{Backend, BackendKind, BatonCell, NodeKey, TaskBody, TaskCell};
 use mpmd_sim::sched::{NodeTasks, TaskState};
 use mpmd_sim::{
     size_bucket, Bucket, CostModel, FaultDecision, MetricsRegistry, Msg, NodeData, NodeTrace,
@@ -425,18 +427,10 @@ const _: () = {
     assert!(size_of::<Ring>() == 3 * 128 && align_of::<Ring>() == 128);
 };
 
-/// What a task did wrong when its node's scheduler is found borrowed.
-const REENTRY: &str = "LocalFabric re-entered from a `with_stats` closure: it runs on the \
-                       node's probe and must not call back into the fabric";
-
-/// What a task did wrong when it uses a handle that is not its own.
-const BORROWED: &str = "a LocalFabric handle blocks only the task it was given to, and is \
-                        used only on the thread that runs its node: `park`, `join`, `sleep`, \
-                        `yield_now`, `park_for_inbox*` through a handle borrowed from another \
-                        task, and anything but asking the handle what it is (`node`, `now`, \
-                        `inbox_len`, ...) through one carried to another node's thread or \
-                        outside the run, would touch a scheduler, probe or link the caller \
-                        does not hold";
+/// What a task did wrong when it blocks through a sibling's handle.
+const BORROWED: &str = "a LocalFabric handle blocks only the task it was given to: `park`, \
+                        `join`, `sleep`, `yield_now` and `park_for_inbox*` through a handle \
+                        borrowed from a sibling task would block the wrong task";
 
 /// Run phases, in order.
 const RUNNING: u8 = 0;
@@ -523,14 +517,12 @@ impl LfInner {
         let fab = LocalFabric {
             inner: Arc::clone(self),
             node,
+            key: backend.node_key(node),
             task: id,
             cell: Arc::clone(&cell),
         };
         let body: TaskBody = Box::new(move || {
             let inner = Arc::clone(&fab.inner);
-            // On the fallback backend this body is on a pooled thread of its
-            // own; with fibers the store repeats what the last task wrote.
-            CURRENT.set((Arc::as_ptr(&inner), node));
             // The root of the task's stack: nothing may unwind past it.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || f(fab)));
             inner.finish_task(node, id, outcome)
@@ -698,6 +690,7 @@ where
     G: FnOnce(LocalFabric) + Send + 'static,
 {
     let me = &inner.node[node];
+    let _engine = me.backend.engine();
     inner.start_task(node, &mut me.local.borrow_mut(), "main", false, root);
     // The node's bootstrap hold: its root holds the run open from here.
     inner.release_hold();
@@ -711,12 +704,6 @@ where
         drop(s);
         me.backend.switch(None, Some(&cell));
     }
-}
-
-thread_local! {
-    /// The `(run, node)` whose baton this thread holds: what makes a node's
-    /// [`Sched`] this thread's to touch. Null on a thread that runs no task.
-    static CURRENT: Cell<(*const LfInner, usize)> = const { Cell::new((std::ptr::null(), 0)) };
 }
 
 /// Configuration for a wall-clock run.
@@ -801,24 +788,21 @@ impl LocalFabricBuilder {
             epoch: Instant::now(),
             rings: (0..n * n).map(|_| Ring::new(cap)).collect(),
             node: (0..n)
-                .map(|node| Node {
-                    parker: NodeParker::new(),
-                    totals: Mutex::default(),
-                    retired: AtomicBool::new(false),
-                    backend: Backend::new(BackendKind::Auto, "local"),
-                    // SAFETY: every borrow is in `LocalFabric::home`,
-                    // `inbox_len`, `node_main` or `finish_task`, which run on
-                    // the thread holding this node's baton — the handle
-                    // methods after checking `CURRENT`, the other two by
-                    // construction.
-                    local: unsafe {
-                        BatonCell::new(Sched::new(
-                            NodeTasks::new(node, n),
-                            self.wait,
-                            Probe::new(trace, &Arc::default()),
-                        ))
-                    },
-                    data: NodeData::default(),
+                .map(|node| {
+                    let backend = Backend::new(BackendKind::Auto, "local");
+                    let sched = Sched::new(
+                        NodeTasks::new(node, n),
+                        self.wait,
+                        Probe::new(trace, &Arc::default()),
+                    );
+                    Node {
+                        parker: NodeParker::new(),
+                        totals: Mutex::default(),
+                        retired: AtomicBool::new(false),
+                        local: BatonCell::new(&backend, sched),
+                        backend,
+                        data: NodeData::default(),
+                    }
                 })
                 .collect(),
             // One bootstrap hold per node: a root that returns before its
@@ -860,6 +844,8 @@ impl LocalFabricBuilder {
 pub struct LocalFabric {
     inner: Arc<LfInner>,
     node: usize,
+    /// The node's baton's key for it.
+    key: NodeKey,
     task: TaskId,
     /// This task's own context, cached so blocking points need not fetch it
     /// from the task table.
@@ -884,41 +870,28 @@ impl LocalFabric {
 
     /// Number of delivered, unconsumed frames on this node: a gauge while
     /// frames move, and a test-side probe (the layers above drain the inbox,
-    /// never count it). The stash is counted only on the node's own thread,
-    /// outside a `with_stats` closure; elsewhere, the rings alone.
+    /// never count it). The stash is counted only by the node's baton
+    /// holder, outside a `with_stats` closure; elsewhere, the rings alone.
     pub fn inbox_len(&self) -> usize {
         let rings = (0..self.inner.nodes).map(|src| self.inner.ring(src, self.node).depth());
-        let (home, local) = (self.at_home(), &self.inner.node[self.node].local);
-        let stashed = home.then(|| local.try_borrow().map_or(0, |s| s.stash.len()));
-        rings.sum::<usize>() + stashed.unwrap_or(0)
-    }
-
-    /// Whether the calling thread holds this handle's node's baton.
-    #[inline]
-    fn at_home(&self) -> bool {
-        CURRENT.get() == (Arc::as_ptr(&self.inner), self.node)
+        let local = self.inner.node[self.node].local.try_borrow();
+        rings.sum::<usize>() + local.map_or(0, |s| s.stash.len())
     }
 
     /// This node's scheduler, to move ids between its queues, count into its
     /// probe or reach its links: any task of the node may, through any
-    /// handle of the node; a thread that does not hold the node's baton in
-    /// this handle's run may not. Finding it borrowed means a `with_stats`
-    /// closure further up this stack is calling back into the fabric.
+    /// handle of the node; no other context may, and nor may a `with_stats`
+    /// closure further up this stack (the baton checks both).
     #[inline]
     fn home(&self) -> RefMut<'_, Sched> {
-        assert!(self.at_home(), "{BORROWED}");
-        let local = &self.inner.node[self.node].local;
-        local
-            .try_borrow_mut()
-            .unwrap_or_else(|_| panic!("{REENTRY}"))
+        self.inner.node[self.node].local.borrow_at(self.key)
     }
 
     /// This node's scheduler, to block the calling task through: a handle
-    /// may do that only for the task it was given to, on the thread that
-    /// runs it.
+    /// may do that only for the task it was given to.
     fn sched(&self) -> RefMut<'_, Sched> {
         let s = self.home();
-        assert!(s.tasks.current() == Some(self.task), "{BORROWED}");
+        assert!(self.key.runs(self.task), "{BORROWED}");
         s
     }
 
@@ -1154,7 +1127,7 @@ impl Fabric for LocalFabric {
         T: Send + Sync + 'static,
         G: FnOnce() -> T,
     {
-        assert!(self.at_home(), "{BORROWED}");
+        self.key.check();
         self.inner.node[self.node].data.get_or_init(init)
     }
 
@@ -1164,7 +1137,7 @@ impl Fabric for LocalFabric {
 
     /// What the node counted since its last merge, not its totals: add to
     /// it, do not read it. It is lent out of the node's scheduler, so
-    /// calling back into the fabric meanwhile panics with [`REENTRY`].
+    /// calling back into the fabric meanwhile panics.
     #[inline]
     fn probe(&self) -> RefMut<'_, Probe> {
         RefMut::map(self.home(), |s| &mut s.probe)
@@ -1559,8 +1532,8 @@ mod tests {
 
     /// The twin of the simulator's `kernel_reentry_panics_on_every_backend`:
     /// calling back into the fabric from a `with_stats` closure fails the run
-    /// with the rule. Through a handle driven from another node's thread the
-    /// outer call already fails, for being made through that handle.
+    /// with the rule. Through a handle lent by another node's task the outer
+    /// call already fails, with the handle rule.
     #[test]
     fn reentry_from_a_probe_closure_panics_with_the_rule() {
         let cases: [(&str, Misuse); 6] = [
@@ -1588,7 +1561,7 @@ mod tests {
             for lend in [false, true] {
                 let msg = misuse_message(lend, reenter);
                 let rule = if lend {
-                    "blocks only the task it was given to"
+                    mpmd_sim::NOT_ITS_NODE
                 } else {
                     "must not call back into the fabric"
                 };
@@ -1597,13 +1570,13 @@ mod tests {
         }
     }
 
-    /// A handle works on the thread that holds its node's baton: every call
-    /// that touches the node's scheduler, probe or links fails the run
-    /// with the rule from another node's task and from outside the run, where
+    /// A handle works only for a task of its own node: every call that
+    /// touches the node's scheduler, probe or links fails the run with the
+    /// handle rule from another node's task and from outside the run, where
     /// only asking the handle what it is goes through. From a sibling task of
-    /// the handle's own node, which does hold the baton, only the calls that
-    /// block fail: they would block the wrong task (counting through a
-    /// sibling's handle is what `probe_totals` does).
+    /// the handle's own node only the calls that block fail, with their own
+    /// rule: they would block the wrong task (counting through a sibling's
+    /// handle is what `probe_totals` does).
     #[test]
     fn blocking_through_a_borrowed_handle_panics_with_the_rule() {
         type Call = fn(&LocalFabric);
@@ -1639,10 +1612,10 @@ mod tests {
             ),
             ("try_recv", |c| _ = c.try_recv(), false),
         ];
-        let rule = "blocks only the task it was given to";
+        let rule = mpmd_sim::NOT_ITS_NODE;
         for (what, call, blocks) in calls {
             let msg = misuse_message(true, move |_, theirs| call(theirs));
-            assert!(msg.contains(rule), "{what} from another node: {msg}");
+            assert_eq!(msg, rule, "{what} from another node");
 
             let escaped = Arc::new(Mutex::new(None));
             let e2 = Arc::clone(&escaped);
@@ -1655,7 +1628,7 @@ mod tests {
             match from_a_sibling {
                 Err(payload) => {
                     let msg = panic_message(payload);
-                    assert!(blocks && msg.contains(rule), "{what} from a sibling: {msg}");
+                    assert!(blocks && msg == BORROWED, "{what} from a sibling: {msg}");
                 }
                 Ok(_) => assert!(!blocks, "{what} through a sibling's handle went through"),
             }
@@ -1669,8 +1642,7 @@ mod tests {
             assert_eq!(outside.inbox_len(), (what == "send_msg") as usize);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&outside)))
                 .expect_err("a call from outside the run must panic");
-            let msg = panic_message(caught);
-            assert!(msg.contains(rule), "{what} from outside the run: {msg}");
+            assert_eq!(panic_message(caught), rule, "{what} from outside the run");
         }
 
         // A refused `try_recv` takes nothing: the frame is still its owner's.
@@ -1691,7 +1663,7 @@ mod tests {
             let caught =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| theirs.try_recv()))
                     .expect_err("node 0 must not receive for node 1");
-            assert!(panic_message(caught).contains(rule));
+            assert_eq!(panic_message(caught), rule);
             assert_eq!(theirs.inbox_len(), 1);
             refused.store(true, Ordering::SeqCst);
         })

@@ -3,14 +3,15 @@
 //! here say only what is specific to the virtual-time kernel.
 //!
 //! Hot-path discipline: every operation that reads the kernel borrows it
-//! exactly once, through `SimInner::lock_kernel` (a thread-local check that
-//! the caller holds the run's baton, then a `RefCell` borrow), and none holds
-//! the borrow across a baton switch. `probe` lends a node's
+//! exactly once, through `Ctx::kernel` (the baton's check that the caller
+//! is its holder and a task of this handle's node, then a `RefCell` borrow),
+//! and none holds the borrow across a baton switch. `probe` lends a node's
 //! [`Probe`](crate::Probe) out of that borrow, so the `with_stats` closure
 //! that runs under it must not call back into the fabric (doing so panics).
 //! `tracing` is a plain bool captured at `Sim::run`, so with tracing off a
 //! span costs a branch, not a kernel visit.
 
+use crate::baton::NodeKey;
 use crate::cost::CostModel;
 use crate::engine::{spawn_task, switch_from_task, SimInner};
 use crate::event::{Msg, Payload};
@@ -29,52 +30,37 @@ use std::sync::Arc;
 /// Handle to the simulation held by a running task. Cheap to clone; a clone
 /// refers to the same task (pass clones into closures, not across tasks —
 /// each spawned task receives its own `Ctx`).
+#[derive(Clone)]
 pub struct Ctx {
     pub(crate) inner: Arc<SimInner>,
-    node: usize,
-    task: TaskId,
+    pub(crate) node: usize,
+    /// The baton's key for `node`.
+    pub(crate) key: NodeKey,
+    pub(crate) task: TaskId,
     /// This task's own handoff cell, cached here so blocking points don't
     /// re-fetch (and re-clone) it from the task table on every switch.
-    cell: Arc<TaskCell>,
-}
-
-impl Clone for Ctx {
-    fn clone(&self) -> Self {
-        Ctx {
-            inner: Arc::clone(&self.inner),
-            node: self.node,
-            task: self.task,
-            cell: Arc::clone(&self.cell),
-        }
-    }
+    pub(crate) cell: Arc<TaskCell>,
 }
 
 impl Ctx {
-    pub(crate) fn new(
-        inner: Arc<SimInner>,
-        node: usize,
-        task: TaskId,
-        cell: Arc<TaskCell>,
-    ) -> Self {
-        Ctx {
-            inner,
-            node,
-            task,
-            cell,
-        }
+    /// The kernel, borrowed by a task of this handle's node holding the
+    /// baton: the single access point.
+    #[inline]
+    fn kernel(&self) -> RefMut<'_, Kernel> {
+        self.inner.kernel.borrow_at(self.key)
     }
 
     /// Task records in this node's table: the live set, however many tasks
     /// the node has run so far. For the bounded-resource tests.
     #[doc(hidden)]
     pub fn debug_task_records(&self) -> usize {
-        self.inner.lock_kernel().nodes[self.node].tasks.live()
+        self.kernel().nodes[self.node].tasks.live()
     }
 
     /// Number of delivered, unconsumed frames on this node. A test-side
     /// probe: the layers above drain the inbox, never count it.
     pub fn inbox_len(&self) -> usize {
-        self.inner.lock_kernel().nodes[self.node].inbox.len()
+        self.kernel().nodes[self.node].inbox.len()
     }
 
     /// Leave this task waiting in `state`, traced as a park, until a wake rule
@@ -112,7 +98,7 @@ impl Fabric for Ctx {
 
     #[inline]
     fn now(&self) -> Time {
-        self.inner.lock_kernel().clock(self.node)
+        self.kernel().clock(self.node)
     }
 
     /// Advances this node's clock by `ns`; the next scheduling decision
@@ -121,7 +107,7 @@ impl Fabric for Ctx {
         if ns == 0 {
             return;
         }
-        let mut k = self.inner.lock_kernel();
+        let mut k = self.kernel();
         let n = &mut k.nodes[self.node];
         n.clock += ns;
         n.probe.stats.bucket_ns[bucket.index()] += ns;
@@ -129,14 +115,15 @@ impl Fabric for Ctx {
     }
 
     fn snapshot(&self) -> Snapshot {
-        crate::engine::snapshot(&self.inner)
+        crate::engine::snapshot(&self.kernel())
     }
 
     fn spawn<F>(&self, name: &str, f: F) -> TaskId
     where
         F: FnOnce(Ctx) + Send + 'static,
     {
-        spawn_task(&self.inner, self.node, name.to_string(), false, f)
+        let k = &mut self.kernel();
+        spawn_task(&self.inner, k, self.node, name.to_string(), false, f)
     }
 
     /// Daemons are excluded from the liveness condition: when only daemons
@@ -146,7 +133,8 @@ impl Fabric for Ctx {
     where
         F: FnOnce(Ctx) + Send + 'static,
     {
-        spawn_task(&self.inner, self.node, name.to_string(), true, f)
+        let k = &mut self.kernel();
+        spawn_task(&self.inner, k, self.node, name.to_string(), true, f)
     }
 
     /// Gives the scheduler a chance to apply due network events and run
@@ -155,7 +143,7 @@ impl Fabric for Ctx {
     /// Includes a fast path: if no event and no other task could possibly run
     /// before this node's clock, the reschedule is skipped entirely.
     fn yield_now(&self) {
-        let mut k = self.inner.lock_kernel();
+        let mut k = self.kernel();
         let my_clock = k.clock(self.node);
         let event_due = k.events.peek().is_some_and(|e| e.time <= my_clock);
         let local_ready = k.nodes[self.node].tasks.ready_len() > 0;
@@ -176,24 +164,22 @@ impl Fabric for Ctx {
     }
 
     fn park(&self) {
-        self.block(self.inner.lock_kernel(), TaskState::Parked, None);
+        self.block(self.kernel(), TaskState::Parked, None);
     }
 
     fn unpark(&self, t: TaskId) {
-        self.inner
-            .lock_kernel()
-            .wake(self.node, |tasks| tasks.unpark(t));
+        self.kernel().wake(self.node, |tasks| tasks.unpark(t));
     }
 
     fn park_for_inbox(&self) {
-        let k = self.inner.lock_kernel();
+        let k = self.kernel();
         if k.nodes[self.node].inbox.is_empty() {
             self.block(k, TaskState::InboxWait, None);
         }
     }
 
     fn park_for_inbox_until(&self, deadline: Time) {
-        let k = self.inner.lock_kernel();
+        let k = self.kernel();
         if k.nodes[self.node].inbox.is_empty() && k.clock(self.node) < deadline {
             self.block(k, TaskState::InboxWait, Some(deadline));
         }
@@ -203,14 +189,14 @@ impl Fabric for Ctx {
     /// drops an `unpark`, and the timer's generation keeps it from ending a
     /// later wait.
     fn sleep(&self, ns: Time) {
-        let k = self.inner.lock_kernel();
+        let k = self.kernel();
         let at = k.clock(self.node) + ns;
         self.block(k, TaskState::Sleeping, Some(at));
     }
 
     fn join(&self, t: TaskId) {
         loop {
-            let mut k = self.inner.lock_kernel();
+            let mut k = self.kernel();
             if !k.nodes[self.node].tasks.join(self.task, t) {
                 return;
             }
@@ -219,13 +205,11 @@ impl Fabric for Ctx {
     }
 
     fn is_finished(&self, t: TaskId) -> bool {
-        self.inner.lock_kernel().nodes[self.node]
-            .tasks
-            .is_finished(t)
+        self.kernel().nodes[self.node].tasks.is_finished(t)
     }
 
     fn shutting_down(&self) -> bool {
-        self.inner.lock_kernel().shutting_down
+        self.kernel().shutting_down
     }
 
     /// Unlike `yield_now`, a poll point does **not** queue behind other
@@ -235,7 +219,7 @@ impl Fabric for Ctx {
     /// (and could therefore still produce an event before it), and resumes
     /// at the front of its node's run queue.
     fn poll_point(&self) {
-        let mut k = self.inner.lock_kernel();
+        let mut k = self.kernel();
         let my_clock = k.clock(self.node);
         let event_due = k.events.peek().is_some_and(|e| e.time <= my_clock);
         // A pick of our own node carries our clock, never an earlier one, so
@@ -255,7 +239,7 @@ impl Fabric for Ctx {
     /// Drawn from the seeded fault stream, at the one rate every link has.
     /// Panics when no fault model is installed.
     fn fault_decision(&self, _dst: usize) -> FaultDecision {
-        self.inner.lock_kernel().fault_decision()
+        self.kernel().fault_decision()
     }
 
     /// `delay` models wire/switch time and must be > 0.
@@ -269,11 +253,11 @@ impl Fabric for Ctx {
             wire_bytes,
             payload,
         };
-        self.inner.lock_kernel().post_deliver(dst, msg, delay);
+        self.kernel().post_deliver(dst, msg, delay);
     }
 
     fn try_recv(&self) -> Option<Msg> {
-        self.inner.lock_kernel().nodes[self.node].inbox.pop_front()
+        self.kernel().nodes[self.node].inbox.pop_front()
     }
 
     fn node_data<T, F>(&self, init: F) -> &T
@@ -281,14 +265,14 @@ impl Fabric for Ctx {
         T: Send + Sync + 'static,
         F: FnOnce() -> T,
     {
-        self.inner.check_baton();
+        self.key.check();
         self.inner.node_data[self.node].get_or_init(init)
     }
 
     /// Lent out of the kernel borrow.
     #[inline]
     fn probe(&self) -> RefMut<'_, Probe> {
-        RefMut::map(self.inner.lock_kernel(), |k| &mut k.nodes[self.node].probe)
+        RefMut::map(self.kernel(), |k| &mut k.nodes[self.node].probe)
     }
 
     #[inline]

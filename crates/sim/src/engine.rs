@@ -17,10 +17,9 @@
 //! wakeups per simulated context switch relative to routing every switch
 //! through the engine.
 //!
-//! The kernel is owned by whichever context holds the baton: a context that
-//! receives it records itself as the run's holder, on its thread and in the
-//! run ([`SimInner::receive`]), and every kernel access checks both
-//! ([`SimInner::lock_kernel`]).
+//! The kernel is owned by whichever context holds the baton: it is a
+//! [`BatonCell`], which the baton lets only its holder borrow, and a handle
+//! only a task of its own node (`Ctx::kernel`).
 
 use crate::baton::{Backend, BackendKind, BatonCell, TaskCell};
 use crate::cost::CostModel;
@@ -32,9 +31,8 @@ use crate::node_data::NodeData;
 use crate::report::{Report, Snapshot};
 use crate::task::TaskId;
 use crate::trace::{TraceConfig, TraceEvent, TraceLog};
-use std::cell::{Cell, RefMut};
+use std::cell::RefMut;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Parse an `MPMD_SIM_BACKEND` value. `None` (unset) means the platform
@@ -61,87 +59,17 @@ pub fn backend_from_env() -> Result<BackendKind, String> {
     parse_backend_env(s.as_deref())
 }
 
-/// What a task did wrong when the kernel is found borrowed.
-const REENTRY: &str = "simulator kernel re-entered from a `with_stats` closure: it runs on the \
-                       kernel and must not call back into the fabric";
-
-/// What a caller did wrong when it reaches the kernel without the baton.
-const OFF_BATON: &str = "a simulator handle reaches the kernel only from the context that holds \
-                         its run's baton: a call that reads or writes the kernel (`now`, \
-                         `charge`, `with_stats`, ...) from a thread the task started, after the \
-                         run, or from a second context running beside the holder would touch \
-                         state the caller does not own";
-
-/// The engine's context key; a task's is its id.
-const ENGINE: u32 = u32::MAX;
-
-thread_local! {
-    /// The `(run, context key)` whose baton this thread holds. Null on a
-    /// thread that runs no simulation context.
-    static CURRENT: Cell<(*const SimInner, u32)> = const { Cell::new((std::ptr::null(), 0)) };
-}
-
-/// Puts back the `CURRENT` that `Sim::run` found, however the run ends.
-struct RestoreCurrent((*const SimInner, u32));
-
-impl Drop for RestoreCurrent {
-    fn drop(&mut self) {
-        CURRENT.set(self.0);
-    }
-}
-
 pub(crate) struct SimInner {
     /// All mutable simulation state, owned by the context holding the baton.
-    kernel: BatonCell<Kernel>,
+    pub(crate) kernel: BatonCell<Kernel>,
     /// Each node's layer singletons, beside the kernel: a lookup borrows nothing.
     pub(crate) node_data: Box<[NodeData]>,
-    /// The context key of the baton holder, written by each context as it
-    /// receives the baton. A second word beside `CURRENT`: a context running
-    /// beside the holder on another thread finds it overwritten.
-    holder: AtomicU32,
     pub(crate) backend: Backend,
     pub(crate) cost: CostModel,
     pub(crate) num_nodes: usize,
     /// Immutable for the run: lets trace hooks bail out without reaching
     /// the kernel when the run records no trace.
     pub(crate) tracing_on: bool,
-}
-
-impl SimInner {
-    /// Record the calling context (`key`: [`ENGINE`] or a task id) as the
-    /// baton holder, on this thread and in the run. Called wherever a
-    /// context receives the baton: the `Sim::run` bootstrap, the start of a
-    /// task body, and the return from `Backend::switch`. Private to this
-    /// module: a call anywhere else would vouch for a context that does not
-    /// hold the baton.
-    #[inline]
-    fn receive(&self, key: u32) {
-        CURRENT.set((self as *const SimInner, key));
-        // Ordering: the baton handoff already orders the holders; this word
-        // only has to differ from a broken baton's view.
-        self.holder.store(key, Ordering::Relaxed);
-    }
-
-    /// Panic unless the caller holds this run's baton as its current holder:
-    /// what makes every kernel borrow the holder's, and the `BatonCell` sound.
-    #[inline]
-    pub(crate) fn check_baton(&self) {
-        let (run, key) = CURRENT.get();
-        assert!(
-            std::ptr::eq(run, self) && key == self.holder.load(Ordering::Relaxed),
-            "{OFF_BATON}"
-        );
-    }
-
-    /// The kernel, borrowed by the baton holder: the single access point. A
-    /// failed borrow is a closure run under this one calling back in, a bug.
-    #[inline]
-    pub(crate) fn lock_kernel(&self) -> RefMut<'_, Kernel> {
-        self.check_baton();
-        self.kernel
-            .try_borrow_mut()
-            .unwrap_or_else(|_| panic!("{REENTRY}"))
-    }
 }
 
 /// Builder for a simulated multicomputer run.
@@ -246,54 +174,46 @@ impl Sim {
     where
         F: Fn(Ctx) + Send + Sync + 'static,
     {
-        let faults = self.cost.faults.clone();
         let tracing_on = self.trace.is_some();
-        // SAFETY: `lock_kernel` is the only borrow, and it checks that the
-        // calling thread holds this run's baton as the current holder.
-        let kernel = unsafe {
-            BatonCell::new(Kernel::new(
-                self.nodes,
-                self.trace,
-                self.cost.metrics,
-                faults,
-                self.oracle,
-            ))
-        };
+        let backend = Backend::new(
+            match self.backend {
+                // The env var only steers the default; an explicit builder
+                // choice wins (and a malformed env var still errors, so a bad
+                // configuration never silently changes the backend).
+                BackendKind::Auto => backend_from_env().unwrap_or_else(|e| panic!("{e}")),
+                k => k,
+            },
+            "simulated",
+        );
+        let kernel = Kernel::new(
+            self.nodes,
+            self.trace,
+            self.cost.metrics,
+            self.cost.faults.clone(),
+            self.oracle,
+        );
         let inner = Arc::new(SimInner {
-            kernel,
+            kernel: BatonCell::new(&backend, kernel),
             node_data: (0..self.nodes).map(|_| NodeData::default()).collect(),
-            holder: AtomicU32::new(ENGINE),
-            backend: Backend::new(
-                match self.backend {
-                    // The env var only steers the default; an explicit
-                    // builder choice wins (and a malformed env var still
-                    // errors, so a bad configuration never silently changes
-                    // the backend).
-                    BackendKind::Auto => backend_from_env().unwrap_or_else(|e| panic!("{e}")),
-                    k => k,
-                },
-                "simulated",
-            ),
+            backend,
             cost: self.cost,
             num_nodes: self.nodes,
             tracing_on,
         });
-        // This thread is the engine: it holds the baton until the first
-        // switch, and a task that runs a simulation of its own gets its own
-        // baton back when that one ends.
-        let _restore = RestoreCurrent(CURRENT.get());
-        inner.receive(ENGINE);
+        // This thread is the engine until the run ends.
+        let _engine = inner.backend.engine();
         let main = Arc::new(main);
+        let mut k = inner.kernel.borrow_mut();
         for node in 0..self.nodes {
             let f = Arc::clone(&main);
-            spawn_task(&inner, node, "main".to_string(), false, move |ctx| f(ctx));
+            spawn_task(&inner, &mut k, node, "main".into(), false, move |c| f(c));
         }
+        drop(k);
         run_engine(&inner);
         // Teardown: every task has finished.
-        let mut k = inner.lock_kernel();
+        let mut k = inner.kernel.borrow_mut();
         let trace: Option<_> = k.nodes.iter_mut().map(|n| n.probe.take_trace()).collect();
-        drop(k);
-        snapshot(&inner).report(trace.map(|nodes| TraceLog { nodes }))
+        snapshot(&k).report(trace.map(|nodes| TraceLog { nodes }))
     }
 }
 
@@ -302,6 +222,7 @@ impl Sim {
 /// (`daemon`: see `Ctx::spawn_daemon`).
 pub(crate) fn spawn_task<F>(
     inner: &Arc<SimInner>,
+    k: &mut Kernel,
     node: usize,
     name: String,
     daemon: bool,
@@ -311,13 +232,16 @@ where
     F: FnOnce(Ctx) + Send + 'static,
 {
     let cell = Arc::new(inner.backend.new_cell());
-    let id = inner
-        .lock_kernel()
-        .register_task(node, name, Arc::clone(&cell), daemon);
-    let ctx = Ctx::new(Arc::clone(inner), node, id, Arc::clone(&cell));
+    let id = k.register_task(node, name, Arc::clone(&cell), daemon);
+    let ctx = Ctx {
+        inner: Arc::clone(inner),
+        node,
+        key: inner.backend.node_key(node),
+        task: id,
+        cell: Arc::clone(&cell),
+    };
     let inner2 = Arc::clone(inner);
     let body = Box::new(move || {
-        inner2.receive(id.0);
         let result = catch_unwind(AssertUnwindSafe(|| f(ctx)));
         // This task held the baton; pick who gets it next. A captured panic
         // goes to the engine for prompt propagation, otherwise the baton goes
@@ -325,7 +249,7 @@ where
         // trip). The backend performs the switch once this task's host
         // resources are reusable, so the successor's spawns find them.
         let finish = AssertUnwindSafe(|| {
-            let mut k = inner2.lock_kernel();
+            let mut k = inner2.kernel.borrow_mut();
             k.wake(node, |tasks| tasks.exit(id));
             if let Err(p) = result {
                 k.panic.get_or_insert(p);
@@ -339,7 +263,7 @@ where
         // panic too; that also goes to the engine, so the body never unwinds
         // into the backend's stack base.
         catch_unwind(finish).unwrap_or_else(|p| {
-            inner2.lock_kernel().panic.get_or_insert(p);
+            inner2.kernel.borrow_mut().panic.get_or_insert(p);
             None
         })
     });
@@ -349,7 +273,7 @@ where
 
 pub(crate) fn run_engine(inner: &Arc<SimInner>) {
     loop {
-        let mut k = inner.lock_kernel();
+        let mut k = inner.kernel.borrow_mut();
         if let Some(p) = k.panic.take() {
             drop(k);
             std::panic::resume_unwind(p);
@@ -360,7 +284,6 @@ pub(crate) fn run_engine(inner: &Arc<SimInner>) {
             // termination, deadlock, or panic propagation.
             drop(k);
             inner.backend.switch(None, Some(&cell));
-            inner.receive(ENGINE);
             continue;
         }
         // Nothing runnable.
@@ -409,7 +332,6 @@ pub(crate) fn switch_from_task(
         None => None,
     };
     inner.backend.switch(Some(my_cell), to.as_deref());
-    inner.receive(me.0);
 }
 
 /// Core scheduling choice: apply due events, then pick a runnable task.
@@ -471,8 +393,7 @@ fn decide_inner(
 /// Capture a [`Snapshot`] of all node clocks/stats. Exposed through
 /// `Ctx::snapshot`; callers should quiesce (e.g. barrier) first so the
 /// snapshot is meaningful.
-pub(crate) fn snapshot(inner: &SimInner) -> Snapshot {
-    let k = inner.lock_kernel();
+pub(crate) fn snapshot(k: &Kernel) -> Snapshot {
     let metrics = k.nodes.iter().map(|n| n.probe.metrics());
     Snapshot {
         clocks: k.nodes.iter().map(|n| n.clock).collect(),
@@ -536,11 +457,10 @@ mod tests {
         }
     }
 
-    /// A handle reaches the kernel only from the thread holding its run's
-    /// baton. From a thread its task started (and waits for with a plain
-    /// `join`, so the task keeps the baton) every kernel call panics with
-    /// the rule; after the run, an escaped handle still says what it is, but
-    /// reading the kernel panics.
+    /// A handle works only for a task of its own node. From a thread its
+    /// task started (and waits for with a plain `join`, so the task keeps
+    /// the baton) every kernel call panics with the rule; after the run, an
+    /// escaped handle still says what it is, but reading the kernel panics.
     #[test]
     fn off_baton_use_panics_on_every_backend() {
         use crate::{Bucket, Fabric};
@@ -552,7 +472,7 @@ mod tests {
             ("now", |c| _ = c.now()),
             ("node_data", |c| _ = c.node_data(|| 0u8)),
         ];
-        let rule = "does not own";
+        let rule = crate::NOT_ITS_NODE;
         for kind in backends() {
             let escaped = Arc::new(Mutex::new(None));
             let e2 = Arc::clone(&escaped);
@@ -582,28 +502,6 @@ mod tests {
                 .expect_err("reading the kernel after the run must panic");
             let msg = panic_message(caught);
             assert!(msg.contains(rule), "{kind:?} now after the run: {msg}");
-        }
-    }
-
-    /// A second context that receives the baton while another runs (a
-    /// broken baton, staged here from a helper thread) makes the first one
-    /// panic at its next kernel visit.
-    #[test]
-    fn a_second_running_context_panics_at_its_next_kernel_visit() {
-        use crate::Fabric;
-        for kind in backends() {
-            Sim::new(1).backend(kind).run(move |ctx| {
-                let inner = Arc::clone(&ctx.inner);
-                std::thread::spawn(move || inner.receive(ENGINE))
-                    .join()
-                    .expect("helper");
-                let caught = catch_unwind(AssertUnwindSafe(|| ctx.now()))
-                    .expect_err("the first context must not reach the kernel");
-                let msg = panic_message(caught);
-                assert!(msg.contains("second context"), "{kind:?}: {msg}");
-                // Hand the baton back to this task, so the run can end.
-                ctx.inner.receive(ctx.task_id().0);
-            });
         }
     }
 

@@ -38,8 +38,7 @@
 //! identity); see `DESIGN.md` §3e.
 
 use crate::kernel::splitmix64;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which don't-care decision the engine is asking about.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -113,19 +112,13 @@ impl OracleSpec {
 pub struct RecordedTrace(Arc<Mutex<Vec<u32>>>);
 
 impl RecordedTrace {
-    /// The decisions recorded so far (a copy).
+    /// The decisions recorded so far (a copy). A panicked run poisons the
+    /// lock, but a push cannot leave the trace half-written.
     pub fn decisions(&self) -> Vec<u32> {
-        self.0.lock().clone()
-    }
-
-    /// Number of decisions recorded so far.
-    pub fn len(&self) -> usize {
-        self.0.lock().len()
-    }
-
-    /// Whether no decision has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.0.lock().is_empty()
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -198,7 +191,8 @@ impl ScheduleOracle for TraceOracle {
             0
         };
         self.pos += 1;
-        self.trace.lock().push(raw);
+        let mut trace = self.trace.lock().unwrap_or_else(PoisonError::into_inner);
+        trace.push(raw);
         raw as usize % n.max(1)
     }
 }
@@ -260,7 +254,7 @@ mod tests {
         let picks_b: Vec<usize> = (0..64).map(|_| b.choose(ChoicePoint::NodeTie, 3)).collect();
         assert_eq!(picks_a, picks_b);
         assert_eq!(ta.decisions(), tb.decisions());
-        assert_eq!(ta.len(), 64);
+        assert_eq!(ta.decisions().len(), 64);
         assert!(picks_a.iter().any(|&p| p != 0), "seed 42 never perturbed");
     }
 

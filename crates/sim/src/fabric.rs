@@ -30,6 +30,17 @@ use std::cell::RefMut;
 /// their target is a task of another node.
 pub const ACROSS_NODES: &str = "reaches across nodes: only messages cross nodes";
 
+/// What a call through a handle panics with, on every backend, from a
+/// closure that runs under the node's probe (a `with_stats` closure).
+pub const REENTRY: &str = "a fabric re-entered from a `with_stats` closure: it runs on the \
+                           node's probe and must not call back into the fabric";
+
+/// What a call through a handle panics with, on every backend, when no task
+/// of the handle's node makes it.
+pub const NOT_ITS_NODE: &str = "a handle works only for a task of its own node, not through \
+                                one carried to another node's task, to a thread a task \
+                                started, or out of the run";
+
 /// The machine interface the MPMD communication stack runs on.
 ///
 /// Two kinds of method (DESIGN.md §4 has the table):
@@ -57,16 +68,15 @@ pub const ACROSS_NODES: &str = "reaches across nodes: only messages cross nodes"
 /// * **Scheduling is node-local**: a task spawns, wakes, joins and asks
 ///   about tasks of its own node; only messages cross nodes. See
 ///   [`Fabric::unpark`].
-/// * **A handle is used where its node runs**: nothing runs beside a node's
-///   tasks, so a handle carried to another node's task or outside the run
-///   may only be asked what it is (`node`, `nodes`, `task_id`, `cost`,
-///   `metrics_enabled`; on `LocalFabric` also `now`, `shutting_down` and its
-///   inherent `inbox_len`). `LocalFabric` panics on anything else. The
-///   simulator runs one task in the whole machine, so another node's task
-///   passes, but it checks the thread: a call that reads its kernel (`now`,
-///   `shutting_down` and `Ctx::inbox_len` included) panics off the run's
-///   baton. A sibling task of the same node may count, send and receive
-///   through it, but not block.
+/// * **A handle works only for a task of its own node**: nothing runs beside
+///   a node's tasks, so a call through a handle carried to another node's
+///   task, to a thread a task started or out of the run panics with
+///   [`NOT_ITS_NODE`], on every backend, unless it only asks the handle what
+///   it is (`node`, `nodes`, `task_id`, `cost`, `metrics_enabled`; on
+///   `LocalFabric`, whose clock is the wall clock, also `now`,
+///   `shutting_down` and its inherent `inbox_len`). The check is the baton's
+///   ([`crate::baton`]). A sibling task of the same node may count, send and
+///   receive through it, but not block.
 /// * **Clocks are per-node and monotone**, in nanoseconds. On the simulated
 ///   fabric they advance only by [`Fabric::charge`]; on wall-clock fabrics
 ///   they advance on their own and `charge` only keeps the cost-bucket
@@ -205,9 +215,7 @@ pub trait Fabric: Clone + Send + 'static {
 
     /// This node's [`Probe`], borrowed until the guard drops: calling back
     /// into the fabric meanwhile panics on every backend. Counting goes
-    /// through the provided methods below, which are written over it. The
-    /// probe stays at one address for the run, which no other node of a live
-    /// run shares: a [`NodeCell`](crate::NodeCell) names its owner by it.
+    /// through the provided methods below, which are written over it.
     fn probe(&self) -> RefMut<'_, Probe>;
 
     /// Whether the run records a trace: a plain flag, so that with tracing

@@ -32,6 +32,7 @@
 //! runtime through [`crate::baton`] — run on one OS thread, one at a time, so
 //! the raw stack-pointer cells are never touched concurrently.
 
+use crate::baton::Core;
 use crate::task::{TaskBody, TaskCell};
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
@@ -214,12 +215,13 @@ impl FiberCell {
 }
 
 /// Everything a fresh fiber needs: the task body (which performs all kernel
-/// bookkeeping, picks the successor, and never unwinds) plus the handles for
-/// the terminal switch.
+/// bookkeeping, picks the successor, and never unwinds), the handles for
+/// the terminal switch, and `owner`, the task the baton records it as.
 pub(crate) struct FiberBody {
     pub(crate) body: TaskBody,
     pub(crate) rt: Arc<FiberRt>,
     pub(crate) cell: Arc<TaskCell>,
+    pub(crate) owner: (usize, u32),
 }
 
 /// Per-scheduler fiber runtime: the engine context's slot, the retired
@@ -244,24 +246,23 @@ pub struct FiberRt {
     /// Where stacks come from when `free_stacks` is empty and go when the
     /// runtime drops: [`SPARE`], but for tests.
     spare: &'static Mutex<Vec<Stack>>,
+    /// The baton its fibers hold, which records each fresh one on entry.
+    baton: Arc<Core>,
 }
 
 unsafe impl Send for FiberRt {}
 unsafe impl Sync for FiberRt {}
 
 impl FiberRt {
-    pub(crate) fn new(fabric: &'static str) -> FiberRt {
-        FiberRt::with_spare(fabric, &SPARE)
-    }
-
-    fn with_spare(fabric: &'static str, spare: &'static Mutex<Vec<Stack>>) -> FiberRt {
+    pub(crate) fn new(fabric: &'static str, baton: Arc<Core>) -> FiberRt {
         FiberRt {
             fabric,
             engine_sp: Cell::new(0),
             retired: Cell::new(None),
             free_stacks: UnsafeCell::new(Vec::new()),
             drawn: Cell::new(0),
-            spare,
+            spare: &SPARE,
+            baton,
         }
     }
 
@@ -372,8 +373,14 @@ fn seed_frame(stack: &Stack, body: *mut FiberBody) -> usize {
 extern "C" fn mpmd_fiber_entry(raw: *mut FiberBody) -> ! {
     // Moved out of a temporary box, so the allocation is freed here and not
     // at the end of a scope this function never reaches.
-    let FiberBody { body, rt, cell } = *unsafe { Box::from_raw(raw) };
+    let FiberBody {
+        body,
+        rt,
+        cell,
+        owner,
+    } = *unsafe { Box::from_raw(raw) };
     rt.reap();
+    rt.baton.enter(owner);
     let next = body();
     let target_sp = next.as_ref().map_or(&rt.engine_sp, |c| &c.fiber().sp).get();
     // Move our stack into the retired slot; the switch target reaps it once
@@ -448,6 +455,13 @@ mod tests {
         }
     }
 
+    /// A runtime that draws from and hands to `spare` instead of [`SPARE`].
+    fn test_rt(spare: &'static Mutex<Vec<Stack>>) -> FiberRt {
+        let mut rt = FiberRt::new("test", Core::new());
+        rt.spare = spare;
+        rt
+    }
+
     fn addr(stack: &Stack) -> usize {
         stack.mem.as_ptr() as usize
     }
@@ -457,7 +471,7 @@ mod tests {
         // A spare list of this test's own: other tests' runtimes share the
         // process-wide one.
         static SPARE: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
-        let mut first = FiberRt::with_spare("test", &SPARE);
+        let mut first = test_rt(&SPARE);
         let drawn: Vec<Stack> = (0..3).map(|_| first.alloc_stack()).collect();
         let mut before: Vec<usize> = drawn.iter().map(addr).collect();
         for s in drawn {
@@ -470,7 +484,7 @@ mod tests {
         assert_eq!(SPARE.lock().unwrap().len(), 3);
 
         // The next runtime draws those very blocks before allocating.
-        let second = FiberRt::with_spare("test", &SPARE);
+        let second = test_rt(&SPARE);
         let drawn: Vec<Stack> = (0..4).map(|_| second.alloc_stack()).collect();
         let mut after: Vec<usize> = drawn[..3].iter().map(addr).collect();
         before.sort_unstable();
@@ -492,7 +506,7 @@ mod tests {
             .lock()
             .unwrap()
             .extend((1..SPARE_CAP).map(|_| Stack::new()));
-        let mut rt = FiberRt::with_spare("test", &SPARE);
+        let mut rt = test_rt(&SPARE);
         rt.free_stacks
             .get_mut()
             .extend((0..3).map(|_| Stack::new()));
@@ -509,7 +523,7 @@ mod tests {
         // What `reap` and the hand-over to the spare list act on, short of
         // the abort: a stack whose lowest word its fiber overwrote.
         static SPARE: Mutex<Vec<Stack>> = Mutex::new(Vec::new());
-        let mut rt = FiberRt::with_spare("test", &SPARE);
+        let mut rt = test_rt(&SPARE);
         let mut stack = rt.alloc_stack();
         stack.owner = (3, 41);
         assert_eq!(stack.overflowed_by(), None);

@@ -8,9 +8,10 @@
 //!
 //! Exactly one context runs at a time (the engine, or the one task holding
 //! the baton) and no borrow is ever held across a baton switch, so the
-//! kernel needs no lock: the baton holder owns it. `SimInner::lock_kernel`
-//! is the single access point; it checks that the caller holds the baton and
-//! treats a kernel already borrowed (a re-entry) as the bug it is.
+//! kernel needs no lock: the baton holder owns it. The `BatonCell` checks
+//! that the caller holds the baton, and `Ctx::kernel`, a handle's single
+//! access point, that it is a task of the handle's node, and treats a kernel
+//! already borrowed (a re-entry) as the bug it is.
 
 use crate::event::{EventKey, EventKind, Msg};
 use crate::explore::{ChoicePoint, ScheduleOracle};

@@ -60,8 +60,6 @@ pub struct NodeTasks {
     recs: Vec<TaskRec>,
     /// The run queue, first in first out.
     ready: VecDeque<TaskId>,
-    /// The task that holds the node's baton, if one does.
-    current: Option<TaskId>,
     /// Inbox waiters in the order of their first wait. A task is listed
     /// once: one that a timer or an `unpark` woke keeps its place, and an
     /// entry whose task no longer waits on the inbox is skipped and dropped
@@ -83,7 +81,6 @@ impl NodeTasks {
             next_seq: 0,
             recs: Vec::new(),
             ready: VecDeque::new(),
-            current: None,
             inbox_waiters: Vec::new(),
             inbox_waiting: 0,
             daemons: 0,
@@ -149,11 +146,6 @@ impl NodeTasks {
         self.ready[i]
     }
 
-    /// The task that holds the node's baton, if one does.
-    pub fn current(&self) -> Option<TaskId> {
-        self.current
-    }
-
     /// Whether a task waits on the inbox.
     pub fn waits_for_inbox(&self) -> bool {
         self.inbox_waiting > 0
@@ -163,7 +155,6 @@ impl NodeTasks {
     /// context, to switch to.
     pub fn run_next(&mut self) -> Option<(TaskId, Arc<TaskCell>)> {
         let t = self.ready.pop_front()?;
-        self.current = Some(t);
         let rec = self.rec(t);
         debug_assert_eq!(rec.state, TaskState::Ready);
         rec.state = TaskState::Running;
@@ -174,7 +165,6 @@ impl NodeTasks {
     /// or at the `front` to resume before them.
     pub fn requeue(&mut self, me: TaskId, front: bool) {
         self.rec(me).state = TaskState::Ready;
-        self.current = None;
         let at = if front { 0 } else { self.ready.len() };
         self.ready.insert(at, me);
     }
@@ -183,7 +173,6 @@ impl NodeTasks {
     /// generation, which a timer ending this wait carries.
     pub fn block(&mut self, me: TaskId, state: TaskState) -> u64 {
         debug_assert!(state.waits(), "block in {state:?}");
-        self.current = None;
         if state == TaskState::InboxWait {
             self.inbox_waiting += 1;
             if !self.inbox_waiters.contains(&me) {
@@ -266,7 +255,6 @@ impl NodeTasks {
     pub fn exit(&mut self, me: TaskId) -> bool {
         let i = self.find(me).expect("an exiting task has a record");
         let rec = self.recs.remove(i);
-        self.current = None;
         self.daemons -= rec.daemon as usize;
         for j in rec.joiners {
             self.wake_if(j, |r| r.state == TaskState::Parked);

@@ -17,11 +17,17 @@
 //! its own: it bootstraps the run and then parks there until a task hands it
 //! the baton for termination, deadlock diagnosis, or panic propagation.
 
-use parking_lot::{Condvar, Mutex};
+use crate::baton::Core;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
+
+/// Lock ignoring poisoning: no code that can panic runs under these locks
+/// but the handoff protocol's own asserts, whose panic the run reports.
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Identifier of a task: `seq * nodes + node`, where `seq` counts its node's
 /// spawns, so an id names its node. Never reused within one run.
@@ -86,7 +92,7 @@ impl HandoffCell {
 
     /// Hand the baton to the context parked on this cell. Does not block.
     pub(crate) fn resume(&self) {
-        let mut r = self.running.lock();
+        let mut r = locked(&self.running);
         debug_assert!(!*r, "resumed a running context");
         *r = true;
         self.cv.notify_all();
@@ -97,17 +103,15 @@ impl HandoffCell {
     /// legally resume us before we reach [`HandoffCell::wait_for_turn`] (the
     /// wakeup is latched in `running`, not lost).
     pub(crate) fn begin_yield(&self) {
-        let mut r = self.running.lock();
+        let mut r = locked(&self.running);
         debug_assert!(*r, "yield from a parked context");
         *r = false;
     }
 
     /// Block until someone hands us the baton.
     pub(crate) fn wait_for_turn(&self) {
-        let mut r = self.running.lock();
-        while !*r {
-            self.cv.wait(&mut r);
-        }
+        let running = locked(&self.running);
+        let _turn = self.cv.wait_while(running, |r| !*r);
     }
 }
 
@@ -118,148 +122,126 @@ impl HandoffCell {
 pub type TaskBody = Box<dyn FnOnce() -> Option<Arc<TaskCell>> + Send>;
 
 /// A unit of work shipped to a pool worker: the task's handoff cell plus its
-/// body; the worker only drives the handoff protocol. `engine` is the
-/// engine's cell — the `None` successor, and the backstop should the body
-/// itself panic through (then nobody else will ever wake the engine).
+/// body; the worker only drives the handoff protocol. The baton records the
+/// task as `owner` = `(node, task)` on entry.
 pub(crate) struct Job {
     pub(crate) cell: Arc<TaskCell>,
     pub(crate) body: TaskBody,
-    pub(crate) engine: Arc<HandoffCell>,
+    pub(crate) owner: (usize, u32),
 }
 
-enum WorkerCmd {
-    Run(Job),
-    Shutdown,
-}
+/// The OS threads that host one baton's task bodies, reused: a job waits in
+/// one queue for an idle worker, and one that finds none gets a new worker.
+pub struct TaskPool(pub(crate) Arc<Pool>);
 
-struct WorkerSlot {
-    cmd: Mutex<Option<WorkerCmd>>,
+pub(crate) struct Pool {
+    queue: Mutex<Queue>,
+    /// Signalled when a job is queued for an idle worker, or the pool closes.
     cv: Condvar,
-    /// True from dispatch until the hosted task body has fully completed.
-    busy: AtomicBool,
+    /// The engine's cell: the `None` successor, and the backstop should a
+    /// body itself panic through (then nobody else will ever wake the
+    /// engine).
+    pub(crate) engine: HandoffCell,
+    baton: Arc<Core>,
 }
 
-struct Worker {
-    slot: Arc<WorkerSlot>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-/// Pool of reusable OS threads that host task bodies.
-pub struct TaskPool {
-    workers: Mutex<Vec<Worker>>,
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Workers done with their last job that have not taken another.
+    idle: usize,
+    workers: Vec<thread::JoinHandle<()>>,
+    /// The pool is gone: idle workers exit.
+    closed: bool,
 }
 
 impl TaskPool {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(TaskPool {
-            workers: Mutex::new(Vec::new()),
-        })
+    /// A pool whose engine holds `baton`.
+    pub(crate) fn new(baton: Arc<Core>) -> Self {
+        TaskPool(Arc::new(Pool {
+            queue: Mutex::default(),
+            cv: Condvar::new(),
+            engine: HandoffCell::new(true),
+            baton,
+        }))
     }
 
     /// Hand a job to an idle worker, or spawn a new worker. Returns
     /// immediately; the task does not run until it is handed the baton via
     /// `job.cell`.
     pub(crate) fn dispatch(&self, job: Job) {
-        let workers = self.workers.lock();
-        for w in workers.iter() {
-            if !w.slot.busy.load(Ordering::Acquire) {
-                // A non-busy worker is parked waiting for a command (or about
-                // to be); its cmd slot is empty.
-                w.slot.busy.store(true, Ordering::Release);
-                let mut cmd = w.slot.cmd.lock();
-                debug_assert!(cmd.is_none(), "idle worker had a pending command");
-                *cmd = Some(WorkerCmd::Run(job));
-                w.slot.cv.notify_all();
-                return;
-            }
+        let mut q = locked(&self.0.queue);
+        q.jobs.push_back(job);
+        if q.idle >= q.jobs.len() {
+            self.0.cv.notify_one();
+            return;
         }
-        drop(workers);
-        let slot = Arc::new(WorkerSlot {
-            cmd: Mutex::new(Some(WorkerCmd::Run(job))),
-            cv: Condvar::new(),
-            busy: AtomicBool::new(true),
-        });
-        let slot2 = Arc::clone(&slot);
-        let handle = thread::Builder::new()
+        let pool = Arc::clone(&self.0);
+        let worker = thread::Builder::new()
             .name("mpmd-sim-worker".into())
-            .spawn(move || worker_loop(slot2))
+            .spawn(move || worker_loop(&pool))
             .expect("failed to spawn simulator worker thread");
-        self.workers.lock().push(Worker {
-            slot,
-            handle: Some(handle),
-        });
+        q.workers.push(worker);
     }
 
     #[cfg(test)]
     fn worker_count(&self) -> usize {
-        self.workers.lock().len()
+        locked(&self.0.queue).workers.len()
     }
 }
 
 impl Drop for TaskPool {
+    /// Idle workers exit, and are joined when every worker is idle. After a
+    /// run that aborted by panic some still host a live parked task, and
+    /// then none is joined.
     fn drop(&mut self) {
-        let mut workers = std::mem::take(&mut *self.workers.lock());
-        // Queue a shutdown for every worker whose command slot is free. A
-        // worker still hosting a live parked task (possible only if the
-        // simulation aborted by panic) keeps its Run job in flight and is
-        // detached below rather than joined.
-        for w in &workers {
-            let mut cmd = w.slot.cmd.lock();
-            if cmd.is_none() {
-                *cmd = Some(WorkerCmd::Shutdown);
-                w.slot.cv.notify_all();
-            }
-        }
-        for w in &mut workers {
-            if !w.slot.busy.load(Ordering::Acquire) {
-                if let Some(h) = w.handle.take() {
-                    let _ = h.join();
-                }
-            }
-            // Busy (or just-finishing) workers: detach. A just-finishing
-            // worker will observe the queued Shutdown and exit cleanly.
+        let mut q = locked(&self.0.queue);
+        q.closed = true;
+        self.0.cv.notify_all();
+        let workers = std::mem::take(&mut q.workers);
+        let all_idle = q.idle == workers.len();
+        drop(q);
+        for w in workers.into_iter().filter(|_| all_idle) {
+            // A worker catches its bodies' panics; nothing is left to report.
+            let _ = w.join();
         }
     }
 }
 
-fn worker_loop(slot: Arc<WorkerSlot>) {
-    loop {
-        let cmd = {
-            let mut guard = slot.cmd.lock();
-            loop {
-                if let Some(c) = guard.take() {
-                    break c;
-                }
-                slot.cv.wait(&mut guard);
-            }
-        };
-        match cmd {
-            WorkerCmd::Shutdown => return,
-            WorkerCmd::Run(job) => {
-                job.cell.thread().wait_for_turn();
-                // The body is responsible for all kernel bookkeeping,
-                // including panic capture and picking the hand-off target.
-                // `catch_unwind` is a backstop so a worker never dies holding
-                // the baton: should a body unwind anyway, the engine gets it
-                // back and diagnoses a deadlock instead of the run hanging.
-                // Mark the worker idle *before*
-                // waking anyone: the resumed task runs immediately on a
-                // single-CPU box, and any task it spawns should find this
-                // thread reusable rather than growing the pool.
-                let next = catch_unwind(AssertUnwindSafe(job.body)).unwrap_or(None);
-                slot.busy.store(false, Ordering::Release);
-                next.as_deref()
-                    .map_or(&*job.engine, TaskCell::thread)
-                    .resume();
-            }
-        }
+/// A new worker starts on the job it was spawned for: more jobs than idle
+/// workers are queued until it takes one.
+fn worker_loop(pool: &Pool) {
+    let mut q = locked(&pool.queue);
+    while let Some(job) = q.jobs.pop_front() {
+        drop(q);
+        job.cell.thread().wait_for_turn();
+        pool.baton.enter(job.owner);
+        // The body is responsible for all kernel bookkeeping, including
+        // panic capture and picking the hand-off target. `catch_unwind` is a
+        // backstop so a worker never dies holding the baton: should a body
+        // unwind anyway, the engine gets it back and diagnoses a deadlock
+        // instead of the run hanging. Mark the worker idle *before* waking
+        // anyone: the resumed task runs immediately on a single-CPU box, and
+        // any task it spawns should find this thread reusable rather than
+        // growing the pool.
+        let next = catch_unwind(AssertUnwindSafe(job.body)).unwrap_or(None);
+        locked(&pool.queue).idle += 1;
+        next.as_deref()
+            .map_or(&pool.engine, TaskCell::thread)
+            .resume();
+        q = locked(&pool.queue);
+        q = pool
+            .cv
+            .wait_while(q, |q| q.jobs.is_empty() && !q.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        q.idle -= 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn handoff_round_trip() {
@@ -306,21 +288,21 @@ mod tests {
         Arc::new(TaskCell::Threads(HandoffCell::new(false)))
     }
 
-    fn idle_job(cell: &Arc<TaskCell>, engine: &Arc<HandoffCell>) -> Job {
+    fn idle_job(cell: &Arc<TaskCell>) -> Job {
         Job {
             cell: Arc::clone(cell),
             body: Box::new(|| None),
-            engine: Arc::clone(engine),
+            owner: (0, 0),
         }
     }
 
     #[test]
     fn pool_reuses_workers_for_sequential_jobs() {
-        let pool = TaskPool::new();
-        let engine = Arc::new(HandoffCell::new(true));
+        let pool = TaskPool::new(Core::new());
+        let engine = &pool.0.engine;
         for _ in 0..16 {
             let cell = new_cell();
-            pool.dispatch(idle_job(&cell, &engine));
+            pool.dispatch(idle_job(&cell));
             engine.begin_yield();
             cell.thread().resume();
             engine.wait_for_turn();
@@ -334,11 +316,11 @@ mod tests {
     fn pool_handles_concurrent_jobs() {
         // Eight live tasks need eight workers; each then finishes in turn,
         // handing the baton back to the engine.
-        let pool = TaskPool::new();
-        let engine = Arc::new(HandoffCell::new(true));
+        let pool = TaskPool::new(Core::new());
+        let engine = &pool.0.engine;
         let cells: Vec<_> = (0..8).map(|_| new_cell()).collect();
         for c in &cells {
-            pool.dispatch(idle_job(c, &engine));
+            pool.dispatch(idle_job(c));
         }
         assert_eq!(pool.worker_count(), 8);
         for c in cells {
@@ -350,13 +332,13 @@ mod tests {
 
     #[test]
     fn worker_panic_wakes_the_engine() {
-        let pool = TaskPool::new();
-        let engine = Arc::new(HandoffCell::new(true));
+        let pool = TaskPool::new(Core::new());
+        let engine = &pool.0.engine;
         let cell = new_cell();
         pool.dispatch(Job {
             cell: Arc::clone(&cell),
             body: Box::new(|| panic!("task body panicked")),
-            engine: Arc::clone(&engine),
+            owner: (0, 0),
         });
         engine.begin_yield();
         cell.thread().resume();
