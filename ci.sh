@@ -42,7 +42,11 @@ echo "==> results/ digests on the threads backend, where the kernel crosses OS t
 # package's lib tests run there as well: its locks and condition variables
 # keep their state in lock-free node cells, which rely on the baton hand-off
 # ordering memory when successive tasks of a node run on different OS
-# threads, which never happens on the fiber backend.
+# threads, which never happens on the fiber backend. So do two CC++ RMI
+# tests: the wire-encoding battery (rmi_encoding: every call shape arrives
+# and returns exactly from the frames) and the call-record guard
+# (call_records' a_callee_that_touches_a_warm_record_fails_the_run_*: a
+# callee that reads the caller's half of a record fails the run).
 tmp=$(mktemp -d)
 for bin in table4 fig5 scaling faults; do
     MPMD_SIM_BACKEND=threads ./target/release/$bin --json "$tmp/$bin.json" >/dev/null
@@ -51,6 +55,7 @@ done
 rm -rf "$tmp"
 MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-bench --test trace_observability --test flame_golden
 MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-threads --lib
+MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-ccxx --test rmi_encoding --test call_records
 echo "threads backend reproduces table4, fig5, scaling, faults and the trace goldens"
 
 echo "==> cargo test -q"
@@ -103,8 +108,11 @@ echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-t
 # for bit against the reference). One layer up, the RMI's call records: a warm
 # null RMI allocates nothing on either node of either fabric, nor does a warm
 # gp_read / gp_write / gp_read3 on its caller (GP rides the same record), only
-# the task that issued a call recycles its record, a failed run frees every
-# record, and an ended run frees its nodes' runtime state. The simulator's
+# the task that issued a call recycles its record, a callee that touches the
+# caller's half of a record fails the run, a failed run frees every record,
+# and an ended run frees its nodes' runtime state; and the RMI wire encoding
+# (rmi_encoding): 0 to 4 words, every call mode, cold and warm, with and
+# without a processor object or bytes, and a node calling itself. The simulator's
 # own zero-alloc proof (sim/tests/alloc_count.rs): warm short round trips,
 # and expiring timed inbox waits, allocate nothing, and the wave gate: a
 # 300-wide spawn/join wave allocates per task what a 1-wide one does, because
@@ -116,7 +124,8 @@ cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count \
 cargo test --release -q -p mpmd-sim --test alloc_count
 cargo test --release -q -p mpmd-am --test bounded_links
 cargo test --release -q -p mpmd-splitc --test local_stream_memory
-cargo test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown
+cargo test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown \
+    --test rmi_encoding
 cargo test --release -q -p mpmd-apps --test local_scale
 echo "fabric stress + alloc + bounded-task + call-record tests OK"
 
@@ -131,8 +140,8 @@ echo "benchmark smoke OK"
 echo "==> zero-allocation fast-path proof"
 # A counting global allocator brackets 1000 short-message round trips and
 # 1000 warm null RMIs (exactly 0 heap allocations each), 1000 AM bulk sends
-# (bounded), 1000 Split-C blocking reads (exactly 2000: the reply cell and
-# the token), and 1000 each of Split-C 8 KiB bulk_stores (exactly 2 per op:
+# (bounded), 1000 Split-C blocking reads (exactly 0: the token and reply
+# slot are reused), and 1000 each of Split-C 8 KiB bulk_stores (exactly 2 per op:
 # the receiver decodes into the region) and CC++ 8 KiB bulk_put_flats
 # (exactly 6 per op: no staging copy, no buffer regrowth); the bench aborts
 # on regression.
@@ -196,9 +205,13 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # another node's task lent fails a lock, charge, with_stats or node_data
 # with the one handle rule), and local_scale (Water, LU and EM3D in both
 # languages on OS-thread nodes, against their references) run here too. The
-# RMI call records: the per-node free list and the rule that only the
-# issuing task recycles must hold with every task on its own OS thread too,
-# and an ended run must free its node singletons there as well. A separate
+# RMI call records: the per-node free list, the rule that only the issuing
+# task recycles and the guard on the caller's half of a record (call_records'
+# a_callee_that_touches_a_warm_record_fails_the_run_*) must hold with every
+# task on its own OS thread too, every call shape must cross the frames
+# exactly there (the rmi_encoding battery), and an ended run must free its
+# node singletons there as well. Split-C's lib tests include two tasks of a
+# node whose blocking reads share the token free list. A separate
 # target dir keeps the main cache warm.
 no_fibers() {
     CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo test -q "$@"
@@ -208,7 +221,7 @@ no_fibers -p mpmd-fabric --lib --test bounded_tasks --test ring_stress
 no_fibers -p mpmd-threads --lib
 no_fibers -p mpmd-am --test fabric_conformance --test bounded_links
 no_fibers -p mpmd-splitc --lib
-no_fibers -p mpmd-ccxx --test alloc_count --test call_records --test teardown
+no_fibers -p mpmd-ccxx --test alloc_count --test call_records --test teardown --test rmi_encoding
 no_fibers -p mpmd-apps --test local_scale
 echo "threads fallback OK"
 

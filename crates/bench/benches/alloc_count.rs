@@ -17,11 +17,13 @@
 //! * raw short-message round trip — **0** allocations;
 //! * AM bulk send — bounded (the payload buffer and its transfer frames),
 //!   currently ≤ 16 allocations per send;
-//! * warm `Simple` null RMI — **0** allocations (the call record is recycled;
-//!   every mode and the GP accesses on both fabrics are in
+//! * warm `Simple` null RMI — **0** allocations (the call record is recycled,
+//!   and the request and reply carry the call in their frames; every mode
+//!   and the GP accesses on both fabrics are in
 //!   `crates/ccxx/tests/alloc_count.rs`);
-//! * Split-C blocking `read` — exactly **2** per op: its reply cell and its
-//!   token, caller and owner together;
+//! * Split-C blocking `read` — **0** allocations, caller and owner together:
+//!   its token and reply slot come from a per-node free list and go back to
+//!   it;
 //! * Split-C 8 KiB `bulk_store` — **2** per op: the encoded payload and its
 //!   shared handle; the receiver decodes straight into the region;
 //! * CC++ 8 KiB `bulk_put_flat` (a threaded RMI) — **6** per op: the
@@ -235,9 +237,8 @@ fn main() {
     let read_allocs = count_sc_reads();
     println!("alloc_count/sc_read: {read_allocs} allocs / {OPS} ops");
     assert_eq!(
-        read_allocs,
-        2 * OPS as u64,
-        "a blocking Split-C read allocates its reply cell and its token, nothing more"
+        read_allocs, 0,
+        "a blocking Split-C read reuses its token and reply slot"
     );
     let sc_allocs = count_sc_bulk_stores();
     let sc_per_op = sc_allocs / OPS as u64;

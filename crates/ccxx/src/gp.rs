@@ -13,11 +13,14 @@
 //!   concurrency (Table 4's Prefetch row: the 1 create/element is the parfor
 //!   thread, not a receiver thread).
 //!
-//! Either way a remote access rides an RMI call record (`rmi.rs`): the
-//! request carries it, the owner writes the reply words into it and sends it
-//! back, and the task that takes the value recycles it.
+//! Either way a remote access rides an RMI call record (`rmi.rs`) as its
+//! token, and the frames carry the access itself: the request's four words
+//! are the region, offset, operation and operand, the reply's are the value
+//! read. The owner never touches the record; it sends the token back with
+//! its reply, the caller's reply handler stores the words into the record,
+//! and the task that takes the value recycles it.
 
-use crate::rmi::{await_record, park, recycle, Completion, CxCall, RmiRet};
+use crate::rmi::{await_record, land, recycle, Completion, CxCall, RmiRet};
 use crate::state::{CcxxState, CxPtr};
 use mpmd_am::{self as am, HandlerId};
 use mpmd_fabric::Fabric;
@@ -57,8 +60,8 @@ impl GpHandle {
     }
 }
 
-/// Send access `args` to `node` in a call record, charging `cost`. Returns
-/// the record's completion cell.
+/// Send access `args` to `node` with a call record as the token, charging
+/// `cost`. Returns the record's completion cell.
 fn issue<F: Fabric>(
     ctx: &F,
     st: &CcxxState<F>,
@@ -68,7 +71,7 @@ fn issue<F: Fabric>(
     cost: Time,
 ) -> Arc<Completion> {
     ctx.charge(Bucket::Runtime, cost);
-    let (call, cell) = CxCall::take(ctx, st);
+    let (call, cell) = CxCall::take(ctx, st, true);
     drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
     am::endpoint(ctx)
         .to(node)
@@ -159,39 +162,39 @@ fn serve_access<F: Fabric>(ctx: &F, st: &CcxxState<F>, args: [u64; 4]) -> [u64; 
 }
 
 /// At the owner: serve access `args` and send its words back to `dst` in
-/// the record the request came in, charging `reply`.
+/// the reply frame, with the request's `token`, charging `reply`.
 fn serve_and_reply<F: Fabric>(
     ctx: &F,
     st: &CcxxState<F>,
     dst: usize,
-    mut call: Box<CxCall>,
+    token: Option<am::Token>,
     args: [u64; 4],
     reply: Time,
 ) {
-    call.ret = RmiRet::of_words(serve_access(ctx, st, args));
+    let words = serve_access(ctx, st, args);
     drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
     ctx.charge(Bucket::Runtime, reply);
     am::endpoint(ctx)
         .to(dst)
         .handler(H_GP_REPLY)
-        .token(call as am::Token)
+        .args(words)
+        .token(token)
         .send();
 }
 
 pub(crate) fn register_gp_handlers<F: Fabric>(ctx: &F) {
     // Blocking access: spawn a thread at the owner (general RMI semantics).
-    am::register(ctx, H_GP_ACC, |ctx, mut m| {
+    am::register(ctx, H_GP_ACC, |ctx, m| {
         let st = CcxxState::get(ctx);
         if let Some(ic) = st.cfg().interrupt_cost {
             ctx.charge(Bucket::Net, ic);
         }
-        let call = CxCall::of(&mut m);
-        let (src, args) = (m.src, m.args);
+        let (src, args, token) = (m.src, m.args, m.token);
         mpmd_threads::spawn(ctx, "gp-access", move |cctx| {
             let st = CcxxState::get(&cctx);
             let c = &st.cfg().costs;
             cctx.charge(Bucket::Runtime, c.gp_serve);
-            serve_and_reply(&cctx, st, src, call, args, c.gp_reply);
+            serve_and_reply(&cctx, st, src, token, args, c.gp_reply);
             // The access thread ends here; push out a coalesced reply rather
             // than leaving it for the next poller.
             am::flush(&cctx);
@@ -199,21 +202,20 @@ pub(crate) fn register_gp_handlers<F: Fabric>(ctx: &F) {
     });
 
     // Prefetch access: served inline in the polling context.
-    am::register(ctx, H_GP_ACC_ASYNC, |ctx, mut m| {
+    am::register(ctx, H_GP_ACC_ASYNC, |ctx, m| {
         let st = CcxxState::get(ctx);
         let cfg = st.cfg();
         if let Some(ic) = cfg.interrupt_cost {
             ctx.charge(Bucket::Net, ic);
         }
-        let call = CxCall::of(&mut m);
         ctx.charge(Bucket::Runtime, cfg.costs.gp_async_serve);
-        serve_and_reply(ctx, st, m.src, call, m.args, cfg.costs.gp_async_reply);
+        serve_and_reply(ctx, st, m.src, m.token, m.args, cfg.costs.gp_async_reply);
     });
 
     am::register(ctx, H_GP_REPLY, |ctx, mut m| {
         if let Some(ic) = CcxxState::get(ctx).cfg().interrupt_cost {
             ctx.charge(Bucket::Net, ic);
         }
-        park(ctx, CxCall::of(&mut m), true);
+        land(ctx, CxCall::of(&mut m), RmiRet::of_words(m.args));
     });
 }

@@ -51,8 +51,8 @@ pub use mpmd_am::{pack_addr, unpack_addr, CoalesceConfig};
 pub use par::{par, parfor, prefetch};
 pub use pobj::{create_object, destroy_object, register_obj_method, rmi_obj, CxObjPtr};
 pub use rmi::{
-    debug_call_records, register_method, register_method_full, rmi, rmi_program, CallMode, RmiArgs,
-    RmiRet, Words, DEFAULT_PROGRAM,
+    debug_call_records, debug_send_record, debug_touch_record, register_method,
+    register_method_full, rmi, rmi_program, CallMode, RmiArgs, RmiRet, Words, DEFAULT_PROGRAM,
 };
 pub use runtime::{
     alloc_region, atomic_add, atomic_add3, barrier, bulk_get, bulk_get_flat, bulk_put,

@@ -6,7 +6,7 @@ use crate::rmi::{CxCall, RmiArgs, RmiRet};
 use mpmd_am::RegionTable;
 use mpmd_fabric::Fabric;
 use mpmd_sim::{NodeCell, TaskId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, OnceLock};
 
@@ -40,11 +40,75 @@ impl CxPtr {
     }
 }
 
-/// One entry of the per-node method stub cache: the resolved remote entry
-/// point.
+/// The per-node method stub cache: for each destination node, the resolved
+/// remote entry points of the (program, method name hash) pairs called
+/// there, in a short list that a lookup scans. A node calls a handful of
+/// methods (and processor objects) on each other node, so the scan is a few
+/// compares and no hashing.
+#[derive(Default)]
+pub(crate) struct StubCache(Vec<Vec<StubEntry>>);
+
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) struct CacheEntry {
-    pub(crate) addr: u64,
+pub(crate) struct StubEntry {
+    hash: u64,
+    program: u32,
+    addr: u64,
+}
+
+impl StubCache {
+    /// The cached stub address of `(program, hash)` at `dst`.
+    pub(crate) fn get(&self, dst: usize, program: u32, hash: u64) -> Option<u64> {
+        let entries = self.0.get(dst)?;
+        let e = entries
+            .iter()
+            .find(|e| e.hash == hash && e.program == program)?;
+        Some(e.addr)
+    }
+
+    /// Cache `addr` as the stub of `(program, hash)` at `dst`.
+    pub(crate) fn insert(&mut self, dst: usize, program: u32, hash: u64, addr: u64) {
+        if self.0.len() <= dst {
+            self.0.resize_with(dst + 1, Vec::new);
+        }
+        let entries = &mut self.0[dst];
+        match entries
+            .iter_mut()
+            .find(|e| e.hash == hash && e.program == program)
+        {
+            Some(e) => e.addr = addr,
+            None => entries.push(StubEntry {
+                hash,
+                program,
+                addr,
+            }),
+        }
+    }
+}
+
+/// Which callers have a persistent R-buffer for which local stub: one row
+/// per calling node, one flag per stub address (addresses are dense, see
+/// [`CcxxState::stubs`]).
+#[derive(Default)]
+pub(crate) struct RBufs(Vec<Vec<bool>>);
+
+impl RBufs {
+    pub(crate) fn has(&self, src: usize, addr: u64) -> bool {
+        let row = self.0.get(src);
+        row.and_then(|r| r.get(addr as usize))
+            .copied()
+            .unwrap_or(false)
+    }
+
+    pub(crate) fn insert(&mut self, src: usize, addr: u64) {
+        if self.0.len() <= src {
+            self.0.resize_with(src + 1, Vec::new);
+        }
+        let row = &mut self.0[src];
+        if row.len() <= addr as usize {
+            row.resize(addr as usize + 1, false);
+        }
+        row[addr as usize] = true;
+    }
 }
 
 /// A registered stub with its metadata.
@@ -71,9 +135,9 @@ pub(crate) struct CcxxState<F: Fabric> {
     /// program id, per the paper's multi-program extension. Guarded by a
     /// *simulated* mutex: the runtime is thread-safe and the paper charges
     /// these lock operations (they dominate the thread-sync component).
-    pub(crate) stub_cache: mpmd_threads::Mutex<HashMap<(usize, u32, u64), CacheEntry>>,
-    /// Persistent R-buffers allocated on this node, keyed by (caller, stub).
-    pub(crate) rbufs: NodeCell<HashSet<(usize, u64)>>,
+    pub(crate) stub_cache: mpmd_threads::Mutex<StubCache>,
+    /// Persistent R-buffers allocated on this node, by (caller, stub).
+    pub(crate) rbufs: NodeCell<RBufs>,
     /// Send-buffer management lock (simulated; charged).
     pub(crate) sbuf_lock: mpmd_threads::Mutex<()>,
     /// Incoming-dispatch lock (simulated; charged).
@@ -107,7 +171,7 @@ impl<F: Fabric> CcxxState<F> {
             config_slot: OnceLock::new(),
             stubs: NodeCell::default(),
             by_name: NodeCell::default(),
-            stub_cache: mpmd_threads::Mutex::new(HashMap::new()),
+            stub_cache: mpmd_threads::Mutex::new(StubCache::default()),
             rbufs: NodeCell::default(),
             sbuf_lock: mpmd_threads::Mutex::new(()),
             dispatch_lock: mpmd_threads::Mutex::new(()),
@@ -163,6 +227,32 @@ mod tests {
         assert_eq!(name_hash("foo"), name_hash("foo"));
         assert_ne!(name_hash("foo"), name_hash("bar"));
         assert_ne!(name_hash(""), name_hash("a"));
+    }
+
+    #[test]
+    fn the_stub_cache_keys_on_destination_program_and_hash() {
+        let mut cache = StubCache::default();
+        assert_eq!(cache.get(3, 0, 42), None);
+        cache.insert(3, 0, 42, 7);
+        cache.insert(3, 1, 42, 8);
+        cache.insert(0, 0, 42, 9);
+        assert_eq!(cache.get(3, 0, 42), Some(7));
+        assert_eq!(cache.get(3, 1, 42), Some(8));
+        assert_eq!(cache.get(0, 0, 42), Some(9));
+        assert_eq!(cache.get(1, 0, 42), None);
+        assert_eq!(cache.get(3, 0, 43), None);
+        cache.insert(3, 0, 42, 10);
+        assert_eq!(cache.get(3, 0, 42), Some(10), "a re-resolution replaces");
+        assert_eq!(cache.0[3].len(), 2);
+    }
+
+    #[test]
+    fn r_buffers_are_one_flag_per_caller_and_stub() {
+        let mut r = RBufs::default();
+        assert!(!r.has(2, 5));
+        r.insert(2, 5);
+        assert!(r.has(2, 5));
+        assert!(!r.has(2, 4) && !r.has(1, 5) && !r.has(2, 6) && !r.has(9, 0));
     }
 
     #[test]

@@ -4,16 +4,19 @@
 //! the call**, never by the reply handler. These tests hold that rule from
 //! the outside: a blocked caller keeps its reply while a sibling calls, a
 //! node can call itself, a run that fails with records in flight frees every
-//! one of them, and the free list stays node-local and bounded.
+//! one of them, and the free list stays node-local and bounded. The request
+//! and reply frames carry the call and its return, so a callee has no reason
+//! to touch the caller's half of a record, and one that does fails the run.
 
+use mpmd_am as am;
 use mpmd_ccxx as cx;
 use mpmd_ccxx::{CallMode, CcxxConfig, Marshal, MarshalBuf};
 use mpmd_fabric::{Fabric, LocalFabric};
-use mpmd_sim::Sim;
+use mpmd_sim::{Sim, ACROSS_NODES};
 use mpmd_threads as thr;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// One `#[test]` per fabric for a program generic over it.
@@ -87,8 +90,8 @@ fn a_node_calls_itself<F: Fabric>(ctx: &F) {
     cx::finalize(ctx);
 }
 
-/// Records never migrate: the caller's node ends with one, the callee's
-/// with none, however many calls were made.
+/// Records stay home: the caller's node ends with one, the callee's with
+/// none, however many calls were made.
 fn sequential_calls_reuse_one_record<F: Fabric>(ctx: &F) {
     start(ctx);
     if ctx.node() == 0 {
@@ -120,6 +123,63 @@ fn a_wave_of_callers_bounds_the_free_list<F: Fabric>(ctx: &F) {
         assert!((1..=WIDTH as usize).contains(&kept), "{kept} records kept");
     }
     cx::finalize(ctx);
+}
+
+// A callee that reaches into a record.
+
+/// A test handler, outside the runtime's ids, that reads the caller's half
+/// of the call record its message carries.
+const H_TOUCH: am::HandlerId = 200;
+
+/// Node 0 makes its record warm, touches it through a message to itself
+/// (its own node may), then sends it to node 1, whose touch must fail the
+/// run.
+fn a_callee_touches_a_warm_record<F: Fabric>(ctx: &F) {
+    start(ctx);
+    let touched = Arc::new(AtomicU64::new(0));
+    let t = Arc::clone(&touched);
+    am::register(ctx, H_TOUCH, move |ctx, mut m| {
+        cx::debug_touch_record(ctx, &mut m);
+        t.fetch_add(1, Ordering::AcqRel);
+    });
+    cx::barrier(ctx);
+    if ctx.node() == 0 {
+        twice(ctx, 1, 1, CallMode::Simple);
+        twice(ctx, 1, 2, CallMode::Blocking);
+        assert_eq!(cx::debug_call_records(ctx), 1, "one warm record");
+        cx::debug_send_record(ctx, 0, H_TOUCH);
+        cx::spin_until(ctx, || touched.load(Ordering::Acquire) == 1);
+        twice(ctx, 1, 3, CallMode::Simple);
+        cx::debug_send_record(ctx, 1, H_TOUCH);
+    }
+    cx::finalize(ctx);
+}
+
+fn fails_across_nodes(run: impl FnOnce()) {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .expect_err("a callee touched the caller's half of a record");
+    let msg = match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p.downcast::<&str>().expect("panic message").to_string(),
+    };
+    assert_eq!(
+        msg,
+        format!("a touch from node 1 of another node's state {ACROSS_NODES}")
+    );
+}
+
+#[test]
+fn a_callee_that_touches_a_warm_record_fails_the_run_sim() {
+    fails_across_nodes(|| {
+        Sim::new(2).run(|ctx| a_callee_touches_a_warm_record(&ctx));
+    });
+}
+
+#[test]
+fn a_callee_that_touches_a_warm_record_fails_the_run_local() {
+    fails_across_nodes(|| {
+        LocalFabric::run(2, |ctx| a_callee_touches_a_warm_record(&ctx));
+    });
 }
 
 // A run that fails with records in flight.

@@ -8,7 +8,7 @@ use crate::state::ScState;
 use bytes::Bytes;
 use mpmd_am::{self as am, AmMsg, HandlerId, ReplyCell};
 use mpmd_fabric::Fabric;
-use mpmd_sim::Bucket;
+use mpmd_sim::{Bucket, NodeCell};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -24,17 +24,35 @@ pub(crate) const H_REPLY_DATA: HandlerId = 24;
 pub(crate) const H_READ3: HandlerId = 27;
 pub(crate) const H_ATOMIC_ADD3: HandlerId = 28;
 
-/// Completion context carried in request tokens and passed back in replies.
+/// A split-phase op's token, carried by its request and passed back in its
+/// reply: the op is counted in `ScState::pending` until the reply arrives.
 pub(crate) struct ScToken {
-    /// Result cell (synchronous ops and split-phase gets).
+    /// Result cell (split-phase gets).
     pub(crate) cell: Option<Arc<ReplyCell>>,
-    /// A split-phase op: counted in `ScState::pending` until its reply
-    /// arrives.
-    pub(crate) split: bool,
-    /// Issue timestamp of a split-phase op (set only when metrics are on):
-    /// the reply handler turns it into the issue→completion latency.
+    /// Issue timestamp (set only when metrics are on): the reply handler
+    /// turns it into the issue→completion latency.
     pub(crate) issued: Option<mpmd_sim::Time>,
 }
+
+/// A blocking access's token and reply slot, reused: the task that issues
+/// the access takes it from its node's free list (`ScState::sync_tokens`),
+/// the request and the reply carry it, the reply handler stores the reply
+/// in it and hands it back to that task through its slot, and only that
+/// task puts it back on the list. (Recycling in the handler is wrong: the
+/// task may not have run yet.)
+#[derive(Default)]
+pub(crate) struct SyncToken {
+    /// The reply's words and bulk payload, stored by the reply handler.
+    pub(crate) reply: ([u64; 4], Option<Bytes>),
+    /// Where the reply handler leaves this token for the waiting task.
+    /// `None` only between that hand-over and the task putting its own
+    /// clone back, so a token parked for a task that has unwound does not
+    /// keep its slot (and through it, itself) alive.
+    pub(crate) slot: Option<Arc<SyncSlot>>,
+}
+
+/// Where a blocking access's reply handler parks its token.
+pub(crate) type SyncSlot = NodeCell<Option<Box<SyncToken>>>;
 
 /// `vals` as a bulk payload.
 pub(crate) fn payload(vals: &[f64]) -> Bytes {
@@ -60,21 +78,28 @@ fn reply_value<F: Fabric>(ctx: &F, m: AmMsg, args: [u64; 4]) {
         .send();
 }
 
-/// The completion of every request, with or without data: a split-phase
+/// The completion of every request, with or without data: a blocking
+/// access's token goes back to its task with the reply in it; a split-phase
 /// op leaves `pending`, and the reply lands in the issuer's cell.
 fn complete<F: Fabric>(ctx: &F, m: AmMsg) {
-    let tok = *m
-        .token
-        .expect("Split-C reply without token")
+    let token = m.token.expect("Split-C reply without token");
+    let token = match token.downcast::<SyncToken>() {
+        Ok(mut tok) => {
+            tok.reply = (m.args, m.data);
+            let slot = tok.slot.take().expect("sync token without its slot");
+            slot.with(ctx, |s| *s = Some(tok));
+            return;
+        }
+        Err(token) => token,
+    };
+    let tok = *token
         .downcast::<ScToken>()
         .expect("foreign token in Split-C reply");
-    if tok.split {
-        let st = ScState::get(ctx);
-        ctx.charge(Bucket::Runtime, st.costs.split_complete);
-        st.complete_pending();
-        if let Some(t0) = tok.issued {
-            ctx.metric_observe_since("sc.split_op_ns", t0);
-        }
+    let st = ScState::get(ctx);
+    ctx.charge(Bucket::Runtime, st.costs.split_complete);
+    st.complete_pending();
+    if let Some(t0) = tok.issued {
+        ctx.metric_observe_since("sc.split_op_ns", t0);
     }
     if let Some(c) = &tok.cell {
         match m.data {

@@ -46,6 +46,7 @@ pub use ops::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::ScState;
     use mpmd_sim::{to_us, us, Bucket, Fabric, Sim};
 
     #[test]
@@ -84,6 +85,43 @@ mod tests {
             }
             barrier(&ctx);
         });
+    }
+
+    /// Two tasks of node 0 read node 1 at once, so one's reply is often
+    /// handled by the other's poll: each must get its own value back, and
+    /// the node ends with one token per task that ever waited, not one per
+    /// read.
+    fn sibling_readers<F: Fabric>(ctx: &F) {
+        const READS: usize = 500;
+        init(ctx);
+        let a = all_spread_alloc(ctx, 2, 0.0);
+        if ctx.node() == 1 {
+            with_local(ctx, a.region, |v| v.copy_from_slice(&[1.5, 2.5]));
+        }
+        barrier(ctx);
+        if ctx.node() == 0 {
+            let reader = move |c: &F, at: usize, want: f64| {
+                for _ in 0..READS {
+                    assert_eq!(read(c, a.node_chunk(1).add(at)), want);
+                }
+            };
+            let sibling = ctx.spawn("sibling-reader", move |c| reader(&c, 1, 2.5));
+            reader(ctx, 0, 1.5);
+            ctx.join(sibling);
+            let kept = ScState::get(ctx).sync_tokens.with(ctx, |free| free.len());
+            assert!((1..=2).contains(&kept), "{kept} tokens kept");
+        }
+        barrier(ctx);
+    }
+
+    #[test]
+    fn sibling_readers_each_get_their_own_reply_sim() {
+        Sim::new(2).run(|ctx| sibling_readers(&ctx));
+    }
+
+    #[test]
+    fn sibling_readers_each_get_their_own_reply_local() {
+        mpmd_fabric::LocalFabric::run(2, |ctx| sibling_readers(&ctx));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::gptr::GlobalPtr;
 use crate::handlers::*;
 use crate::state::{AtomicFn, ScState};
+use bytes::Bytes;
 use mpmd_am::{self as am, HandlerId, ReplyCell};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
@@ -45,7 +46,7 @@ fn at(gp: GlobalPtr, a: u64, b: u64) -> [u64; 4] {
 /// One blocking remote access: send `args` (and `bulk` as the payload) to
 /// `handler` at `node` and spin-poll for the reply. The handler names the
 /// access, and with it the access's span, its latency metric (issue to reply
-/// in hand) and its costs. Returns the reply's cell.
+/// in hand) and its costs. Returns the reply's words and payload.
 fn sync_access<F: Fabric>(
     ctx: &F,
     st: &ScState<F>,
@@ -53,7 +54,7 @@ fn sync_access<F: Fabric>(
     node: usize,
     args: [u64; 4],
     bulk: Option<&[f64]>,
-) -> Arc<ReplyCell> {
+) -> ([u64; 4], Option<Bytes>) {
     let c = &st.costs;
     let sync = (c.sync_access_issue, c.sync_access_complete);
     let atomic = (c.atomic_issue, c.atomic_complete);
@@ -71,25 +72,30 @@ fn sync_access<F: Fabric>(
     let _sp = ctx.span(span);
     let t0 = ctx.metric_now();
     ctx.charge(Bucket::Runtime, issue);
-    let cell = ReplyCell::new();
-    let token = ScToken {
-        cell: Some(Arc::clone(&cell)),
-        split: false,
-        issued: None,
-    };
+    let popped = st.sync_tokens.with(ctx, Vec::pop);
+    let mut token = popped.unwrap_or_default();
+    let slot = Arc::clone(token.slot.get_or_insert_with(Arc::default));
     let send = am::endpoint(ctx).to(node).handler(handler).args(args);
     match bulk {
         Some(vals) => send.bulk(payload(vals)),
         None => send,
     }
-    .token(Box::new(token) as am::Token)
+    .token(token as am::Token)
     .send();
-    am::wait_until(ctx, || cell.is_done());
+    let mut back = None;
+    am::wait_until(ctx, || {
+        back = slot.with(ctx, Option::take);
+        back.is_some()
+    });
+    let mut token = back.expect("reply not complete");
+    token.slot = Some(slot);
+    let reply = std::mem::take(&mut token.reply);
+    st.sync_tokens.with(ctx, |free| free.push(token));
     ctx.charge(Bucket::Runtime, complete);
     if let Some(t0) = t0 {
         ctx.metric_observe_since(metric, t0);
     }
-    cell
+    reply
 }
 
 /// Issue one split-phase access: send `args` to `handler` at `node` and
@@ -115,7 +121,6 @@ fn split_access<F: Fabric>(
     st.pending.fetch_add(1, Ordering::AcqRel);
     let token = ScToken {
         cell: cell.cloned(),
-        split: true,
         issued: ctx.metric_now(),
     };
     am::endpoint(ctx)
@@ -132,8 +137,8 @@ pub fn read<F: Fabric>(ctx: &F, gp: GlobalPtr) -> f64 {
     if let Some(v) = local(ctx, st, gp, |r| r[gp.offset]) {
         return v;
     }
-    let cell = sync_access(ctx, st, H_READ, gp.node, at(gp, 0, 0), None);
-    f64::from_bits(cell.words()[0])
+    let (words, _) = sync_access(ctx, st, H_READ, gp.node, at(gp, 0, 0), None);
+    f64::from_bits(words[0])
 }
 
 /// Synchronously write a double through a global pointer (`*gpY = lx`).
@@ -154,7 +159,7 @@ pub fn read_vec3<F: Fabric>(ctx: &F, gp: GlobalPtr) -> [f64; 3] {
     if let Some(v) = local(ctx, st, gp, at3) {
         return v;
     }
-    let w = sync_access(ctx, st, H_READ3, gp.node, at(gp, 0, 0), None).words();
+    let (w, _) = sync_access(ctx, st, H_READ3, gp.node, at(gp, 0, 0), None);
     [
         f64::from_bits(w[0]),
         f64::from_bits(w[1]),
@@ -282,8 +287,8 @@ pub fn bulk_read<F: Fabric>(ctx: &F, gp: GlobalPtr, len: usize) -> Vec<f64> {
     if let Some(v) = local(ctx, st, gp, |r| r[gp.offset..gp.offset + len].to_vec()) {
         return v;
     }
-    let cell = sync_access(ctx, st, H_BULK_READ, gp.node, at(gp, len as u64, 0), None);
-    doubles(&cell.data().expect("bulk read reply without data"))
+    let (_, data) = sync_access(ctx, st, H_BULK_READ, gp.node, at(gp, len as u64, 0), None);
+    doubles(&data.expect("bulk read reply without data"))
 }
 
 /// Synchronous bulk write of `vals` starting at `gp`.
@@ -328,7 +333,7 @@ pub fn atomic_rpc<F: Fabric>(ctx: &F, node: usize, fn_id: u32, args: [u64; 3]) -
         return r;
     }
     let words = [fn_id as u64, args[0], args[1], args[2]];
-    sync_access(ctx, st, H_ATOMIC, node, words, None).words()
+    sync_access(ctx, st, H_ATOMIC, node, words, None).0
 }
 
 /// Atomically add `delta` to the double at `gp` (Water's force updates),

@@ -1,6 +1,7 @@
 //! Per-node Split-C runtime state.
 
 use crate::costs::ScCosts;
+use crate::handlers::SyncToken;
 use mpmd_am::RegionTable;
 use mpmd_fabric::Fabric;
 use mpmd_sim::NodeCell;
@@ -24,6 +25,10 @@ pub(crate) struct ScState<F: Fabric> {
     pub(crate) stores_sent: AtomicU64,
     /// One-way stores received by this node.
     pub(crate) stores_recvd: AtomicU64,
+    /// Blocking accesses' tokens not in use (see [`SyncToken`]). Boxed
+    /// because the box itself is what travels as the message token.
+    #[allow(clippy::vec_box)]
+    pub(crate) sync_tokens: NodeCell<Vec<Box<SyncToken>>>,
 }
 
 impl<F: Fabric> ScState<F> {
@@ -35,6 +40,7 @@ impl<F: Fabric> ScState<F> {
             pending: AtomicU64::new(0),
             stores_sent: AtomicU64::new(0),
             stores_recvd: AtomicU64::new(0),
+            sync_tokens: NodeCell::default(),
         }
     }
 
