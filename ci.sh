@@ -46,7 +46,12 @@ echo "==> results/ digests on the threads backend, where the kernel crosses OS t
 # tests: the wire-encoding battery (rmi_encoding: every call shape arrives
 # and returns exactly from the frames) and the call-record guard
 # (call_records' a_callee_that_touches_a_warm_record_fails_the_run_*: a
-# callee that reads the caller's half of a record fails the run).
+# callee that reads the caller's half of a record fails the run). So do the
+# sibling twins of the handle rule (fabric_conformance's
+# lent_handle_sibling_sim / _local: a sibling's park, park_for_inbox*, sleep,
+# yield_now and join through its parent's handle fail the run with
+# BORROWED, and its charge, send_msg and try_recv go through), since a
+# blocking call through the wrong handle would switch the wrong context.
 tmp=$(mktemp -d)
 for bin in table4 fig5 scaling faults; do
     MPMD_SIM_BACKEND=threads ./target/release/$bin --json "$tmp/$bin.json" >/dev/null
@@ -56,6 +61,7 @@ rm -rf "$tmp"
 MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-bench --test trace_observability --test flame_golden
 MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-threads --lib
 MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-ccxx --test rmi_encoding --test call_records
+MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-am --test fabric_conformance lent_handle_sibling
 echo "threads backend reproduces table4, fig5, scaling, faults and the trace goldens"
 
 echo "==> cargo test -q"
@@ -88,6 +94,25 @@ stray=$(find crates/*/src -name '*.rs' -exec awk '
 if [ -n "$stray" ]; then
     echo "thread_local! outside the baton:" >&2
     echo "$stray" >&2
+    exit 1
+fi
+
+echo "==> one Fabric body: exactly one impl of the trait"
+# The Fabric trait has one body, mpmd_sim::Handle (sim/src/ctx.rs), written
+# over a driver per machine: the simulator's kernel and the wall clock's
+# nodes. A second `impl ... Fabric for` would be a second body that can
+# drift from the first. The body of a top-level `#[cfg(test)] mod ... {`, up
+# to its closing `}` in column 0, is test code and exempt.
+impls=$(find crates/*/src -name '*.rs' -exec awk '
+    FNR == 1 { prev = ""; skip = 0 }
+    skip && /^}/ { skip = 0; prev = $0; next }
+    skip { next }
+    prev ~ /^#\[cfg\(test\)\]$/ && /^mod .*\{$/ { skip = 1; prev = $0; next }
+    /^[[:space:]]*impl[[:space:]<]/ && /[[:space:]:]Fabric for[[:space:]]/ { print FILENAME ":" FNR }
+    { prev = $0 }' {} +)
+if [ "$(printf '%s\n' "$impls" | grep -c .)" -ne 1 ]; then
+    echo "Fabric must have exactly one impl outside test code; found:" >&2
+    echo "$impls" >&2
     exit 1
 fi
 
@@ -187,8 +212,9 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # proves identical output; widening_task_waves_under_perturbation runs its
 # 300-wide waves on pooled OS threads here). The node task table both fabrics share: its unit
 # tests, and its bounds on both fabrics in bounded_tasks. LocalFabric's node
-# scheduler: its unit tests (panic containment, re-entry and borrowed-handle
-# rules, the ring alone), ring_stress (the ring does not
+# scheduler: its unit tests, in mpmd-sim's lib beside the one handle body
+# (panic containment, re-entry and borrowed-handle rules, the ring alone),
+# ring_stress (the ring does not
 # depend on the baton, the idle loop that reads it does), the bounded-link
 # battery (a wait for room keeps the baton) and the whole conformance suite,
 # on which one node's tasks still run one at a time, scheduling across
@@ -201,9 +227,12 @@ echo "==> threads-fallback build (fiber backend force-disabled)"
 # threads, so the threads package's lib tests (on the simulator's threads
 # backend), Split-C's lib tests, the conformance cases node_local_sync
 # (same-node contention and hand-off), node_local_rule (a touch from
-# another node panics) and lent_handle_sim / lent_handle_local (a handle
+# another node panics), lent_handle_sim / lent_handle_local (a handle
 # another node's task lent fails a lock, charge, with_stats or node_data
-# with the one handle rule), and local_scale (Water, LU and EM3D in both
+# with the one handle rule) and their sibling twins lent_handle_sibling_sim /
+# lent_handle_sibling_local (a sibling's blocking call through its parent's
+# handle fails with BORROWED, with every task on its own OS thread), and
+# local_scale (Water, LU and EM3D in both
 # languages on OS-thread nodes, against their references) run here too. The
 # RMI call records: the per-node free list, the rule that only the issuing
 # task recycles and the guard on the caller's half of a record (call_records'

@@ -12,7 +12,7 @@ use mpmd_am as am;
 use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder};
 use mpmd_sim::{
     Bucket, CostModel, NodeData, Payload, Report, Sim, Snapshot, SpanId, TaskId, TraceConfig,
-    TraceEvent, TraceLog, ACROSS_NODES, NOT_ITS_NODE,
+    TraceEvent, TraceLog, ACROSS_NODES, BORROWED, NOT_ITS_NODE,
 };
 use mpmd_threads as thr;
 use parking_lot::Mutex;
@@ -949,10 +949,19 @@ fn check_node_local_rule<F: Fabric>(fabric: &str, run: impl Fn(Arc<Owned>, Touch
     }
 }
 
-/// What node 0 lends node 1: its handle, and a lock it owns.
+/// What node 0 lends node 1: its handle, and a lock it owns. With
+/// `sibling`, node 0's root lends its handle to a task it spawned instead.
 struct Lent<F> {
     handle: Mutex<Option<F>>,
     m: thr::Mutex<u32>,
+    sibling: bool,
+}
+
+impl<F> Lent<F> {
+    fn new(sibling: bool) -> Arc<Self> {
+        let (handle, m) = (Mutex::new(None), thr::Mutex::new(0));
+        Arc::new(Lent { handle, m, sibling })
+    }
 }
 
 type Misuse<F> = fn(&F, &thr::Mutex<u32>);
@@ -966,10 +975,44 @@ fn misuses<F: Fabric>() -> [(&'static str, Misuse<F>); 4] {
     ]
 }
 
+/// Calls a sibling makes through its parent's handle, and whether each
+/// blocks: a blocking call would block the parent, not the sibling.
+fn sibling_calls<F: Fabric>() -> [(&'static str, Misuse<F>, bool); 9] {
+    [
+        ("park", |c, _| c.park(), true),
+        ("park_for_inbox", |c, _| c.park_for_inbox(), true),
+        (
+            "park_for_inbox_until",
+            |c, _| c.park_for_inbox_until(u64::MAX),
+            true,
+        ),
+        ("sleep", |c, _| c.sleep(1), true),
+        ("yield_now", |c, _| c.yield_now(), true),
+        ("join", |c, _| c.join(c.task_id()), true),
+        ("charge", |c, _| c.charge(Bucket::Cpu, 1), false),
+        (
+            "send_msg",
+            |c, _| c.send_msg(c.node(), 8, 1, Payload::any(0u64)),
+            false,
+        ),
+        ("try_recv", |c, _| _ = c.try_recv(), false),
+    ]
+}
+
 /// A handle works only for a task of its own node: node 0 locks its lock,
 /// and so owns it, and lends node 1 its handle, through which node 1's task
-/// then `misuse`s node 0's state, which must fail the run.
-fn battery_lent_handle<F: Fabric>(ctx: &F, lent: &Lent<F>, misuse: Misuse<F>) {
+/// then `misuse`s node 0's state, which must fail the run. A handle blocks
+/// only its own task: node 0's root lends a sibling its handle, through
+/// which the sibling makes a call, and waits for it.
+fn battery_lent_handle<F: Fabric>(ctx: &F, lent: &Arc<Lent<F>>, misuse: Misuse<F>) {
+    if lent.sibling {
+        if ctx.node() == 0 {
+            let (parent, lent) = (ctx.clone(), Arc::clone(lent));
+            let sibling = ctx.spawn("sibling", move |_: F| misuse(&parent, &lent.m));
+            ctx.join(sibling);
+        }
+        return;
+    }
     if ctx.node() == 0 {
         *lent.m.lock(ctx) += 1;
         *lent.handle.lock() = Some(ctx.clone());
@@ -987,12 +1030,30 @@ fn battery_lent_handle<F: Fabric>(ctx: &F, lent: &Lent<F>, misuse: Misuse<F>) {
 }
 
 /// Every `misuse` through the lent handle fails `run` with the handle rule.
-fn check_lent_handle<F: Fabric>(fabric: &str, run: impl Fn(Arc<Lent<F>>, Misuse<F>)) {
+/// Through a `sibling`'s handle, every blocking call fails `run` with its
+/// own rule, and the rest go through.
+fn check_lent_handle<F: Fabric>(
+    fabric: &str,
+    sibling: bool,
+    run: impl Fn(Arc<Lent<F>>, Misuse<F>),
+) {
+    if sibling {
+        for (what, call, blocks) in sibling_calls::<F>() {
+            let run = || run(Lent::new(true), call);
+            if blocks {
+                let msg = panic_message(|| {
+                    run();
+                    unreachable!("`{what}` through the parent's handle passed")
+                });
+                assert_eq!(msg, BORROWED, "{fabric}: a sibling's {what}");
+            } else {
+                run();
+            }
+        }
+        return;
+    }
     for (what, misuse) in misuses::<F>() {
-        let lent = Arc::new(Lent {
-            handle: Mutex::new(None),
-            m: thr::Mutex::new(0),
-        });
+        let lent = Lent::new(false);
         let msg = panic_message(|| {
             run(Arc::clone(&lent), misuse);
             unreachable!("`{what}` through node 0's handle passed")
@@ -1639,18 +1700,36 @@ fn node_local_rule_local() {
     });
 }
 
-#[test]
-fn lent_handle_sim() {
-    check_lent_handle("sim", |lent, misuse| {
+fn lent_handle_on_sim(sibling: bool) {
+    check_lent_handle("sim", sibling, |lent, misuse| {
         Sim::new(2).run(move |ctx| battery_lent_handle(&ctx, &lent, misuse));
     });
 }
 
-#[test]
-fn lent_handle_local() {
-    check_lent_handle("local", |lent, misuse| {
+fn lent_handle_on_local(sibling: bool) {
+    check_lent_handle("local", sibling, |lent, misuse| {
         LocalFabric::run(2, move |ctx| battery_lent_handle(&ctx, &lent, misuse));
     });
+}
+
+#[test]
+fn lent_handle_sim() {
+    lent_handle_on_sim(false);
+}
+
+#[test]
+fn lent_handle_local() {
+    lent_handle_on_local(false);
+}
+
+#[test]
+fn lent_handle_sibling_sim() {
+    lent_handle_on_sim(true);
+}
+
+#[test]
+fn lent_handle_sibling_local() {
+    lent_handle_on_local(true);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! # mpmd-fabric — the wall-clock backend of the [`Fabric`] contract
+//! # mpmd-fabric — the [`Fabric`] contract and its two machines
 //!
 //! Everything the messaging layer (`mpmd-am`), the threads package
 //! (`mpmd-threads`) and the two language runtimes (`mpmd-splitc`,
@@ -7,20 +7,25 @@
 //! here unchanged. The layers above are generic over `F: Fabric` with
 //! **static dispatch**.
 //!
-//! Two implementations exist:
+//! The trait has one implementation: `mpmd_sim::Handle`, a task's handle,
+//! written once over a driver that supplies what differs between two
+//! machines:
 //!
-//! * [`SimFabric`] — an alias for [`mpmd_sim::Ctx`], the deterministic
-//!   virtual-time kernel, which implements the trait directly.
-//! * [`LocalFabric`] — defined here: a wall-clock backend that gives each
-//!   node one OS thread, runs the node's tasks on it as run-until-block
+//! * [`SimFabric`] — an alias for [`mpmd_sim::Ctx`], the handle over the
+//!   deterministic virtual-time kernel.
+//! * [`LocalFabric`] — the handle over the wall-clock driver, which gives
+//!   each node one OS thread, runs the node's tasks on it as run-until-block
 //!   fibers, and carries frames over per-link rings, so the same
 //!   benchmarks (null-RMI, fig5 exchanges, EM3D ghost traffic) execute on
 //!   real hardware and report measured nanoseconds.
+//!
+//! Both drivers live in `mpmd-sim` beside the handle; this crate is the
+//! facade its dependents import them through.
 
-mod local;
-
-pub use local::{LocalFabric, LocalFabricBuilder};
-pub use mpmd_sim::{Ctx as SimFabric, Fabric, SpanGuard, WaitPhase, WaitPolicy, Waiter};
+pub use mpmd_sim::{
+    Ctx as SimFabric, Fabric, LocalFabric, LocalFabricBuilder, SpanGuard, WaitPhase, WaitPolicy,
+    Waiter,
+};
 
 #[cfg(test)]
 mod tests {
@@ -28,7 +33,7 @@ mod tests {
     use mpmd_sim::{Payload, Sim};
 
     // One generic body through the trait surface on the simulated fabric
-    // (LocalFabric runs the same shape in local.rs tests).
+    // (LocalFabric runs the same shape in mpmd-sim's local.rs tests).
     fn ping_pong<F: Fabric>(ctx: &F) {
         if ctx.node() == 0 {
             ctx.send_msg(1, 8, 1_000, Payload::any(7u64));

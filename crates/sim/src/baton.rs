@@ -6,9 +6,10 @@
 //! gives it a stack and a body ([`Backend::start`]) and moves the baton
 //! between contexts ([`Backend::switch`]); a finished body names its own
 //! successor ([`TaskBody`]). Which task runs next is entirely the
-//! scheduler's business. Two schedulers are built on it: the simulator's
-//! virtual-time engine (one baton per simulation) and `LocalFabric`'s
-//! run-until-block node scheduler in `mpmd-fabric` (one baton per node).
+//! scheduler's business. Two schedulers are built on it, the two drivers of
+//! the one handle body: the simulator's virtual-time engine (one baton per
+//! simulation) and `LocalFabric`'s run-until-block node scheduler (one baton
+//! per node).
 //!
 //! The baton names its holder. The context that receives it (the engine at
 //! [`Backend::engine`], a task at entry, a context returning from

@@ -1,81 +1,291 @@
-//! Task-side API: everything a simulated task can do, as the simulator's
-//! [`Fabric`] implementation. The trait docs carry the contract; comments
-//! here say only what is specific to the virtual-time kernel.
+//! Task-side API: one body of [`Fabric`], [`Handle`], over two drivers. A
+//! [`Driver`] supplies what differs between the machines: the node borrow,
+//! the clock, block-and-switch, task registration and exit, transport,
+//! faults and capture. The simulator's kernel is one ([`SimDriver`], whose
+//! handle is [`Ctx`]), the wall clock's nodes the other (`LocalDriver`, whose
+//! handle is [`LocalFabric`](crate::LocalFabric)). `Driver` is sealed: public
+//! for `Handle<D>` to name, in a private module for no other crate to
+//! implement.
 //!
-//! Hot-path discipline: every operation that reads the kernel borrows it
-//! exactly once, through `Ctx::kernel` (the baton's check that the caller
+//! Hot-path discipline: every operation that reads node state borrows it
+//! exactly once, through `Handle::home` (the baton's check that the caller
 //! is its holder and a task of this handle's node, then a `RefCell` borrow),
 //! and none holds the borrow across a baton switch. `probe` lends a node's
-//! [`Probe`](crate::Probe) out of that borrow, so the `with_stats` closure
-//! that runs under it must not call back into the fabric (doing so panics).
-//! `tracing` is a plain bool captured at `Sim::run`, so with tracing off a
-//! span costs a branch, not a kernel visit.
+//! [`Probe`] out of that borrow, so the `with_stats` closure that runs under
+//! it must not call back into the fabric (doing so panics).
 
-use crate::baton::NodeKey;
+use crate::baton::{Backend, NodeKey, TaskBody};
 use crate::cost::CostModel;
-use crate::engine::{spawn_task, switch_from_task, SimInner};
+use crate::engine::SimDriver;
 use crate::event::{Msg, Payload};
-use crate::fabric::Fabric;
-use crate::kernel::{FaultDecision, Kernel};
+use crate::fabric::{Fabric, BORROWED};
+use crate::kernel::FaultDecision;
+use crate::node_data::NodeData;
 use crate::probe::Probe;
 use crate::report::Snapshot;
-use crate::sched::TaskState;
-use crate::stats::Bucket;
+use crate::sched::{NodeTasks, TaskState};
+use crate::stats::{size_bucket, Bucket};
 use crate::task::{TaskCell, TaskId};
 use crate::time::Time;
-use crate::trace::TraceEvent;
+use crate::trace::{TraceEvent, TraceRecord};
 use std::cell::RefMut;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread;
 
-/// Handle to the simulation held by a running task. Cheap to clone; a clone
+/// The simulator's handle: a task of the deterministic virtual-time kernel.
+pub type Ctx = Handle<SimDriver>;
+
+/// What every driver keeps alike for its handles.
+pub struct Machine {
+    pub(crate) nodes: usize,
+    pub(crate) cost: CostModel,
+    /// Whether the nodes' probes keep trace rings: fixed for the run, so with
+    /// tracing off a span costs a branch, not a borrow.
+    pub(crate) tracing: bool,
+    /// Each node's layer singletons, beside its state: a lookup borrows
+    /// nothing.
+    pub(crate) data: Box<[NodeData]>,
+}
+
+impl Machine {
+    pub(crate) fn new(nodes: usize, cost: CostModel, tracing: bool) -> Self {
+        let data = (0..nodes).map(|_| NodeData::default()).collect();
+        Machine {
+            nodes,
+            cost,
+            tracing,
+            data,
+        }
+    }
+}
+
+/// What a fabric provides beneath the one handle body. `home` is a node
+/// borrow taken through [`Handle::home`]; `h` is the calling task's handle.
+pub trait Driver: Send + Sync + Sized + 'static {
+    /// What a node borrow lends: the simulator's whole kernel, or one
+    /// wall-clock node's scheduler.
+    type Home;
+
+    /// What the driver keeps for its handles alike.
+    fn machine(&self) -> &Machine;
+    /// The baton `node`'s tasks run under.
+    fn backend(&self, node: usize) -> &Backend;
+
+    /// `node`'s state, borrowed by a task of that node holding the baton.
+    fn home(&self, node: usize, key: NodeKey) -> RefMut<'_, Self::Home>;
+    /// `node`'s task table.
+    fn tasks(home: &mut Self::Home, node: usize) -> &mut NodeTasks;
+    /// `node`'s probe.
+    fn probe(home: &mut Self::Home, node: usize) -> &mut Probe;
+    /// `node`'s clock, read in a borrow.
+    fn clock(&self, home: &Self::Home, node: usize) -> Time;
+    /// Advance `node`'s clock by `ns` of charged work; a wall clock advances
+    /// by itself.
+    fn advance(_home: &mut Self::Home, _node: usize, _ns: Time) {}
+    /// Whether `node`'s `try_recv` would find a frame.
+    fn has_frame(&self, home: &Self::Home, node: usize) -> bool;
+
+    /// Give a new task of `node`, run by `cell`, its id and record, and queue it.
+    fn register(
+        &self,
+        home: &mut Self::Home,
+        node: usize,
+        name: &str,
+        daemon: bool,
+        cell: Arc<TaskCell>,
+    ) -> TaskId;
+    /// Exit bookkeeping of task `id`, on its own stack, once its body ended
+    /// with `outcome`: the context the baton goes to next (`None`: the
+    /// engine).
+    fn exit(&self, node: usize, id: TaskId, outcome: thread::Result<()>) -> Option<Arc<TaskCell>>;
+    /// Whether a `yield_now` may skip the reschedule: nothing else could run
+    /// before the caller.
+    fn yield_is_free(&self, _home: &mut Self::Home, _node: usize) -> bool {
+        false
+    }
+    /// Called before the calling task blocks or yields: whether a wait other
+    /// than a sleep is a trip through the run queue instead, since whoever
+    /// would end it may be gone. A driver whose run has failed unwinds the
+    /// task here.
+    fn waits_are_yields(&self) -> bool {
+        false
+    }
+    /// Arm `timer` (a deadline and the wait's generation) for the calling
+    /// task, blocked or requeued in `home`, then run whatever else is
+    /// runnable until it is picked again.
+    fn switch_away(h: &Handle<Self>, home: RefMut<'_, Self::Home>, timer: Option<(Time, u64)>);
+
+    /// [`Fabric::now`].
+    #[inline]
+    fn now(h: &Handle<Self>) -> Time {
+        h.inner.clock(&h.home(), h.node)
+    }
+    /// [`Fabric::shutting_down`].
+    fn shutting_down(h: &Handle<Self>) -> bool;
+    /// [`Fabric::poll_point`]: nothing to pull forward where delivery is
+    /// immediate.
+    fn poll_point(_h: &Handle<Self>) {}
+    /// [`Fabric::send_msg`], with the frame built and counted as sent.
+    fn send(h: &Handle<Self>, home: RefMut<'_, Self::Home>, dst: usize, msg: Msg, delay: Time);
+    /// [`Fabric::try_recv`].
+    fn try_recv(h: &Handle<Self>) -> Option<Msg>;
+    /// [`Handle::inbox_len`].
+    fn inbox_len(h: &Handle<Self>) -> usize;
+    /// [`Fabric::fault_decision`]: a driver that refuses a fault model
+    /// never draws.
+    fn fault_decision(_h: &Handle<Self>, _dst: usize) -> FaultDecision {
+        unreachable!("the builder refuses a cost model with a fault model")
+    }
+    /// [`Fabric::snapshot`].
+    fn snapshot(h: &Handle<Self>) -> Snapshot;
+}
+
+/// A handle to the machine held by one running task. Cheap to clone; a clone
 /// refers to the same task (pass clones into closures, not across tasks —
-/// each spawned task receives its own `Ctx`).
-#[derive(Clone)]
-pub struct Ctx {
-    pub(crate) inner: Arc<SimInner>,
+/// each spawned task receives its own handle).
+pub struct Handle<D> {
+    pub(crate) inner: Arc<D>,
     pub(crate) node: usize,
     /// The baton's key for `node`.
     pub(crate) key: NodeKey,
     pub(crate) task: TaskId,
-    /// This task's own handoff cell, cached here so blocking points don't
-    /// re-fetch (and re-clone) it from the task table on every switch.
+    /// This task's own context, cached here so blocking points need not
+    /// fetch it from the task table.
     pub(crate) cell: Arc<TaskCell>,
 }
 
-impl Ctx {
-    /// The kernel, borrowed by a task of this handle's node holding the
-    /// baton: the single access point.
+impl<D> Clone for Handle<D> {
+    fn clone(&self) -> Self {
+        Handle {
+            inner: Arc::clone(&self.inner),
+            node: self.node,
+            key: self.key,
+            task: self.task,
+            cell: Arc::clone(&self.cell),
+        }
+    }
+}
+
+impl<D: Driver> Handle<D> {
+    /// This node's state, borrowed by a task of this handle's node holding
+    /// the baton: the single access point.
     #[inline]
-    fn kernel(&self) -> RefMut<'_, Kernel> {
-        self.inner.kernel.borrow_at(self.key)
+    pub(crate) fn home(&self) -> RefMut<'_, D::Home> {
+        self.inner.home(self.node, self.key)
+    }
+
+    /// This node's state, to block the calling task through: a handle may do
+    /// that only for the task it was given to.
+    #[inline]
+    fn sched(&self) -> RefMut<'_, D::Home> {
+        let home = self.home();
+        assert!(self.key.runs(self.task), "{BORROWED}");
+        home
+    }
+
+    /// Record `event` on `task` of this node, stamped with the node's
+    /// clock, into a probe already borrowed. `event` is built only when
+    /// tracing.
+    #[inline]
+    fn record(&self, home: &mut D::Home, task: TaskId, event: impl FnOnce() -> TraceEvent) {
+        let (inner, node) = (&*self.inner, self.node);
+        if inner.machine().tracing {
+            let time = inner.clock(home, node);
+            let event = event();
+            D::probe(home, node).record(TraceRecord {
+                time,
+                node,
+                task,
+                event,
+            });
+        }
+    }
+
+    /// Register a task of `node` and give it a context that runs `f` with a
+    /// handle of its own. The one spawn body: a node's bring-up and
+    /// `spawn*` both come here. Task names are kept in the trace, and in
+    /// whatever record the driver keeps.
+    pub(crate) fn start<G>(
+        inner: &Arc<D>,
+        home: &mut D::Home,
+        node: usize,
+        name: &str,
+        daemon: bool,
+        f: G,
+    ) -> TaskId
+    where
+        G: FnOnce(Self) + Send + 'static,
+    {
+        let backend = inner.backend(node);
+        let cell = Arc::new(backend.new_cell());
+        let task = inner.register(home, node, name, daemon, Arc::clone(&cell));
+        let child = Handle {
+            inner: Arc::clone(inner),
+            node,
+            key: backend.node_key(node),
+            task,
+            cell: Arc::clone(&cell),
+        };
+        child.record(home, task, || TraceEvent::TaskSpawn {
+            name: name.to_string(),
+        });
+        let body: TaskBody = Box::new(move || {
+            let inner = Arc::clone(&child.inner);
+            // The root of the task's stack: nothing may unwind past it.
+            let outcome = catch_unwind(AssertUnwindSafe(move || f(child)));
+            inner.exit(node, task, outcome)
+        });
+        backend.start(cell, body, (node, task.0));
+        task
+    }
+
+    /// Leave the calling task waiting in `state`, traced as a park, until a
+    /// wake rule of its node's table or its `deadline` ends the wait — or
+    /// requeue it behind the node's other runnable tasks, for `Ready` (a
+    /// yield) and where the driver says waits are yields — and run whatever
+    /// else is runnable meanwhile.
+    fn block(&self, mut home: RefMut<'_, D::Home>, state: TaskState, deadline: Option<Time>) {
+        let (inner, node, task) = (&*self.inner, self.node, self.task);
+        let yields = inner.waits_are_yields();
+        let timer = if state == TaskState::Ready || (yields && state != TaskState::Sleeping) {
+            D::tasks(&mut home, node).requeue(task, false);
+            None
+        } else {
+            let gen = D::tasks(&mut home, node).block(task, state);
+            self.record(&mut home, task, || TraceEvent::Park);
+            deadline.map(|at| (at, gen))
+        };
+        D::switch_away(self, home, timer);
+    }
+
+    /// The shared body of `park` and `park_for_inbox*`: an inbox wait ends at
+    /// once if a frame is there or its deadline has passed.
+    fn wait(&self, state: TaskState, deadline: Option<Time>) {
+        let home = self.sched();
+        let (inner, node) = (&*self.inner, self.node);
+        let passed = |home: &D::Home| deadline.is_some_and(|d| inner.clock(home, node) >= d);
+        if state == TaskState::InboxWait && (inner.has_frame(&home, node) || passed(&home)) {
+            return;
+        }
+        self.block(home, state, deadline);
+    }
+
+    /// Number of delivered, unconsumed frames on this node. A test-side
+    /// probe: the layers above drain the inbox, never count it.
+    pub fn inbox_len(&self) -> usize {
+        D::inbox_len(self)
     }
 
     /// Task records in this node's table: the live set, however many tasks
     /// the node has run so far. For the bounded-resource tests.
     #[doc(hidden)]
     pub fn debug_task_records(&self) -> usize {
-        self.kernel().nodes[self.node].tasks.live()
-    }
-
-    /// Number of delivered, unconsumed frames on this node. A test-side
-    /// probe: the layers above drain the inbox, never count it.
-    pub fn inbox_len(&self) -> usize {
-        self.kernel().nodes[self.node].inbox.len()
-    }
-
-    /// Leave this task waiting in `state`, traced as a park, until a wake rule
-    /// of its node's table queues it again and it runs.
-    fn block(&self, mut k: RefMut<'_, Kernel>, state: TaskState, timer: Option<Time>) {
-        let gen = k.nodes[self.node].tasks.block(self.task, state);
-        if let Some(at) = timer {
-            k.post_timeout_wake(self.task, at, gen);
-        }
-        k.emit(self.node, self.task, TraceEvent::Park);
-        switch_from_task(&self.inner, k, self.task, &self.cell);
+        D::tasks(&mut self.home(), self.node).live()
     }
 }
 
-impl Fabric for Ctx {
+impl<D: Driver> Fabric for Handle<D> {
     #[inline]
     fn node(&self) -> usize {
         self.node
@@ -83,7 +293,7 @@ impl Fabric for Ctx {
 
     #[inline]
     fn nodes(&self) -> usize {
-        self.inner.num_nodes
+        self.inner.machine().nodes
     }
 
     #[inline]
@@ -93,190 +303,141 @@ impl Fabric for Ctx {
 
     #[inline]
     fn cost(&self) -> &CostModel {
-        &self.inner.cost
+        &self.inner.machine().cost
     }
 
     #[inline]
     fn now(&self) -> Time {
-        self.kernel().clock(self.node)
+        D::now(self)
     }
 
-    /// Advances this node's clock by `ns`; the next scheduling decision
-    /// reads the new clock, so nothing is re-keyed here.
     fn charge(&self, bucket: Bucket, ns: Time) {
         if ns == 0 {
             return;
         }
-        let mut k = self.kernel();
-        let n = &mut k.nodes[self.node];
-        n.clock += ns;
-        n.probe.stats.bucket_ns[bucket.index()] += ns;
-        k.emit(self.node, self.task, TraceEvent::Charge { bucket, ns });
+        let (node, mut home) = (self.node, self.home());
+        D::advance(&mut home, node, ns);
+        D::probe(&mut home, node).stats().bucket_ns[bucket.index()] += ns;
+        self.record(&mut home, self.task, || TraceEvent::Charge { bucket, ns });
     }
 
     fn snapshot(&self) -> Snapshot {
-        crate::engine::snapshot(&self.kernel())
+        D::snapshot(self)
     }
 
-    fn spawn<F>(&self, name: &str, f: F) -> TaskId
+    fn spawn<G>(&self, name: &str, f: G) -> TaskId
     where
-        F: FnOnce(Ctx) + Send + 'static,
+        G: FnOnce(Self) + Send + 'static,
     {
-        let k = &mut self.kernel();
-        spawn_task(&self.inner, k, self.node, name.to_string(), false, f)
+        Self::start(&self.inner, &mut self.home(), self.node, name, false, f)
     }
 
-    /// Daemons are excluded from the liveness condition: when only daemons
-    /// remain, the engine flips `shutting_down`, wakes them, and expects
-    /// them to return.
-    fn spawn_daemon<F>(&self, name: &str, f: F) -> TaskId
+    fn spawn_daemon<G>(&self, name: &str, f: G) -> TaskId
     where
-        F: FnOnce(Ctx) + Send + 'static,
+        G: FnOnce(Self) + Send + 'static,
     {
-        let k = &mut self.kernel();
-        spawn_task(&self.inner, k, self.node, name.to_string(), true, f)
+        Self::start(&self.inner, &mut self.home(), self.node, name, true, f)
     }
 
-    /// Gives the scheduler a chance to apply due network events and run
-    /// other tasks.
-    ///
-    /// Includes a fast path: if no event and no other task could possibly run
-    /// before this node's clock, the reschedule is skipped entirely.
     fn yield_now(&self) {
-        let mut k = self.kernel();
-        let my_clock = k.clock(self.node);
-        let event_due = k.events.peek().is_some_and(|e| e.time <= my_clock);
-        let local_ready = k.nodes[self.node].tasks.ready_len() > 0;
-        // Our own node is not runnable (its ready queue is empty when
-        // local_ready is false), so any pick is another node, and one
-        // strictly behind our clock could still run first.
-        let earlier_node = !local_ready && k.peek_min_runnable().is_some_and(|(_, c)| c < my_clock);
-        if !event_due && !local_ready && !earlier_node {
-            // Exploration hook: the oracle may force the skipped slow path
-            // anyway (requeue + reschedule at unchanged virtual time), which
-            // must be invisible in the results.
-            if !k.oracle_forces_slow_path() {
-                return;
-            }
+        let mut home = self.sched();
+        if self.inner.yield_is_free(&mut home, self.node) {
+            return;
         }
-        k.nodes[self.node].tasks.requeue(self.task, false);
-        switch_from_task(&self.inner, k, self.task, &self.cell);
+        self.block(home, TaskState::Ready, None);
     }
 
     fn park(&self) {
-        self.block(self.kernel(), TaskState::Parked, None);
+        self.wait(TaskState::Parked, None);
     }
 
     fn unpark(&self, t: TaskId) {
-        self.kernel().wake(self.node, |tasks| tasks.unpark(t));
+        let mut home = self.home();
+        if D::tasks(&mut home, self.node).unpark(t) {
+            self.record(&mut home, t, || TraceEvent::Unpark);
+        }
     }
 
     fn park_for_inbox(&self) {
-        let k = self.kernel();
-        if k.nodes[self.node].inbox.is_empty() {
-            self.block(k, TaskState::InboxWait, None);
-        }
+        self.wait(TaskState::InboxWait, None);
     }
 
     fn park_for_inbox_until(&self, deadline: Time) {
-        let k = self.kernel();
-        if k.nodes[self.node].inbox.is_empty() && k.clock(self.node) < deadline {
-            self.block(k, TaskState::InboxWait, Some(deadline));
-        }
+        self.wait(TaskState::InboxWait, Some(deadline));
     }
 
-    /// A timer in virtual time. Only the timer ends it: the `Sleeping` state
-    /// drops an `unpark`, and the timer's generation keeps it from ending a
-    /// later wait.
+    /// Only the timer ends it: the `Sleeping` state drops an `unpark`, and
+    /// the timer's generation keeps it from ending a later wait.
     fn sleep(&self, ns: Time) {
-        let k = self.kernel();
-        let at = k.clock(self.node) + ns;
-        self.block(k, TaskState::Sleeping, Some(at));
+        let home = self.sched();
+        let at = self.inner.clock(&home, self.node) + ns;
+        self.block(home, TaskState::Sleeping, Some(at));
     }
 
     fn join(&self, t: TaskId) {
         loop {
-            let mut k = self.kernel();
-            if !k.nodes[self.node].tasks.join(self.task, t) {
+            let mut home = self.sched();
+            if !D::tasks(&mut home, self.node).join(self.task, t) {
                 return;
             }
-            self.block(k, TaskState::Parked, None);
+            self.block(home, TaskState::Parked, None);
         }
     }
 
     fn is_finished(&self, t: TaskId) -> bool {
-        self.kernel().nodes[self.node].tasks.is_finished(t)
+        D::tasks(&mut self.home(), self.node).is_finished(t)
     }
 
     fn shutting_down(&self) -> bool {
-        self.kernel().shutting_down
+        D::shutting_down(self)
     }
 
-    /// Unlike `yield_now`, a poll point does **not** queue behind other
-    /// ready tasks on this node — polling the network is not a thread switch
-    /// in a non-preemptive system. The task hands control to the engine only
-    /// when a due event exists or another node lags behind this node's clock
-    /// (and could therefore still produce an event before it), and resumes
-    /// at the front of its node's run queue.
     fn poll_point(&self) {
-        let mut k = self.kernel();
-        let my_clock = k.clock(self.node);
-        let event_due = k.events.peek().is_some_and(|e| e.time <= my_clock);
-        // A pick of our own node carries our clock, never an earlier one, so
-        // a pick strictly below our clock is always another node.
-        let earlier_node = k.peek_min_runnable().is_some_and(|(_, c)| c < my_clock);
-        if !event_due && !earlier_node {
-            // Exploration hook: see `yield_now`. Resuming at the front of
-            // the run queue keeps the forced detour schedule-neutral.
-            if !k.oracle_forces_slow_path() {
-                return;
-            }
-        }
-        k.nodes[self.node].tasks.requeue(self.task, true);
-        switch_from_task(&self.inner, k, self.task, &self.cell);
+        D::poll_point(self)
     }
 
-    /// Drawn from the seeded fault stream, at the one rate every link has.
-    /// Panics when no fault model is installed.
-    fn fault_decision(&self, _dst: usize) -> FaultDecision {
-        self.kernel().fault_decision()
+    fn fault_decision(&self, dst: usize) -> FaultDecision {
+        D::fault_decision(self, dst)
     }
 
-    /// `delay` models wire/switch time and must be > 0.
-    ///
-    /// A [`Payload::Short`] send allocates nothing: the four argument words
-    /// travel inline and the event heap holds the delivery in capacity it
-    /// reuses.
+    /// The receive is counted by the driver.
     fn send_msg(&self, dst: usize, wire_bytes: usize, delay: Time, payload: Payload) {
+        assert!(dst < self.nodes(), "send to nonexistent node {dst}");
+        let mut home = self.home();
+        let s = D::probe(&mut home, self.node).stats();
+        s.msgs_sent += 1;
+        s.bytes_sent += wire_bytes as u64;
+        s.msg_size_hist[size_bucket(wire_bytes)] += 1;
         let msg = Msg {
             src: self.node,
             wire_bytes,
             payload,
         };
-        self.kernel().post_deliver(dst, msg, delay);
+        D::send(self, home, dst, msg, delay);
     }
 
     fn try_recv(&self) -> Option<Msg> {
-        self.kernel().nodes[self.node].inbox.pop_front()
+        D::try_recv(self)
     }
 
-    fn node_data<T, F>(&self, init: F) -> &T
+    fn node_data<T, G>(&self, init: G) -> &T
     where
         T: Send + Sync + 'static,
-        F: FnOnce() -> T,
+        G: FnOnce() -> T,
     {
         self.key.check();
-        self.inner.node_data[self.node].get_or_init(init)
+        self.inner.machine().data[self.node].get_or_init(init)
     }
 
-    /// Lent out of the kernel borrow.
+    /// Lent out of the node borrow.
     #[inline]
     fn probe(&self) -> RefMut<'_, Probe> {
-        RefMut::map(self.kernel(), |k| &mut k.nodes[self.node].probe)
+        let node = self.node;
+        RefMut::map(self.home(), |home| D::probe(home, node))
     }
 
     #[inline]
     fn tracing(&self) -> bool {
-        self.inner.tracing_on
+        self.inner.machine().tracing
     }
 }

@@ -3,37 +3,43 @@
 //! Scheduling invariant: always advance the runnable node with the smallest
 //! virtual clock, applying every pending network event with a timestamp
 //! `<=` that clock first. Together with the rule that tasks yield to the
-//! scheduler before observing their inbox (see `Ctx::poll_point`), this
-//! makes message visibility at poll points exact and the whole simulation a
-//! deterministic function of its inputs.
+//! scheduler before observing their inbox (see [`SimDriver`]'s
+//! `poll_point`), this makes message visibility at poll points exact and the
+//! whole simulation a deterministic function of its inputs.
 //!
 //! The *decision* function ([`decide`]) is pure kernel-state manipulation and
 //! runs on whichever context holds the baton. The engine and the tasks are
 //! all contexts, and [`Backend::switch`] is the one way the baton moves
 //! between two of them. A task reaching a blocking point decides the
-//! successor itself and switches to it directly ([`switch_from_task`]) — the
-//! engine merely bootstraps the run and is switched back to when
+//! successor itself and switches to it directly (the driver's `switch_away`)
+//! — the engine merely bootstraps the run and is switched back to when
 //! termination, deadlock, or a panic needs handling. This halves the OS
 //! wakeups per simulated context switch relative to routing every switch
 //! through the engine.
 //!
 //! The kernel is owned by whichever context holds the baton: it is a
 //! [`BatonCell`], which the baton lets only its holder borrow, and a handle
-//! only a task of its own node (`Ctx::kernel`).
+//! only a task of its own node (`Handle::home`). [`SimDriver`] is what the
+//! one handle body ([`Ctx`]) runs over here.
 
-use crate::baton::{Backend, BackendKind, BatonCell, TaskCell};
+use crate::baton::{Backend, BackendKind, BatonCell, NodeKey, TaskCell};
 use crate::cost::CostModel;
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, Driver, Machine};
+use crate::event::Msg;
 use crate::explore::ScheduleOracle;
-use crate::kernel::Kernel;
+use crate::fabric::BORROWED;
+use crate::kernel::{FaultDecision, Kernel};
 use crate::metrics::MetricsRegistry;
-use crate::node_data::NodeData;
+use crate::probe::Probe;
 use crate::report::{Report, Snapshot};
+use crate::sched::NodeTasks;
 use crate::task::TaskId;
+use crate::time::Time;
 use crate::trace::{TraceConfig, TraceEvent, TraceLog};
 use std::cell::RefMut;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread;
 
 /// Parse an `MPMD_SIM_BACKEND` value. `None` (unset) means the platform
 /// default. Kept separate from the env read so it is unit-testable.
@@ -59,17 +65,12 @@ pub fn backend_from_env() -> Result<BackendKind, String> {
     parse_backend_env(s.as_deref())
 }
 
-pub(crate) struct SimInner {
+/// The simulator's driver: one run's kernel, node data, baton and cost model.
+pub struct SimDriver {
     /// All mutable simulation state, owned by the context holding the baton.
     pub(crate) kernel: BatonCell<Kernel>,
-    /// Each node's layer singletons, beside the kernel: a lookup borrows nothing.
-    pub(crate) node_data: Box<[NodeData]>,
+    pub(crate) machine: Machine,
     pub(crate) backend: Backend,
-    pub(crate) cost: CostModel,
-    pub(crate) num_nodes: usize,
-    /// Immutable for the run: lets trace hooks bail out without reaching
-    /// the kernel when the run records no trace.
-    pub(crate) tracing_on: bool,
 }
 
 /// Builder for a simulated multicomputer run.
@@ -174,7 +175,7 @@ impl Sim {
     where
         F: Fn(Ctx) + Send + Sync + 'static,
     {
-        let tracing_on = self.trace.is_some();
+        let tracing = self.trace.is_some();
         let backend = Backend::new(
             match self.backend {
                 // The env var only steers the default; an explicit builder
@@ -192,13 +193,10 @@ impl Sim {
             self.cost.faults.clone(),
             self.oracle,
         );
-        let inner = Arc::new(SimInner {
+        let inner = Arc::new(SimDriver {
             kernel: BatonCell::new(&backend, kernel),
-            node_data: (0..self.nodes).map(|_| NodeData::default()).collect(),
+            machine: Machine::new(self.nodes, self.cost, tracing),
             backend,
-            cost: self.cost,
-            num_nodes: self.nodes,
-            tracing_on,
         });
         // This thread is the engine until the run ends.
         let _engine = inner.backend.engine();
@@ -206,7 +204,7 @@ impl Sim {
         let mut k = inner.kernel.borrow_mut();
         for node in 0..self.nodes {
             let f = Arc::clone(&main);
-            spawn_task(&inner, &mut k, node, "main".into(), false, move |c| f(c));
+            Ctx::start(&inner, &mut k, node, "main", false, move |c| f(c));
         }
         drop(k);
         run_engine(&inner);
@@ -217,61 +215,7 @@ impl Sim {
     }
 }
 
-/// Register a task with the kernel and give it a context that will run its
-/// body. Shared by the bootstrap path above and the `Ctx::spawn*` family
-/// (`daemon`: see `Ctx::spawn_daemon`).
-pub(crate) fn spawn_task<F>(
-    inner: &Arc<SimInner>,
-    k: &mut Kernel,
-    node: usize,
-    name: String,
-    daemon: bool,
-    f: F,
-) -> TaskId
-where
-    F: FnOnce(Ctx) + Send + 'static,
-{
-    let cell = Arc::new(inner.backend.new_cell());
-    let id = k.register_task(node, name, Arc::clone(&cell), daemon);
-    let ctx = Ctx {
-        inner: Arc::clone(inner),
-        node,
-        key: inner.backend.node_key(node),
-        task: id,
-        cell: Arc::clone(&cell),
-    };
-    let inner2 = Arc::clone(inner);
-    let body = Box::new(move || {
-        let result = catch_unwind(AssertUnwindSafe(|| f(ctx)));
-        // This task held the baton; pick who gets it next. A captured panic
-        // goes to the engine for prompt propagation, otherwise the baton goes
-        // directly to the next runnable task (one OS wakeup, no engine round
-        // trip). The backend performs the switch once this task's host
-        // resources are reusable, so the successor's spawns find them.
-        let finish = AssertUnwindSafe(|| {
-            let mut k = inner2.kernel.borrow_mut();
-            k.wake(node, |tasks| tasks.exit(id));
-            if let Err(p) = result {
-                k.panic.get_or_insert(p);
-            }
-            if k.panic.is_some() {
-                return None;
-            }
-            decide(&mut k).map(|(_, next)| next)
-        });
-        // The bookkeeping runs invariant checks and oracle code that can
-        // panic too; that also goes to the engine, so the body never unwinds
-        // into the backend's stack base.
-        catch_unwind(finish).unwrap_or_else(|p| {
-            inner2.kernel.borrow_mut().panic.get_or_insert(p);
-            None
-        })
-    });
-    inner.backend.start(cell, body, (node, id.0));
-    id
-}
-
-pub(crate) fn run_engine(inner: &Arc<SimInner>) {
+pub(crate) fn run_engine(inner: &Arc<SimDriver>) {
     loop {
         let mut k = inner.kernel.borrow_mut();
         if let Some(p) = k.panic.take() {
@@ -304,34 +248,6 @@ pub(crate) fn run_engine(inner: &Arc<SimInner>) {
         drop(k);
         panic!("simulated system deadlocked:\n{dump}");
     }
-}
-
-/// Give up the baton at a task blocking point whose kernel bookkeeping is
-/// already done: decide the successor on *this* context and switch to it
-/// directly. Fast path: if the caller itself is the best choice, no switch
-/// happens at all. Returns once the calling task is resumed.
-pub(crate) fn switch_from_task(
-    inner: &SimInner,
-    mut k: RefMut<'_, Kernel>,
-    me: TaskId,
-    my_cell: &TaskCell,
-) {
-    // Nothing runnable (deadlock diagnosis) or a panic pending: the engine
-    // sorts it out. On the deadlock path we are never resumed; the worker
-    // thread (or fiber stack) is reclaimed at teardown.
-    let next = if k.panic.is_none() {
-        decide(&mut k)
-    } else {
-        None
-    };
-    drop(k);
-    let to = match next {
-        // decide() already marked us Running; keep going without a switch.
-        Some((next, _)) if next == me => return,
-        Some((_, cell)) => Some(cell),
-        None => None,
-    };
-    inner.backend.switch(Some(my_cell), to.as_deref());
 }
 
 /// Core scheduling choice: apply due events, then pick a runnable task.
@@ -391,9 +307,9 @@ fn decide_inner(
 }
 
 /// Capture a [`Snapshot`] of all node clocks/stats. Exposed through
-/// `Ctx::snapshot`; callers should quiesce (e.g. barrier) first so the
+/// `Fabric::snapshot`; callers should quiesce (e.g. barrier) first so the
 /// snapshot is meaningful.
-pub(crate) fn snapshot(k: &Kernel) -> Snapshot {
+fn snapshot(k: &Kernel) -> Snapshot {
     let metrics = k.nodes.iter().map(|n| n.probe.metrics());
     Snapshot {
         clocks: k.nodes.iter().map(|n| n.clock).collect(),
@@ -401,6 +317,182 @@ pub(crate) fn snapshot(k: &Kernel) -> Snapshot {
         metrics: k.metrics.then(|| MetricsRegistry {
             nodes: metrics.collect(),
         }),
+    }
+}
+
+/// What the one handle body runs over on the simulator: the kernel is every
+/// node's home, clocks advance by charges, a block posts its timer as an
+/// event, and the next task is [`decide`]d on the blocking task's own
+/// context.
+impl Driver for SimDriver {
+    type Home = Kernel;
+
+    #[inline]
+    fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    fn backend(&self, _node: usize) -> &Backend {
+        &self.backend
+    }
+
+    #[inline]
+    fn home(&self, _node: usize, key: NodeKey) -> RefMut<'_, Kernel> {
+        self.kernel.borrow_at(key)
+    }
+
+    #[inline]
+    fn tasks(k: &mut Kernel, node: usize) -> &mut NodeTasks {
+        &mut k.nodes[node].tasks
+    }
+
+    #[inline]
+    fn probe(k: &mut Kernel, node: usize) -> &mut Probe {
+        &mut k.nodes[node].probe
+    }
+
+    #[inline]
+    fn clock(&self, k: &Kernel, node: usize) -> Time {
+        k.clock(node)
+    }
+
+    /// The next scheduling decision reads the new clock, so nothing is
+    /// re-keyed here.
+    #[inline]
+    fn advance(k: &mut Kernel, node: usize, ns: Time) {
+        k.nodes[node].clock += ns;
+    }
+
+    #[inline]
+    fn has_frame(&self, k: &Kernel, node: usize) -> bool {
+        !k.nodes[node].inbox.is_empty()
+    }
+
+    /// Daemons are excluded from the liveness condition: when only daemons
+    /// remain, the engine flips `shutting_down`, wakes them, and expects
+    /// them to return.
+    fn register(
+        &self,
+        k: &mut Kernel,
+        node: usize,
+        name: &str,
+        daemon: bool,
+        cell: Arc<TaskCell>,
+    ) -> TaskId {
+        k.nodes[node].tasks.spawn(cell, name.to_string(), daemon)
+    }
+
+    /// This task held the baton; pick who gets it next. A captured panic
+    /// goes to the engine for prompt propagation, otherwise the baton goes
+    /// directly to the next runnable task (one OS wakeup, no engine round
+    /// trip). The backend performs the switch once this task's host
+    /// resources are reusable, so the successor's spawns find them.
+    fn exit(&self, node: usize, id: TaskId, outcome: thread::Result<()>) -> Option<Arc<TaskCell>> {
+        let finish = AssertUnwindSafe(|| {
+            let mut k = self.kernel.borrow_mut();
+            k.wake(node, |tasks| tasks.exit(id));
+            if let Err(p) = outcome {
+                k.panic.get_or_insert(p);
+            }
+            if k.panic.is_some() {
+                return None;
+            }
+            decide(&mut k).map(|(_, next)| next)
+        });
+        // The bookkeeping runs invariant checks and oracle code that can
+        // panic too; that also goes to the engine, so the body never unwinds
+        // into the backend's stack base.
+        catch_unwind(finish).unwrap_or_else(|p| {
+            self.kernel.borrow_mut().panic.get_or_insert(p);
+            None
+        })
+    }
+
+    /// If no event and no other task could possibly run before this node's
+    /// clock, the reschedule is skipped entirely. The exploration oracle may
+    /// force the skipped slow path anyway (requeue + reschedule at unchanged
+    /// virtual time), which must be invisible in the results.
+    #[inline]
+    fn yield_is_free(&self, k: &mut Kernel, node: usize) -> bool {
+        // Our own node is not runnable when its ready queue is empty, so any
+        // pick is another node, and one strictly behind our clock could
+        // still run first.
+        let local_ready = k.nodes[node].tasks.ready_len() > 0;
+        !local_ready && k.nothing_runs_before(node) && !k.oracle_forces_slow_path()
+    }
+
+    /// The kernel bookkeeping is done: decide the successor on *this*
+    /// context and switch to it directly. Fast path: if the caller itself is
+    /// the best choice, no switch happens at all.
+    fn switch_away(h: &Ctx, mut k: RefMut<'_, Kernel>, timer: Option<(Time, u64)>) {
+        if let Some((at, gen)) = timer {
+            k.post_timeout_wake(h.task, at, gen);
+        }
+        // Nothing runnable (deadlock diagnosis) or a panic pending: the engine
+        // sorts it out. On the deadlock path we are never resumed; the worker
+        // thread (or fiber stack) is reclaimed at teardown.
+        let next = if k.panic.is_none() {
+            decide(&mut k)
+        } else {
+            None
+        };
+        drop(k);
+        let to = match next {
+            // decide() already marked us Running; keep going without a switch.
+            Some((next, _)) if next == h.task => return,
+            Some((_, cell)) => Some(cell),
+            None => None,
+        };
+        h.inner.backend.switch(Some(&h.cell), to.as_deref());
+    }
+
+    fn shutting_down(h: &Ctx) -> bool {
+        h.home().shutting_down
+    }
+
+    /// Unlike `yield_now`, a poll point does **not** queue behind other
+    /// ready tasks on this node — polling the network is not a thread switch
+    /// in a non-preemptive system. The task hands control to the engine only
+    /// when a due event exists or another node lags behind this node's clock
+    /// (and could therefore still produce an event before it), and resumes
+    /// at the front of its node's run queue. The exploration hook is
+    /// `yield_now`'s; resuming at the front keeps a forced detour
+    /// schedule-neutral.
+    fn poll_point(h: &Ctx) {
+        let mut k = h.home();
+        if k.nothing_runs_before(h.node) && !k.oracle_forces_slow_path() {
+            return;
+        }
+        // The detour is a reschedule: it must be the caller's own.
+        assert!(h.key.runs(h.task), "{BORROWED}");
+        k.nodes[h.node].tasks.requeue(h.task, true);
+        Self::switch_away(h, k, None);
+    }
+
+    /// `delay` models wire/switch time and must be > 0. A
+    /// [`Payload::Short`](crate::Payload::Short) send allocates nothing: the
+    /// four argument words travel inline and the event heap holds the
+    /// delivery in capacity it reuses.
+    fn send(_h: &Ctx, mut k: RefMut<'_, Kernel>, dst: usize, msg: Msg, delay: Time) {
+        k.post_deliver(dst, msg, delay);
+    }
+
+    fn try_recv(h: &Ctx) -> Option<Msg> {
+        h.home().nodes[h.node].inbox.pop_front()
+    }
+
+    fn inbox_len(h: &Ctx) -> usize {
+        h.home().nodes[h.node].inbox.len()
+    }
+
+    /// Drawn from the seeded fault stream, at the one rate every link has.
+    /// Panics when no fault model is installed.
+    fn fault_decision(h: &Ctx, _dst: usize) -> FaultDecision {
+        h.home().fault_decision()
+    }
+
+    fn snapshot(h: &Ctx) -> Snapshot {
+        snapshot(&h.home())
     }
 }
 
@@ -502,6 +594,27 @@ mod tests {
                 .expect_err("reading the kernel after the run must panic");
             let msg = panic_message(caught);
             assert!(msg.contains(rule), "{kind:?} now after the run: {msg}");
+        }
+    }
+
+    /// A poll point that has to reschedule is a block: through a handle a
+    /// sibling lent, it fails the run with the rule once an event is due, and
+    /// goes through while none is.
+    #[test]
+    fn a_rescheduling_poll_point_through_a_siblings_handle_panics() {
+        use crate::{Bucket, Fabric, Payload};
+        for kind in backends() {
+            let msg = failing_run_message(Sim::new(1).backend(kind), |ctx| {
+                let parent = ctx.clone();
+                let t = ctx.spawn("sibling", move |_| {
+                    parent.poll_point();
+                    parent.send_msg(0, 8, 1, Payload::any(0u64));
+                    parent.charge(Bucket::Cpu, 10);
+                    parent.poll_point();
+                });
+                ctx.join(t);
+            });
+            assert_eq!(msg, crate::BORROWED, "{kind:?}");
         }
     }
 

@@ -8,12 +8,15 @@
 //! hooks. The layers above are generic over `F: Fabric` with **static
 //! dispatch**, so each backend compiles to direct calls.
 //!
-//! The trait lives next to the types it is written in. [`Ctx`](crate::Ctx)
-//! — the deterministic virtual-time kernel — implements it here; the
-//! wall-clock `LocalFabric` implements it in `mpmd-fabric`, which re-exports
-//! the trait unchanged. Each operation has exactly one body per backend:
-//! `Ctx` has no inherent twin of any trait method, so calling one on a
-//! concrete `Ctx` needs the trait in scope (`use mpmd_sim::Fabric`).
+//! The trait lives next to the types it is written in, and so does its one
+//! implementation: one body, two drivers. [`Handle`](crate::Handle) writes
+//! every operation once over a driver that supplies what differs between
+//! the machines — the deterministic virtual-time kernel ([`Ctx`](crate::Ctx))
+//! and the wall clock with one OS thread per node
+//! ([`LocalFabric`](crate::LocalFabric)); `mpmd-fabric` re-exports them and
+//! the trait unchanged. A handle has no inherent twin of any trait method,
+//! so calling one on a concrete `Ctx` or `LocalFabric` needs the trait in
+//! scope (`use mpmd_sim::Fabric`).
 
 use crate::cost::CostModel;
 use crate::event::{Msg, Payload};
@@ -40,6 +43,12 @@ pub const REENTRY: &str = "a fabric re-entered from a `with_stats` closure: it r
 pub const NOT_ITS_NODE: &str = "a handle works only for a task of its own node, not through \
                                 one carried to another node's task, to a thread a task \
                                 started, or out of the run";
+
+/// What a blocking call panics with, on every backend, through a handle a
+/// sibling task of the same node borrowed.
+pub const BORROWED: &str = "a handle blocks only the task it was given to: `park`, `join`, \
+                            `sleep`, `yield_now` and `park_for_inbox*` through a handle \
+                            borrowed from a sibling task would block the wrong task";
 
 /// The machine interface the MPMD communication stack runs on.
 ///
@@ -76,7 +85,9 @@ pub const NOT_ITS_NODE: &str = "a handle works only for a task of its own node, 
 ///   `LocalFabric`, whose clock is the wall clock, also `now`,
 ///   `shutting_down` and its inherent `inbox_len`). The check is the baton's
 ///   ([`crate::baton`]). A sibling task of the same node may count, send and
-///   receive through it, but not block.
+///   receive through it, but not block: `park`, `park_for_inbox*`, `sleep`,
+///   `yield_now`, `join` and a rescheduling `poll_point` through a sibling's
+///   handle panic with [`BORROWED`], on every backend.
 /// * **Clocks are per-node and monotone**, in nanoseconds. On the simulated
 ///   fabric they advance only by [`Fabric::charge`]; on wall-clock fabrics
 ///   they advance on their own and `charge` only keeps the cost-bucket

@@ -1,7 +1,7 @@
 //! The simulation kernel: per-node state and event application.
 //!
 //! All mutable simulation state lives here, in one [`Kernel`] in the
-//! `BatonCell` of `SimInner`: per node the virtual clock, inbox, task table
+//! `BatonCell` of `SimDriver`: per node the virtual clock, inbox, task table
 //! ([`NodeTasks`], the one `LocalFabric` keeps too) and [`Probe`]
 //! ([`NodeState`]); machine-wide the event heap and the fault and
 //! exploration instruments.
@@ -9,7 +9,7 @@
 //! Exactly one context runs at a time (the engine, or the one task holding
 //! the baton) and no borrow is ever held across a baton switch, so the
 //! kernel needs no lock: the baton holder owns it. The `BatonCell` checks
-//! that the caller holds the baton, and `Ctx::kernel`, a handle's single
+//! that the caller holds the baton, and `Handle::home`, a handle's single
 //! access point, that it is a task of the handle's node, and treats a kernel
 //! already borrowed (a re-entry) as the bug it is.
 
@@ -17,7 +17,7 @@ use crate::event::{EventKey, EventKind, Msg};
 use crate::explore::{ChoicePoint, ScheduleOracle};
 use crate::probe::Probe;
 use crate::sched::NodeTasks;
-use crate::task::{TaskCell, TaskId};
+use crate::task::TaskId;
 use crate::time::Time;
 use crate::trace::{TraceConfig, TraceEvent, TraceRecord, NO_TASK};
 use std::any::Any;
@@ -38,7 +38,8 @@ pub(crate) struct NodeState {
     pub(crate) probe: Probe,
 }
 
-pub(crate) struct Kernel {
+/// The simulator's node borrow: the handle body's `Home` on the simulator.
+pub struct Kernel {
     pub(crate) nodes: Vec<NodeState>,
     /// Min-heap of pending events, each held whole.
     pub(crate) events: BinaryHeap<EventKey>,
@@ -212,6 +213,16 @@ impl Kernel {
         best
     }
 
+    /// Whether nothing could run before `node`'s running task at its clock:
+    /// no event is due, and no node with work lags behind it. A pick of the
+    /// node itself carries its clock, never an earlier one.
+    #[inline]
+    pub(crate) fn nothing_runs_before(&self, node: usize) -> bool {
+        let my_clock = self.clock(node);
+        let no_event_due = self.events.peek().is_none_or(|e| e.time > my_clock);
+        no_event_due && self.peek_min_runnable().is_none_or(|(_, c)| c >= my_clock)
+    }
+
     /// Emit a trace record stamped with `node`'s current clock. No-op when
     /// tracing is off.
     #[inline]
@@ -239,33 +250,12 @@ impl Kernel {
         r
     }
 
-    /// Give a new task of `node` a record and queue it.
-    pub(crate) fn register_task(
-        &mut self,
-        node: usize,
-        name: String,
-        cell: Arc<TaskCell>,
-        daemon: bool,
-    ) -> TaskId {
-        // Trace payloads are only built when tracing — the name clone here
-        // is pure waste otherwise.
-        let spawned = self
-            .tracing
-            .then(|| TraceEvent::TaskSpawn { name: name.clone() });
-        let id = self.nodes[node].tasks.spawn(cell, name, daemon);
-        if let Some(event) = spawned {
-            self.emit(node, id, event);
-        }
-        id
-    }
-
     /// Schedule a message delivery `delay` ns after the sending node's
     /// current clock. Without a fault model the link stays FIFO: a frame
     /// that would land at or before the previous one on its (src, dst) link
     /// lands 1 ns after it instead. A fault model may reorder the wire.
     pub(crate) fn post_deliver(&mut self, dst: usize, msg: Msg, delay: Time) {
         assert!(delay > 0, "message delay must be positive (causality)");
-        assert!(dst < self.nodes.len(), "send to nonexistent node {dst}");
         let src = msg.src;
         let mut at = self.clock(src) + delay;
         if self.faults.is_none() {
@@ -273,15 +263,11 @@ impl Kernel {
             at = at.max(*last + 1);
             *last = at;
         }
-        let probe = &mut self.nodes[src].probe;
-        let st = probe.stats();
-        st.msgs_sent += 1;
-        st.bytes_sent += msg.wire_bytes as u64;
-        st.msg_size_hist[crate::stats::size_bucket(msg.wire_bytes)] += 1;
         // Source-side traffic matrix (who sends what where): `msgprofile`
-        // reads these keyed counters back out of the registry.
+        // reads these keyed counters back out of the registry. The handle
+        // counted the send itself.
         if self.metrics {
-            let (keyed, to) = (&mut probe.keyed, dst as u64);
+            let (keyed, to) = (&mut self.nodes[src].probe.keyed, dst as u64);
             for (name, v) in [("net.msgs_to", 1), ("net.bytes_to", msg.wire_bytes as u64)] {
                 *keyed.entry(name).or_default().entry(to).or_insert(0) += v;
             }
@@ -472,7 +458,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::HandoffCell;
+    use crate::task::{HandoffCell, TaskCell};
 
     /// A kernel of `clocks.len()` nodes; node `i` is at `clocks[i]` and has
     /// one ready task when `ready[i]`.

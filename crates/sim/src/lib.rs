@@ -21,7 +21,10 @@
 //!   precisely how the paper's instrumentation-based accounting works.
 //!
 //! The messaging layer (`mpmd-am`), threads package (`mpmd-threads`), and the
-//! two language runtimes (`mpmd-splitc`, `mpmd-ccxx`) are built on top.
+//! two language runtimes (`mpmd-splitc`, `mpmd-ccxx`) are built on top, over
+//! the [`Fabric`] trait. Its one body, [`Handle`], runs over this simulator
+//! ([`Ctx`]) and over a wall-clock machine with one OS thread per node
+//! ([`LocalFabric`]), so the same stack also runs on real hardware.
 
 mod alloc_count;
 pub mod baton;
@@ -35,6 +38,7 @@ mod fabric;
 mod fiber;
 pub mod flame;
 mod kernel;
+mod local;
 pub mod metrics;
 mod node_cell;
 mod node_data;
@@ -51,13 +55,14 @@ pub mod wait;
 pub use alloc_count::{thread_allocs, CountingAlloc};
 pub use baton::BackendKind;
 pub use cost::{CoalesceCosts, CostModel, FaultModel, LinkFaults, ReliabilityCosts, ThreadCosts};
-pub use ctx::Ctx;
+pub use ctx::{Ctx, Handle};
 pub use engine::{backend_from_env, Sim};
 pub use event::{Msg, Payload};
 pub use explore::{shrink, ChoicePoint, OracleSpec, RecordedTrace, ScheduleOracle, TraceOracle};
-pub use fabric::{Fabric, SpanGuard, ACROSS_NODES, NOT_ITS_NODE, REENTRY};
+pub use fabric::{Fabric, SpanGuard, ACROSS_NODES, BORROWED, NOT_ITS_NODE, REENTRY};
 pub use flame::{fold_stacks, phase_profile, Phase};
 pub use kernel::FaultDecision;
+pub use local::{LocalFabric, LocalFabricBuilder};
 pub use metrics::{Histogram, MetricsRegistry, NodeMetrics, HIST_BUCKETS};
 pub use node_cell::{NodeCell, REENTERED};
 pub use node_data::NodeData;

@@ -5,9 +5,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
 
 /// One node's singletons, one per type, in slots filled in first-use order
-/// and never emptied: each lives as long as the store, which each fabric
-/// keeps beside its node's baton cell for the run. A lookup scans the filled
-/// slots, with no lock and no reference count.
+/// and never emptied: each lives as long as the store, which a run keeps for
+/// each node beside the drivers' state, for both fabrics alike. A lookup
+/// scans the filled slots, with no lock and no reference count.
 #[derive(Default)]
 pub struct NodeData {
     slots: [OnceLock<(TypeId, Box<dyn Any + Send + Sync>)>; NodeData::SLOTS],
