@@ -32,38 +32,6 @@ git ls-files --error-unmatch results/SHA256SUMS "${texts[@]}" >/dev/null
 git diff --exit-code -- results/
 echo "results/ reproduced byte for byte"
 
-echo "==> results/ digests on the threads backend, where the kernel crosses OS threads"
-# The fiber backend keeps every context on one thread; the threads backend
-# hands the kernel between OS threads at each baton switch. Four binaries
-# rerun there in release and must match their committed digests, checked
-# against the SHA256SUMS line without rewriting it: scaling holds the most
-# frames the kernel's per-link order moves. The pinned trace goldens (the
-# per-node probes' rings) must match byte for byte there too. The threads
-# package's lib tests run there as well: its locks and condition variables
-# keep their state in lock-free node cells, which rely on the baton hand-off
-# ordering memory when successive tasks of a node run on different OS
-# threads, which never happens on the fiber backend. So do two CC++ RMI
-# tests: the wire-encoding battery (rmi_encoding: every call shape arrives
-# and returns exactly from the frames) and the call-record guard
-# (call_records' a_callee_that_touches_a_warm_record_fails_the_run_*: a
-# callee that reads the caller's half of a record fails the run). So do the
-# sibling twins of the handle rule (fabric_conformance's
-# lent_handle_sibling_sim / _local: a sibling's park, park_for_inbox*, sleep,
-# yield_now and join through its parent's handle fail the run with
-# BORROWED, and its charge, send_msg and try_recv go through), since a
-# blocking call through the wrong handle would switch the wrong context.
-tmp=$(mktemp -d)
-for bin in table4 fig5 scaling faults; do
-    MPMD_SIM_BACKEND=threads ./target/release/$bin --json "$tmp/$bin.json" >/dev/null
-    grep " results/$bin.json\$" results/SHA256SUMS | sed "s| results/| $tmp/|" | sha256sum -c --quiet
-done
-rm -rf "$tmp"
-MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-bench --test trace_observability --test flame_golden
-MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-threads --lib
-MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-ccxx --test rmi_encoding --test call_records
-MPMD_SIM_BACKEND=threads cargo test --release -q -p mpmd-am --test fabric_conformance lent_handle_sibling
-echo "threads backend reproduces table4, fig5, scaling, faults and the trace goldens"
-
 echo "==> cargo test -q"
 cargo test -q
 
@@ -200,58 +168,37 @@ timeout 60 ./target/release/explore --quick --json /tmp/ci_explore.json
 rm -f /tmp/ci_explore.json
 echo "explore sweep OK"
 
-echo "==> threads-fallback build (fiber backend force-disabled)"
-# --cfg mpmd_no_fibers compiles out the fiber switch the way a non-x86_64
-# target would; both schedulers built on the baton must still build and
-# behave the same with every task on a pooled OS thread. The baton's unit
-# tests (a cell borrowed off its baton, a second running context, a nested
-# run giving the outer holder back); the simulator's engine: its unit tests
-# (the one Backend::switch, kernel re-entry, a handle used off the baton)
-# and the engine-level integration tests, with Auto resolving to the threads backend
-# (the exploration assertions compare against threads baselines, so passing
-# proves identical output; widening_task_waves_under_perturbation runs its
-# 300-wide waves on pooled OS threads here). The node task table both fabrics share: its unit
-# tests, and its bounds on both fabrics in bounded_tasks. LocalFabric's node
-# scheduler: its unit tests, in mpmd-sim's lib beside the one handle body
-# (panic containment, re-entry and borrowed-handle rules, the ring alone),
-# ring_stress (the ring does not
-# depend on the baton, the idle loop that reads it does), the bounded-link
-# battery (a wait for room keeps the baton) and the whole conformance suite,
-# on which one node's tasks still run one at a time, scheduling across
-# nodes still fails the run with the one message, and an unpark still does
-# not end a sleep. The node-local rule: the runtime cells (the threads
-# package's locks, AM's poll set, collective, reliable and coalescing state,
-# both runtimes' regions and staged adds, Split-C's atomic table, CC++'s call
-# records, stub tables and completion cells) lean on the baton hand-off to
-# order memory between a node's tasks, which here run on different OS
-# threads, so the threads package's lib tests (on the simulator's threads
-# backend), Split-C's lib tests, the conformance cases node_local_sync
-# (same-node contention and hand-off), node_local_rule (a touch from
-# another node panics), lent_handle_sim / lent_handle_local (a handle
-# another node's task lent fails a lock, charge, with_stats or node_data
-# with the one handle rule) and their sibling twins lent_handle_sibling_sim /
-# lent_handle_sibling_local (a sibling's blocking call through its parent's
-# handle fails with BORROWED, with every task on its own OS thread), and
-# local_scale (Water, LU and EM3D in both
-# languages on OS-thread nodes, against their references) run here too. The
-# RMI call records: the per-node free list, the rule that only the issuing
-# task recycles and the guard on the caller's half of a record (call_records'
-# a_callee_that_touches_a_warm_record_fails_the_run_*) must hold with every
-# task on its own OS thread too, every call shape must cross the frames
-# exactly there (the rmi_encoding battery), and an ended run must free its
-# node singletons there as well. Split-C's lib tests include two tasks of a
-# node whose blocking reads share the token free list. A separate
-# target dir keeps the main cache warm.
+echo "==> the pooled-thread host: a --cfg mpmd_no_fibers release build"
+# Off x86-64 unix the build hosts tasks on pooled OS threads instead of
+# fibers; --cfg mpmd_no_fibers builds that host here, in its own target dir.
+# Nothing a run computes may depend on the host: five binaries must match
+# their committed digests (checked, not rewritten), and the trace goldens,
+# the flame golden and the explore sweep (without its alloc probe, which
+# counts one thread) must pass unchanged. The tests are those whose subject
+# hands a node's state between OS threads there: the baton, both schedulers
+# and the node task table, LocalFabric's links, and the node-local cells of
+# the threads package, Split-C and CC++.
 no_fibers() {
-    CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo test -q "$@"
+    CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo "$@"
 }
-no_fibers -p mpmd-sim --lib --test explore --test inbox_waiters --test proptest_engine
-no_fibers -p mpmd-fabric --lib --test bounded_tasks --test ring_stress
-no_fibers -p mpmd-threads --lib
-no_fibers -p mpmd-am --test fabric_conformance --test bounded_links
-no_fibers -p mpmd-splitc --lib
-no_fibers -p mpmd-ccxx --test alloc_count --test call_records --test teardown --test rmi_encoding
-no_fibers -p mpmd-apps --test local_scale
-echo "threads fallback OK"
+no_fibers build --release -q -p mpmd-bench
+tmp=$(mktemp -d)
+for bin in table4 fig5 scaling faults msgprofile; do
+    target/no_fibers/release/$bin --json "$tmp/$bin.json" >/dev/null
+    grep " results/$bin.json\$" results/SHA256SUMS | sed "s| results/| $tmp/|" | sha256sum -c --quiet
+done
+timeout 60 target/no_fibers/release/explore --quick --json "$tmp/explore.json"
+rm -rf "$tmp"
+no_fibers test --release -q -p mpmd-bench --test trace_observability --test flame_golden
+no_fibers test --release -q -p mpmd-sim --lib --test explore --test inbox_waiters \
+    --test proptest_engine
+no_fibers test --release -q -p mpmd-fabric --lib --test bounded_tasks --test ring_stress
+no_fibers test --release -q -p mpmd-threads --lib
+no_fibers test --release -q -p mpmd-am --test fabric_conformance --test bounded_links
+no_fibers test --release -q -p mpmd-splitc --lib
+no_fibers test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown \
+    --test rmi_encoding
+no_fibers test --release -q -p mpmd-apps --test local_scale
+echo "pooled-thread host reproduces results/, the goldens and the sweep"
 
 echo "==> all checks passed"

@@ -1255,6 +1255,55 @@ fn check_trace(fabric: &str, report: &Report, scheduler_records: u64) {
     assert_eq!(lost.dropped, overflowed + 1, "{fabric}: node 1's drops");
 }
 
+/// Frames node 0 sends node 1 in the wake-trace battery, each once node 1
+/// has taken the one before.
+const WAKE_FRAMES: u64 = 10;
+
+/// Node 1 waits for each of node 0's frames in turn, then sleeps once and
+/// joins a child it has not let run: every wait is traced as a `Park`, and
+/// whatever ends it — a frame, the timer, the child's exit — as an `Unpark`.
+fn battery_wake_trace<F: Inbox>(ctx: &F) {
+    for i in 0..WAKE_FRAMES {
+        if ctx.node() == 0 {
+            ctx.send_msg(1, 8, 1_000, Payload::any(i));
+        }
+        wait_for_frame(ctx);
+        ctx.try_recv().expect("a frame");
+        if ctx.node() == 1 {
+            ctx.send_msg(0, 8, 1_000, Payload::any(i));
+        }
+    }
+    if ctx.node() == 1 {
+        ctx.sleep(1_000);
+        let child = ctx.spawn("child", |_: F| {});
+        ctx.join(child);
+    }
+}
+
+/// Every node traced as many `Unpark`s as `Park`s, and node 1 parked at
+/// least for the sleep and the join — on the simulator, where no frame is
+/// there before node 1 waits for it, exactly once per wait.
+fn check_wake_trace(fabric: &str, report: &Report) {
+    let log = report
+        .trace
+        .as_ref()
+        .expect("a traced run returns its trace");
+    let mut parks = Vec::new();
+    for (node, t) in log.nodes.iter().enumerate() {
+        assert_eq!(t.dropped, 0, "{fabric}: node {node}'s ring overflowed");
+        let count = |want: TraceEvent| t.events.iter().filter(|r| r.event == want).count();
+        let (park, unpark) = (count(TraceEvent::Park), count(TraceEvent::Unpark));
+        assert_eq!(park, unpark, "{fabric}: node {node}'s parks and unparks");
+        parks.push(park);
+    }
+    let waits = WAKE_FRAMES as usize + 2;
+    if fabric == "sim" {
+        assert_eq!(parks, [WAKE_FRAMES as usize, waits], "{fabric}");
+    } else {
+        assert!(parks[1] >= 2, "{fabric}: node 1 parked {} times", parks[1]);
+    }
+}
+
 /// A span ended out of order fails the run with the tracer's message.
 fn mismatched_span_end<F: Fabric>(ctx: &F) {
     let a = ctx.span_start("a");
@@ -1625,6 +1674,22 @@ fn trace_local() {
             .run(|ctx| mismatched_span_end(&ctx))
     });
     assert_eq!(msg, MISMATCHED_SPAN_END, "local");
+}
+
+#[test]
+fn wake_trace_sim() {
+    let r = Sim::new(2)
+        .tracing(TraceConfig::new())
+        .run(|ctx| battery_wake_trace(&ctx));
+    check_wake_trace("sim", &r);
+}
+
+#[test]
+fn wake_trace_local() {
+    let r = LocalFabricBuilder::new(2)
+        .tracing(TraceConfig::new())
+        .run(|ctx| battery_wake_trace(&ctx));
+    check_wake_trace("local", &r);
 }
 
 #[test]

@@ -12,14 +12,15 @@
 //!
 //! The process installs the counting `#[global_allocator]` so the
 //! alloc-probed configuration can measure the steady-state window. Probed
-//! runs execute sequentially on the driver thread — under the fiber backend
-//! the whole simulation runs there — and the count is per thread
-//! ([`CountingAlloc`]'s docs say why).
+//! runs execute sequentially on the driver thread — on a fiber build the
+//! whole simulation runs there — and the count is per thread
+//! ([`CountingAlloc`]'s docs say why), so a build that hosts tasks on pooled
+//! threads skips the probe.
 
 use mpmd_bench::explore::{pin_corpus, sweep, SweepOptions};
 use mpmd_bench::fmt::{reject_unknown_args, take_json_flag, take_switch, usage_error, write_json};
 use mpmd_bench::runner::take_jobs_flag;
-use mpmd_sim::{thread_allocs, CountingAlloc};
+use mpmd_sim::{thread_allocs, BackendKind, CountingAlloc};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -78,10 +79,8 @@ fn take_path_flag(args: Vec<String>, name: &str) -> (Vec<String>, Option<PathBuf
 }
 
 fn main() {
-    // Fail fast on a bad MPMD_SIM_BACKEND instead of panicking mid-sweep.
-    if let Err(e) = mpmd_sim::backend_from_env() {
-        usage_error(&e, USAGE);
-    }
+    // Fail fast on a stale MPMD_SIM_BACKEND instead of panicking mid-sweep.
+    let backend = mpmd_sim::backend_from_env().unwrap_or_else(|e| usage_error(&e, USAGE));
 
     let (args, json_path) = take_json_flag(std::env::args().skip(1));
     let (args, jobs) = take_jobs_flag(args.into_iter());
@@ -105,7 +104,7 @@ fn main() {
         return;
     }
 
-    // 5 configs × 2 classes: quick = 50 seeds/class → 510+ perturbations,
+    // 5 configs × 2 classes: quick = 50 seeds/class → 500+ perturbations,
     // well past the 500 the size check below requires and comfortably
     // inside CI's 60 s budget.
     let seeds_per_class = seeds.unwrap_or(if quick { 50 } else { 150 });
@@ -120,7 +119,10 @@ fn main() {
         seeds_per_class, opts.jobs
     );
     let start = Instant::now();
-    let summary = sweep(&opts, Some(thread_allocs), |line| println!("  {line}"));
+    // The probe counts one thread's allocations: a fiber build runs every
+    // task on it, a build on pooled threads would leave most of them out.
+    let probe = (backend == BackendKind::Fibers).then_some(thread_allocs as fn() -> u64);
+    let summary = sweep(&opts, probe, |line| println!("  {line}"));
     let elapsed = start.elapsed();
 
     println!(
@@ -176,7 +178,12 @@ fn main() {
         for v in &summary.violations {
             eprintln!(
                 "  [{}] {} ({} backend, seed {}): {} (shrunk trace: {:?})",
-                v.kind, v.config, v.backend, v.spec.seed, v.detail, v.trace
+                v.kind,
+                v.config,
+                backend.name(),
+                v.spec.seed,
+                v.detail,
+                v.trace
             );
         }
         std::process::exit(1);

@@ -13,9 +13,8 @@
 //! invariants that must hold under ANY legal schedule:
 //!
 //! 1. **Byte-identical reports.** Fault-free runs must serialize to exactly
-//!    the same `--json` report bytes under every perturbation and under
-//!    both task backends (fibers and threads). With faults on, only the
-//!    event-tie class preserves bytes — node-tie and slow-path
+//!    the same `--json` report bytes under every perturbation. With faults
+//!    on, only the event-tie class preserves bytes — node-tie and slow-path
 //!    perturbations legitimately permute the order in which the global
 //!    fault stream is consumed — so the full class falls back to checking
 //!    the application-level checksum plus replay fidelity.
@@ -42,7 +41,8 @@
 //! `sim/tests/explore_corpus/` pins as regression tests.
 
 use mpmd_am::{self as am, CoalesceConfig, NetProfile};
-use mpmd_sim::{BackendKind, CostModel, Fabric, FaultModel, OracleSpec, Sim, TraceOracle};
+use mpmd_sim::baton::BACKEND;
+use mpmd_sim::{CostModel, Fabric, FaultModel, OracleSpec, Sim, TraceOracle};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -180,19 +180,17 @@ fn fnv1a(words: &[u64]) -> u64 {
     h
 }
 
-/// Run one configuration under an optional schedule oracle and task
-/// backend, returning the comparable outcome. Panics inside the run
-/// (engine invariants, workload asserts) are caught and
-/// returned as `Err` with the panic message.
+/// Run one configuration under an optional schedule oracle, returning the
+/// comparable outcome. Panics inside the run (engine invariants, workload
+/// asserts) are caught and returned as `Err` with the panic message.
 pub fn run_config(
     cfg: &Config,
     oracle: Option<Box<TraceOracle>>,
-    backend: BackendKind,
     probe: Option<fn() -> u64>,
 ) -> Result<RunOutput, String> {
     let cfg = *cfg;
     let out = catch_unwind(AssertUnwindSafe(move || {
-        run_config_inner(&cfg, oracle, backend, probe)
+        run_config_inner(&cfg, oracle, probe)
     }));
     out.map_err(|p| {
         p.downcast_ref::<String>()
@@ -206,14 +204,13 @@ pub fn run_config(
 fn run_config_inner(
     cfg: &Config,
     oracle: Option<Box<TraceOracle>>,
-    backend: BackendKind,
     probe: Option<fn() -> u64>,
 ) -> RunOutput {
     // Per-node payload sums and message counts, collected inside the run.
     let sums: Arc<Vec<AtomicU64>> = Arc::new((0..cfg.nodes).map(|_| AtomicU64::new(0)).collect());
     let alloc_delta = Arc::new(AtomicU64::new(u64::MAX));
 
-    let mut sim = Sim::new(cfg.nodes).backend(backend);
+    let mut sim = Sim::new(cfg.nodes);
     if let Some(f) = cfg.fault_model(FAULT_SEED) {
         sim = sim.cost_model(CostModel::default().with_faults(f));
     }
@@ -362,7 +359,6 @@ fn ghost(ctx: &mpmd_sim::Ctx, c: &Config, sums: &Arc<Vec<AtomicU64>>) {
 #[derive(Clone, Debug)]
 pub struct Violation {
     pub config: &'static str,
-    pub backend: &'static str,
     pub spec: OracleSpec,
     /// Shrunk decision trace that still reproduces the failure.
     pub trace: Vec<u32>,
@@ -371,12 +367,13 @@ pub struct Violation {
 }
 
 impl Violation {
-    /// Corpus entry JSON, the format `sim/tests/explore_corpus/` pins.
+    /// Corpus entry JSON, the format `sim/tests/explore_corpus/` pins; its
+    /// `backend` is the host of the build that recorded it.
     pub fn corpus_json(&self) -> serde_json::Value {
         use serde::Serialize as _;
         let mut m = serde_json::Map::new();
         m.insert("config".to_string(), self.config.to_value());
-        m.insert("backend".to_string(), self.backend.to_value());
+        m.insert("backend".to_string(), BACKEND.name().to_value());
         m.insert("seed".to_string(), self.spec.seed.to_value());
         m.insert("node_ties".to_string(), self.spec.node_ties.to_value());
         m.insert("event_ties".to_string(), self.spec.event_ties.to_value());
@@ -429,20 +426,11 @@ enum Expect {
 /// judged on the driver thread.
 struct SeedOutcome {
     spec: OracleSpec,
-    backend: BackendKind,
     expect: Expect,
     result: Result<RunOutput, String>,
     trace: Vec<u32>,
     /// `Some(ok)` when this run's trace was replayed for fidelity.
     replay_ok: Option<bool>,
-}
-
-fn backend_name(b: BackendKind) -> &'static str {
-    match b {
-        BackendKind::Fibers => "fibers",
-        BackendKind::Threads => "threads",
-        BackendKind::Auto => "auto",
-    }
 }
 
 /// Run the full sweep over [`configs`]. `probe` is the binary's counting
@@ -457,14 +445,12 @@ pub fn sweep(
     let mut summary = SweepSummary::default();
     for cfg in configs() {
         let fault_free = cfg.drop.is_none();
-        // Baselines: unperturbed fibers (probed where configured) and
-        // threads. Backend identity is itself an invariant.
-        let base = match run_config(&cfg, None, BackendKind::Fibers, probe) {
+        // The baseline: unperturbed, probed where configured.
+        let base = match run_config(&cfg, None, probe) {
             Ok(b) => b,
             Err(e) => {
                 summary.violations.push(Violation {
                     config: cfg.name,
-                    backend: "fibers",
                     spec: OracleSpec::full(0),
                     trace: Vec::new(),
                     kind: "baseline-panic".into(),
@@ -477,7 +463,6 @@ pub fn sweep(
             if a != 0 {
                 summary.violations.push(Violation {
                     config: cfg.name,
-                    backend: "fibers",
                     spec: OracleSpec::full(0),
                     trace: Vec::new(),
                     kind: "alloc-on-short-path".into(),
@@ -494,11 +479,10 @@ pub fn sweep(
                 let spec = OracleSpec::full(5000 + s);
                 let (o, rec) = TraceOracle::seeded(spec);
                 summary.perturbations += 1;
-                match run_config(&cfg, Some(o), BackendKind::Fibers, probe) {
+                match run_config(&cfg, Some(o), probe) {
                     Ok(out) if out.allocs == Some(0) => {}
                     Ok(out) => summary.violations.push(Violation {
                         config: cfg.name,
-                        backend: "fibers",
                         spec,
                         trace: rec.decisions(),
                         kind: "alloc-on-short-path".into(),
@@ -509,7 +493,6 @@ pub fn sweep(
                     }),
                     Err(e) => summary.violations.push(Violation {
                         config: cfg.name,
-                        backend: "fibers",
                         spec,
                         trace: rec.decisions(),
                         kind: "panic".into(),
@@ -518,82 +501,41 @@ pub fn sweep(
                 }
             }
         }
-        match run_config(&cfg, None, BackendKind::Threads, None) {
-            Ok(t) if t.report_json == base.report_json => {}
-            Ok(t) => summary.violations.push(Violation {
-                config: cfg.name,
-                backend: "threads",
-                spec: OracleSpec::full(0),
-                trace: Vec::new(),
-                kind: "backend-divergence".into(),
-                detail: format!(
-                    "threads backend report differs from fibers \
-                     (checksums {:#x} vs {:#x})",
-                    t.checksum, base.checksum
-                ),
-            }),
-            Err(e) => summary.violations.push(Violation {
-                config: cfg.name,
-                backend: "threads",
-                spec: OracleSpec::full(0),
-                trace: Vec::new(),
-                kind: "baseline-panic".into(),
-                detail: e,
-            }),
-        }
-
         // Perturbation classes. Event-tie-only perturbations commute with
         // the fault stream (they permute already-drawn events targeting
         // different nodes), so they must preserve bytes even under faults.
         // Full perturbations also reorder node execution and force slow
         // paths, which permutes fault draws: bytes fault-free, checksum
         // under faults.
-        let mut plan: Vec<(OracleSpec, BackendKind, Expect)> = Vec::new();
-        for s in 0..opts.seeds_per_class as u64 {
-            plan.push((
-                OracleSpec::event_ties_only(s),
-                BackendKind::Fibers,
-                Expect::Bytes,
-            ));
-            plan.push((
-                OracleSpec::full(s),
-                BackendKind::Fibers,
-                if fault_free {
-                    Expect::Bytes
-                } else {
-                    Expect::Checksum
-                },
-            ));
-        }
-        // A couple of perturbed runs on the threads backend per config:
-        // the oracle must behave identically there.
-        for s in 0..2u64 {
-            plan.push((
-                OracleSpec::full(1000 + s),
-                BackendKind::Threads,
-                if fault_free {
-                    Expect::Bytes
-                } else {
-                    Expect::Checksum
-                },
-            ));
-        }
+        let full = if fault_free {
+            Expect::Bytes
+        } else {
+            Expect::Checksum
+        };
+        let plan: Vec<(OracleSpec, Expect)> = (0..opts.seeds_per_class as u64)
+            .flat_map(|s| {
+                [
+                    (OracleSpec::event_ties_only(s), Expect::Bytes),
+                    (OracleSpec::full(s), full),
+                ]
+            })
+            .collect();
 
         let replay_every = opts.replay_every.max(1);
         let units: Vec<Unit<SeedOutcome>> = plan
             .iter()
             .enumerate()
-            .map(|(i, &(spec, backend, expect))| {
+            .map(|(i, &(spec, expect))| {
                 let do_replay = i % replay_every == 0;
                 Box::new(move || {
                     let (oracle, rec) = TraceOracle::seeded(spec);
-                    let result = run_config(&cfg, Some(oracle), backend, None);
+                    let result = run_config(&cfg, Some(oracle), None);
                     let trace = rec.decisions();
                     let replay_ok = match (&result, do_replay) {
                         (Ok(out), true) => {
                             let (o2, _) = TraceOracle::replay(spec, trace.clone());
                             Some(matches!(
-                                run_config(&cfg, Some(o2), backend, None),
+                                run_config(&cfg, Some(o2), None),
                                 Ok(r2) if r2.report_json == out.report_json
                             ))
                         }
@@ -601,7 +543,6 @@ pub fn sweep(
                     };
                     SeedOutcome {
                         spec,
-                        backend,
                         expect,
                         result,
                         trace,
@@ -655,7 +596,6 @@ pub fn sweep(
                 let shrunk = shrink_failure(&cfg, &base, o);
                 summary.violations.push(Violation {
                     config: cfg.name,
-                    backend: backend_name(o.backend),
                     spec: o.spec,
                     trace: shrunk,
                     kind,
@@ -688,8 +628,7 @@ pub fn pin_corpus() -> Vec<Violation> {
         for seed in [0u64, 1] {
             let spec = OracleSpec::full(seed);
             let (o, rec) = TraceOracle::seeded(spec);
-            let run = run_config(&cfg, Some(o), BackendKind::Fibers, None)
-                .expect("pinned schedule must not panic");
+            let run = run_config(&cfg, Some(o), None).expect("pinned schedule must not panic");
             let expect = if cfg.drop.is_none() {
                 "byte-identical report"
             } else {
@@ -697,7 +636,6 @@ pub fn pin_corpus() -> Vec<Violation> {
             };
             out.push(Violation {
                 config: cfg.name,
-                backend: "fibers",
                 spec,
                 trace: rec.decisions(),
                 kind: "pinned-schedule".into(),
@@ -717,13 +655,12 @@ pub fn pin_corpus() -> Vec<Violation> {
 fn shrink_failure(cfg: &Config, base: &RunOutput, o: &SeedOutcome) -> Vec<u32> {
     let cfg = *cfg;
     let spec = o.spec;
-    let backend = o.backend;
     let expect = o.expect;
     let base_json = base.report_json.clone();
     let base_sum = base.checksum;
     mpmd_sim::shrink(o.trace.clone(), |prefix| {
         let (oracle, _) = TraceOracle::replay(spec, prefix.to_vec());
-        match run_config(&cfg, Some(oracle), backend, None) {
+        match run_config(&cfg, Some(oracle), None) {
             Err(_) => true,
             Ok(out) => match expect {
                 Expect::Bytes => out.report_json != base_json,
@@ -737,22 +674,15 @@ fn shrink_failure(cfg: &Config, base: &RunOutput, o: &SeedOutcome) -> Vec<u32> {
 mod tests {
     use super::*;
 
-    /// Every config's unperturbed run is reproducible and backend-neutral
-    /// (the sweep asserts this too; this pins it at test granularity).
+    /// Every config's unperturbed run is reproducible.
     #[test]
-    fn baselines_are_deterministic_and_backend_invariant() {
+    fn baselines_are_deterministic() {
         for cfg in configs() {
-            let a = run_config(&cfg, None, BackendKind::Fibers, None).unwrap();
-            let b = run_config(&cfg, None, BackendKind::Fibers, None).unwrap();
-            let t = run_config(&cfg, None, BackendKind::Threads, None).unwrap();
+            let a = run_config(&cfg, None, None).unwrap();
+            let b = run_config(&cfg, None, None).unwrap();
             assert_eq!(
                 a.report_json, b.report_json,
                 "{} not reproducible",
-                cfg.name
-            );
-            assert_eq!(
-                a.report_json, t.report_json,
-                "{} backend-divergent",
                 cfg.name
             );
             assert_ne!(
@@ -790,10 +720,10 @@ mod tests {
             .into_iter()
             .find(|c| c.name == "ghost-faults")
             .unwrap();
-        let base = run_config(&cfg, None, BackendKind::Fibers, None).unwrap();
+        let base = run_config(&cfg, None, None).unwrap();
         for seed in 0..4 {
             let (o, _) = TraceOracle::seeded(OracleSpec::full(seed));
-            let out = run_config(&cfg, Some(o), BackendKind::Fibers, None).unwrap();
+            let out = run_config(&cfg, Some(o), None).unwrap();
             assert_eq!(out.checksum, base.checksum, "seed {seed}");
         }
     }

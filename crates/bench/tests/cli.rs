@@ -57,31 +57,42 @@ fn pathless_json_is_rejected_by_every_binary() {
     }
 }
 
-/// An unrecognized `MPMD_SIM_BACKEND` value must fail fast with an error
-/// naming the valid backends — not silently fall back to a default (the
-/// pre-fix behavior, which made backend typos unfalsifiable in CI).
+/// `MPMD_SIM_BACKEND` selects nothing: the build picks the task host. A
+/// value other than this build's backend — a typo, or the other backend's
+/// name — must fail fast with an error naming the value, this build's
+/// backend and the build switch, not run quietly on this build's host.
 #[test]
 fn bogus_backend_env_is_rejected_with_valid_values_listed() {
     let exe = env!("CARGO_BIN_EXE_explore");
-    let out = Command::new(exe)
-        .env("MPMD_SIM_BACKEND", "bogus")
-        .args(["--quick", "--seeds", "1"])
-        .output()
-        .expect("running explore");
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "explore ran despite MPMD_SIM_BACKEND=bogus"
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("bogus"),
-        "error does not echo the bad value: {err}"
-    );
-    assert!(
-        err.contains("threads") && err.contains("fibers"),
-        "error does not list the valid backends: {err}"
-    );
+    let other = match mpmd_sim::baton::BACKEND {
+        mpmd_sim::BackendKind::Threads => "fibers",
+        mpmd_sim::BackendKind::Fibers => "threads",
+    };
+    for value in ["bogus", other] {
+        let out = Command::new(exe)
+            .env("MPMD_SIM_BACKEND", value)
+            .args(["--quick", "--seeds", "1"])
+            .output()
+            .expect("running explore");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "explore ran despite MPMD_SIM_BACKEND={value}"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(value),
+            "error does not echo the bad value: {err}"
+        );
+        assert!(
+            err.contains(mpmd_sim::baton::BACKEND.name()),
+            "error does not name this build's backend: {err}"
+        );
+        assert!(
+            err.contains("--cfg mpmd_no_fibers"),
+            "error does not name the build switch: {err}"
+        );
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! the workloads are AM-level (the am crate sits above sim).
 
 use mpmd_bench::explore::{configs, run_config, Config};
-use mpmd_sim::{BackendKind, OracleSpec, TraceOracle};
+use mpmd_sim::{OracleSpec, TraceOracle};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -96,10 +96,10 @@ fn corpus_is_present_and_covers_every_config() {
 #[test]
 fn every_corpus_entry_replays_clean() {
     for e in load_corpus() {
-        let base = run_config(&e.config, None, BackendKind::Fibers, None)
+        let base = run_config(&e.config, None, None)
             .unwrap_or_else(|p| panic!("{}: baseline panicked: {p}", e.file));
         let (oracle, _) = TraceOracle::replay(e.spec, e.trace.clone());
-        let got = run_config(&e.config, Some(oracle), BackendKind::Fibers, None)
+        let got = run_config(&e.config, Some(oracle), None)
             .unwrap_or_else(|p| panic!("{}: replay panicked: {p}", e.file));
         assert_eq!(
             e.kind, "pinned-schedule",
@@ -122,7 +122,7 @@ fn every_corpus_entry_replays_clean() {
 
         // Replay fidelity: the same trace replayed twice is byte-identical.
         let (oracle2, _) = TraceOracle::replay(e.spec, e.trace.clone());
-        let again = run_config(&e.config, Some(oracle2), BackendKind::Fibers, None)
+        let again = run_config(&e.config, Some(oracle2), None)
             .unwrap_or_else(|p| panic!("{}: second replay panicked: {p}", e.file));
         assert_eq!(
             got.report_json, again.report_json,

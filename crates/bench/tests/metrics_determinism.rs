@@ -288,39 +288,3 @@ fn msgprofile_is_jobs_invariant() {
         "no traffic matrix in registry"
     );
 }
-
-/// The task backend (userspace fibers vs OS threads, selected with
-/// `MPMD_SIM_BACKEND`) changes only how the baton is passed between task
-/// stacks — every scheduling decision is made by the same `decide()` on the
-/// same kernel state. The full msgprofile output must therefore be
-/// byte-identical across backends. (On targets without the fiber backend
-/// both runs use threads and the check is vacuous but still true.)
-#[test]
-fn msgprofile_is_backend_invariant() {
-    let bin = env!("CARGO_BIN_EXE_msgprofile");
-    let run = |backend: Option<&str>, tag: &str| -> (Vec<u8>, Vec<u8>) {
-        let json_path: PathBuf = std::env::temp_dir().join(format!("mpmd_backend_{tag}.json"));
-        let _ = std::fs::remove_file(&json_path);
-        let mut cmd = Command::new(bin);
-        cmd.args(["--quick", "-j", "2", "--json"]).arg(&json_path);
-        match backend {
-            Some(b) => cmd.env("MPMD_SIM_BACKEND", b),
-            None => cmd.env_remove("MPMD_SIM_BACKEND"),
-        };
-        let out = cmd
-            .output()
-            .unwrap_or_else(|e| panic!("spawning msgprofile: {e}"));
-        assert!(
-            out.status.success(),
-            "msgprofile failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let json = std::fs::read(&json_path).expect("msgprofile wrote JSON");
-        let _ = std::fs::remove_file(&json_path);
-        (out.stdout, json)
-    };
-    let (out_fib, json_fib) = run(None, "default");
-    let (out_thr, json_thr) = run(Some("threads"), "threads");
-    assert_eq!(json_fib, json_thr, "JSON differs between task backends");
-    assert_eq!(out_fib, out_thr, "stdout differs between task backends");
-}

@@ -14,11 +14,10 @@ use mpmd_sim::Sim;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Whether tasks are fibers (the condition of `mpmd_sim::baton`). Where the
-/// switch is compiled out a live task borrows a pooled OS thread: the thread
-/// counts are not asserted there and the wave is kept narrow, the bounds on
-/// the task table hold as they are.
-const FIBERS: bool = cfg!(all(target_arch = "x86_64", not(mpmd_no_fibers)));
+/// Whether this build hosts tasks on fibers. Where it does not, a live task
+/// borrows a pooled OS thread: the thread counts are not asserted there and
+/// the wave is kept narrow, the bounds on the task table hold as they are.
+const FIBERS: bool = matches!(mpmd_sim::baton::BACKEND, mpmd_sim::BackendKind::Fibers);
 
 const FULL: bool = !cfg!(debug_assertions);
 

@@ -2,14 +2,14 @@
 //! a task, or the *engine* context of the OS thread that owns the baton —
 //! executes at any instant.
 //!
-//! A scheduler creates a parked context per task ([`Backend::new_cell`]),
+//! A scheduler creates a parked context per task (a default [`TaskCell`]),
 //! gives it a stack and a body ([`Backend::start`]) and moves the baton
 //! between contexts ([`Backend::switch`]); a finished body names its own
 //! successor ([`TaskBody`]). Which task runs next is entirely the
-//! scheduler's business. Two schedulers are built on it, the two drivers of
-//! the one handle body: the simulator's virtual-time engine (one baton per
-//! simulation) and `LocalFabric`'s run-until-block node scheduler (one baton
-//! per node).
+//! scheduler's business; what hosts the stacks is the build's ([`BACKEND`]).
+//! Two schedulers are built on it, the two drivers of the one handle body:
+//! the simulator's virtual-time engine (one baton per simulation) and
+//! `LocalFabric`'s run-until-block node scheduler (one baton per node).
 //!
 //! The baton names its holder. The context that receives it (the engine at
 //! [`Backend::engine`], a task at entry, a context returning from
@@ -21,12 +21,14 @@
 //! for one of the node that touched it first.
 
 use crate::fabric::{NOT_ITS_NODE, REENTRY};
-use crate::task::{HandoffCell, Job, TaskId, TaskPool};
+use crate::host::Host;
+use crate::task::TaskId;
 use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-pub use crate::task::{TaskBody, TaskCell};
+pub use crate::host::{TaskCell, BACKEND};
+pub use crate::task::TaskBody;
 
 /// What a baton cell's borrow panics with off its baton.
 pub const OFF_BATON: &str = "a baton's state is touched only by the context that holds the \
@@ -121,36 +123,57 @@ impl Core {
     }
 }
 
-/// Which execution backend hosts the task stacks. The choice affects only
-/// host-side cost; simulation results are byte-identical across backends.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+/// What hosts the task stacks. The build picks it ([`BACKEND`]): fibers on
+/// x86-64 unix, pooled OS threads elsewhere and under `--cfg
+/// mpmd_no_fibers`. The choice affects only host-side cost; every result is
+/// byte-identical on both.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BackendKind {
-    /// The platform default: fibers where supported, threads otherwise.
-    /// [`Sim`](crate::Sim) consults `MPMD_SIM_BACKEND` (`threads` /
-    /// `fibers`) first and rejects unrecognized values with an error naming
-    /// the valid ones.
-    #[default]
-    Auto,
-    /// One OS thread per task.
+    /// One pooled OS thread per live task, condvar hand-offs: one futex
+    /// wakeup per switch.
     Threads,
-    /// Userspace fibers (x86_64 unix only; selecting it elsewhere panics).
+    /// Userspace fibers on the baton's own OS thread: a hand-off is a stack
+    /// switch, no syscalls.
     Fibers,
 }
 
-/// Where the contexts' stacks live.
-enum Host {
-    /// One OS thread per live task, condvar handoffs (one futex wakeup per
-    /// switch). The portable fallback.
-    Threads(TaskPool),
-    /// All tasks as userspace fibers on the engine's OS thread; a handoff is
-    /// a stack switch, no syscalls. Default where supported.
-    #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-    Fiber(Arc<crate::fiber::FiberRt>),
+impl BackendKind {
+    /// Its name, as `MPMD_SIM_BACKEND` spells it.
+    pub const fn name(self) -> &'static str {
+        match self {
+            BackendKind::Threads => "threads",
+            BackendKind::Fibers => "fibers",
+        }
+    }
 }
 
-/// A baton and the execution backend hosting its contexts' stacks. Both
-/// backends implement the same protocol, so a scheduler makes identical
-/// decisions on either; they differ only in what a handoff costs.
+/// This build's backend, checked against `MPMD_SIM_BACKEND`: unset or naming
+/// [`BACKEND`], the variable selects nothing; any other value, the other
+/// backend's name included, is an error naming this build's. Binaries call
+/// this at startup to turn a stale environment into a usage error;
+/// [`Sim::run`](crate::Sim::run) panics on the same error.
+pub fn backend_from_env() -> Result<BackendKind, String> {
+    let v = std::env::var_os("MPMD_SIM_BACKEND");
+    check_backend_env(v.as_ref().map(|v| v.to_string_lossy()).as_deref())
+}
+
+/// [`backend_from_env`] on the variable's value, `None` when unset.
+fn check_backend_env(v: Option<&str>) -> Result<BackendKind, String> {
+    match v {
+        None => Ok(BACKEND),
+        Some(v) if v == BACKEND.name() => Ok(BACKEND),
+        Some(other) => Err(format!(
+            "MPMD_SIM_BACKEND={other:?} does not select a backend: this build runs tasks on \
+             {:?}, and only the build chooses (\"fibers\" on x86-64 unix, \"threads\" \
+             elsewhere or with RUSTFLAGS=\"--cfg mpmd_no_fibers\"); unset it",
+            BACKEND.name()
+        )),
+    }
+}
+
+/// A baton and the host of its contexts' stacks. Both hosts implement the
+/// same protocol, so a scheduler makes identical decisions on either; they
+/// differ only in what a handoff costs.
 pub struct Backend {
     core: Arc<Core>,
     /// Whether a thread has become the engine.
@@ -161,22 +184,10 @@ pub struct Backend {
 impl Backend {
     /// A baton whose engine is the thread that calls [`Backend::engine`].
     /// `fabric` names the scheduler in a fiber-stack-overflow report.
-    pub fn new(kind: BackendKind, fabric: &'static str) -> Backend {
-        let (core, taken) = (Core::new(), AtomicBool::new(false));
-        let baton = Arc::clone(&core);
-        let host = 'host: {
-            #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-            if kind != BackendKind::Threads {
-                break 'host Host::Fiber(Arc::new(crate::fiber::FiberRt::new(fabric, baton)));
-            }
-            let _ = fabric;
-            assert!(
-                kind != BackendKind::Fibers,
-                "the fiber backend is not supported on this target; \
-                 use MPMD_SIM_BACKEND=threads or Sim::backend(BackendKind::Threads)"
-            );
-            Host::Threads(TaskPool::new(baton))
-        };
+    pub fn new(fabric: &'static str) -> Backend {
+        let core = Core::new();
+        let host = Host::new(fabric, Arc::clone(&core));
+        let taken = AtomicBool::new(false);
         Backend { core, taken, host }
     }
 
@@ -196,33 +207,11 @@ impl Backend {
         Engine(outer)
     }
 
-    /// A parked context for a new task.
-    pub fn new_cell(&self) -> TaskCell {
-        match self.host {
-            Host::Threads(_) => TaskCell::Threads(HandoffCell::new(false)),
-            #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-            Host::Fiber(_) => TaskCell::Fiber(crate::fiber::FiberCell::empty()),
-        }
-    }
-
     /// Give `cell` a stack that will run `body`, as task `owner` = `(node,
     /// task)`, the first time the baton is switched to it. No switch happens
     /// here.
     pub fn start(&self, cell: Arc<TaskCell>, body: TaskBody, owner: (usize, u32)) {
-        match &self.host {
-            Host::Threads(pool) => pool.dispatch(Job { cell, body, owner }),
-            #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-            Host::Fiber(rt) => {
-                let (rt2, cell2) = (Arc::clone(rt), Arc::clone(&cell));
-                let body = crate::fiber::FiberBody {
-                    body,
-                    rt: rt2,
-                    cell: cell2,
-                    owner,
-                };
-                rt.prepare(cell.fiber(), Box::new(body), owner)
-            }
-        }
+        self.host.start(cell, body, owner);
     }
 
     /// Move the baton from the running context `from` to the parked context
@@ -231,17 +220,7 @@ impl Backend {
     pub fn switch(&self, from: Option<&TaskCell>, to: Option<&TaskCell>) {
         let me = HOLDER.get();
         assert!(self.core.held_by(me), "{OFF_BATON}");
-        match &self.host {
-            Host::Threads(pool) => {
-                let from = from.map_or(&pool.0.engine, TaskCell::thread);
-                let to = to.map_or(&pool.0.engine, TaskCell::thread);
-                from.begin_yield();
-                to.resume();
-                from.wait_for_turn();
-            }
-            #[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-            Host::Fiber(rt) => rt.switch(from.map(TaskCell::fiber), to.map(TaskCell::fiber)),
-        }
+        self.host.switch(from, to);
         self.core.receive(me);
     }
 }
@@ -320,14 +299,6 @@ mod tests {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::Mutex;
 
-    fn backends() -> Vec<BackendKind> {
-        let mut kinds = vec![BackendKind::Threads];
-        if cfg!(all(target_arch = "x86_64", unix, not(mpmd_no_fibers))) {
-            kinds.push(BackendKind::Fibers);
-        }
-        kinds
-    }
-
     /// A scheduler of one task: a baton and its state.
     struct Run {
         baton: Backend,
@@ -340,14 +311,14 @@ mod tests {
     /// Make the calling thread the engine of a fresh baton, run `body` as
     /// [`TASK`] until it returns, and end the run. A panic in `body` reaches
     /// the caller.
-    fn run_task(kind: BackendKind, body: impl FnOnce(&Arc<Run>) + Send + 'static) {
-        let baton = Backend::new(kind, "test");
+    fn run_task(body: impl FnOnce(&Arc<Run>) + Send + 'static) {
+        let baton = Backend::new("test");
         let state = BatonCell::new(&baton, 0);
         let run = Arc::new(Run { baton, state });
         let _engine = run.baton.engine();
         let outcome = Arc::new(Mutex::new(None));
         let (r2, o2) = (Arc::clone(&run), Arc::clone(&outcome));
-        let cell = Arc::new(run.baton.new_cell());
+        let cell = Arc::new(TaskCell::default());
         let task = move || {
             let out = catch_unwind(AssertUnwindSafe(|| body(&r2)));
             *o2.lock().unwrap() = Some(out);
@@ -375,59 +346,55 @@ mod tests {
     /// a task of the handle's node, which an engine never is.
     #[test]
     fn a_baton_cell_borrowed_off_its_baton_panics() {
-        for kind in backends() {
-            let (a, b) = (Backend::new(kind, "test"), Backend::new(kind, "test"));
-            let (in_a, in_b) = (BatonCell::new(&a, 0u32), BatonCell::new(&b, 0u32));
-            let engine = a.engine();
-            *in_a.borrow_mut() += 1;
-            assert!(in_a.try_borrow().is_some());
-            assert_eq!(panic_message(|| _ = in_b.borrow_mut()), OFF_BATON);
-            assert!(in_b.try_borrow().is_none());
-            let as_node = || _ = in_a.borrow_at(a.node_key(0));
-            assert_eq!(panic_message(as_node), NOT_ITS_NODE);
-            assert_eq!(panic_message(|| a.node_key(0).check()), NOT_ITS_NODE);
-            std::thread::scope(|s| {
-                let off = s.spawn(|| panic_message(|| _ = in_a.borrow_mut()));
-                assert_eq!(off.join().unwrap(), OFF_BATON, "{kind:?}");
-            });
-            drop(engine);
-            assert_eq!(panic_message(|| _ = in_a.borrow_mut()), OFF_BATON);
-            assert!(in_a.try_borrow().is_none());
-        }
+        let (a, b) = (Backend::new("test"), Backend::new("test"));
+        let (in_a, in_b) = (BatonCell::new(&a, 0u32), BatonCell::new(&b, 0u32));
+        let engine = a.engine();
+        *in_a.borrow_mut() += 1;
+        assert!(in_a.try_borrow().is_some());
+        assert_eq!(panic_message(|| _ = in_b.borrow_mut()), OFF_BATON);
+        assert!(in_b.try_borrow().is_none());
+        let as_node = || _ = in_a.borrow_at(a.node_key(0));
+        assert_eq!(panic_message(as_node), NOT_ITS_NODE);
+        assert_eq!(panic_message(|| a.node_key(0).check()), NOT_ITS_NODE);
+        std::thread::scope(|s| {
+            let off = s.spawn(|| panic_message(|| _ = in_a.borrow_mut()));
+            assert_eq!(off.join().unwrap(), OFF_BATON);
+        });
+        drop(engine);
+        assert_eq!(panic_message(|| _ = in_a.borrow_mut()), OFF_BATON);
+        assert!(in_a.try_borrow().is_none());
     }
 
     /// A task borrows as a task of its own node and of no other, once at a
-    /// time, and a second context that receives the baton while the task runs (a broken
-    /// baton, staged here from a helper thread) makes the task panic at its
-    /// next borrow, whichever kind.
+    /// time, and a second context that receives the baton while the task
+    /// runs (a broken baton, staged here from a helper thread) makes the
+    /// task panic at its next borrow.
     #[test]
     fn a_second_running_context_panics() {
-        for kind in backends() {
-            run_task(kind, move |run| {
-                let (mine, theirs) = (run.baton.node_key(0), run.baton.node_key(1));
-                assert_eq!(NodeKey::here(), mine);
-                mine.check();
-                assert!(mine.runs(TaskId(TASK.1)) && !mine.runs(TaskId(8)));
-                let held = run.state.borrow_at(mine);
-                assert_eq!(panic_message(|| _ = run.state.borrow_at(mine)), REENTRY);
-                drop(held);
-                *run.state.borrow_at(mine) += 1;
-                let other_node = || _ = run.state.borrow_at(theirs);
-                assert_eq!(panic_message(other_node), NOT_ITS_NODE, "{kind:?}");
+        run_task(move |run| {
+            let (mine, theirs) = (run.baton.node_key(0), run.baton.node_key(1));
+            assert_eq!(NodeKey::here(), mine);
+            mine.check();
+            assert!(mine.runs(TaskId(TASK.1)) && !mine.runs(TaskId(8)));
+            let held = run.state.borrow_at(mine);
+            assert_eq!(panic_message(|| _ = run.state.borrow_at(mine)), REENTRY);
+            drop(held);
+            *run.state.borrow_at(mine) += 1;
+            let other_node = || _ = run.state.borrow_at(theirs);
+            assert_eq!(panic_message(other_node), NOT_ITS_NODE);
 
-                let r2 = Arc::clone(run);
-                std::thread::spawn(move || r2.baton.core.enter((0, 8)))
-                    .join()
-                    .expect("helper");
-                assert_eq!(panic_message(|| _ = run.state.borrow_mut()), OFF_BATON);
-                let as_node = || _ = run.state.borrow_at(mine);
-                assert_eq!(panic_message(as_node), OFF_BATON, "{kind:?}");
-                assert!(run.state.try_borrow().is_none());
-                // Hand the baton back to this task, so the run can end.
-                run.baton.core.enter(TASK);
-                *run.state.borrow_mut() += 1;
-            });
-        }
+            let r2 = Arc::clone(run);
+            std::thread::spawn(move || r2.baton.core.enter((0, 8)))
+                .join()
+                .expect("helper");
+            assert_eq!(panic_message(|| _ = run.state.borrow_mut()), OFF_BATON);
+            let as_node = || _ = run.state.borrow_at(mine);
+            assert_eq!(panic_message(as_node), OFF_BATON);
+            assert!(run.state.try_borrow().is_none());
+            // Hand the baton back to this task, so the run can end.
+            run.baton.core.enter(TASK);
+            *run.state.borrow_mut() += 1;
+        });
     }
 
     /// A task that runs a nested run is the inner engine until that run
@@ -435,19 +402,39 @@ mod tests {
     /// same node.
     #[test]
     fn a_nested_run_gives_the_outer_holder_back() {
-        for kind in backends() {
-            run_task(kind, move |outer| {
-                let key = outer.baton.node_key(0);
-                let o2 = Arc::clone(outer);
-                run_task(kind, move |inner| {
-                    *inner.state.borrow_mut() += 1;
-                    assert_eq!(panic_message(|| _ = o2.state.borrow_mut()), OFF_BATON);
-                    assert_eq!(panic_message(|| key.check()), NOT_ITS_NODE);
-                });
-                assert_eq!(NodeKey::here(), key, "{kind:?}");
-                *outer.state.borrow_at(key) += 1;
-                *outer.state.borrow_mut() += 1;
+        run_task(move |outer| {
+            let key = outer.baton.node_key(0);
+            let o2 = Arc::clone(outer);
+            run_task(move |inner| {
+                *inner.state.borrow_mut() += 1;
+                assert_eq!(panic_message(|| _ = o2.state.borrow_mut()), OFF_BATON);
+                assert_eq!(panic_message(|| key.check()), NOT_ITS_NODE);
             });
+            assert_eq!(NodeKey::here(), key);
+            *outer.state.borrow_at(key) += 1;
+            *outer.state.borrow_mut() += 1;
+        });
+    }
+
+    /// `MPMD_SIM_BACKEND` selects nothing: unset or naming this build's
+    /// backend it is that backend; anything else, the other backend's name
+    /// included, is an error that names this build's and the build switch.
+    #[test]
+    fn the_backend_env_only_names_this_builds_backend() {
+        assert_eq!(check_backend_env(None), Ok(BACKEND));
+        assert_eq!(check_backend_env(Some(BACKEND.name())), Ok(BACKEND));
+        let other = match BACKEND {
+            BackendKind::Threads => BackendKind::Fibers,
+            BackendKind::Fibers => BackendKind::Threads,
+        };
+        for bad in ["", "fiber", "Threads", "FIBERS", "bogus", other.name()] {
+            let err = check_backend_env(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+            assert!(
+                err.contains(&format!("runs tasks on {:?}", BACKEND.name())),
+                "{err}"
+            );
+            assert!(err.contains("--cfg mpmd_no_fibers"), "{err}");
         }
     }
 }

@@ -14,7 +14,7 @@
 //! [`Probe`] out of that borrow, so the `with_stats` closure that runs under
 //! it must not call back into the fabric (doing so panics).
 
-use crate::baton::{Backend, NodeKey, TaskBody};
+use crate::baton::{Backend, NodeKey, TaskBody, TaskCell};
 use crate::cost::CostModel;
 use crate::engine::SimDriver;
 use crate::event::{Msg, Payload};
@@ -25,7 +25,7 @@ use crate::probe::Probe;
 use crate::report::Snapshot;
 use crate::sched::{NodeTasks, TaskState};
 use crate::stats::{size_bucket, Bucket};
-use crate::task::{TaskCell, TaskId};
+use crate::task::TaskId;
 use crate::time::Time;
 use crate::trace::{TraceEvent, TraceRecord};
 use std::cell::RefMut;
@@ -80,6 +80,15 @@ pub trait Driver: Send + Sync + Sized + 'static {
     fn probe(home: &mut Self::Home, node: usize) -> &mut Probe;
     /// `node`'s clock, read in a borrow.
     fn clock(&self, home: &Self::Home, node: usize) -> Time;
+    /// Apply the wake `rule` to `node`'s task table, tracing each task it
+    /// woke at `node`'s clock ([`NodeTasks::wake`]): every wake of a driver
+    /// and of the handle goes through here.
+    fn wake<R>(
+        &self,
+        home: &mut Self::Home,
+        node: usize,
+        rule: impl FnOnce(&mut NodeTasks) -> R,
+    ) -> R;
     /// Advance `node`'s clock by `ns` of charged work; a wall clock advances
     /// by itself.
     fn advance(_home: &mut Self::Home, _node: usize, _ns: Time) {}
@@ -218,7 +227,7 @@ impl<D: Driver> Handle<D> {
         G: FnOnce(Self) + Send + 'static,
     {
         let backend = inner.backend(node);
-        let cell = Arc::new(backend.new_cell());
+        let cell = Arc::new(TaskCell::default());
         let task = inner.register(home, node, name, daemon, Arc::clone(&cell));
         let child = Handle {
             inner: Arc::clone(inner),
@@ -352,10 +361,9 @@ impl<D: Driver> Fabric for Handle<D> {
     }
 
     fn unpark(&self, t: TaskId) {
-        let mut home = self.home();
-        if D::tasks(&mut home, self.node).unpark(t) {
-            self.record(&mut home, t, || TraceEvent::Unpark);
-        }
+        let node = self.node;
+        self.inner
+            .wake(&mut self.home(), node, |tasks| tasks.unpark(t));
     }
 
     fn park_for_inbox(&self) {

@@ -22,7 +22,7 @@
 //! only a task of its own node (`Handle::home`). [`SimDriver`] is what the
 //! one handle body ([`Ctx`]) runs over here.
 
-use crate::baton::{Backend, BackendKind, BatonCell, NodeKey, TaskCell};
+use crate::baton::{backend_from_env, Backend, BatonCell, NodeKey, TaskCell};
 use crate::cost::CostModel;
 use crate::ctx::{Ctx, Driver, Machine};
 use crate::event::Msg;
@@ -40,30 +40,6 @@ use std::cell::RefMut;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
-
-/// Parse an `MPMD_SIM_BACKEND` value. `None` (unset) means the platform
-/// default. Kept separate from the env read so it is unit-testable.
-pub(crate) fn parse_backend_env(v: Option<&str>) -> Result<BackendKind, String> {
-    match v {
-        None => Ok(BackendKind::Auto),
-        Some("threads") => Ok(BackendKind::Threads),
-        Some("fibers") => Ok(BackendKind::Fibers),
-        Some(other) => Err(format!(
-            "MPMD_SIM_BACKEND={other:?} is not a recognized backend; \
-             valid values are \"threads\" and \"fibers\" (unset it for the platform default)"
-        )),
-    }
-}
-
-/// Resolve the backend requested via `MPMD_SIM_BACKEND`, rejecting
-/// unrecognized values. Binaries call this at startup to turn a bad
-/// environment into a usage error instead of a mid-run panic; `Sim::run`
-/// enforces the same check either way.
-pub fn backend_from_env() -> Result<BackendKind, String> {
-    let v = std::env::var_os("MPMD_SIM_BACKEND");
-    let s = v.as_ref().map(|v| v.to_string_lossy().into_owned());
-    parse_backend_env(s.as_deref())
-}
 
 /// The simulator's driver: one run's kernel, node data, baton and cost model.
 pub struct SimDriver {
@@ -88,7 +64,6 @@ pub struct Sim {
     nodes: usize,
     cost: CostModel,
     trace: Option<TraceConfig>,
-    backend: BackendKind,
     oracle: Option<Box<dyn ScheduleOracle>>,
 }
 
@@ -101,17 +76,8 @@ impl Sim {
             nodes,
             cost: CostModel::default(),
             trace: None,
-            backend: BackendKind::Auto,
             oracle: None,
         }
-    }
-
-    /// Select the execution backend explicitly, overriding
-    /// `MPMD_SIM_BACKEND`. The default ([`BackendKind::Auto`]) consults the
-    /// environment and rejects unrecognized values.
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
     }
 
     /// Install a [`ScheduleOracle`] to perturb the engine's don't-care
@@ -170,22 +136,15 @@ impl Sim {
     ///
     /// Propagates any panic raised inside a task, and panics with a state
     /// dump if the system deadlocks (live tasks but no runnable work and no
-    /// pending events).
+    /// pending events), and up front if `MPMD_SIM_BACKEND` names anything but
+    /// this build's backend ([`backend_from_env`](crate::backend_from_env)).
     pub fn run<F>(self, main: F) -> Report
     where
         F: Fn(Ctx) + Send + Sync + 'static,
     {
         let tracing = self.trace.is_some();
-        let backend = Backend::new(
-            match self.backend {
-                // The env var only steers the default; an explicit builder
-                // choice wins (and a malformed env var still errors, so a bad
-                // configuration never silently changes the backend).
-                BackendKind::Auto => backend_from_env().unwrap_or_else(|e| panic!("{e}")),
-                k => k,
-            },
-            "simulated",
-        );
+        backend_from_env().unwrap_or_else(|e| panic!("{e}"));
+        let backend = Backend::new("simulated");
         let kernel = Kernel::new(
             self.nodes,
             self.trace,
@@ -344,6 +303,11 @@ impl Driver for SimDriver {
     #[inline]
     fn tasks(k: &mut Kernel, node: usize) -> &mut NodeTasks {
         &mut k.nodes[node].tasks
+    }
+
+    #[inline]
+    fn wake<R>(&self, k: &mut Kernel, node: usize, rule: impl FnOnce(&mut NodeTasks) -> R) -> R {
+        k.wake(node, rule)
     }
 
     #[inline]
@@ -525,28 +489,15 @@ mod tests {
         }
     }
 
-    fn backends() -> Vec<BackendKind> {
-        let mut kinds = vec![BackendKind::Threads];
-        if cfg!(all(target_arch = "x86_64", unix, not(mpmd_no_fibers))) {
-            kinds.push(BackendKind::Fibers);
-        }
-        kinds
-    }
-
     /// Re-entering the kernel from a closure that runs under its borrow
     /// fails the run with the rule instead of hanging it.
     #[test]
     fn kernel_reentry_panics_on_every_backend() {
         use crate::Fabric;
-        for kind in backends() {
-            let msg = failing_run_message(Sim::new(2).backend(kind), |ctx| {
-                ctx.with_stats(|_| ctx.now());
-            });
-            assert!(
-                msg.contains("must not call back into the fabric"),
-                "{kind:?}: {msg}"
-            );
-        }
+        let msg = failing_run_message(Sim::new(2), |ctx| {
+            ctx.with_stats(|_| ctx.now());
+        });
+        assert!(msg.contains("must not call back into the fabric"), "{msg}");
     }
 
     /// A handle works only for a task of its own node. From a thread its
@@ -565,36 +516,34 @@ mod tests {
             ("node_data", |c| _ = c.node_data(|| 0u8)),
         ];
         let rule = crate::NOT_ITS_NODE;
-        for kind in backends() {
-            let escaped = Arc::new(Mutex::new(None));
-            let e2 = Arc::clone(&escaped);
-            Sim::new(2).backend(kind).run(move |ctx| {
-                if ctx.node() == 1 {
-                    *e2.lock().unwrap() = Some(ctx.clone());
-                }
-                for (what, call) in calls {
-                    let theirs = ctx.clone();
-                    let payload = std::thread::spawn(move || call(&theirs))
-                        .join()
-                        .expect_err(what);
-                    let msg = panic_message(payload);
-                    assert!(msg.contains(rule), "{kind:?} {what} off the baton: {msg}");
-                }
-                // The task itself still holds the baton.
-                ctx.charge(Bucket::Cpu, 1);
-            });
-            let outside = escaped
-                .lock()
-                .unwrap()
-                .take()
-                .expect("node 1 left its handle");
-            assert_eq!((outside.node(), outside.nodes()), (1, 2));
-            assert_eq!(outside.task_id(), TaskId(1));
-            let caught = catch_unwind(AssertUnwindSafe(|| outside.now()))
-                .expect_err("reading the kernel after the run must panic");
-            let msg = panic_message(caught);
-            assert!(msg.contains(rule), "{kind:?} now after the run: {msg}");
-        }
+        let escaped = Arc::new(Mutex::new(None));
+        let e2 = Arc::clone(&escaped);
+        Sim::new(2).run(move |ctx| {
+            if ctx.node() == 1 {
+                *e2.lock().unwrap() = Some(ctx.clone());
+            }
+            for (what, call) in calls {
+                let theirs = ctx.clone();
+                let payload = std::thread::spawn(move || call(&theirs))
+                    .join()
+                    .expect_err(what);
+                let msg = panic_message(payload);
+                assert!(msg.contains(rule), "{what} off the baton: {msg}");
+            }
+            // The task itself still holds the baton.
+            ctx.charge(Bucket::Cpu, 1);
+        });
+        let outside = escaped
+            .lock()
+            .unwrap()
+            .take()
+            .expect("node 1 left its handle");
+        assert_eq!((outside.node(), outside.nodes()), (1, 2));
+        assert_eq!(outside.task_id(), TaskId(1));
+        let caught = catch_unwind(AssertUnwindSafe(|| outside.now()))
+            .expect_err("reading the kernel after the run must panic");
+        let msg = panic_message(caught);
+        assert!(msg.contains(rule), "now after the run: {msg}");
     }
 
     /// A poll point that has to reschedule is a block: through a handle a
@@ -603,19 +552,17 @@ mod tests {
     #[test]
     fn a_rescheduling_poll_point_through_a_siblings_handle_panics() {
         use crate::{Bucket, Fabric, Payload};
-        for kind in backends() {
-            let msg = failing_run_message(Sim::new(1).backend(kind), |ctx| {
-                let parent = ctx.clone();
-                let t = ctx.spawn("sibling", move |_| {
-                    parent.poll_point();
-                    parent.send_msg(0, 8, 1, Payload::any(0u64));
-                    parent.charge(Bucket::Cpu, 10);
-                    parent.poll_point();
-                });
-                ctx.join(t);
+        let msg = failing_run_message(Sim::new(1), |ctx| {
+            let parent = ctx.clone();
+            let t = ctx.spawn("sibling", move |_| {
+                parent.poll_point();
+                parent.send_msg(0, 8, 1, Payload::any(0u64));
+                parent.charge(Bucket::Cpu, 10);
+                parent.poll_point();
             });
-            assert_eq!(msg, crate::BORROWED, "{kind:?}");
-        }
+            ctx.join(t);
+        });
+        assert_eq!(msg, crate::BORROWED);
     }
 
     /// A panic in a finished task's own bookkeeping (here: oracle code run by
@@ -632,22 +579,44 @@ mod tests {
                 0
             }
         }
-        for kind in backends() {
-            let sim = Sim::new(3).backend(kind).schedule_oracle(Box::new(Bomb(0)));
-            let msg = failing_run_message(sim, |_ctx| {});
-            assert!(msg.contains("oracle bomb"), "{kind:?}: {msg}");
-        }
+        let sim = Sim::new(3).schedule_oracle(Box::new(Bomb(0)));
+        let msg = failing_run_message(sim, |_ctx| {});
+        assert!(msg.contains("oracle bomb"), "{msg}");
     }
 
+    /// Waves of 74, then 300, concurrently live tasks: the wider waves run
+    /// on the first one's recycled stacks plus fresh ones, and on fibers the
+    /// second run starts on the stacks the first handed to the spare list.
+    /// Results depend on none of that, nor on the build's host: both builds
+    /// check the same pinned clocks and ledgers.
     #[test]
-    fn backend_env_parsing_is_strict() {
-        assert_eq!(parse_backend_env(None), Ok(BackendKind::Auto));
-        assert_eq!(parse_backend_env(Some("threads")), Ok(BackendKind::Threads));
-        assert_eq!(parse_backend_env(Some("fibers")), Ok(BackendKind::Fibers));
-        for bad in ["", "fiber", "thread", "Threads", "FIBERS", "bogus"] {
-            let err = parse_backend_env(Some(bad)).expect_err(bad);
-            assert!(err.contains("not a recognized backend"), "{err}");
-            assert!(err.contains("threads") && err.contains("fibers"), "{err}");
+    fn widening_task_waves_match_pinned_clocks() {
+        use crate::{Bucket, Fabric};
+        let run = || {
+            Sim::new(2).run(|ctx| {
+                for (wave, width) in [74, 300, 300].into_iter().enumerate() {
+                    let handles: Vec<_> = (0..width)
+                        .map(|i| {
+                            ctx.spawn("wave-worker", move |c| {
+                                c.charge(Bucket::Cpu, wave as u64 * 7 + i % 5 + 1);
+                            })
+                        })
+                        .collect();
+                    for h in handles {
+                        ctx.join(h);
+                    }
+                }
+            })
+        };
+        for _ in 0..2 {
+            let r = run();
+            // 220 + (2_100 + 900) + (4_200 + 900) ns of charges per node.
+            assert_eq!(r.clocks, [8_320, 8_320]);
+            for s in &r.stats {
+                let mut want = crate::Stats::default();
+                want.bucket_ns[Bucket::Cpu.index()] = 8_320;
+                assert_eq!(*s, want);
+            }
         }
     }
 }

@@ -1,17 +1,13 @@
-//! Userspace stackful fibers: the zero-syscall baton backend.
+//! Userspace stackful fibers: the task host on x86-64 unix.
 //!
-//! PR 2 cut the cost of a simulated context switch from two OS wakeups to
-//! one by handing the baton task-to-task. That one wakeup is still a futex
-//! round trip plus a kernel context switch — a few microseconds of `sys`
-//! time per switch, and paper-scale runs perform millions of switches. This
-//! module removes the OS from the path entirely: every task of a simulation
-//! runs as a *fiber* (a coroutine with its own call stack) hosted on the one
-//! OS thread that called `Sim::run`, and a baton handoff is a ~20-instruction
-//! userspace stack switch. The baton protocol is unchanged — at any instant
-//! exactly one of {engine, one task} executes — so scheduling decisions,
-//! event order, and therefore every virtual-time result are bit-for-bit
-//! identical to the OS-thread backend (which remains available as a
-//! fallback: non-x86-64 targets, or `MPMD_SIM_BACKEND=threads`).
+//! Every task of a baton runs as a *fiber* (a coroutine with its own call
+//! stack) hosted on the one OS thread that owns the baton — the thread that
+//! called `Sim::run`, or a `LocalFabric` node's thread — and a baton hand-off
+//! is a ~20-instruction userspace stack switch, no futex and no kernel. The
+//! baton protocol is the one `pool.rs` runs on OS threads elsewhere: at any
+//! instant exactly one of {engine, one task} executes, so scheduling
+//! decisions, event order and every virtual-time result are bit-for-bit
+//! those of that host.
 //!
 //! Mechanics: [`fiber_switch`](mpmd_fiber_switch) saves the callee-saved
 //! registers and the FP control words on the current stack, stores the stack
@@ -28,20 +24,26 @@
 //! and the `FiberBody` box (and on the simulator a fourth, the task's name).
 //!
 //! Safety rests entirely on the baton invariant: all fibers of one
-//! [`FiberRt`] — one `Sim`, or one `LocalFabric` node, which drives the same
-//! runtime through [`crate::baton`] — run on one OS thread, one at a time, so
-//! the raw stack-pointer cells are never touched concurrently.
+//! [`FiberRt`] — one `Sim`, or one `LocalFabric` node — run on one OS
+//! thread, one at a time, so the raw stack-pointer cells are never touched
+//! concurrently.
 
-use crate::baton::Core;
-use crate::task::{TaskBody, TaskCell};
+use crate::baton::{BackendKind, Core};
+use crate::task::TaskBody;
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 use std::sync::{Arc, Mutex, PoisonError};
 
+/// This build's host.
+pub const BACKEND: BackendKind = BackendKind::Fibers;
+
+/// A task's context here: its saved stack pointer and its stack.
+pub type TaskCell = FiberCell;
+
 /// Reserved bytes per fiber stack. Address space only — the backing pages
 /// are untouched until the task actually recurses into them, so deep stacks
 /// cost nothing for the shallow tasks that dominate (AM handlers, pumps).
-/// Matches the `std::thread` default so moving a body between backends
+/// Matches the `std::thread` default so moving a body between hosts
 /// cannot change its headroom.
 const STACK_SIZE: usize = 2 * 1024 * 1024;
 
@@ -194,9 +196,10 @@ fn fp_env() -> (u32, u16) {
 }
 
 /// Per-task fiber context: the saved stack pointer while suspended, and the
-/// owned stack. Shared via `Arc` from its node's task table; only ever
-/// touched by the simulation's single OS thread (baton invariant), hence
-/// the unsafe `Send`/`Sync`.
+/// owned stack; [`Default`] is a parked one with neither. Shared via `Arc`
+/// from its node's task table; only ever touched by the simulation's single
+/// OS thread (baton invariant), hence the unsafe `Send`/`Sync`.
+#[derive(Default)]
 pub struct FiberCell {
     sp: Cell<usize>,
     stack: UnsafeCell<Option<Stack>>,
@@ -205,28 +208,58 @@ pub struct FiberCell {
 unsafe impl Send for FiberCell {}
 unsafe impl Sync for FiberCell {}
 
-impl FiberCell {
-    pub(crate) fn empty() -> FiberCell {
-        FiberCell {
-            sp: Cell::new(0),
-            stack: UnsafeCell::new(None),
-        }
-    }
-}
-
 /// Everything a fresh fiber needs: the task body (which performs all kernel
 /// bookkeeping, picks the successor, and never unwinds), the handles for
 /// the terminal switch, and `owner`, the task the baton records it as.
-pub(crate) struct FiberBody {
-    pub(crate) body: TaskBody,
-    pub(crate) rt: Arc<FiberRt>,
-    pub(crate) cell: Arc<TaskCell>,
-    pub(crate) owner: (usize, u32),
+struct FiberBody {
+    body: TaskBody,
+    rt: Arc<FiberRt>,
+    cell: Arc<TaskCell>,
+    owner: (usize, u32),
+}
+
+/// The host of one baton's contexts: its fiber runtime.
+pub(crate) struct Host(Arc<FiberRt>);
+
+impl Host {
+    /// A runtime whose fibers hold `baton`; `fabric` names the scheduler in
+    /// a stack-overflow report.
+    pub(crate) fn new(fabric: &'static str, baton: Arc<Core>) -> Host {
+        Host(Arc::new(FiberRt::new(fabric, baton)))
+    }
+
+    /// Seed a stack for `cell` so the first switch into it runs `body` as
+    /// task `owner` = `(node, task)`. No switch happens here.
+    pub(crate) fn start(&self, cell: Arc<TaskCell>, body: TaskBody, owner: (usize, u32)) {
+        let rt = &self.0;
+        let mut stack = rt.alloc_stack();
+        stack.owner = owner;
+        let body = Box::new(FiberBody {
+            body,
+            rt: Arc::clone(rt),
+            cell: Arc::clone(&cell),
+            owner,
+        });
+        cell.sp.set(seed_frame(&stack, Box::into_raw(body)));
+        unsafe { *cell.stack.get() = Some(stack) };
+    }
+
+    /// Baton handoff between two suspended-or-running contexts, `None`
+    /// being the engine (the OS thread's own stack). Returns when `from` is
+    /// switched back to — for the engine that is termination, deadlock,
+    /// shutdown or a panic; a fiber on the deadlock path never returns.
+    pub(crate) fn switch(&self, from: Option<&TaskCell>, to: Option<&TaskCell>) {
+        let rt = &self.0;
+        let from = from.map_or(&rt.engine_sp, |c| &c.sp);
+        let to = to.map_or(&rt.engine_sp, |c| &c.sp);
+        unsafe { mpmd_fiber_switch(from.as_ptr(), to.get(), 0) };
+        rt.reap();
+    }
 }
 
 /// Per-scheduler fiber runtime: the engine context's slot, the retired
 /// stack awaiting reap, and the free list.
-pub struct FiberRt {
+struct FiberRt {
     /// Which fabric runs on these fibers; an overflow report names it.
     fabric: &'static str,
     /// The engine (OS-thread) context's saved rsp while a fiber runs.
@@ -254,7 +287,7 @@ unsafe impl Send for FiberRt {}
 unsafe impl Sync for FiberRt {}
 
 impl FiberRt {
-    pub(crate) fn new(fabric: &'static str, baton: Arc<Core>) -> FiberRt {
+    fn new(fabric: &'static str, baton: Arc<Core>) -> FiberRt {
         FiberRt {
             fabric,
             engine_sp: Cell::new(0),
@@ -269,7 +302,7 @@ impl FiberRt {
     /// Put the stack of the fiber that just terminal-switched away on the
     /// free list, aborting if that fiber overflowed it. Called at every
     /// switch-in point, where that stack is guaranteed quiescent.
-    pub(crate) fn reap(&self) {
+    fn reap(&self) {
         if let Some(s) = self.retired.take() {
             if let Some(owner) = s.overflowed_by() {
                 overflow_abort(self.fabric, owner);
@@ -309,27 +342,6 @@ impl FiberRt {
         spare.extend(free.drain(..room));
         Ok(())
     }
-
-    /// Prepare a suspended fiber for task `owner` = `(node, task)`: seed its
-    /// stack so the first switch into it runs `body`. No switch happens here.
-    pub(crate) fn prepare(&self, cell: &FiberCell, body: Box<FiberBody>, owner: (usize, u32)) {
-        let mut stack = self.alloc_stack();
-        stack.owner = owner;
-        let sp = seed_frame(&stack, Box::into_raw(body));
-        cell.sp.set(sp);
-        unsafe { *cell.stack.get() = Some(stack) };
-    }
-
-    /// Baton handoff between two suspended-or-running contexts, `None`
-    /// being the engine (the `Sim::run` stack). Returns when `from` is
-    /// switched back to — for the engine that is termination, deadlock,
-    /// shutdown or a panic; a fiber on the deadlock path never returns.
-    pub(crate) fn switch(&self, from: Option<&FiberCell>, to: Option<&FiberCell>) {
-        let from = from.map_or(&self.engine_sp, |c| &c.sp);
-        let to = to.map_or(&self.engine_sp, |c| &c.sp);
-        unsafe { mpmd_fiber_switch(from.as_ptr(), to.get(), 0) };
-        self.reap();
-    }
 }
 
 impl Drop for FiberRt {
@@ -367,7 +379,7 @@ fn seed_frame(stack: &Stack, body: *mut FiberBody) -> usize {
 
 /// Rust-side landing of the trampoline: run the task body, then perform its
 /// final baton movement and retire this fiber's stack. Mirrors the worker
-/// loop of the OS-thread backend. The body catches its own panics (an unwind
+/// loop of the pooled-thread host. The body catches its own panics (an unwind
 /// past this frame would abort the process).
 #[no_mangle]
 extern "C" fn mpmd_fiber_entry(raw: *mut FiberBody) -> ! {
@@ -382,10 +394,10 @@ extern "C" fn mpmd_fiber_entry(raw: *mut FiberBody) -> ! {
     rt.reap();
     rt.baton.enter(owner);
     let next = body();
-    let target_sp = next.as_ref().map_or(&rt.engine_sp, |c| &c.fiber().sp).get();
+    let target_sp = next.as_ref().map_or(&rt.engine_sp, |c| &c.sp).get();
     // Move our stack into the retired slot; the switch target reaps it once
     // we are definitely off it. (Ownership moves now, the memory stays put.)
-    let my_stack = unsafe { (*cell.fiber().stack.get()).take() };
+    let my_stack = unsafe { (*cell.stack.get()).take() };
     rt.retired.set(my_stack);
     // Release every handle while we can still run destructors (the raw
     // engine/successor sp was read above).
@@ -402,9 +414,9 @@ extern "C" fn mpmd_fiber_entry(raw: *mut FiberBody) -> ! {
 mod tests {
     use super::*;
 
-    // The fiber machinery is exercised end-to-end by every engine test once
-    // the fiber backend is the platform default; these cover the raw
-    // primitive in isolation.
+    // The fiber machinery is exercised end-to-end by every engine test of a
+    // build that hosts tasks on fibers; these cover the raw primitive in
+    // isolation.
 
     #[test]
     fn raw_switch_round_trip() {
@@ -548,37 +560,5 @@ mod tests {
         assert_eq!(SPARE.lock().unwrap().len(), 2);
         drop(rt);
         assert_eq!(SPARE.lock().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn widening_task_waves_are_backend_identical() {
-        // Waves of 74, then 300, concurrently live tasks: the wider waves run
-        // on the first one's recycled stacks plus fresh ones, and the second
-        // fiber run starts on the stacks the first handed to the spare list.
-        // Results must not depend on any of that, nor on the backend.
-        fn run(kind: crate::BackendKind) -> crate::Report {
-            use crate::Fabric;
-            crate::Sim::new(2).backend(kind).run(|ctx| {
-                for (wave, width) in [74, 300, 300].into_iter().enumerate() {
-                    let handles: Vec<_> = (0..width)
-                        .map(|i| {
-                            ctx.spawn("wave-worker", move |c| {
-                                c.charge(crate::Bucket::Cpu, wave as u64 * 7 + i % 5 + 1);
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        ctx.join(h);
-                    }
-                }
-            })
-        }
-        let threads = run(crate::BackendKind::Threads);
-        assert!(threads.clocks[0] > 0);
-        for _ in 0..2 {
-            let fibers = run(crate::BackendKind::Fibers);
-            assert_eq!(fibers.clocks, threads.clocks);
-            assert_eq!(fibers.stats, threads.stats);
-        }
     }
 }

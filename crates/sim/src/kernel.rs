@@ -238,16 +238,12 @@ impl Kernel {
         }
     }
 
-    /// Apply a wake `rule` of `node`'s table, tracing an `Unpark` for each
-    /// task it queued.
+    /// Apply a wake `rule` of `node`'s table, tracing an `Unpark` at the
+    /// node's clock for each task it queued.
     pub(crate) fn wake<R>(&mut self, node: usize, rule: impl FnOnce(&mut NodeTasks) -> R) -> R {
-        let since = self.nodes[node].tasks.ready_len();
-        let r = rule(&mut self.nodes[node].tasks);
-        for i in since..self.nodes[node].tasks.ready_len() {
-            let task = self.nodes[node].tasks.queued(i);
-            self.emit(node, task, TraceEvent::Unpark);
-        }
-        r
+        let n = &mut self.nodes[node];
+        let clock = n.clock;
+        n.tasks.wake(&mut n.probe, || clock, rule)
     }
 
     /// Schedule a message delivery `delay` ns after the sending node's
@@ -427,10 +423,15 @@ impl Kernel {
                 self.wake(node, NodeTasks::wake_inbox_waiters);
             }
             EventKind::TimeoutWake { task, gen } => {
+                // A live timer raises the clock to its deadline, a stale one
+                // leaves it.
                 let node = task.idx() % self.nodes.len();
-                if self.nodes[node].tasks.wake_timed(task, gen) {
-                    self.raise_clock(node, time);
-                    self.emit(node, task, TraceEvent::Unpark);
+                let n = &mut self.nodes[node];
+                let at = n.clock.max(time);
+                if n.tasks
+                    .wake(&mut n.probe, || at, |t| t.wake_timed(task, gen))
+                {
+                    n.clock = at;
                 }
             }
         }
@@ -458,7 +459,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{HandoffCell, TaskCell};
+    use crate::baton::TaskCell;
 
     /// A kernel of `clocks.len()` nodes; node `i` is at `clocks[i]` and has
     /// one ready task when `ready[i]`.
@@ -467,7 +468,7 @@ mod tests {
         for (i, n) in k.nodes.iter_mut().enumerate() {
             n.clock = clocks[i];
             if ready[i] {
-                let cell = Arc::new(TaskCell::Threads(HandoffCell::new(false)));
+                let cell = Arc::new(TaskCell::default());
                 n.tasks.spawn(cell, String::new(), false);
             }
         }

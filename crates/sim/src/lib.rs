@@ -34,9 +34,19 @@ mod engine;
 mod event;
 pub mod explore;
 mod fabric;
-#[cfg(all(target_arch = "x86_64", unix, not(mpmd_no_fibers)))]
-mod fiber;
 pub mod flame;
+// The task host, chosen by the build alone: userspace fibers on x86-64 unix,
+// pooled OS threads elsewhere and under `--cfg mpmd_no_fibers`.
+// `baton::BACKEND` says which.
+#[cfg_attr(
+    all(target_arch = "x86_64", unix, not(mpmd_no_fibers)),
+    path = "fiber.rs"
+)]
+#[cfg_attr(
+    not(all(target_arch = "x86_64", unix, not(mpmd_no_fibers))),
+    path = "pool.rs"
+)]
+mod host;
 mod kernel;
 mod local;
 pub mod metrics;
@@ -53,10 +63,10 @@ pub mod wait;
 
 #[doc(hidden)]
 pub use alloc_count::{thread_allocs, CountingAlloc};
-pub use baton::BackendKind;
+pub use baton::{backend_from_env, BackendKind};
 pub use cost::{CoalesceCosts, CostModel, FaultModel, LinkFaults, ReliabilityCosts, ThreadCosts};
 pub use ctx::{Ctx, Handle};
-pub use engine::{backend_from_env, Sim};
+pub use engine::Sim;
 pub use event::{Msg, Payload};
 pub use explore::{shrink, ChoicePoint, OracleSpec, RecordedTrace, ScheduleOracle, TraceOracle};
 pub use fabric::{Fabric, SpanGuard, ACROSS_NODES, BORROWED, NOT_ITS_NODE, REENTRY};

@@ -56,8 +56,9 @@
 //!   it drops, handed to the process-wide spare list the next run draws from.
 //!   A canary word at the low end, checked at each exit and at hand-over,
 //!   aborts the process on an overflow with node and task named.
-//! * **Without the fiber switch** (anything but x86-64 unix, or `--cfg
-//!   mpmd_no_fibers`) the same scheduler moves the same baton between pooled
+//! * **The build picks the task host** ([`crate::baton::BACKEND`]): the
+//!   fibers above on x86-64 unix; elsewhere, and under `--cfg
+//!   mpmd_no_fibers`, the same scheduler moves the same baton between pooled
 //!   OS threads, one per live task, still one at a time per node.
 //!
 //! Relative to the simulated fabric: clocks are wall-clock (`now()` is
@@ -67,7 +68,7 @@
 //! there is no fault injection (the builder rejects cost models that carry a
 //! fault model, so the reliable layer stays in its plain-send mode).
 
-use crate::baton::{Backend, BackendKind, BatonCell, NodeKey, TaskCell};
+use crate::baton::{Backend, BatonCell, NodeKey, TaskCell};
 use crate::cost::CostModel;
 use crate::ctx::{Driver, Handle, Machine};
 use crate::event::Msg;
@@ -477,17 +478,17 @@ impl LocalDriver {
         let mut any = false;
         while s.timers.front().is_some_and(|(d, ..)| self.now() >= *d) {
             let (_, t, gen) = s.timers.pop_front().expect("checked");
-            any |= s.tasks.wake_timed(t, gen);
+            any |= self.wake(s, node, |tasks| tasks.wake_timed(t, gen));
         }
         if s.tasks.waits_for_inbox() && self.has_frame(s, node) {
-            s.tasks.wake_inbox_waiters();
+            self.wake(s, node, NodeTasks::wake_inbox_waiters);
             any = true;
         }
         let phase = self.phase();
         if phase != s.seen_phase {
             s.seen_phase = phase;
             // In a poisoned run every task it wakes unwinds when resumed.
-            s.tasks.release();
+            self.wake(s, node, NodeTasks::release);
             any = true;
         }
         any
@@ -543,7 +544,7 @@ impl LocalDriver {
                     if self.poll_events(node, s) {
                         s.waiter.reset();
                     }
-                    s.tasks.wake_inbox_waiters();
+                    self.wake(s, node, NodeTasks::wake_inbox_waiters);
                     return;
                 }
             }
@@ -697,7 +698,7 @@ impl LocalFabricBuilder {
             rings: (0..n * n).map(|_| Ring::new(cap)).collect(),
             node: (0..n)
                 .map(|node| {
-                    let backend = Backend::new(BackendKind::Auto, "local");
+                    let backend = Backend::new("local");
                     let sched = Sched::new(
                         NodeTasks::new(node, n),
                         self.wait,
@@ -824,6 +825,11 @@ impl Driver for LocalDriver {
         &mut s.tasks
     }
 
+    #[inline]
+    fn wake<R>(&self, s: &mut Sched, _node: usize, rule: impl FnOnce(&mut NodeTasks) -> R) -> R {
+        s.tasks.wake(&mut s.probe, || self.now(), rule)
+    }
+
     /// What the node counted since its last merge, not its totals: add to
     /// it, do not read it.
     #[inline]
@@ -867,7 +873,7 @@ impl Driver for LocalDriver {
             }
         }
         let mut s = self.node[node].local.borrow_mut();
-        let daemon = s.tasks.exit(id);
+        let daemon = self.wake(&mut s, node, |tasks| tasks.exit(id));
         if s.tasks.live() == 0 {
             self.node[node].retired.store(true, Ordering::Release);
         }

@@ -91,6 +91,12 @@ impl Probe {
         self.trace.as_mut().map_or(SpanId(0), TraceRing::alloc_span)
     }
 
+    /// Whether the probe keeps a trace ring.
+    #[inline]
+    pub(crate) fn traces(&self) -> bool {
+        self.trace.is_some()
+    }
+
     /// Append `rec` to the ring, if there is one. Panics when `rec` ends a
     /// frame other than its task's innermost open one.
     #[inline]

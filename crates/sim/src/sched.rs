@@ -2,12 +2,17 @@
 //! per node in its kernel, `LocalFabric` in its scheduler): the node's live
 //! task records, its FIFO run queue, its inbox waiters and the task holding
 //! its baton, with one body for each node-local scheduling rule. Every wake
-//! appends to the run queue, so what a rule woke is the queue's new tail. A
-//! fabric adds its clock, timers and idling (DESIGN.md §4a). A table is
-//! touched only by the context that holds its node's baton.
+//! appends to the run queue, so what a rule woke is the queue's new tail,
+//! which [`NodeTasks::wake`] traces. A fabric adds its clock, timers and
+//! idling (DESIGN.md §4a). A table is touched only by the context that holds
+//! its node's baton.
 
+use crate::baton::TaskCell;
 use crate::fabric::ACROSS_NODES;
-use crate::task::{TaskCell, TaskId};
+use crate::probe::Probe;
+use crate::task::TaskId;
+use crate::time::Time;
+use crate::trace::{TraceEvent, TraceRecord};
 use std::collections::VecDeque;
 use std::fmt::Write;
 use std::sync::Arc;
@@ -141,11 +146,6 @@ impl NodeTasks {
         self.ready.len()
     }
 
-    /// The `i`th task of the run queue.
-    pub fn queued(&self, i: usize) -> TaskId {
-        self.ready[i]
-    }
-
     /// Whether a task waits on the inbox.
     pub fn waits_for_inbox(&self) -> bool {
         self.inbox_waiting > 0
@@ -182,6 +182,32 @@ impl NodeTasks {
         let rec = self.rec(me);
         rec.state = state;
         rec.gen
+    }
+
+    /// Apply the wake `rule` and trace an `Unpark` into `probe`, stamped
+    /// `time()`, for each task it appended to the run queue: the one place a
+    /// wake is traced, whichever fabric and whichever rule.
+    pub fn wake<R>(
+        &mut self,
+        probe: &mut Probe,
+        time: impl FnOnce() -> Time,
+        rule: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let since = self.ready.len();
+        let r = rule(self);
+        if self.ready.len() > since && probe.traces() {
+            let (node, time) = (self.node, time());
+            for &task in self.ready.range(since..) {
+                let event = TraceEvent::Unpark;
+                probe.record(TraceRecord {
+                    time,
+                    node,
+                    task,
+                    event,
+                });
+            }
+        }
+        r
     }
 
     /// Queue the waiting task of record `i`, bumping its generation.
@@ -284,10 +310,9 @@ impl NodeTasks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::HandoffCell;
 
     fn cell() -> Arc<TaskCell> {
-        Arc::new(TaskCell::Threads(HandoffCell::new(false)))
+        Arc::new(TaskCell::default())
     }
 
     /// Node 1 of 3 with `n` tasks spawned; the first one runs.
@@ -347,13 +372,7 @@ mod tests {
         assert_eq!(run_order(&mut t), [me]);
         assert!(t.join(me, target));
         t.block(me, TaskState::Parked);
-        let since = t.ready_len();
         t.exit(target);
-        assert_eq!(
-            (t.ready_len() - since, t.queued(since)),
-            (1, me),
-            "listed once"
-        );
         assert_eq!(run_order(&mut t), [me]);
         assert!(!t.join(me, target));
     }

@@ -8,7 +8,7 @@
 //! order, and forced slow-path detours in `yield_now`/`poll_point`. Every
 //! run here also exercises the kernel's baton-holder check.
 
-use mpmd_sim::{BackendKind, Bucket, Ctx, Fabric, OracleSpec, Payload, Sim, TraceOracle};
+use mpmd_sim::{Bucket, Ctx, Fabric, OracleSpec, Payload, Sim, TraceOracle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -57,13 +57,10 @@ fn expected_sum(me: usize) -> u64 {
 
 /// Run the workload, optionally perturbed, returning the comparable
 /// observables (clocks, stats, per-node sums).
-fn run(
-    oracle: Option<Box<TraceOracle>>,
-    backend: BackendKind,
-) -> (Vec<u64>, Vec<mpmd_sim::Stats>, Vec<u64>) {
+fn run(oracle: Option<Box<TraceOracle>>) -> (Vec<u64>, Vec<mpmd_sim::Stats>, Vec<u64>) {
     let sums: Arc<Vec<AtomicU64>> = Arc::new((0..NODES).map(|_| AtomicU64::new(0)).collect());
     let s2 = Arc::clone(&sums);
-    let mut sim = Sim::new(NODES).backend(backend);
+    let mut sim = Sim::new(NODES);
     if let Some(o) = oracle {
         sim = sim.schedule_oracle(o);
     }
@@ -74,8 +71,8 @@ fn run(
 
 #[test]
 fn unperturbed_run_is_reproducible_and_correct() {
-    let a = run(None, BackendKind::Auto);
-    let b = run(None, BackendKind::Auto);
+    let a = run(None);
+    let b = run(None);
     assert_eq!(a, b);
     for me in 0..NODES {
         assert_eq!(a.2[me], expected_sum(me), "node {me} payload sum");
@@ -87,10 +84,10 @@ fn unperturbed_run_is_reproducible_and_correct() {
 /// and application sums identical to the unperturbed run.
 #[test]
 fn result_is_invariant_under_full_perturbation() {
-    let base = run(None, BackendKind::Auto);
+    let base = run(None);
     for seed in 0..24u64 {
         let (o, rec) = TraceOracle::seeded(OracleSpec::full(seed));
-        let got = run(Some(o), BackendKind::Auto);
+        let got = run(Some(o));
         assert_eq!(
             got,
             base,
@@ -104,22 +101,6 @@ fn result_is_invariant_under_full_perturbation() {
     }
 }
 
-/// Both perturbation classes agree across backends too.
-#[test]
-fn perturbed_runs_are_backend_invariant() {
-    let base = run(None, BackendKind::Threads);
-    for seed in 0..6u64 {
-        let (o, _) = TraceOracle::seeded(OracleSpec::full(seed));
-        assert_eq!(
-            run(Some(o), BackendKind::Threads),
-            base,
-            "threads seed {seed}"
-        );
-        let (o, _) = TraceOracle::seeded(OracleSpec::full(seed));
-        assert_eq!(run(Some(o), BackendKind::Auto), base, "auto seed {seed}");
-    }
-}
-
 /// A recorded decision trace replayed positionally reproduces the run —
 /// the property that makes shrunk corpus traces trustworthy.
 #[test]
@@ -127,10 +108,10 @@ fn recorded_trace_replays_identically() {
     for seed in [3u64, 11, 42] {
         let spec = OracleSpec::full(seed);
         let (o, rec) = TraceOracle::seeded(spec);
-        let first = run(Some(o), BackendKind::Auto);
+        let first = run(Some(o));
         let trace = rec.decisions();
         let (o2, rec2) = TraceOracle::replay(spec, trace.clone());
-        let second = run(Some(o2), BackendKind::Auto);
+        let second = run(Some(o2));
         assert_eq!(first, second, "seed {seed} replay diverged");
         assert_eq!(
             trace,
@@ -145,7 +126,7 @@ fn recorded_trace_replays_identically() {
 /// task without charging or reordering anything observable.
 #[test]
 fn forced_slow_paths_are_result_invisible() {
-    let base = run(None, BackendKind::Auto);
+    let base = run(None);
     let spec = OracleSpec {
         seed: 9,
         node_ties: false,
@@ -153,7 +134,7 @@ fn forced_slow_paths_are_result_invisible() {
         slow_period: 1,
     };
     let (o, rec) = TraceOracle::seeded(spec);
-    let got = run(Some(o), BackendKind::Auto);
+    let got = run(Some(o));
     assert_eq!(got, base);
     assert!(
         rec.decisions().iter().any(|&d| d != 0),
@@ -165,7 +146,7 @@ fn forced_slow_paths_are_result_invisible() {
 /// 300-wide ones that run on its recycled fiber stacks plus fresh ones, and
 /// a second run that starts on the stacks the first handed to the
 /// process-wide spare list. Stack recycling plus schedule perturbation must
-/// still match the threads backend bit-for-bit.
+/// still match the unperturbed run bit-for-bit.
 #[test]
 fn widening_task_waves_under_perturbation() {
     fn storm(ctx: &Ctx) {
@@ -184,8 +165,8 @@ fn widening_task_waves_under_perturbation() {
             }
         }
     }
-    let go = |oracle: Option<Box<TraceOracle>>, backend| {
-        let mut sim = Sim::new(2).backend(backend);
+    let go = |oracle: Option<Box<TraceOracle>>| {
+        let mut sim = Sim::new(2);
         if let Some(o) = oracle {
             sim = sim.schedule_oracle(o);
         }
@@ -196,18 +177,11 @@ fn widening_task_waves_under_perturbation() {
         });
         (r.clocks, r.stats)
     };
-    let base = go(None, BackendKind::Threads);
+    let base = go(None);
     for seed in 0..4u64 {
         for run in ["first", "second"] {
             let (o, _) = TraceOracle::seeded(OracleSpec::full(seed));
-            let got = go(Some(o), BackendKind::Auto);
-            assert_eq!(got, base, "auto seed {seed}, {run} run");
+            assert_eq!(go(Some(o)), base, "seed {seed}, {run} run");
         }
-        let (o, _) = TraceOracle::seeded(OracleSpec::full(seed));
-        assert_eq!(
-            go(Some(o), BackendKind::Threads),
-            base,
-            "threads seed {seed}"
-        );
     }
 }
