@@ -44,6 +44,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo doc: no warnings, no broken intra-doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> thread_local! only in the baton and the allocation counter"
 # Which node's task runs on a thread has one answer: the record the baton
 # keeps (sim/src/baton.rs), which the kernel, the node scheduler, node data
@@ -98,16 +101,19 @@ echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-t
 # holds the live set alone) and a 5 000-wide task wave on exactly one OS
 # thread per node, 20 000 threaded RMIs in one run, and EM3D base in CC++
 # at the paper's graph size (EM3D ghost in Split-C on four nodes, too, bit
-# for bit against the reference). One layer up, the RMI's call records: a warm
-# null RMI allocates nothing on either node of either fabric, nor does a warm
-# gp_read / gp_write / gp_read3 on its caller (GP rides the same record), only
-# the task that issued a call recycles its record, a callee that touches the
-# caller's half of a record fails the run, a failed run frees every record,
-# and an ended run frees its nodes' runtime state; and the RMI wire encoding
-# (rmi_encoding): 0 to 4 words, every call mode, cold and warm, with and
-# without a processor object or bytes, and a node calling itself. The simulator's
-# own zero-alloc proof (sim/tests/alloc_count.rs): warm short round trips,
-# and expiring timed inbox waits, allocate nothing, and the wave gate: a
+# for bit against the reference). One layer up, the call records (mpmd-am's
+# reply.rs) of both runtimes: a warm null RMI allocates nothing on either node
+# of either fabric, nor does a warm gp_read / gp_write / gp_read3 on its
+# caller (GP rides the same record), only the task that issued a call
+# recycles its record, a callee that touches the caller's half of a record
+# fails the run, in CC++ (call_records) and in Split-C
+# (splitc's a_callee_that_touches_a_warm_record_fails_the_run_*), a failed
+# run frees every record, and an ended run frees its nodes' runtime state;
+# and the RMI wire encoding (rmi_encoding): 0 to 4 words, every call mode,
+# cold and warm, with and without a processor object or bytes, and a node
+# calling itself. The simulator's own zero-alloc proof
+# (sim/tests/alloc_count.rs): warm short round trips, and expiring timed
+# inbox waits, allocate nothing, and the wave gate: a
 # 300-wide spawn/join wave allocates per task what a 1-wide one does, because
 # a fiber runtime keeps every stack it retired (no cap) and a new runtime
 # draws first from the process-wide spare list that dropped ones fill.
@@ -119,6 +125,7 @@ cargo test --release -q -p mpmd-am --test bounded_links
 cargo test --release -q -p mpmd-splitc --test local_stream_memory
 cargo test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown \
     --test rmi_encoding
+cargo test --release -q -p mpmd-splitc --lib a_callee_that_touches_a_warm_record_fails_the_run
 cargo test --release -q -p mpmd-apps --test local_scale
 echo "fabric stress + alloc + bounded-task + call-record tests OK"
 
@@ -177,7 +184,9 @@ echo "==> the pooled-thread host: a --cfg mpmd_no_fibers release build"
 # counts one thread) must pass unchanged. The tests are those whose subject
 # hands a node's state between OS threads there: the baton, both schedulers
 # and the node task table, LocalFabric's links, and the node-local cells of
-# the threads package, Split-C and CC++.
+# the threads package, Split-C and CC++, among them both runtimes' call
+# records (CC++'s call_records, and Split-C's
+# a_callee_that_touches_a_warm_record_fails_the_run_* in its --lib tests).
 no_fibers() {
     CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo "$@"
 }

@@ -9,13 +9,14 @@
 //!
 //! This crate provides that layer: per-node handler tables, an [`Endpoint`]
 //! handle with a typed send builder (`endpoint(ctx).to(dst).handler(H_X)
-//! .args([..]).send()`), [`poll`], the spin-wait [`wait_until`], reply
-//! continuation cells, a node-0 barrier and all-reduce, the global-memory
-//! [`RegionTable`] both runtimes keep per node, and calibrated [`NetProfile`]s
-//! (Split-C's single-threaded endpoint at a 53 µs null round trip, the CC++
-//! thread-safe endpoint at 55 µs, IBM MPL at 88 µs). Runtimes can opt into
-//! adaptive per-destination [message coalescing](coalesce) ([`CoalesceConfig`])
-//! that aggregates short sends into one wire frame per destination.
+//! .args([..]).send()`), [`poll`], the spin-wait [`wait_until`], reply cells
+//! and the [`CallRecord`] both runtimes' blocking accesses ride, a node-0
+//! barrier and all-reduce, the global-memory [`RegionTable`] both runtimes
+//! keep per node, and calibrated [`NetProfile`]s (Split-C's single-threaded
+//! endpoint at a 53 µs null round trip, the CC++ thread-safe endpoint at
+//! 55 µs, IBM MPL at 88 µs). Runtimes can opt into adaptive per-destination
+//! [message coalescing](coalesce) ([`CoalesceConfig`]) that aggregates short
+//! sends into one wire frame per destination.
 //!
 //! The whole layer is generic over a [`mpmd_fabric::Fabric`]: the same
 //! runtime code runs on the discrete-event simulator
@@ -40,7 +41,7 @@ pub use endpoint::{endpoint, Endpoint, SendBuilder};
 pub use ops::{flush, poll, wait_until, Token, SHORT_WIRE_BYTES};
 pub use profile::NetProfile;
 pub use regions::{pack_addr, unpack_addr, RegionTable};
-pub use reply::ReplyCell;
+pub use reply::{CallRecord, CallRecords, RecordCell, Reply, ReplyCell};
 pub use state::{init, is_registered, profile, register, Handler, HandlerId, HANDLER_ID_LIMIT};
 
 use bytes::Bytes;

@@ -88,8 +88,8 @@ pub struct BenchSetup {
     pub remote_sc: Vec<GlobalPtr>,
 }
 
-type CcxxOp = Arc<dyn Fn(&Ctx, &BenchSetup) + Send + Sync>;
-type ScOp = Arc<dyn Fn(&Ctx, &BenchSetup) + Send + Sync>;
+/// One iteration of a micro-benchmark, on node 0.
+type Op = Arc<dyn Fn(&Ctx, &BenchSetup) + Send + Sync>;
 
 /// Run a CC++ micro-benchmark: `warmup` unmeasured iterations (populating
 /// the stub cache and persistent buffers), then `iters` measured ones.
@@ -100,26 +100,70 @@ pub fn measure_ccxx(
     warmup: usize,
     iters: usize,
     units_per_iter: f64,
-    op: CcxxOp,
+    op: Op,
+) -> Measured {
+    measure(Some(cfg), cost, warmup, iters, units_per_iter, op)
+}
+
+/// Run a Split-C micro-benchmark (same protocol).
+pub fn measure_splitc(warmup: usize, iters: usize, units_per_iter: f64, op: Op) -> Measured {
+    measure(
+        None,
+        CostModel::default(),
+        warmup,
+        iters,
+        units_per_iter,
+        op,
+    )
+}
+
+/// The one Table 4 harness, in CC++ with configuration `cfg` or, when it is
+/// `None`, in Split-C: node 0 runs `op` `warmup` times, then `iters` measured
+/// times, and stops node 1's spin-poll loop with a last null round trip.
+fn measure(
+    cfg: Option<CcxxConfig>,
+    cost: CostModel,
+    warmup: usize,
+    iters: usize,
+    units_per_iter: f64,
+    op: Op,
 ) -> Measured {
     let result: Arc<Mutex<Option<Measured>>> = Arc::new(Mutex::new(None));
     let r2 = Arc::clone(&result);
     let stop = Arc::new(AtomicBool::new(false));
     Sim::new(2).cost_model(cost).run(move |ctx| {
-        cx::init(&ctx, cfg.clone());
-        let region = cx::alloc_region(&ctx, 20, 1.25);
+        let region = match &cfg {
+            Some(cfg) => {
+                cx::init(&ctx, cfg.clone());
+                cx::alloc_region(&ctx, 20, 1.25)
+            }
+            None => {
+                sc::init(&ctx);
+                sc::alloc_region(&ctx, 20, 1.25)
+            }
+        };
         let setup = BenchSetup {
             region,
             remote: (0..20)
-                .map(|i| CxPtr {
+                .map(|offset| CxPtr {
                     node: 1,
                     region,
-                    offset: i,
+                    offset,
                 })
                 .collect(),
-            remote_sc: Vec::new(),
+            remote_sc: (0..20)
+                .map(|offset| GlobalPtr {
+                    node: 1,
+                    region,
+                    offset,
+                })
+                .collect(),
         };
-        cx::barrier(&ctx);
+        let barrier = || match cfg {
+            Some(_) => cx::barrier(&ctx),
+            None => sc::barrier(&ctx),
+        };
+        barrier();
         if ctx.node() == 0 {
             for _ in 0..warmup {
                 op(&ctx, &setup);
@@ -132,54 +176,25 @@ pub fn measure_ccxx(
             *r2.lock() = Some(reduce(&s0, &s1, iters as f64 * units_per_iter));
             stop.store(true, Ordering::Release);
             // Wake the responder's spin loop so it can leave.
-            cx::rmi(&ctx, 1, cx::M_NULL, &[], None, CallMode::Simple);
-        } else {
-            let stop2 = Arc::clone(&stop);
-            cx::spin_until(&ctx, move || stop2.load(Ordering::Acquire));
-        }
-        cx::finalize(&ctx);
-    });
-    let out = result.lock().expect("benchmark produced no measurement");
-    out
-}
-
-/// Run a Split-C micro-benchmark (same protocol).
-pub fn measure_splitc(warmup: usize, iters: usize, units_per_iter: f64, op: ScOp) -> Measured {
-    let result: Arc<Mutex<Option<Measured>>> = Arc::new(Mutex::new(None));
-    let r2 = Arc::clone(&result);
-    let stop = Arc::new(AtomicBool::new(false));
-    Sim::new(2).run(move |ctx| {
-        sc::init(&ctx);
-        let region = sc::alloc_region(&ctx, 20, 1.25);
-        let setup = BenchSetup {
-            region,
-            remote: Vec::new(),
-            remote_sc: (0..20)
-                .map(|i| GlobalPtr {
-                    node: 1,
-                    region,
-                    offset: i,
-                })
-                .collect(),
-        };
-        sc::barrier(&ctx);
-        if ctx.node() == 0 {
-            for _ in 0..warmup {
-                op(&ctx, &setup);
+            match cfg {
+                Some(_) => {
+                    cx::rmi(&ctx, 1, cx::M_NULL, &[], None, CallMode::Simple);
+                }
+                None => {
+                    sc::atomic_rpc(&ctx, 1, sc::ATOMIC_NULL, [0; 3]);
+                }
             }
-            let s0 = ctx.snapshot();
-            for _ in 0..iters {
-                op(&ctx, &setup);
-            }
-            let s1 = ctx.snapshot();
-            *r2.lock() = Some(reduce(&s0, &s1, iters as f64 * units_per_iter));
-            stop.store(true, Ordering::Release);
-            sc::atomic_rpc(&ctx, 1, sc::ATOMIC_NULL, [0; 3]);
         } else {
-            let stop2 = Arc::clone(&stop);
-            am::wait_until(&ctx, move || stop2.load(Ordering::Acquire));
+            let stopped = || stop.load(Ordering::Acquire);
+            match cfg {
+                Some(_) => cx::spin_until(&ctx, stopped),
+                None => am::wait_until(&ctx, stopped),
+            }
         }
-        sc::barrier(&ctx);
+        match cfg {
+            Some(_) => cx::finalize(&ctx),
+            None => barrier(),
+        }
     });
     let out = result.lock().expect("benchmark produced no measurement");
     out
@@ -235,8 +250,8 @@ pub fn run_table4(iters: usize) -> Vec<Table4Row> {
 /// by the ablation harness).
 pub fn run_table4_with(cfg: CcxxConfig, cost: CostModel, iters: usize) -> Vec<Table4Row> {
     let w = 4; // warm-up iterations
-    let cc = |op: CcxxOp, units: f64| measure_ccxx(cfg.clone(), cost.clone(), w, iters, units, op);
-    let scm = |op: ScOp, units: f64| measure_splitc(w, iters, units, op);
+    let cc = |op: Op, units: f64| measure_ccxx(cfg.clone(), cost.clone(), w, iters, units, op);
+    let scm = |op: Op, units: f64| measure_splitc(w, iters, units, op);
 
     let mut rows = Vec::new();
 

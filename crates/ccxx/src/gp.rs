@@ -13,14 +13,15 @@
 //!   concurrency (Table 4's Prefetch row: the 1 create/element is the parfor
 //!   thread, not a receiver thread).
 //!
-//! Either way a remote access rides an RMI call record (`rmi.rs`) as its
-//! token, and the frames carry the access itself: the request's four words
-//! are the region, offset, operation and operand, the reply's are the value
-//! read. The owner never touches the record; it sends the token back with
-//! its reply, the caller's reply handler stores the words into the record,
-//! and the task that takes the value recycles it.
+//! Either way a remote access rides a CC++ call record (`rmi.rs`, over
+//! `mpmd-am`'s `reply.rs`) as its token, and the frames carry the access
+//! itself: the request's four words are the region, offset, operation and
+//! operand, the reply's are the value read. The owner never touches the
+//! record; it sends the token back with its reply, the caller's reply
+//! handler lands the words in the record, and the task that takes the value
+//! recycles it.
 
-use crate::rmi::{await_record, land, recycle, Completion, CxCall, RmiRet};
+use crate::rmi::{CxCall, Far};
 use crate::state::{CcxxState, CxPtr};
 use mpmd_am::{self as am, HandlerId};
 use mpmd_fabric::Fabric;
@@ -41,7 +42,7 @@ pub struct GpHandle {
     /// [`wait`](GpHandle::wait).
     value: OnceLock<f64>,
     /// A remote read's completion cell, until the first `wait` takes it.
-    cell: NodeCell<Option<Arc<Completion>>>,
+    cell: NodeCell<Option<Arc<am::RecordCell<Far>>>>,
 }
 
 impl GpHandle {
@@ -53,9 +54,9 @@ impl GpHandle {
         let cell = self.cell.with(ctx, Option::take);
         let cell = cell.expect("GpHandle waited on twice at once");
         let st = CcxxState::get(ctx);
-        let call = await_record(ctx, &cell, true);
+        let (words, _) = st.await_reply(ctx, cell);
         ctx.charge(Bucket::Runtime, st.cfg().costs.gp_async_complete);
-        let v = f64::from_bits(recycle(ctx, st, call, cell).words[0]);
+        let v = f64::from_bits(words[0]);
         *self.value.get_or_init(|| v)
     }
 }
@@ -69,9 +70,9 @@ fn issue<F: Fabric>(
     handler: HandlerId,
     args: [u64; 4],
     cost: Time,
-) -> Arc<Completion> {
+) -> Arc<am::RecordCell<Far>> {
     ctx.charge(Bucket::Runtime, cost);
-    let (call, cell) = CxCall::take(ctx, st, true);
+    let (call, cell) = st.call_records.take(ctx, true);
     drop(st.sbuf_lock.lock(ctx)); // charged lock/unlock pair; released before the send's poll point
     am::endpoint(ctx)
         .to(node)
@@ -94,9 +95,9 @@ fn access<F: Fabric>(ctx: &F, p: CxPtr, op: u64, value: u64) -> [u64; 4] {
         return serve_access(ctx, st, args);
     }
     let cell = issue(ctx, st, p.node, H_GP_ACC, args, c.gp_issue);
-    let call = await_record(ctx, &cell, true);
+    let (words, _) = st.await_reply(ctx, cell);
     ctx.charge(Bucket::Runtime, c.gp_complete);
-    recycle(ctx, st, call, cell).words
+    words
 }
 
 /// Read a double through a global pointer (`lx = *gpY`). Blocks the calling
@@ -216,6 +217,6 @@ pub(crate) fn register_gp_handlers<F: Fabric>(ctx: &F) {
         if let Some(ic) = CcxxState::get(ctx).cfg().interrupt_cost {
             ctx.charge(Bucket::Net, ic);
         }
-        land(ctx, CxCall::of(&mut m), RmiRet::of_words(m.args));
+        CxCall::of(&mut m).land(ctx, (m.args, None));
     });
 }

@@ -12,14 +12,14 @@
 //!    on a miss the full *name* travels and resolution happens remotely,
 //!    with the resolved address piggy-backed on the reply to update the
 //!    cache ("a message being sent back to update the local entry").
-//! 2. initiator: take a [`CxCall`] record from this node's free list
-//!    (allocating only when the list is empty) and re-arm its completion
-//!    cell. The request frame carries the whole call: its first argument
-//!    word packs the stub address, the [`CallMode`], the word count and a
-//!    processor-object id ([`Head`]), the other three carry the first three
-//!    words, and marshalled arguments ride the AM bulk payload (a cold call
-//!    appends the method name and program id to it). The record travels only
-//!    as the message token. Argument-free invocations use a short 4-word AM.
+//! 2. initiator: take a call record ([`mpmd_am::CallRecord`]) from this
+//!    node's free list. The request frame carries the whole call: its first
+//!    argument word packs the stub address, the [`CallMode`], the word count
+//!    and a processor-object id ([`Head`]), the other three carry the first
+//!    three words, and marshalled arguments ride the AM bulk payload (a cold
+//!    call appends the method name and program id to it). The record travels
+//!    only as the message token. Argument-free invocations use a short 4-word
+//!    AM.
 //! 3. receiver: decode the request from the frame. A non-threaded RMI runs
 //!    the stub directly in the polling context ("the remote stub can be
 //!    invoked directly as the active message handler"); a threaded RMI goes
@@ -27,39 +27,23 @@
 //!    calls the desired method", which gets the decoded request and the
 //!    token; atomic RMIs additionally hold the processor-object lock. Either
 //!    way the reply frame carries the whole return — its words as the
-//!    arguments, its bytes as the bulk payload — with the untouched token:
-//!    the receiver neither allocates, frees nor reads the record.
-//! 4. the reply handler, on the initiator's node, stores the return into the
-//!    record, parks the record in its completion cell and, for every mode
-//!    but `Simple`, writes the cell's sync variable; `Simple` initiators
-//!    spin-poll for the record, all other modes block on the sync variable
-//!    and are woken by the handler. The initiator takes the return value out
-//!    and puts the record back on the free list.
+//!    arguments, its bytes as the bulk payload — with the token.
+//! 4. the reply handler, on the initiator's node, lands the return in the
+//!    record; `Simple` initiators spin-poll for it ([`spin_wait`]), all
+//!    other modes block and are woken by the handler. The initiator takes
+//!    the return value out and recycles the record.
 //!
-//! Who touches what: a record lives and dies on the node that issued the
-//! call, and only that node writes it, with two exceptions. The fourth word
-//! of a four-word call (and an object id too wide to pack) is the one thing
-//! a callee *reads* from it; a cold call's resolved stub address is the one
-//! thing a callee *writes* into it. The caller's half (whether it blocks,
-//! the return, the completion cell) sits in a [`NodeCell`], so a callee on
-//! another node that reaches into it fails the run with `ACROSS_NODES`.
-//!
-//! Who frees what: **only the task that issued a call returns its record to
-//! the free list**, after it has taken the return value out; the reply
-//! handler hands the record to that task and never recycles it. (Recycling
-//! in the handler is wrong: a blocked caller that has been woken but not yet
-//! scheduled would find its cell re-armed by a sibling's next call.) A
-//! record whose caller has unwound is dropped with its cell; a record in
-//! flight when the run fails is dropped with the message that carries it.
-//! Global-pointer accesses (`gp.rs`) ride the same records under the same
-//! rules, through `CxCall::take`, `await_record`, `land` and `recycle`.
+//! The record and its one recycle rule live in `mpmd-am`'s `reply.rs`,
+//! shared with global-pointer accesses (`gp.rs`) and Split-C. A callee may
+//! touch only its [`Far`] part: it *reads* a four-word call's fourth word
+//! and an object id too wide to pack, and a cold call's callee *writes* its
+//! resolved stub address; touching the rest fails with `ACROSS_NODES`.
 
 use crate::state::{name_hash, CcxxState, StubFn};
 use bytes::Bytes;
 use mpmd_am::{self as am, HandlerId};
 use mpmd_fabric::Fabric;
-use mpmd_sim::{Bucket, NodeCell};
-use mpmd_threads::SyncVar;
+use mpmd_sim::Bucket;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -261,13 +245,9 @@ impl Head {
     }
 }
 
-/// One RMI or global-pointer access, out and back: the box is the token of
-/// both messages, which carry the call and its return in their frames.
-/// Owned by the calling node for its whole life — see the module docs for
-/// what a callee may touch.
-pub(crate) struct CxCall {
-    /// The caller's half: only the calling node's tasks touch it.
-    home: NodeCell<Home>,
+/// What a callee may touch of a CC++ call record (module docs).
+#[derive(Default)]
+pub(crate) struct Far {
     /// The fourth word of a four-word call: read by the callee.
     fourth_word: u64,
     /// A processor-object id too wide for the request's first word: read by
@@ -278,142 +258,13 @@ pub(crate) struct CxCall {
     cache_update: Option<(u32, u64, u64)>, // (program, name hash, addr)
 }
 
-/// The part of a call record only its own node touches.
-#[derive(Default)]
-struct Home {
-    /// Whether the reply handler wakes the caller (else it spins).
-    blocks: bool,
-    /// The return, stored by the reply handler.
-    ret: RmiRet,
-    /// Where the reply handler leaves this record for the caller. `None`
-    /// only between that hand-over and the caller putting its own clone
-    /// back, so a record parked for a caller that has unwound does not keep
-    /// its cell (and through it, itself) alive.
-    cell: Option<Arc<Completion>>,
-}
-
-/// A call record's completion cell, kept across the record's reuses.
-#[derive(Default)]
-pub(crate) struct Completion {
-    /// The record, back from the callee with its return stored.
-    returned: NodeCell<Option<Box<CxCall>>>,
-    /// Written after `returned` is filled; what blocking modes wait on.
-    sv: SyncVar<()>,
-}
-
-impl CxCall {
-    fn new() -> Self {
-        CxCall {
-            home: NodeCell::default(),
-            fourth_word: 0,
-            wide_obj: 0,
-            cache_update: None,
-        }
-    }
-
-    /// Take a record from this node's free list (allocating only when the
-    /// list is empty) and re-arm its completion cell for a caller that
-    /// `blocks` or spins. Returns the record and the cell its caller waits
-    /// on.
-    pub(crate) fn take<F: Fabric>(
-        ctx: &F,
-        st: &CcxxState<F>,
-        blocks: bool,
-    ) -> (Box<CxCall>, Arc<Completion>) {
-        let popped = st.call_records.with(ctx, Vec::pop);
-        let call = popped.unwrap_or_else(|| Box::new(CxCall::new()));
-        let cell = call.home.with(ctx, |home| {
-            home.blocks = blocks;
-            // A pooled record's clone is the only one left (the handler that
-            // returned it ran on this node's thread and has dropped its
-            // own); a new record has no cell yet.
-            match home.cell.as_mut().and_then(Arc::get_mut) {
-                Some(cell) => cell.sv.rearm(),
-                None => home.cell = Some(Arc::default()),
-            }
-            Arc::clone(home.cell.as_ref().expect("armed above"))
-        });
-        (call, cell)
-    }
-
-    /// The record a reply message carries.
-    pub(crate) fn of(m: &mut am::AmMsg) -> Box<CxCall> {
-        m.token
-            .take()
-            .expect("message without its call record")
-            .downcast::<CxCall>()
-            .expect("foreign token where a call record belongs")
-    }
-
-    /// The record a request carries, for the few fields a callee reads or
-    /// writes (module docs).
-    fn far(token: &mut Option<am::Token>) -> &mut CxCall {
-        token
-            .as_mut()
-            .and_then(|t| t.downcast_mut::<CxCall>())
-            .expect("request without its call record")
-    }
-}
-
-/// Wait until the reply handler parks the record in `cell`: block on its
-/// sync variable, or spin-poll when the caller does not block.
-pub(crate) fn await_record<F: Fabric>(ctx: &F, cell: &Completion, blocks: bool) -> Box<CxCall> {
-    if blocks {
-        // Blocking read: flush any coalesced sends first, or the request
-        // could sit buffered while this thread sleeps on the reply.
-        am::flush(ctx);
-        cell.sv.read(ctx);
-        cell.returned.with(ctx, Option::take)
-    } else {
-        let mut back = None;
-        spin_wait(ctx, || {
-            back = cell.returned.with(ctx, Option::take);
-            back.is_some()
-        });
-        back
-    }
-    .expect("reply not complete")
-}
-
-/// Take the return value out of a record that came back and put the record,
-/// with its cell, on this node's free list. Only the task that issued the
-/// call does this (module docs).
-pub(crate) fn recycle<F: Fabric>(
-    ctx: &F,
-    st: &CcxxState<F>,
-    call: Box<CxCall>,
-    cell: Arc<Completion>,
-) -> RmiRet {
-    let ret = call.home.with(ctx, |home| {
-        home.cell = Some(cell);
-        std::mem::take(&mut home.ret)
-    });
-    st.call_records.with(ctx, |free| free.push(call));
-    ret
-}
-
-/// Reply-handler side, on the caller's node: store the return a reply
-/// frame carried into its record and hand the record to the task that
-/// issued the call, waking that task if it blocks. Not recycled here: that
-/// task may not have run yet (module docs).
-pub(crate) fn land<F: Fabric>(ctx: &F, call: Box<CxCall>, ret: RmiRet) {
-    let (cell, wake) = call.home.with(ctx, |home| {
-        home.ret = ret;
-        let cell = home.cell.take().expect("call record without its cell");
-        (cell, home.blocks)
-    });
-    cell.returned.with(ctx, |r| *r = Some(call));
-    if wake {
-        cell.sv.write(ctx, ());
-    }
-}
+/// A CC++ call record: one RMI or global-pointer access, out and back.
+pub(crate) type CxCall = am::CallRecord<Far>;
 
 /// Call records on this node's free list.
 #[doc(hidden)]
 pub fn debug_call_records<F: Fabric>(ctx: &F) -> usize {
-    CcxxState::get(ctx)
-        .call_records
-        .with(ctx, |free| free.len())
+    CcxxState::get(ctx).call_records.len(ctx)
 }
 
 /// Send a call record of this node, armed as for a call, to `handler` at
@@ -421,7 +272,7 @@ pub fn debug_call_records<F: Fabric>(ctx: &F) -> usize {
 /// shows what a callee that reached into a record would do.
 #[doc(hidden)]
 pub fn debug_send_record<F: Fabric>(ctx: &F, dst: usize, handler: HandlerId) {
-    let (call, _cell) = CxCall::take(ctx, CcxxState::get(ctx), true);
+    let (call, _cell) = CcxxState::get(ctx).call_records.take(ctx, true);
     am::endpoint(ctx)
         .to(dst)
         .handler(handler)
@@ -434,7 +285,7 @@ pub fn debug_send_record<F: Fabric>(ctx: &F, dst: usize, handler: HandlerId) {
 /// `ACROSS_NODES`.
 #[doc(hidden)]
 pub fn debug_touch_record<F: Fabric>(ctx: &F, m: &mut am::AmMsg) -> bool {
-    CxCall::of(m).home.with(ctx, |home| home.blocks)
+    CxCall::of(m).debug_touch(ctx)
 }
 
 /// The default program id ("a CC++ application can be composed of multiple,
@@ -614,12 +465,12 @@ fn rmi_inner<F: Fabric>(
         Some(_) => payload.filter(|b| !b.is_empty()),
         None => Some(cold_image(payload, program, method)),
     };
-    let (mut call, cell) = CxCall::take(ctx, st, mode.initiator_blocks());
+    let (mut call, cell) = st.call_records.take(ctx, mode.initiator_blocks());
     if let (ObjAt::Record, Some(id)) = (head.obj, obj) {
-        call.wide_obj = id;
+        call.far.wide_obj = id;
     }
     let word = |i: usize| words.get(i).copied().unwrap_or(0);
-    call.fourth_word = word(3);
+    call.far.fourth_word = word(3);
     ctx.span_end(sp_marshal);
 
     {
@@ -637,9 +488,9 @@ fn rmi_inner<F: Fabric>(
         .send();
     }
 
-    let call = await_record(ctx, &cell, mode.initiator_blocks());
+    let (words, data) = st.await_reply(ctx, cell);
     let sp_unmarshal = ctx.span_start("rmi.unmarshal");
-    let ret = recycle(ctx, st, call, cell);
+    let ret = RmiRet { words, data };
     if let Some(d) = &ret.data {
         // "Bulk reads cost more than bulk writes in CC++ because the return
         // data has to be copied twice" — unless the initiator passed its
@@ -721,7 +572,7 @@ fn resolve_cold<'a, F: Fabric>(
             ctx.node()
         )
     });
-    CxCall::far(token).cache_update = Some((program, cache_hash(name, obj), addr));
+    CxCall::far_in(token).cache_update = Some((program, cache_hash(name, obj), addr));
     (addr, args)
 }
 
@@ -748,11 +599,11 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
         let obj = match head.obj {
             ObjAt::None => None,
             ObjAt::Packed(id) => Some(id),
-            ObjAt::Record => Some(CxCall::far(&mut m.token).wide_obj),
+            ObjAt::Record => Some(CxCall::far_in(&mut m.token).wide_obj),
         };
         let mut words = [m.args[1], m.args[2], m.args[3], 0];
         if head.words == 4 {
-            words[3] = CxCall::far(&mut m.token).fourth_word;
+            words[3] = CxCall::far_in(&mut m.token).fourth_word;
         }
         let (addr, data) = match m.data.take() {
             Some(image) if head.cold => {
@@ -831,17 +682,13 @@ pub(crate) fn register_rmi_handlers<F: Fabric>(ctx: &F) {
         let mut call = CxCall::of(&mut m);
         drop(st.dispatch_lock.lock(ctx)); // charged lock/unlock pair; released before dispatch (handlers may send)
         ctx.charge(Bucket::Runtime, c.reply_dispatch);
-        if let Some((prog, hash, addr)) = call.cache_update.take() {
+        if let Some((prog, hash, addr)) = call.far.cache_update.take() {
             if cfg.stub_caching {
                 ctx.charge(Bucket::Runtime, c.cache_update);
                 st.stub_cache.lock(ctx).insert(m.src, prog, hash, addr);
             }
         }
-        let ret = RmiRet {
-            words: m.args,
-            data: m.data,
-        };
-        land(ctx, call, ret);
+        call.land(ctx, (m.args, m.data));
     });
 }
 

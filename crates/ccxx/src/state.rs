@@ -2,8 +2,8 @@
 
 use crate::config::CcxxConfig;
 use crate::pobj::ObjRec;
-use crate::rmi::{CxCall, RmiArgs, RmiRet};
-use mpmd_am::RegionTable;
+use crate::rmi::{Far, RmiArgs, RmiRet};
+use mpmd_am::{CallRecords, RecordCell, RegionTable, Reply};
 use mpmd_fabric::Fabric;
 use mpmd_sim::{NodeCell, TaskId};
 use std::collections::HashMap;
@@ -144,11 +144,8 @@ pub(crate) struct CcxxState<F: Fabric> {
     pub(crate) dispatch_lock: mpmd_threads::Mutex<()>,
     /// Processor-object lock for atomic methods (simulated; charged).
     pub(crate) method_lock: mpmd_threads::Mutex<()>,
-    /// Call records not in use: taken by this node's callers, returned by
-    /// them, never sent here by another node (see [`crate::rmi`]). Boxed
-    /// because the box itself is what travels as the message token.
-    #[allow(clippy::vec_box)]
-    pub(crate) call_records: NodeCell<Vec<Box<CxCall>>>,
+    /// Call records not in use (see [`crate::rmi`]).
+    pub(crate) call_records: CallRecords<Far>,
     /// Global-pointer data regions, and the `__addf` / `__add3f`
     /// accumulates staged into them until the next barrier (per-caller order
     /// is preserved: atomic-add RMIs are synchronous). Host-side state:
@@ -176,7 +173,7 @@ impl<F: Fabric> CcxxState<F> {
             sbuf_lock: mpmd_threads::Mutex::new(()),
             dispatch_lock: mpmd_threads::Mutex::new(()),
             method_lock: mpmd_threads::Mutex::new(()),
-            call_records: NodeCell::default(),
+            call_records: CallRecords::default(),
             memory: RegionTable::default(),
             spinners: AtomicUsize::new(0),
             poller: OnceLock::new(),
@@ -188,6 +185,13 @@ impl<F: Fabric> CcxxState<F> {
 
     pub(crate) fn get(ctx: &F) -> &CcxxState<F> {
         ctx.node_data(CcxxState::new)
+    }
+
+    /// Wait for a call's reply and recycle its record: block, or spin as a
+    /// registered spinner (see [`crate::rmi`]).
+    pub(crate) fn await_reply(&self, ctx: &F, cell: Arc<RecordCell<Far>>) -> Reply {
+        self.call_records
+            .wait(ctx, cell, |ready| crate::rmi::spin_wait(ctx, ready))
     }
 
     pub(crate) fn set_config(&self, cfg: CcxxConfig) {

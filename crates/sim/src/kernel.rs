@@ -78,7 +78,8 @@ pub(crate) struct FaultState {
     rng: u64,
 }
 
-/// One transmission attempt's fate, drawn from the [`FaultState`] stream.
+/// One transmission attempt's fate, drawn from the kernel's seeded fault
+/// stream (`FaultState`).
 #[derive(Copy, Clone, Debug, Default)]
 pub struct FaultDecision {
     /// The packet vanishes on the wire.

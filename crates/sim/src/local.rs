@@ -747,7 +747,8 @@ impl LocalFabricBuilder {
 }
 
 /// A handle to the wall-clock machine held by one task: the one handle body
-/// over [`LocalDriver`]. Cheap to clone; clones refer to the same task.
+/// over the wall-clock driver (`LocalDriver`). Cheap to clone; clones refer
+/// to the same task.
 pub type LocalFabric = Handle<LocalDriver>;
 
 impl LocalFabric {

@@ -6,9 +6,9 @@
 
 use crate::state::ScState;
 use bytes::Bytes;
-use mpmd_am::{self as am, AmMsg, HandlerId, ReplyCell};
+use mpmd_am::{self as am, AmMsg, CallRecord, HandlerId, ReplyCell};
 use mpmd_fabric::Fabric;
-use mpmd_sim::{Bucket, NodeCell};
+use mpmd_sim::Bucket;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -33,26 +33,6 @@ pub(crate) struct ScToken {
     /// turns it into the issue→completion latency.
     pub(crate) issued: Option<mpmd_sim::Time>,
 }
-
-/// A blocking access's token and reply slot, reused: the task that issues
-/// the access takes it from its node's free list (`ScState::sync_tokens`),
-/// the request and the reply carry it, the reply handler stores the reply
-/// in it and hands it back to that task through its slot, and only that
-/// task puts it back on the list. (Recycling in the handler is wrong: the
-/// task may not have run yet.)
-#[derive(Default)]
-pub(crate) struct SyncToken {
-    /// The reply's words and bulk payload, stored by the reply handler.
-    pub(crate) reply: ([u64; 4], Option<Bytes>),
-    /// Where the reply handler leaves this token for the waiting task.
-    /// `None` only between that hand-over and the task putting its own
-    /// clone back, so a token parked for a task that has unwound does not
-    /// keep its slot (and through it, itself) alive.
-    pub(crate) slot: Option<Arc<SyncSlot>>,
-}
-
-/// Where a blocking access's reply handler parks its token.
-pub(crate) type SyncSlot = NodeCell<Option<Box<SyncToken>>>;
 
 /// `vals` as a bulk payload.
 pub(crate) fn payload(vals: &[f64]) -> Bytes {
@@ -79,17 +59,12 @@ fn reply_value<F: Fabric>(ctx: &F, m: AmMsg, args: [u64; 4]) {
 }
 
 /// The completion of every request, with or without data: a blocking
-/// access's token goes back to its task with the reply in it; a split-phase
-/// op leaves `pending`, and the reply lands in the issuer's cell.
+/// access's call record lands with the reply in it; a split-phase op leaves
+/// `pending`, and the reply lands in the issuer's cell.
 fn complete<F: Fabric>(ctx: &F, m: AmMsg) {
     let token = m.token.expect("Split-C reply without token");
-    let token = match token.downcast::<SyncToken>() {
-        Ok(mut tok) => {
-            tok.reply = (m.args, m.data);
-            let slot = tok.slot.take().expect("sync token without its slot");
-            slot.with(ctx, |s| *s = Some(tok));
-            return;
-        }
+    let token = match token.downcast::<CallRecord<()>>() {
+        Ok(record) => return record.land(ctx, (m.args, m.data)),
         Err(token) => token,
     };
     let tok = *token

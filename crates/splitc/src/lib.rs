@@ -47,7 +47,10 @@ pub use ops::{
 mod tests {
     use super::*;
     use crate::state::ScState;
-    use mpmd_sim::{to_us, us, Bucket, Fabric, Sim};
+    use mpmd_am as am;
+    use mpmd_sim::{to_us, us, Bucket, Fabric, Sim, ACROSS_NODES};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn spread_alloc_and_local_access() {
@@ -89,8 +92,8 @@ mod tests {
 
     /// Two tasks of node 0 read node 1 at once, so one's reply is often
     /// handled by the other's poll: each must get its own value back, and
-    /// the node ends with one token per task that ever waited, not one per
-    /// read.
+    /// the node ends with one call record per task that ever waited, not one
+    /// per read.
     fn sibling_readers<F: Fabric>(ctx: &F) {
         const READS: usize = 500;
         init(ctx);
@@ -108,8 +111,8 @@ mod tests {
             let sibling = ctx.spawn("sibling-reader", move |c| reader(&c, 1, 2.5));
             reader(ctx, 0, 1.5);
             ctx.join(sibling);
-            let kept = ScState::get(ctx).sync_tokens.with(ctx, |free| free.len());
-            assert!((1..=2).contains(&kept), "{kept} tokens kept");
+            let kept = ScState::get(ctx).records.len(ctx);
+            assert!((1..=2).contains(&kept), "{kept} records kept");
         }
         barrier(ctx);
     }
@@ -122,6 +125,68 @@ mod tests {
     #[test]
     fn sibling_readers_each_get_their_own_reply_local() {
         mpmd_fabric::LocalFabric::run(2, |ctx| sibling_readers(&ctx));
+    }
+
+    /// A test handler, outside the runtime's ids, that reads the issuer's
+    /// half of the call record its message carries.
+    const H_TOUCH: am::HandlerId = 200;
+
+    /// Node 0 makes its call record warm, touches it through a message to
+    /// itself (its own node may), then warms a second one and sends it to
+    /// node 1, whose touch must fail the run.
+    fn a_callee_touches_a_warm_record<F: Fabric>(ctx: &F) {
+        init(ctx);
+        let a = all_spread_alloc(ctx, 1, 1.5);
+        let touched = Arc::new(AtomicU64::new(0));
+        let t = Arc::clone(&touched);
+        am::register(ctx, H_TOUCH, move |ctx, mut m| {
+            am::CallRecord::<()>::of(&mut m).debug_touch(ctx);
+            t.fetch_add(1, Ordering::AcqRel);
+        });
+        barrier(ctx);
+        if ctx.node() == 0 {
+            let records = &ScState::get(ctx).records;
+            let send_record = |dst| {
+                let (record, _cell) = records.take(ctx, false);
+                let send = am::endpoint(ctx).to(dst).handler(H_TOUCH);
+                send.token(record as am::Token).send();
+            };
+            assert_eq!(read(ctx, a.node_chunk(1)), 1.5);
+            write(ctx, a.node_chunk(1), 2.5);
+            assert_eq!(records.len(ctx), 1, "one warm record");
+            send_record(0);
+            am::wait_until(ctx, || touched.load(Ordering::Acquire) == 1);
+            assert_eq!(read(ctx, a.node_chunk(1)), 2.5);
+            send_record(1);
+        }
+        barrier(ctx);
+    }
+
+    fn fails_across_nodes(run: impl FnOnce()) {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("a callee touched the issuer's half of a record");
+        let msg = match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast::<&str>().expect("panic message").to_string(),
+        };
+        assert_eq!(
+            msg,
+            format!("a touch from node 1 of another node's state {ACROSS_NODES}")
+        );
+    }
+
+    #[test]
+    fn a_callee_that_touches_a_warm_record_fails_the_run_sim() {
+        fails_across_nodes(|| {
+            Sim::new(2).run(|ctx| a_callee_touches_a_warm_record(&ctx));
+        });
+    }
+
+    #[test]
+    fn a_callee_that_touches_a_warm_record_fails_the_run_local() {
+        fails_across_nodes(|| {
+            mpmd_fabric::LocalFabric::run(2, |ctx| a_callee_touches_a_warm_record(&ctx));
+        });
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //!
 //! Every blocking remote access goes through `sync_access` and every
 //! split-phase one through `split_access`; what differs per operation is
-//! its handler, which names its costs, span and metric, and its words.
+//! its handler, which names its costs, span and metric, and its words. A
+//! blocking access rides a call record, whose one home is `mpmd-am`'s
+//! `reply.rs`; a split-phase one an `ScToken`, whose [`ReplyCell`] is read
+//! after [`sync`], with or without a fabric handle.
 
 use crate::gptr::GlobalPtr;
 use crate::handlers::*;
 use crate::state::{AtomicFn, ScState};
-use bytes::Bytes;
 use mpmd_am::{self as am, HandlerId, ReplyCell};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
@@ -54,7 +56,7 @@ fn sync_access<F: Fabric>(
     node: usize,
     args: [u64; 4],
     bulk: Option<&[f64]>,
-) -> ([u64; 4], Option<Bytes>) {
+) -> am::Reply {
     let c = &st.costs;
     let sync = (c.sync_access_issue, c.sync_access_complete);
     let atomic = (c.atomic_issue, c.atomic_complete);
@@ -72,25 +74,17 @@ fn sync_access<F: Fabric>(
     let _sp = ctx.span(span);
     let t0 = ctx.metric_now();
     ctx.charge(Bucket::Runtime, issue);
-    let popped = st.sync_tokens.with(ctx, Vec::pop);
-    let mut token = popped.unwrap_or_default();
-    let slot = Arc::clone(token.slot.get_or_insert_with(Arc::default));
+    let (record, cell) = st.records.take(ctx, false);
     let send = am::endpoint(ctx).to(node).handler(handler).args(args);
     match bulk {
         Some(vals) => send.bulk(payload(vals)),
         None => send,
     }
-    .token(token as am::Token)
+    .token(record as am::Token)
     .send();
-    let mut back = None;
-    am::wait_until(ctx, || {
-        back = slot.with(ctx, Option::take);
-        back.is_some()
-    });
-    let mut token = back.expect("reply not complete");
-    token.slot = Some(slot);
-    let reply = std::mem::take(&mut token.reply);
-    st.sync_tokens.with(ctx, |free| free.push(token));
+    let reply = st
+        .records
+        .wait(ctx, cell, |ready| am::wait_until(ctx, ready));
     ctx.charge(Bucket::Runtime, complete);
     if let Some(t0) = t0 {
         ctx.metric_observe_since(metric, t0);

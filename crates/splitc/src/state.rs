@@ -1,8 +1,7 @@
 //! Per-node Split-C runtime state.
 
 use crate::costs::ScCosts;
-use crate::handlers::SyncToken;
-use mpmd_am::RegionTable;
+use mpmd_am::{CallRecords, RegionTable};
 use mpmd_fabric::Fabric;
 use mpmd_sim::NodeCell;
 use std::collections::HashMap;
@@ -25,10 +24,9 @@ pub(crate) struct ScState<F: Fabric> {
     pub(crate) stores_sent: AtomicU64,
     /// One-way stores received by this node.
     pub(crate) stores_recvd: AtomicU64,
-    /// Blocking accesses' tokens not in use (see [`SyncToken`]). Boxed
-    /// because the box itself is what travels as the message token.
-    #[allow(clippy::vec_box)]
-    pub(crate) sync_tokens: NodeCell<Vec<Box<SyncToken>>>,
+    /// Blocking accesses' call records not in use (see [`crate::ops`]); a
+    /// callee touches nothing of them.
+    pub(crate) records: CallRecords<()>,
 }
 
 impl<F: Fabric> ScState<F> {
@@ -40,7 +38,7 @@ impl<F: Fabric> ScState<F> {
             pending: AtomicU64::new(0),
             stores_sent: AtomicU64::new(0),
             stores_recvd: AtomicU64::new(0),
-            sync_tokens: NodeCell::default(),
+            records: CallRecords::default(),
         }
     }
 
