@@ -111,7 +111,12 @@ echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-t
 # run frees every record, and an ended run frees its nodes' runtime state;
 # and the RMI wire encoding (rmi_encoding): 0 to 4 words, every call mode,
 # cold and warm, with and without a processor object or bytes, and a node
-# calling itself. The simulator's own zero-alloc proof
+# calling itself. Table 4's count gate (mpmd-bench's
+# table4_counts_agree_on_both_fabrics) runs every Table 4 and OAM row, in
+# both languages, through the one harness body on the simulator and on
+# LocalFabric: messages, bytes, handlers and thread creates per op are equal
+# on the two, and the simulator's switches and sync ops are pinned. The
+# simulator's own zero-alloc proof
 # (sim/tests/alloc_count.rs): warm short round trips, and expiring timed
 # inbox waits, allocate nothing, and the wave gate: a
 # 300-wide spawn/join wave allocates per task what a 1-wide one does, because
@@ -126,6 +131,7 @@ cargo test --release -q -p mpmd-splitc --test local_stream_memory
 cargo test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown \
     --test rmi_encoding
 cargo test --release -q -p mpmd-splitc --lib a_callee_that_touches_a_warm_record_fails_the_run
+cargo test --release -q -p mpmd-bench --lib table4_counts_agree_on_both_fabrics
 cargo test --release -q -p mpmd-apps --test local_scale
 echo "fabric stress + alloc + bounded-task + call-record tests OK"
 
@@ -140,8 +146,8 @@ echo "benchmark smoke OK"
 echo "==> zero-allocation fast-path proof"
 # A counting global allocator brackets 1000 short-message round trips and
 # 1000 warm null RMIs (exactly 0 heap allocations each), 1000 AM bulk sends
-# (bounded), 1000 Split-C blocking reads (exactly 0: the token and reply
-# slot are reused), and 1000 each of Split-C 8 KiB bulk_stores (exactly 2 per op:
+# (bounded), 1000 Split-C blocking reads (exactly 0: the call record is
+# reused), and 1000 each of Split-C 8 KiB bulk_stores (exactly 2 per op:
 # the receiver decodes into the region) and CC++ 8 KiB bulk_put_flats
 # (exactly 6 per op: no staging copy, no buffer regrowth); the bench aborts
 # on regression.
@@ -186,7 +192,9 @@ echo "==> the pooled-thread host: a --cfg mpmd_no_fibers release build"
 # and the node task table, LocalFabric's links, and the node-local cells of
 # the threads package, Split-C and CC++, among them both runtimes' call
 # records (CC++'s call_records, and Split-C's
-# a_callee_that_touches_a_warm_record_fails_the_run_* in its --lib tests).
+# a_callee_that_touches_a_warm_record_fails_the_run_* in its --lib tests),
+# and Table 4's count gate (mpmd-bench's table4_counts_agree_on_both_fabrics):
+# both task hosts must give the same counts.
 no_fibers() {
     CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo "$@"
 }
@@ -207,6 +215,7 @@ no_fibers test --release -q -p mpmd-am --test fabric_conformance --test bounded_
 no_fibers test --release -q -p mpmd-splitc --lib
 no_fibers test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown \
     --test rmi_encoding
+no_fibers test --release -q -p mpmd-bench --lib table4_counts_agree_on_both_fabrics
 no_fibers test --release -q -p mpmd-apps --test local_scale
 echo "pooled-thread host reproduces results/, the goldens and the sweep"
 

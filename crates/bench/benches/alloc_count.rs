@@ -22,8 +22,8 @@
 //!   and the GP accesses on both fabrics are in
 //!   `crates/ccxx/tests/alloc_count.rs`);
 //! * Split-C blocking `read` — **0** allocations, caller and owner together:
-//!   its token and reply slot come from a per-node free list and go back to
-//!   it;
+//!   its call record (`mpmd_am::CallRecord`, `crates/am/src/reply.rs`) comes
+//!   from the node's free list and goes back to it;
 //! * Split-C 8 KiB `bulk_store` — **2** per op: the encoded payload and its
 //!   shared handle; the receiver decodes straight into the region;
 //! * CC++ 8 KiB `bulk_put_flat` (a threaded RMI) — **6** per op: the
@@ -238,7 +238,7 @@ fn main() {
     println!("alloc_count/sc_read: {read_allocs} allocs / {OPS} ops");
     assert_eq!(
         read_allocs, 0,
-        "a blocking Split-C read reuses its token and reply slot"
+        "a blocking Split-C read reuses its call record"
     );
     let sc_allocs = count_sc_bulk_stores();
     let sc_per_op = sc_allocs / OPS as u64;

@@ -1,18 +1,26 @@
 //! The Table 4 micro-benchmarks (Figures 2 and 3 of the paper give their
-//! pseudo-code).
+//! pseudo-code) and the Optimistic Active Messages comparison.
 //!
-//! Node 0 is the initiator; node 1 serves in a spin-poll loop, exactly like
-//! the paper's averaged ping-pong measurements (10000 iterations there; the
-//! simulator is deterministic so far fewer suffice). Components follow the
-//! paper's accounting: `Total` is the initiator's wall time per iteration,
-//! `Threads` and `Runtime` are the charged thread/runtime costs across both
-//! nodes, and `AM = Total − Threads − Runtime`.
+//! A row is data: `Row` names its CC++ op, its Split-C op where the paper
+//! has one, its units and the paper's columns. One body, `measure`, runs an
+//! op as the paper's averaged ping-pong: node 0 is the initiator and node 1
+//! serves in a spin-poll loop (10000 iterations there; the simulator is
+//! deterministic so far fewer suffice). The body takes the machine as its
+//! run function: `Sim` for the published table, or `LocalFabricBuilder` for
+//! the same rows on OS threads. Both keep the same `Stats`, and the count
+//! gate (`tests::table4_counts_agree_on_both_fabrics`) checks that a row's
+//! messages, bytes, handlers and thread creates are equal on the two.
+//!
+//! Components follow the paper's accounting: `Total` is the initiator's
+//! wall time per iteration, `Threads` and `Runtime` are the charged
+//! thread/runtime costs across both nodes, and `AM = Total − Threads −
+//! Runtime`.
 
 use crate::fmt::JsonReport;
 use mpmd_am as am;
 use mpmd_ccxx as cx;
 use mpmd_ccxx::{CallMode, CcxxConfig, CxPtr, MarshalBuf};
-use mpmd_sim::{to_us, Bucket, CostModel, Ctx, Fabric, Sim, Snapshot};
+use mpmd_sim::{to_us, Bucket, CostModel, Ctx, Fabric, Report, Sim};
 use mpmd_splitc as sc;
 use mpmd_splitc::GlobalPtr;
 use parking_lot::Mutex;
@@ -55,8 +63,8 @@ impl JsonReport for Measured {
     }
 }
 
-fn reduce(start: &Snapshot, end: &Snapshot, units: f64) -> Measured {
-    let d = start.until(end);
+/// Per-unit components of the measured interval `d`.
+fn reduce(d: &Report, units: f64) -> Measured {
     let t = d.total_stats();
     let total_us = to_us(d.clocks[0]) / units;
     let threads_us =
@@ -88,12 +96,25 @@ pub struct BenchSetup {
     pub remote_sc: Vec<GlobalPtr>,
 }
 
-/// One iteration of a micro-benchmark, on node 0.
+/// What a machine runs on each of its nodes.
+type Body<F> = Box<dyn Fn(F) + Send + Sync>;
+
+/// One iteration of a caller's own micro-benchmark, on node 0 (Table 4's
+/// rows are `Row`s).
 type Op = Arc<dyn Fn(&Ctx, &BenchSetup) + Send + Sync>;
 
-/// Run a CC++ micro-benchmark: `warmup` unmeasured iterations (populating
-/// the stub cache and persistent buffers), then `iters` measured ones.
-/// `units_per_iter` scales per-element rows.
+/// The simulated machine: two nodes under `cost`.
+fn sim(cost: CostModel) -> impl FnOnce(Body<Ctx>) -> Report {
+    move |body| Sim::new(2).cost_model(cost).run(body)
+}
+
+/// Unmeasured iterations before each row's measured ones: they populate the
+/// stub cache and the persistent buffers.
+const WARMUP: usize = 4;
+
+/// Run a CC++ micro-benchmark on the simulator: `warmup` unmeasured
+/// iterations (populating the stub cache and persistent buffers), then
+/// `iters` measured ones. `units_per_iter` scales per-element rows.
 pub fn measure_ccxx(
     cfg: CcxxConfig,
     cost: CostModel,
@@ -102,36 +123,35 @@ pub fn measure_ccxx(
     units_per_iter: f64,
     op: Op,
 ) -> Measured {
-    measure(Some(cfg), cost, warmup, iters, units_per_iter, op)
+    let op = move |c: &Ctx, s: &BenchSetup| op(c, s);
+    let d = measure(sim(cost), Some(cfg), warmup, iters, |_| {}, op);
+    reduce(&d, iters as f64 * units_per_iter)
 }
 
-/// Run a Split-C micro-benchmark (same protocol).
+/// Run a Split-C micro-benchmark on the simulator (same protocol).
 pub fn measure_splitc(warmup: usize, iters: usize, units_per_iter: f64, op: Op) -> Measured {
-    measure(
-        None,
-        CostModel::default(),
-        warmup,
-        iters,
-        units_per_iter,
-        op,
-    )
+    let op = move |c: &Ctx, s: &BenchSetup| op(c, s);
+    let d = measure(sim(CostModel::default()), None, warmup, iters, |_| {}, op);
+    reduce(&d, iters as f64 * units_per_iter)
 }
 
-/// The one Table 4 harness, in CC++ with configuration `cfg` or, when it is
-/// `None`, in Split-C: node 0 runs `op` `warmup` times, then `iters` measured
-/// times, and stops node 1's spin-poll loop with a last null round trip.
-fn measure(
+/// The one Table 4 harness, run on every node of the machine `machine`
+/// starts, in CC++ with configuration `cfg` or, when it is `None`, in
+/// Split-C: each node runs `prepare` after the runtime's init, node 0 runs
+/// `op` `warmup` times, then `iters` measured times, and stops node 1's
+/// spin-poll loop with a last null round trip. Returns the measured interval.
+fn measure<F: Fabric>(
+    machine: impl FnOnce(Body<F>) -> Report,
     cfg: Option<CcxxConfig>,
-    cost: CostModel,
     warmup: usize,
     iters: usize,
-    units_per_iter: f64,
-    op: Op,
-) -> Measured {
-    let result: Arc<Mutex<Option<Measured>>> = Arc::new(Mutex::new(None));
+    prepare: impl Fn(&F) + Send + Sync + 'static,
+    op: impl Fn(&F, &BenchSetup) + Send + Sync + 'static,
+) -> Report {
+    let result = Arc::new(Mutex::new(None));
     let r2 = Arc::clone(&result);
     let stop = Arc::new(AtomicBool::new(false));
-    Sim::new(2).cost_model(cost).run(move |ctx| {
+    machine(Box::new(move |ctx| {
         let region = match &cfg {
             Some(cfg) => {
                 cx::init(&ctx, cfg.clone());
@@ -142,6 +162,7 @@ fn measure(
                 sc::alloc_region(&ctx, 20, 1.25)
             }
         };
+        prepare(&ctx);
         let setup = BenchSetup {
             region,
             remote: (0..20)
@@ -172,17 +193,12 @@ fn measure(
             for _ in 0..iters {
                 op(&ctx, &setup);
             }
-            let s1 = ctx.snapshot();
-            *r2.lock() = Some(reduce(&s0, &s1, iters as f64 * units_per_iter));
+            *r2.lock() = Some(s0.until(&ctx.snapshot()));
             stop.store(true, Ordering::Release);
             // Wake the responder's spin loop so it can leave.
             match cfg {
-                Some(_) => {
-                    cx::rmi(&ctx, 1, cx::M_NULL, &[], None, CallMode::Simple);
-                }
-                None => {
-                    sc::atomic_rpc(&ctx, 1, sc::ATOMIC_NULL, [0; 3]);
-                }
+                Some(_) => Row::Simple.issue_cc(&ctx, &setup),
+                None => Row::Atomic.issue_sc(&ctx, &setup),
             }
         } else {
             let stopped = || stop.load(Ordering::Acquire);
@@ -195,9 +211,181 @@ fn measure(
             Some(_) => cx::finalize(&ctx),
             None => barrier(),
         }
-    });
-    let out = result.lock().expect("benchmark produced no measurement");
-    out
+    }));
+    let out = result.lock().take();
+    out.expect("benchmark produced no measurement")
+}
+
+/// One row of Table 4, or of the Optimistic Active Messages comparison: its
+/// ops, units and the paper's columns, as data.
+#[derive(Clone, Copy, Debug)]
+enum Row {
+    Simple,
+    Blocking,
+    OneWord,
+    TwoWord,
+    Threaded,
+    Atomic,
+    Gp,
+    BulkWrite,
+    BulkRead,
+    Prefetch,
+    /// A possibly-blocking `victim` method, called threaded.
+    OamThreaded,
+    /// A non-blocking `victim` method, called optimistically.
+    OamInline,
+    /// A possibly-blocking `victim` method, called optimistically.
+    OamAbort,
+}
+
+impl Row {
+    /// Table 4's rows, in the paper's order.
+    const TABLE4: [Row; 10] = [
+        Row::Simple,
+        Row::Blocking,
+        Row::OneWord,
+        Row::TwoWord,
+        Row::Threaded,
+        Row::Atomic,
+        Row::Gp,
+        Row::BulkWrite,
+        Row::BulkRead,
+        Row::Prefetch,
+    ];
+
+    /// Optimistic Active Messages (extension; §7 related work): threaded
+    /// dispatch against optimistic dispatch of a non-blocking and of a
+    /// possibly-blocking method.
+    const OAM: [Row; 3] = [Row::OamThreaded, Row::OamInline, Row::OamAbort];
+
+    fn name(self) -> &'static str {
+        match self {
+            Row::Simple => "0-Word Simple",
+            Row::Blocking => "0-Word",
+            Row::OneWord => "1-Word",
+            Row::TwoWord => "2-Word",
+            Row::Threaded => "0-Word Threaded",
+            Row::Atomic => "0-Word Atomic",
+            Row::Gp => "GP 2-Word R/W",
+            Row::BulkWrite => "BulkWrite 40-Word",
+            Row::BulkRead => "BulkRead 40-Word",
+            Row::Prefetch => "Prefetch 20-Word",
+            Row::OamThreaded => "threaded (always spawns)",
+            Row::OamInline => "optimistic, non-blocking method (runs on the stack)",
+            Row::OamAbort => "optimistic, blocking method (aborts to a thread)",
+        }
+    }
+
+    /// Reported units per iteration: one element each for the prefetch row.
+    fn units(self) -> f64 {
+        if let Row::Prefetch = self {
+            20.0
+        } else {
+            1.0
+        }
+    }
+
+    /// The paper's CC++ columns (total, AM, threads, runtime) in µs; the
+    /// OAM rows are not in the paper.
+    fn paper_cc(self) -> Option<(f64, f64, f64, f64)> {
+        Some(match self {
+            Row::Simple => (67.0, 55.0, 4.0, 8.0),
+            Row::Blocking => (77.0, 55.0, 12.0, 10.0),
+            Row::OneWord => (94.0, 70.0, 12.0, 12.0),
+            Row::TwoWord => (95.0, 70.0, 12.0, 13.0),
+            Row::Threaded => (87.0, 55.0, 21.0, 11.0),
+            Row::Atomic => (88.0, 55.0, 21.0, 12.0),
+            Row::Gp => (92.0, 55.0, 21.0, 16.0),
+            Row::BulkWrite => (154.0, 70.0, 21.0, 63.0),
+            Row::BulkRead => (177.0, 70.0, 21.0, 86.0),
+            Row::Prefetch => (35.4, 5.3, 21.0, 9.1),
+            Row::OamThreaded | Row::OamInline | Row::OamAbort => return None,
+        })
+    }
+
+    /// The paper's Split-C columns (total, AM, runtime) in µs, for the rows
+    /// that have a Split-C op.
+    fn paper_sc(self) -> Option<(f64, f64, f64)> {
+        match self {
+            Row::Atomic => Some((56.0, 53.0, 3.0)),
+            Row::Gp => Some((57.0, 53.0, 4.0)),
+            Row::BulkWrite => Some((74.0, 70.0, 4.0)),
+            Row::BulkRead => Some((75.0, 70.0, 5.0)),
+            Row::Prefetch => Some((12.1, 6.2, 5.9)),
+            _ => None,
+        }
+    }
+
+    /// Each node's setup after the runtime's init: the OAM rows register
+    /// their `victim` method.
+    fn prepare<F: Fabric>(self, ctx: &F) {
+        if let Row::OamThreaded | Row::OamInline | Row::OamAbort = self {
+            let may_block = !matches!(self, Row::OamInline);
+            cx::register_method_full(ctx, cx::DEFAULT_PROGRAM, "victim", may_block, |_, _| {
+                cx::RmiRet::null()
+            });
+        }
+    }
+
+    /// One iteration of the row's CC++ op, on node 0.
+    fn issue_cc<F: Fabric>(self, ctx: &F, s: &BenchSetup) {
+        let call = |method, payload, mode| _ = cx::rmi(ctx, 1, method, &[], payload, mode);
+        let words = |n| {
+            let mut b = MarshalBuf::new();
+            for w in [7u32, 9].iter().take(n) {
+                b.push(ctx, w);
+            }
+            Some(b)
+        };
+        match self {
+            Row::Simple => call(cx::M_NULL, None, CallMode::Simple),
+            Row::Blocking => call(cx::M_NULL, None, CallMode::Blocking),
+            Row::OneWord => call(cx::M_NULL, words(1), CallMode::Blocking),
+            Row::TwoWord => call(cx::M_NULL, words(2), CallMode::Blocking),
+            Row::Threaded => call(cx::M_NULL, None, CallMode::Threaded),
+            Row::Atomic => call(cx::M_NULL, None, CallMode::Atomic),
+            Row::Gp => _ = cx::gp_read(ctx, s.remote[0]),
+            Row::BulkWrite => cx::bulk_put(ctx, s.remote[0], &[2.5; 20]),
+            Row::BulkRead => _ = cx::bulk_get(ctx, s.remote[0], 20),
+            Row::Prefetch => _ = cx::prefetch(ctx, &s.remote),
+            Row::OamThreaded => call("victim", None, CallMode::Threaded),
+            Row::OamInline | Row::OamAbort => call("victim", None, CallMode::Optimistic),
+        }
+    }
+
+    /// One iteration of the row's Split-C op, on node 0 (only rows with
+    /// [`Row::paper_sc`] have one).
+    fn issue_sc<F: Fabric>(self, ctx: &F, s: &BenchSetup) {
+        match self {
+            Row::Atomic => _ = sc::atomic_rpc(ctx, 1, sc::ATOMIC_NULL, [0; 3]),
+            Row::Gp => _ = sc::read(ctx, s.remote_sc[0]),
+            Row::BulkWrite => sc::bulk_write(ctx, s.remote_sc[0], &[2.5; 20]),
+            Row::BulkRead => _ = sc::bulk_read(ctx, s.remote_sc[0], 20),
+            Row::Prefetch => {
+                let handles: Vec<_> = s.remote_sc.iter().map(|&gp| sc::get(ctx, gp)).collect();
+                sc::sync(ctx);
+                handles.iter().for_each(|h| _ = h.value());
+            }
+            _ => unreachable!("{} has no Split-C op", self.name()),
+        }
+    }
+
+    /// The measured interval of the row's CC++ op under `cfg` or, when it
+    /// is `None`, of its Split-C op, on `machine`.
+    fn measure<F: Fabric>(
+        self,
+        machine: impl FnOnce(Body<F>) -> Report,
+        cfg: Option<CcxxConfig>,
+        iters: usize,
+    ) -> Report {
+        let cc = cfg.is_some();
+        let op = move |ctx: &F, s: &BenchSetup| match cc {
+            true => self.issue_cc(ctx, s),
+            false => self.issue_sc(ctx, s),
+        };
+        let prepare = move |ctx: &F| self.prepare(ctx);
+        measure(machine, cfg, WARMUP, iters, prepare, op)
+    }
 }
 
 /// One Table 4 row: the CC++ measurement, the Split-C one where the paper
@@ -249,233 +437,35 @@ pub fn run_table4(iters: usize) -> Vec<Table4Row> {
 /// As [`run_table4`] but against an arbitrary runtime configuration (used
 /// by the ablation harness).
 pub fn run_table4_with(cfg: CcxxConfig, cost: CostModel, iters: usize) -> Vec<Table4Row> {
-    let w = 4; // warm-up iterations
-    let cc = |op: Op, units: f64| measure_ccxx(cfg.clone(), cost.clone(), w, iters, units, op);
-    let scm = |op: Op, units: f64| measure_splitc(w, iters, units, op);
-
-    let mut rows = Vec::new();
-
-    rows.push(Table4Row {
-        name: "0-Word Simple",
-        cc: cc(
-            Arc::new(|ctx, _s| {
-                cx::rmi(ctx, 1, cx::M_NULL, &[], None, CallMode::Simple);
-            }),
-            1.0,
-        ),
-        sc: None,
-        paper_cc: (67.0, 55.0, 4.0, 8.0),
-        paper_sc: None,
-    });
-
-    rows.push(Table4Row {
-        name: "0-Word",
-        cc: cc(
-            Arc::new(|ctx, _s| {
-                cx::rmi(ctx, 1, cx::M_NULL, &[], None, CallMode::Blocking);
-            }),
-            1.0,
-        ),
-        sc: None,
-        paper_cc: (77.0, 55.0, 12.0, 10.0),
-        paper_sc: None,
-    });
-
-    rows.push(Table4Row {
-        name: "1-Word",
-        cc: cc(
-            Arc::new(|ctx, _s| {
-                let mut b = MarshalBuf::new();
-                b.push(ctx, &7u32);
-                cx::rmi(ctx, 1, cx::M_NULL, &[], Some(b), CallMode::Blocking);
-            }),
-            1.0,
-        ),
-        sc: None,
-        paper_cc: (94.0, 70.0, 12.0, 12.0),
-        paper_sc: None,
-    });
-
-    rows.push(Table4Row {
-        name: "2-Word",
-        cc: cc(
-            Arc::new(|ctx, _s| {
-                let mut b = MarshalBuf::new();
-                b.push(ctx, &7u32);
-                b.push(ctx, &9u32);
-                cx::rmi(ctx, 1, cx::M_NULL, &[], Some(b), CallMode::Blocking);
-            }),
-            1.0,
-        ),
-        sc: None,
-        paper_cc: (95.0, 70.0, 12.0, 13.0),
-        paper_sc: None,
-    });
-
-    rows.push(Table4Row {
-        name: "0-Word Threaded",
-        cc: cc(
-            Arc::new(|ctx, _s| {
-                cx::rmi(ctx, 1, cx::M_NULL, &[], None, CallMode::Threaded);
-            }),
-            1.0,
-        ),
-        sc: None,
-        paper_cc: (87.0, 55.0, 21.0, 11.0),
-        paper_sc: None,
-    });
-
-    rows.push(Table4Row {
-        name: "0-Word Atomic",
-        cc: cc(
-            Arc::new(|ctx, _s| {
-                cx::rmi(ctx, 1, cx::M_NULL, &[], None, CallMode::Atomic);
-            }),
-            1.0,
-        ),
-        sc: Some(scm(
-            Arc::new(|ctx, _s| {
-                sc::atomic_rpc(ctx, 1, sc::ATOMIC_NULL, [0; 3]);
-            }),
-            1.0,
-        )),
-        paper_cc: (88.0, 55.0, 21.0, 12.0),
-        paper_sc: Some((56.0, 53.0, 3.0)),
-    });
-
-    rows.push(Table4Row {
-        name: "GP 2-Word R/W",
-        cc: cc(
-            Arc::new(|ctx, s| {
-                cx::gp_read(ctx, s.remote[0]);
-            }),
-            1.0,
-        ),
-        sc: Some(scm(
-            Arc::new(|ctx, s| {
-                sc::read(ctx, s.remote_sc[0]);
-            }),
-            1.0,
-        )),
-        paper_cc: (92.0, 55.0, 21.0, 16.0),
-        paper_sc: Some((57.0, 53.0, 4.0)),
-    });
-
-    rows.push(Table4Row {
-        name: "BulkWrite 40-Word",
-        cc: cc(
-            Arc::new(|ctx, s| {
-                let vals = vec![2.5f64; 20];
-                cx::bulk_put(ctx, s.remote[0], &vals);
-            }),
-            1.0,
-        ),
-        sc: Some(scm(
-            Arc::new(|ctx, s| {
-                let vals = vec![2.5f64; 20];
-                sc::bulk_write(ctx, s.remote_sc[0], &vals);
-            }),
-            1.0,
-        )),
-        paper_cc: (154.0, 70.0, 21.0, 63.0),
-        paper_sc: Some((74.0, 70.0, 4.0)),
-    });
-
-    rows.push(Table4Row {
-        name: "BulkRead 40-Word",
-        cc: cc(
-            Arc::new(|ctx, s| {
-                cx::bulk_get(ctx, s.remote[0], 20);
-            }),
-            1.0,
-        ),
-        sc: Some(scm(
-            Arc::new(|ctx, s| {
-                sc::bulk_read(ctx, s.remote_sc[0], 20);
-            }),
-            1.0,
-        )),
-        paper_cc: (177.0, 70.0, 21.0, 86.0),
-        paper_sc: Some((75.0, 70.0, 5.0)),
-    });
-
-    rows.push(Table4Row {
-        name: "Prefetch 20-Word",
-        cc: cc(
-            Arc::new(|ctx, s| {
-                cx::prefetch(ctx, &s.remote);
-            }),
-            20.0,
-        ),
-        sc: Some(scm(
-            Arc::new(|ctx, s| {
-                let handles: Vec<_> = s.remote_sc.iter().map(|&gp| sc::get(ctx, gp)).collect();
-                sc::sync(ctx);
-                for h in &handles {
-                    h.value();
-                }
-            }),
-            20.0,
-        )),
-        paper_cc: (35.4, 5.3, 21.0, 9.1),
-        paper_sc: Some((12.1, 6.2, 5.9)),
-    });
-
-    rows
+    let per_unit = |row: Row, d: Report| reduce(&d, iters as f64 * row.units());
+    Row::TABLE4
+        .into_iter()
+        .map(|row| Table4Row {
+            name: row.name(),
+            cc: per_unit(
+                row,
+                row.measure(sim(cost.clone()), Some(cfg.clone()), iters),
+            ),
+            sc: row
+                .paper_sc()
+                .map(|_| per_unit(row, row.measure(sim(CostModel::default()), None, iters))),
+            paper_cc: row.paper_cc().expect("every Table 4 row is in the paper"),
+            paper_sc: row.paper_sc(),
+        })
+        .collect()
 }
 
 /// Optimistic Active Messages comparison (extension; §7 related work):
 /// null-RMI totals for threaded dispatch vs optimistic dispatch of a
 /// non-blocking and a possibly-blocking method. Returns (label, µs) rows.
 pub fn measure_oam(iters: usize) -> Vec<(&'static str, f64)> {
-    fn measure(iters: usize, register_blocks: bool, mode: CallMode) -> f64 {
-        let result = Arc::new(Mutex::new(0.0f64));
-        let r2 = Arc::clone(&result);
-        let stop = Arc::new(AtomicBool::new(false));
-        Sim::new(2).run(move |ctx| {
-            cx::init(&ctx, CcxxConfig::tham());
-            cx::register_method_full(
-                &ctx,
-                cx::DEFAULT_PROGRAM,
-                "victim",
-                register_blocks,
-                |_ctx, _| cx::RmiRet::null(),
-            );
-            cx::barrier(&ctx);
-            if ctx.node() == 0 {
-                for _ in 0..4 {
-                    cx::rmi(&ctx, 1, "victim", &[], None, mode);
-                }
-                let t0 = ctx.now();
-                for _ in 0..iters {
-                    cx::rmi(&ctx, 1, "victim", &[], None, mode);
-                }
-                *r2.lock() = to_us(ctx.now() - t0) / iters as f64;
-                stop.store(true, Ordering::Release);
-                cx::rmi(&ctx, 1, cx::M_NULL, &[], None, CallMode::Simple);
-            } else {
-                let s = Arc::clone(&stop);
-                cx::spin_until(&ctx, move || s.load(Ordering::Acquire));
-            }
-            cx::finalize(&ctx);
-        });
-        let v = *result.lock();
-        v
-    }
-    vec![
-        (
-            "threaded (always spawns)",
-            measure(iters, true, CallMode::Threaded),
-        ),
-        (
-            "optimistic, non-blocking method (runs on the stack)",
-            measure(iters, false, CallMode::Optimistic),
-        ),
-        (
-            "optimistic, blocking method (aborts to a thread)",
-            measure(iters, true, CallMode::Optimistic),
-        ),
-    ]
+    Row::OAM
+        .into_iter()
+        .map(|row| {
+            let d = row.measure(sim(CostModel::default()), Some(CcxxConfig::tham()), iters);
+            (row.name(), reduce(&d, iters as f64).total_us)
+        })
+        .collect()
 }
 
 /// The IBM MPL reference: a null round trip over the MPL cost profile
@@ -523,14 +513,119 @@ pub fn measure_mpl_rtt() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpmd_sim::{LocalFabric, LocalFabricBuilder};
+    use std::sync::OnceLock;
+
+    /// Measured iterations per op in these tests.
+    const ITERS: usize = 40;
+
+    /// The Table 4 suite, run once for every test that reads it.
+    fn suite() -> &'static [Table4Row] {
+        static SUITE: OnceLock<Vec<Table4Row>> = OnceLock::new();
+        SUITE.get_or_init(|| run_table4(ITERS))
+    }
+
+    fn row(name: &str) -> &'static Table4Row {
+        suite().iter().find(|r| r.name == name).unwrap()
+    }
+
+    /// The wall-clock machine: two nodes on OS threads.
+    fn local(cost: CostModel) -> impl FnOnce(Body<LocalFabric>) -> Report {
+        move |body| LocalFabricBuilder::new(2).cost_model(cost).run(body)
+    }
+
+    const CC: &str = "cc++";
+    const SC: &str = "split-c";
+
+    /// Each op's counts per iteration on the simulator, across both nodes:
+    /// messages, payload bytes, handlers run, thread creates, context
+    /// switches and sync ops. Every row, in each of its languages, in
+    /// [`Row::TABLE4`] then [`Row::OAM`] order.
+    const SIM_COUNTS: [(&str, &str, [u64; 6]); 18] = [
+        ("0-Word Simple", CC, [2, 96, 2, 0, 0, 10]),
+        ("0-Word", CC, [2, 96, 2, 0, 3, 16]),
+        ("1-Word", CC, [2, 100, 2, 0, 3, 16]),
+        ("2-Word", CC, [2, 104, 2, 0, 3, 16]),
+        ("0-Word Threaded", CC, [2, 96, 2, 1, 3, 16]),
+        ("0-Word Atomic", CC, [2, 96, 2, 1, 3, 18]),
+        ("0-Word Atomic", SC, [2, 96, 2, 0, 0, 0]),
+        ("GP 2-Word R/W", CC, [2, 96, 2, 1, 3, 10]),
+        ("GP 2-Word R/W", SC, [2, 96, 2, 0, 0, 0]),
+        ("BulkWrite 40-Word", CC, [2, 264, 2, 1, 3, 16]),
+        ("BulkWrite 40-Word", SC, [2, 256, 2, 0, 0, 0]),
+        ("BulkRead 40-Word", CC, [2, 264, 2, 1, 3, 16]),
+        ("BulkRead 40-Word", SC, [2, 256, 2, 0, 0, 0]),
+        ("Prefetch 20-Word", CC, [40, 1920, 40, 20, 44, 200]),
+        ("Prefetch 20-Word", SC, [40, 1920, 40, 0, 0, 0]),
+        ("threaded (always spawns)", CC, [2, 96, 2, 1, 3, 16]),
+        (
+            "optimistic, non-blocking method (runs on the stack)",
+            CC,
+            [2, 96, 2, 0, 3, 16],
+        ),
+        (
+            "optimistic, blocking method (aborts to a thread)",
+            CC,
+            [2, 96, 2, 1, 3, 16],
+        ),
+    ];
+
+    /// The count gate: every row, in each of its languages, runs through the
+    /// one body on the simulator and on `LocalFabric`, and its counts per
+    /// op are compared.
+    /// - On the simulator all six counts of [`SIM_COUNTS`] are exact.
+    /// - Messages, payload bytes, handlers run and thread creates are the
+    ///   protocol: `LocalFabric` counts the same for every row, so no row
+    ///   has an expected difference.
+    /// - Context switches and sync ops are asserted on `LocalFabric` only
+    ///   where no task switches (the Split-C rows and 0-Word Simple). Where
+    ///   a CC++ caller blocks, they depend on whether the reply lands before
+    ///   the caller parks and on how often CC++'s polling thread finds
+    ///   nothing, which the wall clock decides; there they are printed,
+    ///   not asserted.
+    #[test]
+    fn table4_counts_agree_on_both_fabrics() {
+        let totals = |d: Report| {
+            let t = d.total_stats();
+            [
+                t.msgs_sent,
+                t.bytes_sent,
+                t.handlers_run,
+                t.thread_creates,
+                t.context_switches,
+                t.sync_ops,
+            ]
+        };
+        let mut pinned = SIM_COUNTS.into_iter();
+        for row in Row::TABLE4.into_iter().chain(Row::OAM) {
+            let cc = Some(CcxxConfig::tham());
+            for cfg in [cc].into_iter().chain(row.paper_sc().map(|_| None)) {
+                let lang = if cfg.is_some() { CC } else { SC };
+                let (name, pinned_lang, per_op) = pinned.next().expect("a row not pinned");
+                assert_eq!((name, pinned_lang), (row.name(), lang));
+                let want = per_op.map(|c| c * ITERS as u64);
+                let s = totals(row.measure(sim(CostModel::default()), cfg.clone(), ITERS));
+                let l = totals(row.measure(local(CostModel::default()), cfg, ITERS));
+                let mean = l.map(|c| c as f64 / ITERS as f64);
+                eprintln!("{name} ({lang}): LocalFabric per op {mean:?}");
+                assert_eq!(s, want, "{name} ({lang}): simulator counts");
+                let checked = if want[4] == 0 { 6 } else { 4 };
+                assert_eq!(
+                    l[..checked],
+                    want[..checked],
+                    "{name} ({lang}): LocalFabric counts"
+                );
+            }
+        }
+        assert!(pinned.next().is_none(), "a pinned row that does not run");
+    }
 
     /// The headline calibration test: every Table 4 Total within 15% of the
     /// paper (counts are checked loosely — the paper's per-op attribution
     /// conventions are not fully recoverable from the scanned table).
     #[test]
     fn table4_totals_match_paper_within_15_percent() {
-        let rows = run_table4(40);
-        for r in &rows {
+        for r in suite() {
             let rel = (r.cc.total_us - r.paper_cc.0).abs() / r.paper_cc.0;
             assert!(
                 rel < 0.15,
@@ -555,8 +650,7 @@ mod tests {
 
     #[test]
     fn table4_runtime_columns_track_paper() {
-        let rows = run_table4(40);
-        for r in &rows {
+        for r in suite() {
             let diff = (r.cc.runtime_us - r.paper_cc.3).abs();
             assert!(
                 diff < r.paper_cc.3 * 0.35 + 2.0,
@@ -573,8 +667,7 @@ mod tests {
         // "the round-trip time of a 0-Word Simple is only 12 µs slower than
         // the base round-trip time of the AM layer, and 21 µs faster than
         // IBM MPL".
-        let rows = run_table4(40);
-        let simple = rows.iter().find(|r| r.name == "0-Word Simple").unwrap();
+        let simple = row("0-Word Simple");
         let raw_am = 55.0;
         let over = simple.cc.total_us - raw_am;
         assert!((5.0..20.0).contains(&over), "overhead over AM = {over:.1}");
@@ -585,23 +678,19 @@ mod tests {
 
     #[test]
     fn threaded_rmi_creates_one_thread_per_call() {
-        let rows = run_table4(20);
-        let threaded = rows.iter().find(|r| r.name == "0-Word Threaded").unwrap();
-        assert!(
-            (threaded.cc.creates - 1.0).abs() < 0.2,
-            "creates/iter = {:.2}",
-            threaded.cc.creates
-        );
-        let simple = rows.iter().find(|r| r.name == "0-Word Simple").unwrap();
+        let threaded = row("0-Word Threaded");
+        assert_eq!(threaded.cc.creates, 1.0);
+        assert_eq!(threaded.cc.yields, 3.0);
+        assert_eq!(threaded.cc.syncs, 16.0);
+        let simple = row("0-Word Simple");
         assert_eq!(simple.cc.creates, 0.0);
         assert_eq!(simple.cc.yields, 0.0);
     }
 
     #[test]
     fn prefetch_beats_blocking_reads_but_trails_splitc() {
-        let rows = run_table4(20);
-        let pf = rows.iter().find(|r| r.name == "Prefetch 20-Word").unwrap();
-        let gp = rows.iter().find(|r| r.name == "GP 2-Word R/W").unwrap();
+        let pf = row("Prefetch 20-Word");
+        let gp = row("GP 2-Word R/W");
         // Latency hiding works...
         assert!(pf.cc.total_us < gp.cc.total_us * 0.6);
         // ...but "the overhead of thread management reduces the

@@ -3,9 +3,10 @@
 //!
 //! The AM fast path is proven allocation-free in `crates/sim/tests` and
 //! `crates/fabric/tests`; this extends the guarantee one layer up. A call
-//! record ([`mpmd_ccxx`]'s `rmi.rs`) makes the round trip and is recycled by
-//! the caller, so after warm-up a `Simple` or `Blocking` null RMI performs
-//! **zero** heap allocations on the calling node and on the called node, and
+//! record (`mpmd_am::CallRecord`, `crates/am/src/reply.rs`) makes the round
+//! trip and is recycled by the caller, so after warm-up a `Simple` or
+//! `Blocking` null RMI performs **zero** heap allocations on the calling node
+//! and on the called node, and
 //! a `Threaded`/`Atomic` one, or a `gp_read`/`gp_write`/`gp_read3` (which
 //! ride the same record), performs none on the caller and no more on the
 //! callee than starting the method or access thread costs by itself.
