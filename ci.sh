@@ -111,12 +111,14 @@ echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-t
 # run frees every record, and an ended run frees its nodes' runtime state;
 # and the RMI wire encoding (rmi_encoding): 0 to 4 words, every call mode,
 # cold and warm, with and without a processor object or bytes, and a node
-# calling itself. Table 4's count gate (mpmd-bench's
-# table4_counts_agree_on_both_fabrics) runs every Table 4 and OAM row, in
-# both languages, through the one harness body on the simulator and on
-# LocalFabric: messages, bytes, handlers and thread creates per op are equal
-# on the two, and the simulator's switches and sync ops are pinned. The
-# simulator's own zero-alloc proof
+# calling itself. Table 4 as equations (mpmd-bench's micro.rs): every Table 4
+# and OAM row, in both languages, has its charge vector written once, and
+# table4_charges_match_the_trace holds the simulator's traced charges, and
+# its Stats, to it exactly; the count gate
+# (table4_counts_agree_on_both_fabrics) runs every row through the one
+# harness body on the simulator and on LocalFabric: messages, bytes,
+# handlers and thread creates per op are the table's on both, and so are
+# the simulator's switches and sync ops. The simulator's own zero-alloc proof
 # (sim/tests/alloc_count.rs): warm short round trips, and expiring timed
 # inbox waits, allocate nothing, and the wave gate: a
 # 300-wide spawn/join wave allocates per task what a 1-wide one does, because
@@ -131,7 +133,8 @@ cargo test --release -q -p mpmd-splitc --test local_stream_memory
 cargo test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown \
     --test rmi_encoding
 cargo test --release -q -p mpmd-splitc --lib a_callee_that_touches_a_warm_record_fails_the_run
-cargo test --release -q -p mpmd-bench --lib table4_counts_agree_on_both_fabrics
+cargo test --release -q -p mpmd-bench --lib -- table4_counts_agree_on_both_fabrics \
+    table4_charges_match_the_trace
 cargo test --release -q -p mpmd-apps --test local_scale
 echo "fabric stress + alloc + bounded-task + call-record tests OK"
 
@@ -193,8 +196,9 @@ echo "==> the pooled-thread host: a --cfg mpmd_no_fibers release build"
 # the threads package, Split-C and CC++, among them both runtimes' call
 # records (CC++'s call_records, and Split-C's
 # a_callee_that_touches_a_warm_record_fails_the_run_* in its --lib tests),
-# and Table 4's count gate (mpmd-bench's table4_counts_agree_on_both_fabrics):
-# both task hosts must give the same counts.
+# and Table 4's count gate and charge vectors (mpmd-bench's
+# table4_counts_agree_on_both_fabrics and table4_charges_match_the_trace):
+# both task hosts must give the same counts and the same vectors.
 no_fibers() {
     CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo "$@"
 }
@@ -215,7 +219,8 @@ no_fibers test --release -q -p mpmd-am --test fabric_conformance --test bounded_
 no_fibers test --release -q -p mpmd-splitc --lib
 no_fibers test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown \
     --test rmi_encoding
-no_fibers test --release -q -p mpmd-bench --lib table4_counts_agree_on_both_fabrics
+no_fibers test --release -q -p mpmd-bench --lib -- table4_counts_agree_on_both_fabrics \
+    table4_charges_match_the_trace
 no_fibers test --release -q -p mpmd-apps --test local_scale
 echo "pooled-thread host reproduces results/, the goldens and the sweep"
 

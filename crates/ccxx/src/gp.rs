@@ -2,16 +2,14 @@
 //!
 //! "The compiler front-end translates all global pointer dereferences into
 //! RMIs... accesses to simple data types through global pointers are
-//! optimized using small request/reply active messages" — so `GP Read/Write`
-//! costs 92 µs (AM 55) instead of a bulk-argument RMI's 94+ (AM 70).
+//! optimized using small request/reply active messages".
 //!
 //! Two paths:
 //! * [`gp_read`]/[`gp_write`] — blocking access; the owner services it on a
-//!   fresh thread (Table 4's GP row: 1 create, 2 switches).
+//!   fresh thread.
 //! * [`gp_read_async`] — the `parfor`-prefetch path: the owner services the
-//!   request inline; the *initiator-side* parfor thread provides the
-//!   concurrency (Table 4's Prefetch row: the 1 create/element is the parfor
-//!   thread, not a receiver thread).
+//!   request inline; the initiator's `parfor` thread per element provides
+//!   the concurrency.
 //!
 //! Either way a remote access rides a CC++ call record (`rmi.rs`, over
 //! `mpmd-am`'s `reply.rs`) as its token, and the frames carry the access

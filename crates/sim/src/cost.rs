@@ -5,15 +5,10 @@
 //! the thread operations that its own scheduling machinery charges on behalf
 //! of the layered threads package.
 //!
-//! The defaults are fitted to Table 4 of the paper. The caption of Table 4
-//! states the per-op costs used by the authors to compute the `Threads Time`
-//! column (the exact digits are corrupted in the archived PDF); the values
-//! below reproduce the table's aggregate rows:
-//!
-//! * `0-Word Simple`: 10 sync ops            -> 10 x 0.4           =  4 µs
-//! * `0-Word`:       1 switch + 15 sync ops  -> 6 + 15 x 0.4       = 12 µs
-//! * `0-Word Threaded`: 2 switches + 1 create + 10 sync
-//!   -> 12 + 5 + 4 = 21 µs
+//! The defaults are the per-op costs that Table 4's caption gives for its
+//! `Threads Time` column (the digits are corrupted in the archived PDF). What
+//! each row charges from them is one table: `table4_charges` in
+//! `mpmd-bench`'s `micro.rs`.
 
 use crate::time::{us, Time};
 
@@ -282,17 +277,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_matches_table4_threads_column() {
-        let c = ThreadCosts::default();
-        // 0-Word Simple: 10 sync ops => 4 µs.
-        assert_eq!(10 * c.sync_op, us(4.0));
-        // 0-Word: 1 switch + 15 sync => 12 µs.
-        assert_eq!(c.context_switch + 15 * c.sync_op, us(12.0));
-        // 0-Word Threaded: 2 switches + 1 create + 10 sync => 21 µs.
-        assert_eq!(2 * c.context_switch + c.create + 10 * c.sync_op, us(21.0));
-    }
 
     #[test]
     fn heavyweight_is_heavier() {

@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn gp_read_takes_57us() {
-        // Table 4: Split-C "GP 2-Word R/W" Total = 57 µs (AM 53 + rt 4).
+        // Table 4: Split-C "GP 2-Word R/W" Total = 57 µs.
         Sim::new(2).run(|ctx| {
             init(&ctx);
             let a = all_spread_alloc(&ctx, 1, 1.5);

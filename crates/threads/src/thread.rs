@@ -53,8 +53,9 @@ pub fn yield_now<F: Fabric>(ctx: &F) {
     ctx.yield_now();
 }
 
-/// Charge and count one context switch (used by blocking primitives; one
-/// switch is charged per block/wake pair, on the blocking side).
+/// Charge and count one context switch. A blocking wait charges one when it
+/// blocks and one when it resumes ([`CondVar::wait`](crate::CondVar::wait)),
+/// a yield one, and CC++'s polling thread one per wake-up with work.
 pub fn charge_context_switch<F: Fabric>(ctx: &F) {
     let cost = ctx.cost().threads.context_switch;
     ctx.charge(Bucket::ThreadMgmt, cost);
