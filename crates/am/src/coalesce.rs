@@ -214,9 +214,9 @@ fn send_frame<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, mut msgs: Vec<AmM
     let marshal = ctx.cost().coalescing.marshal_per_msg;
     ctx.charge(Bucket::Net, p.send_charge(false) + n as u64 * marshal);
     ctx.with_stats(|s| {
-        s.agg_flushes += 1;
-        s.agg_msgs += n as u64;
-        s.agg_bytes += wire_bytes as u64;
+        s.agg_flushes.add(1);
+        s.agg_msgs.add(n as u64);
+        s.agg_bytes.add(wire_bytes as u64);
     });
     ctx.trace_event(|| TraceEvent::CoalesceFlush {
         dst,

@@ -35,9 +35,9 @@ pub(crate) fn send_inner<F: Fabric>(
     let bytes = data.as_ref().map_or(0, |d| d.len());
     ctx.with_stats(|s| {
         if bulk {
-            s.bulk_msgs += 1;
+            s.bulk_msgs.add(1);
         } else {
-            s.short_msgs += 1;
+            s.short_msgs.add(1);
         }
     });
     let msg = AmMsg {
@@ -106,7 +106,7 @@ fn run_handler<F: Fabric>(ctx: &F, st: &AmState<F>, msg: AmMsg, recv_ns: Time) {
     let hid = msg.handler;
     ctx.trace_event(|| TraceEvent::HandlerStart { handler: hid });
     ctx.charge(Bucket::Net, recv_ns);
-    ctx.with_stats(|s| s.handlers_run += 1);
+    ctx.with_stats(|s| s.handlers_run.add(1));
     lookup(st, hid)(ctx, msg);
     ctx.trace_event(|| TraceEvent::HandlerEnd { handler: hid });
 }
@@ -128,7 +128,7 @@ pub fn poll<F: Fabric>(ctx: &F) -> usize {
     crate::coalesce::flush_all(ctx, st);
     // Yield so every network event due at or before our clock is visible.
     ctx.poll_point();
-    ctx.with_stats(|s| s.polls += 1);
+    ctx.with_stats(|s| s.polls.add(1));
     let drained = match &ctx.cost().faults {
         Some(faults) => crate::reliable::poll_reliable(ctx, st, faults),
         None => {

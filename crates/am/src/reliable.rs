@@ -155,12 +155,12 @@ fn put<F: Fabric>(ctx: &F, st: &AmState<F>, dst: usize, frame: RelFrame, data_le
     let delay = st.profile().wire_delay(data_len) + d.extra_delay;
     let wire_bytes = SHORT_WIRE_BYTES + data_len;
     if d.drop {
-        ctx.with_stats(|s| s.wire_drops += 1);
+        ctx.with_stats(|s| s.wire_drops.add(1));
     } else {
         ctx.send_msg(dst, wire_bytes, delay, Payload::any(frame.clone()));
     }
     if d.duplicate {
-        ctx.with_stats(|s| s.wire_dups += 1);
+        ctx.with_stats(|s| s.wire_dups.add(1));
         ctx.send_msg(dst, wire_bytes, delay, Payload::any(frame));
     }
 }
@@ -230,7 +230,7 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultM
                     }
                 });
                 if stale_takes > 0 {
-                    ctx.with_stats(|s| s.dup_drops += stale_takes);
+                    ctx.with_stats(|s| s.dup_drops.add(stale_takes));
                     ctx.trace_event(|| TraceEvent::DupDrop { src, seq });
                 }
                 match action {
@@ -240,7 +240,7 @@ pub(crate) fn poll_reliable<F: Fabric>(ctx: &F, st: &AmState<F>, faults: &FaultM
                         }
                     }
                     Action::Duplicate => {
-                        ctx.with_stats(|s| s.dup_drops += 1);
+                        ctx.with_stats(|s| s.dup_drops.add(1));
                         ctx.trace_event(|| TraceEvent::DupDrop { src, seq });
                     }
                     Action::Buffered => {}
@@ -299,10 +299,10 @@ fn retransmit_scan<F: Fabric>(ctx: &F, st: &AmState<F>, rto_max: Time) {
         return;
     }
     let rc = ctx.cost().reliability.clone();
-    ctx.with_stats(|s| s.timeouts += 1);
+    ctx.with_stats(|s| s.timeouts.add(1));
     ctx.charge(Bucket::Net, rc.timeout_check);
     for ((dst, seq), pkt) in due {
-        ctx.with_stats(|s| s.retransmits += 1);
+        ctx.with_stats(|s| s.retransmits.add(1));
         ctx.charge(Bucket::Net, rc.retransmit);
         ctx.trace_event(|| TraceEvent::Retransmit { dst, seq });
         let data_len = pkt.data_len;

@@ -970,7 +970,7 @@ fn misuses<F: Fabric>() -> [(&'static str, Misuse<F>); 4] {
     [
         ("lock", |c, m| *m.lock(c) += 1),
         ("charge", |c, _| c.charge(Bucket::Cpu, 1)),
-        ("with_stats", |c, _| c.with_stats(|s| s.polls += 1)),
+        ("with_stats", |c, _| c.with_stats(|s| s.polls.add(1))),
         ("node_data", |c, _| _ = c.node_data(|| 0u8)),
     ]
 }
@@ -1378,7 +1378,7 @@ type ProbeSnap = Arc<Mutex<Option<Snapshot>>>;
 fn probe_work<F: Fabric>(count_on: &F, me: &F, iters: u64) {
     for i in 0..iters {
         count_on.charge(Bucket::Cpu, PT_CHARGE);
-        count_on.with_stats(|s| s.thread_creates += 1);
+        count_on.with_stats(|s| s.thread_creates.add(1));
         count_on.metric_observe("probe.units", 2);
         count_on.metric_observe("probe.value", i % 5);
         match i % 250 {
@@ -1490,6 +1490,98 @@ fn check_probe_totals(fabric: &str, metrics_on: bool, snap: &ProbeSnap, report: 
     if let (Some(end), Some(mid)) = (&report.metrics, &snap.metrics) {
         let _ = end.since(mid);
     }
+}
+
+/// The frame battery's handler: records the round its sender reached.
+const H_ROUND: am::HandlerId = 101;
+/// Round trips of the frame battery (ten thousand in release), and the
+/// units node 1 counts through `with_stats` in each.
+const FC_ROUNDS: u64 = if cfg!(debug_assertions) {
+    1_000
+} else {
+    10_000
+};
+const FC_UNITS: u64 = 3;
+/// Counting steps node 1 takes while node 0 snapshots in a loop, and node
+/// 0's sleep between two snapshots.
+const FC_SPREE: u64 = if cfg!(debug_assertions) {
+    20_000
+} else {
+    200_000
+};
+const FC_GAP_NS: u64 = 2_000;
+
+/// A frame carries its sender's counts, with no barrier. Each round node 1
+/// counts through `with_stats` and `metric_observe`, sends node 0 one AM, and
+/// then touches only other counters until node 0 answers; node 0, once that
+/// AM has run, snapshots and must see exactly what node 1 counted before
+/// sending it. Then node 0 snapshots in a loop while node 1 counts on, and
+/// every interval between two snapshots must be well-formed (`until` panics
+/// on a counter, histogram or clock that went backwards): every counter only
+/// grows.
+fn battery_frame_carries_counts<F: Fabric>(ctx: &F) {
+    setup(ctx);
+    let got = Arc::new(AtomicU64::new(0));
+    let g = Arc::clone(&got);
+    am::register(ctx, H_ROUND, move |_, m| {
+        g.store(m.args[0], Ordering::Relaxed)
+    });
+    am::barrier(ctx);
+    let (me, peer) = (ctx.node(), 1 - ctx.node());
+    let reached = |round| {
+        am::endpoint(ctx)
+            .to(peer)
+            .handler(H_ROUND)
+            .args([round, 0, 0, 0])
+    };
+    for round in 1..=FC_ROUNDS {
+        if me == 1 {
+            ctx.with_stats(|s| s.thread_creates.add(FC_UNITS));
+            ctx.metric_observe("frame.units", round);
+            reached(round).send();
+            ctx.with_stats(|s| s.lock_contended.add(1));
+            ctx.metric_observe("frame.other", round);
+        }
+        am::wait_until(ctx, || got.load(Ordering::Relaxed) == round);
+        if me == 0 {
+            let snap = ctx.snapshot();
+            let units = FC_UNITS * round;
+            assert_eq!(snap.stats[1].thread_creates, units, "round {round}");
+            let h = &snap.metrics.as_ref().expect("metrics on").nodes[1].hists["frame.units"];
+            let sum = round * (round + 1) / 2;
+            assert_eq!(
+                (h.count, h.sum, h.max),
+                (round, sum, round),
+                "round {round}"
+            );
+            reached(round).send();
+        }
+    }
+    let done = FC_ROUNDS + 1;
+    if me == 1 {
+        for i in 0..FC_SPREE {
+            ctx.with_stats(|s| {
+                s.thread_creates.add(1);
+                s.sync_ops.add(2);
+            });
+            ctx.charge(Bucket::Cpu, 1);
+            ctx.metric_observe("frame.units", i % 7);
+            ctx.metric_observe("frame.other", i);
+        }
+        reached(done).send();
+    } else {
+        let mut earlier = ctx.snapshot();
+        while got.load(Ordering::Relaxed) != done {
+            ctx.sleep(FC_GAP_NS);
+            am::poll(ctx);
+            let later = ctx.snapshot();
+            let _ = earlier.until(&later);
+            earlier = later;
+        }
+        let units = FC_UNITS * FC_ROUNDS + FC_SPREE;
+        assert_eq!(earlier.stats[1].thread_creates, units, "after the spree");
+    }
+    am::barrier(ctx);
 }
 
 // ------------------------------------------------------------------ drivers
@@ -1714,6 +1806,20 @@ fn probe_totals_local() {
             .run(move |ctx| battery_probe_totals(&ctx, &s));
         check_probe_totals("local", on, &shared, &r);
     }
+}
+
+#[test]
+fn frame_carries_counts_sim() {
+    Sim::new(2)
+        .cost_model(metrics(true))
+        .run(|ctx| battery_frame_carries_counts(&ctx));
+}
+
+#[test]
+fn frame_carries_counts_local() {
+    LocalFabricBuilder::new(2)
+        .metrics(true)
+        .run(|ctx| battery_frame_carries_counts(&ctx));
 }
 
 #[test]

@@ -40,7 +40,7 @@ fn short() -> Payload {
 fn probes(fab: &LocalFabric) {
     let t0 = fab.metric_now();
     fab.charge(Bucket::Net, 2_000);
-    fab.with_stats(|s| s.short_msgs += 1);
+    fab.with_stats(|s| s.short_msgs.add(1));
     fab.metric_observe("alloc.trips", 1);
     fab.metric_observe_since("alloc.trip_ns", t0.expect("metrics are on by default"));
 }

@@ -11,8 +11,9 @@
 //! exactly once, through `Handle::home` (the baton's check that the caller
 //! is its holder and a task of this handle's node, then a `RefCell` borrow),
 //! and none holds the borrow across a baton switch. `probe` lends a node's
-//! [`Probe`] out of that borrow, so the `with_stats` closure that runs under
-//! it must not call back into the fabric (doing so panics).
+//! [`Probe`] out of that borrow, and `with_ledger` runs its closure under it,
+//! so a `with_stats` closure must not call back into the fabric (doing so
+//! panics).
 
 use crate::baton::{Backend, NodeKey, TaskBody, TaskCell};
 use crate::cost::CostModel;
@@ -21,7 +22,7 @@ use crate::event::{Msg, Payload};
 use crate::fabric::{Fabric, BORROWED};
 use crate::kernel::FaultDecision;
 use crate::node_data::NodeData;
-use crate::probe::Probe;
+use crate::probe::{Ledger, Probe};
 use crate::report::Snapshot;
 use crate::sched::{NodeTasks, TaskState};
 use crate::stats::{size_bucket, Bucket};
@@ -78,6 +79,8 @@ pub trait Driver: Send + Sync + Sized + 'static {
     fn tasks(home: &mut Self::Home, node: usize) -> &mut NodeTasks;
     /// `node`'s probe.
     fn probe(home: &mut Self::Home, node: usize) -> &mut Probe;
+    /// `node`'s ledger, for its baton holder to write through.
+    fn ledger<'a>(&'a self, home: &'a Self::Home, node: usize) -> &'a Ledger;
     /// `node`'s clock, read in a borrow.
     fn clock(&self, home: &Self::Home, node: usize) -> Time;
     /// Apply the wake `rule` to `node`'s task table, tracing each task it
@@ -326,7 +329,7 @@ impl<D: Driver> Fabric for Handle<D> {
         }
         let (node, mut home) = (self.node, self.home());
         D::advance(&mut home, node, ns);
-        D::probe(&mut home, node).stats().bucket_ns[bucket.index()] += ns;
+        self.inner.ledger(&home, node).stats.bucket_ns[bucket.index()].add(ns);
         self.record(&mut home, self.task, || TraceEvent::Charge { bucket, ns });
     }
 
@@ -411,11 +414,11 @@ impl<D: Driver> Fabric for Handle<D> {
     /// The receive is counted by the driver.
     fn send_msg(&self, dst: usize, wire_bytes: usize, delay: Time, payload: Payload) {
         assert!(dst < self.nodes(), "send to nonexistent node {dst}");
-        let mut home = self.home();
-        let s = D::probe(&mut home, self.node).stats();
-        s.msgs_sent += 1;
-        s.bytes_sent += wire_bytes as u64;
-        s.msg_size_hist[size_bucket(wire_bytes)] += 1;
+        let home = self.home();
+        let s = &self.inner.ledger(&home, self.node).stats;
+        s.msgs_sent.add(1);
+        s.bytes_sent.add(wire_bytes as u64);
+        s.msg_size_hist[size_bucket(wire_bytes)].add(1);
         let msg = Msg {
             src: self.node,
             wire_bytes,
@@ -435,6 +438,12 @@ impl<D: Driver> Fabric for Handle<D> {
     {
         self.key.check();
         self.inner.machine().data[self.node].get_or_init(init)
+    }
+
+    #[inline]
+    fn with_ledger<R>(&self, f: impl FnOnce(&Ledger) -> R) -> R {
+        let home = self.home();
+        f(self.inner.ledger(&home, self.node))
     }
 
     /// Lent out of the node borrow.

@@ -30,7 +30,7 @@ use crate::explore::ScheduleOracle;
 use crate::fabric::BORROWED;
 use crate::kernel::{FaultDecision, Kernel};
 use crate::metrics::MetricsRegistry;
-use crate::probe::Probe;
+use crate::probe::{Ledger, Probe};
 use crate::report::{Report, Snapshot};
 use crate::sched::NodeTasks;
 use crate::task::TaskId;
@@ -269,10 +269,10 @@ fn decide_inner(
 /// `Fabric::snapshot`; callers should quiesce (e.g. barrier) first so the
 /// snapshot is meaningful.
 fn snapshot(k: &Kernel) -> Snapshot {
-    let metrics = k.nodes.iter().map(|n| n.probe.metrics());
+    let metrics = k.nodes.iter().map(|n| n.ledger.metrics(&n.probe.keyed));
     Snapshot {
         clocks: k.nodes.iter().map(|n| n.clock).collect(),
-        stats: k.nodes.iter().map(|n| n.probe.stats.clone()).collect(),
+        stats: k.nodes.iter().map(|n| n.ledger.stats.read()).collect(),
         metrics: k.metrics.then(|| MetricsRegistry {
             nodes: metrics.collect(),
         }),
@@ -313,6 +313,11 @@ impl Driver for SimDriver {
     #[inline]
     fn probe(k: &mut Kernel, node: usize) -> &mut Probe {
         &mut k.nodes[node].probe
+    }
+
+    #[inline]
+    fn ledger<'a>(&'a self, k: &'a Kernel, node: usize) -> &'a Ledger {
+        &k.nodes[node].ledger
     }
 
     #[inline]
@@ -511,7 +516,7 @@ mod tests {
         type Call = fn(&Ctx);
         let calls: [(&str, Call); 4] = [
             ("charge", |c| c.charge(Bucket::Cpu, 1)),
-            ("with_stats", |c| c.with_stats(|s| s.polls += 1)),
+            ("with_stats", |c| c.with_stats(|s| s.polls.add(1))),
             ("now", |c| _ = c.now()),
             ("node_data", |c| _ = c.node_data(|| 0u8)),
         ];

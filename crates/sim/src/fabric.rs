@@ -21,9 +21,9 @@
 use crate::cost::CostModel;
 use crate::event::{Msg, Payload};
 use crate::kernel::FaultDecision;
-use crate::probe::Probe;
+use crate::probe::{Ledger, Probe};
 use crate::report::Snapshot;
-use crate::stats::{Bucket, Stats};
+use crate::stats::{Bucket, StatCells};
 use crate::task::TaskId;
 use crate::time::Time;
 use crate::trace::{SpanId, TraceEvent, TraceRecord};
@@ -34,7 +34,7 @@ use std::cell::RefMut;
 pub const ACROSS_NODES: &str = "reaches across nodes: only messages cross nodes";
 
 /// What a call through a handle panics with, on every backend, from a
-/// closure that runs under the node's probe (a `with_stats` closure).
+/// closure that runs under the node's borrow (a `with_stats` closure).
 pub const REENTRY: &str = "a fabric re-entered from a `with_stats` closure: it runs on the \
                            node's probe and must not call back into the fabric";
 
@@ -55,12 +55,12 @@ pub const BORROWED: &str = "a handle blocks only the task it was given to: `park
 /// Two kinds of method (DESIGN.md §4 has the table):
 ///
 /// * **required** — identity, clock and ledger, scheduling, faults,
-///   transport, per-node data and the per-node [`Probe`]: every backend
-///   defines these;
+///   transport, per-node data and the per-node [`Ledger`] and [`Probe`]:
+///   every backend defines these;
 /// * **provided** — the instrumentation (`with_stats`, `metrics_enabled`,
 ///   `metric_observe`, `span_start`, `span_end`, `trace_event` and the
-///   helpers over them): written once here over `probe`, `tracing`, `cost`
-///   and `now`; no backend overrides them.
+///   helpers over them): written once here over `with_ledger`, `probe`,
+///   `tracing`, `cost` and `now`; no backend overrides them.
 ///
 /// Contract highlights (the conformance suite in `mpmd-am` checks these on
 /// every backend):
@@ -120,9 +120,9 @@ pub trait Fabric: Clone + Send + 'static {
     /// Capture all node clocks/stats. The capture holds what the caller has
     /// done so far and everything another node did before sending a frame
     /// that reached the caller, on any chain of frames — so behind a barrier
-    /// it is exact. Nodes that hand off through shared memory alone are seen,
-    /// on `LocalFabric`, as of their last send or the last time they went
-    /// idle.
+    /// it is exact — or before any other Acquire/Release hand-off to the
+    /// caller. On `LocalFabric` it also holds whatever else the other nodes'
+    /// counters read at the time: every counter only grows.
     fn snapshot(&self) -> Snapshot;
 
     // ---- scheduling --------------------------------------------------
@@ -224,8 +224,12 @@ pub trait Fabric: Clone + Send + 'static {
 
     // ---- instrumentation ---------------------------------------------
 
+    /// Run `f` on this node's [`Ledger`] under the node's borrow, as the
+    /// provided counting methods below do: a call back into the fabric panics.
+    fn with_ledger<R>(&self, f: impl FnOnce(&Ledger) -> R) -> R;
+
     /// This node's [`Probe`], borrowed until the guard drops: calling back
-    /// into the fabric meanwhile panics on every backend. Counting goes
+    /// into the fabric meanwhile panics on every backend. Tracing goes
     /// through the provided methods below, which are written over it.
     fn probe(&self) -> RefMut<'_, Probe>;
 
@@ -233,13 +237,12 @@ pub trait Fabric: Clone + Send + 'static {
     /// off a span or trace event borrows nothing.
     fn tracing(&self) -> bool;
 
-    /// Add to this node's instrumentation counters. `f` must not call back
-    /// into the fabric: that panics on every backend. It must not *read*
-    /// the counters either — the simulator hands it the node's totals,
-    /// `LocalFabric` only what the node has counted since its last drain;
-    /// totals come from [`Fabric::snapshot`] and the run's report.
-    fn with_stats<R>(&self, f: impl FnOnce(&mut Stats) -> R) -> R {
-        f(self.probe().stats())
+    /// Add to this node's instrumentation counters, as in
+    /// `ctx.with_stats(|s| s.polls.add(1))`. Both fabrics hand `f` the node's
+    /// totals, which [`Fabric::snapshot`] and the run's report read in place.
+    /// `f` must not call back into the fabric: that panics on every backend.
+    fn with_stats<R>(&self, f: impl FnOnce(&StatCells) -> R) -> R {
+        self.with_ledger(|l| f(&l.stats))
     }
 
     /// Whether the run keeps metrics (`CostModel::metrics`), so callers can
@@ -251,7 +254,7 @@ pub trait Fabric: Clone + Send + 'static {
     /// Record `v` into this node's histogram `name`.
     fn metric_observe(&self, name: &'static str, v: u64) {
         if self.metrics_enabled() {
-            self.probe().observe(name, v);
+            self.with_ledger(|l| l.observe(name, v));
         }
     }
 

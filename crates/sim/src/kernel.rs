@@ -2,8 +2,8 @@
 //!
 //! All mutable simulation state lives here, in one [`Kernel`] in the
 //! `BatonCell` of `SimDriver`: per node the virtual clock, inbox, task table
-//! ([`NodeTasks`], the one `LocalFabric` keeps too) and [`Probe`]
-//! ([`NodeState`]); machine-wide the event heap and the fault and
+//! ([`NodeTasks`], the one `LocalFabric` keeps too), [`Probe`] and
+//! [`Ledger`] ([`NodeState`]); machine-wide the event heap and the fault and
 //! exploration instruments.
 //!
 //! Exactly one context runs at a time (the engine, or the one task holding
@@ -15,7 +15,7 @@
 
 use crate::event::{EventKey, EventKind, Msg};
 use crate::explore::{ChoicePoint, ScheduleOracle};
-use crate::probe::Probe;
+use crate::probe::{Ledger, Probe};
 use crate::sched::NodeTasks;
 use crate::task::TaskId;
 use crate::time::Time;
@@ -34,8 +34,10 @@ pub(crate) struct NodeState {
     pub(crate) inbox: VecDeque<Msg>,
     /// Task records, run queue and inbox waiters.
     pub(crate) tasks: NodeTasks,
-    /// Ledger, metrics and trace ring.
+    /// Trace ring and traffic matrix.
     pub(crate) probe: Probe,
+    /// Counters and histograms.
+    pub(crate) ledger: Ledger,
 }
 
 /// The simulator's node borrow: the handle body's `Home` on the simulator.
@@ -147,6 +149,7 @@ impl Kernel {
                     inbox: VecDeque::new(),
                     tasks: NodeTasks::new(node, nodes),
                     probe: Probe::new(trace.as_ref(), &span_ids),
+                    ledger: Ledger::new(metrics),
                 })
                 .collect(),
             events: BinaryHeap::new(),
@@ -417,7 +420,7 @@ impl Kernel {
         match kind {
             EventKind::Deliver { node, msg } => {
                 let (src, wire_bytes) = (msg.src, msg.wire_bytes);
-                self.nodes[node].probe.stats.msgs_received += 1;
+                self.nodes[node].ledger.stats.msgs_received.add(1);
                 self.nodes[node].inbox.push_back(msg);
                 self.raise_clock(node, time);
                 self.emit(node, NO_TASK, TraceEvent::MsgDeliver { src, wire_bytes });

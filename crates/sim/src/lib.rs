@@ -73,12 +73,14 @@ pub use fabric::{Fabric, SpanGuard, ACROSS_NODES, BORROWED, NOT_ITS_NODE, REENTR
 pub use flame::{fold_stacks, phase_profile, Phase};
 pub use kernel::FaultDecision;
 pub use local::{LocalFabric, LocalFabricBuilder};
-pub use metrics::{Histogram, MetricsRegistry, NodeMetrics, HIST_BUCKETS};
+pub use metrics::{Histogram, MetricsRegistry, NodeMetrics, HIST_BUCKETS, HIST_NAMES};
 pub use node_cell::{NodeCell, REENTERED};
 pub use node_data::NodeData;
-pub use probe::Probe;
+pub use probe::{Ledger, Probe};
 pub use report::{Report, Snapshot};
-pub use stats::{size_bucket, size_bucket_limit, Bucket, Stats, NUM_BUCKETS};
+pub use stats::{
+    size_bucket, size_bucket_limit, Bucket, Counter, StatCells, Stats, StatsOf, NUM_BUCKETS,
+};
 pub use task::TaskId;
 pub use time::{ms, secs, to_secs, to_us, us, Time};
 pub use trace::{NodeTrace, Span, SpanId, TraceConfig, TraceEvent, TraceLog, TraceRecord};

@@ -37,16 +37,16 @@
 //!   timed park.
 //! * **Wake-ups cost the sender a fence and a load** unless the receiver's
 //!   thread is really asleep: [`NodeParker`] has the flag/flag argument.
-//! * **Cross-thread state**: the rings, the parker, `retired` flags. Only
-//!   messages cross nodes, and nothing runs beside a node's thread: a handle
-//!   works for a task of its own node, as the node's baton checks, and
-//!   panics anywhere else, unless only asked what it is (`node`, `now`,
-//!   `inbox_len`, ...).
-//!   Task table and run queue (`crate::sched::NodeTasks`, the
-//!   simulator's too), deadline list, stash, singletons and
-//!   [`Probe`] (ledger, metrics and trace ring with no lock and no atomic,
-//!   folded into the node's totals before a frame leaves the node) are
-//!   touched by the node's thread alone, and so is each link's receiving end.
+//! * **Cross-thread state**: the rings, the parker, `retired` flags, and
+//!   each node's [`Ledger`], which only the node's thread writes and any
+//!   `snapshot()` reads in place: a frame publishes every count its sender
+//!   made before it. Only messages cross nodes, and nothing runs beside a
+//!   node's thread: a handle works for a task of its own node, as the node's
+//!   baton checks, and panics anywhere else, unless only asked what it is
+//!   (`node`, `now`, `inbox_len`, ...). Task table and run queue
+//!   (`crate::sched::NodeTasks`, the simulator's too), deadline list, stash,
+//!   singletons and [`Probe`] (the trace ring) are touched by the node's
+//!   thread alone, and so is each link's receiving end.
 //! * **A task that blocks outside the fabric** (a `std::sync` lock held by
 //!   another node, a syscall, `std::thread::sleep`) stalls every task of its
 //!   node for that long. A lock shared by two tasks of one node must not be
@@ -73,7 +73,7 @@ use crate::cost::CostModel;
 use crate::ctx::{Driver, Handle, Machine};
 use crate::event::Msg;
 use crate::metrics::MetricsRegistry;
-use crate::probe::Probe;
+use crate::probe::{Ledger, Probe};
 use crate::report::{Report, Snapshot};
 use crate::sched::NodeTasks;
 use crate::task::TaskId;
@@ -83,7 +83,7 @@ use crate::wait::{WaitPhase, WaitPolicy, Waiter};
 use std::any::Any;
 use std::cell::{Cell, RefMut, UnsafeCell};
 use std::collections::VecDeque;
-use std::mem::{align_of, offset_of, size_of, MaybeUninit};
+use std::mem::{align_of, size_of, MaybeUninit};
 use std::sync::atomic::{fence, AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
@@ -364,8 +364,7 @@ pub struct Sched {
     /// Frames a send that waited for room took off full inbound rings, each
     /// link's oldest first; `try_recv` serves them before any ring.
     stash: VecDeque<Msg>,
-    /// What the node's tasks counted, observed and traced since it was last
-    /// drained into the node's totals.
+    /// The node's trace ring.
     probe: Probe,
 }
 
@@ -387,13 +386,11 @@ impl Sched {
 struct Node {
     /// Read by every sender of a frame to this node; alone in its block.
     parker: NodeParker,
-    /// The node's totals. Its probe is drained into them before anything the
-    /// node did can be seen from another node — in `send_msg` ahead of the
-    /// push, the only way out of a node, so whoever receives a frame reads
-    /// totals that hold all its sender counted before it — and where the
-    /// node stops anyway: before its idle loop parks, at its exit, and in a
-    /// task's own `snapshot()`. Locked only there and by readers.
-    totals: Mutex<Probe>,
+    /// The node's totals, written only by the holder of its baton and read
+    /// only by `snapshot()`, in blocks of their own. The Release store that
+    /// publishes a frame orders every count its sender made before it, so
+    /// whoever receives the frame reads totals that hold them.
+    ledger: Ledger,
     /// The node's last task has exited: it never receives again.
     retired: AtomicBool,
     /// The node's baton. Its engine context is the node's thread.
@@ -407,17 +404,17 @@ struct Node {
 // The layout the message path relies on, checked at compile time so that the
 // next field added cannot quietly bring false sharing back. Per message a
 // sender reads the receiver's `parker.parked` and the link's `slots`/`mask`,
-// and writes the slot and the link's `prod` block; a receiver writes the
-// link's `head` block and — draining its probe ahead of every send —
-// its `totals` lock. Nothing one thread writes
-// per message may share a 128-byte block with what another reads per
-// message.
+// and writes the slot, the link's `prod` block and its own ledger; a
+// receiver writes the link's `head` block and its own ledger. Nothing one
+// thread writes per message may share a 128-byte block with what another
+// reads per message.
 const _: () = {
     assert!(size_of::<Slot>() == 128 && align_of::<Slot>() == 128);
     // Alone in its block, wherever `Node` puts it.
     assert!(size_of::<NodeParker>() == 128 && align_of::<NodeParker>() == 128);
-    let parker = offset_of!(Node, parker) / 128;
-    assert!(offset_of!(Node, totals) / 128 != parker);
+    // Whole blocks of its own, wherever `Node` puts it: the counts share no
+    // block with the parker or with another node's ledger.
+    assert!(size_of::<Ledger>().is_multiple_of(128) && align_of::<Ledger>() == 128);
     // A link is three whole blocks — `prod`, `head`, and the read-only
     // `slots`/`mask` — so its neighbours in `rings`, one of them the same
     // two nodes' link in the other direction, share none with it.
@@ -534,9 +531,6 @@ impl LocalDriver {
                 WaitPhase::Spin => std::hint::spin_loop(),
                 WaitPhase::Yield => std::thread::yield_now(),
                 WaitPhase::Park(slice) => {
-                    // Nothing to do until something lands: the time the
-                    // drain takes is time this thread would have slept.
-                    s.probe.drain(&self.node[node].totals);
                     let dur = left.map_or(slice, |l| slice.min(l));
                     parker.park_timeout(Duration::from_nanos(dur), || self.pending(node, s));
                     // Before the spurious release, which would hide that a
@@ -578,13 +572,12 @@ impl LocalDriver {
         }
     }
 
-    /// Every node's totals, one lock at a time, on the one wall clock.
+    /// Every node's totals as they stand, on the one wall clock.
     fn snapshot(&self) -> Snapshot {
-        let stats = |n: &Node| locked(&n.totals).stats().clone();
-        let metrics = |n: &Node| locked(&n.totals).metrics();
+        let metrics = |n: &Node| n.ledger.metrics(&Default::default());
         Snapshot {
             clocks: vec![self.now(); self.machine.nodes],
-            stats: self.node.iter().map(stats).collect(),
+            stats: self.node.iter().map(|n| n.ledger.stats.read()).collect(),
             metrics: self.machine.cost.metrics.then(|| MetricsRegistry {
                 nodes: self.node.iter().map(metrics).collect(),
             }),
@@ -608,8 +601,6 @@ where
     loop {
         let mut s = me.local.borrow_mut();
         let Some((_, cell)) = inner.next_ready(node, &mut s) else {
-            // The report reads the totals.
-            s.probe.drain(&me.totals);
             return s.probe.take_trace();
         };
         drop(s);
@@ -692,6 +683,7 @@ impl LocalFabricBuilder {
         let n = self.nodes;
         let cap = self.ring_capacity;
         let trace = self.trace.as_ref();
+        let metrics = self.cost.metrics;
         let inner = Arc::new(LocalDriver {
             machine: Machine::new(n, self.cost, trace.is_some()),
             epoch: Instant::now(),
@@ -706,7 +698,7 @@ impl LocalFabricBuilder {
                     );
                     Node {
                         parker: NodeParker::new(),
-                        totals: Mutex::default(),
+                        ledger: Ledger::new(metrics),
                         retired: AtomicBool::new(false),
                         local: BatonCell::new(&backend, sched),
                         backend,
@@ -831,11 +823,14 @@ impl Driver for LocalDriver {
         s.tasks.wake(&mut s.probe, || self.now(), rule)
     }
 
-    /// What the node counted since its last merge, not its totals: add to
-    /// it, do not read it.
     #[inline]
     fn probe(s: &mut Sched, _node: usize) -> &mut Probe {
         &mut s.probe
+    }
+
+    #[inline]
+    fn ledger<'a>(&'a self, _s: &'a Sched, node: usize) -> &'a Ledger {
+        &self.node[node].ledger
     }
 
     #[inline]
@@ -925,11 +920,8 @@ impl Driver for LocalDriver {
     }
 
     /// The modeled `delay` is ignored: the real wire supplies real latency.
-    fn send(h: &LocalFabric, mut s: RefMut<'_, Sched>, dst: usize, msg: Msg, _delay: Time) {
-        // The receive is counted at `try_recv`, by the receiver. The merge
-        // comes before the push: once the frame can be seen, so can
-        // everything this node counted before sending it.
-        s.probe.drain(&h.inner.node[h.node].totals);
+    /// The receive is counted at `try_recv`, by the receiver.
+    fn send(h: &LocalFabric, s: RefMut<'_, Sched>, dst: usize, msg: Msg, _delay: Time) {
         drop(s);
         if h.push_when_room(dst, msg) {
             h.inner.node[dst].parker.bump();
@@ -954,7 +946,7 @@ impl Driver for LocalDriver {
             })
         });
         if next.is_some() {
-            s.probe.stats().msgs_received += 1;
+            h.inner.node[h.node].ledger.stats.msgs_received.add(1);
         }
         next
     }
@@ -970,9 +962,9 @@ impl Driver for LocalDriver {
 
     /// Holds what the caller's node did up to now, what every other node did
     /// before sending a frame that reached the caller (so everything before
-    /// a barrier), and what each did up to the last time it went idle.
+    /// a barrier), and whatever else their counters held when read.
     fn snapshot(h: &LocalFabric) -> Snapshot {
-        h.home().probe.drain(&h.inner.node[h.node].totals);
+        drop(h.home());
         h.inner.snapshot()
     }
 }
@@ -1190,7 +1182,7 @@ mod tests {
         let r = LocalFabric::run(1, |fab| {
             let t = fab.spawn("w", |c| {
                 c.charge(Bucket::Cpu, 1_000);
-                c.with_stats(|s| s.polls += 1);
+                c.with_stats(|s| s.polls.add(1));
             });
             fab.join(t);
             assert!(fab.is_finished(t));
@@ -1370,7 +1362,7 @@ mod tests {
                 c.with_stats(|_| c.charge(Bucket::Cpu, 1))
             }),
             ("with_stats in with_stats", |_, c| {
-                c.with_stats(|_| c.with_stats(|s| s.polls += 1))
+                c.with_stats(|_| c.with_stats(|s| s.polls.add(1)))
             }),
             ("park in with_stats", |_, c| c.with_stats(|_| c.park())),
             ("park_for_inbox in with_stats", |_, c| {
@@ -1432,7 +1424,7 @@ mod tests {
             ("unpark", |c| c.unpark(c.task_id()), true),
             ("is_finished", |c| _ = c.is_finished(c.task_id()), true),
             ("charge", |c| c.charge(Bucket::Cpu, 1), false),
-            ("with_stats", |c| c.with_stats(|s| s.polls += 1), true),
+            ("with_stats", |c| c.with_stats(|s| s.polls.add(1)), true),
             ("metric_observe", |c| c.metric_observe("t.v", 1), true),
             ("snapshot", |c| _ = c.snapshot(), true),
             ("node_data", |c| _ = c.node_data(|| 0u8), true),
@@ -1510,7 +1502,7 @@ mod tests {
             let bomb = fab.spawn("bomb", |c| c.with_stats(|_| panic!("closure gave up")));
             fab.join(bomb);
             // Same node, after the panic: counting and a merge still work.
-            fab.with_stats(|s| s.polls += 1);
+            fab.with_stats(|s| s.polls.add(1));
             fab.charge(Bucket::Cpu, 5);
             assert_eq!(fab.snapshot().stats[0].polls, 1);
             c2.store(true, Ordering::SeqCst);

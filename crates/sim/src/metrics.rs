@@ -9,16 +9,18 @@
 //!
 //! Like the tracer, the registry is opt-in and **zero-cost when absent**:
 //! every recording hook bails on the cost model's switch without building
-//! any payload. Turn it on with
+//! any payload, and a run without it has no histogram table. Turn it on with
 //! [`CostModel::with_metrics`](crate::CostModel::with_metrics); each node
-//! records into its [`Probe`](crate::Probe), and the filled registry comes
+//! records into its [`Ledger`](crate::Ledger), and the filled registry comes
 //! back on [`Report::metrics`](crate::Report::metrics).
 //!
 //! Everything here is integer arithmetic over virtual nanoseconds, so two
 //! runs of the same seeded program produce byte-identical serialized
 //! registries regardless of host, thread count, or wall-clock conditions.
 
+use crate::stats::Counter;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Number of histogram buckets: bucket 0 holds the value 0, bucket `i >= 1`
 /// holds values with bit length `i`, i.e. the range `[2^(i-1), 2^i - 1]`.
@@ -86,21 +88,6 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Record one sample.
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.sum += v;
-        self.buckets[bucket_index(v)] += 1;
-    }
-
     /// The quantile given in per-mille (`500` = p50, `990` = p99): the upper
     /// edge of the bucket containing the target rank, clamped to
     /// `[min, max]`. Returns 0 for an empty histogram.
@@ -191,6 +178,89 @@ impl Histogram {
     }
 }
 
+/// Histogram names one node keeps: the first use of one more panics.
+pub const HIST_NAMES: usize = 16;
+
+/// One node's histograms as [`Counter`]s, by name in first-use order, each
+/// name set once by the recorder. One scan of a dozen names beats hashing;
+/// a comparison tries the address first (a call site passes the same literal
+/// every time), then the value (two call sites may hold two copies).
+#[repr(align(128))]
+pub(crate) struct HistTable {
+    names: [OnceLock<&'static str>; HIST_NAMES],
+    hists: [HistCells; HIST_NAMES],
+}
+
+impl HistTable {
+    pub(crate) fn new() -> Self {
+        HistTable {
+            names: std::array::from_fn(|_| OnceLock::new()),
+            hists: std::array::from_fn(|_| HistCells::new()),
+        }
+    }
+
+    /// Record `v` into histogram `name`.
+    #[inline]
+    pub(crate) fn observe(&self, name: &'static str, v: u64) {
+        let same = |n: &&'static str| std::ptr::eq(*n, name) || *n == name;
+        let Some(i) = self.names.iter().position(|n| same(n.get_or_init(|| name))) else {
+            panic!("a node keeps at most HIST_NAMES = {HIST_NAMES} histograms: `{name}`")
+        };
+        self.hists[i].record(v);
+    }
+
+    /// Every histogram that holds a sample.
+    pub(crate) fn read(&self) -> BTreeMap<&'static str, Histogram> {
+        let named = self.names.iter().map_while(OnceLock::get).zip(&self.hists);
+        let read = named.map(|(name, h)| (*name, h.read()));
+        read.filter(|(_, h)| h.count > 0).collect()
+    }
+}
+
+/// One histogram's cells. Its count is the sum of its buckets as read, so a
+/// snapshot taken while samples land still adds up.
+struct HistCells {
+    sum: Counter,
+    /// `u64::MAX` until the first sample.
+    min: Counter,
+    max: Counter,
+    buckets: [Counter; HIST_BUCKETS],
+}
+
+impl HistCells {
+    fn new() -> Self {
+        let min = Counter::default();
+        min.set(u64::MAX);
+        HistCells {
+            sum: Counter::default(),
+            min,
+            max: Counter::default(),
+            buckets: std::array::from_fn(|_| Counter::default()),
+        }
+    }
+
+    #[inline]
+    fn record(&self, v: u64) {
+        self.min.set(self.min.get().min(v));
+        self.max.set(self.max.get().max(v));
+        self.sum.add(v);
+        self.buckets[bucket_index(v)].add(1);
+    }
+
+    fn read(&self) -> Histogram {
+        let buckets: [u64; HIST_BUCKETS] = std::array::from_fn(|i| self.buckets[i].get());
+        let count = buckets.iter().sum();
+        let max = if count == 0 { 0 } else { self.max.get() };
+        Histogram {
+            count,
+            sum: self.sum.get(),
+            min: self.min.get().min(max),
+            max,
+            buckets,
+        }
+    }
+}
+
 /// One node's metrics: per-key counters (the traffic matrix, keyed by
 /// destination node) and histograms.
 ///
@@ -236,15 +306,8 @@ impl NodeMetrics {
                 out.keyed.insert(k, dm);
             }
         }
-        static EMPTY: Histogram = Histogram {
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            buckets: [0; HIST_BUCKETS],
-        };
         for (k, h) in &self.hists {
-            let d = h.since(earlier.hists.get(k).unwrap_or(&EMPTY));
+            let d = h.since(earlier.hists.get(k).unwrap_or(&Histogram::default()));
             if d.count > 0 {
                 out.hists.insert(k, d);
             }
@@ -273,16 +336,10 @@ impl MetricsRegistry {
 
     /// The global (merged) histogram under `name`, if any node recorded it.
     pub fn hist(&self, name: &str) -> Option<Histogram> {
-        let mut acc: Option<Histogram> = None;
-        for n in &self.nodes {
-            if let Some(h) = n.hists.get(name) {
-                match &mut acc {
-                    Some(a) => a.merge(h),
-                    None => acc = Some(h.clone()),
-                }
-            }
-        }
-        acc
+        let mut found = self.nodes.iter().filter_map(|n| n.hists.get(name));
+        let mut acc = found.next()?.clone();
+        found.for_each(|h| acc.merge(h));
+        Some(acc)
     }
 
     /// Interval difference `self - earlier`, node by node.
@@ -365,7 +422,13 @@ mod serialize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Probe;
+
+    /// The histogram a node's cells hold after recording `vals`.
+    fn hist(vals: &[u64]) -> Histogram {
+        let cells = HistCells::new();
+        vals.iter().for_each(|&v| cells.record(v));
+        cells.read()
+    }
 
     #[test]
     fn bucket_edges_partition_u64() {
@@ -383,10 +446,7 @@ mod tests {
 
     #[test]
     fn record_tracks_count_sum_min_max() {
-        let mut h = Histogram::default();
-        for v in [53_000u64, 53_000, 55_000, 88_000] {
-            h.record(v);
-        }
+        let h = hist(&[53_000, 53_000, 55_000, 88_000]);
         assert_eq!(h.count, 4);
         assert_eq!(h.sum, 249_000);
         assert_eq!(h.min, 53_000);
@@ -395,10 +455,7 @@ mod tests {
 
     #[test]
     fn quantiles_clamp_to_observed_range() {
-        let mut h = Histogram::default();
-        for _ in 0..100 {
-            h.record(53_000);
-        }
+        let h = hist(&[53_000; 100]);
         // All samples identical: every quantile is exactly the sample, not
         // the bucket edge (65_535).
         assert_eq!(h.p50(), 53_000);
@@ -408,13 +465,8 @@ mod tests {
 
     #[test]
     fn quantiles_walk_ranks() {
-        let mut h = Histogram::default();
-        for _ in 0..90 {
-            h.record(100); // bucket [64, 127]
-        }
-        for _ in 0..10 {
-            h.record(1_000_000); // bucket [2^19, 2^20)
-        }
+        // 90 in bucket [64, 127], 10 in [2^19, 2^20).
+        let h = hist(&[[100; 90].as_slice(), &[1_000_000; 10]].concat());
         assert_eq!(h.p50(), 127); // within the low bucket
         assert!(h.p99() >= 1_000_000, "p99 must land in the tail bucket");
         assert_eq!(h.quantile_pm(900), 127);
@@ -422,7 +474,8 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_all_zero() {
-        let h = Histogram::default();
+        let h = hist(&[]);
+        assert_eq!(h, Histogram::default());
         assert_eq!(h.p50(), 0);
         assert_eq!(h.p99(), 0);
         assert_eq!(h.mean(), 0);
@@ -430,11 +483,8 @@ mod tests {
 
     #[test]
     fn merge_accumulates_and_since_subtracts() {
-        let mut a = Histogram::default();
-        a.record(10);
-        a.record(20);
-        let mut b = a.clone();
-        b.record(1_000);
+        let a = hist(&[10, 20]);
+        let b = hist(&[10, 20, 1_000]);
         let d = b.since(&a);
         assert_eq!(d.count, 1);
         assert_eq!(d.sum, 1_000);
@@ -450,28 +500,30 @@ mod tests {
     #[test]
     fn since_from_empty_is_exact() {
         let empty = Histogram::default();
-        let mut h = Histogram::default();
-        h.record(77);
-        h.record(33);
+        let h = hist(&[77, 33]);
         let d = h.since(&empty);
         assert_eq!(d, h);
     }
 
-    /// A registry with one node per probe, as a run builds it.
-    fn registry(probes: &[Probe]) -> MetricsRegistry {
+    /// A registry with one node per table, as a run builds it.
+    fn registry(tables: &[HistTable]) -> MetricsRegistry {
+        let node = |t: &HistTable| NodeMetrics {
+            keyed: BTreeMap::new(),
+            hists: t.read(),
+        };
         MetricsRegistry {
-            nodes: probes.iter().map(Probe::metrics).collect(),
+            nodes: tables.iter().map(node).collect(),
         }
     }
 
     #[test]
     fn registry_global_merges_nodes() {
-        let mut p = [Probe::default(), Probe::default()];
-        p[0].observe("lat", 100);
-        p[1].observe("lat", 200);
-        p[0].keyed.insert("to", [(1, 5), (2, 3)].into());
-        p[1].keyed.insert("to", [(0, 7), (2, 4)].into());
-        let r = registry(&p);
+        let t = [HistTable::new(), HistTable::new()];
+        t[0].observe("lat", 100);
+        t[1].observe("lat", 200);
+        let mut r = registry(&t);
+        r.nodes[0].keyed.insert("to", [(1, 5), (2, 3)].into());
+        r.nodes[1].keyed.insert("to", [(0, 7), (2, 4)].into());
         let g = r.global();
         assert_eq!(g.hists["lat"].count, 2);
         assert_eq!(g.keyed["to"][&0], 7);
@@ -483,28 +535,55 @@ mod tests {
 
     #[test]
     fn registry_since_diffs_per_node() {
-        let mut p = [Probe::default()];
-        p[0].keyed.insert("to", [(1, 2), (2, 4)].into());
-        p[0].observe("h", 50);
-        p[0].observe("quiet", 1);
-        let a = registry(&p);
-        p[0].keyed.insert("to", [(1, 5), (2, 4), (3, 1)].into());
-        p[0].observe("h", 60);
-        let d = registry(&p).since(&a);
+        let t = [HistTable::new()];
+        t[0].observe("h", 50);
+        t[0].observe("quiet", 1);
+        let mut a = registry(&t);
+        a.nodes[0].keyed.insert("to", [(1, 2), (2, 4)].into());
+        t[0].observe("h", 60);
+        let mut b = registry(&t);
+        b.nodes[0]
+            .keyed
+            .insert("to", [(1, 5), (2, 4), (3, 1)].into());
+        let d = b.since(&a);
         // Keys and histograms that did not move drop out of the interval.
         assert_eq!(d.nodes[0].keyed["to"], [(1, 3), (3, 1)].into());
         assert_eq!(d.nodes[0].hists["h"].count, 1);
         assert!(!d.nodes[0].hists.contains_key("quiet"));
     }
 
+    /// A name is found by its value as well as its address, and a table
+    /// holds exactly `HIST_NAMES` names: the first use of one more panics
+    /// with the limit named.
+    #[test]
+    fn the_table_holds_hist_names_names() {
+        let t = HistTable::new();
+        let names: Vec<&'static str> = (0..=HIST_NAMES).map(|i| &*format!("h{i}").leak()).collect();
+        for (i, name) in names[..HIST_NAMES].iter().enumerate() {
+            t.observe(name, i as u64);
+        }
+        t.observe(format!("h{}", HIST_NAMES - 1).leak(), 1);
+        assert_eq!(t.read().len(), HIST_NAMES);
+        assert_eq!(t.read()[names[HIST_NAMES - 1]].count, 2);
+        let more = std::panic::catch_unwind(|| t.observe(names[HIST_NAMES], 0));
+        let msg = *more
+            .expect_err("one name too many")
+            .downcast::<String>()
+            .unwrap();
+        assert!(
+            msg.contains(&format!("at most HIST_NAMES = {HIST_NAMES}")),
+            "{msg}"
+        );
+    }
+
     #[cfg(feature = "serde")]
     #[test]
     fn serialized_buckets_are_pairs_in_value_order() {
-        let mut p = [Probe::default()];
+        let t = [HistTable::new()];
         for v in [0, 3, 300] {
-            p[0].observe("h", v);
+            t[0].observe("h", v);
         }
-        let r = registry(&p);
+        let r = registry(&t);
         let json = serde_json::to_string(&serde::Serialize::to_value(&r)).unwrap();
         assert!(json.contains("\"buckets\":[[0,1],[2,1],[256,1]]"), "{json}");
         assert!(json.contains("\"global\""));

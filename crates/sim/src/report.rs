@@ -109,15 +109,8 @@ impl Report {
     /// charged messaging-layer CPU overheads ([`Bucket::Net`]) and idle time
     /// spent waiting on the wire.
     pub fn net_component(&self) -> Time {
-        let other: Time = [
-            Bucket::Cpu,
-            Bucket::ThreadMgmt,
-            Bucket::ThreadSync,
-            Bucket::Runtime,
-        ]
-        .iter()
-        .map(|&b| self.bucket_total(b))
-        .sum();
+        let other = Bucket::ALL.into_iter().filter(|&b| b != Bucket::Net);
+        let other: Time = other.map(|b| self.bucket_total(b)).sum();
         self.busy_total().saturating_sub(other)
     }
 

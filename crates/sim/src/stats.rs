@@ -8,6 +8,7 @@
 //! instrumentation block; every node carries one.
 
 use crate::time::Time;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// The five cost components of the paper's breakdown figures (Figures 5 & 6).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -32,16 +33,11 @@ pub enum Bucket {
 pub const NUM_BUCKETS: usize = 5;
 
 impl Bucket {
-    /// Index into a `[u64; NUM_BUCKETS]` accumulator array.
+    /// Index into a `[u64; NUM_BUCKETS]` accumulator array: the declaration
+    /// order.
     #[inline]
     pub fn index(self) -> usize {
-        match self {
-            Bucket::Cpu => 0,
-            Bucket::Net => 1,
-            Bucket::ThreadMgmt => 2,
-            Bucket::ThreadSync => 3,
-            Bucket::Runtime => 4,
-        }
+        self as usize
     }
 
     /// All buckets, in display order.
@@ -65,61 +61,95 @@ impl Bucket {
     }
 }
 
-/// Instrumentation counters for one node.
+/// Instrumentation counters for one node, each a `C`: a value in [`Stats`],
+/// a node's own [`Counter`] in [`StatCells`].
 ///
 /// Time totals are virtual nanoseconds; event counters are raw counts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Stats {
+pub struct StatsOf<C> {
     /// Charged virtual time per [`Bucket`], indexed by [`Bucket::index`].
-    pub bucket_ns: [Time; NUM_BUCKETS],
+    pub bucket_ns: [C; NUM_BUCKETS],
     /// Threads created (the paper's `Create` column).
-    pub thread_creates: u64,
+    pub thread_creates: C,
     /// Context switches / yields (the paper's `Yield` column).
-    pub context_switches: u64,
+    pub context_switches: C,
     /// Lock, unlock, signal and wait calls (the paper's `Sync` column).
-    pub sync_ops: u64,
+    pub sync_ops: C,
     /// Lock acquisitions (subset of `sync_ops`; used for the paper's
     /// "95% of lock acquisitions are contention-less" claim).
-    pub lock_acquisitions: u64,
+    pub lock_acquisitions: C,
     /// Lock acquisitions that found the lock held.
-    pub lock_contended: u64,
+    pub lock_contended: C,
     /// Messages sent from this node.
-    pub msgs_sent: u64,
+    pub msgs_sent: C,
     /// Messages delivered to this node.
-    pub msgs_received: u64,
+    pub msgs_received: C,
     /// Payload bytes sent from this node.
-    pub bytes_sent: u64,
+    pub bytes_sent: C,
     /// Short (4-word) active messages sent.
-    pub short_msgs: u64,
+    pub short_msgs: C,
     /// Bulk-transfer active messages sent.
-    pub bulk_msgs: u64,
+    pub bulk_msgs: C,
     /// Poll operations executed.
-    pub polls: u64,
+    pub polls: C,
     /// Message handlers executed on this node.
-    pub handlers_run: u64,
+    pub handlers_run: C,
     /// Histogram of sent wire sizes; bucket `i` counts messages of size
     /// `<= 64 * 4^i` bytes (64 B, 256 B, 1 KiB, 4 KiB, 16 KiB, 64 KiB,
     /// 256 KiB, larger). The paper's instrumentation records "the number,
     /// types, and sizes of message transfers".
-    pub msg_size_hist: [u64; 8],
+    pub msg_size_hist: [C; 8],
     /// Reliable-delivery packets re-sent after a retransmission timeout.
-    pub retransmits: u64,
+    pub retransmits: C,
     /// Retransmit-timer scans that found at least one overdue packet.
-    pub timeouts: u64,
+    pub timeouts: C,
     /// Received packets discarded by duplicate suppression (sequence number
     /// already delivered).
-    pub dup_drops: u64,
+    pub dup_drops: C,
     /// Transmission attempts dropped on the wire by the fault model.
-    pub wire_drops: u64,
+    pub wire_drops: C,
     /// Transmission attempts duplicated on the wire by the fault model.
-    pub wire_dups: u64,
+    pub wire_dups: C,
     /// Aggregated frames flushed by the coalescing layer (frames carrying
     /// two or more sub-messages; singleton flushes are ordinary sends).
-    pub agg_flushes: u64,
+    pub agg_flushes: C,
     /// Sub-messages that travelled inside aggregated frames.
-    pub agg_msgs: u64,
+    pub agg_msgs: C,
     /// Wire bytes of aggregated frames.
-    pub agg_bytes: u64,
+    pub agg_bytes: C,
+}
+
+/// The counters as values: a snapshot's, a report's or an interval's.
+pub type Stats = StatsOf<u64>;
+
+/// One node's counters as it keeps them, which its `with_stats` closures add
+/// to and any snapshot reads.
+pub type StatCells = StatsOf<Counter>;
+
+/// One count of one node, written only by the holder of the node's baton with
+/// a relaxed load and a relaxed store (on x86 the plain `mov`s of `+=`), never
+/// a read-modify-write, and read by anyone. A reader that has synchronized
+/// with the writer since a count (a frame sent after it) sees it.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Add `n`, as the node's baton holder: two writers would lose counts.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.set(self.get() + n);
+    }
+
+    /// The count.
+    #[inline]
+    pub(crate) fn get(&self) -> u64 {
+        self.0.load(Relaxed)
+    }
+
+    #[inline]
+    pub(crate) fn set(&self, v: u64) {
+        self.0.store(v, Relaxed);
+    }
 }
 
 // Hand-rolled rather than `serde::impl_serialize!`: the reliability counters
@@ -179,23 +209,12 @@ impl serde::Serialize for Stats {
 
 /// Histogram bucket index for a wire size.
 pub fn size_bucket(bytes: usize) -> usize {
-    let mut limit = 64usize;
-    for i in 0..7 {
-        if bytes <= limit {
-            return i;
-        }
-        limit *= 4;
-    }
-    7
+    (0..7).find(|&i| bytes <= 64 << (2 * i)).unwrap_or(7)
 }
 
 /// Upper bound (bytes) of histogram bucket `i` (`None` for the last).
 pub fn size_bucket_limit(i: usize) -> Option<usize> {
-    if i >= 7 {
-        None
-    } else {
-        Some(64 * 4usize.pow(i as u32))
-    }
+    (i < 7).then(|| 64 << (2 * i))
 }
 
 impl Stats {
@@ -213,48 +232,47 @@ impl Stats {
 
     /// Accumulate another stats block into this one.
     pub fn merge(&mut self, other: &Stats) {
-        self.zip(other, |a, b| *a += b);
+        *self = self.zip(other, |a, b| a + b);
     }
 
     /// Element-wise difference `self - earlier` (panics on counter regression,
     /// which would indicate a bookkeeping bug).
     pub fn since(&self, earlier: &Stats) -> Stats {
-        let mut d = self.clone();
-        d.zip(earlier, |a, b| {
-            *a = a.checked_sub(b).expect("stats counter went backwards");
-        });
-        d
+        self.zip(earlier, |a, b| {
+            a.checked_sub(*b).expect("stats counter went backwards")
+        })
     }
+}
 
-    /// Apply `f` to every counter of `self` and the same counter of `other`.
+impl StatCells {
+    /// The counts, one relaxed load each.
+    pub(crate) fn read(&self) -> Stats {
+        self.zip(self, |c, _| c.get())
+    }
+}
+
+impl<C> StatsOf<C> {
+    /// `f` of every counter of `self` and the same counter of `other`.
     #[inline]
-    fn zip(&mut self, other: &Stats, f: impl Fn(&mut u64, u64)) {
-        for (a, b) in self.bucket_ns.iter_mut().zip(&other.bucket_ns) {
-            f(a, *b);
+    fn zip<D, E>(&self, other: &StatsOf<D>, mut f: impl FnMut(&C, &D) -> E) -> StatsOf<E> {
+        let (a, b) = (self, other);
+        macro_rules! zip {
+            ($($x:ident),+ $(,)?) => {
+                StatsOf {
+                    bucket_ns: std::array::from_fn(|i| f(&a.bucket_ns[i], &b.bucket_ns[i])),
+                    msg_size_hist: std::array::from_fn(|i| {
+                        f(&a.msg_size_hist[i], &b.msg_size_hist[i])
+                    }),
+                    $($x: f(&a.$x, &b.$x),)+
+                }
+            };
         }
-        for (a, b) in self.msg_size_hist.iter_mut().zip(&other.msg_size_hist) {
-            f(a, *b);
+        zip! {
+            thread_creates, context_switches, sync_ops, lock_acquisitions, lock_contended,
+            msgs_sent, msgs_received, bytes_sent, short_msgs, bulk_msgs, polls, handlers_run,
+            retransmits, timeouts, dup_drops, wire_drops, wire_dups, agg_flushes, agg_msgs,
+            agg_bytes,
         }
-        f(&mut self.thread_creates, other.thread_creates);
-        f(&mut self.context_switches, other.context_switches);
-        f(&mut self.sync_ops, other.sync_ops);
-        f(&mut self.lock_acquisitions, other.lock_acquisitions);
-        f(&mut self.lock_contended, other.lock_contended);
-        f(&mut self.msgs_sent, other.msgs_sent);
-        f(&mut self.msgs_received, other.msgs_received);
-        f(&mut self.bytes_sent, other.bytes_sent);
-        f(&mut self.short_msgs, other.short_msgs);
-        f(&mut self.bulk_msgs, other.bulk_msgs);
-        f(&mut self.polls, other.polls);
-        f(&mut self.handlers_run, other.handlers_run);
-        f(&mut self.retransmits, other.retransmits);
-        f(&mut self.timeouts, other.timeouts);
-        f(&mut self.dup_drops, other.dup_drops);
-        f(&mut self.wire_drops, other.wire_drops);
-        f(&mut self.wire_dups, other.wire_dups);
-        f(&mut self.agg_flushes, other.agg_flushes);
-        f(&mut self.agg_msgs, other.agg_msgs);
-        f(&mut self.agg_bytes, other.agg_bytes);
     }
 }
 

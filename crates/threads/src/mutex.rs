@@ -53,11 +53,11 @@ impl<T> Mutex<T> {
     /// Charges one sync op (plus a context switch if it blocks).
     pub fn lock<'a, F: Fabric>(&'a self, ctx: &'a F) -> MutexGuard<'a, T, F> {
         charge_sync_op(ctx);
-        ctx.with_stats(|s| s.lock_acquisitions += 1);
+        ctx.with_stats(|s| s.lock_acquisitions.add(1));
         let mut first_attempt = true;
         while !self.acquire_or_queue(ctx) {
             if first_attempt {
-                ctx.with_stats(|s| s.lock_contended += 1);
+                ctx.with_stats(|s| s.lock_contended.add(1));
                 charge_context_switch(ctx);
                 first_attempt = false;
             }
@@ -72,7 +72,7 @@ impl<T> Mutex<T> {
     /// Try to acquire without blocking. Charges one sync op either way.
     pub fn try_lock<'a, F: Fabric>(&'a self, ctx: &'a F) -> Option<MutexGuard<'a, T, F>> {
         charge_sync_op(ctx);
-        ctx.with_stats(|s| s.lock_acquisitions += 1);
+        ctx.with_stats(|s| s.lock_acquisitions.add(1));
         let free = self
             .state
             .with(ctx, |st| !std::mem::replace(&mut st.locked, true));

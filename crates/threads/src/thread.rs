@@ -41,7 +41,7 @@ where
 {
     let cost = ctx.cost().threads.create;
     ctx.charge(Bucket::ThreadMgmt, cost);
-    ctx.with_stats(|s| s.thread_creates += 1);
+    ctx.with_stats(|s| s.thread_creates.add(1));
     Thread {
         id: ctx.spawn(name, f),
     }
@@ -59,7 +59,7 @@ pub fn yield_now<F: Fabric>(ctx: &F) {
 pub fn charge_context_switch<F: Fabric>(ctx: &F) {
     let cost = ctx.cost().threads.context_switch;
     ctx.charge(Bucket::ThreadMgmt, cost);
-    ctx.with_stats(|s| s.context_switches += 1);
+    ctx.with_stats(|s| s.context_switches.add(1));
 }
 
 /// Charge and count one synchronization operation (a lock, unlock, signal or
@@ -67,7 +67,7 @@ pub fn charge_context_switch<F: Fabric>(ctx: &F) {
 pub fn charge_sync_op<F: Fabric>(ctx: &F) {
     let cost = ctx.cost().threads.sync_op;
     ctx.charge(Bucket::ThreadSync, cost);
-    ctx.with_stats(|s| s.sync_ops += 1);
+    ctx.with_stats(|s| s.sync_ops.add(1));
 }
 
 #[cfg(test)]
