@@ -47,13 +47,13 @@ cargo fmt --check
 echo "==> cargo doc: no warnings, no broken intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> thread_local! only in the baton and the allocation counter"
+echo "==> thread_local! only in the baton"
 # Which node's task runs on a thread has one answer: the record the baton
-# keeps (sim/src/baton.rs), which the kernel, the node scheduler, node data
-# and every NodeCell read. A second thread-local would be a second answer
-# that can disagree. alloc_count.rs counts each thread's allocations. The
-# body of a top-level `#[cfg(test)] mod ... {`, up to its closing `}` in
-# column 0, is test code and exempt.
+# keeps (sim/src/baton.rs), which the kernel, the node scheduler, node data,
+# every NodeCell and the allocation counter read. A second thread-local would
+# be a second answer that can disagree. The body of a top-level
+# `#[cfg(test)] mod ... {`, up to its closing `}` in column 0, is test code
+# and exempt.
 stray=$(find crates/*/src -name '*.rs' -exec awk '
     FNR == 1 { prev = ""; skip = 0 }
     skip && /^}/ { skip = 0; prev = $0; next }
@@ -61,7 +61,7 @@ stray=$(find crates/*/src -name '*.rs' -exec awk '
     prev ~ /^#\[cfg\(test\)\]$/ && /^mod .*\{$/ { skip = 1; prev = $0; next }
     /thread_local!/ { print FILENAME ":" FNR }
     { prev = $0 }' {} + |
-    grep -v -e '^crates/sim/src/baton.rs:' -e '^crates/sim/src/alloc_count.rs:' || true)
+    grep -v -e '^crates/sim/src/baton.rs:' || true)
 if [ -n "$stray" ]; then
     echo "thread_local! outside the baton:" >&2
     echo "$stray" >&2
@@ -106,6 +106,24 @@ if [ -n "$rmw" ]; then
     echo "$rmw" >&2
     exit 1
 fi
+# The layers' node-local counters likewise: only the owning node touches
+# Split-C's pending and store counts or CC++'s spinners and object ids, so
+# each is a Counter or a NodeCell, and no layer's code needs an atomic
+# read-modify-write. (RelPacket.msg's Mutex stays: that packet travels
+# between nodes.)
+rmw=$(find crates/am/src crates/splitc/src crates/ccxx/src crates/threads/src -name '*.rs' \
+    -exec awk '
+    FNR == 1 { prev = ""; skip = 0 }
+    skip && /^}/ { skip = 0; prev = $0; next }
+    skip { next }
+    prev ~ /^#\[cfg\(test\)\]$/ && /^mod .*\{$/ { skip = 1; prev = $0; next }
+    /\.fetch_|compare_exchange/ { print FILENAME ":" FNR ": " $0 }
+    { prev = $0 }' {} +)
+if [ -n "$rmw" ]; then
+    echo "a read-modify-write of node-local state in a layer:" >&2
+    echo "$rmw" >&2
+    exit 1
+fi
 
 echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-task + call-record tests"
 # The link ring's FIFO invariants through full rings with sender and
@@ -121,11 +139,10 @@ echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-t
 # holds the live set alone) and a 5 000-wide task wave on exactly one OS
 # thread per node, 20 000 threaded RMIs in one run, and EM3D base in CC++
 # at the paper's graph size (EM3D ghost in Split-C on four nodes, too, bit
-# for bit against the reference). One layer up, the call records (mpmd-am's
-# reply.rs) of both runtimes: a warm null RMI allocates nothing on either node
-# of either fabric, nor does a warm gp_read / gp_write / gp_read3 on its
-# caller (GP rides the same record), only the task that issued a call
-# recycles its record, a callee that touches the caller's half of a record
+# for bit against the reference). Allocations count to the node that makes
+# them (fabric's alloc_count, on both fabrics). One layer up, the call
+# records (mpmd-am's reply.rs) of both runtimes: only the task that issued a
+# call recycles its record, a callee that touches the caller's half of a record
 # fails the run, in CC++ (call_records) and in Split-C
 # (splitc's a_callee_that_touches_a_warm_record_fails_the_run_*), a failed
 # run frees every record, and an ended run frees its nodes' runtime state;
@@ -142,7 +159,13 @@ echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-t
 # (table4_counts_agree_on_both_fabrics) runs every row through the one
 # harness body on the simulator and on LocalFabric: messages, bytes,
 # handlers and thread creates per op are the table's on both, and so are
-# the simulator's switches and sync ops. The simulator's own zero-alloc proof
+# the simulator's switches and sync ops, and every row's heap allocations
+# per node: a warm Simple or Blocking null RMI and a Split-C blocking read
+# allocate nothing on either node, a threaded RMI or a GP access nothing on
+# its caller and no more on its callee than a bare spawn + join, an 8 KiB
+# Split-C bulk_store 2 and an AM 1 KiB bulk send 2 on the sender, an 8 KiB
+# CC++ bulk_put_flat 2 on its caller and one thread create on its callee.
+# The simulator's own zero-alloc proof
 # (sim/tests/alloc_count.rs): warm short round trips, and expiring timed
 # inbox waits, allocate nothing, and the wave gate: a
 # 300-wide spawn/join wave allocates per task what a 1-wide one does, because
@@ -155,8 +178,7 @@ cargo test --release -q -p mpmd-sim --test alloc_count
 cargo test --release -q -p mpmd-am --test bounded_links
 cargo test --release -q -p mpmd-am --test fabric_conformance frame_carries_counts
 cargo test --release -q -p mpmd-splitc --test local_stream_memory
-cargo test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown \
-    --test rmi_encoding
+cargo test --release -q -p mpmd-ccxx --test call_records --test teardown --test rmi_encoding
 cargo test --release -q -p mpmd-splitc --lib a_callee_that_touches_a_warm_record_fails_the_run
 cargo test --release -q -p mpmd-bench --lib -- table4_counts_agree_on_both_fabrics \
     table4_charges_match_the_trace
@@ -170,17 +192,6 @@ echo "==> benchmark/ builds and runs (standalone crate, quick smoke)"
 # any failed operation.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --quick
 echo "benchmark smoke OK"
-
-echo "==> zero-allocation fast-path proof"
-# A counting global allocator brackets 1000 short-message round trips and
-# 1000 warm null RMIs (exactly 0 heap allocations each), 1000 AM bulk sends
-# (bounded), 1000 Split-C blocking reads (exactly 0: the call record is
-# reused), and 1000 each of Split-C 8 KiB bulk_stores (exactly 2 per op:
-# the receiver decodes into the region) and CC++ 8 KiB bulk_put_flats
-# (exactly 6 per op: no staging copy, no buffer regrowth); the bench aborts
-# on regression.
-cargo bench -p mpmd-bench --bench alloc_count 2>/dev/null | grep '^alloc_count/'
-echo "alloc_count bounds OK"
 
 echo "==> clippy: no boxed returns on the fast path"
 # The zero-alloc paths must not regrow Box-returning APIs: the simulator's,
@@ -216,8 +227,8 @@ echo "==> the pooled-thread host: a --cfg mpmd_no_fibers release build"
 # fibers; --cfg mpmd_no_fibers builds that host here, in its own target dir.
 # Nothing a run computes may depend on the host: five binaries must match
 # their committed digests (checked, not rewritten), and the trace goldens,
-# the flame golden and the explore sweep (without its alloc probe, which
-# counts one thread) must pass unchanged. The tests are those whose subject
+# the flame golden and the explore sweep (its alloc probe included) must
+# pass unchanged. The tests are those whose subject
 # hands a node's state between OS threads there: the baton, both schedulers
 # and the node task table, LocalFabric's links, and the node-local cells of
 # the threads package, Split-C and CC++, among them both runtimes' call
@@ -225,7 +236,10 @@ echo "==> the pooled-thread host: a --cfg mpmd_no_fibers release build"
 # a_callee_that_touches_a_warm_record_fails_the_run_* in its --lib tests),
 # and Table 4's count gate and charge vectors (mpmd-bench's
 # table4_counts_agree_on_both_fabrics and table4_charges_match_the_trace):
-# both task hosts must give the same counts and the same vectors. The
+# both task hosts must give the same counts and the same vectors, and hold
+# every row's allocations per node. The allocation proofs one layer down
+# (sim's and fabric's alloc_count) run here too: a node's allocations count
+# to it wherever its tasks run. The
 # conformance suite includes frame_carries_counts: a baton hand-off between
 # pooled threads must publish the counts too.
 no_fibers() {
@@ -241,13 +255,13 @@ timeout 60 target/no_fibers/release/explore --quick --json "$tmp/explore.json"
 rm -rf "$tmp"
 no_fibers test --release -q -p mpmd-bench --test trace_observability --test flame_golden
 no_fibers test --release -q -p mpmd-sim --lib --test explore --test inbox_waiters \
-    --test proptest_engine
-no_fibers test --release -q -p mpmd-fabric --lib --test bounded_tasks --test ring_stress
+    --test proptest_engine --test alloc_count
+no_fibers test --release -q -p mpmd-fabric --lib --test bounded_tasks --test ring_stress \
+    --test alloc_count
 no_fibers test --release -q -p mpmd-threads --lib
 no_fibers test --release -q -p mpmd-am --test fabric_conformance --test bounded_links
 no_fibers test --release -q -p mpmd-splitc --lib
-no_fibers test --release -q -p mpmd-ccxx --test alloc_count --test call_records --test teardown \
-    --test rmi_encoding
+no_fibers test --release -q -p mpmd-ccxx --test call_records --test teardown --test rmi_encoding
 no_fibers test --release -q -p mpmd-bench --lib -- table4_counts_agree_on_both_fabrics \
     table4_charges_match_the_trace
 no_fibers test --release -q -p mpmd-apps --test local_scale

@@ -4,12 +4,11 @@
 //! flag, without borrowing the node's probe or building any payload. All
 //! three are the `Fabric` trait's own bodies, the same on every fabric.
 //!
-//! The gate decides in-process, like `alloc_count` does: alternating timed
-//! trials of a run with no hook calls and runs with 10 000 disabled calls of
-//! each hook, compared by the **minimum** of each — load on the host only
-//! ever adds time, while a hook that really costs 150 ns moves the minimum
-//! too — and the bench aborts when a disabled hook costs that much. `ci.sh`
-//! runs it once.
+//! The gate decides in-process: alternating timed trials of a run with no
+//! hook calls and runs with 10 000 disabled calls of each hook, compared by
+//! the **minimum** of each — load on the host only ever adds time, while a
+//! hook that really costs 150 ns moves the minimum too — and the bench aborts
+//! when a disabled hook costs that much. `ci.sh` runs it once.
 //!
 //! The same pattern prices metrics on `LocalFabric`: node 0's Split-C stores
 //! to node 1, each followed by the AM poll a Split-C program makes between

@@ -11,16 +11,13 @@
 //! entries.
 //!
 //! The process installs the counting `#[global_allocator]` so the
-//! alloc-probed configuration can measure the steady-state window. Probed
-//! runs execute sequentially on the driver thread — on a fiber build the
-//! whole simulation runs there — and the count is per thread
-//! ([`CountingAlloc`]'s docs say why), so a build that hosts tasks on pooled
-//! threads skips the probe.
+//! alloc-probed configuration can count every node's and the engine's
+//! allocations over its steady-state window, on either task host.
 
 use mpmd_bench::explore::{pin_corpus, sweep, SweepOptions};
 use mpmd_bench::fmt::{reject_unknown_args, take_json_flag, take_switch, usage_error, write_json};
 use mpmd_bench::runner::take_jobs_flag;
-use mpmd_sim::{thread_allocs, BackendKind, CountingAlloc};
+use mpmd_sim::CountingAlloc;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -119,10 +116,7 @@ fn main() {
         seeds_per_class, opts.jobs
     );
     let start = Instant::now();
-    // The probe counts one thread's allocations: a fiber build runs every
-    // task on it, a build on pooled threads would leave most of them out.
-    let probe = (backend == BackendKind::Fibers).then_some(thread_allocs as fn() -> u64);
-    let summary = sweep(&opts, probe, |line| println!("  {line}"));
+    let summary = sweep(&opts, true, |line| println!("  {line}"));
     let elapsed = start.elapsed();
 
     println!(

@@ -24,8 +24,9 @@
 //!    every perturbation, faults or not: schedules may reorder wire
 //!    traffic, but the reliable layer must still deliver exactly-once.
 //! 3. **Zero allocations on the short path.** The alloc-probed
-//!    configuration measures the process allocator between a warmup
-//!    barrier and the end of the send loop; a perturbed schedule must not
+//!    configuration counts every node's and the engine's allocations
+//!    between a warmup barrier and the end of the send loop (the counting
+//!    allocator's per-node counts); a perturbed schedule must not
 //!    smuggle an allocation into the fast path.
 //! 4. **Replay fidelity.** A recorded decision trace, replayed positionally
 //!    through a fresh oracle, must reproduce the run byte-for-byte. This is
@@ -84,7 +85,8 @@ pub struct Config {
     /// `sweep_faults` convention). `None` runs fault-free.
     pub drop: Option<f64>,
     pub coalesce: bool,
-    /// Measure the allocator over the steady-state window on node 0.
+    /// Count every node's and the engine's allocations over the
+    /// steady-state window.
     pub alloc_probe: bool,
 }
 
@@ -186,11 +188,11 @@ fn fnv1a(words: &[u64]) -> u64 {
 pub fn run_config(
     cfg: &Config,
     oracle: Option<Box<TraceOracle>>,
-    probe: Option<fn() -> u64>,
+    count_allocs: bool,
 ) -> Result<RunOutput, String> {
     let cfg = *cfg;
     let out = catch_unwind(AssertUnwindSafe(move || {
-        run_config_inner(&cfg, oracle, probe)
+        run_config_inner(&cfg, oracle, count_allocs)
     }));
     out.map_err(|p| {
         p.downcast_ref::<String>()
@@ -204,7 +206,7 @@ pub fn run_config(
 fn run_config_inner(
     cfg: &Config,
     oracle: Option<Box<TraceOracle>>,
-    probe: Option<fn() -> u64>,
+    count_allocs: bool,
 ) -> RunOutput {
     // Per-node payload sums and message counts, collected inside the run.
     let sums: Arc<Vec<AtomicU64>> = Arc::new((0..cfg.nodes).map(|_| AtomicU64::new(0)).collect());
@@ -221,7 +223,7 @@ fn run_config_inner(
     let c = *cfg;
     let sums2 = Arc::clone(&sums);
     let delta2 = Arc::clone(&alloc_delta);
-    let probe = if cfg.alloc_probe { probe } else { None };
+    let probe = cfg.alloc_probe && count_allocs;
     let report = sim.run(move |ctx| {
         am::init(&ctx, NetProfile::sp_am_splitc());
         am::register_barrier_handlers(&ctx);
@@ -255,7 +257,7 @@ fn null_rmi(
     c: &Config,
     sums: &Arc<Vec<AtomicU64>>,
     delta: &Arc<AtomicU64>,
-    probe: Option<fn() -> u64>,
+    probe: bool,
 ) {
     let pongs = Arc::new(AtomicU64::new(0));
     let p2 = Arc::clone(&pongs);
@@ -275,21 +277,22 @@ fn null_rmi(
     am::barrier(ctx);
     if ctx.node() == 0 {
         let warmup = c.rounds / 2;
-        let mut probe_start = 0u64;
+        let mut probe_start = None;
         let ep = am::endpoint(ctx);
         for i in 0..c.rounds {
-            if i == warmup {
-                if let Some(p) = probe {
-                    probe_start = p();
-                }
+            if i == warmup && probe {
+                probe_start = Some(ctx.snapshot());
             }
             ep.to(1).handler(H_PING).args([i, 0, 0, 0]).send();
             let want = i + 1;
             let pw = Arc::clone(&pongs);
             am::wait_until(ctx, move || pw.load(Ordering::SeqCst) >= want);
         }
-        if let Some(p) = probe {
-            delta.store(p() - probe_start, Ordering::SeqCst);
+        if let Some(start) = probe_start {
+            // Every node's allocations, and the engine's.
+            let d = start.until(&ctx.snapshot());
+            let allocs = d.allocs.iter().sum::<u64>() + d.engine_allocs;
+            delta.store(allocs, Ordering::SeqCst);
         }
     }
     am::barrier(ctx);
@@ -433,20 +436,16 @@ struct SeedOutcome {
     replay_ok: Option<bool>,
 }
 
-/// Run the full sweep over [`configs`]. `probe` is the binary's counting
-/// allocator hook (`None` disables alloc-count invariants, e.g. under the
-/// test harness where the counting allocator isn't installed). `log`
+/// Run the full sweep over [`configs`]. `count_allocs` says the binary
+/// installs the counting allocator (`false` disables alloc-count
+/// invariants, e.g. under the test harness, which does not). `log`
 /// receives one progress line per config.
-pub fn sweep(
-    opts: &SweepOptions,
-    probe: Option<fn() -> u64>,
-    mut log: impl FnMut(String),
-) -> SweepSummary {
+pub fn sweep(opts: &SweepOptions, count_allocs: bool, mut log: impl FnMut(String)) -> SweepSummary {
     let mut summary = SweepSummary::default();
     for cfg in configs() {
         let fault_free = cfg.drop.is_none();
         // The baseline: unperturbed, probed where configured.
-        let base = match run_config(&cfg, None, probe) {
+        let base = match run_config(&cfg, None, count_allocs) {
             Ok(b) => b,
             Err(e) => {
                 summary.violations.push(Violation {
@@ -471,15 +470,14 @@ pub fn sweep(
             }
         }
         // Perturbed schedules must keep the short path allocation-free
-        // too: run a few full-class perturbations sequentially with the
-        // probe live (the parallel sweep below can't probe — the counter
-        // is process-global).
-        if cfg.alloc_probe && probe.is_some() {
+        // too: run a few full-class perturbations with the probe live (the
+        // parallel sweep below checks bytes and checksums only).
+        if cfg.alloc_probe && count_allocs {
             for s in 0..4u64 {
                 let spec = OracleSpec::full(5000 + s);
                 let (o, rec) = TraceOracle::seeded(spec);
                 summary.perturbations += 1;
-                match run_config(&cfg, Some(o), probe) {
+                match run_config(&cfg, Some(o), count_allocs) {
                     Ok(out) if out.allocs == Some(0) => {}
                     Ok(out) => summary.violations.push(Violation {
                         config: cfg.name,
@@ -529,13 +527,13 @@ pub fn sweep(
                 let do_replay = i % replay_every == 0;
                 Box::new(move || {
                     let (oracle, rec) = TraceOracle::seeded(spec);
-                    let result = run_config(&cfg, Some(oracle), None);
+                    let result = run_config(&cfg, Some(oracle), false);
                     let trace = rec.decisions();
                     let replay_ok = match (&result, do_replay) {
                         (Ok(out), true) => {
                             let (o2, _) = TraceOracle::replay(spec, trace.clone());
                             Some(matches!(
-                                run_config(&cfg, Some(o2), None),
+                                run_config(&cfg, Some(o2), false),
                                 Ok(r2) if r2.report_json == out.report_json
                             ))
                         }
@@ -628,7 +626,7 @@ pub fn pin_corpus() -> Vec<Violation> {
         for seed in [0u64, 1] {
             let spec = OracleSpec::full(seed);
             let (o, rec) = TraceOracle::seeded(spec);
-            let run = run_config(&cfg, Some(o), None).expect("pinned schedule must not panic");
+            let run = run_config(&cfg, Some(o), false).expect("pinned schedule must not panic");
             let expect = if cfg.drop.is_none() {
                 "byte-identical report"
             } else {
@@ -660,7 +658,7 @@ fn shrink_failure(cfg: &Config, base: &RunOutput, o: &SeedOutcome) -> Vec<u32> {
     let base_sum = base.checksum;
     mpmd_sim::shrink(o.trace.clone(), |prefix| {
         let (oracle, _) = TraceOracle::replay(spec, prefix.to_vec());
-        match run_config(&cfg, Some(oracle), None) {
+        match run_config(&cfg, Some(oracle), false) {
             Err(_) => true,
             Ok(out) => match expect {
                 Expect::Bytes => out.report_json != base_json,
@@ -678,8 +676,8 @@ mod tests {
     #[test]
     fn baselines_are_deterministic() {
         for cfg in configs() {
-            let a = run_config(&cfg, None, None).unwrap();
-            let b = run_config(&cfg, None, None).unwrap();
+            let a = run_config(&cfg, None, false).unwrap();
+            let b = run_config(&cfg, None, false).unwrap();
             assert_eq!(
                 a.report_json, b.report_json,
                 "{} not reproducible",
@@ -701,7 +699,7 @@ mod tests {
             jobs: 2,
             replay_every: 4,
         };
-        let s = sweep(&opts, None, |_| {});
+        let s = sweep(&opts, false, |_| {});
         assert_eq!(s.configs, configs().len());
         assert!(s.perturbations >= 3 * 2 * configs().len());
         assert!(s.replays > 0);
@@ -720,10 +718,10 @@ mod tests {
             .into_iter()
             .find(|c| c.name == "ghost-faults")
             .unwrap();
-        let base = run_config(&cfg, None, None).unwrap();
+        let base = run_config(&cfg, None, false).unwrap();
         for seed in 0..4 {
             let (o, _) = TraceOracle::seeded(OracleSpec::full(seed));
-            let out = run_config(&cfg, Some(o), None).unwrap();
+            let out = run_config(&cfg, Some(o), false).unwrap();
             assert_eq!(out.checksum, base.checksum, "seed {seed}");
         }
     }

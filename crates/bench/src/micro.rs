@@ -12,7 +12,8 @@
 //! the paper's Threads and Runtime columns; `table4_charges_match_the_trace`
 //! holds the simulator's trace to it, and the count gate
 //! (`table4_counts_agree_on_both_fabrics`) holds both machines' messages,
-//! bytes, handlers and thread creates to it.
+//! bytes, handlers and thread creates to it, and each node's heap
+//! allocations to the table's column.
 //!
 //! Components follow the paper's accounting: `Total` is the initiator's
 //! wall time per iteration, `Threads` and `Runtime` are the charged
@@ -374,11 +375,12 @@ impl Row {
     }
 
     /// The measured interval of the row's CC++ op under `cfg` or, when it
-    /// is `None`, of its Split-C op, on `machine`.
+    /// is `None`, of its Split-C op, on `machine`, after `warmup` of them.
     fn measure<F: Fabric>(
         self,
         machine: impl FnOnce(Body<F>) -> Report,
         cfg: Option<CcxxConfig>,
+        warmup: usize,
         iters: usize,
     ) -> Report {
         let cc = cfg.is_some();
@@ -387,7 +389,7 @@ impl Row {
             false => self.issue_sc(ctx, s),
         };
         let prepare = move |ctx: &F| self.prepare(ctx);
-        measure(machine, cfg, WARMUP, iters, prepare, op)
+        measure(machine, cfg, warmup, iters, prepare, op)
     }
 }
 
@@ -447,11 +449,14 @@ pub fn run_table4_with(cfg: CcxxConfig, cost: CostModel, iters: usize) -> Vec<Ta
             name: row.name(),
             cc: per_unit(
                 row,
-                row.measure(sim(cost.clone()), Some(cfg.clone()), iters),
+                row.measure(sim(cost.clone()), Some(cfg.clone()), WARMUP, iters),
             ),
-            sc: row
-                .paper_sc()
-                .map(|_| per_unit(row, row.measure(sim(CostModel::default()), None, iters))),
+            sc: row.paper_sc().map(|_| {
+                per_unit(
+                    row,
+                    row.measure(sim(CostModel::default()), None, WARMUP, iters),
+                )
+            }),
             paper_cc: row.paper_cc().expect("every Table 4 row is in the paper"),
             paper_sc: row.paper_sc(),
         })
@@ -465,7 +470,8 @@ pub fn measure_oam(iters: usize) -> Vec<(&'static str, f64)> {
     Row::OAM
         .into_iter()
         .map(|row| {
-            let d = row.measure(sim(CostModel::default()), Some(CcxxConfig::tham()), iters);
+            let cfg = Some(CcxxConfig::tham());
+            let d = row.measure(sim(CostModel::default()), cfg, WARMUP, iters);
             (row.name(), reduce(&d, iters as f64).total_us)
         })
         .collect()
@@ -521,6 +527,7 @@ mod tests {
     use mpmd_sim::{LocalFabric, LocalFabricBuilder, ThreadCosts, Time, TraceConfig, TraceEvent};
     use mpmd_splitc::ScCosts;
     use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicU32;
     use std::sync::OnceLock;
 
     /// Measured iterations per op in these tests.
@@ -558,6 +565,9 @@ mod tests {
         wire: [u64; 2],
         /// The charge vector.
         per_op: Fold,
+        /// Heap allocations per op on node 0 and on node 1, beside those of
+        /// the threads the op creates there ([`check_allocs`]).
+        allocs: [u64; 2],
         /// How many µs per unit the row's Threads and Runtime columns sit
         /// above the paper's (zero for the rows the paper does not have).
         off: (f64, f64),
@@ -584,8 +594,9 @@ mod tests {
         let pf_sc = [s.split_issue, s.split_complete, s.serve_access].repeat(20);
         // A row in `lang`: `msgs` messages (`bulk` of them bulk) with `bytes`
         // of payload, its runtime charges `rt`, its thread creates, switches
-        // and sync ops `thr`, and how far its columns sit `off` the paper's.
-        let row = |lang, row, [msgs, bytes, bulk]: [u64; 3], rt: &[Time], thr: [u64; 3], off| {
+        // and sync ops `thr`, its allocations per node `allocs`, and how far
+        // its columns sit `off` the paper's.
+        let row = |lang, row, [msgs, bytes, bulk]: [u64; 3], rt: &[Time], thr: [u64; 3], allocs, off| {
             let p = if lang == CC { NetProfile::sp_am_ccxx() } else { NetProfile::sp_am_splitc() };
             let mut per_op = Fold::new();
             let mut add = |b: Bucket, ns, n| if n > 0 { *per_op.entry((b.index(), ns)).or_insert(0) += n };
@@ -597,50 +608,50 @@ mod tests {
             add(Bucket::ThreadSync, t.sync_op, thr[2]);
             rt.iter().for_each(|&ns| add(Bucket::Runtime, ns, 1));
             let cfg = (lang == CC).then(CcxxConfig::tham);
-            Charges { row, lang, cfg, wire: [msgs, bytes], per_op, off }
+            Charges { row, lang, cfg, wire: [msgs, bytes], per_op, allocs, off }
         };
-        let cc = |r, wire, rt: &[Time], thr, off| row(CC, r, wire, rt, thr, off);
-        let sc = |r, wire, rt: &[Time], off| row(SC, r, wire, rt, [0; 3], off);
+        let cc = |r, wire, rt: &[Time], thr, allocs, off| row(CC, r, wire, rt, thr, allocs, off);
+        let sc = |r, wire, rt: &[Time], allocs, off| row(SC, r, wire, rt, [0; 3], allocs, off);
         let table = vec![
-            cc(Simple, [2, 96, 0], &rmi(&[]), [0, 0, 10], (0.0, 0.0)),
+            cc(Simple, [2, 96, 0], &rmi(&[]), [0, 0, 10], [0, 0], (0.0, 0.0)),
             // Threads: 3 switches (the caller's wait blocks and resumes, the poller
             // wakes with the reply) and 16 sync ops (the wait and the reply's
             // write add 6 to Simple's 10); the paper's 12 µs is 1 switch, 15 syncs.
-            cc(Blocking, [2, 96, 0], &rmi(&[bp]), [0, 3, 16], (12.4, 0.0)),
+            cc(Blocking, [2, 96, 0], &rmi(&[bp]), [0, 3, 16], [0, 0], (12.4, 0.0)),
             // Threads as 0-Word. Runtime: the caller serializes each word once;
             // the null method unmarshals none.
-            cc(OneWord, [2, 100, 1], &rmi(&[bp, word]), [0, 3, 16], (12.4, -0.87)),
-            cc(TwoWord, [2, 104, 1], &rmi(&[bp, word, word]), [0, 3, 16], (12.4, -0.74)),
+            cc(OneWord, [2, 100, 1], &rmi(&[bp, word]), [0, 3, 16], [2, 0], (12.4, -0.87)),
+            cc(TwoWord, [2, 104, 1], &rmi(&[bp, word, word]), [0, 3, 16], [2, 0], (12.4, -0.74)),
             // Threads: 0-Word's and the method thread's create; the paper's 21 µs
             // is 2 switches, 1 create and 10 sync ops.
-            cc(Threaded, [2, 96, 0], &rmi(&[bp, td]), [1, 3, 16], (8.4, 0.0)),
+            cc(Threaded, [2, 96, 0], &rmi(&[bp, td]), [1, 3, 16], [0, 0], (8.4, 0.0)),
             // Threads as 0-Word Threaded, and the method lock's 2 sync ops.
-            cc(Atomic, [2, 96, 0], &rmi(&[bp, td, c.atomic_lookup]), [1, 3, 18], (9.2, 0.0)),
+            cc(Atomic, [2, 96, 0], &rmi(&[bp, td, c.atomic_lookup]), [1, 3, 18], [0, 0], (9.2, 0.0)),
             // Runtime: and the owner's `atomic_dispatch`.
-            sc(Atomic, [2, 96, 0], &[s.atomic_issue, s.atomic_complete, s.atomic_dispatch], (0.0, 0.5)),
+            sc(Atomic, [2, 96, 0], &[s.atomic_issue, s.atomic_complete, s.atomic_dispatch], [0, 0], (0.0, 0.5)),
             // Threads: the owner's access thread and 10 sync ops, as the paper
             // has, but 3 switches for its 2.
-            cc(Gp, [2, 96, 0], &[c.gp_issue, c.gp_complete, c.gp_serve, c.gp_reply], [1, 3, 10], (6.0, 0.0)),
+            cc(Gp, [2, 96, 0], &[c.gp_issue, c.gp_complete, c.gp_serve, c.gp_reply], [1, 3, 10], [0, 0], (6.0, 0.0)),
             // Runtime: and the owner's `serve_access`.
-            sc(Gp, [2, 96, 0], &[s.sync_access_issue, s.sync_access_complete, s.serve_access], (0.0, 0.5)),
+            sc(Gp, [2, 96, 0], &[s.sync_access_issue, s.sync_access_complete, s.serve_access], [0, 0], (0.0, 0.5)),
             // Threads as 0-Word Threaded. Runtime: a threaded call's 11 µs and, each
             // side, 20 serialize calls and a copy of 168 bytes, not the doubles' 160.
-            cc(BulkWrite, [2, 264, 1], &rmi(&[bp, td, array, array]), [1, 3, 16], (8.4, 1.12)),
+            cc(BulkWrite, [2, 264, 1], &rmi(&[bp, td, array, array]), [1, 3, 16], [2, 0], (8.4, 1.12)),
             // Runtime: and the owner's `serve_access`.
-            sc(BulkWrite, [2, 256, 1], &[s.bulk_issue, s.bulk_complete, s.serve_access], (0.0, 0.5)),
+            sc(BulkWrite, [2, 256, 1], &[s.bulk_issue, s.bulk_complete, s.serve_access], [2, 0], (0.0, 0.5)),
             // As BulkWrite, and the reply's second copy is of 168 bytes too.
-            cc(BulkRead, [2, 264, 1], &rmi(&[bp, td, array, array, extra]), [1, 3, 16], (8.4, 1.64)),
+            cc(BulkRead, [2, 264, 1], &rmi(&[bp, td, array, array, extra]), [1, 3, 16], [1, 2], (8.4, 1.64)),
             // Runtime: BulkWrite's, where the paper has 1 µs more.
-            sc(BulkRead, [2, 256, 1], &[s.bulk_issue, s.bulk_complete, s.serve_access], (0.0, -0.5)),
+            sc(BulkRead, [2, 256, 1], &[s.bulk_issue, s.bulk_complete, s.serve_access], [1, 2], (0.0, -0.5)),
             // Per element, threads: a `parfor` thread, 2.2 switches and 10 sync
             // ops; runtime: 9 µs, where the paper has 9.1.
-            cc(Prefetch, [40, 1920, 0], &pf_cc.repeat(20), [20, 44, 200], (1.2, -0.1)),
+            cc(Prefetch, [40, 1920, 0], &pf_cc.repeat(20), [20, 44, 200], [8, 0], (1.2, -0.1)),
             // Runtime per element: and the owner's `serve_access`, and a twentieth
             // of one `sync_call`.
-            sc(Prefetch, [40, 1920, 0], &[&[s.sync_call][..], &pf_sc].concat(), (0.0, 0.35)),
-            cc(OamThreaded, [2, 96, 0], &rmi(&[bp, td]), [1, 3, 16], (0.0, 0.0)),
-            cc(OamInline, [2, 96, 0], &rmi(&[bp, c.oam_check]), [0, 3, 16], (0.0, 0.0)),
-            cc(OamAbort, [2, 96, 0], &rmi(&[bp, c.oam_check, c.oam_abort, td]), [1, 3, 16], (0.0, 0.0)),
+            sc(Prefetch, [40, 1920, 0], &[&[s.sync_call][..], &pf_sc].concat(), [41, 0], (0.0, 0.35)),
+            cc(OamThreaded, [2, 96, 0], &rmi(&[bp, td]), [1, 3, 16], [0, 0], (0.0, 0.0)),
+            cc(OamInline, [2, 96, 0], &rmi(&[bp, c.oam_check]), [0, 3, 16], [0, 0], (0.0, 0.0)),
+            cc(OamAbort, [2, 96, 0], &rmi(&[bp, c.oam_check, c.oam_abort, td]), [1, 3, 16], [0, 0], (0.0, 0.0)),
         ];
         let langs = |r: Row| [(r.name(), CC)].into_iter().chain(r.paper_sc().map(|_| (r.name(), SC)));
         let pairs = Row::TABLE4.into_iter().chain(Row::OAM).flat_map(langs);
@@ -678,7 +689,7 @@ mod tests {
             }
             report
         };
-        let interval = row.measure(machine, cfg, iters);
+        let interval = row.measure(machine, cfg, WARMUP, iters);
         let fold = std::mem::take(&mut *fold.lock());
         (fold, interval)
     }
@@ -723,40 +734,205 @@ mod tests {
         }
     }
 
+    /// Counts every allocation to its node, for the count gate.
+    #[global_allocator]
+    static COUNTER: mpmd_sim::CountingAlloc = mpmd_sim::CountingAlloc;
+
+    /// The count gate's warm-up and measured ops per row.
+    const GATE_WARMUP: usize = 300;
+    const GATE_ITERS: usize = 1_000;
+
+    /// AM handler of [`Extra::AmBulk1k`]'s sink.
+    const H_SINK: am::HandlerId = 40;
+
+    /// A block of 8 KiB.
+    static BLOCK: [f64; 1024] = [1.5; 1024];
+
+    /// Ops beside Table 4's and the OAM rows whose allocations the count
+    /// gate holds.
+    #[derive(Clone, Copy, Debug)]
+    enum Extra {
+        /// A bare spawn + join of an empty thread, in CC++: what the
+        /// spawning rows' callees are held to.
+        SpawnJoin,
+        GpWrite,
+        GpRead3,
+        /// A Split-C 8 KiB `bulk_store`.
+        BulkStore8k,
+        /// A CC++ 8 KiB `bulk_put_flat` (a threaded RMI).
+        BulkPutFlat8k,
+        /// An AM 1 KiB bulk send of a fresh buffer, under Split-C.
+        AmBulk1k,
+    }
+
+    impl Extra {
+        const ALL: [Extra; 6] = [
+            Extra::SpawnJoin,
+            Extra::GpWrite,
+            Extra::GpRead3,
+            Extra::BulkStore8k,
+            Extra::BulkPutFlat8k,
+            Extra::AmBulk1k,
+        ];
+
+        /// Heap allocations per op on node 0 and on node 1, beside those of
+        /// the threads the op creates there ([`check_allocs`]).
+        fn allocs(self) -> [u64; 2] {
+            match self {
+                // The join's waiter entry.
+                Extra::SpawnJoin => [1, 0],
+                Extra::GpWrite | Extra::GpRead3 => [0, 0],
+                // The payload and its shared handle; the receiver decodes
+                // straight into the region.
+                Extra::BulkStore8k => [2, 0],
+                // The marshalling buffer, reserved once: no staging copy.
+                Extra::BulkPutFlat8k => [2, 0],
+                // The caller's fresh 1 KiB buffer, and one to send it.
+                Extra::AmBulk1k => [2, 0],
+            }
+        }
+
+        fn lang(self) -> &'static str {
+            match self {
+                Extra::BulkStore8k | Extra::AmBulk1k => SC,
+                _ => CC,
+            }
+        }
+
+        /// The measured interval of the op on `machine`.
+        fn measure<F: Fabric>(self, machine: impl FnOnce(Body<F>) -> Report) -> Report {
+            // The 8 KiB rows' region, the same id on both nodes.
+            let big = Arc::new(AtomicU32::new(0));
+            let b2 = Arc::clone(&big);
+            let prepare = move |ctx: &F| match self {
+                Extra::BulkStore8k => b2.store(sc::alloc_region(ctx, 1024, 0.0), Ordering::Relaxed),
+                Extra::BulkPutFlat8k => {
+                    b2.store(cx::alloc_region(ctx, 1024, 0.0), Ordering::Relaxed)
+                }
+                Extra::AmBulk1k => am::register(ctx, H_SINK, |_, _| {}),
+                _ => {}
+            };
+            let op = move |ctx: &F, s: &BenchSetup| {
+                let region = big.load(Ordering::Relaxed);
+                match self {
+                    Extra::SpawnJoin => mpmd_threads::spawn(ctx, "rmi-method", |_| {}).join(ctx),
+                    Extra::GpWrite => cx::gp_write(ctx, s.remote[0], 0.5),
+                    Extra::GpRead3 => _ = cx::gp_read3(ctx, s.remote[0]),
+                    Extra::BulkStore8k => sc::bulk_store(
+                        ctx,
+                        GlobalPtr {
+                            region,
+                            ..s.remote_sc[0]
+                        },
+                        &BLOCK,
+                    ),
+                    Extra::BulkPutFlat8k => cx::bulk_put_flat(
+                        ctx,
+                        CxPtr {
+                            region,
+                            ..s.remote[0]
+                        },
+                        &BLOCK,
+                    ),
+                    Extra::AmBulk1k => {
+                        am::endpoint(ctx)
+                            .to(1)
+                            .handler(H_SINK)
+                            .bulk(bytes::Bytes::from(vec![0u8; 1024]))
+                            .send();
+                        am::flush(ctx);
+                    }
+                }
+            };
+            let cfg = (self.lang() == CC).then(CcxxConfig::tham);
+            measure(machine, cfg, GATE_WARMUP, GATE_ITERS, prepare, op)
+        }
+    }
+
+    /// Holds interval `d`'s heap allocations, over [`GATE_ITERS`] ops, to a
+    /// row's column: `fixed` per op on node 0 and on node 1 beside those of
+    /// each thread created there, and none by the engines. `bare` is what
+    /// [`GATE_ITERS`] bare spawn + join pairs allocate on the same fabric
+    /// and task host. On the simulator the counts are exact: a create
+    /// allocates what a bare spawn + join does less the one waiter entry its
+    /// join parks with. On `LocalFabric` (`wall_clock`) whether a join finds
+    /// its thread finished, and on pooled threads whether a create finds an
+    /// idle worker, is the wall clock's: a node that creates threads holds
+    /// between `fixed` and `fixed` plus a bare spawn + join per create.
+    fn check_allocs(what: &str, d: &Report, fixed: [u64; 2], bare: u64, wall_clock: bool) {
+        let n = GATE_ITERS as u64;
+        assert_eq!(d.engine_allocs, 0, "{what}: the engines' allocations");
+        for (k, fixed) in fixed.into_iter().enumerate() {
+            let (got, creates) = (d.allocs[k], d.stats[k].thread_creates);
+            let what = format!("{what}: node {k}'s allocations over {n} ops");
+            if wall_clock && creates > 0 {
+                let most = fixed * n + (creates * bare).div_ceil(n);
+                assert!(
+                    (fixed * n..=most).contains(&got),
+                    "{what}: {got} not in {}..={most}",
+                    fixed * n
+                );
+            } else {
+                assert_eq!(got, fixed * n + creates * (bare / n - 1), "{what}");
+            }
+        }
+    }
+
     /// The count gate: every row of [`table4_charges`], in each of its
-    /// languages, runs through the one body on the simulator and on
-    /// `LocalFabric`. On the simulator its six counts per op are the table's.
-    /// Messages, payload bytes, handlers run and thread creates are the
-    /// protocol: `LocalFabric` counts the same for every row. Context
-    /// switches and sync ops are asserted on `LocalFabric` only where no task
-    /// switches (the Split-C rows and 0-Word Simple). Where a CC++ caller
-    /// blocks, they depend on whether the reply lands before the caller parks
-    /// and on how often CC++'s polling thread finds nothing, which the wall
-    /// clock decides; there they are printed, not asserted.
+    /// languages, and every [`Extra`] op, runs through the one body on the
+    /// simulator and on `LocalFabric`. Each is held to its allocations per
+    /// node ([`check_allocs`]) on both. On the simulator a row's six counts
+    /// per op are the table's. Messages, payload bytes, handlers run and
+    /// thread creates are the protocol: `LocalFabric` counts the same for
+    /// every row. Context switches and sync ops are asserted on `LocalFabric`
+    /// only where no task switches (the Split-C rows and 0-Word Simple).
+    /// Where a CC++ caller blocks, they depend on whether the reply lands
+    /// before the caller parks and on how often CC++'s polling thread finds
+    /// nothing, which the wall clock decides; there they are printed, not
+    /// asserted.
     #[test]
     fn table4_counts_agree_on_both_fabrics() {
-        let totals = |d: Report| {
+        let n = GATE_ITERS as u64;
+        let totals = |d: &Report| {
             let t = d.total_stats();
             let wire = [t.msgs_sent, t.bytes_sent, t.handlers_run];
             [wire, [t.thread_creates, t.context_switches, t.sync_ops]].concat()
         };
+        let bare_sim = Extra::SpawnJoin.measure(sim(CostModel::default())).allocs[0];
+        let bare_local = Extra::SpawnJoin.measure(local(CostModel::default())).allocs[0];
+        let both = |what: &str, fixed, s: &Report, l: &Report| {
+            let on = [
+                ("the simulator", s, bare_sim, false),
+                ("LocalFabric", l, bare_local, true),
+            ];
+            for (fabric, d, bare, wall_clock) in on {
+                check_allocs(&format!("{what} on {fabric}"), d, fixed, bare, wall_clock);
+            }
+        };
         for e in table4_charges() {
             let what = format!("{} ({})", e.row.name(), e.lang);
             let per_op = [[e.wire[0], e.wire[1], e.wire[0]], thread_ops(&e.per_op)].concat();
-            let want: Vec<_> = per_op.iter().map(|c| c * ITERS as u64).collect();
-            let s = totals(
-                e.row
-                    .measure(sim(CostModel::default()), e.cfg.clone(), ITERS),
-            );
-            let l = totals(
-                e.row
-                    .measure(local(CostModel::default()), e.cfg.clone(), ITERS),
-            );
-            let mean: Vec<_> = l.iter().map(|&c| c as f64 / ITERS as f64).collect();
+            let want: Vec<_> = per_op.iter().map(|c| c * n).collect();
+            let (cfg, cost) = (e.cfg.clone(), CostModel::default());
+            let s = e
+                .row
+                .measure(sim(cost.clone()), cfg.clone(), GATE_WARMUP, GATE_ITERS);
+            let l = e.row.measure(local(cost), cfg, GATE_WARMUP, GATE_ITERS);
+            let mean: Vec<_> = totals(&l).iter().map(|&c| c as f64 / n as f64).collect();
             eprintln!("{what}: LocalFabric per op {mean:?}");
-            assert_eq!(s, want, "{what}: simulator counts");
+            assert_eq!(totals(&s), want, "{what}: simulator counts");
             let checked = if want[4] == 0 { 6 } else { 4 };
-            assert_eq!(l[..checked], want[..checked], "{what}: LocalFabric counts");
+            assert_eq!(
+                totals(&l)[..checked],
+                want[..checked],
+                "{what}: LocalFabric counts"
+            );
+            both(&what, e.allocs, &s, &l);
+        }
+        for x in Extra::ALL {
+            let s = x.measure(sim(CostModel::default()));
+            let l = x.measure(local(CostModel::default()));
+            both(&format!("{x:?} ({})", x.lang()), x.allocs(), &s, &l);
         }
     }
 

@@ -96,10 +96,10 @@ fn corpus_is_present_and_covers_every_config() {
 #[test]
 fn every_corpus_entry_replays_clean() {
     for e in load_corpus() {
-        let base = run_config(&e.config, None, None)
+        let base = run_config(&e.config, None, false)
             .unwrap_or_else(|p| panic!("{}: baseline panicked: {p}", e.file));
         let (oracle, _) = TraceOracle::replay(e.spec, e.trace.clone());
-        let got = run_config(&e.config, Some(oracle), None)
+        let got = run_config(&e.config, Some(oracle), false)
             .unwrap_or_else(|p| panic!("{}: replay panicked: {p}", e.file));
         assert_eq!(
             e.kind, "pinned-schedule",
@@ -122,7 +122,7 @@ fn every_corpus_entry_replays_clean() {
 
         // Replay fidelity: the same trace replayed twice is byte-identical.
         let (oracle2, _) = TraceOracle::replay(e.spec, e.trace.clone());
-        let again = run_config(&e.config, Some(oracle2), None)
+        let again = run_config(&e.config, Some(oracle2), false)
             .unwrap_or_else(|p| panic!("{}: second replay panicked: {p}", e.file));
         assert_eq!(
             got.report_json, again.report_json,

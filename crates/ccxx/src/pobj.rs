@@ -20,7 +20,6 @@ use crate::rmi::{
 use crate::state::CcxxState;
 use mpmd_fabric::Fabric;
 use std::any::Any;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A global pointer to a processor object: opaque to the program, as in
@@ -40,7 +39,10 @@ pub(crate) type ObjRec = (&'static str, Arc<dyn Any + Send + Sync>);
 /// processor; here the creating code already runs on the target node.)
 pub fn create_object<T: Send + Sync + 'static, F: Fabric>(ctx: &F, obj: T) -> CxObjPtr {
     let st = CcxxState::get(ctx);
-    let id = st.next_obj.fetch_add(1, Ordering::AcqRel);
+    let id = st.next_obj.with(ctx, |next| {
+        *next += 1;
+        *next - 1
+    });
     let rec: ObjRec = (std::any::type_name::<T>(), Arc::new(obj));
     st.objects.with(ctx, |objects| objects.insert(id, rec));
     CxObjPtr {
@@ -133,7 +135,7 @@ mod tests {
     use super::*;
     use crate::{barrier, finalize, init, CcxxConfig};
     use mpmd_sim::Sim;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct Counter {
         hits: AtomicU64,

@@ -44,7 +44,6 @@ use bytes::Bytes;
 use mpmd_am::{self as am, HandlerId};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 pub(crate) const H_REQ: HandlerId = 64;
@@ -336,9 +335,9 @@ pub fn register_method_full<F: Fabric>(
 /// defers (no thread operations are charged — this is the Simple path).
 pub(crate) fn spin_wait<F: Fabric>(ctx: &F, pred: impl FnMut() -> bool) {
     let spinners = &CcxxState::get(ctx).spinners;
-    spinners.fetch_add(1, Ordering::AcqRel);
+    spinners.with(ctx, |n| *n += 1);
     am::wait_until(ctx, pred);
-    spinners.fetch_sub(1, Ordering::AcqRel);
+    spinners.with(ctx, |n| *n -= 1);
 }
 
 /// Invoke `method` on node `dst` and wait for its reply.
@@ -757,7 +756,7 @@ mod tests {
         // Both nodes number their objects from here, so the id is the same.
         CcxxState::get(ctx)
             .next_obj
-            .store(1 << 40, Ordering::Release);
+            .with(ctx, |next| *next = 1 << 40);
         let p = crate::create_object(ctx, 7 + ctx.node() as u64);
         assert_eq!(ObjAt::of(Some(p.obj)), ObjAt::Record);
         crate::barrier(ctx);

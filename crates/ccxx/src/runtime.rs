@@ -96,7 +96,7 @@ fn start_polling_thread<F: Fabric>(ctx: &F, interrupts: bool) {
             if st.poller_stop.load(Ordering::Acquire) {
                 return;
             }
-            if st.spinners.load(Ordering::Acquire) > 0 {
+            if st.spinners.with(&cctx, |n| *n > 0) {
                 // Someone is actively polling; let them service the queue.
                 cctx.yield_now();
                 continue;

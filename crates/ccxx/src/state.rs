@@ -7,7 +7,7 @@ use mpmd_am::{CallRecords, RecordCell, RegionTable, Reply};
 use mpmd_fabric::Fabric;
 use mpmd_sim::{NodeCell, TaskId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
 
 /// A registered method stub: executes the method body and produces the
@@ -152,14 +152,14 @@ pub(crate) struct CcxxState<F: Fabric> {
     /// staging and committing are not modeled costs.
     pub(crate) memory: RegionTable,
     /// Tasks currently spin-polling; the polling thread defers to them.
-    pub(crate) spinners: AtomicUsize,
+    pub(crate) spinners: NodeCell<usize>,
     /// The polling thread, set once by `ccxx::init`.
     pub(crate) poller: OnceLock<TaskId>,
     pub(crate) poller_stop: AtomicBool,
     /// Processor objects on this node, by id (see [`crate::pobj`]).
     pub(crate) objects: NodeCell<HashMap<u64, ObjRec>>,
     /// The id the next processor object created here gets.
-    pub(crate) next_obj: AtomicU64,
+    pub(crate) next_obj: NodeCell<u64>,
 }
 
 impl<F: Fabric> CcxxState<F> {
@@ -175,11 +175,11 @@ impl<F: Fabric> CcxxState<F> {
             method_lock: mpmd_threads::Mutex::new(()),
             call_records: CallRecords::default(),
             memory: RegionTable::default(),
-            spinners: AtomicUsize::new(0),
+            spinners: NodeCell::default(),
             poller: OnceLock::new(),
             poller_stop: AtomicBool::new(false),
             objects: NodeCell::default(),
-            next_obj: AtomicU64::new(1),
+            next_obj: NodeCell::new(1),
         }
     }
 

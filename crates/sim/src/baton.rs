@@ -18,12 +18,17 @@
 //! holder word. Every node-local rule of both schedulers reads them: only
 //! the holder borrows a [`BatonCell`], a handle call touches node state only
 //! for a task of the handle's node, and a [`NodeCell`](crate::NodeCell) only
-//! for one of the node that touched it first.
+//! for one of the node that touched it first. The record also names the
+//! slot the context's heap allocations count to
+//! ([`CountingAlloc`](crate::CountingAlloc)): one per node of the baton and
+//! one for its engine, taken when the baton is made.
 
+use crate::alloc_count::{self, NO_SLOT};
 use crate::fabric::{NOT_ITS_NODE, REENTRY};
 use crate::host::Host;
 use crate::task::TaskId;
 use std::cell::{Cell, Ref, RefCell, RefMut};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -44,9 +49,39 @@ const NO_NODE: usize = u32::MAX as usize;
 /// Batons made so far in this process: each takes the next serial, from 1.
 static SERIALS: AtomicU32 = AtomicU32::new(0);
 
+/// A thread's record: the node and the context that last received a baton on
+/// it, and the slot their allocations count to.
+type Record = (NodeKey, u32, u32);
+
+/// The record of a thread that holds no baton.
+const NOBODY: Record = (NodeKey(NO_NODE as u64), ENGINE, NO_SLOT);
+
 thread_local! {
-    /// The node and the context that last received a baton on this thread.
-    static HOLDER: Cell<(NodeKey, u32)> = const { Cell::new((NodeKey(NO_NODE as u64), ENGINE)) };
+    static HOLDER: Cell<Record> = const { Cell::new(NOBODY) };
+}
+
+/// The allocation slot of the context running on this thread.
+#[inline]
+pub(crate) fn slot_here() -> u32 {
+    HOLDER.get().2
+}
+
+/// Run `f`, which must keep the baton, with the calling context's
+/// allocations counted to no node: how a snapshot keeps its own out of the
+/// counts it reads. Nothing is added and taken back, so a reader on another
+/// thread never sees a count that later falls.
+pub(crate) fn uncounted<R>(f: impl FnOnce() -> R) -> R {
+    /// Puts the record back, on a panic too.
+    struct Restore(Record);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            HOLDER.set(self.0);
+        }
+    }
+    let me = HOLDER.get();
+    let _restore = Restore(me);
+    HOLDER.set((me.0, me.1, NO_SLOT));
+    f()
 }
 
 /// One node of one baton: the baton's serial in the high half, the node in
@@ -77,23 +112,37 @@ impl NodeKey {
     /// Whether the calling context is task `task` of this node.
     #[inline]
     pub fn runs(self, task: TaskId) -> bool {
-        HOLDER.get() == (self, task.0)
+        let (node, context, _) = HOLDER.get();
+        (node, context) == (self, task.0)
     }
 }
 
-/// What all contexts of one baton share: which baton it is, and who holds it.
+/// What all contexts of one baton share: which baton it is, who holds it,
+/// and where its contexts count their allocations.
 pub(crate) struct Core {
     serial: u32,
     /// The context key of the last context to receive the baton.
     holder: AtomicU32,
+    /// The first node whose tasks the baton runs.
+    first: usize,
+    /// Allocation slots: the engine's, then one per node from `first`.
+    slots: Box<[u32]>,
 }
 
 impl Core {
-    pub(crate) fn new() -> Arc<Core> {
+    /// A baton whose tasks run as the nodes in `nodes`.
+    pub(crate) fn new(nodes: Range<usize>) -> Arc<Core> {
         let serial = SERIALS.fetch_add(1, Ordering::Relaxed).checked_add(1);
         let serial = serial.expect("fewer than 2^32 batons");
         let holder = AtomicU32::new(ENGINE);
-        Arc::new(Core { serial, holder })
+        let slots = (0..=nodes.len()).map(|_| alloc_count::take()).collect();
+        let first = nodes.start;
+        Arc::new(Core {
+            serial,
+            holder,
+            first,
+            slots,
+        })
     }
 
     fn key(&self, node: usize) -> NodeKey {
@@ -101,26 +150,49 @@ impl Core {
         NodeKey((self.serial as u64) << 32 | node as u64)
     }
 
+    /// Node `node`'s allocation slot; [`NO_SLOT`] for a node the baton does
+    /// not run.
+    fn slot(&self, node: usize) -> u32 {
+        let i = node.checked_sub(self.first).map(|i| i + 1);
+        i.and_then(|i| self.slots.get(i))
+            .copied()
+            .unwrap_or(NO_SLOT)
+    }
+
     /// Record the calling context as the holder. Called only where a
     /// context receives the baton: anywhere else it would vouch for a
     /// context that does not hold it.
-    fn receive(&self, (node, context): (NodeKey, u32)) {
-        HOLDER.set((node, context));
+    fn receive(&self, record: Record) {
+        HOLDER.set(record);
         // Ordering: the hand-off already orders the holders; this word only
         // has to differ from a broken baton's view.
-        self.holder.store(context, Ordering::Relaxed);
+        self.holder.store(record.1, Ordering::Relaxed);
     }
 
     /// Task entry, as task `owner.1` of node `owner.0`.
     pub(crate) fn enter(&self, (node, task): (usize, u32)) {
-        self.receive((self.key(node), task));
+        self.receive((self.key(node), task, self.slot(node)));
     }
 
     /// Whether a thread's record names this baton's holder.
     #[inline]
-    fn held_by(&self, (node, context): (NodeKey, u32)) -> bool {
+    fn held_by(&self, (node, context, _): Record) -> bool {
         (node.0 >> 32) as u32 == self.serial && context == self.holder.load(Ordering::Relaxed)
     }
+}
+
+impl Drop for Core {
+    /// No context runs on a dropped baton: its slots go back.
+    fn drop(&mut self) {
+        self.slots.iter().for_each(|&s| alloc_count::give_back(s));
+    }
+}
+
+/// The calling thread leaves the baton it ran a task of for good: a pooled
+/// thread whose task has ended. It holds no baton, and counts to no node.
+#[cfg(not(all(target_arch = "x86_64", unix, not(mpmd_no_fibers))))]
+pub(crate) fn leave() {
+    HOLDER.set(NOBODY);
 }
 
 /// What hosts the task stacks. The build picks it ([`BACKEND`]): fibers on
@@ -182,10 +254,11 @@ pub struct Backend {
 }
 
 impl Backend {
-    /// A baton whose engine is the thread that calls [`Backend::engine`].
-    /// `fabric` names the scheduler in a fiber-stack-overflow report.
-    pub fn new(fabric: &'static str) -> Backend {
-        let core = Core::new();
+    /// A baton whose engine is the thread that calls [`Backend::engine`] and
+    /// whose tasks run as the nodes in `nodes`. `fabric` names the scheduler
+    /// in a fiber-stack-overflow report.
+    pub fn new(fabric: &'static str, nodes: Range<usize>) -> Backend {
+        let core = Core::new(nodes);
         let host = Host::new(fabric, Arc::clone(&core));
         let taken = AtomicBool::new(false);
         Backend { core, taken, host }
@@ -196,6 +269,17 @@ impl Backend {
         self.core.key(node)
     }
 
+    /// The heap allocations node `node`'s tasks have made so far, counted
+    /// when [`CountingAlloc`](crate::CountingAlloc) is the global allocator.
+    pub(crate) fn allocs(&self, node: usize) -> u64 {
+        alloc_count::count(self.core.slot(node))
+    }
+
+    /// The heap allocations the engine has made so far, counted likewise.
+    pub(crate) fn engine_allocs(&self) -> u64 {
+        alloc_count::count(self.core.slots[0])
+    }
+
     /// Make the calling thread the engine, which runs as no node and holds
     /// the baton until its first switch. Dropping the guard gives the thread
     /// back to the context it ran before: none, or the task a nested run was
@@ -203,7 +287,8 @@ impl Backend {
     pub fn engine(&self) -> Engine {
         assert!(!self.taken.swap(true, Ordering::Relaxed), "one engine");
         let outer = HOLDER.get();
-        self.core.receive((self.core.key(NO_NODE), ENGINE));
+        let slot = self.core.slots[0];
+        self.core.receive((self.core.key(NO_NODE), ENGINE, slot));
         Engine(outer)
     }
 
@@ -227,7 +312,7 @@ impl Backend {
 
 /// The engine's hold on its thread ([`Backend::engine`]).
 #[must_use = "the thread stops being the engine when this drops"]
-pub struct Engine((NodeKey, u32));
+pub struct Engine(Record);
 
 impl Drop for Engine {
     fn drop(&mut self) {
@@ -312,7 +397,7 @@ mod tests {
     /// [`TASK`] until it returns, and end the run. A panic in `body` reaches
     /// the caller.
     fn run_task(body: impl FnOnce(&Arc<Run>) + Send + 'static) {
-        let baton = Backend::new("test");
+        let baton = Backend::new("test", 0..2);
         let state = BatonCell::new(&baton, 0);
         let run = Arc::new(Run { baton, state });
         let _engine = run.baton.engine();
@@ -346,7 +431,7 @@ mod tests {
     /// a task of the handle's node, which an engine never is.
     #[test]
     fn a_baton_cell_borrowed_off_its_baton_panics() {
-        let (a, b) = (Backend::new("test"), Backend::new("test"));
+        let (a, b) = (Backend::new("test", 0..1), Backend::new("test", 0..1));
         let (in_a, in_b) = (BatonCell::new(&a, 0u32), BatonCell::new(&b, 0u32));
         let engine = a.engine();
         *in_a.borrow_mut() += 1;

@@ -15,7 +15,7 @@
 //! so a `with_stats` closure must not call back into the fabric (doing so
 //! panics).
 
-use crate::baton::{Backend, NodeKey, TaskBody, TaskCell};
+use crate::baton::{self, Backend, NodeKey, TaskBody, TaskCell};
 use crate::cost::CostModel;
 use crate::engine::SimDriver;
 use crate::event::{Msg, Payload};
@@ -333,8 +333,10 @@ impl<D: Driver> Fabric for Handle<D> {
         self.record(&mut home, self.task, || TraceEvent::Charge { bucket, ns });
     }
 
+    /// The snapshot's own allocations are not counted: it reads what the
+    /// node did, not what reading costs.
     fn snapshot(&self) -> Snapshot {
-        D::snapshot(self)
+        baton::uncounted(|| D::snapshot(self))
     }
 
     fn spawn<G>(&self, name: &str, f: G) -> TaskId

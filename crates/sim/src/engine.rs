@@ -144,7 +144,7 @@ impl Sim {
     {
         let tracing = self.trace.is_some();
         backend_from_env().unwrap_or_else(|e| panic!("{e}"));
-        let backend = Backend::new("simulated");
+        let backend = Backend::new("simulated", 0..self.nodes);
         let kernel = Kernel::new(
             self.nodes,
             self.trace,
@@ -170,7 +170,7 @@ impl Sim {
         // Teardown: every task has finished.
         let mut k = inner.kernel.borrow_mut();
         let trace: Option<_> = k.nodes.iter_mut().map(|n| n.probe.take_trace()).collect();
-        snapshot(&k).report(trace.map(|nodes| TraceLog { nodes }))
+        snapshot(&inner.backend, &k).report(trace.map(|nodes| TraceLog { nodes }))
     }
 }
 
@@ -268,9 +268,11 @@ fn decide_inner(
 /// Capture a [`Snapshot`] of all node clocks/stats. Exposed through
 /// `Fabric::snapshot`; callers should quiesce (e.g. barrier) first so the
 /// snapshot is meaningful.
-fn snapshot(k: &Kernel) -> Snapshot {
+fn snapshot(baton: &Backend, k: &Kernel) -> Snapshot {
     let metrics = k.nodes.iter().map(|n| n.ledger.metrics(&n.probe.keyed));
     Snapshot {
+        allocs: (0..k.nodes.len()).map(|n| baton.allocs(n)).collect(),
+        engine_allocs: baton.engine_allocs(),
         clocks: k.nodes.iter().map(|n| n.clock).collect(),
         stats: k.nodes.iter().map(|n| n.ledger.stats.read()).collect(),
         metrics: k.metrics.then(|| MetricsRegistry {
@@ -461,7 +463,7 @@ impl Driver for SimDriver {
     }
 
     fn snapshot(h: &Ctx) -> Snapshot {
-        snapshot(&h.home())
+        snapshot(&h.inner.backend, &h.home())
     }
 }
 

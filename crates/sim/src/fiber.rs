@@ -469,7 +469,7 @@ mod tests {
 
     /// A runtime that draws from and hands to `spare` instead of [`SPARE`].
     fn test_rt(spare: &'static Mutex<Vec<Stack>>) -> FiberRt {
-        let mut rt = FiberRt::new("test", Core::new());
+        let mut rt = FiberRt::new("test", Core::new(0..1));
         rt.spare = spare;
         rt
     }

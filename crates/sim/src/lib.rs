@@ -61,8 +61,7 @@ pub mod time;
 pub mod trace;
 pub mod wait;
 
-#[doc(hidden)]
-pub use alloc_count::{thread_allocs, CountingAlloc};
+pub use alloc_count::CountingAlloc;
 pub use baton::{backend_from_env, BackendKind};
 pub use cost::{CoalesceCosts, CostModel, FaultModel, LinkFaults, ReliabilityCosts, ThreadCosts};
 pub use ctx::{Ctx, Handle};

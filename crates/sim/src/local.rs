@@ -575,7 +575,10 @@ impl LocalDriver {
     /// Every node's totals as they stand, on the one wall clock.
     fn snapshot(&self) -> Snapshot {
         let metrics = |n: &Node| n.ledger.metrics(&Default::default());
+        let allocs = self.node.iter().enumerate();
         Snapshot {
+            allocs: allocs.map(|(i, n)| n.backend.allocs(i)).collect(),
+            engine_allocs: self.node.iter().map(|n| n.backend.engine_allocs()).sum(),
             clocks: vec![self.now(); self.machine.nodes],
             stats: self.node.iter().map(|n| n.ledger.stats.read()).collect(),
             metrics: self.machine.cost.metrics.then(|| MetricsRegistry {
@@ -690,7 +693,7 @@ impl LocalFabricBuilder {
             rings: (0..n * n).map(|_| Ring::new(cap)).collect(),
             node: (0..n)
                 .map(|node| {
-                    let backend = Backend::new("local");
+                    let backend = Backend::new("local", node..node + 1);
                     let sched = Sched::new(
                         NodeTasks::new(node, n),
                         self.wait,

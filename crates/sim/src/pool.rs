@@ -12,7 +12,7 @@
 //! its own: it bootstraps the run and then parks there until a task hands it
 //! the baton for termination, deadlock diagnosis, or panic propagation.
 
-use crate::baton::{BackendKind, Core};
+use crate::baton::{self, BackendKind, Core};
 use crate::task::TaskBody;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -140,6 +140,12 @@ impl TaskPool {
             .spawn(move || worker_loop(&pool))
             .expect("failed to spawn simulator worker thread");
         q.workers.push(worker);
+        // A queued job always has a worker to take it, so the queue holds at
+        // most one job per worker before a push. Room for that now means it
+        // never grows later, when its length depends on how soon the OS runs
+        // the workers: a spawn's allocations do not.
+        let room = (q.workers.len() + 1).saturating_sub(q.jobs.len());
+        q.jobs.reserve(room);
     }
 
     /// Hand the baton from `from` to `to` (`None` is the engine) and wait
@@ -192,6 +198,7 @@ fn worker_loop(pool: &Pool) {
         // any task it spawns should find this thread reusable rather than
         // growing the pool.
         let next = catch_unwind(AssertUnwindSafe(job.body)).unwrap_or(None);
+        baton::leave();
         locked(&pool.queue).idle += 1;
         next.as_deref().unwrap_or(&pool.engine).resume();
         q = locked(&pool.queue);
@@ -251,7 +258,7 @@ mod tests {
 
     #[test]
     fn pool_reuses_workers_for_sequential_jobs() {
-        let pool = TaskPool::new("test", Core::new());
+        let pool = TaskPool::new("test", Core::new(0..1));
         for _ in 0..16 {
             let cell = Arc::new(TaskCell::default());
             pool.start(Arc::clone(&cell), Box::new(|| None), (0, 0));
@@ -266,7 +273,7 @@ mod tests {
     fn pool_handles_concurrent_jobs() {
         // Eight live tasks need eight workers; each then finishes in turn,
         // handing the baton back to the engine.
-        let pool = TaskPool::new("test", Core::new());
+        let pool = TaskPool::new("test", Core::new(0..1));
         let cells: Vec<_> = (0..8).map(|_| Arc::new(TaskCell::default())).collect();
         for c in &cells {
             pool.start(Arc::clone(c), Box::new(|| None), (0, 0));
@@ -279,7 +286,7 @@ mod tests {
 
     #[test]
     fn worker_panic_wakes_the_engine() {
-        let pool = TaskPool::new("test", Core::new());
+        let pool = TaskPool::new("test", Core::new(0..1));
         let cell = Arc::new(TaskCell::default());
         let body = Box::new(|| panic!("task body panicked"));
         pool.start(Arc::clone(&cell), body, (0, 0));

@@ -12,6 +12,12 @@ use crate::trace::TraceLog;
 pub struct Snapshot {
     pub clocks: Vec<Time>,
     pub stats: Vec<Stats>,
+    /// Heap allocations each node's tasks have made, counted when
+    /// [`CountingAlloc`](crate::CountingAlloc) is the global allocator
+    /// (else 0). Published like `stats`.
+    pub allocs: Vec<u64>,
+    /// The same of the run's engines, which run as no node.
+    pub engine_allocs: u64,
     /// Cumulative metrics at capture time, when a registry is installed.
     pub metrics: Option<MetricsRegistry>,
 }
@@ -22,6 +28,8 @@ impl Snapshot {
         Report {
             clocks: self.clocks,
             stats: self.stats,
+            allocs: self.allocs,
+            engine_allocs: self.engine_allocs,
             trace,
             metrics: self.metrics,
         }
@@ -43,6 +51,13 @@ impl Snapshot {
                 .zip(&later.stats)
                 .map(|(a, b)| b.since(a))
                 .collect(),
+            allocs: self
+                .allocs
+                .iter()
+                .zip(&later.allocs)
+                .map(|(a, b)| b - a)
+                .collect(),
+            engine_allocs: later.engine_allocs - self.engine_allocs,
             trace: None,
             metrics: match (&self.metrics, &later.metrics) {
                 (Some(a), Some(b)) => Some(b.since(a)),
@@ -60,6 +75,10 @@ pub struct Report {
     pub clocks: Vec<Time>,
     /// Per-node instrumentation.
     pub stats: Vec<Stats>,
+    /// Per-node heap allocations ([`Snapshot::allocs`]); never in the JSON.
+    pub allocs: Vec<u64>,
+    /// The engines' heap allocations ([`Snapshot::engine_allocs`]).
+    pub engine_allocs: u64,
     /// Structured event log, present when the run used
     /// [`Sim::tracing`](crate::Sim::tracing) (or `LocalFabricBuilder::tracing`).
     /// Snapshot-interval reports
@@ -180,6 +199,8 @@ mod tests {
     fn mk(clocks: Vec<Time>) -> Report {
         let stats = vec![Stats::default(); clocks.len()];
         Report {
+            allocs: vec![0; clocks.len()],
+            engine_allocs: 0,
             clocks,
             stats,
             trace: None,
@@ -198,6 +219,8 @@ mod tests {
         let a = Snapshot {
             clocks: vec![100, 200],
             stats: vec![Stats::default(), Stats::default()],
+            allocs: vec![3, 0],
+            engine_allocs: 1,
             metrics: None,
         };
         let s1 = Stats {
@@ -207,11 +230,14 @@ mod tests {
         let b = Snapshot {
             clocks: vec![150, 260],
             stats: vec![s1, Stats::default()],
+            allocs: vec![5, 2],
+            engine_allocs: 1,
             metrics: None,
         };
         let r = a.until(&b);
         assert_eq!(r.clocks, vec![50, 60]);
         assert_eq!(r.stats[0].msgs_sent, 7);
+        assert_eq!((&r.allocs[..], r.engine_allocs), (&[2, 2][..], 0));
         assert_eq!(r.elapsed(), 60);
     }
 
@@ -224,6 +250,8 @@ mod tests {
         let r = Report {
             clocks: vec![100],
             stats: vec![st],
+            allocs: vec![0],
+            engine_allocs: 0,
             trace: None,
             metrics: None,
         };

@@ -134,6 +134,11 @@ pub type StatCells = StatsOf<Counter>;
 pub struct Counter(AtomicU64);
 
 impl Counter {
+    /// A count at zero.
+    pub(crate) const fn new() -> Counter {
+        Counter(AtomicU64::new(0))
+    }
+
     /// Add `n`, as the node's baton holder: two writers would lose counts.
     #[inline]
     pub fn add(&self, n: u64) {
@@ -142,7 +147,7 @@ impl Counter {
 
     /// The count.
     #[inline]
-    pub(crate) fn get(&self) -> u64 {
+    pub fn get(&self) -> u64 {
         self.0.load(Relaxed)
     }
 

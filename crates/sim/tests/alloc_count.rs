@@ -6,12 +6,12 @@
 //! allocations: argument words travel inline in [`Payload::Short`], the
 //! event heap holds each event whole and reuses its capacity, and baton
 //! handoffs reuse pooled stacks (fiber backend) or parked OS threads
-//! (threads backend). Counted per thread by [`CountingAlloc`], whose docs
-//! say why. On the fiber backend, a steady-state wave of spawn/join pairs
-//! allocates the same per task however wide it is: the runtime keeps every
-//! stack a wave retired, so a wave no wider than the last draws none.
+//! (threads backend). Counted by [`CountingAlloc`] per node, over every node
+//! and the engine. On the fiber backend, a steady-state wave of spawn/join
+//! pairs allocates the same per task however wide it is: the runtime keeps
+//! every stack a wave retired, so a wave no wider than the last draws none.
 
-use mpmd_sim::{thread_allocs, CountingAlloc, Ctx, Fabric, Payload, Sim};
+use mpmd_sim::{CountingAlloc, Ctx, Fabric, Payload, Report, Sim};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -63,11 +63,16 @@ fn timed_rounds(ctx: &Ctx, n: usize) {
     }
 }
 
+/// Every node's allocations and the engine's over an interval.
+fn all_allocs(d: &Report) -> u64 {
+    d.allocs.iter().sum::<u64>() + d.engine_allocs
+}
+
 /// Run `rounds` on both nodes, `WARMUP` then `MEASURED` of them, and return
-/// the allocations node 0 made during the measured ones. The ping-pong is
-/// self-synchronizing and the whole simulation runs one task at a time (on
-/// ONE OS thread under the fiber backend), so every simulator allocation
-/// between node 0's bracketing reads lands in the delta.
+/// the allocations every node and the engine made during the measured ones.
+/// The ping-pong is self-synchronizing and the simulation runs one context
+/// at a time, so node 0's two snapshots bracket every allocation between
+/// them.
 fn measured_allocs(rounds: fn(&Ctx, usize)) -> u64 {
     let delta = Arc::new(AtomicU64::new(u64::MAX));
     let out = Arc::clone(&delta);
@@ -76,9 +81,9 @@ fn measured_allocs(rounds: fn(&Ctx, usize)) -> u64 {
         // and (on the fiber backend) the runtime's free list of stacks.
         rounds(&ctx, WARMUP);
         if ctx.node() == 0 {
-            let before = thread_allocs();
+            let before = ctx.snapshot();
             rounds(&ctx, MEASURED);
-            out.store(thread_allocs() - before, Relaxed);
+            out.store(all_allocs(&before.until(&ctx.snapshot())), Relaxed);
         } else {
             rounds(&ctx, MEASURED);
         }
@@ -132,9 +137,9 @@ fn wave_allocs_per_task(width: usize) -> u64 {
                 }
             };
         waves(3);
-        let before = thread_allocs();
+        let before = ctx.snapshot();
         waves(WAVES);
-        out.store(thread_allocs() - before, Relaxed);
+        out.store(all_allocs(&before.until(&ctx.snapshot())), Relaxed);
     });
     let total = delta.load(Relaxed);
     let tasks = (WAVES * width) as u64;

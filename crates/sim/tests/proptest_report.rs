@@ -37,7 +37,8 @@ proptest! {
                 s
             })
             .collect();
-        let r = Report { clocks, stats, trace: None, metrics: None };
+        let allocs = vec![0; clocks.len()];
+        let r = Report { clocks, stats, allocs, engine_allocs: 0, trace: None, metrics: None };
         let busy: u128 = r.clocks.iter().map(|&c| c as u128).sum();
         // Everything charged outside the Net bucket (indices 0, 2, 3, 4).
         let other: u128 = r

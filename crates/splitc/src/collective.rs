@@ -7,7 +7,6 @@ use crate::ops::register_builtin_atomics;
 use crate::state::ScState;
 use mpmd_am::{self as am, ReduceOp};
 use mpmd_fabric::Fabric;
-use std::sync::atomic::Ordering;
 
 /// Initialize the Split-C runtime on this node: AM endpoint (Split-C
 /// profile), barrier and runtime handlers, built-in atomics. Collective —
@@ -90,8 +89,8 @@ pub fn reduce_sum_u64<F: Fabric>(ctx: &F, value: u64) -> u64 {
 pub fn all_store_sync<F: Fabric>(ctx: &F) {
     let st = ScState::get(ctx);
     loop {
-        let sent = reduce_sum_u64(ctx, st.stores_sent.load(Ordering::Acquire));
-        let recvd = reduce_sum_u64(ctx, st.stores_recvd.load(Ordering::Acquire));
+        let sent = reduce_sum_u64(ctx, st.stores_sent.get());
+        let recvd = reduce_sum_u64(ctx, st.stores_recvd.get());
         if sent == recvd {
             return;
         }

@@ -9,7 +9,6 @@ use bytes::Bytes;
 use mpmd_am::{self as am, AmMsg, CallRecord, HandlerId, ReplyCell};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 pub(crate) const H_READ: HandlerId = 16;
@@ -72,7 +71,7 @@ fn complete<F: Fabric>(ctx: &F, m: AmMsg) {
         .expect("foreign token in Split-C reply");
     let st = ScState::get(ctx);
     ctx.charge(Bucket::Runtime, st.costs.split_complete);
-    st.complete_pending();
+    st.complete_pending(ctx);
     if let Some(t0) = tok.issued {
         ctx.metric_observe_since("sc.split_op_ns", t0);
     }
@@ -119,7 +118,7 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
         write_word_into_region(ctx, st, &m);
-        st.stores_recvd.fetch_add(1, Ordering::AcqRel);
+        st.stores_recvd.add(1);
     });
 
     am::register(ctx, H_BULK_READ, |ctx, m| {
@@ -155,7 +154,7 @@ pub(crate) fn register_handlers<F: Fabric>(ctx: &F) {
         let st = ScState::get(ctx);
         ctx.charge(Bucket::Runtime, st.costs.serve_access);
         write_bulk_into_region(ctx, st, &m);
-        st.stores_recvd.fetch_add(1, Ordering::AcqRel);
+        st.stores_recvd.add(1);
     });
 
     am::register(ctx, H_ATOMIC, |ctx, m| {

@@ -18,7 +18,6 @@ use crate::state::{AtomicFn, ScState};
 use mpmd_am::{self as am, HandlerId, ReplyCell};
 use mpmd_fabric::Fabric;
 use mpmd_sim::Bucket;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Built-in atomic function ids.
@@ -112,7 +111,7 @@ fn split_access<F: Fabric>(
     };
     let _sp = ctx.span(span);
     ctx.charge(Bucket::Runtime, issue);
-    st.pending.fetch_add(1, Ordering::AcqRel);
+    st.pending.with(ctx, |pending| *pending += 1);
     let token = ScToken {
         cell: cell.cloned(),
         issued: ctx.metric_now(),
@@ -255,7 +254,7 @@ pub fn sync<F: Fabric>(ctx: &F) {
     let st = ScState::get(ctx);
     let _sp = ctx.span("sc.sync");
     ctx.charge(Bucket::Runtime, st.costs.sync_call);
-    am::wait_until(ctx, || st.pending.load(Ordering::Acquire) == 0);
+    am::wait_until(ctx, || st.pending.with(ctx, |pending| *pending == 0));
 }
 
 /// One-way store (`*gpY :- lx`): no acknowledgement; global completion is
@@ -267,7 +266,7 @@ pub fn store<F: Fabric>(ctx: &F, gp: GlobalPtr, v: f64) {
     }
     let _sp = ctx.span("sc.store");
     ctx.charge(Bucket::Runtime, st.costs.split_issue);
-    st.stores_sent.fetch_add(1, Ordering::AcqRel);
+    st.stores_sent.add(1);
     am::endpoint(ctx)
         .to(gp.node)
         .handler(H_STORE)
@@ -304,7 +303,7 @@ pub fn bulk_store<F: Fabric>(ctx: &F, gp: GlobalPtr, vals: &[f64]) {
     }
     let _sp = ctx.span("sc.bulk_store");
     ctx.charge(Bucket::Runtime, st.costs.bulk_issue);
-    st.stores_sent.fetch_add(1, Ordering::AcqRel);
+    st.stores_sent.add(1);
     am::endpoint(ctx)
         .to(gp.node)
         .handler(H_BULK_STORE)

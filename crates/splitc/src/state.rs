@@ -3,9 +3,8 @@
 use crate::costs::ScCosts;
 use mpmd_am::{CallRecords, RegionTable};
 use mpmd_fabric::Fabric;
-use mpmd_sim::NodeCell;
+use mpmd_sim::{Counter, NodeCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An atomic RPC function: runs atomically at the target node.
@@ -19,11 +18,11 @@ pub(crate) struct ScState<F: Fabric> {
     /// Registered atomic RPC functions.
     pub(crate) atomics: NodeCell<HashMap<u32, AtomicFn<F>>>,
     /// Outstanding split-phase operations awaiting `sync()`.
-    pub(crate) pending: AtomicU64,
+    pub(crate) pending: NodeCell<u64>,
     /// One-way stores issued from this node (for `all_store_sync`).
-    pub(crate) stores_sent: AtomicU64,
+    pub(crate) stores_sent: Counter,
     /// One-way stores received by this node.
-    pub(crate) stores_recvd: AtomicU64,
+    pub(crate) stores_recvd: Counter,
     /// Blocking accesses' call records not in use (see [`crate::ops`]); a
     /// callee touches nothing of them.
     pub(crate) records: CallRecords<()>,
@@ -35,9 +34,9 @@ impl<F: Fabric> ScState<F> {
             costs: ScCosts::default(),
             memory: RegionTable::default(),
             atomics: NodeCell::default(),
-            pending: AtomicU64::new(0),
-            stores_sent: AtomicU64::new(0),
-            stores_recvd: AtomicU64::new(0),
+            pending: NodeCell::default(),
+            stores_sent: Counter::default(),
+            stores_recvd: Counter::default(),
             records: CallRecords::default(),
         }
     }
@@ -53,9 +52,11 @@ impl<F: Fabric> ScState<F> {
     }
 
     /// Note the completion of a split-phase operation (its reply arrived).
-    pub(crate) fn complete_pending(&self) {
-        let before = self.pending.fetch_sub(1, Ordering::AcqRel);
-        assert!(before > 0, "completion without outstanding operation");
+    pub(crate) fn complete_pending(&self, ctx: &F) {
+        self.pending.with(ctx, |pending| {
+            assert!(*pending > 0, "completion without outstanding operation");
+            *pending -= 1;
+        });
     }
 }
 
@@ -66,6 +67,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "completion without outstanding operation")]
     fn a_completion_with_nothing_outstanding_panics() {
-        ScState::<mpmd_sim::Ctx>::new().complete_pending();
+        mpmd_sim::Sim::new(1).run(|ctx| ScState::get(&ctx).complete_pending(&ctx));
     }
 }
