@@ -47,21 +47,26 @@ cargo fmt --check
 echo "==> cargo doc: no warnings, no broken intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# Print `file:line: text` for each line of the Rust files in $2... (files or
+# directories) that matches the awk regex $1 outside test code: the body of a
+# top-level `#[cfg(test)] mod ... {`, up to its closing `}` in column 0, is
+# exempt.
+outside_tests() {
+    PATTERN=$1 find "${@:2}" -name '*.rs' -exec awk '
+        FNR == 1 { prev = ""; skip = 0 }
+        skip && /^}/ { skip = 0; prev = $0; next }
+        skip { next }
+        prev ~ /^#\[cfg\(test\)\]$/ && /^mod .*\{$/ { skip = 1; prev = $0; next }
+        $0 ~ ENVIRON["PATTERN"] { print FILENAME ":" FNR ": " $0 }
+        { prev = $0 }' {} +
+}
+
 echo "==> thread_local! only in the baton"
 # Which node's task runs on a thread has one answer: the record the baton
 # keeps (sim/src/baton.rs), which the kernel, the node scheduler, node data,
 # every NodeCell and the allocation counter read. A second thread-local would
-# be a second answer that can disagree. The body of a top-level
-# `#[cfg(test)] mod ... {`, up to its closing `}` in column 0, is test code
-# and exempt.
-stray=$(find crates/*/src -name '*.rs' -exec awk '
-    FNR == 1 { prev = ""; skip = 0 }
-    skip && /^}/ { skip = 0; prev = $0; next }
-    skip { next }
-    prev ~ /^#\[cfg\(test\)\]$/ && /^mod .*\{$/ { skip = 1; prev = $0; next }
-    /thread_local!/ { print FILENAME ":" FNR }
-    { prev = $0 }' {} + |
-    grep -v -e '^crates/sim/src/baton.rs:' || true)
+# be a second answer that can disagree.
+stray=$(outside_tests 'thread_local!' crates/*/src | grep -v '^crates/sim/src/baton.rs:' || true)
 if [ -n "$stray" ]; then
     echo "thread_local! outside the baton:" >&2
     echo "$stray" >&2
@@ -72,15 +77,9 @@ echo "==> one Fabric body: exactly one impl of the trait"
 # The Fabric trait has one body, mpmd_sim::Handle (sim/src/ctx.rs), written
 # over a driver per machine: the simulator's kernel and the wall clock's
 # nodes. A second `impl ... Fabric for` would be a second body that can
-# drift from the first. The body of a top-level `#[cfg(test)] mod ... {`, up
-# to its closing `}` in column 0, is test code and exempt.
-impls=$(find crates/*/src -name '*.rs' -exec awk '
-    FNR == 1 { prev = ""; skip = 0 }
-    skip && /^}/ { skip = 0; prev = $0; next }
-    skip { next }
-    prev ~ /^#\[cfg\(test\)\]$/ && /^mod .*\{$/ { skip = 1; prev = $0; next }
-    /^[[:space:]]*impl[[:space:]<]/ && /[[:space:]:]Fabric for[[:space:]]/ { print FILENAME ":" FNR }
-    { prev = $0 }' {} +)
+# drift from the first.
+impls=$(outside_tests '^[[:space:]]*impl([[:space:]<].*)?[[:space:]:]Fabric for[[:space:]]' \
+    crates/*/src)
 if [ "$(printf '%s\n' "$impls" | grep -c .)" -ne 1 ]; then
     echo "Fabric must have exactly one impl outside test code; found:" >&2
     echo "$impls" >&2
@@ -92,15 +91,8 @@ echo "==> the ledger: single-writer cells, no lock, no read-modify-write"
 # its totals: cells that only the node's baton holder writes, with a relaxed
 # load and a relaxed store, and that a snapshot reads in place. A lock or an
 # atomic read-modify-write there would put a shared-line transfer back on
-# every count. The body of a top-level `#[cfg(test)] mod ... {`, up to its
-# closing `}` in column 0, is test code and exempt.
-rmw=$(awk '
-    FNR == 1 { prev = ""; skip = 0 }
-    skip && /^}/ { skip = 0; prev = $0; next }
-    skip { next }
-    prev ~ /^#\[cfg\(test\)\]$/ && /^mod .*\{$/ { skip = 1; prev = $0; next }
-    /fetch_|compare_exchange|Mutex/ { print FILENAME ":" FNR ": " $0 }
-    { prev = $0 }' crates/sim/src/probe.rs crates/sim/src/stats.rs crates/sim/src/metrics.rs)
+# every count.
+rmw=$(outside_tests 'fetch_|compare_exchange|Mutex' crates/sim/src/{probe,stats,metrics}.rs)
 if [ -n "$rmw" ]; then
     echo "a lock or read-modify-write in the ledger:" >&2
     echo "$rmw" >&2
@@ -111,79 +103,67 @@ fi
 # each is a Counter or a NodeCell, and no layer's code needs an atomic
 # read-modify-write. (RelPacket.msg's Mutex stays: that packet travels
 # between nodes.)
-rmw=$(find crates/am/src crates/splitc/src crates/ccxx/src crates/threads/src -name '*.rs' \
-    -exec awk '
-    FNR == 1 { prev = ""; skip = 0 }
-    skip && /^}/ { skip = 0; prev = $0; next }
-    skip { next }
-    prev ~ /^#\[cfg\(test\)\]$/ && /^mod .*\{$/ { skip = 1; prev = $0; next }
-    /\.fetch_|compare_exchange/ { print FILENAME ":" FNR ": " $0 }
-    { prev = $0 }' {} +)
+rmw=$(outside_tests '\.fetch_|compare_exchange' crates/{am,splitc,ccxx,threads}/src)
 if [ -n "$rmw" ]; then
     echo "a read-modify-write of node-local state in a layer:" >&2
     echo "$rmw" >&2
     exit 1
 fi
 
-echo "==> fabric ring stress + bounded links + wall-clock zero-alloc + bounded-task + call-record tests"
-# The link ring's FIFO invariants through full rings with sender and
-# receiver on two threads, the lost-wake-up battery (2 000 frame hand-offs
-# with every wait parking at once), and the zero-allocation guarantee of the
-# wall-clock short-send path (counting global allocator), in release mode
-# where the fast paths are actually taken. The bounded link's contract:
-# nodes that fill links to each other (two ways, a cycle of three) all
-# proceed, an AM handler replies on a full link, a panic ends a wait for
-# room, frames for a node with no tasks left drop exactly once, and a Split-C
-# bulk stream never queues more than one ring. Also at full size only in
-# release: 50 000 spawn/join pairs on each fabric (the one node task table
-# holds the live set alone) and a 5 000-wide task wave on exactly one OS
-# thread per node, 20 000 threaded RMIs in one run, and EM3D base in CC++
-# at the paper's graph size (EM3D ghost in Split-C on four nodes, too, bit
-# for bit against the reference). Allocations count to the node that makes
-# them (fabric's alloc_count, on both fabrics). One layer up, the call
-# records (mpmd-am's reply.rs) of both runtimes: only the task that issued a
-# call recycles its record, a callee that touches the caller's half of a record
-# fails the run, in CC++ (call_records) and in Split-C
-# (splitc's a_callee_that_touches_a_warm_record_fails_the_run_*), a failed
-# run frees every record, and an ended run frees its nodes' runtime state;
-# and the RMI wire encoding (rmi_encoding): 0 to 4 words, every call mode,
-# cold and warm, with and without a processor object or bytes, and a node
-# calling itself. A frame carries its sender's counts (fabric_conformance's
-# frame_carries_counts, on both fabrics): 10 000 round trips, each snapshot
-# taken on receipt holding exactly what the sender counted before it, with
-# no barrier, and snapshots taken while the peer counts never go backwards.
-# Table 4 as equations (mpmd-bench's micro.rs): every Table 4
-# and OAM row, in both languages, has its charge vector written once, and
-# table4_charges_match_the_trace holds the simulator's traced charges, and
-# its Stats, to it exactly; the count gate
-# (table4_counts_agree_on_both_fabrics) runs every row through the one
-# harness body on the simulator and on LocalFabric: messages, bytes,
-# handlers and thread creates per op are the table's on both, and so are
-# the simulator's switches and sync ops, and every row's heap allocations
-# per node: a warm Simple or Blocking null RMI and a Split-C blocking read
-# allocate nothing on either node, a threaded RMI or a GP access nothing on
-# its caller and no more on its callee than a bare spawn + join, an 8 KiB
-# Split-C bulk_store 2 and an AM 1 KiB bulk send 2 on the sender, an 8 KiB
-# CC++ bulk_put_flat 2 on its caller and one thread create on its callee.
-# The simulator's own zero-alloc proof
-# (sim/tests/alloc_count.rs): warm short round trips, and expiring timed
-# inbox waits, allocate nothing, and the wave gate: a
-# 300-wide spawn/join wave allocates per task what a 1-wide one does, because
-# a fiber runtime keeps every stack it retired (no cap) and a new runtime
-# draws first from the process-wide spare list that dropped ones fill.
+echo "==> the host-dependent tests, in release, on fibers"
+# The tests whose subject hands a node's state between contexts or OS threads
+# run in release, where the fast paths are taken, once on each task host
+# (here, and below on pooled threads): both must give the same counts, the
+# same charge vectors and the same traces, and hold the same bounds.
+# - mpmd-sim and -fabric: the baton, both schedulers and the node task table
+#   (--lib), schedule exploration (explore, proptest_engine), inbox waiters;
+#   LocalFabric's link ring through full rings with sender and receiver on
+#   two threads, and the lost-wake-up battery (ring_stress); 50 000
+#   spawn/join pairs on each fabric with only the live set in the table, and
+#   a 5 000-wide task wave on one OS thread per node (bounded_tasks). The
+#   zero-allocation proofs (alloc_count): allocations count to the node that
+#   makes them, warm short round trips and expiring timed inbox waits
+#   allocate nothing, and a 300-wide spawn/join wave allocates per task what
+#   a 1-wide one does.
+# - mpmd-threads, and Split-C's --lib: the node-local cells of the threads
+#   package and of Split-C, whose callee fails the run if it touches a warm
+#   call record's caller half.
+# - mpmd-am: the conformance suite on both fabrics (a frame carries its
+#   sender's counts, among the rest), and the bounded link's contract: nodes
+#   that fill links to each other proceed, an AM handler replies on a full
+#   link, a panic ends a wait for room, frames for a node with no task left
+#   drop once (bounded_links). A Split-C bulk stream never queues more than
+#   one ring (local_stream_memory).
+# - mpmd-ccxx: only the task that issued a call recycles its record, a failed
+#   run frees every record, an ended run frees its node singletons, and every
+#   call shape crosses the RMI frames exactly.
+# - mpmd-bench: the trace and flame goldens; Table 4 as equations, every row
+#   and language's charge vector held to the simulator's trace and Stats
+#   (table4_charges_match_the_trace); and the count gate
+#   (table4_counts_agree_on_both_fabrics): every row and extra op on both
+#   fabrics, messages, bytes, handlers and creates per op the table's on
+#   both, the simulator's switches and sync ops too, and each node's heap
+#   allocations exactly the table's on the simulator and the simulator's on
+#   LocalFabric (plus a per-run allowance for its tables' peaks).
+# - mpmd-apps: 20 000 threaded RMIs, EM3D at the paper's size on the wall
+#   clock, bit for bit against the reference, and a traced wall-clock run.
 # These assert completion and counts, not timings, so none is retried.
-cargo test --release -q -p mpmd-fabric --test ring_stress --test alloc_count \
-    --test bounded_tasks
-cargo test --release -q -p mpmd-sim --test alloc_count
-cargo test --release -q -p mpmd-am --test bounded_links
-cargo test --release -q -p mpmd-am --test fabric_conformance frame_carries_counts
-cargo test --release -q -p mpmd-splitc --test local_stream_memory
-cargo test --release -q -p mpmd-ccxx --test call_records --test teardown --test rmi_encoding
-cargo test --release -q -p mpmd-splitc --lib a_callee_that_touches_a_warm_record_fails_the_run
-cargo test --release -q -p mpmd-bench --lib -- table4_counts_agree_on_both_fabrics \
-    table4_charges_match_the_trace
-cargo test --release -q -p mpmd-apps --test local_scale
-echo "fabric stress + alloc + bounded-task + call-record tests OK"
+host_tests() {
+    "$@" test --release -q -p mpmd-sim --lib --test explore --test inbox_waiters \
+        --test proptest_engine --test alloc_count
+    "$@" test --release -q -p mpmd-fabric --lib --test bounded_tasks --test ring_stress \
+        --test alloc_count
+    "$@" test --release -q -p mpmd-threads --lib
+    "$@" test --release -q -p mpmd-am --test fabric_conformance --test bounded_links
+    "$@" test --release -q -p mpmd-splitc --lib --test local_stream_memory
+    "$@" test --release -q -p mpmd-ccxx --test call_records --test teardown --test rmi_encoding
+    "$@" test --release -q -p mpmd-bench --test trace_observability --test flame_golden
+    "$@" test --release -q -p mpmd-bench --lib -- table4_counts_agree_on_both_fabrics \
+        table4_charges_match_the_trace
+    "$@" test --release -q -p mpmd-apps --test local_scale
+}
+host_tests cargo
+echo "host-dependent tests OK on fibers"
 
 echo "==> benchmark/ builds and runs (standalone crate, quick smoke)"
 # benchmark/ is its own workspace, so nothing above compiles it: an API
@@ -226,22 +206,8 @@ echo "==> the pooled-thread host: a --cfg mpmd_no_fibers release build"
 # Off x86-64 unix the build hosts tasks on pooled OS threads instead of
 # fibers; --cfg mpmd_no_fibers builds that host here, in its own target dir.
 # Nothing a run computes may depend on the host: five binaries must match
-# their committed digests (checked, not rewritten), and the trace goldens,
-# the flame golden and the explore sweep (its alloc probe included) must
-# pass unchanged. The tests are those whose subject
-# hands a node's state between OS threads there: the baton, both schedulers
-# and the node task table, LocalFabric's links, and the node-local cells of
-# the threads package, Split-C and CC++, among them both runtimes' call
-# records (CC++'s call_records, and Split-C's
-# a_callee_that_touches_a_warm_record_fails_the_run_* in its --lib tests),
-# and Table 4's count gate and charge vectors (mpmd-bench's
-# table4_counts_agree_on_both_fabrics and table4_charges_match_the_trace):
-# both task hosts must give the same counts and the same vectors, and hold
-# every row's allocations per node. The allocation proofs one layer down
-# (sim's and fabric's alloc_count) run here too: a node's allocations count
-# to it wherever its tasks run. The
-# conformance suite includes frame_carries_counts: a baton hand-off between
-# pooled threads must publish the counts too.
+# their committed digests (checked, not rewritten), the explore sweep (its
+# alloc probe included) must pass, and so must every host-dependent test.
 no_fibers() {
     CARGO_TARGET_DIR=target/no_fibers RUSTFLAGS="--cfg mpmd_no_fibers" cargo "$@"
 }
@@ -253,18 +219,7 @@ for bin in table4 fig5 scaling faults msgprofile; do
 done
 timeout 60 target/no_fibers/release/explore --quick --json "$tmp/explore.json"
 rm -rf "$tmp"
-no_fibers test --release -q -p mpmd-bench --test trace_observability --test flame_golden
-no_fibers test --release -q -p mpmd-sim --lib --test explore --test inbox_waiters \
-    --test proptest_engine --test alloc_count
-no_fibers test --release -q -p mpmd-fabric --lib --test bounded_tasks --test ring_stress \
-    --test alloc_count
-no_fibers test --release -q -p mpmd-threads --lib
-no_fibers test --release -q -p mpmd-am --test fabric_conformance --test bounded_links
-no_fibers test --release -q -p mpmd-splitc --lib
-no_fibers test --release -q -p mpmd-ccxx --test call_records --test teardown --test rmi_encoding
-no_fibers test --release -q -p mpmd-bench --lib -- table4_counts_agree_on_both_fabrics \
-    table4_charges_match_the_trace
-no_fibers test --release -q -p mpmd-apps --test local_scale
+host_tests no_fibers
 echo "pooled-thread host reproduces results/, the goldens and the sweep"
 
 echo "==> all checks passed"

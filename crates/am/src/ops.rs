@@ -103,12 +103,14 @@ pub(crate) fn dispatch<F: Fabric>(ctx: &F, st: &AmState<F>, am: AmMsg) -> usize 
 /// trace frame so the frame's duration covers the full per-message cost —
 /// the trace reconciles against `Bucket::Net` this way.
 fn run_handler<F: Fabric>(ctx: &F, st: &AmState<F>, msg: AmMsg, recv_ns: Time) {
-    let hid = msg.handler;
-    ctx.trace_event(|| TraceEvent::HandlerStart { handler: hid });
+    let run = lookup(st, msg.handler);
+    // Registered, so below `HANDLER_ID_LIMIT`: the id fits the trace's byte.
+    let handler = msg.handler as u8;
+    ctx.trace_event(|| TraceEvent::HandlerStart { handler });
     ctx.charge(Bucket::Net, recv_ns);
     ctx.with_stats(|s| s.handlers_run.add(1));
-    lookup(st, hid)(ctx, msg);
-    ctx.trace_event(|| TraceEvent::HandlerEnd { handler: hid });
+    run(ctx, msg);
+    ctx.trace_event(|| TraceEvent::HandlerEnd { handler });
 }
 
 /// Drain the inbox, dispatching every delivered message's handler on this

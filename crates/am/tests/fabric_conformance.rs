@@ -1201,17 +1201,17 @@ fn battery_trace<F: Fabric>(ctx: &F) {
 }
 
 /// Each (node, task name)'s closed frames as (name, depth), in close order.
-fn span_shape(log: &TraceLog) -> BTreeMap<(usize, String), Vec<(String, usize)>> {
+fn span_shape(log: &TraceLog) -> BTreeMap<(usize, &str), Vec<(&str, usize)>> {
     let names: HashMap<TaskId, &str> = log
         .events()
-        .filter_map(|r| match &r.event {
-            TraceEvent::TaskSpawn { name } => Some((r.task, name.as_str())),
+        .filter_map(|r| match r.event {
+            TraceEvent::TaskSpawn { name } => Some((r.task, name)),
             _ => None,
         })
         .collect();
     let mut shape: BTreeMap<_, Vec<_>> = BTreeMap::new();
     for s in log.spans() {
-        let task = names[&s.task].to_string();
+        let task = names[&s.task];
         shape
             .entry((s.node, task))
             .or_default()
@@ -1230,15 +1230,14 @@ fn check_trace(fabric: &str, report: &Report, scheduler_records: u64) {
         .trace
         .as_ref()
         .expect("a traced run returns its trace");
-    let frames = |v: &[(&str, usize)]| v.iter().map(|&(n, d)| (n.to_string(), d)).collect();
     let want = BTreeMap::from([
         (
-            (0, "child".to_string()),
-            frames(&[("conf.child.inner", 1), ("conf.child", 0)]),
+            (0, "child"),
+            vec![("conf.child.inner", 1), ("conf.child", 0)],
         ),
         (
-            (0, "main".to_string()),
-            frames(&[("am.handler[7]", 2), ("conf.inner", 1), ("conf.outer", 0)]),
+            (0, "main"),
+            vec![("am.handler[7]", 2), ("conf.inner", 1), ("conf.outer", 0)],
         ),
     ]);
     assert_eq!(span_shape(log), want, "{fabric}");

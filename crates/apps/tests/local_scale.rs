@@ -112,7 +112,7 @@ fn em3d_ghost_in_splitc_on_four_nodes_matches_the_reference() {
     });
 }
 
-fn span_names(log: &TraceLog) -> BTreeSet<String> {
+fn span_names(log: &TraceLog) -> BTreeSet<&'static str> {
     log.spans().into_iter().map(|s| s.name).collect()
 }
 

@@ -524,7 +524,9 @@ mod tests {
     use super::*;
     use mpmd_am::NetProfile;
     use mpmd_ccxx::CcxxCosts;
-    use mpmd_sim::{LocalFabric, LocalFabricBuilder, ThreadCosts, Time, TraceConfig, TraceEvent};
+    use mpmd_sim::{
+        BackendKind, LocalFabric, LocalFabricBuilder, ThreadCosts, Time, TraceConfig, TraceEvent,
+    };
     use mpmd_splitc::ScCosts;
     use std::collections::BTreeMap;
     use std::sync::atomic::AtomicU32;
@@ -565,8 +567,8 @@ mod tests {
         wire: [u64; 2],
         /// The charge vector.
         per_op: Fold,
-        /// Heap allocations per op on node 0 and on node 1, beside those of
-        /// the threads the op creates there ([`check_allocs`]).
+        /// Heap allocations per op on node 0 and on node 1, beside
+        /// [`CREATE_ALLOCS`] per thread the op creates there.
         allocs: [u64; 2],
         /// How many µs per unit the row's Threads and Runtime columns sit
         /// above the paper's (zero for the rows the paper does not have).
@@ -645,7 +647,7 @@ mod tests {
             sc(BulkRead, [2, 256, 1], &[s.bulk_issue, s.bulk_complete, s.serve_access], [1, 2], (0.0, -0.5)),
             // Per element, threads: a `parfor` thread, 2.2 switches and 10 sync
             // ops; runtime: 9 µs, where the paper has 9.1.
-            cc(Prefetch, [40, 1920, 0], &pf_cc.repeat(20), [20, 44, 200], [8, 0], (1.2, -0.1)),
+            cc(Prefetch, [40, 1920, 0], &pf_cc.repeat(20), [20, 44, 200], [6, 0], (1.2, -0.1)),
             // Runtime per element: and the owner's `serve_access`, and a twentieth
             // of one `sync_call`.
             sc(Prefetch, [40, 1920, 0], &[&[s.sync_call][..], &pf_sc].concat(), [41, 0], (0.0, 0.35)),
@@ -742,6 +744,21 @@ mod tests {
     const GATE_WARMUP: usize = 300;
     const GATE_ITERS: usize = 1_000;
 
+    /// What `LocalFabric` may allocate on a node beyond the simulator's
+    /// count, per run: its tables reaching a new peak and, on pooled
+    /// threads, the pool starting a worker. Both are bounded by the peak of
+    /// live tasks, not by the op count.
+    const WALL_CLOCK_ALLOWANCE: u64 = GATE_ITERS as u64 / 10;
+
+    /// What a thread create allocates on its node, on either fabric: the
+    /// task's context and its body, and on fibers the fiber's start record.
+    /// A join allocates nothing, whether it parks or finds the thread
+    /// finished.
+    const CREATE_ALLOCS: u64 = match mpmd_sim::baton::BACKEND {
+        BackendKind::Fibers => 3,
+        BackendKind::Threads => 2,
+    };
+
     /// AM handler of [`Extra::AmBulk1k`]'s sink.
     const H_SINK: am::HandlerId = 40;
 
@@ -752,9 +769,12 @@ mod tests {
     /// gate holds.
     #[derive(Clone, Copy, Debug)]
     enum Extra {
-        /// A bare spawn + join of an empty thread, in CC++: what the
-        /// spawning rows' callees are held to.
+        /// A bare spawn + join of an empty thread, in CC++: the join parks
+        /// until the thread ends.
         SpawnJoin,
+        /// A bare spawn, a yield that lets the thread end, and a join that
+        /// finds it finished.
+        JoinFinished,
         GpWrite,
         GpRead3,
         /// A Split-C 8 KiB `bulk_store`.
@@ -766,8 +786,9 @@ mod tests {
     }
 
     impl Extra {
-        const ALL: [Extra; 6] = [
+        const ALL: [Extra; 7] = [
             Extra::SpawnJoin,
+            Extra::JoinFinished,
             Extra::GpWrite,
             Extra::GpRead3,
             Extra::BulkStore8k,
@@ -775,12 +796,11 @@ mod tests {
             Extra::AmBulk1k,
         ];
 
-        /// Heap allocations per op on node 0 and on node 1, beside those of
-        /// the threads the op creates there ([`check_allocs`]).
+        /// Heap allocations per op on node 0 and on node 1, beside
+        /// [`CREATE_ALLOCS`] per thread the op creates there.
         fn allocs(self) -> [u64; 2] {
             match self {
-                // The join's waiter entry.
-                Extra::SpawnJoin => [1, 0],
+                Extra::SpawnJoin | Extra::JoinFinished => [0, 0],
                 Extra::GpWrite | Extra::GpRead3 => [0, 0],
                 // The payload and its shared handle; the receiver decodes
                 // straight into the region.
@@ -816,6 +836,12 @@ mod tests {
                 let region = big.load(Ordering::Relaxed);
                 match self {
                     Extra::SpawnJoin => mpmd_threads::spawn(ctx, "rmi-method", |_| {}).join(ctx),
+                    Extra::JoinFinished => {
+                        let t = mpmd_threads::spawn(ctx, "rmi-method", |_| {});
+                        mpmd_threads::yield_now(ctx);
+                        assert!(t.is_finished(ctx), "the yield let the thread end");
+                        t.join(ctx);
+                    }
                     Extra::GpWrite => cx::gp_write(ctx, s.remote[0], 0.5),
                     Extra::GpRead3 => _ = cx::gp_read3(ctx, s.remote[0]),
                     Extra::BulkStore8k => sc::bulk_store(
@@ -849,31 +875,31 @@ mod tests {
         }
     }
 
-    /// Holds interval `d`'s heap allocations, over [`GATE_ITERS`] ops, to a
-    /// row's column: `fixed` per op on node 0 and on node 1 beside those of
-    /// each thread created there, and none by the engines. `bare` is what
-    /// [`GATE_ITERS`] bare spawn + join pairs allocate on the same fabric
-    /// and task host. On the simulator the counts are exact: a create
-    /// allocates what a bare spawn + join does less the one waiter entry its
-    /// join parks with. On `LocalFabric` (`wall_clock`) whether a join finds
-    /// its thread finished, and on pooled threads whether a create finds an
-    /// idle worker, is the wall clock's: a node that creates threads holds
-    /// between `fixed` and `fixed` plus a bare spawn + join per create.
-    fn check_allocs(what: &str, d: &Report, fixed: [u64; 2], bare: u64, wall_clock: bool) {
+    /// Holds the heap allocations of interval `s` on the simulator and `l`
+    /// on `LocalFabric`, over [`GATE_ITERS`] ops, to a row's column: on node
+    /// 0 and on node 1, `fixed` per op and [`CREATE_ALLOCS`] per thread
+    /// created there, and none by the engines. The simulator counts exactly
+    /// that; `LocalFabric` counts the simulator's count, plus at most
+    /// [`WALL_CLOCK_ALLOWANCE`] per run.
+    fn check_allocs(what: &str, fixed: [u64; 2], s: &Report, l: &Report) {
         let n = GATE_ITERS as u64;
-        assert_eq!(d.engine_allocs, 0, "{what}: the engines' allocations");
+        for (fabric, d) in [("the simulator", s), ("LocalFabric", l)] {
+            assert_eq!(
+                d.engine_allocs, 0,
+                "{what} on {fabric}: the engines' allocations"
+            );
+        }
         for (k, fixed) in fixed.into_iter().enumerate() {
-            let (got, creates) = (d.allocs[k], d.stats[k].thread_creates);
             let what = format!("{what}: node {k}'s allocations over {n} ops");
-            if wall_clock && creates > 0 {
-                let most = fixed * n + (creates * bare).div_ceil(n);
-                assert!(
-                    (fixed * n..=most).contains(&got),
-                    "{what}: {got} not in {}..={most}",
-                    fixed * n
-                );
-            } else {
-                assert_eq!(got, fixed * n + creates * (bare / n - 1), "{what}");
+            let want = fixed * n + s.stats[k].thread_creates * CREATE_ALLOCS;
+            assert_eq!(s.allocs[k], want, "{what} on the simulator");
+            let (got, most) = (l.allocs[k], want + WALL_CLOCK_ALLOWANCE);
+            assert!(
+                (want..=most).contains(&got),
+                "{what} on LocalFabric: {got} not in {want}..={most}"
+            );
+            if got > want {
+                eprintln!("{what} on LocalFabric: {} over the simulator", got - want);
             }
         }
     }
@@ -881,8 +907,9 @@ mod tests {
     /// The count gate: every row of [`table4_charges`], in each of its
     /// languages, and every [`Extra`] op, runs through the one body on the
     /// simulator and on `LocalFabric`. Each is held to its allocations per
-    /// node ([`check_allocs`]) on both. On the simulator a row's six counts
-    /// per op are the table's. Messages, payload bytes, handlers run and
+    /// node ([`check_allocs`]): exactly on the simulator, and on
+    /// `LocalFabric` to the simulator's count. On the simulator a row's six
+    /// counts per op are the table's. Messages, payload bytes, handlers run and
     /// thread creates are the protocol: `LocalFabric` counts the same for
     /// every row. Context switches and sync ops are asserted on `LocalFabric`
     /// only where no task switches (the Split-C rows and 0-Word Simple).
@@ -897,17 +924,6 @@ mod tests {
             let t = d.total_stats();
             let wire = [t.msgs_sent, t.bytes_sent, t.handlers_run];
             [wire, [t.thread_creates, t.context_switches, t.sync_ops]].concat()
-        };
-        let bare_sim = Extra::SpawnJoin.measure(sim(CostModel::default())).allocs[0];
-        let bare_local = Extra::SpawnJoin.measure(local(CostModel::default())).allocs[0];
-        let both = |what: &str, fixed, s: &Report, l: &Report| {
-            let on = [
-                ("the simulator", s, bare_sim, false),
-                ("LocalFabric", l, bare_local, true),
-            ];
-            for (fabric, d, bare, wall_clock) in on {
-                check_allocs(&format!("{what} on {fabric}"), d, fixed, bare, wall_clock);
-            }
         };
         for e in table4_charges() {
             let what = format!("{} ({})", e.row.name(), e.lang);
@@ -927,12 +943,12 @@ mod tests {
                 want[..checked],
                 "{what}: LocalFabric counts"
             );
-            both(&what, e.allocs, &s, &l);
+            check_allocs(&what, e.allocs, &s, &l);
         }
         for x in Extra::ALL {
             let s = x.measure(sim(CostModel::default()));
             let l = x.measure(local(CostModel::default()));
-            both(&format!("{x:?} ({})", x.lang()), x.allocs(), &s, &l);
+            check_allocs(&format!("{x:?} ({})", x.lang()), x.allocs(), &s, &l);
         }
     }
 

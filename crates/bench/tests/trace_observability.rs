@@ -103,7 +103,7 @@ fn find_span<'a>(spans: &'a [Span], node: usize, name: &str, from: u64) -> &'a S
         .filter(|s| s.node == node && s.name == name && s.start >= from)
         .min_by_key(|s| s.start)
         .unwrap_or_else(|| {
-            let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+            let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
             panic!("no span {name} on node {node} from t={from}; have {names:?}")
         })
 }

@@ -103,7 +103,7 @@ pub trait Driver: Send + Sync + Sized + 'static {
         &self,
         home: &mut Self::Home,
         node: usize,
-        name: &str,
+        name: &'static str,
         daemon: bool,
         cell: Arc<TaskCell>,
     ) -> TaskId;
@@ -197,14 +197,12 @@ impl<D: Driver> Handle<D> {
     }
 
     /// Record `event` on `task` of this node, stamped with the node's
-    /// clock, into a probe already borrowed. `event` is built only when
-    /// tracing.
+    /// clock, into a probe already borrowed.
     #[inline]
-    fn record(&self, home: &mut D::Home, task: TaskId, event: impl FnOnce() -> TraceEvent) {
+    fn record(&self, home: &mut D::Home, task: TaskId, event: TraceEvent) {
         let (inner, node) = (&*self.inner, self.node);
         if inner.machine().tracing {
             let time = inner.clock(home, node);
-            let event = event();
             D::probe(home, node).record(TraceRecord {
                 time,
                 node,
@@ -216,13 +214,13 @@ impl<D: Driver> Handle<D> {
 
     /// Register a task of `node` and give it a context that runs `f` with a
     /// handle of its own. The one spawn body: a node's bring-up and
-    /// `spawn*` both come here. Task names are kept in the trace, and in
-    /// whatever record the driver keeps.
+    /// `spawn*` both come here. The task's name is kept in its record and
+    /// in the trace.
     pub(crate) fn start<G>(
         inner: &Arc<D>,
         home: &mut D::Home,
         node: usize,
-        name: &str,
+        name: &'static str,
         daemon: bool,
         f: G,
     ) -> TaskId
@@ -239,9 +237,7 @@ impl<D: Driver> Handle<D> {
             task,
             cell: Arc::clone(&cell),
         };
-        child.record(home, task, || TraceEvent::TaskSpawn {
-            name: name.to_string(),
-        });
+        child.record(home, task, TraceEvent::TaskSpawn { name });
         let body: TaskBody = Box::new(move || {
             let inner = Arc::clone(&child.inner);
             // The root of the task's stack: nothing may unwind past it.
@@ -265,7 +261,7 @@ impl<D: Driver> Handle<D> {
             None
         } else {
             let gen = D::tasks(&mut home, node).block(task, state);
-            self.record(&mut home, task, || TraceEvent::Park);
+            self.record(&mut home, task, TraceEvent::Park);
             deadline.map(|at| (at, gen))
         };
         D::switch_away(self, home, timer);
@@ -330,7 +326,7 @@ impl<D: Driver> Fabric for Handle<D> {
         let (node, mut home) = (self.node, self.home());
         D::advance(&mut home, node, ns);
         self.inner.ledger(&home, node).stats.bucket_ns[bucket.index()].add(ns);
-        self.record(&mut home, self.task, || TraceEvent::Charge { bucket, ns });
+        self.record(&mut home, self.task, TraceEvent::Charge { bucket, ns });
     }
 
     /// The snapshot's own allocations are not counted: it reads what the
@@ -339,14 +335,14 @@ impl<D: Driver> Fabric for Handle<D> {
         baton::uncounted(|| D::snapshot(self))
     }
 
-    fn spawn<G>(&self, name: &str, f: G) -> TaskId
+    fn spawn<G>(&self, name: &'static str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {
         Self::start(&self.inner, &mut self.home(), self.node, name, false, f)
     }
 
-    fn spawn_daemon<G>(&self, name: &str, f: G) -> TaskId
+    fn spawn_daemon<G>(&self, name: &'static str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static,
     {

@@ -346,11 +346,11 @@ impl Driver for SimDriver {
         &self,
         k: &mut Kernel,
         node: usize,
-        name: &str,
+        name: &'static str,
         daemon: bool,
         cell: Arc<TaskCell>,
     ) -> TaskId {
-        k.nodes[node].tasks.spawn(cell, name.to_string(), daemon)
+        k.nodes[node].tasks.spawn(cell, name, daemon)
     }
 
     /// This task held the baton; pick who gets it next. A captured panic

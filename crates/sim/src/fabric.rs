@@ -129,14 +129,14 @@ pub trait Fabric: Clone + Send + 'static {
 
     /// Spawn a new task on this node. Pure scheduling: the *cost* of thread
     /// creation is charged by the threads package, not here.
-    fn spawn<G>(&self, name: &str, f: G) -> TaskId
+    fn spawn<G>(&self, name: &'static str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static;
 
     /// Spawn a background *daemon* task on this node: excluded from the
     /// liveness condition; must exit promptly once [`Fabric::shutting_down`]
     /// turns true.
-    fn spawn_daemon<G>(&self, name: &str, f: G) -> TaskId
+    fn spawn_daemon<G>(&self, name: &'static str, f: G) -> TaskId
     where
         G: FnOnce(Self) + Send + 'static;
 
@@ -261,12 +261,11 @@ pub trait Fabric: Clone + Send + 'static {
     /// Open a named span frame on this task; the sentinel `SpanId(0)` means
     /// tracing is off and [`Fabric::span_end`] will ignore it. Frames must
     /// strictly nest per task.
-    fn span_start(&self, name: &str) -> SpanId {
+    fn span_start(&self, name: &'static str) -> SpanId {
         if !self.tracing() {
             return SpanId(0);
         }
         let id = self.probe().next_span();
-        let name = name.to_string();
         self.trace_event(|| TraceEvent::SpanStart { id, name });
         id
     }
@@ -312,7 +311,7 @@ pub trait Fabric: Clone + Send + 'static {
     /// RAII form of [`Fabric::span_start`] / [`Fabric::span_end`]: the frame
     /// closes when the guard drops.
     #[must_use = "the span closes when the guard drops"]
-    fn span(&self, name: &str) -> SpanGuard<'_, Self> {
+    fn span(&self, name: &'static str) -> SpanGuard<'_, Self> {
         SpanGuard {
             fab: self,
             id: self.span_start(name),

@@ -28,7 +28,7 @@ pub fn fold_stacks(log: &TraceLog) -> String {
     // node's bootstrap "main", emit one when tracing is on).
     let mut task_names: HashMap<u32, &str> = HashMap::new();
     for rec in log.events() {
-        if let TraceEvent::TaskSpawn { name } = &rec.event {
+        if let TraceEvent::TaskSpawn { name } = rec.event {
             task_names.insert(rec.task.0, name);
         }
     }
@@ -46,7 +46,7 @@ pub fn fold_stacks(log: &TraceLog) -> String {
                 }
             }
             for frame in stack {
-                let _ = write!(path, ";{frame}");
+                let _ = write!(path, ";{}", frame.name());
             }
             *folded.entry(path).or_insert(0) += ns;
         });
@@ -59,10 +59,10 @@ pub fn fold_stacks(log: &TraceLog) -> String {
 }
 
 /// One aggregated top-level phase of a traced run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Phase {
     /// Span name (depth-0 spans only).
-    pub name: String,
+    pub name: &'static str,
     /// Completed frames under this name.
     pub count: u64,
     /// Summed wall (virtual) duration of the frames.
@@ -75,16 +75,14 @@ pub struct Phase {
 /// per-phase virtual-time profile of a run whose phases are bracketed by
 /// top-level spans.
 pub fn phase_profile(log: &TraceLog) -> Vec<Phase> {
-    let mut map: BTreeMap<String, Phase> = BTreeMap::new();
+    let mut map: BTreeMap<&str, Phase> = BTreeMap::new();
     for s in log.spans() {
         if s.depth != 0 {
             continue;
         }
-        let e = map.entry(s.name.clone()).or_insert_with(|| Phase {
-            name: s.name.clone(),
-            count: 0,
-            total_ns: 0,
-            charged_ns: 0,
+        let e = map.entry(s.name).or_insert_with(|| Phase {
+            name: s.name,
+            ..Phase::default()
         });
         e.count += 1;
         e.total_ns += s.duration();

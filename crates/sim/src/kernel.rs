@@ -473,7 +473,7 @@ mod tests {
             n.clock = clocks[i];
             if ready[i] {
                 let cell = Arc::new(TaskCell::default());
-                n.tasks.spawn(cell, String::new(), false);
+                n.tasks.spawn(cell, "t", false);
             }
         }
         k

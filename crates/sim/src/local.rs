@@ -845,25 +845,24 @@ impl Driver for LocalDriver {
         !s.stash.is_empty() || (0..self.machine.nodes).any(|src| self.ring(src, node).ready())
     }
 
-    /// Names are kept only in the trace: storing one in the record would
-    /// cost an allocation per spawn.
+    /// A node's first live task that is not a daemon takes a hold on the run.
     fn register(
         &self,
         s: &mut Sched,
         _node: usize,
-        _name: &str,
+        name: &'static str,
         daemon: bool,
         cell: Arc<TaskCell>,
     ) -> TaskId {
-        let id = s.tasks.spawn(cell, String::new(), daemon);
+        let id = s.tasks.spawn(cell, name, daemon);
         if !daemon && s.tasks.live() - s.tasks.daemons() == 1 {
             self.holds.fetch_add(1, Ordering::SeqCst);
         }
         id
     }
 
-    /// Wake the task's joiners, release its hold on the run and pick who gets
-    /// the baton next (`None`: the engine, which idles).
+    /// Wake the tasks joining it, release its hold on the run and pick who
+    /// gets the baton next (`None`: the engine, which idles).
     fn exit(&self, node: usize, id: TaskId, outcome: thread::Result<()>) -> Option<Arc<TaskCell>> {
         if let Err(payload) = outcome {
             if !payload.is::<RunPoisoned>() {
@@ -1283,7 +1282,7 @@ mod tests {
     }
 
     #[test]
-    fn a_spawned_task_panic_unwinds_token_parkers_and_joiners() {
+    fn a_spawned_task_panic_unwinds_token_parkers_and_joining_tasks() {
         let payload = run_with_timeout(1, |fab| {
             // Nobody ever unparks it: only the poisoned run gets it out.
             let parking = Arc::new(AtomicBool::new(false));

@@ -44,12 +44,14 @@ struct TaskRec {
     id: TaskId,
     state: TaskState,
     cell: Arc<TaskCell>,
-    /// For the dump; empty where the fabric keeps names only in its trace.
-    name: String,
+    /// For the dump.
+    name: &'static str,
     /// Excluded from what holds the run open.
     daemon: bool,
-    /// Tasks parked in `join` on this one, each listed once.
-    joiners: Vec<TaskId>,
+    /// The task this one last joined (while that one lives, a `Parked` state
+    /// is the join's), and whether a task joined this one.
+    joins: Option<TaskId>,
+    joined: bool,
     /// Bumped on every wake: a timer armed at an older generation is stale.
     gen: u64,
 }
@@ -93,7 +95,7 @@ impl NodeTasks {
     }
 
     /// Give a new task, run by `cell`, its id and a record, and queue it.
-    pub fn spawn(&mut self, cell: Arc<TaskCell>, name: String, daemon: bool) -> TaskId {
+    pub fn spawn(&mut self, cell: Arc<TaskCell>, name: &'static str, daemon: bool) -> TaskId {
         let id = u32::try_from(self.next_seq * self.nodes + self.node);
         let id = TaskId(id.expect("task ids exhausted"));
         self.next_seq += 1;
@@ -103,7 +105,8 @@ impl NodeTasks {
             cell,
             name,
             daemon,
-            joiners: Vec::new(),
+            joins: None,
+            joined: false,
             gen: 0,
         });
         self.daemons += daemon as usize;
@@ -254,19 +257,17 @@ impl NodeTasks {
         self.inbox_waiters = waiters;
     }
 
-    /// `me` joins `t`: `false` once `t` has exited; else `me` is listed on
-    /// `t`'s joiners, which its exit wakes, and the caller parks `me`. A join
-    /// loops on the two, since an `unpark` also ends the park.
+    /// `me` joins `t`: `false` once `t` has exited; else `me` names `t` as
+    /// the task it joins, `t`'s exit wakes it, and the caller parks `me`. A
+    /// join loops on the two, since an `unpark` also ends the park.
     pub fn join(&mut self, me: TaskId, t: TaskId) -> bool {
         self.check(t, "join");
         assert!(t != me, "`join` of {t:?} by itself would never return");
         let Some(i) = self.find(t) else {
             return false;
         };
-        let joiners = &mut self.recs[i].joiners;
-        if !joiners.contains(&me) {
-            joiners.push(me);
-        }
+        self.recs[i].joined = true;
+        self.rec(me).joins = Some(t);
         true
     }
 
@@ -276,14 +277,20 @@ impl NodeTasks {
         self.find(t).is_none()
     }
 
-    /// The running task `me` exits: drop its record and wake its joiners.
-    /// Returns whether it was a daemon.
+    /// The running task `me` exits: drop its record and, if it was joined,
+    /// wake the tasks parked joining it, in id order. Returns whether it was
+    /// a daemon.
     pub fn exit(&mut self, me: TaskId) -> bool {
         let i = self.find(me).expect("an exiting task has a record");
         let rec = self.recs.remove(i);
         self.daemons -= rec.daemon as usize;
-        for j in rec.joiners {
-            self.wake_if(j, |r| r.state == TaskState::Parked);
+        if rec.joined {
+            for i in 0..self.recs.len() {
+                let r = &self.recs[i];
+                if r.joins == Some(me) && r.state == TaskState::Parked {
+                    self.wake_at(i);
+                }
+            }
         }
         rec.daemon
     }
@@ -301,7 +308,7 @@ impl NodeTasks {
     /// One line per live task, in id order, for a deadlock report.
     pub fn dump(&self, out: &mut String) {
         for r in &self.recs {
-            let (id, name, node, state) = (r.id.0, &r.name, self.node, r.state);
+            let (id, name, node, state) = (r.id.0, r.name, self.node, r.state);
             let _ = writeln!(out, "  task {id} '{name}' on node {node}: {state:?}");
         }
     }
@@ -318,9 +325,7 @@ mod tests {
     /// Node 1 of 3 with `n` tasks spawned; the first one runs.
     fn table(n: usize) -> (NodeTasks, Vec<TaskId>) {
         let mut t = NodeTasks::new(1, 3);
-        let ids = (0..n)
-            .map(|_| t.spawn(cell(), String::new(), false))
-            .collect();
+        let ids = (0..n).map(|_| t.spawn(cell(), "t", false)).collect();
         t.run_next().expect("a spawned task is ready");
         (t, ids)
     }
@@ -367,7 +372,7 @@ mod tests {
         assert!(t.join(me, target));
         t.block(me, TaskState::Parked);
         assert_eq!(run_order(&mut t), [target]);
-        // An unpark wakes the joiner, which parks again on the same list.
+        // An unpark wakes the joiner, which joins and parks again.
         assert!(t.unpark(me));
         assert_eq!(run_order(&mut t), [me]);
         assert!(t.join(me, target));
@@ -375,6 +380,25 @@ mod tests {
         t.exit(target);
         assert_eq!(run_order(&mut t), [me]);
         assert!(!t.join(me, target));
+    }
+
+    #[test]
+    fn an_exit_wakes_every_task_joining_it_and_no_other() {
+        let (mut t, ids) = table(4);
+        let (a, b, c, target) = (ids[0], ids[1], ids[2], ids[3]);
+        // A and B join the target and park; C parks on its own.
+        for me in [a, b] {
+            assert!(t.join(me, target));
+            t.block(me, TaskState::Parked);
+            t.run_next();
+        }
+        t.block(c, TaskState::Parked);
+        t.run_next();
+        t.exit(target);
+        assert_eq!(run_order(&mut t), [a, b]);
+        // A join of the finished task returns at once; C still waits.
+        assert!(!t.join(a, target));
+        assert!(t.unpark(c));
     }
 
     /// What `f` panics with on a table whose one task, `TaskId(1)`, runs.

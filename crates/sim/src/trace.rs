@@ -38,9 +38,9 @@ use crate::stats::Bucket;
 use crate::task::TaskId;
 use crate::time::Time;
 use std::collections::VecDeque;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Task id used on records emitted by the kernel itself (message delivery),
 /// outside any task context.
@@ -63,11 +63,12 @@ impl SpanId {
 
 /// One structured trace event. Emitted by the context holding the node's
 /// baton, so the stream per node is totally ordered (and, on the
-/// simulator, deterministic).
-#[derive(Clone, Debug, PartialEq)]
+/// simulator, deterministic). Names are literals: recording one allocates
+/// nothing.
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub enum TraceEvent {
     /// A task was registered and enqueued.
-    TaskSpawn { name: String },
+    TaskSpawn { name: &'static str },
     /// The engine handed the baton to this record's task.
     TaskSwitch,
     /// The task parked (explicit park, sleep, join or inbox wait).
@@ -83,10 +84,11 @@ pub enum TraceEvent {
     },
     /// A message reached this node's inbox.
     MsgDeliver { src: usize, wire_bytes: usize },
-    /// An Active Message handler began executing (frame open).
-    HandlerStart { handler: u32 },
+    /// An Active Message handler began executing (frame open). Its id is
+    /// below `mpmd_am::HANDLER_ID_LIMIT` (256).
+    HandlerStart { handler: u8 },
     /// The handler returned (frame close).
-    HandlerEnd { handler: u32 },
+    HandlerEnd { handler: u8 },
     /// Virtual time was charged to a cost bucket.
     Charge { bucket: Bucket, ns: Time },
     /// The task entered the global barrier for `epoch`.
@@ -94,7 +96,7 @@ pub enum TraceEvent {
     /// The barrier released the task.
     BarrierExit { epoch: u64 },
     /// A named runtime phase opened (frame open).
-    SpanStart { id: SpanId, name: String },
+    SpanStart { id: SpanId, name: &'static str },
     /// The phase closed. Ends must match the innermost open frame of the
     /// emitting task; the tracer panics otherwise.
     SpanEnd { id: SpanId },
@@ -114,7 +116,7 @@ pub enum TraceEvent {
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum FrameKey {
     Span(SpanId),
-    Handler(u32),
+    Handler(u8),
 }
 
 impl TraceEvent {
@@ -132,7 +134,7 @@ impl TraceEvent {
 }
 
 /// A [`TraceEvent`] with its emission context.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct TraceRecord {
     /// The emitting node's `now()` at emission (after any charge): virtual
     /// ns on the simulator, ns since the run began on the wall clock.
@@ -204,17 +206,23 @@ impl<F> FrameStacks<F> {
 }
 
 /// A frame open during a [`replay`]: its Start record, and the time charged
-/// while it was its task's innermost frame. Displays as the frame's name.
+/// while it was its task's innermost frame.
 pub(crate) struct OpenFrame<'a> {
     start: &'a TraceRecord,
     charged: Time,
 }
 
-impl fmt::Display for OpenFrame<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.start.event {
-            TraceEvent::HandlerStart { handler } => write!(f, "am.handler[{handler}]"),
-            TraceEvent::SpanStart { name, .. } => f.write_str(name),
+impl OpenFrame<'_> {
+    /// The span's name, or `am.handler[<id>]` for a handler frame.
+    pub(crate) fn name(&self) -> &'static str {
+        match self.start.event {
+            TraceEvent::HandlerStart { handler } => {
+                static NAMES: OnceLock<Vec<String>> = OnceLock::new();
+                let names =
+                    NAMES.get_or_init(|| (0..=255).map(|h| format!("am.handler[{h}]")).collect());
+                &names[usize::from(handler)]
+            }
+            TraceEvent::SpanStart { name, .. } => name,
             _ => unreachable!("only Start records open frames"),
         }
     }
@@ -358,7 +366,7 @@ pub struct NodeTrace {
 pub struct Span {
     /// The span's id; `SpanId(0)` for a handler frame.
     pub id: SpanId,
-    pub name: String,
+    pub name: &'static str,
     pub node: usize,
     pub task: TaskId,
     pub start: Time,
@@ -415,7 +423,7 @@ impl TraceLog {
                         TraceEvent::SpanStart { id, .. } => id,
                         _ => SpanId(0),
                     },
-                    name: frame.to_string(),
+                    name: frame.name(),
                     node,
                     task: rec.task,
                     start: frame.start.time,
@@ -434,16 +442,10 @@ impl TraceLog {
     /// virtual microseconds. Load the output in Perfetto
     /// (<https://ui.perfetto.dev>) or `chrome://tracing`.
     pub fn to_chrome_trace(&self) -> String {
-        // (ts_ns, tie-break order) -> rendered event object
-        let mut events: Vec<(Time, u64, String)> = Vec::new();
-        let mut order = 0u64;
-        let mut push = |events: &mut Vec<(Time, u64, String)>, ts: Time, body: String| {
-            events.push((ts, order, body));
-            order += 1;
-        };
+        // (ts_ns, rendered event object), ties kept in push order
+        let mut events: Vec<(Time, String)> = Vec::new();
         for (node, nt) in self.nodes.iter().enumerate() {
-            push(
-                &mut events,
+            events.push((
                 0,
                 format!(
                     r#"{{"ph":"M","pid":0,"tid":{node},"name":"thread_name","args":{{"name":"node {node}{}"}}}}"#,
@@ -453,40 +455,39 @@ impl TraceLog {
                         String::new()
                     }
                 ),
-            );
+            ));
         }
         for s in self.spans() {
-            push(
-                &mut events,
+            events.push((
                 s.start,
                 format!(
                     r#"{{"ph":"X","pid":0,"tid":{},"ts":{},"dur":{},"name":{},"args":{{"task":{},"charged_ns":{}}}}}"#,
                     s.node,
                     fmt_us(s.start),
                     fmt_us(s.duration()),
-                    json_string(&s.name),
+                    json_string(s.name),
                     s.task.0,
                     s.charged_ns,
                 ),
-            );
+            ));
         }
         for (node, nt) in self.nodes.iter().enumerate() {
             // Frame records were exported as X events by the span pass.
             for rec in nt.events.iter().filter(|r| r.event.frame().is_none()) {
                 let (name, fields) = event_fields(&rec.event);
-                push(
-                    &mut events,
+                events.push((
                     rec.time,
                     format!(
                         r#"{{"ph":"i","pid":0,"tid":{node},"ts":{},"s":"t","name":"{name}","args":{{{fields}}}}}"#,
                         fmt_us(rec.time),
                     ),
-                );
+                ));
             }
         }
-        events.sort_by_key(|(ts, ord, _)| (*ts, *ord));
+        // Stable: events of one timestamp stay in push order.
+        events.sort_by_key(|&(ts, _)| ts);
         let mut out = String::from("{\"traceEvents\":[");
-        for (i, (_, _, body)) in events.iter().enumerate() {
+        for (i, (_, body)) in events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -656,15 +657,7 @@ mod tests {
         // orphan End) and never attach to a wrong frame.
         let mut tr = ring(2);
         let id = tr.alloc_span();
-        tr.record(rec(
-            0,
-            0,
-            0,
-            TraceEvent::SpanStart {
-                id,
-                name: "lost".into(),
-            },
-        ));
+        tr.record(rec(0, 0, 0, TraceEvent::SpanStart { id, name: "lost" }));
         tr.record(rec(1, 0, 0, TraceEvent::Park));
         tr.record(rec(2, 0, 0, TraceEvent::Unpark));
         tr.record(rec(3, 0, 0, TraceEvent::SpanEnd { id }));
@@ -693,15 +686,7 @@ mod tests {
         tr.record(rec(0, 0, 0, TraceEvent::Park));
         tr.record(rec(1, 0, 0, TraceEvent::Unpark));
         let id = tr.alloc_span();
-        tr.record(rec(
-            2,
-            0,
-            0,
-            TraceEvent::SpanStart {
-                id,
-                name: "kept".into(),
-            },
-        ));
+        tr.record(rec(2, 0, 0, TraceEvent::SpanStart { id, name: "kept" }));
         tr.record(rec(
             3,
             0,
@@ -730,7 +715,7 @@ mod tests {
             7,
             TraceEvent::SpanStart {
                 id: outer,
-                name: "outer".into(),
+                name: "outer",
             },
         ));
         tr.record(rec(
@@ -749,7 +734,7 @@ mod tests {
             7,
             TraceEvent::SpanStart {
                 id: inner,
-                name: "inner".into(),
+                name: "inner",
             },
         ));
         tr.record(rec(
@@ -787,9 +772,8 @@ mod tests {
             bucket: Bucket::Cpu,
             ns,
         };
-        let begin = |tr: &mut TraceRing, t, task, name: &str| {
+        let begin = |tr: &mut TraceRing, t, task, name| {
             let id = tr.alloc_span();
-            let name = name.to_string();
             tr.record(rec(t, 0, task, TraceEvent::SpanStart { id, name }));
             id
         };
@@ -814,7 +798,7 @@ mod tests {
         assert_eq!(log.nodes[0].dropped, 3 + 2, "3 overflowed, 2 orphan Ends");
 
         let spans = log.spans();
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
         assert_eq!(names, ["am.handler[7]", "a", "b"]);
         let folded = crate::fold_stacks(&log);
         let mut framed = 0;
@@ -841,24 +825,8 @@ mod tests {
         let mut tr = ring(1 << 16);
         let a = tr.alloc_span();
         let b = tr.alloc_span();
-        tr.record(rec(
-            0,
-            0,
-            0,
-            TraceEvent::SpanStart {
-                id: a,
-                name: "a".into(),
-            },
-        ));
-        tr.record(rec(
-            0,
-            0,
-            0,
-            TraceEvent::SpanStart {
-                id: b,
-                name: "b".into(),
-            },
-        ));
+        tr.record(rec(0, 0, 0, TraceEvent::SpanStart { id: a, name: "a" }));
+        tr.record(rec(0, 0, 0, TraceEvent::SpanStart { id: b, name: "b" }));
         tr.record(rec(1, 0, 0, TraceEvent::SpanEnd { id: a }));
     }
 
@@ -877,7 +845,7 @@ mod tests {
             0,
             1,
             TraceEvent::TaskSpawn {
-                name: "say \"hi\"\n".into(),
+                name: "say \"hi\"\n",
             },
         ));
         tr.record(TraceRecord {

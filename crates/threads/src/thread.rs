@@ -34,7 +34,7 @@ impl Thread {
 }
 
 /// Fork a new thread on the caller's node. Charges one thread-create.
-pub fn spawn<Fab, F>(ctx: &Fab, name: &str, f: F) -> Thread
+pub fn spawn<Fab, F>(ctx: &Fab, name: &'static str, f: F) -> Thread
 where
     Fab: Fabric,
     F: FnOnce(Fab) + Send + 'static,
