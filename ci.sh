@@ -47,6 +47,28 @@ cargo fmt --check
 echo "==> cargo doc: no warnings, no broken intra-doc links"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "==> every DESIGN.md § reference names a section of DESIGN.md"
+# Code and docs point into DESIGN.md by section number ("DESIGN.md §4a",
+# "`DESIGN.md` §3 and §3d"); a section renumbered or removed must take its
+# references with it. Each § of a reference must be a `## x.` heading.
+sections=$(sed -n 's/^## \([0-9][0-9]*[a-z]*\)\. .*/\1/p' DESIGN.md)
+refs=$(grep -rnoEI 'DESIGN(\.md)?`? §[0-9]+[a-z]*((,| and| or) §[0-9]+[a-z]*)*' \
+    crates src tests examples README.md EXPERIMENTS.md || true)
+if [ -z "$refs" ]; then
+    echo "found no DESIGN.md § reference at all: the pattern is broken" >&2
+    exit 1
+fi
+dangling=$(while IFS= read -r ref; do
+    for s in $(grep -oE '§[0-9]+[a-z]*' <<<"${ref#*:*:}"); do
+        grep -qx "${s#§}" <<<"$sections" || echo "$ref: DESIGN.md has no section ${s#§}"
+    done
+done <<<"$refs")
+if [ -n "$dangling" ]; then
+    echo "$dangling" >&2
+    exit 1
+fi
+echo "$(grep -c . <<<"$refs") DESIGN.md references resolve"
+
 # Print `file:line: text` for each line of the Rust files in $2... (files or
 # directories) that matches the awk regex $1 outside test code: the body of a
 # top-level `#[cfg(test)] mod ... {`, up to its closing `}` in column 0, is

@@ -1,10 +1,6 @@
-//! The handle-based send surface.
-//!
-//! The original AM surface was positional free functions
-//! (`request(ctx, dst, handler, args, token)`), which scaled badly as the
-//! layer grew options (bulk payloads, tokens, coalescing). The redesigned
-//! surface is a per-call [`Endpoint`] handle obtained from
-//! [`endpoint`], with a typed builder for sends:
+//! The handle-based send surface: a per-call [`Endpoint`] handle obtained
+//! from [`endpoint`], with a typed builder for sends, so each option (bulk
+//! payload, token, coalescing) is a named call rather than a position:
 //!
 //! ```ignore
 //! let ep = am::endpoint(&ctx);
@@ -13,9 +9,9 @@
 //! ep.to(dst).handler(H_Z).bulk(bytes).send();
 //! ```
 //!
-//! The builder is the sole send API; the old free functions are gone. The
-//! endpoint is generic over the [`Fabric`] carrying it, so the same
-//! runtime code drives both the simulator and the wall-clock backend.
+//! The builder is the sole send API. The endpoint is generic over the
+//! [`Fabric`] carrying it, so the same runtime code drives both the
+//! simulator and the wall-clock backend.
 
 use crate::ops;
 use crate::state::HandlerId;

@@ -1,7 +1,6 @@
-//! The two size limits the thread-per-task `LocalFabric` had (benchmark
-//! README, "Size guards") no longer hold: tens of thousands of threaded RMIs
-//! fit in one run, and EM3D `base` in CC++ — one threaded access per remote
-//! edge — runs at the paper's graph size. EM3D `ghost` in Split-C on four
+//! `LocalFabric` at scale: tens of thousands of threaded RMIs fit in one
+//! run, and EM3D `base` in CC++ — one threaded access per remote edge —
+//! runs at the paper's graph size. EM3D `ghost` in Split-C on four
 //! nodes gives the sequential reference's fields bit for bit, and a traced
 //! run of it on two nodes yields the simulator's spans and flamegraph.
 //!

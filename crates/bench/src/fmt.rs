@@ -91,9 +91,7 @@ pub fn take_count(args: Vec<String>, default: usize, usage: &str) -> (Vec<String
 /// A report row of a `--json` output: the type lists its fields once and
 /// gets the object assembly (and the alphabetical key order guaranteed by
 /// the `BTreeMap`-backed [`serde_json::Map`]) from the default method.
-/// Replaces the hand-rolled per-type `to_json` map-building the experiment
-/// types and binaries used to copy-paste; `experiments::golden_tests`
-/// pins the rendered bytes against a golden captured before the collapse.
+/// `experiments::golden_tests` pins the rendered bytes against a golden.
 pub trait JsonReport {
     /// The object's (key, value) fields. Order is irrelevant — rendering
     /// sorts keys — so implementors list identity fields first for

@@ -23,9 +23,6 @@ use std::sync::{Mutex, MutexGuard};
 /// A single unit of experiment work producing one result.
 pub type Unit<R> = Box<dyn FnOnce() -> R + Send>;
 
-/// First panic payload captured from a worker thread.
-type PanicPayload = Box<dyn std::any::Any + Send>;
-
 /// Lock ignoring poisoning: the pool catches unit panics before they can
 /// unwind through a held guard, and a poisoned queue or slot must not
 /// replace the original panic message with `PoisonError`'s.
@@ -35,83 +32,47 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Run `units` on up to `jobs` worker threads (clamped to
 /// [`default_jobs`]), returning the results in the order the units were
-/// supplied (index-addressed slots, not completion order). An effective
-/// worker count of one runs everything inline on the calling thread with no
-/// pool at all. A panicking unit propagates out of the scope, as it would
-/// sequentially.
+/// supplied (index-addressed slots, not completion order).
 pub fn run_jobs<R: Send>(units: Vec<Unit<R>>, jobs: usize) -> Vec<R> {
-    run_jobs_on(units, jobs.min(default_jobs()))
+    pool(units, jobs.min(default_jobs()), |u| u())
 }
 
-/// [`run_jobs`] without the available-parallelism clamp. Exercised directly
-/// by tests so the multi-worker path is covered even on one-CPU machines.
-///
-/// A panicking unit is caught on its worker, recorded (first panic wins),
-/// and re-raised on the calling thread with its original payload — exactly
-/// the message a sequential run would show. Letting the panic unwind the
-/// worker instead would poison the shared queue and surface as
-/// `std::thread::scope`'s generic "a scoped thread panicked", masking the
-/// real failure. Remaining workers drain out without starting new units.
-fn run_jobs_on<R: Send>(units: Vec<Unit<R>>, workers: usize) -> Vec<R> {
-    let n = units.len();
-    if workers <= 1 || n <= 1 {
-        return units.into_iter().map(|u| u()).collect();
-    }
-    let queue: Mutex<VecDeque<(usize, Unit<R>)>> =
-        Mutex::new(units.into_iter().enumerate().collect());
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let first_panic: Mutex<Option<PanicPayload>> = Mutex::new(None);
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(|| loop {
-                if lock(&first_panic).is_some() {
-                    return;
-                }
-                let next = lock(&queue).pop_front();
-                let Some((i, unit)) = next else { return };
-                match catch_unwind(AssertUnwindSafe(unit)) {
-                    Ok(r) => *lock(&slots[i]) = Some(r),
-                    Err(p) => {
-                        let mut fp = lock(&first_panic);
-                        if fp.is_none() {
-                            *fp = Some(p);
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(p) = lock(&first_panic).take() {
-        resume_unwind(p);
-    }
-    slots
-        .into_iter()
-        .map(|m| {
-            lock(&m)
-                .take()
-                .expect("work unit completed without a result")
-        })
-        .collect()
-}
-
-/// Convenience wrapper with [`run_jobs`] semantics (same ordering and
-/// clamping) for mapping a plain function over owned items.
+/// [`run_jobs`] for mapping a plain function over owned items: the same
+/// ordering and clamping.
 pub fn map_jobs<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Send + Sync,
 {
+    pool(items, jobs.min(default_jobs()), f)
+}
+
+/// The one worker pool behind [`run_jobs`] and [`map_jobs`], without the
+/// available-parallelism clamp. Exercised directly by tests so the
+/// multi-worker path is covered even on one-CPU machines. One worker, or one
+/// item, runs everything inline on the calling thread with no pool at all.
+///
+/// A panicking `f` is caught on its worker, recorded (first panic wins),
+/// and re-raised on the calling thread with its original payload — exactly
+/// the message a sequential run would show. Letting the panic unwind the
+/// worker instead would poison the shared queue and surface as
+/// `std::thread::scope`'s generic "a scoped thread panicked", masking the
+/// real failure. Remaining workers drain out without starting new items.
+fn pool<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
     let f = &f;
-    let workers = jobs.min(default_jobs());
     let n = items.len();
     if workers <= 1 || n <= 1 {
         return items.into_iter().map(f).collect();
     }
     let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let first_panic: Mutex<Option<PanicPayload>> = Mutex::new(None);
+    let first_panic = Mutex::new(None);
     std::thread::scope(|s| {
         for _ in 0..workers.min(n) {
             s.spawn(|| loop {
@@ -123,10 +84,7 @@ where
                 match catch_unwind(AssertUnwindSafe(|| f(item))) {
                     Ok(r) => *lock(&slots[i]) = Some(r),
                     Err(p) => {
-                        let mut fp = lock(&first_panic);
-                        if fp.is_none() {
-                            *fp = Some(p);
-                        }
+                        lock(&first_panic).get_or_insert(p);
                         return;
                     }
                 }
@@ -207,7 +165,7 @@ mod tests {
                     }) as Unit<usize>
                 })
                 .collect();
-            assert_eq!(run_jobs_on(units, workers), (0..32).collect::<Vec<_>>());
+            assert_eq!(pool(units, workers, |u| u()), (0..32).collect::<Vec<_>>());
         }
     }
 
@@ -230,7 +188,7 @@ mod tests {
                 }) as Unit<usize>
             })
             .collect();
-        let payload = catch_unwind(AssertUnwindSafe(|| run_jobs_on(units, 4))).unwrap_err();
+        let payload = catch_unwind(AssertUnwindSafe(|| pool(units, 4, |u| u()))).unwrap_err();
         // The caller sees the unit's own panic payload, not scope's generic
         // "a scoped thread panicked" or a PoisonError.
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"unit 3 exploded"));

@@ -90,7 +90,7 @@ impl CallMode {
 
 /// Up to four untyped word arguments, stored inline — building a request
 /// never heap-allocates for its words. Derefs to the populated prefix as a
-/// `[u64]` slice, so indexing and iteration read like the old `Vec<u64>`.
+/// `[u64]` slice, so indexing and iteration read like a `Vec<u64>`'s.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct Words {
     buf: [u64; 4],

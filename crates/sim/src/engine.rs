@@ -212,8 +212,8 @@ pub(crate) fn run_engine(inner: &Arc<SimDriver>) {
 /// Core scheduling choice: apply due events, then pick a runnable task.
 ///
 /// The pick is always the min-clock runnable node's front task (strict
-/// conservative order — exactly PR 2's policy, so schedules are
-/// bit-identical across substrate changes).
+/// conservative order, no lookahead: equal-time events order by sequence
+/// number, so running ahead would reorder them and move report bytes).
 ///
 /// Event application and the pick both happen under the caller's one
 /// kernel borrow. Events are always applied in (time, seq) heap

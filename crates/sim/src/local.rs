@@ -1519,8 +1519,8 @@ mod tests {
 
     #[test]
     fn park_only_policy_still_completes() {
-        // The pre-adaptive behavior (fixed 200 µs slices, no spin) remains
-        // available and correct — the before to the adaptive wait's after.
+        // Fixed 200 µs park slices with no spin or yield complete a run too:
+        // the escalation is a latency choice, not a correctness one.
         let r = LocalFabricBuilder::new(2)
             .wait_policy(WaitPolicy::park_only(200_000))
             .run(|fab| {

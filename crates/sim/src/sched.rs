@@ -1,11 +1,11 @@
 //! One node's task table, the same on both fabrics (the simulator keeps one
 //! per node in its kernel, `LocalFabric` in its scheduler): the node's live
-//! task records, its FIFO run queue, its inbox waiters and the task holding
-//! its baton, with one body for each node-local scheduling rule. Every wake
-//! appends to the run queue, so what a rule woke is the queue's new tail,
-//! which [`NodeTasks::wake`] traces. A fabric adds its clock, timers and
-//! idling (DESIGN.md §4a). A table is touched only by the context that holds
-//! its node's baton.
+//! task records, its FIFO run queue and its inbox waiters, with one body for
+//! each node-local scheduling rule; which task runs is the baton's record,
+//! not the table's. Every wake appends to the run queue, so what a rule woke
+//! is the queue's new tail, which [`NodeTasks::wake`] traces. A fabric adds
+//! its clock, timers and idling (DESIGN.md §4a). A table is touched only by
+//! the context that holds its node's baton.
 
 use crate::baton::TaskCell;
 use crate::fabric::ACROSS_NODES;

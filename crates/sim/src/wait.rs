@@ -69,8 +69,8 @@ impl Default for WaitPolicy {
 
 impl WaitPolicy {
     /// A policy that never spins or yields: every wait parks immediately
-    /// with fixed `slice` slices (the pre-adaptive behavior; useful to
-    /// measure what the escalation buys, or to keep cores free).
+    /// with fixed `slice` slices (useful to measure what the escalation
+    /// buys, or to keep cores free).
     pub fn park_only(slice: Time) -> Self {
         WaitPolicy {
             spin: 0,

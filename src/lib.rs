@@ -42,3 +42,8 @@ pub mod prelude {
         MetricsRegistry, Sim, Stats, Time,
     };
 }
+
+/// README.md's code blocks, built and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
