@@ -38,8 +38,10 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets: warnings and boxed returns"
+# No unnecessary Box return either: the zero-alloc paths must not regrow one.
+# (Clippy exempts exported functions and names containing "box".)
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::unnecessary_box_returns
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -194,13 +196,6 @@ echo "==> benchmark/ builds and runs (standalone crate, quick smoke)"
 # any failed operation.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- all --quick
 echo "benchmark smoke OK"
-
-echo "==> clippy: no boxed returns on the fast path"
-# The zero-alloc paths must not regrow Box-returning APIs: the simulator's,
-# LocalFabric's short send (fabric), and the layers over them.
-cargo clippy -p mpmd-sim -p mpmd-fabric -p mpmd-am -p mpmd-ccxx -p mpmd-splitc -p mpmd-bench \
-    --all-targets -- -D warnings -D clippy::unnecessary_box_returns
-echo "unnecessary_box_returns clean"
 
 echo "==> metrics no-registry overhead assertion"
 # The registry must be zero-cost when absent: 10k disabled metric_observe

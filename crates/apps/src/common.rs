@@ -106,6 +106,16 @@ pub struct AppRun<T> {
     pub output: T,
 }
 
+impl<T> AppRun<T> {
+    /// The same run with its output converted by `f`.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> AppRun<U> {
+        AppRun {
+            breakdown: self.breakdown,
+            output: f(self.output),
+        }
+    }
+}
+
 /// Execute `body` on a fresh simulated machine of `procs` nodes, returning
 /// the value produced by node 0 (every other node must return `None`).
 pub fn run_collect<T, F>(procs: usize, cost: CostModel, body: F) -> T

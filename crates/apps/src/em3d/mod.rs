@@ -24,9 +24,7 @@ mod splitc_impl;
 
 pub use ccxx_impl::{run_ccxx, run_ccxx_on};
 pub use graph::{em3d_reference, Em3dParams, Em3dValues, Graph};
-pub use splitc_impl::{
-    run_splitc, run_splitc_coalesced, run_splitc_cost, run_splitc_on, run_splitc_traced,
-};
+pub use splitc_impl::{run_splitc, run_splitc_on};
 
 /// FP cost charged per traversed edge: ~30 FLOPs (≈0.3 µs at the SP node's
 /// effective rate), covering the weighted sum plus the pointer-chasing and

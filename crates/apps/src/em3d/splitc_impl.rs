@@ -3,11 +3,9 @@
 use super::graph::{Em3dParams, Em3dValues, Graph};
 use super::plan::{phase_plan, PhasePlan};
 use super::{Em3dVersion, EDGE_FLOPS};
-use crate::common::{
-    charge_flops, run_collect, run_collect_full, AppBreakdown, AppRun, RegionTimer,
-};
+use crate::common::{charge_flops, run_collect, AppBreakdown, AppRun, RegionTimer};
 use mpmd_fabric::Fabric;
-use mpmd_sim::{CostModel, TraceConfig, TraceLog};
+use mpmd_sim::CostModel;
 use mpmd_splitc as sc;
 use mpmd_splitc::GlobalPtr;
 
@@ -26,45 +24,10 @@ struct Node {
 /// Run EM3D under the Split-C runtime and return node 0's measurements plus
 /// the final field values (gathered after the timed region).
 pub fn run_splitc(p: &Em3dParams, version: Em3dVersion) -> AppRun<Em3dValues> {
-    run_splitc_cost(p, version, CostModel::default())
-}
-
-/// [`run_splitc`] with an explicit cost model (e.g. one carrying a fault
-/// model).
-pub fn run_splitc_cost(
-    p: &Em3dParams,
-    version: Em3dVersion,
-    cost: CostModel,
-) -> AppRun<Em3dValues> {
-    run_splitc_coalesced(p, version, cost, None)
-}
-
-/// [`run_splitc_cost`] with optional per-destination message coalescing in
-/// the AM substrate (the ablation axis; `None` is the paper's runtime).
-pub fn run_splitc_coalesced(
-    p: &Em3dParams,
-    version: Em3dVersion,
-    cost: CostModel,
-    coalescing: Option<sc::CoalesceConfig>,
-) -> AppRun<Em3dValues> {
     let p = p.clone();
-    run_collect(p.procs, cost, move |ctx| {
-        run_splitc_on(ctx, &p, version, coalescing.clone())
+    run_collect(p.procs, CostModel::default(), move |ctx| {
+        run_splitc_on(ctx, &p, version, None)
     })
-}
-
-/// [`run_splitc`] with event tracing on: returns the run plus its
-/// [`TraceLog`], ready for [`mpmd_sim::fold_stacks`] /
-/// [`mpmd_sim::phase_profile`].
-pub fn run_splitc_traced(p: &Em3dParams, version: Em3dVersion) -> (AppRun<Em3dValues>, TraceLog) {
-    let p = p.clone();
-    let (run, report) = run_collect_full(
-        p.procs,
-        CostModel::default(),
-        Some(TraceConfig::new()),
-        move |ctx| run_splitc_on(ctx, &p, version, None),
-    );
-    (run, report.trace.expect("tracing was enabled"))
 }
 
 /// The per-node program, generic over the fabric: the same code runs under

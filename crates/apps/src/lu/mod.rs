@@ -15,7 +15,7 @@ pub use matrix::{
     lu_blocked_reference, reconstruction_error, solve_flops, solve_lower, solve_upper,
     update_flops, BlockMap, LuParams,
 };
-pub use splitc_impl::{run_splitc, run_splitc_coalesced, run_splitc_cost, run_splitc_on};
+pub use splitc_impl::{run_splitc, run_splitc_on};
 
 /// The factored matrix (L below the unit diagonal, U on and above it).
 #[derive(Clone, Debug)]

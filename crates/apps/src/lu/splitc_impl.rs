@@ -11,25 +11,9 @@ use std::collections::HashMap;
 
 /// Run blocked LU under the Split-C runtime.
 pub fn run_splitc(p: &LuParams) -> AppRun<LuOutput> {
-    run_splitc_cost(p, CostModel::default())
-}
-
-/// [`run_splitc`] with an explicit cost model (e.g. one carrying a fault
-/// model).
-pub fn run_splitc_cost(p: &LuParams, cost: CostModel) -> AppRun<LuOutput> {
-    run_splitc_coalesced(p, cost, None)
-}
-
-/// [`run_splitc_cost`] with optional per-destination message coalescing in
-/// the AM substrate (the ablation axis; `None` is the paper's runtime).
-pub fn run_splitc_coalesced(
-    p: &LuParams,
-    cost: CostModel,
-    coalescing: Option<sc::CoalesceConfig>,
-) -> AppRun<LuOutput> {
     let p = p.clone();
-    run_collect(p.procs, cost, move |ctx| {
-        run_splitc_on(ctx, &p, coalescing.clone())
+    run_collect(p.procs, CostModel::default(), move |ctx| {
+        run_splitc_on(ctx, &p, None)
     })
 }
 

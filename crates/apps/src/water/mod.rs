@@ -18,7 +18,7 @@ pub use ccxx_impl::{run_ccxx, run_ccxx_on};
 pub use model::{
     half_shell, pair_force, water_reference, WaterParams, WaterState, INTRA_FLOPS, PAIR_FLOPS,
 };
-pub use splitc_impl::{run_splitc, run_splitc_coalesced, run_splitc_cost, run_splitc_on};
+pub use splitc_impl::{run_splitc, run_splitc_on};
 
 /// Which access strategy a run uses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]

@@ -30,30 +30,9 @@ pub(super) fn remote_molecules(me: usize, n: usize, n_local: usize) -> Vec<usize
 
 /// Run Water under the Split-C runtime.
 pub fn run_splitc(p: &WaterParams, version: WaterVersion) -> AppRun<WaterOutput> {
-    run_splitc_cost(p, version, CostModel::default())
-}
-
-/// [`run_splitc`] with an explicit cost model (e.g. one carrying a fault
-/// model).
-pub fn run_splitc_cost(
-    p: &WaterParams,
-    version: WaterVersion,
-    cost: CostModel,
-) -> AppRun<WaterOutput> {
-    run_splitc_coalesced(p, version, cost, None)
-}
-
-/// [`run_splitc_cost`] with optional per-destination message coalescing in
-/// the AM substrate (the ablation axis; `None` is the paper's runtime).
-pub fn run_splitc_coalesced(
-    p: &WaterParams,
-    version: WaterVersion,
-    cost: CostModel,
-    coalescing: Option<sc::CoalesceConfig>,
-) -> AppRun<WaterOutput> {
     let p = p.clone();
-    run_collect(p.procs, cost, move |ctx| {
-        run_splitc_on(ctx, &p, version, coalescing.clone())
+    run_collect(p.procs, CostModel::default(), move |ctx| {
+        run_splitc_on(ctx, &p, version, None)
     })
 }
 

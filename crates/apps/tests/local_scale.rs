@@ -1,29 +1,30 @@
 //! `LocalFabric` at scale: tens of thousands of threaded RMIs fit in one
 //! run, and EM3D `base` in CC++ — one threaded access per remote edge —
-//! runs at the paper's graph size. EM3D `ghost` in Split-C on four
-//! nodes gives the sequential reference's fields bit for bit, and a traced
-//! run of it on two nodes yields the simulator's spans and flamegraph.
+//! runs at the paper's graph size. Every Figure 5/6 cell — EM3D base, ghost
+//! and bulk, Water atomic and prefetch, and LU, each in Split-C and in
+//! CC++/ThAM — runs on two nodes through `App::run_on` and gives the
+//! sequential reference's result and the simulator's. EM3D `ghost` in
+//! Split-C on four nodes gives the reference's fields bit for bit, and a
+//! traced run of it on two nodes yields the simulator's spans and
+//! flamegraph.
 //!
 //! The runtimes' node-local state (regions and staged adds, Split-C's atomic
 //! table, CC++'s call records, stub tables and atomic-method lock, `prefetch`
-//! buffers) lives in lock-free node cells: Water, LU, EM3D `ghost` in CC++
-//! and Split-C's remote atomics run here with the nodes truly parallel,
-//! against their sequential references. A `with_local` closure that reaches
-//! its node's regions again panics, on both fabrics.
+//! buffers) lives in lock-free node cells: the cells run here with the nodes
+//! truly parallel, as do Split-C's remote atomics. A `with_local` closure
+//! that reaches its node's regions again panics, on both fabrics.
 //!
 //! Debug builds (tier 1) run a reduced size; the release-mode line in
 //! `ci.sh` runs the full one.
 
-use mpmd_apps::em3d::{
-    em3d_reference, run_ccxx_on, run_splitc_on, run_splitc_traced, Em3dParams, Em3dValues,
-    Em3dVersion,
-};
-use mpmd_apps::lu::{self, LuParams};
-use mpmd_apps::water::{self, WaterParams, WaterVersion};
-use mpmd_apps::AppRun;
+use mpmd_apps::common::run_collect_full;
+use mpmd_apps::em3d::{em3d_reference, Em3dParams, Em3dVersion};
+use mpmd_apps::lu::{self, LuOutput, LuParams};
+use mpmd_apps::water::{self, WaterOutput, WaterParams, WaterVersion};
+use mpmd_apps::{App, Output, Runtime};
 use mpmd_ccxx::{self as cx, CallMode, CcxxConfig, CxPtr};
 use mpmd_fabric::{Fabric, LocalFabric, LocalFabricBuilder};
-use mpmd_sim::{fold_stacks, Report, Sim, TraceConfig, TraceLog, REENTERED};
+use mpmd_sim::{fold_stacks, CostModel, Report, Sim, TraceConfig, TraceLog, REENTERED};
 use mpmd_splitc as sc;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -47,16 +48,14 @@ fn threaded_null_rmis_by_the_ten_thousand_complete_in_one_run() {
     assert!(report.stats[1].thread_creates >= calls);
 }
 
-/// Node 0's output of `app` on one OS thread per node, and the run's
-/// report.
-fn node0_output<T: Send + 'static>(
-    fabric: LocalFabricBuilder,
-    app: impl Fn(&LocalFabric) -> Option<AppRun<T>> + Send + Sync + 'static,
-) -> (T, Report) {
+/// Node 0's output of `app` on `rt`, on one OS thread per node, and the
+/// run's report.
+fn on_local(fabric: LocalFabricBuilder, app: &App, rt: &Runtime) -> (Output, Report) {
     let slot = Arc::new(Mutex::new(None));
     let slot2 = Arc::clone(&slot);
+    let (app, rt) = (app.clone(), rt.clone());
     let report = fabric.run(move |ctx| {
-        if let Some(run) = app(&ctx) {
+        if let Some(run) = app.run_on(&ctx, &rt) {
             *slot2.lock().unwrap() = Some(run.output);
         }
     });
@@ -64,21 +63,44 @@ fn node0_output<T: Send + 'static>(
     (got.expect("node 0 returns the output"), report)
 }
 
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
+/// The sequential reference's result for `app`.
+fn reference(app: &App) -> Output {
+    match app {
+        App::Em3d(p, _) => Output::Em3d(em3d_reference(p)),
+        App::Water(p, _) => {
+            let (state, energy) = water::water_reference(p);
+            Output::Water(WaterOutput {
+                pos: state.pos,
+                energy,
+            })
+        }
+        App::Lu(p) => Output::Lu(LuOutput {
+            factored: lu::lu_blocked_reference(p),
+        }),
+    }
 }
 
-/// An EM3D version on one node of a run: node 0 returns the fields.
-type App = fn(&LocalFabric, &Em3dParams) -> Option<AppRun<Em3dValues>>;
+/// `got` equals `want`: bit for bit, not approximately, for EM3D and LU;
+/// for Water each position and the energy within 1e-9 (relative to the
+/// larger magnitude, or absolute below 1), the rule
+/// `tests/apps_correctness.rs` holds the simulator's runs to.
+fn assert_agrees(app: &App, got: &Output, want: &Output, what: &str) {
+    let (got, want) = (got.values(), want.values());
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+        let ok = match app {
+            App::Water(..) => (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
+            _ => a.to_bits() == b.to_bits(),
+        };
+        assert!(ok, "{what}: value {i}: {a} vs {b}");
+    }
+}
 
-/// Node 0's fields from `app` on one OS thread per node must equal the
-/// sequential reference bit for bit, not approximately. Returns the run's
-/// report.
-fn assert_matches_reference(fabric: LocalFabricBuilder, p: Em3dParams, app: App) -> Report {
-    let want = em3d_reference(&p);
-    let (got, report) = node0_output(fabric, move |ctx| app(ctx, &p));
-    assert_eq!(bits(&got.e), bits(&want.e), "E field");
-    assert_eq!(bits(&got.h), bits(&want.h), "H field");
+/// Node 0's result of `app` on `rt`, on one OS thread per node, must equal
+/// the sequential reference. Returns the run's report.
+fn assert_matches_reference(fabric: LocalFabricBuilder, app: &App, rt: &Runtime) -> Report {
+    let (got, report) = on_local(fabric, app, rt);
+    assert_agrees(app, &got, &reference(app), "wall clock vs reference");
     report
 }
 
@@ -90,9 +112,66 @@ fn em3d_base_in_ccxx_runs_at_paper_size() {
         ..Em3dParams::paper(0.4)
     };
     let fabric = LocalFabricBuilder::new(p.procs);
-    assert_matches_reference(fabric, p, |ctx, p| {
-        run_ccxx_on(ctx, p, Em3dVersion::Base, CcxxConfig::tham())
-    });
+    let app = App::Em3d(p, Em3dVersion::Base);
+    assert_matches_reference(fabric, &app, &Runtime::tham());
+}
+
+/// Every Figure 5/6 cell on two OS-thread nodes, in both languages: the
+/// result equals the sequential reference's and the simulator's.
+#[test]
+fn every_cell_matches_the_reference_and_the_simulator() {
+    let em3d = Em3dParams {
+        graph_nodes: 160,
+        degree: 5,
+        procs: 2,
+        steps: 2,
+        remote_frac: 0.4,
+        seed: 42,
+    };
+    let water = WaterParams {
+        n_mol: if FULL { 64 } else { 16 },
+        procs: 2,
+        steps: 2,
+        seed: 9,
+        box_size: 8.0,
+    };
+    let lu = LuParams {
+        n: if FULL { 96 } else { 32 },
+        block: 8,
+        procs: 2,
+        seed: 13,
+    };
+    let apps = Em3dVersion::ALL
+        .map(|v| App::Em3d(em3d.clone(), v))
+        .into_iter()
+        .chain(WaterVersion::ALL.map(|v| App::Water(water.clone(), v)))
+        .chain([App::Lu(lu)]);
+    for app in apps {
+        let want = reference(&app);
+        for rt in [Runtime::SPLITC, Runtime::tham()] {
+            let what = format!("{} in {}", app.label(rt.lang()), rt.lang().label());
+            let sim = app.run(&rt, CostModel::default()).output;
+            assert_agrees(
+                &app,
+                &sim,
+                &want,
+                &format!("{what}: simulator vs reference"),
+            );
+            let (local, _) = on_local(LocalFabricBuilder::new(app.procs()), &app, &rt);
+            assert_agrees(
+                &app,
+                &local,
+                &want,
+                &format!("{what}: wall clock vs reference"),
+            );
+            assert_agrees(
+                &app,
+                &local,
+                &sim,
+                &format!("{what}: wall clock vs simulator"),
+            );
+        }
+    }
 }
 
 #[test]
@@ -106,9 +185,8 @@ fn em3d_ghost_in_splitc_on_four_nodes_matches_the_reference() {
         seed: 42,
     };
     let fabric = LocalFabricBuilder::new(p.procs);
-    assert_matches_reference(fabric, p, |ctx, p| {
-        run_splitc_on(ctx, p, Em3dVersion::Ghost, None)
-    });
+    let app = App::Em3d(p, Em3dVersion::Ghost);
+    assert_matches_reference(fabric, &app, &Runtime::SPLITC);
 }
 
 fn span_names(log: &TraceLog) -> BTreeSet<&'static str> {
@@ -129,9 +207,8 @@ fn em3d_ghost_in_splitc_traces_on_the_wall_clock() {
         seed: 42,
     };
     let fabric = LocalFabricBuilder::new(p.procs).tracing(TraceConfig::new());
-    let report = assert_matches_reference(fabric, p.clone(), |ctx, p| {
-        run_splitc_on(ctx, p, Em3dVersion::Ghost, None)
-    });
+    let app = App::Em3d(p, Em3dVersion::Ghost);
+    let report = assert_matches_reference(fabric, &app, &Runtime::SPLITC);
     let log = report.trace.expect("a traced run returns its trace");
     assert_eq!(log.total_dropped(), 0);
     assert!(log.to_chrome_trace().contains(r#""ph":"X""#));
@@ -144,88 +221,12 @@ fn em3d_ghost_in_splitc_traces_on_the_wall_clock() {
         assert!(node.is_some_and(|n| n.parse::<usize>().is_ok()), "{line}");
         assert_eq!(frames.next(), Some("main"), "{line}");
     }
-    let (_, sim) = run_splitc_traced(&p, Em3dVersion::Ghost);
-    assert_eq!(span_names(&log), span_names(&sim));
-}
-
-/// EM3D `ghost` in CC++ fetches its ghosts with `prefetch`: parfor threads
-/// each fill one slot of a node-local result buffer.
-#[test]
-fn em3d_ghost_in_ccxx_matches_the_reference() {
-    let p = Em3dParams {
-        graph_nodes: 160,
-        degree: 5,
-        procs: 2,
-        steps: 2,
-        remote_frac: 0.4,
-        seed: 42,
-    };
-    let fabric = LocalFabricBuilder::new(p.procs);
-    assert_matches_reference(fabric, p, |ctx, p| {
-        run_ccxx_on(ctx, p, Em3dVersion::Ghost, CcxxConfig::tham())
+    let trace = Some(TraceConfig::new());
+    let (_, sim) = run_collect_full(app.procs(), CostModel::default(), trace, move |ctx| {
+        app.run_on(ctx, &Runtime::SPLITC)
     });
-}
-
-/// Water in both languages and both versions on two OS-thread nodes: each
-/// position and the energy within 1e-9 of the sequential reference
-/// (relative to the larger magnitude, or absolute below 1), the rule
-/// `tests/apps_correctness.rs` holds the simulator's runs to.
-#[test]
-fn water_in_both_languages_matches_the_reference() {
-    let p = WaterParams {
-        n_mol: if FULL { 64 } else { 16 },
-        procs: 2,
-        steps: 2,
-        seed: 9,
-        box_size: 8.0,
-    };
-    let (want, energy) = water::water_reference(&p);
-    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
-    for version in WaterVersion::ALL {
-        for ccxx in [false, true] {
-            let p2 = p.clone();
-            let (got, _) = node0_output(LocalFabricBuilder::new(p.procs), move |ctx| {
-                if ccxx {
-                    water::run_ccxx_on(ctx, &p2, version, CcxxConfig::tham())
-                } else {
-                    water::run_splitc_on(ctx, &p2, version, None)
-                }
-            });
-            let what = format!(
-                "{} in {}",
-                version.label(),
-                ["Split-C", "CC++"][ccxx as usize]
-            );
-            for (i, (a, b)) in got.pos.iter().zip(&want.pos).enumerate() {
-                assert!(close(*a, *b), "{what}: pos[{i}] {a} vs {b}");
-            }
-            assert!(close(got.energy, energy), "{what}: energy {}", got.energy);
-        }
-    }
-}
-
-/// Blocked LU in both languages on two OS-thread nodes equals the blocked
-/// sequential reference bit for bit.
-#[test]
-fn lu_in_both_languages_matches_the_reference() {
-    let p = LuParams {
-        n: if FULL { 96 } else { 32 },
-        block: 8,
-        procs: 2,
-        seed: 13,
-    };
-    let want = lu::lu_blocked_reference(&p);
-    for ccxx in [false, true] {
-        let p2 = p.clone();
-        let (got, _) = node0_output(LocalFabricBuilder::new(p.procs), move |ctx| {
-            if ccxx {
-                lu::run_ccxx_on(ctx, &p2, CcxxConfig::tham())
-            } else {
-                lu::run_splitc_on(ctx, &p2, None)
-            }
-        });
-        assert_eq!(bits(&got.factored), bits(&want), "CC++: {ccxx}");
-    }
+    let sim = sim.trace.expect("tracing was enabled");
+    assert_eq!(span_names(&log), span_names(&sim));
 }
 
 /// Split-C's `atomic_add` from both nodes at once: each runs at the

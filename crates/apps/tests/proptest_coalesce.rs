@@ -3,48 +3,56 @@
 //! linger, with or without injected wire faults — the Split-C applications
 //! reproduce their coalescing-off outputs bitwise.
 
-use mpmd_apps::em3d::{self, Em3dParams, Em3dVersion};
-use mpmd_apps::lu::{self, LuParams};
-use mpmd_apps::water::{self, WaterParams, WaterVersion};
+use mpmd_apps::em3d::{Em3dParams, Em3dVersion};
+use mpmd_apps::lu::LuParams;
+use mpmd_apps::water::{WaterParams, WaterVersion};
+use mpmd_apps::{App, Output, Runtime};
 use mpmd_sim::{CostModel, FaultModel};
 use mpmd_splitc::CoalesceConfig;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-fn quick_em3d() -> Em3dParams {
-    Em3dParams {
+fn quick_em3d() -> App {
+    let p = Em3dParams {
         graph_nodes: 160,
         degree: 8,
         procs: 4,
         steps: 2,
         remote_frac: 1.0,
         seed: 42,
-    }
+    };
+    App::Em3d(p, Em3dVersion::Ghost)
 }
 
-fn quick_water() -> WaterParams {
-    WaterParams {
+fn quick_water() -> App {
+    let p = WaterParams {
         n_mol: 16,
         procs: 4,
         steps: 1,
         seed: 1997,
         box_size: 8.0,
-    }
+    };
+    App::Water(p, WaterVersion::Atomic)
 }
 
-fn quick_lu() -> LuParams {
-    LuParams {
+fn quick_lu() -> App {
+    App::Lu(LuParams {
         n: 64,
         block: 8,
         procs: 4,
         seed: 101,
-    }
+    })
 }
 
-/// Bit patterns of a result vector: equality here is bitwise equality,
+/// Bit patterns of a run's results: equality here is bitwise equality,
 /// immune to `-0.0 == 0.0` and the like.
-fn bits(vs: &[f64]) -> Vec<u64> {
-    vs.iter().map(|v| v.to_bits()).collect()
+fn bits(out: &Output) -> Vec<u64> {
+    out.values().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The bits of `app`'s Split-C results under `cost` and `coalescing`.
+fn splitc_bits(app: App, cost: CostModel, coalescing: Option<CoalesceConfig>) -> Vec<u64> {
+    bits(&app.run(&Runtime::SplitC { coalescing }, cost).output)
 }
 
 fn cost_for(faulty: bool) -> CostModel {
@@ -68,29 +76,12 @@ fn cfg_strategy() -> impl Strategy<Value = CoalesceConfig> {
 // Coalescing-off baselines, computed once: the reliable-delivery layer
 // already guarantees faulty runs match the fault-free baseline, so one
 // reference per application suffices.
-static EM3D_OFF: OnceLock<(Vec<u64>, Vec<u64>)> = OnceLock::new();
-static WATER_OFF: OnceLock<(Vec<u64>, u64)> = OnceLock::new();
+static EM3D_OFF: OnceLock<Vec<u64>> = OnceLock::new();
+static WATER_OFF: OnceLock<Vec<u64>> = OnceLock::new();
 static LU_OFF: OnceLock<Vec<u64>> = OnceLock::new();
 
-fn em3d_off() -> &'static (Vec<u64>, Vec<u64>) {
-    EM3D_OFF.get_or_init(|| {
-        let r = em3d::run_splitc_cost(&quick_em3d(), Em3dVersion::Ghost, CostModel::default());
-        (bits(&r.output.e), bits(&r.output.h))
-    })
-}
-
-fn water_off() -> &'static (Vec<u64>, u64) {
-    WATER_OFF.get_or_init(|| {
-        let r = water::run_splitc_cost(&quick_water(), WaterVersion::Atomic, CostModel::default());
-        (bits(&r.output.pos), r.output.energy.to_bits())
-    })
-}
-
-fn lu_off() -> &'static Vec<u64> {
-    LU_OFF.get_or_init(|| {
-        let r = lu::run_splitc_cost(&quick_lu(), CostModel::default());
-        bits(&r.output.factored)
-    })
+fn off(slot: &'static OnceLock<Vec<u64>>, app: fn() -> App) -> &'static Vec<u64> {
+    slot.get_or_init(|| splitc_bits(app(), CostModel::default(), None))
 }
 
 proptest! {
@@ -98,25 +89,19 @@ proptest! {
 
     #[test]
     fn em3d_results_are_coalescing_invariant(cfg in cfg_strategy(), faulty in any::<bool>()) {
-        let r = em3d::run_splitc_coalesced(
-            &quick_em3d(), Em3dVersion::Ghost, cost_for(faulty), Some(cfg));
-        let (e, h) = em3d_off();
-        prop_assert_eq!(&bits(&r.output.e), e);
-        prop_assert_eq!(&bits(&r.output.h), h);
+        let got = splitc_bits(quick_em3d(), cost_for(faulty), Some(cfg));
+        prop_assert_eq!(&got, off(&EM3D_OFF, quick_em3d));
     }
 
     #[test]
     fn water_results_are_coalescing_invariant(cfg in cfg_strategy(), faulty in any::<bool>()) {
-        let r = water::run_splitc_coalesced(
-            &quick_water(), WaterVersion::Atomic, cost_for(faulty), Some(cfg));
-        let (pos, energy) = water_off();
-        prop_assert_eq!(&bits(&r.output.pos), pos);
-        prop_assert_eq!(r.output.energy.to_bits(), *energy);
+        let got = splitc_bits(quick_water(), cost_for(faulty), Some(cfg));
+        prop_assert_eq!(&got, off(&WATER_OFF, quick_water));
     }
 
     #[test]
     fn lu_results_are_coalescing_invariant(cfg in cfg_strategy(), faulty in any::<bool>()) {
-        let r = lu::run_splitc_coalesced(&quick_lu(), cost_for(faulty), Some(cfg));
-        prop_assert_eq!(&bits(&r.output.factored), lu_off());
+        let got = splitc_bits(quick_lu(), cost_for(faulty), Some(cfg));
+        prop_assert_eq!(&got, off(&LU_OFF, quick_lu));
     }
 }

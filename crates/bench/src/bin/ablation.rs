@@ -4,7 +4,8 @@
 //!
 //! Usage: `cargo run --release -p mpmd-bench --bin ablation [iters] [-j N] [--coalescing] [--json <path>]`
 
-use mpmd_apps::em3d::{self, Em3dParams, Em3dVersion};
+use mpmd_apps::em3d::{Em3dParams, Em3dVersion};
+use mpmd_apps::{App, AppRun, Output, Runtime};
 use mpmd_bench::fmt::{
     reject_unknown_args, render_table, take_count, take_json_flag, take_switch, us, write_json,
     JsonReport,
@@ -94,11 +95,11 @@ fn main() {
     };
     let mut rows = Vec::new();
     let mut em3d_json = serde_json::Map::new();
-    let p2 = p.clone();
+    let app = App::Em3d(p, Em3dVersion::Bulk);
     let em3d_runs = map_jobs(configs.clone(), jobs, move |(name, cfg)| {
         (
             name,
-            em3d::run_ccxx(&p2, Em3dVersion::Bulk, cfg, CostModel::default()),
+            app.run(&Runtime::Ccxx(Box::new(cfg)), CostModel::default()),
         )
     });
     for (name, run) in &em3d_runs {
@@ -121,10 +122,10 @@ fn main() {
     // strictly fewer messages.
     if coalescing_axis {
         eprintln!("running em3d coalescing ablation (paper-scale, 100% remote)...");
-        let p = Em3dParams::paper(1.0);
+        let app = App::Em3d(Em3dParams::paper(1.0), Em3dVersion::Ghost);
         let mut rows = Vec::new();
         let mut co_json = serde_json::Map::new();
-        let cell = |run: &mpmd_apps::common::AppRun<mpmd_apps::em3d::Em3dValues>| {
+        let cell = |run: &AppRun<Output>| {
             let mut m = serde_json::Map::new();
             m.insert(
                 "msgs_sent".to_string(),
@@ -137,72 +138,58 @@ fn main() {
             );
             serde_json::Value::Object(m)
         };
-        let fingerprint = |v: &mpmd_apps::em3d::Em3dValues| {
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            (bits(&v.e), bits(&v.h))
+        let bits = |o: &Output| o.values().iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mut push = |lang: &str,
+                        co_json: &mut serde_json::Map,
+                        off: &AppRun<Output>,
+                        on: &AppRun<Output>| {
+            assert_eq!(
+                bits(&off.output),
+                bits(&on.output),
+                "{lang}: coalescing changed em3d results"
+            );
+            let (m_off, m_on) = (
+                off.breakdown.counts.msgs_sent,
+                on.breakdown.counts.msgs_sent,
+            );
+            assert!(
+                m_on < m_off,
+                "{lang}: coalescing did not reduce wire messages ({m_on} vs {m_off})"
+            );
+            assert!(
+                on.breakdown.net < off.breakdown.net,
+                "{lang}: coalescing did not reduce net time"
+            );
+            let drop_pct = 100.0 * (m_off - m_on) as f64 / m_off as f64;
+            let mut m = serde_json::Map::new();
+            m.insert("off".to_string(), cell(off));
+            m.insert("on".to_string(), cell(on));
+            m.insert("msgs_drop_pct".to_string(), drop_pct.to_value());
+            co_json.insert(lang.to_string(), serde_json::Value::Object(m));
+            for (label, r) in [("off", off), ("on", on)] {
+                rows.push(vec![
+                    format!("{lang} {label}"),
+                    format!("{}", r.breakdown.counts.msgs_sent),
+                    format!("{:.0}", r.breakdown.net as f64 / 1_000.0),
+                    format!("{:.4}", mpmd_sim::to_secs(r.breakdown.elapsed)),
+                ]);
+            }
+            drop_pct
         };
-        let mut push =
-            |lang: &str,
-             co_json: &mut serde_json::Map,
-             off: &mpmd_apps::common::AppRun<mpmd_apps::em3d::Em3dValues>,
-             on: &mpmd_apps::common::AppRun<mpmd_apps::em3d::Em3dValues>| {
-                assert_eq!(
-                    fingerprint(&off.output),
-                    fingerprint(&on.output),
-                    "{lang}: coalescing changed em3d results"
-                );
-                let (m_off, m_on) = (
-                    off.breakdown.counts.msgs_sent,
-                    on.breakdown.counts.msgs_sent,
-                );
-                assert!(
-                    m_on < m_off,
-                    "{lang}: coalescing did not reduce wire messages ({m_on} vs {m_off})"
-                );
-                assert!(
-                    on.breakdown.net < off.breakdown.net,
-                    "{lang}: coalescing did not reduce net time"
-                );
-                let drop_pct = 100.0 * (m_off - m_on) as f64 / m_off as f64;
-                let mut m = serde_json::Map::new();
-                m.insert("off".to_string(), cell(off));
-                m.insert("on".to_string(), cell(on));
-                m.insert("msgs_drop_pct".to_string(), drop_pct.to_value());
-                co_json.insert(lang.to_string(), serde_json::Value::Object(m));
-                for (label, r) in [("off", off), ("on", on)] {
-                    rows.push(vec![
-                        format!("{lang} {label}"),
-                        format!("{}", r.breakdown.counts.msgs_sent),
-                        format!("{:.0}", r.breakdown.net as f64 / 1_000.0),
-                        format!("{:.4}", mpmd_sim::to_secs(r.breakdown.elapsed)),
-                    ]);
-                }
-                drop_pct
-            };
-        let sc_off = em3d::run_splitc_coalesced(&p, Em3dVersion::Ghost, CostModel::default(), None);
-        let sc_on = em3d::run_splitc_coalesced(
-            &p,
-            Em3dVersion::Ghost,
-            CostModel::default(),
-            Some(mpmd_splitc::CoalesceConfig::default()),
-        );
+        let run = |rt: Runtime| app.run(&rt, CostModel::default());
+        let sc_off = run(Runtime::SPLITC);
+        let sc_on = run(Runtime::SplitC {
+            coalescing: Some(mpmd_splitc::CoalesceConfig::default()),
+        });
         let sc_drop = push("splitc-ghost", &mut co_json, &sc_off, &sc_on);
         assert!(
             sc_drop >= 25.0,
             "splitc-ghost: wire message drop only {sc_drop:.1}% (< 25%)"
         );
-        let cc_off = em3d::run_ccxx(
-            &p,
-            Em3dVersion::Ghost,
-            CcxxConfig::tham(),
-            CostModel::default(),
-        );
-        let cc_on = em3d::run_ccxx(
-            &p,
-            Em3dVersion::Ghost,
+        let cc_off = run(Runtime::tham());
+        let cc_on = run(Runtime::Ccxx(Box::new(
             CcxxConfig::tham().with_coalescing(mpmd_ccxx::CoalesceConfig::default()),
-            CostModel::default(),
-        );
+        )));
         push("ccxx-ghost", &mut co_json, &cc_off, &cc_on);
         println!("em3d per-destination coalescing (paper graph, 100% remote)");
         println!(

@@ -11,23 +11,20 @@ use mpmd_bench::fmt::{reject_unknown_args, render_table, take_json_flag, write_j
 use mpmd_bench::runner::{run_jobs, take_jobs_flag, Unit};
 
 const USAGE: &str = "scaling [-j N] [--json <path>]";
+use mpmd_apps::common::run_collect;
 use mpmd_ccxx as cx;
 use mpmd_ccxx::{CcxxConfig, CxPtr};
-use mpmd_sim::{to_us, Fabric, Sim};
+use mpmd_sim::{to_us, CostModel, Fabric};
 use mpmd_splitc as sc;
 use mpmd_splitc::GlobalPtr;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 const PROCS: usize = 4;
 
 fn splitc_exchange(len: usize) -> f64 {
-    let out = Arc::new(Mutex::new(0.0));
-    let o = Arc::clone(&out);
-    Sim::new(PROCS).run(move |ctx| {
-        sc::init(&ctx);
-        let region = sc::alloc_region(&ctx, len * PROCS, 0.0);
-        sc::barrier(&ctx);
+    run_collect(PROCS, CostModel::default(), move |ctx| {
+        sc::init(ctx);
+        let region = sc::alloc_region(ctx, len * PROCS, 0.0);
+        sc::barrier(ctx);
         let t0 = ctx.now();
         // The application context: an EM3D-phase worth of computation
         // accompanies each exchange (4000 edge traversals x ~0.3 µs).
@@ -36,7 +33,7 @@ fn splitc_exchange(len: usize) -> f64 {
         for q in 0..PROCS {
             if q != ctx.node() {
                 sc::bulk_store(
-                    &ctx,
+                    ctx,
                     GlobalPtr {
                         node: q,
                         region,
@@ -46,35 +43,27 @@ fn splitc_exchange(len: usize) -> f64 {
                 );
             }
         }
-        sc::all_store_sync(&ctx);
-        if ctx.node() == 0 {
-            *o.lock() = to_us(ctx.now() - t0);
-        }
-        sc::barrier(&ctx);
-    });
-    let v = *out.lock();
-    v
+        sc::all_store_sync(ctx);
+        let elapsed = (ctx.node() == 0).then(|| to_us(ctx.now() - t0));
+        sc::barrier(ctx);
+        elapsed
+    })
 }
 
 fn ccxx_exchange(len: usize) -> f64 {
-    let out = Arc::new(Mutex::new(0.0));
-    let o = Arc::clone(&out);
-    Sim::new(PROCS).run(move |ctx| {
-        cx::init(&ctx, CcxxConfig::tham());
-        let region = cx::alloc_region(&ctx, len * PROCS, 0.0);
-        cx::barrier(&ctx);
-        exchange_once(&ctx, region, len); // warm caches and buffers
+    run_collect(PROCS, CostModel::default(), move |ctx| {
+        cx::init(ctx, CcxxConfig::tham());
+        let region = cx::alloc_region(ctx, len * PROCS, 0.0);
+        cx::barrier(ctx);
+        exchange_once(ctx, region, len); // warm caches and buffers
         let t0 = ctx.now();
         ctx.charge(mpmd_sim::Bucket::Cpu, 1_200_000);
-        exchange_once(&ctx, region, len);
-        cx::barrier(&ctx);
-        if ctx.node() == 0 {
-            *o.lock() = to_us(ctx.now() - t0);
-        }
-        cx::finalize(&ctx);
-    });
-    let v = *out.lock();
-    v
+        exchange_once(ctx, region, len);
+        cx::barrier(ctx);
+        let elapsed = (ctx.node() == 0).then(|| to_us(ctx.now() - t0));
+        cx::finalize(ctx);
+        elapsed
+    })
 }
 
 fn exchange_once(ctx: &mpmd_sim::Ctx, region: u32, len: usize) {

@@ -4,12 +4,12 @@
 //! paper's shapes directly.
 
 use crate::fmt::JsonReport;
-use crate::runner::{run_jobs, Unit};
+use crate::runner::map_jobs;
 use mpmd_apps::common::{AppBreakdown, Lang};
-use mpmd_apps::em3d::{self, Em3dParams, Em3dVersion};
-use mpmd_apps::lu::{self, LuParams};
-use mpmd_apps::water::{self, WaterParams, WaterVersion};
-use mpmd_ccxx::CcxxConfig;
+use mpmd_apps::em3d::{Em3dParams, Em3dVersion};
+use mpmd_apps::lu::LuParams;
+use mpmd_apps::water::{WaterParams, WaterVersion};
+use mpmd_apps::{App, Runtime};
 use mpmd_nexus::{nexus_config, nexus_sim_cost_model};
 use mpmd_sim::{CostModel, FaultModel};
 
@@ -96,60 +96,6 @@ fn em3d_params(scale: Scale, remote_frac: f64) -> Em3dParams {
     }
 }
 
-/// Figure 5: EM3D per-edge breakdowns for each version × remote fraction ×
-/// language, Split-C and CC++/ThAM. Each (version, fraction, language)
-/// simulation is an independent work unit fanned across `jobs` threads; the
-/// result order is fixed by the config list, so output is identical for any
-/// `jobs`.
-pub fn run_fig5(scale: Scale, fracs: &[f64], jobs: usize) -> Vec<(Em3dVersion, f64, Cell, Cell)> {
-    let mut configs = Vec::new();
-    for &v in &Em3dVersion::ALL {
-        for &f in fracs {
-            configs.push((v, f));
-        }
-    }
-    let units: Vec<Unit<Cell>> = configs
-        .iter()
-        .flat_map(|&(v, f)| {
-            let p = em3d_params(scale, f);
-            let units = (Graphish::edges(&p) * p.steps) as u64;
-            let p2 = p.clone();
-            [
-                Box::new(move || Cell {
-                    lang: Lang::SplitC,
-                    label: v.label().to_string(),
-                    breakdown: em3d::run_splitc(&p, v).breakdown,
-                    units,
-                }) as Unit<Cell>,
-                Box::new(move || Cell {
-                    lang: Lang::Ccxx,
-                    label: v.label().to_string(),
-                    breakdown: em3d::run_ccxx(&p2, v, CcxxConfig::tham(), CostModel::default())
-                        .breakdown,
-                    units,
-                }) as Unit<Cell>,
-            ]
-        })
-        .collect();
-    let mut cells = run_jobs(units, jobs).into_iter();
-    configs
-        .into_iter()
-        .map(|(v, f)| {
-            let sc = cells.next().expect("missing split-c cell");
-            let cc = cells.next().expect("missing cc++ cell");
-            (v, f, sc, cc)
-        })
-        .collect()
-}
-
-/// Helper: edge count of an EM3D parameter set without building the graph.
-struct Graphish;
-impl Graphish {
-    fn edges(p: &Em3dParams) -> usize {
-        (p.graph_nodes / 2) * p.degree
-    }
-}
-
 fn water_params(scale: Scale, n: usize) -> WaterParams {
     match scale {
         Scale::Paper => WaterParams::paper(n),
@@ -175,137 +121,118 @@ fn lu_params(scale: Scale) -> LuParams {
     }
 }
 
-/// Figure 6, Water half: (version, molecules, Split-C, CC++) cells, fanned
-/// across `jobs` threads in deterministic config order.
+/// Water's molecule count in the one-configuration suites.
+fn suite_molecules(scale: Scale) -> usize {
+    if scale == Scale::Paper {
+        64
+    } else {
+        16
+    }
+}
+
+/// Every application kernel at one representative configuration: EM3D's
+/// three versions at remote fraction 1.0, Water's two at the scale's
+/// molecule count, and LU.
+fn suite(scale: Scale) -> Vec<App> {
+    let em3d = Em3dVersion::ALL.map(|v| App::Em3d(em3d_params(scale, 1.0), v));
+    let water =
+        WaterVersion::ALL.map(|v| App::Water(water_params(scale, suite_molecules(scale)), v));
+    em3d.into_iter()
+        .chain(water)
+        .chain([App::Lu(lu_params(scale))])
+        .collect()
+}
+
+/// Each application on Split-C and on CC++/ThAM, under `cost`, in that
+/// order.
+fn in_both_languages(apps: Vec<App>, cost: &CostModel) -> Vec<(App, Runtime, CostModel)> {
+    apps.into_iter()
+        .flat_map(|app| {
+            [
+                (app.clone(), Runtime::SPLITC, cost.clone()),
+                (app, Runtime::tham(), cost.clone()),
+            ]
+        })
+        .collect()
+}
+
+/// Run each (application, runtime, cost model) cell as one work unit on up
+/// to `jobs` threads; the cells come back in list order, so output is
+/// identical for any `jobs`.
+fn run_cells(list: Vec<(App, Runtime, CostModel)>, jobs: usize) -> Vec<Cell> {
+    map_jobs(list, jobs, |(app, rt, cost)| Cell {
+        lang: rt.lang(),
+        label: app.label(rt.lang()).to_string(),
+        breakdown: app.run(&rt, cost).breakdown,
+        units: app.units(),
+    })
+}
+
+/// Consecutive (Split-C, CC++) cells of [`in_both_languages`], paired.
+fn pairs(cells: Vec<Cell>) -> impl Iterator<Item = (Cell, Cell)> {
+    let mut cells = cells.into_iter();
+    std::iter::from_fn(move || Some((cells.next()?, cells.next().expect("missing cc++ cell"))))
+}
+
+/// Figure 5: EM3D per-edge breakdowns for each version × remote fraction ×
+/// language, Split-C and CC++/ThAM.
+pub fn run_fig5(scale: Scale, fracs: &[f64], jobs: usize) -> Vec<(Em3dVersion, f64, Cell, Cell)> {
+    let configs: Vec<(Em3dVersion, f64)> = Em3dVersion::ALL
+        .iter()
+        .flat_map(|&v| fracs.iter().map(move |&f| (v, f)))
+        .collect();
+    let apps = configs
+        .iter()
+        .map(|&(v, f)| App::Em3d(em3d_params(scale, f), v))
+        .collect();
+    let cells = run_cells(in_both_languages(apps, &CostModel::default()), jobs);
+    configs
+        .into_iter()
+        .zip(pairs(cells))
+        .map(|((v, f), (sc, cc))| (v, f, sc, cc))
+        .collect()
+}
+
+/// Figure 6, Water half: (version, molecules, Split-C, CC++) cells.
 pub fn run_fig6_water(
     scale: Scale,
     sizes: &[usize],
     jobs: usize,
 ) -> Vec<(WaterVersion, usize, Cell, Cell)> {
-    let mut configs = Vec::new();
-    for &v in &WaterVersion::ALL {
-        for &n in sizes {
-            configs.push((v, n));
-        }
-    }
-    let units: Vec<Unit<Cell>> = configs
+    let configs: Vec<(WaterVersion, usize)> = WaterVersion::ALL
         .iter()
-        .flat_map(|&(v, n)| {
-            let p = water_params(scale, n);
-            let units = (p.n_mol * (p.n_mol - 1) / 2 * p.steps) as u64;
-            let p2 = p.clone();
-            [
-                Box::new(move || Cell {
-                    lang: Lang::SplitC,
-                    label: v.label().to_string(),
-                    breakdown: water::run_splitc(&p, v).breakdown,
-                    units,
-                }) as Unit<Cell>,
-                Box::new(move || Cell {
-                    lang: Lang::Ccxx,
-                    label: v.label().to_string(),
-                    breakdown: water::run_ccxx(&p2, v, CcxxConfig::tham(), CostModel::default())
-                        .breakdown,
-                    units,
-                }) as Unit<Cell>,
-            ]
-        })
+        .flat_map(|&v| sizes.iter().map(move |&n| (v, n)))
         .collect();
-    let mut cells = run_jobs(units, jobs).into_iter();
+    let apps = configs
+        .iter()
+        .map(|&(v, n)| App::Water(water_params(scale, n), v))
+        .collect();
+    let cells = run_cells(in_both_languages(apps, &CostModel::default()), jobs);
     configs
         .into_iter()
-        .map(|(v, n)| {
-            let sc = cells.next().expect("missing split-c cell");
-            let cc = cells.next().expect("missing cc++ cell");
-            (v, n, sc, cc)
-        })
+        .zip(pairs(cells))
+        .map(|((v, n), (sc, cc))| (v, n, sc, cc))
         .collect()
 }
 
 /// Figure 6, LU half. The two language runs execute concurrently when
 /// `jobs > 1`.
 pub fn run_fig6_lu(scale: Scale, jobs: usize) -> (Cell, Cell) {
-    let p = lu_params(scale);
-    let p2 = p.clone();
-    let units: Vec<Unit<Cell>> = vec![
-        Box::new(move || Cell {
-            lang: Lang::SplitC,
-            label: "sc-lu".to_string(),
-            breakdown: lu::run_splitc(&p).breakdown,
-            units: 1,
-        }),
-        Box::new(move || Cell {
-            lang: Lang::Ccxx,
-            label: "cc-lu".to_string(),
-            breakdown: lu::run_ccxx(&p2, CcxxConfig::tham(), CostModel::default()).breakdown,
-            units: 1,
-        }),
-    ];
-    let mut cells = run_jobs(units, jobs).into_iter();
-    let sc = cells.next().expect("missing split-c cell");
-    let cc = cells.next().expect("missing cc++ cell");
-    (sc, cc)
+    let cells = run_cells(
+        in_both_languages(vec![App::Lu(lu_params(scale))], &CostModel::default()),
+        jobs,
+    );
+    pairs(cells).next().expect("missing split-c cell")
 }
 
-/// The profiling suite: every application kernel at one
-/// representative configuration (EM3D's three versions at remote fraction
-/// 1.0, Water's versions at the scale's molecule count, and LU), Split-C and
-/// CC++/ThAM, run under an explicit cost model. `msgprofile` passes
+/// The profiling suite: every application kernel at one representative
+/// configuration (EM3D's three versions at remote fraction 1.0, Water's two
+/// at the scale's molecule count, and LU), Split-C and CC++/ThAM, run under
+/// an explicit cost model. `msgprofile` passes
 /// `CostModel::default().with_metrics()` so every cell carries its
-/// latency histograms and src→dst traffic matrix; the config order (and
-/// therefore the output) is fixed for any `jobs`.
+/// latency histograms and src→dst traffic matrix.
 pub fn run_profile_suite(scale: Scale, cost: CostModel, jobs: usize) -> Vec<Cell> {
-    let mut units: Vec<Unit<Cell>> = Vec::new();
-    for &v in &Em3dVersion::ALL {
-        let p = em3d_params(scale, 1.0);
-        let n_units = (Graphish::edges(&p) * p.steps) as u64;
-        let (p2, c1, c2) = (p.clone(), cost.clone(), cost.clone());
-        units.push(Box::new(move || Cell {
-            lang: Lang::SplitC,
-            label: v.label().to_string(),
-            breakdown: em3d::run_splitc_cost(&p, v, c1).breakdown,
-            units: n_units,
-        }));
-        units.push(Box::new(move || Cell {
-            lang: Lang::Ccxx,
-            label: v.label().to_string(),
-            breakdown: em3d::run_ccxx(&p2, v, CcxxConfig::tham(), c2).breakdown,
-            units: n_units,
-        }));
-    }
-    let wsize = if scale == Scale::Paper { 64 } else { 16 };
-    for &v in &WaterVersion::ALL {
-        let p = water_params(scale, wsize);
-        let n_units = (p.n_mol * (p.n_mol - 1) / 2 * p.steps) as u64;
-        let (p2, c1, c2) = (p.clone(), cost.clone(), cost.clone());
-        units.push(Box::new(move || Cell {
-            lang: Lang::SplitC,
-            label: v.label().to_string(),
-            breakdown: water::run_splitc_cost(&p, v, c1).breakdown,
-            units: n_units,
-        }));
-        units.push(Box::new(move || Cell {
-            lang: Lang::Ccxx,
-            label: v.label().to_string(),
-            breakdown: water::run_ccxx(&p2, v, CcxxConfig::tham(), c2).breakdown,
-            units: n_units,
-        }));
-    }
-    let p = lu_params(scale);
-    let (p2, c1, c2) = (p.clone(), cost.clone(), cost);
-    units.push(Box::new(move || Cell {
-        lang: Lang::SplitC,
-        label: "sc-lu".to_string(),
-        breakdown: lu::run_splitc_cost(&p, c1).breakdown,
-        units: 1,
-    }));
-    units.push(Box::new(move || Cell {
-        lang: Lang::Ccxx,
-        label: "cc-lu".to_string(),
-        breakdown: lu::run_ccxx(&p2, CcxxConfig::tham(), c2).breakdown,
-        units: 1,
-    }));
-    run_jobs(units, jobs)
+    run_cells(in_both_languages(suite(scale), &cost), jobs)
 }
 
 /// CC++/Nexus vs CC++/ThAM ratios per application (the paper's §6
@@ -334,97 +261,40 @@ impl JsonReport for NexusComparison {
     }
 }
 
-/// Run every application under ThAM and under the Nexus baseline. Each
-/// (application, runtime) pair is an independent work unit; results are
-/// reassembled in the fixed application order.
+/// Run every application of the profiling suite under ThAM and under the
+/// Nexus baseline, reassembled in the fixed application order.
 pub fn run_nexus_cmp(scale: Scale, jobs: usize) -> Vec<NexusComparison> {
-    let mut names = Vec::new();
-    let mut units: Vec<Unit<u64>> = Vec::new();
-
-    for v in Em3dVersion::ALL {
-        let p = em3d_params(scale, 1.0);
-        names.push(format!("{} (100% remote)", v.label()));
-        let p2 = p.clone();
-        units.push(Box::new(move || {
-            em3d::run_ccxx(&p, v, CcxxConfig::tham(), CostModel::default())
-                .breakdown
-                .elapsed
-        }));
-        units.push(Box::new(move || {
-            em3d::run_ccxx(&p2, v, nexus_config(), nexus_sim_cost_model())
-                .breakdown
-                .elapsed
-        }));
-    }
-
-    let wsize = if scale == Scale::Paper { 64 } else { 16 };
-    for v in WaterVersion::ALL {
-        let p = water_params(scale, wsize);
-        names.push(format!("{} ({} molecules)", v.label(), p.n_mol));
-        let p2 = p.clone();
-        units.push(Box::new(move || {
-            water::run_ccxx(&p, v, CcxxConfig::tham(), CostModel::default())
-                .breakdown
-                .elapsed
-        }));
-        units.push(Box::new(move || {
-            water::run_ccxx(&p2, v, nexus_config(), nexus_sim_cost_model())
-                .breakdown
-                .elapsed
-        }));
-    }
-
-    let p = lu_params(scale);
-    names.push(format!("cc-lu ({}x{})", p.n, p.n));
-    let p2 = p.clone();
-    units.push(Box::new(move || {
-        lu::run_ccxx(&p, CcxxConfig::tham(), CostModel::default())
-            .breakdown
-            .elapsed
-    }));
-    units.push(Box::new(move || {
-        lu::run_ccxx(&p2, nexus_config(), nexus_sim_cost_model())
-            .breakdown
-            .elapsed
-    }));
-
-    let mut elapsed = run_jobs(units, jobs).into_iter();
+    let apps = suite(scale);
+    let names: Vec<String> = apps
+        .iter()
+        .map(|app| match app {
+            App::Em3d(_, v) => format!("{} (100% remote)", v.label()),
+            App::Water(p, v) => format!("{} ({} molecules)", v.label(), p.n_mol),
+            App::Lu(p) => format!("cc-lu ({}x{})", p.n, p.n),
+        })
+        .collect();
+    let list = apps
+        .into_iter()
+        .flat_map(|app| {
+            [
+                (app.clone(), Runtime::tham(), CostModel::default()),
+                (
+                    app,
+                    Runtime::Ccxx(Box::new(nexus_config())),
+                    nexus_sim_cost_model(),
+                ),
+            ]
+        })
+        .collect();
     names
         .into_iter()
-        .map(|name| {
-            let tham = elapsed.next().expect("missing tham run");
-            let nex = elapsed.next().expect("missing nexus run");
-            NexusComparison {
-                name,
-                tham_secs: mpmd_sim::to_secs(tham),
-                nexus_secs: mpmd_sim::to_secs(nex),
-            }
+        .zip(pairs(run_cells(list, jobs)))
+        .map(|(name, (tham, nex))| NexusComparison {
+            name,
+            tham_secs: tham.total_secs(),
+            nexus_secs: nex.total_secs(),
         })
         .collect()
-}
-
-/// Applications exercised by the fault-injection sweep (`faults` binary).
-/// One communication-heavy version of each paper application.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum FaultApp {
-    /// EM3D, ghost version (split-phase gets each half-step).
-    Em3d,
-    /// Water, atomic version (remote reads + atomic force accumulation).
-    Water,
-    /// Blocked LU (bulk stores, prefetches, and barriers).
-    Lu,
-}
-
-impl FaultApp {
-    pub const ALL: [FaultApp; 3] = [FaultApp::Em3d, FaultApp::Water, FaultApp::Lu];
-
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultApp::Em3d => "em3d-ghost",
-            FaultApp::Water => "water-atomic",
-            FaultApp::Lu => "lu",
-        }
-    }
 }
 
 /// One cell of the fault sweep: application × runtime × fault level.
@@ -472,108 +342,61 @@ pub fn sweep_faults(seed: u64, drop: f64) -> FaultModel {
     FaultModel::uniform(seed, drop, drop / 2.0, drop)
 }
 
-/// FNV-1a over the bit patterns of the result values: certifies "bitwise
-/// identical to baseline" without holding every output vector.
-fn result_fingerprint(chunks: &[&[f64]]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for chunk in chunks {
-        for v in *chunk {
-            for b in v.to_bits().to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
-}
-
-/// Run one (application, runtime) pair under `cost`, returning the
-/// breakdown and a fingerprint of the application results.
-fn fault_unit(app: FaultApp, lang: Lang, scale: Scale, cost: CostModel) -> (AppBreakdown, u64) {
-    match (app, lang) {
-        (FaultApp::Em3d, Lang::SplitC) => {
-            let p = em3d_params(scale, 1.0);
-            let r = em3d::run_splitc_cost(&p, Em3dVersion::Ghost, cost);
-            let fp = result_fingerprint(&[&r.output.e, &r.output.h]);
-            (r.breakdown, fp)
-        }
-        (FaultApp::Em3d, Lang::Ccxx) => {
-            let p = em3d_params(scale, 1.0);
-            let r = em3d::run_ccxx(&p, Em3dVersion::Ghost, CcxxConfig::tham(), cost);
-            let fp = result_fingerprint(&[&r.output.e, &r.output.h]);
-            (r.breakdown, fp)
-        }
-        (FaultApp::Water, Lang::SplitC) => {
-            let p = water_params(scale, if scale == Scale::Paper { 64 } else { 16 });
-            let r = water::run_splitc_cost(&p, WaterVersion::Atomic, cost);
-            let fp = result_fingerprint(&[&r.output.pos, &[r.output.energy]]);
-            (r.breakdown, fp)
-        }
-        (FaultApp::Water, Lang::Ccxx) => {
-            let p = water_params(scale, if scale == Scale::Paper { 64 } else { 16 });
-            let r = water::run_ccxx(&p, WaterVersion::Atomic, CcxxConfig::tham(), cost);
-            let fp = result_fingerprint(&[&r.output.pos, &[r.output.energy]]);
-            (r.breakdown, fp)
-        }
-        (FaultApp::Lu, Lang::SplitC) => {
-            let p = lu_params(scale);
-            let r = lu::run_splitc_cost(&p, cost);
-            let fp = result_fingerprint(&[&r.output.factored]);
-            (r.breakdown, fp)
-        }
-        (FaultApp::Lu, Lang::Ccxx) => {
-            let p = lu_params(scale);
-            let r = lu::run_ccxx(&p, CcxxConfig::tham(), cost);
-            let fp = result_fingerprint(&[&r.output.factored]);
-            (r.breakdown, fp)
-        }
-    }
-}
-
-/// Fault-injection sweep: every application × runtime × fault level, with
-/// the baseline (fault model off) first in each group. Each simulation is an
-/// independent work unit fanned across `jobs` threads in deterministic
-/// config order, so output is identical for any `jobs`.
+/// Fault-injection sweep: one communication-heavy version of each paper
+/// application (EM3D ghost: split-phase gets each half-step; Water atomic:
+/// remote reads and atomic force accumulation; LU: bulk stores, prefetches
+/// and barriers) × runtime × fault level, with the baseline (fault model
+/// off) first in each group. Each simulation is an independent work unit
+/// fanned across `jobs` threads in deterministic config order, so output is
+/// identical for any `jobs`.
 pub fn run_faults(scale: Scale, drops: &[f64], seed: u64, jobs: usize) -> Vec<FaultCell> {
-    let mut configs = Vec::new();
-    for &app in &FaultApp::ALL {
-        for lang in [Lang::SplitC, Lang::Ccxx] {
-            configs.push((app, lang));
-        }
-    }
+    let apps = [
+        (
+            "em3d-ghost",
+            App::Em3d(em3d_params(scale, 1.0), Em3dVersion::Ghost),
+        ),
+        (
+            "water-atomic",
+            App::Water(
+                water_params(scale, suite_molecules(scale)),
+                WaterVersion::Atomic,
+            ),
+        ),
+        ("lu", App::Lu(lu_params(scale))),
+    ];
     let levels: Vec<Option<f64>> = std::iter::once(None)
         .chain(drops.iter().copied().map(Some))
         .collect();
-    let units: Vec<Unit<(AppBreakdown, u64)>> = configs
-        .iter()
-        .flat_map(|&(app, lang)| {
-            levels.iter().map(move |&level| {
+    let mut list = Vec::new();
+    let mut groups = Vec::new();
+    for (label, app) in apps {
+        for rt in [Runtime::SPLITC, Runtime::tham()] {
+            groups.push((label, rt.lang()));
+            for &level in &levels {
                 let cost = match level {
                     None => CostModel::default(),
                     Some(d) => CostModel::default().with_faults(sweep_faults(seed, d)),
                 };
-                Box::new(move || fault_unit(app, lang, scale, cost)) as Unit<(AppBreakdown, u64)>
-            })
-        })
-        .collect();
-    let mut results = run_jobs(units, jobs).into_iter();
+                list.push((app.clone(), rt.clone(), cost));
+            }
+        }
+    }
+    let mut results = map_jobs(list, jobs, |(app, rt, cost)| {
+        let run = app.run(&rt, cost);
+        (run.breakdown, run.output.fingerprint())
+    })
+    .into_iter();
     let mut out = Vec::new();
-    for (app, lang) in configs {
-        let (breakdown, base_fp) = results.next().expect("missing baseline run");
-        out.push(FaultCell {
-            app: app.label(),
-            lang,
-            drop: None,
-            breakdown,
-            matches_baseline: true,
-        });
-        for &d in drops {
+    for (app, lang) in groups {
+        let mut base_fp = None;
+        for &drop in &levels {
             let (breakdown, fp) = results.next().expect("missing fault run");
             out.push(FaultCell {
-                app: app.label(),
+                app,
                 lang,
-                drop: Some(d),
+                drop,
                 breakdown,
-                matches_baseline: fp == base_fp,
+                matches_baseline: *base_fp.get_or_insert(fp) == fp,
             });
         }
     }

@@ -6,8 +6,10 @@
 //! Regenerate after a deliberate format change with
 //! `UPDATE_GOLDEN=1 cargo test -p mpmd-bench --test flame_golden`.
 
-use mpmd_apps::em3d::{run_splitc_traced, Em3dParams, Em3dVersion};
-use mpmd_sim::{fold_stacks, phase_profile};
+use mpmd_apps::common::run_collect_full;
+use mpmd_apps::em3d::{Em3dParams, Em3dVersion};
+use mpmd_apps::{App, Runtime};
+use mpmd_sim::{fold_stacks, phase_profile, CostModel, TraceConfig};
 use std::path::Path;
 
 fn small_em3d_folded() -> (String, mpmd_sim::TraceLog) {
@@ -19,7 +21,12 @@ fn small_em3d_folded() -> (String, mpmd_sim::TraceLog) {
         remote_frac: 1.0,
         seed: 42,
     };
-    let (_, log) = run_splitc_traced(&p, Em3dVersion::Ghost);
+    let app = App::Em3d(p, Em3dVersion::Ghost);
+    let trace = Some(TraceConfig::new());
+    let (_, report) = run_collect_full(app.procs(), CostModel::default(), trace, move |ctx| {
+        app.run_on(ctx, &Runtime::SPLITC)
+    });
+    let log = report.trace.expect("tracing was enabled");
     (fold_stacks(&log), log)
 }
 

@@ -5,10 +5,10 @@
 //! order.
 
 use mpmd_am as am;
-use mpmd_apps::em3d::{self, Em3dParams, Em3dVersion};
-use mpmd_apps::water::{self, WaterParams, WaterVersion};
+use mpmd_apps::em3d::{Em3dParams, Em3dVersion};
+use mpmd_apps::water::{WaterParams, WaterVersion};
+use mpmd_apps::{App, Runtime};
 use mpmd_bench::runner::{run_jobs, Unit};
-use mpmd_ccxx::CcxxConfig;
 use mpmd_sim::{Bucket, CostModel, Fabric, FaultModel, MetricsRegistry, Payload, Sim};
 use mpmd_threads as thr;
 use std::path::PathBuf;
@@ -64,27 +64,18 @@ fn suite_metrics_json(cost: CostModel, jobs: usize) -> String {
         seed: 1997,
         box_size: 8.0,
     };
-    let (p1, c1) = (em3d_p.clone(), cost.clone());
-    let (p2, c2) = (em3d_p, cost.clone());
-    let (p3, c3) = (water_p, cost.clone());
-    let units: Vec<Unit<Option<MetricsRegistry>>> = vec![
-        Box::new(move || {
-            em3d::run_splitc_cost(&p1, Em3dVersion::Ghost, c1)
-                .breakdown
-                .metrics
-        }),
-        Box::new(move || {
-            em3d::run_ccxx(&p2, Em3dVersion::Ghost, CcxxConfig::tham(), c2)
-                .breakdown
-                .metrics
-        }),
-        Box::new(move || {
-            water::run_splitc_cost(&p3, WaterVersion::Atomic, c3)
-                .breakdown
-                .metrics
-        }),
-        Box::new(move || ping_pong_final(cost)),
+    let em3d = App::Em3d(em3d_p, Em3dVersion::Ghost);
+    let cells = [
+        (em3d.clone(), Runtime::SPLITC),
+        (em3d, Runtime::tham()),
+        (App::Water(water_p, WaterVersion::Atomic), Runtime::SPLITC),
     ];
+    let mut units: Vec<Unit<Option<MetricsRegistry>>> = Vec::new();
+    for (app, rt) in cells {
+        let cost = cost.clone();
+        units.push(Box::new(move || app.run(&rt, cost).breakdown.metrics));
+    }
+    units.push(Box::new(move || ping_pong_final(cost)));
     run_jobs(units, jobs)
         .iter()
         .map(|m| registry_json(m.as_ref().expect("metrics were enabled")))
@@ -162,19 +153,18 @@ fn metrics_record_only_what_they_measure() {
         box_size: 8.0,
     };
     let cost = CostModel::default().with_metrics();
+    let water = App::Water(water_p, WaterVersion::Atomic);
+    let run = |app: &App, rt| app.run(&rt, cost.clone()).breakdown;
     let runs = [
         (
-            em3d::run_splitc_cost(&em3d_p, Em3dVersion::Ghost, cost.clone()).breakdown,
+            run(&App::Em3d(em3d_p, Em3dVersion::Ghost), Runtime::SPLITC),
             &["sc.split_op_ns"][..],
         ),
         (
-            water::run_splitc_cost(&water_p, WaterVersion::Atomic, cost.clone()).breakdown,
+            run(&water, Runtime::SPLITC),
             &["sc.atomic_ns", "sc.sync_read_ns"],
         ),
-        (
-            water::run_ccxx(&water_p, WaterVersion::Atomic, CcxxConfig::tham(), cost).breakdown,
-            &["ccxx.rmi_rtt_ns"],
-        ),
+        (run(&water, Runtime::tham()), &["ccxx.rmi_rtt_ns"]),
     ];
     for (b, latencies) in &runs {
         let m = b.metrics.as_ref().expect("metrics were enabled");
@@ -204,7 +194,9 @@ fn report_and_registry_json_invariant_across_seeds_and_jobs() {
         };
         let cost = CostModel::default().with_metrics();
         let units: Vec<Unit<String>> = vec![Box::new(move || {
-            let b = em3d::run_splitc_cost(&p, Em3dVersion::Ghost, cost.clone()).breakdown;
+            let b = App::Em3d(p.clone(), Em3dVersion::Ghost)
+                .run(&Runtime::SPLITC, cost.clone())
+                .breakdown;
             format!(
                 "elapsed={} components={:?} counts={:?} metrics={}",
                 b.elapsed,
