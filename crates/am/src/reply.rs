@@ -125,6 +125,10 @@ pub struct RecordCell<X> {
 
 impl<X: Send + 'static> CallRecord<X> {
     /// The record a reply carries.
+    #[expect(
+        clippy::unnecessary_box_returns,
+        reason = "the Box is the message's token itself, handed on as it came"
+    )]
     pub fn of(m: &mut AmMsg) -> Box<Self> {
         m.token
             .take()

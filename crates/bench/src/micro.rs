@@ -745,10 +745,11 @@ mod tests {
     const GATE_ITERS: usize = 1_000;
 
     /// What `LocalFabric` may allocate on a node beyond the simulator's
-    /// count, per run: its tables reaching a new peak and, on pooled
-    /// threads, the pool starting a worker. Both are bounded by the peak of
-    /// live tasks, not by the op count.
-    const WALL_CLOCK_ALLOWANCE: u64 = GATE_ITERS as u64 / 10;
+    /// count, per run: a new peak of the node's live tasks inside the
+    /// measured interval, which on fibers grows a table (1-3 allocations)
+    /// and on pooled threads starts a worker (6). Both are bounded by the
+    /// peak, not by the op count: a few such steps, never one per op.
+    const WALL_CLOCK_ALLOWANCE: u64 = GATE_ITERS as u64 / 50;
 
     /// What a thread create allocates on its node, on either fabric: the
     /// task's context and its body, and on fibers the fiber's start record.

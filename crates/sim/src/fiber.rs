@@ -21,7 +21,7 @@
 //! from the process-wide spare list that dropped runtimes hand theirs to
 //! (`SPARE`), and only then from the allocator. Once warm a spawn allocates
 //! no stack, but still three small blocks: the body box, the `TaskCell` `Arc`
-//! and the `FiberBody` box (and on the simulator a fourth, the task's name).
+//! and the `FiberBody` box.
 //!
 //! Safety rests entirely on the baton invariant: all fibers of one
 //! [`FiberRt`] — one `Sim`, or one `LocalFabric` node — run on one OS

@@ -1,8 +1,8 @@
 //! The task host off x86-64 unix, and under `--cfg mpmd_no_fibers`: every
 //! task body runs on an OS thread of a pool, and a strict hand-off keeps the
 //! run deterministic — at any instant exactly one context of a baton (its
-//! engine, or one task) executes. Threads are reused across tasks, so a
-//! spawn does not pay OS-thread creation after warm-up.
+//! engine, or one task) executes. A start spawns a worker only when more
+//! tasks are live than workers: the pool is the baton's peak of live tasks.
 //!
 //! Scheduling decisions run on whichever OS thread holds the baton. A task
 //! reaching a blocking point picks the next task itself (on the state its
@@ -96,8 +96,7 @@ struct Pool {
     /// Signalled when a job is queued for an idle worker, or the pool closes.
     cv: Condvar,
     /// The engine's cell: the `None` successor, and the backstop should a
-    /// body itself panic through (then nobody else will ever wake the
-    /// engine).
+    /// body itself panic through (then nobody else would wake the engine).
     engine: HandoffCell,
     baton: Arc<Core>,
 }
@@ -105,7 +104,7 @@ struct Pool {
 #[derive(Default)]
 struct Queue {
     jobs: VecDeque<Job>,
-    /// Workers done with their last job that have not taken another.
+    /// Workers holding no job: new ones, and those done with their last.
     idle: usize,
     workers: Vec<thread::JoinHandle<()>>,
     /// The pool is gone: idle workers exit.
@@ -124,28 +123,28 @@ impl TaskPool {
         }))
     }
 
-    /// Hand the task's body to an idle worker, or spawn a new worker.
-    /// Returns immediately; the task does not run until it is handed the
-    /// baton via `cell`.
+    /// Queue the task's body for an idle worker, spawning one when none is
+    /// left for it. Returns immediately; the task does not run until it is
+    /// handed the baton via `cell`.
     pub(crate) fn start(&self, cell: Arc<TaskCell>, body: TaskBody, owner: (usize, u32)) {
         let mut q = locked(&self.0.queue);
         q.jobs.push_back(Job { cell, body, owner });
-        if q.idle >= q.jobs.len() {
-            self.0.cv.notify_one();
-            return;
+        if q.idle < q.jobs.len() {
+            let pool = Arc::clone(&self.0);
+            let worker = thread::Builder::new()
+                .name("mpmd-sim-worker".into())
+                .spawn(move || worker_loop(&pool))
+                .expect("failed to spawn simulator worker thread");
+            q.workers.push(worker);
+            q.idle += 1;
+            // A queued job always has an idle worker to take it, so the queue
+            // holds at most one job per worker before a push. Room for that
+            // now means it never grows later, when its length depends on how
+            // soon the OS runs the workers: a spawn's allocations do not.
+            let room = (q.workers.len() + 1).saturating_sub(q.jobs.len());
+            q.jobs.reserve(room);
         }
-        let pool = Arc::clone(&self.0);
-        let worker = thread::Builder::new()
-            .name("mpmd-sim-worker".into())
-            .spawn(move || worker_loop(&pool))
-            .expect("failed to spawn simulator worker thread");
-        q.workers.push(worker);
-        // A queued job always has a worker to take it, so the queue holds at
-        // most one job per worker before a push. Room for that now means it
-        // never grows later, when its length depends on how soon the OS runs
-        // the workers: a spawn's allocations do not.
-        let room = (q.workers.len() + 1).saturating_sub(q.jobs.len());
-        q.jobs.reserve(room);
+        self.0.cv.notify_one();
     }
 
     /// Hand the baton from `from` to `to` (`None` is the engine) and wait
@@ -181,11 +180,18 @@ impl Drop for TaskPool {
     }
 }
 
-/// A new worker starts on the job it was spawned for: more jobs than idle
-/// workers are queued until it takes one.
+/// A worker's one body: idle from its spawn until it takes a job, it runs
+/// it and waits again, until the pool closes (a job left then goes unrun).
 fn worker_loop(pool: &Pool) {
-    let mut q = locked(&pool.queue);
-    while let Some(job) = q.jobs.pop_front() {
+    loop {
+        let mut q = pool
+            .cv
+            .wait_while(locked(&pool.queue), |q| q.jobs.is_empty() && !q.closed)
+            .unwrap_or_else(PoisonError::into_inner);
+        let Some(job) = q.jobs.pop_front().filter(|_| !q.closed) else {
+            return;
+        };
+        q.idle -= 1;
         drop(q);
         job.cell.wait_for_turn();
         pool.baton.enter(job.owner);
@@ -201,12 +207,6 @@ fn worker_loop(pool: &Pool) {
         baton::leave();
         locked(&pool.queue).idle += 1;
         next.as_deref().unwrap_or(&pool.engine).resume();
-        q = locked(&pool.queue);
-        q = pool
-            .cv
-            .wait_while(q, |q| q.jobs.is_empty() && !q.closed)
-            .unwrap_or_else(PoisonError::into_inner);
-        q.idle -= 1;
     }
 }
 
@@ -282,6 +282,27 @@ mod tests {
         for c in cells {
             pool.switch(None, Some(&c));
         }
+    }
+
+    #[test]
+    fn a_chain_of_tasks_runs_on_two_workers() {
+        // Each task starts its successor and hands it the baton: at most two
+        // tasks are live at once, so two workers host the whole chain. A
+        // worker spawned for a start that the ending task's worker serves
+        // must wait for the next job, not exit and leave the pool to grow.
+        fn link(pool: &Arc<TaskPool>, left: usize) -> Arc<TaskCell> {
+            let cell = Arc::new(TaskCell::default());
+            let next = Arc::clone(pool);
+            let body = move || (left > 0).then(|| link(&next, left - 1));
+            pool.start(Arc::clone(&cell), Box::new(body), (0, 0));
+            cell
+        }
+        let pool = Arc::new(TaskPool::new("test", Core::new(0..1)));
+        let first = link(&pool, 999);
+        pool.switch(None, Some(&first));
+        let workers = pool.worker_count();
+        assert!(workers <= 2, "1 000 tasks took {workers} workers");
+        assert_eq!(locked(&pool.0.queue).idle, workers, "a worker is busy");
     }
 
     #[test]
